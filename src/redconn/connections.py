@@ -232,6 +232,15 @@ def torus_rule(a: LieAlgebra, generators, order: int) -> QuadratureRule:
     return rule
 
 
+def frame_transport(g: GroupElement) -> np.ndarray:
+    """The block matrix diag(Ad g, Coad g) acting on frame components."""
+    n = g.algebra.dim
+    T = np.zeros((2 * n, 2 * n))
+    T[:n, :n] = adjoint_matrix(g)
+    T[n:, n:] = coadjoint_matrix(g)
+    return T
+
+
 def pullback_connection(conn: FrameConnection, g: GroupElement) -> FrameConnection:
     """Pullback of a frame connection by the lifted right translation by g.
 
@@ -241,14 +250,11 @@ def pullback_connection(conn: FrameConnection, g: GroupElement) -> FrameConnecti
     """
     a = conn.algebra
     n = a.dim
-    ad_inv = adjoint_matrix(g.inverse())
-    coad_inv = coadjoint_matrix(g.inverse())
-    T = np.zeros((2 * n, 2 * n))
-    T[:n, :n] = ad_inv
-    T[n:, n:] = coad_inv
-    Tinv = np.zeros((2 * n, 2 * n))
-    Tinv[:n, :n] = adjoint_matrix(g)
-    Tinv[n:, n:] = coadjoint_matrix(g)
+    T = frame_transport(g.inverse())
+    Tinv = frame_transport(g)
+    # Fortran order, as coadjoint_matrix returns it: the layout sets the
+    # summation order of the product below, hence its roundoff
+    coad_inv = np.asfortranarray(T[n:, n:])
 
     def coeff(xi: np.ndarray) -> np.ndarray:
         moved = coad_inv @ xi

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ZeroDimensionalBase
 from .orbits import OrbitChart
 from .reduction import (ChartField, ReductionContext, SigmaGeometry,
-                        _constant_chart_field, reduced_form)
+                        _constant_chart_field, coordinate_fields, reduced_form)
 
 DEFAULT_FD_STEP = 1e-5
 DEFAULT_FD_STEP2 = 1e-4
@@ -144,7 +144,7 @@ def curvature_samples(ctx: ReductionContext, chart: OrbitChart, t_points, *,
     _require_base(ctx)
     geom = SigmaGeometry(ctx, chart)
     km = chart.dim
-    fields = [_constant_chart_field(np.eye(km)[i]) for i in range(km)]
+    fields = coordinate_fields(chart)
     samples = []
     for t in t_points:
         t = np.asarray(t, dtype=float)
@@ -177,7 +177,7 @@ def curvature_symmetry_report(ctx: ReductionContext, chart: OrbitChart, t_points
     _require_base(ctx)
     geom = SigmaGeometry(ctx, chart)
     km = chart.dim
-    fields = [_constant_chart_field(np.eye(km)[i]) for i in range(km)]
+    fields = coordinate_fields(chart)
     evaluate = curvature_fd_oracle if use_oracle else reduced_curvature_formula
 
     def curv(i, j, l, t):
@@ -232,9 +232,8 @@ def convergence_factor(ctx: ReductionContext, chart: OrbitChart, t, *,
     outer step so the whole computation contracts consistently.
     """
     _require_base(ctx)
-    km = chart.dim
     i, j, l = inputs
-    fields = [_constant_chart_field(np.eye(km)[a]) for a in range(km)]
+    fields = coordinate_fields(chart)
     geom_ref = SigmaGeometry(ctx, chart, richardson=True)
     reference = reduced_curvature_formula(ctx, chart, fields[i], fields[j], fields[l],
                                           t, fd_step=1e-4, fd_step2=1e-3, geom=geom_ref)
@@ -255,5 +254,4 @@ def convergence_factor(ctx: ReductionContext, chart: OrbitChart, t, *,
     return {"step_coarse": coarse, "step_fine": coarse / 2.0,
             "oracle_error_coarse": oracle_coarse, "oracle_error_fine": oracle_fine,
             "formula_error_coarse": formula_coarse, "formula_error_fine": formula_fine,
-            "discrepancy_coarse": oracle_coarse, "discrepancy_fine": oracle_fine,
             "factor": float(factor)}

@@ -41,17 +41,6 @@ def rank(A, rtol: float = RANK_RTOL) -> int:
     return _svd_rank(np.linalg.svd(A, compute_uv=False), rtol)
 
 
-def cond(A) -> float:
-    """2-norm condition number; ``inf`` for rank-deficient input."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if min(A.shape) == 0:
-        return 1.0
-    s = np.linalg.svd(A, compute_uv=False)
-    if s[-1] == 0.0:
-        return np.inf
-    return float(s[0] / s[-1])
-
-
 def projector(basis) -> np.ndarray:
     """Orthogonal projector onto the column span of ``basis``."""
     Q = orthonormal_columns(basis)
@@ -69,22 +58,6 @@ def subspace_distance(A, B) -> float:
     PA = projector(A) if A.shape[1] else np.zeros((A.shape[0], A.shape[0]))
     PB = projector(B) if B.shape[1] else np.zeros((B.shape[0], B.shape[0]))
     return float(np.linalg.norm(PA - PB, ord=2))
-
-
-def intersect(A, B, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Orthonormal basis of span(A) ∩ span(B).
-
-    Solves A x = B y by taking the nullspace of the stacked matrix [A, -B];
-    the intersection is spanned by the corresponding combinations A x.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if A.shape[1] == 0 or B.shape[1] == 0:
-        return np.zeros((A.shape[0], 0))
-    N = nullspace(np.hstack([A, -B]), rtol)
-    if N.shape[1] == 0:
-        return np.zeros((A.shape[0], 0))
-    return orthonormal_columns(A @ N[: A.shape[1]], rtol)
 
 
 def solve_columns(A, B) -> np.ndarray:

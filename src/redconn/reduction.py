@@ -282,17 +282,24 @@ class SigmaGeometry:
             raise NotTangent(f"vector is not an orbit tangent at the point (residual {residual:.3e})")
         return self.ctx.w1 @ coeffs
 
-    def lift_field(self, chart_field: ChartField, key=None) -> SigmaField:
+    def chart_lifts(self, t, D: np.ndarray) -> list:
+        """Horizontal lifts at the section point t of the columns of D = dnu(t)."""
+        return [self.lift(t, self.identity, D[:, i]) for i in range(D.shape[1])]
+
+    def form_table(self, us, vs) -> np.ndarray:
+        """ω at μ on every pair of level-set vectors: entry [a, b] is ω(us[a], vs[b])."""
+        return np.array([[symplectic_form(self.algebra, self.ctx.mu, u, v) for v in vs]
+                         for u in us])
+
+    def lift_field(self, chart_field: ChartField) -> SigmaField:
         """Horizontal lift of a chart-component field, memoized per point.
 
         The memo key holds the field object itself; keying by ``id()`` would
         collide once a garbage-collected closure's address is reused.
         """
-        cache_key = key if key is not None else chart_field
-
         def lifted(t, fiber: GroupElement) -> np.ndarray:
             t = np.asarray(t, dtype=float)
-            memo = (cache_key, t.tobytes(), fiber.mat.tobytes())
+            memo = (chart_field, t.tobytes(), fiber.mat.tobytes())
             hit = self._lift_cache.get(memo)
             if hit is not None:
                 return hit
@@ -361,16 +368,22 @@ class SigmaGeometry:
         g = self.chart.section_element(t, fiber)
         return -coadjoint_matrix(g) @ (self.K_T @ np.asarray(v, dtype=float)[: self.n])
 
+    def pushdown_horizontal(self, t, fiber: GroupElement, v) -> np.ndarray:
+        """Remove the radical component of v, then push it down to the orbit."""
+        return self.pushdown(t, fiber, self.ctx.horizontal_part(v))
+
+    def lifted_cov(self, x_field: ChartField, y_field: ChartField, t,
+                   fiber: GroupElement, step: float) -> np.ndarray:
+        """Induced derivative on the level set of the lift of y along the lift of x."""
+        u = self.lift_field(x_field)(np.asarray(t, dtype=float), fiber)
+        return self.cov_sigma(u, self.lift_field(y_field), t, fiber, step)
+
     def reduced_cov(self, x_field: ChartField, y_field: ChartField, t,
-                    fiber: GroupElement | None = None, step: float = 1e-5,
-                    keys=(None, None)) -> np.ndarray:
+                    fiber: GroupElement | None = None, step: float = 1e-5) -> np.ndarray:
         """Reduced covariant derivative, pushed down to an orbit tangent."""
         fiber = fiber if fiber is not None else self.identity
-        xb = self.lift_field(x_field, keys[0])
-        yb = self.lift_field(y_field, keys[1])
-        u = xb(np.asarray(t, dtype=float), fiber)
-        G = self.cov_sigma(u, yb, t, fiber, step)
-        return self.pushdown(t, fiber, self.ctx.horizontal_part(G))
+        return self.pushdown_horizontal(t, fiber,
+                                        self.lifted_cov(x_field, y_field, t, fiber, step))
 
 
 # --- public operations --------------------------------------------------------
@@ -424,6 +437,18 @@ def reduced_form(ctx: ReductionContext, chart: OrbitChart, v, w, t,
     return symplectic_form(ctx.algebra, ctx.mu, vb, wb)
 
 
+def lift_gram(geom: SigmaGeometry, lifts) -> np.ndarray:
+    """Gram matrix of ω at μ on lifted chart directions."""
+    return np.array([[la @ geom.omega_mu @ lb for lb in lifts] for la in lifts])
+
+
+def gram_oracle_solve(geom: SigmaGeometry, D: np.ndarray, lifts, gram: np.ndarray,
+                      G: np.ndarray) -> np.ndarray:
+    """Orbit tangent whose lift pairs with the lifted chart directions as G does."""
+    rhs = np.array([G @ geom.omega_mu @ lb for lb in lifts])
+    return D @ np.linalg.solve(gram.T, rhs)
+
+
 def reduced_covderiv_gram_oracle(ctx: ReductionContext, chart: OrbitChart,
                                  x_field: ChartField, y_field: ChartField, t, *,
                                  fd_step: float = 1e-5) -> np.ndarray:
@@ -437,18 +462,11 @@ def reduced_covderiv_gram_oracle(ctx: ReductionContext, chart: OrbitChart,
     if ctx.zero_dimensional_base:
         raise ZeroDimensionalBase("the reduced manifold is a point")
     geom = SigmaGeometry(ctx, chart)
-    fiber = geom.identity
     t = np.asarray(t, dtype=float)
-    xb = geom.lift_field(x_field)
-    yb = geom.lift_field(y_field)
-    u = xb(t, fiber)
-    G = geom.cov_sigma(u, yb, t, fiber, fd_step)
+    G = geom.lifted_cov(x_field, y_field, t, geom.identity, fd_step)
     D = chart.dnu(t)
-    lifts = [geom.lift(t, fiber, D[:, b]) for b in range(chart.dim)]
-    gram = np.array([[la @ geom.omega_mu @ lb for lb in lifts] for la in lifts])
-    rhs = np.array([G @ geom.omega_mu @ lb for lb in lifts])
-    coeffs = np.linalg.solve(gram.T, rhs)
-    return D @ coeffs
+    lifts = geom.chart_lifts(t, D)
+    return gram_oracle_solve(geom, D, lifts, lift_gram(geom, lifts), G)
 
 
 def totally_geodesic_defect(ctx: ReductionContext, conn: FrameConnection) -> float:
@@ -533,15 +551,13 @@ def autoparallel_check(ctx: ReductionContext, conn: FrameConnection, *,
     other = build_context(a, ctx.mu, s_tilde=cand, connection=conn)
     geom_a = SigmaGeometry(ctx, chart, conn)
     geom_b = SigmaGeometry(other, chart, conn)
-    km = chart.dim
+    fields = coordinate_fields(chart)
     diff = 0.0
     count = 0
     for _ in range(n_samples):
-        t = rng.uniform(-0.3, 0.3, size=km) * chart.radius
-        for i in range(km):
-            for j in range(km):
-                xf = _constant_chart_field(np.eye(km)[i])
-                yf = _constant_chart_field(np.eye(km)[j])
+        t = rng.uniform(-0.3, 0.3, size=chart.dim) * chart.radius
+        for xf in fields:
+            for yf in fields:
                 va = geom_a.reduced_cov(xf, yf, t, step=fd_step)
                 vb = geom_b.reduced_cov(xf, yf, t, step=fd_step)
                 diff = max(diff, float(np.max(np.abs(va - vb))))
@@ -559,19 +575,34 @@ def coordinate_fields(chart: OrbitChart) -> list:
     return [_constant_chart_field(np.eye(chart.dim)[i]) for i in range(chart.dim)]
 
 
-def kks_residual(ctx: ReductionContext, chart: OrbitChart, t,
-                 geom: SigmaGeometry | None = None) -> float:
-    """Largest relative gap between the reduced form and the sign-matched
-    canonical orbit form over chart coordinate pairs at t."""
-    geom = geom if geom is not None else SigmaGeometry(ctx, chart)
-    t = np.asarray(t, dtype=float)
+def kks_pairs(ctx: ReductionContext, chart: OrbitChart, t, omega: np.ndarray) -> list:
+    """(reduced, canonical) orbit-form values on the chart coordinate pairs
+    i < j at t where the canonical value is nonzero; ``omega`` holds the
+    reduced form on the coordinate tangents at t."""
     D = chart.dnu(t)
     nu = chart.nu(t)
-    worst = 0.0
+    pairs = []
     for i in range(chart.dim):
         for j in range(i + 1, chart.dim):
-            red = reduced_form(ctx, chart, D[:, i], D[:, j], t, geom=geom)
             ref = kks_form(ctx.algebra, nu, D[:, i], D[:, j])
             if abs(ref) > 1e-12:
-                worst = max(worst, abs(red - KKS_MATCH_SIGN * ref) / abs(ref))
-    return worst
+                pairs.append((omega[i, j], ref))
+    return pairs
+
+
+def kks_residual(ctx: ReductionContext, chart: OrbitChart, t,
+                 geom: SigmaGeometry | None = None,
+                 omega: np.ndarray | None = None) -> float:
+    """Largest relative gap between the reduced form and the sign-matched
+    canonical orbit form over chart coordinate pairs at t.
+
+    ``omega`` is the reduced form on the coordinate tangents at t, as
+    ``SigmaGeometry.form_table`` of their lifts gives it; computed when omitted.
+    """
+    t = np.asarray(t, dtype=float)
+    if omega is None:
+        geom = geom if geom is not None else SigmaGeometry(ctx, chart)
+        lifts = geom.chart_lifts(t, chart.dnu(t))
+        omega = geom.form_table(lifts, lifts)
+    return max([0.0] + [abs(red - KKS_MATCH_SIGN * ref) / abs(ref)
+                        for red, ref in kks_pairs(ctx, chart, t, omega)])

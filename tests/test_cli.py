@@ -188,6 +188,19 @@ class TestFlags:
         cfg = CaseConfig.from_dict(dict(SO3_DOC, tol={"kks_match": 1e-5}))
         assert cfg.threshold("kks_match") == pytest.approx(1e-5)
         assert cfg.threshold("jacobi") == pytest.approx(1e-12)
+        with pytest.raises(ConfigError, match="kks_mach"):
+            CaseConfig.from_dict(dict(SO3_DOC, tol={"kks_mach": 1e-3}))
+        for bad in ("1e-3", True, None):
+            with pytest.raises(ConfigError):
+                CaseConfig.from_dict(dict(SO3_DOC, tol={"kks_match": bad}))
+
+    def test_misspelt_threshold_exits_two(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, dict(SO3_DOC, tol={"kks_mach": 1e-3}))
+        code = main(["verify", "--config", cfg])
+        rep = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert rep["error"]["type"] == "ConfigError"
+        assert rep["error"]["stage"] == "config"
 
     def test_installed_entry_point(self, tmp_path):
         cfg = _write_config(tmp_path, SO3_DOC)
