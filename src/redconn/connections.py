@@ -21,7 +21,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import SingularOmega
-from .liealg import GroupElement, LieAlgebra, adjoint_matrix, coadjoint_matrix, group_exp
+from .liealg import GroupElement, LieAlgebra, adjoint_matrix, coadjoint_matrix, compose, \
+    group_exp
 from .phasespace import TrivTangent, _tangent_pair, omega_gram
 
 WEIGHT_TOL = 1e-12
@@ -223,7 +224,7 @@ def torus_rule(a: LieAlgebra, generators, order: int) -> QuadratureRule:
         w = 1.0
         for X, i in zip(gens, combo):
             step = group_exp(a, angles[i] * X)
-            g = step if g is None else GroupElement(a, g.mat @ step.mat)
+            g = step if g is None else compose(g, step)
             w *= w_1d[i]
         nodes.append(g)
         weights.append(w)

@@ -1,10 +1,12 @@
 """Lie algebras over structure constants, with optional matrix realizations.
 
 An algebra is stored as its dimension n together with the rank-3 array of
-structure constants ``c[i, j, k]``, the e_k-coefficient of [e_i, e_j].  The
-named catalog algebras also carry a faithful matrix realization, which powers
-the exponential map and the adjoint/coadjoint representations of the
-corresponding matrix group.
+structure constants ``c[i, j, k]``, the e_k-coefficient of [e_i, e_j].  These
+fix the group kernels: Ad(exp X) = e^{ad X} and Coad(g) = Ad(g)⁻ᵀ.  The named
+catalog algebras also carry a faithful matrix realization.  It supplies the
+group-element matrix whose determinant and orthogonality are checked, the
+coordinates of realization matrices (an independent route that tests compare
+against), and the gate for operations that need a realization.
 
 Conventions used throughout the library:
 
@@ -234,10 +236,11 @@ def reductive_complement(a: LieAlgebra, g_mu, tol: float = COMPLEMENT_TOL) -> np
 
 @dataclass(frozen=True)
 class GroupElement:
-    """A group element in the matrix realization of an algebra."""
+    """A group element: its realization matrix ``mat`` and its n×n Ad matrix ``ad``."""
 
     algebra: LieAlgebra
     mat: np.ndarray
+    ad: np.ndarray
 
     def validate(self, tol: float = GROUP_MAT_TOL) -> None:
         M = self.mat
@@ -249,39 +252,36 @@ class GroupElement:
                 raise ValueError(f"orthogonality defect {defect:.3e}")
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(self.algebra, np.linalg.inv(self.mat))
+        return GroupElement(self.algebra, np.linalg.inv(self.mat), np.linalg.inv(self.ad))
 
 
 def identity_element(a: LieAlgebra) -> GroupElement:
     rho = a.require_realization()
-    return GroupElement(a, np.eye(rho.shape[1]))
+    return GroupElement(a, np.eye(rho.shape[1]), np.eye(a.dim))
 
 
 def group_exp(a: LieAlgebra, X) -> GroupElement:
-    """exp of the algebra element with coordinates X, in the realization."""
+    """exp of the algebra element with coordinates X: e^X in the realization, Ad = e^{ad X}."""
     rho = a.require_realization()
     X = np.asarray(X, dtype=float)
-    g = GroupElement(a, scipy.linalg.expm(np.einsum("i,iab->ab", X, rho)))
+    g = GroupElement(a, scipy.linalg.expm(np.einsum("i,iab->ab", X, rho)),
+                     scipy.linalg.expm(a.ad(X)))
     g.validate()
     return g
 
 
 def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
-    return GroupElement(g1.algebra, g1.mat @ g2.mat)
+    return GroupElement(g1.algebra, g1.mat @ g2.mat, g1.ad @ g2.ad)
 
 
 def adjoint_matrix(g: GroupElement) -> np.ndarray:
-    """Matrix of Ad(g) on the algebra basis, via conjugation in the realization."""
-    a = g.algebra
-    rho = a.require_realization()
-    g_inv = np.linalg.inv(g.mat)
-    cols = [a.matrix_coords(g.mat @ rho[i] @ g_inv) for i in range(a.dim)]
-    return np.column_stack(cols)
+    """Matrix of Ad(g) on the algebra basis."""
+    return g.ad
 
 
 def coadjoint_matrix(g: GroupElement) -> np.ndarray:
     """Matrix of Coad(g) = Ad(g⁻¹)ᵀ on covector components."""
-    return adjoint_matrix(g.inverse()).T
+    return np.linalg.inv(g.ad).T
 
 
 # --- named catalog -----------------------------------------------------------

@@ -16,7 +16,7 @@ import scipy.linalg
 
 from . import linalg
 from .errors import NotTangent, RankLoss
-from .liealg import GroupElement, LieAlgebra, coadjoint_matrix, compose
+from .liealg import GroupElement, LieAlgebra, coadjoint_matrix, compose, group_exp
 
 TANGENT_RESIDUAL_TOL = 1e-8
 
@@ -38,16 +38,10 @@ class OrbitChart:
     def dim(self) -> int:
         return self.m_basis.shape[1]
 
-    def _rho_combo(self, t: np.ndarray) -> np.ndarray:
-        rho = self.algebra.require_realization()
-        coords = self.m_basis @ t
-        return np.einsum("i,iab->ab", coords, rho)
-
     def section_element(self, t, fiber: GroupElement | None = None) -> GroupElement:
         """Group element exp(Σ t_a E_a), optionally right-multiplied by a
         stabilizer element to move along the fiber."""
-        t = np.asarray(t, dtype=float)
-        g = GroupElement(self.algebra, scipy.linalg.expm(self._rho_combo(t)))
+        g = group_exp(self.algebra, self.m_basis @ np.asarray(t, dtype=float))
         if fiber is not None:
             g = compose(g, fiber)
         return g
@@ -59,21 +53,15 @@ class OrbitChart:
     def section_vectors(self, t) -> np.ndarray:
         """Left-trivialized velocities of the chart directions at t.
 
-        Column a is the algebra element exp(A)⁻¹ d/ds exp(A + s E_a)|_0 with
-        A = Σ t_a E_a, computed with the Frechet derivative of expm.
+        Column a is the algebra element exp(A)⁻¹ d/ds exp(A + s E_a)|_0 =
+        φ₁(−ad A) E_a with A = Σ t_a E_a and φ₁(z) = (e^z − 1)/z, read off the
+        upper-right block of expm([[−ad A, I], [0, 0]]) (Van Loan, 1978).
         """
-        t = np.asarray(t, dtype=float)
-        rho = self.algebra.require_realization()
-        A = self._rho_combo(t)
-        g = scipy.linalg.expm(A)
-        cols = []
-        for a in range(self.dim):
-            Ea = np.einsum("i,iab->ab", self.m_basis[:, a], rho)
-            _, F = scipy.linalg.expm_frechet(A, Ea)
-            cols.append(self.algebra.matrix_coords(np.linalg.solve(g, F)))
-        if not cols:
-            return np.zeros((self.algebra.dim, 0))
-        return np.column_stack(cols)
+        n = self.algebra.dim
+        block = np.zeros((2 * n, 2 * n))
+        block[:n, :n] = -self.algebra.ad(self.m_basis @ np.asarray(t, dtype=float))
+        block[:n, n:] = np.eye(n)
+        return scipy.linalg.expm(block)[:n, n:] @ self.m_basis
 
     def dnu(self, t) -> np.ndarray:
         """Chart differential: column a is -Coad(g) (μ∘ad(X_a(t)))."""

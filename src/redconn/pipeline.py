@@ -589,7 +589,7 @@ def _verify_reduction(cfg, a, mu, conn, rng, checks) -> None:
         coords = ctx.alpha(gen)
         alpha_defect = max(alpha_defect, float(np.max(np.abs(ctx.g_mu @ coords
                                                              - ctx.g_mu[:, i]))))
-    if ctx.w1.shape[1]:
+    if k and ctx.w1.shape[1]:
         alpha_defect = max(alpha_defect, float(np.max(np.abs(ctx.alpha_mat @ ctx.w1))))
     _check(checks, "red/alpha-identities", alpha_defect, cfg.threshold("alpha_identities"))
     pairing = float(np.max(np.abs(ctx.split.delta.T @ om @ ctx.split.t_sigma))) if k else 0.0

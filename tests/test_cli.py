@@ -1,13 +1,17 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import redconn
 from redconn.cli import main
 from redconn.pipeline import CaseConfig, run_pipeline
 from redconn.errors import ConfigError
+from tests.conftest import AFF1_DOC
 
 
 def _write_config(tmp_path, doc, name="case.json"):
@@ -63,6 +67,17 @@ class TestVerbs:
         rep = json.loads(out_path.read_text())
         assert rep["passed"] is True
         assert all(c["passed"] for c in rep["checks"])
+
+    @pytest.mark.parametrize("realized", [True, False], ids=["realization", "no-realization"])
+    def test_verify_full_dimensional_orbit(self, tmp_path, realized):
+        # aff(1) at mu = (0, 1): stabilizer of dimension 0, the orbit is open
+        group = AFF1_DOC if realized else {k: v for k, v in AFF1_DOC.items()
+                                           if k != "realization"}
+        cfg = _write_config(tmp_path, {"group": group, "mu": [0.0, 1.0]})
+        out_path = tmp_path / "report.json"
+        code = main(["verify", "--config", cfg, "--out", str(out_path)])
+        assert code == 0
+        assert json.loads(out_path.read_text())["passed"] is True
 
     def test_verify_negative_control_fails_only_nabla_omega(self, tmp_path):
         # skipping the symplectization surfaces in exactly one named check on
@@ -204,7 +219,11 @@ class TestFlags:
 
     def test_installed_entry_point(self, tmp_path):
         cfg = _write_config(tmp_path, SO3_DOC)
+        # the child imports the same redconn as this process, installed or not
+        src = str(Path(redconn.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run([sys.executable, "-m", "redconn.cli", "validate",
-                               "--config", cfg], capture_output=True, text=True)
+                               "--config", cfg], capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["error"] is None

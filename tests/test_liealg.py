@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,19 @@ class TestReductiveComplement:
             rc.reductive_complement(so3, np.eye(3)[:, :2])  # span{e1,e2} is not closed
 
 
+def _so4() -> rc.LieAlgebra:
+    """so(4) on the basis E_ij − E_ji (i < j), brackets from matrix commutators."""
+    rho = np.zeros((6, 4, 4))
+    for k, (i, j) in enumerate(itertools.combinations(range(4), 2)):
+        rho[k, i, j], rho[k, j, i] = 1.0, -1.0
+    comm = np.einsum("iab,jbc->ijac", rho, rho) - np.einsum("jab,ibc->ijac", rho, rho)
+    # the basis is Frobenius-orthogonal with squared norm 2
+    c = np.einsum("ijab,kab->ijk", comm, rho) / 2.0
+    a = rc.LieAlgebra(6, c, "so4", rho, det_one=True, orthogonal=True)
+    a.validate()
+    return a
+
+
 class TestGroupMachinery:
     def test_exp_zero_is_identity(self, so3):
         g = rc.group_exp(so3, np.zeros(3))
@@ -233,6 +248,24 @@ class TestGroupMachinery:
                 for i in range(g_mu.shape[1]):
                     g = rc.group_exp(a, t * g_mu[:, i])
                     assert np.max(np.abs(rc.coadjoint_matrix(g) @ mu - mu)) <= 1e-8
+
+    @pytest.mark.parametrize("name", [n for n, _ in CATALOG_CASES] + ["so4"])
+    def test_ad_matches_realization_conjugation(self, name, rng):
+        # Ad comes from the structure constants, the realization matrix from
+        # its own exponential: conjugating the basis ties the two together
+        a = _so4() if name == "so4" else rc.named_algebra(name)
+        n = a.dim
+        g = rc.compose(rc.group_exp(a, rng.uniform(-1, 1, n)),
+                       rc.group_exp(a, rng.uniform(-1, 1, n)))
+        for h in (g, g.inverse()):
+            Ad = rc.adjoint_matrix(h)
+            scale = max(1.0, float(np.max(np.abs(Ad))))
+            h_inv = np.linalg.inv(h.mat)
+            for i in range(n):
+                col = a.matrix_coords(h.mat @ a.realization[i] @ h_inv)
+                assert np.max(np.abs(Ad[:, i] - col)) <= 1e-12 * scale
+            prod = rc.coadjoint_matrix(h) @ Ad.T
+            assert np.max(np.abs(prod - np.eye(n))) <= 1e-12 * scale
 
     def test_no_realization(self):
         a = rc.LieAlgebra(2, rc.abelian(2).c.copy())

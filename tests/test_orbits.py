@@ -3,6 +3,7 @@ import pytest
 
 import redconn as rc
 from redconn.errors import NoRealization, NotTangent
+from tests.conftest import CATALOG_CASES
 
 e1, e2, e3 = np.eye(3)
 
@@ -38,20 +39,22 @@ class TestOrbitChart:
                 fd = (so3_chart.nu(t + step) - so3_chart.nu(t - step)) / (2 * h)
                 assert np.max(np.abs(fd - D[:, a])) <= 1e-8
 
-    def test_section_vectors_match_finite_differences(self, so3, so3_chart, rng):
+    @pytest.mark.parametrize("name,mu", CATALOG_CASES, ids=[n for n, _ in CATALOG_CASES])
+    def test_section_vectors_match_finite_differences(self, name, mu, rng):
         # oracle: left-trivialized velocity of s -> exp(A(t + s e_a)) by
-        # numerically differentiating the group element itself
+        # numerically differentiating the realization matrix itself
+        a = rc.named_algebra(name)
+        chart = rc.default_chart(rc.build_context(a, np.asarray(mu)))
         h = 1e-6
-        t = rng.uniform(-0.4, 0.4, 2)
-        vecs = so3_chart.section_vectors(t)
-        g = so3_chart.section_element(t)
-        for a in range(2):
-            step = np.eye(2)[a] * h
-            gp = so3_chart.section_element(t + step)
-            gm = so3_chart.section_element(t - step)
-            dmat = (gp.mat - gm.mat) / (2 * h)
-            fd = so3.matrix_coords(np.linalg.solve(g.mat, dmat))
-            assert np.max(np.abs(fd - vecs[:, a])) <= 1e-8
+        t = rng.uniform(-0.4, 0.4, chart.dim)
+        vecs = chart.section_vectors(t)
+        g = chart.section_element(t)
+        for i in range(chart.dim):
+            step = np.eye(chart.dim)[i] * h
+            dmat = (chart.section_element(t + step).mat
+                    - chart.section_element(t - step).mat) / (2 * h)
+            fd = a.matrix_coords(np.linalg.solve(g.mat, dmat))
+            assert np.max(np.abs(fd - vecs[:, i])) <= 1e-8
 
     def test_section_lands_on_level_set(self, so3_chart, rng):
         # the section pairs exp(t·E) with the fixed level mu by construction

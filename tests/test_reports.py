@@ -7,6 +7,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+import scipy.linalg
 
 import redconn as rc
 from redconn import report as report_mod
@@ -42,6 +43,21 @@ def test_pipeline_and_verify_reports_match_schema(report_validator, group, mu):
     cfg = CaseConfig.from_dict({"group": group, "mu": mu, "samples": 2})
     for rep, _ in (run_pipeline(cfg, "curvature"), verify_suite(cfg)):
         report_validator.validate(_serialized(rep))
+
+
+@pytest.mark.parametrize("name,mu", [c for c in CATALOG_CASES if c[0] in ("so3", "sl2r")],
+                         ids=["so3", "sl2r"])
+def test_pipeline_avoids_realization_round_trip(monkeypatch, name, mu):
+    # Ad, Coad and chart velocities come from the structure constants; the
+    # realization coordinates and the Frechet derivative are off the hot path
+    def refuse(*args, **kwargs):
+        raise AssertionError("realization round trip on the hot path")
+
+    monkeypatch.setattr(rc.LieAlgebra, "matrix_coords", refuse)
+    monkeypatch.setattr(scipy.linalg, "expm_frechet", refuse)
+    cfg = CaseConfig.from_dict({"group": name, "mu": mu, "samples": 2})
+    for rep, code in (run_pipeline(cfg, "curvature"), verify_suite(cfg)):
+        assert code == 0, rep["error"]
 
 
 def test_config_error_report_matches_schema(report_validator, tmp_path, capsys):
