@@ -28,14 +28,11 @@ def _load_config(args: argparse.Namespace) -> CaseConfig:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    cfg = CaseConfig.from_dict(doc)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.fd_step is not None:
-        cfg.fd_step = args.fd_step
-    if args.tol_scale is not None:
-        cfg.tol_scale = args.tol_scale
-    return cfg
+    # flag overrides go through the same validation as the file's values
+    if isinstance(doc, dict):
+        doc = {**doc, **{key: getattr(args, key) for key in ("seed", "fd_step", "tol_scale")
+                         if getattr(args, key) is not None}}
+    return CaseConfig.from_dict(doc)
 
 
 def _emit(rep: dict, out: str | None) -> None:

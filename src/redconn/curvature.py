@@ -138,8 +138,8 @@ def curvature_samples(ctx: ReductionContext, chart: OrbitChart, t_points, *,
                       fd_step2: float = DEFAULT_FD_STEP2) -> list[CurvatureSample]:
     """Evaluate both curvature routes on coordinate-field triples.
 
-    Both routes share one geometry instance, hence one lift cache, so any
-    disagreement reflects the computation and not linear-solve jitter.
+    Both routes share one geometry instance, so at every level-set point they
+    read the same point kernel (Coad, lift table, chart-fiber frame).
     """
     _require_base(ctx)
     geom = SigmaGeometry(ctx, chart)

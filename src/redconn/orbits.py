@@ -16,7 +16,7 @@ import scipy.linalg
 
 from . import linalg
 from .errors import NotTangent, RankLoss
-from .liealg import GroupElement, LieAlgebra, coadjoint_matrix, compose, group_exp
+from .liealg import GroupElement, LieAlgebra, coadjoint_matrix, group_exp
 
 TANGENT_RESIDUAL_TOL = 1e-8
 
@@ -38,45 +38,40 @@ class OrbitChart:
     def dim(self) -> int:
         return self.m_basis.shape[1]
 
-    def section_element(self, t, fiber: GroupElement | None = None) -> GroupElement:
-        """Group element exp(Σ t_a E_a), optionally right-multiplied by a
-        stabilizer element to move along the fiber."""
-        g = group_exp(self.algebra, self.m_basis @ np.asarray(t, dtype=float))
-        if fiber is not None:
-            g = compose(g, fiber)
-        return g
+    def section_element(self, t) -> GroupElement:
+        """Group element exp(Σ t_a E_a)."""
+        return group_exp(self.algebra, self.m_basis @ np.asarray(t, dtype=float))
 
-    def nu(self, t, fiber: GroupElement | None = None) -> np.ndarray:
-        """Orbit point Coad(exp(Σ t_a E_a))μ; stabilizer fibers do not move it."""
-        return coadjoint_matrix(self.section_element(t, fiber)) @ self.mu
+    def nu(self, t) -> np.ndarray:
+        """Orbit point Coad(exp(Σ t_a E_a))μ."""
+        return coadjoint_matrix(self.section_element(t)) @ self.mu
 
-    def section_vectors(self, t) -> np.ndarray:
-        """Left-trivialized velocities of the chart directions at t.
-
-        Column a is the algebra element exp(A)⁻¹ d/ds exp(A + s E_a)|_0 =
-        φ₁(−ad A) E_a with A = Σ t_a E_a and φ₁(z) = (e^z − 1)/z, read off the
-        upper-right block of expm([[−ad A, I], [0, 0]]) (Van Loan, 1978).
+    def exp_data(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Coad(exp A), the section vectors and the chart differential at t,
+        from one block exponential E = expm([[−ad A, I], [0, 0]]) with
+        A = Σ t_a E_a (Van Loan, 1978): E's upper-left block is e^{−ad A} =
+        Coad(exp A)ᵀ and its upper-right block is φ₁(−ad A), φ₁(z) = (e^z − 1)/z.
         """
         n = self.algebra.dim
         block = np.zeros((2 * n, 2 * n))
         block[:n, :n] = -self.algebra.ad(self.m_basis @ np.asarray(t, dtype=float))
         block[:n, n:] = np.eye(n)
-        return scipy.linalg.expm(block)[:n, n:] @ self.m_basis
+        E = scipy.linalg.expm(block)
+        coad = E[:n, :n].T
+        vecs = E[:n, n:] @ self.m_basis
+        return coad, vecs, -coad @ (self.algebra.bracket_pairing(self.mu).T @ vecs)
+
+    def section_vectors(self, t) -> np.ndarray:
+        """Left-trivialized velocities of the chart directions at t: column a is
+        exp(A)⁻¹ d/ds exp(A + s E_a)|_0 = φ₁(−ad A) E_a."""
+        return self.exp_data(t)[1]
 
     def dnu(self, t) -> np.ndarray:
         """Chart differential: column a is -Coad(g) (μ∘ad(X_a(t)))."""
-        t = np.asarray(t, dtype=float)
-        g = self.section_element(t)
-        vecs = self.section_vectors(t)
-        K_T = self.algebra.bracket_pairing(self.mu).T
-        return -coadjoint_matrix(g) @ (K_T @ vecs)
+        return self.exp_data(t)[2]
 
     def check_rank(self, t) -> None:
-        D = self.dnu(t)
-        if D.shape[1] == 0:
-            return
-        s = np.linalg.svd(D, compute_uv=False)
-        if s[-1] <= linalg.RANK_RTOL * s[0]:
+        if linalg.rank(self.dnu(t)) < self.dim:
             raise RankLoss(f"chart differential lost rank at t = {np.asarray(t).tolist()}")
 
     def to_chart(self, t, v, tol: float = TANGENT_RESIDUAL_TOL) -> np.ndarray:

@@ -82,6 +82,10 @@ THRESHOLDS = {
 }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class CaseConfig:
     """One reduction case: which group, which level, and solver settings."""
@@ -109,10 +113,14 @@ class CaseConfig:
         if "group" not in doc or "mu" not in doc:
             raise ConfigError("config needs at least 'group' and 'mu'")
         cfg = CaseConfig(**doc)
-        if cfg.fd_step <= 0 or cfg.fd_step2 <= 0 or cfg.tol_scale <= 0:
-            raise ConfigError("steps and tolerance scale must be positive")
-        if cfg.samples < 1:
-            raise ConfigError("samples must be at least 1")
+        for name in ("fd_step", "fd_step2", "chart_radius", "tol_scale"):
+            if not (_is_number(getattr(cfg, name)) and getattr(cfg, name) > 0):
+                raise ConfigError(f"{name} must be a positive number")
+        for name, least in (("samples", 1), ("seed", 0)):
+            if type(getattr(cfg, name)) is not int or getattr(cfg, name) < least:
+                raise ConfigError(f"{name} must be an integer >= {least}")
+        if not isinstance(cfg.mu, list) or not all(map(_is_number, cfg.mu)):
+            raise ConfigError("mu must be a list of numbers")
         if cfg.connection not in ("symplectic", "baseline"):
             raise ConfigError("connection must be 'symplectic' or 'baseline'")
         if not isinstance(cfg.tol, dict):
@@ -120,7 +128,7 @@ class CaseConfig:
         unknown = set(cfg.tol) - set(THRESHOLDS)
         if unknown:
             raise ConfigError(f"unknown threshold names in tol: {sorted(unknown)}")
-        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in cfg.tol.values()):
+        if not all(map(_is_number, cfg.tol.values())):
             raise ConfigError("tol values must be numbers")
         return cfg
 
@@ -338,7 +346,7 @@ def _chart_sweep(ctx, chart, pts, rng: np.random.Generator, h: float) -> dict:
     k = ctx.stabilizer_dim
     for _ in range(5 if k else 0):
         fiber = group_exp(ctx.algebra, ctx.g_mu @ rng.uniform(-1.0, 1.0, k))
-        _, cov = cov_tables(pts[0], fiber)
+        _, cov = cov_tables(pts[0], fiber.ad)
         out["fiber"] = max(out["fiber"], float(np.max(np.abs(base_cov - cov))))
     return out
 

@@ -27,14 +27,14 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from . import linalg
 from .connections import FrameConnection, baseline_connection, frame_structure, symplectize
 from .errors import (AssumptionTwoFailure, DegeneratePairing, NotTangent,
                      PointOffConstraint, RankLoss, SingularProjection,
                      ZeroDimensionalBase)
-from .liealg import GroupElement, LieAlgebra, adjoint_matrix, coadjoint_matrix, compose, \
-    group_exp, identity_element, stabilizer_algebra, reductive_complement
+from .liealg import GroupElement, LieAlgebra, stabilizer_algebra, reductive_complement
 from .orbits import OrbitChart, kks_form, orbit_chart
 from .phasespace import (ConstraintSplit, TrivTangent, constraint_split, omega_gram,
                          symplectic_form)
@@ -46,8 +46,13 @@ KKS_MATCH_SIGN = -1.0
 ISOTROPY_TOL = 1e-10
 STABILITY_TOL = 1e-8
 
-SigmaField = Callable[[np.ndarray, GroupElement], np.ndarray]
+SigmaField = Callable[[np.ndarray, np.ndarray], np.ndarray]  # (t, fiber Ad) -> frame
 ChartField = Callable[[np.ndarray], np.ndarray]
+
+
+def _check_tangent(residual: float, v: np.ndarray) -> None:
+    if residual > 1e-8 * max(1.0, np.linalg.norm(v)):
+        raise NotTangent(f"vector is not an orbit tangent at the point (residual {residual:.3e})")
 
 
 def isotropic_correction_gram(om: np.ndarray, s_tilde: np.ndarray, delta: np.ndarray,
@@ -232,14 +237,31 @@ def default_chart(ctx: ReductionContext, radius: float = 1.0) -> OrbitChart:
     return orbit_chart(ctx.algebra, ctx.mu, ctx.m, radius)
 
 
+@dataclass(frozen=True)
+class PointKernel:
+    """Level-set data at one point (exp(Σ t_a E_a) · h, μ)."""
+
+    coad: np.ndarray  # Coad(exp(Σ t_a E_a) · h)
+    D: np.ndarray  # chart differential dnu(t)
+    M: np.ndarray  # lift matrix: quotient differential on the horizontal basis
+    lift_ok: bool  # M has full column rank
+    X: np.ndarray  # lift table lstsq(M, D) of the chart directions
+    R: np.ndarray  # its residual M X − D
+    F: np.ndarray  # chart-fiber frame [Ad(h)⁻¹ · section vectors | g_μ]
+    frame_ok: bool  # F is invertible
+
+
 class SigmaGeometry:
     """Shared workspace for derivatives of fields along the momentum level set.
 
     Fields are callables (t, fiber) -> frame components, evaluated at the
-    point (exp(Σ t_a E_a) · fiber, μ).  Directional derivatives solve for the
-    (chart, fiber) parameter velocity matching a requested tangent direction
-    and apply central differences in parameter space.  One instance caches
-    horizontal lifts; it is not thread-safe, use one instance per thread.
+    point (exp(Σ t_a E_a) · h, μ), where ``fiber`` is the n×n Ad matrix of the
+    stabilizer element h.  Directional derivatives solve for the (chart, fiber)
+    parameter velocity matching a requested tangent direction and apply central
+    differences in parameter space.  Each distinct (t, fiber) gets one
+    ``PointKernel``, kept for the life of the instance and read by lifts,
+    lifted chart fields, pushdowns and directional derivatives.  The kernel
+    table is not thread-safe: use one instance per thread.
     """
 
     def __init__(self, ctx: ReductionContext, chart: OrbitChart,
@@ -257,29 +279,40 @@ class SigmaGeometry:
         self.omega_mu = omega_gram(a, ctx.mu)
         self.K_T = a.bracket_pairing(ctx.mu).T
         self.w1grp = ctx.w1[: self.n, :]
-        self.identity = identity_element(a)
+        self.identity = np.eye(self.n)
         self.richardson = richardson
-        self._lift_cache: dict = {}
+        self._points: dict = {}
+
+    def point(self, t, fiber: np.ndarray) -> PointKernel:
+        """The kernel at (exp(Σ t_a E_a) · h, μ), computed on first use."""
+        t = np.asarray(t, dtype=float)
+        key = (t.tobytes(), fiber.tobytes())
+        p = self._points.get(key)
+        if p is None:
+            coad_t, vecs, D = self.chart.exp_data(t)
+            h_inv = np.linalg.inv(fiber)
+            coad = coad_t @ h_inv.T
+            M = -coad @ (self.K_T @ self.w1grp)
+            X, *_ = np.linalg.lstsq(M, D, rcond=None)
+            F = np.hstack([h_inv @ vecs, self.ctx.g_mu])
+            p = self._points[key] = PointKernel(coad, D, M, linalg.rank(M) == M.shape[1], X,
+                                                M @ X - D, F, linalg.rank(F) == self.n)
+        return p
 
     # -- lifting ---------------------------------------------------------
 
-    def lift_matrix(self, g: GroupElement) -> np.ndarray:
-        """Quotient differential applied to the horizontal basis at (g, μ)."""
-        return -coadjoint_matrix(g) @ (self.K_T @ self.w1grp)
-
-    def lift(self, t, fiber: GroupElement, v) -> np.ndarray:
-        """Unique horizontal vector projecting onto the orbit tangent v."""
-        t = np.asarray(t, dtype=float)
-        v = np.asarray(v, dtype=float)
-        g = self.chart.section_element(t, fiber)
-        M = self.lift_matrix(g)
-        s = np.linalg.svd(M, compute_uv=False)
-        if s.size and s[-1] <= linalg.RANK_RTOL * s[0]:
+    def _lift_system(self, t, fiber: np.ndarray) -> PointKernel:
+        p = self.point(t, fiber)
+        if not p.lift_ok:
             raise SingularProjection("quotient differential singular on the horizontal space")
+        return p
+
+    def lift(self, t, fiber: np.ndarray, v) -> np.ndarray:
+        """Unique horizontal vector projecting onto the orbit tangent v."""
+        M = self._lift_system(t, fiber).M
+        v = np.asarray(v, dtype=float)
         coeffs, *_ = np.linalg.lstsq(M, v, rcond=None)
-        residual = np.linalg.norm(M @ coeffs - v)
-        if residual > 1e-8 * max(1.0, np.linalg.norm(v)):
-            raise NotTangent(f"vector is not an orbit tangent at the point (residual {residual:.3e})")
+        _check_tangent(np.linalg.norm(M @ coeffs - v), v)
         return self.ctx.w1 @ coeffs
 
     def chart_lifts(self, t, D: np.ndarray) -> list:
@@ -292,48 +325,39 @@ class SigmaGeometry:
                          for u in us])
 
     def lift_field(self, chart_field: ChartField) -> SigmaField:
-        """Horizontal lift of a chart-component field, memoized per point.
+        """Horizontal lift of a chart-component field.
 
-        The memo key holds the field object itself; keying by ``id()`` would
-        collide once a garbage-collected closure's address is reused.
+        With components c at t, the lift is w1 · (X c) from the point kernel's
+        lift table; linearity of least squares makes it the lift of D c.
         """
-        def lifted(t, fiber: GroupElement) -> np.ndarray:
+        def lifted(t, fiber: np.ndarray) -> np.ndarray:
             t = np.asarray(t, dtype=float)
-            memo = (chart_field, t.tobytes(), fiber.mat.tobytes())
-            hit = self._lift_cache.get(memo)
-            if hit is not None:
-                return hit
-            v = self.chart.dnu(t) @ np.asarray(chart_field(t), dtype=float)
-            out = self.lift(t, fiber, v)
-            self._lift_cache[memo] = out
-            return out
+            c = np.asarray(chart_field(t), dtype=float)
+            p = self._lift_system(t, fiber)
+            _check_tangent(np.linalg.norm(p.R @ c), p.D @ c)
+            return self.ctx.w1 @ (p.X @ c)
 
         return lifted
 
     # -- derivatives along the level set ----------------------------------
 
-    def _frame_matrix(self, t, fiber: GroupElement) -> np.ndarray:
-        cols_t = adjoint_matrix(fiber.inverse()) @ self.chart.section_vectors(t)
-        return np.hstack([cols_t, self.ctx.g_mu])
-
-    def directional_derivative(self, fld: SigmaField, t, fiber: GroupElement,
+    def directional_derivative(self, fld: SigmaField, t, fiber: np.ndarray,
                                u, step: float) -> np.ndarray:
         """Central difference of a field along the tangent direction u."""
         t = np.asarray(t, dtype=float)
         u = np.asarray(u, dtype=float)
         if np.linalg.norm(u[self.n:]) > 1e-8 * max(1.0, np.linalg.norm(u)):
             raise PointOffConstraint("direction is not tangent to the level set")
-        F = self._frame_matrix(t, fiber)
-        sF = np.linalg.svd(F, compute_uv=False)
-        if sF[-1] <= linalg.RANK_RTOL * sF[0]:
+        p = self.point(t, fiber)
+        if not p.frame_ok:
             raise RankLoss("chart-fiber frame lost rank; point outside the chart radius")
-        params = np.linalg.solve(F, u[: self.n])
+        params = np.linalg.solve(p.F, u[: self.n])
         dt, dy = params[: self.chart.dim], params[self.chart.dim:]
 
         def shifted(s: float) -> np.ndarray:
             fib = fiber
             if dy.size and s != 0.0:
-                fib = compose(fiber, group_exp(self.algebra, self.ctx.g_mu @ (s * dy)))
+                fib = fiber @ scipy.linalg.expm(self.algebra.ad(self.ctx.g_mu @ (s * dy)))
             return fld(t + s * dt, fib)
 
         d1 = (shifted(step) - shifted(-step)) / (2.0 * step)
@@ -342,19 +366,16 @@ class SigmaGeometry:
         d2 = (shifted(step / 2.0) - shifted(-step / 2.0)) / step
         return (4.0 * d2 - d1) / 3.0
 
-    def cov_ambient(self, u, fld: SigmaField, t, fiber: GroupElement,
-                    step: float) -> np.ndarray:
-        """Ambient covariant derivative of a field along the direction u."""
+    def cov_sigma(self, u, fld: SigmaField, t, fiber: np.ndarray,
+                  step: float) -> np.ndarray:
+        """Induced covariant derivative on the level set: the ambient one along
+        the direction u, projected onto TΣ."""
         base = fld(np.asarray(t, dtype=float), fiber)
         d = self.directional_derivative(fld, t, fiber, u, step)
-        return d + np.einsum("abc,a,b->c", self.gamma_mu, np.asarray(u, dtype=float), base)
+        u = np.asarray(u, dtype=float)
+        return self.ctx.p_matrix @ (d + np.einsum("abc,a,b->c", self.gamma_mu, u, base))
 
-    def cov_sigma(self, u, fld: SigmaField, t, fiber: GroupElement,
-                  step: float) -> np.ndarray:
-        """Induced covariant derivative on the level set: project onto TΣ."""
-        return self.ctx.p_matrix @ self.cov_ambient(u, fld, t, fiber, step)
-
-    def lie_bracket(self, xf: SigmaField, yf: SigmaField, t, fiber: GroupElement,
+    def lie_bracket(self, xf: SigmaField, yf: SigmaField, t, fiber: np.ndarray,
                     step: float) -> np.ndarray:
         """Frame bracket of two fields: derivative terms plus structure terms."""
         ux = xf(np.asarray(t, dtype=float), fiber)
@@ -363,23 +384,22 @@ class SigmaGeometry:
         dyx = self.directional_derivative(xf, t, fiber, uy, step)
         return dxy - dyx + np.einsum("abc,a,b->c", self.struct, ux, uy)
 
-    def pushdown(self, t, fiber: GroupElement, v) -> np.ndarray:
+    def pushdown(self, t, fiber: np.ndarray, v) -> np.ndarray:
         """Quotient differential applied to a level-set tangent vector."""
-        g = self.chart.section_element(t, fiber)
-        return -coadjoint_matrix(g) @ (self.K_T @ np.asarray(v, dtype=float)[: self.n])
+        return -self.point(t, fiber).coad @ (self.K_T @ np.asarray(v, dtype=float)[: self.n])
 
-    def pushdown_horizontal(self, t, fiber: GroupElement, v) -> np.ndarray:
+    def pushdown_horizontal(self, t, fiber: np.ndarray, v) -> np.ndarray:
         """Remove the radical component of v, then push it down to the orbit."""
         return self.pushdown(t, fiber, self.ctx.horizontal_part(v))
 
     def lifted_cov(self, x_field: ChartField, y_field: ChartField, t,
-                   fiber: GroupElement, step: float) -> np.ndarray:
+                   fiber: np.ndarray, step: float) -> np.ndarray:
         """Induced derivative on the level set of the lift of y along the lift of x."""
         u = self.lift_field(x_field)(np.asarray(t, dtype=float), fiber)
         return self.cov_sigma(u, self.lift_field(y_field), t, fiber, step)
 
     def reduced_cov(self, x_field: ChartField, y_field: ChartField, t,
-                    fiber: GroupElement | None = None, step: float = 1e-5) -> np.ndarray:
+                    fiber: np.ndarray | None = None, step: float = 1e-5) -> np.ndarray:
         """Reduced covariant derivative, pushed down to an orbit tangent."""
         fiber = fiber if fiber is not None else self.identity
         return self.pushdown_horizontal(t, fiber,
@@ -387,6 +407,7 @@ class SigmaGeometry:
 
 
 # --- public operations --------------------------------------------------------
+
 
 
 def sigma_covderiv(ctx: ReductionContext, conn: FrameConnection, xbar: SigmaField,
@@ -399,7 +420,7 @@ def sigma_covderiv(ctx: ReductionContext, conn: FrameConnection, xbar: SigmaFiel
     to the level set wherever evaluated.
     """
     geom = SigmaGeometry(ctx, chart, conn)
-    fiber = fiber if fiber is not None else geom.identity
+    fiber = geom.identity if fiber is None else fiber.ad
     t = np.asarray(t, dtype=float)
     u = np.asarray(xbar(t, fiber), dtype=float)
     out = geom.cov_sigma(u, ybar, t, fiber, fd_step)
@@ -410,7 +431,7 @@ def horizontal_lift(ctx: ReductionContext, chart: OrbitChart, v, t,
                     fiber: GroupElement | None = None) -> TrivTangent:
     """Horizontal lift of an orbit tangent at the (fibered) section point."""
     geom = SigmaGeometry(ctx, chart)
-    fiber = fiber if fiber is not None else geom.identity
+    fiber = geom.identity if fiber is None else fiber.ad
     return TrivTangent.from_vector(geom.lift(t, fiber, v))
 
 
@@ -421,7 +442,7 @@ def reduced_covderiv(ctx: ReductionContext, chart: OrbitChart, x_field: ChartFie
     if ctx.zero_dimensional_base:
         raise ZeroDimensionalBase("the reduced manifold is a point")
     geom = geom if geom is not None else SigmaGeometry(ctx, chart)
-    return geom.reduced_cov(x_field, y_field, t, fiber, fd_step)
+    return geom.reduced_cov(x_field, y_field, t, None if fiber is None else fiber.ad, fd_step)
 
 
 def reduced_form(ctx: ReductionContext, chart: OrbitChart, v, w, t,
@@ -431,7 +452,7 @@ def reduced_form(ctx: ReductionContext, chart: OrbitChart, v, w, t,
     if ctx.zero_dimensional_base:
         raise ZeroDimensionalBase("the reduced manifold is a point")
     geom = geom if geom is not None else SigmaGeometry(ctx, chart)
-    fiber = fiber if fiber is not None else geom.identity
+    fiber = geom.identity if fiber is None else fiber.ad
     vb = geom.lift(t, fiber, v)
     wb = geom.lift(t, fiber, w)
     return symplectic_form(ctx.algebra, ctx.mu, vb, wb)

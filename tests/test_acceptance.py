@@ -144,7 +144,7 @@ def test_criterion_3_flagship_reduction():
     base = geom.reduced_cov(fields[0], fields[1], t0, step=h)
     for _ in range(5):
         fib = rc.group_exp(a, ctx.g_mu @ rng.uniform(-1, 1, 1))
-        moved = geom.reduced_cov(fields[0], fields[1], t0, fiber=fib, step=h)
+        moved = geom.reduced_cov(fields[0], fields[1], t0, fiber=fib.ad, step=h)
         fiber_diff = max(fiber_diff, float(np.max(np.abs(base - moved))))
     ok = (torsion <= 1e-6 and parallel <= 1e-6 and closed <= 1e-6
           and kks_resid <= 1e-8 and signs == {rc.KKS_MATCH_SIGN}

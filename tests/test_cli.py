@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -27,6 +28,12 @@ def _strip_timings(doc):
 
 
 SO3_DOC = {"group": "so3", "mu": [0.0, 0.0, 1.0], "samples": 3}
+
+# (key, value, passed as a CLI flag rather than in the file)
+BAD_VALUES = [("samples", "3", False), ("samples", 2.5, False), ("samples", True, False),
+              ("fd_step", "1e-5", False), ("seed", -1, False), ("mu", "abc", False),
+              ("chart_radius", "x", False), ("seed", -1, True), ("fd_step", 0.0, True),
+              ("tol_scale", 0.0, True), ("tol_scale", -1.0, True)]
 
 
 class TestVerbs:
@@ -115,6 +122,22 @@ class TestExitCodes:
         cfg = _write_config(tmp_path, {"group": "so3", "mu": [0, 0, 1], "bogus": 1})
         assert main(["validate", "--config", cfg]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("key,value,flag", BAD_VALUES,
+                             ids=[f"{k}={v!r}{'-flag' if f else ''}" for k, v, f in BAD_VALUES])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, key, value, flag):
+        doc = dict(SO3_DOC, **{key: value})
+        schema = json.loads((Path(__file__).parent.parent / "docs" / "config_schema.json")
+                            .read_text())
+        assert not jsonschema.Draft202012Validator(schema).is_valid(doc)
+        if flag:
+            args = ["--config", _write_config(tmp_path, SO3_DOC),
+                    "--" + key.replace("_", "-"), str(value)]
+        else:
+            args = ["--config", _write_config(tmp_path, doc)]
+        code = main(["curvature", *args])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "ConfigError"
 
     def test_mu_length_mismatch(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {"group": "so3", "mu": [0, 1]})

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 import redconn as rc
-from redconn import linalg
+from redconn import liealg, linalg, orbits, reduction
+from redconn.curvature import curvature_samples
 from redconn.errors import (AssumptionTwoFailure, DegeneratePairing,
                             NonReductiveStabilizer, NotTangent, PointOffConstraint,
-                            SingularProjection, ZeroDimensionalBase)
+                            RankLoss, SingularProjection, ZeroDimensionalBase)
 from redconn.reduction import (SigmaGeometry, coordinate_fields, isotropic_correction_gram,
                                reduced_covderiv_gram_oracle)
 from tests.conftest import CATALOG_CASES
+from tests.test_liealg import _so4
 
 e1, e2, e3 = np.eye(3)
 
@@ -252,7 +254,7 @@ class TestSigmaCovderiv:
         plain = rc.sigma_covderiv(so3_ctx, conn, lambda t, fib: u,
                                   lambda t, fib: v, t0, chart=so3_chart).as_vector()
         # chart-space derivative of f along the direction u
-        F = geom._frame_matrix(t0, geom.identity)
+        F = geom.point(t0, geom.identity).F
         params = np.linalg.solve(F, u[:3])
         h = 1e-6
         df = (f(t0 + h * params[:2]) - f(t0 - h * params[:2])) / (2 * h)
@@ -456,3 +458,78 @@ class TestEquivarianceOfCorrection:
         assert np.max(np.abs(ctx.iso_map)) > 0.1
         om = rc.omega_gram(a, mu)
         assert np.max(np.abs(ctx.S.T @ om @ ctx.S)) <= 1e-12
+
+
+# so(4) at L01 + L23: the stabilizer so(2) ⊕ so(3) is non-abelian, the orbit 2-dimensional
+KERNEL_CASES = CATALOG_CASES + [("so4", [1.0, 0.0, 0.0, 0.0, 0.0, 1.0])]
+
+
+def _case(name, mu):
+    a = _so4() if name == "so4" else rc.named_algebra(name)
+    ctx = rc.build_context(a, np.asarray(mu, dtype=float))
+    return a, ctx, rc.default_chart(ctx)
+
+
+class TestPointKernel:
+    @pytest.mark.parametrize("name,mu", KERNEL_CASES, ids=[n for n, _ in KERNEL_CASES])
+    def test_matches_two_exponential_route(self, name, mu, rng):
+        # reference: section element and fiber as group elements, each with its
+        # own exponential, composed, and Coad by inverting the product's Ad
+        a, ctx, chart = _case(name, mu)
+        geom = SigmaGeometry(ctx, chart)
+        t = rng.uniform(-0.4, 0.4, chart.dim)
+        h = rc.group_exp(a, ctx.g_mu @ rng.uniform(-1, 1, ctx.stabilizer_dim))
+        g = chart.section_element(t)
+        K_T = a.bracket_pairing(ctx.mu).T
+        coad_ref = rc.coadjoint_matrix(rc.compose(g, h))
+        D_ref = -rc.coadjoint_matrix(g) @ K_T @ chart.section_vectors(t)
+        M_ref = -coad_ref @ (K_T @ ctx.w1[: a.dim])
+
+        def assert_close(value, ref):
+            assert np.max(np.abs(value - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+        assert_close(geom.point(t, h.ad).coad, coad_ref)
+        assert_close(chart.dnu(t), D_ref)
+        for i, field in enumerate(coordinate_fields(chart)):
+            coeffs, *_ = np.linalg.lstsq(M_ref, D_ref[:, i], rcond=None)
+            assert_close(geom.lift_field(field)(t, h.ad), ctx.w1 @ coeffs)
+
+    @pytest.mark.parametrize("name,mu", [KERNEL_CASES[0], KERNEL_CASES[-1]],
+                             ids=["so3", "so4"])
+    def test_hot_path_builds_no_group_element(self, monkeypatch, name, mu, rng):
+        a, ctx, chart = _case(name, mu)
+        geom = SigmaGeometry(ctx, chart)
+        fiber = rc.group_exp(a, ctx.g_mu @ rng.uniform(-1, 1, ctx.stabilizer_dim)).ad
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("group element built on the hot path")
+
+        monkeypatch.setattr(rc.GroupElement, "validate", forbidden)
+        for module in (liealg, orbits, reduction):
+            monkeypatch.setattr(module, "group_exp", forbidden, raising=False)
+        t = rng.uniform(-0.3, 0.3, chart.dim)
+        fields = coordinate_fields(chart)
+        for xf in fields:
+            for yf in fields:
+                assert np.all(np.isfinite(geom.reduced_cov(xf, yf, t, fiber=fiber)))
+        assert curvature_samples(ctx, chart, [t])
+
+    def test_chart_rank_loss_raises_on_every_use(self, so3_ctx, so3_chart):
+        # at t = (2π, 0), φ₁(−ad A) vanishes on the rotation plane of A = 2π e1,
+        # so the chart-fiber frame is singular; at t = (6, 0) it is not
+        geom = SigmaGeometry(so3_ctx, so3_chart)
+        u = _vec(e2, np.zeros(3))
+
+        def field(t, fib):
+            return u
+
+        singular = np.array([2 * np.pi, 0.0])
+        with pytest.raises(RankLoss):
+            so3_chart.check_rank(singular)
+        for _ in range(2):
+            with pytest.raises(RankLoss):
+                geom.directional_derivative(field, singular, geom.identity, u, 1e-5)
+        near = np.array([6.0, 0.0])
+        so3_chart.check_rank(near)
+        out = geom.directional_derivative(field, near, geom.identity, u, 1e-5)
+        assert np.all(np.isfinite(out))
