@@ -43,13 +43,14 @@ def _emit(rep: dict, out: str | None) -> None:
 
 def _export_connection(cfg: CaseConfig, kind: str) -> dict:
     a = cfg.algebra()
+    mu = cfg.mu_vector(a)
     conn = baseline_connection(a)
     if kind == "symplectic":
         conn = symplectize(conn)
     xi_list = cfg.xi_list
     if xi_list is None:
         rng = np.random.default_rng(cfg.seed)
-        xi_list = [cfg.mu_vector(a).tolist()] + \
+        xi_list = [mu.tolist()] + \
             [rng.standard_normal(a.dim).tolist() for _ in range(2)]
     return {
         "schema_version": report_mod.SCHEMA_VERSION,

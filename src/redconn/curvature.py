@@ -17,37 +17,22 @@ reduced covariant derivative twice,
 sharing nothing with the formula beyond the reduced derivative itself.  Both
 are finite-difference computations; agreement degrades quadratically with the
 step, which the convergence probe measures by step halving.
+
+``curvature_battery`` runs every curvature check on one ``SigmaGeometry``: per
+chart point it fills one table of coordinate-field curvatures with one route,
+and the formula–oracle samples and the symmetry defects all read that table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ZeroDimensionalBase
 from .orbits import OrbitChart
 from .reduction import (ChartField, ReductionContext, SigmaGeometry,
-                        _constant_chart_field, coordinate_fields, reduced_form)
+                        _constant_chart_field, coordinate_fields)
 
 DEFAULT_FD_STEP = 1e-5
 DEFAULT_FD_STEP2 = 1e-4
-
-
-@dataclass(frozen=True)
-class CurvatureSample:
-    """One curvature evaluation: chart point, inputs, both values, discrepancy."""
-
-    t: np.ndarray
-    inputs: tuple
-    value: np.ndarray
-    oracle: np.ndarray
-    discrepancy: float
-
-
-def _require_base(ctx: ReductionContext) -> None:
-    if ctx.zero_dimensional_base:
-        raise ZeroDimensionalBase("the reduced manifold is a point")
 
 
 def reduced_curvature_formula(ctx: ReductionContext, chart: OrbitChart,
@@ -57,7 +42,6 @@ def reduced_curvature_formula(ctx: ReductionContext, chart: OrbitChart,
                               fd_step2: float = DEFAULT_FD_STEP2,
                               geom: SigmaGeometry | None = None) -> np.ndarray:
     """Reduced curvature via the explicit lift expansion, as an orbit tangent."""
-    _require_base(ctx)
     geom = geom if geom is not None else SigmaGeometry(ctx, chart)
     e = geom.identity
     t = np.asarray(t, dtype=float)
@@ -105,7 +89,6 @@ def curvature_fd_oracle(ctx: ReductionContext, chart: OrbitChart,
     Uses only the reduced derivative and chart-space finite differences, so it
     is independent of the explicit expansion above.
     """
-    _require_base(ctx)
     geom = geom if geom is not None else SigmaGeometry(ctx, chart)
     t = np.asarray(t, dtype=float)
     km = chart.dim
@@ -133,95 +116,73 @@ def curvature_fd_oracle(ctx: ReductionContext, chart: OrbitChart,
     return term1 - term2 - term3
 
 
-def curvature_samples(ctx: ReductionContext, chart: OrbitChart, t_points, *,
+def curvature_battery(geom: SigmaGeometry, t_points, *,
                       fd_step: float = DEFAULT_FD_STEP,
-                      fd_step2: float = DEFAULT_FD_STEP2) -> list[CurvatureSample]:
-    """Evaluate both curvature routes on coordinate-field triples.
+                      fd_step2: float = DEFAULT_FD_STEP2,
+                      use_oracle: bool = False) -> dict:
+    """Both curvature routes on coordinate-field triples, the symmetry defects
+    and the step-halving probe at t_points[0], all on one geometry.
 
-    Both routes share one geometry instance, so at every level-set point they
-    read the same point kernel (Coad, lift table, chart-fiber frame).
+    At each chart point one route (the formula, or the oracle with
+    ``use_oracle``) fills the table R[i, j, l] = R(f_i, f_j)f_l for i ≠ j, and
+    the other route is evaluated once for each i < j; the samples pair the two
+    on that half.  From the table come the maxima of (a) the antisymmetry
+    defect in the first two slots, (b) the symplectic-valuedness defect
+    ω(R(X,Y)Z, W) - ω(R(X,Y)W, Z), which vanishes exactly when the reduced
+    form is parallel, and (c) the first Bianchi cyclic sum, which vanishes for
+    torsion-free connections.
     """
-    _require_base(ctx)
-    geom = SigmaGeometry(ctx, chart)
+    ctx, chart = geom.ctx, geom.chart
     km = chart.dim
     fields = coordinate_fields(chart)
+    e = geom.identity
+    fill, other = ((curvature_fd_oracle, reduced_curvature_formula) if use_oracle
+                   else (reduced_curvature_formula, curvature_fd_oracle))
+
+    def curv(route, i, j, l, t):
+        return route(ctx, chart, fields[i], fields[j], fields[l], t,
+                     fd_step=fd_step, fd_step2=fd_step2, geom=geom)
+
+    t_points = [np.asarray(t, dtype=float) for t in t_points]
     samples = []
+    anti = sp = bianchi = 0.0
     for t in t_points:
-        t = np.asarray(t, dtype=float)
+        values = {(i, j, l): curv(fill, i, j, l, t)
+                  for i in range(km) for j in range(km) if i != j for l in range(km)}
+        scale = max(1.0, max(float(np.linalg.norm(v)) for v in values.values()))
+        d_lifts = geom.chart_lifts(t)
         for i in range(km):
             for j in range(i + 1, km):
                 for l in range(km):
-                    val = reduced_curvature_formula(ctx, chart, fields[i], fields[j],
-                                                    fields[l], t, fd_step=fd_step,
-                                                    fd_step2=fd_step2, geom=geom)
-                    orc = curvature_fd_oracle(ctx, chart, fields[i], fields[j],
-                                              fields[l], t, fd_step=fd_step,
-                                              fd_step2=fd_step2, geom=geom)
-                    scale = max(1.0, float(np.linalg.norm(orc)))
-                    samples.append(CurvatureSample(t, (i, j, l), val, orc,
-                                                   float(np.linalg.norm(val - orc) / scale)))
-    return samples
-
-
-def curvature_symmetry_report(ctx: ReductionContext, chart: OrbitChart, t_points, *,
-                              fd_step: float = DEFAULT_FD_STEP,
-                              fd_step2: float = DEFAULT_FD_STEP2,
-                              use_oracle: bool = False) -> dict:
-    """Symmetry defects of the reduced curvature over sampled chart points.
-
-    Reports maxima of (a) the antisymmetry defect in the first two slots,
-    (b) the symplectic-valuedness defect ω(R(X,Y)Z, W) - ω(R(X,Y)W, Z),
-    which vanishes exactly when the reduced form is parallel, and (c) the
-    first Bianchi cyclic sum, which vanishes for torsion-free connections.
-    """
-    _require_base(ctx)
-    geom = SigmaGeometry(ctx, chart)
-    km = chart.dim
-    fields = coordinate_fields(chart)
-    evaluate = curvature_fd_oracle if use_oracle else reduced_curvature_formula
-
-    def curv(i, j, l, t):
-        return evaluate(ctx, chart, fields[i], fields[j], fields[l], t,
-                        fd_step=fd_step, fd_step2=fd_step2, geom=geom)
-
-    anti = 0.0
-    sp = 0.0
-    bianchi = 0.0
-    for t in t_points:
-        t = np.asarray(t, dtype=float)
-        D = chart.dnu(t)
-        values = {}
-        for i in range(km):
-            for j in range(km):
-                if i == j:
-                    continue
-                for l in range(km):
-                    values[(i, j, l)] = curv(i, j, l, t)
-        scale = max(1.0, max(float(np.linalg.norm(v)) for v in values.values()))
+                    second = curv(other, i, j, l, t)
+                    val, orc = (second, values[(i, j, l)]) if use_oracle \
+                        else (values[(i, j, l)], second)
+                    samples.append({
+                        "t": t.tolist(), "inputs": [i, j, l],
+                        "value": val.tolist(), "oracle": orc.tolist(),
+                        "discrepancy": float(np.linalg.norm(val - orc)
+                                             / max(1.0, float(np.linalg.norm(orc)))),
+                    })
+                # form[l, w] = ω(R(f_i, f_j)f_l, f_w)
+                form = geom.form_table([geom.lift(t, e, values[(i, j, l)]) for l in range(km)],
+                                       d_lifts)
+                sp = max(sp, float(np.max(np.abs(form - form.T))) / scale)
         for (i, j, l), v in values.items():
             anti = max(anti, float(np.linalg.norm(v + values[(j, i, l)]) / scale))
-        for i in range(km):
-            for j in range(i + 1, km):
-                for l in range(km):
-                    for w in range(km):
-                        lhs = reduced_form(ctx, chart, values[(i, j, l)], D[:, w], t, geom=geom)
-                        rhs = reduced_form(ctx, chart, values[(i, j, w)], D[:, l], t, geom=geom)
-                        sp = max(sp, abs(lhs - rhs) / scale)
-        for i in range(km):
-            for j in range(km):
-                for l in range(km):
-                    if len({i, j, l}) < 2 or i == j:
-                        continue
-                    cyc = values[(i, j, l)]
-                    cyc = cyc + (values[(j, l, i)] if j != l else 0.0)
-                    cyc = cyc + (values[(l, i, j)] if l != i else 0.0)
-                    bianchi = max(bianchi, float(np.linalg.norm(cyc) / scale))
-    return {"antisymmetry_defect": anti, "symplectic_defect": sp,
-            "bianchi_defect": bianchi, "points": len(list(t_points))}
+            cyc = v + (values[(j, l, i)] if j != l else 0.0)
+            cyc = cyc + (values[(l, i, j)] if l != i else 0.0)
+            bianchi = max(bianchi, float(np.linalg.norm(cyc) / scale))
+    return {
+        "samples": samples,
+        "max_discrepancy": max((s["discrepancy"] for s in samples), default=0.0),
+        "symmetry": {"antisymmetry_defect": anti, "symplectic_defect": sp,
+                     "bianchi_defect": bianchi, "points": len(t_points)},
+        "convergence": convergence_factor(geom, t_points[0]),
+    }
 
 
-def convergence_factor(ctx: ReductionContext, chart: OrbitChart, t, *,
-                       coarse: float = 4e-3, inputs=(0, 1, 1)) -> dict:
+def convergence_factor(geom: SigmaGeometry, t, *, coarse: float = 4e-3,
+                       inputs=(0, 1, 1)) -> dict:
     """Step-halving convergence of the finite-difference curvature routes.
 
     A Richardson-extrapolated evaluation serves as the reference; each route's
@@ -229,9 +190,10 @@ def convergence_factor(ctx: ReductionContext, chart: OrbitChart, t, *,
     Central differencing is second order, so the ratio should sit near four.
     The probe uses steps well above the default because there the truncation
     term dominates roundoff; inner first-derivative steps scale with the
-    outer step so the whole computation contracts consistently.
+    outer step so the whole computation contracts consistently.  Both steps
+    run on ``geom``; the reference needs its own Richardson-stencil geometry.
     """
-    _require_base(ctx)
+    ctx, chart = geom.ctx, geom.chart
     i, j, l = inputs
     fields = coordinate_fields(chart)
     geom_ref = SigmaGeometry(ctx, chart, richardson=True)
@@ -239,7 +201,6 @@ def convergence_factor(ctx: ReductionContext, chart: OrbitChart, t, *,
                                           t, fd_step=1e-4, fd_step2=1e-3, geom=geom_ref)
 
     def errors(h2: float) -> tuple[float, float]:
-        geom = SigmaGeometry(ctx, chart)
         h1 = h2 / 10.0
         val = reduced_curvature_formula(ctx, chart, fields[i], fields[j], fields[l],
                                         t, fd_step=h1, fd_step2=h2, geom=geom)

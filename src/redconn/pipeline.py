@@ -18,7 +18,7 @@ from .connections import (baseline_connection, baseline_nabla_omega, finite_cycl
                           frame_transport, nabla_omega_components, nabla_omega_defect,
                           perturbed_connection, pullback_connection, average_connection,
                           symplectize, torsion_defect)
-from .curvature import (convergence_factor, curvature_samples, curvature_symmetry_report)
+from .curvature import curvature_battery
 from .errors import (AssumptionTwoFailure, ConfigError, DegeneratePairing, NoRealization,
                      NonReductiveStabilizer, NotTangent, PointOffConstraint, RankLoss,
                      ReductionError, SingularOmega, SingularProjection)
@@ -86,6 +86,11 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_number_rows(value) -> bool:
+    return isinstance(value, list) and all(isinstance(row, list) and all(map(_is_number, row))
+                                           for row in value)
+
+
 @dataclass
 class CaseConfig:
     """One reduction case: which group, which level, and solver settings."""
@@ -121,6 +126,11 @@ class CaseConfig:
                 raise ConfigError(f"{name} must be an integer >= {least}")
         if not isinstance(cfg.mu, list) or not all(map(_is_number, cfg.mu)):
             raise ConfigError("mu must be a list of numbers")
+        if cfg.xi_list is not None and not _is_number_rows(cfg.xi_list):
+            raise ConfigError("xi_list must be null or a list of number lists")
+        if cfg.s_tilde != "default" and not (_is_number_rows(cfg.s_tilde)
+                                             and len(set(map(len, cfg.s_tilde))) <= 1):
+            raise ConfigError("s_tilde must be 'default' or a list of equal-length number lists")
         if cfg.connection not in ("symplectic", "baseline"):
             raise ConfigError("connection must be 'symplectic' or 'baseline'")
         if not isinstance(cfg.tol, dict):
@@ -138,9 +148,14 @@ class CaseConfig:
         return algebra_from_json(self.group)
 
     def mu_vector(self, a: LieAlgebra) -> np.ndarray:
+        """μ as a vector, once μ and every ξ sample match the algebra's dimension."""
         mu = np.asarray(self.mu, dtype=float)
         if mu.shape != (a.dim,):
             raise ConfigError(f"mu has length {mu.size}, algebra dimension is {a.dim}")
+        for xi in self.xi_list or []:
+            if len(xi) != a.dim:
+                raise ConfigError(f"xi_list entry has length {len(xi)}, "
+                                  f"algebra dimension is {a.dim}")
         return mu
 
     def threshold(self, name: str) -> float:
@@ -254,7 +269,9 @@ def _stage_connect(cfg: CaseConfig, a: LieAlgebra, mu: np.ndarray,
 
 
 def _stage_reduce(cfg: CaseConfig, a: LieAlgebra, mu: np.ndarray, conn,
-                  rng: np.random.Generator) -> tuple[dict, object, object]:
+                  rng: np.random.Generator) -> tuple[dict, SigmaGeometry | None]:
+    """The reduce stage, and the run's geometry for the curvature stage (None
+    without a chart: zero-dimensional base or no realization)."""
     ctx = build_context(a, mu, s_tilde=cfg.s_tilde, connection=conn)
     stage = {
         "status": "ok",
@@ -263,17 +280,17 @@ def _stage_reduce(cfg: CaseConfig, a: LieAlgebra, mu: np.ndarray, conn,
         "isotropy_defect": ctx.diagnostics["isotropy_defect"],
         "projector_defect": ctx.diagnostics["projector_defect"],
         "zero_dimensional_base": ctx.zero_dimensional_base,
-        "totally_geodesic_defect": totally_geodesic_defect(ctx, conn),
+        "totally_geodesic_defect": totally_geodesic_defect(ctx),
     }
     if ctx.zero_dimensional_base or not a.has_realization:
         stage["sigma"] = None
-        auto = autoparallel_check(ctx, conn, chart=None, rng=rng)
+        auto = autoparallel_check(ctx, rng=rng)
         stage["autoparallel"] = {"defect": auto.defect, "independence": auto.independence}
-        return stage, ctx, None
-    chart = orbit_chart(a, mu, ctx.m, cfg.chart_radius)
-    pts = _sample_points(cfg, chart.dim, rng)
-    sweep = _chart_sweep(ctx, chart, pts, rng, cfg.fd_step)
-    auto = autoparallel_check(ctx, conn, chart=chart, rng=rng, fd_step=cfg.fd_step)
+        return stage, None
+    geom = SigmaGeometry(ctx, orbit_chart(a, mu, ctx.m, cfg.chart_radius))
+    pts = _sample_points(cfg, geom.chart.dim, rng)
+    sweep = _chart_sweep(geom, pts, rng, cfg.fd_step)
+    auto = autoparallel_check(ctx, geom=geom, rng=rng, fd_step=cfg.fd_step)
     stage.update({
         "sigma": sweep["sigma"],
         "kks_sign_constant": KKS_MATCH_SIGN,
@@ -284,10 +301,10 @@ def _stage_reduce(cfg: CaseConfig, a: LieAlgebra, mu: np.ndarray, conn,
         "autoparallel": {"defect": auto.defect, "independence": auto.independence},
         "chart_points": pts.tolist(),
     })
-    return stage, ctx, chart
+    return stage, geom
 
 
-def _chart_sweep(ctx, chart, pts, rng: np.random.Generator, h: float) -> dict:
+def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator, h: float) -> dict:
     """Every reduced-connection defect, from arrays evaluated once per chart point.
 
     At each point t: D = dnu(t), the lifts of D's columns, the reduced form
@@ -299,7 +316,7 @@ def _chart_sweep(ctx, chart, pts, rng: np.random.Generator, h: float) -> dict:
     fiber independence compares the table at pts[0] with the same table at
     five random stabilizer fibers drawn from rng.
     """
-    geom = SigmaGeometry(ctx, chart)
+    ctx, chart = geom.ctx, geom.chart
     fields = coordinate_fields(chart)
     km = chart.dim
     e = geom.identity
@@ -311,14 +328,14 @@ def _chart_sweep(ctx, chart, pts, rng: np.random.Generator, h: float) -> dict:
         return level, cov
 
     def omega_at(t):
-        lifts = geom.chart_lifts(t, chart.dnu(t))
+        lifts = geom.chart_lifts(t)
         return geom.form_table(lifts, lifts)
 
     out = {"sigma": None, "kks": 0.0, "torsion": 0.0, "oracle": 0.0, "parallel": 0.0,
            "closed": 0.0, "fiber": 0.0}
     for index, t in enumerate(pts):
-        D = chart.dnu(t)
-        lifts = geom.chart_lifts(t, D)
+        D = geom.point(t, e).D
+        lifts = geom.chart_lifts(t)
         omega = geom.form_table(lifts, lifts)
         if out["sigma"] is None:
             out["sigma"] = next((float(np.sign(red / ref))
@@ -351,33 +368,16 @@ def _chart_sweep(ctx, chart, pts, rng: np.random.Generator, h: float) -> dict:
     return out
 
 
-def _stage_curvature(cfg: CaseConfig, ctx, chart, rng: np.random.Generator) -> dict:
-    if ctx is None or chart is None or ctx.zero_dimensional_base:
+def _stage_curvature(cfg: CaseConfig, geom: SigmaGeometry | None,
+                     rng: np.random.Generator) -> dict:
+    if geom is None:
         return {"status": "skipped", "reason": "zero-dimensional base"}
-    pts = _sample_points(cfg, chart.dim, rng)[: max(1, cfg.samples // 2)]
+    pts = _sample_points(cfg, geom.chart.dim, rng)[: max(1, cfg.samples // 2)]
     return {
         "status": "ok",
         "fd_step2_note": "second-derivative step trades truncation against "
                          "cancellation; the convergence probe reports the balance",
-        **_curvature_battery(cfg, ctx, chart, pts),
-    }
-
-
-def _curvature_battery(cfg: CaseConfig, ctx, chart, pts) -> dict:
-    """Both curvature routes on coordinate triples, the symmetry defects and
-    the step-halving convergence probe at pts[0]."""
-    samples = curvature_samples(ctx, chart, pts, fd_step=cfg.fd_step, fd_step2=cfg.fd_step2)
-    symmetry = curvature_symmetry_report(ctx, chart, pts, fd_step=cfg.fd_step,
-                                         fd_step2=cfg.fd_step2)
-    return {
-        "samples": [{
-            "t": s.t.tolist(), "inputs": list(s.inputs),
-            "value": s.value.tolist(), "oracle": s.oracle.tolist(),
-            "discrepancy": s.discrepancy,
-        } for s in samples],
-        "max_discrepancy": max((s.discrepancy for s in samples), default=0.0),
-        "symmetry": symmetry,
-        "convergence": convergence_factor(ctx, chart, pts[0]),
+        **curvature_battery(geom, pts, fd_step=cfg.fd_step, fd_step2=cfg.fd_step2),
     }
 
 
@@ -396,7 +396,7 @@ def run_pipeline(cfg: CaseConfig, stop_after: str = "curvature") -> tuple[dict, 
            "stages": {}, "error": None}
     code = EXIT_OK
     timings = {}
-    ctx = chart = conn = None
+    geom = conn = None
     try:
         a = cfg.algebra()
         mu = cfg.mu_vector(a)
@@ -407,9 +407,9 @@ def run_pipeline(cfg: CaseConfig, stop_after: str = "curvature") -> tuple[dict, 
             elif stage == "connect":
                 rep["stages"]["connect"], conn = _stage_connect(cfg, a, mu, rng)
             elif stage == "reduce":
-                rep["stages"]["reduce"], ctx, chart = _stage_reduce(cfg, a, mu, conn, rng)
+                rep["stages"]["reduce"], geom = _stage_reduce(cfg, a, mu, conn, rng)
             elif stage == "curvature":
-                rep["stages"]["curvature"] = _stage_curvature(cfg, ctx, chart, rng)
+                rep["stages"]["curvature"] = _stage_curvature(cfg, geom, rng)
             timings[stage] = time.perf_counter() - ts
     except Exception as exc:  # noqa: BLE001 - mapped to exit codes below
         stage_name = next((s for s in order if s not in rep["stages"]), "setup")
@@ -609,21 +609,21 @@ def _verify_reduction(cfg, a, mu, conn, rng, checks) -> None:
                passed=bool(s[-1] > 1e-10 * s[0]), note=f"ratio {s[-1] / s[0]:.3e}")
     _check(checks, "red/l-equivariance", _l_equivariance_defect(ctx, rng),
            cfg.threshold("l_equivariance"))
-    geod = totally_geodesic_defect(ctx, conn)
-    _check(checks, "red/geodesic-oracle", _geodesic_oracle_gap(ctx, conn, geod),
+    geod = totally_geodesic_defect(ctx)
+    _check(checks, "red/geodesic-oracle", _geodesic_oracle_gap(ctx, geod),
            cfg.threshold("geodesic_oracle"), note=f"defect {geod:.3e}")
     if ctx.zero_dimensional_base or not a.has_realization:
-        auto = autoparallel_check(ctx, conn, chart=None, rng=rng)
+        auto = autoparallel_check(ctx, rng=rng)
         _check(checks, "red/autoparallel-report", 0.0, 0.0, passed=True,
                note=f"defect {auto.defect:.3e}")
         return
-    chart = orbit_chart(a, mu, ctx.m, cfg.chart_radius)
-    _check(checks, "red/sigma-equivariance", _sigma_equivariance_defect(ctx, conn, rng),
+    geom = SigmaGeometry(ctx, orbit_chart(a, mu, ctx.m, cfg.chart_radius))
+    _check(checks, "red/sigma-equivariance", _sigma_equivariance_defect(ctx, rng),
            cfg.threshold("sigma_equivariance"))
-    _check(checks, "red/sigma-torsion", _sigma_torsion_defect(ctx, conn),
+    _check(checks, "red/sigma-torsion", _sigma_torsion_defect(ctx),
            cfg.threshold("sigma_torsion"))
-    pts = _sample_points(cfg, chart.dim, rng)
-    sweep = _chart_sweep(ctx, chart, pts, rng, cfg.fd_step)
+    pts = _sample_points(cfg, geom.chart.dim, rng)
+    sweep = _chart_sweep(geom, pts, rng, cfg.fd_step)
     _check(checks, "red/reduced-torsion", sweep["torsion"], cfg.threshold("reduced_torsion"))
     _check(checks, "red/reduced-oracle", sweep["oracle"], cfg.threshold("reduced_oracle"))
     _check(checks, "red/kks-match", sweep["kks"], cfg.threshold("kks_match"))
@@ -633,14 +633,14 @@ def _verify_reduction(cfg, a, mu, conn, rng, checks) -> None:
            cfg.threshold("reduced_form_closed"))
     _check(checks, "red/fiber-independence", sweep["fiber"],
            cfg.threshold("fiber_independence"))
-    auto = autoparallel_check(ctx, conn, chart=chart, rng=rng, fd_step=cfg.fd_step)
+    auto = autoparallel_check(ctx, geom=geom, rng=rng, fd_step=cfg.fd_step)
     note = f"defect {auto.defect:.3e}"
     if auto.independence is not None:
         _check(checks, "red/autoparallel-independence", auto.independence,
                cfg.threshold("fiber_independence"), note=note)
     else:
         _check(checks, "red/autoparallel-report", 0.0, 0.0, passed=True, note=note)
-    curv = _curvature_battery(cfg, ctx, chart, pts[:2])
+    curv = curvature_battery(geom, pts[:2], fd_step=cfg.fd_step, fd_step2=cfg.fd_step2)
     sym = curv["symmetry"]
     _check(checks, "curv/formula-oracle", curv["max_discrepancy"],
            cfg.threshold("curvature_agreement"))
@@ -676,14 +676,13 @@ def _l_equivariance_defect(ctx, rng) -> float:
     return defect
 
 
-def _geodesic_oracle_gap(ctx, conn, value: float) -> float:
+def _geodesic_oracle_gap(ctx, value: float) -> float:
     """Re-derive the totally-geodesic defect by a least-squares projection route."""
     a = ctx.algebra
     n = a.dim
     k = ctx.stabilizer_dim
     if k == 0:
         return 0.0
-    gamma = conn.coefficients(ctx.mu)
     om = omega_gram(a, ctx.mu)
     basis = np.hstack([ctx.split.t_sigma, ctx.w2, ctx.S])
 
@@ -696,20 +695,20 @@ def _geodesic_oracle_gap(ctx, conn, value: float) -> float:
         ui = np.concatenate([ctx.g_mu[:, i], np.zeros(n)])
         for j in range(k):
             vj = np.concatenate([ctx.g_mu[:, j], np.zeros(n)])
-            proj = project(np.einsum("abc,a,b->c", gamma, ui, vj))
+            proj = project(np.einsum("abc,a,b->c", ctx.gamma_mu, ui, vj))
             for pz in frame:
                 best = max(best, abs(float(proj @ om @ pz)))
     return abs(best - value)
 
 
-def _sigma_equivariance_defect(ctx, conn, rng) -> float:
+def _sigma_equivariance_defect(ctx, rng) -> float:
     """Transport constant level-set fields by stabilizer elements and compare."""
     a = ctx.algebra
     n = a.dim
     k = ctx.stabilizer_dim
     if k == 0 or not a.has_realization:
         return 0.0
-    gamma = conn.coefficients(ctx.mu)
+    gamma = ctx.gamma_mu
     P = ctx.p_matrix
     defect = 0.0
     for _ in range(3):
@@ -723,10 +722,10 @@ def _sigma_equivariance_defect(ctx, conn, rng) -> float:
     return defect
 
 
-def _sigma_torsion_defect(ctx, conn) -> float:
+def _sigma_torsion_defect(ctx) -> float:
     a = ctx.algebra
     n = a.dim
-    gamma = conn.coefficients(ctx.mu)
+    gamma = ctx.gamma_mu
     P = ctx.p_matrix
     defect = 0.0
     for i in range(n):

@@ -113,6 +113,7 @@ class ReductionContext:
     alpha_mat: np.ndarray
     v_delta: np.ndarray
     connection: FrameConnection
+    gamma_mu: np.ndarray  # Γ(μ), the connection's coefficients at the level
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -230,7 +231,7 @@ def build_context(a: LieAlgebra, mu, *, s_tilde="default",
         "zero_dimensional_base": bool(m.shape[1] == 0),
     }
     return ReductionContext(a, mu.copy(), g_mu, m, split, st, lam, S, w1, w2,
-                            P, alpha_mat, split.delta, conn, diagnostics)
+                            P, alpha_mat, split.delta, conn, conn.coefficients(mu), diagnostics)
 
 
 def default_chart(ctx: ReductionContext, radius: float = 1.0) -> OrbitChart:
@@ -260,21 +261,21 @@ class SigmaGeometry:
     parameter velocity matching a requested tangent direction and apply central
     differences in parameter space.  Each distinct (t, fiber) gets one
     ``PointKernel``, kept for the life of the instance and read by lifts,
-    lifted chart fields, pushdowns and directional derivatives.  The kernel
-    table is not thread-safe: use one instance per thread.
+    lifted chart fields, pushdowns and directional derivatives.  A run builds
+    one instance per (context, chart) and shares it between the chart sweep,
+    the autoparallel check and the curvature battery; kernels depend only on
+    (t, fiber), so sharing changes what is recomputed, never a value.  The
+    kernel table is not thread-safe: use one instance per thread.
     """
 
-    def __init__(self, ctx: ReductionContext, chart: OrbitChart,
-                 conn: FrameConnection | None = None, richardson: bool = False):
+    def __init__(self, ctx: ReductionContext, chart: OrbitChart, richardson: bool = False):
         if chart.dim == 0:
             raise ZeroDimensionalBase("the reduced manifold is a point")
         self.ctx = ctx
         self.chart = chart
-        self.conn = conn if conn is not None else ctx.connection
         a = ctx.algebra
         self.algebra = a
         self.n = a.dim
-        self.gamma_mu = self.conn.coefficients(ctx.mu)
         self.struct = frame_structure(a)
         self.omega_mu = omega_gram(a, ctx.mu)
         self.K_T = a.bracket_pairing(ctx.mu).T
@@ -315,8 +316,10 @@ class SigmaGeometry:
         _check_tangent(np.linalg.norm(M @ coeffs - v), v)
         return self.ctx.w1 @ coeffs
 
-    def chart_lifts(self, t, D: np.ndarray) -> list:
-        """Horizontal lifts at the section point t of the columns of D = dnu(t)."""
+    def chart_lifts(self, t) -> list:
+        """Horizontal lifts at the section point t of the chart directions, the
+        columns of D = dnu(t)."""
+        D = self.point(t, self.identity).D
         return [self.lift(t, self.identity, D[:, i]) for i in range(D.shape[1])]
 
     def form_table(self, us, vs) -> np.ndarray:
@@ -373,7 +376,7 @@ class SigmaGeometry:
         base = fld(np.asarray(t, dtype=float), fiber)
         d = self.directional_derivative(fld, t, fiber, u, step)
         u = np.asarray(u, dtype=float)
-        return self.ctx.p_matrix @ (d + np.einsum("abc,a,b->c", self.gamma_mu, u, base))
+        return self.ctx.p_matrix @ (d + np.einsum("abc,a,b->c", self.ctx.gamma_mu, u, base))
 
     def lie_bracket(self, xf: SigmaField, yf: SigmaField, t, fiber: np.ndarray,
                     step: float) -> np.ndarray:
@@ -410,16 +413,15 @@ class SigmaGeometry:
 
 
 
-def sigma_covderiv(ctx: ReductionContext, conn: FrameConnection, xbar: SigmaField,
-                   ybar: SigmaField, t, *, chart: OrbitChart,
-                   fiber: GroupElement | None = None,
+def sigma_covderiv(ctx: ReductionContext, xbar: SigmaField, ybar: SigmaField, t, *,
+                   chart: OrbitChart, fiber: GroupElement | None = None,
                    fd_step: float = 1e-5) -> TrivTangent:
     """Covariant derivative along the level set: P applied to the ambient one.
 
     ``xbar`` and ``ybar`` are fields (t, fiber) -> frame components, tangent
     to the level set wherever evaluated.
     """
-    geom = SigmaGeometry(ctx, chart, conn)
+    geom = SigmaGeometry(ctx, chart)
     fiber = geom.identity if fiber is None else fiber.ad
     t = np.asarray(t, dtype=float)
     u = np.asarray(xbar(t, fiber), dtype=float)
@@ -439,8 +441,6 @@ def reduced_covderiv(ctx: ReductionContext, chart: OrbitChart, x_field: ChartFie
                      y_field: ChartField, t, *, fiber: GroupElement | None = None,
                      fd_step: float = 1e-5, geom: SigmaGeometry | None = None) -> np.ndarray:
     """Reduced covariant derivative of chart-component fields, as an orbit tangent."""
-    if ctx.zero_dimensional_base:
-        raise ZeroDimensionalBase("the reduced manifold is a point")
     geom = geom if geom is not None else SigmaGeometry(ctx, chart)
     return geom.reduced_cov(x_field, y_field, t, None if fiber is None else fiber.ad, fd_step)
 
@@ -449,8 +449,6 @@ def reduced_form(ctx: ReductionContext, chart: OrbitChart, v, w, t,
                  fiber: GroupElement | None = None,
                  geom: SigmaGeometry | None = None) -> float:
     """Reduced symplectic form: ω on the horizontal lifts of two orbit tangents."""
-    if ctx.zero_dimensional_base:
-        raise ZeroDimensionalBase("the reduced manifold is a point")
     geom = geom if geom is not None else SigmaGeometry(ctx, chart)
     fiber = geom.identity if fiber is None else fiber.ad
     vb = geom.lift(t, fiber, v)
@@ -480,17 +478,15 @@ def reduced_covderiv_gram_oracle(ctx: ReductionContext, chart: OrbitChart,
     the reduced Gram matrix; radical directions pair to zero against the
     level-set tangent space, so both routes must agree.
     """
-    if ctx.zero_dimensional_base:
-        raise ZeroDimensionalBase("the reduced manifold is a point")
     geom = SigmaGeometry(ctx, chart)
     t = np.asarray(t, dtype=float)
     G = geom.lifted_cov(x_field, y_field, t, geom.identity, fd_step)
-    D = chart.dnu(t)
-    lifts = geom.chart_lifts(t, D)
-    return gram_oracle_solve(geom, D, lifts, lift_gram(geom, lifts), G)
+    lifts = geom.chart_lifts(t)
+    return gram_oracle_solve(geom, geom.point(t, geom.identity).D, lifts,
+                             lift_gram(geom, lifts), G)
 
 
-def totally_geodesic_defect(ctx: ReductionContext, conn: FrameConnection) -> float:
+def totally_geodesic_defect(ctx: ReductionContext) -> float:
     """Largest ω-pairing of P∇ of stabilizer generators against PZ over the frame.
 
     Zero means the stabilizer orbits inside the level set are totally geodesic
@@ -503,7 +499,6 @@ def totally_geodesic_defect(ctx: ReductionContext, conn: FrameConnection) -> flo
     k = ctx.stabilizer_dim
     if k == 0:
         return 0.0
-    gamma = conn.coefficients(ctx.mu)
     om = omega_gram(a, ctx.mu)
     P = ctx.p_matrix
     defect = 0.0
@@ -511,7 +506,7 @@ def totally_geodesic_defect(ctx: ReductionContext, conn: FrameConnection) -> flo
         ui = np.concatenate([ctx.g_mu[:, i], np.zeros(n)])
         for j in range(k):
             vj = np.concatenate([ctx.g_mu[:, j], np.zeros(n)])
-            cov = np.einsum("abc,a,b->c", gamma, ui, vj)
+            cov = np.einsum("abc,a,b->c", ctx.gamma_mu, ui, vj)
             pairings = (P @ cov) @ om @ P
             defect = max(defect, float(np.max(np.abs(pairings))))
     return defect
@@ -541,8 +536,7 @@ def _random_stable_complement(ctx: ReductionContext, rng: np.random.Generator,
     return None
 
 
-def autoparallel_check(ctx: ReductionContext, conn: FrameConnection, *,
-                       chart: OrbitChart | None = None,
+def autoparallel_check(ctx: ReductionContext, *, geom: SigmaGeometry | None = None,
                        rng: np.random.Generator | None = None,
                        n_samples: int = 3, fd_step: float = 1e-5,
                        tol: float = 1e-10) -> AutoparallelReport:
@@ -552,26 +546,26 @@ def autoparallel_check(ctx: ReductionContext, conn: FrameConnection, *,
     the tangent space.  When it vanishes, the reduced connection cannot
     depend on the choice of complement; in that case a second context with a
     randomized valid complement is built and the largest difference of the
-    reduced derivative over sampled chart points is reported.
+    reduced derivative over chart points sampled in ``geom``'s chart (the
+    geometry of ``ctx``) is reported.
     """
     a = ctx.algebra
     n = a.dim
-    gamma = conn.coefficients(ctx.mu)
     complement_proj = np.eye(2 * n) - ctx.p_matrix
     defect = 0.0
     for i in range(n):
         for j in range(n):
-            defect = max(defect, float(np.max(np.abs(complement_proj @ gamma[i, j, :]))))
-    if defect > tol or ctx.zero_dimensional_base or chart is None or not a.has_realization:
+            defect = max(defect, float(np.max(np.abs(complement_proj @ ctx.gamma_mu[i, j, :]))))
+    if defect > tol or ctx.zero_dimensional_base or geom is None or not a.has_realization:
         return AutoparallelReport(defect, None if defect > tol else 0.0, 0)
 
     rng = rng if rng is not None else np.random.default_rng(0)
     cand = _random_stable_complement(ctx, rng)
     if cand is None:
         return AutoparallelReport(defect, None, 0)
-    other = build_context(a, ctx.mu, s_tilde=cand, connection=conn)
-    geom_a = SigmaGeometry(ctx, chart, conn)
-    geom_b = SigmaGeometry(other, chart, conn)
+    chart = geom.chart
+    other = build_context(a, ctx.mu, s_tilde=cand, connection=ctx.connection)
+    geom_b = SigmaGeometry(other, chart)
     fields = coordinate_fields(chart)
     diff = 0.0
     count = 0
@@ -579,7 +573,7 @@ def autoparallel_check(ctx: ReductionContext, conn: FrameConnection, *,
         t = rng.uniform(-0.3, 0.3, size=chart.dim) * chart.radius
         for xf in fields:
             for yf in fields:
-                va = geom_a.reduced_cov(xf, yf, t, step=fd_step)
+                va = geom.reduced_cov(xf, yf, t, step=fd_step)
                 vb = geom_b.reduced_cov(xf, yf, t, step=fd_step)
                 diff = max(diff, float(np.max(np.abs(va - vb))))
                 count += 1
@@ -623,7 +617,7 @@ def kks_residual(ctx: ReductionContext, chart: OrbitChart, t,
     t = np.asarray(t, dtype=float)
     if omega is None:
         geom = geom if geom is not None else SigmaGeometry(ctx, chart)
-        lifts = geom.chart_lifts(t, chart.dnu(t))
+        lifts = geom.chart_lifts(t)
         omega = geom.form_table(lifts, lifts)
     return max([0.0] + [abs(red - KKS_MATCH_SIGN * ref) / abs(ref)
                         for red, ref in kks_pairs(ctx, chart, t, omega)])

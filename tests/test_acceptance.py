@@ -14,8 +14,7 @@ import scipy.linalg
 import redconn as rc
 from redconn import linalg
 from redconn.connections import baseline_nabla_omega
-from redconn.curvature import (convergence_factor, curvature_samples,
-                               curvature_symmetry_report)
+from redconn.curvature import convergence_factor, curvature_battery
 from redconn.errors import AssumptionTwoFailure, NonReductiveStabilizer
 from redconn.pipeline import CaseConfig, run_pipeline
 from redconn.reduction import (SigmaGeometry, coordinate_fields,
@@ -167,10 +166,11 @@ def test_criterion_4_curvature_cross_validation():
         ctx = rc.build_context(a, mu)
         chart = rc.default_chart(ctx)
         pts = [np.zeros(2), rng.uniform(-0.3, 0.3, 2)]
-        samples = curvature_samples(ctx, chart, pts)
-        agreement = max(agreement, max(s.discrepancy for s in samples))
-        factors.append(convergence_factor(ctx, chart, np.array([0.15, -0.1]))["factor"])
-        rep = curvature_symmetry_report(ctx, chart, pts)
+        geom = SigmaGeometry(ctx, chart)
+        battery = curvature_battery(geom, pts)
+        agreement = max(agreement, battery["max_discrepancy"])
+        factors.append(convergence_factor(geom, np.array([0.15, -0.1]))["factor"])
+        rep = battery["symmetry"]
         for key in symmetry:
             symmetry[key] = max(symmetry[key], rep[key])
     # negative control: a torsion-free connection left unprojected; the
@@ -181,8 +181,8 @@ def test_criterion_4_curvature_cross_validation():
     raw = rc.perturbed_connection(rc.baseline_connection(a), delta, symmetric=True)
     ctx_bad = rc.build_context(a, mu, connection=raw)
     chart = rc.default_chart(ctx_bad)
-    control = curvature_symmetry_report(ctx_bad, chart, [np.array([0.12, -0.07])],
-                                        use_oracle=True)["symplectic_defect"]
+    control = curvature_battery(SigmaGeometry(ctx_bad, chart), [np.array([0.12, -0.07])],
+                                use_oracle=True)["symmetry"]["symplectic_defect"]
     ok = (agreement <= 1e-4 and all(3.0 <= f <= 5.0 for f in factors)
           and all(v <= 1e-4 for v in symmetry.values()) and control > 1e-2)
     _verdict(4, "curvature cross-validation", ok,

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import redconn
 from redconn.cli import main
-from redconn.pipeline import CaseConfig, run_pipeline
+from redconn.pipeline import CaseConfig, run_pipeline, verify_suite
 from redconn.errors import ConfigError
 from tests.conftest import AFF1_DOC
 
@@ -33,7 +34,8 @@ SO3_DOC = {"group": "so3", "mu": [0.0, 0.0, 1.0], "samples": 3}
 BAD_VALUES = [("samples", "3", False), ("samples", 2.5, False), ("samples", True, False),
               ("fd_step", "1e-5", False), ("seed", -1, False), ("mu", "abc", False),
               ("chart_radius", "x", False), ("seed", -1, True), ("fd_step", 0.0, True),
-              ("tol_scale", 0.0, True), ("tol_scale", -1.0, True)]
+              ("tol_scale", 0.0, True), ("tol_scale", -1.0, True), ("xi_list", "abc", False),
+              ("s_tilde", 5, False), ("s_tilde", "other", False)]
 
 
 class TestVerbs:
@@ -146,6 +148,17 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "ConfigError"
 
+    @pytest.mark.parametrize("verb,key,value", [
+        ("export-connection", "xi_list", [[1, 2]]), ("reduce", "s_tilde", [[1, 2], [3]])],
+        ids=["xi_list-short", "s_tilde-ragged"])
+    def test_array_shape_mismatch(self, tmp_path, capsys, verb, key, value):
+        # schema-valid arrays whose shape the schema cannot express
+        cfg = _write_config(tmp_path, {"group": "so3", "mu": [0, 0, 1], key: value})
+        code = main([verb, "--config", cfg])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ConfigError"
+
     def test_nonreductive_exits_three(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {"group": "sl2r", "mu": [0.0, 1.0, 0.0]})
         code = main(["reduce", "--config", cfg])
@@ -176,14 +189,22 @@ class TestExitCodes:
 
 class TestDeterminism:
     def test_reports_identical_modulo_timings(self):
-        cfg = CaseConfig.from_dict(dict(SO3_DOC, seed=11))
-        rep1, _ = run_pipeline(cfg)
-        cfg2 = CaseConfig.from_dict(dict(SO3_DOC, seed=11))
-        rep2, _ = run_pipeline(cfg2)
         from redconn import report as report_mod
-        text1 = report_mod.dumps(_strip_timings(rep1))
-        text2 = report_mod.dumps(_strip_timings(rep2))
-        assert text1 == text2
+        # so(4) regular from the benchmark's case set: a 4-dimensional orbit,
+        # so each shared geometry serves many chart points and fibers
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_cases", Path(__file__).parent.parent / "perfbench" / "cases.py")
+        cases = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(cases)
+        _, n, weights, _, _ = cases.SO4_CASES[0]
+        so4_doc = {"group": cases.so_n_group(n), "mu": cases.so_n_mu(n, weights), "samples": 2}
+        for doc in (SO3_DOC, so4_doc):
+            for run in (run_pipeline, verify_suite):
+                rep1, _ = run(CaseConfig.from_dict(dict(doc, seed=11)))
+                rep2, _ = run(CaseConfig.from_dict(dict(doc, seed=11)))
+                text1 = report_mod.dumps(_strip_timings(rep1))
+                text2 = report_mod.dumps(_strip_timings(rep2))
+                assert text1 == text2
 
     def test_seed_changes_sample_points(self):
         rep1, _ = run_pipeline(CaseConfig.from_dict(dict(SO3_DOC, seed=1)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import redconn as rc
-from redconn.connections import (baseline_nabla_omega, frame_structure,
+from redconn.connections import (baseline_nabla_omega, frame_structure, frame_transport,
                                  nabla_omega_components, solve_omega_gram,
                                  torsion_components)
 from redconn.errors import NoRealization, SingularOmega
@@ -147,6 +147,20 @@ class TestSymplectize:
         for _ in range(3):
             xi = rng.standard_normal(3)
             assert np.max(np.abs(pulled.coefficients(xi) - sympl.coefficients(xi))) <= 1e-9
+
+    def test_pullback_matches_direct_contraction(self, so3, rng):
+        # reference: the single-loop contraction over all four indices, on a
+        # connection that is not invariant, so the transport really moves it
+        delta = rng.standard_normal((6, 6, 6))
+        pert = rc.perturbed_connection(rc.baseline_connection(so3), delta, symmetric=False)
+        g = rc.group_exp(so3, rng.uniform(-0.8, 0.8, 3))
+        T, T_inv = frame_transport(g.inverse()), frame_transport(g)
+        xi = rng.standard_normal(3)
+        ref = np.einsum("Aa,Bb,cC,ABC->abc", T, T, T_inv,
+                        pert.coefficients(rc.coadjoint_matrix(g.inverse()) @ xi),
+                        optimize=False)
+        out = rc.pullback_connection(pert, g).coefficients(xi)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_singular_gram_raises(self):
         om = np.zeros((4, 4))

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import redconn as rc
-from redconn.curvature import (convergence_factor, curvature_fd_oracle,
-                               curvature_samples, curvature_symmetry_report,
+from redconn.curvature import (convergence_factor, curvature_battery, curvature_fd_oracle,
                                reduced_curvature_formula)
+from redconn import curvature
 from redconn.errors import ZeroDimensionalBase
+from redconn.pipeline import CaseConfig, run_pipeline
 from redconn.reduction import SigmaGeometry, coordinate_fields
 
 
@@ -54,9 +55,9 @@ class TestFlagship:
     def test_formula_matches_oracle(self, so3_setup, rng):
         _, ctx, chart = so3_setup
         pts = [np.zeros(2)] + [rng.uniform(-0.4, 0.4, 2) for _ in range(2)]
-        samples = curvature_samples(ctx, chart, pts)
-        assert samples, "no samples generated"
-        assert max(s.discrepancy for s in samples) <= 1e-4
+        battery = curvature_battery(SigmaGeometry(ctx, chart), pts)
+        assert battery["samples"], "no samples generated"
+        assert battery["max_discrepancy"] <= 1e-4
 
     def test_equal_first_arguments_vanish(self, so3_setup):
         _, ctx, chart = so3_setup
@@ -152,15 +153,15 @@ class TestCatalogAgreement:
         a = rc.named_algebra(name)
         ctx = rc.build_context(a, np.asarray(mu, float))
         chart = rc.default_chart(ctx)
-        samples = curvature_samples(ctx, chart, [np.array([0.15, -0.1])])
-        assert max(s.discrepancy for s in samples) <= 1e-4
+        battery = curvature_battery(SigmaGeometry(ctx, chart), [np.array([0.15, -0.1])])
+        assert battery["max_discrepancy"] <= 1e-4
 
 
 class TestSymmetryBattery:
     def test_so3_defects_within_tolerance(self, so3_setup, rng):
         _, ctx, chart = so3_setup
         pts = [np.zeros(2), rng.uniform(-0.3, 0.3, 2)]
-        report = curvature_symmetry_report(ctx, chart, pts)
+        report = curvature_battery(SigmaGeometry(ctx, chart), pts)["symmetry"]
         assert report["antisymmetry_defect"] <= 1e-4
         assert report["symplectic_defect"] <= 1e-4
         assert report["bianchi_defect"] <= 1e-4
@@ -176,25 +177,62 @@ class TestSymmetryBattery:
         assert rc.torsion_defect(raw, mu) <= 1e-12
         ctx_bad = rc.build_context(a, mu, connection=raw)
         chart = rc.default_chart(ctx_bad)
-        bad = curvature_symmetry_report(ctx_bad, chart, [np.array([0.12, -0.07])],
-                                        use_oracle=True)
+        bad = curvature_battery(SigmaGeometry(ctx_bad, chart), [np.array([0.12, -0.07])],
+                                use_oracle=True)["symmetry"]
         assert bad["symplectic_defect"] > 1e-2
         ctx_good = rc.build_context(a, mu, connection=rc.symplectize(raw))
-        good = curvature_symmetry_report(ctx_good, chart, [np.array([0.12, -0.07])],
-                                         use_oracle=True)
+        good = curvature_battery(SigmaGeometry(ctx_good, chart), [np.array([0.12, -0.07])],
+                                 use_oracle=True)["symmetry"]
         assert good["symplectic_defect"] <= 1e-4
 
 
 class TestConvergence:
     def test_second_order_step_halving(self, so3_setup):
         _, ctx, chart = so3_setup
-        report = convergence_factor(ctx, chart, np.array([0.15, -0.1]))
+        report = convergence_factor(SigmaGeometry(ctx, chart), np.array([0.15, -0.1]))
         assert 3.0 <= report["factor"] <= 5.0
         assert report["oracle_error_fine"] < report["oracle_error_coarse"]
 
     def test_halving_again_keeps_converging(self, so3_setup):
         _, ctx, chart = so3_setup
-        coarse = convergence_factor(ctx, chart, np.array([0.15, -0.1]), coarse=8e-3)
-        fine = convergence_factor(ctx, chart, np.array([0.15, -0.1]), coarse=4e-3)
+        geom = SigmaGeometry(ctx, chart)
+        coarse = convergence_factor(geom, np.array([0.15, -0.1]), coarse=8e-3)
+        fine = convergence_factor(geom, np.array([0.15, -0.1]), coarse=4e-3)
         assert 3.0 <= coarse["factor"] <= 5.0
         assert 3.0 <= fine["factor"] <= 5.0
+
+
+class TestOneEvaluationPerValue:
+    def test_pipeline_evaluates_each_curvature_value_once(self, monkeypatch):
+        counts = {"formula": 0, "oracle": 0}
+
+        def counted(name, route):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return route(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(curvature, "reduced_curvature_formula",
+                            counted("formula", reduced_curvature_formula))
+        monkeypatch.setattr(curvature, "curvature_fd_oracle",
+                            counted("oracle", curvature_fd_oracle))
+        cfg = CaseConfig.from_dict({"group": "so3", "mu": [0.0, 0.0, 1.0], "samples": 5})
+        rep, code = run_pipeline(cfg)
+        assert code == 0
+        samples = rep["stages"]["curvature"]["samples"]
+        points, km = 2, 2
+        assert len({tuple(s["t"]) for s in samples}) == points
+        # per point: the formula on every (i, j, l) with i != j, the oracle on
+        # every i < j; the convergence probe adds a reference and two steps
+        assert counts["formula"] == points * km * km * (km - 1) + 3
+        assert counts["oracle"] == points * km * (km - 1) // 2 * km + 2
+
+        ctx = rc.build_context(rc.so3(), np.array([0.0, 0.0, 1.0]))
+        chart = rc.default_chart(ctx, cfg.chart_radius)
+        fields = coordinate_fields(chart)
+        sample = samples[-1]
+        i, j, l = sample["inputs"]
+        fresh = reduced_curvature_formula(ctx, chart, fields[i], fields[j], fields[l],
+                                          np.array(sample["t"]), fd_step=cfg.fd_step,
+                                          fd_step2=cfg.fd_step2, geom=SigmaGeometry(ctx, chart))
+        assert fresh.tolist() == sample["value"]

@@ -3,7 +3,7 @@ import pytest
 
 import redconn as rc
 from redconn import liealg, linalg, orbits, reduction
-from redconn.curvature import curvature_samples
+from redconn.curvature import curvature_battery
 from redconn.errors import (AssumptionTwoFailure, DegeneratePairing,
                             NonReductiveStabilizer, NotTangent, PointOffConstraint,
                             RankLoss, SingularProjection, ZeroDimensionalBase)
@@ -189,7 +189,7 @@ class TestSigmaCovderiv:
         v = _vec(e2, np.zeros(3))
         xf = lambda t, fib: u
         yf = lambda t, fib: v
-        out = rc.sigma_covderiv(so3_ctx, conn, xf, yf, np.zeros(2), chart=so3_chart)
+        out = rc.sigma_covderiv(so3_ctx, xf, yf, np.zeros(2), chart=so3_chart)
         raw = np.einsum("abc,a,b->c", gamma, u, v)
         basis = np.hstack([so3_ctx.split.t_sigma, so3_ctx.w2, so3_ctx.S])
         coords = np.linalg.solve(basis, raw)
@@ -197,22 +197,20 @@ class TestSigmaCovderiv:
         assert np.max(np.abs(out.as_vector() - oracle)) <= 1e-9
 
     def test_output_tangent_to_level_set(self, so3_ctx, so3_chart, rng):
-        conn = so3_ctx.connection
         u = _vec(rng.standard_normal(3), np.zeros(3))
         v = _vec(rng.standard_normal(3), np.zeros(3))
-        out = rc.sigma_covderiv(so3_ctx, conn, lambda t, f: u, lambda t, f: v,
+        out = rc.sigma_covderiv(so3_ctx, lambda t, f: u, lambda t, f: v,
                                 np.array([0.2, -0.1]), chart=so3_chart)
         assert np.max(np.abs(out.eta)) <= 1e-9
 
     def test_torsion_free_on_constant_fields(self, so3_ctx, so3_chart, rng):
-        conn = so3_ctx.connection
         a = so3_ctx.algebra
         u = _vec(rng.standard_normal(3), np.zeros(3))
         v = _vec(rng.standard_normal(3), np.zeros(3))
         t = np.array([0.1, 0.05])
-        duv = rc.sigma_covderiv(so3_ctx, conn, lambda t, f: u, lambda t, f: v,
+        duv = rc.sigma_covderiv(so3_ctx, lambda t, f: u, lambda t, f: v,
                                 t, chart=so3_chart).as_vector()
-        dvu = rc.sigma_covderiv(so3_ctx, conn, lambda t, f: v, lambda t, f: u,
+        dvu = rc.sigma_covderiv(so3_ctx, lambda t, f: v, lambda t, f: u,
                                 t, chart=so3_chart).as_vector()
         br = _vec(a.bracket(u[:3], v[:3]), np.zeros(3))
         assert np.max(np.abs(duv - dvu - br)) <= 1e-10
@@ -237,7 +235,6 @@ class TestSigmaCovderiv:
     def test_leibniz_rule(self, so3_ctx, so3_chart, rng):
         # multiply the second field by a chart function and compare against
         # the product rule, with the derivative taken by finite differences
-        conn = so3_ctx.connection
         geom = SigmaGeometry(so3_ctx, so3_chart)
         t0 = np.array([0.15, -0.05])
         u = _vec(np.array([0.3, -0.2, 0.5]), np.zeros(3))
@@ -249,9 +246,9 @@ class TestSigmaCovderiv:
         def fv(t, fib):
             return f(t) * v
 
-        lhs = rc.sigma_covderiv(so3_ctx, conn, lambda t, fib: u, fv, t0,
+        lhs = rc.sigma_covderiv(so3_ctx, lambda t, fib: u, fv, t0,
                                 chart=so3_chart).as_vector()
-        plain = rc.sigma_covderiv(so3_ctx, conn, lambda t, fib: u,
+        plain = rc.sigma_covderiv(so3_ctx, lambda t, fib: u,
                                   lambda t, fib: v, t0, chart=so3_chart).as_vector()
         # chart-space derivative of f along the direction u
         F = geom.point(t0, geom.identity).F
@@ -390,12 +387,12 @@ class TestTotallyGeodesic:
     def test_abelian_zero(self, rng):
         a = rc.abelian(2)
         ctx = rc.build_context(a, rng.standard_normal(2))
-        assert rc.totally_geodesic_defect(ctx, ctx.connection) == 0.0
+        assert rc.totally_geodesic_defect(ctx) == 0.0
 
     def test_trivial_stabilizer_vacuous(self, aff1):
         ctx = rc.build_context(aff1, np.array([0.0, 1.0]))
         assert ctx.stabilizer_dim == 0
-        assert rc.totally_geodesic_defect(ctx, ctx.connection) == 0.0
+        assert rc.totally_geodesic_defect(ctx) == 0.0
 
     def test_so3_matches_direct_expansion(self, so3, mu_so3, so3_ctx):
         # oracle: expand omega(P Gamma(u, v), P z) with raw matrix products
@@ -406,26 +403,26 @@ class TestTotallyGeodesic:
         u = _vec(so3_ctx.g_mu[:, 0], np.zeros(3))
         cov = P @ np.einsum("abc,a,b->c", gamma, u, u)
         oracle = max(abs(float(cov @ om @ (P @ z))) for z in np.eye(6))
-        assert abs(rc.totally_geodesic_defect(so3_ctx, conn) - oracle) <= 1e-12
+        assert abs(rc.totally_geodesic_defect(so3_ctx) - oracle) <= 1e-12
 
 
 class TestAutoparallel:
     def test_abelian_trivially_autoparallel(self, rng):
         a = rc.abelian(2)
         ctx = rc.build_context(a, rng.standard_normal(2))
-        report = rc.autoparallel_check(ctx, ctx.connection)
+        report = rc.autoparallel_check(ctx)
         assert report.defect == 0.0
         assert report.independence == 0.0
 
     def test_so3_not_autoparallel(self, so3_ctx, so3_chart, rng):
-        report = rc.autoparallel_check(so3_ctx, so3_ctx.connection, chart=so3_chart,
+        report = rc.autoparallel_check(so3_ctx, geom=SigmaGeometry(so3_ctx, so3_chart),
                                        rng=rng)
         assert report.defect > 1e-3
         assert report.independence is None
 
     def test_heis3_autoparallel_and_complement_independent(self, heis3_ctx, rng):
         chart = rc.default_chart(heis3_ctx)
-        report = rc.autoparallel_check(heis3_ctx, heis3_ctx.connection, chart=chart,
+        report = rc.autoparallel_check(heis3_ctx, geom=SigmaGeometry(heis3_ctx, chart),
                                        rng=rng)
         assert report.defect <= 1e-10
         assert report.independence is not None
@@ -512,7 +509,7 @@ class TestPointKernel:
         for xf in fields:
             for yf in fields:
                 assert np.all(np.isfinite(geom.reduced_cov(xf, yf, t, fiber=fiber)))
-        assert curvature_samples(ctx, chart, [t])
+        assert curvature_battery(geom, [t])["samples"]
 
     def test_chart_rank_loss_raises_on_every_use(self, so3_ctx, so3_chart):
         # at t = (2π, 0), φ₁(−ad A) vanishes on the rotation plane of A = 2π e1,
