@@ -30,7 +30,7 @@ from .reduction import (KKS_MATCH_SIGN, AutoparallelReport, ReductionContext, Si
                         horizontal_lift, isotropic_correction, isotropic_correction_gram,
                         kks_residual, reduced_covderiv, reduced_covderiv_gram_oracle,
                         reduced_form, sigma_covderiv, totally_geodesic_defect)
-from .curvature import (convergence_factor, curvature_battery, curvature_fd_oracle,
+from .curvature import (convergence_factor, curvature_battery, curvature_tensor,
                         reduced_curvature_formula)
 from .pipeline import CaseConfig, run_pipeline, verify_suite
 

@@ -9,18 +9,17 @@ corrected by the principal-connection terms,
                     + ∇_Ȳ [α(∇_X̄ Z̄)]* - [α(∇_Ȳ [α(∇_X̄ Z̄)]*)]*
                     + ∇_[X̄,Ȳ]* Z̄ terms with the bracket's radical part,
 
-all pushed down through the quotient map.  The oracle route composes the
-reduced covariant derivative twice,
+all pushed down through the quotient map.  The tensor route differences the
+chart Christoffel symbols Γ^b_jl (chart components of ∇ʳ(f_j) f_l, read from
+``SigmaGeometry.cov_table``) of the commuting coordinate fields,
 
-    (∇r_X ∇r_Y - ∇r_Y ∇r_X - ∇r_[X,Y]) Z,
+    R^b_ijl = ∂_iΓ^b_jl - ∂_jΓ^b_il + Γ^a_jl Γ^b_ia - Γ^a_il Γ^b_ja,
 
 sharing nothing with the formula beyond the reduced derivative itself.  Both
 are finite-difference computations; agreement degrades quadratically with the
 step, which the convergence probe measures by step halving.
 
-``curvature_battery`` runs every curvature check on one ``SigmaGeometry``: per
-chart point it fills one table of coordinate-field curvatures with one route,
-and the formula–oracle samples and the symmetry defects all read that table.
+``curvature_battery`` runs every curvature check on one ``SigmaGeometry``.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from .orbits import OrbitChart
-from .reduction import (ChartField, ReductionContext, SigmaGeometry,
-                        _constant_chart_field, coordinate_fields)
+from .reduction import (ChartField, ReductionContext, SigmaGeometry, _check_tangent,
+                        coordinate_fields)
 
 DEFAULT_FD_STEP = 1e-5
 DEFAULT_FD_STEP2 = 1e-4
@@ -78,85 +77,78 @@ def reduced_curvature_formula(ctx: ReductionContext, chart: OrbitChart,
     return geom.pushdown(t, e, r_bar)
 
 
-def curvature_fd_oracle(ctx: ReductionContext, chart: OrbitChart,
-                        x_field: ChartField, y_field: ChartField,
-                        z_field: ChartField, t, *,
-                        fd_step: float = DEFAULT_FD_STEP,
-                        fd_step2: float = DEFAULT_FD_STEP2,
-                        geom: SigmaGeometry | None = None) -> np.ndarray:
-    """Reduced curvature via the commutator of reduced covariant derivatives.
+def _christoffel(geom: SigmaGeometry, t, step: float) -> np.ndarray:
+    """Γ[j, l, b]: chart component b of ∇ʳ(f_j) f_l at the section point t.
 
-    Uses only the reduced derivative and chart-space finite differences, so it
-    is independent of the explicit expansion above.
+    Raises:
+        NotTangent: a reduced derivative is not an orbit tangent at t.
     """
-    geom = geom if geom is not None else SigmaGeometry(ctx, chart)
+    D = geom.point(t, geom.identity).D
+    _, cov = geom.cov_table(t, geom.identity, step)
+    coords, *_ = np.linalg.lstsq(D, cov.reshape(-1, D.shape[0]).T, rcond=None)
+    for c, v in zip(coords.T, cov.reshape(-1, D.shape[0])):
+        _check_tangent(np.linalg.norm(D @ c - v), v)
+    return coords.T.reshape(cov.shape[0], cov.shape[1], -1)
+
+
+def curvature_tensor(geom: SigmaGeometry, t, *, fd_step: float = DEFAULT_FD_STEP,
+                     fd_step2: float = DEFAULT_FD_STEP2, directions=None) -> np.ndarray:
+    """Reduced curvature of the coordinate fields as orbit tangents: entry
+    [a, b, l] is R(f_i, f_j)f_l at t for i = directions[a], j = directions[b]
+    (all chart directions by default), from Γ at t and at t ± fd_step2·eₓ for
+    x in ``directions``, each with inner step fd_step."""
     t = np.asarray(t, dtype=float)
-    km = chart.dim
-
-    def w_y(t2):  # chart components of ∇r_Y Z at t2
-        return chart.to_chart(t2, geom.reduced_cov(y_field, z_field, t2, step=fd_step))
-
-    def w_x(t2):
-        return chart.to_chart(t2, geom.reduced_cov(x_field, z_field, t2, step=fd_step))
-
-    term1 = geom.reduced_cov(x_field, w_y, t, step=fd_step2)
-    term2 = geom.reduced_cov(y_field, w_x, t, step=fd_step2)
-
-    # chart-space bracket [X, Y]^a = X^b ∂_b Y^a - Y^b ∂_b X^a by central FD
-    xc = np.asarray(x_field(t), dtype=float)
-    yc = np.asarray(y_field(t), dtype=float)
-    br = np.zeros(km)
-    for b in range(km):
-        e_b = np.zeros(km)
-        e_b[b] = fd_step
-        dy = (np.asarray(y_field(t + e_b), float) - np.asarray(y_field(t - e_b), float)) / (2 * fd_step)
-        dx = (np.asarray(x_field(t + e_b), float) - np.asarray(x_field(t - e_b), float)) / (2 * fd_step)
-        br += xc[b] * dy - yc[b] * dx
-    term3 = geom.reduced_cov(_constant_chart_field(br), z_field, t, step=fd_step)
-    return term1 - term2 - term3
+    km = geom.chart.dim
+    dirs = list(range(km)) if directions is None else list(directions)
+    gamma = _christoffel(geom, t, fd_step)
+    d_gamma = {}
+    for x in dirs:
+        if x not in d_gamma:
+            s = np.eye(km)[x] * fd_step2
+            d_gamma[x] = (_christoffel(geom, t + s, fd_step)
+                          - _christoffel(geom, t - s, fd_step)) / (2.0 * fd_step2)
+    # d[a, b, l, c] = ∂_i Γ^c_jl and g[a, l, c] = Γ^c_il, for i = dirs[a], j = dirs[b]
+    d = np.array([d_gamma[x][dirs] for x in dirs])
+    g = gamma[dirs]
+    quad = np.einsum("blm,amc->ablc", g, g)  # Γ^m_jl Γ^c_im
+    r_chart = d + quad - (d + quad).transpose(1, 0, 2, 3)
+    return r_chart @ geom.point(t, geom.identity).D.T
 
 
 def curvature_battery(geom: SigmaGeometry, t_points, *,
                       fd_step: float = DEFAULT_FD_STEP,
-                      fd_step2: float = DEFAULT_FD_STEP2,
-                      use_oracle: bool = False) -> dict:
+                      fd_step2: float = DEFAULT_FD_STEP2) -> dict:
     """Both curvature routes on coordinate-field triples, the symmetry defects
     and the step-halving probe at t_points[0], all on one geometry.
 
-    At each chart point one route (the formula, or the oracle with
-    ``use_oracle``) fills the table R[i, j, l] = R(f_i, f_j)f_l for i ≠ j, and
-    the other route is evaluated once for each i < j; the samples pair the two
-    on that half.  From the table come the maxima of (a) the antisymmetry
-    defect in the first two slots, (b) the symplectic-valuedness defect
-    ω(R(X,Y)Z, W) - ω(R(X,Y)W, Z), which vanishes exactly when the reduced
-    form is parallel, and (c) the first Bianchi cyclic sum, which vanishes for
-    torsion-free connections.
+    At each chart point the formula fills the table R[i, j, l] = R(f_i, f_j)f_l
+    for i ≠ j and the tensor route gives every triple at once; the samples
+    pair the two for i < j.  The maxima reported are (a) the antisymmetry
+    defect in the first two slots and (c) the first Bianchi cyclic sum, which
+    vanishes for torsion-free connections, both from the formula table (the
+    tensor satisfies them by construction), and
+    (b) the symplectic-valuedness defect ω(R(X,Y)Z, W) - ω(R(X,Y)W, Z) of the
+    tensor, which vanishes exactly when the reduced form is parallel.
     """
     ctx, chart = geom.ctx, geom.chart
     km = chart.dim
     fields = coordinate_fields(chart)
     e = geom.identity
-    fill, other = ((curvature_fd_oracle, reduced_curvature_formula) if use_oracle
-                   else (reduced_curvature_formula, curvature_fd_oracle))
-
-    def curv(route, i, j, l, t):
-        return route(ctx, chart, fields[i], fields[j], fields[l], t,
-                     fd_step=fd_step, fd_step2=fd_step2, geom=geom)
-
     t_points = [np.asarray(t, dtype=float) for t in t_points]
     samples = []
     anti = sp = bianchi = 0.0
     for t in t_points:
-        values = {(i, j, l): curv(fill, i, j, l, t)
+        values = {(i, j, l): reduced_curvature_formula(ctx, chart, fields[i], fields[j],
+                                                       fields[l], t, fd_step=fd_step,
+                                                       fd_step2=fd_step2, geom=geom)
                   for i in range(km) for j in range(km) if i != j for l in range(km)}
         scale = max(1.0, max(float(np.linalg.norm(v)) for v in values.values()))
+        tensor = curvature_tensor(geom, t, fd_step=fd_step, fd_step2=fd_step2)
         d_lifts = geom.chart_lifts(t)
         for i in range(km):
             for j in range(i + 1, km):
                 for l in range(km):
-                    second = curv(other, i, j, l, t)
-                    val, orc = (second, values[(i, j, l)]) if use_oracle \
-                        else (values[(i, j, l)], second)
+                    val, orc = values[(i, j, l)], tensor[i, j, l]
                     samples.append({
                         "t": t.tolist(), "inputs": [i, j, l],
                         "value": val.tolist(), "oracle": orc.tolist(),
@@ -164,7 +156,7 @@ def curvature_battery(geom: SigmaGeometry, t_points, *,
                                              / max(1.0, float(np.linalg.norm(orc)))),
                     })
                 # form[l, w] = ω(R(f_i, f_j)f_l, f_w)
-                form = geom.form_table([geom.lift(t, e, values[(i, j, l)]) for l in range(km)],
+                form = geom.form_table([geom.lift(t, e, tensor[i, j, l]) for l in range(km)],
                                        d_lifts)
                 sp = max(sp, float(np.max(np.abs(form - form.T))) / scale)
         for (i, j, l), v in values.items():
@@ -191,7 +183,9 @@ def convergence_factor(geom: SigmaGeometry, t, *, coarse: float = 4e-3,
     The probe uses steps well above the default because there the truncation
     term dominates roundoff; inner first-derivative steps scale with the
     outer step so the whole computation contracts consistently.  Both steps
-    run on ``geom``; the reference needs its own Richardson-stencil geometry.
+    run on ``geom``, the tensor route building Γ only at t and at t ± h along
+    the triple's first two directions; the reference needs its own
+    Richardson-stencil geometry.
     """
     ctx, chart = geom.ctx, geom.chart
     i, j, l = inputs
@@ -204,8 +198,7 @@ def convergence_factor(geom: SigmaGeometry, t, *, coarse: float = 4e-3,
         h1 = h2 / 10.0
         val = reduced_curvature_formula(ctx, chart, fields[i], fields[j], fields[l],
                                         t, fd_step=h1, fd_step2=h2, geom=geom)
-        orc = curvature_fd_oracle(ctx, chart, fields[i], fields[j], fields[l],
-                                  t, fd_step=h1, fd_step2=h2, geom=geom)
+        orc = curvature_tensor(geom, t, fd_step=h1, fd_step2=h2, directions=(i, j))[0, 1, l]
         return (float(np.linalg.norm(orc - reference)),
                 float(np.linalg.norm(val - reference)))
 

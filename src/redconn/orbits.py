@@ -74,16 +74,6 @@ class OrbitChart:
         if linalg.rank(self.dnu(t)) < self.dim:
             raise RankLoss(f"chart differential lost rank at t = {np.asarray(t).tolist()}")
 
-    def to_chart(self, t, v, tol: float = TANGENT_RESIDUAL_TOL) -> np.ndarray:
-        """Chart components of an orbit tangent vector at ν(t)."""
-        D = self.dnu(t)
-        v = np.asarray(v, dtype=float)
-        coords, *_ = np.linalg.lstsq(D, v, rcond=None)
-        residual = np.linalg.norm(D @ coords - v)
-        if residual > tol * max(1.0, np.linalg.norm(v)):
-            raise NotTangent(f"vector is not tangent to the orbit (residual {residual:.3e})")
-        return coords
-
     def coords(self, nu_target, t0=None, max_iter: int = 50,
                tol: float = 1e-13) -> np.ndarray:
         """Invert the chart map near t0 by Gauss-Newton iteration."""

@@ -28,8 +28,8 @@ from .orbits import orbit_chart
 from .phasespace import (PhasePoint, constraint_split, fundamental_field,
                          omega_gram, regularity_report)
 from .reduction import (KKS_MATCH_SIGN, SigmaGeometry, autoparallel_check, build_context,
-                        coordinate_fields, gram_oracle_solve, kks_pairs, kks_residual,
-                        lift_gram, totally_geodesic_defect)
+                        gram_oracle_solve, kks_pairs, kks_residual, lift_gram,
+                        totally_geodesic_defect)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -308,24 +308,19 @@ def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator, h: float) -
     """Every reduced-connection defect, from arrays evaluated once per chart point.
 
     At each point t: D = dnu(t), the lifts of D's columns, the reduced form
-    matrix Ω(t) and its central differences ∂ₓΩ at t ± h·eₓ, and the table of
-    reduced derivatives ∇ʳ(f_i) f_j of the coordinate fields together with the
-    level-set derivatives they are pushed down from.  Torsion, the Gram
-    oracle, KKS match, parallelism (∂ₓΩ_ij = Ω(∇ʳ_x f_i, f_j) + Ω(f_i, ∇ʳ_x f_j))
-    and closedness (the cyclic sum of ∂Ω, on the first two points) read these;
-    fiber independence compares the table at pts[0] with the same table at
-    five random stabilizer fibers drawn from rng.
+    matrix Ω(t) and its central differences ∂ₓΩ at t ± h·eₓ, and the
+    geometry's ``cov_table`` of reduced derivatives ∇ʳ(f_i) f_j of the
+    coordinate fields with the level-set derivatives they are pushed down
+    from.  Torsion, the Gram oracle, KKS match, parallelism
+    (∂ₓΩ_ij = Ω(∇ʳ_x f_i, f_j) + Ω(f_i, ∇ʳ_x f_j)) and closedness (the cyclic
+    sum of ∂Ω, on the first two points) read these; fiber independence
+    compares the table at pts[0] with the same table at five random
+    stabilizer fibers drawn from rng.
     """
     ctx, chart = geom.ctx, geom.chart
-    fields = coordinate_fields(chart)
     km = chart.dim
     e = geom.identity
     steps = np.eye(km) * h
-
-    def cov_tables(t, fiber):
-        level = [[geom.lifted_cov(fi, fj, t, fiber, h) for fj in fields] for fi in fields]
-        cov = np.array([[geom.pushdown_horizontal(t, fiber, g) for g in row] for row in level])
-        return level, cov
 
     def omega_at(t):
         lifts = geom.chart_lifts(t)
@@ -340,7 +335,7 @@ def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator, h: float) -
         if out["sigma"] is None:
             out["sigma"] = next((float(np.sign(red / ref))
                                  for red, ref in kks_pairs(ctx, chart, t, omega)), None)
-        level, cov = cov_tables(t, e)
+        level, cov = geom.cov_table(t, e, h)
         if index == 0:
             base_cov = cov
         d_omega = np.array([(omega_at(t + s) - omega_at(t - s)) / (2 * h) for s in steps])
@@ -363,15 +358,16 @@ def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator, h: float) -
     k = ctx.stabilizer_dim
     for _ in range(5 if k else 0):
         fiber = group_exp(ctx.algebra, ctx.g_mu @ rng.uniform(-1.0, 1.0, k))
-        _, cov = cov_tables(pts[0], fiber.ad)
+        _, cov = geom.cov_table(pts[0], fiber.ad, h)
         out["fiber"] = max(out["fiber"], float(np.max(np.abs(base_cov - cov))))
     return out
 
 
-def _stage_curvature(cfg: CaseConfig, geom: SigmaGeometry | None,
+def _stage_curvature(cfg: CaseConfig, reduced: dict, geom: SigmaGeometry | None,
                      rng: np.random.Generator) -> dict:
-    if geom is None:
-        return {"status": "skipped", "reason": "zero-dimensional base"}
+    if geom is None:  # the reduce stage built no chart
+        return {"status": "skipped", "reason": "zero-dimensional base"
+                if reduced["zero_dimensional_base"] else "no matrix realization"}
     pts = _sample_points(cfg, geom.chart.dim, rng)[: max(1, cfg.samples // 2)]
     return {
         "status": "ok",
@@ -409,7 +405,8 @@ def run_pipeline(cfg: CaseConfig, stop_after: str = "curvature") -> tuple[dict, 
             elif stage == "reduce":
                 rep["stages"]["reduce"], geom = _stage_reduce(cfg, a, mu, conn, rng)
             elif stage == "curvature":
-                rep["stages"]["curvature"] = _stage_curvature(cfg, geom, rng)
+                rep["stages"]["curvature"] = _stage_curvature(cfg, rep["stages"]["reduce"],
+                                                              geom, rng)
             timings[stage] = time.perf_counter() - ts
     except Exception as exc:  # noqa: BLE001 - mapped to exit codes below
         stage_name = next((s for s in order if s not in rep["stages"]), "setup")

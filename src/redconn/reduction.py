@@ -261,11 +261,13 @@ class SigmaGeometry:
     parameter velocity matching a requested tangent direction and apply central
     differences in parameter space.  Each distinct (t, fiber) gets one
     ``PointKernel``, kept for the life of the instance and read by lifts,
-    lifted chart fields, pushdowns and directional derivatives.  A run builds
-    one instance per (context, chart) and shares it between the chart sweep,
-    the autoparallel check and the curvature battery; kernels depend only on
-    (t, fiber), so sharing changes what is recomputed, never a value.  The
-    kernel table is not thread-safe: use one instance per thread.
+    lifted chart fields, pushdowns and directional derivatives.  ``cov_table``
+    gives the reduced derivatives of the chart coordinate fields at a point,
+    which every consumer of them reads.  A run builds one instance per
+    (context, chart) and shares it between the chart sweep, the autoparallel
+    check and the curvature battery; kernels depend only on (t, fiber), so
+    sharing changes what is recomputed, never a value.  The kernel table is
+    not thread-safe: use one instance per thread.
     """
 
     def __init__(self, ctx: ReductionContext, chart: OrbitChart, richardson: bool = False):
@@ -344,9 +346,10 @@ class SigmaGeometry:
 
     # -- derivatives along the level set ----------------------------------
 
-    def directional_derivative(self, fld: SigmaField, t, fiber: np.ndarray,
-                               u, step: float) -> np.ndarray:
-        """Central difference of a field along the tangent direction u."""
+    def _stencil(self, t, fiber: np.ndarray, u, step: float) -> Callable:
+        """Central difference along the tangent direction u, as a map from a
+        field to its derivative: the frame solve and the fiber shifts of the
+        stencil (±step, then ±step/2 with Richardson) are done once here."""
         t = np.asarray(t, dtype=float)
         u = np.asarray(u, dtype=float)
         if np.linalg.norm(u[self.n:]) > 1e-8 * max(1.0, np.linalg.norm(u)):
@@ -356,27 +359,34 @@ class SigmaGeometry:
             raise RankLoss("chart-fiber frame lost rank; point outside the chart radius")
         params = np.linalg.solve(p.F, u[: self.n])
         dt, dy = params[: self.chart.dim], params[self.chart.dim:]
+        steps = (step, -step) + ((step / 2.0, -step / 2.0) if self.richardson else ())
+        ad = self.algebra.ad
+        points = [(t + s * dt, fiber @ scipy.linalg.expm(ad(self.ctx.g_mu @ (s * dy))) if dy.size
+                   else fiber) for s in steps]
 
-        def shifted(s: float) -> np.ndarray:
-            fib = fiber
-            if dy.size and s != 0.0:
-                fib = fiber @ scipy.linalg.expm(self.algebra.ad(self.ctx.g_mu @ (s * dy)))
-            return fld(t + s * dt, fib)
+        def derivative(fld: SigmaField) -> np.ndarray:
+            v = [fld(ts, fib) for ts, fib in points]
+            d1 = (v[0] - v[1]) / (2.0 * step)
+            return d1 if not self.richardson else (4.0 * ((v[2] - v[3]) / step) - d1) / 3.0
 
-        d1 = (shifted(step) - shifted(-step)) / (2.0 * step)
-        if not self.richardson:
-            return d1
-        d2 = (shifted(step / 2.0) - shifted(-step / 2.0)) / step
-        return (4.0 * d2 - d1) / 3.0
+        return derivative
+
+    def directional_derivative(self, fld: SigmaField, t, fiber: np.ndarray,
+                               u, step: float) -> np.ndarray:
+        """Central difference of a field along the tangent direction u."""
+        return self._stencil(t, fiber, u, step)(fld)
+
+    def _induced(self, u, base: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """P∘∇ along u of a field with value ``base`` and directional derivative d."""
+        return self.ctx.p_matrix @ (d + np.einsum("abc,a,b->c", self.ctx.gamma_mu, u, base))
 
     def cov_sigma(self, u, fld: SigmaField, t, fiber: np.ndarray,
                   step: float) -> np.ndarray:
         """Induced covariant derivative on the level set: the ambient one along
         the direction u, projected onto TΣ."""
         base = fld(np.asarray(t, dtype=float), fiber)
-        d = self.directional_derivative(fld, t, fiber, u, step)
-        u = np.asarray(u, dtype=float)
-        return self.ctx.p_matrix @ (d + np.einsum("abc,a,b->c", self.ctx.gamma_mu, u, base))
+        return self._induced(np.asarray(u, dtype=float), base,
+                             self.directional_derivative(fld, t, fiber, u, step))
 
     def lie_bracket(self, xf: SigmaField, yf: SigmaField, t, fiber: np.ndarray,
                     step: float) -> np.ndarray:
@@ -408,9 +418,23 @@ class SigmaGeometry:
         return self.pushdown_horizontal(t, fiber,
                                         self.lifted_cov(x_field, y_field, t, fiber, step))
 
+    def cov_table(self, t, fiber: np.ndarray, step: float) -> tuple[list, np.ndarray]:
+        """level[i][j] = lifted_cov(f_i, f_j, …) and cov[i, j] = its pushdown,
+        the reduced ∇ʳ(f_i) f_j, over the chart coordinate fields at (t, fiber),
+        bit for bit; direction i builds its stencil once for every f_j."""
+        t = np.asarray(t, dtype=float)
+        lifted = [self.lift_field(f) for f in coordinate_fields(self.chart)]
+        bases = [fld(t, fiber) for fld in lifted]
+        level = []
+        for u in bases:
+            derivative = self._stencil(t, fiber, u, step)
+            level.append([self._induced(u, base, derivative(fld))
+                          for fld, base in zip(lifted, bases)])
+        cov = np.array([[self.pushdown_horizontal(t, fiber, g) for g in row] for row in level])
+        return level, cov
+
 
 # --- public operations --------------------------------------------------------
-
 
 
 def sigma_covderiv(ctx: ReductionContext, xbar: SigmaField, ybar: SigmaField, t, *,
@@ -566,28 +590,18 @@ def autoparallel_check(ctx: ReductionContext, *, geom: SigmaGeometry | None = No
     chart = geom.chart
     other = build_context(a, ctx.mu, s_tilde=cand, connection=ctx.connection)
     geom_b = SigmaGeometry(other, chart)
-    fields = coordinate_fields(chart)
     diff = 0.0
-    count = 0
     for _ in range(n_samples):
         t = rng.uniform(-0.3, 0.3, size=chart.dim) * chart.radius
-        for xf in fields:
-            for yf in fields:
-                va = geom.reduced_cov(xf, yf, t, step=fd_step)
-                vb = geom_b.reduced_cov(xf, yf, t, step=fd_step)
-                diff = max(diff, float(np.max(np.abs(va - vb))))
-                count += 1
-    return AutoparallelReport(defect, diff, count)
-
-
-def _constant_chart_field(components: np.ndarray) -> ChartField:
-    components = np.asarray(components, dtype=float)
-    return lambda t: components
+        _, va = geom.cov_table(t, geom.identity, fd_step)
+        _, vb = geom_b.cov_table(t, geom_b.identity, fd_step)
+        diff = max(diff, float(np.max(np.abs(va - vb))))
+    return AutoparallelReport(defect, diff, n_samples * chart.dim ** 2)
 
 
 def coordinate_fields(chart: OrbitChart) -> list:
     """Chart coordinate fields as constant-component callables."""
-    return [_constant_chart_field(np.eye(chart.dim)[i]) for i in range(chart.dim)]
+    return [lambda t, c=c: c for c in np.eye(chart.dim)]
 
 
 def kks_pairs(ctx: ReductionContext, chart: OrbitChart, t, omega: np.ndarray) -> list:

@@ -174,15 +174,15 @@ def test_criterion_4_curvature_cross_validation():
         for key in symmetry:
             symmetry[key] = max(symmetry[key], rep[key])
     # negative control: a torsion-free connection left unprojected; the
-    # commutator route must flag the broken symplectic-valuedness
+    # default battery must flag the broken symplectic-valuedness
     a = rc.so3()
     mu = np.array([0.0, 0.0, 1.0])
     delta = np.random.default_rng(7).standard_normal((6, 6, 6)) * 0.5
     raw = rc.perturbed_connection(rc.baseline_connection(a), delta, symmetric=True)
     ctx_bad = rc.build_context(a, mu, connection=raw)
     chart = rc.default_chart(ctx_bad)
-    control = curvature_battery(SigmaGeometry(ctx_bad, chart), [np.array([0.12, -0.07])],
-                                use_oracle=True)["symmetry"]["symplectic_defect"]
+    control = curvature_battery(SigmaGeometry(ctx_bad, chart),
+                                [np.array([0.12, -0.07])])["symmetry"]["symplectic_defect"]
     ok = (agreement <= 1e-4 and all(3.0 <= f <= 5.0 for f in factors)
           and all(v <= 1e-4 for v in symmetry.values()) and control > 1e-2)
     _verdict(4, "curvature cross-validation", ok,

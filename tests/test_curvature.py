@@ -2,12 +2,20 @@ import numpy as np
 import pytest
 
 import redconn as rc
-from redconn.curvature import (convergence_factor, curvature_battery, curvature_fd_oracle,
+from redconn.curvature import (convergence_factor, curvature_battery, curvature_tensor,
                                reduced_curvature_formula)
 from redconn import curvature
 from redconn.errors import ZeroDimensionalBase
-from redconn.pipeline import CaseConfig, run_pipeline
+from redconn.pipeline import THRESHOLDS, CaseConfig, run_pipeline
 from redconn.reduction import SigmaGeometry, coordinate_fields
+from tests.test_liealg import _so4
+
+
+def _chart_components(chart, t, v):
+    D = chart.dnu(t)
+    coords, *_ = np.linalg.lstsq(D, v, rcond=None)
+    assert np.linalg.norm(D @ coords - v) <= 1e-8 * max(1.0, np.linalg.norm(v))
+    return coords
 
 
 @pytest.fixture(scope="module")
@@ -28,17 +36,16 @@ class TestFlatCases:
         zero = rc.FrameConnection(a, lambda xi: np.zeros((6, 6, 6)), constant=True)
         ctx = rc.build_context(a, mu, connection=zero)
         chart = rc.default_chart(ctx)
-        fields = coordinate_fields(chart)
-        out = curvature_fd_oracle(ctx, chart, fields[0], fields[1], fields[0],
-                                  np.array([0.2, -0.1]))
+        out = curvature_tensor(SigmaGeometry(ctx, chart), np.array([0.2, -0.1]))[0, 1, 0]
         assert np.max(np.abs(out)) <= 1e-6
 
     def test_heis3_reduction_is_flat(self, heis3_ctx):
         chart = rc.default_chart(heis3_ctx)
         fields = coordinate_fields(chart)
         t = np.array([0.3, 0.2])
-        for route in (reduced_curvature_formula, curvature_fd_oracle):
-            out = route(heis3_ctx, chart, fields[0], fields[1], fields[1], t)
+        tensor = curvature_tensor(SigmaGeometry(heis3_ctx, chart), t)
+        formula = reduced_curvature_formula(heis3_ctx, chart, fields[0], fields[1], fields[1], t)
+        for out in (formula, tensor[0, 1, 1]):
             assert np.max(np.abs(out)) <= 1e-6
 
     def test_zero_dimensional_base_rejected(self, rng):
@@ -68,7 +75,7 @@ class TestFlagship:
 
     def test_coordinate_fields_commute(self, so3_setup):
         # the chart-space bracket of coordinate fields vanishes, so the
-        # commutator route has no third term
+        # tensor route has no bracket term
         _, ctx, chart = so3_setup
         fields = coordinate_fields(chart)
         t = np.array([0.1, -0.2])
@@ -106,26 +113,21 @@ class TestFlagship:
     def test_group_invariance_through_chart(self, so3_setup, rng):
         # transport the evaluation point and inputs by a coadjoint motion and
         # compare the transported curvature value; the transported inputs are
-        # the genuine pushforward fields of the chart coordinate fields
+        # the pushforwards of the chart coordinate fields, contracted with the
+        # tensor at the moved point through their chart components
         a, ctx, chart = so3_setup
-        fields = coordinate_fields(chart)
         t = np.array([0.1, 0.05])
         geom = SigmaGeometry(ctx, chart)
-        base = curvature_fd_oracle(ctx, chart, fields[0], fields[1], fields[1], t,
-                                   geom=geom)
+        base = curvature_tensor(geom, t)[0, 1, 1]
         g = rc.group_exp(a, 0.15 * rng.standard_normal(3))
         C = rc.coadjoint_matrix(g)
         C_inv = rc.coadjoint_matrix(g.inverse())
         t2 = chart.coords(C @ chart.nu(t), t0=t)
-
-        def moved(a_idx):
-            def field(tt):
-                t_pre = chart.coords(C_inv @ chart.nu(tt), t0=t)
-                return chart.to_chart(tt, C @ chart.dnu(t_pre)[:, a_idx])
-            return field
-
-        val = curvature_fd_oracle(ctx, chart, moved(0), moved(1), moved(1), t2,
-                                  geom=geom)
+        t_pre = chart.coords(C_inv @ chart.nu(t2), t0=t)
+        moved = [_chart_components(chart, t2, C @ chart.dnu(t_pre)[:, a_idx])
+                 for a_idx in range(2)]
+        val = np.einsum("i,j,l,ijln->n", moved[0], moved[1], moved[1],
+                        curvature_tensor(geom, t2))
         assert np.max(np.abs(val - C @ base)) <= 1e-6
 
     def test_su2_matches_so3(self, so3_setup):
@@ -136,12 +138,41 @@ class TestFlagship:
         mu = np.array([0.0, 0.0, 1.0])
         ctx2 = rc.build_context(a2, mu)
         chart2 = rc.default_chart(ctx2)
-        f3 = coordinate_fields(chart3)
-        f2 = coordinate_fields(chart2)
         t = np.array([0.2, -0.1])
-        v3 = chart3.to_chart(t, curvature_fd_oracle(ctx3, chart3, f3[0], f3[1], f3[1], t))
-        v2 = chart2.to_chart(t, curvature_fd_oracle(ctx2, chart2, f2[0], f2[1], f2[1], t))
+        r3 = curvature_tensor(SigmaGeometry(ctx3, chart3), t)[0, 1, 1]
+        r2 = curvature_tensor(SigmaGeometry(ctx2, chart2), t)[0, 1, 1]
+        v3, v2 = _chart_components(chart3, t, r3), _chart_components(chart2, t, r2)
         assert np.max(np.abs(v3 - v2)) <= 1e-6
+
+
+class TestTensorRoute:
+    @pytest.mark.parametrize("t", [np.zeros(4), np.array([0.12, -0.2, 0.07, 0.15])],
+                             ids=["origin", "off-origin"])
+    def test_so4_regular_matches_formula_on_every_triple(self, t):
+        # so(4) at L01 + 2·L23: a 4-dimensional orbit S² × S²
+        ctx = rc.build_context(_so4(), np.array([1.0, 0.0, 0.0, 0.0, 0.0, 2.0]))
+        chart = rc.default_chart(ctx)
+        geom = SigmaGeometry(ctx, chart)
+        fields = coordinate_fields(chart)
+        tensor = curvature_tensor(geom, t)
+        km = chart.dim
+        assert km == 4
+        for i in range(km):
+            for j in range(km):
+                for l in range(km):
+                    formula = reduced_curvature_formula(ctx, chart, fields[i], fields[j],
+                                                        fields[l], t, geom=geom)
+                    gap = np.linalg.norm(formula - tensor[i, j, l])
+                    assert gap <= THRESHOLDS["curvature_agreement"] * max(
+                        1.0, np.linalg.norm(tensor[i, j, l]))
+
+    def test_direction_subset_is_a_block_of_the_full_tensor(self, so3_setup):
+        _, ctx, chart = so3_setup
+        geom = SigmaGeometry(ctx, chart)
+        t = np.array([0.1, -0.2])
+        full = curvature_tensor(geom, t)
+        block = curvature_tensor(geom, t, directions=(1, 0))
+        assert np.max(np.abs(block - full[np.ix_([1, 0], [1, 0])])) <= 1e-13
 
 
 class TestCatalogAgreement:
@@ -168,7 +199,7 @@ class TestSymmetryBattery:
 
     def test_negative_control_violates_symplectic_valuedness(self, so3_setup):
         # an unprojected torsion-free connection (what the symplectization
-        # step would have fixed) must be flagged by the commutator route
+        # step would have fixed) must be flagged by the default battery
         a, _, _ = so3_setup
         mu = np.array([0.0, 0.0, 1.0])
         rng = np.random.default_rng(7)
@@ -177,12 +208,12 @@ class TestSymmetryBattery:
         assert rc.torsion_defect(raw, mu) <= 1e-12
         ctx_bad = rc.build_context(a, mu, connection=raw)
         chart = rc.default_chart(ctx_bad)
-        bad = curvature_battery(SigmaGeometry(ctx_bad, chart), [np.array([0.12, -0.07])],
-                                use_oracle=True)["symmetry"]
+        bad = curvature_battery(SigmaGeometry(ctx_bad, chart),
+                                [np.array([0.12, -0.07])])["symmetry"]
         assert bad["symplectic_defect"] > 1e-2
         ctx_good = rc.build_context(a, mu, connection=rc.symplectize(raw))
-        good = curvature_battery(SigmaGeometry(ctx_good, chart), [np.array([0.12, -0.07])],
-                                 use_oracle=True)["symmetry"]
+        good = curvature_battery(SigmaGeometry(ctx_good, chart),
+                                 [np.array([0.12, -0.07])])["symmetry"]
         assert good["symplectic_defect"] <= 1e-4
 
 
@@ -204,7 +235,7 @@ class TestConvergence:
 
 class TestOneEvaluationPerValue:
     def test_pipeline_evaluates_each_curvature_value_once(self, monkeypatch):
-        counts = {"formula": 0, "oracle": 0}
+        counts = {"formula": 0, "cov_table": 0}
 
         def counted(name, route):
             def wrapper(*args, **kwargs):
@@ -214,18 +245,24 @@ class TestOneEvaluationPerValue:
 
         monkeypatch.setattr(curvature, "reduced_curvature_formula",
                             counted("formula", reduced_curvature_formula))
-        monkeypatch.setattr(curvature, "curvature_fd_oracle",
-                            counted("oracle", curvature_fd_oracle))
+        monkeypatch.setattr(SigmaGeometry, "cov_table",
+                            counted("cov_table", SigmaGeometry.cov_table))
         cfg = CaseConfig.from_dict({"group": "so3", "mu": [0.0, 0.0, 1.0], "samples": 5})
         rep, code = run_pipeline(cfg)
         assert code == 0
         samples = rep["stages"]["curvature"]["samples"]
         points, km = 2, 2
         assert len({tuple(s["t"]) for s in samples}) == points
-        # per point: the formula on every (i, j, l) with i != j, the oracle on
-        # every i < j; the convergence probe adds a reference and two steps
+        # per point: the formula on every (i, j, l) with i != j; the
+        # convergence probe adds a reference and two steps
         assert counts["formula"] == points * km * km * (km - 1) + 3
-        assert counts["oracle"] == points * km * (km - 1) // 2 * km + 2
+        # one table per chart point of the sweep and per fiber of the
+        # fiber-independence check (the autoparallel check stops at its
+        # defect on so3), one per Christoffel point of each curvature point,
+        # t and t ± h·eₓ, and t and t ± h along the probe's two directions
+        # at each of its two steps
+        assert rep["stages"]["reduce"]["autoparallel"]["independence"] is None
+        assert counts["cov_table"] == cfg.samples + 5 + points * (2 * km + 1) + 2 * 5
 
         ctx = rc.build_context(rc.so3(), np.array([0.0, 0.0, 1.0]))
         chart = rc.default_chart(ctx, cfg.chart_radius)

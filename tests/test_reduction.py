@@ -530,3 +530,24 @@ class TestPointKernel:
         so3_chart.check_rank(near)
         out = geom.directional_derivative(field, near, geom.identity, u, 1e-5)
         assert np.all(np.isfinite(out))
+
+
+class TestCovTable:
+    @pytest.mark.parametrize("name,mu", [KERNEL_CASES[0], KERNEL_CASES[-1]],
+                             ids=["so3", "so4"])
+    @pytest.mark.parametrize("richardson", [False, True], ids=["central", "richardson"])
+    def test_table_is_the_pairwise_loop_bit_for_bit(self, name, mu, richardson, rng):
+        a, ctx, chart = _case(name, mu)
+        t = rng.uniform(-0.3, 0.3, chart.dim)
+        assert np.any(t != 0.0)
+        random_fiber = rc.group_exp(a, ctx.g_mu @ rng.uniform(-1, 1, ctx.stabilizer_dim)).ad
+        fields = coordinate_fields(chart)
+        h = 1e-5
+        for fiber in (np.eye(a.dim), random_fiber):
+            geom = SigmaGeometry(ctx, chart, richardson=richardson)
+            level, cov = geom.cov_table(t, fiber, h)
+            ref = SigmaGeometry(ctx, chart, richardson=richardson)
+            for i, fi in enumerate(fields):
+                for j, fj in enumerate(fields):
+                    assert level[i][j].tolist() == ref.lifted_cov(fi, fj, t, fiber, h).tolist()
+                    assert cov[i, j].tolist() == ref.reduced_cov(fi, fj, t, fiber, h).tolist()

@@ -121,3 +121,16 @@ def test_reduce_stage_matches_library_definitions(name):
     assert stage["reduced_torsion_defect"] == torsion
     assert stage["kks_residual"] == kks
     assert stage["reduced_form_parallel_defect"] == parallel
+
+
+@pytest.mark.parametrize("group,mu,reason", [
+    ("abelian(3)", [1.0, 0.5, -1.0], "zero-dimensional base"),
+    (AFF1_NO_REALIZATION, [0.0, 1.0], "no matrix realization"),
+], ids=["abelian3", "aff1-no-realization"])
+def test_curvature_skip_reason(report_validator, group, mu, reason):
+    # aff1 without a realization has a 2-dimensional orbit but no chart
+    rep, code = run_pipeline(CaseConfig.from_dict({"group": group, "mu": mu}))
+    assert code == 0
+    assert rep["stages"]["reduce"]["zero_dimensional_base"] == (reason == "zero-dimensional base")
+    assert rep["stages"]["curvature"] == {"status": "skipped", "reason": reason}
+    report_validator.validate(_serialized(rep))

@@ -11,7 +11,9 @@ serialized with ``redconn.report.dumps``.  The cases are
 ``perfbench/cases.py`` μ, on so3 and se2 at seeds 1–3 with ``samples: 3``, on
 abelian(3), on aff1 with and without a realization, on so3 with
 ``connection: "baseline"`` and on both so(4) cases of ``perfbench/cases.py``
-(seed 1), plus ``run_pipeline(…, "reduce")`` on both so(5) cases.
+(seed 1), ``run_pipeline(…, "curvature")`` on the so(4) regular case with
+``samples: 5`` (a second curvature point, at t ≠ 0), plus
+``run_pipeline(…, "reduce")`` on both so(5) cases.
 
 ``diff`` lists the byte-identical and the differing files.  A differing file
 passes when the two dumps agree on everything except floating-point
@@ -90,6 +92,9 @@ def _cases() -> list:
     both("so3-baseline", {"group": "so3", "mu": [0.0, 0.0, 1.0], "connection": "baseline"})
     for case in case_sets.so4_full_cases(1) + case_sets.so5_reduce_cases(1):
         out.append((case["label"], case["verb"], case["config"]))
+    so4_regular = case_sets.so4_full_cases(1)[0]
+    out.append(("so4-regular-samples5-curvature", "curvature",
+                dict(so4_regular["config"], samples=5)))
     return out
 
 
