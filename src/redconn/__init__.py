@@ -30,8 +30,8 @@ from .reduction import (KKS_MATCH_SIGN, AutoparallelReport, ReductionContext, Si
                         horizontal_lift, isotropic_correction, isotropic_correction_gram,
                         kks_residual, reduced_covderiv, reduced_covderiv_gram_oracle,
                         reduced_form, sigma_covderiv, totally_geodesic_defect)
-from .curvature import (convergence_factor, curvature_battery, curvature_tensor,
-                        reduced_curvature_formula)
+from .curvature import (convergence_factor, curvature_battery, curvature_formula,
+                        curvature_tensor)
 from .pipeline import CaseConfig, run_pipeline, verify_suite
 
 __all__ = [name for name in dir() if not name.startswith("_")]

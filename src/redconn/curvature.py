@@ -15,66 +15,74 @@ chart Christoffel symbols Γ^b_jl (chart components of ∇ʳ(f_j) f_l, read from
 
     R^b_ijl = ∂_iΓ^b_jl - ∂_jΓ^b_il + Γ^a_jl Γ^b_ia - Γ^a_il Γ^b_ja,
 
-sharing nothing with the formula beyond the reduced derivative itself.  Both
-are finite-difference computations; agreement degrades quadratically with the
-step, which the convergence probe measures by step halving.
-
-``curvature_battery`` runs every curvature check on one ``SigmaGeometry``.
+sharing nothing with the formula beyond the level-set derivatives of the
+lifted coordinate fields, which both routes read from one
+``SigmaGeometry.cov_table`` per point (the formula differences the table's
+level-set values, the tensor its pushdowns).  Both return the same [i, j, l]
+array of orbit tangents and are finite-difference computations; agreement
+degrades quadratically with the step, which the convergence probe measures by
+step halving.  ``curvature_battery`` runs every curvature check on one
+``SigmaGeometry``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .orbits import OrbitChart
-from .reduction import (ChartField, ReductionContext, SigmaGeometry, _check_tangent,
-                        coordinate_fields)
+from .reduction import SigmaGeometry, _check_tangent, coordinate_fields
 
 DEFAULT_FD_STEP = 1e-5
 DEFAULT_FD_STEP2 = 1e-4
 
 
-def reduced_curvature_formula(ctx: ReductionContext, chart: OrbitChart,
-                              x_field: ChartField, y_field: ChartField,
-                              z_field: ChartField, t, *,
-                              fd_step: float = DEFAULT_FD_STEP,
-                              fd_step2: float = DEFAULT_FD_STEP2,
-                              geom: SigmaGeometry | None = None) -> np.ndarray:
-    """Reduced curvature via the explicit lift expansion, as an orbit tangent."""
-    geom = geom if geom is not None else SigmaGeometry(ctx, chart)
-    e = geom.identity
+def curvature_formula(geom: SigmaGeometry, t, *, fd_step: float = DEFAULT_FD_STEP,
+                      fd_step2: float = DEFAULT_FD_STEP2, directions=None) -> np.ndarray:
+    """Reduced curvature of the coordinate fields by the lift expansion, as orbit
+    tangents in the layout of ``curvature_tensor``: entry [a, b, l] is
+    R(f_i, f_j)f_l at t for i = directions[a], j = directions[b] (all chart
+    directions by default), and entries with i = j are zero.
+
+    The level-set derivatives ∇_f̄_j f̄_l and their radical parts come from
+    ``cov_table`` at each point of one fd_step2 stencil per direction; the
+    bracket [f̄_i, f̄_j] and the derivatives along it and its radical part use
+    inner stencils of step fd_step at t.
+    """
+    ctx, e, km = geom.ctx, geom.identity, geom.chart.dim
     t = np.asarray(t, dtype=float)
+    dirs = list(range(km)) if directions is None else list(directions)
     hproj = ctx.horizontal_part
+    lifted = [geom.lift_field(f) for f in coordinate_fields(geom.chart)]
+    u = [f(t, e) for f in lifted]
 
-    xb = geom.lift_field(x_field)
-    yb = geom.lift_field(y_field)
-    zb = geom.lift_field(z_field)
-    u_x = xb(t, e)
-    u_y = yb(t, e)
+    def grads(t2, fib):  # [j, l, 0] = ∇_f̄_j f̄_l and [j, l, 1] = [α(∇_f̄_j f̄_l)]*
+        level, _ = geom.cov_table(t2, fib, fd_step)
+        return np.array([[[g, ctx.alpha_star(g)] for g in row] for row in level])
 
-    def grad_y(t2, fib):  # ∇_Ȳ Z̄ as a field on the level set
-        return geom.cov_sigma(yb(t2, fib), zb, t2, fib, fd_step)
-
-    def grad_x(t2, fib):
-        return geom.cov_sigma(xb(t2, fib), zb, t2, fib, fd_step)
-
-    def alpha_grad_y(t2, fib):  # [α(∇_Ȳ Z̄)]* as a field
-        return ctx.alpha_star(grad_y(t2, fib))
-
-    def alpha_grad_x(t2, fib):
-        return ctx.alpha_star(grad_x(t2, fib))
-
-    bracket = geom.lie_bracket(xb, yb, t, e, fd_step)
-
-    r_amb = (geom.cov_sigma(u_x, grad_y, t, e, fd_step2)
-             - geom.cov_sigma(u_y, grad_x, t, e, fd_step2)
-             - geom.cov_sigma(bracket, zb, t, e, fd_step))
-    t3 = geom.cov_sigma(u_x, alpha_grad_y, t, e, fd_step2)
-    t4 = geom.cov_sigma(u_y, alpha_grad_x, t, e, fd_step2)
-    t5 = geom.cov_sigma(ctx.alpha_star(bracket), zb, t, e, fd_step)
-
-    r_bar = hproj(r_amb) - hproj(t3) + hproj(t4) + hproj(t5)
-    return geom.pushdown(t, e, r_bar)
+    base = grads(t, e)
+    outer, inner = {}, {}  # outer[x][j, l, s]: induced derivative of grads[j, l, s] along f̄_x
+    for x in dict.fromkeys(dirs):
+        d = geom._stencil(t, e, u[x], fd_step2)(grads)
+        outer[x] = np.array([[[geom._induced(u[x], base[j, l, s], d[j, l, s]) for s in range(2)]
+                              for l in range(km)] for j in range(km)])
+        inner[x] = geom._stencil(t, e, u[x], fd_step)
+    out = np.zeros((len(dirs), len(dirs), km, geom.n))
+    for a, i in enumerate(dirs):
+        for b, j in enumerate(dirs):
+            if i == j:
+                continue
+            bracket = (inner[i](lifted[j]) - inner[j](lifted[i])
+                       + np.einsum("abc,a,b->c", geom.struct, u[i], u[j]))
+            radical = ctx.alpha_star(bracket)
+            along = geom._stencil(t, e, bracket, fd_step)
+            along_radical = geom._stencil(t, e, radical, fd_step)
+            for l in range(km):
+                term3 = geom._induced(bracket, u[l], along(lifted[l]))
+                t5 = geom._induced(radical, u[l], along_radical(lifted[l]))
+                r_amb = (outer[i][j, l, 0] - outer[j][i, l, 0]) - term3
+                r_bar = (hproj(r_amb) - hproj(outer[i][j, l, 1]) + hproj(outer[j][i, l, 1])
+                         + hproj(t5))
+                out[a, b, l] = geom.pushdown(t, e, r_bar)
+    return out
 
 
 def _christoffel(geom: SigmaGeometry, t, step: float) -> np.ndarray:
@@ -121,34 +129,36 @@ def curvature_battery(geom: SigmaGeometry, t_points, *,
     """Both curvature routes on coordinate-field triples, the symmetry defects
     and the step-halving probe at t_points[0], all on one geometry.
 
-    At each chart point the formula fills the table R[i, j, l] = R(f_i, f_j)f_l
-    for i ≠ j and the tensor route gives every triple at once; the samples
-    pair the two for i < j.  The maxima reported are (a) the antisymmetry
-    defect in the first two slots and (c) the first Bianchi cyclic sum, which
-    vanishes for torsion-free connections, both from the formula table (the
-    tensor satisfies them by construction), and
+    At each chart point ``curvature_formula`` and ``curvature_tensor`` each give
+    the array R[i, j, l] = R(f_i, f_j)f_l; the samples pair the two for i < j.
+    The maxima reported are (a) the antisymmetry defect in the first two slots
+    and (c) the first Bianchi cyclic sum, which vanishes for torsion-free
+    connections, both over the formula's entries with i ≠ j (the tensor
+    satisfies them by construction), and
     (b) the symplectic-valuedness defect ω(R(X,Y)Z, W) - ω(R(X,Y)W, Z) of the
-    tensor, which vanishes exactly when the reduced form is parallel.
+    tensor, which vanishes exactly when the reduced form is parallel.  The
+    probe runs on the triple i < j whose tensor value at t_points[0] is largest,
+    so that it measures a component that does not vanish.
     """
-    ctx, chart = geom.ctx, geom.chart
-    km = chart.dim
-    fields = coordinate_fields(chart)
+    km = geom.chart.dim
     e = geom.identity
     t_points = [np.asarray(t, dtype=float) for t in t_points]
+    off = [(i, j, l) for i in range(km) for j in range(km) if i != j for l in range(km)]
     samples = []
     anti = sp = bianchi = 0.0
+    probe_inputs = None
     for t in t_points:
-        values = {(i, j, l): reduced_curvature_formula(ctx, chart, fields[i], fields[j],
-                                                       fields[l], t, fd_step=fd_step,
-                                                       fd_step2=fd_step2, geom=geom)
-                  for i in range(km) for j in range(km) if i != j for l in range(km)}
-        scale = max(1.0, max(float(np.linalg.norm(v)) for v in values.values()))
+        R = curvature_formula(geom, t, fd_step=fd_step, fd_step2=fd_step2)
+        scale = max(1.0, max(float(np.linalg.norm(R[ijl])) for ijl in off))
         tensor = curvature_tensor(geom, t, fd_step=fd_step, fd_step2=fd_step2)
+        if probe_inputs is None:
+            probe_inputs = max(((i, j, l) for i, j, l in off if i < j),
+                               key=lambda ijl: float(np.linalg.norm(tensor[ijl])))
         d_lifts = geom.chart_lifts(t)
         for i in range(km):
             for j in range(i + 1, km):
                 for l in range(km):
-                    val, orc = values[(i, j, l)], tensor[i, j, l]
+                    val, orc = R[i, j, l], tensor[i, j, l]
                     samples.append({
                         "t": t.tolist(), "inputs": [i, j, l],
                         "value": val.tolist(), "oracle": orc.tolist(),
@@ -159,23 +169,24 @@ def curvature_battery(geom: SigmaGeometry, t_points, *,
                 form = geom.form_table([geom.lift(t, e, tensor[i, j, l]) for l in range(km)],
                                        d_lifts)
                 sp = max(sp, float(np.max(np.abs(form - form.T))) / scale)
-        for (i, j, l), v in values.items():
-            anti = max(anti, float(np.linalg.norm(v + values[(j, i, l)]) / scale))
-            cyc = v + (values[(j, l, i)] if j != l else 0.0)
-            cyc = cyc + (values[(l, i, j)] if l != i else 0.0)
-            bianchi = max(bianchi, float(np.linalg.norm(cyc) / scale))
+        swapped = R + R.transpose(1, 0, 2, 3)  # R[i, j, l] + R[j, i, l]
+        cyclic = R + R.transpose(2, 0, 1, 3) + R.transpose(1, 2, 0, 3)  # + R[j, l, i] + R[l, i, j]
+        for ijl in off:
+            anti = max(anti, float(np.linalg.norm(swapped[ijl]) / scale))
+            bianchi = max(bianchi, float(np.linalg.norm(cyclic[ijl]) / scale))
     return {
         "samples": samples,
         "max_discrepancy": max((s["discrepancy"] for s in samples), default=0.0),
         "symmetry": {"antisymmetry_defect": anti, "symplectic_defect": sp,
                      "bianchi_defect": bianchi, "points": len(t_points)},
-        "convergence": convergence_factor(geom, t_points[0]),
+        "convergence": convergence_factor(geom, t_points[0], inputs=probe_inputs),
     }
 
 
 def convergence_factor(geom: SigmaGeometry, t, *, coarse: float = 4e-3,
                        inputs=(0, 1, 1)) -> dict:
-    """Step-halving convergence of the finite-difference curvature routes.
+    """Step-halving convergence of the finite-difference curvature routes on
+    the value R(f_i, f_j)f_l for (i, j, l) = ``inputs``.
 
     A Richardson-extrapolated evaluation serves as the reference; each route's
     error against it is measured at a coarse step and at half that step.
@@ -183,21 +194,17 @@ def convergence_factor(geom: SigmaGeometry, t, *, coarse: float = 4e-3,
     The probe uses steps well above the default because there the truncation
     term dominates roundoff; inner first-derivative steps scale with the
     outer step so the whole computation contracts consistently.  Both steps
-    run on ``geom``, the tensor route building Γ only at t and at t ± h along
-    the triple's first two directions; the reference needs its own
-    Richardson-stencil geometry.
+    run on ``geom``, each route building only the (i, j) block; the reference
+    needs its own Richardson-stencil geometry.
     """
-    ctx, chart = geom.ctx, geom.chart
     i, j, l = inputs
-    fields = coordinate_fields(chart)
-    geom_ref = SigmaGeometry(ctx, chart, richardson=True)
-    reference = reduced_curvature_formula(ctx, chart, fields[i], fields[j], fields[l],
-                                          t, fd_step=1e-4, fd_step2=1e-3, geom=geom_ref)
+    geom_ref = SigmaGeometry(geom.ctx, geom.chart, richardson=True)
+    reference = curvature_formula(geom_ref, t, fd_step=1e-4, fd_step2=1e-3,
+                                  directions=(i, j))[0, 1, l]
 
     def errors(h2: float) -> tuple[float, float]:
         h1 = h2 / 10.0
-        val = reduced_curvature_formula(ctx, chart, fields[i], fields[j], fields[l],
-                                        t, fd_step=h1, fd_step2=h2, geom=geom)
+        val = curvature_formula(geom, t, fd_step=h1, fd_step2=h2, directions=(i, j))[0, 1, l]
         orc = curvature_tensor(geom, t, fd_step=h1, fd_step2=h2, directions=(i, j))[0, 1, l]
         return (float(np.linalg.norm(orc - reference)),
                 float(np.linalg.norm(val - reference)))
@@ -205,7 +212,7 @@ def convergence_factor(geom: SigmaGeometry, t, *, coarse: float = 4e-3,
     oracle_coarse, formula_coarse = errors(coarse)
     oracle_fine, formula_fine = errors(coarse / 2.0)
     factor = oracle_coarse / oracle_fine if oracle_fine > 0 else np.inf
-    return {"step_coarse": coarse, "step_fine": coarse / 2.0,
+    return {"inputs": [i, j, l], "step_coarse": coarse, "step_fine": coarse / 2.0,
             "oracle_error_coarse": oracle_coarse, "oracle_error_fine": oracle_fine,
             "formula_error_coarse": formula_coarse, "formula_error_fine": formula_fine,
             "factor": float(factor)}

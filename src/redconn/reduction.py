@@ -388,15 +388,6 @@ class SigmaGeometry:
         return self._induced(np.asarray(u, dtype=float), base,
                              self.directional_derivative(fld, t, fiber, u, step))
 
-    def lie_bracket(self, xf: SigmaField, yf: SigmaField, t, fiber: np.ndarray,
-                    step: float) -> np.ndarray:
-        """Frame bracket of two fields: derivative terms plus structure terms."""
-        ux = xf(np.asarray(t, dtype=float), fiber)
-        uy = yf(np.asarray(t, dtype=float), fiber)
-        dxy = self.directional_derivative(yf, t, fiber, ux, step)
-        dyx = self.directional_derivative(xf, t, fiber, uy, step)
-        return dxy - dyx + np.einsum("abc,a,b->c", self.struct, ux, uy)
-
     def pushdown(self, t, fiber: np.ndarray, v) -> np.ndarray:
         """Quotient differential applied to a level-set tangent vector."""
         return -self.point(t, fiber).coad @ (self.K_T @ np.asarray(v, dtype=float)[: self.n])

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,15 @@ CATALOG_CASES = [
     ("heis3", [0.0, 0.0, 1.0]),
     ("se2", [0.0, 1.0, 0.0]),
 ]
+
+def perfbench_cases():
+    """The benchmark's case tables (``perfbench/cases.py``), loaded by path."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_cases", Path(__file__).parent.parent / "perfbench" / "cases.py")
+    cases = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cases)
+    return cases
+
 
 AFF1_DOC = {
     "dim": 2,

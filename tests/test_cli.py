@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import os
 import subprocess
@@ -13,7 +12,7 @@ import redconn
 from redconn.cli import main
 from redconn.pipeline import CaseConfig, run_pipeline, verify_suite
 from redconn.errors import ConfigError
-from tests.conftest import AFF1_DOC
+from tests.conftest import AFF1_DOC, perfbench_cases
 
 
 def _write_config(tmp_path, doc, name="case.json"):
@@ -192,10 +191,7 @@ class TestDeterminism:
         from redconn import report as report_mod
         # so(4) regular from the benchmark's case set: a 4-dimensional orbit,
         # so each shared geometry serves many chart points and fibers
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_cases", Path(__file__).parent.parent / "perfbench" / "cases.py")
-        cases = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(cases)
+        cases = perfbench_cases()
         _, n, weights, _, _ = cases.SO4_CASES[0]
         so4_doc = {"group": cases.so_n_group(n), "mu": cases.so_n_mu(n, weights), "samples": 2}
         for doc in (SO3_DOC, so4_doc):

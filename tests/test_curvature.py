@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 import redconn as rc
-from redconn.curvature import (convergence_factor, curvature_battery, curvature_tensor,
-                               reduced_curvature_formula)
+from redconn.curvature import (convergence_factor, curvature_battery, curvature_formula,
+                               curvature_tensor)
 from redconn import curvature
 from redconn.errors import ZeroDimensionalBase
 from redconn.pipeline import THRESHOLDS, CaseConfig, run_pipeline
 from redconn.reduction import SigmaGeometry, coordinate_fields
+from tests.conftest import perfbench_cases
 from tests.test_liealg import _so4
 
 
@@ -16,6 +17,14 @@ def _chart_components(chart, t, v):
     coords, *_ = np.linalg.lstsq(D, v, rcond=None)
     assert np.linalg.norm(D @ coords - v) <= 1e-8 * max(1.0, np.linalg.norm(v))
     return coords
+
+
+def _ricci(chart, t, tensor):
+    """r[b, l] = tr(Z ↦ R(Z, f_b)f_l) from the chart components of the tensor."""
+    km = chart.dim
+    comps = np.array([[[_chart_components(chart, t, tensor[a, b, l]) for l in range(km)]
+                       for b in range(km)] for a in range(km)])
+    return np.einsum("abla->bl", comps)
 
 
 @pytest.fixture(scope="module")
@@ -41,11 +50,9 @@ class TestFlatCases:
 
     def test_heis3_reduction_is_flat(self, heis3_ctx):
         chart = rc.default_chart(heis3_ctx)
-        fields = coordinate_fields(chart)
+        geom = SigmaGeometry(heis3_ctx, chart)
         t = np.array([0.3, 0.2])
-        tensor = curvature_tensor(SigmaGeometry(heis3_ctx, chart), t)
-        formula = reduced_curvature_formula(heis3_ctx, chart, fields[0], fields[1], fields[1], t)
-        for out in (formula, tensor[0, 1, 1]):
+        for out in (curvature_formula(geom, t)[0, 1, 1], curvature_tensor(geom, t)[0, 1, 1]):
             assert np.max(np.abs(out)) <= 1e-6
 
     def test_zero_dimensional_base_rejected(self, rng):
@@ -53,9 +60,8 @@ class TestFlatCases:
         mu = rng.standard_normal(2)
         ctx = rc.build_context(a, mu)
         chart = rc.orbit_chart(a, mu, ctx.m)
-        f = lambda t: np.zeros(0)
         with pytest.raises(ZeroDimensionalBase):
-            reduced_curvature_formula(ctx, chart, f, f, f, np.zeros(0))
+            curvature_formula(SigmaGeometry(ctx, chart), np.zeros(0))
 
 
 class TestFlagship:
@@ -65,13 +71,6 @@ class TestFlagship:
         battery = curvature_battery(SigmaGeometry(ctx, chart), pts)
         assert battery["samples"], "no samples generated"
         assert battery["max_discrepancy"] <= 1e-4
-
-    def test_equal_first_arguments_vanish(self, so3_setup):
-        _, ctx, chart = so3_setup
-        fields = coordinate_fields(chart)
-        out = reduced_curvature_formula(ctx, chart, fields[0], fields[0], fields[1],
-                                        np.array([0.2, 0.1]))
-        assert np.max(np.abs(out)) <= 1e-9
 
     def test_coordinate_fields_commute(self, so3_setup):
         # the chart-space bracket of coordinate fields vanishes, so the
@@ -88,27 +87,26 @@ class TestFlagship:
             br += xc[b] * dy
         assert np.max(np.abs(br)) == 0.0
 
-    def test_tensorial_in_each_slot(self, so3_setup):
-        # rescaling a field by a chart function scales the value by its value
-        # at the evaluation point
-        _, ctx, chart = so3_setup
-        fields = coordinate_fields(chart)
-        t = np.array([0.15, -0.1])
-
-        def f(tt):
-            return 1.0 + 0.4 * tt[0] - 0.7 * tt[1]
-
-        def scaled(field):
-            return lambda tt: f(tt) * field(tt)
-
-        geom = SigmaGeometry(ctx, chart)
-        base = reduced_curvature_formula(ctx, chart, fields[0], fields[1], fields[1],
-                                         t, geom=geom)
-        for slot in range(3):
-            args = [fields[0], fields[1], fields[1]]
-            args[slot] = scaled(args[slot])
-            val = reduced_curvature_formula(ctx, chart, *args, t, geom=geom)
-            assert np.max(np.abs(val - f(t) * base)) <= 1e-5 * max(1.0, np.max(np.abs(base)))
+    @pytest.mark.parametrize("name,mu", [("so3", [0.0, 0.0, 1.0]),
+                                         ("so4", [1.0, 0.0, 0.0, 0.0, 0.0, 2.0])])
+    def test_tensorial_under_change_of_section(self, name, mu):
+        # a second chart on m + g_mu·B has the same dnu(0) but other coordinate
+        # fields, whose reduced derivatives at 0 differ; the curvature at 0 is
+        # a tensor in its arguments, so neither route may see the change
+        a = _so4() if name == "so4" else rc.named_algebra(name)
+        ctx = rc.build_context(a, np.asarray(mu))
+        B = np.random.default_rng(5).standard_normal((ctx.stabilizer_dim, ctx.base_dim))
+        charts = [rc.default_chart(ctx), rc.orbit_chart(a, ctx.mu, ctx.m + ctx.g_mu @ B)]
+        geoms = [SigmaGeometry(ctx, chart) for chart in charts]
+        t = np.zeros(charts[0].dim)
+        assert np.max(np.abs(charts[0].dnu(t) - charts[1].dnu(t))) <= 1e-12
+        covs = [geom.cov_table(t, geom.identity, 1e-5)[1] for geom in geoms]
+        assert np.max(np.abs(covs[0] - covs[1])) > 0.1
+        for route in (curvature_formula, curvature_tensor):
+            first, second = (route(geom, t) for geom in geoms)
+            scale = max(1.0, float(np.max(np.linalg.norm(first, axis=-1))))
+            gap = float(np.max(np.linalg.norm(first - second, axis=-1)))
+            assert gap <= THRESHOLDS["curvature_agreement"] * scale
 
     def test_group_invariance_through_chart(self, so3_setup, rng):
         # transport the evaluation point and inputs by a coadjoint motion and
@@ -153,18 +151,12 @@ class TestTensorRoute:
         ctx = rc.build_context(_so4(), np.array([1.0, 0.0, 0.0, 0.0, 0.0, 2.0]))
         chart = rc.default_chart(ctx)
         geom = SigmaGeometry(ctx, chart)
-        fields = coordinate_fields(chart)
         tensor = curvature_tensor(geom, t)
-        km = chart.dim
-        assert km == 4
-        for i in range(km):
-            for j in range(km):
-                for l in range(km):
-                    formula = reduced_curvature_formula(ctx, chart, fields[i], fields[j],
-                                                        fields[l], t, geom=geom)
-                    gap = np.linalg.norm(formula - tensor[i, j, l])
-                    assert gap <= THRESHOLDS["curvature_agreement"] * max(
-                        1.0, np.linalg.norm(tensor[i, j, l]))
+        formula = curvature_formula(geom, t)
+        assert chart.dim == 4 and formula.shape == tensor.shape
+        gap = np.linalg.norm(formula - tensor, axis=-1)
+        assert np.all(gap <= THRESHOLDS["curvature_agreement"]
+                      * np.maximum(1.0, np.linalg.norm(tensor, axis=-1)))
 
     def test_direction_subset_is_a_block_of_the_full_tensor(self, so3_setup):
         _, ctx, chart = so3_setup
@@ -173,6 +165,9 @@ class TestTensorRoute:
         full = curvature_tensor(geom, t)
         block = curvature_tensor(geom, t, directions=(1, 0))
         assert np.max(np.abs(block - full[np.ix_([1, 0], [1, 0])])) <= 1e-13
+        full = curvature_formula(geom, t)
+        block = curvature_formula(geom, t, directions=(1, 0))
+        assert (block == full[np.ix_([1, 0], [1, 0])]).all()
 
 
 class TestCatalogAgreement:
@@ -216,6 +211,36 @@ class TestSymmetryBattery:
                                  [np.array([0.12, -0.07])])["symmetry"]
         assert good["symplectic_defect"] <= 1e-4
 
+    @pytest.mark.parametrize("name,mu", [("so3", [0.0, 0.0, 1.0]), ("sl2r", [1.0, 0.0, 0.0]),
+                                         ("so4", [1.0, 0.0, 0.0, 0.0, 0.0, 2.0])])
+    @pytest.mark.parametrize("offset", [0.0, 1.0], ids=["origin", "off-origin"])
+    def test_ricci_is_symmetric(self, name, mu, offset):
+        # a torsion-free symplectic connection has a symmetric Ricci tensor
+        # (Bieliavsky–Cahen–Gutt–Rawnsley–Schwachhöfer, IJGMMP 3 (2006), §2)
+        a = _so4() if name == "so4" else rc.named_algebra(name)
+        ctx = rc.build_context(a, np.asarray(mu))
+        chart = rc.default_chart(ctx)
+        t = offset * np.array([0.12, -0.2, 0.07, 0.15])[: chart.dim]
+        r = _ricci(chart, t, curvature_tensor(SigmaGeometry(ctx, chart), t))
+        assert np.max(np.abs(r - r.T)) <= 1e-4 * max(1.0, float(np.max(np.abs(r))))
+
+    def test_negative_control_breaks_ricci_symmetry(self, so3_setup):
+        # the unprojected connection's curvature is not sp-valued, so its Ricci
+        # tensor picks up the antisymmetric part −tr R(X, Y)
+        a, _, _ = so3_setup
+        mu = np.array([0.0, 0.0, 1.0])
+        delta = np.random.default_rng(7).standard_normal((6, 6, 6)) * 0.5
+        raw = rc.perturbed_connection(rc.baseline_connection(a), delta, symmetric=True)
+        t = np.array([0.12, -0.07])
+        asym = []
+        for conn in (raw, rc.symplectize(raw)):
+            ctx = rc.build_context(a, mu, connection=conn)
+            chart = rc.default_chart(ctx)
+            r = _ricci(chart, t, curvature_tensor(SigmaGeometry(ctx, chart), t))
+            asym.append(float(np.max(np.abs(r - r.T))))
+        assert asym[0] > 1e-3
+        assert asym[1] <= 1e-4
+
 
 class TestConvergence:
     def test_second_order_step_halving(self, so3_setup):
@@ -232,6 +257,20 @@ class TestConvergence:
         assert 3.0 <= coarse["factor"] <= 5.0
         assert 3.0 <= fine["factor"] <= 5.0
 
+    def test_so4_regular_probe_measures_truncation(self):
+        # on S² × S² the triples (0, 1, l) have zero curvature at the first
+        # chart point, so a probe on them reads roundoff; the battery must pick
+        # a nonzero component and see second-order convergence on it
+        cases = perfbench_cases()
+        _, n, weights, _, samples = cases.SO4_CASES[0]
+        doc = {"group": cases.so_n_group(n), "mu": cases.so_n_mu(n, weights),
+               "samples": samples}
+        rep, code = run_pipeline(CaseConfig.from_dict(doc), "curvature")
+        assert code == 0
+        conv = rep["stages"]["curvature"]["convergence"]
+        assert conv["oracle_error_coarse"] >= 1e-6
+        assert 3.0 <= conv["factor"] <= 5.0
+
 
 class TestOneEvaluationPerValue:
     def test_pipeline_evaluates_each_curvature_value_once(self, monkeypatch):
@@ -243,8 +282,8 @@ class TestOneEvaluationPerValue:
                 return route(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(curvature, "reduced_curvature_formula",
-                            counted("formula", reduced_curvature_formula))
+        monkeypatch.setattr(curvature, "curvature_formula",
+                            counted("formula", curvature_formula))
         monkeypatch.setattr(SigmaGeometry, "cov_table",
                             counted("cov_table", SigmaGeometry.cov_table))
         cfg = CaseConfig.from_dict({"group": "so3", "mu": [0.0, 0.0, 1.0], "samples": 5})
@@ -253,23 +292,23 @@ class TestOneEvaluationPerValue:
         samples = rep["stages"]["curvature"]["samples"]
         points, km = 2, 2
         assert len({tuple(s["t"]) for s in samples}) == points
-        # per point: the formula on every (i, j, l) with i != j; the
-        # convergence probe adds a reference and two steps
-        assert counts["formula"] == points * km * km * (km - 1) + 3
+        # one formula array per point; the convergence probe adds a reference
+        # and two steps
+        assert counts["formula"] == points + 3
         # one table per chart point of the sweep and per fiber of the
         # fiber-independence check (the autoparallel check stops at its
-        # defect on so3), one per Christoffel point of each curvature point,
-        # t and t ± h·eₓ, and t and t ± h along the probe's two directions
-        # at each of its two steps
+        # defect on so3); per curvature point, t and t ± h·eₓ for each route;
+        # for the probe, t and the four Richardson points along each of its
+        # two directions for the reference, and t and t ± h along them for
+        # each route at each of its two steps
         assert rep["stages"]["reduce"]["autoparallel"]["independence"] is None
-        assert counts["cov_table"] == cfg.samples + 5 + points * (2 * km + 1) + 2 * 5
+        assert counts["cov_table"] == (cfg.samples + 5 + points * 2 * (2 * km + 1)
+                                       + (1 + 2 * 4) + 2 * 2 * 5)
 
         ctx = rc.build_context(rc.so3(), np.array([0.0, 0.0, 1.0]))
         chart = rc.default_chart(ctx, cfg.chart_radius)
-        fields = coordinate_fields(chart)
         sample = samples[-1]
         i, j, l = sample["inputs"]
-        fresh = reduced_curvature_formula(ctx, chart, fields[i], fields[j], fields[l],
-                                          np.array(sample["t"]), fd_step=cfg.fd_step,
-                                          fd_step2=cfg.fd_step2, geom=SigmaGeometry(ctx, chart))
+        fresh = curvature_formula(SigmaGeometry(ctx, chart), np.array(sample["t"]),
+                                  fd_step=cfg.fd_step, fd_step2=cfg.fd_step2)[i, j, l]
         assert fresh.tolist() == sample["value"]

@@ -13,7 +13,8 @@ abelian(3), on aff1 with and without a realization, on so3 with
 ``connection: "baseline"`` and on both so(4) cases of ``perfbench/cases.py``
 (seed 1), ``run_pipeline(…, "curvature")`` on the so(4) regular case with
 ``samples: 5`` (a second curvature point, at t ≠ 0), plus
-``run_pipeline(…, "reduce")`` on both so(5) cases.
+``run_pipeline(…, "reduce")`` on both so(5) cases and
+``run_pipeline(…, "curvature")`` on the so(5) regular one (orbit dimension 8).
 
 ``diff`` lists the byte-identical and the differing files.  A differing file
 passes when the two dumps agree on everything except floating-point
@@ -95,6 +96,8 @@ def _cases() -> list:
     so4_regular = case_sets.so4_full_cases(1)[0]
     out.append(("so4-regular-samples5-curvature", "curvature",
                 dict(so4_regular["config"], samples=5)))
+    so5_regular = case_sets.so5_reduce_cases(1)[0]
+    out.append(("so5-regular-curvature", "curvature", so5_regular["config"]))
     return out
 
 
