@@ -33,6 +33,9 @@ from .reduction import SigmaGeometry, _check_tangent, coordinate_fields
 
 DEFAULT_FD_STEP = 1e-5
 DEFAULT_FD_STEP2 = 1e-4
+# Tensor norms this close (relatively) to the largest tie for the probe: at the
+# default steps the tensor carries roundoff of about ε/(fd_step·fd_step2) ≈ 2e-7.
+PROBE_TIE_RTOL = 1e-6
 
 
 def curvature_formula(geom: SigmaGeometry, t, *, fd_step: float = DEFAULT_FD_STEP,
@@ -43,9 +46,12 @@ def curvature_formula(geom: SigmaGeometry, t, *, fd_step: float = DEFAULT_FD_STE
     directions by default), and entries with i = j are zero.
 
     The level-set derivatives ∇_f̄_j f̄_l and their radical parts come from
-    ``cov_table`` at each point of one fd_step2 stencil per direction; the
-    bracket [f̄_i, f̄_j] and the derivatives along it and its radical part use
-    inner stencils of step fd_step at t.
+    the level-set table of ``cov_table`` at each point of one fd_step2 stencil
+    per direction; the bracket [f̄_i, f̄_j] and the derivatives along it and
+    its radical part use inner stencils of step fd_step at t, those along the
+    f̄_i being the ones of the table at t.  Along a bracket or radical part
+    that is exactly zero the derivatives are exactly zero and are not
+    differenced.
     """
     ctx, e, km = geom.ctx, geom.identity, geom.chart.dim
     t = np.asarray(t, dtype=float)
@@ -54,17 +60,24 @@ def curvature_formula(geom: SigmaGeometry, t, *, fd_step: float = DEFAULT_FD_STE
     lifted = [geom.lift_field(f) for f in coordinate_fields(geom.chart)]
     u = [f(t, e) for f in lifted]
 
-    def grads(t2, fib):  # [j, l, 0] = ∇_f̄_j f̄_l and [j, l, 1] = [α(∇_f̄_j f̄_l)]*
-        level, _ = geom.cov_table(t2, fib, fd_step)
+    def grads(level):  # [j, l, 0] = ∇_f̄_j f̄_l and [j, l, 1] = [α(∇_f̄_j f̄_l)]*
         return np.array([[[g, ctx.alpha_star(g)] for g in row] for row in level])
 
-    base = grads(t, e)
-    outer, inner = {}, {}  # outer[x][j, l, s]: induced derivative of grads[j, l, s] along f̄_x
+    level, inner = geom._level_table(t, e, fd_step)
+    base = grads(level)
+    outer = {}  # outer[x][j, l, s]: induced derivative of grads[j, l, s] along f̄_x
     for x in dict.fromkeys(dirs):
-        d = geom._stencil(t, e, u[x], fd_step2)(grads)
+        d = geom._stencil(t, e, u[x], fd_step2)(
+            lambda t2, fib: grads(geom._level_table(t2, fib, fd_step)[0]))
         outer[x] = np.array([[[geom._induced(u[x], base[j, l, s], d[j, l, s]) for s in range(2)]
                               for l in range(km)] for j in range(km)])
-        inner[x] = geom._stencil(t, e, u[x], fd_step)
+
+    def along(v):  # [l] = P∘∇ along v of f̄_l at t
+        if not v.any():
+            return np.zeros((km, 2 * geom.n))
+        derivative = geom._stencil(t, e, v, fd_step)
+        return [geom._induced(v, u[l], derivative(lifted[l])) for l in range(km)]
+
     out = np.zeros((len(dirs), len(dirs), km, geom.n))
     for a, i in enumerate(dirs):
         for b, j in enumerate(dirs):
@@ -72,15 +85,11 @@ def curvature_formula(geom: SigmaGeometry, t, *, fd_step: float = DEFAULT_FD_STE
                 continue
             bracket = (inner[i](lifted[j]) - inner[j](lifted[i])
                        + np.einsum("abc,a,b->c", geom.struct, u[i], u[j]))
-            radical = ctx.alpha_star(bracket)
-            along = geom._stencil(t, e, bracket, fd_step)
-            along_radical = geom._stencil(t, e, radical, fd_step)
+            term3, t5 = along(bracket), along(ctx.alpha_star(bracket))
             for l in range(km):
-                term3 = geom._induced(bracket, u[l], along(lifted[l]))
-                t5 = geom._induced(radical, u[l], along_radical(lifted[l]))
-                r_amb = (outer[i][j, l, 0] - outer[j][i, l, 0]) - term3
+                r_amb = (outer[i][j, l, 0] - outer[j][i, l, 0]) - term3[l]
                 r_bar = (hproj(r_amb) - hproj(outer[i][j, l, 1]) + hproj(outer[j][i, l, 1])
-                         + hproj(t5))
+                         + hproj(t5[l]))
                 out[a, b, l] = geom.pushdown(t, e, r_bar)
     return out
 
@@ -123,6 +132,17 @@ def curvature_tensor(geom: SigmaGeometry, t, *, fd_step: float = DEFAULT_FD_STEP
     return r_chart @ geom.point(t, geom.identity).D.T
 
 
+def _probe_inputs(tensor: np.ndarray) -> tuple[int, int, int]:
+    """The first triple i < j (in lexicographic order) whose tensor value's norm
+    is within a relative ``PROBE_TIE_RTOL`` of the largest, so that norms equal
+    by symmetry pick the same triple whatever their roundoff."""
+    km = tensor.shape[0]
+    triples = [(i, j, l) for i in range(km) for j in range(i + 1, km) for l in range(km)]
+    norms = [float(np.linalg.norm(tensor[ijl])) for ijl in triples]
+    top = max(norms)
+    return next(ijl for ijl, v in zip(triples, norms) if v >= top * (1.0 - PROBE_TIE_RTOL))
+
+
 def curvature_battery(geom: SigmaGeometry, t_points, *,
                       fd_step: float = DEFAULT_FD_STEP,
                       fd_step2: float = DEFAULT_FD_STEP2) -> dict:
@@ -137,8 +157,8 @@ def curvature_battery(geom: SigmaGeometry, t_points, *,
     satisfies them by construction), and
     (b) the symplectic-valuedness defect ω(R(X,Y)Z, W) - ω(R(X,Y)W, Z) of the
     tensor, which vanishes exactly when the reduced form is parallel.  The
-    probe runs on the triple i < j whose tensor value at t_points[0] is largest,
-    so that it measures a component that does not vanish.
+    probe runs on the triple i < j whose tensor value at t_points[0] is largest
+    (``_probe_inputs``), so that it measures a component that does not vanish.
     """
     km = geom.chart.dim
     e = geom.identity
@@ -152,8 +172,7 @@ def curvature_battery(geom: SigmaGeometry, t_points, *,
         scale = max(1.0, max(float(np.linalg.norm(R[ijl])) for ijl in off))
         tensor = curvature_tensor(geom, t, fd_step=fd_step, fd_step2=fd_step2)
         if probe_inputs is None:
-            probe_inputs = max(((i, j, l) for i, j, l in off if i < j),
-                               key=lambda ijl: float(np.linalg.norm(tensor[ijl])))
+            probe_inputs = _probe_inputs(tensor)
         d_lifts = geom.chart_lifts(t)
         for i in range(km):
             for j in range(i + 1, km):

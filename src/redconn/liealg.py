@@ -21,7 +21,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .errors import ConfigError, NoRealization, NonReductiveStabilizer
@@ -264,8 +263,7 @@ def group_exp(a: LieAlgebra, X) -> GroupElement:
     """exp of the algebra element with coordinates X: e^X in the realization, Ad = e^{ad X}."""
     rho = a.require_realization()
     X = np.asarray(X, dtype=float)
-    g = GroupElement(a, scipy.linalg.expm(np.einsum("i,iab->ab", X, rho)),
-                     scipy.linalg.expm(a.ad(X)))
+    g = GroupElement(a, linalg.expm(np.einsum("i,iab->ab", X, rho)), linalg.expm(a.ad(X)))
     g.validate()
     return g
 

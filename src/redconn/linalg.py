@@ -1,8 +1,10 @@
-"""Subspace linear algebra built on SVD with a shared relative rank cutoff.
+"""Subspace linear algebra built on SVD with a shared relative rank cutoff,
+and the matrix exponential.
 
 All bases are stored as matrices whose columns span the subspace.  Rank
 decisions use a relative singular-value threshold of ``RANK_RTOL`` times the
-largest singular value, so every routine is scale invariant.
+largest singular value, so every routine is scale invariant.  ``expm`` is the
+scaling-and-squaring Padé exponential that every group and chart kernel uses.
 """
 
 from __future__ import annotations
@@ -66,3 +68,65 @@ def solve_columns(A, B) -> np.ndarray:
     B = np.asarray(B, dtype=float)
     X, *_ = np.linalg.lstsq(A, B, rcond=None)
     return X
+
+
+# Higham, SIAM J. Matrix Anal. Appl. 26 (2005), Table 2.3: the largest 1-norm
+# at which the degree-m diagonal Padé approximant of e^A is accurate to unit
+# roundoff in double precision, and the approximant's coefficients b_0…b_m.
+_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+               (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
+_THETA_13 = 5.371920351148152e0
+_PADE_B = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+}
+# Rows combine the even powers I, A², A⁴, …: for m ≤ 9 into U/A and V; for
+# m = 13 into the low (A⁰…A⁶) and high (A⁶·(A²…A⁶)) halves of U/A and V.
+_PADE_ROWS = {m: np.array([b[1::2], b[0::2]]) for m, b in _PADE_B.items() if m < 13}
+_B13 = _PADE_B[13]
+_PADE_ROWS[13] = np.array([_B13[1:8:2], _B13[0:7:2],
+                           [0.0, *_B13[9::2]], [0.0, *_B13[8:13:2]]])
+
+
+def _pade_uv(A: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Odd part U and even part V of the degree-m Padé numerator, p_m(A) = V + U."""
+    rows = _PADE_ROWS[m]
+    powers = np.empty((rows.shape[1],) + A.shape)  # I, A², A⁴, …
+    powers[0] = np.eye(A.shape[-1])
+    np.matmul(A, A, out=powers[1])
+    for k in range(2, len(powers)):
+        np.matmul(powers[k - 1], powers[1], out=powers[k])
+    parts = (rows @ powers.reshape(len(powers), -1)).reshape((len(rows),) + A.shape)
+    if m == 13:
+        high = powers[3] @ parts[2:]
+        return A @ (parts[0] + high[0]), parts[1] + high[1]
+    return A @ parts[0], parts[1]
+
+
+def expm(A) -> np.ndarray:
+    """Matrix exponential by scaling and squaring (Higham 2005).
+
+    The Padé degree m ∈ {3, 5, 7, 9, 13} is the smallest whose θ_m bounds the
+    1-norm; above θ_13, A is scaled by 2^-s into the degree-13 range and the
+    result squared s times.  ``A`` may be a stack (…, n, n): the stack shares
+    one norm (its largest), one power chain and one batched solve, so every
+    matrix gets the degree and scaling of the largest.
+    """
+    A = np.asarray(A, dtype=float)
+    norm = float(np.abs(A).sum(axis=-2).max())
+    for m, theta in _PADE_THETA:
+        if norm <= theta:
+            U, V = _pade_uv(A, m)
+            return np.linalg.solve(V - U, V + U)
+    s = max(0, int(np.ceil(np.log2(norm / _THETA_13))))
+    U, V = _pade_uv(A / 2.0 ** s, 13)
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E

@@ -4,7 +4,8 @@ The reduced manifold is represented concretely as the coadjoint orbit through
 μ, with the quotient map realized by (g, μ) ↦ Coad(g)μ.  A chart is built
 from a complement m of the stabilizer: chart coordinates t parametrize
 ν(t) = Coad(exp(Σ t_a E_a))μ together with the section (exp(Σ t_a E_a), μ)
-into the momentum level set.
+into the momentum level set.  Coad, the section vectors and the chart
+differential at t come from one ``linalg.expm`` of a 2n×2n block.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .errors import NotTangent, RankLoss
@@ -48,7 +48,7 @@ class OrbitChart:
 
     def exp_data(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Coad(exp A), the section vectors and the chart differential at t,
-        from one block exponential E = expm([[−ad A, I], [0, 0]]) with
+        from one block exponential E = linalg.expm([[−ad A, I], [0, 0]]) with
         A = Σ t_a E_a (Van Loan, 1978): E's upper-left block is e^{−ad A} =
         Coad(exp A)ᵀ and its upper-right block is φ₁(−ad A), φ₁(z) = (e^z − 1)/z.
         """
@@ -56,7 +56,7 @@ class OrbitChart:
         block = np.zeros((2 * n, 2 * n))
         block[:n, :n] = -self.algebra.ad(self.m_basis @ np.asarray(t, dtype=float))
         block[:n, n:] = np.eye(n)
-        E = scipy.linalg.expm(block)
+        E = linalg.expm(block)
         coad = E[:n, :n].T
         vecs = E[:n, n:] @ self.m_basis
         return coad, vecs, -coad @ (self.algebra.bracket_pairing(self.mu).T @ vecs)

@@ -653,7 +653,7 @@ def _verify_reduction(cfg, a, mu, conn, rng, checks) -> None:
     measurable = conv["oracle_error_coarse"] >= 1e-6
     _check(checks, "curv/convergence-factor", 0.0, 0.0,
            passed=bool(not measurable or 3.0 <= conv["factor"] <= 5.0),
-           note=f"factor {conv['factor']:.2f}" + ("" if measurable else " (flat, below floor)"))
+           note=f"factor {conv['factor']:.2f}" if measurable else "flat, below floor")
 
 
 def _l_equivariance_defect(ctx, rng) -> float:

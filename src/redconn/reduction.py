@@ -18,7 +18,8 @@ invariant symplectic connection ∇; removing the radical component with alpha
 and pushing down through the quotient map (g, μ) ↦ Coad(g)μ produces the
 reduced connection on the orbit.  Derivatives of fields along the level set
 are central finite differences in a (chart x stabilizer-fiber)
-parametrization, so no chart inversion is ever needed on the hot path.
+parametrization, so no chart inversion is ever needed on the hot path; the
+fiber shifts Ad(exp sY) of one stencil come from one stacked ``linalg.expm``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .connections import FrameConnection, baseline_connection, frame_structure, symplectize
@@ -249,7 +249,6 @@ class PointKernel:
     X: np.ndarray  # lift table lstsq(M, D) of the chart directions
     R: np.ndarray  # its residual M X − D
     F: np.ndarray  # chart-fiber frame [Ad(h)⁻¹ · section vectors | g_μ]
-    frame_ok: bool  # F is invertible
 
 
 class SigmaGeometry:
@@ -285,6 +284,7 @@ class SigmaGeometry:
         self.identity = np.eye(self.n)
         self.richardson = richardson
         self._points: dict = {}
+        self._full_frames: set = set()  # point keys whose F passed the rank test
 
     def point(self, t, fiber: np.ndarray) -> PointKernel:
         """The kernel at (exp(Σ t_a E_a) · h, μ), computed on first use."""
@@ -299,7 +299,7 @@ class SigmaGeometry:
             X, *_ = np.linalg.lstsq(M, D, rcond=None)
             F = np.hstack([h_inv @ vecs, self.ctx.g_mu])
             p = self._points[key] = PointKernel(coad, D, M, linalg.rank(M) == M.shape[1], X,
-                                                M @ X - D, F, linalg.rank(F) == self.n)
+                                                M @ X - D, F)
         return p
 
     # -- lifting ---------------------------------------------------------
@@ -349,20 +349,27 @@ class SigmaGeometry:
     def _stencil(self, t, fiber: np.ndarray, u, step: float) -> Callable:
         """Central difference along the tangent direction u, as a map from a
         field to its derivative: the frame solve and the fiber shifts of the
-        stencil (±step, then ±step/2 with Richardson) are done once here."""
+        stencil (±step, then ±step/2 with Richardson, one stacked exponential)
+        are done once here.  The chart-fiber frame's rank is tested at the
+        first stencil on each point."""
         t = np.asarray(t, dtype=float)
         u = np.asarray(u, dtype=float)
         if np.linalg.norm(u[self.n:]) > 1e-8 * max(1.0, np.linalg.norm(u)):
             raise PointOffConstraint("direction is not tangent to the level set")
-        p = self.point(t, fiber)
-        if not p.frame_ok:
-            raise RankLoss("chart-fiber frame lost rank; point outside the chart radius")
-        params = np.linalg.solve(p.F, u[: self.n])
+        F = self.point(t, fiber).F
+        key = (t.tobytes(), fiber.tobytes())
+        if key not in self._full_frames:
+            if linalg.rank(F) < self.n:
+                raise RankLoss("chart-fiber frame lost rank; point outside the chart radius")
+            self._full_frames.add(key)
+        params = np.linalg.solve(F, u[: self.n])
         dt, dy = params[: self.chart.dim], params[self.chart.dim:]
         steps = (step, -step) + ((step / 2.0, -step / 2.0) if self.richardson else ())
-        ad = self.algebra.ad
-        points = [(t + s * dt, fiber @ scipy.linalg.expm(ad(self.ctx.g_mu @ (s * dy))) if dy.size
-                   else fiber) for s in steps]
+        shifts = [fiber] * len(steps)
+        if dy.size:
+            ad_y = self.algebra.ad(self.ctx.g_mu @ dy)
+            shifts = fiber @ linalg.expm(np.multiply.outer(steps, ad_y))
+        points = [(t + s * dt, fib) for s, fib in zip(steps, shifts)]
 
         def derivative(fld: SigmaField) -> np.ndarray:
             v = [fld(ts, fib) for ts, fib in points]
@@ -409,18 +416,23 @@ class SigmaGeometry:
         return self.pushdown_horizontal(t, fiber,
                                         self.lifted_cov(x_field, y_field, t, fiber, step))
 
+    def _level_table(self, t, fiber: np.ndarray, step: float) -> tuple[list, list]:
+        """level[i][j] = lifted_cov(f_i, f_j, …) over the chart coordinate
+        fields at (t, fiber), bit for bit, and stencils[i], the stencil along
+        the lift of f_i that row i was differenced on."""
+        t = np.asarray(t, dtype=float)
+        lifted = [self.lift_field(f) for f in coordinate_fields(self.chart)]
+        bases = [fld(t, fiber) for fld in lifted]
+        stencils = [self._stencil(t, fiber, u, step) for u in bases]
+        level = [[self._induced(u, base, derivative(fld)) for fld, base in zip(lifted, bases)]
+                 for u, derivative in zip(bases, stencils)]
+        return level, stencils
+
     def cov_table(self, t, fiber: np.ndarray, step: float) -> tuple[list, np.ndarray]:
         """level[i][j] = lifted_cov(f_i, f_j, …) and cov[i, j] = its pushdown,
         the reduced ∇ʳ(f_i) f_j, over the chart coordinate fields at (t, fiber),
         bit for bit; direction i builds its stencil once for every f_j."""
-        t = np.asarray(t, dtype=float)
-        lifted = [self.lift_field(f) for f in coordinate_fields(self.chart)]
-        bases = [fld(t, fiber) for fld in lifted]
-        level = []
-        for u in bases:
-            derivative = self._stencil(t, fiber, u, step)
-            level.append([self._induced(u, base, derivative(fld))
-                          for fld, base in zip(lifted, bases)])
+        level, _ = self._level_table(t, fiber, step)
         cov = np.array([[self.pushdown_horizontal(t, fiber, g) for g in row] for row in level])
         return level, cov
 

@@ -257,13 +257,23 @@ class TestFlags:
         assert rep["error"]["type"] == "ConfigError"
         assert rep["error"]["stage"] == "config"
 
-    def test_installed_entry_point(self, tmp_path):
-        cfg = _write_config(tmp_path, SO3_DOC)
+    @staticmethod
+    def _child(*args):
         # the child imports the same redconn as this process, installed or not
         src = str(Path(redconn.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-m", "redconn.cli", "validate",
-                               "--config", cfg], capture_output=True, text=True, env=env)
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+    def test_cli_import_loads_no_scipy(self):
+        # the exponential is in-repo; scipy serves only as a test reference
+        proc = self._child("-c", "import sys, redconn.cli; print(sorted(m for m in sys.modules"
+                                 " if m.split('.')[0].startswith('scipy')))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_installed_entry_point(self, tmp_path):
+        cfg = _write_config(tmp_path, SO3_DOC)
+        proc = self._child("-m", "redconn.cli", "validate", "--config", cfg)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["error"] is None

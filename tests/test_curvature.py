@@ -242,6 +242,67 @@ class TestSymmetryBattery:
         assert asym[1] <= 1e-4
 
 
+def _formula_every_stencil(geom, t, fd_step, fd_step2):
+    """The lift-expansion formula with a fresh inner stencil along every f̄_i
+    and a stencil along every bracket and radical part, zero or not: the
+    reference for the stencils ``curvature_formula`` shares and skips."""
+    ctx, e, km = geom.ctx, geom.identity, geom.chart.dim
+    hproj = ctx.horizontal_part
+    lifted = [geom.lift_field(f) for f in coordinate_fields(geom.chart)]
+    u = [f(t, e) for f in lifted]
+
+    def grads(t2, fib):
+        level, _ = geom.cov_table(t2, fib, fd_step)
+        return np.array([[[g, ctx.alpha_star(g)] for g in row] for row in level])
+
+    base = grads(t, e)
+    outer = [np.array([[[geom._induced(u[x], base[j, l, s], d[j, l, s]) for s in range(2)]
+                        for l in range(km)] for j in range(km)])
+             for x, d in ((x, geom._stencil(t, e, u[x], fd_step2)(grads)) for x in range(km))]
+    inner = [geom._stencil(t, e, u[x], fd_step) for x in range(km)]
+    out = np.zeros((km, km, km, geom.n))
+    for i in range(km):
+        for j in range(km):
+            if i == j:
+                continue
+            bracket = (inner[i](lifted[j]) - inner[j](lifted[i])
+                       + np.einsum("abc,a,b->c", geom.struct, u[i], u[j]))
+            radical = ctx.alpha_star(bracket)
+            along = geom._stencil(t, e, bracket, fd_step)
+            along_radical = geom._stencil(t, e, radical, fd_step)
+            for l in range(km):
+                term3 = geom._induced(bracket, u[l], along(lifted[l]))
+                t5 = geom._induced(radical, u[l], along_radical(lifted[l]))
+                r_amb = (outer[i][j, l, 0] - outer[j][i, l, 0]) - term3
+                r_bar = (hproj(r_amb) - hproj(outer[i][j, l, 1]) + hproj(outer[j][i, l, 1])
+                         + hproj(t5))
+                out[i, j, l] = geom.pushdown(t, e, r_bar)
+    return out
+
+
+class TestFormulaStencils:
+    @pytest.mark.parametrize("t", [np.zeros(4), np.array([0.12, -0.2, 0.07, 0.15])],
+                             ids=["origin", "off-origin"])
+    def test_shared_and_skipped_stencils_keep_every_entry(self, monkeypatch, t):
+        # so(4) at L01 + 2·L23: at the origin [f̄_i, f̄_j] is exactly zero for
+        # 4 of the 12 ordered pairs, and its radical part for those 4
+        ctx = rc.build_context(_so4(), np.array([1.0, 0.0, 0.0, 0.0, 0.0, 2.0]))
+        chart = rc.default_chart(ctx)
+        ref = _formula_every_stencil(SigmaGeometry(ctx, chart), t, 1e-5, 1e-4)
+        calls = []
+        stencil = SigmaGeometry._stencil
+
+        def counted(self, *args):
+            calls.append(args)
+            return stencil(self, *args)
+
+        monkeypatch.setattr(SigmaGeometry, "_stencil", counted)
+        assert (curvature_formula(SigmaGeometry(ctx, chart), t) == ref).all()
+        if not t.any():
+            # 68 with its own inner stencils and every bracket and radical stencil
+            assert len(calls) == 68 - 4 - 4 - 4
+
+
 class TestConvergence:
     def test_second_order_step_halving(self, so3_setup):
         _, ctx, chart = so3_setup
@@ -256,6 +317,23 @@ class TestConvergence:
         fine = convergence_factor(geom, np.array([0.15, -0.1]), coarse=4e-3)
         assert 3.0 <= coarse["factor"] <= 5.0
         assert 3.0 <= fine["factor"] <= 5.0
+
+    def test_probe_triple_ignores_roundoff_in_tied_norms(self, so3_setup):
+        # on so3 the (0, 1, 0) and (0, 1, 1) values have norms equal by
+        # symmetry up to the last bits; moving every entry of one value 1 ulp
+        # away from zero and of the other 1 ulp towards it decides the plain
+        # argmax either way, but must not move the probe
+        _, ctx, chart = so3_setup
+        tensor = curvature_tensor(SigmaGeometry(ctx, chart), np.zeros(2))
+        assert curvature._probe_inputs(tensor) == (0, 1, 0)
+        for grown in range(2):
+            bumped = tensor.copy()
+            bumped[0, 1, grown] = np.nextafter(tensor[0, 1, grown],
+                                               np.copysign(np.inf, tensor[0, 1, grown]))
+            bumped[0, 1, 1 - grown] = np.nextafter(tensor[0, 1, 1 - grown], 0.0)
+            norms = np.linalg.norm(bumped[0, 1], axis=-1)
+            assert int(np.argmax(norms)) == grown
+            assert curvature._probe_inputs(bumped) == (0, 1, 0)
 
     def test_so4_regular_probe_measures_truncation(self):
         # on S² × S² the triples (0, 1, l) have zero curvature at the first
@@ -274,7 +352,7 @@ class TestConvergence:
 
 class TestOneEvaluationPerValue:
     def test_pipeline_evaluates_each_curvature_value_once(self, monkeypatch):
-        counts = {"formula": 0, "cov_table": 0}
+        counts = {"formula": 0, "table": 0}
 
         def counted(name, route):
             def wrapper(*args, **kwargs):
@@ -284,8 +362,10 @@ class TestOneEvaluationPerValue:
 
         monkeypatch.setattr(curvature, "curvature_formula",
                             counted("formula", curvature_formula))
-        monkeypatch.setattr(SigmaGeometry, "cov_table",
-                            counted("cov_table", SigmaGeometry.cov_table))
+        # every level-set table, whether read through cov_table (tensor, sweep)
+        # or directly (formula), is built by _level_table
+        monkeypatch.setattr(SigmaGeometry, "_level_table",
+                            counted("table", SigmaGeometry._level_table))
         cfg = CaseConfig.from_dict({"group": "so3", "mu": [0.0, 0.0, 1.0], "samples": 5})
         rep, code = run_pipeline(cfg)
         assert code == 0
@@ -302,7 +382,7 @@ class TestOneEvaluationPerValue:
         # two directions for the reference, and t and t ± h along them for
         # each route at each of its two steps
         assert rep["stages"]["reduce"]["autoparallel"]["independence"] is None
-        assert counts["cov_table"] == (cfg.samples + 5 + points * 2 * (2 * km + 1)
+        assert counts["table"] == (cfg.samples + 5 + points * 2 * (2 * km + 1)
                                        + (1 + 2 * 4) + 2 * 2 * 5)
 
         ctx = rc.build_context(rc.so3(), np.array([0.0, 0.0, 1.0]))

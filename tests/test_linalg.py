@@ -1,0 +1,76 @@
+import numpy as np
+import pytest
+import scipy.linalg
+
+from redconn import linalg
+
+THETAS = [theta for _, theta in linalg._PADE_THETA] + [linalg._THETA_13]
+
+
+def _with_norm(rng, n, norm):
+    A = rng.standard_normal((n, n))
+    return A * (norm / np.abs(A).sum(axis=0).max())
+
+
+def _assert_matches_reference(E, A):
+    ref = scipy.linalg.expm(A)
+    assert np.linalg.norm(E - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+class TestExpm:
+    def test_zero_matrix_is_exactly_the_identity(self):
+        assert (linalg.expm(np.zeros((4, 4))) == np.eye(4)).all()
+        assert (linalg.expm(np.zeros((3, 4, 4))) == np.eye(4)).all()
+
+    @pytest.mark.parametrize("x", [-30.0, -1.0, 1e-3, 0.7, 12.0])
+    def test_one_by_one_is_the_scalar_exponential(self, x):
+        E = linalg.expm(np.array([[x]]))
+        assert E.shape == (1, 1)
+        assert abs(E[0, 0] - np.exp(x)) <= 1e-13 * np.exp(x)
+        _assert_matches_reference(E, np.array([[x]]))
+
+    # norms near both edges of each Padé degree's band (3, 5, 7, 9, 13) and
+    # two in the squaring range above θ_13
+    @pytest.mark.parametrize("norm", [0.5 * THETAS[0], 0.95 * THETAS[0]]
+                             + [f * edge for lo, hi in zip(THETAS, THETAS[1:])
+                                for f, edge in ((1.05, lo), (0.95, hi))]
+                             + [3.0 * THETAS[-1], 40.0])
+    @pytest.mark.parametrize("n", [2, 6, 10])
+    def test_matches_reference_in_each_band(self, rng, norm, n):
+        A = _with_norm(rng, n, norm)
+        _assert_matches_reference(linalg.expm(A), A)
+
+    def test_non_normal(self):
+        A = np.array([[-1.0, 8.0, 0.0], [0.0, -1.5, 8.0], [0.0, 0.0, -2.0]])
+        _assert_matches_reference(linalg.expm(A), A)
+        J = np.diag(np.ones(4), 1)  # nilpotent: the series stops at J⁴/4!
+        series = sum(np.linalg.matrix_power(J, k) / np.prod(range(1, k + 1)) for k in range(5))
+        assert np.max(np.abs(linalg.expm(J) - series)) <= 1e-15
+
+    @pytest.mark.parametrize("scale", [0.1, 2.0, 20.0])
+    def test_skew_gives_a_rotation(self, rng, scale):
+        B = rng.standard_normal((5, 5)) * scale
+        A = B - B.T
+        E = linalg.expm(A)
+        _assert_matches_reference(E, A)
+        assert np.max(np.abs(E.T @ E - np.eye(5))) <= 1e-12
+
+    def test_stack_matches_one_at_a_time(self, rng):
+        # norms across the bands: the stack shares the largest one's degree
+        # and scaling, the matrices one at a time each take their own
+        norms = [0.5 * THETAS[0], 0.5, 1.5, 4.0, 12.0, 0.0]
+        A = np.array([_with_norm(rng, 6, norm) for norm in norms]).reshape(2, 3, 6, 6)
+        E = linalg.expm(A)
+        assert E.shape == A.shape
+        for idx in np.ndindex(2, 3):
+            one = linalg.expm(A[idx])
+            assert np.linalg.norm(E[idx] - one) <= 1e-12 * np.linalg.norm(one)
+            _assert_matches_reference(E[idx], A[idx])
+
+    @pytest.mark.parametrize("norm", [0.2, 3.0, 12.0])
+    def test_inverse_is_the_exponential_of_the_negative(self, rng, norm):
+        # the product's roundoff grows with its condition ‖e^A‖·‖e^−A‖
+        A = _with_norm(rng, 6, norm)
+        E = linalg.expm(np.array([A, -A]))
+        cond = np.linalg.norm(E[0], 1) * np.linalg.norm(E[1], 1)
+        assert np.max(np.abs(E[0] @ E[1] - np.eye(6))) <= 1e-14 * cond
