@@ -107,8 +107,7 @@ def main(argv=None) -> int:
             rep, code = {"schema_version": report_mod.SCHEMA_VERSION,
                          "error": _error_record(exc, "export")}, _exit_code(exc)
     else:
-        stop = {"validate": "validate", "reduce": "reduce", "curvature": "curvature"}
-        rep, code = run_pipeline(cfg, stop_after=stop[args.command])
+        rep, code = run_pipeline(cfg, stop_after=args.command)
     _emit(rep, args.out)
     return code
 

@@ -259,14 +259,14 @@ class SigmaGeometry:
     stabilizer element h.  Directional derivatives solve for the (chart, fiber)
     parameter velocity matching a requested tangent direction and apply central
     differences in parameter space.  Each distinct (t, fiber) gets one
-    ``PointKernel``, kept for the life of the instance and read by lifts,
-    lifted chart fields, pushdowns and directional derivatives.  ``cov_table``
-    gives the reduced derivatives of the chart coordinate fields at a point,
-    which every consumer of them reads.  A run builds one instance per
-    (context, chart) and shares it between the chart sweep, the autoparallel
-    check and the curvature battery; kernels depend only on (t, fiber), so
-    sharing changes what is recomputed, never a value.  The kernel table is
-    not thread-safe: use one instance per thread.
+    ``PointKernel`` and each (t, fiber, step) one level-set table, kept for
+    the life of the instance; kernels are read by lifts, lifted chart fields,
+    pushdowns and directional derivatives, and ``cov_table``'s reduced
+    derivatives of the chart coordinate fields by every consumer of them.  A
+    run builds one instance per (context, chart) and shares it between the
+    chart sweep, the autoparallel check and the curvature battery; kernels and
+    tables depend only on their keys, so sharing changes what is recomputed,
+    never a value.  Neither cache is thread-safe: use one instance per thread.
     """
 
     def __init__(self, ctx: ReductionContext, chart: OrbitChart, richardson: bool = False):
@@ -284,6 +284,7 @@ class SigmaGeometry:
         self.identity = np.eye(self.n)
         self.richardson = richardson
         self._points: dict = {}
+        self._tables: dict = {}  # (t, fiber, step) -> _level_table's result
         self._full_frames: set = set()  # point keys whose F passed the rank test
 
     def point(self, t, fiber: np.ndarray) -> PointKernel:
@@ -371,10 +372,12 @@ class SigmaGeometry:
             shifts = fiber @ linalg.expm(np.multiply.outer(steps, ad_y))
         points = [(t + s * dt, fib) for s, fib in zip(steps, shifts)]
 
+        # the table cache keeps this map, so it must not hold self: a reference
+        # cycle would leave every geometry to the garbage collector
         def derivative(fld: SigmaField) -> np.ndarray:
             v = [fld(ts, fib) for ts, fib in points]
             d1 = (v[0] - v[1]) / (2.0 * step)
-            return d1 if not self.richardson else (4.0 * ((v[2] - v[3]) / step) - d1) / 3.0
+            return d1 if len(v) == 2 else (4.0 * ((v[2] - v[3]) / step) - d1) / 3.0
 
         return derivative
 
@@ -419,14 +422,17 @@ class SigmaGeometry:
     def _level_table(self, t, fiber: np.ndarray, step: float) -> tuple[list, list]:
         """level[i][j] = lifted_cov(f_i, f_j, …) over the chart coordinate
         fields at (t, fiber), bit for bit, and stencils[i], the stencil along
-        the lift of f_i that row i was differenced on."""
+        the lift of f_i that row i was differenced on; computed on first use."""
         t = np.asarray(t, dtype=float)
-        lifted = [self.lift_field(f) for f in coordinate_fields(self.chart)]
-        bases = [fld(t, fiber) for fld in lifted]
-        stencils = [self._stencil(t, fiber, u, step) for u in bases]
-        level = [[self._induced(u, base, derivative(fld)) for fld, base in zip(lifted, bases)]
-                 for u, derivative in zip(bases, stencils)]
-        return level, stencils
+        key = (t.tobytes(), fiber.tobytes(), step)
+        if key not in self._tables:
+            lifted = [self.lift_field(f) for f in coordinate_fields(self.chart)]
+            bases = [fld(t, fiber) for fld in lifted]
+            stencils = [self._stencil(t, fiber, u, step) for u in bases]
+            level = [[self._induced(u, base, derivative(fld)) for fld, base in zip(lifted, bases)]
+                     for u, derivative in zip(bases, stencils)]
+            self._tables[key] = (level, stencils)
+        return self._tables[key]
 
     def cov_table(self, t, fiber: np.ndarray, step: float) -> tuple[list, np.ndarray]:
         """level[i][j] = lifted_cov(f_i, f_j, …) and cov[i, j] = its pushdown,
@@ -622,19 +628,15 @@ def kks_pairs(ctx: ReductionContext, chart: OrbitChart, t, omega: np.ndarray) ->
     return pairs
 
 
-def kks_residual(ctx: ReductionContext, chart: OrbitChart, t,
-                 geom: SigmaGeometry | None = None,
-                 omega: np.ndarray | None = None) -> float:
+def kks_residual(ctx: ReductionContext, chart: OrbitChart, t) -> float:
     """Largest relative gap between the reduced form and the sign-matched
-    canonical orbit form over chart coordinate pairs at t.
-
-    ``omega`` is the reduced form on the coordinate tangents at t, as
-    ``SigmaGeometry.form_table`` of their lifts gives it; computed when omitted.
-    """
+    canonical orbit form over chart coordinate pairs at t."""
     t = np.asarray(t, dtype=float)
-    if omega is None:
-        geom = geom if geom is not None else SigmaGeometry(ctx, chart)
-        lifts = geom.chart_lifts(t)
-        omega = geom.form_table(lifts, lifts)
-    return max([0.0] + [abs(red - KKS_MATCH_SIGN * ref) / abs(ref)
-                        for red, ref in kks_pairs(ctx, chart, t, omega)])
+    geom = SigmaGeometry(ctx, chart)
+    lifts = geom.chart_lifts(t)
+    return kks_gap(kks_pairs(ctx, chart, t, geom.form_table(lifts, lifts)))
+
+
+def kks_gap(pairs) -> float:
+    """``kks_residual`` from the (reduced, canonical) pairs of ``kks_pairs``."""
+    return max([0.0] + [abs(red - KKS_MATCH_SIGN * ref) / abs(ref) for red, ref in pairs])

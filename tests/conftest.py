@@ -23,6 +23,20 @@ def perfbench_cases():
     return cases
 
 
+def track_geometries(monkeypatch) -> list:
+    """Every ``SigmaGeometry`` built from now on, in order of construction; each
+    keeps the level-set tables it computed in ``_tables``."""
+    built = []
+    init = rc.SigmaGeometry.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(rc.SigmaGeometry, "__init__", tracked)
+    return built
+
+
 AFF1_DOC = {
     "dim": 2,
     "name": "aff1",

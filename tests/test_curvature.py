@@ -8,7 +8,7 @@ from redconn import curvature
 from redconn.errors import ZeroDimensionalBase
 from redconn.pipeline import THRESHOLDS, CaseConfig, run_pipeline
 from redconn.reduction import SigmaGeometry, coordinate_fields
-from tests.conftest import perfbench_cases
+from tests.conftest import perfbench_cases, track_geometries
 from tests.test_liealg import _so4
 
 
@@ -352,7 +352,7 @@ class TestConvergence:
 
 class TestOneEvaluationPerValue:
     def test_pipeline_evaluates_each_curvature_value_once(self, monkeypatch):
-        counts = {"formula": 0, "table": 0}
+        counts = {"formula": 0}
 
         def counted(name, route):
             def wrapper(*args, **kwargs):
@@ -363,9 +363,9 @@ class TestOneEvaluationPerValue:
         monkeypatch.setattr(curvature, "curvature_formula",
                             counted("formula", curvature_formula))
         # every level-set table, whether read through cov_table (tensor, sweep)
-        # or directly (formula), is built by _level_table
-        monkeypatch.setattr(SigmaGeometry, "_level_table",
-                            counted("table", SigmaGeometry._level_table))
+        # or directly (formula), is computed by _level_table once per geometry
+        # and (t, fiber, step)
+        geometries = track_geometries(monkeypatch)
         cfg = CaseConfig.from_dict({"group": "so3", "mu": [0.0, 0.0, 1.0], "samples": 5})
         rep, code = run_pipeline(cfg)
         assert code == 0
@@ -377,13 +377,18 @@ class TestOneEvaluationPerValue:
         assert counts["formula"] == points + 3
         # one table per chart point of the sweep and per fiber of the
         # fiber-independence check (the autoparallel check stops at its
-        # defect on so3); per curvature point, t and t ± h·eₓ for each route;
-        # for the probe, t and the four Richardson points along each of its
-        # two directions for the reference, and t and t ± h along them for
-        # each route at each of its two steps
+        # defect on so3); per curvature point, the table at t that both routes
+        # read, t ± h·eₓ for the tensor and the formula's outer stencil points.
+        # At t = 0 the table at t is the sweep's first, and the lift of f_x
+        # solves to exactly (eₓ, 0) in the chart-fiber frame, so the formula's
+        # outer points are the tensor's.  The probe, at t = 0, adds t and the
+        # four Richardson points along each of its two directions for the
+        # reference, and at each of its two steps t and t ± h along the two
+        # directions, shared by both routes.
         assert rep["stages"]["reduce"]["autoparallel"]["independence"] is None
-        assert counts["table"] == (cfg.samples + 5 + points * 2 * (2 * km + 1)
-                                       + (1 + 2 * 4) + 2 * 2 * 5)
+        tables = sum(len(g._tables) for g in geometries)
+        assert tables == (cfg.samples + 5 + points * (1 + 2 * 2 * km) - 1 - 2 * km
+                          + (1 + 2 * 4) + 2 * (1 + 2 * 2))
 
         ctx = rc.build_context(rc.so3(), np.array([0.0, 0.0, 1.0]))
         chart = rc.default_chart(ctx, cfg.chart_radius)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -551,3 +554,21 @@ class TestCovTable:
                 for j, fj in enumerate(fields):
                     assert level[i][j].tolist() == ref.lifted_cov(fi, fj, t, fiber, h).tolist()
                     assert cov[i, j].tolist() == ref.reduced_cov(fi, fj, t, fiber, h).tolist()
+
+    @pytest.mark.parametrize("richardson", [False, True], ids=["central", "richardson"])
+    def test_tables_are_kept_and_freed_with_the_geometry(self, richardson):
+        # each (t, fiber, step) is computed once; the kept tables hold no
+        # reference back to the geometry, so dropping it frees it at once
+        _, ctx, chart = _case(*KERNEL_CASES[-1])
+        geom = SigmaGeometry(ctx, chart, richardson=richardson)
+        t = np.linspace(-0.2, 0.15, chart.dim)
+        table = geom._level_table(t, geom.identity, 1e-5)
+        assert geom._level_table(t.copy(), np.eye(geom.n), 1e-5) is table
+        assert geom._level_table(t, geom.identity, 2e-5) is not table
+        ref = weakref.ref(geom)
+        gc.disable()
+        try:
+            del geom, table
+            assert ref() is None
+        finally:
+            gc.enable()

@@ -1,0 +1,174 @@
+"""``verify_suite`` runs the pipeline's stages and reads their results: the values
+and the work of ``run_pipeline(cfg, "curvature")``, with a pinned check list."""
+
+import pytest
+
+from redconn import pipeline, reduction
+from redconn.pipeline import (EXIT_ASSUMPTION, CaseConfig, _check_convergence, run_pipeline,
+                              verify_suite)
+from tests.conftest import perfbench_cases, track_geometries
+
+# verify check -> the run_pipeline(cfg, "curvature") report entry it mirrors
+REPORT_ENTRIES = {
+    "phase/tperp-span": ("validate", "level_set_checks", "tperp_equals_generator_span"),
+    "conn/baseline-closed-form": ("connect", "baseline_closed_form_residual"),
+    "conn/torsion": ("connect", "torsion_defect"),
+    "conn/nabla-omega": ("connect", "nabla_omega_defect"),
+    "red/s-isotropic": ("reduce", "isotropy_defect"),
+    "red/projector-idempotent": ("reduce", "projector_defect"),
+    "red/reduced-torsion": ("reduce", "reduced_torsion_defect"),
+    "red/kks-match": ("reduce", "kks_residual"),
+    "red/reduced-form-parallel": ("reduce", "reduced_form_parallel_defect"),
+    "red/fiber-independence": ("reduce", "fiber_independence"),
+    "red/autoparallel-independence": ("reduce", "autoparallel", "independence"),
+    "curv/formula-oracle": ("curvature", "max_discrepancy"),
+    "curv/antisymmetry": ("curvature", "symmetry", "antisymmetry_defect"),
+    "curv/symplectic-valued": ("curvature", "symmetry", "symplectic_defect"),
+    "curv/bianchi": ("curvature", "symmetry", "bianchi_defect"),
+}
+# mirrored checks whose values the chart sweep computes but the reduce stage
+# does not report
+SWEEP_ENTRIES = {"red/reduced-oracle": "oracle", "red/reduced-form-closed": "closed"}
+
+
+def _doc(label: str) -> dict:
+    cases = perfbench_cases()
+    table = cases.so4_full_cases(1) if label.startswith("so4") else cases.catalog_cli_cases(1)
+    return dict(next(c for c in table if c["label"] == f"{label}-curvature")["config"],
+                samples=2)
+
+
+def _dig(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@pytest.mark.parametrize("label", ["so3", "se2", "so4-regular"])
+def test_mirrored_checks_read_the_stage_values(monkeypatch, label):
+    cfg = CaseConfig.from_dict(_doc(label))
+    sweeps = []
+    chart_sweep = pipeline._chart_sweep
+
+    def recorded(*args):
+        sweeps.append(chart_sweep(*args))
+        return sweeps[-1]
+
+    monkeypatch.setattr(pipeline, "_chart_sweep", recorded)
+    rep, code = run_pipeline(cfg, "curvature")
+    assert code == 0
+    stages = rep["stages"]
+    ver, code = verify_suite(cfg)
+    assert code == 0
+    checks = {c["name"]: c for c in ver["checks"]}
+    compared = 0
+    for name, path in REPORT_ENTRIES.items():
+        if name in checks:
+            assert checks[name]["value"] == _dig(stages, path), name
+            compared += 1
+    for name, key in SWEEP_ENTRIES.items():
+        assert checks[name]["value"] == sweeps[0][key], name
+    assert compared >= 14
+    reduced = stages["reduce"]
+    assert checks["red/geodesic-oracle"]["note"] == \
+        f"defect {reduced['totally_geodesic_defect']:.3e}"
+    auto = checks.get("red/autoparallel-independence", checks.get("red/autoparallel-report"))
+    assert auto["note"] == f"defect {reduced['autoparallel']['defect']:.3e}"
+    conv = stages["curvature"]["convergence"]
+    assert checks["curv/convergence-factor"]["note"] in (f"factor {conv['factor']:.1f}",
+                                                         "flat, below floor")
+
+
+@pytest.mark.parametrize("label", ["so3", "so4-regular"])
+def test_verify_builds_no_more_than_the_pipeline(monkeypatch, label):
+    cfg = CaseConfig.from_dict(_doc(label))
+    calls = []
+
+    def counted(module, name):
+        route = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return route(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    # the reduce stage builds its context through the pipeline's import, the
+    # autoparallel check its second one through the reduction module's
+    for module, name in ((pipeline, "build_context"), (reduction, "build_context"),
+                         (pipeline, "_chart_sweep"), (pipeline, "curvature_battery")):
+        counted(module, name)
+    geometries = track_geometries(monkeypatch)
+    counts = []
+    for run in (lambda: run_pipeline(cfg, "curvature"), lambda: verify_suite(cfg)):
+        calls.clear()
+        geometries.clear()
+        _, code = run()
+        assert code == 0
+        counts.append({"calls": sorted(calls), "geometries": len(geometries),
+                       "tables": sum(len(g._tables) for g in geometries)})
+    assert counts[0] == counts[1]
+    assert {"build_context", "_chart_sweep", "curvature_battery"} <= set(counts[0]["calls"])
+    assert counts[0]["tables"] > counts[0]["geometries"] > 0
+
+
+LIE = ["lie/antisymmetry", "lie/jacobi", "lie/bracket-pairing-antisymmetry",
+       "lie/stabilizer-annihilation"]
+LIE_GROUP = ["lie/coad-fixes-mu", "lie/ad-homomorphism", "lie/coad-group-law"]
+PHASE = ["phase/omega-closed", "phase/tsigma-delta-pairing", "phase/tperp-span",
+         "phase/radical-span", "phase/split-dims"]
+CONN = ["conn/baseline-torsion", "conn/baseline-closed-form", "conn/torsion",
+        "conn/nabla-omega", "conn/a-symmetry", "conn/symplectize-idempotent"]
+RED = ["red/s-isotropic", "red/projector-idempotent", "red/projector-range",
+       "red/projector-kernel", "red/alpha-identities", "red/delta-tsigma-pairing"]
+RED_LEVEL = ["red/l-equivariance", "red/geodesic-oracle"]
+CHART = ["red/sigma-equivariance", "red/sigma-torsion", "red/reduced-torsion",
+         "red/reduced-oracle", "red/kks-match", "red/reduced-form-parallel",
+         "red/reduced-form-closed", "red/fiber-independence", "red/autoparallel-report"]
+CURV = ["curv/formula-oracle", "curv/antisymmetry", "curv/symplectic-valued", "curv/bianchi",
+        "curv/convergence-factor"]
+SO3_NAMES = (LIE + ["lie/complement-equivariance"] + LIE_GROUP + PHASE + CONN
+             + ["conn/right-invariance"] + RED + ["red/w1-omega-nondegenerate"] + RED_LEVEL
+             + CHART + CURV + ["avg/torsion-free", "avg/node-fixed"])
+PINNED_NAMES = {
+    "so3": ({"group": "so3", "mu": [0.0, 0.0, 1.0]}, SO3_NAMES),
+    "aff1-no-realization": (
+        {"group": perfbench_cases().AFF1_NO_REALIZATION, "mu": [0.0, 1.0]},
+        LIE + PHASE + CONN + RED + ["red/w1-omega-nondegenerate"] + RED_LEVEL
+        + ["red/autoparallel-report"]),
+    "abelian3": ({"group": "abelian(3)", "mu": [1.0, 0.5, -1.0]},
+                 LIE + LIE_GROUP + PHASE + CONN + ["conn/right-invariance"] + RED + RED_LEVEL
+                 + ["red/autoparallel-report"]),
+    "so4-regular": (None, SO3_NAMES[:-2]),
+}
+
+
+@pytest.mark.parametrize("label", list(PINNED_NAMES))
+def test_check_names_in_order(label):
+    doc, names = PINNED_NAMES[label]
+    rep, code = verify_suite(CaseConfig.from_dict(doc or _doc(label)))
+    assert code == 0
+    assert [c["name"] for c in rep["checks"]] == names
+
+
+def test_nonreductive_stabilizer_keeps_its_exit_code():
+    rep, code = verify_suite(CaseConfig.from_dict({"group": "sl2r", "mu": [0.0, 1.0, 0.0]}))
+    assert code == EXIT_ASSUMPTION == 3
+    assert rep["error"]["type"] == "NonReductiveStabilizer"
+    assert rep["passed"] is False
+
+
+def test_convergence_note_prints_the_factor_to_its_precision():
+    def note(conv):
+        checks = []
+        _check_convergence(checks, conv)
+        return checks[0]
+
+    # the factor carries roundoff of about ±0.01
+    a, b = (note({"oracle_error_coarse": 1e-5, "factor": f}) for f in (4.003, 3.993))
+    assert a["note"] == b["note"] == "factor 4.0"
+    assert a["passed"] and b["passed"]
+    assert not note({"oracle_error_coarse": 1e-5, "factor": 5.5})["passed"]
+    flat = note({"oracle_error_coarse": 1e-7, "factor": 0.9})
+    assert flat["passed"] and flat["note"] == "flat, below floor"
+    assert a["value"] == 0.0 and a["threshold"] == 0.0
