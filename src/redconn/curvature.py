@@ -18,10 +18,10 @@ chart Christoffel symbols Γ^b_jl (chart components of ∇ʳ(f_j) f_l, read from
 sharing nothing with the formula beyond the level-set derivatives of the
 lifted coordinate fields, which both routes read from one
 ``SigmaGeometry.cov_table`` per point (the formula differences the table's
-level-set values, the tensor its pushdowns).  Both return the same [i, j, l]
-array of orbit tangents and are finite-difference computations; agreement
-degrades quadratically with the step, which the convergence probe measures by
-step halving.  ``curvature_battery`` runs every curvature check on one
+level-set values, the tensor its pushdowns), each building only the table
+rows it reads.  Both return the same [i, j, l] array of orbit tangents and
+are finite-difference computations; agreement degrades quadratically with the
+step, which the convergence probe measures by step halving.  ``curvature_battery`` runs every curvature check on one
 ``SigmaGeometry``.
 """
 
@@ -46,12 +46,13 @@ def curvature_formula(geom: SigmaGeometry, t, *, fd_step: float = DEFAULT_FD_STE
     directions by default), and entries with i = j are zero.
 
     The level-set derivatives ∇_f̄_j f̄_l and their radical parts come from
-    the level-set table of ``cov_table`` at each point of one fd_step2 stencil
-    per direction; the bracket [f̄_i, f̄_j] and the derivatives along it and
-    its radical part use inner stencils of step fd_step at t, those along the
-    f̄_i being the ones of the table at t.  Along a bracket or radical part
-    that is exactly zero the derivatives are exactly zero and are not
-    differenced.
+    the level-set table rows of ``cov_table`` at each point of one fd_step2
+    stencil per direction x, rows j ≠ x in ``directions`` only, since the
+    derivative along f̄_x is read only for j ≠ x; the bracket [f̄_i, f̄_j] and
+    the derivatives along it and its radical part use inner stencils of step
+    fd_step at t, those along the f̄_i being the ones of the table's rows at
+    t.  Along a bracket or radical part that is exactly zero the derivatives
+    are exactly zero and are not differenced.
     """
     ctx, e, km = geom.ctx, geom.identity, geom.chart.dim
     t = np.asarray(t, dtype=float)
@@ -60,17 +61,21 @@ def curvature_formula(geom: SigmaGeometry, t, *, fd_step: float = DEFAULT_FD_STE
     lifted = [geom.lift_field(f) for f in coordinate_fields(geom.chart)]
     u = [f(t, e) for f in lifted]
 
-    def grads(level):  # [j, l, 0] = ∇_f̄_j f̄_l and [j, l, 1] = [α(∇_f̄_j f̄_l)]*
-        return np.array([[[g, ctx.alpha_star(g)] for g in row] for row in level])
+    def grads(t2, fib, rows):  # [j][l, 0] = ∇_f̄_j f̄_l and [j][l, 1] = [α(∇_f̄_j f̄_l)]*
+        level = geom._level_table(t2, fib, fd_step, rows)[0]
+        return np.array([[[g, ctx.alpha_star(g)] for g in level[j]] for j in rows])
 
-    level, inner = geom._level_table(t, e, fd_step)
-    base = grads(level)
-    outer = {}  # outer[x][j, l, s]: induced derivative of grads[j, l, s] along f̄_x
-    for x in dict.fromkeys(dirs):
-        d = geom._stencil(t, e, u[x], fd_step2)(
-            lambda t2, fib: grads(geom._level_table(t2, fib, fd_step)[0]))
-        outer[x] = np.array([[[geom._induced(u[x], base[j, l, s], d[j, l, s]) for s in range(2)]
-                              for l in range(km)] for j in range(km)])
+    rows = list(dict.fromkeys(dirs))
+    _, inner = geom._level_table(t, e, fd_step, rows)
+    base = dict(zip(rows, grads(t, e, rows)))
+    # outer[x][j][l, s]: induced derivative of grads[j][l, s] along f̄_x, read
+    # only for j ≠ x
+    outer = {}
+    for x in rows:
+        others = [j for j in rows if j != x]
+        d = geom._stencil(t, e, u[x], fd_step2)(lambda t2, fib: grads(t2, fib, others))
+        outer[x] = {j: np.array([[geom._induced(u[x], base[j][l, s], dj[l, s]) for s in range(2)]
+                                 for l in range(km)]) for j, dj in zip(others, d)}
 
     def along(v):  # [l] = P∘∇ along v of f̄_l at t
         if not v.any():
@@ -87,25 +92,31 @@ def curvature_formula(geom: SigmaGeometry, t, *, fd_step: float = DEFAULT_FD_STE
                        + np.einsum("abc,a,b->c", geom.struct, u[i], u[j]))
             term3, t5 = along(bracket), along(ctx.alpha_star(bracket))
             for l in range(km):
-                r_amb = (outer[i][j, l, 0] - outer[j][i, l, 0]) - term3[l]
-                r_bar = (hproj(r_amb) - hproj(outer[i][j, l, 1]) + hproj(outer[j][i, l, 1])
+                r_amb = (outer[i][j][l, 0] - outer[j][i][l, 0]) - term3[l]
+                r_bar = (hproj(r_amb) - hproj(outer[i][j][l, 1]) + hproj(outer[j][i][l, 1])
                          + hproj(t5[l]))
                 out[a, b, l] = geom.pushdown(t, e, r_bar)
     return out
 
 
-def _christoffel(geom: SigmaGeometry, t, step: float) -> np.ndarray:
-    """Γ[j, l, b]: chart component b of ∇ʳ(f_j) f_l at the section point t.
+def _christoffel(geom: SigmaGeometry, t, step: float, rows) -> np.ndarray:
+    """Γ[j, l, b]: chart component b of ∇ʳ(f_j) f_l at the section point t for
+    j in ``rows``; the other rows are zero.
 
     Raises:
         NotTangent: a reduced derivative is not an orbit tangent at t.
     """
-    D = geom.point(t, geom.identity).D
-    _, cov = geom.cov_table(t, geom.identity, step)
-    coords, *_ = np.linalg.lstsq(D, cov.reshape(-1, D.shape[0]).T, rcond=None)
-    for c, v in zip(coords.T, cov.reshape(-1, D.shape[0])):
+    e, km = geom.identity, geom.chart.dim
+    D = geom.point(t, e).D
+    level, _ = geom._level_table(t, e, step, rows)
+    cov = np.array([geom.pushdown_horizontal(t, e, g)
+                    for j in rows for g in level[j]]).reshape(-1, D.shape[0])
+    coords, *_ = np.linalg.lstsq(D, cov.T, rcond=None)
+    for c, v in zip(coords.T, cov):
         _check_tangent(np.linalg.norm(D @ c - v), v)
-    return coords.T.reshape(cov.shape[0], cov.shape[1], -1)
+    gamma = np.zeros((km, km, km))
+    gamma[rows] = coords.T.reshape(len(rows), km, km)
+    return gamma
 
 
 def curvature_tensor(geom: SigmaGeometry, t, *, fd_step: float = DEFAULT_FD_STEP,
@@ -113,17 +124,20 @@ def curvature_tensor(geom: SigmaGeometry, t, *, fd_step: float = DEFAULT_FD_STEP
     """Reduced curvature of the coordinate fields as orbit tangents: entry
     [a, b, l] is R(f_i, f_j)f_l at t for i = directions[a], j = directions[b]
     (all chart directions by default), from Γ at t and at t ± fd_step2·eₓ for
-    x in ``directions``, each with inner step fd_step."""
+    x in ``directions``, each with inner step fd_step.  Γ is built only on the
+    rows read: those of ``directions`` at t, and all but row x at t ± fd_step2·eₓ,
+    since ∂ₓΓ_x enters R(f_x, f_x) = 0 only, where it cancels exactly."""
     t = np.asarray(t, dtype=float)
     km = geom.chart.dim
     dirs = list(range(km)) if directions is None else list(directions)
-    gamma = _christoffel(geom, t, fd_step)
+    rows = list(dict.fromkeys(dirs))
+    gamma = _christoffel(geom, t, fd_step, rows)
     d_gamma = {}
-    for x in dirs:
-        if x not in d_gamma:
-            s = np.eye(km)[x] * fd_step2
-            d_gamma[x] = (_christoffel(geom, t + s, fd_step)
-                          - _christoffel(geom, t - s, fd_step)) / (2.0 * fd_step2)
+    for x in rows:
+        s = np.eye(km)[x] * fd_step2
+        others = [j for j in rows if j != x]
+        d_gamma[x] = (_christoffel(geom, t + s, fd_step, others)
+                      - _christoffel(geom, t - s, fd_step, others)) / (2.0 * fd_step2)
     # d[a, b, l, c] = ∂_i Γ^c_jl and g[a, l, c] = Γ^c_il, for i = dirs[a], j = dirs[b]
     d = np.array([d_gamma[x][dirs] for x in dirs])
     g = gamma[dirs]
@@ -213,8 +227,9 @@ def convergence_factor(geom: SigmaGeometry, t, *, coarse: float = 4e-3,
     The probe uses steps well above the default because there the truncation
     term dominates roundoff; inner first-derivative steps scale with the
     outer step so the whole computation contracts consistently.  Both steps
-    run on ``geom``, each route building only the (i, j) block; the reference
-    needs its own Richardson-stencil geometry.
+    run on ``geom``, each route building only the table rows i and j at t and
+    one row at each displaced point; the reference needs its own
+    Richardson-stencil geometry.
     """
     i, j, l = inputs
     geom_ref = SigmaGeometry(geom.ctx, geom.chart, richardson=True)

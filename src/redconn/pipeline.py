@@ -27,8 +27,8 @@ from .errors import (AssumptionTwoFailure, ConfigError, NonReductiveStabilizer,
 from .liealg import (LieAlgebra, adjoint_matrix, algebra_from_json, coadjoint_matrix,
                      group_exp, named_algebra)
 from .orbits import orbit_chart
-from .phasespace import (PhasePoint, constraint_split, fundamental_field, omega_gram,
-                         regularity_report, symplectic_form)
+from .phasespace import (PhasePoint, constraint_split, fundamental_field, regularity_report,
+                         symplectic_form)
 from .reduction import (KKS_MATCH_SIGN, SigmaGeometry, autoparallel_check, build_context,
                         gram_oracle_solve, kks_gap, kks_pairs, lift_gram,
                         totally_geodesic_defect)
@@ -530,7 +530,7 @@ def _verify_algebra(cfg, run, checks) -> None:
 
 
 def _verify_phase(cfg, run, checks) -> None:
-    a, mu, rng = run.a, run.mu, run.rng
+    a, rng = run.a, run.rng
     n = a.dim
     split = run.ctx.split
     closed = 0.0
@@ -539,7 +539,7 @@ def _verify_phase(cfg, run, checks) -> None:
         vecs = [rng.standard_normal(2 * n) for _ in range(3)]
         closed = max(closed, abs(_cyclic_domega(a, xi, *vecs)))
     _check(checks, "phase/omega-closed", closed, cfg.threshold("omega_closed"))
-    om = omega_gram(a, mu)
+    om = run.ctx.omega_mu
     pairing = float(np.max(np.abs(split.t_sigma.T @ om @ split.delta))) \
         if split.delta.shape[1] else 0.0
     _check(checks, "phase/tsigma-delta-pairing", pairing,
@@ -594,7 +594,7 @@ def _verify_reduction(cfg, run, checks) -> None:
     a, mu, ctx, rng = run.a, run.mu, run.ctx, run.rng
     reduced = run.stages["reduce"]
     k = ctx.stabilizer_dim
-    om = omega_gram(a, mu)
+    om = ctx.omega_mu
     _mirror(checks, cfg, run, "red/s-isotropic", "red/projector-idempotent")
     t_sigma = ctx.split.t_sigma
     range_dist = linalg.subspace_distance(ctx.p_matrix @ t_sigma, t_sigma)
@@ -677,12 +677,11 @@ def _l_equivariance_defect(ctx, rng) -> float:
 
 def _geodesic_oracle_gap(ctx, value: float) -> float:
     """Re-derive the totally-geodesic defect by a least-squares projection route."""
-    a = ctx.algebra
-    n = a.dim
+    n = ctx.algebra.dim
     k = ctx.stabilizer_dim
     if k == 0:
         return 0.0
-    om = omega_gram(a, ctx.mu)
+    om = ctx.omega_mu
     basis = np.hstack([ctx.split.t_sigma, ctx.w2, ctx.S])
 
     def project(v):  # TΣ component of v along W2 ⊕ S

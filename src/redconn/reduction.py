@@ -114,6 +114,7 @@ class ReductionContext:
     v_delta: np.ndarray
     connection: FrameConnection
     gamma_mu: np.ndarray  # Γ(μ), the connection's coefficients at the level
+    omega_mu: np.ndarray  # ω(μ), the Gram matrix of the symplectic form at the level
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -231,7 +232,8 @@ def build_context(a: LieAlgebra, mu, *, s_tilde="default",
         "zero_dimensional_base": bool(m.shape[1] == 0),
     }
     return ReductionContext(a, mu.copy(), g_mu, m, split, st, lam, S, w1, w2,
-                            P, alpha_mat, split.delta, conn, conn.coefficients(mu), diagnostics)
+                            P, alpha_mat, split.delta, conn, conn.coefficients(mu), om,
+                            diagnostics)
 
 
 def default_chart(ctx: ReductionContext, radius: float = 1.0) -> OrbitChart:
@@ -259,10 +261,12 @@ class SigmaGeometry:
     stabilizer element h.  Directional derivatives solve for the (chart, fiber)
     parameter velocity matching a requested tangent direction and apply central
     differences in parameter space.  Each distinct (t, fiber) gets one
-    ``PointKernel`` and each (t, fiber, step) one level-set table, kept for
-    the life of the instance; kernels are read by lifts, lifted chart fields,
-    pushdowns and directional derivatives, and ``cov_table``'s reduced
-    derivatives of the chart coordinate fields by every consumer of them.  A
+    ``PointKernel`` and each (t, fiber, step) one level-set table, built row
+    by row (one row per chart direction, each computed on first request), all
+    kept for the life of the instance; kernels are read by lifts, lifted chart
+    fields, pushdowns and directional derivatives, and ``cov_table``'s reduced
+    derivatives of the chart coordinate fields (all rows) by every consumer of
+    them, while the curvature routes ask only for the rows they read.  A
     run builds one instance per (context, chart) and shares it between the
     chart sweep, the autoparallel check and the curvature battery; kernels and
     tables depend only on their keys, so sharing changes what is recomputed,
@@ -278,13 +282,12 @@ class SigmaGeometry:
         self.algebra = a
         self.n = a.dim
         self.struct = frame_structure(a)
-        self.omega_mu = omega_gram(a, ctx.mu)
         self.K_T = a.bracket_pairing(ctx.mu).T
         self.w1grp = ctx.w1[: self.n, :]
         self.identity = np.eye(self.n)
         self.richardson = richardson
         self._points: dict = {}
-        self._tables: dict = {}  # (t, fiber, step) -> _level_table's result
+        self._tables: dict = {}  # (t, fiber, step) -> (lift values, level rows, stencils)
         self._full_frames: set = set()  # point keys whose F passed the rank test
 
     def point(self, t, fiber: np.ndarray) -> PointKernel:
@@ -419,20 +422,27 @@ class SigmaGeometry:
         return self.pushdown_horizontal(t, fiber,
                                         self.lifted_cov(x_field, y_field, t, fiber, step))
 
-    def _level_table(self, t, fiber: np.ndarray, step: float) -> tuple[list, list]:
+    def _level_table(self, t, fiber: np.ndarray, step: float,
+                     rows=None) -> tuple[list, list]:
         """level[i][j] = lifted_cov(f_i, f_j, …) over the chart coordinate
         fields at (t, fiber), bit for bit, and stencils[i], the stencil along
-        the lift of f_i that row i was differenced on; computed on first use."""
+        the lift of f_i that row i was differenced on, for every i in ``rows``
+        (all chart directions by default).  Each row is computed on first
+        request; a row never requested is None."""
         t = np.asarray(t, dtype=float)
         key = (t.tobytes(), fiber.tobytes(), step)
+        # the lifted fields hold self, so the cache keeps only their values
+        lifted = [self.lift_field(f) for f in coordinate_fields(self.chart)]
         if key not in self._tables:
-            lifted = [self.lift_field(f) for f in coordinate_fields(self.chart)]
-            bases = [fld(t, fiber) for fld in lifted]
-            stencils = [self._stencil(t, fiber, u, step) for u in bases]
-            level = [[self._induced(u, base, derivative(fld)) for fld, base in zip(lifted, bases)]
-                     for u, derivative in zip(bases, stencils)]
-            self._tables[key] = (level, stencils)
-        return self._tables[key]
+            self._tables[key] = ([fld(t, fiber) for fld in lifted],
+                                 [None] * self.chart.dim, [None] * self.chart.dim)
+        bases, level, stencils = self._tables[key]
+        for i in range(self.chart.dim) if rows is None else rows:
+            if level[i] is None:
+                stencils[i] = self._stencil(t, fiber, bases[i], step)
+                level[i] = [self._induced(bases[i], base, stencils[i](fld))
+                            for fld, base in zip(lifted, bases)]
+        return level, stencils
 
     def cov_table(self, t, fiber: np.ndarray, step: float) -> tuple[list, np.ndarray]:
         """level[i][j] = lifted_cov(f_i, f_j, …) and cov[i, j] = its pushdown,
@@ -491,13 +501,13 @@ def reduced_form(ctx: ReductionContext, chart: OrbitChart, v, w, t,
 
 def lift_gram(geom: SigmaGeometry, lifts) -> np.ndarray:
     """Gram matrix of ω at μ on lifted chart directions."""
-    return np.array([[la @ geom.omega_mu @ lb for lb in lifts] for la in lifts])
+    return np.array([[la @ geom.ctx.omega_mu @ lb for lb in lifts] for la in lifts])
 
 
 def gram_oracle_solve(geom: SigmaGeometry, D: np.ndarray, lifts, gram: np.ndarray,
                       G: np.ndarray) -> np.ndarray:
     """Orbit tangent whose lift pairs with the lifted chart directions as G does."""
-    rhs = np.array([G @ geom.omega_mu @ lb for lb in lifts])
+    rhs = np.array([G @ geom.ctx.omega_mu @ lb for lb in lifts])
     return D @ np.linalg.solve(gram.T, rhs)
 
 
@@ -527,12 +537,11 @@ def totally_geodesic_defect(ctx: ReductionContext) -> float:
     frame-constant components (Y, 0) along the level set, so no finite
     differences are needed.
     """
-    a = ctx.algebra
-    n = a.dim
+    n = ctx.algebra.dim
     k = ctx.stabilizer_dim
     if k == 0:
         return 0.0
-    om = omega_gram(a, ctx.mu)
+    om = ctx.omega_mu
     P = ctx.p_matrix
     defect = 0.0
     for i in range(k):
@@ -562,7 +571,7 @@ def _random_stable_complement(ctx: ReductionContext, rng: np.random.Generator,
             continue
         try:
             _check_custom_s_tilde(a, ctx.split, cand)
-            isotropic_correction_gram(omega_gram(a, ctx.mu), cand, ctx.split.delta)
+            isotropic_correction_gram(ctx.omega_mu, cand, ctx.split.delta)
         except (AssumptionTwoFailure, DegeneratePairing):
             continue
         return cand

@@ -1,0 +1,86 @@
+"""The comparison rules of ``tools/compare_reports.py``, on real so3 reports."""
+
+import copy
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from redconn import report as report_mod
+from redconn.pipeline import THRESHOLDS, CaseConfig, run_pipeline, verify_suite
+
+
+def _load_tool():
+    path = Path(__file__).resolve().parent.parent / "tools" / "compare_reports.py"
+    spec = importlib.util.spec_from_file_location("compare_reports", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+compare_reports = _load_tool()
+
+
+@pytest.fixture(scope="module")
+def so3_dumps():
+    """The so3 curvature and verify reports as ``dump`` writes and ``diff`` reads them."""
+    cfg = CaseConfig.from_dict({"group": "so3", "mu": [0.0, 0.0, 1.0]})
+    out = {}
+    for verb, (rep, code) in (("curvature", run_pipeline(cfg, "curvature")),
+                              ("verify", verify_suite(cfg))):
+        rep.pop("timings", None)
+        out[verb] = json.loads(report_mod.dumps({"exit_code": code, "report": rep}))
+    return out
+
+
+def _unchanged(doc):
+    pass
+
+
+def _roundoff_factor(doc):
+    conv = doc["report"]["stages"]["curvature"]["convergence"]
+    conv["factor"] = float(np.nextafter(conv["factor"], np.inf))
+
+
+def _curvature_value(doc):
+    value = np.asarray(doc["report"]["stages"]["curvature"]["samples"][0]["value"])
+    value[1] += 2e-5 * max(1.0, float(np.linalg.norm(value)))
+    doc["report"]["stages"]["curvature"]["samples"][0]["value"] = value.tolist()
+
+
+def _defect_over_threshold(doc):
+    doc["report"]["stages"]["reduce"]["kks_residual"] = 2.0 * THRESHOLDS["kks_match"]
+
+
+def _key_set(doc):
+    del doc["report"]["stages"]["curvature"]["convergence"]["factor"]
+
+
+def _passed_flag(doc):
+    check = doc["report"]["checks"][0]
+    check["passed"] = not check["passed"]
+
+
+# (verb, perturbation, problem expected, float moved)
+CASES = {
+    "self": ("curvature", _unchanged, False, False),
+    "self-verify": ("verify", _unchanged, False, False),
+    "roundoff-on-unthresholded-float": ("curvature", _roundoff_factor, False, True),
+    "curvature-value-off-by-2e-5": ("curvature", _curvature_value, True, True),
+    "defect-over-threshold": ("curvature", _defect_over_threshold, True, True),
+    "key-set": ("curvature", _key_set, True, False),
+    "passed-flag": ("verify", _passed_flag, True, False),
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_compare_rules(so3_dumps, name):
+    verb, perturb, problem, moved_expected = CASES[name]
+    a = so3_dumps[verb]
+    b = copy.deepcopy(a)
+    perturb(b)
+    problems, moved = compare_reports._compare(a, b, THRESHOLDS)
+    assert bool(problems) == problem, problems
+    assert bool(moved) == moved_expected, moved

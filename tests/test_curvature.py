@@ -169,6 +169,16 @@ class TestTensorRoute:
         block = curvature_formula(geom, t, directions=(1, 0))
         assert (block == full[np.ix_([1, 0], [1, 0])]).all()
 
+    def test_direction_subset_reads_only_its_rows_on_so4(self):
+        # on so(4) regular km = 4, so a block over two directions builds a
+        # strict subset of the table rows at t and at each outer stencil point
+        ctx = rc.build_context(_so4(), np.array([1.0, 0.0, 0.0, 0.0, 0.0, 2.0]))
+        chart = rc.default_chart(ctx)
+        t = np.array([0.12, -0.2, 0.07, 0.15])
+        full = curvature_formula(SigmaGeometry(ctx, chart), t)
+        block = curvature_formula(SigmaGeometry(ctx, chart), t, directions=(2, 0))
+        assert (block == full[np.ix_([2, 0], [2, 0])]).all()
+
 
 class TestCatalogAgreement:
     @pytest.mark.parametrize("name,mu", [
@@ -299,8 +309,10 @@ class TestFormulaStencils:
         monkeypatch.setattr(SigmaGeometry, "_stencil", counted)
         assert (curvature_formula(SigmaGeometry(ctx, chart), t) == ref).all()
         if not t.any():
-            # 68 with its own inner stencils and every bracket and radical stencil
-            assert len(calls) == 68 - 4 - 4 - 4
+            # 68 with its own inner stencils, every bracket and radical stencil
+            # and the full table at each of the 2·4 outer stencil points, where
+            # the formula reads every row but x
+            assert len(calls) == 68 - 4 - 4 - 4 - 2 * 4
 
 
 class TestConvergence:
@@ -334,6 +346,23 @@ class TestConvergence:
             norms = np.linalg.norm(bumped[0, 1], axis=-1)
             assert int(np.argmax(norms)) == grown
             assert curvature._probe_inputs(bumped) == (0, 1, 0)
+
+    def test_probe_builds_one_row_per_displaced_point(self, monkeypatch):
+        # the probe reads R(f_i, f_j)f_l only: at t it needs rows i and j, and
+        # at a point displaced along f̄_i (f̄_j) only row j (i)
+        ctx = rc.build_context(_so4(), np.array([1.0, 0.0, 0.0, 0.0, 0.0, 2.0]))
+        chart = rc.default_chart(ctx)
+        t = np.array([0.1, -0.05, 0.08, 0.02])
+        geometries = track_geometries(monkeypatch)
+        convergence_factor(SigmaGeometry(ctx, chart), t, inputs=(0, 2, 1))
+        assert len(geometries) == 2  # the probe's and its Richardson reference's
+        rows = {}
+        for geom in geometries:
+            for (t_key, _, _), (_, level, _) in geom._tables.items():
+                built = [i for i, row in enumerate(level) if row is not None]
+                rows.setdefault(t_key == t.tobytes(), []).append(built)
+        assert rows[True] == [[0, 2]] * 3  # the reference and both steps at t
+        assert rows[False] and all(len(built) == 1 for built in rows[False])
 
     def test_so4_regular_probe_measures_truncation(self):
         # on S² × S² the triples (0, 1, l) have zero curvature at the first

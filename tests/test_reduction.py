@@ -462,6 +462,7 @@ class TestEquivarianceOfCorrection:
 
 # so(4) at L01 + L23: the stabilizer so(2) ⊕ so(3) is non-abelian, the orbit 2-dimensional
 KERNEL_CASES = CATALOG_CASES + [("so4", [1.0, 0.0, 0.0, 0.0, 0.0, 1.0])]
+SO4_REGULAR_MU = [1.0, 0.0, 0.0, 0.0, 0.0, 2.0]  # L01 + 2·L23: orbit S² × S²
 
 
 def _case(name, mu):
@@ -555,20 +556,42 @@ class TestCovTable:
                     assert level[i][j].tolist() == ref.lifted_cov(fi, fj, t, fiber, h).tolist()
                     assert cov[i, j].tolist() == ref.reduced_cov(fi, fj, t, fiber, h).tolist()
 
+    @pytest.mark.parametrize("name,mu", [KERNEL_CASES[0], ("so4", SO4_REGULAR_MU)],
+                             ids=["so3", "so4-regular"])
+    @pytest.mark.parametrize("richardson", [False, True], ids=["central", "richardson"])
+    def test_one_row_is_that_row_of_the_full_table_bit_for_bit(self, name, mu, richardson,
+                                                               rng):
+        a, ctx, chart = _case(name, mu)
+        t = rng.uniform(-0.3, 0.3, chart.dim)
+        assert np.any(t != 0.0)
+        random_fiber = rc.group_exp(a, ctx.g_mu @ rng.uniform(-1, 1, ctx.stabilizer_dim)).ad
+        h = 1e-5
+        for fiber in (np.eye(a.dim), random_fiber):
+            full, _ = SigmaGeometry(ctx, chart, richardson=richardson)._level_table(t, fiber, h)
+            for r in range(chart.dim):
+                geom = SigmaGeometry(ctx, chart, richardson=richardson)
+                level, stencils = geom._level_table(t, fiber, h, rows=[r])
+                assert [row is None for row in level] == [i != r for i in range(chart.dim)]
+                assert [g.tolist() for g in level[r]] == [g.tolist() for g in full[r]]
+
     @pytest.mark.parametrize("richardson", [False, True], ids=["central", "richardson"])
     def test_tables_are_kept_and_freed_with_the_geometry(self, richardson):
-        # each (t, fiber, step) is computed once; the kept tables hold no
-        # reference back to the geometry, so dropping it frees it at once
+        # each row of each (t, fiber, step) is computed once; the kept rows hold
+        # no reference back to the geometry, so dropping it frees it at once
         _, ctx, chart = _case(*KERNEL_CASES[-1])
         geom = SigmaGeometry(ctx, chart, richardson=richardson)
         t = np.linspace(-0.2, 0.15, chart.dim)
-        table = geom._level_table(t, geom.identity, 1e-5)
-        assert geom._level_table(t.copy(), np.eye(geom.n), 1e-5) is table
-        assert geom._level_table(t, geom.identity, 2e-5) is not table
+        level, stencils = geom._level_table(t, geom.identity, 1e-5, rows=[1])
+        row, stencil = level[1], stencils[1]
+        assert level[0] is None and stencils[0] is None
+        full, full_stencils = geom._level_table(t.copy(), np.eye(geom.n), 1e-5)
+        assert full[1] is row and full_stencils[1] is stencil
+        assert full[0] is not None and full_stencils[0] is not None
+        assert geom._level_table(t, geom.identity, 2e-5, rows=[1])[0][1] is not row
         ref = weakref.ref(geom)
         gc.disable()
         try:
-            del geom, table
+            del geom, level, stencils, row, stencil, full, full_stencils
             assert ref() is None
         finally:
             gc.enable()

@@ -94,9 +94,11 @@ def test_verify_builds_no_more_than_the_pipeline(monkeypatch, label):
         monkeypatch.setattr(module, name, wrapper)
 
     # the reduce stage builds its context through the pipeline's import, the
-    # autoparallel check its second one through the reduction module's
+    # autoparallel check its second one through the reduction module's; ω(μ)
+    # is built by each context and read from it everywhere else
     for module, name in ((pipeline, "build_context"), (reduction, "build_context"),
-                         (pipeline, "_chart_sweep"), (pipeline, "curvature_battery")):
+                         (pipeline, "_chart_sweep"), (pipeline, "curvature_battery"),
+                         (reduction, "omega_gram")):
         counted(module, name)
     geometries = track_geometries(monkeypatch)
     counts = []
@@ -109,6 +111,7 @@ def test_verify_builds_no_more_than_the_pipeline(monkeypatch, label):
                        "tables": sum(len(g._tables) for g in geometries)})
     assert counts[0] == counts[1]
     assert {"build_context", "_chart_sweep", "curvature_battery"} <= set(counts[0]["calls"])
+    assert counts[0]["calls"].count("omega_gram") == counts[0]["calls"].count("build_context")
     assert counts[0]["tables"] > counts[0]["geometries"] > 0
 
 
