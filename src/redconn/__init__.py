@@ -26,10 +26,9 @@ from .connections import (FrameConnection, QuadratureRule, average_connection,
 from .orbits import (OrbitChart, OrbitTangentFrame, kks_form, orbit_chart,
                      orbit_tangent_frame, tangent_representative)
 from .reduction import (KKS_MATCH_SIGN, AutoparallelReport, ReductionContext, SigmaGeometry,
-                        autoparallel_check, build_context, coordinate_fields, default_chart,
-                        horizontal_lift, isotropic_correction, isotropic_correction_gram,
-                        kks_residual, reduced_covderiv, reduced_covderiv_gram_oracle,
-                        reduced_form, sigma_covderiv, totally_geodesic_defect)
+                        autoparallel_check, build_context, default_chart, isotropic_correction,
+                        isotropic_correction_gram, kks_residual, reduced_form,
+                        totally_geodesic_defect)
 from .curvature import (convergence_factor, curvature_battery, curvature_formula,
                         curvature_tensor)
 from .pipeline import CaseConfig, run_pipeline, verify_suite

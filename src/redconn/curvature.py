@@ -16,12 +16,13 @@ chart Christoffel symbols Γ^b_jl (chart components of ∇ʳ(f_j) f_l, read from
     R^b_ijl = ∂_iΓ^b_jl - ∂_jΓ^b_il + Γ^a_jl Γ^b_ia - Γ^a_il Γ^b_ja,
 
 sharing nothing with the formula beyond the level-set derivatives of the
-lifted coordinate fields, which both routes read from one
-``SigmaGeometry.cov_table`` per point (the formula differences the table's
-level-set values, the tensor its pushdowns), each building only the table
-rows it reads.  Both return the same [i, j, l] array of orbit tangents and
-are finite-difference computations; agreement degrades quadratically with the
-step, which the convergence probe measures by step halving.  ``curvature_battery`` runs every curvature check on one
+lifted coordinate fields f̄_i (the rows of ``SigmaGeometry.lifts``), which
+both routes read from one ``SigmaGeometry.cov_table`` per point (the formula
+differences the table's level-set values, the tensor its pushdowns), each
+building only the table rows it reads.  Both return the same [i, j, l] array
+of orbit tangents and are finite-difference computations; agreement degrades
+quadratically with the step, which the convergence probe measures by step
+halving.  ``curvature_battery`` runs every curvature check on one
 ``SigmaGeometry``.
 """
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .reduction import SigmaGeometry, _check_tangent, coordinate_fields
+from .reduction import SigmaGeometry, _check_tangent
 
 DEFAULT_FD_STEP = 1e-5
 DEFAULT_FD_STEP2 = 1e-4
@@ -50,23 +51,25 @@ def curvature_formula(geom: SigmaGeometry, t, *, fd_step: float = DEFAULT_FD_STE
     stencil per direction x, rows j ≠ x in ``directions`` only, since the
     derivative along f̄_x is read only for j ≠ x; the bracket [f̄_i, f̄_j] and
     the derivatives along it and its radical part use inner stencils of step
-    fd_step at t, those along the f̄_i being the ones of the table's rows at
-    t.  Along a bracket or radical part that is exactly zero the derivatives
-    are exactly zero and are not differenced.
+    fd_step at t that difference all of ``lifts`` at once, those along the
+    f̄_i being the ones of the table's rows at t, each taken once per row.
+    Along a bracket or radical part that is exactly zero the derivatives are
+    exactly zero and are not differenced.
     """
     ctx, e, km = geom.ctx, geom.identity, geom.chart.dim
     t = np.asarray(t, dtype=float)
     dirs = list(range(km)) if directions is None else list(directions)
     hproj = ctx.horizontal_part
-    lifted = [geom.lift_field(f) for f in coordinate_fields(geom.chart)]
-    u = [f(t, e) for f in lifted]
+    u = geom.lifts(t, e)
 
     def grads(t2, fib, rows):  # [j][l, 0] = ∇_f̄_j f̄_l and [j][l, 1] = [α(∇_f̄_j f̄_l)]*
         level = geom._level_table(t2, fib, fd_step, rows)[0]
         return np.array([[[g, ctx.alpha_star(g)] for g in level[j]] for j in rows])
 
     rows = list(dict.fromkeys(dirs))
-    _, inner = geom._level_table(t, e, fd_step, rows)
+    _, stencils = geom._level_table(t, e, fd_step, rows)
+    # inner[x][l]: derivative of f̄_l along f̄_x, on the stencil of the table's row x
+    inner = {x: stencils[x](geom.lifts) for x in rows}
     base = dict(zip(rows, grads(t, e, rows)))
     # outer[x][j][l, s]: induced derivative of grads[j][l, s] along f̄_x, read
     # only for j ≠ x
@@ -80,15 +83,15 @@ def curvature_formula(geom: SigmaGeometry, t, *, fd_step: float = DEFAULT_FD_STE
     def along(v):  # [l] = P∘∇ along v of f̄_l at t
         if not v.any():
             return np.zeros((km, 2 * geom.n))
-        derivative = geom._stencil(t, e, v, fd_step)
-        return [geom._induced(v, u[l], derivative(lifted[l])) for l in range(km)]
+        d = geom._stencil(t, e, v, fd_step)(geom.lifts)
+        return [geom._induced(v, u[l], d[l]) for l in range(km)]
 
     out = np.zeros((len(dirs), len(dirs), km, geom.n))
     for a, i in enumerate(dirs):
         for b, j in enumerate(dirs):
             if i == j:
                 continue
-            bracket = (inner[i](lifted[j]) - inner[j](lifted[i])
+            bracket = (inner[i][j] - inner[j][i]
                        + np.einsum("abc,a,b->c", geom.struct, u[i], u[j]))
             term3, t5 = along(bracket), along(ctx.alpha_star(bracket))
             for l in range(km):

@@ -10,6 +10,7 @@ read from the stage results where a stage computes it (``MIRRORED``).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field as dc_field
 from types import SimpleNamespace
@@ -85,7 +86,10 @@ THRESHOLDS = {
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite int or float: Python's json also reads NaN and ±Infinity."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
 
 
 def _is_number_rows(value) -> bool:
@@ -122,12 +126,12 @@ class CaseConfig:
         cfg = CaseConfig(**doc)
         for name in ("fd_step", "fd_step2", "chart_radius", "tol_scale"):
             if not (_is_number(getattr(cfg, name)) and getattr(cfg, name) > 0):
-                raise ConfigError(f"{name} must be a positive number")
+                raise ConfigError(f"{name} must be a positive finite number")
         for name, least in (("samples", 1), ("seed", 0)):
             if type(getattr(cfg, name)) is not int or getattr(cfg, name) < least:
                 raise ConfigError(f"{name} must be an integer >= {least}")
         if not isinstance(cfg.mu, list) or not all(map(_is_number, cfg.mu)):
-            raise ConfigError("mu must be a list of numbers")
+            raise ConfigError("mu must be a list of finite numbers")
         if cfg.xi_list is not None and not _is_number_rows(cfg.xi_list):
             raise ConfigError("xi_list must be null or a list of number lists")
         if cfg.s_tilde != "default" and not (_is_number_rows(cfg.s_tilde)
@@ -141,7 +145,7 @@ class CaseConfig:
         if unknown:
             raise ConfigError(f"unknown threshold names in tol: {sorted(unknown)}")
         if not all(map(_is_number, cfg.tol.values())):
-            raise ConfigError("tol values must be numbers")
+            raise ConfigError("tol values must be finite numbers")
         return cfg
 
     def algebra(self) -> LieAlgebra:

@@ -16,10 +16,11 @@ tangent data, so the μ-level linear algebra is computed once:
 The induced covariant derivative along the level set is P∘∇ for the ambient
 invariant symplectic connection ∇; removing the radical component with alpha
 and pushing down through the quotient map (g, μ) ↦ Coad(g)μ produces the
-reduced connection on the orbit.  Derivatives of fields along the level set
-are central finite differences in a (chart x stabilizer-fiber)
-parametrization, so no chart inversion is ever needed on the hot path; the
-fiber shifts Ad(exp sY) of one stencil come from one stacked ``linalg.expm``.
+reduced connection on the orbit.  The lifted chart coordinate fields are one
+array per point (``SigmaGeometry.lifts``), differenced centrally in a (chart x
+stabilizer-fiber) parametrization, so no chart inversion is ever needed on the
+hot path; the fiber shifts Ad(exp sY) of one stencil come from one stacked
+``linalg.expm``.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ from .errors import (AssumptionTwoFailure, DegeneratePairing, NotTangent,
                      ZeroDimensionalBase)
 from .liealg import GroupElement, LieAlgebra, stabilizer_algebra, reductive_complement
 from .orbits import OrbitChart, kks_form, orbit_chart
-from .phasespace import (ConstraintSplit, TrivTangent, constraint_split, omega_gram,
-                         symplectic_form)
+from .phasespace import ConstraintSplit, constraint_split, omega_gram, symplectic_form
 
 # Global sign relating the reduced 2-form to the canonical orbit form under
 # the conventions of this library; verified across the catalog by the tests.
@@ -45,13 +45,11 @@ KKS_MATCH_SIGN = -1.0
 
 ISOTROPY_TOL = 1e-10
 STABILITY_TOL = 1e-8
-
-SigmaField = Callable[[np.ndarray, np.ndarray], np.ndarray]  # (t, fiber Ad) -> frame
-ChartField = Callable[[np.ndarray], np.ndarray]
+TANGENT_RTOL = 1e-8  # largest lift residual of an orbit tangent v, relative to max(1, |v|)
 
 
 def _check_tangent(residual: float, v: np.ndarray) -> None:
-    if residual > 1e-8 * max(1.0, np.linalg.norm(v)):
+    if residual > TANGENT_RTOL * max(1.0, np.linalg.norm(v)):
         raise NotTangent(f"vector is not an orbit tangent at the point (residual {residual:.3e})")
 
 
@@ -248,29 +246,28 @@ class PointKernel:
     D: np.ndarray  # chart differential dnu(t)
     M: np.ndarray  # lift matrix: quotient differential on the horizontal basis
     lift_ok: bool  # M has full column rank
-    X: np.ndarray  # lift table lstsq(M, D) of the chart directions
-    R: np.ndarray  # its residual M X − D
+    lifts: np.ndarray  # row i: w1 · X e_i with X = lstsq(M, D), the lift of D e_i
+    tangent: bool  # every column of D passed the tangency test against M X
     F: np.ndarray  # chart-fiber frame [Ad(h)⁻¹ · section vectors | g_μ]
 
 
 class SigmaGeometry:
-    """Shared workspace for derivatives of fields along the momentum level set.
+    """Shared workspace for derivatives along the momentum level set.
 
-    Fields are callables (t, fiber) -> frame components, evaluated at the
-    point (exp(Σ t_a E_a) · h, μ), where ``fiber`` is the n×n Ad matrix of the
-    stabilizer element h.  Directional derivatives solve for the (chart, fiber)
-    parameter velocity matching a requested tangent direction and apply central
-    differences in parameter space.  Each distinct (t, fiber) gets one
-    ``PointKernel`` and each (t, fiber, step) one level-set table, built row
-    by row (one row per chart direction, each computed on first request), all
-    kept for the life of the instance; kernels are read by lifts, lifted chart
-    fields, pushdowns and directional derivatives, and ``cov_table``'s reduced
-    derivatives of the chart coordinate fields (all rows) by every consumer of
-    them, while the curvature routes ask only for the rows they read.  A
-    run builds one instance per (context, chart) and shares it between the
-    chart sweep, the autoparallel check and the curvature battery; kernels and
-    tables depend only on their keys, so sharing changes what is recomputed,
-    never a value.  Neither cache is thread-safe: use one instance per thread.
+    A point (exp(Σ t_a E_a) · h, μ) is addressed by t and ``fiber``, the n×n
+    Ad matrix of the stabilizer element h.  ``_stencil`` central-differences
+    an array-valued function of the point, above all ``lifts`` (row i is the
+    horizontal lift of the chart coordinate field f_i), along a tangent
+    direction, solving for the matching (chart, fiber) parameter velocity.
+    Each distinct (t, fiber) gets one ``PointKernel`` and each (t, fiber,
+    step) one level-set table, built row by row (one row per chart direction,
+    each on first request), all kept for the life of the instance: the chart
+    sweep reads every row of ``cov_table``, the curvature routes only the
+    rows they need.  A run builds one instance per (context, chart) and
+    shares it between the chart sweep, the autoparallel check and the
+    curvature battery; kernels and tables depend only on their keys, so
+    sharing changes what is recomputed, never a value.  Neither cache is
+    thread-safe: use one instance per thread.
     """
 
     def __init__(self, ctx: ReductionContext, chart: OrbitChart, richardson: bool = False):
@@ -301,9 +298,12 @@ class SigmaGeometry:
             coad = coad_t @ h_inv.T
             M = -coad @ (self.K_T @ self.w1grp)
             X, *_ = np.linalg.lstsq(M, D, rcond=None)
-            F = np.hstack([h_inv @ vecs, self.ctx.g_mu])
-            p = self._points[key] = PointKernel(coad, D, M, linalg.rank(M) == M.shape[1], X,
-                                                M @ X - D, F)
+            p = self._points[key] = PointKernel(
+                coad, D, M, linalg.rank(M) == M.shape[1],
+                np.array([self.ctx.w1 @ (X @ c) for c in np.eye(D.shape[1])]),
+                not np.any(np.linalg.norm(M @ X - D, axis=0)
+                           > TANGENT_RTOL * np.maximum(1.0, np.linalg.norm(D, axis=0))),
+                np.hstack([h_inv @ vecs, self.ctx.g_mu]))
         return p
 
     # -- lifting ---------------------------------------------------------
@@ -322,6 +322,19 @@ class SigmaGeometry:
         _check_tangent(np.linalg.norm(M @ coeffs - v), v)
         return self.ctx.w1 @ coeffs
 
+    def lifts(self, t, fiber: np.ndarray) -> np.ndarray:
+        """Horizontal lifts of the chart coordinate fields at (t, fiber), row i
+        the lift of f_i; the level-set field that stencils difference.
+
+        Raises:
+            SingularProjection: the lift system is singular at the point.
+            NotTangent: a chart direction is not an orbit tangent there.
+        """
+        p = self._lift_system(t, fiber)
+        if not p.tangent:
+            raise NotTangent("a chart direction is not an orbit tangent at the point")
+        return p.lifts
+
     def chart_lifts(self, t) -> list:
         """Horizontal lifts at the section point t of the chart directions, the
         columns of D = dnu(t)."""
@@ -333,29 +346,14 @@ class SigmaGeometry:
         return np.array([[symplectic_form(self.algebra, self.ctx.mu, u, v) for v in vs]
                          for u in us])
 
-    def lift_field(self, chart_field: ChartField) -> SigmaField:
-        """Horizontal lift of a chart-component field.
-
-        With components c at t, the lift is w1 · (X c) from the point kernel's
-        lift table; linearity of least squares makes it the lift of D c.
-        """
-        def lifted(t, fiber: np.ndarray) -> np.ndarray:
-            t = np.asarray(t, dtype=float)
-            c = np.asarray(chart_field(t), dtype=float)
-            p = self._lift_system(t, fiber)
-            _check_tangent(np.linalg.norm(p.R @ c), p.D @ c)
-            return self.ctx.w1 @ (p.X @ c)
-
-        return lifted
-
     # -- derivatives along the level set ----------------------------------
 
     def _stencil(self, t, fiber: np.ndarray, u, step: float) -> Callable:
         """Central difference along the tangent direction u, as a map from a
-        field to its derivative: the frame solve and the fiber shifts of the
-        stencil (±step, then ±step/2 with Richardson, one stacked exponential)
-        are done once here.  The chart-fiber frame's rank is tested at the
-        first stencil on each point."""
+        function (t, fiber) -> array to its derivative: the frame solve and the
+        fiber shifts of the stencil (±step, then ±step/2 with Richardson, one
+        stacked exponential) are done once here.  The chart-fiber frame's rank
+        is tested at the first stencil on each point."""
         t = np.asarray(t, dtype=float)
         u = np.asarray(u, dtype=float)
         if np.linalg.norm(u[self.n:]) > 1e-8 * max(1.0, np.linalg.norm(u)):
@@ -377,29 +375,16 @@ class SigmaGeometry:
 
         # the table cache keeps this map, so it must not hold self: a reference
         # cycle would leave every geometry to the garbage collector
-        def derivative(fld: SigmaField) -> np.ndarray:
+        def derivative(fld: Callable) -> np.ndarray:
             v = [fld(ts, fib) for ts, fib in points]
             d1 = (v[0] - v[1]) / (2.0 * step)
             return d1 if len(v) == 2 else (4.0 * ((v[2] - v[3]) / step) - d1) / 3.0
 
         return derivative
 
-    def directional_derivative(self, fld: SigmaField, t, fiber: np.ndarray,
-                               u, step: float) -> np.ndarray:
-        """Central difference of a field along the tangent direction u."""
-        return self._stencil(t, fiber, u, step)(fld)
-
     def _induced(self, u, base: np.ndarray, d: np.ndarray) -> np.ndarray:
         """P∘∇ along u of a field with value ``base`` and directional derivative d."""
         return self.ctx.p_matrix @ (d + np.einsum("abc,a,b->c", self.ctx.gamma_mu, u, base))
-
-    def cov_sigma(self, u, fld: SigmaField, t, fiber: np.ndarray,
-                  step: float) -> np.ndarray:
-        """Induced covariant derivative on the level set: the ambient one along
-        the direction u, projected onto TΣ."""
-        base = fld(np.asarray(t, dtype=float), fiber)
-        return self._induced(np.asarray(u, dtype=float), base,
-                             self.directional_derivative(fld, t, fiber, u, step))
 
     def pushdown(self, t, fiber: np.ndarray, v) -> np.ndarray:
         """Quotient differential applied to a level-set tangent vector."""
@@ -409,83 +394,37 @@ class SigmaGeometry:
         """Remove the radical component of v, then push it down to the orbit."""
         return self.pushdown(t, fiber, self.ctx.horizontal_part(v))
 
-    def lifted_cov(self, x_field: ChartField, y_field: ChartField, t,
-                   fiber: np.ndarray, step: float) -> np.ndarray:
-        """Induced derivative on the level set of the lift of y along the lift of x."""
-        u = self.lift_field(x_field)(np.asarray(t, dtype=float), fiber)
-        return self.cov_sigma(u, self.lift_field(y_field), t, fiber, step)
-
-    def reduced_cov(self, x_field: ChartField, y_field: ChartField, t,
-                    fiber: np.ndarray | None = None, step: float = 1e-5) -> np.ndarray:
-        """Reduced covariant derivative, pushed down to an orbit tangent."""
-        fiber = fiber if fiber is not None else self.identity
-        return self.pushdown_horizontal(t, fiber,
-                                        self.lifted_cov(x_field, y_field, t, fiber, step))
-
     def _level_table(self, t, fiber: np.ndarray, step: float,
                      rows=None) -> tuple[list, list]:
-        """level[i][j] = lifted_cov(f_i, f_j, …) over the chart coordinate
-        fields at (t, fiber), bit for bit, and stencils[i], the stencil along
-        the lift of f_i that row i was differenced on, for every i in ``rows``
-        (all chart directions by default).  Each row is computed on first
-        request; a row never requested is None."""
+        """level[i][j] = P∘∇ along f̄_i of f̄_j, for the lifted chart coordinate
+        fields f̄ = ``lifts`` at (t, fiber), and stencils[i], the stencil along
+        f̄_i that row i was differenced on, for every i in ``rows`` (all chart
+        directions by default).  Each row is computed on first request; a row
+        never requested is None."""
         t = np.asarray(t, dtype=float)
         key = (t.tobytes(), fiber.tobytes(), step)
-        # the lifted fields hold self, so the cache keeps only their values
-        lifted = [self.lift_field(f) for f in coordinate_fields(self.chart)]
         if key not in self._tables:
-            self._tables[key] = ([fld(t, fiber) for fld in lifted],
-                                 [None] * self.chart.dim, [None] * self.chart.dim)
+            self._tables[key] = (self.lifts(t, fiber), [None] * self.chart.dim,
+                                 [None] * self.chart.dim)
         bases, level, stencils = self._tables[key]
         for i in range(self.chart.dim) if rows is None else rows:
             if level[i] is None:
                 stencils[i] = self._stencil(t, fiber, bases[i], step)
-                level[i] = [self._induced(bases[i], base, stencils[i](fld))
-                            for fld, base in zip(lifted, bases)]
+                d = stencils[i](self.lifts)
+                level[i] = [self._induced(bases[i], bases[j], d[j]) for j in range(len(d))]
         return level, stencils
 
     def cov_table(self, t, fiber: np.ndarray, step: float) -> tuple[list, np.ndarray]:
-        """level[i][j] = lifted_cov(f_i, f_j, …) and cov[i, j] = its pushdown,
-        the reduced ∇ʳ(f_i) f_j, over the chart coordinate fields at (t, fiber),
-        bit for bit; direction i builds its stencil once for every f_j."""
+        """level[i][j] = P∘∇ along f̄_i of f̄_j (``_level_table``) and cov[i, j]
+        = its pushdown, the reduced ∇ʳ(f_i) f_j, over the chart coordinate
+        fields at (t, fiber); direction i differences ``lifts`` on one stencil
+        for every f_j."""
         level, _ = self._level_table(t, fiber, step)
         cov = np.array([[self.pushdown_horizontal(t, fiber, g) for g in row] for row in level])
         return level, cov
 
 
 # --- public operations --------------------------------------------------------
-
-
-def sigma_covderiv(ctx: ReductionContext, xbar: SigmaField, ybar: SigmaField, t, *,
-                   chart: OrbitChart, fiber: GroupElement | None = None,
-                   fd_step: float = 1e-5) -> TrivTangent:
-    """Covariant derivative along the level set: P applied to the ambient one.
-
-    ``xbar`` and ``ybar`` are fields (t, fiber) -> frame components, tangent
-    to the level set wherever evaluated.
-    """
-    geom = SigmaGeometry(ctx, chart)
-    fiber = geom.identity if fiber is None else fiber.ad
-    t = np.asarray(t, dtype=float)
-    u = np.asarray(xbar(t, fiber), dtype=float)
-    out = geom.cov_sigma(u, ybar, t, fiber, fd_step)
-    return TrivTangent.from_vector(out)
-
-
-def horizontal_lift(ctx: ReductionContext, chart: OrbitChart, v, t,
-                    fiber: GroupElement | None = None) -> TrivTangent:
-    """Horizontal lift of an orbit tangent at the (fibered) section point."""
-    geom = SigmaGeometry(ctx, chart)
-    fiber = geom.identity if fiber is None else fiber.ad
-    return TrivTangent.from_vector(geom.lift(t, fiber, v))
-
-
-def reduced_covderiv(ctx: ReductionContext, chart: OrbitChart, x_field: ChartField,
-                     y_field: ChartField, t, *, fiber: GroupElement | None = None,
-                     fd_step: float = 1e-5, geom: SigmaGeometry | None = None) -> np.ndarray:
-    """Reduced covariant derivative of chart-component fields, as an orbit tangent."""
-    geom = geom if geom is not None else SigmaGeometry(ctx, chart)
-    return geom.reduced_cov(x_field, y_field, t, None if fiber is None else fiber.ad, fd_step)
 
 
 def reduced_form(ctx: ReductionContext, chart: OrbitChart, v, w, t,
@@ -509,24 +448,6 @@ def gram_oracle_solve(geom: SigmaGeometry, D: np.ndarray, lifts, gram: np.ndarra
     """Orbit tangent whose lift pairs with the lifted chart directions as G does."""
     rhs = np.array([G @ geom.ctx.omega_mu @ lb for lb in lifts])
     return D @ np.linalg.solve(gram.T, rhs)
-
-
-def reduced_covderiv_gram_oracle(ctx: ReductionContext, chart: OrbitChart,
-                                 x_field: ChartField, y_field: ChartField, t, *,
-                                 fd_step: float = 1e-5) -> np.ndarray:
-    """Independent evaluation of the reduced covariant derivative.
-
-    Instead of removing the radical component with alpha and pushing down,
-    pair the induced derivative against lifted chart directions and invert
-    the reduced Gram matrix; radical directions pair to zero against the
-    level-set tangent space, so both routes must agree.
-    """
-    geom = SigmaGeometry(ctx, chart)
-    t = np.asarray(t, dtype=float)
-    G = geom.lifted_cov(x_field, y_field, t, geom.identity, fd_step)
-    lifts = geom.chart_lifts(t)
-    return gram_oracle_solve(geom, geom.point(t, geom.identity).D, lifts,
-                             lift_gram(geom, lifts), G)
 
 
 def totally_geodesic_defect(ctx: ReductionContext) -> float:
@@ -615,11 +536,6 @@ def autoparallel_check(ctx: ReductionContext, *, geom: SigmaGeometry | None = No
         _, vb = geom_b.cov_table(t, geom_b.identity, fd_step)
         diff = max(diff, float(np.max(np.abs(va - vb))))
     return AutoparallelReport(defect, diff, n_samples * chart.dim ** 2)
-
-
-def coordinate_fields(chart: OrbitChart) -> list:
-    """Chart coordinate fields as constant-component callables."""
-    return [lambda t, c=c: c for c in np.eye(chart.dim)]
 
 
 def kks_pairs(ctx: ReductionContext, chart: OrbitChart, t, omega: np.ndarray) -> list:

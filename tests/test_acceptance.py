@@ -17,8 +17,7 @@ from redconn.connections import baseline_nabla_omega
 from redconn.curvature import convergence_factor, curvature_battery
 from redconn.errors import AssumptionTwoFailure, NonReductiveStabilizer
 from redconn.pipeline import CaseConfig, run_pipeline
-from redconn.reduction import (SigmaGeometry, coordinate_fields,
-                               isotropic_correction_gram)
+from redconn.reduction import SigmaGeometry, isotropic_correction_gram
 
 GROUPS = ["so3", "su2", "sl2r", "heis3", "se2"]
 CATALOG = [("so3", [0.0, 0.0, 1.0]), ("su2", [0.0, 0.0, 1.0]),
@@ -96,7 +95,6 @@ def test_criterion_3_flagship_reduction():
     ctx = rc.build_context(a, mu)
     chart = rc.default_chart(ctx)
     geom = SigmaGeometry(ctx, chart)
-    fields = coordinate_fields(chart)
     h = 1e-5
     grid = [np.array([s, t]) for s in np.linspace(-0.5, 0.5, 5)
             for t in np.linspace(-0.5, 0.5, 5)]
@@ -113,9 +111,9 @@ def test_criterion_3_flagship_reduction():
         ref = rc.kks_form(a, nu, D[:, 0], D[:, 1])
         signs.add(float(np.sign(red / ref)))
         kks_resid = max(kks_resid, abs(red - rc.KKS_MATCH_SIGN * ref) / abs(ref))
-        v01 = geom.reduced_cov(fields[0], fields[1], t, step=h)
-        v10 = geom.reduced_cov(fields[1], fields[0], t, step=h)
-        torsion = max(torsion, float(np.max(np.abs(v01 - v10))))
+        # cov[i, j] = ∇ʳ(f_i) f_j over the chart coordinate fields at t
+        _, cov = geom.cov_table(t, geom.identity, h)
+        torsion = max(torsion, float(np.max(np.abs(cov[0, 1] - cov[1, 0]))))
 
         def omega_at(tt, i, j):
             DD = chart.dnu(tt)
@@ -126,10 +124,8 @@ def test_criterion_3_flagship_reduction():
             for i in range(2):
                 for j in range(2):
                     lead = (omega_at(t + e_x, i, j) - omega_at(t - e_x, i, j)) / (2 * h)
-                    di = geom.reduced_cov(fields[x], fields[i], t, step=h)
-                    dj = geom.reduced_cov(fields[x], fields[j], t, step=h)
-                    term1 = rc.reduced_form(ctx, chart, di, D[:, j], t, geom=geom)
-                    term2 = rc.reduced_form(ctx, chart, D[:, i], dj, t, geom=geom)
+                    term1 = rc.reduced_form(ctx, chart, cov[x, i], D[:, j], t, geom=geom)
+                    term2 = rc.reduced_form(ctx, chart, D[:, i], cov[x, j], t, geom=geom)
                     parallel = max(parallel, abs(lead - term1 - term2))
             # cyclic finite-difference exterior derivative on coordinate fields
             total = 0.0
@@ -140,10 +136,10 @@ def test_criterion_3_flagship_reduction():
     rng = np.random.default_rng(3)
     fiber_diff = 0.0
     t0 = grid[7]
-    base = geom.reduced_cov(fields[0], fields[1], t0, step=h)
+    base = geom.cov_table(t0, geom.identity, h)[1][0, 1]
     for _ in range(5):
         fib = rc.group_exp(a, ctx.g_mu @ rng.uniform(-1, 1, 1))
-        moved = geom.reduced_cov(fields[0], fields[1], t0, fiber=fib.ad, step=h)
+        moved = geom.cov_table(t0, fib.ad, h)[1][0, 1]
         fiber_diff = max(fiber_diff, float(np.max(np.abs(base - moved))))
     ok = (torsion <= 1e-6 and parallel <= 1e-6 and closed <= 1e-6
           and kks_resid <= 1e-8 and signs == {rc.KKS_MATCH_SIGN}

@@ -1,5 +1,6 @@
 """The comparison rules of ``tools/compare_reports.py``, on real so3 reports."""
 
+import ast
 import copy
 import importlib.util
 import json
@@ -12,8 +13,11 @@ from redconn import report as report_mod
 from redconn.pipeline import THRESHOLDS, CaseConfig, run_pipeline, verify_suite
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 def _load_tool():
-    path = Path(__file__).resolve().parent.parent / "tools" / "compare_reports.py"
+    path = ROOT / "tools" / "compare_reports.py"
     spec = importlib.util.spec_from_file_location("compare_reports", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -84,3 +88,13 @@ def test_compare_rules(so3_dumps, name):
     problems, moved = compare_reports._compare(a, b, THRESHOLDS)
     assert bool(problems) == problem, problems
     assert bool(moved) == moved_expected, moved
+
+
+def test_pipeline_defects_match_the_benchmark():
+    # the benchmark's table is read as source, without importing or running it
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    tables = [ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign)
+              and any(getattr(target, "id", None) == "PIPELINE_DEFECTS" for target in node.targets)]
+    assert tables == [compare_reports.PIPELINE_DEFECTS]
+    assert {key for _, key in compare_reports.PIPELINE_DEFECTS} <= set(THRESHOLDS)

@@ -84,7 +84,7 @@ class TestNablaOmega:
             u, v, w = (rng.standard_normal(6) for _ in range(3))
             assert abs(rc.nabla_omega(conn, xi, u, v, w)) <= 1e-12
 
-    def test_directional_derivative_term_against_fd(self, so3, rng):
+    def test_gram_derivative_term_against_fd(self, so3, rng):
         # oracle: the fiber-direction derivative of the Gram matrix by
         # central differences; group directions keep the fiber point fixed
         xi = rng.standard_normal(3)

@@ -7,7 +7,7 @@ from redconn.curvature import (convergence_factor, curvature_battery, curvature_
 from redconn import curvature
 from redconn.errors import ZeroDimensionalBase
 from redconn.pipeline import THRESHOLDS, CaseConfig, run_pipeline
-from redconn.reduction import SigmaGeometry, coordinate_fields
+from redconn.reduction import SigmaGeometry
 from tests.conftest import perfbench_cases, track_geometries
 from tests.test_liealg import _so4
 
@@ -72,11 +72,11 @@ class TestFlagship:
         assert battery["samples"], "no samples generated"
         assert battery["max_discrepancy"] <= 1e-4
 
-    def test_coordinate_fields_commute(self, so3_setup):
+    def test_coordinate_vector_fields_commute(self, so3_setup):
         # the chart-space bracket of coordinate fields vanishes, so the
         # tensor route has no bracket term
         _, ctx, chart = so3_setup
-        fields = coordinate_fields(chart)
+        fields = [lambda t, c=c: c for c in np.eye(chart.dim)]  # constant components
         t = np.array([0.1, -0.2])
         h = 1e-5
         xc = fields[0](t)
@@ -258,8 +258,7 @@ def _formula_every_stencil(geom, t, fd_step, fd_step2):
     reference for the stencils ``curvature_formula`` shares and skips."""
     ctx, e, km = geom.ctx, geom.identity, geom.chart.dim
     hproj = ctx.horizontal_part
-    lifted = [geom.lift_field(f) for f in coordinate_fields(geom.chart)]
-    u = [f(t, e) for f in lifted]
+    u = geom.lifts(t, e)
 
     def grads(t2, fib):
         level, _ = geom.cov_table(t2, fib, fd_step)
@@ -275,14 +274,14 @@ def _formula_every_stencil(geom, t, fd_step, fd_step2):
         for j in range(km):
             if i == j:
                 continue
-            bracket = (inner[i](lifted[j]) - inner[j](lifted[i])
+            bracket = (inner[i](geom.lifts)[j] - inner[j](geom.lifts)[i]
                        + np.einsum("abc,a,b->c", geom.struct, u[i], u[j]))
             radical = ctx.alpha_star(bracket)
             along = geom._stencil(t, e, bracket, fd_step)
             along_radical = geom._stencil(t, e, radical, fd_step)
             for l in range(km):
-                term3 = geom._induced(bracket, u[l], along(lifted[l]))
-                t5 = geom._induced(radical, u[l], along_radical(lifted[l]))
+                term3 = geom._induced(bracket, u[l], along(geom.lifts)[l])
+                t5 = geom._induced(radical, u[l], along_radical(geom.lifts)[l])
                 r_amb = (outer[i][j, l, 0] - outer[j][i, l, 0]) - term3
                 r_bar = (hproj(r_amb) - hproj(outer[i][j, l, 1]) + hproj(outer[j][i, l, 1])
                          + hproj(t5))

@@ -10,8 +10,8 @@ from redconn.curvature import curvature_battery
 from redconn.errors import (AssumptionTwoFailure, DegeneratePairing,
                             NonReductiveStabilizer, NotTangent, PointOffConstraint,
                             RankLoss, SingularProjection, ZeroDimensionalBase)
-from redconn.reduction import (SigmaGeometry, coordinate_fields, isotropic_correction_gram,
-                               reduced_covderiv_gram_oracle)
+from redconn.reduction import (SigmaGeometry, gram_oracle_solve, isotropic_correction_gram,
+                               lift_gram)
 from tests.conftest import CATALOG_CASES
 from tests.test_liealg import _so4
 
@@ -20,6 +20,21 @@ e1, e2, e3 = np.eye(3)
 
 def _vec(X, eta):
     return np.concatenate([np.asarray(X, float), np.asarray(eta, float)])
+
+
+def _induced_derivative(ctx, chart, u, field, t, step=1e-5):
+    """P∘∇ along the level-set vector u at the section point t of the field
+    (t, fiber) -> frame components: the ambient derivative projected onto TΣ."""
+    geom = SigmaGeometry(ctx, chart)
+    t = np.asarray(t, dtype=float)
+    d = geom._stencil(t, geom.identity, u, step)(field)
+    return geom._induced(u, field(t, geom.identity), d)
+
+
+def _reduced_table(ctx, chart, t, fiber=None, step=1e-5):
+    """cov[i, j] = ∇ʳ(f_i) f_j over the chart coordinate fields at (t, fiber)."""
+    geom = SigmaGeometry(ctx, chart)
+    return geom.cov_table(t, geom.identity if fiber is None else fiber, step)[1]
 
 
 def _canonical_omega(p):
@@ -190,31 +205,26 @@ class TestSigmaCovderiv:
         gamma = conn.coefficients(mu_so3)
         u = _vec(e1, np.zeros(3))
         v = _vec(e2, np.zeros(3))
-        xf = lambda t, fib: u
-        yf = lambda t, fib: v
-        out = rc.sigma_covderiv(so3_ctx, xf, yf, np.zeros(2), chart=so3_chart)
+        out = _induced_derivative(so3_ctx, so3_chart, u, lambda t, fib: v, np.zeros(2))
         raw = np.einsum("abc,a,b->c", gamma, u, v)
         basis = np.hstack([so3_ctx.split.t_sigma, so3_ctx.w2, so3_ctx.S])
         coords = np.linalg.solve(basis, raw)
         oracle = so3_ctx.split.t_sigma @ coords[:3]
-        assert np.max(np.abs(out.as_vector() - oracle)) <= 1e-9
+        assert np.max(np.abs(out - oracle)) <= 1e-9
 
     def test_output_tangent_to_level_set(self, so3_ctx, so3_chart, rng):
         u = _vec(rng.standard_normal(3), np.zeros(3))
         v = _vec(rng.standard_normal(3), np.zeros(3))
-        out = rc.sigma_covderiv(so3_ctx, lambda t, f: u, lambda t, f: v,
-                                np.array([0.2, -0.1]), chart=so3_chart)
-        assert np.max(np.abs(out.eta)) <= 1e-9
+        out = _induced_derivative(so3_ctx, so3_chart, u, lambda t, f: v, np.array([0.2, -0.1]))
+        assert np.max(np.abs(out[3:])) <= 1e-9
 
     def test_torsion_free_on_constant_fields(self, so3_ctx, so3_chart, rng):
         a = so3_ctx.algebra
         u = _vec(rng.standard_normal(3), np.zeros(3))
         v = _vec(rng.standard_normal(3), np.zeros(3))
         t = np.array([0.1, 0.05])
-        duv = rc.sigma_covderiv(so3_ctx, lambda t, f: u, lambda t, f: v,
-                                t, chart=so3_chart).as_vector()
-        dvu = rc.sigma_covderiv(so3_ctx, lambda t, f: v, lambda t, f: u,
-                                t, chart=so3_chart).as_vector()
+        duv = _induced_derivative(so3_ctx, so3_chart, u, lambda t, f: v, t)
+        dvu = _induced_derivative(so3_ctx, so3_chart, v, lambda t, f: u, t)
         br = _vec(a.bracket(u[:3], v[:3]), np.zeros(3))
         assert np.max(np.abs(duv - dvu - br)) <= 1e-10
 
@@ -249,10 +259,8 @@ class TestSigmaCovderiv:
         def fv(t, fib):
             return f(t) * v
 
-        lhs = rc.sigma_covderiv(so3_ctx, lambda t, fib: u, fv, t0,
-                                chart=so3_chart).as_vector()
-        plain = rc.sigma_covderiv(so3_ctx, lambda t, fib: u,
-                                  lambda t, fib: v, t0, chart=so3_chart).as_vector()
+        lhs = _induced_derivative(so3_ctx, so3_chart, u, fv, t0)
+        plain = _induced_derivative(so3_ctx, so3_chart, u, lambda t, fib: v, t0)
         # chart-space derivative of f along the direction u
         F = geom.point(t0, geom.identity).F
         params = np.linalg.solve(F, u[:3])
@@ -262,22 +270,26 @@ class TestSigmaCovderiv:
         assert np.max(np.abs(lhs - expected)) <= 1e-6
 
 
+def _lift(ctx, chart, v, t):
+    geom = SigmaGeometry(ctx, chart)
+    return geom.lift(t, geom.identity, v)
+
+
 class TestHorizontalLift:
     def test_zero_lifts_to_zero(self, so3_ctx, so3_chart):
-        out = rc.horizontal_lift(so3_ctx, so3_chart, np.zeros(3), np.zeros(2))
-        assert np.max(np.abs(out.as_vector())) == 0.0
+        out = _lift(so3_ctx, so3_chart, np.zeros(3), np.zeros(2))
+        assert np.max(np.abs(out)) == 0.0
 
     def test_lifts_span_horizontal_space(self, so3_ctx, so3_chart):
         D = so3_chart.dnu(np.zeros(2))
-        lifts = np.column_stack([
-            rc.horizontal_lift(so3_ctx, so3_chart, D[:, a], np.zeros(2)).as_vector()
-            for a in range(2)])
+        lifts = np.column_stack([_lift(so3_ctx, so3_chart, D[:, a], np.zeros(2))
+                                 for a in range(2)])
         assert linalg.subspace_distance(lifts, so3_ctx.w1) <= 1e-10
 
     def test_projection_recovers_input(self, so3, so3_ctx, so3_chart, rng):
         t = rng.uniform(-0.4, 0.4, 2)
         v = so3_chart.dnu(t) @ rng.standard_normal(2)
-        lift = rc.horizontal_lift(so3_ctx, so3_chart, v, t).as_vector()
+        lift = _lift(so3_ctx, so3_chart, v, t)
         g = so3_chart.section_element(t)
         K_T = so3.bracket_pairing(so3_ctx.mu).T
         pushed = -rc.coadjoint_matrix(g) @ (K_T @ lift[:3])
@@ -286,18 +298,36 @@ class TestHorizontalLift:
     def test_alpha_annihilates_lifts(self, so3_ctx, so3_chart, rng):
         t = rng.uniform(-0.4, 0.4, 2)
         v = so3_chart.dnu(t) @ rng.standard_normal(2)
-        lift = rc.horizontal_lift(so3_ctx, so3_chart, v, t).as_vector()
+        lift = _lift(so3_ctx, so3_chart, v, t)
         assert np.max(np.abs(so3_ctx.alpha(lift))) <= 1e-12
 
     def test_not_tangent_rejected(self, so3_ctx, so3_chart):
         with pytest.raises(NotTangent):
-            rc.horizontal_lift(so3_ctx, so3_chart, e3, np.zeros(2))
+            _lift(so3_ctx, so3_chart, e3, np.zeros(2))
 
     def test_singular_projection_guard(self, so3_ctx, so3_chart):
         geom = SigmaGeometry(so3_ctx, so3_chart)
         geom.w1grp = np.zeros_like(geom.w1grp)  # collapse the lift system
         with pytest.raises(SingularProjection):
             geom.lift(np.zeros(2), geom.identity, so3_chart.dnu(np.zeros(2))[:, 0])
+
+    def test_lift_array_raises_on_every_use(self, so3_ctx, so3_chart):
+        # the kernel is built whatever its lift system; reading its lifts raises
+        class NormalColumnChart(orbits.OrbitChart):  # μ, normal to the orbit at t = 0
+            def exp_data(self, t):
+                coad, vecs, D = super().exp_data(t)
+                return coad, vecs, D + np.outer(self.mu, np.eye(self.dim)[0])
+
+        t = np.zeros(2)
+        skewed = NormalColumnChart(so3_chart.algebra, so3_chart.mu, so3_chart.m_basis)
+        collapsed = SigmaGeometry(so3_ctx, so3_chart)
+        collapsed.w1grp = np.zeros_like(collapsed.w1grp)
+        for geom, error in ((SigmaGeometry(so3_ctx, skewed), NotTangent),
+                            (collapsed, SingularProjection)):
+            assert geom.point(t, geom.identity).D.shape == (3, 2)
+            for _ in range(2):
+                with pytest.raises(error):
+                    geom.lifts(t, geom.identity)
 
 
 class TestReducedCovderiv:
@@ -306,42 +336,40 @@ class TestReducedCovderiv:
         mu = rng.standard_normal(2)
         ctx = rc.build_context(a, mu)
         chart = rc.orbit_chart(a, mu, ctx.m)
-        fields = [lambda t: np.zeros(0)]
         with pytest.raises(ZeroDimensionalBase):
-            rc.reduced_covderiv(ctx, chart, fields[0], fields[0], np.zeros(0))
+            SigmaGeometry(ctx, chart)
 
     def test_agrees_with_gram_oracle(self, so3_ctx, so3_chart, rng):
-        fields = coordinate_fields(so3_chart)
+        # pair the level-set values against the lifted chart directions and
+        # invert the reduced Gram matrix instead of removing the radical part
+        # with alpha and pushing down: radical directions pair to zero
+        geom = SigmaGeometry(so3_ctx, so3_chart)
         for _ in range(3):
             t = rng.uniform(-0.4, 0.4, 2)
+            level, cov = geom.cov_table(t, geom.identity, 1e-5)
+            lifts = geom.chart_lifts(t)
+            gram = lift_gram(geom, lifts)
             for i in range(2):
                 for j in range(2):
-                    val = rc.reduced_covderiv(so3_ctx, so3_chart, fields[i], fields[j], t)
-                    alt = reduced_covderiv_gram_oracle(so3_ctx, so3_chart,
-                                                       fields[i], fields[j], t)
-                    assert np.max(np.abs(val - alt)) <= 1e-8
+                    alt = gram_oracle_solve(geom, so3_chart.dnu(t), lifts, gram, level[i][j])
+                    assert np.max(np.abs(cov[i, j] - alt)) <= 1e-8
 
-    def test_torsion_free_on_coordinate_fields(self, so3_ctx, so3_chart, rng):
-        fields = coordinate_fields(so3_chart)
+    def test_torsion_free_on_coordinate_vector_fields(self, so3_ctx, so3_chart, rng):
         t = rng.uniform(-0.4, 0.4, 2)
-        v01 = rc.reduced_covderiv(so3_ctx, so3_chart, fields[0], fields[1], t)
-        v10 = rc.reduced_covderiv(so3_ctx, so3_chart, fields[1], fields[0], t)
-        assert np.max(np.abs(v01 - v10)) <= 1e-6
+        cov = _reduced_table(so3_ctx, so3_chart, t)
+        assert np.max(np.abs(cov[0, 1] - cov[1, 0])) <= 1e-6
 
     def test_fiber_point_independence(self, so3, so3_ctx, so3_chart, rng):
-        fields = coordinate_fields(so3_chart)
         t = np.array([0.2, -0.15])
-        base = rc.reduced_covderiv(so3_ctx, so3_chart, fields[0], fields[1], t)
+        base = _reduced_table(so3_ctx, so3_chart, t)[0, 1]
         for _ in range(5):
             h = rc.group_exp(so3, so3_ctx.g_mu @ rng.uniform(-1, 1, 1))
-            moved = rc.reduced_covderiv(so3_ctx, so3_chart, fields[0], fields[1], t,
-                                        fiber=h)
+            moved = _reduced_table(so3_ctx, so3_chart, t, fiber=h.ad)[0, 1]
             assert np.max(np.abs(base - moved)) <= 1e-8
 
     def test_output_is_orbit_tangent(self, so3, so3_ctx, so3_chart, rng):
-        fields = coordinate_fields(so3_chart)
         t = rng.uniform(-0.4, 0.4, 2)
-        out = rc.reduced_covderiv(so3_ctx, so3_chart, fields[0], fields[1], t)
+        out = _reduced_table(so3_ctx, so3_chart, t)[0, 1]
         rc.tangent_representative(so3, so3_chart.nu(t), out)  # raises if not tangent
 
 
@@ -439,10 +467,9 @@ class TestAutoparallel:
         cand = heis3_ctx.s_tilde + 0.4 * rng.standard_normal(heis3_ctx.s_tilde.shape)
         other = rc.build_context(a, heis3_ctx.mu, s_tilde=cand,
                                  connection=heis3_ctx.connection)
-        fields = coordinate_fields(chart)
         for t in (np.array([0.2, 0.1]), np.array([-0.3, 0.25])):
-            va = rc.reduced_covderiv(heis3_ctx, chart, fields[0], fields[1], t)
-            vb = rc.reduced_covderiv(other, chart, fields[0], fields[1], t)
+            va = _reduced_table(heis3_ctx, chart, t)[0, 1]
+            vb = _reduced_table(other, chart, t)[0, 1]
             assert np.max(np.abs(va - vb)) <= 1e-8
 
 
@@ -491,9 +518,11 @@ class TestPointKernel:
 
         assert_close(geom.point(t, h.ad).coad, coad_ref)
         assert_close(chart.dnu(t), D_ref)
-        for i, field in enumerate(coordinate_fields(chart)):
+        lifts = geom.lifts(t, h.ad)
+        assert lifts.shape == (chart.dim, 2 * a.dim)
+        for i in range(chart.dim):
             coeffs, *_ = np.linalg.lstsq(M_ref, D_ref[:, i], rcond=None)
-            assert_close(geom.lift_field(field)(t, h.ad), ctx.w1 @ coeffs)
+            assert_close(lifts[i], ctx.w1 @ coeffs)
 
     @pytest.mark.parametrize("name,mu", [KERNEL_CASES[0], KERNEL_CASES[-1]],
                              ids=["so3", "so4"])
@@ -509,10 +538,8 @@ class TestPointKernel:
         for module in (liealg, orbits, reduction):
             monkeypatch.setattr(module, "group_exp", forbidden, raising=False)
         t = rng.uniform(-0.3, 0.3, chart.dim)
-        fields = coordinate_fields(chart)
-        for xf in fields:
-            for yf in fields:
-                assert np.all(np.isfinite(geom.reduced_cov(xf, yf, t, fiber=fiber)))
+        level, cov = geom.cov_table(t, fiber, 1e-5)
+        assert np.all(np.isfinite(level)) and np.all(np.isfinite(cov))
         assert curvature_battery(geom, [t])["samples"]
 
     def test_chart_rank_loss_raises_on_every_use(self, so3_ctx, so3_chart):
@@ -529,10 +556,10 @@ class TestPointKernel:
             so3_chart.check_rank(singular)
         for _ in range(2):
             with pytest.raises(RankLoss):
-                geom.directional_derivative(field, singular, geom.identity, u, 1e-5)
+                geom._stencil(singular, geom.identity, u, 1e-5)
         near = np.array([6.0, 0.0])
         so3_chart.check_rank(near)
-        out = geom.directional_derivative(field, near, geom.identity, u, 1e-5)
+        out = geom._stencil(near, geom.identity, u, 1e-5)(field)
         assert np.all(np.isfinite(out))
 
 
@@ -545,16 +572,19 @@ class TestCovTable:
         t = rng.uniform(-0.3, 0.3, chart.dim)
         assert np.any(t != 0.0)
         random_fiber = rc.group_exp(a, ctx.g_mu @ rng.uniform(-1, 1, ctx.stabilizer_dim)).ad
-        fields = coordinate_fields(chart)
         h = 1e-5
         for fiber in (np.eye(a.dim), random_fiber):
             geom = SigmaGeometry(ctx, chart, richardson=richardson)
             level, cov = geom.cov_table(t, fiber, h)
+            # reference: a fresh stencil per (i, j) on the one field f̄_j
             ref = SigmaGeometry(ctx, chart, richardson=richardson)
-            for i, fi in enumerate(fields):
-                for j, fj in enumerate(fields):
-                    assert level[i][j].tolist() == ref.lifted_cov(fi, fj, t, fiber, h).tolist()
-                    assert cov[i, j].tolist() == ref.reduced_cov(fi, fj, t, fiber, h).tolist()
+            for i in range(chart.dim):
+                for j in range(chart.dim):
+                    u = ref.lifts(t, fiber)[i]
+                    d = ref._stencil(t, fiber, u, h)(lambda t2, f, j=j: ref.lifts(t2, f)[j])
+                    g = ref._induced(u, ref.lifts(t, fiber)[j], d)
+                    assert level[i][j].tolist() == g.tolist()
+                    assert cov[i, j].tolist() == ref.pushdown_horizontal(t, fiber, g).tolist()
 
     @pytest.mark.parametrize("name,mu", [KERNEL_CASES[0], ("so4", SO4_REGULAR_MU)],
                              ids=["so3", "so4-regular"])

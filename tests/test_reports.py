@@ -12,7 +12,6 @@ import redconn as rc
 from redconn import report as report_mod
 from redconn.cli import main
 from redconn.pipeline import THRESHOLDS, CaseConfig, run_pipeline, verify_suite
-from redconn.reduction import coordinate_fields
 from tests.conftest import AFF1_DOC, CATALOG_CASES
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -89,7 +88,6 @@ def test_reduce_stage_matches_library_definitions(name):
     stage = rep["stages"]["reduce"]
     ctx = rc.build_context(rc.named_algebra(name), np.asarray(mu, dtype=float))
     chart = rc.default_chart(ctx, cfg.chart_radius)
-    fields = coordinate_fields(chart)
     km = chart.dim
     h = cfg.fd_step
 
@@ -103,8 +101,7 @@ def test_reduce_stage_matches_library_definitions(name):
     torsion = kks = parallel = 0.0
     for t in np.asarray(stage["chart_points"]):
         D = chart.dnu(t)
-        cov = [[rc.reduced_covderiv(ctx, chart, fi, fj, t, fd_step=h) for fj in fields]
-               for fi in fields]
+        _, cov = rc.SigmaGeometry(ctx, chart).cov_table(t, np.eye(ctx.algebra.dim), h)
         kks = max(kks, rc.kks_residual(ctx, chart, t))
         for i in range(km):
             for j in range(km):
