@@ -49,12 +49,12 @@ def curvature_formula(geom: SigmaGeometry, t, *, fd_step: float = DEFAULT_FD_STE
     The level-set derivatives ∇_f̄_j f̄_l and their radical parts come from
     the level-set table rows of ``cov_table`` at each point of one fd_step2
     stencil per direction x, rows j ≠ x in ``directions`` only, since the
-    derivative along f̄_x is read only for j ≠ x; the bracket [f̄_i, f̄_j] and
-    the derivatives along it and its radical part use inner stencils of step
-    fd_step at t that difference all of ``lifts`` at once, those along the
-    f̄_i being the ones of the table's rows at t, each taken once per row.
-    Along a bracket or radical part that is exactly zero the derivatives are
-    exactly zero and are not differenced.
+    derivative along f̄_x is read only for j ≠ x; the bracket [f̄_i, f̄_j]
+    reads the derivatives of ``lifts`` along the f̄_i that the table's rows at
+    t are built from, and the derivatives along it and its radical part use
+    inner stencils of step fd_step at t that difference all of ``lifts`` at
+    once.  Along a bracket or radical part that is exactly zero the
+    derivatives are exactly zero and are not differenced.
     """
     ctx, e, km = geom.ctx, geom.identity, geom.chart.dim
     t = np.asarray(t, dtype=float)
@@ -67,23 +67,22 @@ def curvature_formula(geom: SigmaGeometry, t, *, fd_step: float = DEFAULT_FD_STE
         return np.array([[[g, ctx.alpha_star(g)] for g in level[j]] for j in rows])
 
     rows = list(dict.fromkeys(dirs))
-    _, stencils = geom._level_table(t, e, fd_step, rows)
-    # inner[x][l]: derivative of f̄_l along f̄_x, on the stencil of the table's row x
-    inner = {x: stencils[x](geom.lifts) for x in rows}
+    # inner[x][l]: derivative of f̄_l along f̄_x, from which the table's row x is built
+    inner = geom._level_table(t, e, fd_step, rows)[1]
     base = dict(zip(rows, grads(t, e, rows)))
     # outer[x][j][l, s]: induced derivative of grads[j][l, s] along f̄_x, read
     # only for j ≠ x
     outer = {}
     for x in rows:
         others = [j for j in rows if j != x]
-        d = geom._stencil(t, e, u[x], fd_step2)(lambda t2, fib: grads(t2, fib, others))
+        d = geom._stencil(t, e, u[x], fd_step2, lambda t2, fib: grads(t2, fib, others))
         outer[x] = {j: np.array([[geom._induced(u[x], base[j][l, s], dj[l, s]) for s in range(2)]
                                  for l in range(km)]) for j, dj in zip(others, d)}
 
     def along(v):  # [l] = P∘∇ along v of f̄_l at t
         if not v.any():
             return np.zeros((km, 2 * geom.n))
-        d = geom._stencil(t, e, v, fd_step)(geom.lifts)
+        d = geom._stencil(t, e, v, fd_step, geom.lifts)
         return [geom._induced(v, u[l], d[l]) for l in range(km)]
 
     out = np.zeros((len(dirs), len(dirs), km, geom.n))
@@ -115,8 +114,7 @@ def _christoffel(geom: SigmaGeometry, t, step: float, rows) -> np.ndarray:
     cov = np.array([geom.pushdown_horizontal(t, e, g)
                     for j in rows for g in level[j]]).reshape(-1, D.shape[0])
     coords, *_ = np.linalg.lstsq(D, cov.T, rcond=None)
-    for c, v in zip(coords.T, cov):
-        _check_tangent(np.linalg.norm(D @ c - v), v)
+    _check_tangent(np.linalg.norm(D @ coords - cov.T, axis=0), cov)
     gamma = np.zeros((km, km, km))
     gamma[rows] = coords.T.reshape(len(rows), km, km)
     return gamma
@@ -190,7 +188,7 @@ def curvature_battery(geom: SigmaGeometry, t_points, *,
         tensor = curvature_tensor(geom, t, fd_step=fd_step, fd_step2=fd_step2)
         if probe_inputs is None:
             probe_inputs = _probe_inputs(tensor)
-        d_lifts = geom.chart_lifts(t)
+        d_lifts = geom.lifts(t, e)
         for i in range(km):
             for j in range(i + 1, km):
                 for l in range(km):
@@ -202,8 +200,7 @@ def curvature_battery(geom: SigmaGeometry, t_points, *,
                                              / max(1.0, float(np.linalg.norm(orc)))),
                     })
                 # form[l, w] = ω(R(f_i, f_j)f_l, f_w)
-                form = geom.form_table([geom.lift(t, e, tensor[i, j, l]) for l in range(km)],
-                                       d_lifts)
+                form = geom.form_table(geom.lift(t, e, tensor[i, j]), d_lifts)
                 sp = max(sp, float(np.max(np.abs(form - form.T))) / scale)
         swapped = R + R.transpose(1, 0, 2, 3)  # R[i, j, l] + R[j, i, l]
         cyclic = R + R.transpose(2, 0, 1, 3) + R.transpose(1, 2, 0, 3)  # + R[j, l, i] + R[l, i, j]

@@ -31,8 +31,7 @@ from .orbits import orbit_chart
 from .phasespace import (PhasePoint, constraint_split, fundamental_field, regularity_report,
                          symplectic_form)
 from .reduction import (KKS_MATCH_SIGN, SigmaGeometry, autoparallel_check, build_context,
-                        gram_oracle_solve, kks_gap, kks_pairs, lift_gram,
-                        totally_geodesic_defect)
+                        gram_oracle_solve, kks_gap, kks_pairs, totally_geodesic_defect)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -144,8 +143,8 @@ class CaseConfig:
         unknown = set(cfg.tol) - set(THRESHOLDS)
         if unknown:
             raise ConfigError(f"unknown threshold names in tol: {sorted(unknown)}")
-        if not all(map(_is_number, cfg.tol.values())):
-            raise ConfigError("tol values must be finite numbers")
+        if not all(_is_number(v) and v >= 0 for v in cfg.tol.values()):
+            raise ConfigError("tol values must be finite numbers >= 0")
         return cfg
 
     def algebra(self) -> LieAlgebra:
@@ -296,9 +295,9 @@ def _stage_reduce(cfg: CaseConfig, a: LieAlgebra, mu: np.ndarray, conn,
 def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator, h: float) -> dict:
     """Every reduced-connection defect, from arrays evaluated once per chart point.
 
-    At each point t: D = dnu(t), the lifts of D's columns, the reduced form
-    matrix Ω(t) and its central differences ∂ₓΩ at t ± h·eₓ, and the
-    geometry's ``cov_table`` of reduced derivatives ∇ʳ(f_i) f_j of the
+    At each point t: the kernel's D = dnu(t) and lifts of D's columns, the
+    reduced form matrix Ω(t) and its central differences ∂ₓΩ at t ± h·eₓ, and
+    the geometry's ``cov_table`` of reduced derivatives ∇ʳ(f_i) f_j of the
     coordinate fields with the level-set derivatives they are pushed down
     from.  Torsion, the Gram oracle, KKS match, parallelism
     (∂ₓΩ_ij = Ω(∇ʳ_x f_i, f_j) + Ω(f_i, ∇ʳ_x f_j)) and closedness (the cyclic
@@ -306,35 +305,33 @@ def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator, h: float) -
     compares the table at pts[0] with the same table at five random
     stabilizer fibers drawn from rng.
     """
-    ctx, chart = geom.ctx, geom.chart
-    km = chart.dim
+    ctx = geom.ctx
+    km = geom.chart.dim
     e = geom.identity
     steps = np.eye(km) * h
 
     def omega_at(t):
-        lifts = geom.chart_lifts(t)
+        lifts = geom.lifts(t, e)
         return geom.form_table(lifts, lifts)
 
     out = {"sigma": None, "kks": 0.0, "torsion": 0.0, "oracle": 0.0, "parallel": 0.0,
            "closed": 0.0, "fiber": 0.0}
     for index, t in enumerate(pts):
-        D = geom.point(t, e).D
-        lifts = geom.chart_lifts(t)
+        p = geom.point(t, e)
+        lifts = geom.lifts(t, e)
         omega = geom.form_table(lifts, lifts)
-        pairs = kks_pairs(ctx, chart, t, omega)
+        pairs = kks_pairs(ctx, p.D, p.coad @ ctx.mu, omega)
         if out["sigma"] is None:
             out["sigma"] = next((float(np.sign(red / ref)) for red, ref in pairs), None)
         level, cov = geom.cov_table(t, e, h)
         if index == 0:
             base_cov = cov
         d_omega = np.array([(omega_at(t + s) - omega_at(t - s)) / (2 * h) for s in steps])
-        # P[x, i, j] = Ω(∇ʳ_x f_i, f_j); ω is evaluated exactly antisymmetrically,
-        # so Ω(f_i, ∇ʳ_x f_j) = -P[x, j, i] bit for bit
-        cov_lifts = [geom.lift(t, e, v) for v in cov.reshape(km * km, -1)]
+        # P[x, i, j] = Ω(∇ʳ_x f_i, f_j), so Ω(f_i, ∇ʳ_x f_j) = -P[x, j, i]
+        cov_lifts = geom.lift(t, e, cov.reshape(km * km, -1))
         P = geom.form_table(cov_lifts, lifts).reshape(km, km, km)
-        gram = lift_gram(geom, lifts)
-        oracle = np.array([[gram_oracle_solve(geom, D, lifts, gram, g) for g in row]
-                           for row in level])
+        oracle = gram_oracle_solve(geom, p.D, lifts,
+                                   np.reshape(level, (km * km, -1))).reshape(cov.shape)
         out["kks"] = max(out["kks"], kks_gap(pairs))
         out["torsion"] = max(out["torsion"],
                              float(np.max(np.abs(cov - cov.transpose(1, 0, 2)))))

@@ -26,7 +26,6 @@ hot path; the fiber shifts Ad(exp sY) of one stencil come from one stacked
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .connections import FrameConnection, baseline_connection, frame_structure, 
 from .errors import (AssumptionTwoFailure, DegeneratePairing, NotTangent,
                      PointOffConstraint, RankLoss, SingularProjection,
                      ZeroDimensionalBase)
-from .liealg import GroupElement, LieAlgebra, stabilizer_algebra, reductive_complement
+from .liealg import GroupElement, LieAlgebra, reductive_complement
 from .orbits import OrbitChart, kks_form, orbit_chart
 from .phasespace import ConstraintSplit, constraint_split, omega_gram, symplectic_form
 
@@ -48,9 +47,14 @@ STABILITY_TOL = 1e-8
 TANGENT_RTOL = 1e-8  # largest lift residual of an orbit tangent v, relative to max(1, |v|)
 
 
-def _check_tangent(residual: float, v: np.ndarray) -> None:
-    if residual > TANGENT_RTOL * max(1.0, np.linalg.norm(v)):
-        raise NotTangent(f"vector is not an orbit tangent at the point (residual {residual:.3e})")
+def _check_tangent(residuals, vs) -> None:
+    """Raise NotTangent unless the lift residual of each vector v (the rows of
+    ``vs``, or one vector) is at most TANGENT_RTOL · max(1, |v|)."""
+    residuals = np.atleast_1d(residuals)
+    bad = residuals > TANGENT_RTOL * np.maximum(1.0, np.linalg.norm(np.atleast_2d(vs), axis=-1))
+    if bad.any():
+        raise NotTangent("vector is not an orbit tangent at the point "
+                         f"(residual {residuals[bad].max():.3e})")
 
 
 def isotropic_correction_gram(om: np.ndarray, s_tilde: np.ndarray, delta: np.ndarray,
@@ -183,10 +187,10 @@ def build_context(a: LieAlgebra, mu, *, s_tilde="default",
     n = a.dim
     if mu.shape != (n,):
         raise ValueError(f"mu must have length {n}")
-    g_mu = stabilizer_algebra(a, mu)
+    split = constraint_split(a, mu)
+    g_mu = split.g_mu
     k = g_mu.shape[1]
     m = reductive_complement(a, g_mu)
-    split = constraint_split(a, mu)
 
     if isinstance(s_tilde, str) and s_tilde == "default":
         ann_m = linalg.nullspace(m.T) if m.shape[1] else np.eye(n)
@@ -284,7 +288,7 @@ class SigmaGeometry:
         self.identity = np.eye(self.n)
         self.richardson = richardson
         self._points: dict = {}
-        self._tables: dict = {}  # (t, fiber, step) -> (lift values, level rows, stencils)
+        self._tables: dict = {}  # (t, fiber, step) -> (lift values, level rows, derivatives)
         self._full_frames: set = set()  # point keys whose F passed the rank test
 
     def point(self, t, fiber: np.ndarray) -> PointKernel:
@@ -315,12 +319,13 @@ class SigmaGeometry:
         return p
 
     def lift(self, t, fiber: np.ndarray, v) -> np.ndarray:
-        """Unique horizontal vector projecting onto the orbit tangent v."""
+        """Unique horizontal vector projecting onto the orbit tangent v, or the
+        lifts of a stack of tangents (rows), all by one solve."""
         M = self._lift_system(t, fiber).M
         v = np.asarray(v, dtype=float)
-        coeffs, *_ = np.linalg.lstsq(M, v, rcond=None)
-        _check_tangent(np.linalg.norm(M @ coeffs - v), v)
-        return self.ctx.w1 @ coeffs
+        coeffs, *_ = np.linalg.lstsq(M, v.T, rcond=None)
+        _check_tangent(np.linalg.norm(M @ coeffs - v.T, axis=0), v)
+        return (self.ctx.w1 @ coeffs).T
 
     def lifts(self, t, fiber: np.ndarray) -> np.ndarray:
         """Horizontal lifts of the chart coordinate fields at (t, fiber), row i
@@ -335,25 +340,17 @@ class SigmaGeometry:
             raise NotTangent("a chart direction is not an orbit tangent at the point")
         return p.lifts
 
-    def chart_lifts(self, t) -> list:
-        """Horizontal lifts at the section point t of the chart directions, the
-        columns of D = dnu(t)."""
-        D = self.point(t, self.identity).D
-        return [self.lift(t, self.identity, D[:, i]) for i in range(D.shape[1])]
-
     def form_table(self, us, vs) -> np.ndarray:
         """ω at μ on every pair of level-set vectors: entry [a, b] is ω(us[a], vs[b])."""
-        return np.array([[symplectic_form(self.algebra, self.ctx.mu, u, v) for v in vs]
-                         for u in us])
+        return np.asarray(us) @ self.ctx.omega_mu @ np.asarray(vs).T
 
     # -- derivatives along the level set ----------------------------------
 
-    def _stencil(self, t, fiber: np.ndarray, u, step: float) -> Callable:
-        """Central difference along the tangent direction u, as a map from a
-        function (t, fiber) -> array to its derivative: the frame solve and the
-        fiber shifts of the stencil (±step, then ±step/2 with Richardson, one
-        stacked exponential) are done once here.  The chart-fiber frame's rank
-        is tested at the first stencil on each point."""
+    def _stencil(self, t, fiber: np.ndarray, u, step: float, fld) -> np.ndarray:
+        """Central difference along the tangent direction u of ``fld``, a function
+        (t, fiber) -> array: one frame solve, and the fiber shifts of the stencil
+        (±step, then ±step/2 with Richardson) from one stacked exponential.  The
+        chart-fiber frame's rank is tested at the first stencil on each point."""
         t = np.asarray(t, dtype=float)
         u = np.asarray(u, dtype=float)
         if np.linalg.norm(u[self.n:]) > 1e-8 * max(1.0, np.linalg.norm(u)):
@@ -371,16 +368,9 @@ class SigmaGeometry:
         if dy.size:
             ad_y = self.algebra.ad(self.ctx.g_mu @ dy)
             shifts = fiber @ linalg.expm(np.multiply.outer(steps, ad_y))
-        points = [(t + s * dt, fib) for s, fib in zip(steps, shifts)]
-
-        # the table cache keeps this map, so it must not hold self: a reference
-        # cycle would leave every geometry to the garbage collector
-        def derivative(fld: Callable) -> np.ndarray:
-            v = [fld(ts, fib) for ts, fib in points]
-            d1 = (v[0] - v[1]) / (2.0 * step)
-            return d1 if len(v) == 2 else (4.0 * ((v[2] - v[3]) / step) - d1) / 3.0
-
-        return derivative
+        v = [fld(t + s * dt, fib) for s, fib in zip(steps, shifts)]
+        d1 = (v[0] - v[1]) / (2.0 * step)
+        return d1 if len(v) == 2 else (4.0 * ((v[2] - v[3]) / step) - d1) / 3.0
 
     def _induced(self, u, base: np.ndarray, d: np.ndarray) -> np.ndarray:
         """P∘∇ along u of a field with value ``base`` and directional derivative d."""
@@ -397,22 +387,21 @@ class SigmaGeometry:
     def _level_table(self, t, fiber: np.ndarray, step: float,
                      rows=None) -> tuple[list, list]:
         """level[i][j] = P∘∇ along f̄_i of f̄_j, for the lifted chart coordinate
-        fields f̄ = ``lifts`` at (t, fiber), and stencils[i], the stencil along
-        f̄_i that row i was differenced on, for every i in ``rows`` (all chart
-        directions by default).  Each row is computed on first request; a row
-        never requested is None."""
+        fields f̄ = ``lifts`` at (t, fiber), and derivs[i][j], the derivative of
+        f̄_j along f̄_i that level[i][j] is built from, for every i in ``rows``
+        (all chart directions by default).  Each row is computed on first
+        request, on one stencil; a row never requested is None."""
         t = np.asarray(t, dtype=float)
         key = (t.tobytes(), fiber.tobytes(), step)
         if key not in self._tables:
             self._tables[key] = (self.lifts(t, fiber), [None] * self.chart.dim,
                                  [None] * self.chart.dim)
-        bases, level, stencils = self._tables[key]
+        bases, level, derivs = self._tables[key]
         for i in range(self.chart.dim) if rows is None else rows:
             if level[i] is None:
-                stencils[i] = self._stencil(t, fiber, bases[i], step)
-                d = stencils[i](self.lifts)
+                d = derivs[i] = self._stencil(t, fiber, bases[i], step, self.lifts)
                 level[i] = [self._induced(bases[i], bases[j], d[j]) for j in range(len(d))]
-        return level, stencils
+        return level, derivs
 
     def cov_table(self, t, fiber: np.ndarray, step: float) -> tuple[list, np.ndarray]:
         """level[i][j] = P∘∇ along f̄_i of f̄_j (``_level_table``) and cov[i, j]
@@ -433,21 +422,16 @@ def reduced_form(ctx: ReductionContext, chart: OrbitChart, v, w, t,
     """Reduced symplectic form: ω on the horizontal lifts of two orbit tangents."""
     geom = geom if geom is not None else SigmaGeometry(ctx, chart)
     fiber = geom.identity if fiber is None else fiber.ad
-    vb = geom.lift(t, fiber, v)
-    wb = geom.lift(t, fiber, w)
+    vb, wb = geom.lift(t, fiber, [v, w])
     return symplectic_form(ctx.algebra, ctx.mu, vb, wb)
 
 
-def lift_gram(geom: SigmaGeometry, lifts) -> np.ndarray:
-    """Gram matrix of ω at μ on lifted chart directions."""
-    return np.array([[la @ geom.ctx.omega_mu @ lb for lb in lifts] for la in lifts])
-
-
-def gram_oracle_solve(geom: SigmaGeometry, D: np.ndarray, lifts, gram: np.ndarray,
+def gram_oracle_solve(geom: SigmaGeometry, D: np.ndarray, lifts: np.ndarray,
                       G: np.ndarray) -> np.ndarray:
-    """Orbit tangent whose lift pairs with the lifted chart directions as G does."""
-    rhs = np.array([G @ geom.ctx.omega_mu @ lb for lb in lifts])
-    return D @ np.linalg.solve(gram.T, rhs)
+    """Orbit tangents (rows) whose lifts pair with the lifted chart directions,
+    the rows of ``lifts``, as the level-set vectors G (rows) do."""
+    coords = np.linalg.solve(geom.form_table(lifts, lifts).T, geom.form_table(G, lifts).T)
+    return (D @ coords).T
 
 
 def totally_geodesic_defect(ctx: ReductionContext) -> float:
@@ -538,15 +522,15 @@ def autoparallel_check(ctx: ReductionContext, *, geom: SigmaGeometry | None = No
     return AutoparallelReport(defect, diff, n_samples * chart.dim ** 2)
 
 
-def kks_pairs(ctx: ReductionContext, chart: OrbitChart, t, omega: np.ndarray) -> list:
+def kks_pairs(ctx: ReductionContext, D: np.ndarray, nu: np.ndarray, omega: np.ndarray) -> list:
     """(reduced, canonical) orbit-form values on the chart coordinate pairs
-    i < j at t where the canonical value is nonzero; ``omega`` holds the
-    reduced form on the coordinate tangents at t."""
-    D = chart.dnu(t)
-    nu = chart.nu(t)
+    i < j at a chart point where the canonical value is nonzero: D = dnu there,
+    nu the orbit point and ``omega`` the reduced form on the coordinate
+    tangents."""
+    km = D.shape[1]
     pairs = []
-    for i in range(chart.dim):
-        for j in range(i + 1, chart.dim):
+    for i in range(km):
+        for j in range(i + 1, km):
             ref = kks_form(ctx.algebra, nu, D[:, i], D[:, j])
             if abs(ref) > 1e-12:
                 pairs.append((omega[i, j], ref))
@@ -556,10 +540,10 @@ def kks_pairs(ctx: ReductionContext, chart: OrbitChart, t, omega: np.ndarray) ->
 def kks_residual(ctx: ReductionContext, chart: OrbitChart, t) -> float:
     """Largest relative gap between the reduced form and the sign-matched
     canonical orbit form over chart coordinate pairs at t."""
-    t = np.asarray(t, dtype=float)
     geom = SigmaGeometry(ctx, chart)
-    lifts = geom.chart_lifts(t)
-    return kks_gap(kks_pairs(ctx, chart, t, geom.form_table(lifts, lifts)))
+    p = geom.point(t, geom.identity)
+    lifts = geom.lifts(t, geom.identity)
+    return kks_gap(kks_pairs(ctx, p.D, p.coad @ ctx.mu, geom.form_table(lifts, lifts)))
 
 
 def kks_gap(pairs) -> float:

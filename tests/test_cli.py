@@ -40,7 +40,9 @@ BAD_VALUES = [("samples", "3", False), ("samples", 2.5, False), ("samples", True
               ("tol_scale", math.inf, True), ("tol", {"kks_match": math.inf}, False),
               ("mu", [math.nan, 0, 1], False), ("fd_step", math.inf, False),
               ("fd_step", math.nan, True), ("chart_radius", -math.inf, False),
-              ("xi_list", [[0.0, math.inf, 1.0]], False)]
+              ("xi_list", [[0.0, math.inf, 1.0]], False),
+              # 0 stays allowed: the exact checks use it
+              ("tol", {"kks_match": -1e-8}, False)]
 
 
 class TestVerbs:

@@ -267,21 +267,21 @@ def _formula_every_stencil(geom, t, fd_step, fd_step2):
     base = grads(t, e)
     outer = [np.array([[[geom._induced(u[x], base[j, l, s], d[j, l, s]) for s in range(2)]
                         for l in range(km)] for j in range(km)])
-             for x, d in ((x, geom._stencil(t, e, u[x], fd_step2)(grads)) for x in range(km))]
-    inner = [geom._stencil(t, e, u[x], fd_step) for x in range(km)]
+             for x, d in ((x, geom._stencil(t, e, u[x], fd_step2, grads)) for x in range(km))]
+    inner = [geom._stencil(t, e, u[x], fd_step, geom.lifts) for x in range(km)]
     out = np.zeros((km, km, km, geom.n))
     for i in range(km):
         for j in range(km):
             if i == j:
                 continue
-            bracket = (inner[i](geom.lifts)[j] - inner[j](geom.lifts)[i]
+            bracket = (inner[i][j] - inner[j][i]
                        + np.einsum("abc,a,b->c", geom.struct, u[i], u[j]))
             radical = ctx.alpha_star(bracket)
-            along = geom._stencil(t, e, bracket, fd_step)
-            along_radical = geom._stencil(t, e, radical, fd_step)
+            along = geom._stencil(t, e, bracket, fd_step, geom.lifts)
+            along_radical = geom._stencil(t, e, radical, fd_step, geom.lifts)
             for l in range(km):
-                term3 = geom._induced(bracket, u[l], along(geom.lifts)[l])
-                t5 = geom._induced(radical, u[l], along_radical(geom.lifts)[l])
+                term3 = geom._induced(bracket, u[l], along[l])
+                t5 = geom._induced(radical, u[l], along_radical[l])
                 r_amb = (outer[i][j, l, 0] - outer[j][i, l, 0]) - term3
                 r_bar = (hproj(r_amb) - hproj(outer[i][j, l, 1]) + hproj(outer[j][i, l, 1])
                          + hproj(t5))

@@ -10,8 +10,7 @@ from redconn.curvature import curvature_battery
 from redconn.errors import (AssumptionTwoFailure, DegeneratePairing,
                             NonReductiveStabilizer, NotTangent, PointOffConstraint,
                             RankLoss, SingularProjection, ZeroDimensionalBase)
-from redconn.reduction import (SigmaGeometry, gram_oracle_solve, isotropic_correction_gram,
-                               lift_gram)
+from redconn.reduction import SigmaGeometry, gram_oracle_solve, isotropic_correction_gram
 from tests.conftest import CATALOG_CASES
 from tests.test_liealg import _so4
 
@@ -27,7 +26,7 @@ def _induced_derivative(ctx, chart, u, field, t, step=1e-5):
     (t, fiber) -> frame components: the ambient derivative projected onto TΣ."""
     geom = SigmaGeometry(ctx, chart)
     t = np.asarray(t, dtype=float)
-    d = geom._stencil(t, geom.identity, u, step)(field)
+    d = geom._stencil(t, geom.identity, u, step, field)
     return geom._induced(u, field(t, geom.identity), d)
 
 
@@ -347,12 +346,11 @@ class TestReducedCovderiv:
         for _ in range(3):
             t = rng.uniform(-0.4, 0.4, 2)
             level, cov = geom.cov_table(t, geom.identity, 1e-5)
-            lifts = geom.chart_lifts(t)
-            gram = lift_gram(geom, lifts)
+            alt = gram_oracle_solve(geom, so3_chart.dnu(t), geom.lifts(t, geom.identity),
+                                    np.reshape(level, (4, -1)))
             for i in range(2):
                 for j in range(2):
-                    alt = gram_oracle_solve(geom, so3_chart.dnu(t), lifts, gram, level[i][j])
-                    assert np.max(np.abs(cov[i, j] - alt)) <= 1e-8
+                    assert np.max(np.abs(cov[i, j] - alt[2 * i + j])) <= 1e-8
 
     def test_torsion_free_on_coordinate_vector_fields(self, so3_ctx, so3_chart, rng):
         t = rng.uniform(-0.4, 0.4, 2)
@@ -556,10 +554,10 @@ class TestPointKernel:
             so3_chart.check_rank(singular)
         for _ in range(2):
             with pytest.raises(RankLoss):
-                geom._stencil(singular, geom.identity, u, 1e-5)
+                geom._stencil(singular, geom.identity, u, 1e-5, field)
         near = np.array([6.0, 0.0])
         so3_chart.check_rank(near)
-        out = geom._stencil(near, geom.identity, u, 1e-5)(field)
+        out = geom._stencil(near, geom.identity, u, 1e-5, field)
         assert np.all(np.isfinite(out))
 
 
@@ -581,7 +579,7 @@ class TestCovTable:
             for i in range(chart.dim):
                 for j in range(chart.dim):
                     u = ref.lifts(t, fiber)[i]
-                    d = ref._stencil(t, fiber, u, h)(lambda t2, f, j=j: ref.lifts(t2, f)[j])
+                    d = ref._stencil(t, fiber, u, h, lambda t2, f, j=j: ref.lifts(t2, f)[j])
                     g = ref._induced(u, ref.lifts(t, fiber)[j], d)
                     assert level[i][j].tolist() == g.tolist()
                     assert cov[i, j].tolist() == ref.pushdown_horizontal(t, fiber, g).tolist()
@@ -600,7 +598,7 @@ class TestCovTable:
             full, _ = SigmaGeometry(ctx, chart, richardson=richardson)._level_table(t, fiber, h)
             for r in range(chart.dim):
                 geom = SigmaGeometry(ctx, chart, richardson=richardson)
-                level, stencils = geom._level_table(t, fiber, h, rows=[r])
+                level, _ = geom._level_table(t, fiber, h, rows=[r])
                 assert [row is None for row in level] == [i != r for i in range(chart.dim)]
                 assert [g.tolist() for g in level[r]] == [g.tolist() for g in full[r]]
 
@@ -611,17 +609,63 @@ class TestCovTable:
         _, ctx, chart = _case(*KERNEL_CASES[-1])
         geom = SigmaGeometry(ctx, chart, richardson=richardson)
         t = np.linspace(-0.2, 0.15, chart.dim)
-        level, stencils = geom._level_table(t, geom.identity, 1e-5, rows=[1])
-        row, stencil = level[1], stencils[1]
-        assert level[0] is None and stencils[0] is None
-        full, full_stencils = geom._level_table(t.copy(), np.eye(geom.n), 1e-5)
-        assert full[1] is row and full_stencils[1] is stencil
-        assert full[0] is not None and full_stencils[0] is not None
+        level, derivs = geom._level_table(t, geom.identity, 1e-5, rows=[1])
+        row, deriv = level[1], derivs[1]
+        assert level[0] is None and derivs[0] is None
+        full, full_derivs = geom._level_table(t.copy(), np.eye(geom.n), 1e-5)
+        assert full[1] is row and full_derivs[1] is deriv
+        assert full[0] is not None and full_derivs[0] is not None
         assert geom._level_table(t, geom.identity, 2e-5, rows=[1])[0][1] is not row
         ref = weakref.ref(geom)
         gc.disable()
         try:
-            del geom, level, stencils, row, stencil, full, full_stencils
+            del geom, level, derivs, row, deriv, full, full_derivs
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestStackedLift:
+    @pytest.mark.parametrize("name,mu", [KERNEL_CASES[0], ("so4", SO4_REGULAR_MU)],
+                             ids=["so3", "so4-regular"])
+    def test_stack_is_the_row_by_row_lifts(self, name, mu, rng):
+        a, ctx, chart = _case(name, mu)
+        geom = SigmaGeometry(ctx, chart)
+        t = rng.uniform(-0.3, 0.3, chart.dim)
+        D = chart.dnu(t)
+        vs = rng.standard_normal((5, chart.dim)) @ D.T
+        stacked = geom.lift(t, geom.identity, vs)
+        rows = np.array([geom.lift(t, geom.identity, v) for v in vs])
+        assert stacked.shape == rows.shape == (5, 2 * a.dim)
+        assert np.max(np.abs(stacked - rows)) <= 1e-12 * max(1.0, float(np.max(np.abs(rows))))
+        # the kernel's lift array is the stacked lift of D's columns
+        lifts = geom.lifts(t, geom.identity)
+        assert np.max(np.abs(lifts - geom.lift(t, geom.identity, D.T))) <= 1e-12
+
+    def test_one_row_off_the_orbit_raises(self, so3_chart, so3_ctx, rng):
+        geom = SigmaGeometry(so3_ctx, so3_chart)
+        t = np.array([0.2, -0.1])
+        tangents = rng.standard_normal((3, 2)) @ so3_chart.dnu(t).T
+        geom.lift(t, geom.identity, tangents)
+        for bad in range(3):
+            vs = tangents.copy()
+            vs[bad] += 1e-3 * so3_chart.nu(t)  # the orbit's normal at nu(t)
+            with pytest.raises(NotTangent):
+                geom.lift(t, geom.identity, vs)
+
+
+class TestFormTable:
+    @pytest.mark.parametrize("name,mu", [KERNEL_CASES[0], ("so4", SO4_REGULAR_MU)],
+                             ids=["so3", "so4-regular"])
+    def test_contraction_is_the_pairwise_form(self, name, mu, rng):
+        a, ctx, chart = _case(name, mu)
+        geom = SigmaGeometry(ctx, chart)
+        t = rng.uniform(-0.3, 0.3, chart.dim)
+        n = a.dim
+        level = np.hstack([rng.standard_normal((6, n)), np.zeros((6, n))])
+        for us, vs in ((level[:4], level[4:]), (geom.lifts(t, geom.identity), level)):
+            table = geom.form_table(us, vs)
+            ref = np.array([[rc.symplectic_form(a, ctx.mu, u, v) for v in vs] for u in us])
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            assert table.shape == (len(us), len(vs))
+            assert np.max(np.abs(table - ref)) <= 1e-14 * scale

@@ -3,7 +3,7 @@ and the work of ``run_pipeline(cfg, "curvature")``, with a pinned check list."""
 
 import pytest
 
-from redconn import pipeline, reduction
+from redconn import liealg, phasespace, pipeline, reduction
 from redconn.pipeline import (EXIT_ASSUMPTION, CaseConfig, _check_convergence, run_pipeline,
                               verify_suite)
 from tests.conftest import perfbench_cases, track_geometries
@@ -113,6 +113,28 @@ def test_verify_builds_no_more_than_the_pipeline(monkeypatch, label):
     assert {"build_context", "_chart_sweep", "curvature_battery"} <= set(counts[0]["calls"])
     assert counts[0]["calls"].count("omega_gram") == counts[0]["calls"].count("build_context")
     assert counts[0]["tables"] > counts[0]["geometries"] > 0
+
+
+@pytest.mark.parametrize("label", ["so3", "so4-regular"])
+def test_one_stabilizer_solve_per_constraint_split(monkeypatch, label):
+    # the constraint split is the one caller of the stabilizer solve, and
+    # build_context reads the basis from its split
+    calls = []
+    for name, route in (("stabilizer_algebra", liealg.stabilizer_algebra),
+                        ("constraint_split", phasespace.constraint_split)):
+        def wrapper(*args, _name=name, _route=route, **kwargs):
+            calls.append(_name)
+            return _route(*args, **kwargs)
+
+        for module in (liealg, phasespace, reduction, pipeline):
+            if getattr(module, name, None) is route:
+                monkeypatch.setattr(module, name, wrapper)
+    cfg = CaseConfig.from_dict(_doc(label))
+    for run in (lambda: run_pipeline(cfg, "curvature"), lambda: verify_suite(cfg)):
+        calls.clear()
+        assert run()[1] == 0
+        assert calls.count("constraint_split") > 0
+        assert calls.count("stabilizer_algebra") == calls.count("constraint_split")
 
 
 LIE = ["lie/antisymmetry", "lie/jacobi", "lie/bracket-pairing-antisymmetry",
