@@ -11,10 +11,9 @@ oracles.
 from .errors import (AssumptionTwoFailure, ConfigError, DegeneratePairing, NoRealization,
                      NonReductiveStabilizer, NotTangent, PointOffConstraint, RankLoss,
                      ReductionError, SingularOmega, SingularProjection, ZeroDimensionalBase)
-from .liealg import (GroupElement, LieAlgebra, abelian, adjoint_matrix, algebra_from_json,
-                     bracket, coad_star, coadjoint_matrix, compose, group_exp, heis3,
-                     identity_element, named_algebra, reductive_complement, se2, sl2r,
-                     so3, stabilizer_algebra, su2)
+from .liealg import (LieAlgebra, abelian, algebra_from_json, bracket, coad_star,
+                     coadjoint_matrix, group_exp, heis3, named_algebra, reductive_complement,
+                     se2, sl2r, so3, stabilizer_algebra, su2)
 from .phasespace import (ConstraintSplit, PhasePoint, TrivTangent, constraint_split,
                          fundamental_field, liouville_form, momentum_map, omega_gram,
                          regularity_report, symplectic_form)

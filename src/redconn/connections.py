@@ -21,8 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SingularOmega
-from .liealg import GroupElement, LieAlgebra, adjoint_matrix, coadjoint_matrix, compose, \
-    group_exp
+from .liealg import LieAlgebra, coadjoint_matrix, group_exp
 from .phasespace import TrivTangent, _tangent_pair, omega_gram
 
 WEIGHT_TOL = 1e-12
@@ -41,7 +40,6 @@ class FrameConnection:
     coeff: Callable[[np.ndarray], np.ndarray]
     is_torsion_free: bool = False
     is_symplectic: bool = False
-    constant: bool = False
     label: str = ""
 
     def coefficients(self, xi) -> np.ndarray:
@@ -64,7 +62,7 @@ def baseline_connection(a: LieAlgebra) -> FrameConnection:
     gamma[:n, :n, :n] = 0.5 * a.c
     gamma.setflags(write=False)
     return FrameConnection(a, lambda xi: gamma, is_torsion_free=True,
-                           is_symplectic=False, constant=True, label="baseline")
+                           is_symplectic=False, label="baseline")
 
 
 def _omega_derivative(a: LieAlgebra) -> np.ndarray:
@@ -149,7 +147,7 @@ def symplectize(conn: FrameConnection) -> FrameConnection:
         return conn.coefficients(xi) + A
 
     return FrameConnection(a, coeff, is_torsion_free=True, is_symplectic=True,
-                           constant=False, label=f"symplectized({conn.label})")
+                           label=f"symplectized({conn.label})")
 
 
 def torsion_components(conn: FrameConnection, xi) -> np.ndarray:
@@ -180,7 +178,8 @@ def nabla_omega_defect(conn: FrameConnection, xi) -> float:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and normalized positive weights discretizing a group average."""
+    """Nodes (Ad matrices) and normalized positive weights discretizing a group
+    average."""
 
     nodes: tuple
     weights: np.ndarray
@@ -191,8 +190,6 @@ class QuadratureRule:
             raise ValueError("quadrature weights must be positive")
         if abs(float(np.sum(w)) - 1.0) > WEIGHT_TOL:
             raise ValueError(f"quadrature weights sum to {np.sum(w)!r}, expected 1")
-        for g in self.nodes:
-            g.validate()
 
 
 def finite_cyclic_rule(a: LieAlgebra, X, order: int) -> QuadratureRule:
@@ -224,7 +221,7 @@ def torus_rule(a: LieAlgebra, generators, order: int) -> QuadratureRule:
         w = 1.0
         for X, i in zip(gens, combo):
             step = group_exp(a, angles[i] * X)
-            g = step if g is None else compose(g, step)
+            g = step if g is None else g @ step
             w *= w_1d[i]
         nodes.append(g)
         weights.append(w)
@@ -233,17 +230,18 @@ def torus_rule(a: LieAlgebra, generators, order: int) -> QuadratureRule:
     return rule
 
 
-def frame_transport(g: GroupElement) -> np.ndarray:
-    """The block matrix diag(Ad g, Coad g) acting on frame components."""
-    n = g.algebra.dim
+def frame_transport(Ad: np.ndarray) -> np.ndarray:
+    """The block matrix diag(Ad g, Coad g) acting on frame components, from Ad g."""
+    n = Ad.shape[0]
     T = np.zeros((2 * n, 2 * n))
-    T[:n, :n] = adjoint_matrix(g)
-    T[n:, n:] = coadjoint_matrix(g)
+    T[:n, :n] = Ad
+    T[n:, n:] = coadjoint_matrix(Ad)
     return T
 
 
-def pullback_connection(conn: FrameConnection, g: GroupElement) -> FrameConnection:
-    """Pullback of a frame connection by the lifted right translation by g.
+def pullback_connection(conn: FrameConnection, g: np.ndarray) -> FrameConnection:
+    """Pullback of a frame connection by the lifted right translation by the
+    group element with Ad matrix g.
 
     The frame transport of the right translation is the constant block matrix
     diag(Ad(g⁻¹), Coad(g⁻¹)) and the translation moves the fiber point to
@@ -251,7 +249,7 @@ def pullback_connection(conn: FrameConnection, g: GroupElement) -> FrameConnecti
     """
     a = conn.algebra
     n = a.dim
-    T = frame_transport(g.inverse())
+    T = frame_transport(np.linalg.inv(g))
     Tinv = frame_transport(g)
     # Fortran order, as coadjoint_matrix returns it: the layout sets the
     # summation order of coad_inv @ ξ, hence its roundoff
@@ -265,8 +263,7 @@ def pullback_connection(conn: FrameConnection, g: GroupElement) -> FrameConnecti
                          optimize=True)
 
     return FrameConnection(a, coeff, is_torsion_free=conn.is_torsion_free,
-                           is_symplectic=conn.is_symplectic, constant=False,
-                           label=f"pullback({conn.label})")
+                           is_symplectic=conn.is_symplectic, label=f"pullback({conn.label})")
 
 
 def average_connection(conn: FrameConnection, rule: QuadratureRule) -> FrameConnection:
@@ -285,8 +282,7 @@ def average_connection(conn: FrameConnection, rule: QuadratureRule) -> FrameConn
         return sum(w * p.coefficients(xi) for w, p in zip(weights, pulled))
 
     return FrameConnection(a, coeff, is_torsion_free=conn.is_torsion_free,
-                           is_symplectic=False, constant=False,
-                           label=f"averaged({conn.label})")
+                           is_symplectic=False, label=f"averaged({conn.label})")
 
 
 def perturbed_connection(conn: FrameConnection, delta: np.ndarray,
@@ -301,8 +297,7 @@ def perturbed_connection(conn: FrameConnection, delta: np.ndarray,
 
     return FrameConnection(conn.algebra, coeff,
                            is_torsion_free=conn.is_torsion_free and symmetric,
-                           is_symplectic=False, constant=conn.constant,
-                           label=f"perturbed({conn.label})")
+                           is_symplectic=False, label=f"perturbed({conn.label})")
 
 
 def connection_to_json(conn: FrameConnection, xi_list) -> dict:

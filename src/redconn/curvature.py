@@ -179,6 +179,7 @@ def curvature_battery(geom: SigmaGeometry, t_points, *,
     e = geom.identity
     t_points = [np.asarray(t, dtype=float) for t in t_points]
     off = [(i, j, l) for i in range(km) for j in range(km) if i != j for l in range(km)]
+    pairs = [(i, j) for i in range(km) for j in range(i + 1, km)]
     samples = []
     anti = sp = bianchi = 0.0
     probe_inputs = None
@@ -188,20 +189,19 @@ def curvature_battery(geom: SigmaGeometry, t_points, *,
         tensor = curvature_tensor(geom, t, fd_step=fd_step, fd_step2=fd_step2)
         if probe_inputs is None:
             probe_inputs = _probe_inputs(tensor)
-        d_lifts = geom.lifts(t, e)
-        for i in range(km):
-            for j in range(i + 1, km):
-                for l in range(km):
-                    val, orc = R[i, j, l], tensor[i, j, l]
-                    samples.append({
-                        "t": t.tolist(), "inputs": [i, j, l],
-                        "value": val.tolist(), "oracle": orc.tolist(),
-                        "discrepancy": float(np.linalg.norm(val - orc)
-                                             / max(1.0, float(np.linalg.norm(orc)))),
-                    })
-                # form[l, w] = ω(R(f_i, f_j)f_l, f_w)
-                form = geom.form_table(geom.lift(t, e, tensor[i, j]), d_lifts)
-                sp = max(sp, float(np.max(np.abs(form - form.T))) / scale)
+        for i, j in pairs:
+            for l in range(km):
+                val, orc = R[i, j, l], tensor[i, j, l]
+                samples.append({
+                    "t": t.tolist(), "inputs": [i, j, l],
+                    "value": val.tolist(), "oracle": orc.tolist(),
+                    "discrepancy": float(np.linalg.norm(val - orc)
+                                         / max(1.0, float(np.linalg.norm(orc)))),
+                })
+        # form[p, l, w] = ω(R(f_i, f_j)f_l, f_w) for (i, j) = pairs[p], one lift for all
+        rows = geom.lift(t, e, np.concatenate([tensor[i, j] for i, j in pairs]))
+        form = geom.form_table(rows, geom.lifts(t, e)).reshape(len(pairs), km, km)
+        sp = max(sp, float(np.max(np.abs(form - form.transpose(0, 2, 1)))) / scale)
         swapped = R + R.transpose(1, 0, 2, 3)  # R[i, j, l] + R[j, i, l]
         cyclic = R + R.transpose(2, 0, 1, 3) + R.transpose(1, 2, 0, 3)  # + R[j, l, i] + R[l, i, j]
         for ijl in off:

@@ -2,11 +2,10 @@
 
 An algebra is stored as its dimension n together with the rank-3 array of
 structure constants ``c[i, j, k]``, the e_k-coefficient of [e_i, e_j].  These
-fix the group kernels: Ad(exp X) = e^{ad X} and Coad(g) = Ad(g)⁻ᵀ.  The named
-catalog algebras also carry a faithful matrix realization.  It supplies the
-group-element matrix whose determinant and orthogonality are checked, the
-coordinates of realization matrices (an independent route that tests compare
-against), and the gate for operations that need a realization.
+fix the group kernels: a group element is its n×n Ad matrix, Ad(exp X) = e^{ad X}
+and Coad(g) = Ad(g)⁻ᵀ.  The named catalog algebras also carry a faithful matrix
+realization, which ``LieAlgebra.validate`` checks once, at load, and which
+``matrix_coords`` reads: an independent route that tests compare against.
 
 Conventions used throughout the library:
 
@@ -27,7 +26,6 @@ from .errors import ConfigError, NoRealization, NonReductiveStabilizer
 
 JACOBI_TOL = 1e-12
 REALIZATION_TOL = 1e-12
-GROUP_MAT_TOL = 1e-9
 COMPLEMENT_TOL = 1e-10
 
 
@@ -41,8 +39,8 @@ class LieAlgebra:
         name: optional label.
         realization: optional (n, n_rep, n_rep) stack of matrices realizing the
             basis, with matrix commutators reproducing ``c``.
-        det_one: group elements of the realization must have determinant 1.
-        orthogonal: group elements of the realization must be orthogonal.
+        det_one: claims the realization's group elements have determinant 1.
+        orthogonal: claims the realization's group elements are orthogonal.
     """
 
     dim: int
@@ -56,15 +54,11 @@ class LieAlgebra:
     def has_realization(self) -> bool:
         return self.realization is not None
 
-    def require_realization(self) -> np.ndarray:
-        if self.realization is None:
-            raise NoRealization(
-                f"algebra {self.name or '<anonymous>'} carries no matrix realization"
-            )
-        return self.realization
-
     def validate(self) -> None:
-        """Check antisymmetry (exact), the Jacobi identity, and the realization."""
+        """Check antisymmetry (exact), the Jacobi identity, and the realization:
+        its commutators, and the ``det_one`` and ``orthogonal`` claims exactly on
+        the generators (det exp ρ(X) = 1 for all X iff every tr ρ(e_i) = 0, and
+        exp ρ(X) is orthogonal for all X iff every ρ(e_i) is antisymmetric)."""
         c = self.c
         n = self.dim
         if c.shape != (n, n, n):
@@ -88,6 +82,12 @@ class LieAlgebra:
                 raise ValueError(
                     f"matrix commutators deviate from structure constants by {defect:.3e}"
                 )
+            trace = float(np.max(np.abs(np.trace(rho, axis1=1, axis2=2))))
+            if self.det_one and trace > REALIZATION_TOL:
+                raise ValueError(f"det_one claimed, but a generator has trace {trace:.3e}")
+            sym = float(np.max(np.abs(rho + rho.transpose(0, 2, 1))))
+            if self.orthogonal and sym > REALIZATION_TOL:
+                raise ValueError(f"orthogonal claimed, but a generator is not skew ({sym:.3e})")
 
     def bracket(self, X, Y) -> np.ndarray:
         """Evaluate [X, Y] from the structure constants.
@@ -123,8 +123,9 @@ class LieAlgebra:
 
     def matrix_coords(self, M, tol: float = 1e-8) -> np.ndarray:
         """Coordinates of a realization matrix in the algebra basis."""
-        rho = self.require_realization()
-        R = rho.reshape(self.dim, -1).T
+        if self.realization is None:
+            raise NoRealization(f"algebra {self.name or '<anonymous>'} has no matrix realization")
+        R = self.realization.reshape(self.dim, -1).T
         coords, *_ = np.linalg.lstsq(R, np.asarray(M, dtype=float).ravel(), rcond=None)
         residual = np.linalg.norm(R @ coords - np.asarray(M, dtype=float).ravel())
         scale = max(1.0, float(np.linalg.norm(M)))
@@ -230,56 +231,18 @@ def reductive_complement(a: LieAlgebra, g_mu, tol: float = COMPLEMENT_TOL) -> np
     return m
 
 
-# --- matrix group machinery -------------------------------------------------
+# --- group kernels -----------------------------------------------------------
+# A group element is its n×n Ad matrix: Ad(g⁻¹) = Ad(g)⁻¹, Ad(gh) = Ad(g) Ad(h).
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """A group element: its realization matrix ``mat`` and its n×n Ad matrix ``ad``."""
-
-    algebra: LieAlgebra
-    mat: np.ndarray
-    ad: np.ndarray
-
-    def validate(self, tol: float = GROUP_MAT_TOL) -> None:
-        M = self.mat
-        if self.algebra.det_one and abs(np.linalg.det(M) - 1.0) > tol:
-            raise ValueError(f"determinant {np.linalg.det(M):.12f} deviates from 1")
-        if self.algebra.orthogonal:
-            defect = float(np.max(np.abs(M.T @ M - np.eye(M.shape[0]))))
-            if defect > tol:
-                raise ValueError(f"orthogonality defect {defect:.3e}")
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.algebra, np.linalg.inv(self.mat), np.linalg.inv(self.ad))
+def group_exp(a: LieAlgebra, X) -> np.ndarray:
+    """Ad(exp X) = e^{ad X} for the algebra element with coordinates X."""
+    return linalg.expm(a.ad(X))
 
 
-def identity_element(a: LieAlgebra) -> GroupElement:
-    rho = a.require_realization()
-    return GroupElement(a, np.eye(rho.shape[1]), np.eye(a.dim))
-
-
-def group_exp(a: LieAlgebra, X) -> GroupElement:
-    """exp of the algebra element with coordinates X: e^X in the realization, Ad = e^{ad X}."""
-    rho = a.require_realization()
-    X = np.asarray(X, dtype=float)
-    g = GroupElement(a, linalg.expm(np.einsum("i,iab->ab", X, rho)), linalg.expm(a.ad(X)))
-    g.validate()
-    return g
-
-
-def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
-    return GroupElement(g1.algebra, g1.mat @ g2.mat, g1.ad @ g2.ad)
-
-
-def adjoint_matrix(g: GroupElement) -> np.ndarray:
-    """Matrix of Ad(g) on the algebra basis."""
-    return g.ad
-
-
-def coadjoint_matrix(g: GroupElement) -> np.ndarray:
-    """Matrix of Coad(g) = Ad(g⁻¹)ᵀ on covector components."""
-    return np.linalg.inv(g.ad).T
+def coadjoint_matrix(Ad: np.ndarray) -> np.ndarray:
+    """Matrix of Coad(g) = Ad(g⁻¹)ᵀ on covector components, from Ad(g)."""
+    return np.linalg.inv(Ad).T
 
 
 # --- named catalog -----------------------------------------------------------

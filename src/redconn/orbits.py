@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotTangent, RankLoss
-from .liealg import GroupElement, LieAlgebra, coadjoint_matrix, group_exp
+from .liealg import LieAlgebra, coadjoint_matrix, group_exp
 
 TANGENT_RESIDUAL_TOL = 1e-8
 
@@ -38,8 +38,8 @@ class OrbitChart:
     def dim(self) -> int:
         return self.m_basis.shape[1]
 
-    def section_element(self, t) -> GroupElement:
-        """Group element exp(Σ t_a E_a)."""
+    def section_element(self, t) -> np.ndarray:
+        """Ad matrix of the group element exp(Σ t_a E_a)."""
         return group_exp(self.algebra, self.m_basis @ np.asarray(t, dtype=float))
 
     def nu(self, t) -> np.ndarray:
@@ -90,7 +90,6 @@ class OrbitChart:
 
 def orbit_chart(a: LieAlgebra, mu, m_basis, radius: float = 1.0) -> OrbitChart:
     """Build the exponential chart; checks ν(0) = μ and full rank at 0."""
-    a.require_realization()
     mu = np.asarray(mu, dtype=float)
     m_basis = np.atleast_2d(np.asarray(m_basis, dtype=float))
     chart = OrbitChart(a, mu.copy(), m_basis.copy(), radius)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import NoRealization, PointOffConstraint
-from .liealg import GroupElement, LieAlgebra, adjoint_matrix, coadjoint_matrix
+from .errors import PointOffConstraint
+from .liealg import LieAlgebra, coadjoint_matrix
 
 
 @dataclass(frozen=True)
@@ -41,13 +41,12 @@ class TrivTangent:
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """A point (g, ξ) of the trivialized cotangent bundle.
-
-    ``g`` may be None for algebras without a matrix realization; operations
-    that genuinely need the group element raise NoRealization.
+    """A point (g, ξ) of the trivialized cotangent bundle, g given by its Ad
+    matrix.  ``g`` may be None where only right-side operations are asked for;
+    left-side operations then raise ValueError.
     """
 
-    g: GroupElement | None
+    g: np.ndarray | None
     xi: np.ndarray
 
 
@@ -103,8 +102,8 @@ def fundamental_field(a: LieAlgebra, side: str, X, p: PhasePoint) -> TrivTangent
         return TrivTangent(X.copy(), a.coad_star(X, p.xi))
     if side == "left":
         if p.g is None:
-            raise NoRealization("left generator needs a group element")
-        return TrivTangent(-(adjoint_matrix(p.g.inverse()) @ X), np.zeros(a.dim))
+            raise ValueError("left generator needs a group element")
+        return TrivTangent(-(np.linalg.inv(p.g) @ X), np.zeros(a.dim))
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
@@ -114,7 +113,7 @@ def momentum_map(a: LieAlgebra, side: str, p: PhasePoint) -> np.ndarray:
         return np.asarray(p.xi, dtype=float).copy()
     if side == "left":
         if p.g is None:
-            raise NoRealization("left momentum map needs a group element")
+            raise ValueError("left momentum map needs a group element")
         return coadjoint_matrix(p.g) @ np.asarray(p.xi, dtype=float)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
@@ -170,7 +169,7 @@ def momentum_differential(a: LieAlgebra, side: str, p: PhasePoint) -> np.ndarray
         return np.hstack([np.zeros((n, n)), np.eye(n)])
     if side == "left":
         if p.g is None:
-            raise NoRealization("left momentum differential needs a group element")
+            raise ValueError("left momentum differential needs a group element")
         block = np.hstack([-a.bracket_pairing(p.xi).T, np.eye(n)])
         return coadjoint_matrix(p.g) @ block
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")

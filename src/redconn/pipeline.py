@@ -25,8 +25,7 @@ from .connections import (baseline_connection, baseline_nabla_omega, finite_cycl
 from .curvature import curvature_battery
 from .errors import (AssumptionTwoFailure, ConfigError, NonReductiveStabilizer,
                      ReductionError)
-from .liealg import (LieAlgebra, adjoint_matrix, algebra_from_json, coadjoint_matrix,
-                     group_exp, named_algebra)
+from .liealg import LieAlgebra, algebra_from_json, coadjoint_matrix, group_exp, named_algebra
 from .orbits import orbit_chart
 from .phasespace import (PhasePoint, constraint_split, fundamental_field, regularity_report,
                          symplectic_form)
@@ -207,11 +206,9 @@ def _stage_validate(cfg: CaseConfig, a: LieAlgebra, mu: np.ndarray,
     # TΣ^⊥ should be the span of the right-action generators at μ
     gens = np.column_stack([fundamental_field(a, "right", e, PhasePoint(None, mu)).as_vector()
                             for e in np.eye(n)])
-    sides = ["right"] + (["left"] if a.has_realization else [])
     regularity = {}
-    for side in sides:
-        points = [PhasePoint(group_exp(a, rng.uniform(-1, 1, n)) if a.has_realization else None,
-                             mu) for _ in range(5)]
+    for side in ("right", "left"):
+        points = [PhasePoint(group_exp(a, rng.uniform(-1, 1, n)), mu) for _ in range(5)]
         regularity[side] = regularity_report(a, mu, points, side=side)
     return {
         "status": "ok",
@@ -259,7 +256,7 @@ def _stage_reduce(cfg: CaseConfig, a: LieAlgebra, mu: np.ndarray, conn,
                   rng: np.random.Generator):
     """The reduce stage, the run's reduction context, and its geometry and
     chart sweep for the curvature stage and ``verify`` (both None without a
-    chart: zero-dimensional base or no realization)."""
+    chart: zero-dimensional base, or no realization by the policy below)."""
     ctx = build_context(a, mu, s_tilde=cfg.s_tilde, connection=conn)
     stage = {
         "status": "ok",
@@ -270,6 +267,10 @@ def _stage_reduce(cfg: CaseConfig, a: LieAlgebra, mu: np.ndarray, conn,
         "zero_dimensional_base": ctx.zero_dimensional_base,
         "totally_geodesic_defect": totally_geodesic_defect(ctx),
     }
+    # The chart needs only Ad, but an algebra without a matrix realization still
+    # stops here (``sigma: null``, curvature skipped): perfbench/run.py's
+    # ``check_case`` pins that layout for its unrealized catalog case, so lifting
+    # this gate is a change of the benchmark's expectations.
     if ctx.zero_dimensional_base or not a.has_realization:
         stage["sigma"] = None
         auto = autoparallel_check(ctx, rng=rng)
@@ -344,7 +345,7 @@ def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator, h: float) -
     k = ctx.stabilizer_dim
     for _ in range(5 if k else 0):
         fiber = group_exp(ctx.algebra, ctx.g_mu @ rng.uniform(-1.0, 1.0, k))
-        _, cov = geom.cov_table(pts[0], fiber.ad, h)
+        _, cov = geom.cov_table(pts[0], fiber, h)
         out["fiber"] = max(out["fiber"], float(np.max(np.abs(base_cov - cov))))
     return out
 
@@ -510,24 +511,21 @@ def _verify_algebra(cfg, run, checks) -> None:
             comm = max(comm, float(np.max(np.abs(pi @ adY - adY @ pi))))
         _check(checks, "lie/complement-equivariance", comm,
                cfg.threshold("complement_equivariance"))
-    if a.has_realization:
-        fix = 0.0
-        for tval in np.linspace(-1, 1, 5):
-            for i in range(k):
-                g = group_exp(a, tval * g_mu[:, i])
-                fix = max(fix, float(np.max(np.abs(coadjoint_matrix(g) @ mu - mu))))
-        _check(checks, "lie/coad-fixes-mu", fix, cfg.threshold("coad_fixes_mu"))
-        g = group_exp(a, rng.uniform(-1, 1, n))
-        Ad = adjoint_matrix(g)
-        hom = 0.0
-        for _ in range(5):
-            X, Y = rng.standard_normal(n), rng.standard_normal(n)
-            hom = max(hom, float(np.max(np.abs(Ad @ a.bracket(X, Y)
-                                               - a.bracket(Ad @ X, Ad @ Y)))))
-        _check(checks, "lie/ad-homomorphism", hom, cfg.threshold("ad_homomorphism"))
-        law = float(np.max(np.abs(coadjoint_matrix(g) @ coadjoint_matrix(g.inverse())
-                                  - np.eye(n))))
-        _check(checks, "lie/coad-group-law", law, cfg.threshold("coad_group_law"))
+    fix = 0.0
+    for tval in np.linspace(-1, 1, 5):
+        for i in range(k):
+            g = group_exp(a, tval * g_mu[:, i])
+            fix = max(fix, float(np.max(np.abs(coadjoint_matrix(g) @ mu - mu))))
+    _check(checks, "lie/coad-fixes-mu", fix, cfg.threshold("coad_fixes_mu"))
+    Ad = group_exp(a, rng.uniform(-1, 1, n))
+    hom = 0.0
+    for _ in range(5):
+        X, Y = rng.standard_normal(n), rng.standard_normal(n)
+        hom = max(hom, float(np.max(np.abs(Ad @ a.bracket(X, Y) - a.bracket(Ad @ X, Ad @ Y)))))
+    _check(checks, "lie/ad-homomorphism", hom, cfg.threshold("ad_homomorphism"))
+    law = float(np.max(np.abs(coadjoint_matrix(Ad) @ coadjoint_matrix(np.linalg.inv(Ad))
+                              - np.eye(n))))
+    _check(checks, "lie/coad-group-law", law, cfg.threshold("coad_group_law"))
 
 
 def _verify_phase(cfg, run, checks) -> None:
@@ -583,12 +581,10 @@ def _verify_connections(cfg, run, checks) -> None:
     _check(checks, "conn/a-symmetry", asym, cfg.threshold("a_symmetry"))
     _check(checks, "conn/symplectize-idempotent", idem,
            cfg.threshold("symplectize_idempotent"))
-    if a.has_realization:
-        g = group_exp(a, run.rng.uniform(-0.5, 0.5, a.dim))
-        pulled = pullback_connection(sympl, g)
-        inv = max(float(np.max(np.abs(pulled.coefficients(xi) - sympl.coefficients(xi))))
-                  for xi in xi_samples)
-        _check(checks, "conn/right-invariance", inv, cfg.threshold("right_invariance"))
+    pulled = pullback_connection(sympl, group_exp(a, run.rng.uniform(-0.5, 0.5, a.dim)))
+    inv = max(float(np.max(np.abs(pulled.coefficients(xi) - sympl.coefficients(xi))))
+              for xi in xi_samples)
+    _check(checks, "conn/right-invariance", inv, cfg.threshold("right_invariance"))
 
 
 def _verify_reduction(cfg, run, checks) -> None:
@@ -662,14 +658,13 @@ def _check_convergence(checks: list, conv: dict) -> None:
 def _l_equivariance_defect(ctx, rng) -> float:
     a = ctx.algebra
     k = ctx.stabilizer_dim
-    if k == 0 or not a.has_realization:
+    if k == 0:
         return 0.0
     st, delta, lam = ctx.s_tilde, ctx.split.delta, ctx.iso_map
     L_full = delta @ lam @ np.linalg.pinv(st)
     defect = 0.0
     for _ in range(3):
-        h = group_exp(a, ctx.g_mu @ rng.uniform(-1, 1, k))
-        T = frame_transport(h.inverse())
+        T = frame_transport(np.linalg.inv(group_exp(a, ctx.g_mu @ rng.uniform(-1, 1, k))))
         T_inv = np.linalg.inv(T)
         moved = T @ (L_full @ (T_inv @ st)) - L_full @ st
         defect = max(defect, float(np.max(np.abs(moved))))
@@ -705,13 +700,13 @@ def _sigma_equivariance_defect(ctx, rng) -> float:
     a = ctx.algebra
     n = a.dim
     k = ctx.stabilizer_dim
-    if k == 0 or not a.has_realization:
+    if k == 0:
         return 0.0
     gamma = ctx.gamma_mu
     P = ctx.p_matrix
     defect = 0.0
     for _ in range(3):
-        T = frame_transport(group_exp(a, ctx.g_mu @ rng.uniform(-1, 1, k)).inverse())
+        T = frame_transport(np.linalg.inv(group_exp(a, ctx.g_mu @ rng.uniform(-1, 1, k))))
         for _ in range(3):
             u = np.concatenate([rng.standard_normal(n), np.zeros(n)])
             v = np.concatenate([rng.standard_normal(n), np.zeros(n)])
@@ -736,7 +731,7 @@ def _sigma_torsion_defect(ctx) -> float:
 
 def _verify_averaging(cfg, run, checks) -> None:
     a, rng = run.a, run.rng
-    if not a.has_realization or a.name not in ("so3", "su2"):
+    if a.name not in ("so3", "su2"):
         return
     delta = rng.standard_normal((2 * a.dim,) * 3) * 0.1
     pert = perturbed_connection(run.base, delta, symmetric=True)

@@ -34,7 +34,7 @@ from .connections import FrameConnection, baseline_connection, frame_structure, 
 from .errors import (AssumptionTwoFailure, DegeneratePairing, NotTangent,
                      PointOffConstraint, RankLoss, SingularProjection,
                      ZeroDimensionalBase)
-from .liealg import GroupElement, LieAlgebra, reductive_complement
+from .liealg import LieAlgebra, reductive_complement
 from .orbits import OrbitChart, kks_form, orbit_chart
 from .phasespace import ConstraintSplit, constraint_split, omega_gram, symplectic_form
 
@@ -417,11 +417,12 @@ class SigmaGeometry:
 
 
 def reduced_form(ctx: ReductionContext, chart: OrbitChart, v, w, t,
-                 fiber: GroupElement | None = None,
+                 fiber: np.ndarray | None = None,
                  geom: SigmaGeometry | None = None) -> float:
-    """Reduced symplectic form: ω on the horizontal lifts of two orbit tangents."""
+    """Reduced symplectic form: ω on the horizontal lifts of two orbit tangents,
+    at the fiber with Ad matrix ``fiber`` (the identity by default)."""
     geom = geom if geom is not None else SigmaGeometry(ctx, chart)
-    fiber = geom.identity if fiber is None else fiber.ad
+    fiber = geom.identity if fiber is None else fiber
     vb, wb = geom.lift(t, fiber, [v, w])
     return symplectic_form(ctx.algebra, ctx.mu, vb, wb)
 
@@ -503,7 +504,7 @@ def autoparallel_check(ctx: ReductionContext, *, geom: SigmaGeometry | None = No
     for i in range(n):
         for j in range(n):
             defect = max(defect, float(np.max(np.abs(complement_proj @ ctx.gamma_mu[i, j, :]))))
-    if defect > tol or ctx.zero_dimensional_base or geom is None or not a.has_realization:
+    if defect > tol or ctx.zero_dimensional_base or geom is None:
         return AutoparallelReport(defect, None if defect > tol else 0.0, 0)
 
     rng = rng if rng is not None else np.random.default_rng(0)

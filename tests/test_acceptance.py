@@ -139,7 +139,7 @@ def test_criterion_3_flagship_reduction():
     base = geom.cov_table(t0, geom.identity, h)[1][0, 1]
     for _ in range(5):
         fib = rc.group_exp(a, ctx.g_mu @ rng.uniform(-1, 1, 1))
-        moved = geom.cov_table(t0, fib.ad, h)[1][0, 1]
+        moved = geom.cov_table(t0, fib, h)[1][0, 1]
         fiber_diff = max(fiber_diff, float(np.max(np.abs(base - moved))))
     ok = (torsion <= 1e-6 and parallel <= 1e-6 and closed <= 1e-6
           and kks_resid <= 1e-8 and signs == {rc.KKS_MATCH_SIGN}

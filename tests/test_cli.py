@@ -43,6 +43,21 @@ BAD_VALUES = [("samples", "3", False), ("samples", 2.5, False), ("samples", True
               ("xi_list", [[0.0, math.inf, 1.0]], False),
               # 0 stays allowed: the exact checks use it
               ("tol", {"kks_match": -1e-8}, False)]
+# aff(1) ⊕ R realized by 3×3 matrices, with a false claim about its group
+# elements: e_0 = E_00 has trace 1 and is symmetric
+AFF1_R_DOC = {"dim": 3, "brackets": [[0, 1, [1, 1.0]]],
+              "realization": [[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                              [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                              [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]]}
+FALSE_CLAIMS = [dict(AFF1_R_DOC, name=f"aff1+r-{claim}", **{claim: True})
+                for claim in ("det_one", "orthogonal")]
+BAD_VALUES += [("group", doc, False) for doc in FALSE_CLAIMS]
+
+
+def _bad_value_id(key, value, flag) -> str:
+    if key == "group":
+        return f"group={value['name']}"
+    return f"{key}={value!r}{'-flag' if flag else ''}"
 
 
 class TestVerbs:
@@ -133,7 +148,7 @@ class TestExitCodes:
         capsys.readouterr()
 
     @pytest.mark.parametrize("key,value,flag", BAD_VALUES,
-                             ids=[f"{k}={v!r}{'-flag' if f else ''}" for k, v, f in BAD_VALUES])
+                             ids=[_bad_value_id(*bad) for bad in BAD_VALUES])
     def test_bad_value_is_config_error(self, tmp_path, capsys, key, value, flag):
         doc = dict(SO3_DOC, **{key: value})
         schema = json.loads((Path(__file__).parent.parent / "docs" / "config_schema.json")
@@ -143,7 +158,9 @@ class TestExitCodes:
         except ValueError:
             pass  # NaN and ±Infinity are not JSON, so the schema cannot speak of them
         else:
-            assert not jsonschema.Draft202012Validator(schema).is_valid(doc)
+            # nor can it check a claim about a realization's group elements
+            valid = jsonschema.Draft202012Validator(schema).is_valid(doc)
+            assert valid == (doc["group"] in FALSE_CLAIMS)
         if flag:
             args = ["--config", _write_config(tmp_path, SO3_DOC),
                     "--" + key.replace("_", "-"), str(value)]

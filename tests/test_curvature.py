@@ -42,7 +42,7 @@ class TestFlatCases:
         # derivative of the zero connection vanishes identically
         a = rc.heis3()
         mu = np.array([0.0, 0.0, 1.0])
-        zero = rc.FrameConnection(a, lambda xi: np.zeros((6, 6, 6)), constant=True)
+        zero = rc.FrameConnection(a, lambda xi: np.zeros((6, 6, 6)))
         ctx = rc.build_context(a, mu, connection=zero)
         chart = rc.default_chart(ctx)
         out = curvature_tensor(SigmaGeometry(ctx, chart), np.array([0.2, -0.1]))[0, 1, 0]
@@ -119,7 +119,7 @@ class TestFlagship:
         base = curvature_tensor(geom, t)[0, 1, 1]
         g = rc.group_exp(a, 0.15 * rng.standard_normal(3))
         C = rc.coadjoint_matrix(g)
-        C_inv = rc.coadjoint_matrix(g.inverse())
+        C_inv = rc.coadjoint_matrix(np.linalg.inv(g))
         t2 = chart.coords(C @ chart.nu(t), t0=t)
         t_pre = chart.coords(C_inv @ chart.nu(t2), t0=t)
         moved = [_chart_components(chart, t2, C @ chart.dnu(t_pre)[:, a_idx])
@@ -220,6 +220,22 @@ class TestSymmetryBattery:
         good = curvature_battery(SigmaGeometry(ctx_good, chart),
                                  [np.array([0.12, -0.07])])["symmetry"]
         assert good["symplectic_defect"] <= 1e-4
+
+    def test_one_lift_per_point_on_so4(self, monkeypatch):
+        # the symplectic-valuedness defect lifts the tensor rows of every pair
+        # i < j (6 pairs of 4 rows on so(4) regular) with one solve
+        ctx = rc.build_context(_so4(), np.array([1.0, 0.0, 0.0, 0.0, 0.0, 2.0]))
+        geom = SigmaGeometry(ctx, rc.default_chart(ctx))
+        calls = []
+        lift = SigmaGeometry.lift
+
+        def counted(self, t, fiber, v):
+            calls.append(np.shape(v))
+            return lift(self, t, fiber, v)
+
+        monkeypatch.setattr(SigmaGeometry, "lift", counted)
+        curvature_battery(geom, [np.array([0.12, -0.2, 0.07, 0.15])])
+        assert calls == [(6 * 4, 6)]
 
     @pytest.mark.parametrize("name,mu", [("so3", [0.0, 0.0, 1.0]), ("sl2r", [1.0, 0.0, 0.0]),
                                          ("so4", [1.0, 0.0, 0.0, 0.0, 0.0, 2.0])])

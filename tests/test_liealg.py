@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import redconn as rc
+from redconn import linalg
 from redconn.errors import ConfigError, NoRealization, NonReductiveStabilizer
 from tests.conftest import AFF1_DOC, CATALOG_CASES
 
@@ -208,15 +209,20 @@ def _so4() -> rc.LieAlgebra:
     return a
 
 
+def _realized_exp(a, X):
+    """exp of X in the realization: the reference for the Ad-only kernels."""
+    return linalg.expm(np.einsum("i,iab->ab", X, a.realization))
+
+
 class TestGroupMachinery:
     def test_exp_zero_is_identity(self, so3):
-        g = rc.group_exp(so3, np.zeros(3))
-        assert np.allclose(g.mat, np.eye(3))
+        assert np.allclose(rc.group_exp(so3, np.zeros(3)), np.eye(3))
+        assert np.allclose(_realized_exp(so3, np.zeros(3)), np.eye(3))
 
     def test_so3_adjoint_rotation_closed_form(self, so3):
         # Ad(exp(t e3)) rotates the (e1, e2) plane by angle t
         for t in (0.3, -1.2):
-            Ad = rc.adjoint_matrix(rc.group_exp(so3, t * _basis(3, 2)))
+            Ad = rc.group_exp(so3, t * _basis(3, 2))
             expected = np.array([[np.cos(t), -np.sin(t), 0.0],
                                  [np.sin(t), np.cos(t), 0.0],
                                  [0.0, 0.0, 1.0]])
@@ -226,13 +232,13 @@ class TestGroupMachinery:
         for name, _ in CATALOG_CASES:
             a = rc.named_algebra(name)
             g = rc.group_exp(a, rng.uniform(-1, 1, a.dim))
-            prod = rc.coadjoint_matrix(g) @ rc.coadjoint_matrix(g.inverse())
+            prod = rc.coadjoint_matrix(g) @ rc.coadjoint_matrix(np.linalg.inv(g))
             assert np.max(np.abs(prod - np.eye(a.dim))) <= 1e-10
 
     def test_ad_is_bracket_homomorphism(self, rng):
         for name, _ in CATALOG_CASES:
             a = rc.named_algebra(name)
-            Ad = rc.adjoint_matrix(rc.group_exp(a, rng.uniform(-1, 1, a.dim)))
+            Ad = rc.group_exp(a, rng.uniform(-1, 1, a.dim))
             for _ in range(3):
                 X, Y = rng.standard_normal(a.dim), rng.standard_normal(a.dim)
                 lhs = Ad @ a.bracket(X, Y)
@@ -255,27 +261,55 @@ class TestGroupMachinery:
         # its own exponential: conjugating the basis ties the two together
         a = _so4() if name == "so4" else rc.named_algebra(name)
         n = a.dim
-        g = rc.compose(rc.group_exp(a, rng.uniform(-1, 1, n)),
-                       rc.group_exp(a, rng.uniform(-1, 1, n)))
-        for h in (g, g.inverse()):
-            Ad = rc.adjoint_matrix(h)
+        X1, X2 = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+        g = rc.group_exp(a, X1) @ rc.group_exp(a, X2)
+        g_mat = _realized_exp(a, X1) @ _realized_exp(a, X2)
+        for Ad, mat in ((g, g_mat), (np.linalg.inv(g), np.linalg.inv(g_mat))):
             scale = max(1.0, float(np.max(np.abs(Ad))))
-            h_inv = np.linalg.inv(h.mat)
+            mat_inv = np.linalg.inv(mat)
             for i in range(n):
-                col = a.matrix_coords(h.mat @ a.realization[i] @ h_inv)
+                col = a.matrix_coords(mat @ a.realization[i] @ mat_inv)
                 assert np.max(np.abs(Ad[:, i] - col)) <= 1e-12 * scale
-            prod = rc.coadjoint_matrix(h) @ Ad.T
+            prod = rc.coadjoint_matrix(Ad) @ Ad.T
             assert np.max(np.abs(prod - np.eye(n))) <= 1e-12 * scale
 
     def test_no_realization(self):
+        # matrix_coords is the one operation that reads the realization
         a = rc.LieAlgebra(2, rc.abelian(2).c.copy())
         with pytest.raises(NoRealization):
-            rc.group_exp(a, np.zeros(2))
+            a.matrix_coords(np.zeros((3, 3)))
 
     def test_group_constraints_validated(self, so3, rng):
-        g = rc.group_exp(so3, rng.uniform(-2, 2, 3))
-        assert abs(np.linalg.det(g.mat) - 1.0) <= 1e-9
-        assert np.max(np.abs(g.mat.T @ g.mat - np.eye(3))) <= 1e-9
+        # the claims validate checks on the generators hold on group elements
+        g = _realized_exp(so3, rng.uniform(-2, 2, 3))
+        assert abs(np.linalg.det(g) - 1.0) <= 1e-9
+        assert np.max(np.abs(g.T @ g - np.eye(3))) <= 1e-9
+        # a false claim fails on the generators, whatever element one would draw
+        sl2r = rc.sl2r()
+        with pytest.raises(ValueError, match="orthogonal"):
+            rc.LieAlgebra(3, sl2r.c, realization=sl2r.realization, orthogonal=True).validate()
+        rho = np.asarray(AFF1_DOC["realization"])
+        with pytest.raises(ValueError, match="det_one"):
+            rc.LieAlgebra(2, rc.algebra_from_json(AFF1_DOC).c, realization=rho,
+                          det_one=True).validate()
+
+    def test_realization_free_algebra_matches_realized(self, so3, rng):
+        # the group kernels read only the structure constants: an unrealized
+        # copy of so3 gives the realized so3's arrays bit for bit
+        bare = rc.LieAlgebra(3, so3.c)
+        X = rng.uniform(-1, 1, 3)
+        assert np.array_equal(rc.group_exp(bare, X), rc.group_exp(so3, X))
+        m = np.eye(3)[:, :2]
+        t = rng.uniform(-0.3, 0.3, 2)
+        for got, want in zip(rc.orbit_chart(bare, [0, 0, 1.0], m).exp_data(t),
+                             rc.orbit_chart(so3, [0, 0, 1.0], m).exp_data(t)):
+            assert np.array_equal(got, want)
+        for got, want in zip(rc.finite_cyclic_rule(bare, np.eye(3)[2], 4).nodes,
+                             rc.finite_cyclic_rule(so3, np.eye(3)[2], 4).nodes):
+            assert np.array_equal(got, want)
+        left = [rc.fundamental_field(alg, "left", X, rc.PhasePoint(rc.group_exp(alg, -X), X))
+                for alg in (bare, so3)]
+        assert np.array_equal(left[0].as_vector(), left[1].as_vector())
 
 
 class TestJsonLoading:

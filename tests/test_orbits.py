@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import redconn as rc
-from redconn.errors import NoRealization, NotTangent
+from redconn.errors import NotTangent
 from tests.conftest import CATALOG_CASES
+from tests.test_liealg import _realized_exp
 
 e1, e2, e3 = np.eye(3)
 
@@ -24,11 +25,6 @@ class TestOrbitChart:
         chart = rc.orbit_chart(a, mu, ctx.m)
         assert chart.dim == 0
 
-    def test_requires_realization(self):
-        a = rc.LieAlgebra(3, rc.so3().c.copy())
-        with pytest.raises(NoRealization):
-            rc.orbit_chart(a, e3, np.eye(3)[:, :2])
-
     def test_differential_matches_finite_differences(self, so3_chart, rng):
         h = 1e-6
         for _ in range(3):
@@ -48,19 +44,22 @@ class TestOrbitChart:
         h = 1e-6
         t = rng.uniform(-0.4, 0.4, chart.dim)
         vecs = chart.section_vectors(t)
-        g = chart.section_element(t)
+        g = _realized_exp(a, chart.m_basis @ t)
         for i in range(chart.dim):
             step = np.eye(chart.dim)[i] * h
-            dmat = (chart.section_element(t + step).mat
-                    - chart.section_element(t - step).mat) / (2 * h)
-            fd = a.matrix_coords(np.linalg.solve(g.mat, dmat))
+            dmat = (_realized_exp(a, chart.m_basis @ (t + step))
+                    - _realized_exp(a, chart.m_basis @ (t - step))) / (2 * h)
+            fd = a.matrix_coords(np.linalg.solve(g, dmat))
             assert np.max(np.abs(fd - vecs[:, i])) <= 1e-8
 
-    def test_section_lands_on_level_set(self, so3_chart, rng):
-        # the section pairs exp(t·E) with the fixed level mu by construction
+    def test_section_lands_on_level_set(self, so3, so3_chart, rng):
+        # the section pairs exp(t·E) with the fixed level mu by construction;
+        # its element is a rotation in the realization and in Ad
         t = rng.uniform(-0.5, 0.5, 2)
-        g = so3_chart.section_element(t)
-        g.validate()
+        g = _realized_exp(so3, so3_chart.m_basis @ t)
+        for M in (g, so3_chart.section_element(t)):
+            assert abs(np.linalg.det(M) - 1.0) <= 1e-9
+            assert np.max(np.abs(M.T @ M - np.eye(3))) <= 1e-9
 
     def test_coords_roundtrip(self, so3_chart, rng):
         for _ in range(5):

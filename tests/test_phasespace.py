@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import redconn as rc
-from redconn.errors import NoRealization, PointOffConstraint
+from redconn.errors import PointOffConstraint
 from redconn.phasespace import momentum_differential
 from tests.conftest import CATALOG_CASES
 
@@ -88,12 +88,12 @@ class TestFundamentalFields:
 
     def test_left_at_identity(self, so3, rng):
         X = rng.standard_normal(3)
-        p = rc.PhasePoint(rc.identity_element(so3), rng.standard_normal(3))
+        p = rc.PhasePoint(np.eye(3), rng.standard_normal(3))
         out = rc.fundamental_field(so3, "left", X, p)
         assert np.allclose(out.X, -X) and np.all(out.eta == 0.0)
 
     def test_left_needs_group_element(self, so3):
-        with pytest.raises(NoRealization):
+        with pytest.raises(ValueError, match="needs a group element"):
             rc.fundamental_field(so3, "left", e1, rc.PhasePoint(None, e3))
 
 
@@ -201,7 +201,7 @@ class TestRegularity:
         assert rc.regularity_report(a, mu, pts, side="right")["regular"]
 
     def test_point_off_constraint_rejected(self, so3, mu_so3):
-        bad = rc.PhasePoint(rc.identity_element(so3), mu_so3 + 0.1)
+        bad = rc.PhasePoint(np.eye(3), mu_so3 + 0.1)
         with pytest.raises(PointOffConstraint):
             rc.regularity_report(so3, mu_so3, [bad])
 
@@ -214,10 +214,10 @@ class TestRegularity:
         for _ in range(4):
             X, eta = rng.standard_normal(3), rng.standard_normal(3)
             plus = rc.momentum_map(so3, "left",
-                                   rc.PhasePoint(rc.compose(g, rc.group_exp(so3, h * X)),
+                                   rc.PhasePoint(g @ rc.group_exp(so3, h * X),
                                                  mu_so3 + h * eta))
             minus = rc.momentum_map(so3, "left",
-                                    rc.PhasePoint(rc.compose(g, rc.group_exp(so3, -h * X)),
+                                    rc.PhasePoint(g @ rc.group_exp(so3, -h * X),
                                                   mu_so3 - h * eta))
             fd = (plus - minus) / (2 * h)
             assert np.max(np.abs(fd - D @ _vec(X, eta))) <= 1e-8

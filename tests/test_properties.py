@@ -35,7 +35,7 @@ def test_lifts_and_tables_at_random_points_and_fibers(so4_case, t_unit, y):
     ctx, chart = so4_case
     a, km, k = ctx.algebra, chart.dim, ctx.stabilizer_dim
     t = 0.4 * chart.radius * np.asarray(t_unit[:km])
-    fiber = rc.group_exp(a, ctx.g_mu @ np.asarray(y[:k])).ad
+    fiber = rc.group_exp(a, ctx.g_mu @ np.asarray(y[:k]))
     geom = rc.SigmaGeometry(ctx, chart)
 
     lifts = geom.lifts(t, fiber)

@@ -159,8 +159,8 @@ PINNED_NAMES = {
     "so3": ({"group": "so3", "mu": [0.0, 0.0, 1.0]}, SO3_NAMES),
     "aff1-no-realization": (
         {"group": perfbench_cases().AFF1_NO_REALIZATION, "mu": [0.0, 1.0]},
-        LIE + PHASE + CONN + RED + ["red/w1-omega-nondegenerate"] + RED_LEVEL
-        + ["red/autoparallel-report"]),
+        LIE + LIE_GROUP + PHASE + CONN + ["conn/right-invariance"] + RED
+        + ["red/w1-omega-nondegenerate"] + RED_LEVEL + ["red/autoparallel-report"]),
     "abelian3": ({"group": "abelian(3)", "mu": [1.0, 0.5, -1.0]},
                  LIE + LIE_GROUP + PHASE + CONN + ["conn/right-invariance"] + RED + RED_LEVEL
                  + ["red/autoparallel-report"]),
