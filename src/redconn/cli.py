@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="write the JSON report to this path")
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
     common.add_argument("--fd-step", dest="fd_step", type=float, default=None,
-                        help="override the first-derivative finite-difference step")
+                        help="override the step of the finite-difference check of the exact jets")
     common.add_argument("--tol-scale", dest="tol_scale", type=float, default=None,
                         help="multiply every tolerance by this factor")
     sub.add_parser("validate", parents=[common],

@@ -62,6 +62,12 @@ def subspace_distance(A, B) -> float:
     return float(np.linalg.norm(PA - PB, ord=2))
 
 
+def matvec(A, v) -> np.ndarray:
+    """A·v for one vector v, or for each vector of a stack (…, n) alike, so that
+    no vector's product depends on the others in the stack."""
+    return (A @ np.asarray(v, dtype=float)[..., None])[..., 0]
+
+
 def solve_columns(A, B) -> np.ndarray:
     """Minimum-norm least-squares solve of A X = B, column by column."""
     A = np.atleast_2d(np.asarray(A, dtype=float))

@@ -5,7 +5,9 @@ The reduced manifold is represented concretely as the coadjoint orbit through
 from a complement m of the stabilizer: chart coordinates t parametrize
 ν(t) = Coad(exp(Σ t_a E_a))μ together with the section (exp(Σ t_a E_a), μ)
 into the momentum level set.  Coad, the section vectors and the chart
-differential at t come from one ``linalg.expm`` of a 2n×2n block.
+differential at t, with the exact derivatives of Coad and of the chart
+differential along every chart direction, come from one ``linalg.expm`` of a
+stack of 3n×3n blocks.
 """
 
 from __future__ import annotations
@@ -46,20 +48,25 @@ class OrbitChart:
         """Orbit point Coad(exp(Σ t_a E_a))μ."""
         return coadjoint_matrix(self.section_element(t)) @ self.mu
 
-    def exp_data(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Coad(exp A), the section vectors and the chart differential at t,
-        from one block exponential E = linalg.expm([[−ad A, I], [0, 0]]) with
-        A = Σ t_a E_a (Van Loan, 1978): E's upper-left block is e^{−ad A} =
-        Coad(exp A)ᵀ and its upper-right block is φ₁(−ad A), φ₁(z) = (e^z − 1)/z.
-        """
-        n = self.algebra.dim
-        block = np.zeros((2 * n, 2 * n))
-        block[:n, :n] = -self.algebra.ad(self.m_basis @ np.asarray(t, dtype=float))
-        block[:n, n:] = np.eye(n)
+    def exp_data(self, t) -> tuple[np.ndarray, ...]:
+        """Coad(exp A), the section vectors and the chart differential at t
+        (A = Σ t_a E_a), then the derivatives of Coad(exp A) and of the chart
+        differential along each chart direction c, from the block exponentials
+        expm([[−ad A, −ad E_c, 0], [0, −ad A, I], [0, 0, 0]]) stacked in one call
+        (Van Loan 1978; Al-Mohy–Higham 2009): blocks (1, 1) and (2, 3) are
+        e^{−ad A} = Coad(exp A)ᵀ and φ₁(−ad A), (1, 2) and (1, 3) their
+        derivatives along E_c."""
+        a, n, m = self.algebra, self.algebra.dim, self.m_basis
+        block = np.zeros((max(self.dim, 1), 3 * n, 3 * n))
+        block[:, :n, :n] = block[:, n:2 * n, n:2 * n] = -a.ad(m @ np.asarray(t, dtype=float))
+        block[: self.dim, :n, n:2 * n] = -np.einsum("ijk,ic->ckj", a.c, m)
+        block[:, n:2 * n, 2 * n:] = np.eye(n)
         E = linalg.expm(block)
-        coad = E[:n, :n].T
-        vecs = E[:n, n:] @ self.m_basis
-        return coad, vecs, -coad @ (self.algebra.bracket_pairing(self.mu).T @ vecs)
+        coad, d_coad = E[0, :n, :n].T, E[: self.dim, :n, n:2 * n].transpose(0, 2, 1)
+        K_T = a.bracket_pairing(self.mu).T
+        vecs = E[0, n:2 * n, 2 * n:] @ m
+        d_D = -d_coad @ (K_T @ vecs) - coad @ (K_T @ (E[: self.dim, :n, 2 * n:] @ m))
+        return coad, vecs, -coad @ (K_T @ vecs), d_coad, d_D
 
     def section_vectors(self, t) -> np.ndarray:
         """Left-trivialized velocities of the chart directions at t: column a is

@@ -73,6 +73,7 @@ THRESHOLDS = {
     "kks_match": 1e-8,
     "reduced_form_closed": 1e-6,
     "reduced_form_parallel": 1e-6,
+    "jet_fd": 1e-6,
     "geodesic_oracle": 1e-10,
     "curvature_agreement": 1e-4,
     "curvature_antisymmetry": 1e-4,
@@ -278,8 +279,8 @@ def _stage_reduce(cfg: CaseConfig, a: LieAlgebra, mu: np.ndarray, conn,
         return stage, ctx, None, None
     geom = SigmaGeometry(ctx, orbit_chart(a, mu, ctx.m, cfg.chart_radius))
     pts = _sample_points(cfg, geom.chart.dim, rng)
-    sweep = _chart_sweep(geom, pts, rng, cfg.fd_step)
-    auto = autoparallel_check(ctx, geom=geom, rng=rng, fd_step=cfg.fd_step)
+    sweep = _chart_sweep(geom, pts, rng)
+    auto = autoparallel_check(ctx, geom=geom, rng=rng)
     stage.update({
         "sigma": sweep["sigma"],
         "kks_sign_constant": KKS_MATCH_SIGN,
@@ -293,28 +294,22 @@ def _stage_reduce(cfg: CaseConfig, a: LieAlgebra, mu: np.ndarray, conn,
     return stage, ctx, geom, sweep
 
 
-def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator, h: float) -> dict:
+def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator) -> dict:
     """Every reduced-connection defect, from arrays evaluated once per chart point.
 
-    At each point t: the kernel's D = dnu(t) and lifts of D's columns, the
-    reduced form matrix Ω(t) and its central differences ∂ₓΩ at t ± h·eₓ, and
-    the geometry's ``cov_table`` of reduced derivatives ∇ʳ(f_i) f_j of the
-    coordinate fields with the level-set derivatives they are pushed down
-    from.  Torsion, the Gram oracle, KKS match, parallelism
-    (∂ₓΩ_ij = Ω(∇ʳ_x f_i, f_j) + Ω(f_i, ∇ʳ_x f_j)) and closedness (the cyclic
-    sum of ∂Ω, on the first two points) read these; fiber independence
-    compares the table at pts[0] with the same table at five random
-    stabilizer fibers drawn from rng.
+    At each point t: the kernel's D = dnu(t), lifts L of D's columns and their
+    jet J, the reduced form matrix Ω(t) = L·ω(μ)·Lᵀ and its exact derivatives
+    ∂ₓΩ = J[x]·ω(μ)·Lᵀ minus its transpose, and the geometry's ``cov_table`` of
+    reduced derivatives ∇ʳ(f_i) f_j of the coordinate fields with the
+    level-set derivatives they are pushed down from.  Torsion, the Gram
+    oracle, KKS match, parallelism (∂ₓΩ_ij = Ω(∇ʳ_x f_i, f_j) + Ω(f_i, ∇ʳ_x f_j))
+    and closedness (the cyclic sum of ∂Ω, on the first two points) read these;
+    fiber independence compares the table at pts[0] with the same table at
+    five random stabilizer fibers drawn from rng.
     """
     ctx = geom.ctx
     km = geom.chart.dim
     e = geom.identity
-    steps = np.eye(km) * h
-
-    def omega_at(t):
-        lifts = geom.lifts(t, e)
-        return geom.form_table(lifts, lifts)
-
     out = {"sigma": None, "kks": 0.0, "torsion": 0.0, "oracle": 0.0, "parallel": 0.0,
            "closed": 0.0, "fiber": 0.0}
     for index, t in enumerate(pts):
@@ -324,15 +319,15 @@ def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator, h: float) -
         pairs = kks_pairs(ctx, p.D, p.coad @ ctx.mu, omega)
         if out["sigma"] is None:
             out["sigma"] = next((float(np.sign(red / ref)) for red, ref in pairs), None)
-        level, cov = geom.cov_table(t, e, h)
+        level, cov = geom.cov_table(t, e)
         if index == 0:
             base_cov = cov
-        d_omega = np.array([(omega_at(t + s) - omega_at(t - s)) / (2 * h) for s in steps])
+        jw = geom.form_table(p.jet[:km].reshape(km * km, -1), lifts).reshape(km, km, km)
+        d_omega = jw - jw.transpose(0, 2, 1)
         # P[x, i, j] = Ω(∇ʳ_x f_i, f_j), so Ω(f_i, ∇ʳ_x f_j) = -P[x, j, i]
         cov_lifts = geom.lift(t, e, cov.reshape(km * km, -1))
         P = geom.form_table(cov_lifts, lifts).reshape(km, km, km)
-        oracle = gram_oracle_solve(geom, p.D, lifts,
-                                   np.reshape(level, (km * km, -1))).reshape(cov.shape)
+        oracle = gram_oracle_solve(geom, p.D, lifts, level.reshape(km * km, -1)).reshape(cov.shape)
         out["kks"] = max(out["kks"], kks_gap(pairs))
         out["torsion"] = max(out["torsion"],
                              float(np.max(np.abs(cov - cov.transpose(1, 0, 2)))))
@@ -345,7 +340,7 @@ def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator, h: float) -
     k = ctx.stabilizer_dim
     for _ in range(5 if k else 0):
         fiber = group_exp(ctx.algebra, ctx.g_mu @ rng.uniform(-1.0, 1.0, k))
-        _, cov = geom.cov_table(pts[0], fiber, h)
+        _, cov = geom.cov_table(pts[0], fiber)
         out["fiber"] = max(out["fiber"], float(np.max(np.abs(base_cov - cov))))
     return out
 
@@ -360,7 +355,7 @@ def _stage_curvature(cfg: CaseConfig, reduced: dict, geom: SigmaGeometry | None,
         "status": "ok",
         "fd_step2_note": "second-derivative step trades truncation against "
                          "cancellation; the convergence probe reports the balance",
-        **curvature_battery(geom, pts, fd_step=cfg.fd_step, fd_step2=cfg.fd_step2),
+        **curvature_battery(geom, pts, fd_step2=cfg.fd_step2),
     }
 
 
@@ -631,6 +626,9 @@ def _verify_reduction(cfg, run, checks) -> None:
         _mirror(checks, cfg, run, "red/reduced-torsion", "red/reduced-oracle", "red/kks-match",
                 "red/reduced-form-parallel", "red/reduced-form-closed",
                 "red/fiber-independence")
+        t = np.asarray(reduced["chart_points"][0])
+        _check(checks, "red/jet-fd", _jet_fd_defect(run.geom, t, cfg.fd_step),
+               cfg.threshold("jet_fd"))
         if auto["independence"] is not None:
             _mirror(checks, cfg, run, "red/autoparallel-independence", note=note)
             return
@@ -714,6 +712,22 @@ def _sigma_equivariance_defect(ctx, rng) -> float:
             rhs = P @ np.einsum("abc,a,b->c", gamma, T @ u, T @ v)
             defect = max(defect, float(np.max(np.abs(lhs - rhs))))
     return defect
+
+
+def _jet_fd_defect(geom: SigmaGeometry, t, step: float) -> float:
+    """Largest gap, relative to max(1, |exact|), between the exact derivatives
+    of ``lifts`` and their central differences at ``step`` along each lift and
+    stabilizer generator at t, on the fibers 1 and exp(g_μ·(½, …, ½))."""
+    ctx = geom.ctx
+    k = ctx.stabilizer_dim
+    fibers = [geom.identity] + ([group_exp(ctx.algebra, ctx.g_mu @ np.full(k, 0.5))] if k else [])
+    gap = 0.0
+    for fiber in fibers:
+        us = np.vstack([geom.lifts(t, fiber), np.pad(ctx.g_mu.T, ((0, 0), (0, geom.n)))])
+        for u, exact in zip(us, geom.lift_derivatives(t, fiber, us)):
+            fd = geom._stencil(t, fiber, u, step, geom.lifts)
+            gap = max(gap, float(np.max(np.abs(exact - fd)) / max(1.0, np.max(np.abs(exact)))))
+    return gap
 
 
 def _sigma_torsion_defect(ctx) -> float:

@@ -17,10 +17,9 @@ The induced covariant derivative along the level set is P∘∇ for the ambient
 invariant symplectic connection ∇; removing the radical component with alpha
 and pushing down through the quotient map (g, μ) ↦ Coad(g)μ produces the
 reduced connection on the orbit.  The lifted chart coordinate fields are one
-array per point (``SigmaGeometry.lifts``), differenced centrally in a (chart x
-stabilizer-fiber) parametrization, so no chart inversion is ever needed on the
-hot path; the fiber shifts Ad(exp sY) of one stencil come from one stacked
-``linalg.expm``.
+array per point (``SigmaGeometry.lifts``) with its exact derivative along every
+(chart x stabilizer-fiber) parameter, from the chart's block exponentials and
+the chain rule: no first derivative needs a chart inversion or a difference.
 """
 
 from __future__ import annotations
@@ -132,12 +131,13 @@ class ReductionContext:
         return self.base_dim == 0
 
     def alpha(self, v) -> np.ndarray:
-        """Stabilizer coordinates of the radical component of a tangent vector."""
-        return self.alpha_mat @ np.asarray(v, dtype=float)
+        """Stabilizer coordinates of the radical component of a tangent vector
+        (or of each vector of a stack)."""
+        return linalg.matvec(self.alpha_mat, v)
 
     def alpha_star(self, v) -> np.ndarray:
         """alpha followed by the vertical generator map back into the frame."""
-        return self.v_delta @ self.alpha(v)
+        return linalg.matvec(self.v_delta, self.alpha(v))
 
     def horizontal_part(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -250,28 +250,26 @@ class PointKernel:
     D: np.ndarray  # chart differential dnu(t)
     M: np.ndarray  # lift matrix: quotient differential on the horizontal basis
     lift_ok: bool  # M has full column rank
-    lifts: np.ndarray  # row i: w1 · X e_i with X = lstsq(M, D), the lift of D e_i
+    lifts: np.ndarray  # row i: w1 · X e_i with X = M⁺D, the lift of D e_i
     tangent: bool  # every column of D passed the tangency test against M X
     F: np.ndarray  # chart-fiber frame [Ad(h)⁻¹ · section vectors | g_μ]
+    frame_ok: bool  # F has full rank
+    jet: np.ndarray  # jet[c]: derivative of lifts along parameter c (read only if lift_ok)
 
 
 class SigmaGeometry:
     """Shared workspace for derivatives along the momentum level set.
 
-    A point (exp(Σ t_a E_a) · h, μ) is addressed by t and ``fiber``, the n×n
-    Ad matrix of the stabilizer element h.  ``_stencil`` central-differences
-    an array-valued function of the point, above all ``lifts`` (row i is the
-    horizontal lift of the chart coordinate field f_i), along a tangent
-    direction, solving for the matching (chart, fiber) parameter velocity.
-    Each distinct (t, fiber) gets one ``PointKernel`` and each (t, fiber,
-    step) one level-set table, built row by row (one row per chart direction,
-    each on first request), all kept for the life of the instance: the chart
-    sweep reads every row of ``cov_table``, the curvature routes only the
-    rows they need.  A run builds one instance per (context, chart) and
-    shares it between the chart sweep, the autoparallel check and the
-    curvature battery; kernels and tables depend only on their keys, so
-    sharing changes what is recomputed, never a value.  Neither cache is
-    thread-safe: use one instance per thread.
+    A point (exp(Σ t_a E_a) · h, μ) is addressed by t and ``fiber``, the Ad
+    matrix of h, and moves with the parameters t and s in h·exp(Σ s_b g_μ e_b).
+    Each (t, fiber) gets one ``PointKernel``, holding ``lifts`` (row i lifts
+    f_i) and its jet, and one level-set table, built whole on first request;
+    ``lift_derivatives`` contracts the jet with a direction's parameter
+    velocity, and ``_stencil`` central-differences any function of the point.
+    A run shares one instance per (context, chart) between the chart sweep,
+    the autoparallel check and the curvature battery; kernels and tables
+    depend only on their keys, so sharing changes what is recomputed, never a
+    value.  Neither cache is thread-safe: use one instance per thread.
     """
 
     def __init__(self, ctx: ReductionContext, chart: OrbitChart, richardson: bool = False):
@@ -280,16 +278,16 @@ class SigmaGeometry:
         self.ctx = ctx
         self.chart = chart
         a = ctx.algebra
-        self.algebra = a
         self.n = a.dim
         self.struct = frame_structure(a)
         self.K_T = a.bracket_pairing(ctx.mu).T
         self.w1grp = ctx.w1[: self.n, :]
+        # ad(g_μ e_b)ᵀ: Coad moves by −Coad · ad(g_μ e_b)ᵀ along fiber parameter b
+        self.ad_fiber_T = np.einsum("ijk,ib->bjk", a.c, ctx.g_mu)
         self.identity = np.eye(self.n)
         self.richardson = richardson
         self._points: dict = {}
-        self._tables: dict = {}  # (t, fiber, step) -> (lift values, level rows, derivatives)
-        self._full_frames: set = set()  # point keys whose F passed the rank test
+        self._tables: dict = {}  # (t, fiber) -> (level values, derivatives)
 
     def point(self, t, fiber: np.ndarray) -> PointKernel:
         """The kernel at (exp(Σ t_a E_a) · h, μ), computed on first use."""
@@ -297,17 +295,24 @@ class SigmaGeometry:
         key = (t.tobytes(), fiber.tobytes())
         p = self._points.get(key)
         if p is None:
-            coad_t, vecs, D = self.chart.exp_data(t)
+            coad_t, vecs, D, d_coad_t, d_D = self.chart.exp_data(t)
             h_inv = np.linalg.inv(fiber)
             coad = coad_t @ h_inv.T
-            M = -coad @ (self.K_T @ self.w1grp)
-            X, *_ = np.linalg.lstsq(M, D, rcond=None)
+            KW = self.K_T @ self.w1grp
+            M = -coad @ KW
+            M_pinv = np.linalg.pinv(M)
+            X = M_pinv @ D
+            # X = M⁺D: dX = M⁺(dD − dM·X + M⁺ᵀ·dMᵀ·(D − M·X)) per parameter, as
+            # M⁺M⁺ᵀ = (MᵀM)⁻¹ at full column rank
+            d_M = np.concatenate([d_coad_t @ h_inv.T, -coad @ self.ad_fiber_T]) @ -KW
+            d_D = np.concatenate([d_D, np.zeros((self.ctx.stabilizer_dim,) + D.shape)])
+            d_X = M_pinv @ (d_D - d_M @ X + M_pinv.T @ d_M.transpose(0, 2, 1) @ (D - M @ X))
+            F = np.hstack([h_inv @ vecs, self.ctx.g_mu])
             p = self._points[key] = PointKernel(
-                coad, D, M, linalg.rank(M) == M.shape[1],
-                np.array([self.ctx.w1 @ (X @ c) for c in np.eye(D.shape[1])]),
+                coad, D, M, linalg.rank(M) == M.shape[1], (self.ctx.w1 @ X).T,
                 not np.any(np.linalg.norm(M @ X - D, axis=0)
                            > TANGENT_RTOL * np.maximum(1.0, np.linalg.norm(D, axis=0))),
-                np.hstack([h_inv @ vecs, self.ctx.g_mu]))
+                F, linalg.rank(F) == self.n, (self.ctx.w1 @ d_X).transpose(0, 2, 1))
         return p
 
     # -- lifting ---------------------------------------------------------
@@ -329,7 +334,7 @@ class SigmaGeometry:
 
     def lifts(self, t, fiber: np.ndarray) -> np.ndarray:
         """Horizontal lifts of the chart coordinate fields at (t, fiber), row i
-        the lift of f_i; the level-set field that stencils difference.
+        the lift of f_i.
 
         Raises:
             SingularProjection: the lift system is singular at the point.
@@ -346,71 +351,73 @@ class SigmaGeometry:
 
     # -- derivatives along the level set ----------------------------------
 
+    def _params(self, t, fiber: np.ndarray, us) -> np.ndarray:
+        """Chart-fiber parameter velocities (columns) of the level-set directions
+        ``us`` (rows), one solve in the chart-fiber frame per direction, so that
+        a direction's velocity never depends on the others."""
+        us = np.atleast_2d(np.asarray(us, dtype=float))
+        if np.any(np.linalg.norm(us[:, self.n:], axis=1)
+                  > 1e-8 * np.maximum(1.0, np.linalg.norm(us, axis=1))):
+            raise PointOffConstraint("direction is not tangent to the level set")
+        p = self.point(t, fiber)
+        if not p.frame_ok:
+            raise RankLoss("chart-fiber frame lost rank; point outside the chart radius")
+        return np.linalg.solve(p.F, us[:, : self.n, None])[..., 0].T
+
+    def lift_derivatives(self, t, fiber: np.ndarray, us) -> np.ndarray:
+        """Exact derivatives of ``lifts`` (km × 2n each) along the level-set
+        directions ``us`` (rows): the jet contracted with their velocities."""
+        self.lifts(t, fiber)
+        return np.einsum("cr,cjk->rjk", self._params(t, fiber, us), self.point(t, fiber).jet)
+
     def _stencil(self, t, fiber: np.ndarray, u, step: float, fld) -> np.ndarray:
         """Central difference along the tangent direction u of ``fld``, a function
         (t, fiber) -> array: one frame solve, and the fiber shifts of the stencil
-        (±step, then ±step/2 with Richardson) from one stacked exponential.  The
-        chart-fiber frame's rank is tested at the first stencil on each point."""
+        (±step, then ±step/2 with Richardson) from one stacked exponential."""
         t = np.asarray(t, dtype=float)
-        u = np.asarray(u, dtype=float)
-        if np.linalg.norm(u[self.n:]) > 1e-8 * max(1.0, np.linalg.norm(u)):
-            raise PointOffConstraint("direction is not tangent to the level set")
-        F = self.point(t, fiber).F
-        key = (t.tobytes(), fiber.tobytes())
-        if key not in self._full_frames:
-            if linalg.rank(F) < self.n:
-                raise RankLoss("chart-fiber frame lost rank; point outside the chart radius")
-            self._full_frames.add(key)
-        params = np.linalg.solve(F, u[: self.n])
+        params = self._params(t, fiber, u)[:, 0]
         dt, dy = params[: self.chart.dim], params[self.chart.dim:]
         steps = (step, -step) + ((step / 2.0, -step / 2.0) if self.richardson else ())
         shifts = [fiber] * len(steps)
         if dy.size:
-            ad_y = self.algebra.ad(self.ctx.g_mu @ dy)
+            ad_y = self.ctx.algebra.ad(self.ctx.g_mu @ dy)
             shifts = fiber @ linalg.expm(np.multiply.outer(steps, ad_y))
         v = [fld(t + s * dt, fib) for s, fib in zip(steps, shifts)]
         d1 = (v[0] - v[1]) / (2.0 * step)
         return d1 if len(v) == 2 else (4.0 * ((v[2] - v[3]) / step) - d1) / 3.0
 
     def _induced(self, u, base: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """P∘∇ along u of a field with value ``base`` and directional derivative d."""
-        return self.ctx.p_matrix @ (d + np.einsum("abc,a,b->c", self.ctx.gamma_mu, u, base))
+        """P∘∇ along u of a field with value ``base`` and directional derivative d
+        (one vector each, or stacks of them alike)."""
+        gamma_u = np.tensordot(u, self.ctx.gamma_mu, axes=1)  # [b, c]: Γ(μ)(u, e_b)_c
+        return linalg.matvec(self.ctx.p_matrix, d + linalg.matvec(gamma_u.T, base))
 
     def pushdown(self, t, fiber: np.ndarray, v) -> np.ndarray:
-        """Quotient differential applied to a level-set tangent vector."""
-        return -self.point(t, fiber).coad @ (self.K_T @ np.asarray(v, dtype=float)[: self.n])
+        """Quotient differential applied to a level-set tangent vector, or to each
+        vector of a stack alike."""
+        return -linalg.matvec(self.point(t, fiber).coad @ self.K_T,
+                              np.asarray(v, dtype=float)[..., : self.n])
 
-    def pushdown_horizontal(self, t, fiber: np.ndarray, v) -> np.ndarray:
-        """Remove the radical component of v, then push it down to the orbit."""
-        return self.pushdown(t, fiber, self.ctx.horizontal_part(v))
+    def _level_table(self, t, fiber: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """level[i, j] = P∘∇ along f̄_i of f̄_j, for the lifted chart coordinate
+        fields f̄ = ``lifts`` at (t, fiber), and derivs[i, j], the exact
+        derivative of f̄_j along f̄_i that level[i, j] is built from; computed
+        whole on first request."""
+        key = (np.asarray(t, dtype=float).tobytes(), fiber.tobytes())
+        table = self._tables.get(key)
+        if table is None:
+            u = self.lifts(t, fiber)
+            derivs = self.lift_derivatives(t, fiber, u)
+            table = self._tables[key] = (
+                np.array([self._induced(u[i], u, derivs[i]) for i in range(len(u))]), derivs)
+        return table
 
-    def _level_table(self, t, fiber: np.ndarray, step: float,
-                     rows=None) -> tuple[list, list]:
-        """level[i][j] = P∘∇ along f̄_i of f̄_j, for the lifted chart coordinate
-        fields f̄ = ``lifts`` at (t, fiber), and derivs[i][j], the derivative of
-        f̄_j along f̄_i that level[i][j] is built from, for every i in ``rows``
-        (all chart directions by default).  Each row is computed on first
-        request, on one stencil; a row never requested is None."""
-        t = np.asarray(t, dtype=float)
-        key = (t.tobytes(), fiber.tobytes(), step)
-        if key not in self._tables:
-            self._tables[key] = (self.lifts(t, fiber), [None] * self.chart.dim,
-                                 [None] * self.chart.dim)
-        bases, level, derivs = self._tables[key]
-        for i in range(self.chart.dim) if rows is None else rows:
-            if level[i] is None:
-                d = derivs[i] = self._stencil(t, fiber, bases[i], step, self.lifts)
-                level[i] = [self._induced(bases[i], bases[j], d[j]) for j in range(len(d))]
-        return level, derivs
-
-    def cov_table(self, t, fiber: np.ndarray, step: float) -> tuple[list, np.ndarray]:
-        """level[i][j] = P∘∇ along f̄_i of f̄_j (``_level_table``) and cov[i, j]
+    def cov_table(self, t, fiber: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """level[i, j] = P∘∇ along f̄_i of f̄_j (``_level_table``) and cov[i, j]
         = its pushdown, the reduced ∇ʳ(f_i) f_j, over the chart coordinate
-        fields at (t, fiber); direction i differences ``lifts`` on one stencil
-        for every f_j."""
-        level, _ = self._level_table(t, fiber, step)
-        cov = np.array([[self.pushdown_horizontal(t, fiber, g) for g in row] for row in level])
-        return level, cov
+        fields at (t, fiber), with the radical part of each level value removed."""
+        level, _ = self._level_table(t, fiber)
+        return level, self.pushdown(t, fiber, self.ctx.horizontal_part(level))
 
 
 # --- public operations --------------------------------------------------------
@@ -486,8 +493,7 @@ def _random_stable_complement(ctx: ReductionContext, rng: np.random.Generator,
 
 def autoparallel_check(ctx: ReductionContext, *, geom: SigmaGeometry | None = None,
                        rng: np.random.Generator | None = None,
-                       n_samples: int = 3, fd_step: float = 1e-5,
-                       tol: float = 1e-10) -> AutoparallelReport:
+                       n_samples: int = 3, tol: float = 1e-10) -> AutoparallelReport:
     """Measure how far the level set is from being autoparallel.
 
     The defect is the largest component of ∇ of level-set frame pairs outside
@@ -517,8 +523,8 @@ def autoparallel_check(ctx: ReductionContext, *, geom: SigmaGeometry | None = No
     diff = 0.0
     for _ in range(n_samples):
         t = rng.uniform(-0.3, 0.3, size=chart.dim) * chart.radius
-        _, va = geom.cov_table(t, geom.identity, fd_step)
-        _, vb = geom_b.cov_table(t, geom_b.identity, fd_step)
+        _, va = geom.cov_table(t, geom.identity)
+        _, vb = geom_b.cov_table(t, geom_b.identity)
         diff = max(diff, float(np.max(np.abs(va - vb))))
     return AutoparallelReport(defect, diff, n_samples * chart.dim ** 2)
 

@@ -1,6 +1,7 @@
-"""Property tests of the level-set lift array over random chart points and
-stabilizer fibers on the so(4) benchmark cases (regular and non-abelian
-stabilizer)."""
+"""Property tests of the level-set lift array and its exact jet over random
+chart points and stabilizer fibers: on the so(4) benchmark cases (regular and
+non-abelian stabilizer), and, for the jet against a Richardson stencil, on
+so(4) and so(5) regular at random scales of μ."""
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from redconn.pipeline import THRESHOLDS, CaseConfig
 from tests.conftest import perfbench_cases
 
 SO4_CASES = perfbench_cases().SO4_CASES
-FD_STEP = CaseConfig.fd_step
+REGULAR_CASES = [SO4_CASES[0], perfbench_cases().SO5_CASES[0]]
 
 
 @pytest.fixture(scope="module", params=SO4_CASES, ids=[c[0] for c in SO4_CASES])
@@ -45,7 +46,36 @@ def test_lifts_and_tables_at_random_points_and_fibers(so4_case, t_unit, y):
     pushed = np.array([geom.pushdown(t, fiber, row) for row in lifts]).T
     assert np.max(np.abs(pushed - D)) <= 1e-10 * np.max(np.abs(D))
 
-    _, cov = geom.cov_table(t, geom.identity, FD_STEP)
-    _, moved = geom.cov_table(t, fiber, FD_STEP)
+    _, cov = geom.cov_table(t, geom.identity)
+    _, moved = geom.cov_table(t, fiber)
     assert np.max(np.abs(moved - cov)) <= THRESHOLDS["fiber_independence"]
     assert np.max(np.abs(cov - cov.transpose(1, 0, 2))) <= THRESHOLDS["reduced_torsion"]
+
+
+@pytest.fixture(scope="module", params=REGULAR_CASES, ids=[c[0] for c in REGULAR_CASES])
+def regular_case(request):
+    cases = perfbench_cases()
+    _, n, weights, _, _ = request.param
+    return cases.so_n_group(n), cases.so_n_mu(n, weights)
+
+
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(scale=st.floats(0.5, 2.0), t_unit=st.lists(unit, min_size=8, max_size=8),
+       y=st.lists(unit, min_size=2, max_size=2))
+def test_jet_matches_richardson_stencil(regular_case, scale, t_unit, y):
+    # the exact derivatives of the lifts along each lift and each stabilizer
+    # generator against a Richardson stencil at 1e-3 (error about 1e-11)
+    group, mu = regular_case
+    cfg = CaseConfig.from_dict({"group": group, "mu": [scale * m for m in mu]})
+    ctx = rc.build_context(cfg.algebra(), np.asarray(cfg.mu, dtype=float))
+    chart = rc.default_chart(ctx, cfg.chart_radius)
+    a, km, k = ctx.algebra, chart.dim, ctx.stabilizer_dim
+    t = 0.4 * chart.radius * np.asarray(t_unit[:km])
+    geom = rc.SigmaGeometry(ctx, chart, richardson=True)
+    for fiber in (geom.identity, rc.group_exp(a, ctx.g_mu @ np.asarray(y[:k]))):
+        us = np.vstack([geom.lifts(t, fiber), np.pad(ctx.g_mu.T, ((0, 0), (0, a.dim)))])
+        exact = geom.lift_derivatives(t, fiber, us)
+        assert exact.shape == (km + k, km, 2 * a.dim)
+        for u, d in zip(us, exact):
+            fd = geom._stencil(t, fiber, u, 1e-3, geom.lifts)
+            assert np.max(np.abs(fd - d)) <= 1e-9 * max(1.0, float(np.max(np.abs(d))))

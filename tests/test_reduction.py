@@ -30,10 +30,10 @@ def _induced_derivative(ctx, chart, u, field, t, step=1e-5):
     return geom._induced(u, field(t, geom.identity), d)
 
 
-def _reduced_table(ctx, chart, t, fiber=None, step=1e-5):
+def _reduced_table(ctx, chart, t, fiber=None):
     """cov[i, j] = ∇ʳ(f_i) f_j over the chart coordinate fields at (t, fiber)."""
     geom = SigmaGeometry(ctx, chart)
-    return geom.cov_table(t, geom.identity if fiber is None else fiber, step)[1]
+    return geom.cov_table(t, geom.identity if fiber is None else fiber)[1]
 
 
 def _canonical_omega(p):
@@ -314,8 +314,8 @@ class TestHorizontalLift:
         # the kernel is built whatever its lift system; reading its lifts raises
         class NormalColumnChart(orbits.OrbitChart):  # μ, normal to the orbit at t = 0
             def exp_data(self, t):
-                coad, vecs, D = super().exp_data(t)
-                return coad, vecs, D + np.outer(self.mu, np.eye(self.dim)[0])
+                coad, vecs, D, d_coad, d_D = super().exp_data(t)
+                return coad, vecs, D + np.outer(self.mu, np.eye(self.dim)[0]), d_coad, d_D
 
         t = np.zeros(2)
         skewed = NormalColumnChart(so3_chart.algebra, so3_chart.mu, so3_chart.m_basis)
@@ -345,7 +345,7 @@ class TestReducedCovderiv:
         geom = SigmaGeometry(so3_ctx, so3_chart)
         for _ in range(3):
             t = rng.uniform(-0.4, 0.4, 2)
-            level, cov = geom.cov_table(t, geom.identity, 1e-5)
+            level, cov = geom.cov_table(t, geom.identity)
             alt = gram_oracle_solve(geom, so3_chart.dnu(t), geom.lifts(t, geom.identity),
                                     np.reshape(level, (4, -1)))
             for i in range(2):
@@ -535,7 +535,7 @@ class TestPointKernel:
         for module in (liealg, orbits, reduction):
             monkeypatch.setattr(module, "group_exp", forbidden, raising=False)
         t = rng.uniform(-0.3, 0.3, chart.dim)
-        level, cov = geom.cov_table(t, fiber, 1e-5)
+        level, cov = geom.cov_table(t, fiber)
         assert np.all(np.isfinite(level)) and np.all(np.isfinite(cov))
         assert curvature_battery(geom, [t])["samples"]
 
@@ -565,60 +565,66 @@ class TestCovTable:
                              ids=["so3", "so4"])
     @pytest.mark.parametrize("richardson", [False, True], ids=["central", "richardson"])
     def test_table_is_the_pairwise_loop_bit_for_bit(self, name, mu, richardson, rng):
+        # the table is the pairwise loop of exact derivatives, one (i, j) at a
+        # time, bit for bit; and each entry is the derivative a fresh stencil
+        # of the one field f̄_j along f̄_i measures, to the stencil's error
+        # (central at 1e-5, or Richardson at 1e-3)
         a, ctx, chart = _case(name, mu)
         t = rng.uniform(-0.3, 0.3, chart.dim)
         assert np.any(t != 0.0)
         random_fiber = rc.group_exp(a, ctx.g_mu @ rng.uniform(-1, 1, ctx.stabilizer_dim))
-        h = 1e-5
+        h, fd_rtol = (1e-3, 1e-10) if richardson else (1e-5, 1e-9)
         for fiber in (np.eye(a.dim), random_fiber):
             geom = SigmaGeometry(ctx, chart, richardson=richardson)
-            level, cov = geom.cov_table(t, fiber, h)
-            # reference: a fresh stencil per (i, j) on the one field f̄_j
+            level, cov = geom.cov_table(t, fiber)
             ref = SigmaGeometry(ctx, chart, richardson=richardson)
+            u = ref.lifts(t, fiber)
             for i in range(chart.dim):
                 for j in range(chart.dim):
-                    u = ref.lifts(t, fiber)[i]
-                    d = ref._stencil(t, fiber, u, h, lambda t2, f, j=j: ref.lifts(t2, f)[j])
-                    g = ref._induced(u, ref.lifts(t, fiber)[j], d)
+                    d = ref.lift_derivatives(t, fiber, u[i:i + 1])[0, j]
+                    g = ref._induced(u[i], u[j], d)
                     assert level[i][j].tolist() == g.tolist()
-                    assert cov[i, j].tolist() == ref.pushdown_horizontal(t, fiber, g).tolist()
+                    assert cov[i, j].tolist() == ref.pushdown(t, fiber, ctx.horizontal_part(g)).tolist()
+                    fd = ref._stencil(t, fiber, u[i], h, lambda t2, f, j=j: ref.lifts(t2, f)[j])
+                    assert np.max(np.abs(fd - d)) <= fd_rtol * max(1.0, np.max(np.abs(d)))
 
     @pytest.mark.parametrize("name,mu", [KERNEL_CASES[0], ("so4", SO4_REGULAR_MU)],
                              ids=["so3", "so4-regular"])
     @pytest.mark.parametrize("richardson", [False, True], ids=["central", "richardson"])
     def test_one_row_is_that_row_of_the_full_table_bit_for_bit(self, name, mu, richardson,
                                                                rng):
+        # the derivatives along one direction do not depend on the other
+        # directions solved with it, and the stencil setting never reaches them
         a, ctx, chart = _case(name, mu)
         t = rng.uniform(-0.3, 0.3, chart.dim)
         assert np.any(t != 0.0)
         random_fiber = rc.group_exp(a, ctx.g_mu @ rng.uniform(-1, 1, ctx.stabilizer_dim))
-        h = 1e-5
         for fiber in (np.eye(a.dim), random_fiber):
-            full, _ = SigmaGeometry(ctx, chart, richardson=richardson)._level_table(t, fiber, h)
+            full, derivs = SigmaGeometry(ctx, chart)._level_table(t, fiber)
             for r in range(chart.dim):
                 geom = SigmaGeometry(ctx, chart, richardson=richardson)
-                level, _ = geom._level_table(t, fiber, h, rows=[r])
-                assert [row is None for row in level] == [i != r for i in range(chart.dim)]
-                assert [g.tolist() for g in level[r]] == [g.tolist() for g in full[r]]
+                u = geom.lifts(t, fiber)
+                d = geom.lift_derivatives(t, fiber, u[r:r + 1])[0]
+                assert d.tolist() == derivs[r].tolist()
+                assert geom._induced(u[r], u, d).tolist() == full[r].tolist()
 
     @pytest.mark.parametrize("richardson", [False, True], ids=["central", "richardson"])
     def test_tables_are_kept_and_freed_with_the_geometry(self, richardson):
-        # each row of each (t, fiber, step) is computed once; the kept rows hold
-        # no reference back to the geometry, so dropping it frees it at once
+        # each (t, fiber) table is computed once; the kept tables hold no
+        # reference back to the geometry, so dropping it frees it at once
         _, ctx, chart = _case(*KERNEL_CASES[-1])
         geom = SigmaGeometry(ctx, chart, richardson=richardson)
         t = np.linspace(-0.2, 0.15, chart.dim)
-        level, derivs = geom._level_table(t, geom.identity, 1e-5, rows=[1])
-        row, deriv = level[1], derivs[1]
-        assert level[0] is None and derivs[0] is None
-        full, full_derivs = geom._level_table(t.copy(), np.eye(geom.n), 1e-5)
-        assert full[1] is row and full_derivs[1] is deriv
-        assert full[0] is not None and full_derivs[0] is not None
-        assert geom._level_table(t, geom.identity, 2e-5, rows=[1])[0][1] is not row
+        level, derivs = geom._level_table(t, geom.identity)
+        assert level.shape == derivs.shape == (chart.dim, chart.dim, 2 * geom.n)
+        again, again_derivs = geom._level_table(t.copy(), np.eye(geom.n))
+        assert again is level and again_derivs is derivs
+        assert geom._level_table(t + 1e-5, geom.identity)[0] is not level
+        assert len(geom._tables) == 2
         ref = weakref.ref(geom)
         gc.disable()
         try:
-            del geom, level, derivs, row, deriv, full, full_derivs
+            del geom, level, derivs, again, again_derivs
             assert ref() is None
         finally:
             gc.enable()

@@ -149,7 +149,8 @@ RED = ["red/s-isotropic", "red/projector-idempotent", "red/projector-range",
 RED_LEVEL = ["red/l-equivariance", "red/geodesic-oracle"]
 CHART = ["red/sigma-equivariance", "red/sigma-torsion", "red/reduced-torsion",
          "red/reduced-oracle", "red/kks-match", "red/reduced-form-parallel",
-         "red/reduced-form-closed", "red/fiber-independence", "red/autoparallel-report"]
+         "red/reduced-form-closed", "red/fiber-independence", "red/jet-fd",
+         "red/autoparallel-report"]
 CURV = ["curv/formula-oracle", "curv/antisymmetry", "curv/symplectic-valued", "curv/bianchi",
         "curv/convergence-factor"]
 SO3_NAMES = (LIE + ["lie/complement-equivariance"] + LIE_GROUP + PHASE + CONN
@@ -197,3 +198,24 @@ def test_convergence_note_prints_the_factor_to_its_precision():
     flat = note({"oracle_error_coarse": 1e-7, "factor": 0.9})
     assert flat["passed"] and flat["note"] == "flat, below floor"
     assert a["value"] == 0.0 and a["threshold"] == 0.0
+
+
+def test_jet_fd_check_catches_a_sign_flipped_fiber_term(monkeypatch):
+    # the check differences along the stabilizer generators too, so a wrong
+    # fiber half of the jet shows even at the sweep's first point, t = 0,
+    # where the lifts move along the chart only
+    cfg = CaseConfig.from_dict({"group": "so3", "mu": [0.0, 0.0, 1.0], "samples": 1})
+    rep, code = verify_suite(cfg)
+    checks = {c["name"]: c for c in rep["checks"]}
+    assert code == 0 and checks["red/jet-fd"]["value"] <= 1e-9
+    init = reduction.SigmaGeometry.__init__
+
+    def flipped(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.ad_fiber_T = -self.ad_fiber_T
+
+    monkeypatch.setattr(reduction.SigmaGeometry, "__init__", flipped)
+    rep, code = verify_suite(cfg)
+    assert code == pipeline.EXIT_NUMERICAL == 4
+    failed = [c["name"] for c in rep["checks"] if not c["passed"]]
+    assert failed == ["red/jet-fd"]
