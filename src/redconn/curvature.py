@@ -41,7 +41,7 @@ PROBE_TIE_RTOL = 1e-6
 
 
 def curvature_formula(geom: SigmaGeometry, t, *, fd_step2: float = DEFAULT_FD_STEP2,
-                      directions=None) -> np.ndarray:
+                      directions=None, richardson: bool = False) -> np.ndarray:
     """Reduced curvature of the coordinate fields by the lift expansion, as orbit
     tangents in the layout of ``curvature_tensor``: entry [a, b, l] is
     R(f_i, f_j)f_l at t for i = directions[a], j = directions[b] (all chart
@@ -49,9 +49,10 @@ def curvature_formula(geom: SigmaGeometry, t, *, fd_step2: float = DEFAULT_FD_ST
 
     The level-set derivatives ∇_f̄_j f̄_l and their radical parts come from
     the level-set tables of ``cov_table``, differenced along f̄_x on one
-    fd_step2 stencil per direction x; the bracket [f̄_i, f̄_j] reads the
-    exact derivatives of ``lifts`` the table at t is built from, and the
-    derivatives along it and its radical part are exact too.
+    fd_step2 stencil per direction x (with ``richardson``, extrapolated), all
+    built in one batch; the bracket [f̄_i, f̄_j] reads the exact derivatives of
+    ``lifts`` the table at t is built from, and the derivatives along it and
+    its radical part are exact too.
     """
     ctx, e, km = geom.ctx, geom.identity, geom.chart.dim
     t = np.asarray(t, dtype=float)
@@ -66,8 +67,9 @@ def curvature_formula(geom: SigmaGeometry, t, *, fd_step2: float = DEFAULT_FD_ST
     inner = geom._level_table(t, e)[1]
     base = grads(t, e)
     # outer[x][j, l, s]: induced derivative of base[j, l, s] along f̄_x
-    outer = {x: geom._induced(u[x], base, geom._stencil(t, e, u[x], fd_step2, grads))
-             for x in dict.fromkeys(dirs)}
+    xs = list(dict.fromkeys(dirs))
+    outer = {x: geom._induced(u[x], base, d) for x, d in
+             zip(xs, geom._stencil(t, e, u[xs], fd_step2, grads, richardson=richardson))}
     out = np.zeros((len(dirs), len(dirs), km, geom.n))
     for a, i in enumerate(dirs):
         for b, j in enumerate(dirs):
@@ -103,21 +105,27 @@ def curvature_tensor(geom: SigmaGeometry, t, *, fd_step2: float = DEFAULT_FD_STE
     """Reduced curvature of the coordinate fields as orbit tangents: entry
     [a, b, l] is R(f_i, f_j)f_l at t for i = directions[a], j = directions[b]
     (all chart directions by default), from the exact Γ at t and at
-    t ± fd_step2·eₓ for x in ``directions``."""
+    t ± fd_step2·eₓ for x in ``directions``, their kernels built in one batch."""
     t = np.asarray(t, dtype=float)
     km = geom.chart.dim
     dirs = list(range(km)) if directions is None else list(directions)
+    xs = list(dict.fromkeys(dirs))
+    steps = _tensor_points(t, fd_step2, xs)
+    geom.points([t] + steps, geom.identity)
     gamma = _christoffel(geom, t)
-    d_gamma = {}
-    for x in dict.fromkeys(dirs):
-        s = np.eye(km)[x] * fd_step2
-        d_gamma[x] = (_christoffel(geom, t + s) - _christoffel(geom, t - s)) / (2.0 * fd_step2)
+    d_gamma = {x: (_christoffel(geom, plus) - _christoffel(geom, minus)) / (2.0 * fd_step2)
+               for x, plus, minus in zip(xs, steps[::2], steps[1::2])}
     # d[a, b, l, c] = ∂_i Γ^c_jl and g[a, l, c] = Γ^c_il, for i = dirs[a], j = dirs[b]
     d = np.array([d_gamma[x][dirs] for x in dirs])
     g = gamma[dirs]
     quad = np.einsum("blm,amc->ablc", g, g)  # Γ^m_jl Γ^c_im
     r_chart = d + quad - (d + quad).transpose(1, 0, 2, 3)
     return r_chart @ geom.point(t, geom.identity).D.T
+
+
+def _tensor_points(t: np.ndarray, fd_step2: float, xs) -> list:
+    """t + fd_step2·eₓ, then t − fd_step2·eₓ, for each x in ``xs``."""
+    return [t + sign * fd_step2 * np.eye(len(t))[x] for x in xs for sign in (1.0, -1.0)]
 
 
 def _probe_inputs(tensor: np.ndarray) -> tuple[int, int, int]:
@@ -196,13 +204,22 @@ def convergence_factor(geom: SigmaGeometry, t, *, coarse: float = 4e-3,
     error against it is measured at a coarse step and at half that step.
     Central differencing is second order, so the ratio should sit near four.
     The probe uses steps well above the default because there the truncation
-    term dominates roundoff.  Both steps run on ``geom``, each route building
-    the tables at t and at its two displaced points per direction i and j;
-    the reference needs its own Richardson-stencil geometry.
+    term dominates roundoff.  The reference and both steps run on ``geom``
+    and reuse its kernel and table at t; the displaced points of all three
+    (the reference's four per direction i and j, each step's formula stencil
+    points and tensor points t ± h·eᵢ, t ± h·eⱼ) are built in one batch.
     """
     i, j, l = inputs
-    geom_ref = SigmaGeometry(geom.ctx, geom.chart, richardson=True)
-    reference = curvature_formula(geom_ref, t, fd_step2=1e-3, directions=(i, j))[0, 1, l]
+    t = np.asarray(t, dtype=float)
+    e = geom.identity
+    u = geom.lifts(t, e)[[i, j]]
+    stencils = [geom._stencil_points(t, e, u, h, richardson)
+                for h, richardson in ((1e-3, True), (coarse, False), (coarse / 2.0, False))]
+    tensor = [p for h in (coarse, coarse / 2.0) for p in _tensor_points(t, h, (i, j))]
+    geom.points(np.concatenate([ts for ts, _ in stencils] + [tensor]),
+                np.concatenate([fibers for _, fibers in stencils] + [[e] * len(tensor)]))
+    reference = curvature_formula(geom, t, fd_step2=1e-3, directions=(i, j),
+                                  richardson=True)[0, 1, l]
 
     def errors(h: float) -> tuple[float, float]:
         val = curvature_formula(geom, t, fd_step2=h, directions=(i, j))[0, 1, l]

@@ -12,6 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 RANK_RTOL = 1e-10
+# Most matrix entries per call when ``expm`` takes independent stacks a few at a
+# time: a large batch's Padé temporaries stay near those of one chart point.
+_EXPM_CHUNK = 2 ** 13
 
 
 def _svd_rank(s: np.ndarray, rtol: float) -> int:
@@ -36,11 +39,13 @@ def nullspace(A, rtol: float = RANK_RTOL) -> np.ndarray:
     return vh[_svd_rank(s, rtol):].T.copy()
 
 
-def rank(A, rtol: float = RANK_RTOL) -> int:
+def rank(A, rtol: float = RANK_RTOL):
+    """Rank of A, or of each matrix of a stack (…, m, n) alike."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if min(A.shape) == 0:
         return 0
-    return _svd_rank(np.linalg.svd(A, compute_uv=False), rtol)
+    s = np.linalg.svd(A, compute_uv=False)
+    return np.sum(s > rtol * s[..., :1], axis=-1)
 
 
 def projector(basis) -> np.ndarray:
@@ -115,23 +120,39 @@ def _pade_uv(A: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return A @ parts[0], parts[1]
 
 
-def expm(A) -> np.ndarray:
+def _expm_plan(norm: float) -> tuple[int, int]:
+    """Padé degree m and scaling exponent s for a 1-norm."""
+    m = next((m for m, theta in _PADE_THETA if norm <= theta), 13)
+    return m, (max(0, int(np.ceil(np.log2(norm / _THETA_13)))) if m == 13 else 0)
+
+
+def expm(A, batch_ndim: int = 0) -> np.ndarray:
     """Matrix exponential by scaling and squaring (Higham 2005).
 
     The Padé degree m ∈ {3, 5, 7, 9, 13} is the smallest whose θ_m bounds the
     1-norm; above θ_13, A is scaled by 2^-s into the degree-13 range and the
     result squared s times.  ``A`` may be a stack (…, n, n): the stack shares
     one norm (its largest), one power chain and one batched solve, so every
-    matrix gets the degree and scaling of the largest.
+    matrix gets the degree and scaling of the largest.  The first
+    ``batch_ndim`` axes index independent stacks: each keeps the degree and
+    scaling that a call on it alone picks, and so that call's result.
     """
     A = np.asarray(A, dtype=float)
-    norm = float(np.abs(A).sum(axis=-2).max())
-    for m, theta in _PADE_THETA:
-        if norm <= theta:
-            U, V = _pade_uv(A, m)
-            return np.linalg.solve(V - U, V + U)
-    s = max(0, int(np.ceil(np.log2(norm / _THETA_13))))
-    U, V = _pade_uv(A / 2.0 ** s, 13)
+    norms = np.abs(A).sum(axis=-2).reshape(A.shape[:batch_ndim] + (-1,)).max(axis=-1)
+    plans = [_expm_plan(float(norm)) for norm in np.ravel(norms)]
+    if len(set(plans)) > 1 or (len(plans) > 1 and A.size > _EXPM_CHUNK):
+        # each plan's stacks in calls of their own, of at most _EXPM_CHUNK entries
+        # or one stack
+        flat = A.reshape((len(plans),) + A.shape[batch_ndim:])
+        out = np.empty_like(flat)
+        step = max(1, _EXPM_CHUNK // flat[0].size)
+        for plan in set(plans):
+            index = [i for i, p in enumerate(plans) if p == plan]
+            for chunk in (index[i:i + step] for i in range(0, len(index), step)):
+                out[chunk] = expm(flat[chunk], batch_ndim=1)
+        return out.reshape(A.shape)
+    m, s = plans[0]
+    U, V = _pade_uv(A / 2.0 ** s, m)
     E = np.linalg.solve(V - U, V + U)
     for _ in range(s):
         E = E @ E

@@ -7,7 +7,7 @@ from a complement m of the stabilizer: chart coordinates t parametrize
 into the momentum level set.  Coad, the section vectors and the chart
 differential at t, with the exact derivatives of Coad and of the chart
 differential along every chart direction, come from one ``linalg.expm`` of a
-stack of 3n×3n blocks.
+stack of 3n×3n blocks, for one chart point or for a whole stack of them.
 """
 
 from __future__ import annotations
@@ -48,34 +48,41 @@ class OrbitChart:
         """Orbit point Coad(exp(Σ t_a E_a))μ."""
         return coadjoint_matrix(self.section_element(t)) @ self.mu
 
-    def exp_data(self, t) -> tuple[np.ndarray, ...]:
-        """Coad(exp A), the section vectors and the chart differential at t
-        (A = Σ t_a E_a), then the derivatives of Coad(exp A) and of the chart
-        differential along each chart direction c, from the block exponentials
-        expm([[−ad A, −ad E_c, 0], [0, −ad A, I], [0, 0, 0]]) stacked in one call
-        (Van Loan 1978; Al-Mohy–Higham 2009): blocks (1, 1) and (2, 3) are
-        e^{−ad A} = Coad(exp A)ᵀ and φ₁(−ad A), (1, 2) and (1, 3) their
-        derivatives along E_c."""
+    def exp_data(self, ts) -> tuple[np.ndarray, ...]:
+        """Coad(exp A), the section vectors and the chart differential, then the
+        derivatives of Coad(exp A) and of the chart differential along each
+        chart direction c, stacked over the chart points t of ``ts`` (rows, or
+        one t; A = Σ t_a E_a).  Each distinct t takes one stack of the block
+        exponentials expm([[−ad A, −ad E_c, 0], [0, −ad A, I], [0, 0, 0]]), all
+        in one call (Van Loan 1978; Al-Mohy–Higham 2009): blocks (1, 1) and
+        (2, 3) are e^{−ad A} = Coad(exp A)ᵀ and φ₁(−ad A), (1, 2) and (1, 3)
+        their derivatives along E_c."""
         a, n, m = self.algebra, self.algebra.dim, self.m_basis
-        block = np.zeros((max(self.dim, 1), 3 * n, 3 * n))
-        block[:, :n, :n] = block[:, n:2 * n, n:2 * n] = -a.ad(m @ np.asarray(t, dtype=float))
-        block[: self.dim, :n, n:2 * n] = -np.einsum("ijk,ic->ckj", a.c, m)
-        block[:, n:2 * n, 2 * n:] = np.eye(n)
-        E = linalg.expm(block)
-        coad, d_coad = E[0, :n, :n].T, E[: self.dim, :n, n:2 * n].transpose(0, 2, 1)
+        ts = np.atleast_2d(np.asarray(ts, dtype=float))
+        slot: dict = {}
+        inverse = [slot.setdefault(t.tobytes(), len(slot)) for t in ts]
+        block = np.zeros((len(slot), max(self.dim, 1), 3 * n, 3 * n))
+        block[:, :, :n, :n] = block[:, :, n:2 * n, n:2 * n] = np.array(
+            [-a.ad(m @ ts[inverse.index(i)]) for i in range(len(slot))])[:, None]
+        block[:, : self.dim, :n, n:2 * n] = -np.einsum("ijk,ic->ckj", a.c, m)
+        block[:, :, n:2 * n, 2 * n:] = np.eye(n)
+        E = linalg.expm(block, batch_ndim=1)[inverse]
+        coad = E[:, 0, :n, :n].transpose(0, 2, 1)
+        d_coad = E[:, : self.dim, :n, n:2 * n].transpose(0, 1, 3, 2)
         K_T = a.bracket_pairing(self.mu).T
-        vecs = E[0, n:2 * n, 2 * n:] @ m
-        d_D = -d_coad @ (K_T @ vecs) - coad @ (K_T @ (E[: self.dim, :n, 2 * n:] @ m))
+        vecs = E[:, 0, n:2 * n, 2 * n:] @ m
+        d_D = (-d_coad @ (K_T @ vecs)[:, None]
+               - coad[:, None] @ (K_T @ (E[:, : self.dim, :n, 2 * n:] @ m)))
         return coad, vecs, -coad @ (K_T @ vecs), d_coad, d_D
 
     def section_vectors(self, t) -> np.ndarray:
         """Left-trivialized velocities of the chart directions at t: column a is
         exp(A)⁻¹ d/ds exp(A + s E_a)|_0 = φ₁(−ad A) E_a."""
-        return self.exp_data(t)[1]
+        return self.exp_data(t)[1][0]
 
     def dnu(self, t) -> np.ndarray:
         """Chart differential: column a is -Coad(g) (μ∘ad(X_a(t)))."""
-        return self.exp_data(t)[2]
+        return self.exp_data(t)[2][0]
 
     def check_rank(self, t) -> None:
         if linalg.rank(self.dnu(t)) < self.dim:

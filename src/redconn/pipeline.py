@@ -305,11 +305,16 @@ def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator) -> dict:
     oracle, KKS match, parallelism (∂ₓΩ_ij = Ω(∇ʳ_x f_i, f_j) + Ω(f_i, ∇ʳ_x f_j))
     and closedness (the cyclic sum of ∂Ω, on the first two points) read these;
     fiber independence compares the table at pts[0] with the same table at
-    five random stabilizer fibers drawn from rng.
+    five random stabilizer fibers drawn from rng.  The kernels at all these
+    points are built in one batch.
     """
     ctx = geom.ctx
     km = geom.chart.dim
     e = geom.identity
+    k = ctx.stabilizer_dim
+    fibers = [group_exp(ctx.algebra, ctx.g_mu @ rng.uniform(-1.0, 1.0, k))
+              for _ in range(5 if k else 0)]
+    geom.points(np.vstack([pts] + [pts[0]] * len(fibers)), np.array([e] * len(pts) + fibers))
     out = {"sigma": None, "kks": 0.0, "torsion": 0.0, "oracle": 0.0, "parallel": 0.0,
            "closed": 0.0, "fiber": 0.0}
     for index, t in enumerate(pts):
@@ -337,9 +342,7 @@ def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator) -> dict:
         if index < 2:
             cyclic = d_omega + d_omega.transpose(2, 0, 1) + d_omega.transpose(1, 2, 0)
             out["closed"] = max(out["closed"], float(np.max(np.abs(cyclic))))
-    k = ctx.stabilizer_dim
-    for _ in range(5 if k else 0):
-        fiber = group_exp(ctx.algebra, ctx.g_mu @ rng.uniform(-1.0, 1.0, k))
+    for fiber in fibers:
         _, cov = geom.cov_table(pts[0], fiber)
         out["fiber"] = max(out["fiber"], float(np.max(np.abs(base_cov - cov))))
     return out
@@ -724,8 +727,8 @@ def _jet_fd_defect(geom: SigmaGeometry, t, step: float) -> float:
     gap = 0.0
     for fiber in fibers:
         us = np.vstack([geom.lifts(t, fiber), np.pad(ctx.g_mu.T, ((0, 0), (0, geom.n)))])
-        for u, exact in zip(us, geom.lift_derivatives(t, fiber, us)):
-            fd = geom._stencil(t, fiber, u, step, geom.lifts)
+        for exact, fd in zip(geom.lift_derivatives(t, fiber, us),
+                             geom._stencil(t, fiber, us, step, geom.lifts)):
             gap = max(gap, float(np.max(np.abs(exact - fd)) / max(1.0, np.max(np.abs(exact)))))
     return gap
 

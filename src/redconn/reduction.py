@@ -263,16 +263,18 @@ class SigmaGeometry:
     A point (exp(Σ t_a E_a) · h, μ) is addressed by t and ``fiber``, the Ad
     matrix of h, and moves with the parameters t and s in h·exp(Σ s_b g_μ e_b).
     Each (t, fiber) gets one ``PointKernel``, holding ``lifts`` (row i lifts
-    f_i) and its jet, and one level-set table, built whole on first request;
-    ``lift_derivatives`` contracts the jet with a direction's parameter
-    velocity, and ``_stencil`` central-differences any function of the point.
-    A run shares one instance per (context, chart) between the chart sweep,
-    the autoparallel check and the curvature battery; kernels and tables
-    depend only on their keys, so sharing changes what is recomputed, never a
-    value.  Neither cache is thread-safe: use one instance per thread.
+    f_i) and its jet, and one level-set table, built whole on first request.
+    ``points`` builds a batch of kernels in one stacked pass whose every step
+    acts on each point alone.  ``lift_derivatives`` contracts the jet with a
+    direction's parameter velocity, and ``_stencil`` central-differences any
+    function of the point.  A run shares one instance per (context, chart)
+    between the chart sweep, the autoparallel check and the curvature battery;
+    kernels and tables depend only on their keys, never on their batch, so
+    sharing and batching change what is recomputed, never a value.  Neither
+    cache is thread-safe: use one instance per thread.
     """
 
-    def __init__(self, ctx: ReductionContext, chart: OrbitChart, richardson: bool = False):
+    def __init__(self, ctx: ReductionContext, chart: OrbitChart):
         if chart.dim == 0:
             raise ZeroDimensionalBase("the reduced manifold is a point")
         self.ctx = ctx
@@ -285,35 +287,52 @@ class SigmaGeometry:
         # ad(g_μ e_b)ᵀ: Coad moves by −Coad · ad(g_μ e_b)ᵀ along fiber parameter b
         self.ad_fiber_T = np.einsum("ijk,ib->bjk", a.c, ctx.g_mu)
         self.identity = np.eye(self.n)
-        self.richardson = richardson
         self._points: dict = {}
         self._tables: dict = {}  # (t, fiber) -> (level values, derivatives)
 
+    def points(self, ts, fibers) -> list[PointKernel]:
+        """The kernels at the rows t of ``ts`` and ``fibers`` (one Ad matrix, or
+        one per row), those not yet cached built in one stacked pass."""
+        ts = np.asarray(ts, dtype=float).reshape(-1, self.chart.dim)
+        fibers = np.broadcast_to(np.asarray(fibers, dtype=float), (len(ts), self.n, self.n))
+        keys = [(t.tobytes(), fiber.tobytes()) for t, fiber in zip(ts, fibers)]
+        new = {key: i for i, key in enumerate(keys) if key not in self._points}
+        if new:
+            index = list(new.values())
+            self._points.update(zip(new, self._build(ts[index], fibers[index])))
+        return [self._points[key] for key in keys]
+
     def point(self, t, fiber: np.ndarray) -> PointKernel:
-        """The kernel at (exp(Σ t_a E_a) · h, μ), computed on first use."""
-        t = np.asarray(t, dtype=float)
-        key = (t.tobytes(), fiber.tobytes())
-        p = self._points.get(key)
-        if p is None:
-            coad_t, vecs, D, d_coad_t, d_D = self.chart.exp_data(t)
-            h_inv = np.linalg.inv(fiber)
-            coad = coad_t @ h_inv.T
-            KW = self.K_T @ self.w1grp
-            M = -coad @ KW
-            M_pinv = np.linalg.pinv(M)
-            X = M_pinv @ D
-            # X = M⁺D: dX = M⁺(dD − dM·X + M⁺ᵀ·dMᵀ·(D − M·X)) per parameter, as
-            # M⁺M⁺ᵀ = (MᵀM)⁻¹ at full column rank
-            d_M = np.concatenate([d_coad_t @ h_inv.T, -coad @ self.ad_fiber_T]) @ -KW
-            d_D = np.concatenate([d_D, np.zeros((self.ctx.stabilizer_dim,) + D.shape)])
-            d_X = M_pinv @ (d_D - d_M @ X + M_pinv.T @ d_M.transpose(0, 2, 1) @ (D - M @ X))
-            F = np.hstack([h_inv @ vecs, self.ctx.g_mu])
-            p = self._points[key] = PointKernel(
-                coad, D, M, linalg.rank(M) == M.shape[1], (self.ctx.w1 @ X).T,
-                not np.any(np.linalg.norm(M @ X - D, axis=0)
-                           > TANGENT_RTOL * np.maximum(1.0, np.linalg.norm(D, axis=0))),
-                F, linalg.rank(F) == self.n, (self.ctx.w1 @ d_X).transpose(0, 2, 1))
-        return p
+        """The kernel at (exp(Σ t_a E_a) · h, μ): ``points`` on a batch of one."""
+        p = self._points.get((np.asarray(t, dtype=float).tobytes(), fiber.tobytes()))
+        return p if p is not None else self.points([t], fiber)[0]
+
+    def _build(self, ts: np.ndarray, fibers: np.ndarray) -> list[PointKernel]:
+        """The kernels at the rows of ``ts`` and ``fibers``, each step stacked."""
+        ctx = self.ctx
+        coad_t, vecs, D, d_coad_t, d_D = self.chart.exp_data(ts)
+        h_inv = np.linalg.inv(fibers)
+        coad = coad_t @ h_inv.transpose(0, 2, 1)
+        KW = self.K_T @ self.w1grp
+        M = -coad @ KW
+        M_pinv = np.linalg.pinv(M)
+        X = M_pinv @ D
+        # X = M⁺D: dX = M⁺(dD − dM·X + M⁺ᵀ·dMᵀ·(D − M·X)) per parameter, as
+        # M⁺M⁺ᵀ = (MᵀM)⁻¹ at full column rank
+        d_M = np.concatenate([d_coad_t @ h_inv.transpose(0, 2, 1)[:, None],
+                              -coad[:, None] @ self.ad_fiber_T], axis=1) @ -KW
+        d_D = np.concatenate([d_D, np.zeros((len(ts), ctx.stabilizer_dim) + D.shape[1:])], axis=1)
+        d_X = M_pinv[:, None] @ (d_D - d_M @ X[:, None]
+                                 + M_pinv.transpose(0, 2, 1)[:, None] @ d_M.transpose(0, 1, 3, 2)
+                                 @ (D - M @ X)[:, None])
+        F = np.concatenate([h_inv @ vecs, np.broadcast_to(ctx.g_mu, (len(ts),) + ctx.g_mu.shape)],
+                           axis=2)
+        tangent = ~np.any(np.linalg.norm(M @ X - D, axis=-2)
+                          > TANGENT_RTOL * np.maximum(1.0, np.linalg.norm(D, axis=-2)), axis=-1)
+        return [PointKernel(*fields) for fields in zip(
+            coad, D, M, (linalg.rank(M) == M.shape[-1]).tolist(), (ctx.w1 @ X).transpose(0, 2, 1),
+            tangent.tolist(), F, (linalg.rank(F) == self.n).tolist(),
+            (ctx.w1 @ d_X).transpose(0, 1, 3, 2))]
 
     # -- lifting ---------------------------------------------------------
 
@@ -370,21 +389,35 @@ class SigmaGeometry:
         self.lifts(t, fiber)
         return np.einsum("cr,cjk->rjk", self._params(t, fiber, us), self.point(t, fiber).jet)
 
-    def _stencil(self, t, fiber: np.ndarray, u, step: float, fld) -> np.ndarray:
-        """Central difference along the tangent direction u of ``fld``, a function
-        (t, fiber) -> array: one frame solve, and the fiber shifts of the stencil
-        (±step, then ±step/2 with Richardson) from one stacked exponential."""
+    def _stencil_points(self, t, fiber: np.ndarray, us, step: float,
+                        richardson: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """The points (t + s·dt, fiber·exp(s·ad(g_μ·dy))) of ``_stencil``: for the
+        velocity (dt, dy) of each direction in ``us`` (rows) in turn, s = ±step,
+        then ±step/2 with Richardson extrapolation."""
         t = np.asarray(t, dtype=float)
-        params = self._params(t, fiber, u)[:, 0]
-        dt, dy = params[: self.chart.dim], params[self.chart.dim:]
-        steps = (step, -step) + ((step / 2.0, -step / 2.0) if self.richardson else ())
-        shifts = [fiber] * len(steps)
-        if dy.size:
-            ad_y = self.ctx.algebra.ad(self.ctx.g_mu @ dy)
-            shifts = fiber @ linalg.expm(np.multiply.outer(steps, ad_y))
-        v = [fld(t + s * dt, fib) for s, fib in zip(steps, shifts)]
-        d1 = (v[0] - v[1]) / (2.0 * step)
-        return d1 if len(v) == 2 else (4.0 * ((v[2] - v[3]) / step) - d1) / 3.0
+        km = self.chart.dim
+        params = np.ascontiguousarray(self._params(t, fiber, us).T)
+        steps = (step, -step) + ((step / 2.0, -step / 2.0) if richardson else ())
+        ts = np.array([t + s * p[:km] for p in params for s in steps])
+        if not self.ctx.stabilizer_dim:
+            return ts, np.broadcast_to(fiber, (len(ts),) + fiber.shape)
+        ad_y = [np.multiply.outer(steps, self.ctx.algebra.ad(self.ctx.g_mu @ p[km:]))
+                for p in params]
+        return ts, (fiber @ linalg.expm(np.array(ad_y), batch_ndim=1)).reshape(-1, self.n, self.n)
+
+    def _stencil(self, t, fiber: np.ndarray, us, step: float, fld, *,
+                 richardson: bool = False) -> np.ndarray:
+        """Central differences of ``fld``, a function (t, fiber) -> array, along
+        the direction u or each row of a stack ``us``, with their kernels built
+        in one batch; with Richardson extrapolation, (4·d(step/2) − d(step))/3."""
+        ts, fibers = self._stencil_points(t, fiber, us, step, richardson)
+        self.points(ts, fibers)
+        v = np.array([fld(t2, fib) for t2, fib in zip(ts, fibers)])
+        v = v.reshape((-1, 4 if richardson else 2) + v.shape[1:])
+        d = (v[:, 0] - v[:, 1]) / (2.0 * step)
+        if richardson:
+            d = (4.0 * ((v[:, 2] - v[:, 3]) / step) - d) / 3.0
+        return d[0] if np.ndim(us) == 1 else d
 
     def _induced(self, u, base: np.ndarray, d: np.ndarray) -> np.ndarray:
         """P∘∇ along u of a field with value ``base`` and directional derivative d
@@ -520,12 +553,12 @@ def autoparallel_check(ctx: ReductionContext, *, geom: SigmaGeometry | None = No
     chart = geom.chart
     other = build_context(a, ctx.mu, s_tilde=cand, connection=ctx.connection)
     geom_b = SigmaGeometry(other, chart)
-    diff = 0.0
-    for _ in range(n_samples):
-        t = rng.uniform(-0.3, 0.3, size=chart.dim) * chart.radius
-        _, va = geom.cov_table(t, geom.identity)
-        _, vb = geom_b.cov_table(t, geom_b.identity)
-        diff = max(diff, float(np.max(np.abs(va - vb))))
+    ts = [rng.uniform(-0.3, 0.3, size=chart.dim) * chart.radius for _ in range(n_samples)]
+    geom.points(ts, geom.identity)
+    geom_b.points(ts, geom_b.identity)
+    diff = max((float(np.max(np.abs(geom.cov_table(t, geom.identity)[1]
+                                    - geom_b.cov_table(t, geom_b.identity)[1]))) for t in ts),
+               default=0.0)
     return AutoparallelReport(defect, diff, n_samples * chart.dim ** 2)
 
 

@@ -67,6 +67,17 @@ def _passed_flag(doc):
     check["passed"] = not check["passed"]
 
 
+def _check_added_and_roundoff(doc):
+    # a new check in the middle of the list, and roundoff on a later one
+    checks = doc["report"]["checks"]
+    checks.insert(3, dict(checks[3], name="new/check"))
+    checks[-1]["value"] = float(np.nextafter(checks[-1]["value"], np.inf))
+
+
+def _check_removed(doc):
+    del doc["report"]["checks"][3]
+
+
 # (verb, perturbation, problem expected, float moved)
 CASES = {
     "self": ("curvature", _unchanged, False, False),
@@ -76,6 +87,8 @@ CASES = {
     "defect-over-threshold": ("curvature", _defect_over_threshold, True, True),
     "key-set": ("curvature", _key_set, True, False),
     "passed-flag": ("verify", _passed_flag, True, False),
+    "check-added": ("verify", _check_added_and_roundoff, True, True),
+    "check-removed": ("verify", _check_removed, True, False),
 }
 
 
@@ -98,3 +111,21 @@ def test_pipeline_defects_match_the_benchmark():
               and any(getattr(target, "id", None) == "PIPELINE_DEFECTS" for target in node.targets)]
     assert tables == [compare_reports.PIPELINE_DEFECTS]
     assert {key for _, key in compare_reports.PIPELINE_DEFECTS} <= set(THRESHOLDS)
+
+
+def test_checks_are_matched_by_name(so3_dumps):
+    # an added or removed check is named as such, and does not hide the values
+    # of the other checks behind a length mismatch
+    a = so3_dumps["verify"]
+    b = copy.deepcopy(a)
+    _check_added_and_roundoff(b)
+    problems, moved = compare_reports._compare(a, b, THRESHOLDS)
+    assert problems == ["/checks: check new/check added"]
+    last = a["report"]["checks"][-1]["name"]
+    assert [path for _, path in moved] == [f"/checks/{last}/value"]
+    problems, _ = compare_reports._compare(b, a, THRESHOLDS)
+    assert problems == ["/checks: check new/check removed"]
+    c = copy.deepcopy(a)
+    checks = c["report"]["checks"]
+    checks[0], checks[1] = checks[1], checks[0]
+    assert compare_reports._compare(a, c, THRESHOLDS)[0] == ["/checks: checks reordered"]

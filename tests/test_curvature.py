@@ -317,22 +317,22 @@ class TestFormulaStencils:
         # the all-stencil formula to that formula's error (1.1e-6 at the origin
         # and 1.6e-6 off it, against |R| ≈ 2.2: roundoff of order
         # ε/(fd_step·fd_step2)), and the formula's only stencils are the outer
-        # ones, one per direction
+        # ones, one per direction, all taken by one stencil call
         ctx = rc.build_context(_so4(), np.array([1.0, 0.0, 0.0, 0.0, 0.0, 2.0]))
         chart = rc.default_chart(ctx)
         ref = _formula_every_stencil(SigmaGeometry(ctx, chart), t, 1e-5, 1e-4)
         calls = []
         stencil = SigmaGeometry._stencil
 
-        def counted(self, *args):
+        def counted(self, *args, **kwargs):
             calls.append(args)
-            return stencil(self, *args)
+            return stencil(self, *args, **kwargs)
 
         monkeypatch.setattr(SigmaGeometry, "_stencil", counted)
         out = curvature_formula(SigmaGeometry(ctx, chart), t)
         scale = max(1.0, float(np.max(np.linalg.norm(ref, axis=-1))))
         assert np.max(np.linalg.norm(out - ref, axis=-1)) <= 1e-5 * scale
-        assert [args[3] for args in calls] == [1e-4] * chart.dim
+        assert [(args[3], len(args[2])) for args in calls] == [(1e-4, chart.dim)]
 
 
 class TestConvergence:
@@ -368,23 +368,32 @@ class TestConvergence:
             assert curvature._probe_inputs(bumped) == (0, 1, 0)
 
     def test_probe_builds_one_row_per_displaced_point(self, monkeypatch):
-        # the probe reads R(f_i, f_j)f_l only: its reference builds the table at
-        # t and at the four Richardson points along f̄_i and f̄_j; each step adds
-        # the formula's two stencil points along f̄_i and f̄_j and the tensor's
-        # t ± h·eᵢ, t ± h·eⱼ, every table whole and built once
+        # the probe reads R(f_i, f_j)f_l only, on its own geometry: the table at
+        # t, the reference's four Richardson points along f̄_i and f̄_j, and for
+        # each step the formula's two stencil points along f̄_i and f̄_j and the
+        # tensor's t ± h·eᵢ, t ± h·eⱼ, every table whole and built once; the
+        # kernel at t comes first, every displaced kernel from one batch
         ctx = rc.build_context(_so4(), np.array([1.0, 0.0, 0.0, 0.0, 0.0, 2.0]))
         chart = rc.default_chart(ctx)
         t = np.array([0.1, -0.05, 0.08, 0.02])
         geometries = track_geometries(monkeypatch)
+        batches = []
+        build = SigmaGeometry._build
+
+        def counted(self, ts, fibers):
+            batches.append(len(ts))
+            return build(self, ts, fibers)
+
+        monkeypatch.setattr(SigmaGeometry, "_build", counted)
         convergence_factor(SigmaGeometry(ctx, chart), t, inputs=(0, 2, 1))
-        assert len(geometries) == 2  # the probe's and its Richardson reference's
-        probe, reference = geometries
-        assert len(reference._tables) == 1 + 2 * 4
-        assert len(probe._tables) == 1 + 2 * (2 * 2 + 2 * 2)
-        for geom in geometries:
-            assert (t.tobytes(), geom.identity.tobytes()) in geom._tables
-            for level, derivs in geom._tables.values():
-                assert level.shape == derivs.shape == (chart.dim, chart.dim, 2 * geom.n)
+        assert len(geometries) == 1  # the reference shares the probe's geometry
+        geom, = geometries
+        displaced = 2 * 4 + 2 * (2 * 2 + 2 * 2)
+        assert len(geom._tables) == len(geom._points) == 1 + displaced
+        assert batches == [1, displaced]
+        assert (t.tobytes(), geom.identity.tobytes()) in geom._tables
+        for level, derivs in geom._tables.values():
+            assert level.shape == derivs.shape == (chart.dim, chart.dim, 2 * geom.n)
 
     def test_so4_regular_probe_measures_truncation(self):
         # on S² × S² the triples (0, 1, l) have zero curvature at the first
@@ -432,14 +441,14 @@ class TestOneEvaluationPerValue:
         # read, t ± h·eₓ for the tensor and the formula's outer stencil points.
         # At t = 0 the table at t is the sweep's first, and the lift of f_x
         # solves to exactly (eₓ, 0) in the chart-fiber frame, so the formula's
-        # outer points are the tensor's.  The probe, at t = 0, adds t and the
-        # four Richardson points along each of its two directions for the
-        # reference, and at each of its two steps t ± h along the two
-        # directions, shared by both routes.
+        # outer points are the tensor's.  The probe, at t = 0 on the same
+        # geometry, adds the four Richardson points along each of its two
+        # directions for the reference, and at each of its two steps t ± h
+        # along the two directions, shared by both routes.
         assert rep["stages"]["reduce"]["autoparallel"]["independence"] is None
         tables = sum(len(g._tables) for g in geometries)
         assert tables == (cfg.samples + 5 + points * (1 + 2 * 2 * km) - 1 - 2 * km
-                          + (1 + 2 * 4) + 2 * (2 * 2))
+                          + 2 * 4 + 2 * (2 * 2))
 
         ctx = rc.build_context(rc.so3(), np.array([0.0, 0.0, 1.0]))
         chart = rc.default_chart(ctx, cfg.chart_radius)
@@ -464,8 +473,8 @@ class TestRoundoff:
         runs = [run_pipeline(cfg, "curvature")]
         expm = linalg.expm
 
-        def halved(A):
-            half = expm(np.asarray(A) / 2.0)
+        def halved(A, **kwargs):
+            half = expm(np.asarray(A) / 2.0, **kwargs)
             return half @ half
 
         monkeypatch.setattr(linalg, "expm", halved)

@@ -575,9 +575,9 @@ class TestCovTable:
         random_fiber = rc.group_exp(a, ctx.g_mu @ rng.uniform(-1, 1, ctx.stabilizer_dim))
         h, fd_rtol = (1e-3, 1e-10) if richardson else (1e-5, 1e-9)
         for fiber in (np.eye(a.dim), random_fiber):
-            geom = SigmaGeometry(ctx, chart, richardson=richardson)
+            geom = SigmaGeometry(ctx, chart)
             level, cov = geom.cov_table(t, fiber)
-            ref = SigmaGeometry(ctx, chart, richardson=richardson)
+            ref = SigmaGeometry(ctx, chart)
             u = ref.lifts(t, fiber)
             for i in range(chart.dim):
                 for j in range(chart.dim):
@@ -585,7 +585,8 @@ class TestCovTable:
                     g = ref._induced(u[i], u[j], d)
                     assert level[i][j].tolist() == g.tolist()
                     assert cov[i, j].tolist() == ref.pushdown(t, fiber, ctx.horizontal_part(g)).tolist()
-                    fd = ref._stencil(t, fiber, u[i], h, lambda t2, f, j=j: ref.lifts(t2, f)[j])
+                    fd = ref._stencil(t, fiber, u[i], h, lambda t2, f, j=j: ref.lifts(t2, f)[j],
+                                      richardson=richardson)
                     assert np.max(np.abs(fd - d)) <= fd_rtol * max(1.0, np.max(np.abs(d)))
 
     @pytest.mark.parametrize("name,mu", [KERNEL_CASES[0], ("so4", SO4_REGULAR_MU)],
@@ -594,7 +595,8 @@ class TestCovTable:
     def test_one_row_is_that_row_of_the_full_table_bit_for_bit(self, name, mu, richardson,
                                                                rng):
         # the derivatives along one direction do not depend on the other
-        # directions solved with it, and the stencil setting never reaches them
+        # directions solved with it, nor on a stencil (central or Richardson)
+        # taken on the geometry first
         a, ctx, chart = _case(name, mu)
         t = rng.uniform(-0.3, 0.3, chart.dim)
         assert np.any(t != 0.0)
@@ -602,20 +604,24 @@ class TestCovTable:
         for fiber in (np.eye(a.dim), random_fiber):
             full, derivs = SigmaGeometry(ctx, chart)._level_table(t, fiber)
             for r in range(chart.dim):
-                geom = SigmaGeometry(ctx, chart, richardson=richardson)
+                geom = SigmaGeometry(ctx, chart)
                 u = geom.lifts(t, fiber)
+                geom._stencil(t, fiber, u, 1e-3, geom.lifts, richardson=richardson)
                 d = geom.lift_derivatives(t, fiber, u[r:r + 1])[0]
                 assert d.tolist() == derivs[r].tolist()
                 assert geom._induced(u[r], u, d).tolist() == full[r].tolist()
 
     @pytest.mark.parametrize("richardson", [False, True], ids=["central", "richardson"])
     def test_tables_are_kept_and_freed_with_the_geometry(self, richardson):
-        # each (t, fiber) table is computed once; the kept tables hold no
+        # each (t, fiber) table is computed once; the kept tables, and the
+        # kernels a stencil (central or Richardson) built in one batch, hold no
         # reference back to the geometry, so dropping it frees it at once
         _, ctx, chart = _case(*KERNEL_CASES[-1])
-        geom = SigmaGeometry(ctx, chart, richardson=richardson)
+        geom = SigmaGeometry(ctx, chart)
         t = np.linspace(-0.2, 0.15, chart.dim)
         level, derivs = geom._level_table(t, geom.identity)
+        geom._stencil(t, geom.identity, geom.lifts(t, geom.identity), 1e-3, geom.lifts,
+                      richardson=richardson)
         assert level.shape == derivs.shape == (chart.dim, chart.dim, 2 * geom.n)
         again, again_derivs = geom._level_table(t.copy(), np.eye(geom.n))
         assert again is level and again_derivs is derivs

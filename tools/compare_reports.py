@@ -22,6 +22,8 @@ roundoff:
 
 - exit codes, key sets, error records, list lengths, strings, booleans
   (verify ``passed`` flags included) and integers are equal;
+- verify checks are matched by name: a check only one dump has is reported
+  as added or removed, and the shared checks are still compared;
 - ``chart_points``, ``sigma``, ``dims``, ``decomposition_cond``,
   ``stabilizer_dim`` and the config are equal bit for bit;
 - every thresholded defect (verify checks, and the pipeline defects
@@ -149,7 +151,9 @@ def _walk(a, b, path: str, problems: list, moved: list) -> None:
     if key in EXACT_KEYS and a != b:
         problems.append(f"{path}: not bit-identical")
         return
-    if isinstance(a, dict) and isinstance(b, dict):
+    if key == "checks" and isinstance(a, list) and isinstance(b, list):
+        _walk_checks(a, b, path, problems, moved)
+    elif isinstance(a, dict) and isinstance(b, dict):
         if list(a) != list(b):
             problems.append(f"{path}: keys {list(a)} != {list(b)}")
             return
@@ -169,6 +173,19 @@ def _walk(a, b, path: str, problems: list, moved: list) -> None:
             moved.append((abs(b - a) / max(1.0, abs(a)), path))
     elif type(a) is not type(b) or a != b:
         problems.append(f"{path}: {a!r} != {b!r}")
+
+
+def _walk_checks(a: list, b: list, path: str, problems: list, moved: list) -> None:
+    """Compare two verify ``checks`` lists by check name: a check only one side
+    has is reported as added or removed, and every shared check is compared."""
+    by_a, by_b = ({check["name"]: check for check in checks} for checks in (a, b))
+    problems.extend(f"{path}: check {name} removed" for name in by_a if name not in by_b)
+    problems.extend(f"{path}: check {name} added" for name in by_b if name not in by_a)
+    shared = [name for name in by_a if name in by_b]
+    if shared != [name for name in by_b if name in by_a]:
+        problems.append(f"{path}: checks reordered")
+    for name in shared:
+        _walk(by_a[name], by_b[name], f"{path}/{name}", problems, moved)
 
 
 def _compare(a: dict, b: dict, thresholds: dict) -> tuple[list, list]:
