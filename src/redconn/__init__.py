@@ -22,9 +22,9 @@ from .connections import (FrameConnection, QuadratureRule, average_connection,
                           finite_cyclic_rule, nabla_omega, nabla_omega_defect,
                           perturbed_connection, pullback_connection, symplectize, torsion,
                           torsion_defect, torus_rule)
-from .orbits import (OrbitChart, OrbitTangentFrame, kks_form, orbit_chart,
+from .orbits import (KKS_MATCH_SIGN, OrbitChart, OrbitTangentFrame, kks_form, orbit_chart,
                      orbit_tangent_frame, tangent_representative)
-from .reduction import (KKS_MATCH_SIGN, AutoparallelReport, ReductionContext, SigmaGeometry,
+from .reduction import (AutoparallelReport, ReductionContext, SigmaGeometry,
                         autoparallel_check, build_context, default_chart, isotropic_correction,
                         isotropic_correction_gram, kks_residual, reduced_form,
                         totally_geodesic_defect)

@@ -77,15 +77,14 @@ def _omega_derivative(a: LieAlgebra) -> np.ndarray:
     return D
 
 
-def nabla_omega_components(conn: FrameConnection, xi) -> np.ndarray:
-    """(∇ω)[a, b, c] over all frame triples at fiber point ξ."""
+def nabla_omega_components(conn: FrameConnection, xi, gamma=None) -> np.ndarray:
+    """(∇ω)[a, b, c] over all frame triples at fiber point ξ, from ``gamma``
+    when the caller has Γ(ξ)."""
     a = conn.algebra
-    gamma = conn.coefficients(xi)
+    gamma = conn.coefficients(xi) if gamma is None else gamma
     om = omega_gram(a, xi)
-    out = _omega_derivative(a)
-    out = out - np.einsum("abd,dc->abc", gamma, om)
-    out = out - np.einsum("acd,bd->abc", gamma, om)
-    return out
+    return (_omega_derivative(a) - np.einsum("abd,dc->abc", gamma, om)
+            - np.einsum("acd,bd->abc", gamma, om))
 
 
 def nabla_omega(conn: FrameConnection, xi, u, v, w) -> float:
@@ -138,21 +137,23 @@ def symplectize(conn: FrameConnection) -> FrameConnection:
     which kills ∇ω for any torsion-free input because ω is closed, and keeps
     the torsion zero because A(U)V = A(V)U.
     """
-    a = conn.algebra
-
-    def coeff(xi: np.ndarray) -> np.ndarray:
-        N = nabla_omega_components(conn, xi)
-        rhs = (N + N.transpose(1, 0, 2)) / 3.0
-        A = solve_omega_gram(omega_gram(a, xi), rhs)
-        return conn.coefficients(xi) + A
-
-    return FrameConnection(a, coeff, is_torsion_free=True, is_symplectic=True,
+    return FrameConnection(conn.algebra, lambda xi: symplectized_coefficients(conn, xi),
+                           is_torsion_free=True, is_symplectic=True,
                            label=f"symplectized({conn.label})")
 
 
-def torsion_components(conn: FrameConnection, xi) -> np.ndarray:
-    """T[a, b, c] = Γ[a, b, c] - Γ[b, a, c] - C[a, b, c] over frame triples."""
-    gamma = conn.coefficients(xi)
+def symplectized_coefficients(conn: FrameConnection, xi, gamma=None) -> np.ndarray:
+    """Γ(ξ) of ``symplectize(conn)``, from ``gamma`` when the caller has conn's Γ(ξ)."""
+    gamma = conn.coefficients(xi) if gamma is None else gamma
+    N = nabla_omega_components(conn, xi, gamma)
+    rhs = (N + N.transpose(1, 0, 2)) / 3.0
+    return gamma + solve_omega_gram(omega_gram(conn.algebra, xi), rhs)
+
+
+def torsion_components(conn: FrameConnection, xi, gamma=None) -> np.ndarray:
+    """T[a, b, c] = Γ[a, b, c] - Γ[b, a, c] - C[a, b, c] over frame triples, from
+    ``gamma`` when the caller has Γ(ξ)."""
+    gamma = conn.coefficients(xi) if gamma is None else gamma
     return gamma - gamma.transpose(1, 0, 2) - frame_structure(conn.algebra)
 
 
@@ -165,12 +166,12 @@ def torsion(conn: FrameConnection, xi, u, v) -> TrivTangent:
     return TrivTangent.from_vector(out)
 
 
-def torsion_defect(conn: FrameConnection, xi) -> float:
-    return float(np.max(np.abs(torsion_components(conn, xi))))
+def torsion_defect(conn: FrameConnection, xi, gamma=None) -> float:
+    return float(np.max(np.abs(torsion_components(conn, xi, gamma))))
 
 
-def nabla_omega_defect(conn: FrameConnection, xi) -> float:
-    return float(np.max(np.abs(nabla_omega_components(conn, xi))))
+def nabla_omega_defect(conn: FrameConnection, xi, gamma=None) -> float:
+    return float(np.max(np.abs(nabla_omega_components(conn, xi, gamma))))
 
 
 # --- quadrature averaging ----------------------------------------------------

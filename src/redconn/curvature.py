@@ -52,7 +52,8 @@ def curvature_formula(geom: SigmaGeometry, t, *, fd_step2: float = DEFAULT_FD_ST
     fd_step2 stencil per direction x (with ``richardson``, extrapolated), all
     built in one batch; the bracket [f̄_i, f̄_j] reads the exact derivatives of
     ``lifts`` the table at t is built from, and the derivatives along it and
-    its radical part are exact too.
+    its radical part are exact too.  The tables at the stencil points are
+    built in one batch.
     """
     ctx, e, km = geom.ctx, geom.identity, geom.chart.dim
     t = np.asarray(t, dtype=float)
@@ -63,13 +64,13 @@ def curvature_formula(geom: SigmaGeometry, t, *, fd_step2: float = DEFAULT_FD_ST
         level = geom._level_table(t2, fib)[0]
         return np.stack([level, ctx.alpha_star(level)], axis=2)
 
+    xs = list(dict.fromkeys(dirs))
+    d_grads = geom._stencil(t, e, u[xs], fd_step2, grads, richardson=richardson, tables=True)
     # inner[x, l]: derivative of f̄_l along f̄_x, from which the table at t is built
     inner = geom._level_table(t, e)[1]
     base = grads(t, e)
     # outer[x][j, l, s]: induced derivative of base[j, l, s] along f̄_x
-    xs = list(dict.fromkeys(dirs))
-    outer = {x: geom._induced(u[x], base, d) for x, d in
-             zip(xs, geom._stencil(t, e, u[xs], fd_step2, grads, richardson=richardson))}
+    outer = {x: geom._induced(u[x], base, d) for x, d in zip(xs, d_grads)}
     out = np.zeros((len(dirs), len(dirs), km, geom.n))
     for a, i in enumerate(dirs):
         for b, j in enumerate(dirs):
@@ -105,13 +106,13 @@ def curvature_tensor(geom: SigmaGeometry, t, *, fd_step2: float = DEFAULT_FD_STE
     """Reduced curvature of the coordinate fields as orbit tangents: entry
     [a, b, l] is R(f_i, f_j)f_l at t for i = directions[a], j = directions[b]
     (all chart directions by default), from the exact Γ at t and at
-    t ± fd_step2·eₓ for x in ``directions``, their kernels built in one batch."""
+    t ± fd_step2·eₓ for x in ``directions``, their tables built in one batch."""
     t = np.asarray(t, dtype=float)
     km = geom.chart.dim
     dirs = list(range(km)) if directions is None else list(directions)
     xs = list(dict.fromkeys(dirs))
     steps = _tensor_points(t, fd_step2, xs)
-    geom.points([t] + steps, geom.identity)
+    geom.tables([t] + steps, geom.identity)
     gamma = _christoffel(geom, t)
     d_gamma = {x: (_christoffel(geom, plus) - _christoffel(geom, minus)) / (2.0 * fd_step2)
                for x, plus, minus in zip(xs, steps[::2], steps[1::2])}
@@ -205,9 +206,9 @@ def convergence_factor(geom: SigmaGeometry, t, *, coarse: float = 4e-3,
     Central differencing is second order, so the ratio should sit near four.
     The probe uses steps well above the default because there the truncation
     term dominates roundoff.  The reference and both steps run on ``geom``
-    and reuse its kernel and table at t; the displaced points of all three
-    (the reference's four per direction i and j, each step's formula stencil
-    points and tensor points t ± h·eᵢ, t ± h·eⱼ) are built in one batch.
+    and reuse its kernel and table at t; the tables at the displaced points of
+    all three (the reference's four per direction i and j, each step's formula
+    stencil points and tensor points t ± h·eᵢ, t ± h·eⱼ) are built in one batch.
     """
     i, j, l = inputs
     t = np.asarray(t, dtype=float)
@@ -216,8 +217,8 @@ def convergence_factor(geom: SigmaGeometry, t, *, coarse: float = 4e-3,
     stencils = [geom._stencil_points(t, e, u, h, richardson)
                 for h, richardson in ((1e-3, True), (coarse, False), (coarse / 2.0, False))]
     tensor = [p for h in (coarse, coarse / 2.0) for p in _tensor_points(t, h, (i, j))]
-    geom.points(np.concatenate([ts for ts, _ in stencils] + [tensor]),
-                np.concatenate([fibers for _, fibers in stencils] + [[e] * len(tensor)]))
+    geom.tables(np.concatenate([[t]] + [ts for ts, _ in stencils] + [tensor]),
+                np.concatenate([[e]] + [fibers for _, fibers in stencils] + [[e] * len(tensor)]))
     reference = curvature_formula(geom, t, fd_step2=1e-3, directions=(i, j),
                                   richardson=True)[0, 1, l]
 

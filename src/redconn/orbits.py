@@ -5,9 +5,9 @@ The reduced manifold is represented concretely as the coadjoint orbit through
 from a complement m of the stabilizer: chart coordinates t parametrize
 ν(t) = Coad(exp(Σ t_a E_a))μ together with the section (exp(Σ t_a E_a), μ)
 into the momentum level set.  Coad, the section vectors and the chart
-differential at t, with the exact derivatives of Coad and of the chart
-differential along every chart direction, come from one ``linalg.expm`` of a
-stack of 3n×3n blocks, for one chart point or for a whole stack of them.
+differential at t, with the exact derivatives of the section vectors along
+every chart direction, come from one ``linalg.expm`` of a stack of 3n×3n
+blocks, for one chart point or for a whole stack of them.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from .errors import NotTangent, RankLoss
 from .liealg import LieAlgebra, coadjoint_matrix, group_exp
 
 TANGENT_RESIDUAL_TOL = 1e-8
+# Global sign relating the reduced 2-form to the canonical orbit form under
+# the conventions of this library; verified across the catalog by the tests.
+KKS_MATCH_SIGN = -1.0
 
 
 @dataclass(frozen=True)
@@ -49,14 +52,14 @@ class OrbitChart:
         return coadjoint_matrix(self.section_element(t)) @ self.mu
 
     def exp_data(self, ts) -> tuple[np.ndarray, ...]:
-        """Coad(exp A), the section vectors and the chart differential, then the
-        derivatives of Coad(exp A) and of the chart differential along each
-        chart direction c, stacked over the chart points t of ``ts`` (rows, or
-        one t; A = Σ t_a E_a).  Each distinct t takes one stack of the block
-        exponentials expm([[−ad A, −ad E_c, 0], [0, −ad A, I], [0, 0, 0]]), all
-        in one call (Van Loan 1978; Al-Mohy–Higham 2009): blocks (1, 1) and
-        (2, 3) are e^{−ad A} = Coad(exp A)ᵀ and φ₁(−ad A), (1, 2) and (1, 3)
-        their derivatives along E_c."""
+        """Coad(exp A), the section vectors, the chart differential and the
+        derivatives of the section vectors along each chart direction c,
+        stacked over the chart points t of ``ts`` (rows, or one t; A = Σ t_a E_a).
+        Each distinct t takes one stack of the block exponentials
+        expm([[−ad A, −ad E_c, 0], [0, −ad A, I], [0, 0, 0]]), all in one call
+        (Van Loan 1978; Al-Mohy–Higham 2009): blocks (1, 1) and (2, 3) are
+        e^{−ad A} = Coad(exp A)ᵀ and φ₁(−ad A), and block (1, 3) is the
+        derivative of φ₁(−ad A) along E_c."""
         a, n, m = self.algebra, self.algebra.dim, self.m_basis
         ts = np.atleast_2d(np.asarray(ts, dtype=float))
         slot: dict = {}
@@ -68,12 +71,9 @@ class OrbitChart:
         block[:, :, n:2 * n, 2 * n:] = np.eye(n)
         E = linalg.expm(block, batch_ndim=1)[inverse]
         coad = E[:, 0, :n, :n].transpose(0, 2, 1)
-        d_coad = E[:, : self.dim, :n, n:2 * n].transpose(0, 1, 3, 2)
-        K_T = a.bracket_pairing(self.mu).T
         vecs = E[:, 0, n:2 * n, 2 * n:] @ m
-        d_D = (-d_coad @ (K_T @ vecs)[:, None]
-               - coad[:, None] @ (K_T @ (E[:, : self.dim, :n, 2 * n:] @ m)))
-        return coad, vecs, -coad @ (K_T @ vecs), d_coad, d_D
+        K_T = a.bracket_pairing(self.mu).T
+        return coad, vecs, -coad @ (K_T @ vecs), E[:, : self.dim, :n, 2 * n:] @ m
 
     def section_vectors(self, t) -> np.ndarray:
         """Left-trivialized velocities of the chart directions at t: column a is
@@ -153,3 +153,19 @@ def kks_form(a: LieAlgebra, nu, v, w) -> float:
     X = tangent_representative(a, nu, v)
     Y = tangent_representative(a, nu, w)
     return float(nu @ a.bracket(X, Y))
+
+
+def kks_pairs(a: LieAlgebra, D: np.ndarray, nu: np.ndarray, omega: np.ndarray) -> list:
+    """(reduced, canonical) orbit-form values on the chart coordinate pairs
+    i < j at a chart point where the canonical value is nonzero: D = dnu there,
+    nu the orbit point and ``omega`` the reduced form on the coordinate
+    tangents."""
+    km = D.shape[1]
+    pairs = [(omega[i, j], kks_form(a, nu, D[:, i], D[:, j]))
+             for i in range(km) for j in range(i + 1, km)]
+    return [(red, ref) for red, ref in pairs if abs(ref) > 1e-12]
+
+
+def kks_gap(pairs) -> float:
+    """Largest relative gap of the (reduced, sign-matched canonical) pairs of ``kks_pairs``."""
+    return max([0.0] + [abs(red - KKS_MATCH_SIGN * ref) / abs(ref) for red, ref in pairs])

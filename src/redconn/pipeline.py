@@ -18,19 +18,20 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import linalg, report as report_mod
-from .connections import (baseline_connection, baseline_nabla_omega, finite_cyclic_rule,
-                          frame_transport, nabla_omega_components, nabla_omega_defect,
-                          perturbed_connection, pullback_connection, average_connection,
-                          symplectize, torsion_defect)
+from .connections import (average_connection, baseline_connection, baseline_nabla_omega,
+                          finite_cyclic_rule, frame_structure, frame_transport,
+                          nabla_omega_components, nabla_omega_defect, perturbed_connection,
+                          pullback_connection, symplectize, symplectized_coefficients,
+                          torsion_defect)
 from .curvature import curvature_battery
 from .errors import (AssumptionTwoFailure, ConfigError, NonReductiveStabilizer,
                      ReductionError)
 from .liealg import LieAlgebra, algebra_from_json, coadjoint_matrix, group_exp, named_algebra
-from .orbits import orbit_chart
+from .orbits import KKS_MATCH_SIGN, kks_gap, kks_pairs, orbit_chart
 from .phasespace import (PhasePoint, constraint_split, fundamental_field, regularity_report,
                          symplectic_form)
-from .reduction import (KKS_MATCH_SIGN, SigmaGeometry, autoparallel_check, build_context,
-                        gram_oracle_solve, kks_gap, kks_pairs, totally_geodesic_defect)
+from .reduction import (SigmaGeometry, autoparallel_check, build_context, gram_oracle_solve,
+                        totally_geodesic_defect)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -74,6 +75,7 @@ THRESHOLDS = {
     "reduced_form_closed": 1e-6,
     "reduced_form_parallel": 1e-6,
     "jet_fd": 1e-6,
+    "lift_projection": 1e-10,
     "geodesic_oracle": 1e-10,
     "curvature_agreement": 1e-4,
     "curvature_antisymmetry": 1e-4,
@@ -231,7 +233,7 @@ def _stage_connect(cfg: CaseConfig, a: LieAlgebra, mu: np.ndarray,
                    rng: np.random.Generator):
     """The baseline closed-form residual, then torsion and ∇ω of the configured
     connection over the ξ samples.  Returns (the stage report, the baseline, its
-    symplectization, the configured connection, the ξ samples)."""
+    symplectization, the configured connection, the ξ samples, μ first, its Γ(ξ) at each)."""
     base = baseline_connection(a)
     residual = 0.0
     for _ in range(10):
@@ -243,22 +245,24 @@ def _stage_connect(cfg: CaseConfig, a: LieAlgebra, mu: np.ndarray,
     sympl = symplectize(base)
     conn = sympl if cfg.connection == "symplectic" else base
     xi_samples = [mu] + [rng.standard_normal(a.dim) for _ in range(3)]
+    gammas = [conn.coefficients(xi) for xi in xi_samples]
     stage = {
         "status": "ok",
         "connection": cfg.connection,
         "baseline_closed_form_residual": residual,
-        "torsion_defect": max(torsion_defect(conn, xi) for xi in xi_samples),
-        "nabla_omega_defect": max(nabla_omega_defect(conn, xi) for xi in xi_samples),
+        "torsion_defect": max(torsion_defect(conn, xi, g) for xi, g in zip(xi_samples, gammas)),
+        "nabla_omega_defect": max(nabla_omega_defect(conn, xi, g)
+                                  for xi, g in zip(xi_samples, gammas)),
     }
-    return stage, base, sympl, conn, xi_samples
+    return stage, base, sympl, conn, xi_samples, gammas
 
 
-def _stage_reduce(cfg: CaseConfig, a: LieAlgebra, mu: np.ndarray, conn,
+def _stage_reduce(cfg: CaseConfig, a: LieAlgebra, mu: np.ndarray, conn, gamma_mu,
                   rng: np.random.Generator):
-    """The reduce stage, the run's reduction context, and its geometry and
-    chart sweep for the curvature stage and ``verify`` (both None without a
-    chart: zero-dimensional base, or no realization by the policy below)."""
-    ctx = build_context(a, mu, s_tilde=cfg.s_tilde, connection=conn)
+    """The reduce stage on ``conn`` with its Γ(μ), the run's reduction context, and its
+    geometry and chart sweep for the curvature stage and ``verify`` (both None
+    without a chart: zero-dimensional base, or no realization by the policy below)."""
+    ctx = build_context(a, mu, s_tilde=cfg.s_tilde, connection=conn, gamma_mu=gamma_mu)
     stage = {
         "status": "ok",
         "dims": ctx.diagnostics["dims"],
@@ -305,8 +309,10 @@ def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator) -> dict:
     oracle, KKS match, parallelism (∂ₓΩ_ij = Ω(∇ʳ_x f_i, f_j) + Ω(f_i, ∇ʳ_x f_j))
     and closedness (the cyclic sum of ∂Ω, on the first two points) read these;
     fiber independence compares the table at pts[0] with the same table at
-    five random stabilizer fibers drawn from rng.  The kernels at all these
-    points are built in one batch.
+    five random stabilizer fibers drawn from rng.  At every one of these
+    points, the lifts (the horizontal projection of the section velocity) are
+    compared with the quotient-map solve ``lift`` of D's columns, relative to
+    max(1, |lift|).  The tables at all these points are built in one batch.
     """
     ctx = geom.ctx
     km = geom.chart.dim
@@ -314,19 +320,24 @@ def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator) -> dict:
     k = ctx.stabilizer_dim
     fibers = [group_exp(ctx.algebra, ctx.g_mu @ rng.uniform(-1.0, 1.0, k))
               for _ in range(5 if k else 0)]
-    geom.points(np.vstack([pts] + [pts[0]] * len(fibers)), np.array([e] * len(pts) + fibers))
+    swept = (np.vstack([pts] + [pts[0]] * len(fibers)), np.array([e] * len(pts) + fibers))
+    geom.tables(*swept)
     out = {"sigma": None, "kks": 0.0, "torsion": 0.0, "oracle": 0.0, "parallel": 0.0,
            "closed": 0.0, "fiber": 0.0}
+
+    def projection_gap(t, fiber) -> float:
+        lifts = geom.lifts(t, fiber)
+        gap = np.linalg.norm(lifts - geom.lift(t, fiber, geom.point(t, fiber).D.T), axis=1)
+        return float(np.max(gap / np.maximum(1.0, np.linalg.norm(lifts, axis=1))))
+
     for index, t in enumerate(pts):
         p = geom.point(t, e)
         lifts = geom.lifts(t, e)
         omega = geom.form_table(lifts, lifts)
-        pairs = kks_pairs(ctx, p.D, p.coad @ ctx.mu, omega)
+        pairs = kks_pairs(ctx.algebra, p.D, p.coad @ ctx.mu, omega)
         if out["sigma"] is None:
             out["sigma"] = next((float(np.sign(red / ref)) for red, ref in pairs), None)
         level, cov = geom.cov_table(t, e)
-        if index == 0:
-            base_cov = cov
         jw = geom.form_table(p.jet[:km].reshape(km * km, -1), lifts).reshape(km, km, km)
         d_omega = jw - jw.transpose(0, 2, 1)
         # P[x, i, j] = Ω(∇ʳ_x f_i, f_j), so Ω(f_i, ∇ʳ_x f_j) = -P[x, j, i]
@@ -342,9 +353,10 @@ def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator) -> dict:
         if index < 2:
             cyclic = d_omega + d_omega.transpose(2, 0, 1) + d_omega.transpose(1, 2, 0)
             out["closed"] = max(out["closed"], float(np.max(np.abs(cyclic))))
-    for fiber in fibers:
-        _, cov = geom.cov_table(pts[0], fiber)
-        out["fiber"] = max(out["fiber"], float(np.max(np.abs(base_cov - cov))))
+    base_cov = geom.cov_table(pts[0], e)[1]
+    out["fiber"] = max([0.0] + [float(np.max(np.abs(base_cov - geom.cov_table(pts[0], f)[1])))
+                                for f in fibers])
+    out["projection"] = max(map(projection_gap, *swept))
     return out
 
 
@@ -374,11 +386,11 @@ def _run_stages(cfg: CaseConfig, stop_after: str, stages: dict, timings: dict):
         if stage == "validate":
             stages[stage] = _stage_validate(cfg, a, run.mu, rng)
         elif stage == "connect":
-            stages[stage], run.base, run.sympl, run.conn, run.xi_samples = \
+            stages[stage], run.base, run.sympl, run.conn, run.xi_samples, run.gammas = \
                 _stage_connect(cfg, a, run.mu, rng)
         elif stage == "reduce":
             stages[stage], run.ctx, run.geom, run.sweep = \
-                _stage_reduce(cfg, a, run.mu, run.conn, rng)
+                _stage_reduce(cfg, a, run.mu, run.conn, run.gammas[0], rng)
         else:
             stages[stage] = _stage_curvature(cfg, stages["reduce"], run.geom, rng)
         timings[stage] = time.perf_counter() - ts
@@ -428,6 +440,7 @@ MIRRORED = {
     "red/reduced-form-parallel": ("sweep/parallel", "reduced_form_parallel"),
     "red/reduced-form-closed": ("sweep/closed", "reduced_form_closed"),
     "red/fiber-independence": ("sweep/fiber", "fiber_independence"),
+    "red/lift-projection": ("sweep/projection", "lift_projection"),
     "red/autoparallel-independence": ("reduce/autoparallel/independence", "fiber_independence"),
     "curv/formula-oracle": ("curvature/max_discrepancy", "curvature_agreement"),
     "curv/antisymmetry": ("curvature/symmetry/antisymmetry_defect", "curvature_antisymmetry"),
@@ -495,25 +508,16 @@ def _verify_algebra(cfg, run, checks) -> None:
     _check(checks, "lie/bracket-pairing-antisymmetry", pair, 0.0)
     g_mu, m = run.ctx.g_mu, run.ctx.m
     k = g_mu.shape[1]
-    ann = 0.0
-    for i in range(k):
-        for j in range(n):
-            ann = max(ann, abs(float(mu @ a.bracket(g_mu[:, i], np.eye(n)[j]))))
+    ann = max((abs(float(mu @ a.bracket(Y, e))) for Y in g_mu.T for e in np.eye(n)), default=0.0)
     _check(checks, "lie/stabilizer-annihilation", ann, cfg.threshold("stabilizer_annihilation"))
     if k and m.shape[1]:
         Q = np.hstack([g_mu, m])
         pi = Q @ np.diag([1.0] * k + [0.0] * m.shape[1]) @ np.linalg.inv(Q)
-        comm = 0.0
-        for i in range(k):
-            adY = a.ad(g_mu[:, i])
-            comm = max(comm, float(np.max(np.abs(pi @ adY - adY @ pi))))
+        comm = max(float(np.max(np.abs(pi @ adY - adY @ pi))) for adY in map(a.ad, g_mu.T))
         _check(checks, "lie/complement-equivariance", comm,
                cfg.threshold("complement_equivariance"))
-    fix = 0.0
-    for tval in np.linspace(-1, 1, 5):
-        for i in range(k):
-            g = group_exp(a, tval * g_mu[:, i])
-            fix = max(fix, float(np.max(np.abs(coadjoint_matrix(g) @ mu - mu))))
+    fix = max((float(np.max(np.abs(coadjoint_matrix(group_exp(a, tval * Y)) @ mu - mu)))
+               for tval in np.linspace(-1, 1, 5) for Y in g_mu.T), default=0.0)
     _check(checks, "lie/coad-fixes-mu", fix, cfg.threshold("coad_fixes_mu"))
     Ad = group_exp(a, rng.uniform(-1, 1, n))
     hom = 0.0
@@ -570,18 +574,20 @@ def _verify_connections(cfg, run, checks) -> None:
            cfg.threshold("baseline_torsion"))
     _mirror(checks, cfg, run, "conn/baseline-closed-form", "conn/torsion")
     _mirror(checks, cfg, run, "conn/nabla-omega", note=BASELINE_NOTE)
-    twice = symplectize(sympl)
+    # Γ(ξ) of the symplectization at each ξ sample, evaluated once per run
+    gammas = run.gammas if run.conn is sympl else [sympl.coefficients(xi) for xi in xi_samples]
     asym = idem = 0.0
-    for xi in xi_samples:
-        A = sympl.coefficients(xi) - base.coefficients(xi)
+    for xi, gamma in zip(xi_samples, gammas):
+        A = gamma - base.coefficients(xi)
         asym = max(asym, float(np.max(np.abs(A - A.transpose(1, 0, 2)))))
-        idem = max(idem, float(np.max(np.abs(twice.coefficients(xi) - sympl.coefficients(xi)))))
+        idem = max(idem, float(np.max(np.abs(symplectized_coefficients(sympl, xi, gamma)
+                                             - gamma))))
     _check(checks, "conn/a-symmetry", asym, cfg.threshold("a_symmetry"))
     _check(checks, "conn/symplectize-idempotent", idem,
            cfg.threshold("symplectize_idempotent"))
     pulled = pullback_connection(sympl, group_exp(a, run.rng.uniform(-0.5, 0.5, a.dim)))
-    inv = max(float(np.max(np.abs(pulled.coefficients(xi) - sympl.coefficients(xi))))
-              for xi in xi_samples)
+    inv = max(float(np.max(np.abs(pulled.coefficients(xi) - gamma)))
+              for xi, gamma in zip(xi_samples, gammas))
     _check(checks, "conn/right-invariance", inv, cfg.threshold("right_invariance"))
 
 
@@ -598,12 +604,8 @@ def _verify_reduction(cfg, run, checks) -> None:
         if k or ctx.w2.shape[1] else 0.0
     _check(checks, "red/projector-range", range_dist, cfg.threshold("projector_spaces"))
     _check(checks, "red/projector-kernel", kernel_dist, cfg.threshold("projector_spaces"))
-    alpha_defect = 0.0
-    for i in range(k):
-        gen = fundamental_field(a, "right", ctx.g_mu[:, i], PhasePoint(None, mu)).as_vector()
-        coords = ctx.alpha(gen)
-        alpha_defect = max(alpha_defect, float(np.max(np.abs(ctx.g_mu @ coords
-                                                             - ctx.g_mu[:, i]))))
+    alpha_defect = max((float(np.max(np.abs(ctx.g_mu @ ctx.alpha(fundamental_field(
+        a, "right", Y, PhasePoint(None, mu)).as_vector()) - Y))) for Y in ctx.g_mu.T), default=0.0)
     if k and ctx.w1.shape[1]:
         alpha_defect = max(alpha_defect, float(np.max(np.abs(ctx.alpha_mat @ ctx.w1))))
     _check(checks, "red/alpha-identities", alpha_defect, cfg.threshold("alpha_identities"))
@@ -628,7 +630,7 @@ def _verify_reduction(cfg, run, checks) -> None:
                cfg.threshold("sigma_torsion"))
         _mirror(checks, cfg, run, "red/reduced-torsion", "red/reduced-oracle", "red/kks-match",
                 "red/reduced-form-parallel", "red/reduced-form-closed",
-                "red/fiber-independence")
+                "red/fiber-independence", "red/lift-projection")
         t = np.asarray(reduced["chart_points"][0])
         _check(checks, "red/jet-fd", _jet_fd_defect(run.geom, t, cfg.fd_step),
                cfg.threshold("jet_fd"))
@@ -685,15 +687,9 @@ def _geodesic_oracle_gap(ctx, value: float) -> float:
         return ctx.split.t_sigma @ linalg.solve_columns(basis, v)[:n]
 
     frame = [project(zc) for zc in np.eye(2 * n)]
-    best = 0.0
-    for i in range(k):
-        ui = np.concatenate([ctx.g_mu[:, i], np.zeros(n)])
-        for j in range(k):
-            vj = np.concatenate([ctx.g_mu[:, j], np.zeros(n)])
-            proj = project(np.einsum("abc,a,b->c", ctx.gamma_mu, ui, vj))
-            for pz in frame:
-                best = max(best, abs(float(proj @ om @ pz)))
-    return abs(best - value)
+    gens = np.ascontiguousarray(ctx.v_delta.T)  # rows (g_μ e_i, 0)
+    projs = [project(np.einsum("abc,a,b->c", ctx.gamma_mu, u, v)) for u in gens for v in gens]
+    return abs(max(abs(float(proj @ om @ pz)) for proj in projs for pz in frame) - value)
 
 
 def _sigma_equivariance_defect(ctx, rng) -> float:
@@ -735,15 +731,10 @@ def _jet_fd_defect(geom: SigmaGeometry, t, step: float) -> float:
 
 def _sigma_torsion_defect(ctx) -> float:
     """Torsion of P∘∇ on the frame-constant level-set fields (e_i, 0)."""
-    a, gamma, P = ctx.algebra, ctx.gamma_mu, ctx.p_matrix
-    n = a.dim
-    defect = 0.0
-    for i in range(n):
-        for j in range(n):
-            cov = P @ gamma[i, j] - P @ gamma[j, i]
-            br = np.concatenate([a.bracket(np.eye(n)[i], np.eye(n)[j]), np.zeros(n)])
-            defect = max(defect, float(np.max(np.abs(cov - br))))
-    return defect
+    n, P = ctx.algebra.dim, ctx.p_matrix
+    gamma = ctx.gamma_mu[:n, :n]
+    cov = linalg.matvec(P, gamma) - linalg.matvec(P, gamma.transpose(1, 0, 2))
+    return float(np.max(np.abs(cov - frame_structure(ctx.algebra)[:n, :n])))
 
 
 def _verify_averaging(cfg, run, checks) -> None:
@@ -755,10 +746,11 @@ def _verify_averaging(cfg, run, checks) -> None:
     rule = finite_cyclic_rule(a, np.eye(a.dim)[2], 4)
     avg = average_connection(pert, rule)
     xi_samples = [rng.standard_normal(a.dim) for _ in range(3)]
+    gammas = [avg.coefficients(xi) for xi in xi_samples]
     _check(checks, "avg/torsion-free",
-           max(torsion_defect(avg, xi) for xi in xi_samples),
+           max(torsion_defect(avg, xi, g) for xi, g in zip(xi_samples, gammas)),
            cfg.threshold("averaging_torsion"))
     pulled = [pullback_connection(avg, g) for g in rule.nodes]
-    fixed = max(float(np.max(np.abs(p.coefficients(xi) - avg.coefficients(xi))))
-                for p in pulled for xi in xi_samples)
+    fixed = max(float(np.max(np.abs(p.coefficients(xi) - g)))
+                for p in pulled for xi, g in zip(xi_samples, gammas))
     _check(checks, "avg/node-fixed", fixed, cfg.threshold("averaging_fixed"))

@@ -17,9 +17,11 @@ The induced covariant derivative along the level set is P∘∇ for the ambient
 invariant symplectic connection ∇; removing the radical component with alpha
 and pushing down through the quotient map (g, μ) ↦ Coad(g)μ produces the
 reduced connection on the orbit.  The lifted chart coordinate fields are one
-array per point (``SigmaGeometry.lifts``) with its exact derivative along every
-(chart x stabilizer-fiber) parameter, from the chart's block exponentials and
-the chain rule: no first derivative needs a chart inversion or a difference.
+array per point (``SigmaGeometry.lifts``): the horizontal part of the section's
+velocity, so no lift needs a solve through the quotient map.  Its exact
+derivative along every (chart x stabilizer-fiber) parameter is the horizontal
+part of the velocity's derivative, from the chart's block exponentials: no
+first derivative needs a chart inversion or a difference.
 """
 
 from __future__ import annotations
@@ -34,12 +36,8 @@ from .errors import (AssumptionTwoFailure, DegeneratePairing, NotTangent,
                      PointOffConstraint, RankLoss, SingularProjection,
                      ZeroDimensionalBase)
 from .liealg import LieAlgebra, reductive_complement
-from .orbits import OrbitChart, kks_form, orbit_chart
+from .orbits import OrbitChart, kks_gap, kks_pairs, orbit_chart
 from .phasespace import ConstraintSplit, constraint_split, omega_gram, symplectic_form
-
-# Global sign relating the reduced 2-form to the canonical orbit form under
-# the conventions of this library; verified across the catalog by the tests.
-KKS_MATCH_SIGN = -1.0
 
 ISOTROPY_TOL = 1e-10
 STABILITY_TOL = 1e-8
@@ -144,16 +142,6 @@ class ReductionContext:
         return v - self.alpha_star(v)
 
 
-def _stability_generator(a: LieAlgebra, Y: np.ndarray) -> np.ndarray:
-    """Infinitesimal frame transport of the right translation by exp(sY)."""
-    n = a.dim
-    adY = a.ad(Y)
-    D = np.zeros((2 * n, 2 * n))
-    D[:n, :n] = -adY
-    D[n:, n:] = adY.T
-    return D
-
-
 def _check_custom_s_tilde(a: LieAlgebra, split: ConstraintSplit, st: np.ndarray) -> None:
     n = a.dim
     k = split.g_mu.shape[1]
@@ -163,9 +151,9 @@ def _check_custom_s_tilde(a: LieAlgebra, split: ConstraintSplit, st: np.ndarray)
     if linalg.rank(np.hstack([split.sum, st])) != 2 * n:
         raise AssumptionTwoFailure("custom complement does not complement TΣ + TΣ^⊥")
     P_st = linalg.projector(st)
-    for i in range(k):
-        D = _stability_generator(a, split.g_mu[:, i])
-        moved = D @ st
+    for Y in split.g_mu.T:
+        adY = a.ad(Y)  # the right translation by exp(sY) moves st by diag(−ad Y, ad Yᵀ)
+        moved = np.vstack([-adY @ st[:n], adY.T @ st[n:]])
         defect = float(np.max(np.abs(moved - P_st @ moved)))
         if defect > STABILITY_TOL * max(1.0, float(np.max(np.abs(moved)))):
             raise AssumptionTwoFailure(
@@ -173,11 +161,13 @@ def _check_custom_s_tilde(a: LieAlgebra, split: ConstraintSplit, st: np.ndarray)
 
 
 def build_context(a: LieAlgebra, mu, *, s_tilde="default",
-                  connection: FrameConnection | None = None) -> ReductionContext:
+                  connection: FrameConnection | None = None,
+                  gamma_mu: np.ndarray | None = None) -> ReductionContext:
     """Assemble and validate all μ-level reduction data.
 
     The ambient connection defaults to the symplectization of the bi-invariant
-    baseline; pass an explicit connection to study non-symplectic inputs.
+    baseline; pass an explicit connection to study non-symplectic inputs, and
+    its Γ(μ) as ``gamma_mu`` when the caller has it.
 
     Raises:
         NonReductiveStabilizer: no ad-stable complement of the stabilizer.
@@ -234,7 +224,8 @@ def build_context(a: LieAlgebra, mu, *, s_tilde="default",
         "zero_dimensional_base": bool(m.shape[1] == 0),
     }
     return ReductionContext(a, mu.copy(), g_mu, m, split, st, lam, S, w1, w2,
-                            P, alpha_mat, split.delta, conn, conn.coefficients(mu), om,
+                            P, alpha_mat, split.delta, conn,
+                            conn.coefficients(mu) if gamma_mu is None else gamma_mu, om,
                             diagnostics)
 
 
@@ -250,8 +241,8 @@ class PointKernel:
     D: np.ndarray  # chart differential dnu(t)
     M: np.ndarray  # lift matrix: quotient differential on the horizontal basis
     lift_ok: bool  # M has full column rank
-    lifts: np.ndarray  # row i: w1 · X e_i with X = M⁺D, the lift of D e_i
-    tangent: bool  # every column of D passed the tangency test against M X
+    lifts: np.ndarray  # row i: H(Ad(h)⁻¹ · section vector i, 0), the lift of D e_i
+    tangent: bool  # M X = D to TANGENT_RTOL, X the W1 coordinates of the lifts
     F: np.ndarray  # chart-fiber frame [Ad(h)⁻¹ · section vectors | g_μ]
     frame_ok: bool  # F has full rank
     jet: np.ndarray  # jet[c]: derivative of lifts along parameter c (read only if lift_ok)
@@ -263,15 +254,15 @@ class SigmaGeometry:
     A point (exp(Σ t_a E_a) · h, μ) is addressed by t and ``fiber``, the Ad
     matrix of h, and moves with the parameters t and s in h·exp(Σ s_b g_μ e_b).
     Each (t, fiber) gets one ``PointKernel``, holding ``lifts`` (row i lifts
-    f_i) and its jet, and one level-set table, built whole on first request.
-    ``points`` builds a batch of kernels in one stacked pass whose every step
-    acts on each point alone.  ``lift_derivatives`` contracts the jet with a
-    direction's parameter velocity, and ``_stencil`` central-differences any
-    function of the point.  A run shares one instance per (context, chart)
-    between the chart sweep, the autoparallel check and the curvature battery;
-    kernels and tables depend only on their keys, never on their batch, so
-    sharing and batching change what is recomputed, never a value.  Neither
-    cache is thread-safe: use one instance per thread.
+    f_i: the horizontal part of the section velocity) and its jet, and one
+    level-set table; ``points`` and ``tables`` build a batch of either in one
+    stacked pass.  ``lift_derivatives`` contracts the jet with a direction's
+    parameter velocity, and ``_stencil`` central-differences any function of
+    the point.  A run shares one instance per (context, chart) between the
+    chart sweep, the autoparallel check and the curvature battery; kernels and
+    tables depend only on their keys, never on their batch, so sharing and
+    batching change what is recomputed, never a value.  Neither cache is
+    thread-safe: use one instance per thread.
     """
 
     def __init__(self, ctx: ReductionContext, chart: OrbitChart):
@@ -284,23 +275,48 @@ class SigmaGeometry:
         self.struct = frame_structure(a)
         self.K_T = a.bracket_pairing(ctx.mu).T
         self.w1grp = ctx.w1[: self.n, :]
-        # ad(g_μ e_b)ᵀ: Coad moves by −Coad · ad(g_μ e_b)ᵀ along fiber parameter b
+        # ad(g_μ e_b)ᵀ: rows of Ad(h)⁻¹ · vecs move by −(…) · ad(g_μ e_b)ᵀ along fiber parameter b
         self.ad_fiber_T = np.einsum("ijk,ib->bjk", a.c, ctx.g_mu)
+        self.horizontal_T = ctx.horizontal_part(np.eye(2 * self.n)[: self.n])  # row i: H(e_i, 0)
+        self.gamma_T = ctx.gamma_mu.reshape(2 * self.n, -1).T  # [(b, c), a] = Γ(μ)[a, b, c]
         self.identity = np.eye(self.n)
         self._points: dict = {}
         self._tables: dict = {}  # (t, fiber) -> (level values, derivatives)
 
-    def points(self, ts, fibers) -> list[PointKernel]:
-        """The kernels at the rows t of ``ts`` and ``fibers`` (one Ad matrix, or
-        one per row), those not yet cached built in one stacked pass."""
+    def _batch(self, cache: dict, build, ts, fibers) -> list:
+        """The entries of ``cache`` at the rows t of ``ts`` and ``fibers`` (one Ad
+        matrix, or one per row), those missing built by ``build`` in one pass."""
         ts = np.asarray(ts, dtype=float).reshape(-1, self.chart.dim)
         fibers = np.broadcast_to(np.asarray(fibers, dtype=float), (len(ts), self.n, self.n))
         keys = [(t.tobytes(), fiber.tobytes()) for t, fiber in zip(ts, fibers)]
-        new = {key: i for i, key in enumerate(keys) if key not in self._points}
+        new = {key: i for i, key in enumerate(keys) if key not in cache}
         if new:
             index = list(new.values())
-            self._points.update(zip(new, self._build(ts[index], fibers[index])))
-        return [self._points[key] for key in keys]
+            cache.update(zip(new, build(ts[index], fibers[index])))
+        return [cache[key] for key in keys]
+
+    def points(self, ts, fibers) -> list[PointKernel]:
+        """The kernels at the rows t of ``ts`` and ``fibers``, those not yet
+        cached built in one stacked pass (``_build``)."""
+        return self._batch(self._points, self._build, ts, fibers)
+
+    def tables(self, ts, fibers) -> list:
+        """The level tables (``_level_table``) at the rows t of ``ts`` and
+        ``fibers``, those not yet cached built in one stacked pass: one frame
+        solve per direction, one jet contraction and one contraction of Γ(μ)
+        with every lift row, each product acting on one vector alone (None
+        where the lifts or the frame fail a check; reading it raises)."""
+        return self._batch(self._tables, self._build_tables, ts, fibers)
+
+    def _build_tables(self, ts: np.ndarray, fibers: np.ndarray) -> list:
+        kernels = self.points(ts, fibers)
+        ok = [p.lift_ok and p.tangent and p.frame_ok for p in kernels]
+        u, jet = (np.array([getattr(p, f) for p in kernels]) for f in ("lifts", "jet"))
+        # a point that failed a check solves in the identity frame, and gets None
+        F = np.array([p.F if good else self.identity for p, good in zip(kernels, ok)])
+        derivs = _along(jet, np.linalg.solve(F[:, None], u[..., : self.n, None])[..., 0])
+        return [(level, d) if good else None
+                for level, d, good in zip(self._induced(u, u[:, None], derivs), derivs, ok)]
 
     def point(self, t, fiber: np.ndarray) -> PointKernel:
         """The kernel at (exp(Σ t_a E_a) · h, μ): ``points`` on a batch of one."""
@@ -310,29 +326,25 @@ class SigmaGeometry:
     def _build(self, ts: np.ndarray, fibers: np.ndarray) -> list[PointKernel]:
         """The kernels at the rows of ``ts`` and ``fibers``, each step stacked."""
         ctx = self.ctx
-        coad_t, vecs, D, d_coad_t, d_D = self.chart.exp_data(ts)
+        coad_t, vecs, D, d_vecs = self.chart.exp_data(ts)
         h_inv = np.linalg.inv(fibers)
         coad = coad_t @ h_inv.transpose(0, 2, 1)
-        KW = self.K_T @ self.w1grp
-        M = -coad @ KW
-        M_pinv = np.linalg.pinv(M)
-        X = M_pinv @ D
-        # X = M⁺D: dX = M⁺(dD − dM·X + M⁺ᵀ·dMᵀ·(D − M·X)) per parameter, as
-        # M⁺M⁺ᵀ = (MᵀM)⁻¹ at full column rank
-        d_M = np.concatenate([d_coad_t @ h_inv.transpose(0, 2, 1)[:, None],
-                              -coad[:, None] @ self.ad_fiber_T], axis=1) @ -KW
-        d_D = np.concatenate([d_D, np.zeros((len(ts), ctx.stabilizer_dim) + D.shape[1:])], axis=1)
-        d_X = M_pinv[:, None] @ (d_D - d_M @ X[:, None]
-                                 + M_pinv.transpose(0, 2, 1)[:, None] @ d_M.transpose(0, 1, 3, 2)
-                                 @ (D - M @ X)[:, None])
-        F = np.concatenate([h_inv @ vecs, np.broadcast_to(ctx.g_mu, (len(ts),) + ctx.g_mu.shape)],
-                           axis=2)
-        tangent = ~np.any(np.linalg.norm(M @ X - D, axis=-2)
+        M = -coad @ (self.K_T @ self.w1grp)
+        # lifts: the horizontal parts of the rows of the section velocity V = Ad(h)⁻¹ · vecs;
+        # jet: those of V's derivatives along each chart and fiber parameter
+        V = h_inv @ vecs
+        rows = V.transpose(0, 2, 1)
+        d_rows = np.concatenate([d_vecs.transpose(0, 1, 3, 2) @ h_inv.transpose(0, 2, 1)[:, None],
+                                 -rows[:, None] @ self.ad_fiber_T], axis=1)
+        lifts = rows @ self.horizontal_T
+        # the tangency test: the lifts' W1 coordinates X must solve M X = D
+        residual = M @ (lifts[..., : self.n] @ self.w1grp).transpose(0, 2, 1) - D
+        tangent = ~np.any(np.linalg.norm(residual, axis=-2)
                           > TANGENT_RTOL * np.maximum(1.0, np.linalg.norm(D, axis=-2)), axis=-1)
+        F = np.concatenate([V, np.broadcast_to(ctx.g_mu, (len(ts),) + ctx.g_mu.shape)], axis=2)
         return [PointKernel(*fields) for fields in zip(
-            coad, D, M, (linalg.rank(M) == M.shape[-1]).tolist(), (ctx.w1 @ X).transpose(0, 2, 1),
-            tangent.tolist(), F, (linalg.rank(F) == self.n).tolist(),
-            (ctx.w1 @ d_X).transpose(0, 1, 3, 2))]
+            coad, D, M, (linalg.rank(M) == M.shape[-1]).tolist(), lifts, tangent.tolist(), F,
+            (linalg.rank(F) == self.n).tolist(), d_rows @ self.horizontal_T)]
 
     # -- lifting ---------------------------------------------------------
 
@@ -371,7 +383,7 @@ class SigmaGeometry:
     # -- derivatives along the level set ----------------------------------
 
     def _params(self, t, fiber: np.ndarray, us) -> np.ndarray:
-        """Chart-fiber parameter velocities (columns) of the level-set directions
+        """Chart-fiber parameter velocities (rows) of the level-set directions
         ``us`` (rows), one solve in the chart-fiber frame per direction, so that
         a direction's velocity never depends on the others."""
         us = np.atleast_2d(np.asarray(us, dtype=float))
@@ -381,13 +393,13 @@ class SigmaGeometry:
         p = self.point(t, fiber)
         if not p.frame_ok:
             raise RankLoss("chart-fiber frame lost rank; point outside the chart radius")
-        return np.linalg.solve(p.F, us[:, : self.n, None])[..., 0].T
+        return np.linalg.solve(p.F, us[:, : self.n, None])[..., 0]
 
     def lift_derivatives(self, t, fiber: np.ndarray, us) -> np.ndarray:
         """Exact derivatives of ``lifts`` (km × 2n each) along the level-set
         directions ``us`` (rows): the jet contracted with their velocities."""
         self.lifts(t, fiber)
-        return np.einsum("cr,cjk->rjk", self._params(t, fiber, us), self.point(t, fiber).jet)
+        return _along(self.point(t, fiber).jet, self._params(t, fiber, us))
 
     def _stencil_points(self, t, fiber: np.ndarray, us, step: float,
                         richardson: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -396,7 +408,7 @@ class SigmaGeometry:
         then ±step/2 with Richardson extrapolation."""
         t = np.asarray(t, dtype=float)
         km = self.chart.dim
-        params = np.ascontiguousarray(self._params(t, fiber, us).T)
+        params = self._params(t, fiber, us)
         steps = (step, -step) + ((step / 2.0, -step / 2.0) if richardson else ())
         ts = np.array([t + s * p[:km] for p in params for s in steps])
         if not self.ctx.stabilizer_dim:
@@ -406,12 +418,13 @@ class SigmaGeometry:
         return ts, (fiber @ linalg.expm(np.array(ad_y), batch_ndim=1)).reshape(-1, self.n, self.n)
 
     def _stencil(self, t, fiber: np.ndarray, us, step: float, fld, *,
-                 richardson: bool = False) -> np.ndarray:
+                 richardson: bool = False, tables: bool = False) -> np.ndarray:
         """Central differences of ``fld``, a function (t, fiber) -> array, along
-        the direction u or each row of a stack ``us``, with their kernels built
-        in one batch; with Richardson extrapolation, (4·d(step/2) − d(step))/3."""
+        the direction u or each row of a stack ``us``, with their kernels (with
+        ``tables``, their level tables) built in one batch; with Richardson
+        extrapolation, (4·d(step/2) − d(step))/3."""
         ts, fibers = self._stencil_points(t, fiber, us, step, richardson)
-        self.points(ts, fibers)
+        (self.tables if tables else self.points)(ts, fibers)
         v = np.array([fld(t2, fib) for t2, fib in zip(ts, fibers)])
         v = v.reshape((-1, 4 if richardson else 2) + v.shape[1:])
         d = (v[:, 0] - v[:, 1]) / (2.0 * step)
@@ -420,10 +433,15 @@ class SigmaGeometry:
         return d[0] if np.ndim(us) == 1 else d
 
     def _induced(self, u, base: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """P∘∇ along u of a field with value ``base`` and directional derivative d
-        (one vector each, or stacks of them alike)."""
-        gamma_u = np.tensordot(u, self.ctx.gamma_mu, axes=1)  # [b, c]: Γ(μ)(u, e_b)_c
-        return linalg.matvec(self.ctx.p_matrix, d + linalg.matvec(gamma_u.T, base))
+        """P∘∇ along u of a field with value ``base`` and directional derivative
+        d: one direction u, or a stack of them whose fields' values stack along
+        the axes of ``base`` after u's.  Every product acts on one vector alone."""
+        u = np.asarray(u, dtype=float)
+        # [..., b, c] = Γ(μ)(u, e_b)_c
+        gamma_u = linalg.matvec(self.gamma_T, u).reshape(
+            u.shape[:-1] + (1,) * (np.ndim(base) - u.ndim) + (2 * self.n, 2 * self.n))
+        return linalg.matvec(self.ctx.p_matrix,
+                             d + linalg.matvec(gamma_u.swapaxes(-1, -2), base))
 
     def pushdown(self, t, fiber: np.ndarray, v) -> np.ndarray:
         """Quotient differential applied to a level-set tangent vector, or to each
@@ -434,15 +452,12 @@ class SigmaGeometry:
     def _level_table(self, t, fiber: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """level[i, j] = P∘∇ along f̄_i of f̄_j, for the lifted chart coordinate
         fields f̄ = ``lifts`` at (t, fiber), and derivs[i, j], the exact
-        derivative of f̄_j along f̄_i that level[i, j] is built from; computed
-        whole on first request."""
-        key = (np.asarray(t, dtype=float).tobytes(), fiber.tobytes())
-        table = self._tables.get(key)
-        if table is None:
-            u = self.lifts(t, fiber)
-            derivs = self.lift_derivatives(t, fiber, u)
-            table = self._tables[key] = (
-                np.array([self._induced(u[i], u, derivs[i]) for i in range(len(u))]), derivs)
+        derivative of f̄_j along f̄_i that level[i, j] is built from: the table
+        ``tables`` built, or on a miss a batch of one."""
+        table = (self._tables.get((np.asarray(t, dtype=float).tobytes(), fiber.tobytes()))
+                 or self.tables(t, fiber)[0])
+        if table is None:  # the point failed a check: raise it
+            self._params(t, fiber, self.lifts(t, fiber))
         return table
 
     def cov_table(self, t, fiber: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -451,6 +466,13 @@ class SigmaGeometry:
         fields at (t, fiber), with the radical part of each level value removed."""
         level, _ = self._level_table(t, fiber)
         return level, self.pushdown(t, fiber, self.ctx.horizontal_part(level))
+
+
+def _along(jet: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """Derivatives of ``lifts`` along the parameter velocities ``params`` (rows,
+    [..., r, c]): Σ_c params[..., r, c] · jet[..., c, :, :], one product per row."""
+    flat = jet.reshape(jet.shape[:-2] + (-1,)).swapaxes(-1, -2)
+    return linalg.matvec(flat[..., None, :, :], params).reshape(params.shape[:-1] + jet.shape[-2:])
 
 
 # --- public operations --------------------------------------------------------
@@ -483,21 +505,10 @@ def totally_geodesic_defect(ctx: ReductionContext) -> float:
     frame-constant components (Y, 0) along the level set, so no finite
     differences are needed.
     """
-    n = ctx.algebra.dim
-    k = ctx.stabilizer_dim
-    if k == 0:
-        return 0.0
-    om = ctx.omega_mu
-    P = ctx.p_matrix
-    defect = 0.0
-    for i in range(k):
-        ui = np.concatenate([ctx.g_mu[:, i], np.zeros(n)])
-        for j in range(k):
-            vj = np.concatenate([ctx.g_mu[:, j], np.zeros(n)])
-            cov = np.einsum("abc,a,b->c", ctx.gamma_mu, ui, vj)
-            pairings = (P @ cov) @ om @ P
-            defect = max(defect, float(np.max(np.abs(pairings))))
-    return defect
+    gens, P = np.ascontiguousarray(ctx.v_delta.T), ctx.p_matrix  # rows (g_μ e_i, 0)
+    return max((float(np.max(np.abs((P @ np.einsum("abc,a,b->c", ctx.gamma_mu, u, v))
+                                    @ ctx.omega_mu @ P))) for u in gens for v in gens),
+               default=0.0)
 
 
 @dataclass(frozen=True)
@@ -538,11 +549,8 @@ def autoparallel_check(ctx: ReductionContext, *, geom: SigmaGeometry | None = No
     """
     a = ctx.algebra
     n = a.dim
-    complement_proj = np.eye(2 * n) - ctx.p_matrix
-    defect = 0.0
-    for i in range(n):
-        for j in range(n):
-            defect = max(defect, float(np.max(np.abs(complement_proj @ ctx.gamma_mu[i, j, :]))))
+    defect = float(np.max(np.abs(linalg.matvec(np.eye(2 * n) - ctx.p_matrix,
+                                               ctx.gamma_mu[:n, :n]))))
     if defect > tol or ctx.zero_dimensional_base or geom is None:
         return AutoparallelReport(defect, None if defect > tol else 0.0, 0)
 
@@ -551,30 +559,16 @@ def autoparallel_check(ctx: ReductionContext, *, geom: SigmaGeometry | None = No
     if cand is None:
         return AutoparallelReport(defect, None, 0)
     chart = geom.chart
-    other = build_context(a, ctx.mu, s_tilde=cand, connection=ctx.connection)
+    other = build_context(a, ctx.mu, s_tilde=cand, connection=ctx.connection,
+                          gamma_mu=ctx.gamma_mu)
     geom_b = SigmaGeometry(other, chart)
     ts = [rng.uniform(-0.3, 0.3, size=chart.dim) * chart.radius for _ in range(n_samples)]
-    geom.points(ts, geom.identity)
-    geom_b.points(ts, geom_b.identity)
+    geom.tables(ts, geom.identity)
+    geom_b.tables(ts, geom_b.identity)
     diff = max((float(np.max(np.abs(geom.cov_table(t, geom.identity)[1]
                                     - geom_b.cov_table(t, geom_b.identity)[1]))) for t in ts),
                default=0.0)
     return AutoparallelReport(defect, diff, n_samples * chart.dim ** 2)
-
-
-def kks_pairs(ctx: ReductionContext, D: np.ndarray, nu: np.ndarray, omega: np.ndarray) -> list:
-    """(reduced, canonical) orbit-form values on the chart coordinate pairs
-    i < j at a chart point where the canonical value is nonzero: D = dnu there,
-    nu the orbit point and ``omega`` the reduced form on the coordinate
-    tangents."""
-    km = D.shape[1]
-    pairs = []
-    for i in range(km):
-        for j in range(i + 1, km):
-            ref = kks_form(ctx.algebra, nu, D[:, i], D[:, j])
-            if abs(ref) > 1e-12:
-                pairs.append((omega[i, j], ref))
-    return pairs
 
 
 def kks_residual(ctx: ReductionContext, chart: OrbitChart, t) -> float:
@@ -583,9 +577,4 @@ def kks_residual(ctx: ReductionContext, chart: OrbitChart, t) -> float:
     geom = SigmaGeometry(ctx, chart)
     p = geom.point(t, geom.identity)
     lifts = geom.lifts(t, geom.identity)
-    return kks_gap(kks_pairs(ctx, p.D, p.coad @ ctx.mu, geom.form_table(lifts, lifts)))
-
-
-def kks_gap(pairs) -> float:
-    """``kks_residual`` from the (reduced, canonical) pairs of ``kks_pairs``."""
-    return max([0.0] + [abs(red - KKS_MATCH_SIGN * ref) / abs(ref) for red, ref in pairs])
+    return kks_gap(kks_pairs(ctx.algebra, p.D, p.coad @ ctx.mu, geom.form_table(lifts, lifts)))

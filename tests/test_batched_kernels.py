@@ -1,9 +1,11 @@
-"""Batched point kernels.  ``SigmaGeometry.points`` builds every kernel of a
-batch in one stacked pass, and a kernel never depends on the batch it was built
-in: each batch below is compared with one-point builds bit for bit, field by
-field, on so(4) regular and singular and so(5) regular.  A point past the
-chart radius where the frame or the lift system loses rank is built with the
-others and raises only when it is used."""
+"""Batched point kernels and level tables.  ``SigmaGeometry.points`` builds
+every kernel of a batch in one stacked pass, ``SigmaGeometry.tables`` every
+level table, and neither depends on the batch it was built in: each batch below
+is compared with one-point builds bit for bit, field by field, on so(4) regular
+and singular and so(5) regular.  A point past the chart radius where the frame
+or the lift system loses rank is built with the others and raises only when it
+is used.  A kernel's lifts are the horizontal projection of the section
+velocity, which equals the quotient-map solve M⁺D to roundoff."""
 
 import dataclasses
 
@@ -17,7 +19,7 @@ from redconn import linalg
 from redconn.errors import RankLoss, SingularProjection
 from redconn.pipeline import CaseConfig
 from redconn.reduction import PointKernel
-from tests.conftest import AFF1_DOC, perfbench_cases
+from tests.conftest import AFF1_DOC, CATALOG_CASES, perfbench_cases
 
 CASES = perfbench_cases().SO4_CASES + perfbench_cases().SO5_CASES[:1]
 unit = st.floats(-1.0, 1.0, allow_nan=False)
@@ -69,11 +71,10 @@ def _record_chart_exponentials(monkeypatch) -> list:
     return blocks
 
 
-def test_stencil_batches_are_single_builds(case, rng):
-    # the formula's outer stencil points along every lift (central and
-    # Richardson), the stencil points along the stabilizer generators at a
-    # random fiber, and the tensor's t ± h·eₓ
-    ctx, chart = case
+def _stencil_sets(ctx, chart, rng) -> list:
+    """(ts, fibers) of the formula's outer stencil points along every lift
+    (central and Richardson), the stencil points along the stabilizer
+    generators at a random fiber, and the tensor's t ± h·eₓ."""
     km, k, n = chart.dim, ctx.stabilizer_dim, ctx.algebra.dim
     geom = rc.SigmaGeometry(ctx, chart)
     t = rng.uniform(-0.3, 0.3, km)
@@ -83,9 +84,30 @@ def test_stencil_batches_are_single_builds(case, rng):
             geom._stencil_points(t, fiber, np.pad(ctx.g_mu.T, ((0, 0), (0, n))), 1e-5)]
     for ts, fibers in sets:
         assert len(ts) == len(fibers) and len({f.tobytes() for f in fibers}) > 1
-        _assert_batch_is_single_builds(ctx, chart, ts, fibers)
     tensor = [t + sign * 1e-4 * np.eye(km)[x] for x in range(km) for sign in (1.0, -1.0)]
-    _assert_batch_is_single_builds(ctx, chart, tensor, [geom.identity] * len(tensor))
+    return sets + [(tensor, [geom.identity] * len(tensor))]
+
+
+def test_stencil_batches_are_single_builds(case, rng):
+    ctx, chart = case
+    for ts, fibers in _stencil_sets(ctx, chart, rng):
+        _assert_batch_is_single_builds(ctx, chart, ts, fibers)
+
+
+def test_stencil_table_batches_are_single_builds(case, rng):
+    # each table of a batch, level values and derivatives, is its one-point
+    # build bit for bit: every product acts on one vector alone
+    ctx, chart = case
+    for ts, fibers in _stencil_sets(ctx, chart, rng):
+        geom = rc.SigmaGeometry(ctx, chart)
+        geom.tables(ts, fibers)
+        assert len(geom._tables) == len({(np.asarray(t).tobytes(), f.tobytes())
+                                         for t, f in zip(ts, fibers)})
+        for t, fiber in zip(ts, fibers):
+            batched = geom._level_table(t, fiber)
+            single = rc.SigmaGeometry(ctx, chart)._level_table(t, fiber)
+            for a, b in zip(batched, single):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_fibers_at_one_t_share_its_exponential(case, rng, monkeypatch):
@@ -197,3 +219,70 @@ def test_lift_rank_loss_raises_only_at_its_point():
             geom.lift(bad, geom.identity, chart.dnu(bad)[:, 0])
     for t in good:
         assert geom.lifts(t, geom.identity).shape == (2, 4)
+
+
+@pytest.mark.parametrize("rank_loss", ["frame", "lift"])
+def test_table_batch_raises_only_at_its_rank_loss_point(rank_loss):
+    # so(4) regular at π·e₀ (the frame loses rank) and aff1 at 30·e₀ (the lift
+    # matrix does): a table batch with that point is built without raising, the
+    # other tables are their one-point builds, and only that point's table
+    # raises, on every use
+    if rank_loss == "frame":
+        ctx, chart = _setup(CASES[0])
+        bad, error = np.pi * np.eye(chart.dim)[0], RankLoss
+    else:
+        ctx = rc.build_context(rc.algebra_from_json(AFF1_DOC), np.array([0.0, 1.0]))
+        chart = rc.default_chart(ctx)
+        bad, error = np.array([30.0, 0.0]), SingularProjection
+    ts = [np.linspace(-0.2, 0.3, chart.dim), bad, np.linspace(0.25, -0.1, chart.dim)]
+    geom = rc.SigmaGeometry(ctx, chart)
+    geom.tables(ts, geom.identity)
+    assert [geom._tables[(t.tobytes(), geom.identity.tobytes())] is None for t in ts] == \
+        [t is bad for t in ts]
+    for t in ts:
+        if t is bad:
+            for _ in range(2):
+                with pytest.raises(error):
+                    geom._level_table(bad, geom.identity)
+                with pytest.raises(error):
+                    geom.cov_table(bad, geom.identity)
+        else:
+            single = rc.SigmaGeometry(ctx, chart)._level_table(t, geom.identity)
+            for a, b in zip(geom._level_table(t, geom.identity), single):
+                assert a.tobytes() == b.tobytes()
+
+
+def _projection_cases() -> list:
+    """(label, context, chart): so3, sl2r, se2, heis3, aff1 without a
+    realization, so(4) regular and singular and so(5) regular and singular."""
+    cases = perfbench_cases()
+    out = []
+    for name, mu in [c for c in CATALOG_CASES if c[0] != "su2"] + [
+            (cases.AFF1_NO_REALIZATION, [0.0, 1.0])]:
+        a = rc.algebra_from_json(name) if isinstance(name, dict) else rc.named_algebra(name)
+        ctx = rc.build_context(a, np.asarray(mu))
+        out.append((a.name, ctx, rc.default_chart(ctx)))
+    for case in cases.SO4_CASES + cases.SO5_CASES:
+        out.append((case[0], *_setup(case)))
+    return out
+
+
+PROJECTION_CASES = _projection_cases()
+
+
+@pytest.mark.parametrize("label,ctx,chart", PROJECTION_CASES, ids=[c[0] for c in PROJECTION_CASES])
+def test_lifts_are_the_horizontal_projection_of_the_section_velocity(label, ctx, chart, rng):
+    # at (exp A · h, μ) the lift of f_i is H(Ad(h)⁻¹ · φ₁(−ad A) · m e_i, 0), with
+    # H the horizontal part: the quotient-map solve M⁺D of the chart
+    # differential's columns gives the same rows to roundoff
+    n = ctx.algebra.dim
+    for _ in range(3):
+        t = rng.uniform(-0.3, 0.3, chart.dim)
+        fiber = _fiber(ctx, rng.uniform(-1, 1, ctx.stabilizer_dim))
+        velocity = np.linalg.inv(fiber) @ chart.section_vectors(t)
+        projection = ctx.horizontal_part(np.hstack([velocity.T, np.zeros((chart.dim, n))]))
+        geom = rc.SigmaGeometry(ctx, chart)
+        solve = geom.lift(t, fiber, chart.dnu(t).T)
+        gap = np.linalg.norm(projection - solve, axis=1)
+        assert np.all(gap <= 1e-13 * np.maximum(1.0, np.linalg.norm(solve, axis=1))), label
+        assert np.max(np.abs(geom.lifts(t, fiber) - projection)) <= 1e-14

@@ -4,6 +4,7 @@ import ast
 import copy
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -129,3 +130,25 @@ def test_checks_are_matched_by_name(so3_dumps):
     checks = c["report"]["checks"]
     checks[0], checks[1] = checks[1], checks[0]
     assert compare_reports._compare(a, c, THRESHOLDS)[0] == ["/checks: checks reordered"]
+
+
+def test_diff_prints_headroom_on_both_sides(so3_dumps, tmp_path, capsys):
+    # each differing dump's headroom, min log10(threshold / value) over the
+    # thresholded defects, is printed for both sides with the defect that sets
+    # it; a lower headroom under every threshold is printed, not judged
+    a = so3_dumps["verify"]
+    b = copy.deepcopy(a)
+    kks = next(c for c in b["report"]["checks"] if c["name"] == "red/kks-match")
+    kks["value"] = kks["threshold"] / 10.0 ** 0.5
+    for side, doc in (("a", a), ("b", b)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "so3-verify.json").write_text(json.dumps(doc))
+    defects = compare_reports._defects(a["report"], THRESHOLDS)
+    headroom, setter = compare_reports._headroom(defects)
+    assert headroom == min(math.log10(c["threshold"] / c["value"]) for c in a["report"]["checks"]
+                           if c["threshold"] > 0 and 0 < c["value"] <= c["threshold"])
+    assert headroom > 0.5 and setter != "red/kks-match"
+    assert compare_reports.diff(str(tmp_path / "a"), str(tmp_path / "b")) == 0
+    out = capsys.readouterr().out
+    assert f"  headroom {headroom:.3f} dec ({setter}) -> 0.500 dec (red/kks-match)\n" in out
+    assert out.endswith("problems: none\n")

@@ -314,8 +314,8 @@ class TestHorizontalLift:
         # the kernel is built whatever its lift system; reading its lifts raises
         class NormalColumnChart(orbits.OrbitChart):  # μ, normal to the orbit at t = 0
             def exp_data(self, t):
-                coad, vecs, D, d_coad, d_D = super().exp_data(t)
-                return coad, vecs, D + np.outer(self.mu, np.eye(self.dim)[0]), d_coad, d_D
+                coad, vecs, D, d_vecs = super().exp_data(t)
+                return coad, vecs, D + np.outer(self.mu, np.eye(self.dim)[0]), d_vecs
 
         t = np.zeros(2)
         skewed = NormalColumnChart(so3_chart.algebra, so3_chart.mu, so3_chart.m_basis)

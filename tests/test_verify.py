@@ -1,9 +1,10 @@
 """``verify_suite`` runs the pipeline's stages and reads their results: the values
 and the work of ``run_pipeline(cfg, "curvature")``, with a pinned check list."""
 
+import numpy as np
 import pytest
 
-from redconn import liealg, phasespace, pipeline, reduction
+from redconn import connections, liealg, phasespace, pipeline, reduction
 from redconn.pipeline import (EXIT_ASSUMPTION, CaseConfig, _check_convergence, run_pipeline,
                               verify_suite)
 from tests.conftest import perfbench_cases, track_geometries
@@ -137,6 +138,33 @@ def test_one_stabilizer_solve_per_constraint_split(monkeypatch, label):
         assert calls.count("stabilizer_algebra") == calls.count("constraint_split")
 
 
+@pytest.mark.parametrize("label", ["so4-regular", "so4-singular", "so5-regular",
+                                   "so5-singular"])
+def test_each_connection_is_evaluated_once_per_xi(monkeypatch, label):
+    # Γ(ξ) of the symplectized connection is evaluated once per ξ sample in a
+    # run: the connect stage's torsion and ∇ω and build_context's Γ(μ) read
+    # the same arrays.  verify adds the symplectization applied again at each
+    # ξ and the pulled-back connection at each moved ξ, each pair once
+    calls = []
+    evaluate = connections.symplectized_coefficients
+
+    def counted(conn, xi, gamma=None):
+        calls.append((id(conn), np.asarray(xi).tobytes()))
+        return evaluate(conn, xi, gamma)
+
+    for module in (connections, pipeline):
+        monkeypatch.setattr(module, "symplectized_coefficients", counted)
+    cases = perfbench_cases()
+    case = next(c for c in cases.so4_full_cases(1) + cases.so5_reduce_cases(1)
+                if c["label"].startswith(label))
+    cfg = CaseConfig.from_dict(case["config"])
+    assert run_pipeline(cfg, "reduce" if label.startswith("so5") else "curvature")[1] == 0
+    assert len(calls) == len(set(calls)) == 4
+    calls.clear()
+    assert verify_suite(cfg)[1] == 0
+    assert len(calls) == len(set(calls)) <= 12
+
+
 LIE = ["lie/antisymmetry", "lie/jacobi", "lie/bracket-pairing-antisymmetry",
        "lie/stabilizer-annihilation"]
 LIE_GROUP = ["lie/coad-fixes-mu", "lie/ad-homomorphism", "lie/coad-group-law"]
@@ -149,7 +177,8 @@ RED = ["red/s-isotropic", "red/projector-idempotent", "red/projector-range",
 RED_LEVEL = ["red/l-equivariance", "red/geodesic-oracle"]
 CHART = ["red/sigma-equivariance", "red/sigma-torsion", "red/reduced-torsion",
          "red/reduced-oracle", "red/kks-match", "red/reduced-form-parallel",
-         "red/reduced-form-closed", "red/fiber-independence", "red/jet-fd",
+         "red/reduced-form-closed", "red/fiber-independence", "red/lift-projection",
+         "red/jet-fd",
          "red/autoparallel-report"]
 CURV = ["curv/formula-oracle", "curv/antisymmetry", "curv/symplectic-valued", "curv/bianchi",
         "curv/convergence-factor"]

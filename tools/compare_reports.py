@@ -32,8 +32,11 @@ roundoff:
 - curvature sample ``value`` and ``oracle`` vectors agree within
   1e-5 · max(1, ‖v‖).
 
-Other floats may move; the largest |b − a| / max(1, |a|) is printed.  Exit status
-is 0 when every file passes, 1 otherwise.
+Other floats may move; the largest |b − a| / max(1, |a|) is printed, and so
+is each side's headroom: the minimum of log10(threshold / value) over the
+thresholded defects, as ``perfbench/run.py``'s ``check_case`` computes it,
+with the defect that sets it.  The headroom is printed only, never judged.
+Exit status is 0 when every file passes, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -141,6 +144,14 @@ def _defects(rep: dict, thresholds: dict) -> dict:
     return out
 
 
+def _headroom(defects: dict) -> tuple[float, str]:
+    """min log10(threshold / value) over the defects (``_defects``) with
+    0 < value <= threshold, and the name of the defect that sets it."""
+    return min(((math.log10(threshold / value), name)
+                for name, (value, threshold) in defects.items() if 0 < value <= threshold),
+               default=(math.inf, "-"))
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -225,11 +236,14 @@ def diff(dir_a: str, dir_b: str) -> int:
     print(f"byte-identical ({len(same)}): {', '.join(n[:-5] for n in same)}")
     print(f"differing ({len(different)}): {', '.join(n[:-5] for n in different)}")
     for name in different:
-        problems, moved = _compare(json.loads((a / name).read_text()),
-                                   json.loads((b / name).read_text()), THRESHOLDS)
+        docs = [json.loads((d / name).read_text()) for d in (a, b)]
+        problems, moved = _compare(*docs, THRESHOLDS)
         worst = max(moved, default=(0.0, ""))
         print(f"{name[:-5]}: {len(moved)} floats moved, largest |b - a| / max(1, |a|) "
               f"{worst[0]:.3e} at {worst[1] or '-'}")
+        (ha, set_a), (hb, set_b) = (_headroom(_defects(doc["report"], THRESHOLDS))
+                                    for doc in docs)
+        print(f"  headroom {ha:.3f} dec ({set_a}) -> {hb:.3f} dec ({set_b})")
         for problem in problems:
             print(f"  PROBLEM {problem}")
         ok = ok and not problems
