@@ -5,7 +5,8 @@ semantics on hard errors; a report is always assembled, including on failure.
 ``verify_suite`` is those stages, run by the same code on the same rng, plus
 verify-only checks drawing on that rng after them: every structural property
 the library promises is a named check with its measured defect and threshold,
-read from the stage results where a stage computes it (``MIRRORED``).
+read from the run record's stage results where a stage computes it.  Each part
+of the battery yields its checks; ``_record`` turns each into a report entry.
 """
 
 from __future__ import annotations
@@ -201,8 +202,8 @@ def _exit_code(exc: Exception) -> int:
     raise exc
 
 
-def _stage_validate(cfg: CaseConfig, a: LieAlgebra, mu: np.ndarray,
-                    rng: np.random.Generator) -> dict:
+def _stage_validate(cfg: CaseConfig, run) -> dict:
+    a, mu = run.a, run.mu
     a.validate()
     split = constraint_split(a, mu)
     n, k = a.dim, split.g_mu.shape[1]
@@ -211,7 +212,7 @@ def _stage_validate(cfg: CaseConfig, a: LieAlgebra, mu: np.ndarray,
                             for e in np.eye(n)])
     regularity = {}
     for side in ("right", "left"):
-        points = [PhasePoint(group_exp(a, rng.uniform(-1, 1, n)), mu) for _ in range(5)]
+        points = [PhasePoint(group_exp(a, run.rng.uniform(-1, 1, n)), mu) for _ in range(5)]
         regularity[side] = regularity_report(a, mu, points, side=side)
     return {
         "status": "ok",
@@ -229,12 +230,12 @@ def _stage_validate(cfg: CaseConfig, a: LieAlgebra, mu: np.ndarray,
     }
 
 
-def _stage_connect(cfg: CaseConfig, a: LieAlgebra, mu: np.ndarray,
-                   rng: np.random.Generator):
+def _stage_connect(cfg: CaseConfig, run) -> dict:
     """The baseline closed-form residual, then torsion and ∇ω of the configured
-    connection over the ξ samples.  Returns (the stage report, the baseline, its
-    symplectization, the configured connection, the ξ samples, μ first, its Γ(ξ) at each)."""
-    base = baseline_connection(a)
+    connection over the ξ samples.  Sets the baseline, its symplectization, the
+    configured connection, the ξ samples (μ first) and its Γ(ξ) at each."""
+    a, rng = run.a, run.rng
+    run.base = base = baseline_connection(a)
     residual = 0.0
     for _ in range(10):
         xi = rng.standard_normal(a.dim)
@@ -242,27 +243,28 @@ def _stage_connect(cfg: CaseConfig, a: LieAlgebra, mu: np.ndarray,
         comps = nabla_omega_components(base, xi)
         val = float(np.einsum("abc,a,b,c->", comps, u, v, w))
         residual = max(residual, abs(val - baseline_nabla_omega(a, xi, u, v, w)))
-    sympl = symplectize(base)
-    conn = sympl if cfg.connection == "symplectic" else base
-    xi_samples = [mu] + [rng.standard_normal(a.dim) for _ in range(3)]
-    gammas = [conn.coefficients(xi) for xi in xi_samples]
-    stage = {
+    run.sympl = sympl = symplectize(base)
+    run.conn = conn = sympl if cfg.connection == "symplectic" else base
+    run.xi_samples = [run.mu] + [rng.standard_normal(a.dim) for _ in range(3)]
+    run.gammas = [conn.coefficients(xi) for xi in run.xi_samples]
+    samples = list(zip(run.xi_samples, run.gammas))
+    return {
         "status": "ok",
         "connection": cfg.connection,
         "baseline_closed_form_residual": residual,
-        "torsion_defect": max(torsion_defect(conn, xi, g) for xi, g in zip(xi_samples, gammas)),
-        "nabla_omega_defect": max(nabla_omega_defect(conn, xi, g)
-                                  for xi, g in zip(xi_samples, gammas)),
+        "torsion_defect": max(torsion_defect(conn, xi, g) for xi, g in samples),
+        "nabla_omega_defect": max(nabla_omega_defect(conn, xi, g) for xi, g in samples),
     }
-    return stage, base, sympl, conn, xi_samples, gammas
 
 
-def _stage_reduce(cfg: CaseConfig, a: LieAlgebra, mu: np.ndarray, conn, gamma_mu,
-                  rng: np.random.Generator):
-    """The reduce stage on ``conn`` with its Γ(μ), the run's reduction context, and its
-    geometry and chart sweep for the curvature stage and ``verify`` (both None
-    without a chart: zero-dimensional base, or no realization by the policy below)."""
-    ctx = build_context(a, mu, s_tilde=cfg.s_tilde, connection=conn, gamma_mu=gamma_mu)
+def _stage_reduce(cfg: CaseConfig, run) -> dict:
+    """The reduce stage on the configured connection with its Γ(μ).  Sets the
+    run's reduction context, and its geometry and chart sweep for the curvature
+    stage and ``verify`` (both stay None without a chart: zero-dimensional base,
+    or no realization by the policy below)."""
+    a, mu = run.a, run.mu
+    run.ctx = ctx = build_context(a, mu, s_tilde=cfg.s_tilde, connection=run.conn,
+                                  gamma_mu=run.gammas[0])
     stage = {
         "status": "ok",
         "dims": ctx.diagnostics["dims"],
@@ -278,13 +280,13 @@ def _stage_reduce(cfg: CaseConfig, a: LieAlgebra, mu: np.ndarray, conn, gamma_mu
     # this gate is a change of the benchmark's expectations.
     if ctx.zero_dimensional_base or not a.has_realization:
         stage["sigma"] = None
-        auto = autoparallel_check(ctx, rng=rng)
+        auto = autoparallel_check(ctx, rng=run.rng)
         stage["autoparallel"] = {"defect": auto.defect, "independence": auto.independence}
-        return stage, ctx, None, None
-    geom = SigmaGeometry(ctx, orbit_chart(a, mu, ctx.m, cfg.chart_radius))
-    pts = _sample_points(cfg, geom.chart.dim, rng)
-    sweep = _chart_sweep(geom, pts, rng)
-    auto = autoparallel_check(ctx, geom=geom, rng=rng)
+        return stage
+    run.geom = geom = SigmaGeometry(ctx, orbit_chart(a, mu, ctx.m, cfg.chart_radius))
+    pts = _sample_points(cfg, geom.chart.dim, run.rng)
+    run.sweep = sweep = _chart_sweep(geom, pts, run.rng)
+    auto = autoparallel_check(ctx, geom=geom, rng=run.rng)
     stage.update({
         "sigma": sweep["sigma"],
         "kks_sign_constant": KKS_MATCH_SIGN,
@@ -295,7 +297,7 @@ def _stage_reduce(cfg: CaseConfig, a: LieAlgebra, mu: np.ndarray, conn, gamma_mu
         "autoparallel": {"defect": auto.defect, "independence": auto.independence},
         "chart_points": pts.tolist(),
     })
-    return stage, ctx, geom, sweep
+    return stage
 
 
 def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator) -> dict:
@@ -360,39 +362,34 @@ def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator) -> dict:
     return out
 
 
-def _stage_curvature(cfg: CaseConfig, reduced: dict, geom: SigmaGeometry | None,
-                     rng: np.random.Generator) -> dict:
-    if geom is None:  # the reduce stage built no chart
+def _stage_curvature(cfg: CaseConfig, run) -> dict:
+    if run.geom is None:  # the reduce stage built no chart
         return {"status": "skipped", "reason": "zero-dimensional base"
-                if reduced["zero_dimensional_base"] else "no matrix realization"}
-    pts = _sample_points(cfg, geom.chart.dim, rng)[: max(1, cfg.samples // 2)]
+                if run.stages["reduce"]["zero_dimensional_base"] else "no matrix realization"}
+    pts = _sample_points(cfg, run.geom.chart.dim, run.rng)[: max(1, cfg.samples // 2)]
     return {
         "status": "ok",
         "fd_step2_note": "second-derivative step trades truncation against "
                          "cancellation; the convergence probe reports the balance",
-        **curvature_battery(geom, pts, fd_step2=cfg.fd_step2),
+        **curvature_battery(run.geom, pts, fd_step2=cfg.fd_step2),
     }
+
+
+_STAGE_RUNS = {"validate": _stage_validate, "connect": _stage_connect,
+               "reduce": _stage_reduce, "curvature": _stage_curvature}
 
 
 def _run_stages(cfg: CaseConfig, stop_after: str, stages: dict, timings: dict):
     """Run the stages through ``stop_after`` on the seed's rng, filling ``stages``
-    and ``timings``.  Returns the run: the reports, the rng and what the stages
-    built beside them (None where no stage built it)."""
-    rng = np.random.default_rng(cfg.seed)
+    and ``timings``.  Each stage takes the config and the run record, returns its
+    report and sets on the run what it builds for later stages and ``verify``.
+    Returns the run (geometry and sweep stay None without a chart)."""
     a = cfg.algebra()
-    run = SimpleNamespace(stages=stages, rng=rng, a=a, mu=cfg.mu_vector(a), geom=None)
+    run = SimpleNamespace(stages=stages, rng=np.random.default_rng(cfg.seed), a=a,
+                          mu=cfg.mu_vector(a), geom=None, sweep=None)
     for stage in STAGES[: STAGES.index(stop_after) + 1]:
         ts = time.perf_counter()
-        if stage == "validate":
-            stages[stage] = _stage_validate(cfg, a, run.mu, rng)
-        elif stage == "connect":
-            stages[stage], run.base, run.sympl, run.conn, run.xi_samples, run.gammas = \
-                _stage_connect(cfg, a, run.mu, rng)
-        elif stage == "reduce":
-            stages[stage], run.ctx, run.geom, run.sweep = \
-                _stage_reduce(cfg, a, run.mu, run.conn, run.gammas[0], rng)
-        else:
-            stages[stage] = _stage_curvature(cfg, stages["reduce"], run.geom, rng)
+        stages[stage] = _STAGE_RUNS[stage](cfg, run)
         timings[stage] = time.perf_counter() - ts
     return run
 
@@ -421,56 +418,32 @@ def run_pipeline(cfg: CaseConfig, stop_after: str = "curvature") -> tuple[dict, 
 
 
 # --- verification battery ------------------------------------------------------
+#
+# Each ``_verify_*`` part is a generator over the run that yields its checks in
+# order as (name, value[, THRESHOLDS key[, note]]): a defect held to the key's
+# threshold (0 without a key), or a bool, the verdict of a pass/fail check.  A
+# check that mirrors a stage value yields that value from the stage results.
 
 BASELINE_NOTE = "fails by construction when connection='baseline'"
 
-# Checks that mirror a value the stages computed: name -> (path to the value,
-# THRESHOLDS key).  A path starts at a stage report or at "sweep", the reduce
-# stage's chart sweep, whose oracle and closedness defects are not reported.
-MIRRORED = {
-    "phase/tperp-span": ("validate/level_set_checks/tperp_equals_generator_span", "tperp_span"),
-    "conn/baseline-closed-form": ("connect/baseline_closed_form_residual", "baseline_closed_form"),
-    "conn/torsion": ("connect/torsion_defect", "symplectized_torsion"),
-    "conn/nabla-omega": ("connect/nabla_omega_defect", "symplectized_nabla_omega"),
-    "red/s-isotropic": ("reduce/isotropy_defect", "isotropy"),
-    "red/projector-idempotent": ("reduce/projector_defect", "projector_idempotent"),
-    "red/reduced-torsion": ("sweep/torsion", "reduced_torsion"),
-    "red/reduced-oracle": ("sweep/oracle", "reduced_oracle"),
-    "red/kks-match": ("sweep/kks", "kks_match"),
-    "red/reduced-form-parallel": ("sweep/parallel", "reduced_form_parallel"),
-    "red/reduced-form-closed": ("sweep/closed", "reduced_form_closed"),
-    "red/fiber-independence": ("sweep/fiber", "fiber_independence"),
-    "red/lift-projection": ("sweep/projection", "lift_projection"),
-    "red/autoparallel-independence": ("reduce/autoparallel/independence", "fiber_independence"),
-    "curv/formula-oracle": ("curvature/max_discrepancy", "curvature_agreement"),
-    "curv/antisymmetry": ("curvature/symmetry/antisymmetry_defect", "curvature_antisymmetry"),
-    "curv/symplectic-valued": ("curvature/symmetry/symplectic_defect", "curvature_symplectic"),
-    "curv/bianchi": ("curvature/symmetry/bianchi_defect", "curvature_bianchi"),
-}
 
-
-def _check(checks: list, name: str, value: float, threshold: float, note: str = "",
-           passed: bool | None = None) -> None:
-    ok = bool(value <= threshold) if passed is None else bool(passed)
-    checks.append({"name": name, "value": float(value), "threshold": float(threshold),
-                   "passed": ok, "note": note})
-
-
-def _mirror(checks: list, cfg: CaseConfig, run, *names: str, note: str = "") -> None:
-    """Append the named ``MIRRORED`` checks, each reading its stage value."""
-    for name in names:
-        path, key = MIRRORED[name]
-        value = dict(run.stages, sweep=run.sweep)
-        for part in path.split("/"):
-            value = value[part]
-        _check(checks, name, value, cfg.threshold(key), note)
+def _record(cfg: CaseConfig, name: str, value, key: str | None = None, note: str = "") -> dict:
+    """The report's entry for one yielded check.  A bool verdict (numpy's
+    included) is recorded with value and threshold 0."""
+    if isinstance(value, (bool, np.bool_)):
+        passed, value, threshold = bool(value), 0.0, 0.0
+    else:
+        threshold = 0.0 if key is None else cfg.threshold(key)
+        passed = bool(value <= threshold)
+    return {"name": name, "value": float(value), "threshold": threshold, "passed": passed,
+            "note": note}
 
 
 def verify_suite(cfg: CaseConfig) -> tuple[dict, int]:
     """Run every structural property as a named check with measured defect.
 
     The four stages run first, as ``run_pipeline(cfg, "curvature")`` runs them
-    on the same rng; the checks in ``MIRRORED`` read their values, and the
+    on the same rng; the mirrored checks read their values, and the
     verify-only checks draw their samples from the rng after the stages.
     """
     checks: list[dict] = []
@@ -481,7 +454,8 @@ def verify_suite(cfg: CaseConfig) -> tuple[dict, int]:
         run = _run_stages(cfg, "curvature", {}, {})
         for part in (_verify_algebra, _verify_phase, _verify_connections, _verify_reduction,
                      _verify_curvature, _verify_averaging):
-            part(cfg, run, checks)
+            for check in part(cfg, run):
+                checks.append(_record(cfg, *check))
     except Exception as exc:  # noqa: BLE001
         rep["error"] = _error_record(exc, "verify")
         rep["passed"] = False
@@ -492,45 +466,44 @@ def verify_suite(cfg: CaseConfig) -> tuple[dict, int]:
     return rep, EXIT_OK if rep["passed"] else EXIT_NUMERICAL
 
 
-def _verify_algebra(cfg, run, checks) -> None:
+def _verify_algebra(cfg, run):
     a, mu, rng = run.a, run.mu, run.rng
     n = a.dim
     c = a.c
-    _check(checks, "lie/antisymmetry", float(np.max(np.abs(c + c.transpose(1, 0, 2)))), 0.0)
+    yield "lie/antisymmetry", float(np.max(np.abs(c + c.transpose(1, 0, 2))))
     t = np.einsum("ijl,lkm->ijkm", c, c)
     jac = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
-    _check(checks, "lie/jacobi", float(np.max(np.abs(jac))), cfg.threshold("jacobi"))
+    yield "lie/jacobi", float(np.max(np.abs(jac))), "jacobi"
     pair = 0.0
     for _ in range(10):
         X, Y = rng.standard_normal(n), rng.standard_normal(n)
         xi = rng.standard_normal(n)
         pair = max(pair, abs(float(xi @ a.bracket(X, Y)) + float(xi @ a.bracket(Y, X))))
-    _check(checks, "lie/bracket-pairing-antisymmetry", pair, 0.0)
+    yield "lie/bracket-pairing-antisymmetry", pair
     g_mu, m = run.ctx.g_mu, run.ctx.m
     k = g_mu.shape[1]
     ann = max((abs(float(mu @ a.bracket(Y, e))) for Y in g_mu.T for e in np.eye(n)), default=0.0)
-    _check(checks, "lie/stabilizer-annihilation", ann, cfg.threshold("stabilizer_annihilation"))
+    yield "lie/stabilizer-annihilation", ann, "stabilizer_annihilation"
     if k and m.shape[1]:
         Q = np.hstack([g_mu, m])
         pi = Q @ np.diag([1.0] * k + [0.0] * m.shape[1]) @ np.linalg.inv(Q)
         comm = max(float(np.max(np.abs(pi @ adY - adY @ pi))) for adY in map(a.ad, g_mu.T))
-        _check(checks, "lie/complement-equivariance", comm,
-               cfg.threshold("complement_equivariance"))
+        yield "lie/complement-equivariance", comm, "complement_equivariance"
     fix = max((float(np.max(np.abs(coadjoint_matrix(group_exp(a, tval * Y)) @ mu - mu)))
                for tval in np.linspace(-1, 1, 5) for Y in g_mu.T), default=0.0)
-    _check(checks, "lie/coad-fixes-mu", fix, cfg.threshold("coad_fixes_mu"))
+    yield "lie/coad-fixes-mu", fix, "coad_fixes_mu"
     Ad = group_exp(a, rng.uniform(-1, 1, n))
     hom = 0.0
     for _ in range(5):
         X, Y = rng.standard_normal(n), rng.standard_normal(n)
         hom = max(hom, float(np.max(np.abs(Ad @ a.bracket(X, Y) - a.bracket(Ad @ X, Ad @ Y)))))
-    _check(checks, "lie/ad-homomorphism", hom, cfg.threshold("ad_homomorphism"))
+    yield "lie/ad-homomorphism", hom, "ad_homomorphism"
     law = float(np.max(np.abs(coadjoint_matrix(Ad) @ coadjoint_matrix(np.linalg.inv(Ad))
                               - np.eye(n))))
-    _check(checks, "lie/coad-group-law", law, cfg.threshold("coad_group_law"))
+    yield "lie/coad-group-law", law, "coad_group_law"
 
 
-def _verify_phase(cfg, run, checks) -> None:
+def _verify_phase(cfg, run):
     a, rng = run.a, run.rng
     n = a.dim
     split = run.ctx.split
@@ -539,20 +512,18 @@ def _verify_phase(cfg, run, checks) -> None:
         xi = rng.standard_normal(n)
         vecs = [rng.standard_normal(2 * n) for _ in range(3)]
         closed = max(closed, abs(_cyclic_domega(a, xi, *vecs)))
-    _check(checks, "phase/omega-closed", closed, cfg.threshold("omega_closed"))
+    yield "phase/omega-closed", closed, "omega_closed"
     om = run.ctx.omega_mu
     pairing = float(np.max(np.abs(split.t_sigma.T @ om @ split.delta))) \
         if split.delta.shape[1] else 0.0
-    _check(checks, "phase/tsigma-delta-pairing", pairing,
-           cfg.threshold("tsigma_delta_pairing"))
-    _mirror(checks, cfg, run, "phase/tperp-span")
+    yield "phase/tsigma-delta-pairing", pairing, "tsigma_delta_pairing"
+    yield ("phase/tperp-span",
+           run.stages["validate"]["level_set_checks"]["tperp_equals_generator_span"], "tperp_span")
     gram = split.sum.T @ om @ split.sum
     radical = split.sum @ linalg.nullspace(gram)
-    _check(checks, "phase/radical-span", linalg.subspace_distance(radical, split.delta),
-           cfg.threshold("radical_span"))
+    yield "phase/radical-span", linalg.subspace_distance(radical, split.delta), "radical_span"
     k = split.g_mu.shape[1]
-    _check(checks, "phase/split-dims", 0.0, 0.0,
-           passed=(split.sum.shape[1] == 2 * n - k and split.delta.shape[1] == k))
+    yield "phase/split-dims", split.sum.shape[1] == 2 * n - k and split.delta.shape[1] == k
 
 
 def _cyclic_domega(a, xi, u, v, w) -> float:
@@ -568,12 +539,15 @@ def _cyclic_domega(a, xi, u, v, w) -> float:
     return total
 
 
-def _verify_connections(cfg, run, checks) -> None:
+def _verify_connections(cfg, run):
     a, base, sympl, xi_samples = run.a, run.base, run.sympl, run.xi_samples
-    _check(checks, "conn/baseline-torsion", torsion_defect(base, run.mu),
-           cfg.threshold("baseline_torsion"))
-    _mirror(checks, cfg, run, "conn/baseline-closed-form", "conn/torsion")
-    _mirror(checks, cfg, run, "conn/nabla-omega", note=BASELINE_NOTE)
+    connect = run.stages["connect"]
+    yield "conn/baseline-torsion", torsion_defect(base, run.mu), "baseline_torsion"
+    yield ("conn/baseline-closed-form", connect["baseline_closed_form_residual"],
+           "baseline_closed_form")
+    yield "conn/torsion", connect["torsion_defect"], "symplectized_torsion"
+    yield ("conn/nabla-omega", connect["nabla_omega_defect"], "symplectized_nabla_omega",
+           BASELINE_NOTE)
     # Γ(ξ) of the symplectization at each ξ sample, evaluated once per run
     gammas = run.gammas if run.conn is sympl else [sympl.coefficients(xi) for xi in xi_samples]
     asym = idem = 0.0
@@ -582,80 +556,79 @@ def _verify_connections(cfg, run, checks) -> None:
         asym = max(asym, float(np.max(np.abs(A - A.transpose(1, 0, 2)))))
         idem = max(idem, float(np.max(np.abs(symplectized_coefficients(sympl, xi, gamma)
                                              - gamma))))
-    _check(checks, "conn/a-symmetry", asym, cfg.threshold("a_symmetry"))
-    _check(checks, "conn/symplectize-idempotent", idem,
-           cfg.threshold("symplectize_idempotent"))
+    yield "conn/a-symmetry", asym, "a_symmetry"
+    yield "conn/symplectize-idempotent", idem, "symplectize_idempotent"
     pulled = pullback_connection(sympl, group_exp(a, run.rng.uniform(-0.5, 0.5, a.dim)))
     inv = max(float(np.max(np.abs(pulled.coefficients(xi) - gamma)))
               for xi, gamma in zip(xi_samples, gammas))
-    _check(checks, "conn/right-invariance", inv, cfg.threshold("right_invariance"))
+    yield "conn/right-invariance", inv, "right_invariance"
 
 
-def _verify_reduction(cfg, run, checks) -> None:
-    a, mu, ctx, rng = run.a, run.mu, run.ctx, run.rng
+def _verify_reduction(cfg, run):
+    a, mu, ctx, rng, sweep = run.a, run.mu, run.ctx, run.rng, run.sweep
     reduced = run.stages["reduce"]
     k = ctx.stabilizer_dim
     om = ctx.omega_mu
-    _mirror(checks, cfg, run, "red/s-isotropic", "red/projector-idempotent")
+    yield "red/s-isotropic", reduced["isotropy_defect"], "isotropy"
+    yield "red/projector-idempotent", reduced["projector_defect"], "projector_idempotent"
     t_sigma = ctx.split.t_sigma
     range_dist = linalg.subspace_distance(ctx.p_matrix @ t_sigma, t_sigma)
     kernel = linalg.nullspace(ctx.p_matrix)
     kernel_dist = linalg.subspace_distance(kernel, np.hstack([ctx.w2, ctx.S])) \
         if k or ctx.w2.shape[1] else 0.0
-    _check(checks, "red/projector-range", range_dist, cfg.threshold("projector_spaces"))
-    _check(checks, "red/projector-kernel", kernel_dist, cfg.threshold("projector_spaces"))
+    yield "red/projector-range", range_dist, "projector_spaces"
+    yield "red/projector-kernel", kernel_dist, "projector_spaces"
     alpha_defect = max((float(np.max(np.abs(ctx.g_mu @ ctx.alpha(fundamental_field(
         a, "right", Y, PhasePoint(None, mu)).as_vector()) - Y))) for Y in ctx.g_mu.T), default=0.0)
     if k and ctx.w1.shape[1]:
         alpha_defect = max(alpha_defect, float(np.max(np.abs(ctx.alpha_mat @ ctx.w1))))
-    _check(checks, "red/alpha-identities", alpha_defect, cfg.threshold("alpha_identities"))
+    yield "red/alpha-identities", alpha_defect, "alpha_identities"
     pairing = float(np.max(np.abs(ctx.split.delta.T @ om @ ctx.split.t_sigma))) if k else 0.0
-    _check(checks, "red/delta-tsigma-pairing", pairing,
-           cfg.threshold("delta_tsigma_pairing"))
+    yield "red/delta-tsigma-pairing", pairing, "delta_tsigma_pairing"
     if ctx.w1.shape[1]:
         s = np.linalg.svd(ctx.w1.T @ om @ ctx.w1, compute_uv=False)
-        _check(checks, "red/w1-omega-nondegenerate", 0.0, 0.0,
-               passed=bool(s[-1] > 1e-10 * s[0]), note=f"ratio {s[-1] / s[0]:.3e}")
-    _check(checks, "red/l-equivariance", _l_equivariance_defect(ctx, rng),
-           cfg.threshold("l_equivariance"))
+        yield ("red/w1-omega-nondegenerate", s[-1] > 1e-10 * s[0], None,
+               f"ratio {s[-1] / s[0]:.3e}")
+    yield "red/l-equivariance", _l_equivariance_defect(ctx, rng), "l_equivariance"
     geod = reduced["totally_geodesic_defect"]
-    _check(checks, "red/geodesic-oracle", _geodesic_oracle_gap(ctx, geod),
-           cfg.threshold("geodesic_oracle"), note=f"defect {geod:.3e}")
+    yield ("red/geodesic-oracle", _geodesic_oracle_gap(ctx, geod), "geodesic_oracle",
+           f"defect {geod:.3e}")
     auto = reduced["autoparallel"]
     note = f"defect {auto['defect']:.3e}"
     if run.geom is not None:
-        _check(checks, "red/sigma-equivariance", _sigma_equivariance_defect(ctx, rng),
-               cfg.threshold("sigma_equivariance"))
-        _check(checks, "red/sigma-torsion", _sigma_torsion_defect(ctx),
-               cfg.threshold("sigma_torsion"))
-        _mirror(checks, cfg, run, "red/reduced-torsion", "red/reduced-oracle", "red/kks-match",
-                "red/reduced-form-parallel", "red/reduced-form-closed",
-                "red/fiber-independence", "red/lift-projection")
+        yield "red/sigma-equivariance", _sigma_equivariance_defect(ctx, rng), "sigma_equivariance"
+        yield "red/sigma-torsion", _sigma_torsion_defect(ctx), "sigma_torsion"
+        yield "red/reduced-torsion", sweep["torsion"], "reduced_torsion"
+        yield "red/reduced-oracle", sweep["oracle"], "reduced_oracle"
+        yield "red/kks-match", sweep["kks"], "kks_match"
+        yield "red/reduced-form-parallel", sweep["parallel"], "reduced_form_parallel"
+        yield "red/reduced-form-closed", sweep["closed"], "reduced_form_closed"
+        yield "red/fiber-independence", sweep["fiber"], "fiber_independence"
+        yield "red/lift-projection", sweep["projection"], "lift_projection"
         t = np.asarray(reduced["chart_points"][0])
-        _check(checks, "red/jet-fd", _jet_fd_defect(run.geom, t, cfg.fd_step),
-               cfg.threshold("jet_fd"))
+        yield "red/jet-fd", _jet_fd_defect(run.geom, t, cfg.fd_step), "jet_fd"
         if auto["independence"] is not None:
-            _mirror(checks, cfg, run, "red/autoparallel-independence", note=note)
+            yield "red/autoparallel-independence", auto["independence"], "fiber_independence", note
             return
-    _check(checks, "red/autoparallel-report", 0.0, 0.0, passed=True, note=note)
+    yield "red/autoparallel-report", True, None, note
 
 
-def _verify_curvature(cfg, run, checks) -> None:
+def _verify_curvature(cfg, run):
     if run.geom is None:  # the curvature stage was skipped
         return
-    _mirror(checks, cfg, run, "curv/formula-oracle", "curv/antisymmetry")
-    _mirror(checks, cfg, run, "curv/symplectic-valued", note=BASELINE_NOTE)
-    _mirror(checks, cfg, run, "curv/bianchi")
-    _check_convergence(checks, run.stages["curvature"]["convergence"])
-
-
-def _check_convergence(checks: list, conv: dict) -> None:
+    curv = run.stages["curvature"]
+    yield "curv/formula-oracle", curv["max_discrepancy"], "curvature_agreement"
+    sym = curv["symmetry"]
+    yield "curv/antisymmetry", sym["antisymmetry_defect"], "curvature_antisymmetry"
+    yield ("curv/symplectic-valued", sym["symplectic_defect"], "curvature_symplectic",
+           BASELINE_NOTE)
+    yield "curv/bianchi", sym["bianchi_defect"], "curvature_bianchi"
     # flat cases sit on the roundoff floor where no truncation is measurable; the
     # factor carries roundoff of about ±0.01, so the note prints one decimal
+    conv = curv["convergence"]
     measurable = conv["oracle_error_coarse"] >= 1e-6
-    _check(checks, "curv/convergence-factor", 0.0, 0.0,
-           passed=bool(not measurable or 3.0 <= conv["factor"] <= 5.0),
-           note=f"factor {conv['factor']:.1f}" if measurable else "flat, below floor")
+    yield ("curv/convergence-factor", not measurable or 3.0 <= conv["factor"] <= 5.0, None,
+           f"factor {conv['factor']:.1f}" if measurable else "flat, below floor")
 
 
 def _l_equivariance_defect(ctx, rng) -> float:
@@ -737,7 +710,7 @@ def _sigma_torsion_defect(ctx) -> float:
     return float(np.max(np.abs(cov - frame_structure(ctx.algebra)[:n, :n])))
 
 
-def _verify_averaging(cfg, run, checks) -> None:
+def _verify_averaging(cfg, run):
     a, rng = run.a, run.rng
     if a.name not in ("so3", "su2"):
         return
@@ -747,10 +720,9 @@ def _verify_averaging(cfg, run, checks) -> None:
     avg = average_connection(pert, rule)
     xi_samples = [rng.standard_normal(a.dim) for _ in range(3)]
     gammas = [avg.coefficients(xi) for xi in xi_samples]
-    _check(checks, "avg/torsion-free",
-           max(torsion_defect(avg, xi, g) for xi, g in zip(xi_samples, gammas)),
-           cfg.threshold("averaging_torsion"))
+    yield ("avg/torsion-free", max(torsion_defect(avg, xi, g) for xi, g in zip(xi_samples, gammas)),
+           "averaging_torsion")
     pulled = [pullback_connection(avg, g) for g in rule.nodes]
     fixed = max(float(np.max(np.abs(p.coefficients(xi) - g)))
                 for p in pulled for xi, g in zip(xi_samples, gammas))
-    _check(checks, "avg/node-fixed", fixed, cfg.threshold("averaging_fixed"))
+    yield "avg/node-fixed", fixed, "averaging_fixed"

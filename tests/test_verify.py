@@ -1,35 +1,46 @@
 """``verify_suite`` runs the pipeline's stages and reads their results: the values
 and the work of ``run_pipeline(cfg, "curvature")``, with a pinned check list."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from redconn import connections, liealg, phasespace, pipeline, reduction
-from redconn.pipeline import (EXIT_ASSUMPTION, CaseConfig, _check_convergence, run_pipeline,
+from redconn.pipeline import (EXIT_ASSUMPTION, THRESHOLDS, CaseConfig, _record, run_pipeline,
                               verify_suite)
 from tests.conftest import perfbench_cases, track_geometries
 
-# verify check -> the run_pipeline(cfg, "curvature") report entry it mirrors
+# verify check -> (the run_pipeline(cfg, "curvature") report entry it mirrors,
+# its THRESHOLDS key)
 REPORT_ENTRIES = {
-    "phase/tperp-span": ("validate", "level_set_checks", "tperp_equals_generator_span"),
-    "conn/baseline-closed-form": ("connect", "baseline_closed_form_residual"),
-    "conn/torsion": ("connect", "torsion_defect"),
-    "conn/nabla-omega": ("connect", "nabla_omega_defect"),
-    "red/s-isotropic": ("reduce", "isotropy_defect"),
-    "red/projector-idempotent": ("reduce", "projector_defect"),
-    "red/reduced-torsion": ("reduce", "reduced_torsion_defect"),
-    "red/kks-match": ("reduce", "kks_residual"),
-    "red/reduced-form-parallel": ("reduce", "reduced_form_parallel_defect"),
-    "red/fiber-independence": ("reduce", "fiber_independence"),
-    "red/autoparallel-independence": ("reduce", "autoparallel", "independence"),
-    "curv/formula-oracle": ("curvature", "max_discrepancy"),
-    "curv/antisymmetry": ("curvature", "symmetry", "antisymmetry_defect"),
-    "curv/symplectic-valued": ("curvature", "symmetry", "symplectic_defect"),
-    "curv/bianchi": ("curvature", "symmetry", "bianchi_defect"),
+    "phase/tperp-span": (("validate", "level_set_checks", "tperp_equals_generator_span"),
+                         "tperp_span"),
+    "conn/baseline-closed-form": (("connect", "baseline_closed_form_residual"),
+                                  "baseline_closed_form"),
+    "conn/torsion": (("connect", "torsion_defect"), "symplectized_torsion"),
+    "conn/nabla-omega": (("connect", "nabla_omega_defect"), "symplectized_nabla_omega"),
+    "red/s-isotropic": (("reduce", "isotropy_defect"), "isotropy"),
+    "red/projector-idempotent": (("reduce", "projector_defect"), "projector_idempotent"),
+    "red/reduced-torsion": (("reduce", "reduced_torsion_defect"), "reduced_torsion"),
+    "red/kks-match": (("reduce", "kks_residual"), "kks_match"),
+    "red/reduced-form-parallel": (("reduce", "reduced_form_parallel_defect"),
+                                  "reduced_form_parallel"),
+    "red/fiber-independence": (("reduce", "fiber_independence"), "fiber_independence"),
+    "red/autoparallel-independence": (("reduce", "autoparallel", "independence"),
+                                      "fiber_independence"),
+    "curv/formula-oracle": (("curvature", "max_discrepancy"), "curvature_agreement"),
+    "curv/antisymmetry": (("curvature", "symmetry", "antisymmetry_defect"),
+                          "curvature_antisymmetry"),
+    "curv/symplectic-valued": (("curvature", "symmetry", "symplectic_defect"),
+                               "curvature_symplectic"),
+    "curv/bianchi": (("curvature", "symmetry", "bianchi_defect"), "curvature_bianchi"),
 }
 # mirrored checks whose values the chart sweep computes but the reduce stage
-# does not report
-SWEEP_ENTRIES = {"red/reduced-oracle": "oracle", "red/reduced-form-closed": "closed"}
+# does not report: check -> (sweep entry, THRESHOLDS key)
+SWEEP_ENTRIES = {"red/reduced-oracle": ("oracle", "reduced_oracle"),
+                 "red/reduced-form-closed": ("closed", "reduced_form_closed"),
+                 "red/lift-projection": ("projection", "lift_projection")}
 
 
 def _doc(label: str) -> dict:
@@ -47,7 +58,8 @@ def _dig(doc, path):
 
 @pytest.mark.parametrize("label", ["so3", "se2", "so4-regular"])
 def test_mirrored_checks_read_the_stage_values(monkeypatch, label):
-    cfg = CaseConfig.from_dict(_doc(label))
+    # tol_scale moves every threshold and no stage value
+    cfg = CaseConfig.from_dict(dict(_doc(label), tol_scale=2.0))
     sweeps = []
     chart_sweep = pipeline._chart_sweep
 
@@ -63,12 +75,14 @@ def test_mirrored_checks_read_the_stage_values(monkeypatch, label):
     assert code == 0
     checks = {c["name"]: c for c in ver["checks"]}
     compared = 0
-    for name, path in REPORT_ENTRIES.items():
+    for name, (path, key) in REPORT_ENTRIES.items():
         if name in checks:
             assert checks[name]["value"] == _dig(stages, path), name
+            assert checks[name]["threshold"] == cfg.threshold(key) == 2.0 * THRESHOLDS[key]
             compared += 1
-    for name, key in SWEEP_ENTRIES.items():
-        assert checks[name]["value"] == sweeps[0][key], name
+    for name, (entry, key) in SWEEP_ENTRIES.items():
+        assert checks[name]["value"] == sweeps[0][entry], name
+        assert checks[name]["threshold"] == cfg.threshold(key) == 2.0 * THRESHOLDS[key]
     assert compared >= 14
     reduced = stages["reduce"]
     assert checks["red/geodesic-oracle"]["note"] == \
@@ -213,11 +227,28 @@ def test_nonreductive_stabilizer_keeps_its_exit_code():
     assert rep["passed"] is False
 
 
+def test_every_threshold_is_read_by_some_check():
+    # each THRESHOLDS key gets a distinct value; every one of them is some
+    # check's threshold on so3, where every part of the battery runs
+    tol = {key: 1.0 + i for i, key in enumerate(THRESHOLDS)}
+    rep, _ = verify_suite(CaseConfig.from_dict({"group": "so3", "mu": [0.0, 0.0, 1.0],
+                                                "tol": tol}))
+    assert rep["error"] is None
+    used = {c["threshold"] for c in rep["checks"]}
+    assert [key for key, value in tol.items() if value not in used] == []
+
+
 def test_convergence_note_prints_the_factor_to_its_precision():
+    cfg = CaseConfig.from_dict({"group": "so3", "mu": [0.0, 0.0, 1.0]})
+
     def note(conv):
-        checks = []
-        _check_convergence(checks, conv)
-        return checks[0]
+        # the curvature part of the battery on a curvature stage holding conv
+        stage = {"max_discrepancy": 0.0, "convergence": conv,
+                 "symmetry": dict.fromkeys(("antisymmetry_defect", "symplectic_defect",
+                                            "bianchi_defect"), 0.0)}
+        run = SimpleNamespace(geom=object(), stages={"curvature": stage})
+        *_, check = pipeline._verify_curvature(cfg, run)
+        return _record(cfg, *check)
 
     # the factor carries roundoff of about ±0.01
     a, b = (note({"oracle_error_coarse": 1e-5, "factor": f}) for f in (4.003, 3.993))
@@ -227,6 +258,14 @@ def test_convergence_note_prints_the_factor_to_its_precision():
     flat = note({"oracle_error_coarse": 1e-7, "factor": 0.9})
     assert flat["passed"] and flat["note"] == "flat, below floor"
     assert a["value"] == 0.0 and a["threshold"] == 0.0
+    # numpy floats compare to numpy bools, which are not Python bools: the
+    # verdict must still be recorded as a verdict, not as the defect 1.0
+    c = note({"oracle_error_coarse": np.float64(1e-5), "factor": np.float64(4.0)})
+    assert c["passed"] is True and c["value"] == c["threshold"] == 0.0
+    for verdict in (np.bool_(True), np.bool_(False)):
+        check = _record(cfg, "x", verdict)
+        assert check["passed"] is bool(verdict)
+        assert check["value"] == check["threshold"] == 0.0
 
 
 def test_jet_fd_check_catches_a_sign_flipped_fiber_term(monkeypatch):

@@ -15,6 +15,10 @@ abelian(3), on aff1 with and without a realization, on so3 with
 ``samples: 5`` (a second curvature point, at t ≠ 0), plus
 ``run_pipeline(…, "reduce")`` on both so(5) cases and
 ``run_pipeline(…, "curvature")`` on the so(5) regular one (orbit dimension 8).
+Two error paths close the set: sl2r at μ = (0, 1, 0) under both verbs, whose
+stabilizer has no invariant complement (``NonReductiveStabilizer``, exit 3),
+and ``verify_suite`` on so3 with ``tol_scale: 1e-3`` and
+``tol: {"kks_match": 1e-20}``, whose failing checks exit 4.
 
 ``diff`` lists the byte-identical and the differing files.  A differing file
 passes when the two dumps agree on everything except floating-point
@@ -103,6 +107,9 @@ def _cases() -> list:
                 dict(so4_regular["config"], samples=5)))
     so5_regular = case_sets.so5_reduce_cases(1)[0]
     out.append(("so5-regular-curvature", "curvature", so5_regular["config"]))
+    both("sl2r-nonreductive", {"group": "sl2r", "mu": [0.0, 1.0, 0.0]})
+    out.append(("so3-tight-verify", "verify", {"group": "so3", "mu": [0.0, 0.0, 1.0],
+                                               "tol_scale": 1e-3, "tol": {"kks_match": 1e-20}}))
     return out
 
 
