@@ -11,23 +11,22 @@ oracles.
 from .errors import (AssumptionTwoFailure, ConfigError, DegeneratePairing, NoRealization,
                      NonReductiveStabilizer, NotTangent, PointOffConstraint, RankLoss,
                      ReductionError, SingularOmega, SingularProjection, ZeroDimensionalBase)
-from .liealg import (LieAlgebra, abelian, algebra_from_json, bracket, coad_star,
-                     coadjoint_matrix, group_exp, heis3, named_algebra, reductive_complement,
-                     se2, sl2r, so3, stabilizer_algebra, su2)
-from .phasespace import (ConstraintSplit, PhasePoint, TrivTangent, constraint_split,
-                         fundamental_field, liouville_form, momentum_map, omega_gram,
-                         regularity_report, symplectic_form)
+from .liealg import (LieAlgebra, abelian, algebra_from_json, coadjoint_matrix, group_exp,
+                     heis3, named_algebra, reductive_complement, se2, sl2r, so3,
+                     stabilizer_algebra, su2)
+from .phasespace import (ConstraintSplit, PhasePoint, constraint_split, fundamental_field,
+                         liouville_form, momentum_map, omega_gram, regularity_report,
+                         symplectic_form)
 from .connections import (FrameConnection, QuadratureRule, average_connection,
                           baseline_connection, baseline_nabla_omega, connection_to_json,
                           finite_cyclic_rule, nabla_omega, nabla_omega_defect,
                           perturbed_connection, pullback_connection, symplectize, torsion,
                           torsion_defect, torus_rule)
-from .orbits import (KKS_MATCH_SIGN, OrbitChart, OrbitTangentFrame, kks_form, orbit_chart,
-                     orbit_tangent_frame, tangent_representative)
-from .reduction import (AutoparallelReport, ReductionContext, SigmaGeometry,
-                        autoparallel_check, build_context, default_chart, isotropic_correction,
-                        isotropic_correction_gram, kks_residual, reduced_form,
-                        totally_geodesic_defect)
+from .orbits import (KKS_MATCH_SIGN, OrbitChart, kks_form, orbit_chart, orbit_tangent_frame,
+                     tangent_representative)
+from .reduction import (AutoparallelReport, ReductionContext, SigmaGeometry, autoparallel_check,
+                        build_context, default_chart, isotropic_correction_gram, kks_residual,
+                        reduced_form, totally_geodesic_defect)
 from .curvature import (convergence_factor, curvature_battery, curvature_formula,
                         curvature_tensor)
 from .pipeline import CaseConfig, run_pipeline, verify_suite

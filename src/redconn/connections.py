@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import SingularOmega
 from .liealg import LieAlgebra, coadjoint_matrix, group_exp
-from .phasespace import TrivTangent, _tangent_pair, omega_gram
+from .phasespace import _tangent_pair, omega_gram
 
 WEIGHT_TOL = 1e-12
 
@@ -157,13 +157,11 @@ def torsion_components(conn: FrameConnection, xi, gamma=None) -> np.ndarray:
     return gamma - gamma.transpose(1, 0, 2) - frame_structure(conn.algebra)
 
 
-def torsion(conn: FrameConnection, xi, u, v) -> TrivTangent:
+def torsion(conn: FrameConnection, xi, u, v) -> np.ndarray:
     """Torsion tensor of the connection evaluated on two tangent vectors."""
     a = conn.algebra
-    uv = _tangent_pair(a, u)
-    vv = _tangent_pair(a, v)
-    out = np.einsum("abc,a,b->c", torsion_components(conn, xi), uv, vv)
-    return TrivTangent.from_vector(out)
+    return np.einsum("abc,a,b->c", torsion_components(conn, xi),
+                     _tangent_pair(a, u), _tangent_pair(a, v))
 
 
 def torsion_defect(conn: FrameConnection, xi, gamma=None) -> float:

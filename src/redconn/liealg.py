@@ -9,7 +9,7 @@ realization, which ``LieAlgebra.validate`` checks once, at load, and which
 
 Conventions used throughout the library:
 
-- ``coad_star(X, xi)`` is the covector ξ∘ad(X), i.e. Y ↦ ⟨ξ, [X, Y]⟩.
+- ``LieAlgebra.coad_star(X, xi)`` is the covector ξ∘ad(X), i.e. Y ↦ ⟨ξ, [X, Y]⟩.
 - ``Coad(g) = Ad(g⁻¹)ᵀ`` on components, so that the momentum map of the
   lifted left action, (g, ξ) ↦ Coad(g)ξ, is equivariant.
 """
@@ -132,14 +132,6 @@ class LieAlgebra:
         if residual > tol * scale:
             raise ValueError(f"matrix is not in the realized algebra (residual {residual:.3e})")
         return coords
-
-
-def bracket(a: LieAlgebra, X, Y) -> np.ndarray:
-    return a.bracket(X, Y)
-
-
-def coad_star(a: LieAlgebra, X, xi) -> np.ndarray:
-    return a.coad_star(X, xi)
 
 
 def stabilizer_algebra(a: LieAlgebra, mu) -> np.ndarray:
@@ -358,8 +350,8 @@ def algebra_from_json(doc) -> LieAlgebra:
     """Build an algebra from a JSON document or dict.
 
     Expected shape: ``{"dim": n, "brackets": [[i, j, [k, coeff], ...], ...],
-    "realization": [matrix, ...]?}`` with 0-based indices.  Antisymmetric
-    counterparts are filled in automatically.
+    "realization": [matrix, ...]?}`` with n ≥ 1 and 0-based indices i, j, k in
+    [0, n).  Antisymmetric counterparts are filled in automatically.
     """
     if isinstance(doc, (str, bytes)):
         try:
@@ -370,10 +362,14 @@ def algebra_from_json(doc) -> LieAlgebra:
         raise ConfigError("algebra document must be an object with a 'dim' key")
     try:
         n = int(doc["dim"])
+        if n < 1:
+            raise ValueError(f"dim must be at least 1, got {n}")
         c = np.zeros((n, n, n))
         for entry in doc.get("brackets", []):
             i, j = int(entry[0]), int(entry[1])
             for k, coeff in entry[2:]:
+                if not all(0 <= index < n for index in (i, j, int(k))):
+                    raise IndexError(f"bracket index outside [0, {n}) in {entry}")
                 c[i, j, int(k)] = float(coeff)
                 c[j, i, int(k)] = -float(coeff)
         realization = None

@@ -114,20 +114,11 @@ def orbit_chart(a: LieAlgebra, mu, m_basis, radius: float = 1.0) -> OrbitChart:
     return chart
 
 
-@dataclass(frozen=True)
-class OrbitTangentFrame:
-    """Tangent frame of the orbit at a point: f_a = d/ds Coad(exp(s E_a))ν|_0."""
-
-    nu: np.ndarray
-    vectors: np.ndarray
-
-
-def orbit_tangent_frame(a: LieAlgebra, nu, m_basis) -> OrbitTangentFrame:
-    """Frame f_a = -ν∘ad(E_a); full rank wherever the chart is valid."""
-    nu = np.asarray(nu, dtype=float)
+def orbit_tangent_frame(a: LieAlgebra, nu, m_basis) -> np.ndarray:
+    """Tangent frame of the orbit at ν, column a being f_a = d/ds Coad(exp(s E_a))ν|_0
+    = -ν∘ad(E_a), i.e. −K(ν)ᵀ·m; full rank wherever the chart is valid."""
     m_basis = np.atleast_2d(np.asarray(m_basis, dtype=float))
-    K_T = a.bracket_pairing(nu).T
-    return OrbitTangentFrame(nu.copy(), -(K_T @ m_basis))
+    return -(a.bracket_pairing(nu).T @ m_basis)
 
 
 def tangent_representative(a: LieAlgebra, nu, v,

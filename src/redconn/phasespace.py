@@ -2,7 +2,8 @@
 
 Phase space is the product G x g*, a point being a pair (g, ξ).  Tangent
 vectors are written in the left-invariant frame as pairs (X, η) in g ⊕ g*,
-where X is the left-trivialized group direction and η the fiber direction.
+stacked into one array of length 2n, where X is the left-trivialized group
+direction and η the fiber direction.
 In this frame the canonical symplectic form reads
 
     ω_(g,ξ)((X, η), (X', η')) = ⟨η, X'⟩ - ⟨η', X⟩ - ⟨ξ, [X, X']⟩,
@@ -23,23 +24,6 @@ from .liealg import LieAlgebra, coadjoint_matrix
 
 
 @dataclass(frozen=True)
-class TrivTangent:
-    """A left-trivialized tangent vector (X, η) in g ⊕ g*."""
-
-    X: np.ndarray
-    eta: np.ndarray
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.X, self.eta])
-
-    @staticmethod
-    def from_vector(v: np.ndarray) -> "TrivTangent":
-        v = np.asarray(v, dtype=float)
-        n = v.size // 2
-        return TrivTangent(v[:n].copy(), v[n:].copy())
-
-
-@dataclass(frozen=True)
 class PhasePoint:
     """A point (g, ξ) of the trivialized cotangent bundle, g given by its Ad
     matrix.  ``g`` may be None where only right-side operations are asked for;
@@ -51,10 +35,7 @@ class PhasePoint:
 
 
 def _tangent_pair(a: LieAlgebra, u) -> np.ndarray:
-    if isinstance(u, TrivTangent):
-        v = u.as_vector()
-    else:
-        v = np.asarray(u, dtype=float)
+    v = np.asarray(u, dtype=float)
     if v.shape != (2 * a.dim,):
         raise ValueError(f"tangent vector must have length {2 * a.dim}")
     return v
@@ -91,19 +72,20 @@ def liouville_form(a: LieAlgebra, xi, u) -> float:
     return float(np.asarray(xi, dtype=float) @ uv[: a.dim])
 
 
-def fundamental_field(a: LieAlgebra, side: str, X, p: PhasePoint) -> TrivTangent:
-    """Generator of the lifted left or right translation action at p.
+def fundamental_field(a: LieAlgebra, side: str, X, p: PhasePoint) -> np.ndarray:
+    """Generator of the lifted left or right translation action at p, as the
+    stacked pair (X, η).
 
     In the left-invariant frame the right generator is (X, ξ∘ad(X)) and the
     left generator is (-Ad(g⁻¹)X, 0).
     """
     X = np.asarray(X, dtype=float)
     if side == "right":
-        return TrivTangent(X.copy(), a.coad_star(X, p.xi))
+        return np.concatenate([X, a.coad_star(X, p.xi)])
     if side == "left":
         if p.g is None:
             raise ValueError("left generator needs a group element")
-        return TrivTangent(-(np.linalg.inv(p.g) @ X), np.zeros(a.dim))
+        return np.concatenate([-(np.linalg.inv(p.g) @ X), np.zeros(a.dim)])
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
@@ -127,7 +109,6 @@ class ConstraintSplit:
     (the radical of ω restricted to the level set), and ``sum`` their span.
     """
 
-    mu: np.ndarray
     t_sigma: np.ndarray
     t_perp: np.ndarray
     delta: np.ndarray
@@ -151,11 +132,10 @@ def constraint_split(a: LieAlgebra, mu) -> ConstraintSplit:
     g_mu = stabilizer_algebra(a, mu)
     delta = np.vstack([g_mu, np.zeros((n, g_mu.shape[1]))])
     total = linalg.orthonormal_columns(np.hstack([t_sigma, graph]))
-    split = ConstraintSplit(mu.copy(), t_sigma, t_perp, delta, total, g_mu)
     k = g_mu.shape[1]
     if total.shape[1] != 2 * n - k or delta.shape[1] != k:
         raise RuntimeError("constraint split dimensions are inconsistent")
-    return split
+    return ConstraintSplit(t_sigma, t_perp, delta, total, g_mu)
 
 
 def momentum_differential(a: LieAlgebra, side: str, p: PhasePoint) -> np.ndarray:

@@ -20,10 +20,9 @@ import numpy as np
 
 from . import linalg, report as report_mod
 from .connections import (average_connection, baseline_connection, baseline_nabla_omega,
-                          finite_cyclic_rule, frame_structure, frame_transport,
-                          nabla_omega_components, nabla_omega_defect, perturbed_connection,
-                          pullback_connection, symplectize, symplectized_coefficients,
-                          torsion_defect)
+                          finite_cyclic_rule, frame_structure, frame_transport, nabla_omega,
+                          nabla_omega_defect, perturbed_connection, pullback_connection,
+                          symplectize, symplectized_coefficients, torsion_defect)
 from .curvature import curvature_battery
 from .errors import (AssumptionTwoFailure, ConfigError, NonReductiveStabilizer,
                      ReductionError)
@@ -204,11 +203,10 @@ def _exit_code(exc: Exception) -> int:
 
 def _stage_validate(cfg: CaseConfig, run) -> dict:
     a, mu = run.a, run.mu
-    a.validate()
     split = constraint_split(a, mu)
     n, k = a.dim, split.g_mu.shape[1]
     # TΣ^⊥ should be the span of the right-action generators at μ
-    gens = np.column_stack([fundamental_field(a, "right", e, PhasePoint(None, mu)).as_vector()
+    gens = np.column_stack([fundamental_field(a, "right", e, PhasePoint(None, mu))
                             for e in np.eye(n)])
     regularity = {}
     for side in ("right", "left"):
@@ -240,9 +238,8 @@ def _stage_connect(cfg: CaseConfig, run) -> dict:
     for _ in range(10):
         xi = rng.standard_normal(a.dim)
         u, v, w = (rng.standard_normal(2 * a.dim) for _ in range(3))
-        comps = nabla_omega_components(base, xi)
-        val = float(np.einsum("abc,a,b,c->", comps, u, v, w))
-        residual = max(residual, abs(val - baseline_nabla_omega(a, xi, u, v, w)))
+        residual = max(residual, abs(nabla_omega(base, xi, u, v, w)
+                                     - baseline_nabla_omega(a, xi, u, v, w)))
     run.sympl = sympl = symplectize(base)
     run.conn = conn = sympl if cfg.connection == "symplectic" else base
     run.xi_samples = [run.mu] + [rng.standard_normal(a.dim) for _ in range(3)]
@@ -267,11 +264,7 @@ def _stage_reduce(cfg: CaseConfig, run) -> dict:
                                   gamma_mu=run.gammas[0])
     stage = {
         "status": "ok",
-        "dims": ctx.diagnostics["dims"],
-        "decomposition_cond": ctx.diagnostics["decomposition_cond"],
-        "isotropy_defect": ctx.diagnostics["isotropy_defect"],
-        "projector_defect": ctx.diagnostics["projector_defect"],
-        "zero_dimensional_base": ctx.zero_dimensional_base,
+        **ctx.diagnostics,
         "totally_geodesic_defect": totally_geodesic_defect(ctx),
     }
     # The chart needs only Ad, but an algebra without a matrix realization still
@@ -579,7 +572,7 @@ def _verify_reduction(cfg, run):
     yield "red/projector-range", range_dist, "projector_spaces"
     yield "red/projector-kernel", kernel_dist, "projector_spaces"
     alpha_defect = max((float(np.max(np.abs(ctx.g_mu @ ctx.alpha(fundamental_field(
-        a, "right", Y, PhasePoint(None, mu)).as_vector()) - Y))) for Y in ctx.g_mu.T), default=0.0)
+        a, "right", Y, PhasePoint(None, mu))) - Y))) for Y in ctx.g_mu.T), default=0.0)
     if k and ctx.w1.shape[1]:
         alpha_defect = max(alpha_defect, float(np.max(np.abs(ctx.alpha_mat @ ctx.w1))))
     yield "red/alpha-identities", alpha_defect, "alpha_identities"
@@ -660,7 +653,7 @@ def _geodesic_oracle_gap(ctx, value: float) -> float:
         return ctx.split.t_sigma @ linalg.solve_columns(basis, v)[:n]
 
     frame = [project(zc) for zc in np.eye(2 * n)]
-    gens = np.ascontiguousarray(ctx.v_delta.T)  # rows (g_μ e_i, 0)
+    gens = np.ascontiguousarray(ctx.split.delta.T)  # rows (g_μ e_i, 0)
     projs = [project(np.einsum("abc,a,b->c", ctx.gamma_mu, u, v)) for u in gens for v in gens]
     return abs(max(abs(float(proj @ om @ pz)) for proj in projs for pz in frame) - value)
 

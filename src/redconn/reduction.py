@@ -88,12 +88,6 @@ def isotropic_correction_gram(om: np.ndarray, s_tilde: np.ndarray, delta: np.nda
     return s_tilde + delta @ lam, lam
 
 
-def isotropic_correction(a: LieAlgebra, mu, s_tilde, delta):
-    """Isotropic correction at level μ using the phase-space symplectic form."""
-    S, _ = isotropic_correction_gram(omega_gram(a, mu), s_tilde, delta)
-    return S
-
-
 @dataclass(frozen=True)
 class ReductionContext:
     """Validated μ-level data for reducing a connection to the orbit."""
@@ -110,7 +104,6 @@ class ReductionContext:
     w2: np.ndarray
     p_matrix: np.ndarray
     alpha_mat: np.ndarray
-    v_delta: np.ndarray
     connection: FrameConnection
     gamma_mu: np.ndarray  # Γ(μ), the connection's coefficients at the level
     omega_mu: np.ndarray  # ω(μ), the Gram matrix of the symplectic form at the level
@@ -135,7 +128,7 @@ class ReductionContext:
 
     def alpha_star(self, v) -> np.ndarray:
         """alpha followed by the vertical generator map back into the frame."""
-        return linalg.matvec(self.v_delta, self.alpha(v))
+        return linalg.matvec(self.split.delta, self.alpha(v))
 
     def horizontal_part(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -224,7 +217,7 @@ def build_context(a: LieAlgebra, mu, *, s_tilde="default",
         "zero_dimensional_base": bool(m.shape[1] == 0),
     }
     return ReductionContext(a, mu.copy(), g_mu, m, split, st, lam, S, w1, w2,
-                            P, alpha_mat, split.delta, conn,
+                            P, alpha_mat, conn,
                             conn.coefficients(mu) if gamma_mu is None else gamma_mu, om,
                             diagnostics)
 
@@ -505,7 +498,7 @@ def totally_geodesic_defect(ctx: ReductionContext) -> float:
     frame-constant components (Y, 0) along the level set, so no finite
     differences are needed.
     """
-    gens, P = np.ascontiguousarray(ctx.v_delta.T), ctx.p_matrix  # rows (g_μ e_i, 0)
+    gens, P = np.ascontiguousarray(ctx.split.delta.T), ctx.p_matrix  # rows (g_μ e_i, 0)
     return max((float(np.max(np.abs((P @ np.einsum("abc,a,b->c", ctx.gamma_mu, u, v))
                                     @ ctx.omega_mu @ P))) for u in gens for v in gens),
                default=0.0)

@@ -80,7 +80,7 @@ def test_criterion_2_level_set_checks():
                                        p["sigma_min"] / p["sigma_max"])
         gens = np.column_stack(
             [rc.fundamental_field(a, "right", np.eye(a.dim)[i],
-                                  rc.PhasePoint(None, mu)).as_vector()
+                                  rc.PhasePoint(None, mu))
              for i in range(a.dim)])
         worst_span = max(worst_span, linalg.subspace_distance(split.t_perp, gens))
     ok = worst_rank_ratio > 1e-10 and worst_span <= 1e-10 and dims_ok

@@ -42,7 +42,8 @@ BAD_VALUES = [("samples", "3", False), ("samples", 2.5, False), ("samples", True
               ("fd_step", math.nan, True), ("chart_radius", -math.inf, False),
               ("xi_list", [[0.0, math.inf, 1.0]], False),
               # 0 stays allowed: the exact checks use it
-              ("tol", {"kks_match": -1e-8}, False)]
+              ("tol", {"kks_match": -1e-8}, False),
+              ("connection", "other", False), ("tol", [1], False)]
 # aff(1) ⊕ R realized by 3×3 matrices, with a false claim about its group
 # elements: e_0 = E_00 has trace 1 and is symmetric
 AFF1_R_DOC = {"dim": 3, "brackets": [[0, 1, [1, 1.0]]],
@@ -52,6 +53,10 @@ AFF1_R_DOC = {"dim": 3, "brackets": [[0, 1, [1, 1.0]]],
 FALSE_CLAIMS = [dict(AFF1_R_DOC, name=f"aff1+r-{claim}", **{claim: True})
                 for claim in ("det_one", "orthogonal")]
 BAD_VALUES += [("group", doc, False) for doc in FALSE_CLAIMS]
+# (algebra document, matching mu) with an index or dimension out of range
+OUT_OF_RANGE_ALGEBRAS = [({"dim": 3, "brackets": [[0, -1, [1, 1.0]]]}, [0.0, 0.0, 1.0]),
+                         ({"dim": 3, "brackets": [[0, 1, [-1, 1.0]]]}, [0.0, 0.0, 1.0]),
+                         ({"dim": 0}, [])]
 
 
 def _bad_value_id(key, value, flag) -> str:
@@ -121,6 +126,17 @@ class TestVerbs:
         failed = [c["name"] for c in rep["checks"] if not c["passed"]]
         assert failed == ["conn/nabla-omega"]
 
+    def test_export_connection_default_xi_draw(self, tmp_path):
+        # without xi_list: mu, then two seeded standard-normal samples
+        cfg = _write_config(tmp_path, dict(SO3_DOC, seed=3))
+        outs = [tmp_path / f"conn{i}.json" for i in range(2)]
+        for out_path in outs:
+            assert main(["export-connection", "--config", cfg, "--out", str(out_path)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        evaluations = json.loads(outs[0].read_text())["connection"]["evaluations"]
+        assert len(evaluations) == 3
+        assert evaluations[0]["xi"] == SO3_DOC["mu"]
+
     def test_export_connection(self, tmp_path):
         doc = dict(SO3_DOC)
         doc["xi_list"] = [[0.0, 0.0, 1.0], [0.5, -0.2, 0.1]]
@@ -141,6 +157,26 @@ class TestExitCodes:
         path.write_text("{not json")
         assert main(["validate", "--config", str(path)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("contents", [json.dumps([SO3_DOC]), json.dumps({"group": "so3"}),
+                                          None], ids=["list", "no-mu", "unreadable"])
+    def test_unusable_config_is_config_error(self, tmp_path, capsys, contents):
+        path = tmp_path / "case.json"
+        if contents is not None:
+            path.write_text(contents)
+        assert main(["validate", "--config", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "ConfigError"
+
+    def test_unknown_stage_is_config_error(self):
+        with pytest.raises(ConfigError):
+            run_pipeline(CaseConfig.from_dict(SO3_DOC), "bogus")
+
+    @pytest.mark.parametrize("group,mu", OUT_OF_RANGE_ALGEBRAS,
+                             ids=["negative-j", "negative-k", "dim-0"])
+    def test_out_of_range_algebra_is_config_error(self, tmp_path, capsys, group, mu):
+        cfg = _write_config(tmp_path, {"group": group, "mu": mu})
+        assert main(["curvature", "--config", cfg]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "ConfigError"
 
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {"group": "so3", "mu": [0, 0, 1], "bogus": 1})

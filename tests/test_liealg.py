@@ -309,7 +309,7 @@ class TestGroupMachinery:
             assert np.array_equal(got, want)
         left = [rc.fundamental_field(alg, "left", X, rc.PhasePoint(rc.group_exp(alg, -X), X))
                 for alg in (bare, so3)]
-        assert np.array_equal(left[0].as_vector(), left[1].as_vector())
+        assert np.array_equal(left[0], left[1])
 
 
 class TestJsonLoading:
@@ -336,3 +336,17 @@ class TestJsonLoading:
     def test_missing_dim(self):
         with pytest.raises(ConfigError):
             rc.algebra_from_json({"brackets": []})
+
+    # a negative index would wrap to the end of its axis instead of failing
+    @pytest.mark.parametrize("doc", [
+        {"dim": 3, "brackets": [[0, -1, [1, 1.0]]]},
+        {"dim": 3, "brackets": [[-3, 1, [2, 1.0]]]},
+        {"dim": 3, "brackets": [[0, 1, [-1, 1.0]]]},
+        {"dim": 3, "brackets": [[0, 3, [2, 1.0]]]},
+        {"dim": 3, "brackets": [[0, 1, [3, 1.0]]]},
+        {"dim": 0},
+        {"dim": -1},
+    ], ids=["j=-1", "i=-3", "k=-1", "j=dim", "k=dim", "dim=0", "dim=-1"])
+    def test_out_of_range_rejected(self, doc):
+        with pytest.raises(ConfigError):
+            rc.algebra_from_json(doc)

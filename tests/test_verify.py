@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from redconn import connections, liealg, phasespace, pipeline, reduction
-from redconn.pipeline import (EXIT_ASSUMPTION, THRESHOLDS, CaseConfig, _record, run_pipeline,
-                              verify_suite)
+from redconn.errors import RankLoss
+from redconn.pipeline import (EXIT_ASSUMPTION, EXIT_NUMERICAL, THRESHOLDS, CaseConfig, _record,
+                              run_pipeline, verify_suite)
 from tests.conftest import perfbench_cases, track_geometries
 
 # verify check -> (the run_pipeline(cfg, "curvature") report entry it mirrors,
@@ -225,6 +226,28 @@ def test_nonreductive_stabilizer_keeps_its_exit_code():
     assert code == EXIT_ASSUMPTION == 3
     assert rep["error"]["type"] == "NonReductiveStabilizer"
     assert rep["passed"] is False
+
+
+@pytest.mark.parametrize("stage", pipeline.STAGES)
+def test_numerical_error_exits_four_and_others_propagate(monkeypatch, stage):
+    def fail(cfg, run):
+        raise error
+
+    monkeypatch.setitem(pipeline._STAGE_RUNS, stage, fail)
+    cfg = CaseConfig.from_dict({"group": "so3", "mu": [0.0, 0.0, 1.0], "samples": 2})
+    error = RankLoss("x")
+    rep, code = run_pipeline(cfg, "curvature")
+    assert code == EXIT_NUMERICAL == 4
+    assert rep["error"] == {"type": "RankLoss", "message": "x", "stage": stage}
+    rep, code = verify_suite(cfg)
+    assert code == EXIT_NUMERICAL
+    assert rep["error"] == {"type": "RankLoss", "message": "x", "stage": "verify"}
+    assert rep["passed"] is False
+    # an error outside the library's numerical and configuration failures is a bug
+    error = KeyError("x")
+    for run in (run_pipeline, verify_suite):
+        with pytest.raises(KeyError):
+            run(cfg)
 
 
 def test_every_threshold_is_read_by_some_check():
