@@ -25,8 +25,8 @@ from .connections import (FrameConnection, QuadratureRule, average_connection,
 from .orbits import (KKS_MATCH_SIGN, OrbitChart, kks_form, orbit_chart, orbit_tangent_frame,
                      tangent_representative)
 from .reduction import (AutoparallelReport, ReductionContext, SigmaGeometry, autoparallel_check,
-                        build_context, default_chart, isotropic_correction_gram, kks_residual,
-                        reduced_form, totally_geodesic_defect)
+                        build_context, default_chart, isotropic_correction_gram, reduced_form,
+                        totally_geodesic_defect)
 from .curvature import (convergence_factor, curvature_battery, curvature_formula,
                         curvature_tensor)
 from .pipeline import CaseConfig, run_pipeline, verify_suite

@@ -61,14 +61,14 @@ def curvature_formula(geom: SigmaGeometry, t, *, fd_step2: float = DEFAULT_FD_ST
     u = geom.lifts(t, e)
 
     def grads(t2, fib):  # [j, l, 0] = ∇_f̄_j f̄_l and [j, l, 1] = [α(∇_f̄_j f̄_l)]*
-        level = geom._level_table(t2, fib)[0]
+        level = geom.cov_table(t2, fib)[0]
         return np.stack([level, ctx.alpha_star(level)], axis=2)
 
     xs = list(dict.fromkeys(dirs))
-    d_grads = geom._stencil(t, e, u[xs], fd_step2, grads, richardson=richardson, tables=True)
-    # inner[x, l]: derivative of f̄_l along f̄_x, from which the table at t is built
-    inner = geom._level_table(t, e)[1]
+    d_grads = geom._stencil(t, e, u[xs], fd_step2, grads, richardson=richardson)
     base = grads(t, e)
+    # inner[x, l]: derivative of f̄_l along f̄_x, from which the table at t is built
+    inner = geom.point(t, e).derivs
     # outer[x][j, l, s]: induced derivative of base[j, l, s] along f̄_x
     outer = {x: geom._induced(u[x], base, d) for x, d in zip(xs, d_grads)}
     out = np.zeros((len(dirs), len(dirs), km, geom.n))
@@ -112,7 +112,7 @@ def curvature_tensor(geom: SigmaGeometry, t, *, fd_step2: float = DEFAULT_FD_STE
     dirs = list(range(km)) if directions is None else list(directions)
     xs = list(dict.fromkeys(dirs))
     steps = _tensor_points(t, fd_step2, xs)
-    geom.tables([t] + steps, geom.identity)
+    geom.points([t] + steps, geom.identity)
     gamma = _christoffel(geom, t)
     d_gamma = {x: (_christoffel(geom, plus) - _christoffel(geom, minus)) / (2.0 * fd_step2)
                for x, plus, minus in zip(xs, steps[::2], steps[1::2])}
@@ -217,7 +217,7 @@ def convergence_factor(geom: SigmaGeometry, t, *, coarse: float = 4e-3,
     stencils = [geom._stencil_points(t, e, u, h, richardson)
                 for h, richardson in ((1e-3, True), (coarse, False), (coarse / 2.0, False))]
     tensor = [p for h in (coarse, coarse / 2.0) for p in _tensor_points(t, h, (i, j))]
-    geom.tables(np.concatenate([[t]] + [ts for ts, _ in stencils] + [tensor]),
+    geom.points(np.concatenate([[t]] + [ts for ts, _ in stencils] + [tensor]),
                 np.concatenate([[e]] + [fibers for _, fibers in stencils] + [[e] * len(tensor)]))
     reference = curvature_formula(geom, t, fd_step2=1e-3, directions=(i, j),
                                   richardson=True)[0, 1, l]

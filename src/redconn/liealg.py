@@ -73,7 +73,7 @@ class LieAlgebra:
             raise ValueError(f"Jacobi defect {defect:.3e} exceeds {JACOBI_TOL:.0e}")
         if self.realization is not None:
             rho = self.realization
-            if rho.shape[0] != n or rho.shape[1] != rho.shape[2]:
+            if rho.ndim != 3 or rho.shape[0] != n or rho.shape[1] != rho.shape[2]:
                 raise ValueError(f"realization has shape {rho.shape}, expected (n, m, m)")
             comm = np.einsum("iab,jbc->ijac", rho, rho) - np.einsum("jab,ibc->ijac", rho, rho)
             rebuilt = np.einsum("ijk,kab->ijab", c, rho)
@@ -346,6 +346,13 @@ def named_algebra(name: str) -> LieAlgebra:
     raise ConfigError(f"unknown algebra {name!r}; known: {sorted(_CATALOG)} and abelian(n)")
 
 
+def _json_number(v, integer: bool = False):
+    """v, if it is a JSON number (an integer with ``integer``): bools and strings are not."""
+    if isinstance(v, bool) or not isinstance(v, int if integer else (int, float)):
+        raise TypeError(f"{v!r} is not {'an integer' if integer else 'a number'}")
+    return v
+
+
 def algebra_from_json(doc) -> LieAlgebra:
     """Build an algebra from a JSON document or dict.
 
@@ -361,25 +368,26 @@ def algebra_from_json(doc) -> LieAlgebra:
     if not isinstance(doc, dict) or "dim" not in doc:
         raise ConfigError("algebra document must be an object with a 'dim' key")
     try:
-        n = int(doc["dim"])
+        n = _json_number(doc["dim"], integer=True)
         if n < 1:
             raise ValueError(f"dim must be at least 1, got {n}")
         c = np.zeros((n, n, n))
         for entry in doc.get("brackets", []):
-            i, j = int(entry[0]), int(entry[1])
+            i, j = (_json_number(index, integer=True) for index in entry[:2])
             for k, coeff in entry[2:]:
-                if not all(0 <= index < n for index in (i, j, int(k))):
+                if not all(0 <= index < n for index in (i, j, _json_number(k, integer=True))):
                     raise IndexError(f"bracket index outside [0, {n}) in {entry}")
-                c[i, j, int(k)] = float(coeff)
-                c[j, i, int(k)] = -float(coeff)
-        realization = None
-        if doc.get("realization") is not None:
-            realization = np.asarray(doc["realization"], dtype=float)
+                c[i, j, k] = _json_number(coeff)
+                c[j, i, k] = -coeff
+        rho = doc.get("realization")
+        rho = None if rho is None else np.asarray(rho, dtype=object)
+        claims = {key: doc.get(key, False) for key in ("det_one", "orthogonal")}
+        if (not isinstance(doc.get("name", ""), str) or {type(v) for v in claims.values()} != {bool}
+                or rho is not None and {type(v) for v in rho.flat} - {int, float}):
+            raise TypeError("name must be a string, claims booleans, realization entries numbers")
     except (TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"malformed algebra document: {exc}") from exc
-    a = LieAlgebra(n, c, doc.get("name"), realization,
-                   det_one=bool(doc.get("det_one", False)),
-                   orthogonal=bool(doc.get("orthogonal", False)))
+    a = LieAlgebra(n, c, doc.get("name"), None if rho is None else rho.astype(float), **claims)
     try:
         return _finalize(a)
     except ValueError as exc:

@@ -313,10 +313,10 @@ def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator) -> dict:
     km = geom.chart.dim
     e = geom.identity
     k = ctx.stabilizer_dim
-    fibers = [group_exp(ctx.algebra, ctx.g_mu @ rng.uniform(-1.0, 1.0, k))
+    fibers = [group_exp(ctx.algebra, ctx.split.g_mu @ rng.uniform(-1.0, 1.0, k))
               for _ in range(5 if k else 0)]
     swept = (np.vstack([pts] + [pts[0]] * len(fibers)), np.array([e] * len(pts) + fibers))
-    geom.tables(*swept)
+    geom.points(*swept)
     out = {"sigma": None, "kks": 0.0, "torsion": 0.0, "oracle": 0.0, "parallel": 0.0,
            "closed": 0.0, "fiber": 0.0}
 
@@ -473,7 +473,7 @@ def _verify_algebra(cfg, run):
         xi = rng.standard_normal(n)
         pair = max(pair, abs(float(xi @ a.bracket(X, Y)) + float(xi @ a.bracket(Y, X))))
     yield "lie/bracket-pairing-antisymmetry", pair
-    g_mu, m = run.ctx.g_mu, run.ctx.m
+    g_mu, m = run.ctx.split.g_mu, run.ctx.m
     k = g_mu.shape[1]
     ann = max((abs(float(mu @ a.bracket(Y, e))) for Y in g_mu.T for e in np.eye(n)), default=0.0)
     yield "lie/stabilizer-annihilation", ann, "stabilizer_annihilation"
@@ -571,8 +571,8 @@ def _verify_reduction(cfg, run):
         if k or ctx.w2.shape[1] else 0.0
     yield "red/projector-range", range_dist, "projector_spaces"
     yield "red/projector-kernel", kernel_dist, "projector_spaces"
-    alpha_defect = max((float(np.max(np.abs(ctx.g_mu @ ctx.alpha(fundamental_field(
-        a, "right", Y, PhasePoint(None, mu))) - Y))) for Y in ctx.g_mu.T), default=0.0)
+    alpha_defect = max((float(np.max(np.abs(ctx.split.g_mu @ ctx.alpha(fundamental_field(
+        a, "right", Y, PhasePoint(None, mu))) - Y))) for Y in ctx.split.g_mu.T), default=0.0)
     if k and ctx.w1.shape[1]:
         alpha_defect = max(alpha_defect, float(np.max(np.abs(ctx.alpha_mat @ ctx.w1))))
     yield "red/alpha-identities", alpha_defect, "alpha_identities"
@@ -633,7 +633,7 @@ def _l_equivariance_defect(ctx, rng) -> float:
     L_full = delta @ lam @ np.linalg.pinv(st)
     defect = 0.0
     for _ in range(3):
-        T = frame_transport(np.linalg.inv(group_exp(a, ctx.g_mu @ rng.uniform(-1, 1, k))))
+        T = frame_transport(np.linalg.inv(group_exp(a, ctx.split.g_mu @ rng.uniform(-1, 1, k))))
         T_inv = np.linalg.inv(T)
         moved = T @ (L_full @ (T_inv @ st)) - L_full @ st
         defect = max(defect, float(np.max(np.abs(moved))))
@@ -669,7 +669,7 @@ def _sigma_equivariance_defect(ctx, rng) -> float:
     P = ctx.p_matrix
     defect = 0.0
     for _ in range(3):
-        T = frame_transport(np.linalg.inv(group_exp(a, ctx.g_mu @ rng.uniform(-1, 1, k))))
+        T = frame_transport(np.linalg.inv(group_exp(a, ctx.split.g_mu @ rng.uniform(-1, 1, k))))
         for _ in range(3):
             u = np.concatenate([rng.standard_normal(n), np.zeros(n)])
             v = np.concatenate([rng.standard_normal(n), np.zeros(n)])
@@ -683,12 +683,12 @@ def _jet_fd_defect(geom: SigmaGeometry, t, step: float) -> float:
     """Largest gap, relative to max(1, |exact|), between the exact derivatives
     of ``lifts`` and their central differences at ``step`` along each lift and
     stabilizer generator at t, on the fibers 1 and exp(g_μ·(½, …, ½))."""
-    ctx = geom.ctx
-    k = ctx.stabilizer_dim
-    fibers = [geom.identity] + ([group_exp(ctx.algebra, ctx.g_mu @ np.full(k, 0.5))] if k else [])
+    a, g_mu = geom.ctx.algebra, geom.ctx.split.g_mu
+    k = g_mu.shape[1]
+    fibers = [geom.identity] + ([group_exp(a, g_mu @ np.full(k, 0.5))] if k else [])
     gap = 0.0
     for fiber in fibers:
-        us = np.vstack([geom.lifts(t, fiber), np.pad(ctx.g_mu.T, ((0, 0), (0, geom.n)))])
+        us = np.vstack([geom.lifts(t, fiber), np.pad(g_mu.T, ((0, 0), (0, geom.n)))])
         for exact, fd in zip(geom.lift_derivatives(t, fiber, us),
                              geom._stencil(t, fiber, us, step, geom.lifts)):
             gap = max(gap, float(np.max(np.abs(exact - fd)) / max(1.0, np.max(np.abs(exact)))))

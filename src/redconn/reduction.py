@@ -36,7 +36,7 @@ from .errors import (AssumptionTwoFailure, DegeneratePairing, NotTangent,
                      PointOffConstraint, RankLoss, SingularProjection,
                      ZeroDimensionalBase)
 from .liealg import LieAlgebra, reductive_complement
-from .orbits import OrbitChart, kks_gap, kks_pairs, orbit_chart
+from .orbits import OrbitChart, orbit_chart
 from .phasespace import ConstraintSplit, constraint_split, omega_gram, symplectic_form
 
 ISOTROPY_TOL = 1e-10
@@ -94,7 +94,6 @@ class ReductionContext:
 
     algebra: LieAlgebra
     mu: np.ndarray
-    g_mu: np.ndarray
     m: np.ndarray
     split: ConstraintSplit
     s_tilde: np.ndarray
@@ -111,7 +110,7 @@ class ReductionContext:
 
     @property
     def stabilizer_dim(self) -> int:
-        return self.g_mu.shape[1]
+        return self.split.g_mu.shape[1]
 
     @property
     def base_dim(self) -> int:
@@ -171,9 +170,8 @@ def build_context(a: LieAlgebra, mu, *, s_tilde="default",
     if mu.shape != (n,):
         raise ValueError(f"mu must have length {n}")
     split = constraint_split(a, mu)
-    g_mu = split.g_mu
-    k = g_mu.shape[1]
-    m = reductive_complement(a, g_mu)
+    k = split.g_mu.shape[1]
+    m = reductive_complement(a, split.g_mu)
 
     if isinstance(s_tilde, str) and s_tilde == "default":
         ann_m = linalg.nullspace(m.T) if m.shape[1] else np.eye(n)
@@ -216,7 +214,7 @@ def build_context(a: LieAlgebra, mu, *, s_tilde="default",
         "projector_defect": float(np.max(np.abs(P @ P - P))),
         "zero_dimensional_base": bool(m.shape[1] == 0),
     }
-    return ReductionContext(a, mu.copy(), g_mu, m, split, st, lam, S, w1, w2,
+    return ReductionContext(a, mu.copy(), m, split, st, lam, S, w1, w2,
                             P, alpha_mat, conn,
                             conn.coefficients(mu) if gamma_mu is None else gamma_mu, om,
                             diagnostics)
@@ -228,7 +226,7 @@ def default_chart(ctx: ReductionContext, radius: float = 1.0) -> OrbitChart:
 
 @dataclass(frozen=True)
 class PointKernel:
-    """Level-set data at one point (exp(Σ t_a E_a) · h, μ)."""
+    """Level-set data at one point (exp(Σ t_a E_a) · h, μ), with its level table."""
 
     coad: np.ndarray  # Coad(exp(Σ t_a E_a) · h)
     D: np.ndarray  # chart differential dnu(t)
@@ -239,6 +237,10 @@ class PointKernel:
     F: np.ndarray  # chart-fiber frame [Ad(h)⁻¹ · section vectors | g_μ]
     frame_ok: bool  # F has full rank
     jet: np.ndarray  # jet[c]: derivative of lifts along parameter c (read only if lift_ok)
+    ok: bool  # lift_ok ∧ tangent ∧ frame_ok: the table below is read only if set
+    derivs: np.ndarray  # derivs[i, j]: derivative of lifts[j] along lifts[i]
+    level: np.ndarray  # level[i, j]: P∘∇ along lifts[i] of lifts[j]
+    cov: np.ndarray  # cov[i, j]: pushdown of level[i, j]'s horizontal part, ∇ʳ(f_i) f_j
 
 
 class SigmaGeometry:
@@ -247,15 +249,15 @@ class SigmaGeometry:
     A point (exp(Σ t_a E_a) · h, μ) is addressed by t and ``fiber``, the Ad
     matrix of h, and moves with the parameters t and s in h·exp(Σ s_b g_μ e_b).
     Each (t, fiber) gets one ``PointKernel``, holding ``lifts`` (row i lifts
-    f_i: the horizontal part of the section velocity) and its jet, and one
-    level-set table; ``points`` and ``tables`` build a batch of either in one
-    stacked pass.  ``lift_derivatives`` contracts the jet with a direction's
-    parameter velocity, and ``_stencil`` central-differences any function of
-    the point.  A run shares one instance per (context, chart) between the
-    chart sweep, the autoparallel check and the curvature battery; kernels and
-    tables depend only on their keys, never on their batch, so sharing and
-    batching change what is recomputed, never a value.  Neither cache is
-    thread-safe: use one instance per thread.
+    f_i: the horizontal part of the section velocity), its jet and its level
+    table; ``points`` builds a batch of them in one stacked pass, and
+    ``cov_table`` is the checked read of a table.  ``lift_derivatives``
+    contracts the jet with a direction's parameter velocity, and ``_stencil``
+    central-differences any function of the point.  A run shares one instance
+    per (context, chart) between the chart sweep, the autoparallel check and
+    the curvature battery; kernels depend only on their keys, never on their
+    batch, so sharing and batching change what is recomputed, never a value.
+    The cache is not thread-safe: use one instance per thread.
     """
 
     def __init__(self, ctx: ReductionContext, chart: OrbitChart):
@@ -269,47 +271,23 @@ class SigmaGeometry:
         self.K_T = a.bracket_pairing(ctx.mu).T
         self.w1grp = ctx.w1[: self.n, :]
         # ad(g_μ e_b)ᵀ: rows of Ad(h)⁻¹ · vecs move by −(…) · ad(g_μ e_b)ᵀ along fiber parameter b
-        self.ad_fiber_T = np.einsum("ijk,ib->bjk", a.c, ctx.g_mu)
+        self.ad_fiber_T = np.einsum("ijk,ib->bjk", a.c, ctx.split.g_mu)
         self.horizontal_T = ctx.horizontal_part(np.eye(2 * self.n)[: self.n])  # row i: H(e_i, 0)
         self.gamma_T = ctx.gamma_mu.reshape(2 * self.n, -1).T  # [(b, c), a] = Γ(μ)[a, b, c]
         self.identity = np.eye(self.n)
         self._points: dict = {}
-        self._tables: dict = {}  # (t, fiber) -> (level values, derivatives)
 
-    def _batch(self, cache: dict, build, ts, fibers) -> list:
-        """The entries of ``cache`` at the rows t of ``ts`` and ``fibers`` (one Ad
-        matrix, or one per row), those missing built by ``build`` in one pass."""
+    def points(self, ts, fibers) -> list[PointKernel]:
+        """The kernels at the rows t of ``ts`` and ``fibers`` (one Ad matrix, or
+        one per row), those not yet cached built in one stacked pass (``_build``)."""
         ts = np.asarray(ts, dtype=float).reshape(-1, self.chart.dim)
         fibers = np.broadcast_to(np.asarray(fibers, dtype=float), (len(ts), self.n, self.n))
         keys = [(t.tobytes(), fiber.tobytes()) for t, fiber in zip(ts, fibers)]
-        new = {key: i for i, key in enumerate(keys) if key not in cache}
+        new = {key: i for i, key in enumerate(keys) if key not in self._points}
         if new:
             index = list(new.values())
-            cache.update(zip(new, build(ts[index], fibers[index])))
-        return [cache[key] for key in keys]
-
-    def points(self, ts, fibers) -> list[PointKernel]:
-        """The kernels at the rows t of ``ts`` and ``fibers``, those not yet
-        cached built in one stacked pass (``_build``)."""
-        return self._batch(self._points, self._build, ts, fibers)
-
-    def tables(self, ts, fibers) -> list:
-        """The level tables (``_level_table``) at the rows t of ``ts`` and
-        ``fibers``, those not yet cached built in one stacked pass: one frame
-        solve per direction, one jet contraction and one contraction of Γ(μ)
-        with every lift row, each product acting on one vector alone (None
-        where the lifts or the frame fail a check; reading it raises)."""
-        return self._batch(self._tables, self._build_tables, ts, fibers)
-
-    def _build_tables(self, ts: np.ndarray, fibers: np.ndarray) -> list:
-        kernels = self.points(ts, fibers)
-        ok = [p.lift_ok and p.tangent and p.frame_ok for p in kernels]
-        u, jet = (np.array([getattr(p, f) for p in kernels]) for f in ("lifts", "jet"))
-        # a point that failed a check solves in the identity frame, and gets None
-        F = np.array([p.F if good else self.identity for p, good in zip(kernels, ok)])
-        derivs = _along(jet, np.linalg.solve(F[:, None], u[..., : self.n, None])[..., 0])
-        return [(level, d) if good else None
-                for level, d, good in zip(self._induced(u, u[:, None], derivs), derivs, ok)]
+            self._points.update(zip(new, self._build(ts[index], fibers[index])))
+        return [self._points[key] for key in keys]
 
     def point(self, t, fiber: np.ndarray) -> PointKernel:
         """The kernel at (exp(Σ t_a E_a) · h, μ): ``points`` on a batch of one."""
@@ -334,10 +312,21 @@ class SigmaGeometry:
         residual = M @ (lifts[..., : self.n] @ self.w1grp).transpose(0, 2, 1) - D
         tangent = ~np.any(np.linalg.norm(residual, axis=-2)
                           > TANGENT_RTOL * np.maximum(1.0, np.linalg.norm(D, axis=-2)), axis=-1)
-        F = np.concatenate([V, np.broadcast_to(ctx.g_mu, (len(ts),) + ctx.g_mu.shape)], axis=2)
+        g_mu = ctx.split.g_mu
+        F = np.concatenate([V, np.broadcast_to(g_mu, (len(ts),) + g_mu.shape)], axis=2)
+        lift_ok, frame_ok = linalg.rank(M) == M.shape[-1], linalg.rank(F) == self.n
+        ok = lift_ok & tangent & frame_ok
+        jet = d_rows @ self.horizontal_T
+        # the table: one frame solve per lift (in the identity frame where a check failed:
+        # that table is never read), every product acting on one vector alone
+        derivs = _along(jet, np.linalg.solve(np.where(ok[:, None, None], F, self.identity)[:, None],
+                                             lifts[..., : self.n, None])[..., 0])
+        level = self._induced(lifts, lifts[:, None], derivs)
+        cov = -linalg.matvec((coad @ self.K_T)[:, None, None],
+                             ctx.horizontal_part(level)[..., : self.n])
         return [PointKernel(*fields) for fields in zip(
-            coad, D, M, (linalg.rank(M) == M.shape[-1]).tolist(), lifts, tangent.tolist(), F,
-            (linalg.rank(F) == self.n).tolist(), d_rows @ self.horizontal_T)]
+            coad, D, M, lift_ok.tolist(), lifts, tangent.tolist(), F, frame_ok.tolist(), jet,
+            ok.tolist(), derivs, level, cov)]
 
     # -- lifting ---------------------------------------------------------
 
@@ -406,18 +395,17 @@ class SigmaGeometry:
         ts = np.array([t + s * p[:km] for p in params for s in steps])
         if not self.ctx.stabilizer_dim:
             return ts, np.broadcast_to(fiber, (len(ts),) + fiber.shape)
-        ad_y = [np.multiply.outer(steps, self.ctx.algebra.ad(self.ctx.g_mu @ p[km:]))
+        ad_y = [np.multiply.outer(steps, self.ctx.algebra.ad(self.ctx.split.g_mu @ p[km:]))
                 for p in params]
         return ts, (fiber @ linalg.expm(np.array(ad_y), batch_ndim=1)).reshape(-1, self.n, self.n)
 
     def _stencil(self, t, fiber: np.ndarray, us, step: float, fld, *,
-                 richardson: bool = False, tables: bool = False) -> np.ndarray:
+                 richardson: bool = False) -> np.ndarray:
         """Central differences of ``fld``, a function (t, fiber) -> array, along
-        the direction u or each row of a stack ``us``, with their kernels (with
-        ``tables``, their level tables) built in one batch; with Richardson
-        extrapolation, (4·d(step/2) − d(step))/3."""
+        the direction u or each row of a stack ``us``, with their kernels built
+        in one batch; with Richardson extrapolation, (4·d(step/2) − d(step))/3."""
         ts, fibers = self._stencil_points(t, fiber, us, step, richardson)
-        (self.tables if tables else self.points)(ts, fibers)
+        self.points(ts, fibers)
         v = np.array([fld(t2, fib) for t2, fib in zip(ts, fibers)])
         v = v.reshape((-1, 4 if richardson else 2) + v.shape[1:])
         d = (v[:, 0] - v[:, 1]) / (2.0 * step)
@@ -442,23 +430,20 @@ class SigmaGeometry:
         return -linalg.matvec(self.point(t, fiber).coad @ self.K_T,
                               np.asarray(v, dtype=float)[..., : self.n])
 
-    def _level_table(self, t, fiber: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """level[i, j] = P∘∇ along f̄_i of f̄_j, for the lifted chart coordinate
-        fields f̄ = ``lifts`` at (t, fiber), and derivs[i, j], the exact
-        derivative of f̄_j along f̄_i that level[i, j] is built from: the table
-        ``tables`` built, or on a miss a batch of one."""
-        table = (self._tables.get((np.asarray(t, dtype=float).tobytes(), fiber.tobytes()))
-                 or self.tables(t, fiber)[0])
-        if table is None:  # the point failed a check: raise it
-            self._params(t, fiber, self.lifts(t, fiber))
-        return table
-
     def cov_table(self, t, fiber: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """level[i, j] = P∘∇ along f̄_i of f̄_j (``_level_table``) and cov[i, j]
-        = its pushdown, the reduced ∇ʳ(f_i) f_j, over the chart coordinate
-        fields at (t, fiber), with the radical part of each level value removed."""
-        level, _ = self._level_table(t, fiber)
-        return level, self.pushdown(t, fiber, self.ctx.horizontal_part(level))
+        """The kernel's table at (t, fiber), once its checks pass: level[i, j] =
+        P∘∇ along f̄_i of f̄_j, for the lifted chart coordinate fields f̄ =
+        ``lifts``, and cov[i, j] = the pushdown of its horizontal part, the
+        reduced ∇ʳ(f_i) f_j.
+
+        Raises:
+            SingularProjection, NotTangent: as ``lifts``.
+            RankLoss: the chart-fiber frame lost rank at the point.
+        """
+        p = self.point(t, fiber)
+        if not p.ok:  # raise the failed check
+            self._params(t, fiber, self.lifts(t, fiber))
+        return p.level, p.cov
 
 
 def _along(jet: np.ndarray, params: np.ndarray) -> np.ndarray:
@@ -556,18 +541,9 @@ def autoparallel_check(ctx: ReductionContext, *, geom: SigmaGeometry | None = No
                           gamma_mu=ctx.gamma_mu)
     geom_b = SigmaGeometry(other, chart)
     ts = [rng.uniform(-0.3, 0.3, size=chart.dim) * chart.radius for _ in range(n_samples)]
-    geom.tables(ts, geom.identity)
-    geom_b.tables(ts, geom_b.identity)
+    geom.points(ts, geom.identity)
+    geom_b.points(ts, geom_b.identity)
     diff = max((float(np.max(np.abs(geom.cov_table(t, geom.identity)[1]
                                     - geom_b.cov_table(t, geom_b.identity)[1]))) for t in ts),
                default=0.0)
     return AutoparallelReport(defect, diff, n_samples * chart.dim ** 2)
-
-
-def kks_residual(ctx: ReductionContext, chart: OrbitChart, t) -> float:
-    """Largest relative gap between the reduced form and the sign-matched
-    canonical orbit form over chart coordinate pairs at t."""
-    geom = SigmaGeometry(ctx, chart)
-    p = geom.point(t, geom.identity)
-    lifts = geom.lifts(t, geom.identity)
-    return kks_gap(kks_pairs(ctx.algebra, p.D, p.coad @ ctx.mu, geom.form_table(lifts, lifts)))

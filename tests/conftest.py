@@ -25,7 +25,7 @@ def perfbench_cases():
 
 def track_geometries(monkeypatch) -> list:
     """Every ``SigmaGeometry`` built from now on, in order of construction; each
-    keeps the level-set tables it computed in ``_tables``."""
+    keeps the kernels it built, level tables included, in ``_points``."""
     built = []
     init = rc.SigmaGeometry.__init__
 
@@ -42,6 +42,24 @@ AFF1_DOC = {
     "name": "aff1",
     "brackets": [[0, 1, [1, 1.0]]],
     "realization": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]],
+}
+_AFF1_BRACKETS = {"dim": 2, "brackets": [[0, 1, [1, 1.0]]]}
+# aff(1) documents, for μ = (0, 1), each with one value of another JSON type
+# than the schema's: a loader that coerces it would accept the document
+MALFORMED_ALGEBRAS = {
+    "dim=2.5": dict(_AFF1_BRACKETS, dim=2.5),
+    "dim='2'": dict(_AFF1_BRACKETS, dim="2"),
+    "index=1.9": dict(_AFF1_BRACKETS, brackets=[[0, 1.9, [1, 1.0]]]),
+    "index=true": dict(_AFF1_BRACKETS, brackets=[[0, 1, [True, 1.0]]]),
+    "coeff='1.0'": dict(_AFF1_BRACKETS, brackets=[[0, 1, [1, "1.0"]]]),
+    "coeff=true": dict(_AFF1_BRACKETS, brackets=[[0, 1, [1, True]]]),
+    "realization='1.0'": dict(AFF1_DOC, realization=[[["1.0", 0.0], [0.0, 0.0]],
+                                                      [[0.0, 1.0], [0.0, 0.0]]]),
+    "realization=true": dict(AFF1_DOC, realization=[[[True, 0.0], [0.0, 0.0]],
+                                                     [[0.0, 1.0], [0.0, 0.0]]]),
+    "det_one='false'": dict(_AFF1_BRACKETS, det_one="false"),
+    "orthogonal=0": dict(_AFF1_BRACKETS, orthogonal=0),
+    "name=2": dict(_AFF1_BRACKETS, name=2),
 }
 
 

@@ -138,7 +138,7 @@ def test_criterion_3_flagship_reduction():
     t0 = grid[7]
     base = geom.cov_table(t0, geom.identity)[1][0, 1]
     for _ in range(5):
-        fib = rc.group_exp(a, ctx.g_mu @ rng.uniform(-1, 1, 1))
+        fib = rc.group_exp(a, ctx.split.g_mu @ rng.uniform(-1, 1, 1))
         moved = geom.cov_table(t0, fib)[1][0, 1]
         fiber_diff = max(fiber_diff, float(np.max(np.abs(base - moved))))
     ok = (torsion <= 1e-6 and parallel <= 1e-6 and closed <= 1e-6

@@ -1,10 +1,9 @@
-"""Batched point kernels and level tables.  ``SigmaGeometry.points`` builds
-every kernel of a batch in one stacked pass, ``SigmaGeometry.tables`` every
-level table, and neither depends on the batch it was built in: each batch below
-is compared with one-point builds bit for bit, field by field, on so(4) regular
-and singular and so(5) regular.  A point past the chart radius where the frame
-or the lift system loses rank is built with the others and raises only when it
-is used.  A kernel's lifts are the horizontal projection of the section
+"""Batched point kernels.  ``SigmaGeometry.points`` builds every kernel of a
+batch, its level table included, in one stacked pass, and no kernel depends on
+the batch it was built in: each batch below is compared with one-point builds
+bit for bit, field by field, on so(4) regular and singular and so(5) regular.
+A point past the chart radius where the frame or the lift system loses rank is
+built with the others and raises only when its table is read.  A kernel's lifts are the horizontal projection of the section
 velocity, which equals the quotient-map solve M⁺D to roundoff."""
 
 import dataclasses
@@ -39,7 +38,7 @@ def case(request):
 
 
 def _fiber(ctx, y):
-    return rc.group_exp(ctx.algebra, ctx.g_mu @ np.asarray(y, dtype=float))
+    return rc.group_exp(ctx.algebra, ctx.split.g_mu @ np.asarray(y, dtype=float))
 
 
 def _assert_same(batched: PointKernel, single: PointKernel) -> None:
@@ -81,7 +80,7 @@ def _stencil_sets(ctx, chart, rng) -> list:
     fiber = _fiber(ctx, rng.uniform(-1, 1, k))
     sets = [geom._stencil_points(t, geom.identity, geom.lifts(t, geom.identity), 1e-4),
             geom._stencil_points(t, geom.identity, geom.lifts(t, geom.identity), 1e-3, True),
-            geom._stencil_points(t, fiber, np.pad(ctx.g_mu.T, ((0, 0), (0, n))), 1e-5)]
+            geom._stencil_points(t, fiber, np.pad(ctx.split.g_mu.T, ((0, 0), (0, n))), 1e-5)]
     for ts, fibers in sets:
         assert len(ts) == len(fibers) and len({f.tobytes() for f in fibers}) > 1
     tensor = [t + sign * 1e-4 * np.eye(km)[x] for x in range(km) for sign in (1.0, -1.0)]
@@ -94,18 +93,24 @@ def test_stencil_batches_are_single_builds(case, rng):
         _assert_batch_is_single_builds(ctx, chart, ts, fibers)
 
 
+def _table(geom, t, fiber) -> tuple:
+    """The checked read of the table at (t, fiber) and the derivatives it is built from."""
+    return geom.cov_table(t, fiber) + (geom.point(t, fiber).derivs,)
+
+
 def test_stencil_table_batches_are_single_builds(case, rng):
-    # each table of a batch, level values and derivatives, is its one-point
-    # build bit for bit: every product acts on one vector alone
+    # each table of a batch, level values, pushdowns and derivatives, read
+    # through cov_table, is its one-point build bit for bit: every product acts
+    # on one vector alone
     ctx, chart = case
     for ts, fibers in _stencil_sets(ctx, chart, rng):
         geom = rc.SigmaGeometry(ctx, chart)
-        geom.tables(ts, fibers)
-        assert len(geom._tables) == len({(np.asarray(t).tobytes(), f.tobytes())
+        geom.points(ts, fibers)
+        assert len(geom._points) == len({(np.asarray(t).tobytes(), f.tobytes())
                                          for t, f in zip(ts, fibers)})
         for t, fiber in zip(ts, fibers):
-            batched = geom._level_table(t, fiber)
-            single = rc.SigmaGeometry(ctx, chart)._level_table(t, fiber)
+            batched = _table(geom, t, fiber)
+            single = _table(rc.SigmaGeometry(ctx, chart), t, fiber)
             for a, b in zip(batched, single):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -224,9 +229,9 @@ def test_lift_rank_loss_raises_only_at_its_point():
 @pytest.mark.parametrize("rank_loss", ["frame", "lift"])
 def test_table_batch_raises_only_at_its_rank_loss_point(rank_loss):
     # so(4) regular at π·e₀ (the frame loses rank) and aff1 at 30·e₀ (the lift
-    # matrix does): a table batch with that point is built without raising, the
+    # matrix does): a batch with that point is built without raising, the
     # other tables are their one-point builds, and only that point's table
-    # raises, on every use
+    # raises, on every read
     if rank_loss == "frame":
         ctx, chart = _setup(CASES[0])
         bad, error = np.pi * np.eye(chart.dim)[0], RankLoss
@@ -236,19 +241,17 @@ def test_table_batch_raises_only_at_its_rank_loss_point(rank_loss):
         bad, error = np.array([30.0, 0.0]), SingularProjection
     ts = [np.linspace(-0.2, 0.3, chart.dim), bad, np.linspace(0.25, -0.1, chart.dim)]
     geom = rc.SigmaGeometry(ctx, chart)
-    geom.tables(ts, geom.identity)
-    assert [geom._tables[(t.tobytes(), geom.identity.tobytes())] is None for t in ts] == \
+    geom.points(ts, geom.identity)
+    assert [not geom._points[(t.tobytes(), geom.identity.tobytes())].ok for t in ts] == \
         [t is bad for t in ts]
     for t in ts:
         if t is bad:
             for _ in range(2):
                 with pytest.raises(error):
-                    geom._level_table(bad, geom.identity)
-                with pytest.raises(error):
                     geom.cov_table(bad, geom.identity)
         else:
-            single = rc.SigmaGeometry(ctx, chart)._level_table(t, geom.identity)
-            for a, b in zip(geom._level_table(t, geom.identity), single):
+            single = _table(rc.SigmaGeometry(ctx, chart), t, geom.identity)
+            for a, b in zip(_table(geom, t, geom.identity), single):
                 assert a.tobytes() == b.tobytes()
 
 

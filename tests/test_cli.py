@@ -13,7 +13,7 @@ import redconn
 from redconn.cli import main
 from redconn.pipeline import CaseConfig, run_pipeline, verify_suite
 from redconn.errors import ConfigError
-from tests.conftest import AFF1_DOC, perfbench_cases
+from tests.conftest import AFF1_DOC, MALFORMED_ALGEBRAS, perfbench_cases
 
 
 def _write_config(tmp_path, doc, name="case.json"):
@@ -178,6 +178,12 @@ class TestExitCodes:
         assert main(["curvature", "--config", cfg]) == 2
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "ConfigError"
 
+    @pytest.mark.parametrize("group", MALFORMED_ALGEBRAS.values(), ids=MALFORMED_ALGEBRAS)
+    def test_malformed_algebra_is_config_error(self, tmp_path, capsys, group):
+        cfg = _write_config(tmp_path, {"group": group, "mu": [0.0, 1.0]})
+        assert main(["validate", "--config", cfg]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "ConfigError"
+
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {"group": "so3", "mu": [0, 0, 1], "bogus": 1})
         assert main(["validate", "--config", cfg]) == 2
@@ -300,6 +306,25 @@ class TestFlags:
         main(["validate", "--config", cfg, "--out", str(out_path), "--seed", "9"])
         rep = json.loads(out_path.read_text())
         assert rep["config"]["seed"] == 9
+
+    def test_fd_step_reaches_only_the_jet_fd_check(self, tmp_path, capsys):
+        # fd_step is the step of red/jet-fd's central differences and of no
+        # other computed value: a coarser step moves that check's value alone
+        cfg = _write_config(tmp_path, {"group": "so3", "mu": [0.0, 0.0, 1.0]})
+        reports = {}
+        for verb in ("curvature", "verify"):
+            for step in (None, "1e-3"):
+                flags = ["--fd-step", step] if step else []
+                assert main([verb, "--config", cfg, "--seed", "2", *flags]) == 0
+                rep = _strip_timings(json.loads(capsys.readouterr().out))
+                reports[verb, step] = rep
+                assert rep.pop("config")["fd_step"] == float(step or 1e-5)
+        assert reports["curvature", None] == reports["curvature", "1e-3"]
+        default, coarse = ({c["name"]: c for c in reports["verify", step]["checks"]}
+                           for step in (None, "1e-3"))
+        assert default.keys() == coarse.keys()
+        assert [name for name in default if default[name] != coarse[name]] == ["red/jet-fd"]
+        assert default["red/jet-fd"]["value"] < 1e-9 < coarse["red/jet-fd"]["value"] < 1e-6
 
     def test_tol_scale_loosens_thresholds(self):
         cfg = CaseConfig.from_dict(dict(SO3_DOC, tol_scale=10.0))

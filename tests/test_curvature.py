@@ -97,7 +97,7 @@ class TestFlagship:
         a = _so4() if name == "so4" else rc.named_algebra(name)
         ctx = rc.build_context(a, np.asarray(mu))
         B = np.random.default_rng(5).standard_normal((ctx.stabilizer_dim, ctx.base_dim))
-        charts = [rc.default_chart(ctx), rc.orbit_chart(a, ctx.mu, ctx.m + ctx.g_mu @ B)]
+        charts = [rc.default_chart(ctx), rc.orbit_chart(a, ctx.mu, ctx.m + ctx.split.g_mu @ B)]
         geoms = [SigmaGeometry(ctx, chart) for chart in charts]
         t = np.zeros(charts[0].dim)
         assert np.max(np.abs(charts[0].dnu(t) - charts[1].dnu(t))) <= 1e-12
@@ -172,7 +172,7 @@ class TestTensorRoute:
 
     def test_direction_subset_reads_only_its_rows_on_so4(self):
         # on so(4) regular km = 4, so a block over two directions builds the
-        # table at t and at the stencil points of its own two directions only
+        # kernel at t and at the stencil points of its own two directions only
         ctx = rc.build_context(_so4(), np.array([1.0, 0.0, 0.0, 0.0, 0.0, 2.0]))
         chart = rc.default_chart(ctx)
         t = np.array([0.12, -0.2, 0.07, 0.15])
@@ -180,7 +180,7 @@ class TestTensorRoute:
         full = curvature_formula(geoms[0], t)
         block = curvature_formula(geoms[1], t, directions=(2, 0))
         assert (block == full[np.ix_([2, 0], [2, 0])]).all()
-        assert [len(geom._tables) for geom in geoms] == [1 + 2 * 4, 1 + 2 * 2]
+        assert [len(geom._points) for geom in geoms] == [1 + 2 * 4, 1 + 2 * 2]
 
 
 class TestCatalogAgreement:
@@ -389,11 +389,12 @@ class TestConvergence:
         assert len(geometries) == 1  # the reference shares the probe's geometry
         geom, = geometries
         displaced = 2 * 4 + 2 * (2 * 2 + 2 * 2)
-        assert len(geom._tables) == len(geom._points) == 1 + displaced
+        assert len(geom._points) == 1 + displaced
         assert batches == [1, displaced]
-        assert (t.tobytes(), geom.identity.tobytes()) in geom._tables
-        for level, derivs in geom._tables.values():
-            assert level.shape == derivs.shape == (chart.dim, chart.dim, 2 * geom.n)
+        assert (t.tobytes(), geom.identity.tobytes()) in geom._points
+        for p in geom._points.values():
+            assert p.level.shape == p.derivs.shape == (chart.dim, chart.dim, 2 * geom.n)
+            assert p.cov.shape == (chart.dim, chart.dim, geom.n)
 
     def test_so4_regular_probe_measures_truncation(self):
         # on S² × S² the triples (0, 1, l) have zero curvature at the first
@@ -422,9 +423,9 @@ class TestOneEvaluationPerValue:
 
         monkeypatch.setattr(curvature, "curvature_formula",
                             counted("formula", curvature_formula))
-        # every level-set table, whether read through cov_table (tensor, sweep)
-        # or directly (formula), is computed by _level_table once per geometry
-        # and (t, fiber)
+        # every level-set table, read through cov_table by the tensor, the
+        # sweep and the formula, is computed with its kernel, once per
+        # geometry and (t, fiber)
         geometries = track_geometries(monkeypatch)
         cfg = CaseConfig.from_dict({"group": "so3", "mu": [0.0, 0.0, 1.0], "samples": 5})
         rep, code = run_pipeline(cfg)
@@ -446,7 +447,7 @@ class TestOneEvaluationPerValue:
         # directions for the reference, and at each of its two steps t ± h
         # along the two directions, shared by both routes.
         assert rep["stages"]["reduce"]["autoparallel"]["independence"] is None
-        tables = sum(len(g._tables) for g in geometries)
+        tables = sum(len(g._points) for g in geometries)
         assert tables == (cfg.samples + 5 + points * (1 + 2 * 2 * km) - 1 - 2 * km
                           + 2 * 4 + 2 * (2 * 2))
 

@@ -6,7 +6,7 @@ import pytest
 import redconn as rc
 from redconn import linalg
 from redconn.errors import ConfigError, NoRealization, NonReductiveStabilizer
-from tests.conftest import AFF1_DOC, CATALOG_CASES
+from tests.conftest import AFF1_DOC, CATALOG_CASES, MALFORMED_ALGEBRAS
 
 
 def _basis(n, i):
@@ -350,3 +350,18 @@ class TestJsonLoading:
     def test_out_of_range_rejected(self, doc):
         with pytest.raises(ConfigError):
             rc.algebra_from_json(doc)
+
+    # a value of another JSON type is refused, not coerced: dim 2.5 would load
+    # as 2, a bracket index 1.9 as 1, the coefficient "1.0" or true as 1.0 and
+    # the claim "false" as true
+    @pytest.mark.parametrize("doc", MALFORMED_ALGEBRAS.values(), ids=MALFORMED_ALGEBRAS)
+    def test_wrong_type_rejected(self, doc):
+        with pytest.raises(ConfigError, match="malformed algebra document"):
+            rc.algebra_from_json(doc)
+
+    # a realization that is not a stack of matrices fails its shape check
+    # rather than indexing past its dimensions
+    @pytest.mark.parametrize("realization", [1.0, [1.0], [[1.0]]], ids=["0d", "1d", "2d"])
+    def test_realization_of_too_few_dimensions_rejected(self, realization):
+        with pytest.raises(ConfigError, match="realization has shape"):
+            rc.algebra_from_json({"dim": 1, "realization": realization})

@@ -36,7 +36,7 @@ def test_lifts_and_tables_at_random_points_and_fibers(so4_case, t_unit, y):
     ctx, chart = so4_case
     a, km, k = ctx.algebra, chart.dim, ctx.stabilizer_dim
     t = 0.4 * chart.radius * np.asarray(t_unit[:km])
-    fiber = rc.group_exp(a, ctx.g_mu @ np.asarray(y[:k]))
+    fiber = rc.group_exp(a, ctx.split.g_mu @ np.asarray(y[:k]))
     geom = rc.SigmaGeometry(ctx, chart)
 
     lifts = geom.lifts(t, fiber)
@@ -72,8 +72,8 @@ def test_jet_matches_richardson_stencil(regular_case, scale, t_unit, y):
     a, km, k = ctx.algebra, chart.dim, ctx.stabilizer_dim
     t = 0.4 * chart.radius * np.asarray(t_unit[:km])
     geom = rc.SigmaGeometry(ctx, chart)
-    for fiber in (geom.identity, rc.group_exp(a, ctx.g_mu @ np.asarray(y[:k]))):
-        us = np.vstack([geom.lifts(t, fiber), np.pad(ctx.g_mu.T, ((0, 0), (0, a.dim)))])
+    for fiber in (geom.identity, rc.group_exp(a, ctx.split.g_mu @ np.asarray(y[:k]))):
+        us = np.vstack([geom.lifts(t, fiber), np.pad(ctx.split.g_mu.T, ((0, 0), (0, a.dim)))])
         exact = geom.lift_derivatives(t, fiber, us)
         assert exact.shape == (km + k, km, 2 * a.dim)
         for u, d in zip(us, exact):

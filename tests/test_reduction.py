@@ -138,10 +138,10 @@ class TestBuildContext:
             assert np.isfinite(ctx.diagnostics["decomposition_cond"])
             # alpha reads stabilizer coordinates off the vertical generators
             for i in range(k):
-                gen = rc.fundamental_field(a, "right", ctx.g_mu[:, i],
+                gen = rc.fundamental_field(a, "right", ctx.split.g_mu[:, i],
                                            rc.PhasePoint(None, mu))
-                back = ctx.g_mu @ ctx.alpha(gen)
-                assert np.max(np.abs(back - ctx.g_mu[:, i])) <= 1e-10
+                back = ctx.split.g_mu @ ctx.alpha(gen)
+                assert np.max(np.abs(back - ctx.split.g_mu[:, i])) <= 1e-10
             if ctx.w1.shape[1]:
                 assert np.max(np.abs(ctx.alpha_mat @ ctx.w1)) <= 1e-12
                 gram = ctx.w1.T @ om @ ctx.w1
@@ -234,7 +234,7 @@ class TestSigmaCovderiv:
         conn = so3_ctx.connection
         gamma = conn.coefficients(mu_so3)
         P = so3_ctx.p_matrix
-        h = rc.group_exp(so3, so3_ctx.g_mu @ rng.uniform(-1, 1, 1))
+        h = rc.group_exp(so3, so3_ctx.split.g_mu @ rng.uniform(-1, 1, 1))
         T = np.zeros((6, 6))
         T[:3, :3] = np.linalg.inv(h)
         T[3:, 3:] = rc.coadjoint_matrix(np.linalg.inv(h))
@@ -362,7 +362,7 @@ class TestReducedCovderiv:
         t = np.array([0.2, -0.15])
         base = _reduced_table(so3_ctx, so3_chart, t)[0, 1]
         for _ in range(5):
-            h = rc.group_exp(so3, so3_ctx.g_mu @ rng.uniform(-1, 1, 1))
+            h = rc.group_exp(so3, so3_ctx.split.g_mu @ rng.uniform(-1, 1, 1))
             moved = _reduced_table(so3_ctx, so3_chart, t, fiber=h)[0, 1]
             assert np.max(np.abs(base - moved)) <= 1e-8
 
@@ -430,7 +430,7 @@ class TestTotallyGeodesic:
         gamma = conn.coefficients(mu_so3)
         om = rc.omega_gram(so3, mu_so3)
         P = so3_ctx.p_matrix
-        u = _vec(so3_ctx.g_mu[:, 0], np.zeros(3))
+        u = _vec(so3_ctx.split.g_mu[:, 0], np.zeros(3))
         cov = P @ np.einsum("abc,a,b->c", gamma, u, u)
         oracle = max(abs(float(cov @ om @ (P @ z))) for z in np.eye(6))
         assert abs(rc.totally_geodesic_defect(so3_ctx) - oracle) <= 1e-12
@@ -505,7 +505,7 @@ class TestPointKernel:
         a, ctx, chart = _case(name, mu)
         geom = SigmaGeometry(ctx, chart)
         t = rng.uniform(-0.4, 0.4, chart.dim)
-        h = rc.group_exp(a, ctx.g_mu @ rng.uniform(-1, 1, ctx.stabilizer_dim))
+        h = rc.group_exp(a, ctx.split.g_mu @ rng.uniform(-1, 1, ctx.stabilizer_dim))
         g = chart.section_element(t)
         K_T = a.bracket_pairing(ctx.mu).T
         coad_ref = rc.coadjoint_matrix(g @ h)
@@ -528,7 +528,7 @@ class TestPointKernel:
     def test_hot_path_builds_no_group_element(self, monkeypatch, name, mu, rng):
         a, ctx, chart = _case(name, mu)
         geom = SigmaGeometry(ctx, chart)
-        fiber = rc.group_exp(a, ctx.g_mu @ rng.uniform(-1, 1, ctx.stabilizer_dim))
+        fiber = rc.group_exp(a, ctx.split.g_mu @ rng.uniform(-1, 1, ctx.stabilizer_dim))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("group element built on the hot path")
@@ -573,7 +573,7 @@ class TestCovTable:
         a, ctx, chart = _case(name, mu)
         t = rng.uniform(-0.3, 0.3, chart.dim)
         assert np.any(t != 0.0)
-        random_fiber = rc.group_exp(a, ctx.g_mu @ rng.uniform(-1, 1, ctx.stabilizer_dim))
+        random_fiber = rc.group_exp(a, ctx.split.g_mu @ rng.uniform(-1, 1, ctx.stabilizer_dim))
         h, fd_rtol = (1e-3, 1e-10) if richardson else (1e-5, 1e-9)
         for fiber in (np.eye(a.dim), random_fiber):
             geom = SigmaGeometry(ctx, chart)
@@ -601,9 +601,11 @@ class TestCovTable:
         a, ctx, chart = _case(name, mu)
         t = rng.uniform(-0.3, 0.3, chart.dim)
         assert np.any(t != 0.0)
-        random_fiber = rc.group_exp(a, ctx.g_mu @ rng.uniform(-1, 1, ctx.stabilizer_dim))
+        random_fiber = rc.group_exp(a, ctx.split.g_mu @ rng.uniform(-1, 1, ctx.stabilizer_dim))
         for fiber in (np.eye(a.dim), random_fiber):
-            full, derivs = SigmaGeometry(ctx, chart)._level_table(t, fiber)
+            table_geom = SigmaGeometry(ctx, chart)
+            full = table_geom.cov_table(t, fiber)[0]
+            derivs = table_geom.point(t, fiber).derivs
             for r in range(chart.dim):
                 geom = SigmaGeometry(ctx, chart)
                 u = geom.lifts(t, fiber)
@@ -614,24 +616,28 @@ class TestCovTable:
 
     @pytest.mark.parametrize("richardson", [False, True], ids=["central", "richardson"])
     def test_tables_are_kept_and_freed_with_the_geometry(self, richardson):
-        # each (t, fiber) table is computed once; the kept tables, and the
-        # kernels a stencil (central or Richardson) built in one batch, hold no
-        # reference back to the geometry, so dropping it frees it at once
+        # each (t, fiber) kernel, its table included, is computed once; the
+        # kept kernels, those a stencil (central or Richardson) built in one
+        # batch among them, hold no reference back to the geometry, so
+        # dropping it frees it at once
         _, ctx, chart = _case(*KERNEL_CASES[-1])
         geom = SigmaGeometry(ctx, chart)
         t = np.linspace(-0.2, 0.15, chart.dim)
-        level, derivs = geom._level_table(t, geom.identity)
+        level, cov = geom.cov_table(t, geom.identity)
+        derivs = geom.point(t, geom.identity).derivs
         geom._stencil(t, geom.identity, geom.lifts(t, geom.identity), 1e-3, geom.lifts,
                       richardson=richardson)
         assert level.shape == derivs.shape == (chart.dim, chart.dim, 2 * geom.n)
-        again, again_derivs = geom._level_table(t.copy(), np.eye(geom.n))
-        assert again is level and again_derivs is derivs
-        assert geom._level_table(t + 1e-5, geom.identity)[0] is not level
-        assert len(geom._tables) == 2
+        assert cov.shape == (chart.dim, chart.dim, geom.n)
+        again, again_cov = geom.cov_table(t.copy(), np.eye(geom.n))
+        assert again is level and again_cov is cov
+        assert geom.point(t.copy(), np.eye(geom.n)).derivs is derivs
+        assert geom.cov_table(t + 1e-5, geom.identity)[0] is not level
+        assert len(geom._points) == 2 + (4 if richardson else 2) * chart.dim
         ref = weakref.ref(geom)
         gc.disable()
         try:
-            del geom, level, derivs, again, again_derivs
+            del geom, level, cov, derivs, again, again_cov
             assert ref() is None
         finally:
             gc.enable()

@@ -11,6 +11,7 @@ import pytest
 import redconn as rc
 from redconn import report as report_mod
 from redconn.cli import main
+from redconn.orbits import kks_gap, kks_pairs
 from redconn.pipeline import THRESHOLDS, CaseConfig, run_pipeline, verify_suite
 from tests.conftest import AFF1_DOC, CATALOG_CASES
 
@@ -107,8 +108,11 @@ def test_reduce_stage_matches_library_definitions(name):
     torsion = kks = parallel = 0.0
     for t in np.asarray(stage["chart_points"]):
         D = chart.dnu(t)
-        _, cov = rc.SigmaGeometry(ctx, chart).cov_table(t, np.eye(ctx.algebra.dim))
-        kks = max(kks, rc.kks_residual(ctx, chart, t))
+        geom = rc.SigmaGeometry(ctx, chart)
+        _, cov = geom.cov_table(t, geom.identity)
+        p, lifts = geom.point(t, geom.identity), geom.lifts(t, geom.identity)
+        pairs = kks_pairs(ctx.algebra, p.D, p.coad @ ctx.mu, geom.form_table(lifts, lifts))
+        kks = max(kks, kks_gap(pairs))
         for i in range(km):
             for j in range(km):
                 torsion = max(torsion, float(np.max(np.abs(cov[i][j] - cov[j][i]))))

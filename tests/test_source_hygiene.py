@@ -1,6 +1,7 @@
 """No dead code in ``src/redconn``, read with the standard library's ``ast``:
-every import is used, and every private top-level function, class or constant
-is referenced somewhere in the package."""
+every import is used, every private top-level function, class or constant is
+referenced somewhere in the package, and so is every private method of a class
+and every dataclass field, each read as an attribute."""
 
 import ast
 from pathlib import Path
@@ -43,6 +44,25 @@ def _private_definitions(tree) -> list:
             if name.startswith("_") and not name.startswith("__")]
 
 
+def _class_members(tree) -> list:
+    """(line, Class.name, name) for each private method of a class and each
+    field of a dataclass."""
+    out = []
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        fields = any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+            elif fields and isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                name = node.target.id
+            else:
+                continue
+            out.append((node.lineno, f"{cls.name}.{name}", name))
+    return out
+
+
 def test_every_import_is_used():
     unused = []
     for module, tree in TREES.items():
@@ -63,3 +83,13 @@ def test_every_private_top_level_name_is_referenced():
     dead = [f"{module}:{line} {name}" for module, tree in TREES.items()
             for line, name in _private_definitions(tree) if name not in referenced]
     assert dead == []
+
+
+def test_every_private_method_and_dataclass_field_is_read():
+    read = {node.attr for tree in TREES.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    members = [(module, member) for module, tree in TREES.items()
+               for member in _class_members(tree)]
+    assert len(members) > 20  # the fields of every dataclass and the private methods
+    assert [f"{module}:{line} {qualified}" for module, (line, qualified, name) in members
+            if name not in read] == []

@@ -116,6 +116,16 @@ def test_verify_builds_no_more_than_the_pipeline(monkeypatch, label):
                          (pipeline, "_chart_sweep"), (pipeline, "curvature_battery"),
                          (reduction, "omega_gram")):
         counted(module, name)
+    # the only kernels verify builds beyond the pipeline's: its jet-fd stencil's
+    jet_fd, jet_fd_kernels = pipeline._jet_fd_defect, []
+
+    def jet_fd_counted(geom, t, step):
+        before = len(geom._points)
+        out = jet_fd(geom, t, step)
+        jet_fd_kernels.append(len(geom._points) - before)
+        return out
+
+    monkeypatch.setattr(pipeline, "_jet_fd_defect", jet_fd_counted)
     geometries = track_geometries(monkeypatch)
     counts = []
     for run in (lambda: run_pipeline(cfg, "curvature"), lambda: verify_suite(cfg)):
@@ -124,11 +134,13 @@ def test_verify_builds_no_more_than_the_pipeline(monkeypatch, label):
         _, code = run()
         assert code == 0
         counts.append({"calls": sorted(calls), "geometries": len(geometries),
-                       "tables": sum(len(g._tables) for g in geometries)})
+                       "kernels": sum(len(g._points) for g in geometries)
+                       - sum(jet_fd_kernels)})
+    assert len(jet_fd_kernels) == 1 and jet_fd_kernels[0] > 0
     assert counts[0] == counts[1]
     assert {"build_context", "_chart_sweep", "curvature_battery"} <= set(counts[0]["calls"])
     assert counts[0]["calls"].count("omega_gram") == counts[0]["calls"].count("build_context")
-    assert counts[0]["tables"] > counts[0]["geometries"] > 0
+    assert counts[0]["kernels"] > counts[0]["geometries"] > 0
 
 
 @pytest.mark.parametrize("label", ["so3", "so4-regular"])
