@@ -114,14 +114,14 @@ def baseline_nabla_omega(a: LieAlgebra, xi, u, v, w) -> float:
                  - 0.5 * zeta @ a.bracket(X, Yp) + 0.5 * xi @ a.bracket(X, byyp))
 
 
-def solve_omega_gram(om: np.ndarray, rhs: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
+def solve_omega_gram(om: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ω(z, ·) = rhs for z, i.e. Ωᵀ z = rhs, for stacked right-hand sides.
 
     Raises SingularOmega instead of silently pseudo-inverting: nondegeneracy
     of ω is a structural assumption worth surfacing.
     """
     s = np.linalg.svd(om, compute_uv=False)
-    if s[-1] <= rtol * s[0]:
+    if s[-1] <= 1e-10 * s[0]:
         raise SingularOmega(f"symplectic Gram matrix singular (sigma_min/sigma_max = {s[-1] / s[0]:.3e})")
     flat = rhs.reshape(-1, om.shape[0])
     return np.linalg.solve(om.T, flat.T).T.reshape(rhs.shape)

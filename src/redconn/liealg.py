@@ -17,6 +17,7 @@ Conventions used throughout the library:
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,7 +122,7 @@ class LieAlgebra:
         xi = np.asarray(xi, dtype=float)
         return np.einsum("ijk,k->ij", self.c, xi)
 
-    def matrix_coords(self, M, tol: float = 1e-8) -> np.ndarray:
+    def matrix_coords(self, M) -> np.ndarray:
         """Coordinates of a realization matrix in the algebra basis."""
         if self.realization is None:
             raise NoRealization(f"algebra {self.name or '<anonymous>'} has no matrix realization")
@@ -129,7 +130,7 @@ class LieAlgebra:
         coords, *_ = np.linalg.lstsq(R, np.asarray(M, dtype=float).ravel(), rcond=None)
         residual = np.linalg.norm(R @ coords - np.asarray(M, dtype=float).ravel())
         scale = max(1.0, float(np.linalg.norm(M)))
-        if residual > tol * scale:
+        if residual > 1e-8 * scale:
             raise ValueError(f"matrix is not in the realized algebra (residual {residual:.3e})")
         return coords
 
@@ -168,7 +169,7 @@ def _stability_defect(a: LieAlgebra, g_mu: np.ndarray, m: np.ndarray) -> float:
     return defect
 
 
-def reductive_complement(a: LieAlgebra, g_mu, tol: float = COMPLEMENT_TOL) -> np.ndarray:
+def reductive_complement(a: LieAlgebra, g_mu) -> np.ndarray:
     """An ad(g_mu)-stable complement m with g = g_mu ⊕ m.
 
     Prefers the Euclidean orthogonal complement when that happens to be
@@ -190,7 +191,7 @@ def reductive_complement(a: LieAlgebra, g_mu, tol: float = COMPLEMENT_TOL) -> np
         return np.zeros((n, 0))
 
     ortho = linalg.nullspace(g_mu.T)
-    if _stability_defect(a, g_mu, ortho) <= tol:
+    if _stability_defect(a, g_mu, ortho) <= COMPLEMENT_TOL:
         return ortho
 
     # Equivariant projection pi: range(pi) = g_mu, pi fixes g_mu, and
@@ -218,7 +219,7 @@ def reductive_complement(a: LieAlgebra, g_mu, tol: float = COMPLEMENT_TOL) -> np
     m = linalg.nullspace(pi)
     if m.shape[1] != n - k or linalg.rank(np.hstack([g_mu, m])) != n:
         raise NonReductiveStabilizer("equivariant projection produced a degenerate kernel")
-    if _stability_defect(a, g_mu, m) > tol:
+    if _stability_defect(a, g_mu, m) > COMPLEMENT_TOL:
         raise NonReductiveStabilizer("projection kernel is not ad-stable within tolerance")
     return m
 
@@ -346,11 +347,11 @@ def named_algebra(name: str) -> LieAlgebra:
     raise ConfigError(f"unknown algebra {name!r}; known: {sorted(_CATALOG)} and abelian(n)")
 
 
-def _json_number(v, integer: bool = False):
-    """v, if it is a JSON number (an integer with ``integer``): bools and strings are not."""
-    if isinstance(v, bool) or not isinstance(v, int if integer else (int, float)):
-        raise TypeError(f"{v!r} is not {'an integer' if integer else 'a number'}")
-    return v
+def _is_number(v, integer: bool = False) -> bool:
+    """A finite JSON number, an integer with ``integer``; never a bool.  Python's
+    json also reads NaN, ±Infinity and integers beyond the float range."""
+    return (isinstance(v, int if integer else (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def algebra_from_json(doc) -> LieAlgebra:
@@ -368,23 +369,27 @@ def algebra_from_json(doc) -> LieAlgebra:
     if not isinstance(doc, dict) or "dim" not in doc:
         raise ConfigError("algebra document must be an object with a 'dim' key")
     try:
-        n = _json_number(doc["dim"], integer=True)
-        if n < 1:
-            raise ValueError(f"dim must be at least 1, got {n}")
+        n = doc["dim"]
+        if not _is_number(n, integer=True) or n < 1:
+            raise ValueError(f"dim must be an integer >= 1, got {n!r}")
         c = np.zeros((n, n, n))
         for entry in doc.get("brackets", []):
-            i, j = (_json_number(index, integer=True) for index in entry[:2])
+            i, j = entry[:2]
+            for index in (i, j, *(term[0] for term in entry[2:])):
+                if not (_is_number(index, integer=True) and 0 <= index < n):
+                    raise IndexError(f"bracket index {index!r} is not an integer in [0, {n})")
             for k, coeff in entry[2:]:
-                if not all(0 <= index < n for index in (i, j, _json_number(k, integer=True))):
-                    raise IndexError(f"bracket index outside [0, {n}) in {entry}")
-                c[i, j, k] = _json_number(coeff)
+                if not _is_number(coeff):
+                    raise TypeError(f"coefficient {coeff!r} is not a finite number")
+                c[i, j, k] = coeff
                 c[j, i, k] = -coeff
         rho = doc.get("realization")
         rho = None if rho is None else np.asarray(rho, dtype=object)
         claims = {key: doc.get(key, False) for key in ("det_one", "orthogonal")}
         if (not isinstance(doc.get("name", ""), str) or {type(v) for v in claims.values()} != {bool}
-                or rho is not None and {type(v) for v in rho.flat} - {int, float}):
-            raise TypeError("name must be a string, claims booleans, realization entries numbers")
+                or rho is not None and not all(map(_is_number, rho.flat))):
+            raise TypeError("name must be a string, claims booleans, realization entries "
+                            "finite numbers")
     except (TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"malformed algebra document: {exc}") from exc
     a = LieAlgebra(n, c, doc.get("name"), None if rho is None else rho.astype(float), **claims)

@@ -17,35 +17,35 @@ RANK_RTOL = 1e-10
 _EXPM_CHUNK = 2 ** 13
 
 
-def _svd_rank(s: np.ndarray, rtol: float) -> int:
+def _svd_rank(s: np.ndarray) -> int:
     if s.size == 0:
         return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > RANK_RTOL * s[0]))
 
 
-def orthonormal_columns(A, rtol: float = RANK_RTOL) -> np.ndarray:
+def orthonormal_columns(A) -> np.ndarray:
     """Orthonormal basis of the column span of ``A`` (shape (m, rank))."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.shape[1] == 0:
         return A.copy()
     u, s, _ = np.linalg.svd(A, full_matrices=False)
-    return u[:, : _svd_rank(s, rtol)]
+    return u[:, : _svd_rank(s)]
 
 
-def nullspace(A, rtol: float = RANK_RTOL) -> np.ndarray:
+def nullspace(A) -> np.ndarray:
     """Orthonormal basis of the kernel of ``A`` (shape (n, n - rank))."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     _, s, vh = np.linalg.svd(A, full_matrices=True)
-    return vh[_svd_rank(s, rtol):].T.copy()
+    return vh[_svd_rank(s):].T.copy()
 
 
-def rank(A, rtol: float = RANK_RTOL):
+def rank(A):
     """Rank of A, or of each matrix of a stack (…, m, n) alike."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if min(A.shape) == 0:
         return 0
     s = np.linalg.svd(A, compute_uv=False)
-    return np.sum(s > rtol * s[..., :1], axis=-1)
+    return np.sum(s > RANK_RTOL * s[..., :1], axis=-1)
 
 
 def projector(basis) -> np.ndarray:

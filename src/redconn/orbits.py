@@ -88,14 +88,13 @@ class OrbitChart:
         if linalg.rank(self.dnu(t)) < self.dim:
             raise RankLoss(f"chart differential lost rank at t = {np.asarray(t).tolist()}")
 
-    def coords(self, nu_target, t0=None, max_iter: int = 50,
-               tol: float = 1e-13) -> np.ndarray:
+    def coords(self, nu_target, t0=None) -> np.ndarray:
         """Invert the chart map near t0 by Gauss-Newton iteration."""
         nu_target = np.asarray(nu_target, dtype=float)
         t = np.zeros(self.dim) if t0 is None else np.asarray(t0, dtype=float).copy()
-        for _ in range(max_iter):
+        for _ in range(50):
             r = nu_target - self.nu(t)
-            if np.linalg.norm(r) <= tol * max(1.0, np.linalg.norm(nu_target)):
+            if np.linalg.norm(r) <= 1e-13 * max(1.0, np.linalg.norm(nu_target)):
                 return t
             step, *_ = np.linalg.lstsq(self.dnu(t), r, rcond=None)
             t = t + step
@@ -121,8 +120,7 @@ def orbit_tangent_frame(a: LieAlgebra, nu, m_basis) -> np.ndarray:
     return -(a.bracket_pairing(nu).T @ m_basis)
 
 
-def tangent_representative(a: LieAlgebra, nu, v,
-                           tol: float = TANGENT_RESIDUAL_TOL) -> np.ndarray:
+def tangent_representative(a: LieAlgebra, nu, v) -> np.ndarray:
     """An algebra element X with ν∘ad(X) = v, by least squares.
 
     Well defined only modulo the stabilizer of ν; the pairing below does not
@@ -133,7 +131,7 @@ def tangent_representative(a: LieAlgebra, nu, v,
     K_T = a.bracket_pairing(nu).T
     X, *_ = np.linalg.lstsq(K_T, v, rcond=None)
     residual = np.linalg.norm(K_T @ X - v)
-    if residual > tol * max(1.0, np.linalg.norm(v)):
+    if residual > TANGENT_RESIDUAL_TOL * max(1.0, np.linalg.norm(v)):
         raise NotTangent(f"no algebra element maps to the given vector (residual {residual:.3e})")
     return X
 

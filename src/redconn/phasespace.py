@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import PointOffConstraint
+from .errors import PointOffConstraint, RankLoss
 from .liealg import LieAlgebra, coadjoint_matrix
 
 
@@ -134,7 +134,7 @@ def constraint_split(a: LieAlgebra, mu) -> ConstraintSplit:
     total = linalg.orthonormal_columns(np.hstack([t_sigma, graph]))
     k = g_mu.shape[1]
     if total.shape[1] != 2 * n - k or delta.shape[1] != k:
-        raise RuntimeError("constraint split dimensions are inconsistent")
+        raise RankLoss("constraint split dimensions are inconsistent")
     return ConstraintSplit(t_sigma, t_perp, delta, total, g_mu)
 
 
@@ -155,8 +155,7 @@ def momentum_differential(a: LieAlgebra, side: str, p: PhasePoint) -> np.ndarray
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def regularity_report(a: LieAlgebra, mu, samples, side: str = "right",
-                      rtol: float = linalg.RANK_RTOL) -> dict:
+def regularity_report(a: LieAlgebra, mu, samples, side: str = "right") -> dict:
     """Check that the momentum differential has full rank n on the level set.
 
     Each sample must satisfy ξ = μ; the report records the smallest and
@@ -169,7 +168,7 @@ def regularity_report(a: LieAlgebra, mu, samples, side: str = "right",
         if np.linalg.norm(np.asarray(p.xi, dtype=float) - mu) > 1e-10 * (1 + np.linalg.norm(mu)):
             raise PointOffConstraint("sample has xi != mu")
         s = np.linalg.svd(momentum_differential(a, side, p), compute_uv=False)
-        ok = bool(s[-1] > rtol * s[0])
+        ok = bool(s[-1] > linalg.RANK_RTOL * s[0])
         regular = regular and ok
         points.append({"sigma_min": float(s[-1]), "sigma_max": float(s[0]), "regular": ok})
     return {"side": side, "points": points, "regular": regular}

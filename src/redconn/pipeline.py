@@ -11,7 +11,6 @@ of the battery yields its checks; ``_record`` turns each into a report entry.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field as dc_field
 from types import SimpleNamespace
@@ -26,7 +25,8 @@ from .connections import (average_connection, baseline_connection, baseline_nabl
 from .curvature import curvature_battery
 from .errors import (AssumptionTwoFailure, ConfigError, NonReductiveStabilizer,
                      ReductionError)
-from .liealg import LieAlgebra, algebra_from_json, coadjoint_matrix, group_exp, named_algebra
+from .liealg import (LieAlgebra, _is_number, algebra_from_json, coadjoint_matrix, group_exp,
+                     named_algebra)
 from .orbits import KKS_MATCH_SIGN, kks_gap, kks_pairs, orbit_chart
 from .phasespace import (PhasePoint, constraint_split, fundamental_field, regularity_report,
                          symplectic_form)
@@ -84,13 +84,6 @@ THRESHOLDS = {
     "averaging_torsion": 1e-10,
     "averaging_fixed": 1e-10,
 }
-
-
-def _is_number(value) -> bool:
-    """A finite int or float: Python's json also reads NaN and ±Infinity."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return isinstance(value, int) or math.isfinite(value)
 
 
 def _is_number_rows(value) -> bool:

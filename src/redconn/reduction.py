@@ -54,8 +54,7 @@ def _check_tangent(residuals, vs) -> None:
                          f"(residual {residuals[bad].max():.3e})")
 
 
-def isotropic_correction_gram(om: np.ndarray, s_tilde: np.ndarray, delta: np.ndarray,
-                              rtol: float = linalg.RANK_RTOL):
+def isotropic_correction_gram(om: np.ndarray, s_tilde: np.ndarray, delta: np.ndarray):
     """Shear a complement into an isotropic one inside the symplectic space
     spanned by s_tilde and delta.
 
@@ -80,7 +79,7 @@ def isotropic_correction_gram(om: np.ndarray, s_tilde: np.ndarray, delta: np.nda
         raise DegeneratePairing("delta is not isotropic")
     B = delta.T @ om @ s_tilde
     s = np.linalg.svd(B, compute_uv=False)
-    if s[-1] <= rtol * s[0]:
+    if s[-1] <= linalg.RANK_RTOL * s[0]:
         raise DegeneratePairing(
             f"pairing between s_tilde and delta is degenerate (ratio {s[-1] / s[0]:.3e})")
     W = s_tilde.T @ om @ s_tilde
@@ -493,13 +492,11 @@ def totally_geodesic_defect(ctx: ReductionContext) -> float:
 class AutoparallelReport:
     defect: float
     independence: float | None
-    samples: int
 
 
-def _random_stable_complement(ctx: ReductionContext, rng: np.random.Generator,
-                              tries: int = 50) -> np.ndarray | None:
+def _random_stable_complement(ctx: ReductionContext, rng: np.random.Generator) -> np.ndarray | None:
     a = ctx.algebra
-    for _ in range(tries):
+    for _ in range(50):
         cand = ctx.s_tilde + 0.4 * rng.standard_normal(ctx.s_tilde.shape)
         cand = linalg.orthonormal_columns(cand)
         if cand.shape[1] != ctx.stabilizer_dim:
@@ -514,8 +511,7 @@ def _random_stable_complement(ctx: ReductionContext, rng: np.random.Generator,
 
 
 def autoparallel_check(ctx: ReductionContext, *, geom: SigmaGeometry | None = None,
-                       rng: np.random.Generator | None = None,
-                       n_samples: int = 3, tol: float = 1e-10) -> AutoparallelReport:
+                       rng: np.random.Generator | None = None) -> AutoparallelReport:
     """Measure how far the level set is from being autoparallel.
 
     The defect is the largest component of ∇ of level-set frame pairs outside
@@ -529,21 +525,22 @@ def autoparallel_check(ctx: ReductionContext, *, geom: SigmaGeometry | None = No
     n = a.dim
     defect = float(np.max(np.abs(linalg.matvec(np.eye(2 * n) - ctx.p_matrix,
                                                ctx.gamma_mu[:n, :n]))))
-    if defect > tol or ctx.zero_dimensional_base or geom is None:
-        return AutoparallelReport(defect, None if defect > tol else 0.0, 0)
+    autoparallel = defect <= 1e-10
+    if not autoparallel or ctx.zero_dimensional_base or geom is None:
+        return AutoparallelReport(defect, 0.0 if autoparallel else None)
 
     rng = rng if rng is not None else np.random.default_rng(0)
     cand = _random_stable_complement(ctx, rng)
     if cand is None:
-        return AutoparallelReport(defect, None, 0)
+        return AutoparallelReport(defect, None)
     chart = geom.chart
     other = build_context(a, ctx.mu, s_tilde=cand, connection=ctx.connection,
                           gamma_mu=ctx.gamma_mu)
     geom_b = SigmaGeometry(other, chart)
-    ts = [rng.uniform(-0.3, 0.3, size=chart.dim) * chart.radius for _ in range(n_samples)]
+    ts = [rng.uniform(-0.3, 0.3, size=chart.dim) * chart.radius for _ in range(3)]
     geom.points(ts, geom.identity)
     geom_b.points(ts, geom_b.identity)
     diff = max((float(np.max(np.abs(geom.cov_table(t, geom.identity)[1]
                                     - geom_b.cov_table(t, geom_b.identity)[1]))) for t in ts),
                default=0.0)
-    return AutoparallelReport(defect, diff, n_samples * chart.dim ** 2)
+    return AutoparallelReport(defect, diff)

@@ -1,57 +1,21 @@
 """Deterministic JSON report emission.
 
-Floats are serialized with 17 significant digits so reports round-trip
-losslessly and diff cleanly across runs; timings live under a single key that
-comparison tooling is expected to strip.  A small explicit serializer is used
-because the stdlib encoder does not allow custom float formatting.
+Reports go through the standard JSON encoder, which writes each float as its
+shortest round-trip ``repr`` (NaN and ±Infinity as ``NaN``/``Infinity``), so
+reports parse back to the same values and diff cleanly across runs; timings
+live under a single key that comparison tooling is expected to strip.
 """
 
 from __future__ import annotations
 
 import json
-import math
-
-import numpy as np
 
 SCHEMA_VERSION = 1
 
 
-def _format_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
-
-
-def _serialize(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f"{pad_in}{json.dumps(str(k))}: {_serialize(v, indent, level + 1)}"
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
-        if not seq:
-            return "[]"
-        items = [f"{pad_in}{_serialize(v, indent, level + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if obj is None:
-        return "null"
-    return json.dumps(str(obj))
-
-
 def dumps(report: dict) -> str:
-    return _serialize(report, indent=2, level=0) + "\n"
+    # numpy arrays and scalars, the only non-JSON values a report holds
+    return json.dumps(report, indent=2, default=lambda value: value.tolist()) + "\n"
 
 
 def write(report: dict, path: str | None) -> str:

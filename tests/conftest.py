@@ -1,4 +1,5 @@
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,9 @@ AFF1_DOC = {
 }
 _AFF1_BRACKETS = {"dim": 2, "brackets": [[0, 1, [1, 1.0]]]}
 # aff(1) documents, for μ = (0, 1), each with one value of another JSON type
-# than the schema's: a loader that coerces it would accept the document
+# than the schema's, or a number without a finite float value, which Python's
+# json reads (NaN, ±Infinity, 10**400): a loader that coerces it would accept
+# the document
 MALFORMED_ALGEBRAS = {
     "dim=2.5": dict(_AFF1_BRACKETS, dim=2.5),
     "dim='2'": dict(_AFF1_BRACKETS, dim="2"),
@@ -60,6 +63,12 @@ MALFORMED_ALGEBRAS = {
     "det_one='false'": dict(_AFF1_BRACKETS, det_one="false"),
     "orthogonal=0": dict(_AFF1_BRACKETS, orthogonal=0),
     "name=2": dict(_AFF1_BRACKETS, name=2),
+    "coeff=Infinity": dict(_AFF1_BRACKETS, brackets=[[0, 1, [1, math.inf]]]),
+    "coeff=10**400": dict(_AFF1_BRACKETS, brackets=[[0, 1, [1, 10 ** 400]]]),
+    "realization=NaN": dict(AFF1_DOC, realization=[[[math.nan, 0.0], [0.0, 0.0]],
+                                                     [[0.0, 1.0], [0.0, 0.0]]]),
+    "realization=Infinity": dict(AFF1_DOC, realization=[[[math.inf, 0.0], [0.0, 0.0]],
+                                                          [[0.0, 1.0], [0.0, 0.0]]]),
 }
 
 

@@ -59,6 +59,30 @@ OUT_OF_RANGE_ALGEBRAS = [({"dim": 3, "brackets": [[0, -1, [1, 1.0]]]}, [0.0, 0.0
                          ({"dim": 0}, [])]
 
 
+def _plain(value):
+    """``value`` with numpy arrays and scalars as their Python values, tuples as lists."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _same_plain(a, b) -> bool:
+    """Equal plain JSON values of equal types, NaN equal to NaN, each zero's sign kept."""
+    if isinstance(a, dict):
+        return (type(b) is dict and list(a) == list(b)
+                and all(_same_plain(a[k], b[k]) for k in a))
+    if isinstance(a, list):
+        return type(b) is list and len(a) == len(b) and all(map(_same_plain, a, b))
+    if isinstance(a, float) and math.isnan(a):
+        return isinstance(b, float) and math.isnan(b)
+    return (type(a) is type(b) and a == b
+            and (not isinstance(a, float) or math.copysign(1.0, a) == math.copysign(1.0, b)))
+
+
 def _bad_value_id(key, value, flag) -> str:
     if key == "group":
         return f"group={value['name']}"
@@ -184,6 +208,28 @@ class TestExitCodes:
         assert main(["validate", "--config", cfg]) == 2
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "ConfigError"
 
+    @pytest.mark.parametrize("verb", ["validate", "curvature", "verify"])
+    def test_non_finite_algebra_is_config_error_under_every_verb(self, tmp_path, capsys, verb):
+        for name in ("coeff=Infinity", "realization=NaN", "realization=Infinity"):
+            cfg = _write_config(tmp_path, {"group": MALFORMED_ALGEBRAS[name], "mu": [0.0, 1.0]})
+            assert main([verb, "--config", cfg]) == 2, name
+            assert json.loads(capsys.readouterr().out)["error"]["type"] == "ConfigError"
+
+    def test_integer_beyond_float_range_is_config_error(self, tmp_path, capsys):
+        # Python's json reads any integer; 10**400 has no finite float value
+        cfg = _write_config(tmp_path, {"group": "so3", "mu": [0, 0, 10 ** 400]})
+        assert main(["validate", "--config", cfg]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "ConfigError"
+
+    @pytest.mark.parametrize("verb", ["validate", "curvature", "verify"])
+    def test_huge_structure_constant_is_rank_loss(self, tmp_path, capsys, verb):
+        # a coefficient so large that the relative rank cutoff drops the unit
+        # block of the constraint split at μ = (0, 1): a rank loss, not a traceback
+        group = {"dim": 2, "brackets": [[0, 1, [1, 1e154]]]}
+        cfg = _write_config(tmp_path, {"group": group, "mu": [0.0, 1.0]})
+        assert main([verb, "--config", cfg]) == 4
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "RankLoss"
+
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {"group": "so3", "mu": [0, 0, 1], "bogus": 1})
         assert main(["validate", "--config", cfg]) == 2
@@ -284,6 +330,23 @@ class TestDeterminism:
         value = 0.1234567890123456789
         text = report_mod.dumps({"x": value})
         assert json.loads(text)["x"] == value
+        # numpy values and tuples parse back as the plain values they hold, and
+        # every float as itself: NaN, ±Infinity, the sign of zero and subnormals
+        floats = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-0.0": -0.0,
+                  "1.0": 1.0, "0.1": 0.1, "5e-324": 5e-324}
+        values = {"floats": np.array([[0.1, -0.0], [math.nan, 1e300]]),
+                  "ints": np.array([1, -2]), "bools": np.array([True, False]),
+                  "float64": np.float64(0.1), "int64": np.int64(-7), "bool_": np.bool_(True),
+                  "tuple": (1, 2.5, "a"), **floats}
+        plain = {"floats": [[0.1, -0.0], [math.nan, 1e300]], "ints": [1, -2],
+                 "bools": [True, False], "float64": 0.1, "int64": -7, "bool_": True,
+                 "tuple": [1, 2.5, "a"], **floats}
+        assert _same_plain(json.loads(report_mod.dumps(values)), plain)
+        cases = perfbench_cases()
+        _, n, weights, _, _ = cases.SO4_CASES[0]
+        rep, _ = verify_suite(CaseConfig.from_dict(
+            {"group": cases.so_n_group(n), "mu": cases.so_n_mu(n, weights), "samples": 2}))
+        assert _same_plain(json.loads(report_mod.dumps(rep)), _plain(rep))
 
 
 class TestFlags:

@@ -79,6 +79,23 @@ def _check_removed(doc):
     del doc["report"]["checks"][3]
 
 
+def _as_older_dumps_parse(value):
+    # older trees' report.dumps wrote each float at 17 significant digits, so a
+    # whole float below 1e17 such as 0.0 as "0", which parses as an int
+    if isinstance(value, dict):
+        return {k: _as_older_dumps_parse(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_as_older_dumps_parse(v) for v in value]
+    if isinstance(value, float) and math.isfinite(value):
+        return json.loads(format(value, ".17g"))
+    return value
+
+
+def _whole_floats_as_ints(doc):
+    doc["report"] = _as_older_dumps_parse(doc["report"])
+    assert [type(v) for v in doc["report"]["config"]["mu"]] == [int, int, int]  # μ = (0, 0, 1)
+
+
 # (verb, perturbation, problem expected, float moved)
 CASES = {
     "self": ("curvature", _unchanged, False, False),
@@ -90,6 +107,7 @@ CASES = {
     "passed-flag": ("verify", _passed_flag, True, False),
     "check-added": ("verify", _check_added_and_roundoff, True, True),
     "check-removed": ("verify", _check_removed, True, False),
+    "whole-floats-as-ints": ("verify", _whole_floats_as_ints, False, False),
 }
 
 

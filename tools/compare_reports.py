@@ -184,7 +184,7 @@ def _walk(a, b, path: str, problems: list, moved: list) -> None:
         for i, (x, y) in enumerate(zip(a, b)):
             _walk(x, y, f"{path}/{i}", problems, moved)
     elif isinstance(a, float) or isinstance(b, float):
-        # report.dumps writes a whole float such as 0.0 as "0", which parses as int
+        # dumps of older trees wrote a whole float such as 0.0 as "0", which parses as int
         if not _is_number(a) or not _is_number(b):
             problems.append(f"{path}: {a!r} != {b!r}")
         elif a != b and not (math.isnan(a) and math.isnan(b)):
