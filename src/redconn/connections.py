@@ -77,14 +77,14 @@ def _omega_derivative(a: LieAlgebra) -> np.ndarray:
     return D
 
 
-def nabla_omega_components(conn: FrameConnection, xi, gamma=None) -> np.ndarray:
-    """(∇ω)[a, b, c] over all frame triples at fiber point ξ, from ``gamma``
-    when the caller has Γ(ξ)."""
+def nabla_omega_components(conn: FrameConnection, xi, gamma=None, om=None) -> np.ndarray:
+    """(∇ω)[a, b, c] = DΩ[a, b, c] − Σ_d Γ[a, b, d] Ω[d, c] − Σ_d Γ[a, c, d] Ω[b, d]
+    over all frame triples at fiber point ξ, from ``gamma`` and ``om`` when the
+    caller has Γ(ξ) and Ω(ξ)."""
     a = conn.algebra
     gamma = conn.coefficients(xi) if gamma is None else gamma
-    om = omega_gram(a, xi)
-    return (_omega_derivative(a) - np.einsum("abd,dc->abc", gamma, om)
-            - np.einsum("acd,bd->abc", gamma, om))
+    om = omega_gram(a, xi) if om is None else om
+    return _omega_derivative(a) - gamma @ om - (gamma @ om.T).transpose(0, 2, 1)
 
 
 def nabla_omega(conn: FrameConnection, xi, u, v, w) -> float:
@@ -145,9 +145,10 @@ def symplectize(conn: FrameConnection) -> FrameConnection:
 def symplectized_coefficients(conn: FrameConnection, xi, gamma=None) -> np.ndarray:
     """Γ(ξ) of ``symplectize(conn)``, from ``gamma`` when the caller has conn's Γ(ξ)."""
     gamma = conn.coefficients(xi) if gamma is None else gamma
-    N = nabla_omega_components(conn, xi, gamma)
+    om = omega_gram(conn.algebra, xi)
+    N = nabla_omega_components(conn, xi, gamma, om)
     rhs = (N + N.transpose(1, 0, 2)) / 3.0
-    return gamma + solve_omega_gram(omega_gram(conn.algebra, xi), rhs)
+    return gamma + solve_omega_gram(om, rhs)
 
 
 def torsion_components(conn: FrameConnection, xi, gamma=None) -> np.ndarray:

@@ -66,24 +66,23 @@ def curvature_formula(geom: SigmaGeometry, t, *, fd_step2: float = DEFAULT_FD_ST
 
     xs = list(dict.fromkeys(dirs))
     d_grads = geom._stencil(t, e, u[xs], fd_step2, grads, richardson=richardson)
-    base = grads(t, e)
     # inner[x, l]: derivative of f̄_l along f̄_x, from which the table at t is built
     inner = geom.point(t, e).derivs
-    # outer[x][j, l, s]: induced derivative of base[j, l, s] along f̄_x
-    outer = {x: geom._induced(u[x], base, d) for x, d in zip(xs, d_grads)}
+    # outer[xs.index(x), j, l, s]: induced derivative of grads(t, e)[j, l, s] along f̄_x
+    outer = geom._induced(u[xs], grads(t, e)[None], d_grads)
+    # the entries [a, b] with i = dirs[a] ≠ j = dirs[b], each step stacked over them
+    A, B = np.nonzero(np.not_equal.outer(dirs, dirs))
+    rows = np.array([xs.index(x) for x in dirs])  # each direction's row of outer
+    I, J, oi, oj = np.array(dirs)[A], np.array(dirs)[B], rows[A], rows[B]
+    bracket = np.array([inner[i, j] - inner[j, i]
+                        + np.einsum("abc,a,b->c", geom.struct, u[i], u[j])
+                        for i, j in zip(I, J)]).reshape(-1, 2 * geom.n)
+    along = np.concatenate([bracket, ctx.alpha_star(bracket)])  # P∘∇ along each of f̄_l at t
+    term3, t5 = np.split(geom._induced(along, u[None], geom.lift_derivatives(t, e, along)), 2)
+    r_amb = (outer[oi, J, :, 0] - outer[oj, I, :, 0]) - term3
+    r_bar = ctx.horizontal_part(r_amb - outer[oi, J, :, 1] + outer[oj, I, :, 1] + t5)
     out = np.zeros((len(dirs), len(dirs), km, geom.n))
-    for a, i in enumerate(dirs):
-        for b, j in enumerate(dirs):
-            if i == j:
-                continue
-            bracket = (inner[i, j] - inner[j, i]
-                       + np.einsum("abc,a,b->c", geom.struct, u[i], u[j]))
-            along = [bracket, ctx.alpha_star(bracket)]  # P∘∇ along each of f̄_l at t
-            term3, t5 = (geom._induced(v, u, d)
-                         for v, d in zip(along, geom.lift_derivatives(t, e, along)))
-            r_amb = (outer[i][j, :, 0] - outer[j][i, :, 0]) - term3
-            r_bar = ctx.horizontal_part(r_amb - outer[i][j, :, 1] + outer[j][i, :, 1] + t5)
-            out[a, b] = geom.pushdown(t, e, r_bar)
+    out[A, B] = geom.pushdown(t, e, r_bar)
     return out
 
 

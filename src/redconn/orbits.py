@@ -121,18 +121,21 @@ def orbit_tangent_frame(a: LieAlgebra, nu, m_basis) -> np.ndarray:
 
 
 def tangent_representative(a: LieAlgebra, nu, v) -> np.ndarray:
-    """An algebra element X with ν∘ad(X) = v, by least squares.
+    """An algebra element X with ν∘ad(X) = v, by least squares, or one per
+    column of a matrix v, all by one solve.
 
     Well defined only modulo the stabilizer of ν; the pairing below does not
-    depend on the representative.  Raises NotTangent when no X fits.
+    depend on the representative.  Raises NotTangent when no X fits a column.
     """
     nu = np.asarray(nu, dtype=float)
     v = np.asarray(v, dtype=float)
     K_T = a.bracket_pairing(nu).T
     X, *_ = np.linalg.lstsq(K_T, v, rcond=None)
-    residual = np.linalg.norm(K_T @ X - v)
-    if residual > TANGENT_RESIDUAL_TOL * max(1.0, np.linalg.norm(v)):
-        raise NotTangent(f"no algebra element maps to the given vector (residual {residual:.3e})")
+    residual = np.atleast_1d(np.linalg.norm(K_T @ X - v, axis=0))
+    bad = residual > TANGENT_RESIDUAL_TOL * np.maximum(1.0, np.linalg.norm(v, axis=0))
+    if bad.any():
+        raise NotTangent("no algebra element maps to the given vector "
+                         f"(residual {residual[bad].max():.3e})")
     return X
 
 
@@ -148,11 +151,12 @@ def kks_pairs(a: LieAlgebra, D: np.ndarray, nu: np.ndarray, omega: np.ndarray) -
     """(reduced, canonical) orbit-form values on the chart coordinate pairs
     i < j at a chart point where the canonical value is nonzero: D = dnu there,
     nu the orbit point and ``omega`` the reduced form on the coordinate
-    tangents."""
-    km = D.shape[1]
-    pairs = [(omega[i, j], kks_form(a, nu, D[:, i], D[:, j]))
-             for i in range(km) for j in range(i + 1, km)]
-    return [(red, ref) for red, ref in pairs if abs(ref) > 1e-12]
+    tangents.  One solve gives the representatives X of D's columns, and
+    ⟨ν, [X_i, X_j]⟩ = X_iᵀ K(ν) X_j gives every canonical value."""
+    X = tangent_representative(a, nu, D)
+    canonical = X.T @ a.bracket_pairing(nu) @ X
+    i, j = np.triu_indices(D.shape[1], 1)
+    return [(red, ref) for red, ref in zip(omega[i, j], canonical[i, j]) if abs(ref) > 1e-12]
 
 
 def kks_gap(pairs) -> float:

@@ -195,8 +195,10 @@ def _exit_code(exc: Exception) -> int:
 
 
 def _stage_validate(cfg: CaseConfig, run) -> dict:
+    """The level-set checks at μ.  Sets the constraint split, which the reduce
+    stage's context reads."""
     a, mu = run.a, run.mu
-    split = constraint_split(a, mu)
+    run.split = split = constraint_split(a, mu)
     n, k = a.dim, split.g_mu.shape[1]
     # TΣ^⊥ should be the span of the right-action generators at μ
     gens = np.column_stack([fundamental_field(a, "right", e, PhasePoint(None, mu))
@@ -254,7 +256,7 @@ def _stage_reduce(cfg: CaseConfig, run) -> dict:
     or no realization by the policy below)."""
     a, mu = run.a, run.mu
     run.ctx = ctx = build_context(a, mu, s_tilde=cfg.s_tilde, connection=run.conn,
-                                  gamma_mu=run.gammas[0])
+                                  gamma_mu=run.gammas[0], split=run.split)
     stage = {
         "status": "ok",
         **ctx.diagnostics,

@@ -153,12 +153,14 @@ def _check_custom_s_tilde(a: LieAlgebra, split: ConstraintSplit, st: np.ndarray)
 
 def build_context(a: LieAlgebra, mu, *, s_tilde="default",
                   connection: FrameConnection | None = None,
-                  gamma_mu: np.ndarray | None = None) -> ReductionContext:
+                  gamma_mu: np.ndarray | None = None,
+                  split: ConstraintSplit | None = None) -> ReductionContext:
     """Assemble and validate all μ-level reduction data.
 
     The ambient connection defaults to the symplectization of the bi-invariant
     baseline; pass an explicit connection to study non-symplectic inputs, and
-    its Γ(μ) as ``gamma_mu`` when the caller has it.
+    its Γ(μ) as ``gamma_mu`` and ``constraint_split(a, mu)`` as ``split`` when
+    the caller has them.
 
     Raises:
         NonReductiveStabilizer: no ad-stable complement of the stabilizer.
@@ -168,7 +170,7 @@ def build_context(a: LieAlgebra, mu, *, s_tilde="default",
     n = a.dim
     if mu.shape != (n,):
         raise ValueError(f"mu must have length {n}")
-    split = constraint_split(a, mu)
+    split = constraint_split(a, mu) if split is None else split
     k = split.g_mu.shape[1]
     m = reductive_complement(a, split.g_mu)
 
@@ -535,7 +537,7 @@ def autoparallel_check(ctx: ReductionContext, *, geom: SigmaGeometry | None = No
         return AutoparallelReport(defect, None)
     chart = geom.chart
     other = build_context(a, ctx.mu, s_tilde=cand, connection=ctx.connection,
-                          gamma_mu=ctx.gamma_mu)
+                          gamma_mu=ctx.gamma_mu, split=ctx.split)
     geom_b = SigmaGeometry(other, chart)
     ts = [rng.uniform(-0.3, 0.3, size=chart.dim) * chart.radius for _ in range(3)]
     geom.points(ts, geom.identity)

@@ -150,6 +150,28 @@ def test_checks_are_matched_by_name(so3_dumps):
     assert compare_reports._compare(a, c, THRESHOLDS)[0] == ["/checks: checks reordered"]
 
 
+def test_allow_added_names_the_expected_checks(so3_dumps, tmp_path, capsys):
+    # an added check named by --allow-added is no problem; any other added
+    # check, and a removed one even when named, still is
+    a = so3_dumps["verify"]
+    b = copy.deepcopy(a)
+    _check_added_and_roundoff(b)
+    b["report"]["checks"].append(dict(b["report"]["checks"][0], name="other/check"))
+    problems, moved = compare_reports._compare(a, b, THRESHOLDS, ("new/check",))
+    assert problems == ["/checks: check other/check added"] and moved
+    assert compare_reports._compare(b, a, THRESHOLDS, ("new/check",))[0] == [
+        "/checks: check new/check removed", "/checks: check other/check removed"]
+    for side, doc in (("a", a), ("b", b)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "so3-verify.json").write_text(json.dumps(doc))
+    args = ["diff", str(tmp_path / "a"), str(tmp_path / "b"), "--allow-added", "new/check"]
+    assert compare_reports.main(args) == 1
+    assert capsys.readouterr().out.endswith("  PROBLEM /checks: check other/check added\n"
+                                            "problems: see above\n")
+    assert compare_reports.main(args + ["--allow-added", "other/check"]) == 0
+    assert capsys.readouterr().out.endswith("problems: none\n")
+
+
 def test_diff_prints_headroom_on_both_sides(so3_dumps, tmp_path, capsys):
     # each differing dump's headroom, min log10(threshold / value) over the
     # thresholded defects, is printed for both sides with the defect that sets

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import redconn as rc
-from redconn.connections import (baseline_nabla_omega, frame_structure, frame_transport,
-                                 nabla_omega_components, solve_omega_gram,
+from redconn.connections import (_omega_derivative, baseline_nabla_omega, frame_structure,
+                                 frame_transport, nabla_omega_components, solve_omega_gram,
                                  torsion_components)
 from redconn.errors import SingularOmega
-from tests.conftest import CATALOG_CASES
+from tests.conftest import CATALOG_CASES, perfbench_cases
 
 e1, e2, e3 = np.eye(3)
 zero3 = np.zeros(3)
@@ -105,6 +105,36 @@ class TestNablaOmega:
                     om = rc.omega_gram(so3, xi)
                     expected = lead - gamma[aidx, b] @ om[:, c] - gamma[aidx, c] @ om[b, :]
                     assert abs(comps[aidx, b, c] - expected) <= 1e-8
+
+    @staticmethod
+    def _unsymmetric(name, rng):
+        # a non-symmetric Γ: its two contractions with Ω differ
+        a = rc.so3() if name == "so3" else rc.algebra_from_json(perfbench_cases().so_n_group(4))
+        delta = rng.standard_normal((2 * a.dim,) * 3)
+        return a, rc.perturbed_connection(rc.baseline_connection(a), delta, symmetric=False)
+
+    @pytest.mark.parametrize("name", ["so3", "so4"])
+    def test_components_match_einsum_reference(self, name, rng):
+        a, conn = self._unsymmetric(name, rng)
+        for _ in range(3):
+            xi = rng.standard_normal(a.dim)
+            gamma, om = conn.coefficients(xi), rc.omega_gram(a, xi)
+            expected = (_omega_derivative(a) - np.einsum("abd,dc->abc", gamma, om)
+                        - np.einsum("acd,bd->abc", gamma, om))
+            got = nabla_omega_components(conn, xi)
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_components_contract_without_einsum(self, monkeypatch, rng):
+        # Γ·Ω and its transpose partner are matrix products, not generic einsum loops
+        a, conn = self._unsymmetric("so4", rng)
+        xi = rng.standard_normal(a.dim)
+        gamma, om = conn.coefficients(xi), rc.omega_gram(a, xi)
+        calls = []
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *args, **kw: calls.append(args[0])
+                            or einsum(*args, **kw))
+        nabla_omega_components(conn, xi, gamma, om)
+        assert calls == []
 
 
 class TestSymplectize:

@@ -335,6 +335,52 @@ class TestFormulaStencils:
         assert [(args[3], len(args[2])) for args in calls] == [(1e-4, chart.dim)]
 
 
+def _formula_per_pair(geom, t, dirs, richardson):
+    """``curvature_formula`` at fd_step2 1e-4, one entry [a, b] at a time: the
+    reference its entries, stacked over all pairs, must equal bit for bit."""
+    ctx, e, km = geom.ctx, geom.identity, geom.chart.dim
+    u = geom.lifts(t, e)
+
+    def grads(t2, fib):
+        level = geom.cov_table(t2, fib)[0]
+        return np.stack([level, ctx.alpha_star(level)], axis=2)
+
+    xs = list(dict.fromkeys(dirs))
+    d_grads = geom._stencil(t, e, u[xs], 1e-4, grads, richardson=richardson)
+    inner = geom.point(t, e).derivs
+    outer = {x: geom._induced(u[x], grads(t, e), d) for x, d in zip(xs, d_grads)}
+    out = np.zeros((len(dirs), len(dirs), km, geom.n))
+    for a, i in enumerate(dirs):
+        for b, j in enumerate(dirs):
+            if i == j:
+                continue
+            bracket = (inner[i, j] - inner[j, i]
+                       + np.einsum("abc,a,b->c", geom.struct, u[i], u[j]))
+            along = [bracket, ctx.alpha_star(bracket)]
+            term3, t5 = (geom._induced(v, u, d)
+                         for v, d in zip(along, geom.lift_derivatives(t, e, along)))
+            r_amb = (outer[i][j, :, 0] - outer[j][i, :, 0]) - term3
+            r_bar = ctx.horizontal_part(r_amb - outer[i][j, :, 1] + outer[j][i, :, 1] + t5)
+            out[a, b] = geom.pushdown(t, e, r_bar)
+    return out
+
+
+class TestStackedPairs:
+    @pytest.mark.parametrize("case", perfbench_cases().SO4_CASES, ids=lambda c: c[0])
+    def test_every_entry_matches_the_per_pair_loop(self, case):
+        cases = perfbench_cases()
+        _, n, weights, _, _ = case
+        a = rc.algebra_from_json(cases.so_n_group(n))
+        ctx = rc.build_context(a, np.array(cases.so_n_mu(n, weights)))
+        geom = SigmaGeometry(ctx, rc.default_chart(ctx))
+        km = geom.chart.dim
+        for t in (np.zeros(km), np.linspace(-0.2, 0.15, km), np.linspace(0.1, -0.25, km)):
+            for dirs, richardson in ((range(km), False), ((0, 1), True), ((1, 0), False)):
+                out = curvature_formula(geom, t, directions=dirs, richardson=richardson)
+                ref = _formula_per_pair(geom, t, list(dirs), richardson)
+                assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+
+
 class TestConvergence:
     def test_second_order_step_halving(self, so3_setup):
         _, ctx, chart = so3_setup

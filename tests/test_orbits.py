@@ -3,7 +3,8 @@ import pytest
 
 import redconn as rc
 from redconn.errors import NotTangent
-from tests.conftest import CATALOG_CASES
+from redconn.orbits import kks_pairs
+from tests.conftest import CATALOG_CASES, perfbench_cases
 from tests.test_liealg import _realized_exp
 
 e1, e2, e3 = np.eye(3)
@@ -145,3 +146,46 @@ class TestKksForm:
         v = so3.coad_star(X, mu_so3)
         rep = rc.tangent_representative(so3, mu_so3, v)
         assert np.max(np.abs(so3.coad_star(rep, mu_so3) - v)) <= 1e-10
+
+
+class TestKksPairs:
+    @pytest.fixture(scope="class")
+    def so5_point(self):
+        """so(5) regular (orbit dimension 8): the algebra, dnu and ν at a chart point t ≠ 0."""
+        cases = perfbench_cases()
+        _, n, weights, _, _ = cases.SO5_CASES[0]
+        a = rc.algebra_from_json(cases.so_n_group(n))
+        chart = rc.default_chart(rc.build_context(a, np.array(cases.so_n_mu(n, weights))))
+        t = np.linspace(-0.3, 0.2, chart.dim)
+        return a, chart.dnu(t), chart.nu(t)
+
+    def test_matches_kks_form_per_pair(self, so5_point):
+        a, D, nu = so5_point
+        km = D.shape[1]
+        omega = np.arange(km * km, dtype=float).reshape(km, km)
+        expected = [(omega[i, j], rc.kks_form(a, nu, D[:, i], D[:, j]))
+                    for i in range(km) for j in range(i + 1, km)]
+        expected = [(red, ref) for red, ref in expected if abs(ref) > 1e-12]
+        pairs = kks_pairs(a, D, nu, omega)
+        assert km == 8 and len(pairs) == len(expected) > 0
+        scale = max(abs(ref) for _, ref in expected)
+        for (red, ref), (red_0, ref_0) in zip(pairs, expected):
+            assert red == red_0
+            assert abs(ref - ref_0) <= 1e-12 * scale
+
+    def test_non_tangent_column_rejected(self, so5_point):
+        # ν is normal to the orbit through it: ⟨ν, ν∘ad(X)⟩ = 0 for every X
+        a, D, nu = so5_point
+        bad = D.copy()
+        bad[:, 3] = nu
+        with pytest.raises(NotTangent):
+            kks_pairs(a, bad, nu, np.zeros((D.shape[1],) * 2))
+
+    def test_one_least_squares_solve(self, so5_point, monkeypatch):
+        a, D, nu = so5_point
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: calls.append(1)
+                            or lstsq(*args, **kw))
+        kks_pairs(a, D, nu, np.zeros((D.shape[1],) * 2))
+        assert len(calls) == 1

@@ -143,10 +143,11 @@ def test_verify_builds_no_more_than_the_pipeline(monkeypatch, label):
     assert counts[0]["kernels"] > counts[0]["geometries"] > 0
 
 
-@pytest.mark.parametrize("label", ["so3", "so4-regular"])
+@pytest.mark.parametrize("label", ["so3", "heis3", "so4-regular"])
 def test_one_stabilizer_solve_per_constraint_split(monkeypatch, label):
-    # the constraint split is the one caller of the stabilizer solve, and
-    # build_context reads the basis from its split
+    # the constraint split is the one caller of the stabilizer solve, and it
+    # runs once per run: the validate stage's split is the one every context
+    # reads, heis3's second one (its autoparallel check's) included
     calls = []
     for name, route in (("stabilizer_algebra", liealg.stabilizer_algebra),
                         ("constraint_split", phasespace.constraint_split)):
@@ -161,8 +162,7 @@ def test_one_stabilizer_solve_per_constraint_split(monkeypatch, label):
     for run in (lambda: run_pipeline(cfg, "curvature"), lambda: verify_suite(cfg)):
         calls.clear()
         assert run()[1] == 0
-        assert calls.count("constraint_split") > 0
-        assert calls.count("stabilizer_algebra") == calls.count("constraint_split")
+        assert calls.count("constraint_split") == calls.count("stabilizer_algebra") == 1
 
 
 @pytest.mark.parametrize("label", ["so4-regular", "so4-singular", "so5-regular",

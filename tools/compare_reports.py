@@ -1,7 +1,7 @@
 """Dump a fixed set of reports from one source tree and compare two dumps.
 
     python3 tools/compare_reports.py dump <src> <dir>
-    python3 tools/compare_reports.py diff <a> <b>
+    python3 tools/compare_reports.py diff <a> <b> [--allow-added NAME]...
 
 ``dump`` imports ``redconn`` from ``<src>`` (a checkout's ``src`` directory)
 and writes one JSON file per case into ``<dir>``: the report without its
@@ -27,7 +27,10 @@ roundoff:
 - exit codes, key sets, error records, list lengths, strings, booleans
   (verify ``passed`` flags included) and integers are equal;
 - verify checks are matched by name: a check only one dump has is reported
-  as added or removed, and the shared checks are still compared;
+  as added or removed, and the shared checks are still compared.  A check
+  only ``<b>`` has passes when ``--allow-added`` names it (the option
+  repeats, one name each), so a change that adds a check can still get a
+  roundoff verdict; every other added or removed check is a problem;
 - ``chart_points``, ``sigma``, ``dims``, ``decomposition_cond``,
   ``stabilizer_dim`` and the config are equal bit for bit;
 - every thresholded defect (verify checks, and the pipeline defects
@@ -45,6 +48,7 @@ Exit status is 0 when every file passes, 1 otherwise.
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import sys
@@ -163,26 +167,27 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _walk(a, b, path: str, problems: list, moved: list) -> None:
-    """Compare two JSON trees; floats may differ, everything else must not."""
+def _walk(a, b, path: str, problems: list, moved: list, allow_added=()) -> None:
+    """Compare two JSON trees; floats may differ, everything else must not,
+    except that the verify checks named in ``allow_added`` may be added."""
     key = path.rsplit("/", 1)[-1]
     if key in EXACT_KEYS and a != b:
         problems.append(f"{path}: not bit-identical")
         return
     if key == "checks" and isinstance(a, list) and isinstance(b, list):
-        _walk_checks(a, b, path, problems, moved)
+        _walk_checks(a, b, path, problems, moved, allow_added)
     elif isinstance(a, dict) and isinstance(b, dict):
         if list(a) != list(b):
             problems.append(f"{path}: keys {list(a)} != {list(b)}")
             return
         for k in a:
-            _walk(a[k], b[k], f"{path}/{k}", problems, moved)
+            _walk(a[k], b[k], f"{path}/{k}", problems, moved, allow_added)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             problems.append(f"{path}: lengths {len(a)} != {len(b)}")
             return
         for i, (x, y) in enumerate(zip(a, b)):
-            _walk(x, y, f"{path}/{i}", problems, moved)
+            _walk(x, y, f"{path}/{i}", problems, moved, allow_added)
     elif isinstance(a, float) or isinstance(b, float):
         # dumps of older trees wrote a whole float such as 0.0 as "0", which parses as int
         if not _is_number(a) or not _is_number(b):
@@ -193,12 +198,15 @@ def _walk(a, b, path: str, problems: list, moved: list) -> None:
         problems.append(f"{path}: {a!r} != {b!r}")
 
 
-def _walk_checks(a: list, b: list, path: str, problems: list, moved: list) -> None:
+def _walk_checks(a: list, b: list, path: str, problems: list, moved: list,
+                 allow_added=()) -> None:
     """Compare two verify ``checks`` lists by check name: a check only one side
-    has is reported as added or removed, and every shared check is compared."""
+    has is reported as added (unless ``allow_added`` names it) or removed, and
+    every shared check is compared."""
     by_a, by_b = ({check["name"]: check for check in checks} for checks in (a, b))
     problems.extend(f"{path}: check {name} removed" for name in by_a if name not in by_b)
-    problems.extend(f"{path}: check {name} added" for name in by_b if name not in by_a)
+    problems.extend(f"{path}: check {name} added" for name in by_b
+                    if name not in by_a and name not in allow_added)
     shared = [name for name in by_a if name in by_b]
     if shared != [name for name in by_b if name in by_a]:
         problems.append(f"{path}: checks reordered")
@@ -206,12 +214,12 @@ def _walk_checks(a: list, b: list, path: str, problems: list, moved: list) -> No
         _walk(by_a[name], by_b[name], f"{path}/{name}", problems, moved)
 
 
-def _compare(a: dict, b: dict, thresholds: dict) -> tuple[list, list]:
+def _compare(a: dict, b: dict, thresholds: dict, allow_added=()) -> tuple[list, list]:
     problems: list = []
     moved: list = []
     if a["exit_code"] != b["exit_code"]:
         problems.append(f"exit code {a['exit_code']} != {b['exit_code']}")
-    _walk(a["report"], b["report"], "", problems, moved)
+    _walk(a["report"], b["report"], "", problems, moved, allow_added)
     da, db = _defects(a["report"], thresholds), _defects(b["report"], thresholds)
     for name, (value, threshold) in da.items():
         if value <= threshold and name in db and not db[name][0] <= db[name][1]:
@@ -227,7 +235,7 @@ def _compare(a: dict, b: dict, thresholds: dict) -> tuple[list, list]:
     return problems, moved
 
 
-def diff(dir_a: str, dir_b: str) -> int:
+def diff(dir_a: str, dir_b: str, allow_added=()) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     from redconn.pipeline import THRESHOLDS
 
@@ -244,7 +252,7 @@ def diff(dir_a: str, dir_b: str) -> int:
     print(f"differing ({len(different)}): {', '.join(n[:-5] for n in different)}")
     for name in different:
         docs = [json.loads((d / name).read_text()) for d in (a, b)]
-        problems, moved = _compare(*docs, THRESHOLDS)
+        problems, moved = _compare(*docs, THRESHOLDS, allow_added)
         worst = max(moved, default=(0.0, ""))
         print(f"{name[:-5]}: {len(moved)} floats moved, largest |b - a| / max(1, |a|) "
               f"{worst[0]:.3e} at {worst[1] or '-'}")
@@ -259,11 +267,21 @@ def diff(dir_a: str, dir_b: str) -> int:
 
 
 def main(argv: list) -> int:
-    if len(argv) != 3 or argv[0] not in ("dump", "diff"):
-        print(__doc__.strip().splitlines()[0], file=sys.stderr)
-        print("usage: compare_reports.py dump <src> <dir> | diff <a> <b>", file=sys.stderr)
-        return 2
-    return dump(argv[1], argv[2]) if argv[0] == "dump" else diff(argv[1], argv[2])
+    parser = argparse.ArgumentParser(prog="compare_reports.py",
+                                     description=__doc__.strip().splitlines()[0])
+    verbs = parser.add_subparsers(dest="verb", required=True)
+    dump_args = verbs.add_parser("dump")
+    dump_args.add_argument("src")
+    dump_args.add_argument("dir")
+    diff_args = verbs.add_parser("diff")
+    diff_args.add_argument("a")
+    diff_args.add_argument("b")
+    diff_args.add_argument("--allow-added", action="append", default=[], metavar="NAME",
+                           help="a verify check only <b> has that is not a problem")
+    args = parser.parse_args(argv)
+    if args.verb == "dump":
+        return dump(args.src, args.dir)
+    return diff(args.a, args.b, args.allow_added)
 
 
 if __name__ == "__main__":
