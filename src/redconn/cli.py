@@ -41,11 +41,12 @@ def _emit(rep: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _export_connection(cfg: CaseConfig, kind: str) -> dict:
+def _export_connection(cfg: CaseConfig) -> dict:
+    """The configured connection (``cfg.connection``) at the ξ samples."""
     a = cfg.algebra()
     mu = cfg.mu_vector(a)
     conn = baseline_connection(a)
-    if kind == "symplectic":
+    if cfg.connection == "symplectic":
         conn = symplectize(conn)
     xi_list = cfg.xi_list
     if xi_list is None:
@@ -83,9 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="full pipeline including both curvature routes")
     sub.add_parser("verify", parents=[common],
                    help="run every structural property as a named check")
-    exp = sub.add_parser("export-connection", parents=[common],
-                         help="serialize connection coefficients at sample fiber points")
-    exp.add_argument("--kind", choices=["baseline", "symplectic"], default="symplectic")
+    sub.add_parser("export-connection", parents=[common],
+                   help="serialize the configured connection's coefficients at sample "
+                        "fiber points")
     return parser
 
 
@@ -102,7 +103,7 @@ def main(argv=None) -> int:
         rep, code = verify_suite(cfg)
     elif args.command == "export-connection":
         try:
-            rep, code = _export_connection(cfg, args.kind), 0
+            rep, code = _export_connection(cfg), 0
         except Exception as exc:  # noqa: BLE001 - mapped to exit codes
             rep, code = {"schema_version": report_mod.SCHEMA_VERSION,
                          "error": _error_record(exc, "export")}, _exit_code(exc)

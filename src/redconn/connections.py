@@ -9,8 +9,8 @@ algebra.
 
 Three constructions are provided: the bi-invariant torsion-free baseline
 ∇°(X̃, X̃') = ½[X, X']~, its projection onto the space of symplectic
-connections, and quadrature averaging over group elements for building
-invariant connections on compact groups.
+connections, and the equal-weight average of its pullbacks over a finite set
+of group elements, for building invariant connections on compact groups.
 """
 
 from __future__ import annotations
@@ -24,16 +24,14 @@ from .errors import SingularOmega
 from .liealg import LieAlgebra, coadjoint_matrix, group_exp
 from .phasespace import _tangent_pair, omega_gram
 
-WEIGHT_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class FrameConnection:
     """Connection coefficients over the left-invariant frame.
 
     ``coeff`` maps a fiber point ξ to the (2n, 2n, 2n) array Γ(ξ); the flags
-    record properties validated by the constructing routine (they are checked
-    by sampling, never merely asserted).
+    are the constructing routine's claims, which nothing here checks (the
+    connect stage and ``verify`` measure torsion and ∇ω).
     """
 
     algebra: LieAlgebra
@@ -173,61 +171,15 @@ def nabla_omega_defect(conn: FrameConnection, xi, gamma=None) -> float:
     return float(np.max(np.abs(nabla_omega_components(conn, xi, gamma))))
 
 
-# --- quadrature averaging ----------------------------------------------------
+# --- averaging --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes (Ad matrices) and normalized positive weights discretizing a group
-    average."""
-
-    nodes: tuple
-    weights: np.ndarray
-
-    def validate(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        if np.any(w <= 0):
-            raise ValueError("quadrature weights must be positive")
-        if abs(float(np.sum(w)) - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"quadrature weights sum to {np.sum(w)!r}, expected 1")
-
-
-def finite_cyclic_rule(a: LieAlgebra, X, order: int) -> QuadratureRule:
-    """Equal-weight rule on the cyclic subgroup generated by exp(2π X / order)."""
+def finite_cyclic_rule(a: LieAlgebra, X, order: int) -> tuple:
+    """The Ad matrices of the cyclic subgroup generated by exp(2π X / order)."""
     if order < 1:
         raise ValueError("order must be positive")
     X = np.asarray(X, dtype=float)
-    nodes = tuple(group_exp(a, (2.0 * np.pi * k / order) * X) for k in range(order))
-    rule = QuadratureRule(nodes, np.full(order, 1.0 / order))
-    rule.validate()
-    return rule
-
-
-def torus_rule(a: LieAlgebra, generators, order: int) -> QuadratureRule:
-    """Product Gauss-Legendre rule on the torus spanned by commuting generators.
-
-    Angles run over [0, 2π) per generator; exactness for a given integrand is
-    something callers measure, not something this rule promises.
-    """
-    gens = [np.asarray(X, dtype=float) for X in generators]
-    nodes_1d, weights_1d = np.polynomial.legendre.leggauss(order)
-    angles = np.pi * (nodes_1d + 1.0)
-    w_1d = weights_1d / 2.0
-    nodes = []
-    weights = []
-    idx = np.stack(np.meshgrid(*[np.arange(order)] * len(gens), indexing="ij"), axis=-1).reshape(-1, len(gens))
-    for combo in idx:
-        g = None
-        w = 1.0
-        for X, i in zip(gens, combo):
-            step = group_exp(a, angles[i] * X)
-            g = step if g is None else g @ step
-            w *= w_1d[i]
-        nodes.append(g)
-        weights.append(w)
-    rule = QuadratureRule(tuple(nodes), np.asarray(weights))
-    rule.validate()
-    return rule
+    return tuple(group_exp(a, (2.0 * np.pi * k / order) * X) for k in range(order))
 
 
 def frame_transport(Ad: np.ndarray) -> np.ndarray:
@@ -266,20 +218,21 @@ def pullback_connection(conn: FrameConnection, g: np.ndarray) -> FrameConnection
                            is_symplectic=conn.is_symplectic, label=f"pullback({conn.label})")
 
 
-def average_connection(conn: FrameConnection, rule: QuadratureRule) -> FrameConnection:
-    """Weighted mean of pullbacks over the quadrature nodes.
+def average_connection(conn: FrameConnection, nodes) -> FrameConnection:
+    """Mean of the pullbacks by the group elements with the Ad matrices ``nodes``.
 
-    Each pullback of a torsion-free connection is torsion-free and the
-    weights sum to one, so the mean is torsion-free as well.  When the nodes
-    form a finite subgroup with equal weights the mean is fixed by every node.
+    Each pullback of a torsion-free connection is torsion-free, so their mean
+    is torsion-free as well.  When the nodes form a finite subgroup the mean
+    is fixed by every node.
     """
-    rule.validate()
+    if not nodes:
+        raise ValueError("averaging needs at least one node")
     a = conn.algebra
-    pulled = [pullback_connection(conn, g) for g in rule.nodes]
-    weights = np.asarray(rule.weights, dtype=float)
+    pulled = [pullback_connection(conn, g) for g in nodes]
+    w = 1.0 / len(nodes)
 
     def coeff(xi: np.ndarray) -> np.ndarray:
-        return sum(w * p.coefficients(xi) for w, p in zip(weights, pulled))
+        return sum(w * p.coefficients(xi) for p in pulled)
 
     return FrameConnection(a, coeff, is_torsion_free=conn.is_torsion_free,
                            is_symplectic=False, label=f"averaged({conn.label})")

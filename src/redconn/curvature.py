@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .reduction import SigmaGeometry, _check_tangent
+from .orbits import tangent_solve
+from .reduction import SigmaGeometry
 
 DEFAULT_FD_STEP2 = 1e-4
 # Tensor norms this close (relatively) to the largest tie for the probe: far
@@ -95,9 +96,7 @@ def _christoffel(geom: SigmaGeometry, t) -> np.ndarray:
     e, km = geom.identity, geom.chart.dim
     D = geom.point(t, e).D
     cov = geom.cov_table(t, e)[1].reshape(-1, D.shape[0])
-    coords, *_ = np.linalg.lstsq(D, cov.T, rcond=None)
-    _check_tangent(np.linalg.norm(D @ coords - cov.T, axis=0), cov)
-    return coords.T.reshape(km, km, km)
+    return tangent_solve(D, cov.T).T.reshape(km, km, km)
 
 
 def curvature_tensor(geom: SigmaGeometry, t, *, fd_step2: float = DEFAULT_FD_STEP2,

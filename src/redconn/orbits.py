@@ -20,7 +20,7 @@ from . import linalg
 from .errors import NotTangent, RankLoss
 from .liealg import LieAlgebra, coadjoint_matrix, group_exp
 
-TANGENT_RESIDUAL_TOL = 1e-8
+TANGENT_RTOL = 1e-8  # largest residual of an orbit tangent v, relative to max(1, |v|)
 # Global sign relating the reduced 2-form to the canonical orbit form under
 # the conventions of this library; verified across the catalog by the tests.
 KKS_MATCH_SIGN = -1.0
@@ -120,6 +120,24 @@ def orbit_tangent_frame(a: LieAlgebra, nu, m_basis) -> np.ndarray:
     return -(a.bracket_pairing(nu).T @ m_basis)
 
 
+def off_tangent(residuals, norms) -> np.ndarray:
+    """The tangency rule: where a residual exceeds TANGENT_RTOL · max(1, |v|),
+    |v| the matching entry of ``norms``."""
+    return residuals > TANGENT_RTOL * np.maximum(1.0, norms)
+
+
+def tangent_solve(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """X with A X = v by least squares, for one vector v or each column of a
+    matrix v, all by one solve.  Raises NotTangent when a column's residual
+    breaks the tangency rule (``off_tangent``)."""
+    X, *_ = np.linalg.lstsq(A, v, rcond=None)
+    residual = np.atleast_1d(np.linalg.norm(A @ X - v, axis=0))
+    bad = off_tangent(residual, np.linalg.norm(v, axis=0))
+    if bad.any():
+        raise NotTangent(f"vector is not an orbit tangent (residual {residual[bad].max():.3e})")
+    return X
+
+
 def tangent_representative(a: LieAlgebra, nu, v) -> np.ndarray:
     """An algebra element X with ν∘ad(X) = v, by least squares, or one per
     column of a matrix v, all by one solve.
@@ -127,16 +145,8 @@ def tangent_representative(a: LieAlgebra, nu, v) -> np.ndarray:
     Well defined only modulo the stabilizer of ν; the pairing below does not
     depend on the representative.  Raises NotTangent when no X fits a column.
     """
-    nu = np.asarray(nu, dtype=float)
-    v = np.asarray(v, dtype=float)
-    K_T = a.bracket_pairing(nu).T
-    X, *_ = np.linalg.lstsq(K_T, v, rcond=None)
-    residual = np.atleast_1d(np.linalg.norm(K_T @ X - v, axis=0))
-    bad = residual > TANGENT_RESIDUAL_TOL * np.maximum(1.0, np.linalg.norm(v, axis=0))
-    if bad.any():
-        raise NotTangent("no algebra element maps to the given vector "
-                         f"(residual {residual[bad].max():.3e})")
-    return X
+    return tangent_solve(a.bracket_pairing(np.asarray(nu, dtype=float)).T,
+                         np.asarray(v, dtype=float))
 
 
 def kks_form(a: LieAlgebra, nu, v, w) -> float:

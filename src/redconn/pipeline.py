@@ -204,8 +204,9 @@ def _stage_validate(cfg: CaseConfig, run) -> dict:
     gens = np.column_stack([fundamental_field(a, "right", e, PhasePoint(None, mu))
                             for e in np.eye(n)])
     regularity = {}
-    for side in ("right", "left"):
-        points = [PhasePoint(group_exp(a, run.rng.uniform(-1, 1, n)), mu) for _ in range(5)]
+    for side in ("right", "left"):  # only the left side reads the group elements
+        points = [PhasePoint(group_exp(a, x) if side == "left" else None, mu)
+                  for x in run.rng.uniform(-1, 1, (5, n))]
         regularity[side] = regularity_report(a, mu, points, side=side)
     return {
         "status": "ok",
@@ -255,8 +256,8 @@ def _stage_reduce(cfg: CaseConfig, run) -> dict:
     stage and ``verify`` (both stay None without a chart: zero-dimensional base,
     or no realization by the policy below)."""
     a, mu = run.a, run.mu
-    run.ctx = ctx = build_context(a, mu, s_tilde=cfg.s_tilde, connection=run.conn,
-                                  gamma_mu=run.gammas[0], split=run.split)
+    run.ctx = ctx = build_context(a, mu, s_tilde=cfg.s_tilde, gamma_mu=run.gammas[0],
+                                  split=run.split)
     stage = {
         "status": "ok",
         **ctx.diagnostics,
@@ -704,13 +705,13 @@ def _verify_averaging(cfg, run):
         return
     delta = rng.standard_normal((2 * a.dim,) * 3) * 0.1
     pert = perturbed_connection(run.base, delta, symmetric=True)
-    rule = finite_cyclic_rule(a, np.eye(a.dim)[2], 4)
-    avg = average_connection(pert, rule)
+    nodes = finite_cyclic_rule(a, np.eye(a.dim)[2], 4)
+    avg = average_connection(pert, nodes)
     xi_samples = [rng.standard_normal(a.dim) for _ in range(3)]
     gammas = [avg.coefficients(xi) for xi in xi_samples]
     yield ("avg/torsion-free", max(torsion_defect(avg, xi, g) for xi, g in zip(xi_samples, gammas)),
            "averaging_torsion")
-    pulled = [pullback_connection(avg, g) for g in rule.nodes]
+    pulled = [pullback_connection(avg, g) for g in nodes]
     fixed = max(float(np.max(np.abs(p.coefficients(xi) - g)))
                 for p in pulled for xi, g in zip(xi_samples, gammas))
     yield "avg/node-fixed", fixed, "averaging_fixed"

@@ -31,27 +31,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .connections import FrameConnection, baseline_connection, frame_structure, symplectize
+from .connections import baseline_connection, frame_structure, symplectized_coefficients
 from .errors import (AssumptionTwoFailure, DegeneratePairing, NotTangent,
                      PointOffConstraint, RankLoss, SingularProjection,
                      ZeroDimensionalBase)
 from .liealg import LieAlgebra, reductive_complement
-from .orbits import OrbitChart, orbit_chart
+from .orbits import OrbitChart, off_tangent, orbit_chart, tangent_solve
 from .phasespace import ConstraintSplit, constraint_split, omega_gram, symplectic_form
 
 ISOTROPY_TOL = 1e-10
 STABILITY_TOL = 1e-8
-TANGENT_RTOL = 1e-8  # largest lift residual of an orbit tangent v, relative to max(1, |v|)
-
-
-def _check_tangent(residuals, vs) -> None:
-    """Raise NotTangent unless the lift residual of each vector v (the rows of
-    ``vs``, or one vector) is at most TANGENT_RTOL · max(1, |v|)."""
-    residuals = np.atleast_1d(residuals)
-    bad = residuals > TANGENT_RTOL * np.maximum(1.0, np.linalg.norm(np.atleast_2d(vs), axis=-1))
-    if bad.any():
-        raise NotTangent("vector is not an orbit tangent at the point "
-                         f"(residual {residuals[bad].max():.3e})")
 
 
 def isotropic_correction_gram(om: np.ndarray, s_tilde: np.ndarray, delta: np.ndarray):
@@ -102,7 +91,6 @@ class ReductionContext:
     w2: np.ndarray
     p_matrix: np.ndarray
     alpha_mat: np.ndarray
-    connection: FrameConnection
     gamma_mu: np.ndarray  # Γ(μ), the connection's coefficients at the level
     omega_mu: np.ndarray  # ω(μ), the Gram matrix of the symplectic form at the level
     diagnostics: dict = field(default_factory=dict)
@@ -152,15 +140,15 @@ def _check_custom_s_tilde(a: LieAlgebra, split: ConstraintSplit, st: np.ndarray)
 
 
 def build_context(a: LieAlgebra, mu, *, s_tilde="default",
-                  connection: FrameConnection | None = None,
                   gamma_mu: np.ndarray | None = None,
                   split: ConstraintSplit | None = None) -> ReductionContext:
     """Assemble and validate all μ-level reduction data.
 
-    The ambient connection defaults to the symplectization of the bi-invariant
-    baseline; pass an explicit connection to study non-symplectic inputs, and
-    its Γ(μ) as ``gamma_mu`` and ``constraint_split(a, mu)`` as ``split`` when
-    the caller has them.
+    The reduction reads the ambient connection only through its coefficients
+    Γ(μ) at the level, ``gamma_mu``: by default those of the symplectization
+    of the bi-invariant baseline; pass another connection's Γ(μ) to study
+    non-symplectic inputs.  Pass ``constraint_split(a, mu)`` as ``split`` when
+    the caller has it.
 
     Raises:
         NonReductiveStabilizer: no ad-stable complement of the stabilizer.
@@ -207,7 +195,6 @@ def build_context(a: LieAlgebra, mu, *, s_tilde="default",
     P = Q @ np.diag([1.0] * n + [0.0] * n) @ Q_inv
     alpha_mat = Q_inv[:k, :]
 
-    conn = connection if connection is not None else symplectize(baseline_connection(a))
     diagnostics = {
         "dims": {"delta": k, "w1": n - k, "w2": n - k, "s": k},
         "decomposition_cond": float(sq[0] / sq[-1]),
@@ -215,10 +202,10 @@ def build_context(a: LieAlgebra, mu, *, s_tilde="default",
         "projector_defect": float(np.max(np.abs(P @ P - P))),
         "zero_dimensional_base": bool(m.shape[1] == 0),
     }
-    return ReductionContext(a, mu.copy(), m, split, st, lam, S, w1, w2,
-                            P, alpha_mat, conn,
-                            conn.coefficients(mu) if gamma_mu is None else gamma_mu, om,
-                            diagnostics)
+    if gamma_mu is None:
+        gamma_mu = symplectized_coefficients(baseline_connection(a), mu)
+    return ReductionContext(a, mu.copy(), m, split, st, lam, S, w1, w2, P, alpha_mat,
+                            gamma_mu, om, diagnostics)
 
 
 def default_chart(ctx: ReductionContext, radius: float = 1.0) -> OrbitChart:
@@ -234,7 +221,7 @@ class PointKernel:
     M: np.ndarray  # lift matrix: quotient differential on the horizontal basis
     lift_ok: bool  # M has full column rank
     lifts: np.ndarray  # row i: H(Ad(h)⁻¹ · section vector i, 0), the lift of D e_i
-    tangent: bool  # M X = D to TANGENT_RTOL, X the W1 coordinates of the lifts
+    tangent: bool  # M X = D by the tangency rule, X the W1 coordinates of the lifts
     F: np.ndarray  # chart-fiber frame [Ad(h)⁻¹ · section vectors | g_μ]
     frame_ok: bool  # F has full rank
     jet: np.ndarray  # jet[c]: derivative of lifts along parameter c (read only if lift_ok)
@@ -311,8 +298,8 @@ class SigmaGeometry:
         lifts = rows @ self.horizontal_T
         # the tangency test: the lifts' W1 coordinates X must solve M X = D
         residual = M @ (lifts[..., : self.n] @ self.w1grp).transpose(0, 2, 1) - D
-        tangent = ~np.any(np.linalg.norm(residual, axis=-2)
-                          > TANGENT_RTOL * np.maximum(1.0, np.linalg.norm(D, axis=-2)), axis=-1)
+        tangent = ~np.any(off_tangent(np.linalg.norm(residual, axis=-2),
+                                      np.linalg.norm(D, axis=-2)), axis=-1)
         g_mu = ctx.split.g_mu
         F = np.concatenate([V, np.broadcast_to(g_mu, (len(ts),) + g_mu.shape)], axis=2)
         lift_ok, frame_ok = linalg.rank(M) == M.shape[-1], linalg.rank(F) == self.n
@@ -340,10 +327,7 @@ class SigmaGeometry:
     def lift(self, t, fiber: np.ndarray, v) -> np.ndarray:
         """Unique horizontal vector projecting onto the orbit tangent v, or the
         lifts of a stack of tangents (rows), all by one solve."""
-        M = self._lift_system(t, fiber).M
-        v = np.asarray(v, dtype=float)
-        coeffs, *_ = np.linalg.lstsq(M, v.T, rcond=None)
-        _check_tangent(np.linalg.norm(M @ coeffs - v.T, axis=0), v)
+        coeffs = tangent_solve(self._lift_system(t, fiber).M, np.asarray(v, dtype=float).T)
         return (self.ctx.w1 @ coeffs).T
 
     def lifts(self, t, fiber: np.ndarray) -> np.ndarray:
@@ -536,8 +520,7 @@ def autoparallel_check(ctx: ReductionContext, *, geom: SigmaGeometry | None = No
     if cand is None:
         return AutoparallelReport(defect, None)
     chart = geom.chart
-    other = build_context(a, ctx.mu, s_tilde=cand, connection=ctx.connection,
-                          gamma_mu=ctx.gamma_mu, split=ctx.split)
+    other = build_context(a, ctx.mu, s_tilde=cand, gamma_mu=ctx.gamma_mu, split=ctx.split)
     geom_b = SigmaGeometry(other, chart)
     ts = [rng.uniform(-0.3, 0.3, size=chart.dim) * chart.radius for _ in range(3)]
     geom.points(ts, geom.identity)

@@ -175,7 +175,7 @@ def test_criterion_4_curvature_cross_validation():
     mu = np.array([0.0, 0.0, 1.0])
     delta = np.random.default_rng(7).standard_normal((6, 6, 6)) * 0.5
     raw = rc.perturbed_connection(rc.baseline_connection(a), delta, symmetric=True)
-    ctx_bad = rc.build_context(a, mu, connection=raw)
+    ctx_bad = rc.build_context(a, mu, gamma_mu=raw.coefficients(mu))
     chart = rc.default_chart(ctx_bad)
     control = curvature_battery(SigmaGeometry(ctx_bad, chart),
                                 [np.array([0.12, -0.07])])["symmetry"]["symplectic_defect"]
@@ -243,14 +243,14 @@ def test_criterion_7_averaging():
     a = rc.so3()
     delta = rng.standard_normal((6, 6, 6)) * 0.4
     pert = rc.perturbed_connection(rc.baseline_connection(a), delta, symmetric=True)
-    rule = rc.finite_cyclic_rule(a, np.eye(3)[2], 4)
-    avg = rc.average_connection(pert, rule)
+    nodes = rc.finite_cyclic_rule(a, np.eye(3)[2], 4)
+    avg = rc.average_connection(pert, nodes)
     worst_torsion = 0.0
     worst_fixed = 0.0
     for _ in range(5):
         xi = rng.standard_normal(3)
         worst_torsion = max(worst_torsion, rc.torsion_defect(avg, xi))
-        for g in rule.nodes:
+        for g in nodes:
             pulled = rc.pullback_connection(avg, g)
             worst_fixed = max(worst_fixed,
                               float(np.max(np.abs(pulled.coefficients(xi)

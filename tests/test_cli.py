@@ -166,13 +166,28 @@ class TestVerbs:
         doc["xi_list"] = [[0.0, 0.0, 1.0], [0.5, -0.2, 0.1]]
         cfg = _write_config(tmp_path, doc)
         out_path = tmp_path / "conn.json"
-        code = main(["export-connection", "--config", cfg, "--out", str(out_path),
-                     "--kind", "symplectic"])
+        code = main(["export-connection", "--config", cfg, "--out", str(out_path)])
         assert code == 0
         rep = json.loads(out_path.read_text())
+        assert rep["connection"]["label"] == "symplectized(baseline)"
         assert len(rep["connection"]["evaluations"]) == 2
         gamma = np.asarray(rep["connection"]["evaluations"][0]["gamma"])
         assert gamma.shape == (6, 6, 6)
+
+    def test_export_connection_follows_the_config(self, tmp_path):
+        # the config's connection key names what is exported; no flag restates it
+        doc = dict(SO3_DOC, connection="baseline", xi_list=[[0.5, -0.2, 0.1]])
+        cfg = _write_config(tmp_path, doc)
+        out_path = tmp_path / "conn.json"
+        assert main(["export-connection", "--config", cfg, "--out", str(out_path)]) == 0
+        conn = json.loads(out_path.read_text())["connection"]
+        assert conn["label"] == "baseline"
+        assert not conn["is_symplectic"]
+        base = redconn.baseline_connection(redconn.so3()).coefficients(doc["xi_list"][0])
+        assert np.array_equal(np.asarray(conn["evaluations"][0]["gamma"]), base)
+        with pytest.raises(SystemExit) as exc:
+            main(["export-connection", "--config", cfg, "--kind", "symplectic"])
+        assert exc.value.code == 2
 
 
 class TestExitCodes:

@@ -30,11 +30,14 @@ compare_reports = _load_tool()
 
 @pytest.fixture(scope="module")
 def so3_dumps():
-    """The so3 curvature and verify reports as ``dump`` writes and ``diff`` reads them."""
-    cfg = CaseConfig.from_dict({"group": "so3", "mu": [0.0, 0.0, 1.0]})
+    """The so3 curvature, verify and export-connection reports as ``dump``
+    writes and ``diff`` reads them."""
+    doc = {"group": "so3", "mu": [0.0, 0.0, 1.0]}
+    cfg = CaseConfig.from_dict(doc)
     out = {}
     for verb, (rep, code) in (("curvature", run_pipeline(cfg, "curvature")),
-                              ("verify", verify_suite(cfg))):
+                              ("verify", verify_suite(cfg)),
+                              ("export", compare_reports._export(doc))):
         rep.pop("timings", None)
         out[verb] = json.loads(report_mod.dumps({"exit_code": code, "report": rep}))
     return out
@@ -91,6 +94,15 @@ def _as_older_dumps_parse(value):
     return value
 
 
+def _roundoff_gamma(doc):
+    gamma = doc["report"]["connection"]["evaluations"][1]["gamma"]
+    gamma[0][1][2] = float(np.nextafter(gamma[0][1][2], np.inf))
+
+
+def _export_label(doc):
+    doc["report"]["connection"]["label"] = "baseline"
+
+
 def _whole_floats_as_ints(doc):
     doc["report"] = _as_older_dumps_parse(doc["report"])
     assert [type(v) for v in doc["report"]["config"]["mu"]] == [int, int, int]  # μ = (0, 0, 1)
@@ -108,7 +120,26 @@ CASES = {
     "check-added": ("verify", _check_added_and_roundoff, True, True),
     "check-removed": ("verify", _check_removed, True, False),
     "whole-floats-as-ints": ("verify", _whole_floats_as_ints, False, False),
+    "self-export": ("export", _unchanged, False, False),
+    "roundoff-on-exported-gamma": ("export", _roundoff_gamma, False, True),
+    "exported-label": ("export", _export_label, True, False),
 }
+
+
+def test_export_cases(so3_dumps):
+    # so3 and so(4) regular, each without and with an xi_list, at the default
+    # connection; the so3 one is the report the CLI writes
+    exports = {label: doc for label, verb, doc in compare_reports._cases()
+               if verb == "export-connection"}
+    assert sorted(exports) == ["so3-export", "so3-export-xi", "so4-regular-export",
+                               "so4-regular-export-xi"]
+    for label, doc in exports.items():
+        assert "connection" not in doc
+        assert ("xi_list" in doc) == label.endswith("-xi")
+    report = so3_dumps["export"]
+    assert report["exit_code"] == 0
+    assert report["report"]["config"] == CaseConfig.from_dict(exports["so3-export"]).as_dict()
+    assert report["report"]["connection"]["label"] == "symplectized(baseline)"
 
 
 @pytest.mark.parametrize("name", list(CASES))

@@ -227,16 +227,27 @@ class TestTorsion:
 
 class TestAveraging:
     def test_quadrature_validation(self, so3):
-        rule = rc.finite_cyclic_rule(so3, e3, 4)
-        assert len(rule.nodes) == 4
-        assert abs(float(np.sum(rule.weights)) - 1.0) <= 1e-12
+        nodes = rc.finite_cyclic_rule(so3, e3, 4)
+        assert len(nodes) == 4
         with pytest.raises(ValueError):
-            rc.QuadratureRule((np.eye(3),), np.array([0.5])).validate()
+            rc.finite_cyclic_rule(so3, e3, 0)
+
+    def test_empty_node_tuple_rejected(self, so3):
+        with pytest.raises(ValueError):
+            rc.average_connection(rc.baseline_connection(so3), ())
+
+    def test_order_six_average_is_the_mean_of_pullbacks(self, so3, rng):
+        pert = rc.perturbed_connection(rc.baseline_connection(so3),
+                                       rng.standard_normal((6, 6, 6)) * 0.2)
+        nodes = rc.finite_cyclic_rule(so3, e3, 6)
+        xi = rng.standard_normal(3)
+        manual = sum(rc.pullback_connection(pert, g).coefficients(xi) for g in nodes) / 6
+        assert np.max(np.abs(rc.average_connection(pert, nodes).coefficients(xi)
+                             - manual)) <= 1e-15
 
     def test_bi_invariant_baseline_unchanged(self, so3, rng):
         base = rc.baseline_connection(so3)
-        rule = rc.finite_cyclic_rule(so3, e3, 4)
-        avg = rc.average_connection(base, rule)
+        avg = rc.average_connection(base, rc.finite_cyclic_rule(so3, e3, 4))
         for _ in range(3):
             xi = rng.standard_normal(3)
             assert np.max(np.abs(avg.coefficients(xi) - base.coefficients(xi))) <= 1e-12
@@ -244,11 +255,10 @@ class TestAveraging:
     def test_equal_weights_give_arithmetic_mean(self, so3, rng):
         delta = rng.standard_normal((6, 6, 6)) * 0.2
         pert = rc.perturbed_connection(rc.baseline_connection(so3), delta)
-        rule = rc.finite_cyclic_rule(so3, e3, 4)
-        avg = rc.average_connection(pert, rule)
+        nodes = rc.finite_cyclic_rule(so3, e3, 4)
+        avg = rc.average_connection(pert, nodes)
         xi = rng.standard_normal(3)
-        manual = sum(rc.pullback_connection(pert, g).coefficients(xi)
-                     for g in rule.nodes) / 4.0
+        manual = sum(rc.pullback_connection(pert, g).coefficients(xi) for g in nodes) / 4.0
         assert np.max(np.abs(avg.coefficients(xi) - manual)) <= 1e-13
 
     def test_average_of_torsion_free_is_torsion_free(self, so3, rng):
@@ -262,22 +272,14 @@ class TestAveraging:
     def test_fixed_by_subgroup_nodes(self, so3, rng):
         delta = rng.standard_normal((6, 6, 6)) * 0.3
         pert = rc.perturbed_connection(rc.baseline_connection(so3), delta, symmetric=True)
-        rule = rc.finite_cyclic_rule(so3, e3, 4)
-        avg = rc.average_connection(pert, rule)
-        for g in rule.nodes:
+        nodes = rc.finite_cyclic_rule(so3, e3, 4)
+        avg = rc.average_connection(pert, nodes)
+        for g in nodes:
             pulled = rc.pullback_connection(avg, g)
             for _ in range(2):
                 xi = rng.standard_normal(3)
                 assert np.max(np.abs(pulled.coefficients(xi)
                                      - avg.coefficients(xi))) <= 1e-10
-
-    def test_torus_rule_normalization(self, so3):
-        rule = rc.torus_rule(so3, [e3], 6)
-        assert len(rule.nodes) == 6
-        assert abs(float(np.sum(rule.weights)) - 1.0) <= 1e-12
-        avg = rc.average_connection(rc.baseline_connection(so3), rule)
-        assert np.max(np.abs(avg.coefficients(zero3)
-                             - rc.baseline_connection(so3).coefficients(zero3))) <= 1e-12
 
 
 class TestFrameStructure:

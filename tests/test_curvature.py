@@ -43,8 +43,7 @@ class TestFlatCases:
         # derivative of the zero connection vanishes identically
         a = rc.heis3()
         mu = np.array([0.0, 0.0, 1.0])
-        zero = rc.FrameConnection(a, lambda xi: np.zeros((6, 6, 6)))
-        ctx = rc.build_context(a, mu, connection=zero)
+        ctx = rc.build_context(a, mu, gamma_mu=np.zeros((6, 6, 6)))
         chart = rc.default_chart(ctx)
         out = curvature_tensor(SigmaGeometry(ctx, chart), np.array([0.2, -0.1]))[0, 1, 0]
         assert np.max(np.abs(out)) <= 1e-6
@@ -214,12 +213,12 @@ class TestSymmetryBattery:
         delta = rng.standard_normal((6, 6, 6)) * 0.5
         raw = rc.perturbed_connection(rc.baseline_connection(a), delta, symmetric=True)
         assert rc.torsion_defect(raw, mu) <= 1e-12
-        ctx_bad = rc.build_context(a, mu, connection=raw)
+        ctx_bad = rc.build_context(a, mu, gamma_mu=raw.coefficients(mu))
         chart = rc.default_chart(ctx_bad)
         bad = curvature_battery(SigmaGeometry(ctx_bad, chart),
                                 [np.array([0.12, -0.07])])["symmetry"]
         assert bad["symplectic_defect"] > 1e-2
-        ctx_good = rc.build_context(a, mu, connection=rc.symplectize(raw))
+        ctx_good = rc.build_context(a, mu, gamma_mu=rc.symplectize(raw).coefficients(mu))
         good = curvature_battery(SigmaGeometry(ctx_good, chart),
                                  [np.array([0.12, -0.07])])["symmetry"]
         assert good["symplectic_defect"] <= 1e-4
@@ -263,7 +262,7 @@ class TestSymmetryBattery:
         t = np.array([0.12, -0.07])
         asym = []
         for conn in (raw, rc.symplectize(raw)):
-            ctx = rc.build_context(a, mu, connection=conn)
+            ctx = rc.build_context(a, mu, gamma_mu=conn.coefficients(mu))
             chart = rc.default_chart(ctx)
             r = _ricci(chart, t, curvature_tensor(SigmaGeometry(ctx, chart), t))
             asym.append(float(np.max(np.abs(r - r.T))))

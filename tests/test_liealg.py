@@ -304,8 +304,8 @@ class TestGroupMachinery:
         for got, want in zip(rc.orbit_chart(bare, [0, 0, 1.0], m).exp_data(t),
                              rc.orbit_chart(so3, [0, 0, 1.0], m).exp_data(t)):
             assert np.array_equal(got, want)
-        for got, want in zip(rc.finite_cyclic_rule(bare, np.eye(3)[2], 4).nodes,
-                             rc.finite_cyclic_rule(so3, np.eye(3)[2], 4).nodes):
+        for got, want in zip(rc.finite_cyclic_rule(bare, np.eye(3)[2], 4),
+                             rc.finite_cyclic_rule(so3, np.eye(3)[2], 4)):
             assert np.array_equal(got, want)
         left = [rc.fundamental_field(alg, "left", X, rc.PhasePoint(rc.group_exp(alg, -X), X))
                 for alg in (bare, so3)]

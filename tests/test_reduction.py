@@ -190,19 +190,24 @@ class TestBuildContext:
 
 
 class TestSigmaCovderiv:
+    @pytest.mark.parametrize("name, mu", CATALOG_CASES)
+    def test_default_gamma_is_the_symplectized_baseline(self, name, mu):
+        # the context reads the connection only through Γ(μ); its default is
+        # the symplectized baseline's, bit for bit
+        a = rc.named_algebra(name)
+        expected = rc.symplectize(rc.baseline_connection(a)).coefficients(mu)
+        assert np.array_equal(rc.build_context(a, mu).gamma_mu, expected)
+
     def test_abelian_vanishes(self, rng):
         a = rc.abelian(2)
         mu = rng.standard_normal(2)
         ctx = rc.build_context(a, mu)
-        conn = ctx.connection
-        gamma = conn.coefficients(mu)
-        assert np.max(np.abs(gamma)) == 0.0
+        assert np.max(np.abs(ctx.gamma_mu)) == 0.0
 
     def test_constant_fields_match_matrix_oracle(self, so3, mu_so3, so3_ctx, so3_chart):
         # independent oracle: contract the coefficient array directly and
         # project with a least-squares decomposition instead of the stored P
-        conn = so3_ctx.connection
-        gamma = conn.coefficients(mu_so3)
+        gamma = rc.symplectize(rc.baseline_connection(so3)).coefficients(mu_so3)
         u = _vec(e1, np.zeros(3))
         v = _vec(e2, np.zeros(3))
         out = _induced_derivative(so3_ctx, so3_chart, u, lambda t, fib: v, np.zeros(2))
@@ -231,8 +236,7 @@ class TestSigmaCovderiv:
     def test_stabilizer_equivariance(self, so3, mu_so3, so3_ctx, rng):
         # transported constant fields at the moved point give the transported
         # value: the stabilizer acts by affine transformations
-        conn = so3_ctx.connection
-        gamma = conn.coefficients(mu_so3)
+        gamma = rc.symplectize(rc.baseline_connection(so3)).coefficients(mu_so3)
         P = so3_ctx.p_matrix
         h = rc.group_exp(so3, so3_ctx.split.g_mu @ rng.uniform(-1, 1, 1))
         T = np.zeros((6, 6))
@@ -426,8 +430,7 @@ class TestTotallyGeodesic:
 
     def test_so3_matches_direct_expansion(self, so3, mu_so3, so3_ctx):
         # oracle: expand omega(P Gamma(u, v), P z) with raw matrix products
-        conn = so3_ctx.connection
-        gamma = conn.coefficients(mu_so3)
+        gamma = rc.symplectize(rc.baseline_connection(so3)).coefficients(mu_so3)
         om = rc.omega_gram(so3, mu_so3)
         P = so3_ctx.p_matrix
         u = _vec(so3_ctx.split.g_mu[:, 0], np.zeros(3))
@@ -463,8 +466,7 @@ class TestAutoparallel:
         a = heis3_ctx.algebra
         chart = rc.default_chart(heis3_ctx)
         cand = heis3_ctx.s_tilde + 0.4 * rng.standard_normal(heis3_ctx.s_tilde.shape)
-        other = rc.build_context(a, heis3_ctx.mu, s_tilde=cand,
-                                 connection=heis3_ctx.connection)
+        other = rc.build_context(a, heis3_ctx.mu, s_tilde=cand, gamma_mu=heis3_ctx.gamma_mu)
         for t in (np.array([0.2, 0.1]), np.array([-0.3, 0.25])):
             va = _reduced_table(heis3_ctx, chart, t)[0, 1]
             vb = _reduced_table(other, chart, t)[0, 1]

@@ -143,6 +143,23 @@ def test_verify_builds_no_more_than_the_pipeline(monkeypatch, label):
     assert counts[0]["kernels"] > counts[0]["geometries"] > 0
 
 
+@pytest.mark.parametrize("label", ["so3", "so4-regular"])
+def test_validate_exponentiates_only_the_left_samples(monkeypatch, label):
+    # the right-side momentum differential never reads the group element, so
+    # only the five left-side regularity samples are exponentiated
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return liealg.group_exp(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "group_exp", counted)
+    rep, code = run_pipeline(CaseConfig.from_dict(_doc(label)), "validate")
+    assert code == 0 and len(calls) == 5
+    assert [len(rep["stages"]["validate"]["regularity"][side]["points"])
+            for side in ("right", "left")] == [5, 5]
+
+
 @pytest.mark.parametrize("label", ["so3", "heis3", "so4-regular"])
 def test_one_stabilizer_solve_per_constraint_split(monkeypatch, label):
     # the constraint split is the one caller of the stabilizer solve, and it

@@ -15,10 +15,14 @@ abelian(3), on aff1 with and without a realization, on so3 with
 ``samples: 5`` (a second curvature point, at t ≠ 0), plus
 ``run_pipeline(…, "reduce")`` on both so(5) cases and
 ``run_pipeline(…, "curvature")`` on the so(5) regular one (orbit dimension 8).
-Two error paths close the set: sl2r at μ = (0, 1, 0) under both verbs, whose
+Two error paths follow: sl2r at μ = (0, 1, 0) under both verbs, whose
 stabilizer has no invariant complement (``NonReductiveStabilizer``, exit 3),
 and ``verify_suite`` on so3 with ``tol_scale: 1e-3`` and
-``tol: {"kks_match": 1e-20}``, whose failing checks exit 4.
+``tol: {"kks_match": 1e-20}``, whose failing checks exit 4.  The
+``export-connection`` reports of so3 and the so(4) regular case at the
+``perfbench/cases.py`` μ, with the default ``connection``, once without and
+once with an ``xi_list``, close the set; they go through ``cli.main`` with
+no flag but ``--config`` and ``--out``, which every tree's CLI accepts.
 
 ``diff`` lists the byte-identical and the differing files.  A differing file
 passes when the two dumps agree on everything except floating-point
@@ -52,6 +56,7 @@ import argparse
 import json
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -114,7 +119,26 @@ def _cases() -> list:
     both("sl2r-nonreductive", {"group": "sl2r", "mu": [0.0, 1.0, 0.0]})
     out.append(("so3-tight-verify", "verify", {"group": "so3", "mu": [0.0, 0.0, 1.0],
                                                "tol_scale": 1e-3, "tol": {"kks_match": 1e-20}}))
+    so4_label, n, weights, _, _ = case_sets.SO4_CASES[0]
+    so4_doc = {"group": case_sets.so_n_group(n), "mu": case_sets.so_n_mu(n, weights)}
+    for label, doc, xi in (("so3", {"group": "so3", "mu": [0.0, 0.0, 1.0]}, [0.5, -0.2, 0.1]),
+                           (so4_label, so4_doc, [0.5, -0.2, 0.1, 0.3, -0.4, 0.2])):
+        out.append((f"{label}-export", "export-connection", doc))
+        out.append((f"{label}-export-xi", "export-connection",
+                    dict(doc, xi_list=[doc["mu"], xi])))
     return out
+
+
+def _export(doc: dict) -> tuple[dict, int]:
+    """The ``export-connection`` report of the config ``doc`` and its exit code,
+    from ``cli.main`` with the config and the report in a scratch directory."""
+    from redconn import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        config, report = Path(tmp, "config.json"), Path(tmp, "report.json")
+        config.write_text(json.dumps(doc))
+        code = cli.main(["export-connection", "--config", str(config), "--out", str(report)])
+        return json.loads(report.read_text()), code
 
 
 def dump(src: str, out_dir: str) -> int:
@@ -125,8 +149,11 @@ def dump(src: str, out_dir: str) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for label, verb, doc in _cases():
-        cfg = CaseConfig.from_dict(json.loads(json.dumps(doc)))
-        rep, code = verify_suite(cfg) if verb == "verify" else run_pipeline(cfg, verb)
+        if verb == "export-connection":
+            rep, code = _export(doc)
+        else:
+            cfg = CaseConfig.from_dict(json.loads(json.dumps(doc)))
+            rep, code = verify_suite(cfg) if verb == "verify" else run_pipeline(cfg, verb)
         rep.pop("timings", None)
         (out / f"{label}.json").write_text(report_mod.dumps({"exit_code": code, "report": rep}))
         print(f"{label}: exit {code}", flush=True)
