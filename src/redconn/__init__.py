@@ -26,8 +26,8 @@ from .orbits import (KKS_MATCH_SIGN, OrbitChart, kks_form, orbit_chart, orbit_ta
 from .reduction import (AutoparallelReport, ReductionContext, SigmaGeometry, autoparallel_check,
                         build_context, default_chart, isotropic_correction_gram, reduced_form,
                         totally_geodesic_defect)
-from .curvature import (convergence_factor, curvature_battery, curvature_formula,
-                        curvature_tensor)
+from .curvature import (convergence_factor, curvature_battery, curvature_exact,
+                        curvature_formula, curvature_tensor)
 from .pipeline import CaseConfig, run_pipeline, verify_suite
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -21,10 +21,10 @@ both routes read from one ``SigmaGeometry.cov_table`` per point.  Every first
 derivative along the level set is exact (the jet of ``lifts``), so each route
 keeps one finite-difference level, at fd_step2: the formula differences the
 tables' level-set values along f̄_x, the tensor their pushdowns along eₓ.
-Both return the same [i, j, l] array of orbit tangents; agreement degrades
-quadratically with fd_step2, which the convergence probe measures by step
-halving.  ``curvature_battery`` runs every curvature check on one
-``SigmaGeometry``.
+Both return the same [i, j, l] array of orbit tangents as ``curvature_exact``,
+Nomizu's operators at μ moved to t by Coad, which needs no stencil; the FD
+error, quadratic in fd_step2, is what the convergence probe measures against it
+by step halving.  ``curvature_battery`` runs every curvature check on one geometry.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ PROBE_TIE_RTOL = 1e-6
 
 
 def curvature_formula(geom: SigmaGeometry, t, *, fd_step2: float = DEFAULT_FD_STEP2,
-                      directions=None, richardson: bool = False) -> np.ndarray:
+                      directions=None) -> np.ndarray:
     """Reduced curvature of the coordinate fields by the lift expansion, as orbit
     tangents in the layout of ``curvature_tensor``: entry [a, b, l] is
     R(f_i, f_j)f_l at t for i = directions[a], j = directions[b] (all chart
@@ -50,11 +50,10 @@ def curvature_formula(geom: SigmaGeometry, t, *, fd_step2: float = DEFAULT_FD_ST
 
     The level-set derivatives ∇_f̄_j f̄_l and their radical parts come from
     the level-set tables of ``cov_table``, differenced along f̄_x on one
-    fd_step2 stencil per direction x (with ``richardson``, extrapolated), all
-    built in one batch; the bracket [f̄_i, f̄_j] reads the exact derivatives of
-    ``lifts`` the table at t is built from, and the derivatives along it and
-    its radical part are exact too.  The tables at the stencil points are
-    built in one batch.
+    fd_step2 stencil per direction x, all built in one batch; the bracket
+    [f̄_i, f̄_j] reads the exact derivatives of ``lifts`` the table at t is
+    built from, and the derivatives along it and its radical part are exact
+    too.
     """
     ctx, e, km = geom.ctx, geom.identity, geom.chart.dim
     t = np.asarray(t, dtype=float)
@@ -66,7 +65,7 @@ def curvature_formula(geom: SigmaGeometry, t, *, fd_step2: float = DEFAULT_FD_ST
         return np.stack([level, ctx.alpha_star(level)], axis=2)
 
     xs = list(dict.fromkeys(dirs))
-    d_grads = geom._stencil(t, e, u[xs], fd_step2, grads, richardson=richardson)
+    d_grads = geom._stencil(t, e, u[xs], fd_step2, grads)
     # inner[x, l]: derivative of f̄_l along f̄_x, from which the table at t is built
     inner = geom.point(t, e).derivs
     # outer[xs.index(x), j, l, s]: induced derivative of grads(t, e)[j, l, s] along f̄_x
@@ -120,6 +119,31 @@ def curvature_tensor(geom: SigmaGeometry, t, *, fd_step2: float = DEFAULT_FD_STE
     quad = np.einsum("blm,amc->ablc", g, g)  # Γ^m_jl Γ^c_im
     r_chart = d + quad - (d + quad).transpose(1, 0, 2, 3)
     return r_chart @ geom.point(t, geom.identity).D.T
+
+
+def curvature_exact(geom: SigmaGeometry, t) -> np.ndarray:
+    """Reduced curvature of the coordinate fields at t, in the layout of
+    ``curvature_tensor``, with no finite difference.
+
+    The reduced connection is G-invariant, so (Nomizu, Amer. J. Math. 76, 1954)
+    R(X♯, Y♯) = [N_X, N_Y] − N_[X,Y] at μ for N_X = ∇X♯, X♯(ν) = −ad(X)ᵀν.
+    N_X f_c is the pushdown of P∘∇ along f̄_c = H(E_c, 0) of X♯'s horizontal
+    lift g ↦ H(Ad(g)⁻¹X, 0), whose derivative there is H(−[f̄_c, X], 0); N is
+    linear in X.  At t, R_t[i, j, l] = C·D(0)·Σ B_ai B_bj B_cl R_μ[a, b, c] with
+    C = Coad(exp A) and B = D(0)⁺·C⁻¹·D(t).
+    """
+    ctx, c, n, m, H = geom.ctx, geom.ctx.algebra.c, geom.n, geom.chart.m_basis, geom.horizontal_T
+    u = m.T @ H  # row c: f̄_c at μ
+    level = geom._induced(u, H[None], -np.einsum("ci,ikx->ckx", u[:, :n], c) @ H)
+    D0 = -geom.K_T @ m
+    push = -ctx.horizontal_part(level)[..., :n] @ geom.K_T.T  # [c, k]: N_{e_k} f_c
+    N = tangent_solve(D0, push.reshape(-1, n).T).reshape(-1, m.shape[1], n).transpose(2, 0, 1)
+    NE = np.einsum("ki,krc->irc", m, N)  # N_{E_i} in chart coordinates, [i, row, column]
+    NB = np.einsum("abx,ai,bj,xrc->ijrc", c, m, m, N, optimize=True)  # N_[E_i, E_j]
+    r_mu = (NE[:, None] @ NE[None] - NE[None] @ NE[:, None] - NB).swapaxes(-1, -2)  # [a, b, c, r]
+    p = geom.point(np.asarray(t, dtype=float), geom.identity)
+    B, *_ = np.linalg.lstsq(D0, np.linalg.solve(p.coad, p.D), rcond=None)
+    return np.einsum("ai,bj,cl,abcr->ijlr", B, B, B, r_mu, optimize=True) @ (p.coad @ D0).T
 
 
 def _tensor_points(t: np.ndarray, fd_step2: float, xs) -> list:
@@ -197,34 +221,26 @@ def curvature_battery(geom: SigmaGeometry, t_points, *,
 def convergence_factor(geom: SigmaGeometry, t, *, coarse: float = 4e-3,
                        inputs=(0, 1, 1)) -> dict:
     """Step-halving convergence of the finite-difference curvature routes on
-    the value R(f_i, f_j)f_l for (i, j, l) = ``inputs``.
-
-    A Richardson-extrapolated evaluation serves as the reference; each route's
-    error against it is measured at a coarse step and at half that step.
-    Central differencing is second order, so the ratio should sit near four.
-    The probe uses steps well above the default because there the truncation
-    term dominates roundoff.  The reference and both steps run on ``geom``
-    and reuse its kernel and table at t; the tables at the displaced points of
-    all three (the reference's four per direction i and j, each step's formula
-    stencil points and tensor points t ± h·eᵢ, t ± h·eⱼ) are built in one batch.
+    the value R(f_i, f_j)f_l for (i, j, l) = ``inputs``: each route's error
+    against ``curvature_exact`` at a coarse step and at half that step, whose
+    ratio should sit near four (central differences are second order).  The
+    steps sit well above the default, where truncation dominates roundoff.  The
+    tables at the displaced points of both steps are built in one batch.
     """
     i, j, l = inputs
     t = np.asarray(t, dtype=float)
     e = geom.identity
     u = geom.lifts(t, e)[[i, j]]
-    stencils = [geom._stencil_points(t, e, u, h, richardson)
-                for h, richardson in ((1e-3, True), (coarse, False), (coarse / 2.0, False))]
+    stencils = [geom._stencil_points(t, e, u, h) for h in (coarse, coarse / 2.0)]
     tensor = [p for h in (coarse, coarse / 2.0) for p in _tensor_points(t, h, (i, j))]
-    geom.points(np.concatenate([[t]] + [ts for ts, _ in stencils] + [tensor]),
-                np.concatenate([[e]] + [fibers for _, fibers in stencils] + [[e] * len(tensor)]))
-    reference = curvature_formula(geom, t, fd_step2=1e-3, directions=(i, j),
-                                  richardson=True)[0, 1, l]
+    geom.points(np.concatenate([ts for ts, _ in stencils] + [tensor]),
+                np.concatenate([fibers for _, fibers in stencils] + [[e] * len(tensor)]))
+    exact = curvature_exact(geom, t)[i, j, l]
 
     def errors(h: float) -> tuple[float, float]:
         val = curvature_formula(geom, t, fd_step2=h, directions=(i, j))[0, 1, l]
         orc = curvature_tensor(geom, t, fd_step2=h, directions=(i, j))[0, 1, l]
-        return (float(np.linalg.norm(orc - reference)),
-                float(np.linalg.norm(val - reference)))
+        return float(np.linalg.norm(orc - exact)), float(np.linalg.norm(val - exact))
 
     oracle_coarse, formula_coarse = errors(coarse)
     oracle_fine, formula_fine = errors(coarse / 2.0)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,10 @@ class LieAlgebra:
     realization: np.ndarray | None = None
     det_one: bool = False
     orthogonal: bool = False
+
+    @cached_property
+    def _upper(self) -> np.ndarray:  # mask of the strict upper triangle, built once
+        return np.triu(np.ones((self.dim, self.dim), dtype=bool), k=1)
 
     @property
     def has_realization(self) -> bool:
@@ -101,7 +106,7 @@ class LieAlgebra:
         if X.shape != (self.dim,) or Y.shape != (self.dim,):
             raise ValueError(f"bracket arguments must have length {self.dim}")
         W = np.outer(X, Y)
-        anti = np.triu(W - W.T, k=1)
+        anti = np.where(self._upper, W - W.T, 0.0)
         return np.einsum("ij,ijk->k", anti, self.c)
 
     def ad(self, X) -> np.ndarray:

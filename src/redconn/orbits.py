@@ -7,7 +7,7 @@ from a complement m of the stabilizer: chart coordinates t parametrize
 into the momentum level set.  Coad, the section vectors and the chart
 differential at t, with the exact derivatives of the section vectors along
 every chart direction, come from one ``linalg.expm`` of a stack of 3n×3n
-blocks, for one chart point or for a whole stack of them.
+blocks (without the derivatives, 2n×2n), for one chart point or for a stack.
 """
 
 from __future__ import annotations
@@ -75,14 +75,27 @@ class OrbitChart:
         K_T = a.bracket_pairing(self.mu).T
         return coad, vecs, -coad @ (K_T @ vecs), E[:, : self.dim, :n, 2 * n:] @ m
 
+    def lift_data(self, ts) -> tuple[np.ndarray, ...]:
+        """Coad(exp A), the section vectors and the chart differential, stacked
+        over the chart points t of ``ts`` (rows, or one t), from blocks (1, 1)
+        and (1, 2) of expm([[−ad A, I], [0, 0]]): Coad(exp A)ᵀ and φ₁(−ad A)."""
+        n, m = self.algebra.dim, self.m_basis
+        ts = np.atleast_2d(np.asarray(ts, dtype=float))
+        block = np.zeros((len(ts), 2 * n, 2 * n))
+        block[:, :n, :n] = -np.einsum("ijk,ti->tkj", self.algebra.c, ts @ m.T)
+        block[:, :n, n:] = np.eye(n)
+        E = linalg.expm(block, batch_ndim=1)
+        coad, vecs = E[:, :n, :n].transpose(0, 2, 1), E[:, :n, n:] @ m
+        return coad, vecs, -coad @ (self.algebra.bracket_pairing(self.mu).T @ vecs)
+
     def section_vectors(self, t) -> np.ndarray:
         """Left-trivialized velocities of the chart directions at t: column a is
         exp(A)⁻¹ d/ds exp(A + s E_a)|_0 = φ₁(−ad A) E_a."""
-        return self.exp_data(t)[1][0]
+        return self.lift_data(t)[1][0]
 
     def dnu(self, t) -> np.ndarray:
         """Chart differential: column a is -Coad(g) (μ∘ad(X_a(t)))."""
-        return self.exp_data(t)[2][0]
+        return self.lift_data(t)[2][0]
 
     def check_rank(self, t) -> None:
         if linalg.rank(self.dnu(t)) < self.dim:

@@ -638,20 +638,17 @@ def _l_equivariance_defect(ctx, rng) -> float:
 
 def _geodesic_oracle_gap(ctx, value: float) -> float:
     """Re-derive the totally-geodesic defect by a least-squares projection route."""
-    n = ctx.algebra.dim
-    k = ctx.stabilizer_dim
+    n, k = ctx.algebra.dim, ctx.stabilizer_dim
     if k == 0:
         return 0.0
-    om = ctx.omega_mu
+    gens = ctx.split.delta.T  # rows (g_μ e_i, 0)
+    products = np.einsum("abc,ia,jb->ijc", ctx.gamma_mu, gens, gens).reshape(k * k, -1)
+    # the TΣ components along W2 ⊕ S of the frame vectors and the products, one solve
     basis = np.hstack([ctx.split.t_sigma, ctx.w2, ctx.S])
-
-    def project(v):  # TΣ component of v along W2 ⊕ S
-        return ctx.split.t_sigma @ linalg.solve_columns(basis, v)[:n]
-
-    frame = [project(zc) for zc in np.eye(2 * n)]
-    gens = np.ascontiguousarray(ctx.split.delta.T)  # rows (g_μ e_i, 0)
-    projs = [project(np.einsum("abc,a,b->c", ctx.gamma_mu, u, v)) for u in gens for v in gens]
-    return abs(max(abs(float(proj @ om @ pz)) for proj in projs for pz in frame) - value)
+    coords = linalg.solve_columns(basis, np.hstack([np.eye(2 * n), products.T]))
+    proj = ctx.split.t_sigma @ coords[:n]
+    pairs = proj[:, 2 * n:].T @ ctx.omega_mu @ proj[:, : 2 * n]
+    return abs(float(np.max(np.abs(pairs))) - value)
 
 
 def _sigma_equivariance_defect(ctx, rng) -> float:
@@ -678,7 +675,8 @@ def _sigma_equivariance_defect(ctx, rng) -> float:
 def _jet_fd_defect(geom: SigmaGeometry, t, step: float) -> float:
     """Largest gap, relative to max(1, |exact|), between the exact derivatives
     of ``lifts`` and their central differences at ``step`` along each lift and
-    stabilizer generator at t, on the fibers 1 and exp(g_μ·(½, …, ½))."""
+    stabilizer generator at t, on the fibers 1 and exp(g_μ·(½, …, ½)), by the
+    lift-only stencil of ``SigmaGeometry._stencil``."""
     a, g_mu = geom.ctx.algebra, geom.ctx.split.g_mu
     k = g_mu.shape[1]
     fibers = [geom.identity] + ([group_exp(a, g_mu @ np.full(k, 0.5))] if k else [])
@@ -686,7 +684,7 @@ def _jet_fd_defect(geom: SigmaGeometry, t, step: float) -> float:
     for fiber in fibers:
         us = np.vstack([geom.lifts(t, fiber), np.pad(g_mu.T, ((0, 0), (0, geom.n)))])
         for exact, fd in zip(geom.lift_derivatives(t, fiber, us),
-                             geom._stencil(t, fiber, us, step, geom.lifts)):
+                             geom._stencil(t, fiber, us, step)):
             gap = max(gap, float(np.max(np.abs(exact - fd)) / max(1.0, np.max(np.abs(exact)))))
     return gap
 

@@ -240,11 +240,11 @@ class SigmaGeometry:
     f_i: the horizontal part of the section velocity), its jet and its level
     table; ``points`` builds a batch of them in one stacked pass, and
     ``cov_table`` is the checked read of a table.  ``lift_derivatives``
-    contracts the jet with a direction's parameter velocity, and ``_stencil``
-    central-differences any function of the point.  A run shares one instance
-    per (context, chart) between the chart sweep, the autoparallel check and
-    the curvature battery; kernels depend only on their keys, never on their
-    batch, so sharing and batching change what is recomputed, never a value.
+    contracts the jet with a direction's parameter velocity; ``_stencil``
+    central-differences a function of the point, or lifts.  A run shares one
+    instance per (context, chart) between the chart sweep, the autoparallel
+    check and the curvature battery; kernels depend only on their keys, never
+    on their batch, so sharing and batching change what is recomputed, never a value.
     The cache is not thread-safe: use one instance per thread.
     """
 
@@ -286,23 +286,14 @@ class SigmaGeometry:
         """The kernels at the rows of ``ts`` and ``fibers``, each step stacked."""
         ctx = self.ctx
         coad_t, vecs, D, d_vecs = self.chart.exp_data(ts)
-        h_inv = np.linalg.inv(fibers)
-        coad = coad_t @ h_inv.transpose(0, 2, 1)
-        M = -coad @ (self.K_T @ self.w1grp)
-        # lifts: the horizontal parts of the rows of the section velocity V = Ad(h)⁻¹ · vecs;
-        # jet: those of V's derivatives along each chart and fiber parameter
-        V = h_inv @ vecs
+        h_inv, coad, M, lift_ok, V, lifts, tangent = self._lift_rows(coad_t, vecs, D, fibers)
+        # jet: the horizontal parts of V's row derivatives along each chart and fiber parameter
         rows = V.transpose(0, 2, 1)
         d_rows = np.concatenate([d_vecs.transpose(0, 1, 3, 2) @ h_inv.transpose(0, 2, 1)[:, None],
                                  -rows[:, None] @ self.ad_fiber_T], axis=1)
-        lifts = rows @ self.horizontal_T
-        # the tangency test: the lifts' W1 coordinates X must solve M X = D
-        residual = M @ (lifts[..., : self.n] @ self.w1grp).transpose(0, 2, 1) - D
-        tangent = ~np.any(off_tangent(np.linalg.norm(residual, axis=-2),
-                                      np.linalg.norm(D, axis=-2)), axis=-1)
         g_mu = ctx.split.g_mu
         F = np.concatenate([V, np.broadcast_to(g_mu, (len(ts),) + g_mu.shape)], axis=2)
-        lift_ok, frame_ok = linalg.rank(M) == M.shape[-1], linalg.rank(F) == self.n
+        frame_ok = linalg.rank(F) == self.n
         ok = lift_ok & tangent & frame_ok
         jet = d_rows @ self.horizontal_T
         # the table: one frame solve per lift (in the identity frame where a check failed:
@@ -316,18 +307,28 @@ class SigmaGeometry:
             coad, D, M, lift_ok.tolist(), lifts, tangent.tolist(), F, frame_ok.tolist(), jet,
             ok.tolist(), derivs, level, cov)]
 
-    # -- lifting ---------------------------------------------------------
+    def _lift_rows(self, coad_t, vecs, D, fibers) -> tuple[np.ndarray, ...]:
+        """Ad(h)⁻¹, Coad, M and lift_ok, V = Ad(h)⁻¹ · vecs, ``lifts`` and tangent
+        at the points with chart data (coad_t, vecs, D) and fibers h, stacked."""
+        h_inv = np.linalg.inv(fibers)
+        coad = coad_t @ h_inv.transpose(0, 2, 1)
+        M = -coad @ (self.K_T @ self.w1grp)
+        V = h_inv @ vecs
+        lifts = V.transpose(0, 2, 1) @ self.horizontal_T
+        # the tangency test: the lifts' W1 coordinates X must solve M X = D
+        residual = M @ (lifts[..., : self.n] @ self.w1grp).transpose(0, 2, 1) - D
+        tangent = ~np.any(off_tangent(np.linalg.norm(residual, axis=-2),
+                                      np.linalg.norm(D, axis=-2)), axis=-1)
+        return h_inv, coad, M, linalg.rank(M) == M.shape[-1], V, lifts, tangent
 
-    def _lift_system(self, t, fiber: np.ndarray) -> PointKernel:
-        p = self.point(t, fiber)
-        if not p.lift_ok:
-            raise SingularProjection("quotient differential singular on the horizontal space")
-        return p
+    # -- lifting ---------------------------------------------------------
 
     def lift(self, t, fiber: np.ndarray, v) -> np.ndarray:
         """Unique horizontal vector projecting onto the orbit tangent v, or the
         lifts of a stack of tangents (rows), all by one solve."""
-        coeffs = tangent_solve(self._lift_system(t, fiber).M, np.asarray(v, dtype=float).T)
+        p = self.point(t, fiber)
+        _check_lift(p.lift_ok, True)
+        coeffs = tangent_solve(p.M, np.asarray(v, dtype=float).T)
         return (self.ctx.w1 @ coeffs).T
 
     def lifts(self, t, fiber: np.ndarray) -> np.ndarray:
@@ -338,9 +339,8 @@ class SigmaGeometry:
             SingularProjection: the lift system is singular at the point.
             NotTangent: a chart direction is not an orbit tangent there.
         """
-        p = self._lift_system(t, fiber)
-        if not p.tangent:
-            raise NotTangent("a chart direction is not an orbit tangent at the point")
+        p = self.point(t, fiber)
+        _check_lift(p.lift_ok, p.tangent)
         return p.lifts
 
     def form_table(self, us, vs) -> np.ndarray:
@@ -368,34 +368,35 @@ class SigmaGeometry:
         self.lifts(t, fiber)
         return _along(self.point(t, fiber).jet, self._params(t, fiber, us))
 
-    def _stencil_points(self, t, fiber: np.ndarray, us, step: float,
-                        richardson: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def _stencil_points(self, t, fiber: np.ndarray, us,
+                        step: float) -> tuple[np.ndarray, np.ndarray]:
         """The points (t + s·dt, fiber·exp(s·ad(g_μ·dy))) of ``_stencil``: for the
-        velocity (dt, dy) of each direction in ``us`` (rows) in turn, s = ±step,
-        then ±step/2 with Richardson extrapolation."""
+        velocity (dt, dy) of each direction in ``us`` (rows) in turn, s = ±step."""
         t = np.asarray(t, dtype=float)
         km = self.chart.dim
         params = self._params(t, fiber, us)
-        steps = (step, -step) + ((step / 2.0, -step / 2.0) if richardson else ())
-        ts = np.array([t + s * p[:km] for p in params for s in steps])
+        ts = np.array([t + s * p[:km] for p in params for s in (step, -step)])
         if not self.ctx.stabilizer_dim:
             return ts, np.broadcast_to(fiber, (len(ts),) + fiber.shape)
-        ad_y = [np.multiply.outer(steps, self.ctx.algebra.ad(self.ctx.split.g_mu @ p[km:]))
+        ad_y = [np.multiply.outer((step, -step), self.ctx.algebra.ad(self.ctx.split.g_mu @ p[km:]))
                 for p in params]
         return ts, (fiber @ linalg.expm(np.array(ad_y), batch_ndim=1)).reshape(-1, self.n, self.n)
 
-    def _stencil(self, t, fiber: np.ndarray, us, step: float, fld, *,
-                 richardson: bool = False) -> np.ndarray:
+    def _stencil(self, t, fiber: np.ndarray, us, step: float, fld=None) -> np.ndarray:
         """Central differences of ``fld``, a function (t, fiber) -> array, along
         the direction u or each row of a stack ``us``, with their kernels built
-        in one batch; with Richardson extrapolation, (4·d(step/2) − d(step))/3."""
-        ts, fibers = self._stencil_points(t, fiber, us, step, richardson)
-        self.points(ts, fibers)
-        v = np.array([fld(t2, fib) for t2, fib in zip(ts, fibers)])
-        v = v.reshape((-1, 4 if richardson else 2) + v.shape[1:])
+        in one batch; without ``fld``, of ``lifts`` from the chart's lift block
+        alone (no kernel is built), raising as ``lifts`` at a failing point."""
+        ts, fibers = self._stencil_points(t, fiber, us, step)
+        if fld is None:
+            *_, lift_ok, _, v, tangent = self._lift_rows(*self.chart.lift_data(ts), fibers)
+            for ok, tan in zip(lift_ok, tangent):
+                _check_lift(ok, tan)
+        else:
+            self.points(ts, fibers)
+            v = np.array([fld(t2, fib) for t2, fib in zip(ts, fibers)])
+        v = v.reshape((-1, 2) + v.shape[1:])
         d = (v[:, 0] - v[:, 1]) / (2.0 * step)
-        if richardson:
-            d = (4.0 * ((v[:, 2] - v[:, 3]) / step) - d) / 3.0
         return d[0] if np.ndim(us) == 1 else d
 
     def _induced(self, u, base: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -429,6 +430,13 @@ class SigmaGeometry:
         if not p.ok:  # raise the failed check
             self._params(t, fiber, self.lifts(t, fiber))
         return p.level, p.cov
+
+
+def _check_lift(lift_ok: bool, tangent: bool) -> None:  # raise as ``lifts`` at a point
+    if not lift_ok:
+        raise SingularProjection("quotient differential singular on the horizontal space")
+    if not tangent:
+        raise NotTangent("a chart direction is not an orbit tangent at the point")
 
 
 def _along(jet: np.ndarray, params: np.ndarray) -> np.ndarray:

@@ -24,6 +24,13 @@ def perfbench_cases():
     return cases
 
 
+def richardson_stencil(geom, t, fiber, us, step, fld):
+    """(4·d(step/2) − d(step))/3 from two central stencils ``SigmaGeometry._stencil``
+    of ``fld`` at step and step/2: the Richardson-extrapolated derivative."""
+    return (4.0 * geom._stencil(t, fiber, us, step / 2.0, fld)
+            - geom._stencil(t, fiber, us, step, fld)) / 3.0
+
+
 def track_geometries(monkeypatch) -> list:
     """Every ``SigmaGeometry`` built from now on, in order of construction; each
     keeps the kernels it built, level tables included, in ``_points``."""

@@ -71,15 +71,18 @@ def _record_chart_exponentials(monkeypatch) -> list:
 
 
 def _stencil_sets(ctx, chart, rng) -> list:
-    """(ts, fibers) of the formula's outer stencil points along every lift
-    (central and Richardson), the stencil points along the stabilizer
-    generators at a random fiber, and the tensor's t ± h·eₓ."""
+    """(ts, fibers) of the formula's outer stencil points along every lift (at
+    one step, and at the probe's two steps in one batch), the stencil points
+    along the stabilizer generators at a random fiber, and the tensor's
+    t ± h·eₓ."""
     km, k, n = chart.dim, ctx.stabilizer_dim, ctx.algebra.dim
     geom = rc.SigmaGeometry(ctx, chart)
     t = rng.uniform(-0.3, 0.3, km)
     fiber = _fiber(ctx, rng.uniform(-1, 1, k))
+    probe = [geom._stencil_points(t, geom.identity, geom.lifts(t, geom.identity), h)
+             for h in (4e-3, 2e-3)]
     sets = [geom._stencil_points(t, geom.identity, geom.lifts(t, geom.identity), 1e-4),
-            geom._stencil_points(t, geom.identity, geom.lifts(t, geom.identity), 1e-3, True),
+            tuple(np.concatenate(parts) for parts in zip(*probe)),
             geom._stencil_points(t, fiber, np.pad(ctx.split.g_mu.T, ((0, 0), (0, n))), 1e-5)]
     for ts, fibers in sets:
         assert len(ts) == len(fibers) and len({f.tobytes() for f in fibers}) > 1

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 import redconn as rc
-from redconn.curvature import (convergence_factor, curvature_battery, curvature_formula,
-                               curvature_tensor)
+from redconn.curvature import (convergence_factor, curvature_battery, curvature_exact,
+                               curvature_formula, curvature_tensor)
 from redconn import curvature, linalg
 from redconn.errors import ZeroDimensionalBase
 from redconn.pipeline import THRESHOLDS, CaseConfig, run_pipeline
 from redconn.reduction import SigmaGeometry
-from tests.conftest import perfbench_cases, track_geometries
+from tests.conftest import CATALOG_CASES, perfbench_cases, track_geometries
 from tests.test_compare_reports import compare_reports
 from tests.test_liealg import _so4
 
@@ -308,6 +308,61 @@ def _formula_every_stencil(geom, t, fd_step, fd_step2):
     return out
 
 
+def _exact_cases() -> list:
+    """(label, algebra, μ): the catalog, and so(4) and so(5) regular and singular."""
+    cases = perfbench_cases()
+    return ([(name, rc.named_algebra(name), np.array(mu)) for name, mu in CATALOG_CASES]
+            + [(label, rc.algebra_from_json(cases.so_n_group(n)), np.array(cases.so_n_mu(n, w)))
+               for label, n, w, _, _ in cases.SO4_CASES + cases.SO5_CASES])
+
+
+EXACT_CASES = _exact_cases()
+# the orbits with [m, m] ⊂ g_μ, where R(f_i, f_j)f_l = −([[E_i, E_j], E_l])♯ at μ
+SYMMETRIC = ("so3", "su2", "sl2r", "heis3", "se2", "so4-regular", "so4-singular",
+             "so5-singular")
+
+
+def _geometry(a, mu) -> SigmaGeometry:
+    ctx = rc.build_context(a, mu)
+    return SigmaGeometry(ctx, rc.default_chart(ctx))
+
+
+class TestExactCurvature:
+    @pytest.mark.parametrize("label,a,mu", EXACT_CASES, ids=[c[0] for c in EXACT_CASES])
+    def test_matches_the_tensor_route(self, label, a, mu):
+        # the tensor route's finite-difference error at fd_step2 = 1e-4 is about
+        # 4e-9 relative; the exact value carries roundoff only
+        geom = _geometry(a, mu)
+        km = geom.chart.dim
+        for t in (np.zeros(km), np.random.default_rng(5).uniform(-0.3, 0.3, km)):
+            exact, tensor = curvature_exact(geom, t), curvature_tensor(geom, t)
+            assert exact.shape == tensor.shape == (km, km, km, a.dim)
+            scale = max(1.0, float(np.max(np.abs(tensor))))
+            assert np.max(np.abs(exact - tensor)) <= 1e-7 * scale, label
+
+    @pytest.mark.parametrize("label,a,mu", EXACT_CASES, ids=[c[0] for c in EXACT_CASES])
+    def test_symmetric_orbits_read_the_closed_form(self, label, a, mu):
+        # on a symmetric orbit the canonical connection's curvature at μ is
+        # −([[E_i, E_j], E_l])♯ with X♯ = −K(μ)ᵀX; so(5) regular is not
+        # symmetric and reads O(1) against it (0.89 relative)
+        geom = _geometry(a, mu)
+        m = geom.chart.m_basis
+        nested = np.einsum("abx,ai,bj,xyz,yl->ijlz", a.c, m, m, a.c, m)
+        closed = nested @ a.bracket_pairing(mu)  # K(μ)ᵀ[[E_i, E_j], E_l]
+        exact = curvature_exact(geom, np.zeros(geom.chart.dim))
+        gap = float(np.max(np.abs(exact - closed))) / max(1.0, float(np.max(np.abs(exact))))
+        if label in SYMMETRIC:
+            assert gap <= 1e-12
+        else:
+            assert label == "so5-regular" and gap >= 0.5
+
+    def test_builds_no_kernel_beyond_the_one_at_t(self, so3_setup):
+        _, ctx, chart = so3_setup
+        geom = SigmaGeometry(ctx, chart)
+        curvature_exact(geom, np.array([0.1, -0.2]))
+        assert len(geom._points) == 1
+
+
 class TestFormulaStencils:
     @pytest.mark.parametrize("t", [np.zeros(4), np.array([0.12, -0.2, 0.07, 0.15])],
                              ids=["origin", "off-origin"])
@@ -334,7 +389,7 @@ class TestFormulaStencils:
         assert [(args[3], len(args[2])) for args in calls] == [(1e-4, chart.dim)]
 
 
-def _formula_per_pair(geom, t, dirs, richardson):
+def _formula_per_pair(geom, t, dirs):
     """``curvature_formula`` at fd_step2 1e-4, one entry [a, b] at a time: the
     reference its entries, stacked over all pairs, must equal bit for bit."""
     ctx, e, km = geom.ctx, geom.identity, geom.chart.dim
@@ -345,7 +400,7 @@ def _formula_per_pair(geom, t, dirs, richardson):
         return np.stack([level, ctx.alpha_star(level)], axis=2)
 
     xs = list(dict.fromkeys(dirs))
-    d_grads = geom._stencil(t, e, u[xs], 1e-4, grads, richardson=richardson)
+    d_grads = geom._stencil(t, e, u[xs], 1e-4, grads)
     inner = geom.point(t, e).derivs
     outer = {x: geom._induced(u[x], grads(t, e), d) for x, d in zip(xs, d_grads)}
     out = np.zeros((len(dirs), len(dirs), km, geom.n))
@@ -374,9 +429,9 @@ class TestStackedPairs:
         geom = SigmaGeometry(ctx, rc.default_chart(ctx))
         km = geom.chart.dim
         for t in (np.zeros(km), np.linspace(-0.2, 0.15, km), np.linspace(0.1, -0.25, km)):
-            for dirs, richardson in ((range(km), False), ((0, 1), True), ((1, 0), False)):
-                out = curvature_formula(geom, t, directions=dirs, richardson=richardson)
-                ref = _formula_per_pair(geom, t, list(dirs), richardson)
+            for dirs in (range(km), (0, 1), (1, 0)):
+                out = curvature_formula(geom, t, directions=dirs)
+                ref = _formula_per_pair(geom, t, list(dirs))
                 assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
 
 
@@ -394,6 +449,20 @@ class TestConvergence:
         fine = convergence_factor(geom, np.array([0.15, -0.1]), coarse=4e-3)
         assert 3.0 <= coarse["factor"] <= 5.0
         assert 3.0 <= fine["factor"] <= 5.0
+
+    def test_errors_are_against_the_exact_value(self):
+        # each route's error at each step is its distance to curvature_exact
+        ctx = rc.build_context(_so4(), np.array([1.0, 0.0, 0.0, 0.0, 0.0, 2.0]))
+        geom = SigmaGeometry(ctx, rc.default_chart(ctx))
+        t = np.array([0.1, -0.05, 0.08, 0.02])
+        i, j, l = 0, 2, 1
+        report = convergence_factor(geom, t, inputs=(i, j, l))
+        exact = curvature_exact(geom, t)[i, j, l]
+        for step, name in ((4e-3, "coarse"), (2e-3, "fine")):
+            for route, key in ((curvature_tensor, "oracle"), (curvature_formula, "formula")):
+                value = route(geom, t, fd_step2=step, directions=(i, j))[0, 1, l]
+                assert report[f"{key}_error_{name}"] == float(np.linalg.norm(value - exact))
+        assert 3.0 <= report["factor"] <= 5.0
 
     def test_probe_triple_ignores_roundoff_in_tied_norms(self, so3_setup):
         # on so3 the (0, 1, 0) and (0, 1, 1) values have norms equal by
@@ -414,10 +483,10 @@ class TestConvergence:
 
     def test_probe_builds_one_row_per_displaced_point(self, monkeypatch):
         # the probe reads R(f_i, f_j)f_l only, on its own geometry: the table at
-        # t, the reference's four Richardson points along f̄_i and f̄_j, and for
-        # each step the formula's two stencil points along f̄_i and f̄_j and the
-        # tensor's t ± h·eᵢ, t ± h·eⱼ, every table whole and built once; the
-        # kernel at t comes first, every displaced kernel from one batch
+        # t and, for each step, the formula's two stencil points along f̄_i and
+        # f̄_j and the tensor's t ± h·eᵢ, t ± h·eⱼ, every table whole and built
+        # once; the kernel at t comes first, every displaced kernel from one
+        # batch, and the exact reference builds none
         ctx = rc.build_context(_so4(), np.array([1.0, 0.0, 0.0, 0.0, 0.0, 2.0]))
         chart = rc.default_chart(ctx)
         t = np.array([0.1, -0.05, 0.08, 0.02])
@@ -433,7 +502,7 @@ class TestConvergence:
         convergence_factor(SigmaGeometry(ctx, chart), t, inputs=(0, 2, 1))
         assert len(geometries) == 1  # the reference shares the probe's geometry
         geom, = geometries
-        displaced = 2 * 4 + 2 * (2 * 2 + 2 * 2)
+        displaced = 2 * (2 * 2 + 2 * 2)
         assert len(geom._points) == 1 + displaced
         assert batches == [1, displaced]
         assert (t.tobytes(), geom.identity.tobytes()) in geom._points
@@ -478,9 +547,9 @@ class TestOneEvaluationPerValue:
         samples = rep["stages"]["curvature"]["samples"]
         points, km = 2, 2
         assert len({tuple(s["t"]) for s in samples}) == points
-        # one formula array per point; the convergence probe adds a reference
-        # and two steps
-        assert counts["formula"] == points + 3
+        # one formula array per point; the convergence probe adds two steps
+        # (its reference is exact)
+        assert counts["formula"] == points + 2
         # one table per chart point of the sweep and per fiber of the
         # fiber-independence check (the autoparallel check stops at its
         # defect on so3); per curvature point, the table at t that both routes
@@ -488,13 +557,12 @@ class TestOneEvaluationPerValue:
         # At t = 0 the table at t is the sweep's first, and the lift of f_x
         # solves to exactly (eₓ, 0) in the chart-fiber frame, so the formula's
         # outer points are the tensor's.  The probe, at t = 0 on the same
-        # geometry, adds the four Richardson points along each of its two
-        # directions for the reference, and at each of its two steps t ± h
-        # along the two directions, shared by both routes.
+        # geometry, adds at each of its two steps t ± h along its two
+        # directions, shared by both routes; its exact reference adds none.
         assert rep["stages"]["reduce"]["autoparallel"]["independence"] is None
         tables = sum(len(g._points) for g in geometries)
         assert tables == (cfg.samples + 5 + points * (1 + 2 * 2 * km) - 1 - 2 * km
-                          + 2 * 4 + 2 * (2 * 2))
+                          + 2 * (2 * 2))
 
         ctx = rc.build_context(rc.so3(), np.array([0.0, 0.0, 1.0]))
         chart = rc.default_chart(ctx, cfg.chart_radius)

@@ -6,7 +6,7 @@ import pytest
 import redconn as rc
 from redconn import linalg
 from redconn.errors import ConfigError, NoRealization, NonReductiveStabilizer
-from tests.conftest import AFF1_DOC, CATALOG_CASES, MALFORMED_ALGEBRAS
+from tests.conftest import AFF1_DOC, CATALOG_CASES, MALFORMED_ALGEBRAS, perfbench_cases
 
 
 def _basis(n, i):
@@ -53,6 +53,17 @@ class TestBracket:
             a = rc.named_algebra(name)
             X, Y = rng.standard_normal(a.dim), rng.standard_normal(a.dim)
             assert np.all(a.bracket(X, Y) == -a.bracket(Y, X))
+
+    def test_masked_sum_is_the_strict_upper_triangle_bit_for_bit(self, rng):
+        # the bracket sums c over a mask built once per algebra; each value is
+        # the sum over np.triu(W − Wᵀ, 1), bit for bit
+        so5 = rc.algebra_from_json(perfbench_cases().so_n_group(5))
+        for a in [so5] + [rc.named_algebra(name) for name, _ in CATALOG_CASES]:
+            for _ in range(500 if a is so5 else 50):
+                X, Y = rng.standard_normal((2, a.dim))
+                W = np.outer(X, Y)
+                ref = np.einsum("ij,ijk->k", np.triu(W - W.T, k=1), a.c)
+                assert a.bracket(X, Y).tobytes() == ref.tobytes()
 
     def test_abelian_brackets_vanish(self, rng):
         a = rc.abelian(3)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import redconn as rc
 from redconn.pipeline import THRESHOLDS, CaseConfig
-from tests.conftest import perfbench_cases
+from tests.conftest import perfbench_cases, richardson_stencil
 
 SO4_CASES = perfbench_cases().SO4_CASES
 REGULAR_CASES = [SO4_CASES[0], perfbench_cases().SO5_CASES[0]]
@@ -77,5 +77,5 @@ def test_jet_matches_richardson_stencil(regular_case, scale, t_unit, y):
         exact = geom.lift_derivatives(t, fiber, us)
         assert exact.shape == (km + k, km, 2 * a.dim)
         for u, d in zip(us, exact):
-            fd = geom._stencil(t, fiber, u, 1e-3, geom.lifts, richardson=True)
+            fd = richardson_stencil(geom, t, fiber, u, 1e-3, geom.lifts)
             assert np.max(np.abs(fd - d)) <= 1e-9 * max(1.0, float(np.max(np.abs(d))))

@@ -11,7 +11,7 @@ from redconn.errors import (AssumptionTwoFailure, DegeneratePairing,
                             NonReductiveStabilizer, NotTangent, PointOffConstraint,
                             RankLoss, SingularProjection, ZeroDimensionalBase)
 from redconn.reduction import SigmaGeometry, gram_oracle_solve, isotropic_correction_gram
-from tests.conftest import CATALOG_CASES
+from tests.conftest import CATALOG_CASES, richardson_stencil
 from tests.test_liealg import _so4
 
 e1, e2, e3 = np.eye(3)
@@ -562,6 +562,49 @@ class TestPointKernel:
         assert np.all(np.isfinite(out))
 
 
+class TestLiftStencil:
+    @pytest.mark.parametrize("name,mu", [KERNEL_CASES[0], ("so4", SO4_REGULAR_MU),
+                                         KERNEL_CASES[-1]],
+                             ids=["so3", "so4-regular", "so4-singular"])
+    def test_lift_only_points_are_the_kernels_lifts(self, name, mu, rng):
+        # Coad, the section vectors and D from the chart's 2n×2n block, and the
+        # lifts built from them, equal the full kernel's (3n×3n block) to
+        # roundoff, at seeded points on the identity fiber and a random one
+        a, ctx, chart = _case(name, mu)
+        geom = SigmaGeometry(ctx, chart)
+        ts = rng.uniform(-0.3, 0.3, (4, chart.dim))
+        random_fiber = rc.group_exp(a, ctx.split.g_mu @ rng.uniform(-1, 1, ctx.stabilizer_dim))
+        for got, want in zip(chart.lift_data(ts), chart.exp_data(ts)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
+        for fiber in (geom.identity, random_fiber):
+            fibers = np.array([fiber] * len(ts))
+            *_, lift_ok, _, lifts, tangent = geom._lift_rows(*chart.lift_data(ts), fibers)
+            assert lift_ok.all() and tangent.all()
+            kernels = np.array([p.lifts for p in geom.points(ts, fibers)])
+            assert np.max(np.abs(lifts - kernels)) <= 1e-13 * max(1.0, np.max(np.abs(kernels)))
+
+    def test_raises_as_lifts_at_a_failing_stencil_point(self, so3_ctx, so3_chart):
+        # a chart whose lift block gives D a column normal to the orbit, and a
+        # geometry whose lift system is collapsed, fail at every stencil point;
+        # the kernel at t itself, built from the chart's 3n×3n block, is fine
+        class NormalColumnChart(orbits.OrbitChart):  # μ, normal to the orbit at t = 0
+            def lift_data(self, ts):
+                coad, vecs, D = super().lift_data(ts)
+                return coad, vecs, D + np.outer(self.mu, np.eye(self.dim)[0])
+
+        t = np.zeros(2)
+        skewed = NormalColumnChart(so3_chart.algebra, so3_chart.mu, so3_chart.m_basis)
+        collapsed = SigmaGeometry(so3_ctx, so3_chart)
+        collapsed.w1grp = np.zeros_like(collapsed.w1grp)
+        for geom, error in ((SigmaGeometry(so3_ctx, skewed), NotTangent),
+                            (collapsed, SingularProjection)):
+            u = _vec(e1, np.zeros(3))
+            for _ in range(2):
+                with pytest.raises(error):
+                    geom._stencil(t, geom.identity, u, 1e-5)
+            assert len(geom._points) == 1
+
+
 class TestCovTable:
     @pytest.mark.parametrize("name,mu", [KERNEL_CASES[0], KERNEL_CASES[-1]],
                              ids=["so3", "so4"])
@@ -587,8 +630,8 @@ class TestCovTable:
                     g = ref._induced(u[i], u[j], d)
                     assert level[i][j].tolist() == g.tolist()
                     assert cov[i, j].tolist() == ref.pushdown(t, fiber, ctx.horizontal_part(g)).tolist()
-                    fd = ref._stencil(t, fiber, u[i], h, lambda t2, f, j=j: ref.lifts(t2, f)[j],
-                                      richardson=richardson)
+                    stencil = richardson_stencil if richardson else SigmaGeometry._stencil
+                    fd = stencil(ref, t, fiber, u[i], h, lambda t2, f, j=j: ref.lifts(t2, f)[j])
                     assert np.max(np.abs(fd - d)) <= fd_rtol * max(1.0, np.max(np.abs(d)))
 
     @pytest.mark.parametrize("name,mu", [KERNEL_CASES[0], ("so4", SO4_REGULAR_MU)],
@@ -610,7 +653,8 @@ class TestCovTable:
             for r in range(chart.dim):
                 geom = SigmaGeometry(ctx, chart)
                 u = geom.lifts(t, fiber)
-                geom._stencil(t, fiber, u, 1e-3, geom.lifts, richardson=richardson)
+                (richardson_stencil if richardson else SigmaGeometry._stencil)(
+                    geom, t, fiber, u, 1e-3, geom.lifts)
                 d = geom.lift_derivatives(t, fiber, u[r:r + 1])[0]
                 assert d.tolist() == derivs[r].tolist()
                 assert geom._induced(u[r], u, d).tolist() == full[r].tolist()
@@ -618,16 +662,16 @@ class TestCovTable:
     @pytest.mark.parametrize("richardson", [False, True], ids=["central", "richardson"])
     def test_tables_are_kept_and_freed_with_the_geometry(self, richardson):
         # each (t, fiber) kernel, its table included, is computed once; the
-        # kept kernels, those a stencil (central or Richardson) built in one
-        # batch among them, hold no reference back to the geometry, so
+        # kept kernels, those a stencil (central, or Richardson from two central
+        # ones) built in batches among them, hold no reference back to the geometry, so
         # dropping it frees it at once
         _, ctx, chart = _case(*KERNEL_CASES[-1])
         geom = SigmaGeometry(ctx, chart)
         t = np.linspace(-0.2, 0.15, chart.dim)
         level, cov = geom.cov_table(t, geom.identity)
         derivs = geom.point(t, geom.identity).derivs
-        geom._stencil(t, geom.identity, geom.lifts(t, geom.identity), 1e-3, geom.lifts,
-                      richardson=richardson)
+        (richardson_stencil if richardson else SigmaGeometry._stencil)(
+            geom, t, geom.identity, geom.lifts(t, geom.identity), 1e-3, geom.lifts)
         assert level.shape == derivs.shape == (chart.dim, chart.dim, 2 * geom.n)
         assert cov.shape == (chart.dim, chart.dim, geom.n)
         again, again_cov = geom.cov_table(t.copy(), np.eye(geom.n))
