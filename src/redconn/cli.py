@@ -51,8 +51,7 @@ def _export_connection(cfg: CaseConfig) -> dict:
     xi_list = cfg.xi_list
     if xi_list is None:
         rng = np.random.default_rng(cfg.seed)
-        xi_list = [mu.tolist()] + \
-            [rng.standard_normal(a.dim).tolist() for _ in range(2)]
+        xi_list = np.vstack([mu, rng.standard_normal((2, a.dim))])
     return {
         "schema_version": report_mod.SCHEMA_VERSION,
         "config": cfg.as_dict(),

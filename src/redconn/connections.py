@@ -11,6 +11,10 @@ Three constructions are provided: the bi-invariant torsion-free baseline
 ∇°(X̃, X̃') = ½[X, X']~, its projection onto the space of symplectic
 connections, and the equal-weight average of its pullbacks over a finite set
 of group elements, for building invariant connections on compact groups.
+
+Every evaluation is stacked: ξ may be one fiber point (n,) or a stack (…, n),
+and Γ(ξ), Ω(ξ), ∇ω and the symplectization then carry the same leading axes,
+each row bit for bit as the call on its fiber point alone (a pullback's to roundoff).
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import linalg
 from .errors import SingularOmega
 from .liealg import LieAlgebra, coadjoint_matrix, group_exp
 from .phasespace import _tangent_pair, omega_gram
@@ -29,7 +34,8 @@ from .phasespace import _tangent_pair, omega_gram
 class FrameConnection:
     """Connection coefficients over the left-invariant frame.
 
-    ``coeff`` maps a fiber point ξ to the (2n, 2n, 2n) array Γ(ξ); the flags
+    ``coeff`` maps a fiber point ξ to the (2n, 2n, 2n) array Γ(ξ), and a stack
+    of fiber points (…, n) to the stack (…, 2n, 2n, 2n); the flags
     are the constructing routine's claims, which nothing here checks (the
     connect stage and ``verify`` measure torsion and ∇ω).
     """
@@ -59,70 +65,60 @@ def baseline_connection(a: LieAlgebra) -> FrameConnection:
     gamma = np.zeros((2 * n, 2 * n, 2 * n))
     gamma[:n, :n, :n] = 0.5 * a.c
     gamma.setflags(write=False)
-    return FrameConnection(a, lambda xi: gamma, is_torsion_free=True,
-                           is_symplectic=False, label="baseline")
-
-
-def _omega_derivative(a: LieAlgebra) -> np.ndarray:
-    """DΩ[a, b, c]: derivative of the Gram matrix along frame direction a.
-
-    Only fiber directions move ξ, and only the group-group block of Ω depends
-    on ξ (linearly), so DΩ[n + m, i, j] = -c[i, j, m].
-    """
-    n = a.dim
-    D = np.zeros((2 * n, 2 * n, 2 * n))
-    D[n:, :n, :n] = -np.moveaxis(a.c, 2, 0)
-    return D
+    return FrameConnection(a, lambda xi: np.broadcast_to(gamma, np.shape(xi)[:-1] + gamma.shape),
+                           is_torsion_free=True, is_symplectic=False, label="baseline")
 
 
 def nabla_omega_components(conn: FrameConnection, xi, gamma=None, om=None) -> np.ndarray:
     """(∇ω)[a, b, c] = DΩ[a, b, c] − Σ_d Γ[a, b, d] Ω[d, c] − Σ_d Γ[a, c, d] Ω[b, d]
-    over all frame triples at fiber point ξ, from ``gamma`` and ``om`` when the
-    caller has Γ(ξ) and Ω(ξ)."""
+    over all frame triples at fiber point ξ, or at each row of a stack, from
+    ``gamma`` and ``om`` when the caller has Γ(ξ) and Ω(ξ).  Each product is one
+    matmul per Γ slice, so a row of a stack equals the call on its ξ alone."""
     a = conn.algebra
     gamma = conn.coefficients(xi) if gamma is None else gamma
-    om = omega_gram(a, xi) if om is None else om
-    return _omega_derivative(a) - gamma @ om - (gamma @ om.T).transpose(0, 2, 1)
+    om = (omega_gram(a, xi) if om is None else om)[..., None, :, :]
+    return a._omega_derivative - gamma @ om - np.swapaxes(gamma @ np.swapaxes(om, -1, -2), -1, -2)
 
 
-def nabla_omega(conn: FrameConnection, xi, u, v, w) -> float:
-    """(∇_u ω)(v, w) for left-trivialized tangent vectors at ξ."""
+def nabla_omega(conn: FrameConnection, xi, u, v, w):
+    """(∇_u ω)(v, w) for left-trivialized tangent vectors at ξ, or row by row
+    over stacks ξ (…, n) and u, v, w (…, 2n), each row contracted as the call
+    on it alone contracts it."""
     a = conn.algebra
-    uv = _tangent_pair(a, u)
-    vv = _tangent_pair(a, v)
-    wv = _tangent_pair(a, w)
-    return float(np.einsum("abc,a,b,c->", nabla_omega_components(conn, xi), uv, vv, wv))
+    uv, vv, wv = (_tangent_pair(a, x) for x in (u, v, w))
+    out = np.einsum("...abc,...a,...b,...c->...", nabla_omega_components(conn, xi), uv, vv, wv)
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def baseline_nabla_omega(a: LieAlgebra, xi, u, v, w) -> float:
-    """Analytic expansion of (∇°ω): with u = (X, η), v = (Y, ζ), w = (Y', ζ'),
+def baseline_nabla_omega(a: LieAlgebra, xi, u, v, w):
+    """Analytic expansion of (∇°ω), for one point or row by row over stacks as
+    ``nabla_omega``: with u = (X, η), v = (Y, ζ), w = (Y', ζ'),
 
         -⟨η, [Y, Y']⟩ + ½⟨ζ', [X, Y]⟩ - ½⟨ζ, [X, Y']⟩ + ½⟨ξ, [X, [Y, Y']]⟩.
     """
-    n = a.dim
-    uv = _tangent_pair(a, u)
-    vv = _tangent_pair(a, v)
-    wv = _tangent_pair(a, w)
-    X, eta = uv[:n], uv[n:]
-    Y, zeta = vv[:n], vv[n:]
-    Yp, zetap = wv[:n], wv[n:]
+    (X, eta), (Y, zeta), (Yp, zetap) = (np.split(_tangent_pair(a, x), 2, axis=-1)
+                                        for x in (u, v, w))
     xi = np.asarray(xi, dtype=float)
     byyp = a.bracket(Y, Yp)
-    return float(-eta @ byyp + 0.5 * zetap @ a.bracket(X, Y)
-                 - 0.5 * zeta @ a.bracket(X, Yp) + 0.5 * xi @ a.bracket(X, byyp))
+    dot = linalg.vecdot
+    return (-dot(eta, byyp) + 0.5 * dot(zetap, a.bracket(X, Y))
+            - 0.5 * dot(zeta, a.bracket(X, Yp)) + 0.5 * dot(xi, a.bracket(X, byyp)))
 
 
 def solve_omega_gram(om: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ω(z, ·) = rhs for z, i.e. Ωᵀ z = rhs, for stacked right-hand sides.
+    """Solve ω(z, ·) = rhs for z, i.e. Ωᵀ z = rhs, for stacked right-hand sides
+    (…, m); for a stack of Grams (…, m, m), rhs's leading axes begin with the
+    stack's.  One batched SVD check and one batched solve, each Gram on its own.
 
     Raises SingularOmega instead of silently pseudo-inverting: nondegeneracy
     of ω is a structural assumption worth surfacing.
     """
     s = np.linalg.svd(om, compute_uv=False)
-    if s[-1] <= 1e-10 * s[0]:
-        raise SingularOmega(f"symplectic Gram matrix singular (sigma_min/sigma_max = {s[-1] / s[0]:.3e})")
-    flat = rhs.reshape(-1, om.shape[0])
-    return np.linalg.solve(om.T, flat.T).T.reshape(rhs.shape)
+    if np.any(s[..., -1] <= 1e-10 * s[..., 0]):
+        ratio = np.min(s[..., -1] / s[..., 0])
+        raise SingularOmega(f"symplectic Gram matrix singular (sigma_min/sigma_max = {ratio:.3e})")
+    flat = np.swapaxes(rhs.reshape(om.shape[:-2] + (-1, om.shape[-1])), -1, -2)
+    return np.swapaxes(np.linalg.solve(np.swapaxes(om, -1, -2), flat), -1, -2).reshape(rhs.shape)
 
 
 def symplectize(conn: FrameConnection) -> FrameConnection:
@@ -145,7 +141,7 @@ def symplectized_coefficients(conn: FrameConnection, xi, gamma=None) -> np.ndarr
     gamma = conn.coefficients(xi) if gamma is None else gamma
     om = omega_gram(conn.algebra, xi)
     N = nabla_omega_components(conn, xi, gamma, om)
-    rhs = (N + N.transpose(1, 0, 2)) / 3.0
+    rhs = (N + np.swapaxes(N, -3, -2)) / 3.0
     return gamma + solve_omega_gram(om, rhs)
 
 
@@ -153,7 +149,7 @@ def torsion_components(conn: FrameConnection, xi, gamma=None) -> np.ndarray:
     """T[a, b, c] = Γ[a, b, c] - Γ[b, a, c] - C[a, b, c] over frame triples, from
     ``gamma`` when the caller has Γ(ξ)."""
     gamma = conn.coefficients(xi) if gamma is None else gamma
-    return gamma - gamma.transpose(1, 0, 2) - frame_structure(conn.algebra)
+    return gamma - np.swapaxes(gamma, -3, -2) - frame_structure(conn.algebra)
 
 
 def torsion(conn: FrameConnection, xi, u, v) -> np.ndarray:
@@ -175,19 +171,20 @@ def nabla_omega_defect(conn: FrameConnection, xi, gamma=None) -> float:
 
 
 def finite_cyclic_rule(a: LieAlgebra, X, order: int) -> tuple:
-    """The Ad matrices of the cyclic subgroup generated by exp(2π X / order)."""
+    """The Ad matrices of the cyclic subgroup generated by exp(2π X / order), from
+    one stacked exponential."""
     if order < 1:
         raise ValueError("order must be positive")
-    X = np.asarray(X, dtype=float)
-    return tuple(group_exp(a, (2.0 * np.pi * k / order) * X) for k in range(order))
+    return tuple(group_exp(a, np.outer(2.0 * np.pi * np.arange(order) / order, X)))
 
 
 def frame_transport(Ad: np.ndarray) -> np.ndarray:
-    """The block matrix diag(Ad g, Coad g) acting on frame components, from Ad g."""
-    n = Ad.shape[0]
-    T = np.zeros((2 * n, 2 * n))
-    T[:n, :n] = Ad
-    T[n:, n:] = coadjoint_matrix(Ad)
+    """The block matrix diag(Ad g, Coad g) acting on frame components, from Ad g,
+    or a stack of them from a stack (…, n, n)."""
+    n = Ad.shape[-1]
+    T = np.zeros(Ad.shape[:-2] + (2 * n, 2 * n))
+    T[..., :n, :n] = Ad
+    T[..., n:, n:] = coadjoint_matrix(Ad)
     return T
 
 
@@ -208,11 +205,10 @@ def pullback_connection(conn: FrameConnection, g: np.ndarray) -> FrameConnection
     coad_inv = np.asfortranarray(T[n:, n:])
 
     def coeff(xi: np.ndarray) -> np.ndarray:
-        moved = coad_inv @ xi
+        moved = linalg.matvec(coad_inv, xi)
         # pairwise contractions in the optimizer's order, (2n)⁴ each, instead
         # of one (2n)⁶ loop; the order sets the roundoff of the result
-        return np.einsum("Aa,Bb,cC,ABC->abc", T, T, Tinv, conn.coefficients(moved),
-                         optimize=True)
+        return linalg.einsum("Aa,Bb,cC,...ABC->...abc", T, T, Tinv, conn.coefficients(moved))
 
     return FrameConnection(a, coeff, is_torsion_free=conn.is_torsion_free,
                            is_symplectic=conn.is_symplectic, label=f"pullback({conn.label})")
@@ -257,10 +253,9 @@ def connection_to_json(conn: FrameConnection, xi_list) -> dict:
     """Serialize frame labels plus Γ evaluated at a list of fiber points."""
     n = conn.algebra.dim
     labels = [f"group_{i}" for i in range(n)] + [f"fiber_{i}" for i in range(n)]
-    entries = []
-    for xi in xi_list:
-        xi = np.asarray(xi, dtype=float)
-        entries.append({"xi": xi.tolist(), "gamma": conn.coefficients(xi).tolist()})
+    xis = np.asarray(xi_list, dtype=float).reshape(-1, n)
+    entries = [{"xi": xi.tolist(), "gamma": gamma.tolist()}
+               for xi, gamma in zip(xis, conn.coefficients(xis))]
     return {
         "algebra": conn.algebra.name,
         "dim": n,

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import linalg
 from .orbits import tangent_solve
 from .reduction import SigmaGeometry
 
@@ -139,11 +140,11 @@ def curvature_exact(geom: SigmaGeometry, t) -> np.ndarray:
     push = -ctx.horizontal_part(level)[..., :n] @ geom.K_T.T  # [c, k]: N_{e_k} f_c
     N = tangent_solve(D0, push.reshape(-1, n).T).reshape(-1, m.shape[1], n).transpose(2, 0, 1)
     NE = np.einsum("ki,krc->irc", m, N)  # N_{E_i} in chart coordinates, [i, row, column]
-    NB = np.einsum("abx,ai,bj,xrc->ijrc", c, m, m, N, optimize=True)  # N_[E_i, E_j]
+    NB = linalg.einsum("abx,ai,bj,xrc->ijrc", c, m, m, N)  # N_[E_i, E_j]
     r_mu = (NE[:, None] @ NE[None] - NE[None] @ NE[:, None] - NB).swapaxes(-1, -2)  # [a, b, c, r]
     p = geom.point(np.asarray(t, dtype=float), geom.identity)
     B, *_ = np.linalg.lstsq(D0, np.linalg.solve(p.coad, p.D), rcond=None)
-    return np.einsum("ai,bj,cl,abcr->ijlr", B, B, B, r_mu, optimize=True) @ (p.coad @ D0).T
+    return linalg.einsum("ai,bj,cl,abcr->ijlr", B, B, B, r_mu) @ (p.coad @ D0).T
 
 
 def _tensor_points(t: np.ndarray, fd_step2: float, xs) -> list:

@@ -56,6 +56,14 @@ class LieAlgebra:
     def _upper(self) -> np.ndarray:  # mask of the strict upper triangle, built once
         return np.triu(np.ones((self.dim, self.dim), dtype=bool), k=1)
 
+    @cached_property
+    def _omega_derivative(self) -> np.ndarray:
+        """DΩ[a, b, c], read-only: the derivative of Ω(ξ) along frame direction a."""
+        D = np.zeros((2 * self.dim,) * 3)
+        D[self.dim:, :self.dim, :self.dim] = -np.moveaxis(self.c, 2, 0)
+        D.setflags(write=False)
+        return D
+
     @property
     def has_realization(self) -> bool:
         return self.realization is not None
@@ -96,23 +104,24 @@ class LieAlgebra:
                 raise ValueError(f"orthogonal claimed, but a generator is not skew ({sym:.3e})")
 
     def bracket(self, X, Y) -> np.ndarray:
-        """Evaluate [X, Y] from the structure constants.
+        """Evaluate [X, Y] from the structure constants, for one pair or row by
+        row over stacks (…, n) that broadcast together.
 
         Accumulates over the strict upper triangle so that antisymmetry holds
         exactly in floating point: bracket(X, Y) == -bracket(Y, X) bitwise.
         """
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
-        if X.shape != (self.dim,) or Y.shape != (self.dim,):
+        if X.shape[-1:] != (self.dim,) or Y.shape[-1:] != (self.dim,):
             raise ValueError(f"bracket arguments must have length {self.dim}")
-        W = np.outer(X, Y)
-        anti = np.where(self._upper, W - W.T, 0.0)
-        return np.einsum("ij,ijk->k", anti, self.c)
+        W = X[..., :, None] * Y[..., None, :]
+        anti = np.where(self._upper, W - np.swapaxes(W, -1, -2), 0.0)
+        return np.einsum("...ij,ijk->...k", anti, self.c)
 
     def ad(self, X) -> np.ndarray:
-        """Matrix of ad(X): Y ↦ [X, Y] in the chosen basis."""
+        """Matrix of ad(X): Y ↦ [X, Y] in the chosen basis, stacked like X."""
         X = np.asarray(X, dtype=float)
-        return np.einsum("ijk,i->kj", self.c, X)
+        return np.einsum("ijk,...i->...kj", self.c, X)
 
     def coad_star(self, X, xi) -> np.ndarray:
         """The covector ξ∘ad(X), defined by ⟨ξ∘ad(X), Y⟩ = ⟨ξ, [X, Y]⟩."""
@@ -123,9 +132,9 @@ class LieAlgebra:
         return self.ad(X).T @ xi
 
     def bracket_pairing(self, xi) -> np.ndarray:
-        """Antisymmetric matrix K(ξ) with K[i, j] = ⟨ξ, [e_i, e_j]⟩."""
+        """Antisymmetric matrix K(ξ) with K[i, j] = ⟨ξ, [e_i, e_j]⟩, stacked like ξ."""
         xi = np.asarray(xi, dtype=float)
-        return np.einsum("ijk,k->ij", self.c, xi)
+        return np.einsum("ijk,...k->...ij", self.c, xi)
 
     def matrix_coords(self, M) -> np.ndarray:
         """Coordinates of a realization matrix in the algebra basis."""
@@ -150,28 +159,15 @@ def stabilizer_algebra(a: LieAlgebra, mu) -> np.ndarray:
 
 
 def _is_subalgebra(a: LieAlgebra, basis: np.ndarray, tol: float) -> bool:
-    if basis.shape[1] == 0:
-        return True
-    P = linalg.projector(basis)
-    for i in range(basis.shape[1]):
-        for j in range(i + 1, basis.shape[1]):
-            b = a.bracket(basis[:, i], basis[:, j])
-            if np.linalg.norm(b - P @ b) > tol * max(1.0, np.linalg.norm(b)):
-                return False
-    return True
+    b = a.bracket(basis.T[:, None], basis.T)  # the bracket of every pair of columns
+    gap = np.linalg.norm(b - linalg.matvec(linalg.projector(basis), b), axis=-1)
+    return bool(np.all(gap <= tol * np.maximum(1.0, np.linalg.norm(b, axis=-1))))
 
 
 def _stability_defect(a: LieAlgebra, g_mu: np.ndarray, m: np.ndarray) -> float:
     """max distance of [g_mu, m] from the span of m."""
-    if g_mu.shape[1] == 0 or m.shape[1] == 0:
-        return 0.0
-    P_m = linalg.projector(m)
-    defect = 0.0
-    for i in range(g_mu.shape[1]):
-        for j in range(m.shape[1]):
-            b = a.bracket(g_mu[:, i], m[:, j])
-            defect = max(defect, float(np.max(np.abs(b - P_m @ b))))
-    return defect
+    b = a.bracket(g_mu.T[:, None], m.T)
+    return float(np.max(np.abs(b - linalg.matvec(linalg.projector(m), b)), initial=0.0))
 
 
 def reductive_complement(a: LieAlgebra, g_mu) -> np.ndarray:
@@ -207,11 +203,9 @@ def reductive_complement(a: LieAlgebra, g_mu) -> np.ndarray:
     eye = np.eye(n)
     A_blocks = [np.kron(eye, H[:, i][None, :]) for i in range(k)]  # pi @ H_i = H_i
     A_blocks.append(np.kron(eye - P_h, eye))                       # (I - P_h) pi = 0
-    rhs = [H[:, i] for i in range(k)] + [np.zeros(n * n)]
-    for i in range(k):  # pi ad(Y) - ad(Y) pi = 0
-        adY = a.ad(H[:, i])
-        A_blocks.append(np.kron(eye, adY.T) - np.kron(adY, eye))
-        rhs.append(np.zeros(n * n))
+    rhs = [H[:, i] for i in range(k)] + [np.zeros(n * n)] * (k + 1)
+    # pi ad(Y) - ad(Y) pi = 0
+    A_blocks += [np.kron(eye, adY.T) - np.kron(adY, eye) for adY in a.ad(H.T)]
     A = np.vstack(A_blocks)
     b = np.concatenate(rhs)
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
@@ -234,13 +228,15 @@ def reductive_complement(a: LieAlgebra, g_mu) -> np.ndarray:
 
 
 def group_exp(a: LieAlgebra, X) -> np.ndarray:
-    """Ad(exp X) = e^{ad X} for the algebra element with coordinates X."""
-    return linalg.expm(a.ad(X))
+    """Ad(exp X) = e^{ad X} for the algebra element with coordinates X, or for a
+    stack (…, n) in one ``linalg.expm`` call that gives each row its own result."""
+    X = np.asarray(X, dtype=float)
+    return linalg.expm(a.ad(X), batch_ndim=X.ndim - 1)
 
 
 def coadjoint_matrix(Ad: np.ndarray) -> np.ndarray:
-    """Matrix of Coad(g) = Ad(g⁻¹)ᵀ on covector components, from Ad(g)."""
-    return np.linalg.inv(Ad).T
+    """Matrix of Coad(g) = Ad(g⁻¹)ᵀ on covector components, from Ad(g), stacked alike."""
+    return np.swapaxes(np.linalg.inv(Ad), -1, -2)
 
 
 # --- named catalog -----------------------------------------------------------

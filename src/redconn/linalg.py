@@ -9,6 +9,8 @@ scaling-and-squaring Padé exponential that every group and chart kernel uses.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 RANK_RTOL = 1e-10
@@ -71,6 +73,26 @@ def matvec(A, v) -> np.ndarray:
     """A·v for one vector v, or for each vector of a stack (…, n) alike, so that
     no vector's product depends on the others in the stack."""
     return (A @ np.asarray(v, dtype=float)[..., None])[..., 0]
+
+
+@cache
+def _einsum_path(subscripts: str, *shapes) -> list:
+    operands = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return np.einsum_path(subscripts, *operands, optimize=True)[0]
+
+
+def einsum(subscripts: str, *operands) -> np.ndarray:
+    """``np.einsum(…, optimize=True)``: the same pairwise contractions in the same
+    order, that order found once per subscripts and operand shapes."""
+    path = _einsum_path(subscripts, *(np.shape(op) for op in operands))
+    return np.einsum(subscripts, *operands, optimize=path)
+
+
+def vecdot(x, y):
+    """⟨x, y⟩ over the last axis: a float for two vectors, else the array of
+    row-by-row products, each equal to ``x @ y`` on that row's vectors."""
+    out = (np.asarray(x)[..., None, :] @ np.asarray(y)[..., :, None])[..., 0, 0]
+    return float(out) if out.ndim == 0 else out
 
 
 def solve_columns(A, B) -> np.ndarray:
@@ -138,20 +160,25 @@ def expm(A, batch_ndim: int = 0) -> np.ndarray:
     scaling that a call on it alone picks, and so that call's result.
     """
     A = np.asarray(A, dtype=float)
+    if A.size == 0:  # an empty stack
+        return np.empty_like(A)
     norms = np.abs(A).sum(axis=-2).reshape(A.shape[:batch_ndim] + (-1,)).max(axis=-1)
     plans = [_expm_plan(float(norm)) for norm in np.ravel(norms)]
-    if len(set(plans)) > 1 or (len(plans) > 1 and A.size > _EXPM_CHUNK):
-        # each plan's stacks in calls of their own, of at most _EXPM_CHUNK entries
-        # or one stack
-        flat = A.reshape((len(plans),) + A.shape[batch_ndim:])
-        out = np.empty_like(flat)
-        step = max(1, _EXPM_CHUNK // flat[0].size)
-        for plan in set(plans):
-            index = [i for i, p in enumerate(plans) if p == plan]
-            for chunk in (index[i:i + step] for i in range(0, len(index), step)):
-                out[chunk] = expm(flat[chunk], batch_ndim=1)
-        return out.reshape(A.shape)
-    m, s = plans[0]
+    index = {plan: [i for i, p in enumerate(plans) if p == plan] for plan in set(plans)}
+    if len(index) == 1 and (len(plans) == 1 or A.size <= _EXPM_CHUNK):
+        return _scaled_pade(A, *plans[0])
+    # each plan's stacks in calls of their own, of at most _EXPM_CHUNK entries or one stack
+    flat = A.reshape((len(plans),) + A.shape[batch_ndim:])
+    out = np.empty_like(flat)
+    step = max(1, _EXPM_CHUNK // flat[0].size)
+    for plan, rows in index.items():
+        for i in range(0, len(rows), step):
+            out[rows[i:i + step]] = _scaled_pade(flat[rows[i:i + step]], *plan)
+    return out.reshape(A.shape)
+
+
+def _scaled_pade(A: np.ndarray, m: int, s: int) -> np.ndarray:
+    """e^A from the degree-m Padé approximant of A/2^s, squared s times."""
     U, V = _pade_uv(A / 2.0 ** s, m)
     E = np.linalg.solve(V - U, V + U)
     for _ in range(s):

@@ -9,7 +9,8 @@ In this frame the canonical symplectic form reads
     ω_(g,ξ)((X, η), (X', η')) = ⟨η, X'⟩ - ⟨η', X⟩ - ⟨ξ, [X, X']⟩,
 
 so it depends on ξ only, and every level set {ξ = μ} of the right momentum
-map carries frame-constant constraint subspaces.
+map carries frame-constant constraint subspaces.  Ω(ξ), ω and the momentum
+differential also take stacks, (…, n) fiber points and (…, 2n) tangents.
 """
 
 from __future__ import annotations
@@ -36,22 +37,21 @@ class PhasePoint:
 
 def _tangent_pair(a: LieAlgebra, u) -> np.ndarray:
     v = np.asarray(u, dtype=float)
-    if v.shape != (2 * a.dim,):
+    if v.shape[-1:] != (2 * a.dim,):
         raise ValueError(f"tangent vector must have length {2 * a.dim}")
     return v
 
 
 def omega_gram(a: LieAlgebra, xi) -> np.ndarray:
-    """Gram matrix Ω(ξ) of ω in the frame, so ω(u, v) = uᵀ Ω v on stacked pairs."""
-    n = a.dim
+    """Gram matrix Ω(ξ) of ω in the frame, so ω(u, v) = uᵀ Ω v on stacked pairs;
+    a stack (…, 2n, 2n) for a stack of fiber points (…, n)."""
     K = a.bracket_pairing(xi)
-    top = np.hstack([-K, -np.eye(n)])
-    bottom = np.hstack([np.eye(n), np.zeros((n, n))])
-    return np.vstack([top, bottom])
+    eye = np.broadcast_to(np.eye(a.dim), K.shape)
+    return np.block([[-K, -eye], [eye, np.zeros_like(eye)]])
 
 
-def symplectic_form(a: LieAlgebra, xi, u, v) -> float:
-    """ω_ξ(u, v) for left-trivialized tangent vectors.
+def symplectic_form(a: LieAlgebra, xi, u, v):
+    """ω_ξ(u, v) for left-trivialized tangent vectors, row by row over stacks alike.
 
     Evaluated term by term rather than through the Gram matrix so that
     antisymmetry, and in particular ω(u, u) = 0, holds exactly in floating
@@ -61,9 +61,9 @@ def symplectic_form(a: LieAlgebra, xi, u, v) -> float:
     uv = _tangent_pair(a, u)
     vv = _tangent_pair(a, v)
     xi = np.asarray(xi, dtype=float)
-    X, eta = uv[:n], uv[n:]
-    Xp, etap = vv[:n], vv[n:]
-    return float(eta @ Xp) - float(etap @ X) - float(xi @ a.bracket(X, Xp))
+    X, eta = uv[..., :n], uv[..., n:]
+    Xp, etap = vv[..., :n], vv[..., n:]
+    return linalg.vecdot(eta, Xp) - linalg.vecdot(etap, X) - linalg.vecdot(xi, a.bracket(X, Xp))
 
 
 def liouville_form(a: LieAlgebra, xi, u) -> float:
@@ -139,18 +139,21 @@ def constraint_split(a: LieAlgebra, mu) -> ConstraintSplit:
 
 
 def momentum_differential(a: LieAlgebra, side: str, p: PhasePoint) -> np.ndarray:
-    """Matrix of the momentum map differential on left-trivialized tangents.
+    """Matrix of the momentum map differential on left-trivialized tangents, or
+    a stack (…, n, 2n) of them when ``p.g`` (…, n, n) or ``p.xi`` (…, n) stacks
+    points.
 
     For the right action the differential is the fiber projection [0 | I];
     for the left action it is Coad(g) @ [-ξ∘ad(·) | I].
     """
     n = a.dim
     if side == "right":
-        return np.hstack([np.zeros((n, n)), np.eye(n)])
+        return np.broadcast_to(np.eye(2 * n)[n:], np.shape(p.xi)[:-1] + (n, 2 * n))
     if side == "left":
         if p.g is None:
             raise ValueError("left momentum differential needs a group element")
-        block = np.hstack([-a.bracket_pairing(p.xi).T, np.eye(n)])
+        K = a.bracket_pairing(p.xi)
+        block = np.concatenate([-np.swapaxes(K, -1, -2), np.broadcast_to(np.eye(n), K.shape)], -1)
         return coadjoint_matrix(p.g) @ block
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
@@ -159,16 +162,16 @@ def regularity_report(a: LieAlgebra, mu, samples, side: str = "right") -> dict:
     """Check that the momentum differential has full rank n on the level set.
 
     Each sample must satisfy ξ = μ; the report records the smallest and
-    largest singular values per point and an overall regularity flag.
+    largest singular values per point, from one SVD over the stacked
+    differentials, and an overall regularity flag.
     """
     mu = np.asarray(mu, dtype=float)
-    points = []
-    regular = True
-    for p in samples:
-        if np.linalg.norm(np.asarray(p.xi, dtype=float) - mu) > 1e-10 * (1 + np.linalg.norm(mu)):
-            raise PointOffConstraint("sample has xi != mu")
-        s = np.linalg.svd(momentum_differential(a, side, p), compute_uv=False)
-        ok = bool(s[-1] > linalg.RANK_RTOL * s[0])
-        regular = regular and ok
-        points.append({"sigma_min": float(s[-1]), "sigma_max": float(s[0]), "regular": ok})
-    return {"side": side, "points": points, "regular": regular}
+    xi = np.array([p.xi for p in samples], dtype=float).reshape(-1, a.dim)
+    if np.any(np.linalg.norm(xi - mu, axis=-1) > 1e-10 * (1 + np.linalg.norm(mu))):
+        raise PointOffConstraint("sample has xi != mu")
+    g = None if any(p.g is None for p in samples) else np.array([p.g for p in samples])
+    s = np.linalg.svd(momentum_differential(a, side, PhasePoint(g, xi)), compute_uv=False)
+    ok = s[:, -1] > linalg.RANK_RTOL * s[:, 0]
+    points = [{"sigma_min": float(lo), "sigma_max": float(hi), "regular": bool(flag)}
+              for lo, hi, flag in zip(s[:, -1], s[:, 0], ok)]
+    return {"side": side, "points": points, "regular": bool(np.all(ok))}

@@ -203,11 +203,10 @@ def _stage_validate(cfg: CaseConfig, run) -> dict:
     # TΣ^⊥ should be the span of the right-action generators at μ
     gens = np.column_stack([fundamental_field(a, "right", e, PhasePoint(None, mu))
                             for e in np.eye(n)])
-    regularity = {}
-    for side in ("right", "left"):  # only the left side reads the group elements
-        points = [PhasePoint(group_exp(a, x) if side == "left" else None, mu)
-                  for x in run.rng.uniform(-1, 1, (5, n))]
-        regularity[side] = regularity_report(a, mu, points, side=side)
+    # five draws per side; only the left side reads its group elements
+    left = group_exp(a, run.rng.uniform(-1, 1, (2, 5, n))[1])
+    regularity = {"right": regularity_report(a, mu, [PhasePoint(None, mu)] * 5, side="right"),
+                  "left": regularity_report(a, mu, [PhasePoint(g, mu) for g in left], side="left")}
     return {
         "status": "ok",
         "algebra": a.name,
@@ -226,27 +225,23 @@ def _stage_validate(cfg: CaseConfig, run) -> dict:
 
 def _stage_connect(cfg: CaseConfig, run) -> dict:
     """The baseline closed-form residual, then torsion and ∇ω of the configured
-    connection over the ξ samples.  Sets the baseline, its symplectization, the
-    configured connection, the ξ samples (μ first) and its Γ(ξ) at each."""
-    a, rng = run.a, run.rng
+    connection, each over one stack of draws.  Sets the baseline, its symplectization,
+    the configured connection, the ξ samples (μ first) and their Γ(ξ), as stacks."""
+    a, rng, n = run.a, run.rng, run.a.dim
     run.base = base = baseline_connection(a)
-    residual = 0.0
-    for _ in range(10):
-        xi = rng.standard_normal(a.dim)
-        u, v, w = (rng.standard_normal(2 * a.dim) for _ in range(3))
-        residual = max(residual, abs(nabla_omega(base, xi, u, v, w)
-                                     - baseline_nabla_omega(a, xi, u, v, w)))
+    # ten closed-form draws, one row (ξ, u, v, w) each
+    xi, u, v, w = np.split(rng.standard_normal((10, 7 * n)), [n, 3 * n, 5 * n], axis=1)
+    residual = np.max(np.abs(nabla_omega(base, xi, u, v, w) - baseline_nabla_omega(a, xi, u, v, w)))
     run.sympl = sympl = symplectize(base)
     run.conn = conn = sympl if cfg.connection == "symplectic" else base
-    run.xi_samples = [run.mu] + [rng.standard_normal(a.dim) for _ in range(3)]
-    run.gammas = [conn.coefficients(xi) for xi in run.xi_samples]
-    samples = list(zip(run.xi_samples, run.gammas))
+    run.xi_samples = np.vstack([run.mu, rng.standard_normal((3, n))])
+    run.gammas = conn.coefficients(run.xi_samples)
     return {
         "status": "ok",
         "connection": cfg.connection,
-        "baseline_closed_form_residual": residual,
-        "torsion_defect": max(torsion_defect(conn, xi, g) for xi, g in samples),
-        "nabla_omega_defect": max(nabla_omega_defect(conn, xi, g) for xi, g in samples),
+        "baseline_closed_form_residual": float(residual),
+        "torsion_defect": torsion_defect(conn, run.xi_samples, run.gammas),
+        "nabla_omega_defect": nabla_omega_defect(conn, run.xi_samples, run.gammas),
     }
 
 
@@ -309,9 +304,9 @@ def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator) -> dict:
     km = geom.chart.dim
     e = geom.identity
     k = ctx.stabilizer_dim
-    fibers = [group_exp(ctx.algebra, ctx.split.g_mu @ rng.uniform(-1.0, 1.0, k))
-              for _ in range(5 if k else 0)]
-    swept = (np.vstack([pts] + [pts[0]] * len(fibers)), np.array([e] * len(pts) + fibers))
+    fibers = group_exp(ctx.algebra, linalg.matvec(ctx.split.g_mu,
+                                                  rng.uniform(-1.0, 1.0, (5 if k else 0, k))))
+    swept = (np.vstack([pts] + [pts[0]] * len(fibers)), np.array([e] * len(pts) + list(fibers)))
     geom.points(*swept)
     out = {"sigma": None, "kks": 0.0, "torsion": 0.0, "oracle": 0.0, "parallel": 0.0,
            "closed": 0.0, "fiber": 0.0}
@@ -463,29 +458,27 @@ def _verify_algebra(cfg, run):
     t = np.einsum("ijl,lkm->ijkm", c, c)
     jac = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
     yield "lie/jacobi", float(np.max(np.abs(jac))), "jacobi"
-    pair = 0.0
-    for _ in range(10):
-        X, Y = rng.standard_normal(n), rng.standard_normal(n)
-        xi = rng.standard_normal(n)
-        pair = max(pair, abs(float(xi @ a.bracket(X, Y)) + float(xi @ a.bracket(Y, X))))
+    X, Y, xi = np.split(rng.standard_normal((10, 3 * n)), 3, axis=1)  # ten draws, one per row
+    pair = np.max(np.abs(linalg.vecdot(xi, a.bracket(X, Y)) + linalg.vecdot(xi, a.bracket(Y, X))))
     yield "lie/bracket-pairing-antisymmetry", pair
     g_mu, m = run.ctx.split.g_mu, run.ctx.m
     k = g_mu.shape[1]
-    ann = max((abs(float(mu @ a.bracket(Y, e))) for Y in g_mu.T for e in np.eye(n)), default=0.0)
+    # [Y, e_j] for every stabilizer basis vector Y and every basis vector e_j
+    ann = np.max(np.abs(linalg.vecdot(a.bracket(g_mu.T[:, None], np.eye(n)), mu)), initial=0.0)
     yield "lie/stabilizer-annihilation", ann, "stabilizer_annihilation"
     if k and m.shape[1]:
         Q = np.hstack([g_mu, m])
         pi = Q @ np.diag([1.0] * k + [0.0] * m.shape[1]) @ np.linalg.inv(Q)
-        comm = max(float(np.max(np.abs(pi @ adY - adY @ pi))) for adY in map(a.ad, g_mu.T))
-        yield "lie/complement-equivariance", comm, "complement_equivariance"
-    fix = max((float(np.max(np.abs(coadjoint_matrix(group_exp(a, tval * Y)) @ mu - mu)))
-               for tval in np.linspace(-1, 1, 5) for Y in g_mu.T), default=0.0)
+        adY = a.ad(g_mu.T)
+        yield ("lie/complement-equivariance", np.max(np.abs(pi @ adY - adY @ pi)),
+               "complement_equivariance")
+    coad = coadjoint_matrix(group_exp(a, np.linspace(-1, 1, 5)[:, None, None] * g_mu.T))
+    fix = np.max(np.abs(linalg.matvec(coad, mu) - mu), initial=0.0)
     yield "lie/coad-fixes-mu", fix, "coad_fixes_mu"
     Ad = group_exp(a, rng.uniform(-1, 1, n))
-    hom = 0.0
-    for _ in range(5):
-        X, Y = rng.standard_normal(n), rng.standard_normal(n)
-        hom = max(hom, float(np.max(np.abs(Ad @ a.bracket(X, Y) - a.bracket(Ad @ X, Ad @ Y)))))
+    X, Y = np.split(rng.standard_normal((5, 2 * n)), 2, axis=1)  # five draws, one per row
+    hom = np.max(np.abs(linalg.matvec(Ad, a.bracket(X, Y))
+                        - a.bracket(linalg.matvec(Ad, X), linalg.matvec(Ad, Y))))
     yield "lie/ad-homomorphism", hom, "ad_homomorphism"
     law = float(np.max(np.abs(coadjoint_matrix(Ad) @ coadjoint_matrix(np.linalg.inv(Ad))
                               - np.eye(n))))
@@ -496,12 +489,9 @@ def _verify_phase(cfg, run):
     a, rng = run.a, run.rng
     n = a.dim
     split = run.ctx.split
-    closed = 0.0
-    for _ in range(5):
-        xi = rng.standard_normal(n)
-        vecs = [rng.standard_normal(2 * n) for _ in range(3)]
-        closed = max(closed, abs(_cyclic_domega(a, xi, *vecs)))
-    yield "phase/omega-closed", closed, "omega_closed"
+    # five draws, one row (ξ, u, v, w) each
+    draws = np.split(rng.standard_normal((5, 7 * n)), [n, 3 * n, 5 * n], axis=1)
+    yield "phase/omega-closed", np.max(np.abs(_cyclic_domega(a, *draws))), "omega_closed"
     om = run.ctx.omega_mu
     pairing = float(np.max(np.abs(split.t_sigma.T @ om @ split.delta))) \
         if split.delta.shape[1] else 0.0
@@ -515,15 +505,16 @@ def _verify_phase(cfg, run):
     yield "phase/split-dims", split.sum.shape[1] == 2 * n - k and split.delta.shape[1] == k
 
 
-def _cyclic_domega(a, xi, u, v, w) -> float:
-    """Exterior derivative of ω on frame-constant extensions; zero when closed."""
+def _cyclic_domega(a, xi, u, v, w) -> np.ndarray:
+    """Exterior derivative of ω on frame-constant extensions, row by row over
+    stacks of draws; zero when closed."""
     n = a.dim
     total = 0.0
     for x, y, z in ((u, v, w), (v, w, u), (w, u, v)):
         # moving along x changes the fiber point at rate eta_x; only the
         # bracket term of ω(y, z) depends on the fiber point
-        total += -float(x[n:] @ a.bracket(y[:n], z[:n]))
-        bx = np.concatenate([a.bracket(x[:n], y[:n]), np.zeros(n)])
+        total -= linalg.vecdot(x[:, n:], a.bracket(y[:, :n], z[:, :n]))
+        bx = np.hstack([a.bracket(x[:, :n], y[:, :n]), np.zeros_like(xi)])
         total -= symplectic_form(a, xi, bx, z)
     return total
 
@@ -537,19 +528,14 @@ def _verify_connections(cfg, run):
     yield "conn/torsion", connect["torsion_defect"], "symplectized_torsion"
     yield ("conn/nabla-omega", connect["nabla_omega_defect"], "symplectized_nabla_omega",
            BASELINE_NOTE)
-    # Γ(ξ) of the symplectization at each ξ sample, evaluated once per run
-    gammas = run.gammas if run.conn is sympl else [sympl.coefficients(xi) for xi in xi_samples]
-    asym = idem = 0.0
-    for xi, gamma in zip(xi_samples, gammas):
-        A = gamma - base.coefficients(xi)
-        asym = max(asym, float(np.max(np.abs(A - A.transpose(1, 0, 2)))))
-        idem = max(idem, float(np.max(np.abs(symplectized_coefficients(sympl, xi, gamma)
-                                             - gamma))))
-    yield "conn/a-symmetry", asym, "a_symmetry"
+    # Γ(ξ) of the symplectization over the stack of ξ samples, evaluated once per run
+    gammas = run.gammas if run.conn is sympl else sympl.coefficients(xi_samples)
+    A = gammas - base.coefficients(xi_samples)
+    yield "conn/a-symmetry", np.max(np.abs(A - np.swapaxes(A, -3, -2))), "a_symmetry"
+    idem = np.max(np.abs(symplectized_coefficients(sympl, xi_samples, gammas) - gammas))
     yield "conn/symplectize-idempotent", idem, "symplectize_idempotent"
     pulled = pullback_connection(sympl, group_exp(a, run.rng.uniform(-0.5, 0.5, a.dim)))
-    inv = max(float(np.max(np.abs(pulled.coefficients(xi) - gamma)))
-              for xi, gamma in zip(xi_samples, gammas))
+    inv = np.max(np.abs(pulled.coefficients(xi_samples) - gammas))
     yield "conn/right-invariance", inv, "right_invariance"
 
 
@@ -621,19 +607,16 @@ def _verify_curvature(cfg, run):
 
 
 def _l_equivariance_defect(ctx, rng) -> float:
-    a = ctx.algebra
-    k = ctx.stabilizer_dim
+    a, k = ctx.algebra, ctx.stabilizer_dim
     if k == 0:
         return 0.0
     st, delta, lam = ctx.s_tilde, ctx.split.delta, ctx.iso_map
     L_full = delta @ lam @ np.linalg.pinv(st)
-    defect = 0.0
-    for _ in range(3):
-        T = frame_transport(np.linalg.inv(group_exp(a, ctx.split.g_mu @ rng.uniform(-1, 1, k))))
-        T_inv = np.linalg.inv(T)
-        moved = T @ (L_full @ (T_inv @ st)) - L_full @ st
-        defect = max(defect, float(np.max(np.abs(moved))))
-    return defect
+    # three stabilizer elements, one per row of the draw
+    T = frame_transport(np.linalg.inv(group_exp(a, linalg.matvec(ctx.split.g_mu,
+                                                                 rng.uniform(-1, 1, (3, k))))))
+    moved = T @ (L_full @ (np.linalg.inv(T) @ st)) - L_full @ st
+    return float(np.max(np.abs(moved)))
 
 
 def _geodesic_oracle_gap(ctx, value: float) -> float:
@@ -653,23 +636,21 @@ def _geodesic_oracle_gap(ctx, value: float) -> float:
 
 def _sigma_equivariance_defect(ctx, rng) -> float:
     """Transport constant level-set fields by stabilizer elements and compare."""
-    a = ctx.algebra
-    n = a.dim
-    k = ctx.stabilizer_dim
+    a, n, k, gamma, P = ctx.algebra, ctx.algebra.dim, ctx.stabilizer_dim, ctx.gamma_mu, ctx.p_matrix
     if k == 0:
         return 0.0
-    gamma = ctx.gamma_mu
-    P = ctx.p_matrix
-    defect = 0.0
-    for _ in range(3):
-        T = frame_transport(np.linalg.inv(group_exp(a, ctx.split.g_mu @ rng.uniform(-1, 1, k))))
-        for _ in range(3):
-            u = np.concatenate([rng.standard_normal(n), np.zeros(n)])
-            v = np.concatenate([rng.standard_normal(n), np.zeros(n)])
-            lhs = T @ (P @ np.einsum("abc,a,b->c", gamma, u, v))
-            rhs = P @ np.einsum("abc,a,b->c", gamma, T @ u, T @ v)
-            defect = max(defect, float(np.max(np.abs(lhs - rhs))))
-    return defect
+    # three stabilizer elements with three (u, v) pairs each; the draws alternate
+    # between the two distributions, one call of each per element
+    fibers, pairs = zip(*[(rng.uniform(-1, 1, k), rng.standard_normal((3, 2 * n)))
+                          for _ in range(3)])
+    T = frame_transport(np.linalg.inv(group_exp(a, linalg.matvec(ctx.split.g_mu,
+                                                                 np.array(fibers)))))[:, None]
+    # rows (X, 0) of u and v, [element, pair, X]
+    u, v = np.moveaxis(np.pad(np.reshape(pairs, (3, 3, 2, n)), [(0, 0)] * 3 + [(0, n)]), 2, 0)
+    Tu, Tv = linalg.matvec(T, np.stack([u, v]))
+    lhs = linalg.matvec(T, linalg.matvec(P, np.einsum("abc,...a,...b->...c", gamma, u, v)))
+    rhs = linalg.matvec(P, np.einsum("abc,...a,...b->...c", gamma, Tu, Tv))
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def _jet_fd_defect(geom: SigmaGeometry, t, step: float) -> float:
@@ -705,11 +686,9 @@ def _verify_averaging(cfg, run):
     pert = perturbed_connection(run.base, delta, symmetric=True)
     nodes = finite_cyclic_rule(a, np.eye(a.dim)[2], 4)
     avg = average_connection(pert, nodes)
-    xi_samples = [rng.standard_normal(a.dim) for _ in range(3)]
-    gammas = [avg.coefficients(xi) for xi in xi_samples]
-    yield ("avg/torsion-free", max(torsion_defect(avg, xi, g) for xi, g in zip(xi_samples, gammas)),
-           "averaging_torsion")
-    pulled = [pullback_connection(avg, g) for g in nodes]
-    fixed = max(float(np.max(np.abs(p.coefficients(xi) - g)))
-                for p in pulled for xi, g in zip(xi_samples, gammas))
+    xi_samples = rng.standard_normal((3, a.dim))
+    gammas = avg.coefficients(xi_samples)
+    yield "avg/torsion-free", torsion_defect(avg, xi_samples, gammas), "averaging_torsion"
+    fixed = max(np.max(np.abs(pullback_connection(avg, g).coefficients(xi_samples) - gammas))
+                for g in nodes)
     yield "avg/node-fixed", fixed, "averaging_fixed"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import redconn as rc
-from redconn.connections import (_omega_derivative, baseline_nabla_omega, frame_structure,
+from redconn.connections import (baseline_nabla_omega, frame_structure,
                                  frame_transport, nabla_omega_components, solve_omega_gram,
                                  torsion_components)
 from redconn.errors import SingularOmega
@@ -119,7 +119,7 @@ class TestNablaOmega:
         for _ in range(3):
             xi = rng.standard_normal(a.dim)
             gamma, om = conn.coefficients(xi), rc.omega_gram(a, xi)
-            expected = (_omega_derivative(a) - np.einsum("abd,dc->abc", gamma, om)
+            expected = (a._omega_derivative - np.einsum("abd,dc->abc", gamma, om)
                         - np.einsum("acd,bd->abc", gamma, om))
             got = nabla_omega_components(conn, xi)
             assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
@@ -135,6 +135,14 @@ class TestNablaOmega:
                             or einsum(*args, **kw))
         nabla_omega_components(conn, xi, gamma, om)
         assert calls == []
+
+    def test_omega_derivative_is_built_once_per_algebra_and_read_only(self, rng):
+        a = rc.algebra_from_json(perfbench_cases().so_n_group(4))
+        D = a._omega_derivative
+        assert D is a._omega_derivative and not D.flags.writeable
+        n = a.dim
+        assert np.all(D[n:, :n, :n] == -np.moveaxis(a.c, 2, 0))
+        assert np.all(D[:n] == 0.0) and np.all(D[n:, n:] == 0.0) and np.all(D[n:, :n, n:] == 0.0)
 
 
 class TestSymplectize:

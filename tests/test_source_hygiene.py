@@ -1,7 +1,9 @@
 """No dead code in ``src/redconn``, read with the standard library's ``ast``:
 every import is used, every private top-level function, class or constant is
 referenced somewhere in the package, and so is every private method of a class
-and every dataclass field, each read as an attribute."""
+and every dataclass field, each read as an attribute.  And no draw-at-a-time
+sampling in ``pipeline.py``: no ``rng`` method is called inside a loop or a
+comprehension, except in the functions allowed below."""
 
 import ast
 from pathlib import Path
@@ -93,3 +95,67 @@ def test_every_private_method_and_dataclass_field_is_read():
     assert len(members) > 20  # the fields of every dataclass and the private methods
     assert [f"{module}:{line} {qualified}" for module, (line, qualified, name) in members
             if name not in read] == []
+
+
+# pipeline.py functions that may call an rng method inside a loop, with the reason
+RNG_LOOPS_ALLOWED = {
+    "_sigma_equivariance_defect": "each stabilizer element's uniform draw precedes its "
+                                  "normal (u, v) draws in the stream, so one call per "
+                                  "distribution would reorder the draws",
+}
+
+
+class _RngLoopFinder(ast.NodeVisitor):
+    """(innermost function, line) of every call ``rng.m(…)`` or ``….rng.m(…)``
+    inside a ``for`` or ``while`` loop or a comprehension."""
+
+    LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+
+    def __init__(self):
+        self.function, self.depth, self.found = "<module>", 0, []
+
+    def visit_FunctionDef(self, node):
+        outer = self.function, self.depth
+        self.function, self.depth = node.name, 0
+        self.generic_visit(node)
+        self.function, self.depth = outer
+
+    def visit_Call(self, node):
+        target = node.func.value if isinstance(node.func, ast.Attribute) else None
+        if self.depth and (isinstance(target, ast.Name) and target.id == "rng"
+                           or isinstance(target, ast.Attribute) and target.attr == "rng"):
+            self.found.append((self.function, node.lineno))
+        self.generic_visit(node)
+
+    def generic_visit(self, node):
+        loop = isinstance(node, self.LOOPS)
+        self.depth += loop
+        super().generic_visit(node)
+        self.depth -= loop
+
+
+def _rng_calls_in_loops(tree) -> list:
+    finder = _RngLoopFinder()
+    finder.visit(tree)
+    return finder.found
+
+
+def test_pipeline_draws_each_sample_set_in_one_call():
+    found = _rng_calls_in_loops(TREES["pipeline.py"])
+    assert [f"pipeline.py:{line} {name}" for name, line in found
+            if name not in RNG_LOOPS_ALLOWED] == []
+    # every allowed function still needs its entry
+    assert {name for name, _ in found} >= set(RNG_LOOPS_ALLOWED)
+
+
+def test_rng_loop_rule_catches_draw_at_a_time_loops():
+    source = """
+def sampled(run, rng):
+    for _ in range(3):
+        rng.standard_normal(2)
+    xs = [run.rng.uniform(-1, 1, 2) for _ in range(3)]
+    return {i: rng.random() for i in range(2)}, xs, rng.standard_normal((3, 2))
+"""
+    assert _rng_calls_in_loops(ast.parse(source)) == [("sampled", 4), ("sampled", 5),
+                                                       ("sampled", 6)]

@@ -1,0 +1,192 @@
+"""Stacked evaluations equal per-element calls, row by row, and the stacked
+draws of the validate and connect stages leave the rng where draw-at-a-time
+loops leave it.
+
+Where a routine promises a row of a stack the bits of the call on that row
+alone (each row its own Padé plan, matmul, LAPACK solve or SVD), the tests
+require bit-identity.  The bracket and the pullback contract a stack through
+``np.einsum``, whose reduction order over the summed axes may change with the
+operand's shape, so their rows are held to 1e-15 relative instead.
+"""
+
+from functools import cache
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+import redconn as rc
+from redconn import pipeline
+from redconn.connections import nabla_omega_components, solve_omega_gram, symplectized_coefficients
+from redconn.errors import SingularOmega
+from redconn.pipeline import CaseConfig
+from tests.conftest import CATALOG_CASES, perfbench_cases
+
+SO_LABELS = ["so4-regular", "so4-singular", "so5-regular", "so5-singular"]
+LABELS = [name for name, _ in CATALOG_CASES] + SO_LABELS
+
+
+@cache
+def _config(label: str) -> CaseConfig:
+    """A catalog case at its representative μ, or a perfbench so(n) case (seed 1)."""
+    if label in dict(CATALOG_CASES):
+        return CaseConfig.from_dict({"group": label, "mu": dict(CATALOG_CASES)[label]})
+    cases = perfbench_cases()
+    return CaseConfig.from_dict(next(c["config"] for c in cases.so4_full_cases(1)
+                                     + cases.so5_reduce_cases(1) if c["label"].startswith(label)))
+
+
+@cache
+def _case(label: str):
+    """(algebra, μ) of ``_config(label)``."""
+    a = _config(label).algebra()
+    return a, _config(label).mu_vector(a)
+
+
+def _bitwise_rows(stack, rows) -> None:
+    assert len(stack) == len(rows)
+    for got, want in zip(stack, rows):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _close_rows(stack, rows, rtol=1e-15) -> None:
+    assert len(stack) == len(rows)
+    for got, want in zip(stack, rows):
+        assert np.max(np.abs(got - want)) <= rtol * max(1.0, float(np.max(np.abs(want))))
+
+
+@pytest.fixture(params=LABELS)
+def case(request):
+    return _case(request.param)
+
+
+def _fiber_points(a, mu, rng):
+    return np.vstack([mu, rng.standard_normal((4, a.dim))])
+
+
+def test_group_exp_stack_is_bitwise_per_row(case, rng):
+    a, _ = case
+    # norms from 1e-2 to 8 pick different Padé degrees and scalings per row
+    X = rng.uniform(-1, 1, (7, a.dim)) * np.array([1e-2, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0])[:, None]
+    _bitwise_rows(rc.group_exp(a, X), [rc.group_exp(a, x) for x in X])
+    nested = rc.group_exp(a, X[:6].reshape(2, 3, a.dim))
+    assert nested.shape == (2, 3, a.dim, a.dim)
+    _bitwise_rows(nested.reshape(6, a.dim, a.dim), [rc.group_exp(a, x) for x in X[:6]])
+    assert rc.group_exp(a, np.zeros((0, a.dim))).shape == (0, a.dim, a.dim)
+
+
+def test_omega_gram_stack_is_bitwise_per_row(case, rng):
+    a, mu = case
+    xis = _fiber_points(a, mu, rng)
+    _bitwise_rows(rc.omega_gram(a, xis), [rc.omega_gram(a, xi) for xi in xis])
+
+
+def test_nabla_omega_components_stack_is_bitwise_per_row(case, rng):
+    a, mu = case
+    xis = _fiber_points(a, mu, rng)
+    base = rc.baseline_connection(a)
+    # a non-symmetric Γ, whose two contractions with Ω differ
+    skew = rc.perturbed_connection(base, rng.standard_normal((2 * a.dim,) * 3), symmetric=False)
+    for conn in (base, rc.symplectize(base), skew):
+        _bitwise_rows(nabla_omega_components(conn, xis),
+                      [nabla_omega_components(conn, xi) for xi in xis])
+
+
+def test_symplectized_coefficients_stack_is_bitwise_per_row(case, rng):
+    a, mu = case
+    xis = _fiber_points(a, mu, rng)
+    base = rc.baseline_connection(a)
+    stack = symplectized_coefficients(base, xis)
+    _bitwise_rows(stack, [symplectized_coefficients(base, xi) for xi in xis])
+    # applied again to the symplectization, with its Γ(ξ) given, row by row too
+    sympl = rc.symplectize(base)
+    _bitwise_rows(symplectized_coefficients(sympl, xis, stack),
+                  [symplectized_coefficients(sympl, xi, g) for xi, g in zip(xis, stack)])
+
+
+def test_closed_form_routes_stack_is_bitwise_per_row(case, rng):
+    # both sides of the connect stage's baseline closed-form residual
+    a, _ = case
+    n = a.dim
+    xi, u, v, w = np.split(rng.standard_normal((10, 7 * n)), [n, 3 * n, 5 * n], axis=1)
+    base = rc.baseline_connection(a)
+    for route, args in ((rc.nabla_omega, (base,)), (rc.baseline_nabla_omega, (a,))):
+        stack = route(*args, xi, u, v, w)
+        assert stack.shape == (10,)
+        _bitwise_rows(stack, [route(*args, *row) for row in zip(xi, u, v, w)])
+    assert isinstance(rc.nabla_omega(base, xi[0], u[0], v[0], w[0]), float)
+
+
+def test_bracket_stack_matches_rows_and_stays_antisymmetric(case, rng):
+    a, _ = case
+    X, Y = rng.standard_normal((2, 20, a.dim))
+    stack = a.bracket(X, Y)
+    _close_rows(stack, [a.bracket(x, y) for x, y in zip(X, Y)])
+    assert np.all(stack == -a.bracket(Y, X))
+    # broadcast: every row of X against every basis vector
+    table = a.bracket(X[:3, None], np.eye(a.dim))
+    assert table.shape == (3, a.dim, a.dim)
+    _close_rows(table.reshape(-1, a.dim), [a.bracket(x, e) for x in X[:3] for e in np.eye(a.dim)])
+
+
+def test_regularity_report_stack_equals_single_point_reports(case, rng):
+    a, mu = case
+    left = [rc.PhasePoint(g, mu) for g in rc.group_exp(a, rng.uniform(-1, 1, (5, a.dim)))]
+    for side, points in (("right", [rc.PhasePoint(None, mu)] * 5), ("left", left)):
+        report = rc.regularity_report(a, mu, points, side=side)
+        singles = [rc.regularity_report(a, mu, [p], side=side) for p in points]
+        assert report["points"] == [s["points"][0] for s in singles]
+        assert report["regular"] == all(s["regular"] for s in singles)
+
+
+def test_pullback_stack_matches_rows(case, rng):
+    a, mu = case
+    xis = _fiber_points(a, mu, rng)
+    pulled = rc.pullback_connection(rc.symplectize(rc.baseline_connection(a)),
+                                    rc.group_exp(a, rng.uniform(-0.5, 0.5, a.dim)))
+    _close_rows(pulled.coefficients(xis), [pulled.coefficients(xi) for xi in xis])
+
+
+def _run(cfg: CaseConfig) -> SimpleNamespace:
+    """The run record ``pipeline._run_stages`` starts from."""
+    a = cfg.algebra()
+    return SimpleNamespace(stages={}, rng=np.random.default_rng(cfg.seed), a=a,
+                           mu=cfg.mu_vector(a), geom=None, sweep=None)
+
+
+@pytest.mark.parametrize("label", ["so3", "se2"] + SO_LABELS)
+def test_stacked_stage_draws_leave_the_rng_where_single_draws_do(label):
+    a, mu = _case(label)
+    cfg = _config(label)
+    run, fresh, n = _run(cfg), np.random.default_rng(cfg.seed), a.dim
+    validate = pipeline._stage_validate(cfg, run)
+    # five draws per side, one sample at a time; only the left side's are read
+    draws = [[fresh.uniform(-1, 1, n) for _ in range(5)] for _ in ("right", "left")]
+    assert run.rng.bit_generator.state == fresh.bit_generator.state
+    left = [rc.PhasePoint(rc.group_exp(a, x), mu) for x in draws[1]]
+    assert validate["regularity"]["left"] == rc.regularity_report(a, mu, left, side="left")
+    pipeline._stage_connect(cfg, run)
+    for _ in range(10):  # ξ, then u, v and w of each closed-form draw
+        fresh.standard_normal(n)
+        for _ in range(3):
+            fresh.standard_normal(2 * n)
+    xis = [fresh.standard_normal(n) for _ in range(3)]
+    assert run.rng.bit_generator.state == fresh.bit_generator.state
+    _bitwise_rows(run.xi_samples, [mu] + xis)
+
+
+@pytest.mark.parametrize("label", ["so3", "su2"])
+def test_cyclic_rule_nodes_are_bitwise_one_at_a_time(label):
+    a, _ = _case(label)
+    X = np.eye(a.dim)[2]
+    _bitwise_rows(rc.finite_cyclic_rule(a, X, 6),
+                  [rc.group_exp(a, (2.0 * np.pi * k / 6) * X) for k in range(6)])
+
+
+def test_one_singular_gram_in_a_stack_raises(rng):
+    a = rc.so3()
+    good = rc.omega_gram(a, rng.standard_normal(3))
+    bad = np.zeros((6, 6))
+    bad[0, 1], bad[1, 0] = 1.0, -1.0  # rank 2 only
+    with pytest.raises(SingularOmega):
+        solve_omega_gram(np.stack([good, bad, good]), np.ones((3, 6, 6, 6)))

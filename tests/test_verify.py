@@ -147,16 +147,16 @@ def test_verify_builds_no_more_than_the_pipeline(monkeypatch, label):
 @pytest.mark.parametrize("label", ["so3", "so4-regular"])
 def test_validate_exponentiates_only_the_left_samples(monkeypatch, label):
     # the right-side momentum differential never reads the group element, so
-    # only the five left-side regularity samples are exponentiated
-    calls = []
+    # only the five left-side regularity samples are exponentiated, in one call
+    rows = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return liealg.group_exp(*args, **kwargs)
+    def counted(a, X):
+        rows.append(int(np.prod(np.shape(X)[:-1])))
+        return liealg.group_exp(a, X)
 
     monkeypatch.setattr(pipeline, "group_exp", counted)
     rep, code = run_pipeline(CaseConfig.from_dict(_doc(label)), "validate")
-    assert code == 0 and len(calls) == 5
+    assert code == 0 and rows == [5]
     assert [len(rep["stages"]["validate"]["regularity"][side]["points"])
             for side in ("right", "left")] == [5, 5]
 
@@ -189,12 +189,14 @@ def test_each_connection_is_evaluated_once_per_xi(monkeypatch, label):
     # Γ(ξ) of the symplectized connection is evaluated once per ξ sample in a
     # run: the connect stage's torsion and ∇ω and build_context's Γ(μ) read
     # the same arrays.  verify adds the symplectization applied again at each
-    # ξ and the pulled-back connection at each moved ξ, each pair once
-    calls = []
+    # ξ and the pulled-back connection at each moved ξ, each pair once.  A call
+    # on a stack evaluates each of its rows
+    calls, batches = [], []
     evaluate = connections.symplectized_coefficients
 
     def counted(conn, xi, gamma=None):
-        calls.append((id(conn), np.asarray(xi).tobytes()))
+        calls.extend((id(conn), row.tobytes()) for row in np.atleast_2d(xi))
+        batches.append(len(np.atleast_2d(xi)))
         return evaluate(conn, xi, gamma)
 
     for module in (connections, pipeline):
@@ -204,10 +206,11 @@ def test_each_connection_is_evaluated_once_per_xi(monkeypatch, label):
                 if c["label"].startswith(label))
     cfg = CaseConfig.from_dict(case["config"])
     assert run_pipeline(cfg, "reduce" if label.startswith("so5") else "curvature")[1] == 0
-    assert len(calls) == len(set(calls)) == 4
+    assert len(calls) == len(set(calls)) == 4 and batches == [4]
     calls.clear()
+    batches.clear()
     assert verify_suite(cfg)[1] == 0
-    assert len(calls) == len(set(calls)) <= 12
+    assert len(calls) == len(set(calls)) <= 12 and batches == [4] * 3
 
 
 LIE = ["lie/antisymmetry", "lie/jacobi", "lie/bracket-pairing-antisymmetry",
