@@ -17,10 +17,10 @@ from .liealg import (LieAlgebra, abelian, algebra_from_json, coadjoint_matrix, g
 from .phasespace import (ConstraintSplit, PhasePoint, constraint_split, fundamental_field,
                          liouville_form, momentum_map, omega_gram, regularity_report,
                          symplectic_form)
-from .connections import (FrameConnection, average_connection, baseline_connection,
-                          baseline_nabla_omega, connection_to_json, finite_cyclic_rule,
-                          nabla_omega, nabla_omega_defect, perturbed_connection,
-                          pullback_connection, symplectize, torsion, torsion_defect)
+from .connections import (average_coefficients, baseline_coefficients, baseline_nabla_omega,
+                          connection_to_json, finite_cyclic_rule, nabla_omega,
+                          nabla_omega_defect, pullback_coefficients, symplectized_coefficients,
+                          torsion, torsion_defect)
 from .orbits import (KKS_MATCH_SIGN, OrbitChart, kks_form, orbit_chart, orbit_tangent_frame,
                      tangent_representative)
 from .reduction import (AutoparallelReport, ReductionContext, SigmaGeometry, autoparallel_check,

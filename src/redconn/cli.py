@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import report as report_mod
-from .connections import baseline_connection, connection_to_json, symplectize
+from .connections import baseline_coefficients, connection_to_json, symplectized_coefficients
 from .errors import ConfigError
 from .pipeline import CaseConfig, EXIT_CONFIG, run_pipeline, verify_suite, _exit_code, _error_record
 
@@ -41,21 +41,32 @@ def _emit(rep: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+# what export-connection states about each configured connection: its label
+# and whether its construction makes it torsion-free and symplectic
+EXPORT_CLAIMS = {
+    "baseline": {"label": "baseline", "is_torsion_free": True, "is_symplectic": False},
+    "symplectic": {"label": "symplectized(baseline)", "is_torsion_free": True,
+                   "is_symplectic": True},
+}
+
+
 def _export_connection(cfg: CaseConfig) -> dict:
     """The configured connection (``cfg.connection``) at the ξ samples."""
     a = cfg.algebra()
     mu = cfg.mu_vector(a)
-    conn = baseline_connection(a)
-    if cfg.connection == "symplectic":
-        conn = symplectize(conn)
     xi_list = cfg.xi_list
     if xi_list is None:
         rng = np.random.default_rng(cfg.seed)
         xi_list = np.vstack([mu, rng.standard_normal((2, a.dim))])
+    xis = np.asarray(xi_list, dtype=float).reshape(-1, a.dim)
+    base = baseline_coefficients(a)
+    gammas = np.broadcast_to(base, xis.shape[:1] + base.shape)
+    if cfg.connection == "symplectic":
+        gammas = symplectized_coefficients(a, xis, gammas)
     return {
         "schema_version": report_mod.SCHEMA_VERSION,
         "config": cfg.as_dict(),
-        "connection": connection_to_json(conn, xi_list),
+        "connection": connection_to_json(a, xis, gammas, EXPORT_CLAIMS[cfg.connection]),
         "error": None,
     }
 

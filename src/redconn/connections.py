@@ -1,26 +1,27 @@
 """Linear connections on phase space, expressed over the left-invariant frame.
 
 The frame consists of the n left-invariant group directions followed by the
-n constant fiber directions; a connection is a map ξ ↦ Γ(ξ) with Γ[a, b, c]
-the c-component of the covariant derivative of frame field b along frame
-field a.  The frame bracket is ([X, X'], 0) on group pairs and zero when a
-fiber direction is involved, so torsion and ∇ω reduce to structure-constant
-algebra.
+n constant fiber directions.  A connection is its coefficient array: Γ(ξ)[a, b, c]
+is the c-component of the covariant derivative of frame field b along frame
+field a at the fiber point ξ, and a stack Γ (…, 2n, 2n, 2n) holds it at a
+stack of fiber points (…, n).  The frame bracket is ([X, X'], 0) on group pairs
+and zero when a fiber direction is involved, so torsion and ∇ω reduce to
+structure-constant algebra.
 
-Three constructions are provided: the bi-invariant torsion-free baseline
-∇°(X̃, X̃') = ½[X, X']~, its projection onto the space of symplectic
-connections, and the equal-weight average of its pullbacks over a finite set
-of group elements, for building invariant connections on compact groups.
+The constructions are functions on these arrays: the bi-invariant torsion-free
+baseline Γ° of ∇°(X̃, X̃') = ½[X, X']~, the projection of a torsion-free Γ onto
+the symplectic connections, the pullback by a right translation, and the
+equal-weight mean of the pullbacks of a ξ-independent Γ over a finite set of
+group elements, for building invariant connections on compact groups.
 
 Every evaluation is stacked: ξ may be one fiber point (n,) or a stack (…, n),
-and Γ(ξ), Ω(ξ), ∇ω and the symplectization then carry the same leading axes,
-each row bit for bit as the call on its fiber point alone (a pullback's to roundoff).
+and a Γ stack's leading axes broadcast against ξ's (a ξ-independent Γ may be
+passed as one (2n)³ array).  Ω(ξ), ∇ω and the symplectization then carry ξ's
+leading axes, each row bit for bit as the call on its fiber point alone (a
+pullback's to roundoff).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -28,26 +29,6 @@ from . import linalg
 from .errors import SingularOmega
 from .liealg import LieAlgebra, coadjoint_matrix, group_exp
 from .phasespace import _tangent_pair, omega_gram
-
-
-@dataclass(frozen=True)
-class FrameConnection:
-    """Connection coefficients over the left-invariant frame.
-
-    ``coeff`` maps a fiber point ξ to the (2n, 2n, 2n) array Γ(ξ), and a stack
-    of fiber points (…, n) to the stack (…, 2n, 2n, 2n); the flags
-    are the constructing routine's claims, which nothing here checks (the
-    connect stage and ``verify`` measure torsion and ∇ω).
-    """
-
-    algebra: LieAlgebra
-    coeff: Callable[[np.ndarray], np.ndarray]
-    is_torsion_free: bool = False
-    is_symplectic: bool = False
-    label: str = ""
-
-    def coefficients(self, xi) -> np.ndarray:
-        return self.coeff(np.asarray(xi, dtype=float))
 
 
 def frame_structure(a: LieAlgebra) -> np.ndarray:
@@ -59,34 +40,32 @@ def frame_structure(a: LieAlgebra) -> np.ndarray:
     return C
 
 
-def baseline_connection(a: LieAlgebra) -> FrameConnection:
-    """The bi-invariant connection: half the bracket on group directions."""
+def baseline_coefficients(a: LieAlgebra) -> np.ndarray:
+    """Γ° of the bi-invariant connection, the same at every fiber point: half
+    the bracket on group directions, read-only."""
     n = a.dim
     gamma = np.zeros((2 * n, 2 * n, 2 * n))
     gamma[:n, :n, :n] = 0.5 * a.c
     gamma.setflags(write=False)
-    return FrameConnection(a, lambda xi: np.broadcast_to(gamma, np.shape(xi)[:-1] + gamma.shape),
-                           is_torsion_free=True, is_symplectic=False, label="baseline")
+    return gamma
 
 
-def nabla_omega_components(conn: FrameConnection, xi, gamma=None, om=None) -> np.ndarray:
+def nabla_omega_components(a: LieAlgebra, xi, gamma, om=None) -> np.ndarray:
     """(∇ω)[a, b, c] = DΩ[a, b, c] − Σ_d Γ[a, b, d] Ω[d, c] − Σ_d Γ[a, c, d] Ω[b, d]
-    over all frame triples at fiber point ξ, or at each row of a stack, from
-    ``gamma`` and ``om`` when the caller has Γ(ξ) and Ω(ξ).  Each product is one
-    matmul per Γ slice, so a row of a stack equals the call on its ξ alone."""
-    a = conn.algebra
-    gamma = conn.coefficients(xi) if gamma is None else gamma
+    over all frame triples at fiber point ξ, or at each row of a stack, from Γ(ξ)
+    and from ``om`` when the caller has Ω(ξ).  Each product is one matmul per
+    Γ slice, so a row of a stack equals the call on its ξ alone."""
     om = (omega_gram(a, xi) if om is None else om)[..., None, :, :]
     return a._omega_derivative - gamma @ om - np.swapaxes(gamma @ np.swapaxes(om, -1, -2), -1, -2)
 
 
-def nabla_omega(conn: FrameConnection, xi, u, v, w):
+def nabla_omega(a: LieAlgebra, xi, gamma, u, v, w):
     """(∇_u ω)(v, w) for left-trivialized tangent vectors at ξ, or row by row
     over stacks ξ (…, n) and u, v, w (…, 2n), each row contracted as the call
     on it alone contracts it."""
-    a = conn.algebra
     uv, vv, wv = (_tangent_pair(a, x) for x in (u, v, w))
-    out = np.einsum("...abc,...a,...b,...c->...", nabla_omega_components(conn, xi), uv, vv, wv)
+    out = np.einsum("...abc,...a,...b,...c->...", nabla_omega_components(a, xi, gamma),
+                    uv, vv, wv)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -108,7 +87,8 @@ def baseline_nabla_omega(a: LieAlgebra, xi, u, v, w):
 def solve_omega_gram(om: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ω(z, ·) = rhs for z, i.e. Ωᵀ z = rhs, for stacked right-hand sides
     (…, m); for a stack of Grams (…, m, m), rhs's leading axes begin with the
-    stack's.  One batched SVD check and one batched solve, each Gram on its own.
+    stack's.  One batched SVD check and one batched solve, each Gram on its own;
+    an empty stack passes through.
 
     Raises SingularOmega instead of silently pseudo-inverting: nondegeneracy
     of ω is a structural assumption worth surfacing.
@@ -117,12 +97,15 @@ def solve_omega_gram(om: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if np.any(s[..., -1] <= 1e-10 * s[..., 0]):
         ratio = np.min(s[..., -1] / s[..., 0])
         raise SingularOmega(f"symplectic Gram matrix singular (sigma_min/sigma_max = {ratio:.3e})")
+    if rhs.size == 0:  # reshape cannot infer an axis of an empty array
+        return np.empty_like(rhs)
     flat = np.swapaxes(rhs.reshape(om.shape[:-2] + (-1, om.shape[-1])), -1, -2)
     return np.swapaxes(np.linalg.solve(np.swapaxes(om, -1, -2), flat), -1, -2).reshape(rhs.shape)
 
 
-def symplectize(conn: FrameConnection) -> FrameConnection:
-    """Project a torsion-free connection onto the symplectic ones.
+def symplectized_coefficients(a: LieAlgebra, xi, gamma) -> np.ndarray:
+    """Γ(ξ) of the projection of a torsion-free connection onto the symplectic
+    ones, from its Γ(ξ).
 
     Adds the symmetric correction A determined by
 
@@ -131,43 +114,32 @@ def symplectize(conn: FrameConnection) -> FrameConnection:
     which kills ∇ω for any torsion-free input because ω is closed, and keeps
     the torsion zero because A(U)V = A(V)U.
     """
-    return FrameConnection(conn.algebra, lambda xi: symplectized_coefficients(conn, xi),
-                           is_torsion_free=True, is_symplectic=True,
-                           label=f"symplectized({conn.label})")
-
-
-def symplectized_coefficients(conn: FrameConnection, xi, gamma=None) -> np.ndarray:
-    """Γ(ξ) of ``symplectize(conn)``, from ``gamma`` when the caller has conn's Γ(ξ)."""
-    gamma = conn.coefficients(xi) if gamma is None else gamma
-    om = omega_gram(conn.algebra, xi)
-    N = nabla_omega_components(conn, xi, gamma, om)
+    om = omega_gram(a, xi)
+    N = nabla_omega_components(a, xi, gamma, om)
     rhs = (N + np.swapaxes(N, -3, -2)) / 3.0
     return gamma + solve_omega_gram(om, rhs)
 
 
-def torsion_components(conn: FrameConnection, xi, gamma=None) -> np.ndarray:
-    """T[a, b, c] = Γ[a, b, c] - Γ[b, a, c] - C[a, b, c] over frame triples, from
-    ``gamma`` when the caller has Γ(ξ)."""
-    gamma = conn.coefficients(xi) if gamma is None else gamma
-    return gamma - np.swapaxes(gamma, -3, -2) - frame_structure(conn.algebra)
+def torsion_components(a: LieAlgebra, gamma) -> np.ndarray:
+    """T[a, b, c] = Γ[a, b, c] - Γ[b, a, c] - C[a, b, c] over frame triples."""
+    return gamma - np.swapaxes(gamma, -3, -2) - frame_structure(a)
 
 
-def torsion(conn: FrameConnection, xi, u, v) -> np.ndarray:
+def torsion(a: LieAlgebra, gamma, u, v) -> np.ndarray:
     """Torsion tensor of the connection evaluated on two tangent vectors."""
-    a = conn.algebra
-    return np.einsum("abc,a,b->c", torsion_components(conn, xi),
+    return np.einsum("abc,a,b->c", torsion_components(a, gamma),
                      _tangent_pair(a, u), _tangent_pair(a, v))
 
 
-def torsion_defect(conn: FrameConnection, xi, gamma=None) -> float:
-    return float(np.max(np.abs(torsion_components(conn, xi, gamma))))
+def torsion_defect(a: LieAlgebra, gamma) -> float:
+    return float(np.max(np.abs(torsion_components(a, gamma))))
 
 
-def nabla_omega_defect(conn: FrameConnection, xi, gamma=None) -> float:
-    return float(np.max(np.abs(nabla_omega_components(conn, xi, gamma))))
+def nabla_omega_defect(a: LieAlgebra, xi, gamma) -> float:
+    return float(np.max(np.abs(nabla_omega_components(a, xi, gamma))))
 
 
-# --- averaging --------------------------------------------------------------
+# --- pullback and averaging ---------------------------------------------------
 
 
 def finite_cyclic_rule(a: LieAlgebra, X, order: int) -> tuple:
@@ -188,34 +160,24 @@ def frame_transport(Ad: np.ndarray) -> np.ndarray:
     return T
 
 
-def pullback_connection(conn: FrameConnection, g: np.ndarray) -> FrameConnection:
-    """Pullback of a frame connection by the lifted right translation by the
-    group element with Ad matrix g.
+def pullback_coefficients(g: np.ndarray, gamma) -> np.ndarray:
+    """Γ(ξ) of the pullback of a connection by the lifted right translation by
+    the group element with Ad matrix g, from the connection's Γ stack at the
+    moved fiber points Coad(g⁻¹)ξ, ``linalg.matvec(coadjoint_matrix(inv(g)), ξ)``.
 
     The frame transport of the right translation is the constant block matrix
-    diag(Ad(g⁻¹), Coad(g⁻¹)) and the translation moves the fiber point to
-    Coad(g⁻¹)ξ, so the pullback conjugates Γ and shifts its argument.
+    diag(Ad(g⁻¹), Coad(g⁻¹)), so the pullback conjugates Γ by it.
     """
-    a = conn.algebra
-    n = a.dim
     T = frame_transport(np.linalg.inv(g))
-    Tinv = frame_transport(g)
-    # Fortran order, as coadjoint_matrix returns it: the layout sets the
-    # summation order of coad_inv @ ξ, hence its roundoff
-    coad_inv = np.asfortranarray(T[n:, n:])
-
-    def coeff(xi: np.ndarray) -> np.ndarray:
-        moved = linalg.matvec(coad_inv, xi)
-        # pairwise contractions in the optimizer's order, (2n)⁴ each, instead
-        # of one (2n)⁶ loop; the order sets the roundoff of the result
-        return linalg.einsum("Aa,Bb,cC,...ABC->...abc", T, T, Tinv, conn.coefficients(moved))
-
-    return FrameConnection(a, coeff, is_torsion_free=conn.is_torsion_free,
-                           is_symplectic=conn.is_symplectic, label=f"pullback({conn.label})")
+    # pairwise contractions in the optimizer's order, (2n)⁴ each, instead
+    # of one (2n)⁶ loop; the order sets the roundoff of the result
+    return linalg.einsum("Aa,Bb,cC,...ABC->...abc", T, T, frame_transport(g), gamma)
 
 
-def average_connection(conn: FrameConnection, nodes) -> FrameConnection:
-    """Mean of the pullbacks by the group elements with the Ad matrices ``nodes``.
+def average_coefficients(gamma, nodes) -> np.ndarray:
+    """Mean of the pullbacks of a Γ stack that is the same at every fiber point,
+    so its value at the moved points is ``gamma`` itself, by the group elements
+    with the Ad matrices ``nodes``.
 
     Each pullback of a torsion-free connection is torsion-free, so their mean
     is torsion-free as well.  When the nodes form a finite subgroup the mean
@@ -223,45 +185,14 @@ def average_connection(conn: FrameConnection, nodes) -> FrameConnection:
     """
     if not nodes:
         raise ValueError("averaging needs at least one node")
-    a = conn.algebra
-    pulled = [pullback_connection(conn, g) for g in nodes]
     w = 1.0 / len(nodes)
-
-    def coeff(xi: np.ndarray) -> np.ndarray:
-        return sum(w * p.coefficients(xi) for p in pulled)
-
-    return FrameConnection(a, coeff, is_torsion_free=conn.is_torsion_free,
-                           is_symplectic=False, label=f"averaged({conn.label})")
+    return sum(w * pullback_coefficients(g, gamma) for g in nodes)
 
 
-def perturbed_connection(conn: FrameConnection, delta: np.ndarray,
-                         symmetric: bool = True) -> FrameConnection:
-    """Add a constant coefficient perturbation; symmetrized to keep torsion zero."""
-    d = np.asarray(delta, dtype=float)
-    if symmetric:
-        d = 0.5 * (d + d.transpose(1, 0, 2))
-
-    def coeff(xi: np.ndarray) -> np.ndarray:
-        return conn.coefficients(xi) + d
-
-    return FrameConnection(conn.algebra, coeff,
-                           is_torsion_free=conn.is_torsion_free and symmetric,
-                           is_symplectic=False, label=f"perturbed({conn.label})")
-
-
-def connection_to_json(conn: FrameConnection, xi_list) -> dict:
-    """Serialize frame labels plus Γ evaluated at a list of fiber points."""
-    n = conn.algebra.dim
+def connection_to_json(a: LieAlgebra, xis, gammas, claims: dict) -> dict:
+    """Frame labels, the ``claims`` about the connection (its label and
+    flags) and its Γ stack ``gammas`` at the fiber points ``xis`` (m, n)."""
+    n = a.dim
     labels = [f"group_{i}" for i in range(n)] + [f"fiber_{i}" for i in range(n)]
-    xis = np.asarray(xi_list, dtype=float).reshape(-1, n)
-    entries = [{"xi": xi.tolist(), "gamma": gamma.tolist()}
-               for xi, gamma in zip(xis, conn.coefficients(xis))]
-    return {
-        "algebra": conn.algebra.name,
-        "dim": n,
-        "frame": labels,
-        "label": conn.label,
-        "is_torsion_free": conn.is_torsion_free,
-        "is_symplectic": conn.is_symplectic,
-        "evaluations": entries,
-    }
+    entries = [{"xi": xi.tolist(), "gamma": gamma.tolist()} for xi, gamma in zip(xis, gammas)]
+    return {"algebra": a.name, "dim": n, "frame": labels, **claims, "evaluations": entries}

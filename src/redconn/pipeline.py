@@ -18,10 +18,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import linalg, report as report_mod
-from .connections import (average_connection, baseline_connection, baseline_nabla_omega,
+from .connections import (average_coefficients, baseline_coefficients, baseline_nabla_omega,
                           finite_cyclic_rule, frame_structure, frame_transport, nabla_omega,
-                          nabla_omega_defect, perturbed_connection, pullback_connection,
-                          symplectize, symplectized_coefficients, torsion_defect)
+                          nabla_omega_defect, pullback_coefficients, symplectized_coefficients,
+                          torsion_defect)
 from .curvature import curvature_battery
 from .errors import (AssumptionTwoFailure, ConfigError, NonReductiveStabilizer,
                      ReductionError)
@@ -225,23 +225,25 @@ def _stage_validate(cfg: CaseConfig, run) -> dict:
 
 def _stage_connect(cfg: CaseConfig, run) -> dict:
     """The baseline closed-form residual, then torsion and ∇ω of the configured
-    connection, each over one stack of draws.  Sets the baseline, its symplectization,
-    the configured connection, the ξ samples (μ first) and their Γ(ξ), as stacks."""
+    connection, each over one stack of draws.  Sets the baseline's Γ°, the ξ
+    samples (μ first) and the configured connection's Γ(ξ) over them, as a stack."""
     a, rng, n = run.a, run.rng, run.a.dim
-    run.base = base = baseline_connection(a)
+    run.base = base = baseline_coefficients(a)
     # ten closed-form draws, one row (ξ, u, v, w) each
     xi, u, v, w = np.split(rng.standard_normal((10, 7 * n)), [n, 3 * n, 5 * n], axis=1)
-    residual = np.max(np.abs(nabla_omega(base, xi, u, v, w) - baseline_nabla_omega(a, xi, u, v, w)))
-    run.sympl = sympl = symplectize(base)
-    run.conn = conn = sympl if cfg.connection == "symplectic" else base
-    run.xi_samples = np.vstack([run.mu, rng.standard_normal((3, n))])
-    run.gammas = conn.coefficients(run.xi_samples)
+    residual = np.max(np.abs(nabla_omega(a, xi, base, u, v, w)
+                             - baseline_nabla_omega(a, xi, u, v, w)))
+    run.xi_samples = xis = np.vstack([run.mu, rng.standard_normal((3, n))])
+    gammas = np.broadcast_to(base, xis.shape[:1] + base.shape)
+    if cfg.connection == "symplectic":
+        gammas = symplectized_coefficients(a, xis, gammas)
+    run.gammas = gammas
     return {
         "status": "ok",
         "connection": cfg.connection,
         "baseline_closed_form_residual": float(residual),
-        "torsion_defect": torsion_defect(conn, run.xi_samples, run.gammas),
-        "nabla_omega_defect": nabla_omega_defect(conn, run.xi_samples, run.gammas),
+        "torsion_defect": torsion_defect(a, gammas),
+        "nabla_omega_defect": nabla_omega_defect(a, xis, gammas),
     }
 
 
@@ -520,23 +522,26 @@ def _cyclic_domega(a, xi, u, v, w) -> np.ndarray:
 
 
 def _verify_connections(cfg, run):
-    a, base, sympl, xi_samples = run.a, run.base, run.sympl, run.xi_samples
+    a, base, xi_samples = run.a, run.base, run.xi_samples
     connect = run.stages["connect"]
-    yield "conn/baseline-torsion", torsion_defect(base, run.mu), "baseline_torsion"
+    yield "conn/baseline-torsion", torsion_defect(a, base), "baseline_torsion"
     yield ("conn/baseline-closed-form", connect["baseline_closed_form_residual"],
            "baseline_closed_form")
     yield "conn/torsion", connect["torsion_defect"], "symplectized_torsion"
     yield ("conn/nabla-omega", connect["nabla_omega_defect"], "symplectized_nabla_omega",
            BASELINE_NOTE)
     # Γ(ξ) of the symplectization over the stack of ξ samples, evaluated once per run
-    gammas = run.gammas if run.conn is sympl else sympl.coefficients(xi_samples)
-    A = gammas - base.coefficients(xi_samples)
+    gammas = run.gammas if cfg.connection == "symplectic" else \
+        symplectized_coefficients(a, xi_samples, base)
+    A = gammas - base
     yield "conn/a-symmetry", np.max(np.abs(A - np.swapaxes(A, -3, -2))), "a_symmetry"
-    idem = np.max(np.abs(symplectized_coefficients(sympl, xi_samples, gammas) - gammas))
+    idem = np.max(np.abs(symplectized_coefficients(a, xi_samples, gammas) - gammas))
     yield "conn/symplectize-idempotent", idem, "symplectize_idempotent"
-    pulled = pullback_connection(sympl, group_exp(a, run.rng.uniform(-0.5, 0.5, a.dim)))
-    inv = np.max(np.abs(pulled.coefficients(xi_samples) - gammas))
-    yield "conn/right-invariance", inv, "right_invariance"
+    # the symplectization pulled back by a random element, from its Γ at the moved ξ
+    g = group_exp(a, run.rng.uniform(-0.5, 0.5, a.dim))
+    moved = linalg.matvec(coadjoint_matrix(np.linalg.inv(g)), xi_samples)
+    pulled = pullback_coefficients(g, symplectized_coefficients(a, moved, base))
+    yield "conn/right-invariance", np.max(np.abs(pulled - gammas)), "right_invariance"
 
 
 def _verify_reduction(cfg, run):
@@ -683,12 +688,13 @@ def _verify_averaging(cfg, run):
     if a.name not in ("so3", "su2"):
         return
     delta = rng.standard_normal((2 * a.dim,) * 3) * 0.1
-    pert = perturbed_connection(run.base, delta, symmetric=True)
     nodes = finite_cyclic_rule(a, np.eye(a.dim)[2], 4)
-    avg = average_connection(pert, nodes)
     xi_samples = rng.standard_normal((3, a.dim))
-    gammas = avg.coefficients(xi_samples)
-    yield "avg/torsion-free", torsion_defect(avg, xi_samples, gammas), "averaging_torsion"
-    fixed = max(np.max(np.abs(pullback_connection(avg, g).coefficients(xi_samples) - gammas))
-                for g in nodes)
+    # the baseline plus the symmetrized δ over the three ξ samples: torsion-free
+    # and the same at every ξ, so is its mean, whose Γ at moved points is ``gammas``
+    pert = np.broadcast_to(run.base, xi_samples.shape[:1] + run.base.shape) \
+        + 0.5 * (delta + delta.transpose(1, 0, 2))
+    gammas = average_coefficients(pert, nodes)
+    yield "avg/torsion-free", torsion_defect(a, gammas), "averaging_torsion"
+    fixed = max(np.max(np.abs(pullback_coefficients(g, gammas) - gammas)) for g in nodes)
     yield "avg/node-fixed", fixed, "averaging_fixed"

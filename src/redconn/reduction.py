@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .connections import baseline_connection, frame_structure, symplectized_coefficients
+from .connections import baseline_coefficients, frame_structure, symplectized_coefficients
 from .errors import (AssumptionTwoFailure, DegeneratePairing, NotTangent,
                      PointOffConstraint, RankLoss, SingularProjection,
                      ZeroDimensionalBase)
@@ -203,7 +203,7 @@ def build_context(a: LieAlgebra, mu, *, s_tilde="default",
         "zero_dimensional_base": bool(m.shape[1] == 0),
     }
     if gamma_mu is None:
-        gamma_mu = symplectized_coefficients(baseline_connection(a), mu)
+        gamma_mu = symplectized_coefficients(a, mu, baseline_coefficients(a))
     return ReductionContext(a, mu.copy(), m, split, st, lam, S, w1, w2, P, alpha_mat,
                             gamma_mu, om, diagnostics)
 

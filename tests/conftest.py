@@ -15,6 +15,12 @@ CATALOG_CASES = [
     ("se2", [0.0, 1.0, 0.0]),
 ]
 
+def symmetrized(delta):
+    """The part of a coefficient perturbation symmetric in its first two
+    indices, which adds no torsion."""
+    return 0.5 * (delta + delta.transpose(1, 0, 2))
+
+
 def perfbench_cases():
     """The benchmark's case tables (``perfbench/cases.py``), loaded by path."""
     spec = importlib.util.spec_from_file_location(

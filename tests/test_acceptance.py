@@ -18,6 +18,7 @@ from redconn.curvature import convergence_factor, curvature_battery
 from redconn.errors import AssumptionTwoFailure, NonReductiveStabilizer
 from redconn.pipeline import CaseConfig, run_pipeline
 from redconn.reduction import SigmaGeometry, isotropic_correction_gram
+from tests.conftest import symmetrized
 
 GROUPS = ["so3", "su2", "sl2r", "heis3", "se2"]
 CATALOG = [("so3", [0.0, 0.0, 1.0]), ("su2", [0.0, 0.0, 1.0]),
@@ -39,18 +40,18 @@ def test_criterion_1_symplectization():
     worst_nabla = 0.0
     for name in GROUPS:
         a = rc.named_algebra(name)
-        conn = rc.symplectize(rc.baseline_connection(a))
+        base = rc.baseline_coefficients(a)
         for _ in range(20):
             xi = rng.standard_normal(a.dim)
-            worst_torsion = max(worst_torsion, rc.torsion_defect(conn, xi))
-            worst_nabla = max(worst_nabla, rc.nabla_omega_defect(conn, xi))
+            gamma = rc.symplectized_coefficients(a, xi, base)
+            worst_torsion = max(worst_torsion, rc.torsion_defect(a, gamma))
+            worst_nabla = max(worst_nabla, rc.nabla_omega_defect(a, xi, gamma))
     worst_closed = 0.0
     for _ in range(100):
         a = rc.named_algebra(GROUPS[rng.integers(len(GROUPS))])
-        base = rc.baseline_connection(a)
         xi = rng.standard_normal(a.dim)
         u, v, w = (rng.standard_normal(2 * a.dim) for _ in range(3))
-        val = rc.nabla_omega(base, xi, u, v, w)
+        val = rc.nabla_omega(a, xi, rc.baseline_coefficients(a), u, v, w)
         worst_closed = max(worst_closed, abs(val - baseline_nabla_omega(a, xi, u, v, w)))
     elapsed = time.perf_counter() - start
     ok = worst_torsion <= 1e-10 and worst_nabla <= 1e-10 and worst_closed <= 1e-12 \
@@ -174,8 +175,7 @@ def test_criterion_4_curvature_cross_validation():
     a = rc.so3()
     mu = np.array([0.0, 0.0, 1.0])
     delta = np.random.default_rng(7).standard_normal((6, 6, 6)) * 0.5
-    raw = rc.perturbed_connection(rc.baseline_connection(a), delta, symmetric=True)
-    ctx_bad = rc.build_context(a, mu, gamma_mu=raw.coefficients(mu))
+    ctx_bad = rc.build_context(a, mu, gamma_mu=rc.baseline_coefficients(a) + symmetrized(delta))
     chart = rc.default_chart(ctx_bad)
     control = curvature_battery(SigmaGeometry(ctx_bad, chart),
                                 [np.array([0.12, -0.07])])["symmetry"]["symplectic_defect"]
@@ -242,19 +242,12 @@ def test_criterion_7_averaging():
     rng = np.random.default_rng(7)
     a = rc.so3()
     delta = rng.standard_normal((6, 6, 6)) * 0.4
-    pert = rc.perturbed_connection(rc.baseline_connection(a), delta, symmetric=True)
     nodes = rc.finite_cyclic_rule(a, np.eye(3)[2], 4)
-    avg = rc.average_connection(pert, nodes)
-    worst_torsion = 0.0
-    worst_fixed = 0.0
-    for _ in range(5):
-        xi = rng.standard_normal(3)
-        worst_torsion = max(worst_torsion, rc.torsion_defect(avg, xi))
-        for g in nodes:
-            pulled = rc.pullback_connection(avg, g)
-            worst_fixed = max(worst_fixed,
-                              float(np.max(np.abs(pulled.coefficients(xi)
-                                                  - avg.coefficients(xi)))))
+    # the mean of a ξ-independent Γ is ξ-independent: one array at every fiber point
+    avg = rc.average_coefficients(rc.baseline_coefficients(a) + symmetrized(delta), nodes)
+    worst_torsion = rc.torsion_defect(a, avg)
+    worst_fixed = max(float(np.max(np.abs(rc.pullback_coefficients(g, avg) - avg)))
+                      for g in nodes)
     ok = worst_torsion <= 1e-10 and worst_fixed <= 1e-10
     _verdict(7, "finite-subgroup averaging", ok,
              f"torsion {worst_torsion:.2e}, node-fixed {worst_fixed:.2e}")

@@ -183,11 +183,19 @@ class TestVerbs:
         conn = json.loads(out_path.read_text())["connection"]
         assert conn["label"] == "baseline"
         assert not conn["is_symplectic"]
-        base = redconn.baseline_connection(redconn.so3()).coefficients(doc["xi_list"][0])
+        base = redconn.baseline_coefficients(redconn.so3())
         assert np.array_equal(np.asarray(conn["evaluations"][0]["gamma"]), base)
         with pytest.raises(SystemExit) as exc:
             main(["export-connection", "--config", cfg, "--kind", "symplectic"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("connection", ["symplectic", "baseline"])
+    def test_export_connection_of_no_xi(self, tmp_path, connection):
+        # an empty xi_list exports no evaluation, under either connection
+        cfg = _write_config(tmp_path, dict(SO3_DOC, connection=connection, xi_list=[]))
+        out_path = tmp_path / "conn.json"
+        assert main(["export-connection", "--config", cfg, "--out", str(out_path)]) == 0
+        assert json.loads(out_path.read_text())["connection"]["evaluations"] == []
 
 
 class TestExitCodes:

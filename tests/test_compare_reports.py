@@ -128,13 +128,15 @@ CASES = {
 
 def test_export_cases(so3_dumps):
     # so3 and so(4) regular, each without and with an xi_list, at the default
-    # connection; the so3 one is the report the CLI writes
+    # connection, and so3 at the baseline with an xi_list; the so3 one is the
+    # report the CLI writes
     exports = {label: doc for label, verb, doc in compare_reports._cases()
                if verb == "export-connection"}
-    assert sorted(exports) == ["so3-export", "so3-export-xi", "so4-regular-export",
-                               "so4-regular-export-xi"]
+    assert sorted(exports) == ["so3-baseline-export-xi", "so3-export", "so3-export-xi",
+                               "so4-regular-export", "so4-regular-export-xi"]
     for label, doc in exports.items():
-        assert "connection" not in doc
+        assert doc.get("connection", "symplectic") == (
+            "baseline" if "baseline" in label else "symplectic")
         assert ("xi_list" in doc) == label.endswith("-xi")
     report = so3_dumps["export"]
     assert report["exit_code"] == 0

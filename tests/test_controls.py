@@ -1,0 +1,72 @@
+"""Negative controls: a perturbation of what a check reads must push the check
+past its ``THRESHOLDS`` value, so that a check which passes says something.
+
+Each control runs the check's own code, a ``pipeline._verify_*`` part, on the
+so3 run record after the connect stage with one input perturbed, and reads
+that check's defect.
+"""
+
+import numpy as np
+import pytest
+
+from redconn import pipeline
+from redconn.connections import finite_cyclic_rule, symplectized_coefficients
+from redconn.pipeline import THRESHOLDS, CaseConfig
+from tests.conftest import symmetrized
+
+SO3 = CaseConfig.from_dict({"group": "so3", "mu": [0.0, 0.0, 1.0]})
+
+
+@pytest.fixture()
+def run():
+    """The so3 run record after the connect stage, as ``verify_suite`` has it."""
+    return pipeline._run_stages(SO3, "connect", {}, {})
+
+
+def _delta(seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).standard_normal((6, 6, 6))
+
+
+def _assert_fails(part, run, name: str, key: str) -> None:
+    """The check ``name`` among those ``part`` yields is held to ``key`` and
+    exceeds its threshold."""
+    check = next(check for check in part(SO3, run) if check[0] == name)
+    assert check[2] == key
+    assert check[1] > THRESHOLDS[key]
+
+
+def test_right_invariance_fails_on_a_non_invariant_connection(run):
+    # the baseline plus a constant symmetric δ is torsion-free but not
+    # right-invariant, and neither is its symplectization
+    run.base = run.base + symmetrized(_delta(1))
+    run.gammas = symplectized_coefficients(run.a, run.xi_samples, run.base)
+    _assert_fails(pipeline._verify_connections, run, "conn/right-invariance", "right_invariance")
+
+
+def test_a_symmetry_fails_on_an_antisymmetric_delta(run):
+    delta = _delta(2)
+    run.gammas = run.gammas + 0.5 * (delta - delta.transpose(1, 0, 2))
+    _assert_fails(pipeline._verify_connections, run, "conn/a-symmetry", "a_symmetry")
+
+
+def test_symplectize_idempotent_fails_on_the_baseline(run):
+    # the baseline offered as the already symplectized Γ: projecting it moves it
+    run.gammas = np.broadcast_to(run.base, run.gammas.shape)
+    _assert_fails(pipeline._verify_connections, run, "conn/symplectize-idempotent",
+                  "symplectize_idempotent")
+
+
+def test_averaging_torsion_fails_on_an_unsymmetrized_delta(run, monkeypatch):
+    # the antisymmetric part of a δ, which the check's symmetrization drops, put back
+    delta = _delta(3)
+    average = pipeline.average_coefficients
+    monkeypatch.setattr(pipeline, "average_coefficients", lambda gamma, nodes: average(
+        gamma + 0.5 * (delta - delta.transpose(1, 0, 2)), nodes))
+    _assert_fails(pipeline._verify_averaging, run, "avg/torsion-free", "averaging_torsion")
+
+
+def test_averaging_fixed_fails_off_a_subgroup(run, monkeypatch):
+    # 1, g and g² of the order-four rule: g·g² = g³ is missing, so no subgroup
+    monkeypatch.setattr(pipeline, "finite_cyclic_rule",
+                        lambda a, X, order: finite_cyclic_rule(a, X, order)[:-1])
+    _assert_fails(pipeline._verify_averaging, run, "avg/node-fixed", "averaging_fixed")

@@ -8,7 +8,7 @@ from redconn import curvature, linalg
 from redconn.errors import ZeroDimensionalBase
 from redconn.pipeline import THRESHOLDS, CaseConfig, run_pipeline
 from redconn.reduction import SigmaGeometry
-from tests.conftest import CATALOG_CASES, perfbench_cases, track_geometries
+from tests.conftest import CATALOG_CASES, perfbench_cases, symmetrized, track_geometries
 from tests.test_compare_reports import compare_reports
 from tests.test_liealg import _so4
 
@@ -211,14 +211,14 @@ class TestSymmetryBattery:
         mu = np.array([0.0, 0.0, 1.0])
         rng = np.random.default_rng(7)
         delta = rng.standard_normal((6, 6, 6)) * 0.5
-        raw = rc.perturbed_connection(rc.baseline_connection(a), delta, symmetric=True)
-        assert rc.torsion_defect(raw, mu) <= 1e-12
-        ctx_bad = rc.build_context(a, mu, gamma_mu=raw.coefficients(mu))
+        raw = rc.baseline_coefficients(a) + symmetrized(delta)
+        assert rc.torsion_defect(a, raw) <= 1e-12
+        ctx_bad = rc.build_context(a, mu, gamma_mu=raw)
         chart = rc.default_chart(ctx_bad)
         bad = curvature_battery(SigmaGeometry(ctx_bad, chart),
                                 [np.array([0.12, -0.07])])["symmetry"]
         assert bad["symplectic_defect"] > 1e-2
-        ctx_good = rc.build_context(a, mu, gamma_mu=rc.symplectize(raw).coefficients(mu))
+        ctx_good = rc.build_context(a, mu, gamma_mu=rc.symplectized_coefficients(a, mu, raw))
         good = curvature_battery(SigmaGeometry(ctx_good, chart),
                                  [np.array([0.12, -0.07])])["symmetry"]
         assert good["symplectic_defect"] <= 1e-4
@@ -258,11 +258,11 @@ class TestSymmetryBattery:
         a, _, _ = so3_setup
         mu = np.array([0.0, 0.0, 1.0])
         delta = np.random.default_rng(7).standard_normal((6, 6, 6)) * 0.5
-        raw = rc.perturbed_connection(rc.baseline_connection(a), delta, symmetric=True)
+        raw = rc.baseline_coefficients(a) + symmetrized(delta)
         t = np.array([0.12, -0.07])
         asym = []
-        for conn in (raw, rc.symplectize(raw)):
-            ctx = rc.build_context(a, mu, gamma_mu=conn.coefficients(mu))
+        for gamma in (raw, rc.symplectized_coefficients(a, mu, raw)):
+            ctx = rc.build_context(a, mu, gamma_mu=gamma)
             chart = rc.default_chart(ctx)
             r = _ricci(chart, t, curvature_tensor(SigmaGeometry(ctx, chart), t))
             asym.append(float(np.max(np.abs(r - r.T))))

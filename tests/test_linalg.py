@@ -77,7 +77,7 @@ class TestExpm:
 
 
 class TestEinsum:
-    # the contractions of curvature_exact and pullback_connection, on random
+    # the contractions of curvature_exact and pullback_coefficients, on random
     # operands of their so(4) regular shapes (n = 6, km = 4)
     SHAPES = {"abx,ai,bj,xrc->ijrc": [(6, 6, 6), (6, 4), (6, 4), (6, 4, 4)],
               "ai,bj,cl,abcr->ijlr": [(4, 4)] * 3 + [(4, 4, 4, 4)],

@@ -195,7 +195,7 @@ class TestSigmaCovderiv:
         # the context reads the connection only through Γ(μ); its default is
         # the symplectized baseline's, bit for bit
         a = rc.named_algebra(name)
-        expected = rc.symplectize(rc.baseline_connection(a)).coefficients(mu)
+        expected = rc.symplectized_coefficients(a, mu, rc.baseline_coefficients(a))
         assert np.array_equal(rc.build_context(a, mu).gamma_mu, expected)
 
     def test_abelian_vanishes(self, rng):
@@ -207,7 +207,7 @@ class TestSigmaCovderiv:
     def test_constant_fields_match_matrix_oracle(self, so3, mu_so3, so3_ctx, so3_chart):
         # independent oracle: contract the coefficient array directly and
         # project with a least-squares decomposition instead of the stored P
-        gamma = rc.symplectize(rc.baseline_connection(so3)).coefficients(mu_so3)
+        gamma = rc.symplectized_coefficients(so3, mu_so3, rc.baseline_coefficients(so3))
         u = _vec(e1, np.zeros(3))
         v = _vec(e2, np.zeros(3))
         out = _induced_derivative(so3_ctx, so3_chart, u, lambda t, fib: v, np.zeros(2))
@@ -236,7 +236,7 @@ class TestSigmaCovderiv:
     def test_stabilizer_equivariance(self, so3, mu_so3, so3_ctx, rng):
         # transported constant fields at the moved point give the transported
         # value: the stabilizer acts by affine transformations
-        gamma = rc.symplectize(rc.baseline_connection(so3)).coefficients(mu_so3)
+        gamma = rc.symplectized_coefficients(so3, mu_so3, rc.baseline_coefficients(so3))
         P = so3_ctx.p_matrix
         h = rc.group_exp(so3, so3_ctx.split.g_mu @ rng.uniform(-1, 1, 1))
         T = np.zeros((6, 6))
@@ -430,7 +430,7 @@ class TestTotallyGeodesic:
 
     def test_so3_matches_direct_expansion(self, so3, mu_so3, so3_ctx):
         # oracle: expand omega(P Gamma(u, v), P z) with raw matrix products
-        gamma = rc.symplectize(rc.baseline_connection(so3)).coefficients(mu_so3)
+        gamma = rc.symplectized_coefficients(so3, mu_so3, rc.baseline_coefficients(so3))
         om = rc.omega_gram(so3, mu_so3)
         P = so3_ctx.p_matrix
         u = _vec(so3_ctx.split.g_mu[:, 0], np.zeros(3))

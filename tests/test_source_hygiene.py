@@ -3,7 +3,9 @@ every import is used, every private top-level function, class or constant is
 referenced somewhere in the package, and so is every private method of a class
 and every dataclass field, each read as an attribute.  And no draw-at-a-time
 sampling in ``pipeline.py``: no ``rng`` method is called inside a loop or a
-comprehension, except in the functions allowed below."""
+comprehension, except in the functions allowed below.  And no function returns
+a closure: no ``return`` value holds a lambda or a nested function, except in
+the functions allowed below."""
 
 import ast
 from pathlib import Path
@@ -159,3 +161,98 @@ def sampled(run, rng):
 """
     assert _rng_calls_in_loops(ast.parse(source)) == [("sampled", 4), ("sampled", 5),
                                                        ("sampled", 6)]
+
+
+# functions in src/redconn that may return a lambda or a nested function, with the reason
+CLOSURE_RETURNS_ALLOWED = {
+    "report.dumps": "its default= lambda is an argument that json.dumps consumes; the "
+                    "function returns the text, not the lambda",
+}
+
+
+def _own_nodes(fn):
+    """Every node of a function's body outside its nested functions and classes."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _closure_returns(tree) -> list:
+    """(function, line) of every ``return`` whose value holds a lambda or names a
+    function defined inside the returning one (other than to call it), bare or
+    inside the object it builds."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nested = {node.name for node in _own_nodes(fn)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        for ret in (node for node in _own_nodes(fn)
+                    if isinstance(node, ast.Return) and node.value is not None):
+            called = {id(node.func) for node in ast.walk(ret.value) if isinstance(node, ast.Call)}
+            if any(isinstance(node, ast.Lambda)
+                   or isinstance(node, ast.Name) and node.id in nested and id(node) not in called
+                   for node in ast.walk(ret.value)):
+                found.append((fn.name, ret.lineno))
+    return sorted(found)
+
+
+def test_no_function_returns_a_closure():
+    # a connection, a field or a rule is an array the caller evaluates, not a callable
+    found = [(f"{module[:-3]}.{name}", line) for module, tree in TREES.items()
+             for name, line in _closure_returns(tree)]
+    assert [f"{name}:{line}" for name, line in found if name not in CLOSURE_RETURNS_ALLOWED] == []
+    # every allowed function still needs its entry
+    assert {name for name, _ in found} >= set(CLOSURE_RETURNS_ALLOWED)
+
+
+def test_closure_rule_catches_closure_constructors():
+    # the five connection constructors a connection-as-closure design had, abridged
+    source = """
+def baseline_connection(a):
+    gamma = np.zeros((2 * a.dim,) * 3)
+    return FrameConnection(a, lambda xi: np.broadcast_to(gamma, np.shape(xi)[:-1] + gamma.shape),
+                           label="baseline")
+
+
+def symplectize(conn):
+    return FrameConnection(conn.algebra, lambda xi: symplectized_coefficients(conn, xi))
+
+
+def pullback_connection(conn, g):
+    T = frame_transport(np.linalg.inv(g))
+
+    def coeff(xi):
+        return linalg.einsum("Aa,Bb,cC,...ABC->...abc", T, T, T, conn.coefficients(xi))
+
+    return FrameConnection(conn.algebra, coeff, label=f"pullback({conn.label})")
+
+
+def average_connection(conn, nodes):
+    pulled = [pullback_connection(conn, g) for g in nodes]
+
+    def coeff(xi):
+        return sum(p.coefficients(xi) for p in pulled) / len(pulled)
+
+    return FrameConnection(conn.algebra, coeff)
+
+
+def perturbed_connection(conn, delta):
+    def coeff(xi):
+        return conn.coefficients(xi) + delta
+
+    return coeff
+
+
+def helper_called_in_return(x):
+    def step(h):
+        return x + h
+
+    return step(1.0), [step(h) for h in (2.0, 3.0)]
+"""
+    assert [name for name, _ in _closure_returns(ast.parse(source))] == [
+        "average_connection", "baseline_connection", "perturbed_connection",
+        "pullback_connection", "symplectize"]

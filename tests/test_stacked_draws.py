@@ -84,24 +84,26 @@ def test_omega_gram_stack_is_bitwise_per_row(case, rng):
 def test_nabla_omega_components_stack_is_bitwise_per_row(case, rng):
     a, mu = case
     xis = _fiber_points(a, mu, rng)
-    base = rc.baseline_connection(a)
+    base = rc.baseline_coefficients(a)
     # a non-symmetric Γ, whose two contractions with Ω differ
-    skew = rc.perturbed_connection(base, rng.standard_normal((2 * a.dim,) * 3), symmetric=False)
-    for conn in (base, rc.symplectize(base), skew):
-        _bitwise_rows(nabla_omega_components(conn, xis),
-                      [nabla_omega_components(conn, xi) for xi in xis])
+    skew = base + rng.standard_normal((2 * a.dim,) * 3)
+    for gamma in (base, skew):  # the same at every ξ: one array for all rows
+        _bitwise_rows(nabla_omega_components(a, xis, gamma),
+                      [nabla_omega_components(a, xi, gamma) for xi in xis])
+    sympl = symplectized_coefficients(a, xis, base)
+    _bitwise_rows(nabla_omega_components(a, xis, sympl),
+                  [nabla_omega_components(a, xi, g) for xi, g in zip(xis, sympl)])
 
 
 def test_symplectized_coefficients_stack_is_bitwise_per_row(case, rng):
     a, mu = case
     xis = _fiber_points(a, mu, rng)
-    base = rc.baseline_connection(a)
-    stack = symplectized_coefficients(base, xis)
-    _bitwise_rows(stack, [symplectized_coefficients(base, xi) for xi in xis])
-    # applied again to the symplectization, with its Γ(ξ) given, row by row too
-    sympl = rc.symplectize(base)
-    _bitwise_rows(symplectized_coefficients(sympl, xis, stack),
-                  [symplectized_coefficients(sympl, xi, g) for xi, g in zip(xis, stack)])
+    base = rc.baseline_coefficients(a)
+    stack = symplectized_coefficients(a, xis, base)
+    _bitwise_rows(stack, [symplectized_coefficients(a, xi, base) for xi in xis])
+    # applied again to the symplectization's Γ(ξ), row by row too
+    _bitwise_rows(symplectized_coefficients(a, xis, stack),
+                  [symplectized_coefficients(a, xi, g) for xi, g in zip(xis, stack)])
 
 
 def test_closed_form_routes_stack_is_bitwise_per_row(case, rng):
@@ -109,12 +111,13 @@ def test_closed_form_routes_stack_is_bitwise_per_row(case, rng):
     a, _ = case
     n = a.dim
     xi, u, v, w = np.split(rng.standard_normal((10, 7 * n)), [n, 3 * n, 5 * n], axis=1)
-    base = rc.baseline_connection(a)
-    for route, args in ((rc.nabla_omega, (base,)), (rc.baseline_nabla_omega, (a,))):
-        stack = route(*args, xi, u, v, w)
+    base = rc.baseline_coefficients(a)
+    for route in (lambda x, *uvw: rc.nabla_omega(a, x, base, *uvw),
+                  lambda x, *uvw: rc.baseline_nabla_omega(a, x, *uvw)):
+        stack = route(xi, u, v, w)
         assert stack.shape == (10,)
-        _bitwise_rows(stack, [route(*args, *row) for row in zip(xi, u, v, w)])
-    assert isinstance(rc.nabla_omega(base, xi[0], u[0], v[0], w[0]), float)
+        _bitwise_rows(stack, [route(*row) for row in zip(xi, u, v, w)])
+    assert isinstance(rc.nabla_omega(a, xi[0], base, u[0], v[0], w[0]), float)
 
 
 def test_bracket_stack_matches_rows_and_stays_antisymmetric(case, rng):
@@ -142,9 +145,11 @@ def test_regularity_report_stack_equals_single_point_reports(case, rng):
 def test_pullback_stack_matches_rows(case, rng):
     a, mu = case
     xis = _fiber_points(a, mu, rng)
-    pulled = rc.pullback_connection(rc.symplectize(rc.baseline_connection(a)),
-                                    rc.group_exp(a, rng.uniform(-0.5, 0.5, a.dim)))
-    _close_rows(pulled.coefficients(xis), [pulled.coefficients(xi) for xi in xis])
+    g = rc.group_exp(a, rng.uniform(-0.5, 0.5, a.dim))
+    # a Γ stack that differs from row to row: the symplectization's
+    gammas = symplectized_coefficients(a, xis, rc.baseline_coefficients(a))
+    _close_rows(rc.pullback_coefficients(g, gammas),
+                [rc.pullback_coefficients(g, gamma) for gamma in gammas])
 
 
 def _run(cfg: CaseConfig) -> SimpleNamespace:

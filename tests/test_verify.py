@@ -189,15 +189,17 @@ def test_each_connection_is_evaluated_once_per_xi(monkeypatch, label):
     # Γ(ξ) of the symplectized connection is evaluated once per ξ sample in a
     # run: the connect stage's torsion and ∇ω and build_context's Γ(μ) read
     # the same arrays.  verify adds the symplectization applied again at each
-    # ξ and the pulled-back connection at each moved ξ, each pair once.  A call
+    # ξ and the symplectization at each moved ξ, each (Γ, ξ) pair once.  A call
     # on a stack evaluates each of its rows
     calls, batches = [], []
     evaluate = connections.symplectized_coefficients
 
-    def counted(conn, xi, gamma=None):
-        calls.extend((id(conn), row.tobytes()) for row in np.atleast_2d(xi))
-        batches.append(len(np.atleast_2d(xi)))
-        return evaluate(conn, xi, gamma)
+    def counted(a, xi, gamma):
+        xis = np.atleast_2d(xi)
+        rows = np.broadcast_to(gamma, xis.shape[:1] + np.shape(gamma)[-3:])
+        calls.extend((g.tobytes(), row.tobytes()) for g, row in zip(rows, xis))
+        batches.append(len(xis))
+        return evaluate(a, xi, gamma)
 
     for module in (connections, pipeline):
         monkeypatch.setattr(module, "symplectized_coefficients", counted)

@@ -21,8 +21,9 @@ and ``verify_suite`` on so3 with ``tol_scale: 1e-3`` and
 ``tol: {"kks_match": 1e-20}``, whose failing checks exit 4.  The
 ``export-connection`` reports of so3 and the so(4) regular case at the
 ``perfbench/cases.py`` μ, with the default ``connection``, once without and
-once with an ``xi_list``, close the set; they go through ``cli.main`` with
-no flag but ``--config`` and ``--out``, which every tree's CLI accepts.
+once with an ``xi_list``, and so3's at ``connection: "baseline"`` with an
+``xi_list`` close the set; they go through ``cli.main`` with no flag but
+``--config`` and ``--out``, which every tree's CLI accepts.
 
 ``diff`` lists the byte-identical and the differing files.  A differing file
 passes when the two dumps agree on everything except floating-point
@@ -126,6 +127,10 @@ def _cases() -> list:
         out.append((f"{label}-export", "export-connection", doc))
         out.append((f"{label}-export-xi", "export-connection",
                     dict(doc, xi_list=[doc["mu"], xi])))
+    # the baseline's label and flags, byte-checked next to the symplectized ones
+    out.append(("so3-baseline-export-xi", "export-connection",
+                {"group": "so3", "mu": [0.0, 0.0, 1.0], "connection": "baseline",
+                 "xi_list": [[0.0, 0.0, 1.0], [0.5, -0.2, 0.1]]}))
     return out
 
 
