@@ -124,12 +124,9 @@ class LieAlgebra:
         return np.einsum("ijk,...i->...kj", self.c, X)
 
     def coad_star(self, X, xi) -> np.ndarray:
-        """The covector ξ∘ad(X), defined by ⟨ξ∘ad(X), Y⟩ = ⟨ξ, [X, Y]⟩."""
-        X = np.asarray(X, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        if X.shape != (self.dim,) or xi.shape != (self.dim,):
-            raise ValueError(f"coad_star arguments must have length {self.dim}")
-        return self.ad(X).T @ xi
+        """The covector ξ∘ad(X), defined by ⟨ξ∘ad(X), Y⟩ = ⟨ξ, [X, Y]⟩, row by row
+        over stacks (…, n) of X and ξ alike."""
+        return linalg.matvec(np.swapaxes(self.ad(X), -1, -2), xi)
 
     def bracket_pairing(self, xi) -> np.ndarray:
         """Antisymmetric matrix K(ξ) with K[i, j] = ⟨ξ, [e_i, e_j]⟩, stacked like ξ."""
@@ -256,17 +253,8 @@ def so3() -> LieAlgebra:
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         c[i, j, k] = 1.0
         c[j, i, k] = -1.0
-    rho = np.zeros((3, 3, 3))
-    for k in range(3):
-        for i in range(3):
-            for j in range(3):
-                rho[k, i, j] = -_levi_civita(k, i, j)
-    return _finalize(LieAlgebra(3, c, "so3", rho, det_one=True, orthogonal=True))
-
-
-def _levi_civita(i: int, j: int, k: int) -> float:
-    return {(0, 1, 2): 1.0, (1, 2, 0): 1.0, (2, 0, 1): 1.0,
-            (0, 2, 1): -1.0, (2, 1, 0): -1.0, (1, 0, 2): -1.0}.get((i, j, k), 0.0)
+    # the realization L_k = -ε_k··, which is -c
+    return _finalize(LieAlgebra(3, c, "so3", -c, det_one=True, orthogonal=True))
 
 
 def _realify(M: np.ndarray) -> np.ndarray:

@@ -1,16 +1,18 @@
 """The left-trivialized cotangent bundle of a Lie group.
 
-Phase space is the product G x g*, a point being a pair (g, ξ).  Tangent
-vectors are written in the left-invariant frame as pairs (X, η) in g ⊕ g*,
-stacked into one array of length 2n, where X is the left-trivialized group
-direction and η the fiber direction.
+Phase space is the product G x g*, a point being a pair (g, ξ), with g given
+by its Ad matrix.  Tangent vectors are written in the left-invariant frame as
+pairs (X, η) in g ⊕ g*, stacked into one array of length 2n, where X is the
+left-trivialized group direction and η the fiber direction.
 In this frame the canonical symplectic form reads
 
     ω_(g,ξ)((X, η), (X', η')) = ⟨η, X'⟩ - ⟨η', X⟩ - ⟨ξ, [X, X']⟩,
 
-so it depends on ξ only, and every level set {ξ = μ} of the right momentum
-map carries frame-constant constraint subspaces.  Ω(ξ), ω and the momentum
-differential also take stacks, (…, n) fiber points and (…, 2n) tangents.
+so it depends on ξ only.  On a level set {ξ = μ} of the right momentum map
+the constraint subspaces are frame-constant and the right-action generators
+depend on μ alone; the left momentum map J(g, ξ) = Coad(g)ξ is the quotient
+map.  All but the Liouville form take stacks: (…, n) fiber points and
+algebra elements, (…, 2n) tangents and (…, n, n) Ad matrices.
 """
 
 from __future__ import annotations
@@ -20,19 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import PointOffConstraint, RankLoss
-from .liealg import LieAlgebra, coadjoint_matrix
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point (g, ξ) of the trivialized cotangent bundle, g given by its Ad
-    matrix.  ``g`` may be None where only right-side operations are asked for;
-    left-side operations then raise ValueError.
-    """
-
-    g: np.ndarray | None
-    xi: np.ndarray
+from .errors import RankLoss
+from .liealg import LieAlgebra, coadjoint_matrix, stabilizer_algebra
 
 
 def _tangent_pair(a: LieAlgebra, u) -> np.ndarray:
@@ -72,32 +63,31 @@ def liouville_form(a: LieAlgebra, xi, u) -> float:
     return float(np.asarray(xi, dtype=float) @ uv[: a.dim])
 
 
-def fundamental_field(a: LieAlgebra, side: str, X, p: PhasePoint) -> np.ndarray:
-    """Generator of the lifted left or right translation action at p, as the
-    stacked pair (X, η).
-
-    In the left-invariant frame the right generator is (X, ξ∘ad(X)) and the
-    left generator is (-Ad(g⁻¹)X, 0).
-    """
+def right_generator(a: LieAlgebra, xi, X) -> np.ndarray:
+    """Generator (X, ξ∘ad X) of the lifted right translation action at fiber
+    point ξ, whatever the group element, stacked like X."""
     X = np.asarray(X, dtype=float)
-    if side == "right":
-        return np.concatenate([X, a.coad_star(X, p.xi)])
-    if side == "left":
-        if p.g is None:
-            raise ValueError("left generator needs a group element")
-        return np.concatenate([-(np.linalg.inv(p.g) @ X), np.zeros(a.dim)])
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return np.concatenate([X, a.coad_star(X, xi)], axis=-1)
 
 
-def momentum_map(a: LieAlgebra, side: str, p: PhasePoint) -> np.ndarray:
-    """J_right(g, ξ) = ξ and J_left(g, ξ) = Coad(g)ξ."""
-    if side == "right":
-        return np.asarray(p.xi, dtype=float).copy()
-    if side == "left":
-        if p.g is None:
-            raise ValueError("left momentum map needs a group element")
-        return coadjoint_matrix(p.g) @ np.asarray(p.xi, dtype=float)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+def left_generator(Ad, X) -> np.ndarray:
+    """Generator (-Ad(g⁻¹)X, 0) of the lifted left translation action at g,
+    whatever the fiber point, stacked like Ad and X."""
+    back = -linalg.matvec(np.linalg.inv(Ad), X)
+    return np.concatenate([back, np.zeros_like(back)], axis=-1)
+
+
+def left_momentum(Ad, xi) -> np.ndarray:
+    """The left momentum map J(g, ξ) = Coad(g)ξ, stacked like Ad and ξ."""
+    return linalg.matvec(coadjoint_matrix(Ad), xi)
+
+
+def momentum_differential(a: LieAlgebra, Ad, xi) -> np.ndarray:
+    """Matrix Coad(g) @ [-ξ∘ad(·) | I] of the left momentum map's differential
+    on left-trivialized tangents, a stack (…, n, 2n) over stacks of Ad and ξ."""
+    K = a.bracket_pairing(xi)
+    block = np.concatenate([-np.swapaxes(K, -1, -2), np.broadcast_to(np.eye(a.dim), K.shape)], -1)
+    return coadjoint_matrix(Ad) @ block
 
 
 @dataclass(frozen=True)
@@ -122,8 +112,6 @@ def constraint_split(a: LieAlgebra, mu) -> ConstraintSplit:
     In the left frame: TΣ = {(X, 0)}, TΣ^⊥ = {(X, μ∘ad(X))}, and the radical
     is {(Y, 0) : Y in the stabilizer of μ}.
     """
-    from .liealg import stabilizer_algebra
-
     mu = np.asarray(mu, dtype=float)
     n = a.dim
     t_sigma = np.vstack([np.eye(n), np.zeros((n, n))])
@@ -138,40 +126,15 @@ def constraint_split(a: LieAlgebra, mu) -> ConstraintSplit:
     return ConstraintSplit(t_sigma, t_perp, delta, total, g_mu)
 
 
-def momentum_differential(a: LieAlgebra, side: str, p: PhasePoint) -> np.ndarray:
-    """Matrix of the momentum map differential on left-trivialized tangents, or
-    a stack (…, n, 2n) of them when ``p.g`` (…, n, n) or ``p.xi`` (…, n) stacks
-    points.
+def regularity_report(a: LieAlgebra, mu, Ad) -> dict:
+    """Check that the left momentum differential has full rank n on the level
+    set ξ = μ at each group element of a stack of Ad matrices.
 
-    For the right action the differential is the fiber projection [0 | I];
-    for the left action it is Coad(g) @ [-ξ∘ad(·) | I].
+    The report records the smallest and largest singular values per point,
+    from one SVD over the stacked differentials, and an overall regularity flag.
     """
-    n = a.dim
-    if side == "right":
-        return np.broadcast_to(np.eye(2 * n)[n:], np.shape(p.xi)[:-1] + (n, 2 * n))
-    if side == "left":
-        if p.g is None:
-            raise ValueError("left momentum differential needs a group element")
-        K = a.bracket_pairing(p.xi)
-        block = np.concatenate([-np.swapaxes(K, -1, -2), np.broadcast_to(np.eye(n), K.shape)], -1)
-        return coadjoint_matrix(p.g) @ block
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def regularity_report(a: LieAlgebra, mu, samples, side: str = "right") -> dict:
-    """Check that the momentum differential has full rank n on the level set.
-
-    Each sample must satisfy ξ = μ; the report records the smallest and
-    largest singular values per point, from one SVD over the stacked
-    differentials, and an overall regularity flag.
-    """
-    mu = np.asarray(mu, dtype=float)
-    xi = np.array([p.xi for p in samples], dtype=float).reshape(-1, a.dim)
-    if np.any(np.linalg.norm(xi - mu, axis=-1) > 1e-10 * (1 + np.linalg.norm(mu))):
-        raise PointOffConstraint("sample has xi != mu")
-    g = None if any(p.g is None for p in samples) else np.array([p.g for p in samples])
-    s = np.linalg.svd(momentum_differential(a, side, PhasePoint(g, xi)), compute_uv=False)
+    s = np.linalg.svd(momentum_differential(a, Ad, mu), compute_uv=False).reshape(-1, a.dim)
     ok = s[:, -1] > linalg.RANK_RTOL * s[:, 0]
     points = [{"sigma_min": float(lo), "sigma_max": float(hi), "regular": bool(flag)}
               for lo, hi, flag in zip(s[:, -1], s[:, 0], ok)]
-    return {"side": side, "points": points, "regular": bool(np.all(ok))}
+    return {"points": points, "regular": bool(np.all(ok))}

@@ -28,8 +28,7 @@ from .errors import (AssumptionTwoFailure, ConfigError, NonReductiveStabilizer,
 from .liealg import (LieAlgebra, _is_number, algebra_from_json, coadjoint_matrix, group_exp,
                      named_algebra)
 from .orbits import KKS_MATCH_SIGN, kks_gap, kks_pairs, orbit_chart
-from .phasespace import (PhasePoint, constraint_split, fundamental_field, regularity_report,
-                         symplectic_form)
+from .phasespace import constraint_split, regularity_report, right_generator, symplectic_form
 from .reduction import (SigmaGeometry, autoparallel_check, build_context, gram_oracle_solve,
                         totally_geodesic_defect)
 
@@ -201,12 +200,10 @@ def _stage_validate(cfg: CaseConfig, run) -> dict:
     run.split = split = constraint_split(a, mu)
     n, k = a.dim, split.g_mu.shape[1]
     # TΣ^⊥ should be the span of the right-action generators at μ
-    gens = np.column_stack([fundamental_field(a, "right", e, PhasePoint(None, mu))
-                            for e in np.eye(n)])
-    # five draws per side; only the left side reads its group elements
-    left = group_exp(a, run.rng.uniform(-1, 1, (2, 5, n))[1])
-    regularity = {"right": regularity_report(a, mu, [PhasePoint(None, mu)] * 5, side="right"),
-                  "left": regularity_report(a, mu, [PhasePoint(g, mu) for g in left], side="left")}
+    gens = right_generator(a, mu, np.eye(n)).T
+    # the left momentum map's rank at five drawn group elements; the stream takes
+    # ten draws, of which the first five are not read
+    regularity = regularity_report(a, mu, group_exp(a, run.rng.uniform(-1, 1, (2, 5, n))[1]))
     return {
         "status": "ok",
         "algebra": a.name,
@@ -215,7 +212,7 @@ def _stage_validate(cfg: CaseConfig, run) -> dict:
         "split_dims": {name: int(getattr(split, name).shape[1])
                        for name in ("t_sigma", "t_perp", "delta", "sum")},
         "level_set_checks": {
-            "momentum_rank_regular": all(r["regular"] for r in regularity.values()),
+            "momentum_rank_regular": regularity["regular"],
             "tperp_equals_generator_span": linalg.subspace_distance(split.t_perp, gens),
             "delta_dim_equals_stabilizer_dim": bool(split.delta.shape[1] == k),
         },
@@ -558,8 +555,9 @@ def _verify_reduction(cfg, run):
         if k or ctx.w2.shape[1] else 0.0
     yield "red/projector-range", range_dist, "projector_spaces"
     yield "red/projector-kernel", kernel_dist, "projector_spaces"
-    alpha_defect = max((float(np.max(np.abs(ctx.split.g_mu @ ctx.alpha(fundamental_field(
-        a, "right", Y, PhasePoint(None, mu))) - Y))) for Y in ctx.split.g_mu.T), default=0.0)
+    g_mu = ctx.split.g_mu
+    back = linalg.matvec(g_mu, ctx.alpha(right_generator(a, mu, g_mu.T)))
+    alpha_defect = float(np.max(np.abs(back - g_mu.T), initial=0.0))
     if k and ctx.w1.shape[1]:
         alpha_defect = max(alpha_defect, float(np.max(np.abs(ctx.alpha_mat @ ctx.w1))))
     yield "red/alpha-identities", alpha_defect, "alpha_identities"
@@ -689,10 +687,9 @@ def _verify_averaging(cfg, run):
         return
     delta = rng.standard_normal((2 * a.dim,) * 3) * 0.1
     nodes = finite_cyclic_rule(a, np.eye(a.dim)[2], 4)
-    xi_samples = rng.standard_normal((3, a.dim))
-    # the baseline plus the symmetrized δ over the three ξ samples: torsion-free
-    # and the same at every ξ, so is its mean, whose Γ at moved points is ``gammas``
-    pert = np.broadcast_to(run.base, xi_samples.shape[:1] + run.base.shape) \
+    # the baseline plus the symmetrized δ at three ξ: torsion-free and the same
+    # at every ξ, so is its mean, whose Γ at moved points is ``gammas``
+    pert = np.broadcast_to(run.base, (3,) + run.base.shape) \
         + 0.5 * (delta + delta.transpose(1, 0, 2))
     gammas = average_coefficients(pert, nodes)
     yield "avg/torsion-free", torsion_defect(a, gammas), "averaging_torsion"

@@ -72,17 +72,10 @@ def test_criterion_2_level_set_checks():
         split = rc.constraint_split(a, mu)
         g_mu = rc.stabilizer_algebra(a, mu)
         dims_ok = dims_ok and split.delta.shape[1] == g_mu.shape[1]
-        points = [rc.PhasePoint(rc.group_exp(a, rng.uniform(-1, 1, a.dim)), mu)
-                  for _ in range(5)]
-        for side in ("right", "left"):
-            report = rc.regularity_report(a, mu, points, side=side)
-            for p in report["points"]:
-                worst_rank_ratio = min(worst_rank_ratio,
-                                       p["sigma_min"] / p["sigma_max"])
-        gens = np.column_stack(
-            [rc.fundamental_field(a, "right", np.eye(a.dim)[i],
-                                  rc.PhasePoint(None, mu))
-             for i in range(a.dim)])
+        report = rc.regularity_report(a, mu, rc.group_exp(a, rng.uniform(-1, 1, (5, a.dim))))
+        for p in report["points"]:
+            worst_rank_ratio = min(worst_rank_ratio, p["sigma_min"] / p["sigma_max"])
+        gens = rc.right_generator(a, mu, np.eye(a.dim)).T
         worst_span = max(worst_span, linalg.subspace_distance(split.t_perp, gens))
     ok = worst_rank_ratio > 1e-10 and worst_span <= 1e-10 and dims_ok
     _verdict(2, "momentum level-set checks", ok,

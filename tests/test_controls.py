@@ -1,16 +1,21 @@
 """Negative controls: a perturbation of what a check reads must push the check
 past its ``THRESHOLDS`` value, so that a check which passes says something.
 
-Each control runs the check's own code, a ``pipeline._verify_*`` part, on the
-so3 run record after the connect stage with one input perturbed, and reads
-that check's defect.
+Each control runs the check's own code, a ``pipeline._verify_*`` part (and for
+``tperp_span`` the validate stage it reads), on the so3 run record after the
+connect or the reduce stage with one input perturbed, and reads that check's
+defect.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from redconn import pipeline
 from redconn.connections import finite_cyclic_rule, symplectized_coefficients
+from redconn.liealg import LieAlgebra
+from redconn.phasespace import right_generator
 from redconn.pipeline import THRESHOLDS, CaseConfig
 from tests.conftest import symmetrized
 
@@ -21,6 +26,12 @@ SO3 = CaseConfig.from_dict({"group": "so3", "mu": [0.0, 0.0, 1.0]})
 def run():
     """The so3 run record after the connect stage, as ``verify_suite`` has it."""
     return pipeline._run_stages(SO3, "connect", {}, {})
+
+
+@pytest.fixture()
+def reduced():
+    """The so3 run record after the reduce stage, as ``verify_suite`` has it."""
+    return pipeline._run_stages(SO3, "reduce", {}, {})
 
 
 def _delta(seed: int) -> np.ndarray:
@@ -70,3 +81,39 @@ def test_averaging_fixed_fails_off_a_subgroup(run, monkeypatch):
     monkeypatch.setattr(pipeline, "finite_cyclic_rule",
                         lambda a, X, order: finite_cyclic_rule(a, X, order)[:-1])
     _assert_fails(pipeline._verify_averaging, run, "avg/node-fixed", "averaging_fixed")
+
+
+def test_tperp_span_fails_on_generators_at_another_level(reduced, monkeypatch):
+    # the right-action generators taken at 2μ span the ω-orthogonal of another level
+    monkeypatch.setattr(pipeline, "right_generator",
+                        lambda a, xi, X: right_generator(a, 2.0 * np.asarray(xi), X))
+    reduced.stages["validate"] = pipeline._stage_validate(SO3, reduced)
+    _assert_fails(pipeline._verify_phase, reduced, "phase/tperp-span", "tperp_span")
+
+
+def _with_delta(run, delta) -> None:
+    run.ctx = replace(run.ctx, split=replace(run.ctx.split, delta=delta))
+
+
+def test_radical_span_fails_on_a_direction_of_m(reduced):
+    # (X, 0) with X in the complement m: tangent to the level set, but not in its radical
+    m = reduced.ctx.m[:, :1]
+    _with_delta(reduced, np.vstack([m, np.zeros_like(m)]))
+    _assert_fails(pipeline._verify_phase, reduced, "phase/radical-span", "radical_span")
+
+
+def test_tsigma_delta_pairing_fails_on_a_fiber_part(reduced):
+    # ω((X, 0), (Y, η)) = -⟨η, X⟩ at Y in the stabilizer: a fiber part pairs with TΣ
+    delta, n = reduced.ctx.split.delta, reduced.a.dim
+    _with_delta(reduced, delta + np.vstack([np.zeros_like(delta[:n]), np.ones_like(delta[n:])]))
+    _assert_fails(pipeline._verify_phase, reduced, "phase/tsigma-delta-pairing",
+                  "tsigma_delta_pairing")
+
+
+def test_omega_closed_fails_off_jacobi(reduced):
+    # [e1, e2] = e3 + e1 breaks Jacobi; the constructor, unlike the catalog and
+    # JSON loaders, does not validate the structure constants
+    c = reduced.a.c.copy()
+    c[0, 1, 0], c[1, 0, 0] = 1.0, -1.0
+    reduced.a = LieAlgebra(3, c, "so3")
+    _assert_fails(pipeline._verify_phase, reduced, "phase/omega-closed", "omega_closed")

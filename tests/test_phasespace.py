@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import redconn as rc
-from redconn.errors import PointOffConstraint
 from redconn.phasespace import momentum_differential
 from tests.conftest import CATALOG_CASES
 
@@ -76,43 +75,33 @@ class TestLiouville:
 
 class TestFundamentalFields:
     def test_right_so3_example(self, so3, mu_so3):
-        out = rc.fundamental_field(so3, "right", e1, rc.PhasePoint(None, mu_so3))
+        out = rc.right_generator(so3, mu_so3, e1)
         assert np.allclose(out[:3], e1)
         assert np.allclose(out[3:], e2)  # xi∘ad(e1) at xi = e3*
 
     def test_right_abelian(self, rng):
         a = rc.abelian(3)
         X = rng.standard_normal(3)
-        out = rc.fundamental_field(a, "right", X, rc.PhasePoint(None, rng.standard_normal(3)))
+        out = rc.right_generator(a, rng.standard_normal(3), X)
         assert np.allclose(out[:3], X) and np.all(out[3:] == 0.0)
 
-    def test_left_at_identity(self, so3, rng):
+    def test_left_at_identity(self, rng):
         X = rng.standard_normal(3)
-        p = rc.PhasePoint(np.eye(3), rng.standard_normal(3))
-        out = rc.fundamental_field(so3, "left", X, p)
+        out = rc.left_generator(np.eye(3), X)
         assert np.allclose(out[:3], -X) and np.all(out[3:] == 0.0)
-
-    def test_left_needs_group_element(self, so3):
-        with pytest.raises(ValueError, match="needs a group element"):
-            rc.fundamental_field(so3, "left", e1, rc.PhasePoint(None, e3))
 
 
 class TestMomentumMaps:
-    def test_right_is_fiber_projection(self, so3, rng):
-        xi = rng.standard_normal(3)
-        p = rc.PhasePoint(rc.group_exp(so3, rng.standard_normal(3)), xi)
-        assert np.allclose(rc.momentum_map(so3, "right", p), xi)
-
     def test_left_abelian_trivial(self, rng):
         a = rc.abelian(2)
         xi = rng.standard_normal(2)
-        p = rc.PhasePoint(rc.group_exp(a, rng.standard_normal(2)), xi)
-        assert np.max(np.abs(rc.momentum_map(a, "left", p) - xi)) <= 1e-14
+        g = rc.group_exp(a, rng.standard_normal(2))
+        assert np.max(np.abs(rc.left_momentum(g, xi) - xi)) <= 1e-14
 
     def test_left_so3_quarter_turn(self, so3):
         # Coad(exp((pi/2) e3)) rotates components by +pi/2 about the third axis
         g = rc.group_exp(so3, (np.pi / 2) * e3)
-        out = rc.momentum_map(so3, "left", rc.PhasePoint(g, e1))
+        out = rc.left_momentum(g, e1)
         assert np.max(np.abs(out - e2)) <= 1e-12
 
 
@@ -152,10 +141,7 @@ class TestConstraintSplit:
             a = rc.named_algebra(name)
             mu = np.asarray(mu, float)
             split = rc.constraint_split(a, mu)
-            gens = np.column_stack(
-                [rc.fundamental_field(a, "right", np.eye(a.dim)[i],
-                                      rc.PhasePoint(None, mu))
-                 for i in range(a.dim)])
+            gens = rc.right_generator(a, mu, np.eye(a.dim)).T
             assert linalg.subspace_distance(split.t_perp, gens) <= 1e-10
 
     def test_delta_omega_orthogonal_to_tsigma(self):
@@ -180,44 +166,30 @@ class TestConstraintSplit:
 
 
 class TestRegularity:
-    def test_right_side_identically_regular(self, so3, mu_so3, rng):
-        pts = [rc.PhasePoint(rc.group_exp(so3, rng.uniform(-1, 1, 3)), mu_so3)
-               for _ in range(10)]
-        report = rc.regularity_report(so3, mu_so3, pts, side="right")
-        assert report["regular"]
-        assert all(abs(p["sigma_min"] - 1.0) <= 1e-12 for p in report["points"])
-
     def test_left_side_so3_random_points(self, so3, mu_so3, rng):
-        pts = [rc.PhasePoint(rc.group_exp(so3, rng.uniform(-1, 1, 3)), mu_so3)
-               for _ in range(10)]
-        report = rc.regularity_report(so3, mu_so3, pts, side="left")
+        Ad = rc.group_exp(so3, rng.uniform(-1, 1, (10, 3)))
+        report = rc.regularity_report(so3, mu_so3, Ad)
+        assert list(report) == ["points", "regular"] and len(report["points"]) == 10
         assert report["regular"]
         assert all(p["sigma_min"] > 0 for p in report["points"])
 
     def test_abelian_regular_and_degenerate(self, rng):
+        # every point of an abelian algebra is degenerate (μ∘ad = 0), and the
+        # left differential is still [0 | I], of full rank
         a = rc.abelian(3)
         mu = rng.standard_normal(3)
-        pts = [rc.PhasePoint(rc.group_exp(a, rng.standard_normal(3)), mu)]
-        assert rc.regularity_report(a, mu, pts, side="right")["regular"]
-
-    def test_point_off_constraint_rejected(self, so3, mu_so3):
-        bad = rc.PhasePoint(np.eye(3), mu_so3 + 0.1)
-        with pytest.raises(PointOffConstraint):
-            rc.regularity_report(so3, mu_so3, [bad])
+        report = rc.regularity_report(a, mu, rc.group_exp(a, rng.standard_normal((1, 3))))
+        assert report["regular"]
+        assert report["points"][0]["sigma_min"] == report["points"][0]["sigma_max"] == 1.0
 
     def test_left_differential_matches_finite_differences(self, so3, mu_so3, rng):
         # oracle: differentiate Coad(g exp(sX))(xi + s eta) numerically
         g = rc.group_exp(so3, rng.uniform(-1, 1, 3))
-        p = rc.PhasePoint(g, mu_so3)
-        D = momentum_differential(so3, "left", p)
+        D = momentum_differential(so3, g, mu_so3)
         h = 1e-6
         for _ in range(4):
             X, eta = rng.standard_normal(3), rng.standard_normal(3)
-            plus = rc.momentum_map(so3, "left",
-                                   rc.PhasePoint(g @ rc.group_exp(so3, h * X),
-                                                 mu_so3 + h * eta))
-            minus = rc.momentum_map(so3, "left",
-                                    rc.PhasePoint(g @ rc.group_exp(so3, -h * X),
-                                                  mu_so3 - h * eta))
+            plus = rc.left_momentum(g @ rc.group_exp(so3, h * X), mu_so3 + h * eta)
+            minus = rc.left_momentum(g @ rc.group_exp(so3, -h * X), mu_so3 - h * eta)
             fd = (plus - minus) / (2 * h)
             assert np.max(np.abs(fd - D @ _vec(X, eta))) <= 1e-8

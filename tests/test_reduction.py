@@ -138,8 +138,7 @@ class TestBuildContext:
             assert np.isfinite(ctx.diagnostics["decomposition_cond"])
             # alpha reads stabilizer coordinates off the vertical generators
             for i in range(k):
-                gen = rc.fundamental_field(a, "right", ctx.split.g_mu[:, i],
-                                           rc.PhasePoint(None, mu))
+                gen = rc.right_generator(a, mu, ctx.split.g_mu[:, i])
                 back = ctx.split.g_mu @ ctx.alpha(gen)
                 assert np.max(np.abs(back - ctx.split.g_mu[:, i])) <= 1e-10
             if ctx.w1.shape[1]:

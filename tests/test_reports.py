@@ -75,6 +75,20 @@ def test_stray_stage_key_fails_schema(report_validator):
         report_validator.validate(doc)
 
 
+def test_regularity_report_is_the_left_report_alone(report_validator):
+    # one left-side report, {"points", "regular"}; a per-side layout fails the schema
+    rep, _ = run_pipeline(CaseConfig.from_dict({"group": "so3", "mu": [0.0, 0.0, 1.0]}),
+                          "validate")
+    doc = _serialized(rep)
+    regularity = doc["stages"]["validate"]["regularity"]
+    assert list(regularity) == ["points", "regular"] and len(regularity["points"]) == 5
+    assert doc["stages"]["validate"]["level_set_checks"]["momentum_rank_regular"] is True
+    for stray in ({"side": "left", **regularity}, {"right": regularity, "left": regularity}):
+        doc["stages"]["validate"]["regularity"] = stray
+        with pytest.raises(jsonschema.ValidationError):
+            report_validator.validate(doc)
+
+
 def test_config_schema_lists_the_threshold_names():
     tol = _schema("config_schema.json")["properties"]["tol"]
     assert tol["propertyNames"]["enum"] == list(THRESHOLDS)

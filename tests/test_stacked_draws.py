@@ -19,6 +19,7 @@ import redconn as rc
 from redconn import pipeline
 from redconn.connections import nabla_omega_components, solve_omega_gram, symplectized_coefficients
 from redconn.errors import SingularOmega
+from redconn.phasespace import momentum_differential
 from redconn.pipeline import CaseConfig
 from tests.conftest import CATALOG_CASES, perfbench_cases
 
@@ -134,12 +135,24 @@ def test_bracket_stack_matches_rows_and_stays_antisymmetric(case, rng):
 
 def test_regularity_report_stack_equals_single_point_reports(case, rng):
     a, mu = case
-    left = [rc.PhasePoint(g, mu) for g in rc.group_exp(a, rng.uniform(-1, 1, (5, a.dim)))]
-    for side, points in (("right", [rc.PhasePoint(None, mu)] * 5), ("left", left)):
-        report = rc.regularity_report(a, mu, points, side=side)
-        singles = [rc.regularity_report(a, mu, [p], side=side) for p in points]
-        assert report["points"] == [s["points"][0] for s in singles]
-        assert report["regular"] == all(s["regular"] for s in singles)
+    Ad = rc.group_exp(a, rng.uniform(-1, 1, (5, a.dim)))
+    report = rc.regularity_report(a, mu, Ad)
+    singles = [rc.regularity_report(a, mu, g) for g in Ad]
+    assert report["points"] == [s["points"][0] for s in singles]
+    assert report["regular"] == all(s["regular"] for s in singles)
+
+
+def test_phase_space_maps_stack_is_bitwise_per_row(case, rng):
+    # the right generators at μ, and the left generators, momentum map and
+    # momentum differential at a stack of group elements and fiber points
+    a, mu = case
+    X = rng.standard_normal((5, a.dim))
+    _bitwise_rows(rc.right_generator(a, mu, X), [rc.right_generator(a, mu, x) for x in X])
+    Ad, xis = rc.group_exp(a, rng.uniform(-1, 1, (5, a.dim))), _fiber_points(a, mu, rng)
+    _bitwise_rows(rc.left_generator(Ad, X), [rc.left_generator(g, x) for g, x in zip(Ad, X)])
+    _bitwise_rows(rc.left_momentum(Ad, xis), [rc.left_momentum(g, xi) for g, xi in zip(Ad, xis)])
+    _bitwise_rows(momentum_differential(a, Ad, xis),
+                  [momentum_differential(a, g, xi) for g, xi in zip(Ad, xis)])
 
 
 def test_pullback_stack_matches_rows(case, rng):
@@ -165,11 +178,11 @@ def test_stacked_stage_draws_leave_the_rng_where_single_draws_do(label):
     cfg = _config(label)
     run, fresh, n = _run(cfg), np.random.default_rng(cfg.seed), a.dim
     validate = pipeline._stage_validate(cfg, run)
-    # five draws per side, one sample at a time; only the left side's are read
-    draws = [[fresh.uniform(-1, 1, n) for _ in range(5)] for _ in ("right", "left")]
+    # 2 × 5 draws, one sample at a time; only the second five are read
+    draws = [[fresh.uniform(-1, 1, n) for _ in range(5)] for _ in range(2)]
     assert run.rng.bit_generator.state == fresh.bit_generator.state
-    left = [rc.PhasePoint(rc.group_exp(a, x), mu) for x in draws[1]]
-    assert validate["regularity"]["left"] == rc.regularity_report(a, mu, left, side="left")
+    left = np.array([rc.group_exp(a, x) for x in draws[1]])
+    assert validate["regularity"] == rc.regularity_report(a, mu, left)
     pipeline._stage_connect(cfg, run)
     for _ in range(10):  # ξ, then u, v and w of each closed-form draw
         fresh.standard_normal(n)

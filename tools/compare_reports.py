@@ -1,7 +1,7 @@
 """Dump a fixed set of reports from one source tree and compare two dumps.
 
     python3 tools/compare_reports.py dump <src> <dir>
-    python3 tools/compare_reports.py diff <a> <b> [--allow-added NAME]...
+    python3 tools/compare_reports.py diff <a> <b> [--allow-added NAME]... [--ignore PATH]...
 
 ``dump`` imports ``redconn`` from ``<src>`` (a checkout's ``src`` directory)
 and writes one JSON file per case into ``<dir>``: the report without its
@@ -25,9 +25,13 @@ once with an ``xi_list``, and so3's at ``connection: "baseline"`` with an
 ``xi_list`` close the set; they go through ``cli.main`` with no flag but
 ``--config`` and ``--out``, which every tree's CLI accepts.
 
-``diff`` lists the byte-identical and the differing files.  A differing file
-passes when the two dumps agree on everything except floating-point
-roundoff:
+``diff`` lists the byte-identical and the differing files.  ``--ignore PATH``
+(repeatable) drops the key at PATH, written as the differences below name it
+(``/stages/validate/regularity``), from both reports before comparing, so a
+change that moves or reshapes that key can still be judged on the rest; the
+files identical apart from it are listed under their own heading.  A
+differing file passes when the two dumps agree on everything except
+floating-point roundoff:
 
 - exit codes, key sets, error records, list lengths, strings, booleans
   (verify ``passed`` flags included) and integers are equal;
@@ -267,7 +271,16 @@ def _compare(a: dict, b: dict, thresholds: dict, allow_added=()) -> tuple[list, 
     return problems, moved
 
 
-def diff(dir_a: str, dir_b: str, allow_added=()) -> int:
+def _drop(rep: dict, path: str) -> None:
+    """Remove the key at ``path`` (``/a/b/c``, through nested objects) from a
+    report, if it is there."""
+    *parents, key = path.strip("/").split("/")
+    parent = _dig(rep, parents)
+    if isinstance(parent, dict):
+        parent.pop(key, None)
+
+
+def diff(dir_a: str, dir_b: str, allow_added=(), ignore=()) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     from redconn.pipeline import THRESHOLDS
 
@@ -277,13 +290,24 @@ def diff(dir_a: str, dir_b: str, allow_added=()) -> int:
     ok = names_a == names_b
     for name in sorted(names_a ^ names_b):
         print(f"only in {a if name in names_a else b}: {name}")
-    same, different = [], []
+    same, ignored, different, docs_of = [], [], [], {}
     for name in sorted(names_a & names_b):
-        (same if (a / name).read_bytes() == (b / name).read_bytes() else different).append(name)
+        if (a / name).read_bytes() == (b / name).read_bytes():
+            same.append(name)
+            continue
+        docs_of[name] = docs = [json.loads((d / name).read_text()) for d in (a, b)]
+        for doc in docs:
+            for path in ignore:
+                _drop(doc["report"], path)
+        (ignored if ignore and json.dumps(docs[0]) == json.dumps(docs[1])
+         else different).append(name)
     print(f"byte-identical ({len(same)}): {', '.join(n[:-5] for n in same)}")
+    if ignore:
+        print(f"identical apart from {', '.join(ignore)} ({len(ignored)}): "
+              f"{', '.join(n[:-5] for n in ignored)}")
     print(f"differing ({len(different)}): {', '.join(n[:-5] for n in different)}")
     for name in different:
-        docs = [json.loads((d / name).read_text()) for d in (a, b)]
+        docs = docs_of[name]
         problems, moved = _compare(*docs, THRESHOLDS, allow_added)
         worst = max(moved, default=(0.0, ""))
         print(f"{name[:-5]}: {len(moved)} floats moved, largest |b - a| / max(1, |a|) "
@@ -310,10 +334,12 @@ def main(argv: list) -> int:
     diff_args.add_argument("b")
     diff_args.add_argument("--allow-added", action="append", default=[], metavar="NAME",
                            help="a verify check only <b> has that is not a problem")
+    diff_args.add_argument("--ignore", action="append", default=[], metavar="PATH",
+                           help="a report key, as /stages/validate/regularity, left out of both")
     args = parser.parse_args(argv)
     if args.verb == "dump":
         return dump(args.src, args.dir)
-    return diff(args.a, args.b, args.allow_added)
+    return diff(args.a, args.b, args.allow_added, args.ignore)
 
 
 if __name__ == "__main__":
