@@ -30,7 +30,7 @@ def _load_config(args: argparse.Namespace) -> CaseConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     # flag overrides go through the same validation as the file's values
     if isinstance(doc, dict):
-        doc = {**doc, **{key: getattr(args, key) for key in ("seed", "fd_step", "tol_scale")
+        doc = {**doc, **{key: getattr(args, key) for key in ("seed", "tol_scale")
                          if getattr(args, key) is not None}}
     return CaseConfig.from_dict(doc)
 
@@ -82,8 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="path to a JSON case configuration")
     common.add_argument("--out", default=None, help="write the JSON report to this path")
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common.add_argument("--fd-step", dest="fd_step", type=float, default=None,
-                        help="override the step of the finite-difference check of the exact jets")
     common.add_argument("--tol-scale", dest="tol_scale", type=float, default=None,
                         help="multiply every tolerance by this factor")
     sub.add_parser("validate", parents=[common],

@@ -163,8 +163,7 @@ def _probe_inputs(tensor: np.ndarray) -> tuple[int, int, int]:
     return next(ijl for ijl, v in zip(triples, norms) if v >= top * (1.0 - PROBE_TIE_RTOL))
 
 
-def curvature_battery(geom: SigmaGeometry, t_points, *,
-                      fd_step2: float = DEFAULT_FD_STEP2) -> dict:
+def curvature_battery(geom: SigmaGeometry, t_points) -> dict:
     """Both curvature routes on coordinate-field triples, the symmetry defects
     and the step-halving probe at t_points[0], all on one geometry.
 
@@ -188,9 +187,9 @@ def curvature_battery(geom: SigmaGeometry, t_points, *,
     anti = sp = bianchi = 0.0
     probe_inputs = None
     for t in t_points:
-        R = curvature_formula(geom, t, fd_step2=fd_step2)
+        R = curvature_formula(geom, t)
         scale = max(1.0, float(np.max(np.linalg.norm(R, axis=-1)[off])))
-        tensor = curvature_tensor(geom, t, fd_step2=fd_step2)
+        tensor = curvature_tensor(geom, t)
         if probe_inputs is None:
             probe_inputs = _probe_inputs(tensor)
         for i, j in pairs:

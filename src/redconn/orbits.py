@@ -37,7 +37,6 @@ class OrbitChart:
     algebra: LieAlgebra
     mu: np.ndarray
     m_basis: np.ndarray
-    radius: float = 1.0
 
     @property
     def dim(self) -> int:
@@ -114,11 +113,11 @@ class OrbitChart:
         raise RankLoss("chart inversion did not converge; point may be outside the chart")
 
 
-def orbit_chart(a: LieAlgebra, mu, m_basis, radius: float = 1.0) -> OrbitChart:
+def orbit_chart(a: LieAlgebra, mu, m_basis) -> OrbitChart:
     """Build the exponential chart; checks ν(0) = μ and full rank at 0."""
     mu = np.asarray(mu, dtype=float)
     m_basis = np.atleast_2d(np.asarray(m_basis, dtype=float))
-    chart = OrbitChart(a, mu.copy(), m_basis.copy(), radius)
+    chart = OrbitChart(a, mu.copy(), m_basis.copy())
     if chart.dim:
         if np.linalg.norm(chart.nu(np.zeros(chart.dim)) - mu) > 1e-12 * (1 + np.linalg.norm(mu)):
             raise RankLoss("chart center does not map to mu")

@@ -11,8 +11,8 @@ In this frame the canonical symplectic form reads
 so it depends on ξ only.  On a level set {ξ = μ} of the right momentum map
 the constraint subspaces are frame-constant and the right-action generators
 depend on μ alone; the left momentum map J(g, ξ) = Coad(g)ξ is the quotient
-map.  All but the Liouville form take stacks: (…, n) fiber points and
-algebra elements, (…, 2n) tangents and (…, n, n) Ad matrices.
+map.  Every function takes stacks: (…, n) fiber points and algebra
+elements, (…, 2n) tangents and (…, n, n) Ad matrices.
 """
 
 from __future__ import annotations
@@ -57,10 +57,10 @@ def symplectic_form(a: LieAlgebra, xi, u, v):
     return linalg.vecdot(eta, Xp) - linalg.vecdot(etap, X) - linalg.vecdot(xi, a.bracket(X, Xp))
 
 
-def liouville_form(a: LieAlgebra, xi, u) -> float:
-    """The tautological 1-form: θ(X, η) = ⟨ξ, X⟩, independent of the fiber part."""
-    uv = _tangent_pair(a, u)
-    return float(np.asarray(xi, dtype=float) @ uv[: a.dim])
+def liouville_form(a: LieAlgebra, xi, u):
+    """The tautological 1-form: θ(X, η) = ⟨ξ, X⟩, independent of the fiber part,
+    row by row over stacks alike; a float for one vector."""
+    return linalg.vecdot(np.asarray(xi, dtype=float), _tangent_pair(a, u)[..., : a.dim])
 
 
 def right_generator(a: LieAlgebra, xi, X) -> np.ndarray:

@@ -27,7 +27,7 @@ from .errors import (AssumptionTwoFailure, ConfigError, NonReductiveStabilizer,
                      ReductionError)
 from .liealg import (LieAlgebra, _is_number, algebra_from_json, coadjoint_matrix, group_exp,
                      named_algebra)
-from .orbits import KKS_MATCH_SIGN, kks_gap, kks_pairs, orbit_chart
+from .orbits import kks_gap, kks_pairs, orbit_chart
 from .phasespace import constraint_split, regularity_report, right_generator, symplectic_form
 from .reduction import (SigmaGeometry, autoparallel_check, build_context, gram_oracle_solve,
                         totally_geodesic_defect)
@@ -40,6 +40,8 @@ EXIT_NUMERICAL = 4
 STAGES = ("validate", "connect", "reduce", "curvature")
 
 _ASSUMPTION_ERRORS = (NonReductiveStabilizer, AssumptionTwoFailure)
+
+JET_FD_STEP = 1e-5  # step of the central differences of the red/jet-fd check
 
 THRESHOLDS = {
     "jacobi": 1e-12,
@@ -63,7 +65,6 @@ THRESHOLDS = {
     "projector_idempotent": 1e-12,
     "projector_spaces": 1e-10,
     "alpha_identities": 1e-10,
-    "delta_tsigma_pairing": 1e-12,
     "l_equivariance": 1e-8,
     "sigma_equivariance": 1e-8,
     "sigma_torsion": 1e-10,
@@ -96,9 +97,6 @@ class CaseConfig:
 
     group: object
     mu: list
-    fd_step: float = 1e-5
-    fd_step2: float = 1e-4
-    chart_radius: float = 1.0
     samples: int = 5
     seed: int = 0
     s_tilde: object = "default"
@@ -117,9 +115,8 @@ class CaseConfig:
         if "group" not in doc or "mu" not in doc:
             raise ConfigError("config needs at least 'group' and 'mu'")
         cfg = CaseConfig(**doc)
-        for name in ("fd_step", "fd_step2", "chart_radius", "tol_scale"):
-            if not (_is_number(getattr(cfg, name)) and getattr(cfg, name) > 0):
-                raise ConfigError(f"{name} must be a positive finite number")
+        if not (_is_number(cfg.tol_scale) and cfg.tol_scale > 0):
+            raise ConfigError("tol_scale must be a positive finite number")
         for name, least in (("samples", 1), ("seed", 0)):
             if type(getattr(cfg, name)) is not int or getattr(cfg, name) < least:
                 raise ConfigError(f"{name} must be an integer >= {least}")
@@ -163,9 +160,7 @@ class CaseConfig:
     def as_dict(self) -> dict:
         return {
             "group": self.group, "mu": list(map(float, self.mu)),
-            "fd_step": self.fd_step, "fd_step2": self.fd_step2,
-            "chart_radius": self.chart_radius, "samples": self.samples,
-            "seed": self.seed,
+            "samples": self.samples, "seed": self.seed,
             "s_tilde": self.s_tilde if isinstance(self.s_tilde, str)
             else np.asarray(self.s_tilde, dtype=float).tolist(),
             "tol": dict(self.tol), "tol_scale": self.tol_scale,
@@ -174,7 +169,7 @@ class CaseConfig:
 
 
 def _sample_points(cfg: CaseConfig, km: int, rng: np.random.Generator) -> np.ndarray:
-    pts = rng.uniform(-0.4, 0.4, size=(cfg.samples, km)) * cfg.chart_radius
+    pts = rng.uniform(-0.4, 0.4, size=(cfg.samples, km))
     pts[0] = 0.0
     return pts
 
@@ -209,12 +204,9 @@ def _stage_validate(cfg: CaseConfig, run) -> dict:
         "algebra": a.name,
         "dim": n,
         "stabilizer_dim": k,
-        "split_dims": {name: int(getattr(split, name).shape[1])
-                       for name in ("t_sigma", "t_perp", "delta", "sum")},
         "level_set_checks": {
             "momentum_rank_regular": regularity["regular"],
             "tperp_equals_generator_span": linalg.subspace_distance(split.t_perp, gens),
-            "delta_dim_equals_stabilizer_dim": bool(split.delta.shape[1] == k),
         },
         "regularity": regularity,
     }
@@ -266,13 +258,12 @@ def _stage_reduce(cfg: CaseConfig, run) -> dict:
         auto = autoparallel_check(ctx, rng=run.rng)
         stage["autoparallel"] = {"defect": auto.defect, "independence": auto.independence}
         return stage
-    run.geom = geom = SigmaGeometry(ctx, orbit_chart(a, mu, ctx.m, cfg.chart_radius))
+    run.geom = geom = SigmaGeometry(ctx, orbit_chart(a, mu, ctx.m))
     pts = _sample_points(cfg, geom.chart.dim, run.rng)
     run.sweep = sweep = _chart_sweep(geom, pts, run.rng)
     auto = autoparallel_check(ctx, geom=geom, rng=run.rng)
     stage.update({
         "sigma": sweep["sigma"],
-        "kks_sign_constant": KKS_MATCH_SIGN,
         "kks_residual": sweep["kks"],
         "reduced_torsion_defect": sweep["torsion"],
         "reduced_form_parallel_defect": sweep["parallel"],
@@ -352,9 +343,7 @@ def _stage_curvature(cfg: CaseConfig, run) -> dict:
     pts = _sample_points(cfg, run.geom.chart.dim, run.rng)[: max(1, cfg.samples // 2)]
     return {
         "status": "ok",
-        "fd_step2_note": "second-derivative step trades truncation against "
-                         "cancellation; the convergence probe reports the balance",
-        **curvature_battery(run.geom, pts, fd_step2=cfg.fd_step2),
+        **curvature_battery(run.geom, pts),
     }
 
 
@@ -453,7 +442,6 @@ def _verify_algebra(cfg, run):
     a, mu, rng = run.a, run.mu, run.rng
     n = a.dim
     c = a.c
-    yield "lie/antisymmetry", float(np.max(np.abs(c + c.transpose(1, 0, 2))))
     t = np.einsum("ijl,lkm->ijkm", c, c)
     jac = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
     yield "lie/jacobi", float(np.max(np.abs(jac))), "jacobi"
@@ -500,8 +488,6 @@ def _verify_phase(cfg, run):
     gram = split.sum.T @ om @ split.sum
     radical = split.sum @ linalg.nullspace(gram)
     yield "phase/radical-span", linalg.subspace_distance(radical, split.delta), "radical_span"
-    k = split.g_mu.shape[1]
-    yield "phase/split-dims", split.sum.shape[1] == 2 * n - k and split.delta.shape[1] == k
 
 
 def _cyclic_domega(a, xi, u, v, w) -> np.ndarray:
@@ -561,8 +547,6 @@ def _verify_reduction(cfg, run):
     if k and ctx.w1.shape[1]:
         alpha_defect = max(alpha_defect, float(np.max(np.abs(ctx.alpha_mat @ ctx.w1))))
     yield "red/alpha-identities", alpha_defect, "alpha_identities"
-    pairing = float(np.max(np.abs(ctx.split.delta.T @ om @ ctx.split.t_sigma))) if k else 0.0
-    yield "red/delta-tsigma-pairing", pairing, "delta_tsigma_pairing"
     if ctx.w1.shape[1]:
         s = np.linalg.svd(ctx.w1.T @ om @ ctx.w1, compute_uv=False)
         yield ("red/w1-omega-nondegenerate", s[-1] > 1e-10 * s[0], None,
@@ -584,7 +568,7 @@ def _verify_reduction(cfg, run):
         yield "red/fiber-independence", sweep["fiber"], "fiber_independence"
         yield "red/lift-projection", sweep["projection"], "lift_projection"
         t = np.asarray(reduced["chart_points"][0])
-        yield "red/jet-fd", _jet_fd_defect(run.geom, t, cfg.fd_step), "jet_fd"
+        yield "red/jet-fd", _jet_fd_defect(run.geom, t), "jet_fd"
         if auto["independence"] is not None:
             yield "red/autoparallel-independence", auto["independence"], "fiber_independence", note
             return
@@ -598,8 +582,7 @@ def _verify_curvature(cfg, run):
     yield "curv/formula-oracle", curv["max_discrepancy"], "curvature_agreement"
     sym = curv["symmetry"]
     yield "curv/antisymmetry", sym["antisymmetry_defect"], "curvature_antisymmetry"
-    yield ("curv/symplectic-valued", sym["symplectic_defect"], "curvature_symplectic",
-           BASELINE_NOTE)
+    yield "curv/symplectic-valued", sym["symplectic_defect"], "curvature_symplectic"
     yield "curv/bianchi", sym["bianchi_defect"], "curvature_bianchi"
     # flat cases sit on the roundoff floor where no truncation is measurable; the
     # factor carries roundoff of about ±0.01, so the note prints one decimal
@@ -656,11 +639,11 @@ def _sigma_equivariance_defect(ctx, rng) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _jet_fd_defect(geom: SigmaGeometry, t, step: float) -> float:
+def _jet_fd_defect(geom: SigmaGeometry, t) -> float:
     """Largest gap, relative to max(1, |exact|), between the exact derivatives
-    of ``lifts`` and their central differences at ``step`` along each lift and
-    stabilizer generator at t, on the fibers 1 and exp(g_μ·(½, …, ½)), by the
-    lift-only stencil of ``SigmaGeometry._stencil``."""
+    of ``lifts`` and their central differences at ``JET_FD_STEP`` along each
+    lift and stabilizer generator at t, on the fibers 1 and exp(g_μ·(½, …, ½)),
+    by the lift-only stencil of ``SigmaGeometry._stencil``."""
     a, g_mu = geom.ctx.algebra, geom.ctx.split.g_mu
     k = g_mu.shape[1]
     fibers = [geom.identity] + ([group_exp(a, g_mu @ np.full(k, 0.5))] if k else [])
@@ -668,7 +651,7 @@ def _jet_fd_defect(geom: SigmaGeometry, t, step: float) -> float:
     for fiber in fibers:
         us = np.vstack([geom.lifts(t, fiber), np.pad(g_mu.T, ((0, 0), (0, geom.n)))])
         for exact, fd in zip(geom.lift_derivatives(t, fiber, us),
-                             geom._stencil(t, fiber, us, step)):
+                             geom._stencil(t, fiber, us, JET_FD_STEP)):
             gap = max(gap, float(np.max(np.abs(exact - fd)) / max(1.0, np.max(np.abs(exact)))))
     return gap
 

@@ -208,8 +208,8 @@ def build_context(a: LieAlgebra, mu, *, s_tilde="default",
                             gamma_mu, om, diagnostics)
 
 
-def default_chart(ctx: ReductionContext, radius: float = 1.0) -> OrbitChart:
-    return orbit_chart(ctx.algebra, ctx.mu, ctx.m, radius)
+def default_chart(ctx: ReductionContext) -> OrbitChart:
+    return orbit_chart(ctx.algebra, ctx.mu, ctx.m)
 
 
 @dataclass(frozen=True)
@@ -530,7 +530,7 @@ def autoparallel_check(ctx: ReductionContext, *, geom: SigmaGeometry | None = No
     chart = geom.chart
     other = build_context(a, ctx.mu, s_tilde=cand, gamma_mu=ctx.gamma_mu, split=ctx.split)
     geom_b = SigmaGeometry(other, chart)
-    ts = [rng.uniform(-0.3, 0.3, size=chart.dim) * chart.radius for _ in range(3)]
+    ts = [rng.uniform(-0.3, 0.3, size=chart.dim) for _ in range(3)]
     geom.points(ts, geom.identity)
     geom_b.points(ts, geom_b.identity)
     diff = max((float(np.max(np.abs(geom.cov_table(t, geom.identity)[1]

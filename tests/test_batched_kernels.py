@@ -29,7 +29,7 @@ def _setup(case):
     _, n, weights, _, _ = case
     cfg = CaseConfig.from_dict({"group": cases.so_n_group(n), "mu": cases.so_n_mu(n, weights)})
     ctx = rc.build_context(cfg.algebra(), np.asarray(cfg.mu, dtype=float))
-    return ctx, rc.default_chart(ctx, cfg.chart_radius)
+    return ctx, rc.default_chart(ctx)
 
 
 @pytest.fixture(scope="module", params=CASES, ids=[c[0] for c in CASES])

@@ -30,16 +30,17 @@ def _strip_timings(doc):
 
 SO3_DOC = {"group": "so3", "mu": [0.0, 0.0, 1.0], "samples": 3}
 
-# (key, value, passed as a CLI flag rather than in the file)
+# (key, value, passed as a CLI flag rather than in the file); fd_step and
+# chart_radius are no config keys, so any value of theirs is an unknown key
 BAD_VALUES = [("samples", "3", False), ("samples", 2.5, False), ("samples", True, False),
               ("fd_step", "1e-5", False), ("seed", -1, False), ("mu", "abc", False),
-              ("chart_radius", "x", False), ("seed", -1, True), ("fd_step", 0.0, True),
+              ("chart_radius", "x", False), ("seed", -1, True),
               ("tol_scale", 0.0, True), ("tol_scale", -1.0, True), ("xi_list", "abc", False),
               ("s_tilde", 5, False), ("s_tilde", "other", False),
               # Python's json reads NaN and ±Infinity
               ("tol_scale", math.inf, True), ("tol", {"kks_match": math.inf}, False),
               ("mu", [math.nan, 0, 1], False), ("fd_step", math.inf, False),
-              ("fd_step", math.nan, True), ("chart_radius", -math.inf, False),
+              ("tol_scale", math.nan, True), ("chart_radius", -math.inf, False),
               ("xi_list", [[0.0, math.inf, 1.0]], False),
               # 0 stays allowed: the exact checks use it
               ("tol", {"kks_match": -1e-8}, False),
@@ -383,7 +384,7 @@ class TestFlags:
             main(["reduce", "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        for flag in ("--config", "--out", "--seed", "--fd-step", "--tol-scale"):
+        for flag in ("--config", "--out", "--seed", "--tol-scale"):
             assert flag in out
 
     def test_seed_override(self, tmp_path):
@@ -393,24 +394,19 @@ class TestFlags:
         rep = json.loads(out_path.read_text())
         assert rep["config"]["seed"] == 9
 
-    def test_fd_step_reaches_only_the_jet_fd_check(self, tmp_path, capsys):
-        # fd_step is the step of red/jet-fd's central differences and of no
-        # other computed value: a coarser step moves that check's value alone
-        cfg = _write_config(tmp_path, {"group": "so3", "mu": [0.0, 0.0, 1.0]})
-        reports = {}
-        for verb in ("curvature", "verify"):
-            for step in (None, "1e-3"):
-                flags = ["--fd-step", step] if step else []
-                assert main([verb, "--config", cfg, "--seed", "2", *flags]) == 0
-                rep = _strip_timings(json.loads(capsys.readouterr().out))
-                reports[verb, step] = rep
-                assert rep.pop("config")["fd_step"] == float(step or 1e-5)
-        assert reports["curvature", None] == reports["curvature", "1e-3"]
-        default, coarse = ({c["name"]: c for c in reports["verify", step]["checks"]}
-                           for step in (None, "1e-3"))
-        assert default.keys() == coarse.keys()
-        assert [name for name in default if default[name] != coarse[name]] == ["red/jet-fd"]
-        assert default["red/jet-fd"]["value"] < 1e-9 < coarse["red/jet-fd"]["value"] < 1e-6
+    def test_finite_difference_steps_and_chart_radius_are_not_settable(self, tmp_path, capsys):
+        # the steps and the chart's sample scale are constants of the checks:
+        # a config that sets one is an unknown key, and the flag is gone
+        for key, value in (("fd_step", 1e-5), ("fd_step2", 1e-4), ("chart_radius", 1.0)):
+            cfg = _write_config(tmp_path, dict(SO3_DOC, **{key: value}))
+            assert main(["validate", "--config", cfg]) == 2
+            error = json.loads(capsys.readouterr().out)["error"]
+            assert error["type"] == "ConfigError"
+            assert error["message"] == f"unknown config keys: {[key]}"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", _write_config(tmp_path, SO3_DOC), "--fd-step", "1e-3"])
+        assert exc.value.code == 2
+        assert "--fd-step" in capsys.readouterr().err
 
     def test_tol_scale_loosens_thresholds(self):
         cfg = CaseConfig.from_dict(dict(SO3_DOC, tol_scale=10.0))

@@ -205,6 +205,54 @@ def test_allow_added_names_the_expected_checks(so3_dumps, tmp_path, capsys):
     assert capsys.readouterr().out.endswith("problems: none\n")
 
 
+def test_allow_removed_names_the_expected_checks(so3_dumps, tmp_path, capsys):
+    # the mirror of --allow-added: a removed check it names is no problem, any
+    # other removed check still is, and so is an added one even when named
+    a = so3_dumps["verify"]
+    b = copy.deepcopy(a)
+    removed = [check["name"] for check in b["report"]["checks"][3:5]]
+    del b["report"]["checks"][3:5]
+    problems, moved = compare_reports._compare(a, b, THRESHOLDS, (), removed[:1])
+    assert problems == [f"/checks: check {removed[1]} removed"] and not moved
+    assert compare_reports._compare(b, a, THRESHOLDS, (), removed)[0] == [
+        f"/checks: check {name} added" for name in removed]
+    for side, doc in (("a", a), ("b", b)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "so3-verify.json").write_text(json.dumps(doc))
+    args = ["diff", str(tmp_path / "a"), str(tmp_path / "b"), "--allow-removed", removed[0]]
+    assert compare_reports.main(args) == 1
+    assert capsys.readouterr().out.endswith(f"  PROBLEM /checks: check {removed[1]} removed\n"
+                                            "problems: see above\n")
+    assert compare_reports.main(args + ["--allow-removed", removed[1]]) == 0
+    assert capsys.readouterr().out.endswith("problems: none\n")
+
+
+def test_ignore_reaches_a_field_of_a_verify_check(so3_dumps, tmp_path, capsys):
+    # check names contain "/": the path /checks/<name>/<field> drops that field
+    # of the named check alone, on both sides
+    a = so3_dumps["verify"]
+    b = copy.deepcopy(a)
+    check = next(c for c in b["report"]["checks"] if c["name"] == "curv/symplectic-valued")
+    check["note"] = "another note"
+    for side, doc in (("a", a), ("b", b)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "so3-verify.json").write_text(report_mod.dumps(doc))
+    args = ["diff", str(tmp_path / "a"), str(tmp_path / "b")]
+    assert compare_reports.main(args) == 1
+    assert "PROBLEM /checks/curv/symplectic-valued/note: '' != 'another note'" in (
+        capsys.readouterr().out)
+    for other in ("/checks/curv/bianchi/note", "/checks/curv/symplectic/note"):
+        assert compare_reports.main(args + ["--ignore", other]) == 1
+        capsys.readouterr()
+    assert compare_reports.main(args + ["--ignore", "/checks/curv/symplectic-valued/note"]) == 0
+    out = capsys.readouterr().out
+    assert "identical apart from /checks/curv/symplectic-valued/note (1): so3-verify\n" in out
+    dropped = copy.deepcopy(a["report"])
+    compare_reports._drop(dropped, "/checks/curv/symplectic-valued/note")
+    assert [c for c in dropped["checks"] if "note" not in c] == [
+        {k: v for k, v in check.items() if k != "note"}]
+
+
 def test_diff_prints_headroom_on_both_sides(so3_dumps, tmp_path, capsys):
     # each differing dump's headroom, min log10(threshold / value) over the
     # thresholded defects, is printed for both sides with the defect that sets

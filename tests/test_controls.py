@@ -2,9 +2,11 @@
 past its ``THRESHOLDS`` value, so that a check which passes says something.
 
 Each control runs the check's own code, a ``pipeline._verify_*`` part (and for
-``tperp_span`` the validate stage it reads), on the so3 run record after the
-connect or the reduce stage with one input perturbed, and reads that check's
-defect.
+``tperp_span`` the validate stage it reads, for ``reduced_form_closed`` the
+chart sweep), on the so3 run record after the connect or the reduce stage with
+one input perturbed, and reads that check's defect.  On so3 the orbit has
+dimension 2, where the cyclic sum of an antisymmetric ∂Ω vanishes exactly, so
+the closedness control runs on so(4) regular (orbit dimension 4).
 """
 
 from dataclasses import replace
@@ -17,7 +19,7 @@ from redconn.connections import finite_cyclic_rule, symplectized_coefficients
 from redconn.liealg import LieAlgebra
 from redconn.phasespace import right_generator
 from redconn.pipeline import THRESHOLDS, CaseConfig
-from tests.conftest import symmetrized
+from tests.conftest import perfbench_cases, symmetrized
 
 SO3 = CaseConfig.from_dict({"group": "so3", "mu": [0.0, 0.0, 1.0]})
 
@@ -38,10 +40,10 @@ def _delta(seed: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal((6, 6, 6))
 
 
-def _assert_fails(part, run, name: str, key: str) -> None:
+def _assert_fails(part, run, name: str, key: str, cfg: CaseConfig = SO3) -> None:
     """The check ``name`` among those ``part`` yields is held to ``key`` and
     exceeds its threshold."""
-    check = next(check for check in part(SO3, run) if check[0] == name)
+    check = next(check for check in part(cfg, run) if check[0] == name)
     assert check[2] == key
     assert check[1] > THRESHOLDS[key]
 
@@ -117,3 +119,27 @@ def test_omega_closed_fails_off_jacobi(reduced):
     c[0, 1, 0], c[1, 0, 0] = 1.0, -1.0
     reduced.a = LieAlgebra(3, c, "so3")
     _assert_fails(pipeline._verify_phase, reduced, "phase/omega-closed", "omega_closed")
+
+
+def test_reduced_form_closed_fails_on_a_jet_that_differentiates_no_field():
+    # the sweep's ∂Ω reads the jet of the lifts; noise on its chart rows is the
+    # derivative of no field, so the cyclic sum of ∂Ω stops vanishing
+    cases = perfbench_cases()
+    _, n, weights, _, _ = cases.SO4_CASES[0]
+    cfg = CaseConfig.from_dict({"group": cases.so_n_group(n), "mu": cases.so_n_mu(n, weights),
+                                "samples": 2})
+    run = pipeline._run_stages(cfg, "reduce", {}, {})
+    geom, km = run.geom, run.geom.chart.dim
+    assert km == 4 and run.sweep["closed"] <= THRESHOLDS["reduced_form_closed"]
+    point = geom.point
+    noise = np.random.default_rng(5).standard_normal((km, km, 2 * geom.n)) * 1e-3
+
+    def perturbed(t, fiber):
+        kernel = point(t, fiber)
+        return replace(kernel, jet=np.concatenate([kernel.jet[:km] + noise, kernel.jet[km:]]))
+
+    geom.point = perturbed
+    pts = np.asarray(run.stages["reduce"]["chart_points"])
+    run.sweep = pipeline._chart_sweep(geom, pts, np.random.default_rng(0))
+    _assert_fails(pipeline._verify_reduction, run, "red/reduced-form-closed",
+                  "reduced_form_closed", cfg)

@@ -223,6 +223,31 @@ class TestSymmetryBattery:
                                  [np.array([0.12, -0.07])])["symmetry"]
         assert good["symplectic_defect"] <= 1e-4
 
+    def test_only_the_tensor_route_flags_the_control(self, so3_setup):
+        # on the unprojected connection the formula and the exact route agree
+        # with each other and are sp-valued; only the chart-Christoffel tensor,
+        # the curvature of the reduced connection itself, shows the defect.
+        # Reading the battery's defect from another route would pass the control
+        a, _, _ = so3_setup
+        delta = np.random.default_rng(7).standard_normal((6, 6, 6)) * 0.5
+        ctx = rc.build_context(a, np.array([0.0, 0.0, 1.0]),
+                               gamma_mu=rc.baseline_coefficients(a) + symmetrized(delta))
+        geom = SigmaGeometry(ctx, rc.default_chart(ctx))
+        t, e = np.array([0.12, -0.07]), geom.identity
+        tensor, formula, exact = (route(geom, t)[0, 1] for route in
+                                  (curvature_tensor, curvature_formula, curvature_exact))
+        assert np.max(np.abs(formula - exact)) <= 1e-8
+        assert np.max(np.abs(tensor - formula)) > 0.05
+        assert np.max(np.abs(tensor - exact)) > 0.05
+
+        def symplectic_defect(rows):  # max |ω(R f_l, f_w) − ω(R f_w, f_l)|
+            form = geom.form_table(geom.lift(t, e, rows), geom.lifts(t, e))
+            return float(np.max(np.abs(form - form.T)))
+
+        assert symplectic_defect(tensor) > 0.05
+        assert symplectic_defect(formula) <= 1e-8
+        assert symplectic_defect(exact) <= 1e-12
+
     def test_one_lift_per_point_on_so4(self, monkeypatch):
         # the symplectic-valuedness defect lifts the tensor rows of every pair
         # i < j (6 pairs of 4 rows on so(4) regular) with one solve
@@ -565,11 +590,10 @@ class TestOneEvaluationPerValue:
                           + 2 * (2 * 2))
 
         ctx = rc.build_context(rc.so3(), np.array([0.0, 0.0, 1.0]))
-        chart = rc.default_chart(ctx, cfg.chart_radius)
+        chart = rc.default_chart(ctx)
         sample = samples[-1]
         i, j, l = sample["inputs"]
-        fresh = curvature_formula(SigmaGeometry(ctx, chart), np.array(sample["t"]),
-                                  fd_step2=cfg.fd_step2)[i, j, l]
+        fresh = curvature_formula(SigmaGeometry(ctx, chart), np.array(sample["t"]))[i, j, l]
         assert fresh.tolist() == sample["value"]
 
 

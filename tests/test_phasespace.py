@@ -72,6 +72,14 @@ class TestLiouville:
     def test_zero_covector(self, so3, rng):
         assert rc.liouville_form(so3, zero3, rng.standard_normal(6)) == 0.0
 
+    def test_stack_matches_rows(self, so3, rng):
+        xi, u = rng.standard_normal((4, 3)), rng.standard_normal((4, 6))
+        stacked = rc.liouville_form(so3, xi, u)
+        assert stacked.shape == (4,)
+        rows = [rc.liouville_form(so3, x, v) for x, v in zip(xi, u)]
+        assert all(type(row) is float for row in rows)
+        assert stacked.tolist() == rows
+
 
 class TestFundamentalFields:
     def test_right_so3_example(self, so3, mu_so3):

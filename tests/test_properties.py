@@ -23,7 +23,7 @@ def so4_case(request):
     cfg = CaseConfig.from_dict({"group": cases.so_n_group(n), "mu": cases.so_n_mu(n, weights)})
     ctx = rc.build_context(cfg.algebra(), np.asarray(cfg.mu, dtype=float))
     assert ctx.stabilizer_dim == k
-    return ctx, rc.default_chart(ctx, cfg.chart_radius)
+    return ctx, rc.default_chart(ctx)
 
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
@@ -32,10 +32,10 @@ unit = st.floats(-1.0, 1.0, allow_nan=False)
 @settings(derandomize=True, max_examples=8, deadline=None)
 @given(t_unit=st.lists(unit, min_size=6, max_size=6), y=st.lists(unit, min_size=4, max_size=4))
 def test_lifts_and_tables_at_random_points_and_fibers(so4_case, t_unit, y):
-    # t in ±0.4·radius; the fiber h = exp(g_μ·y) is a random stabilizer element
+    # t in ±0.4; the fiber h = exp(g_μ·y) is a random stabilizer element
     ctx, chart = so4_case
     a, km, k = ctx.algebra, chart.dim, ctx.stabilizer_dim
-    t = 0.4 * chart.radius * np.asarray(t_unit[:km])
+    t = 0.4 * np.asarray(t_unit[:km])
     fiber = rc.group_exp(a, ctx.split.g_mu @ np.asarray(y[:k]))
     geom = rc.SigmaGeometry(ctx, chart)
 
@@ -68,9 +68,9 @@ def test_jet_matches_richardson_stencil(regular_case, scale, t_unit, y):
     group, mu = regular_case
     cfg = CaseConfig.from_dict({"group": group, "mu": [scale * m for m in mu]})
     ctx = rc.build_context(cfg.algebra(), np.asarray(cfg.mu, dtype=float))
-    chart = rc.default_chart(ctx, cfg.chart_radius)
+    chart = rc.default_chart(ctx)
     a, km, k = ctx.algebra, chart.dim, ctx.stabilizer_dim
-    t = 0.4 * chart.radius * np.asarray(t_unit[:km])
+    t = 0.4 * np.asarray(t_unit[:km])
     geom = rc.SigmaGeometry(ctx, chart)
     for fiber in (geom.identity, rc.group_exp(a, ctx.split.g_mu @ np.asarray(y[:k]))):
         us = np.vstack([geom.lifts(t, fiber), np.pad(ctx.split.g_mu.T, ((0, 0), (0, a.dim)))])

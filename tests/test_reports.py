@@ -100,7 +100,7 @@ def test_reduce_stage_matches_library_definitions(name):
     # kernel's lifts with form_table), so they agree bit for bit; the sweep's
     # parallel defect differentiates Ω exactly, while this reference
     # differences reduced_form (symplectic_form on stacked lifts) centrally at
-    # fd_step, so the two agree to that stencil's error bar: truncation
+    # h = 1e-5, so the two agree to that stencil's error bar: truncation
     # h²·|∂³Ω|/6 and roundoff ε·|Ω|/h (the reference reads up to 5.6e-11 here)
     mu = dict(CATALOG_CASES)[name]
     cfg = CaseConfig.from_dict({"group": name, "mu": mu})
@@ -108,9 +108,9 @@ def test_reduce_stage_matches_library_definitions(name):
     assert code == 0
     stage = rep["stages"]["reduce"]
     ctx = rc.build_context(rc.named_algebra(name), np.asarray(mu, dtype=float))
-    chart = rc.default_chart(ctx, cfg.chart_radius)
+    chart = rc.default_chart(ctx)
     km = chart.dim
-    h = cfg.fd_step
+    h = 1e-5
 
     def omega(t, v, w):
         return rc.reduced_form(ctx, chart, v, w, t)

@@ -120,9 +120,9 @@ def test_verify_builds_no_more_than_the_pipeline(monkeypatch, label):
     # at its stabilizer fiber (its stencil points keep no kernel)
     jet_fd, jet_fd_kernels = pipeline._jet_fd_defect, []
 
-    def jet_fd_counted(geom, t, step):
+    def jet_fd_counted(geom, t):
         before = len(geom._points)
-        out = jet_fd(geom, t, step)
+        out = jet_fd(geom, t)
         jet_fd_kernels.append(len(geom._points) - before)
         return out
 
@@ -214,15 +214,14 @@ def test_each_connection_is_evaluated_once_per_xi(monkeypatch, label):
     assert len(calls) == len(set(calls)) <= 12 and batches == [4] * 3
 
 
-LIE = ["lie/antisymmetry", "lie/jacobi", "lie/bracket-pairing-antisymmetry",
-       "lie/stabilizer-annihilation"]
+LIE = ["lie/jacobi", "lie/bracket-pairing-antisymmetry", "lie/stabilizer-annihilation"]
 LIE_GROUP = ["lie/coad-fixes-mu", "lie/ad-homomorphism", "lie/coad-group-law"]
 PHASE = ["phase/omega-closed", "phase/tsigma-delta-pairing", "phase/tperp-span",
-         "phase/radical-span", "phase/split-dims"]
+         "phase/radical-span"]
 CONN = ["conn/baseline-torsion", "conn/baseline-closed-form", "conn/torsion",
         "conn/nabla-omega", "conn/a-symmetry", "conn/symplectize-idempotent"]
 RED = ["red/s-isotropic", "red/projector-idempotent", "red/projector-range",
-       "red/projector-kernel", "red/alpha-identities", "red/delta-tsigma-pairing"]
+       "red/projector-kernel", "red/alpha-identities"]
 RED_LEVEL = ["red/l-equivariance", "red/geodesic-oracle"]
 CHART = ["red/sigma-equivariance", "red/sigma-torsion", "red/reduced-torsion",
          "red/reduced-oracle", "red/kks-match", "red/reduced-form-parallel",
@@ -284,6 +283,22 @@ def test_numerical_error_exits_four_and_others_propagate(monkeypatch, stage):
             run(cfg)
 
 
+def test_baseline_note_marks_only_the_check_that_fails_by_construction():
+    # the baseline's ∇ω does not vanish, so conn/nabla-omega fails on every case
+    # under connection "baseline"; the reduced curvature is symplectic-valued on
+    # most of them (so3 here), but not on all (so(5) regular)
+    so5_regular = perfbench_cases().so5_reduce_cases(1)[0]["config"]
+    for doc, symplectic in (({"group": "so3", "mu": [0.0, 0.0, 1.0]}, True),
+                            (so5_regular, False)):
+        rep, code = verify_suite(CaseConfig.from_dict(dict(doc, connection="baseline")))
+        checks = {c["name"]: c for c in rep["checks"]}
+        assert code == EXIT_NUMERICAL
+        assert not checks["conn/nabla-omega"]["passed"]
+        assert checks["conn/nabla-omega"]["note"] == pipeline.BASELINE_NOTE
+        assert checks["curv/symplectic-valued"]["passed"] is symplectic
+        assert checks["curv/symplectic-valued"]["note"] == ""
+
+
 def test_every_threshold_is_read_by_some_check():
     # each THRESHOLDS key gets a distinct value; every one of them is some
     # check's threshold on so3, where every part of the battery runs
@@ -332,11 +347,11 @@ def test_jet_fd_stencil_points_keep_no_kernel(label):
     cfg = CaseConfig.from_dict(_doc(label))
     a = cfg.algebra()
     ctx = reduction.build_context(a, cfg.mu_vector(a))
-    geom = reduction.SigmaGeometry(ctx, reduction.default_chart(ctx, cfg.chart_radius))
+    geom = reduction.SigmaGeometry(ctx, reduction.default_chart(ctx))
     t = np.linspace(-0.2, 0.2, geom.chart.dim)
     half = liealg.group_exp(a, ctx.split.g_mu @ np.full(ctx.stabilizer_dim, 0.5))
     geom.points([t, t], [geom.identity, half])
-    assert pipeline._jet_fd_defect(geom, t, cfg.fd_step) <= THRESHOLDS["jet_fd"]
+    assert pipeline._jet_fd_defect(geom, t) <= THRESHOLDS["jet_fd"]
     assert len(geom._points) == 2
 
 

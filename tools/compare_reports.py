@@ -1,7 +1,8 @@
 """Dump a fixed set of reports from one source tree and compare two dumps.
 
     python3 tools/compare_reports.py dump <src> <dir>
-    python3 tools/compare_reports.py diff <a> <b> [--allow-added NAME]... [--ignore PATH]...
+    python3 tools/compare_reports.py diff <a> <b> [--allow-added NAME]... [--allow-removed NAME]...
+                                        [--ignore PATH]...
 
 ``dump`` imports ``redconn`` from ``<src>`` (a checkout's ``src`` directory)
 and writes one JSON file per case into ``<dir>``: the report without its
@@ -27,9 +28,10 @@ once with an ``xi_list``, and so3's at ``connection: "baseline"`` with an
 
 ``diff`` lists the byte-identical and the differing files.  ``--ignore PATH``
 (repeatable) drops the key at PATH, written as the differences below name it
-(``/stages/validate/regularity``), from both reports before comparing, so a
-change that moves or reshapes that key can still be judged on the rest; the
-files identical apart from it are listed under their own heading.  A
+(``/stages/validate/regularity``, or ``/checks/<check name>/<field>`` for a
+field of a verify check), from both reports before comparing, so a change
+that moves or reshapes that key can still be judged on the rest; the files
+identical apart from it are listed under their own heading.  A
 differing file passes when the two dumps agree on everything except
 floating-point roundoff:
 
@@ -37,8 +39,9 @@ floating-point roundoff:
   (verify ``passed`` flags included) and integers are equal;
 - verify checks are matched by name: a check only one dump has is reported
   as added or removed, and the shared checks are still compared.  A check
-  only ``<b>`` has passes when ``--allow-added`` names it (the option
-  repeats, one name each), so a change that adds a check can still get a
+  only ``<b>`` has passes when ``--allow-added`` names it, and one only
+  ``<a>`` has when ``--allow-removed`` names it (each option repeats, one
+  name each), so a change that adds or removes a check can still get a
   roundoff verdict; every other added or removed check is a problem;
 - ``chart_points``, ``sigma``, ``dims``, ``decomposition_cond``,
   ``stabilizer_dim`` and the config are equal bit for bit;
@@ -203,27 +206,29 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _walk(a, b, path: str, problems: list, moved: list, allow_added=()) -> None:
+def _walk(a, b, path: str, problems: list, moved: list, allow_added=(),
+          allow_removed=()) -> None:
     """Compare two JSON trees; floats may differ, everything else must not,
-    except that the verify checks named in ``allow_added`` may be added."""
+    except that the verify checks named in ``allow_added`` may be added and
+    those named in ``allow_removed`` removed."""
     key = path.rsplit("/", 1)[-1]
     if key in EXACT_KEYS and a != b:
         problems.append(f"{path}: not bit-identical")
         return
     if key == "checks" and isinstance(a, list) and isinstance(b, list):
-        _walk_checks(a, b, path, problems, moved, allow_added)
+        _walk_checks(a, b, path, problems, moved, allow_added, allow_removed)
     elif isinstance(a, dict) and isinstance(b, dict):
         if list(a) != list(b):
             problems.append(f"{path}: keys {list(a)} != {list(b)}")
             return
         for k in a:
-            _walk(a[k], b[k], f"{path}/{k}", problems, moved, allow_added)
+            _walk(a[k], b[k], f"{path}/{k}", problems, moved, allow_added, allow_removed)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             problems.append(f"{path}: lengths {len(a)} != {len(b)}")
             return
         for i, (x, y) in enumerate(zip(a, b)):
-            _walk(x, y, f"{path}/{i}", problems, moved, allow_added)
+            _walk(x, y, f"{path}/{i}", problems, moved, allow_added, allow_removed)
     elif isinstance(a, float) or isinstance(b, float):
         # dumps of older trees wrote a whole float such as 0.0 as "0", which parses as int
         if not _is_number(a) or not _is_number(b):
@@ -235,12 +240,13 @@ def _walk(a, b, path: str, problems: list, moved: list, allow_added=()) -> None:
 
 
 def _walk_checks(a: list, b: list, path: str, problems: list, moved: list,
-                 allow_added=()) -> None:
+                 allow_added=(), allow_removed=()) -> None:
     """Compare two verify ``checks`` lists by check name: a check only one side
-    has is reported as added (unless ``allow_added`` names it) or removed, and
-    every shared check is compared."""
+    has is reported as added (unless ``allow_added`` names it) or removed
+    (unless ``allow_removed`` names it), and every shared check is compared."""
     by_a, by_b = ({check["name"]: check for check in checks} for checks in (a, b))
-    problems.extend(f"{path}: check {name} removed" for name in by_a if name not in by_b)
+    problems.extend(f"{path}: check {name} removed" for name in by_a
+                    if name not in by_b and name not in allow_removed)
     problems.extend(f"{path}: check {name} added" for name in by_b
                     if name not in by_a and name not in allow_added)
     shared = [name for name in by_a if name in by_b]
@@ -250,12 +256,13 @@ def _walk_checks(a: list, b: list, path: str, problems: list, moved: list,
         _walk(by_a[name], by_b[name], f"{path}/{name}", problems, moved)
 
 
-def _compare(a: dict, b: dict, thresholds: dict, allow_added=()) -> tuple[list, list]:
+def _compare(a: dict, b: dict, thresholds: dict, allow_added=(),
+             allow_removed=()) -> tuple[list, list]:
     problems: list = []
     moved: list = []
     if a["exit_code"] != b["exit_code"]:
         problems.append(f"exit code {a['exit_code']} != {b['exit_code']}")
-    _walk(a["report"], b["report"], "", problems, moved, allow_added)
+    _walk(a["report"], b["report"], "", problems, moved, allow_added, allow_removed)
     da, db = _defects(a["report"], thresholds), _defects(b["report"], thresholds)
     for name, (value, threshold) in da.items():
         if value <= threshold and name in db and not db[name][0] <= db[name][1]:
@@ -272,15 +279,20 @@ def _compare(a: dict, b: dict, thresholds: dict, allow_added=()) -> tuple[list, 
 
 
 def _drop(rep: dict, path: str) -> None:
-    """Remove the key at ``path`` (``/a/b/c``, through nested objects) from a
-    report, if it is there."""
+    """Remove the key at ``path`` from a report, if it is there: ``/a/b/c``
+    through nested objects, or ``/checks/<check name>/<field>`` for a field of
+    the verify check of that name (check names contain ``/``)."""
     *parents, key = path.strip("/").split("/")
-    parent = _dig(rep, parents)
+    if parents[:1] == ["checks"]:
+        parent = next((check for check in rep.get("checks", [])
+                       if check["name"] == "/".join(parents[1:])), None)
+    else:
+        parent = _dig(rep, parents)
     if isinstance(parent, dict):
         parent.pop(key, None)
 
 
-def diff(dir_a: str, dir_b: str, allow_added=(), ignore=()) -> int:
+def diff(dir_a: str, dir_b: str, allow_added=(), ignore=(), allow_removed=()) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     from redconn.pipeline import THRESHOLDS
 
@@ -308,7 +320,7 @@ def diff(dir_a: str, dir_b: str, allow_added=(), ignore=()) -> int:
     print(f"differing ({len(different)}): {', '.join(n[:-5] for n in different)}")
     for name in different:
         docs = docs_of[name]
-        problems, moved = _compare(*docs, THRESHOLDS, allow_added)
+        problems, moved = _compare(*docs, THRESHOLDS, allow_added, allow_removed)
         worst = max(moved, default=(0.0, ""))
         print(f"{name[:-5]}: {len(moved)} floats moved, largest |b - a| / max(1, |a|) "
               f"{worst[0]:.3e} at {worst[1] or '-'}")
@@ -334,12 +346,15 @@ def main(argv: list) -> int:
     diff_args.add_argument("b")
     diff_args.add_argument("--allow-added", action="append", default=[], metavar="NAME",
                            help="a verify check only <b> has that is not a problem")
+    diff_args.add_argument("--allow-removed", action="append", default=[], metavar="NAME",
+                           help="a verify check only <a> has that is not a problem")
     diff_args.add_argument("--ignore", action="append", default=[], metavar="PATH",
-                           help="a report key, as /stages/validate/regularity, left out of both")
+                           help="a report key, as /stages/validate/regularity or "
+                                "/checks/<check name>/note, left out of both")
     args = parser.parse_args(argv)
     if args.verb == "dump":
         return dump(args.src, args.dir)
-    return diff(args.a, args.b, args.allow_added, args.ignore)
+    return diff(args.a, args.b, args.allow_added, args.ignore, args.allow_removed)
 
 
 if __name__ == "__main__":
