@@ -4,7 +4,7 @@ and the matrix exponential.
 All bases are stored as matrices whose columns span the subspace.  Rank
 decisions use a relative singular-value threshold of ``RANK_RTOL`` times the
 largest singular value, so every routine is scale invariant.  ``expm`` is the
-scaling-and-squaring Padé exponential that every group and chart kernel uses.
+scaling-and-squaring Padé exponential (with Fréchet derivatives) of every kernel.
 """
 
 from __future__ import annotations
@@ -127,8 +127,10 @@ _PADE_ROWS[13] = np.array([_B13[1:8:2], _B13[0:7:2],
                            [0.0, *_B13[9::2]], [0.0, *_B13[8:13:2]]])
 
 
-def _pade_uv(A: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Odd part U and even part V of the degree-m Padé numerator, p_m(A) = V + U."""
+def _pade_uv(A: np.ndarray, m: int, E=None) -> tuple[np.ndarray, ...]:
+    """Odd part U and even part V of the degree-m Padé numerator, p_m(A) = V + U,
+    and, given directions' first rows E = [E_1 … E_k] (as ``expm``), those of their
+    Fréchet derivatives (Al-Mohy–Higham, SIAM J. Matrix Anal. Appl. 30 (2009), Alg. 6.4)."""
     rows = _PADE_ROWS[m]
     powers = np.empty((rows.shape[1],) + A.shape)  # I, A², A⁴, …
     powers[0] = np.eye(A.shape[-1])
@@ -136,10 +138,23 @@ def _pade_uv(A: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     for k in range(2, len(powers)):
         np.matmul(powers[k - 1], powers[1], out=powers[k])
     parts = (rows @ powers.reshape(len(powers), -1)).reshape((len(rows),) + A.shape)
+    uv = parts[:2] + powers[3] @ parts[2:] if m == 13 else parts
+    if E is None:
+        return A @ uv[0], uv[1]
+    K = np.s_[..., : E.shape[-2], : E.shape[-2]]  # the block of A that E's rows see
+    d = [A[K] @ E + _rmul(E, A)]  # the derivatives of A², A⁴, … along each direction
+    for k in range(2, len(powers)):
+        d.append(_rmul(d[-1], powers[1]) + powers[k - 1][K] @ d[0])
+    d_uv = (rows[:, 1:] @ np.reshape(d, (len(d), -1))).reshape((len(rows),) + d[0].shape)
     if m == 13:
-        high = powers[3] @ parts[2:]
-        return A @ (parts[0] + high[0]), parts[1] + high[1]
-    return A @ parts[0], parts[1]
+        d_uv = d_uv[:2] + _rmul(d[2], parts[2:]) + powers[3][K] @ d_uv[2:]
+    return A @ uv[0], uv[1], _rmul(E, uv[0]) + A[K] @ d_uv[0], d_uv[1]
+
+
+def _rmul(D: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """[D_1·X … D_k·X] for D = [D_1 … D_k] (…, r, k·n), by one product per X."""
+    out = D.reshape(D.shape[:-2] + (-1, X.shape[-1])) @ X
+    return out.reshape(out.shape[:-2] + D.shape[-2:])
 
 
 def _expm_plan(norm: float) -> tuple[int, int]:
@@ -148,7 +163,7 @@ def _expm_plan(norm: float) -> tuple[int, int]:
     return m, (max(0, int(np.ceil(np.log2(norm / _THETA_13)))) if m == 13 else 0)
 
 
-def expm(A, batch_ndim: int = 0) -> np.ndarray:
+def expm(A, batch_ndim: int = 0, directions=None):
     """Matrix exponential by scaling and squaring (Higham 2005).
 
     The Padé degree m ∈ {3, 5, 7, 9, 13} is the smallest whose θ_m bounds the
@@ -158,29 +173,40 @@ def expm(A, batch_ndim: int = 0) -> np.ndarray:
     matrix gets the degree and scaling of the largest.  The first
     ``batch_ndim`` axes index independent stacks: each keeps the degree and
     scaling that a call on it alone picks, and so that call's result.
+
+    Given ``directions`` (k, r, n), the first r rows of directions whose others
+    are 0, for A with A[r:, :r] = 0 (any A when r = n), it also returns those
+    rows of e^A's Fréchet derivatives along each, (…, k, r, n), from e^A's plan,
+    powers and factorization.
     """
     A = np.asarray(A, dtype=float)
     if A.size == 0:  # an empty stack
         return np.empty_like(A)
+    E = None if directions is None else np.hstack(np.asarray(directions, dtype=float))
     norms = np.abs(A).sum(axis=-2).reshape(A.shape[:batch_ndim] + (-1,)).max(axis=-1)
     plans = [_expm_plan(float(norm)) for norm in np.ravel(norms)]
     index = {plan: [i for i, p in enumerate(plans) if p == plan] for plan in set(plans)}
     if len(index) == 1 and (len(plans) == 1 or A.size <= _EXPM_CHUNK):
-        return _scaled_pade(A, *plans[0])
-    # each plan's stacks in calls of their own, of at most _EXPM_CHUNK entries or one stack
-    flat = A.reshape((len(plans),) + A.shape[batch_ndim:])
-    out = np.empty_like(flat)
-    step = max(1, _EXPM_CHUNK // flat[0].size)
-    for plan, rows in index.items():
-        for i in range(0, len(rows), step):
-            out[rows[i:i + step]] = _scaled_pade(flat[rows[i:i + step]], *plan)
-    return out.reshape(A.shape)
+        out = _scaled_pade(A, *plans[0], E)
+    else:  # each plan's stacks in calls of their own, of at most _EXPM_CHUNK entries or one stack
+        flat = A.reshape((len(plans),) + A.shape[batch_ndim:])
+        step = max(1, _EXPM_CHUNK // flat[0].size)
+        chunks = [rows[i:i + step] for rows in index.values() for i in range(0, len(rows), step)]
+        got = [_scaled_pade(flat[rows], *plans[rows[0]], E) for rows in chunks]
+        order = np.argsort(np.concatenate(chunks))
+        out = [np.concatenate(part)[order].reshape(A.shape[:batch_ndim] + part[0].shape[1:])
+               for part in zip(*got)]
+    return out[0] if E is None else (out[0], np.stack(np.split(out[1], len(directions), -1), -3))
 
 
-def _scaled_pade(A: np.ndarray, m: int, s: int) -> np.ndarray:
-    """e^A from the degree-m Padé approximant of A/2^s, squared s times."""
-    U, V = _pade_uv(A / 2.0 ** s, m)
-    E = np.linalg.solve(V - U, V + U)
+def _scaled_pade(A: np.ndarray, m: int, s: int, E=None) -> tuple[np.ndarray, ...]:
+    """(e^A,) from the degree-m Padé approximant of A/2^s, squared s times, or,
+    given directions E, (e^A, [L(A, E_1) … L(A, E_k)]) by one more solve."""
+    U, V, *dUV = _pade_uv(A / 2.0 ** s, m, None if E is None else E / 2.0 ** s)
+    R = np.linalg.solve(V - U, V + U)
+    K = np.s_[..., : E.shape[-2], : E.shape[-2]] if dUV else np.s_[...]
+    L = [np.linalg.solve((V - U)[K], dUV[0] + dUV[1] + _rmul(dUV[0] - dUV[1], R))] if dUV else []
     for _ in range(s):
-        E = E @ E
-    return E
+        L = [R[K] @ d + _rmul(d, R) for d in L]
+        R = R @ R
+    return (R, *L)

@@ -6,8 +6,8 @@ from a complement m of the stabilizer: chart coordinates t parametrize
 ν(t) = Coad(exp(Σ t_a E_a))μ together with the section (exp(Σ t_a E_a), μ)
 into the momentum level set.  Coad, the section vectors and the chart
 differential at t, with the exact derivatives of the section vectors along
-every chart direction, come from one ``linalg.expm`` of a stack of 3n×3n
-blocks (without the derivatives, 2n×2n), for one chart point or for a stack.
+every chart direction, come from one 2n×2n exponential per chart point with
+its Fréchet derivatives (``linalg.expm``), for one chart point or a stack.
 """
 
 from __future__ import annotations
@@ -50,42 +50,34 @@ class OrbitChart:
         """Orbit point Coad(exp(Σ t_a E_a))μ."""
         return coadjoint_matrix(self.section_element(t)) @ self.mu
 
-    def exp_data(self, ts) -> tuple[np.ndarray, ...]:
-        """Coad(exp A), the section vectors, the chart differential and the
-        derivatives of the section vectors along each chart direction c,
-        stacked over the chart points t of ``ts`` (rows, or one t; A = Σ t_a E_a).
-        Each distinct t takes one stack of the block exponentials
-        expm([[−ad A, −ad E_c, 0], [0, −ad A, I], [0, 0, 0]]), all in one call
-        (Van Loan 1978; Al-Mohy–Higham 2009): blocks (1, 1) and (2, 3) are
-        e^{−ad A} = Coad(exp A)ᵀ and φ₁(−ad A), and block (1, 3) is the
-        derivative of φ₁(−ad A) along E_c."""
+    def exp_data(self, ts, derivatives: bool = True) -> tuple[np.ndarray, ...]:
+        """Coad(exp A), the section vectors, the chart differential and (unless
+        ``derivatives`` is false) the derivatives of the section vectors along
+        each chart direction c, stacked over the chart points t of ``ts`` (rows,
+        or one t; A = Σ t_a E_a).  Each distinct t takes one exponential of
+        B = [[−ad A, I], [0, 0]], all in one call: its blocks (1, 1) and (1, 2)
+        are e^{−ad A} = Coad(exp A)ᵀ and φ₁(−ad A), and block (1, 2) of its
+        Fréchet derivative along [[−ad E_c, 0], [0, 0]] is the derivative of
+        φ₁(−ad A) along E_c (Al-Mohy–Higham 2009)."""
         a, n, m = self.algebra, self.algebra.dim, self.m_basis
         ts = np.atleast_2d(np.asarray(ts, dtype=float))
         slot: dict = {}
         inverse = [slot.setdefault(t.tobytes(), len(slot)) for t in ts]
-        block = np.zeros((len(slot), max(self.dim, 1), 3 * n, 3 * n))
-        block[:, :, :n, :n] = block[:, :, n:2 * n, n:2 * n] = np.array(
-            [-a.ad(m @ ts[inverse.index(i)]) for i in range(len(slot))])[:, None]
-        block[:, : self.dim, :n, n:2 * n] = -np.einsum("ijk,ic->ckj", a.c, m)
-        block[:, :, n:2 * n, 2 * n:] = np.eye(n)
-        E = linalg.expm(block, batch_ndim=1)[inverse]
-        coad = E[:, 0, :n, :n].transpose(0, 2, 1)
-        vecs = E[:, 0, n:2 * n, 2 * n:] @ m
-        K_T = a.bracket_pairing(self.mu).T
-        return coad, vecs, -coad @ (K_T @ vecs), E[:, : self.dim, :n, 2 * n:] @ m
+        block = np.zeros((len(slot), 2 * n, 2 * n))
+        block[:, :n, :n] = -a.ad(linalg.matvec(m, ts[[inverse.index(i) for i in range(len(slot))]]))
+        block[:, :n, n:] = np.eye(n)
+        N = -np.einsum("ijk,ic->ckj", a.c, m)  # −ad E_c; [N, 0]: the directions' first rows
+        directions = np.concatenate([N, 0 * N], axis=-1) if derivatives else None
+        out = linalg.expm(block, batch_ndim=1, directions=directions)
+        E, *L = out if derivatives else (out,)
+        coad = E[inverse, :n, :n].transpose(0, 2, 1)
+        vecs = E[inverse, :n, n:] @ m
+        data = (coad, vecs, -coad @ (a.bracket_pairing(self.mu).T @ vecs))
+        return data + tuple(d[inverse][..., :n, n:] @ m for d in L)
 
     def lift_data(self, ts) -> tuple[np.ndarray, ...]:
-        """Coad(exp A), the section vectors and the chart differential, stacked
-        over the chart points t of ``ts`` (rows, or one t), from blocks (1, 1)
-        and (1, 2) of expm([[−ad A, I], [0, 0]]): Coad(exp A)ᵀ and φ₁(−ad A)."""
-        n, m = self.algebra.dim, self.m_basis
-        ts = np.atleast_2d(np.asarray(ts, dtype=float))
-        block = np.zeros((len(ts), 2 * n, 2 * n))
-        block[:, :n, :n] = -np.einsum("ijk,ti->tkj", self.algebra.c, ts @ m.T)
-        block[:, :n, n:] = np.eye(n)
-        E = linalg.expm(block, batch_ndim=1)
-        coad, vecs = E[:, :n, :n].transpose(0, 2, 1), E[:, :n, n:] @ m
-        return coad, vecs, -coad @ (self.algebra.bracket_pairing(self.mu).T @ vecs)
+        """``exp_data`` without the derivatives, its exponentials bit for bit."""
+        return self.exp_data(ts, derivatives=False)
 
     def section_vectors(self, t) -> np.ndarray:
         """Left-trivialized velocities of the chart directions at t: column a is

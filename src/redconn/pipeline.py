@@ -283,12 +283,13 @@ def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator) -> dict:
     reduced derivatives ∇ʳ(f_i) f_j of the coordinate fields with the
     level-set derivatives they are pushed down from.  Torsion, the Gram
     oracle, KKS match, parallelism (∂ₓΩ_ij = Ω(∇ʳ_x f_i, f_j) + Ω(f_i, ∇ʳ_x f_j))
-    and closedness (the cyclic sum of ∂Ω, on the first two points) read these;
-    fiber independence compares the table at pts[0] with the same table at
-    five random stabilizer fibers drawn from rng.  At every one of these
-    points, the lifts (the horizontal projection of the section velocity) are
-    compared with the quotient-map solve ``lift`` of D's columns, relative to
-    max(1, |lift|).  The tables at all these points are built in one batch.
+    and closedness (the cyclic sum of ∂Ω on the first two points, a 3-form:
+    identically 0 on 2-dimensional orbits, such as the catalog's and so(4)
+    singular's) read these; fiber independence compares the table at pts[0]
+    with the same table at five stabilizer fibers drawn from rng.  At each of
+    these points, the lifts (the horizontal projection of the section velocity)
+    are compared with the quotient-map solve ``lift`` of D's columns, relative
+    to max(1, |lift|).  The tables at all these points are built in one batch.
     """
     ctx = geom.ctx
     km = geom.chart.dim

@@ -351,16 +351,16 @@ class SigmaGeometry:
 
     def _params(self, t, fiber: np.ndarray, us) -> np.ndarray:
         """Chart-fiber parameter velocities (rows) of the level-set directions
-        ``us`` (rows), one solve in the chart-fiber frame per direction, so that
-        a direction's velocity never depends on the others."""
+        ``us`` (rows) at t (or one t per row), one solve in the chart-fiber frame
+        per direction, so that a direction's velocity never depends on the others."""
         us = np.atleast_2d(np.asarray(us, dtype=float))
         if np.any(np.linalg.norm(us[:, self.n:], axis=1)
                   > 1e-8 * np.maximum(1.0, np.linalg.norm(us, axis=1))):
             raise PointOffConstraint("direction is not tangent to the level set")
-        p = self.point(t, fiber)
-        if not p.frame_ok:
+        ps = [self.point(t2, fiber) for t2 in np.reshape(t, (-1, self.chart.dim))]
+        if not all(p.frame_ok for p in ps):
             raise RankLoss("chart-fiber frame lost rank; point outside the chart radius")
-        return np.linalg.solve(p.F, us[:, : self.n, None])[..., 0]
+        return np.linalg.solve(np.array([p.F for p in ps]), us[:, : self.n, None])[..., 0]
 
     def lift_derivatives(self, t, fiber: np.ndarray, us) -> np.ndarray:
         """Exact derivatives of ``lifts`` (km × 2n each) along the level-set
@@ -368,25 +368,25 @@ class SigmaGeometry:
         self.lifts(t, fiber)
         return _along(self.point(t, fiber).jet, self._params(t, fiber, us))
 
-    def _stencil_points(self, t, fiber: np.ndarray, us,
-                        step: float) -> tuple[np.ndarray, np.ndarray]:
+    def _stencil_points(self, t, fiber: np.ndarray, us, step) -> tuple[np.ndarray, np.ndarray]:
         """The points (t + s·dt, fiber·exp(s·ad(g_μ·dy))) of ``_stencil``: for the
-        velocity (dt, dy) of each direction in ``us`` (rows) in turn, s = ±step."""
-        t = np.asarray(t, dtype=float)
+        velocity (dt, dy) of each direction in ``us`` (rows) in turn, s = ±step,
+        with ``t`` and ``step`` shared or one per row (several stencils in one pass)."""
         km = self.chart.dim
         params = self._params(t, fiber, us)
-        ts = np.array([t + s * p[:km] for p in params for s in (step, -step)])
+        signed = np.multiply.outer(np.broadcast_to(step, len(params)), (1.0, -1.0))
+        ts = (np.reshape(t, (-1, 1, km)) + signed[..., None] * params[:, None, :km]).reshape(-1, km)
         if not self.ctx.stabilizer_dim:
             return ts, np.broadcast_to(fiber, (len(ts),) + fiber.shape)
-        ad_y = [np.multiply.outer((step, -step), self.ctx.algebra.ad(self.ctx.split.g_mu @ p[km:]))
-                for p in params]
-        return ts, (fiber @ linalg.expm(np.array(ad_y), batch_ndim=1)).reshape(-1, self.n, self.n)
+        ad_y = self.ctx.algebra.ad(linalg.matvec(self.ctx.split.g_mu, params[:, km:]))
+        shifts = linalg.expm(signed[..., None, None] * ad_y[:, None], batch_ndim=1)
+        return ts, (fiber @ shifts).reshape(-1, self.n, self.n)
 
-    def _stencil(self, t, fiber: np.ndarray, us, step: float, fld=None) -> np.ndarray:
+    def _stencil(self, t, fiber: np.ndarray, us, step, fld=None) -> np.ndarray:
         """Central differences of ``fld``, a function (t, fiber) -> array, along
-        the direction u or each row of a stack ``us``, with their kernels built
-        in one batch; without ``fld``, of ``lifts`` from the chart's lift block
-        alone (no kernel is built), raising as ``lifts`` at a failing point."""
+        the direction u or each row of a stack ``us`` (``_stencil_points``), with
+        their kernels built in one batch; without ``fld``, of ``lifts`` from the
+        chart's lift block alone (no kernel is built), raising as ``lifts`` there."""
         ts, fibers = self._stencil_points(t, fiber, us, step)
         if fld is None:
             *_, lift_ok, _, v, tangent = self._lift_rows(*self.chart.lift_data(ts), fibers)
@@ -396,7 +396,7 @@ class SigmaGeometry:
             self.points(ts, fibers)
             v = np.array([fld(t2, fib) for t2, fib in zip(ts, fibers)])
         v = v.reshape((-1, 2) + v.shape[1:])
-        d = (v[:, 0] - v[:, 1]) / (2.0 * step)
+        d = (v[:, 0] - v[:, 1]) / (2.0 * np.reshape(step, (-1,) + (1,) * (v.ndim - 2)))
         return d[0] if np.ndim(us) == 1 else d
 
     def _induced(self, u, base: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -57,14 +57,15 @@ def _assert_batch_is_single_builds(ctx, chart, ts, fibers) -> list:
 
 
 def _record_chart_exponentials(monkeypatch) -> list:
-    """The block stacks ``OrbitChart.exp_data`` exponentiates from now on."""
+    """The stacks of matrices B whose exponentials ``OrbitChart.exp_data`` takes
+    with their Fréchet derivatives, from now on."""
     blocks = []
     expm = linalg.expm
 
-    def recorded(A, batch_ndim=0):
-        if batch_ndim == 1:
+    def recorded(A, batch_ndim=0, directions=None):
+        if directions is not None:
             blocks.append(np.array(A))
-        return expm(A, batch_ndim=batch_ndim)
+        return expm(A, batch_ndim=batch_ndim, directions=directions)
 
     monkeypatch.setattr(linalg, "expm", recorded)
     return blocks
@@ -130,10 +131,11 @@ def test_fibers_at_one_t_share_its_exponential(case, rng, monkeypatch):
 
 def test_far_apart_points_keep_their_own_pade_plans(case, rng, monkeypatch):
     # a stack sharing one norm would give the small-t blocks the degree and
-    # scaling of the largest; each point keeps the plan of its own call
+    # scaling of the largest; each point keeps the plan of its own call.  B's
+    # identity block makes ‖B‖₁ ≥ 1, so every |t| up to about 0.5 takes degree 9
     ctx, chart = case
     direction = rng.uniform(-1, 1, chart.dim)
-    ts = [s * direction for s in (1e-4, 1e-2, 0.1, 0.5, 2.0, 5.0)]
+    ts = [s * direction for s in (1e-4, 1e-2, 0.1, 0.5, 2.0, 5.0, 10.0)]
     blocks = _record_chart_exponentials(monkeypatch)
     _assert_batch_is_single_builds(ctx, chart, ts, [np.eye(ctx.algebra.dim)] * len(ts))
     plans = [linalg._expm_plan(float(np.abs(b).sum(axis=-2).max())) for b in blocks[0]]

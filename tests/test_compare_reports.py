@@ -144,6 +144,22 @@ def test_export_cases(so3_dumps):
     assert report["report"]["connection"]["label"] == "symplectized(baseline)"
 
 
+def test_every_dumped_report_is_strict_json(tmp_path, capsys):
+    # JSON has no Infinity or NaN: a report carrying one is rejected whole by
+    # strict parsers (a flat case's convergence factor is null, not Infinity)
+    def reject(constant):
+        raise ValueError(f"{constant} in a report")
+
+    assert compare_reports.dump(str(ROOT / "src"), str(tmp_path)) == 0
+    capsys.readouterr()
+    paths = sorted(tmp_path.glob("*.json"))
+    assert len(paths) == len(compare_reports._cases())
+    for path in paths:
+        json.loads(path.read_text(), parse_constant=reject)
+    flat = json.loads((tmp_path / "heis3-curvature.json").read_text())
+    assert flat["report"]["stages"]["curvature"]["convergence"]["factor"] is None
+
+
 @pytest.mark.parametrize("name", list(CASES))
 def test_compare_rules(so3_dumps, name):
     verb, perturb, problem, moved_expected = CASES[name]

@@ -4,8 +4,8 @@ import pytest
 import redconn as rc
 from redconn.curvature import (convergence_factor, curvature_battery, curvature_exact,
                                curvature_formula, curvature_tensor)
-from redconn import curvature, linalg
-from redconn.errors import ZeroDimensionalBase
+from redconn import curvature, linalg, pipeline
+from redconn.errors import RankLoss, ZeroDimensionalBase
 from redconn.pipeline import THRESHOLDS, CaseConfig, run_pipeline
 from redconn.reduction import SigmaGeometry
 from tests.conftest import CATALOG_CASES, perfbench_cases, symmetrized, track_geometries
@@ -411,7 +411,9 @@ class TestFormulaStencils:
         out = curvature_formula(SigmaGeometry(ctx, chart), t)
         scale = max(1.0, float(np.max(np.linalg.norm(ref, axis=-1))))
         assert np.max(np.linalg.norm(out - ref, axis=-1)) <= 1e-5 * scale
-        assert [(args[3], len(args[2])) for args in calls] == [(1e-4, chart.dim)]
+        # (the stencil takes one step per row)
+        assert ([(np.unique(args[3]).tolist(), len(args[2])) for args in calls]
+                == [([1e-4], chart.dim)])
 
 
 def _formula_per_pair(geom, t, dirs):
@@ -458,6 +460,70 @@ class TestStackedPairs:
                 out = curvature_formula(geom, t, directions=dirs)
                 ref = _formula_per_pair(geom, t, list(dirs))
                 assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+
+
+class TestStackedJobs:
+    """Both routes over a stack of jobs (t, step, directions): each job's array
+    is its one-job call's bit for bit, whatever the other jobs of the stack."""
+
+    @pytest.mark.parametrize("case", perfbench_cases().SO4_CASES + perfbench_cases().SO5_CASES[:1],
+                             ids=lambda c: c[0])
+    def test_each_job_is_its_one_job_call(self, case):
+        cases = perfbench_cases()
+        _, n, weights, _, _ = case
+        ctx = rc.build_context(rc.algebra_from_json(cases.so_n_group(n)),
+                               np.array(cases.so_n_mu(n, weights)))
+        chart = rc.default_chart(ctx)
+        km = chart.dim
+        t1, t2 = np.linspace(-0.2, 0.15, km), np.linspace(0.1, -0.25, km)
+        ts = np.array([t1, np.zeros(km), t1, t2, t1])
+        steps = [1e-4, 1e-4, 4e-3, 2e-3, 1e-4]
+        dirs = [None, (1, 0), (0, km - 1), (km - 1, 1, 0), (1, 1)]
+        for route in (curvature_formula, curvature_tensor):
+            stacked = route(SigmaGeometry(ctx, chart), ts, fd_step2=steps, directions=dirs)
+            assert len(stacked) == len(ts)
+            for t, h, d, out in zip(ts, steps, dirs, stacked):
+                one = route(SigmaGeometry(ctx, chart), t, fd_step2=h, directions=d)
+                assert out.shape == one.shape and out.tobytes() == one.tobytes()
+
+    def test_a_job_past_the_chart_radius_raises_as_alone(self, so3_setup):
+        # at t = (2π, 0) φ₁(−ad A) vanishes on the rotation plane of A: the
+        # chart-fiber frame is singular there, alone or in a stack
+        _, ctx, chart = so3_setup
+        far, near = np.array([2 * np.pi, 0.0]), np.array([0.1, -0.2])
+        for route in (curvature_formula, curvature_tensor):
+            with pytest.raises(RankLoss):
+                route(SigmaGeometry(ctx, chart), far)
+            for ts in ([near, far], [far, near]):
+                with pytest.raises(RankLoss):
+                    route(SigmaGeometry(ctx, chart), np.array(ts), fd_step2=[1e-4, 1e-4],
+                          directions=[None, None])
+
+    @pytest.mark.parametrize("case", perfbench_cases().SO4_CASES, ids=lambda c: c[0])
+    def test_curvature_stage_builds_two_batches(self, case, monkeypatch):
+        # the points with the tensor's t ± h·eₓ, then every formula stencil with
+        # the probe's tensor points: two builds, whatever the number of points
+        cases = perfbench_cases()
+        _, n, weights, _, samples = case
+        doc = {"group": cases.so_n_group(n), "mu": cases.so_n_mu(n, weights)}
+        battery, build, builds, stage = pipeline.curvature_battery, SigmaGeometry._build, [], []
+
+        def counted(self, ts, fibers):
+            stage[-1:] = [stage[-1] + 1] if stage else []
+            return build(self, ts, fibers)
+
+        def staged(geom, pts):
+            stage.append(0)
+            out = battery(geom, pts)
+            builds.append(stage.pop())
+            return out
+
+        monkeypatch.setattr(SigmaGeometry, "_build", counted)
+        monkeypatch.setattr(pipeline, "curvature_battery", staged)
+        for extra in ({}, {"samples": 6}):
+            rep, code = run_pipeline(CaseConfig.from_dict(dict(doc, **extra)), "curvature")
+            assert code == 0 and rep["stages"]["curvature"]["symmetry"]["points"] >= 1
+        assert builds == [2, 2]
 
 
 class TestConvergence:
@@ -572,9 +638,9 @@ class TestOneEvaluationPerValue:
         samples = rep["stages"]["curvature"]["samples"]
         points, km = 2, 2
         assert len({tuple(s["t"]) for s in samples}) == points
-        # one formula array per point; the convergence probe adds two steps
-        # (its reference is exact)
-        assert counts["formula"] == points + 2
+        # one formula call per stage: one array per point and per step of the
+        # convergence probe (its reference is exact), all in one stacked call
+        assert counts["formula"] == 1
         # one table per chart point of the sweep and per fiber of the
         # fiber-independence check (the autoparallel check stops at its
         # defect on so3); per curvature point, the table at t that both routes
@@ -599,7 +665,9 @@ class TestOneEvaluationPerValue:
 
 class TestRoundoff:
     def test_so5_regular_samples_survive_a_roundoff_level_kernel_change(self, monkeypatch):
-        # exp(A) as exp(A/2)² changes every exponential by roundoff.  With two
+        # exp(A) as exp(A/2)², and its Fréchet derivative L(A, E) as
+        # L(A/2, E/2)·exp(A/2) + exp(A/2)·L(A/2, E/2), changes every exponential
+        # by roundoff.  With two
         # nested finite-difference levels the so(5) regular samples moved by
         # 8.9e-6, just under the 1e-5 that tools/compare_reports.py allows a
         # kernel rewrite; with one level, at fd_step2, the move is of order
@@ -611,9 +679,13 @@ class TestRoundoff:
         runs = [run_pipeline(cfg, "curvature")]
         expm = linalg.expm
 
-        def halved(A, **kwargs):
-            half = expm(np.asarray(A) / 2.0, **kwargs)
-            return half @ half
+        def halved(A, directions=None, **kwargs):
+            if directions is None:
+                half = expm(np.asarray(A) / 2.0, **kwargs)
+                return half @ half
+            half, d = expm(np.asarray(A) / 2.0, directions=directions / 2.0, **kwargs)
+            r = d.shape[-2]  # the derivatives' first r rows, below which A[r:, :r] = 0
+            return half @ half, d @ half[..., None, :, :] + half[..., None, :r, :r] @ d
 
         monkeypatch.setattr(linalg, "expm", halved)
         runs.append(run_pipeline(cfg, "curvature"))

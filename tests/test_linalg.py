@@ -76,6 +76,52 @@ class TestExpm:
         assert np.max(np.abs(E[0] @ E[1] - np.eye(6))) <= 1e-14 * cond
 
 
+class TestExpmFrechet:
+    """``expm`` with directions: the Fréchet derivatives of e^A along each, from
+    e^A's own plan, against scipy's ``expm_frechet`` in every Padé band."""
+
+    NORMS = ([0.5 * THETAS[0]] + [0.95 * hi for hi in THETAS[1:]]
+             + [1.05 * THETAS[-1], 3.0 * THETAS[-1], 40.0])
+
+    @pytest.mark.parametrize("norm", NORMS)
+    def test_matches_reference_in_each_band(self, rng, norm):
+        A, E = _with_norm(rng, 6, norm), rng.standard_normal((3, 6, 6))
+        expA, L = linalg.expm(A, directions=E)
+        assert expA.tobytes() == linalg.expm(A).tobytes()
+        assert L.shape == E.shape
+        for Lc, Ec in zip(L, E):
+            ref = scipy.linalg.expm_frechet(A, Ec, compute_expm=False)
+            assert np.linalg.norm(Lc - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_bands_cover_every_degree_and_some_scaling(self):
+        plans = {linalg._expm_plan(norm) for norm in self.NORMS}
+        assert {m for m, _ in plans} == {3, 5, 7, 9, 13}
+        assert max(s for _, s in plans) > 0
+
+    @pytest.mark.parametrize("norm", [0.3, 3.0, 40.0])
+    def test_first_rows_of_derivatives_along_directions_zero_below(self, rng, norm):
+        # for A[r:, :r] = 0 and directions zero below row r, the derivatives are
+        # zero below row r too: their first r rows come from the directions' own
+        A, r = _with_norm(rng, 7, norm), 3
+        A[r:, :r] = 0.0
+        E = rng.standard_normal((4, r, 7))
+        expA, L = linalg.expm(A, directions=E)
+        assert expA.tobytes() == linalg.expm(A).tobytes() and L.shape == E.shape
+        for Lc, Ec in zip(L, E):
+            ref = scipy.linalg.expm_frechet(A, np.pad(Ec, ((0, 7 - r), (0, 0))), compute_expm=False)
+            assert np.linalg.norm(Lc - ref[:r]) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_independent_stacks_match_one_at_a_time(self, rng):
+        # every matrix keeps its own plan, so each result is its one-matrix call's
+        A = np.array([_with_norm(rng, 6, norm) for norm in self.NORMS])
+        E = rng.standard_normal((4, 6, 6))
+        expA, L = linalg.expm(A, batch_ndim=1, directions=E)
+        assert L.shape == (len(A), 4, 6, 6)
+        for a, e, l in zip(A, expA, L):
+            one_e, one_l = linalg.expm(a, directions=E)
+            assert e.tobytes() == one_e.tobytes() and l.tobytes() == one_l.tobytes()
+
+
 class TestEinsum:
     # the contractions of curvature_exact and pullback_coefficients, on random
     # operands of their so(4) regular shapes (n = 6, km = 4)

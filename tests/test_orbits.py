@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import redconn as rc
+from redconn import linalg
 from redconn.errors import NotTangent
 from redconn.orbits import kks_pairs
+from redconn.pipeline import CaseConfig
 from tests.conftest import CATALOG_CASES, perfbench_cases
 from tests.test_liealg import _realized_exp
 
@@ -71,6 +74,80 @@ class TestOrbitChart:
     def test_full_rank_within_radius(self, so3_chart, rng):
         for _ in range(5):
             so3_chart.check_rank(rng.uniform(-0.9, 0.9, 2))
+
+
+def _exponential_cases() -> list:
+    """(label, chart): the catalog's charts, so(4) regular and singular and so(5) regular."""
+    cases = perfbench_cases()
+    out = [(name, rc.default_chart(rc.build_context(rc.named_algebra(name), np.asarray(mu))))
+           for name, mu in CATALOG_CASES if name != "su2"]
+    for label, n, weights, _, _ in cases.SO4_CASES + cases.SO5_CASES[:1]:
+        cfg = CaseConfig.from_dict({"group": cases.so_n_group(n), "mu": cases.so_n_mu(n, weights)})
+        out.append((label, rc.default_chart(rc.build_context(cfg.algebra(), np.asarray(cfg.mu)))))
+    return out
+
+
+EXPONENTIAL_CASES = _exponential_cases()
+
+
+def _van_loan_exp_data(chart, t) -> tuple:
+    """``OrbitChart.exp_data`` at one t from one 3n×3n Van Loan block per chart
+    direction c, expm([[−ad A, −ad E_c, 0], [0, −ad A, I], [0, 0, 0]]) (Van Loan,
+    IEEE Trans. Automat. Control 23 (1978)): blocks (1, 1) and (2, 3) are
+    Coad(exp A)ᵀ and φ₁(−ad A), block (1, 3) the derivative of φ₁(−ad A) along E_c."""
+    a, n, m = chart.algebra, chart.algebra.dim, chart.m_basis
+    block = np.zeros((chart.dim, 3 * n, 3 * n))
+    block[:, :n, :n] = block[:, n:2 * n, n:2 * n] = -a.ad(m @ t)
+    block[:, :n, n:2 * n] = -np.einsum("ijk,ic->ckj", a.c, m)
+    block[:, n:2 * n, 2 * n:] = np.eye(n)
+    E = np.array([scipy.linalg.expm(b) for b in block])
+    coad, vecs = E[0, :n, :n].T, E[0, n:2 * n, 2 * n:] @ m
+    return coad, vecs, -coad @ (a.bracket_pairing(chart.mu).T @ vecs), E[:, :n, 2 * n:] @ m
+
+
+class TestChartExponential:
+    """``exp_data`` takes e^B and its Fréchet derivatives for B = [[−ad A, I], [0, 0]]:
+    it must give the Van Loan blocks' values, and scipy's Fréchet derivatives."""
+
+    @pytest.mark.parametrize("label,chart", EXPONENTIAL_CASES,
+                             ids=[c for c, _ in EXPONENTIAL_CASES])
+    def test_matches_van_loan_and_scipy_frechet(self, label, chart, rng, monkeypatch):
+        a, n, m = chart.algebra, chart.algebra.dim, chart.m_basis
+        direction = rng.uniform(-1, 1, chart.dim)
+        ts = np.array([s * direction / np.linalg.norm(direction)
+                       for s in (1e-4, 1e-2, 0.1, 0.5, 2.0, 5.0)])
+        plans = []
+        expm = linalg.expm
+
+        def recorded(A, batch_ndim=0, directions=None):
+            if directions is not None:
+                plans.extend(linalg._expm_plan(float(np.abs(b).sum(axis=0).max())) for b in A)
+            return expm(A, batch_ndim=batch_ndim, directions=directions)
+
+        monkeypatch.setattr(linalg, "expm", recorded)
+        got = chart.exp_data(ts)
+        # ‖B‖₁ ≥ 1 (its identity block), so every chart point takes degree 9 or
+        # 13 (degrees 3–7 are in test_linalg); on heis3 and se2 ad A stays too
+        # small at |t| = 5 for scaling
+        assert {mdeg for mdeg, _ in plans} == {9, 13}
+        assert max(s for _, s in plans) > 0 or label in ("heis3", "se2")
+        for index, t in enumerate(ts):
+            for g, want in zip(got, _van_loan_exp_data(chart, t)):
+                assert np.linalg.norm(g[index] - want) <= 1e-12 * np.linalg.norm(want)
+            B = np.zeros((2 * n, 2 * n))
+            B[:n, :n], B[:n, n:] = -a.ad(m @ t), np.eye(n)
+            for c in range(chart.dim):
+                E = np.zeros((2 * n, 2 * n))
+                E[:n, :n] = -a.ad(m[:, c])
+                ref = scipy.linalg.expm_frechet(B, E, compute_expm=False)[:n, n:] @ m
+                assert np.linalg.norm(got[3][index, c] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("label,chart", EXPONENTIAL_CASES,
+                             ids=[c for c, _ in EXPONENTIAL_CASES])
+    def test_lift_data_shares_the_exponentials_bit_for_bit(self, label, chart, rng):
+        ts = rng.uniform(-0.4, 0.4, (3, chart.dim))
+        for lift, full in zip(chart.lift_data(ts), chart.exp_data(ts)):
+            assert lift.tobytes() == full.tobytes()
 
 
 class TestTangentFrame:
