@@ -169,9 +169,10 @@ def pullback_coefficients(g: np.ndarray, gamma) -> np.ndarray:
     diag(Ad(g⁻¹), Coad(g⁻¹)), so the pullback conjugates Γ by it.
     """
     T = frame_transport(np.linalg.inv(g))
-    # pairwise contractions in the optimizer's order, (2n)⁴ each, instead
-    # of one (2n)⁶ loop; the order sets the roundoff of the result
-    return linalg.einsum("Aa,Bb,cC,...ABC->...abc", T, T, frame_transport(g), gamma)
+    # Γ[…, A, B, C]·T[A, a]·T[B, b]·T(g)[c, C]: one pairwise contraction per factor,
+    # (2n)⁴ each, instead of one (2n)⁶ loop; the order sets the roundoff of the result
+    return np.tensordot(np.tensordot(np.tensordot(gamma, T, (-3, 0)), T, (-3, 0)),
+                        frame_transport(g), (-3, 1))
 
 
 def average_coefficients(gamma, nodes) -> np.ndarray:

@@ -25,7 +25,8 @@ Both return the same [i, j, l] array of orbit tangents as ``curvature_exact``,
 Nomizu's operators at μ moved to t by Coad, which needs no stencil; the FD
 error, quadratic in fd_step2, is what the convergence probe measures against it
 by step halving.  ``curvature_battery`` runs every curvature check on one
-geometry, its kernels in two batches and each route once over its jobs.
+geometry: its kernels in one batch, each kind of per-point solve stacked over
+every point, and each route once over its jobs.
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ import numpy as np
 
 from . import linalg
 from .orbits import tangent_solve
-from .reduction import SigmaGeometry
+from .reduction import SigmaGeometry, _along
 
 DEFAULT_FD_STEP2 = 1e-4
-# Tensor norms this close (relatively) to the largest tie for the probe: far
-# above the tensor's truncation error (about fd_step2² ≈ 1e-8 relative) and its
-# roundoff (about ε/fd_step2 ≈ 2e-12).
+# Norms this close (relatively) to the largest tie for the probe: far above
+# the FD tensor's truncation error (about fd_step2² ≈ 1e-8 relative) and its
+# roundoff (about ε/fd_step2 ≈ 2e-12), so the exact value picks the tensor's triple.
 PROBE_TIE_RTOL = 1e-6
 PROBE_STEP = 4e-3  # the probe's coarse step
 
@@ -53,12 +54,16 @@ def _jobs(geom: SigmaGeometry, t, fd_step2, directions) -> list:
             for tq, h, d in zip(t, fd_step2, directions)]
 
 
-def _stencil_args(geom: SigmaGeometry, jobs) -> tuple:
-    """The formula's stencils of the jobs as the arguments (t, fiber, us, step) of
-    ``_stencil``: rows of each job's t, lift f̄_x and step, per distinct x of its directions."""
-    ts, us, steps = map(np.array, zip(*[(t, u, h) for t, h, d in jobs for u in
-                                        geom.lifts(t, geom.identity)[list(dict.fromkeys(d))]]))
-    return ts, geom.identity, us, steps
+def _stencils(geom: SigmaGeometry, jobs) -> tuple:
+    """The formula's stencil points (ts, fibers) with each stencil's step, job q
+    and direction x (one per job and distinct x of its directions): job q's t ±
+    step along f̄_x, from the lifts and frames at the jobs' points read from the
+    chart's lift block, so that they are known before any kernel is built."""
+    q, x = np.array([(q, x) for q, (_, _, d) in enumerate(jobs) for x in dict.fromkeys(d)],
+                    dtype=int).reshape(-1, 2).T
+    t, steps = (np.array(v)[q] for v in list(zip(*jobs))[:2])
+    lifts, frames = geom.lift_frames(np.array([tq for tq, _, _ in jobs]), geom.identity)
+    return (*geom._stencil_points(t, geom.identity, lifts[q, x], steps, frames[q]), steps, q, x)
 
 
 def curvature_formula(geom: SigmaGeometry, t, *, fd_step2: float = DEFAULT_FD_STEP2,
@@ -74,36 +79,48 @@ def curvature_formula(geom: SigmaGeometry, t, *, fd_step2: float = DEFAULT_FD_ST
     fd_step2 stencil per direction x, every job's built in one batch; the
     bracket [f̄_i, f̄_j] reads the exact derivatives of ``lifts`` the table at
     t is built from, and the derivatives along it and its radical part are
-    exact too, each contracted with its own job's jet.
+    exact too, each contracted with its own job's jet.  Each step is stacked
+    over every entry [a, b] of every job.
     """
-    ctx, e, km = geom.ctx, geom.identity, geom.chart.dim
     jobs = _jobs(geom, t, fd_step2, directions)
-
-    def grads(t2, fib):  # [j, l, 0] = ∇_f̄_j f̄_l and [j, l, 1] = [α(∇_f̄_j f̄_l)]*
-        level = geom.cov_table(t2, fib)[0]
-        return np.stack([level, ctx.alpha_star(level)], axis=2)
-
-    d_grads = geom._stencil(*_stencil_args(geom, jobs), grads)
-    out = []
-    for tq, _, d in jobs:
-        xs, u = list(dict.fromkeys(d)), geom.lifts(tq, e)
-        # inner[x, l]: derivative of f̄_l along f̄_x, from which the table at tq is built
-        inner = geom.point(tq, e).derivs
-        # outer[xs.index(x), j, l, s]: induced derivative of grads(tq, e)[j, l, s] along f̄_x
-        outer = geom._induced(u[xs], grads(tq, e)[None], d_grads[: len(xs)])
-        d_grads = d_grads[len(xs):]
-        # the entries [a, b] with i = d[a] ≠ j = d[b], each step stacked over them
-        A, B = np.nonzero(np.not_equal.outer(d, d))
-        rows = np.array([xs.index(x) for x in d])  # each direction's row of outer
-        I, J, oi, oj = np.array(d, dtype=int)[A], np.array(d, dtype=int)[B], rows[A], rows[B]
-        bracket = inner[I, J] - inner[J, I] + np.einsum("abc,pa,pb->pc", geom.struct, u[I], u[J])
-        along = np.concatenate([bracket, ctx.alpha_star(bracket)])  # P∘∇ along each of f̄_l
-        term3, t5 = np.split(geom._induced(along, u[None], geom.lift_derivatives(tq, e, along)), 2)
-        r_amb = (outer[oi, J, :, 0] - outer[oj, I, :, 0]) - term3
-        r_bar = ctx.horizontal_part(r_amb - outer[oi, J, :, 1] + outer[oj, I, :, 1] + t5)
-        out.append(np.zeros((len(d), len(d), km, geom.n)))
-        out[-1][A, B] = geom.pushdown(tq, e, r_bar)
+    out = _formula(geom, jobs, _stencils(geom, jobs))
     return out if np.ndim(t) == 2 else out[0]
+
+
+def _formula(geom: SigmaGeometry, jobs, stencils) -> list:
+    """``curvature_formula`` on the jobs with their ``_stencils``."""
+    ctx, e, km, n = geom.ctx, geom.identity, geom.chart.dim, geom.n
+    ts, fibers, steps, q, x = stencils
+    t = np.array([tq for tq, _, _ in jobs])
+    level = geom.stacked(np.concatenate([t, ts]),
+                         np.concatenate([np.broadcast_to(e, (len(t), n, n)), fibers])).level
+    # [point, j, l, 0] = ∇_f̄_j f̄_l and [point, j, l, 1] = [α(∇_f̄_j f̄_l)]*
+    grads = np.stack([level, ctx.alpha_star(level)], axis=-2)
+    pm = grads[len(t):].reshape((-1, 2) + grads.shape[1:])
+    d_grads = (pm[:, 0] - pm[:, 1]) / (2.0 * steps.reshape(-1, 1, 1, 1, 1))
+    p = geom.stacked(t, e)
+    u, inner = p.lifts, p.derivs
+    # outer[r, j, l, s]: induced derivative of grads[q, j, l, s] along f̄_x for the row r = (q, x)
+    outer = geom._induced(u[q, x], grads[q], d_grads)
+    row = {qx: r for r, qx in enumerate(zip(q.tolist(), x.tolist()))}
+    # each entry [a, b] of job k with i = d[a] ≠ j = d[b], and the rows of outer along f̄_i, f̄_j
+    k, A, B, I, J, oi, oj = np.array(
+        [(job, a, b, i, j, row[job, i], row[job, j]) for job, (_, _, d) in enumerate(jobs)
+         for a, i in enumerate(d) for b, j in enumerate(d) if i != j], dtype=int).reshape(-1, 7).T
+    # [f̄_i, f̄_j]: the struct term contracts struct with each lift once, then one matvec per pair
+    su = linalg.matvec(geom.struct.reshape(2 * n, -1).T, u).reshape(u.shape + (2 * n,))
+    bracket = inner[k, I, J] - inner[k, J, I] + linalg.matvec(su[k, I].swapaxes(-1, -2), u[k, J])
+    along = np.stack([bracket, ctx.alpha_star(bracket)], axis=1)  # P∘∇ along each of f̄_l
+    params = geom._params(p.F[k, None], along)
+    d_along = np.concatenate([_along(p.jet[job], params[k == job]) for job in range(len(jobs))])
+    term3, t5 = geom._induced(along, u[k, None], d_along).swapaxes(0, 1)
+    r_amb = (outer[oi, J, :, 0] - outer[oj, I, :, 0]) - term3
+    r_bar = ctx.horizontal_part(r_amb - outer[oi, J, :, 1] + outer[oj, I, :, 1] + t5)
+    pushed = -linalg.matvec((p.coad @ geom.K_T)[k, None], r_bar[..., :n])  # ``pushdown``
+    out = [np.zeros((len(d), len(d), km, n)) for _, _, d in jobs]
+    for job, r in enumerate(out):
+        r[A[k == job], B[k == job]] = pushed[k == job]
+    return out
 
 
 def curvature_tensor(geom: SigmaGeometry, t, *, fd_step2: float = DEFAULT_FD_STEP2,
@@ -113,32 +130,26 @@ def curvature_tensor(geom: SigmaGeometry, t, *, fd_step2: float = DEFAULT_FD_STE
     (all chart directions by default), from the exact Γ at t and at
     t ± fd_step2·eₓ for x in ``directions``, their tables built in one batch.
     On a stack of jobs (``_jobs``), the list of the jobs' arrays."""
-    out = _tensor(geom, _jobs(geom, t, fd_step2, directions), {})
+    out = _tensor(geom, _jobs(geom, t, fd_step2, directions))
     return out if np.ndim(t) == 2 else out[0]
 
 
-def _tensor(geom: SigmaGeometry, jobs, gammas: dict) -> list:
-    """``curvature_tensor`` on the jobs, each point's Γ[j, l, b], chart component b
-    of ∇ʳ(f_j) f_l (NotTangent if not an orbit tangent), solved once into ``gammas``."""
-    e, km = geom.identity, geom.chart.dim
-    around = [_tensor_points(t, h, dict.fromkeys(d)) for t, h, d in jobs]
-    geom.points([t for t, _, _ in jobs] + [p for points in around for p in points], e)
-
-    def gamma(t):
-        if t.tobytes() not in gammas:
-            cov = geom.cov_table(t, e)[1].reshape(-1, geom.n).T
-            gammas[t.tobytes()] = tangent_solve(geom.point(t, e).D, cov).T.reshape(km, km, km)
-        return gammas[t.tobytes()]
-
+def _tensor(geom: SigmaGeometry, jobs) -> list:
+    """``curvature_tensor`` on the jobs, from Γ[j, l, b], chart component b of
+    ∇ʳ(f_j) f_l (NotTangent if not an orbit tangent), at the jobs' points and
+    their t ± h·eₓ, all by one stacked solve."""
+    p = geom.stacked(_points(jobs), geom.identity)
+    gamma = tangent_solve(p.D, p.cov.reshape(len(p.D), -1, geom.n).swapaxes(1, 2))
+    gamma = gamma.swapaxes(1, 2).reshape((-1,) + (geom.chart.dim,) * 3)
     out = []
-    for (t, h, d), points in zip(jobs, around):
-        g = gamma(t)[d]  # g[a, l, c] = Γ^c_il for i = d[a]
-        d_gamma = {x: (gamma(plus) - gamma(minus)) / (2.0 * h)
-                   for x, plus, minus in zip(dict.fromkeys(d), points[::2], points[1::2])}
+    for (t, h, d), g, plus_minus, D_t in zip(jobs, gamma, np.split(
+            gamma[len(jobs):], np.cumsum([2 * len(set(d)) for _, _, d in jobs])[:-1]), p.D):
+        d_gamma = dict(zip(dict.fromkeys(d), (plus_minus[::2] - plus_minus[1::2]) / (2.0 * h)))
+        g = g[d]  # g[a, l, c] = Γ^c_il for i = d[a]
         dg = np.array([d_gamma[x][d] for x in d])  # dg[a, b, l, c] = ∂_i Γ^c_jl, j = d[b]
         quad = np.einsum("blm,amc->ablc", g, g)  # Γ^m_jl Γ^c_im
         r_chart = dg + quad - (dg + quad).transpose(1, 0, 2, 3)
-        out.append(r_chart @ geom.point(t, e).D.T)
+        out.append(r_chart @ D_t.T)
     return out
 
 
@@ -160,16 +171,20 @@ def curvature_exact(geom: SigmaGeometry, t) -> np.ndarray:
     push = -ctx.horizontal_part(level)[..., :n] @ geom.K_T.T  # [c, k]: N_{e_k} f_c
     N = tangent_solve(D0, push.reshape(-1, n).T).reshape(-1, m.shape[1], n).transpose(2, 0, 1)
     NE = np.einsum("ki,krc->irc", m, N)  # N_{E_i} in chart coordinates, [i, row, column]
-    NB = linalg.einsum("abx,ai,bj,xrc->ijrc", c, m, m, N)  # N_[E_i, E_j]
+    # N_[E_i, E_j] = Σ c[a, b, x] m[a, i] m[b, j] N[x], one pairwise contraction per factor
+    NB = np.tensordot(np.tensordot(np.tensordot(m, c, (0, 0)), m, (1, 0)), N, (1, 0))
     r_mu = (NE[:, None] @ NE[None] - NE[None] @ NE[:, None] - NB).swapaxes(-1, -2)  # [a, b, c, r]
     p = geom.point(np.asarray(t, dtype=float), geom.identity)
-    B, *_ = np.linalg.lstsq(D0, np.linalg.solve(p.coad, p.D), rcond=None)
-    return linalg.einsum("ai,bj,cl,abcr->ijlr", B, B, B, r_mu) @ (p.coad @ D0).T
+    B = tangent_solve(D0, np.linalg.solve(p.coad, p.D))
+    r_t = np.tensordot(np.tensordot(np.tensordot(r_mu, B, (0, 0)), B, (0, 0)), B, (0, 0))
+    return np.moveaxis(r_t, 0, -1) @ (p.coad @ D0).T  # r_t[r, i, j, l]: B on slots a, b, c
 
 
-def _tensor_points(t: np.ndarray, fd_step2: float, xs) -> list:
-    """t + fd_step2·eₓ, then t − fd_step2·eₓ, for each x in ``xs``."""
-    return [t + sign * fd_step2 * np.eye(len(t))[x] for x in xs for sign in (1.0, -1.0)]
+def _points(jobs) -> np.ndarray:
+    """The tensor's points of the jobs: each job's t, then, job by job, t + h·eₓ
+    and t − h·eₓ for each distinct x of its directions."""
+    return np.array([t for t, _, _ in jobs] + [t + sign * h * np.eye(len(t))[x] for t, h, d in jobs
+                                               for x in dict.fromkeys(d) for sign in (1.0, -1.0)])
 
 
 def _probe_inputs(tensor: np.ndarray) -> tuple[int, int, int]:
@@ -195,17 +210,17 @@ def curvature_battery(geom: SigmaGeometry, t_points) -> dict:
     satisfies them by construction), and
     (b) the symplectic-valuedness defect ω(R(X,Y)Z, W) - ω(R(X,Y)W, Z) of the
     tensor, which vanishes exactly when the reduced form is parallel.  The
-    probe runs on the triple i < j whose tensor value at t_points[0] is largest
+    probe runs on the triple i < j whose exact value at t_points[0] is largest
     (``_probe_inputs``), so that it measures a component that does not vanish.
-    The kernels come in two batches: the points with the tensor's t ± h·eₓ,
-    then every formula stencil with the probe's tensor points (``_probe``).
+    Every point is known before any kernel is built, so beyond the kernel at
+    t_points[0] (which the exact value reads) they come in one batch, and each
+    route runs once over the points and the probe's two steps (``_probe``).
     """
     km, e = geom.chart.dim, geom.identity
     ts = np.array(t_points, dtype=float).reshape(-1, km)
+    exact = curvature_exact(geom, ts[0])
     jobs = [(t, DEFAULT_FD_STEP2, list(range(km))) for t in ts]
-    gammas: dict = {}
-    tensor = np.array(_tensor(geom, jobs, gammas))  # the first batch: its points and t ± h·eₓ
-    convergence, R = _probe(geom, ts[0], PROBE_STEP, _probe_inputs(tensor[0]), gammas, jobs)
+    convergence, R, tensor = _probe(geom, ts[0], PROBE_STEP, _probe_inputs(exact), exact, jobs)
     I, J = np.triu_indices(km, 1)
     val, orc = R[:, I, J], tensor[:, I, J]  # [point, pair, l]
     gap, size = (np.sqrt(linalg.vecdot(x, x)) for x in (val - orc, orc))  # as np.linalg.norm
@@ -222,15 +237,13 @@ def curvature_battery(geom: SigmaGeometry, t_points) -> dict:
     scale = np.maximum(1.0, largest(R))
     swapped = R + R.transpose(0, 2, 1, 3, 4)  # R[i, j, l] + R[j, i, l]
     cyclic = R + R.transpose(0, 3, 1, 2, 4) + R.transpose(0, 2, 3, 1, 4)  # R[j, l, i], R[l, i, j]
-    sp = 0.0
-    for t, tensor_t, scale_t in zip(ts, tensor, scale):
-        # form[p, l, w] = ω(R(f_i, f_j)f_l, f_w) for (i, j) = (I[p], J[p]), one lift for all
-        rows = geom.lift(t, e, tensor_t[I, J].reshape(-1, geom.n))
-        form = geom.form_table(rows, geom.lifts(t, e)).reshape(len(I), km, km)
-        sp = max(sp, float(np.max(np.abs(form - form.transpose(0, 2, 1)))) / scale_t)
+    # form[p, q, l, w] = ω(R(f_i, f_j)f_l, f_w) at point p for (i, j) = (I[q], J[q]), one lift
+    rows = geom.lift(ts, e, tensor[:, I, J].reshape(len(ts), -1, geom.n))
+    form = geom.form_table(rows, geom.stacked(ts, e).lifts).reshape(len(ts), len(I), km, km)
+    sp = np.max(np.abs(form - form.swapaxes(-1, -2)), axis=(1, 2, 3)) / scale
     return {"samples": samples, "max_discrepancy": float(disc.max(initial=0.0)),
             "symmetry": {"antisymmetry_defect": float(np.max(largest(swapped) / scale)),
-                         "symplectic_defect": float(sp),
+                         "symplectic_defect": float(np.max(sp)),
                          "bianchi_defect": float(np.max(largest(cyclic) / scale)),
                          "points": len(ts)},
             "convergence": convergence}
@@ -246,26 +259,27 @@ def convergence_factor(geom: SigmaGeometry, t, *, coarse: float = PROBE_STEP,
     tables at the displaced points of both steps are built in one batch.  The
     factor is null where the fine error is 0.
     """
-    return _probe(geom, np.asarray(t, dtype=float), coarse, inputs, {}, [])[0]
+    return _probe(geom, np.asarray(t, dtype=float), coarse, inputs, curvature_exact(geom, t), [])[0]
 
 
-def _probe(geom: SigmaGeometry, t, coarse: float, inputs, gammas: dict, jobs: list) -> tuple:
-    """``convergence_factor``'s report at t, and the formula's arrays R[job, i, j, l]
-    of ``jobs`` (``_jobs``), all from one formula call beside the probe's two
-    jobs: their stencils and the probe's tensor points are built in one batch."""
+def _probe(geom: SigmaGeometry, t, coarse: float, inputs, exact, jobs: list) -> tuple:
+    """``convergence_factor``'s report at t, from ``exact`` = ``curvature_exact``
+    there, and both routes' arrays R[job, i, j, l] of ``jobs`` (``_jobs``), each
+    route in one call beside the probe's two jobs: the jobs' points and t ± h·eₓ,
+    every formula stencil and the probe's points are built in one batch."""
     i, j, l = inputs
-    probe = [(t, coarse, [i, j]), (t, coarse / 2.0, [i, j])]
-    points, fibers = geom._stencil_points(*_stencil_args(geom, jobs + probe))
-    tensor_points = [p for _, h, d in probe for p in _tensor_points(t, h, d)]
-    geom.points(np.concatenate([points, tensor_points]),
-                np.concatenate([fibers, [geom.identity] * len(tensor_points)]))
-    ts, steps, dirs = zip(*(jobs + probe))
-    *R, coarse_r, fine_r = curvature_formula(geom, np.array(ts), fd_step2=steps, directions=dirs)
-    exact = curvature_exact(geom, t)[i, j, l]
+    jobs = jobs + [(t, coarse, [i, j]), (t, coarse / 2.0, [i, j])]
+    stencils, points = _stencils(geom, jobs), _points(jobs)
+    geom.points(np.concatenate([points, stencils[0]]),
+                np.concatenate([np.broadcast_to(geom.identity, (len(points), geom.n, geom.n)),
+                                stencils[1]]))
+    *R, coarse_r, fine_r = _formula(geom, jobs, stencils)
+    *tensor, coarse_t, fine_t = _tensor(geom, jobs)
     (formula_coarse, formula_fine), (oracle_coarse, oracle_fine) = (
-        [float(np.linalg.norm(r[0, 1, l] - exact)) for r in route]
-        for route in ((coarse_r, fine_r), _tensor(geom, probe, gammas)))
+        [float(np.linalg.norm(r[0, 1, l] - exact[i, j, l])) for r in route]
+        for route in ((coarse_r, fine_r), (coarse_t, fine_t)))
     return {"inputs": [i, j, l], "step_coarse": coarse, "step_fine": coarse / 2.0,
             "oracle_error_coarse": oracle_coarse, "oracle_error_fine": oracle_fine,
             "formula_error_coarse": formula_coarse, "formula_error_fine": formula_fine,
-            "factor": oracle_coarse / oracle_fine if oracle_fine > 0 else None}, np.array(R)
+            "factor": oracle_coarse / oracle_fine if oracle_fine > 0 else None}, \
+        np.array(R), np.array(tensor)

@@ -9,8 +9,6 @@ scaling-and-squaring Padé exponential (with Fréchet derivatives) of every kern
 
 from __future__ import annotations
 
-from functools import cache
-
 import numpy as np
 
 RANK_RTOL = 1e-10
@@ -73,19 +71,6 @@ def matvec(A, v) -> np.ndarray:
     """A·v for one vector v, or for each vector of a stack (…, n) alike, so that
     no vector's product depends on the others in the stack."""
     return (A @ np.asarray(v, dtype=float)[..., None])[..., 0]
-
-
-@cache
-def _einsum_path(subscripts: str, *shapes) -> list:
-    operands = [np.broadcast_to(0.0, shape) for shape in shapes]
-    return np.einsum_path(subscripts, *operands, optimize=True)[0]
-
-
-def einsum(subscripts: str, *operands) -> np.ndarray:
-    """``np.einsum(…, optimize=True)``: the same pairwise contractions in the same
-    order, that order found once per subscripts and operand shapes."""
-    path = _einsum_path(subscripts, *(np.shape(op) for op in operands))
-    return np.einsum(subscripts, *operands, optimize=path)
 
 
 def vecdot(x, y):

@@ -132,14 +132,20 @@ def off_tangent(residuals, norms) -> np.ndarray:
 
 def tangent_solve(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     """X with A X = v by least squares, for one vector v or each column of a
-    matrix v, all by one solve.  Raises NotTangent when a column's residual
+    matrix v, all by one solve, or for each (A, v) of stacks (…, m, k) and
+    (…, m, r) alike, each alone: the pseudo-inverse from A's SVD, with
+    ``np.linalg.lstsq``'s cutoff.  Raises NotTangent when a column's residual
     breaks the tangency rule (``off_tangent``)."""
-    X, *_ = np.linalg.lstsq(A, v, rcond=None)
-    residual = np.atleast_1d(np.linalg.norm(A @ X - v, axis=0))
-    bad = off_tangent(residual, np.linalg.norm(v, axis=0))
+    V = v[..., None] if v.ndim < A.ndim else v
+    u, s, vh = np.linalg.svd(A, full_matrices=False)
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s),
+                      where=s > np.finfo(float).eps * max(A.shape[-2:]) * s[..., :1])
+    X = vh.swapaxes(-1, -2) @ (inv_s[..., None] * (u.swapaxes(-1, -2) @ V))
+    residual = np.linalg.norm(A @ X - V, axis=-2)
+    bad = off_tangent(residual, np.linalg.norm(V, axis=-2))
     if bad.any():
         raise NotTangent(f"vector is not an orbit tangent (residual {residual[bad].max():.3e})")
-    return X
+    return X[..., 0] if v.ndim < A.ndim else X
 
 
 def tangent_representative(a: LieAlgebra, nu, v) -> np.ndarray:
@@ -165,12 +171,15 @@ def kks_pairs(a: LieAlgebra, D: np.ndarray, nu: np.ndarray, omega: np.ndarray) -
     """(reduced, canonical) orbit-form values on the chart coordinate pairs
     i < j at a chart point where the canonical value is nonzero: D = dnu there,
     nu the orbit point and ``omega`` the reduced form on the coordinate
-    tangents.  One solve gives the representatives X of D's columns, and
-    ⟨ν, [X_i, X_j]⟩ = X_iᵀ K(ν) X_j gives every canonical value."""
-    X = tangent_representative(a, nu, D)
-    canonical = X.T @ a.bracket_pairing(nu) @ X
-    i, j = np.triu_indices(D.shape[1], 1)
-    return [(red, ref) for red, ref in zip(omega[i, j], canonical[i, j]) if abs(ref) > 1e-12]
+    tangents, or at each of a stack of them in turn.  One solve gives the
+    representatives X of D's columns, and ⟨ν, [X_i, X_j]⟩ = X_iᵀ K(ν) X_j every
+    canonical value."""
+    K = a.bracket_pairing(nu)
+    X = tangent_solve(K.swapaxes(-1, -2), D)
+    canonical = X.swapaxes(-1, -2) @ K @ X
+    i, j = np.triu_indices(D.shape[-1], 1)
+    return [(red, ref) for red, ref in zip(omega[..., i, j].ravel(), canonical[..., i, j].ravel())
+            if abs(ref) > 1e-12]
 
 
 def kks_gap(pairs) -> float:

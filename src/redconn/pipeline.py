@@ -275,7 +275,7 @@ def _stage_reduce(cfg: CaseConfig, run) -> dict:
 
 
 def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator) -> dict:
-    """Every reduced-connection defect, from arrays evaluated once per chart point.
+    """Every reduced-connection defect, from arrays stacked over the chart points.
 
     At each point t: the kernel's D = dnu(t), lifts L of D's columns and their
     jet J, the reduced form matrix Ω(t) = L·ω(μ)·Lᵀ and its exact derivatives
@@ -289,7 +289,7 @@ def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator) -> dict:
     with the same table at five stabilizer fibers drawn from rng.  At each of
     these points, the lifts (the horizontal projection of the section velocity)
     are compared with the quotient-map solve ``lift`` of D's columns, relative
-    to max(1, |lift|).  The tables at all these points are built in one batch.
+    to max(1, |lift|).  One batch builds every table; each solve is stacked.
     """
     ctx = geom.ctx
     km = geom.chart.dim
@@ -298,43 +298,27 @@ def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator) -> dict:
     fibers = group_exp(ctx.algebra, linalg.matvec(ctx.split.g_mu,
                                                   rng.uniform(-1.0, 1.0, (5 if k else 0, k))))
     swept = (np.vstack([pts] + [pts[0]] * len(fibers)), np.array([e] * len(pts) + list(fibers)))
-    geom.points(*swept)
-    out = {"sigma": None, "kks": 0.0, "torsion": 0.0, "oracle": 0.0, "parallel": 0.0,
-           "closed": 0.0, "fiber": 0.0}
-
-    def projection_gap(t, fiber) -> float:
-        lifts = geom.lifts(t, fiber)
-        gap = np.linalg.norm(lifts - geom.lift(t, fiber, geom.point(t, fiber).D.T), axis=1)
-        return float(np.max(gap / np.maximum(1.0, np.linalg.norm(lifts, axis=1))))
-
-    for index, t in enumerate(pts):
-        p = geom.point(t, e)
-        lifts = geom.lifts(t, e)
-        omega = geom.form_table(lifts, lifts)
-        pairs = kks_pairs(ctx.algebra, p.D, p.coad @ ctx.mu, omega)
-        if out["sigma"] is None:
-            out["sigma"] = next((float(np.sign(red / ref)) for red, ref in pairs), None)
-        level, cov = geom.cov_table(t, e)
-        jw = geom.form_table(p.jet[:km].reshape(km * km, -1), lifts).reshape(km, km, km)
-        d_omega = jw - jw.transpose(0, 2, 1)
-        # P[x, i, j] = Ω(∇ʳ_x f_i, f_j), so Ω(f_i, ∇ʳ_x f_j) = -P[x, j, i]
-        cov_lifts = geom.lift(t, e, cov.reshape(km * km, -1))
-        P = geom.form_table(cov_lifts, lifts).reshape(km, km, km)
-        oracle = gram_oracle_solve(geom, p.D, lifts, level.reshape(km * km, -1)).reshape(cov.shape)
-        out["kks"] = max(out["kks"], kks_gap(pairs))
-        out["torsion"] = max(out["torsion"],
-                             float(np.max(np.abs(cov - cov.transpose(1, 0, 2)))))
-        out["oracle"] = max(out["oracle"], float(np.max(np.abs(cov - oracle))))
-        out["parallel"] = max(out["parallel"],
-                              float(np.max(np.abs(d_omega - P + P.transpose(0, 2, 1)))))
-        if index < 2:
-            cyclic = d_omega + d_omega.transpose(2, 0, 1) + d_omega.transpose(1, 2, 0)
-            out["closed"] = max(out["closed"], float(np.max(np.abs(cyclic))))
-    base_cov = geom.cov_table(pts[0], e)[1]
-    out["fiber"] = max([0.0] + [float(np.max(np.abs(base_cov - geom.cov_table(pts[0], f)[1])))
-                                for f in fibers])
-    out["projection"] = max(map(projection_gap, *swept))
-    return out
+    K = geom.stacked(*swept)
+    gap = np.linalg.norm(K.lifts - geom.lift(*swept, K.D.swapaxes(1, 2)), axis=-1)
+    projection = float(np.max(gap / np.maximum(1.0, np.linalg.norm(K.lifts, axis=-1))))
+    P = len(pts)  # the fibers' points enter the projection gaps and fiber independence only
+    fiber = float(np.max(np.abs(K.cov[P:] - K.cov[0]), initial=0.0))
+    D, coad, lifts, jet, level, cov = (K.D[:P], K.coad[:P], K.lifts[:P], K.jet[:P], K.level[:P],
+                                       K.cov[:P])
+    pairs = kks_pairs(ctx.algebra, D, linalg.matvec(coad, ctx.mu), geom.form_table(lifts, lifts))
+    jw = geom.form_table(jet[:, :km].reshape(P, km * km, -1), lifts).reshape(P, km, km, km)
+    d_omega = jw - jw.swapaxes(-1, -2)
+    # Pc[p, x, i, j] = Ω(∇ʳ_x f_i, f_j), so Ω(f_i, ∇ʳ_x f_j) = -Pc[p, x, j, i]
+    cov_lifts = geom.lift(pts, e, cov.reshape(P, km * km, -1))
+    Pc = geom.form_table(cov_lifts, lifts).reshape(P, km, km, km)
+    oracle = gram_oracle_solve(geom, D, lifts, level.reshape(P, km * km, -1)).reshape(cov.shape)
+    cyclic = d_omega + d_omega.transpose(0, 3, 1, 2) + d_omega.transpose(0, 2, 3, 1)
+    return {"sigma": next((float(np.sign(red / ref)) for red, ref in pairs), None),
+            "kks": kks_gap(pairs),
+            "torsion": float(np.max(np.abs(cov - cov.transpose(0, 2, 1, 3)))),
+            "oracle": float(np.max(np.abs(cov - oracle))),
+            "parallel": float(np.max(np.abs(d_omega - Pc + Pc.swapaxes(-1, -2)))),
+            "closed": float(np.max(np.abs(cyclic[:2]))), "fiber": fiber, "projection": projection}
 
 
 def _stage_curvature(cfg: CaseConfig, run) -> dict:

@@ -286,13 +286,11 @@ class SigmaGeometry:
         """The kernels at the rows of ``ts`` and ``fibers``, each step stacked."""
         ctx = self.ctx
         coad_t, vecs, D, d_vecs = self.chart.exp_data(ts)
-        h_inv, coad, M, lift_ok, V, lifts, tangent = self._lift_rows(coad_t, vecs, D, fibers)
+        h_inv, coad, M, lift_ok, F, lifts, tangent = self._lift_rows(coad_t, vecs, D, fibers)
         # jet: the horizontal parts of V's row derivatives along each chart and fiber parameter
-        rows = V.transpose(0, 2, 1)
+        rows = F[..., : self.chart.dim].transpose(0, 2, 1)
         d_rows = np.concatenate([d_vecs.transpose(0, 1, 3, 2) @ h_inv.transpose(0, 2, 1)[:, None],
                                  -rows[:, None] @ self.ad_fiber_T], axis=1)
-        g_mu = ctx.split.g_mu
-        F = np.concatenate([V, np.broadcast_to(g_mu, (len(ts),) + g_mu.shape)], axis=2)
         frame_ok = linalg.rank(F) == self.n
         ok = lift_ok & tangent & frame_ok
         jet = d_rows @ self.horizontal_T
@@ -308,8 +306,9 @@ class SigmaGeometry:
             ok.tolist(), derivs, level, cov)]
 
     def _lift_rows(self, coad_t, vecs, D, fibers) -> tuple[np.ndarray, ...]:
-        """Ad(h)⁻¹, Coad, M and lift_ok, V = Ad(h)⁻¹ · vecs, ``lifts`` and tangent
-        at the points with chart data (coad_t, vecs, D) and fibers h, stacked."""
+        """Ad(h)⁻¹, Coad, M and lift_ok, the frame F = [V | g_μ] for V = Ad(h)⁻¹ · vecs,
+        ``lifts`` and tangent at the points with chart data (coad_t, vecs, D) and
+        fibers h, stacked."""
         h_inv = np.linalg.inv(fibers)
         coad = coad_t @ h_inv.transpose(0, 2, 1)
         M = -coad @ (self.K_T @ self.w1grp)
@@ -319,17 +318,42 @@ class SigmaGeometry:
         residual = M @ (lifts[..., : self.n] @ self.w1grp).transpose(0, 2, 1) - D
         tangent = ~np.any(off_tangent(np.linalg.norm(residual, axis=-2),
                                       np.linalg.norm(D, axis=-2)), axis=-1)
-        return h_inv, coad, M, linalg.rank(M) == M.shape[-1], V, lifts, tangent
+        g_mu = np.broadcast_to(self.ctx.split.g_mu, (len(V),) + self.ctx.split.g_mu.shape)
+        return (h_inv, coad, M, linalg.rank(M) == M.shape[-1], np.concatenate([V, g_mu], axis=2),
+                lifts, tangent)
+
+    def lift_frames(self, ts, fibers) -> tuple[np.ndarray, np.ndarray]:
+        """``lifts`` and the chart-fiber frames F at the rows of ``ts`` and ``fibers``
+        (one Ad matrix, or one per row), each its kernel's bit for bit, from the
+        chart's lift block alone (no kernel is built), raising as ``cov_table`` there."""
+        fibers = np.broadcast_to(fibers, (len(ts), self.n, self.n))
+        *_, lift_ok, F, lifts, tangent = self._lift_rows(*self.chart.lift_data(ts), fibers)
+        for checks in zip(lift_ok, tangent, linalg.rank(F) == self.n):
+            _check(*checks)
+        return lifts, F
+
+    def stacked(self, ts, fibers) -> PointKernel:
+        """The kernels at the rows of ``ts`` and ``fibers`` (``points``) as one, each
+        field stacked over the rows: the stacked read of ``cov_table``, raising as
+        it does at the first row whose checks fail."""
+        kernels = self.points(ts, fibers)
+        for p in kernels:
+            _check(p.lift_ok, p.tangent, p.frame_ok)
+        return PointKernel(*map(np.array, zip(*(vars(p).values() for p in kernels))))
 
     # -- lifting ---------------------------------------------------------
 
     def lift(self, t, fiber: np.ndarray, v) -> np.ndarray:
         """Unique horizontal vector projecting onto the orbit tangent v, or the
-        lifts of a stack of tangents (rows), all by one solve."""
-        p = self.point(t, fiber)
-        _check_lift(p.lift_ok, True)
-        coeffs = tangent_solve(p.M, np.asarray(v, dtype=float).T)
-        return (self.ctx.w1 @ coeffs).T
+        lifts of a stack of tangents (rows), all by one solve; at the rows of a
+        stack t (one fiber, or one per row), of a stack of them per row."""
+        kernels = self.points(t, fiber)
+        for p in kernels:
+            _check(p.lift_ok, True)
+        M = np.array([p.M for p in kernels])
+        vs = np.reshape(v, (len(M), -1, self.n)).swapaxes(1, 2)  # (points, n, rows)
+        return (self.ctx.w1 @ tangent_solve(M, vs)).swapaxes(1, 2).reshape(
+            np.shape(v)[:-1] + (2 * self.n,))
 
     def lifts(self, t, fiber: np.ndarray) -> np.ndarray:
         """Horizontal lifts of the chart coordinate fields at (t, fiber), row i
@@ -340,40 +364,42 @@ class SigmaGeometry:
             NotTangent: a chart direction is not an orbit tangent there.
         """
         p = self.point(t, fiber)
-        _check_lift(p.lift_ok, p.tangent)
+        _check(p.lift_ok, p.tangent)
         return p.lifts
 
     def form_table(self, us, vs) -> np.ndarray:
-        """ω at μ on every pair of level-set vectors: entry [a, b] is ω(us[a], vs[b])."""
-        return np.asarray(us) @ self.ctx.omega_mu @ np.asarray(vs).T
+        """ω at μ on every pair of level-set vectors: entry [a, b] is ω(us[a], vs[b]),
+        or that table for each (us, vs) of stacks alike."""
+        return np.asarray(us) @ self.ctx.omega_mu @ np.swapaxes(vs, -1, -2)
 
     # -- derivatives along the level set ----------------------------------
 
-    def _params(self, t, fiber: np.ndarray, us) -> np.ndarray:
-        """Chart-fiber parameter velocities (rows) of the level-set directions
-        ``us`` (rows) at t (or one t per row), one solve in the chart-fiber frame
-        per direction, so that a direction's velocity never depends on the others."""
+    def _params(self, frames, us) -> np.ndarray:
+        """Chart-fiber parameter velocities of the level-set directions ``us``
+        (…, 2n) in the chart-fiber frames ``frames`` (…, n, n), stacked alike, one
+        solve per direction, so that a direction's velocity never depends on the others."""
         us = np.atleast_2d(np.asarray(us, dtype=float))
-        if np.any(np.linalg.norm(us[:, self.n:], axis=1)
-                  > 1e-8 * np.maximum(1.0, np.linalg.norm(us, axis=1))):
+        if np.any(np.linalg.norm(us[..., self.n:], axis=-1)
+                  > 1e-8 * np.maximum(1.0, np.linalg.norm(us, axis=-1))):
             raise PointOffConstraint("direction is not tangent to the level set")
-        ps = [self.point(t2, fiber) for t2 in np.reshape(t, (-1, self.chart.dim))]
-        if not all(p.frame_ok for p in ps):
-            raise RankLoss("chart-fiber frame lost rank; point outside the chart radius")
-        return np.linalg.solve(np.array([p.F for p in ps]), us[:, : self.n, None])[..., 0]
+        return np.linalg.solve(frames, us[..., : self.n, None])[..., 0]
 
     def lift_derivatives(self, t, fiber: np.ndarray, us) -> np.ndarray:
         """Exact derivatives of ``lifts`` (km × 2n each) along the level-set
         directions ``us`` (rows): the jet contracted with their velocities."""
-        self.lifts(t, fiber)
-        return _along(self.point(t, fiber).jet, self._params(t, fiber, us))
+        p = self.point(t, fiber)
+        _check(p.lift_ok, p.tangent, p.frame_ok)
+        return _along(p.jet, self._params(p.F, us))
 
-    def _stencil_points(self, t, fiber: np.ndarray, us, step) -> tuple[np.ndarray, np.ndarray]:
+    def _stencil_points(self, t, fiber: np.ndarray, us, step,
+                        frames=None) -> tuple[np.ndarray, np.ndarray]:
         """The points (t + s·dt, fiber·exp(s·ad(g_μ·dy))) of ``_stencil``: for the
         velocity (dt, dy) of each direction in ``us`` (rows) in turn, s = ±step,
-        with ``t`` and ``step`` shared or one per row (several stencils in one pass)."""
+        with ``t`` and ``step`` shared or one per row (several stencils in one
+        pass), in the chart-fiber frames at t: its kernels' unless given."""
         km = self.chart.dim
-        params = self._params(t, fiber, us)
+        frames = self.stacked(np.reshape(t, (-1, km)), fiber).F if frames is None else frames
+        params = self._params(frames, us)
         signed = np.multiply.outer(np.broadcast_to(step, len(params)), (1.0, -1.0))
         ts = (np.reshape(t, (-1, 1, km)) + signed[..., None] * params[:, None, :km]).reshape(-1, km)
         if not self.ctx.stabilizer_dim:
@@ -386,12 +412,10 @@ class SigmaGeometry:
         """Central differences of ``fld``, a function (t, fiber) -> array, along
         the direction u or each row of a stack ``us`` (``_stencil_points``), with
         their kernels built in one batch; without ``fld``, of ``lifts`` from the
-        chart's lift block alone (no kernel is built), raising as ``lifts`` there."""
+        chart's lift block alone (``lift_frames``: no kernel is built)."""
         ts, fibers = self._stencil_points(t, fiber, us, step)
         if fld is None:
-            *_, lift_ok, _, v, tangent = self._lift_rows(*self.chart.lift_data(ts), fibers)
-            for ok, tan in zip(lift_ok, tangent):
-                _check_lift(ok, tan)
+            v = self.lift_frames(ts, fibers)[0]
         else:
             self.points(ts, fibers)
             v = np.array([fld(t2, fib) for t2, fib in zip(ts, fibers)])
@@ -428,15 +452,17 @@ class SigmaGeometry:
         """
         p = self.point(t, fiber)
         if not p.ok:  # raise the failed check
-            self._params(t, fiber, self.lifts(t, fiber))
+            _check(p.lift_ok, p.tangent, p.frame_ok)
         return p.level, p.cov
 
 
-def _check_lift(lift_ok: bool, tangent: bool) -> None:  # raise as ``lifts`` at a point
+def _check(lift_ok: bool, tangent: bool, frame_ok: bool = True) -> None:  # as ``cov_table``
     if not lift_ok:
         raise SingularProjection("quotient differential singular on the horizontal space")
     if not tangent:
         raise NotTangent("a chart direction is not an orbit tangent at the point")
+    if not frame_ok:
+        raise RankLoss("chart-fiber frame lost rank; point outside the chart radius")
 
 
 def _along(jet: np.ndarray, params: np.ndarray) -> np.ndarray:
@@ -463,9 +489,11 @@ def reduced_form(ctx: ReductionContext, chart: OrbitChart, v, w, t,
 def gram_oracle_solve(geom: SigmaGeometry, D: np.ndarray, lifts: np.ndarray,
                       G: np.ndarray) -> np.ndarray:
     """Orbit tangents (rows) whose lifts pair with the lifted chart directions,
-    the rows of ``lifts``, as the level-set vectors G (rows) do."""
-    coords = np.linalg.solve(geom.form_table(lifts, lifts).T, geom.form_table(G, lifts).T)
-    return (D @ coords).T
+    the rows of ``lifts``, as the level-set vectors G (rows) do; or those of
+    each (D, lifts, G) of stacks alike, by one stacked solve."""
+    coords = np.linalg.solve(geom.form_table(lifts, lifts).swapaxes(-1, -2),
+                             geom.form_table(G, lifts).swapaxes(-1, -2))
+    return (D @ coords).swapaxes(-1, -2)
 
 
 def totally_geodesic_defect(ctx: ReductionContext) -> float:
@@ -531,9 +559,5 @@ def autoparallel_check(ctx: ReductionContext, *, geom: SigmaGeometry | None = No
     other = build_context(a, ctx.mu, s_tilde=cand, gamma_mu=ctx.gamma_mu, split=ctx.split)
     geom_b = SigmaGeometry(other, chart)
     ts = [rng.uniform(-0.3, 0.3, size=chart.dim) for _ in range(3)]
-    geom.points(ts, geom.identity)
-    geom_b.points(ts, geom_b.identity)
-    diff = max((float(np.max(np.abs(geom.cov_table(t, geom.identity)[1]
-                                    - geom_b.cov_table(t, geom_b.identity)[1]))) for t in ts),
-               default=0.0)
-    return AutoparallelReport(defect, diff)
+    diff = np.abs(geom.stacked(ts, geom.identity).cov - geom_b.stacked(ts, geom_b.identity).cov)
+    return AutoparallelReport(defect, float(np.max(diff)))

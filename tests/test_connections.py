@@ -198,6 +198,17 @@ class TestSymplectize:
         out = rc.pullback_coefficients(g, gamma)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("n,stack", [(3, ()), (6, ()), (6, (3,))],
+                             ids=["2n=6", "2n=12", "2n=12-stack"])
+    def test_pullback_keeps_the_optimizers_pairwise_order(self, n, stack, rng):
+        # one tensordot per factor, in the order np.einsum(optimize=True) picks,
+        # gives its bits: the order sets the roundoff of every averaged Γ
+        g = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+        gamma = rng.standard_normal(stack + (2 * n,) * 3)
+        T, T_inv = frame_transport(np.linalg.inv(g)), frame_transport(g)
+        ref = np.einsum("Aa,Bb,cC,...ABC->...abc", T, T, T_inv, gamma, optimize=True)
+        assert rc.pullback_coefficients(g, gamma).tobytes() == ref.tobytes()
+
     def test_singular_gram_raises(self):
         om = np.zeros((4, 4))
         om[0, 1], om[1, 0] = 1.0, -1.0  # rank 2 only

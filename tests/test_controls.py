@@ -131,14 +131,14 @@ def test_reduced_form_closed_fails_on_a_jet_that_differentiates_no_field():
     run = pipeline._run_stages(cfg, "reduce", {}, {})
     geom, km = run.geom, run.geom.chart.dim
     assert km == 4 and run.sweep["closed"] <= THRESHOLDS["reduced_form_closed"]
-    point = geom.point
+    points = geom.points  # the sweep reads its kernels through ``points`` (``stacked``)
     noise = np.random.default_rng(5).standard_normal((km, km, 2 * geom.n)) * 1e-3
 
-    def perturbed(t, fiber):
-        kernel = point(t, fiber)
-        return replace(kernel, jet=np.concatenate([kernel.jet[:km] + noise, kernel.jet[km:]]))
+    def perturbed(ts, fibers):
+        return [replace(kernel, jet=np.concatenate([kernel.jet[:km] + noise, kernel.jet[km:]]))
+                for kernel in points(ts, fibers)]
 
-    geom.point = perturbed
+    geom.points = perturbed
     pts = np.asarray(run.stages["reduce"]["chart_points"])
     run.sweep = pipeline._chart_sweep(geom, pts, np.random.default_rng(0))
     _assert_fails(pipeline._verify_reduction, run, "red/reduced-form-closed",

@@ -4,7 +4,7 @@ import pytest
 import redconn as rc
 from redconn.curvature import (convergence_factor, curvature_battery, curvature_exact,
                                curvature_formula, curvature_tensor)
-from redconn import curvature, linalg, pipeline
+from redconn import curvature, linalg, pipeline, reduction
 from redconn.errors import RankLoss, ZeroDimensionalBase
 from redconn.pipeline import THRESHOLDS, CaseConfig, run_pipeline
 from redconn.reduction import SigmaGeometry
@@ -250,7 +250,8 @@ class TestSymmetryBattery:
 
     def test_one_lift_per_point_on_so4(self, monkeypatch):
         # the symplectic-valuedness defect lifts the tensor rows of every pair
-        # i < j (6 pairs of 4 rows on so(4) regular) with one solve
+        # i < j (6 pairs of 4 rows on so(4) regular) at every point with one
+        # stacked solve
         ctx = rc.build_context(_so4(), np.array([1.0, 0.0, 0.0, 0.0, 0.0, 2.0]))
         geom = SigmaGeometry(ctx, rc.default_chart(ctx))
         calls = []
@@ -261,8 +262,8 @@ class TestSymmetryBattery:
             return lift(self, t, fiber, v)
 
         monkeypatch.setattr(SigmaGeometry, "lift", counted)
-        curvature_battery(geom, [np.array([0.12, -0.2, 0.07, 0.15])])
-        assert calls == [(6 * 4, 6)]
+        curvature_battery(geom, [np.array([0.12, -0.2, 0.07, 0.15]), np.zeros(4)])
+        assert calls == [(2, 6 * 4, 6)]
 
     @pytest.mark.parametrize("name,mu", [("so3", [0.0, 0.0, 1.0]), ("sl2r", [1.0, 0.0, 0.0]),
                                          ("so4", [1.0, 0.0, 0.0, 0.0, 0.0, 2.0])])
@@ -396,18 +397,18 @@ class TestFormulaStencils:
         # the all-stencil formula to that formula's error (1.1e-6 at the origin
         # and 1.6e-6 off it, against |R| ≈ 2.2: roundoff of order
         # ε/(fd_step·fd_step2)), and the formula's only stencils are the outer
-        # ones, one per direction, all taken by one stencil call
+        # ones, one per direction, all placed by one stencil-point call
         ctx = rc.build_context(_so4(), np.array([1.0, 0.0, 0.0, 0.0, 0.0, 2.0]))
         chart = rc.default_chart(ctx)
         ref = _formula_every_stencil(SigmaGeometry(ctx, chart), t, 1e-5, 1e-4)
         calls = []
-        stencil = SigmaGeometry._stencil
+        stencil_points = SigmaGeometry._stencil_points
 
         def counted(self, *args, **kwargs):
             calls.append(args)
-            return stencil(self, *args, **kwargs)
+            return stencil_points(self, *args, **kwargs)
 
-        monkeypatch.setattr(SigmaGeometry, "_stencil", counted)
+        monkeypatch.setattr(SigmaGeometry, "_stencil_points", counted)
         out = curvature_formula(SigmaGeometry(ctx, chart), t)
         scale = max(1.0, float(np.max(np.linalg.norm(ref, axis=-1))))
         assert np.max(np.linalg.norm(out - ref, axis=-1)) <= 1e-5 * scale
@@ -435,8 +436,10 @@ def _formula_per_pair(geom, t, dirs):
         for b, j in enumerate(dirs):
             if i == j:
                 continue
+            # struct contracted with u_i, then with u_j, one vector at a time
+            su_i = linalg.matvec(geom.struct.reshape(2 * geom.n, -1).T, u[i])
             bracket = (inner[i, j] - inner[j, i]
-                       + np.einsum("abc,a,b->c", geom.struct, u[i], u[j]))
+                       + linalg.matvec(su_i.reshape(2 * geom.n, -1).T, u[j]))
             along = [bracket, ctx.alpha_star(bracket)]
             term3, t5 = (geom._induced(v, u, d)
                          for v, d in zip(along, geom.lift_derivatives(t, e, along)))
@@ -500,9 +503,11 @@ class TestStackedJobs:
                           directions=[None, None])
 
     @pytest.mark.parametrize("case", perfbench_cases().SO4_CASES, ids=lambda c: c[0])
-    def test_curvature_stage_builds_two_batches(self, case, monkeypatch):
-        # the points with the tensor's t ± h·eₓ, then every formula stencil with
-        # the probe's tensor points: two builds, whatever the number of points
+    def test_curvature_stage_builds_one_batch(self, case, monkeypatch):
+        # the kernel at the first point is the chart sweep's, so the exact value
+        # that picks the probe builds none, and the points with the tensor's
+        # t ± h·eₓ, every formula stencil and the probe's points (all known
+        # before any kernel is built) are one build, whatever the number of points
         cases = perfbench_cases()
         _, n, weights, _, samples = case
         doc = {"group": cases.so_n_group(n), "mu": cases.so_n_mu(n, weights)}
@@ -523,7 +528,49 @@ class TestStackedJobs:
         for extra in ({}, {"samples": 6}):
             rep, code = run_pipeline(CaseConfig.from_dict(dict(doc, **extra)), "curvature")
             assert code == 0 and rep["stages"]["curvature"]["symmetry"]["points"] >= 1
-        assert builds == [2, 2]
+        assert builds == [1, 1]
+
+
+    def test_battery_after_the_sweep_builds_once_and_solves_each_kind_once(self, monkeypatch):
+        # after the reduce stage, whose sweep built the kernel at t_points[0] = 0,
+        # three points' battery builds one batch and takes four stacked solves
+        # (R_μ's N and the exact value's B, Γ at every tensor point, the lifts of
+        # the symplectic defect) and no lstsq, whatever the number of points
+        cases = perfbench_cases()
+        _, n, weights, _, _ = cases.SO4_CASES[0]
+        cfg = CaseConfig.from_dict({"group": cases.so_n_group(n), "mu": cases.so_n_mu(n, weights),
+                                    "samples": 6})
+        run = pipeline._run_stages(cfg, "reduce", {}, {})
+        pts = pipeline._sample_points(cfg, run.geom.chart.dim, run.rng)[:3]
+        calls = {"build": 0, "lstsq": 0, "tangent_solve": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(SigmaGeometry, "_build", counted("build", SigmaGeometry._build))
+        monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", np.linalg.lstsq))
+        solve = counted("tangent_solve", curvature.tangent_solve)
+        monkeypatch.setattr(curvature, "tangent_solve", solve)
+        monkeypatch.setattr(reduction, "tangent_solve", solve)
+        out = curvature_battery(run.geom, pts)
+        assert out["symmetry"]["points"] == 3 and not pts[0].any()
+        assert calls == {"build": 1, "lstsq": 0, "tangent_solve": 4}
+
+
+class TestProbePick:
+    @pytest.mark.parametrize("label,a,mu", EXACT_CASES, ids=[c[0] for c in EXACT_CASES])
+    def test_the_exact_value_picks_the_tensors_triple(self, label, a, mu):
+        # the battery picks the probe's triple from curvature_exact at t_points[0]
+        # = 0, before any kernel but the one there is built; on every chart case
+        # that is the triple the finite-difference tensor there picks (ties by
+        # symmetry included: every flat heis3 entry is 0, so both pick (0, 1, 0))
+        geom = _geometry(a, mu)
+        t0 = np.zeros(geom.chart.dim)
+        assert (curvature._probe_inputs(curvature_exact(geom, t0))
+                == curvature._probe_inputs(curvature_tensor(geom, t0))), label
 
 
 class TestConvergence:
@@ -626,8 +673,7 @@ class TestOneEvaluationPerValue:
                 return route(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(curvature, "curvature_formula",
-                            counted("formula", curvature_formula))
+        monkeypatch.setattr(curvature, "_formula", counted("formula", curvature._formula))
         # every level-set table, read through cov_table by the tensor, the
         # sweep and the formula, is computed with its kernel, once per
         # geometry and (t, fiber)

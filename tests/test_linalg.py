@@ -120,27 +120,3 @@ class TestExpmFrechet:
         for a, e, l in zip(A, expA, L):
             one_e, one_l = linalg.expm(a, directions=E)
             assert e.tobytes() == one_e.tobytes() and l.tobytes() == one_l.tobytes()
-
-
-class TestEinsum:
-    # the contractions of curvature_exact and pullback_coefficients, on random
-    # operands of their so(4) regular shapes (n = 6, km = 4)
-    SHAPES = {"abx,ai,bj,xrc->ijrc": [(6, 6, 6), (6, 4), (6, 4), (6, 4, 4)],
-              "ai,bj,cl,abcr->ijlr": [(4, 4)] * 3 + [(4, 4, 4, 4)],
-              "Aa,Bb,cC,...ABC->...abc": [(12, 12)] * 3 + [(12, 12, 12)]}
-
-    @pytest.mark.parametrize("subscripts", list(SHAPES))
-    def test_equals_optimize_true_bitwise(self, rng, subscripts):
-        operands = [rng.standard_normal(shape) for shape in self.SHAPES[subscripts]]
-        assert (linalg.einsum(subscripts, *operands).tobytes()
-                == np.einsum(subscripts, *operands, optimize=True).tobytes())
-
-    def test_path_is_found_once_per_shapes(self, monkeypatch, rng):
-        calls = []
-        path = np.einsum_path
-        monkeypatch.setattr(np, "einsum_path", lambda *a, **kw: calls.append(1) or path(*a, **kw))
-        linalg._einsum_path.cache_clear()
-        for shape in ((3, 5), (3, 5), (4, 5)):
-            linalg.einsum("ij,jk,kl->il", *(rng.standard_normal(s) for s in
-                                            (shape, shape[::-1], shape)))
-        assert len(calls) == 2

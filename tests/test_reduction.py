@@ -1,5 +1,6 @@
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from redconn.errors import (AssumptionTwoFailure, DegeneratePairing,
                             NonReductiveStabilizer, NotTangent, PointOffConstraint,
                             RankLoss, SingularProjection, ZeroDimensionalBase)
 from redconn.reduction import SigmaGeometry, gram_oracle_solve, isotropic_correction_gram
-from tests.conftest import CATALOG_CASES, richardson_stencil
+from tests.conftest import AFF1_DOC, CATALOG_CASES, richardson_stencil
 from tests.test_liealg import _so4
 
 e1, e2, e3 = np.eye(3)
@@ -714,6 +715,59 @@ class TestStackedLift:
             vs[bad] += 1e-3 * so3_chart.nu(t)  # the orbit's normal at nu(t)
             with pytest.raises(NotTangent):
                 geom.lift(t, geom.identity, vs)
+
+
+class TestStackedSolves:
+    """The per-point solves taken as one stacked solve keep each point's typed failure."""
+
+    def test_one_off_tangent_column_in_a_stack_raises(self, so3_chart, rng):
+        # a stack of three points' chart differentials solves whole; moving one
+        # column of one point along ν(t), normal to the orbit, raises NotTangent
+        ts = rng.uniform(-0.3, 0.3, (3, 2))
+        K_T = np.array([so3_chart.algebra.bracket_pairing(so3_chart.nu(t)).T for t in ts])
+        D = np.array([so3_chart.dnu(t) for t in ts])
+        X = orbits.tangent_solve(K_T, D)
+        assert X.shape == (3, 3, 2)
+        for p, t in enumerate(ts):  # each point's solve is its one-point solve
+            assert X[p].tobytes() == orbits.tangent_solve(K_T[p], D[p]).tobytes()
+        for p, column in ((0, 1), (2, 0)):
+            bad = D.copy()
+            bad[p, :, column] += 1e-3 * so3_chart.nu(ts[p])
+            with pytest.raises(NotTangent):
+                orbits.tangent_solve(K_T, bad)
+
+    def test_a_singular_lift_matrix_in_a_stack_raises(self):
+        # aff1 at 30·e₀: the lift matrix M loses rank there (see
+        # test_batched_kernels); a stacked lift over that point raises
+        # SingularProjection, and the stack without it lifts
+        ctx = rc.build_context(rc.algebra_from_json(AFF1_DOC), np.array([0.0, 1.0]))
+        chart = rc.default_chart(ctx)
+        good, bad = [np.array([0.1, -0.2]), np.array([-0.3, 0.25])], np.array([30.0, 0.0])
+        geom = SigmaGeometry(ctx, chart)
+        tangents = np.array([chart.dnu(t).T for t in good])
+        assert geom.lift(np.array(good), geom.identity, tangents).shape == (2, 2, 4)
+        with pytest.raises(SingularProjection):
+            geom.lift(np.array([good[0], bad]), geom.identity,
+                      np.array([tangents[0], chart.dnu(bad).T]))
+
+    def test_an_off_tangent_column_in_the_sweep_exits_4(self, monkeypatch):
+        # the chart sweep lifts every swept point's D in one stacked solve: with
+        # one column of the second point's D moved along ν(t), the reduce stage
+        # fails with NotTangent, exit 4
+        cfg = rc.CaseConfig.from_dict({"group": "so3", "mu": [0.0, 0.0, 1.0], "samples": 3})
+        points = SigmaGeometry.points
+
+        def skewed(self, ts, fibers):
+            out = points(self, ts, fibers)
+            if len(out) < 2:
+                return out
+            nu = out[1].coad @ self.ctx.mu
+            return [out[0], replace(out[1], D=out[1].D + np.outer(nu, [1.0, 0.0])), *out[2:]]
+
+        monkeypatch.setattr(SigmaGeometry, "points", skewed)
+        rep, code = rc.run_pipeline(cfg, "reduce")
+        assert code == 4 and rep["error"]["type"] == "NotTangent"
+        assert rep["error"]["stage"] == "reduce"
 
 
 class TestFormTable:

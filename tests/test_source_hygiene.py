@@ -3,9 +3,13 @@ every import is used, every private top-level function, class or constant is
 referenced somewhere in the package, and so is every private method of a class
 and every dataclass field, each read as an attribute.  And no draw-at-a-time
 sampling in ``pipeline.py``: no ``rng`` method is called inside a loop or a
-comprehension, except in the functions allowed below.  And no function returns
-a closure: no ``return`` value holds a lambda or a nested function, except in
-the functions allowed below."""
+comprehension, except in the functions allowed below.  And no solve-at-a-time
+loops where every chart point's solve can be one stacked solve: no
+``tangent_solve``, ``np.linalg.lstsq``, ``np.linalg.solve`` or ``.lift`` call
+inside a loop or a comprehension in ``curvature.py`` or the chart sweep, except
+in the functions allowed below.  And no function returns a closure: no
+``return`` value holds a lambda or a nested function, except in the functions
+allowed below."""
 
 import ast
 from pathlib import Path
@@ -107,9 +111,9 @@ RNG_LOOPS_ALLOWED = {
 }
 
 
-class _RngLoopFinder(ast.NodeVisitor):
-    """(innermost function, line) of every call ``rng.m(…)`` or ``….rng.m(…)``
-    inside a ``for`` or ``while`` loop or a comprehension."""
+class _LoopCallFinder(ast.NodeVisitor):
+    """(innermost function, line) of every call that ``matches`` inside a ``for``
+    or ``while`` loop or a comprehension."""
 
     LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
              ast.GeneratorExp)
@@ -124,9 +128,7 @@ class _RngLoopFinder(ast.NodeVisitor):
         self.function, self.depth = outer
 
     def visit_Call(self, node):
-        target = node.func.value if isinstance(node.func, ast.Attribute) else None
-        if self.depth and (isinstance(target, ast.Name) and target.id == "rng"
-                           or isinstance(target, ast.Attribute) and target.attr == "rng"):
+        if self.depth and self.matches(node.func):
             self.found.append((self.function, node.lineno))
         self.generic_visit(node)
 
@@ -135,6 +137,31 @@ class _RngLoopFinder(ast.NodeVisitor):
         self.depth += loop
         super().generic_visit(node)
         self.depth -= loop
+
+
+def _named(node, name: str) -> bool:
+    """Whether ``node`` is the bare name ``name`` or an attribute ``….name``."""
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+class _RngLoopFinder(_LoopCallFinder):
+    """Calls ``rng.m(…)`` or ``….rng.m(…)`` in loops."""
+
+    @staticmethod
+    def matches(func) -> bool:
+        return isinstance(func, ast.Attribute) and _named(func.value, "rng")
+
+
+class _SolveLoopFinder(_LoopCallFinder):
+    """Calls ``tangent_solve(…)``, ``….linalg.lstsq(…)``, ``….linalg.solve(…)``
+    or ``….lift(…)`` in loops."""
+
+    @staticmethod
+    def matches(func) -> bool:
+        return (_named(func, "tangent_solve") or isinstance(func, ast.Attribute)
+                and (func.attr == "lift" or func.attr in ("lstsq", "solve")
+                     and _named(func.value, "linalg")))
 
 
 def _rng_calls_in_loops(tree) -> list:
@@ -161,6 +188,42 @@ def sampled(run, rng):
 """
     assert _rng_calls_in_loops(ast.parse(source)) == [("sampled", 4), ("sampled", 5),
                                                        ("sampled", 6)]
+
+
+# functions of curvature.py and the chart sweep that may call a solve inside a loop, with
+# the reason: none, since every chart point's solve is one stacked solve
+SOLVE_LOOPS_ALLOWED: dict = {}
+
+
+def _solve_calls_in_loops(tree) -> list:
+    finder = _SolveLoopFinder()
+    finder.visit(tree)
+    return finder.found
+
+
+def test_curvature_and_the_chart_sweep_stack_their_solves():
+    sweep, = [node for node in TREES["pipeline.py"].body
+              if isinstance(node, ast.FunctionDef) and node.name == "_chart_sweep"]
+    found = [(f"curvature.py:{line} {name}", name)
+             for name, line in _solve_calls_in_loops(TREES["curvature.py"])]
+    found += [(f"pipeline.py:{line} {name}", name) for name, line in _solve_calls_in_loops(sweep)]
+    assert [where for where, name in found if name not in SOLVE_LOOPS_ALLOWED] == []
+    # every allowed function still needs its entry
+    assert {name for _, name in found} >= set(SOLVE_LOOPS_ALLOWED)
+
+
+def test_solve_loop_rule_catches_per_point_solves():
+    source = """
+def swept(geom, pts, e, Ds, covs, pairs):
+    for t in pts:
+        geom.lift(t, e, geom.point(t, e).D.T)
+    gammas = [tangent_solve(D, cov) for D, cov in zip(Ds, covs)]
+    fits = {i: np.linalg.lstsq(D, c, rcond=None)[0] for i, (D, c) in enumerate(pairs)}
+    params = [linalg.solve(F, u) for F, u in pairs]
+    return gammas, fits, params, np.linalg.solve(Ds, covs), tangent_solve(Ds, covs)
+"""
+    assert _solve_calls_in_loops(ast.parse(source)) == [("swept", 4), ("swept", 5),
+                                                        ("swept", 6), ("swept", 7)]
 
 
 # functions in src/redconn that may return a lambda or a nested function, with the reason
