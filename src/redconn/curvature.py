@@ -99,7 +99,7 @@ def _formula(geom: SigmaGeometry, jobs, stencils) -> list:
     pm = grads[len(t):].reshape((-1, 2) + grads.shape[1:])
     d_grads = (pm[:, 0] - pm[:, 1]) / (2.0 * steps.reshape(-1, 1, 1, 1, 1))
     p = geom.stacked(t, e)
-    u, inner = p.lifts, p.derivs
+    u, inner = p.lifts, p.derivs  # inner[job, x, l]: derivative of f̄_l along f̄_x
     # outer[r, j, l, s]: induced derivative of grads[q, j, l, s] along f̄_x for the row r = (q, x)
     outer = geom._induced(u[q, x], grads[q], d_grads)
     row = {qx: r for r, qx in enumerate(zip(q.tolist(), x.tolist()))}

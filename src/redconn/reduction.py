@@ -239,7 +239,7 @@ class SigmaGeometry:
     Each (t, fiber) gets one ``PointKernel``, holding ``lifts`` (row i lifts
     f_i: the horizontal part of the section velocity), its jet and its level
     table; ``points`` builds a batch of them in one stacked pass, and
-    ``cov_table`` is the checked read of a table.  ``lift_derivatives``
+    ``cov_table`` is the checked read of a table (``stacked``, of a batch).  ``lift_derivatives``
     contracts the jet with a direction's parameter velocity; ``_stencil``
     central-differences a function of the point, or lifts.  A run shares one
     instance per (context, chart) between the chart sweep, the autoparallel

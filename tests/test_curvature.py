@@ -530,7 +530,6 @@ class TestStackedJobs:
             assert code == 0 and rep["stages"]["curvature"]["symmetry"]["points"] >= 1
         assert builds == [1, 1]
 
-
     def test_battery_after_the_sweep_builds_once_and_solves_each_kind_once(self, monkeypatch):
         # after the reduce stage, whose sweep built the kernel at t_points[0] = 0,
         # three points' battery builds one batch and takes four stacked solves
