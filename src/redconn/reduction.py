@@ -214,7 +214,8 @@ def default_chart(ctx: ReductionContext) -> OrbitChart:
 
 @dataclass(frozen=True)
 class PointKernel:
-    """Level-set data at one point (exp(Σ t_a E_a) · h, μ), with its level table."""
+    """Level-set data at one point (exp(Σ t_a E_a) · h, μ), with its level table
+    (from ``SigmaGeometry.stacked``, each field stacked over a batch of points)."""
 
     coad: np.ndarray  # Coad(exp(Σ t_a E_a) · h)
     D: np.ndarray  # chart differential dnu(t)
