@@ -2,8 +2,9 @@
 
 Verbs: validate, reduce, curvature, verify, export-connection.  Every verb
 reads a JSON case configuration, emits a JSON report (stdout or --out), and
-exits 0 on success, 2 on configuration errors, 3 on failed structural
-assumptions, and 4 on numerical failures.
+exits 0 on success, 2 on configuration errors (an --out path that cannot be
+written included), 3 on failed structural assumptions, and 4 on numerical
+failures.
 """
 
 from __future__ import annotations
@@ -35,10 +36,17 @@ def _load_config(args: argparse.Namespace) -> CaseConfig:
     return CaseConfig.from_dict(doc)
 
 
-def _emit(rep: dict, out: str | None) -> None:
-    text = report_mod.write(rep, out)
+def _emit(rep: dict, out: str | None, code: int) -> int:
+    """Write the report to ``out``, or to stdout without it, and return ``code``;
+    EXIT_CONFIG, with one line on stderr, if ``out`` cannot be written."""
+    try:
+        text = report_mod.write(rep, out)
+    except OSError as exc:
+        sys.stderr.write(f"redconn: cannot write the report to {out}: {exc.strerror}\n")
+        return EXIT_CONFIG
     if not out:
         sys.stdout.write(text)
+    return code
 
 
 # what export-connection states about each configured connection: its label
@@ -104,9 +112,8 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
     except ConfigError as exc:
-        _emit({"schema_version": report_mod.SCHEMA_VERSION,
-               "error": _error_record(exc, "config")}, args.out)
-        return EXIT_CONFIG
+        return _emit({"schema_version": report_mod.SCHEMA_VERSION,
+                      "error": _error_record(exc, "config")}, args.out, EXIT_CONFIG)
     if args.command == "verify":
         rep, code = verify_suite(cfg)
     elif args.command == "export-connection":
@@ -117,8 +124,7 @@ def main(argv=None) -> int:
                          "error": _error_record(exc, "export")}, _exit_code(exc)
     else:
         rep, code = run_pipeline(cfg, stop_after=args.command)
-    _emit(rep, args.out)
-    return code
+    return _emit(rep, args.out, code)
 
 
 if __name__ == "__main__":

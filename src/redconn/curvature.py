@@ -10,14 +10,14 @@ corrected by the principal-connection terms,
                     + ∇_[X̄,Ȳ]* Z̄ terms with the bracket's radical part,
 
 all pushed down through the quotient map.  The tensor route differences the
-chart Christoffel symbols Γ^b_jl (chart components of ∇ʳ(f_j) f_l, read from
-``SigmaGeometry.cov_table``) of the commuting coordinate fields,
+chart Christoffel symbols Γ^b_jl (chart components of ∇ʳ(f_j) f_l, the
+``cov`` table of a ``PointKernel``) of the commuting coordinate fields,
 
     R^b_ijl = ∂_iΓ^b_jl - ∂_jΓ^b_il + Γ^a_jl Γ^b_ia - Γ^a_il Γ^b_ja,
 
 sharing nothing with the formula beyond the level-set derivatives of the
-lifted coordinate fields f̄_i (the rows of ``SigmaGeometry.lifts``), which
-both routes read from one ``SigmaGeometry.cov_table`` per point.  Every first
+lifted coordinate fields f̄_i (the rows of ``PointKernel.lifts``), which
+both routes read from one kernel per point (``SigmaGeometry.kernels``).  Every first
 derivative along the level set is exact (the jet of ``lifts``), so each route
 keeps one finite-difference level, at fd_step2: the formula differences the
 tables' level-set values along f̄_x, the tensor their pushdowns along eₓ.
@@ -55,15 +55,19 @@ def _jobs(geom: SigmaGeometry, t, fd_step2, directions) -> list:
 
 
 def _stencils(geom: SigmaGeometry, jobs) -> tuple:
-    """The formula's stencil points (ts, fibers) with each stencil's step, job q
-    and direction x (one per job and distinct x of its directions): job q's t ±
-    step along f̄_x, from the lifts and frames at the jobs' points read from the
-    chart's lift block, so that they are known before any kernel is built."""
+    """The formula's points (ts, fibers), the jobs' points on the identity fiber
+    and then the stencil points, with each stencil's step, job q and direction x
+    (one per job and distinct x of its directions): job q's t ± step along f̄_x,
+    from the lifts and frames at the jobs' points read from the chart's lift
+    block, so that they are known before any kernel is built."""
     q, x = np.array([(q, x) for q, (_, _, d) in enumerate(jobs) for x in dict.fromkeys(d)],
                     dtype=int).reshape(-1, 2).T
     t, steps = (np.array(v)[q] for v in list(zip(*jobs))[:2])
-    lifts, frames = geom.lift_frames(np.array([tq for tq, _, _ in jobs]), geom.identity)
-    return (*geom._stencil_points(t, geom.identity, lifts[q, x], steps, frames[q]), steps, q, x)
+    points = np.array([tq for tq, _, _ in jobs])
+    lifts, frames = geom.lift_frames(points, geom.identity)
+    ts, fibers = geom._stencil_points(t, geom.identity, lifts[q, x], steps, frames[q])
+    return (np.concatenate([points, ts]),
+            np.concatenate([np.broadcast_to(geom.identity, frames.shape), fibers]), steps, q, x)
 
 
 def curvature_formula(geom: SigmaGeometry, t, *, fd_step2: float = DEFAULT_FD_STEP2,
@@ -75,7 +79,7 @@ def curvature_formula(geom: SigmaGeometry, t, *, fd_step2: float = DEFAULT_FD_ST
     jobs (``_jobs``), the list of the jobs' arrays.
 
     The level-set derivatives ∇_f̄_j f̄_l and their radical parts come from
-    the level-set tables of ``cov_table``, differenced along f̄_x on one
+    the kernels' level-set tables (``level``), differenced along f̄_x on one
     fd_step2 stencil per direction x, every job's built in one batch; the
     bracket [f̄_i, f̄_j] reads the exact derivatives of ``lifts`` the table at
     t is built from, and the derivatives along it and its radical part are
@@ -83,22 +87,22 @@ def curvature_formula(geom: SigmaGeometry, t, *, fd_step2: float = DEFAULT_FD_ST
     over every entry [a, b] of every job.
     """
     jobs = _jobs(geom, t, fd_step2, directions)
-    out = _formula(geom, jobs, _stencils(geom, jobs))
+    stencils = _stencils(geom, jobs)
+    out = _formula(geom, jobs, stencils, geom.kernels(*stencils[:2]))
     return out if np.ndim(t) == 2 else out[0]
 
 
-def _formula(geom: SigmaGeometry, jobs, stencils) -> list:
-    """``curvature_formula`` on the jobs with their ``_stencils``."""
-    ctx, e, km, n = geom.ctx, geom.identity, geom.chart.dim, geom.n
-    ts, fibers, steps, q, x = stencils
-    t = np.array([tq for tq, _, _ in jobs])
-    level = geom.stacked(np.concatenate([t, ts]),
-                         np.concatenate([np.broadcast_to(e, (len(t), n, n)), fibers])).level
+def _formula(geom: SigmaGeometry, jobs, stencils, K) -> list:
+    """``curvature_formula`` on the jobs with their ``_stencils``, from the
+    kernels K at the stencils' points (ts, fibers)."""
+    ctx, km, n = geom.ctx, geom.chart.dim, geom.n
+    *_, steps, q, x = stencils
+    K = K.checked()
     # [point, j, l, 0] = ∇_f̄_j f̄_l and [point, j, l, 1] = [α(∇_f̄_j f̄_l)]*
-    grads = np.stack([level, ctx.alpha_star(level)], axis=-2)
-    pm = grads[len(t):].reshape((-1, 2) + grads.shape[1:])
+    grads = np.stack([K.level, ctx.alpha_star(K.level)], axis=-2)
+    pm = grads[len(jobs):].reshape((-1, 2) + grads.shape[1:])
     d_grads = (pm[:, 0] - pm[:, 1]) / (2.0 * steps.reshape(-1, 1, 1, 1, 1))
-    p = geom.stacked(t, e)
+    p = K[: len(jobs)]
     u, inner = p.lifts, p.derivs  # inner[job, x, l]: derivative of f̄_l along f̄_x
     # outer[r, j, l, s]: induced derivative of grads[q, j, l, s] along f̄_x for the row r = (q, x)
     outer = geom._induced(u[q, x], grads[q], d_grads)
@@ -130,20 +134,21 @@ def curvature_tensor(geom: SigmaGeometry, t, *, fd_step2: float = DEFAULT_FD_STE
     (all chart directions by default), from the exact Γ at t and at
     t ± fd_step2·eₓ for x in ``directions``, their tables built in one batch.
     On a stack of jobs (``_jobs``), the list of the jobs' arrays."""
-    out = _tensor(geom, _jobs(geom, t, fd_step2, directions))
+    jobs = _jobs(geom, t, fd_step2, directions)
+    out = _tensor(geom, jobs, geom.kernels(_points(jobs), geom.identity))
     return out if np.ndim(t) == 2 else out[0]
 
 
-def _tensor(geom: SigmaGeometry, jobs) -> list:
+def _tensor(geom: SigmaGeometry, jobs, K) -> list:
     """``curvature_tensor`` on the jobs, from Γ[j, l, b], chart component b of
-    ∇ʳ(f_j) f_l (NotTangent if not an orbit tangent), at the jobs' points and
-    their t ± h·eₓ, all by one stacked solve."""
-    p = geom.stacked(_points(jobs), geom.identity)
+    ∇ʳ(f_j) f_l (NotTangent if not an orbit tangent), at the jobs' t ± h·eₓ and
+    points (``_points``), whose kernels are K, all by one stacked solve."""
+    p, J = K.checked(), len(jobs)
     gamma = tangent_solve(p.D, p.cov.reshape(len(p.D), -1, geom.n).swapaxes(1, 2))
     gamma = gamma.swapaxes(1, 2).reshape((-1,) + (geom.chart.dim,) * 3)
     out = []
-    for (t, h, d), g, plus_minus, D_t in zip(jobs, gamma, np.split(
-            gamma[len(jobs):], np.cumsum([2 * len(set(d)) for _, _, d in jobs])[:-1]), p.D):
+    for (t, h, d), g, plus_minus, D_t in zip(jobs, gamma[-J:], np.split(
+            gamma[:-J], np.cumsum([2 * len(set(d)) for _, _, d in jobs])[:-1]), p.D[-J:]):
         d_gamma = dict(zip(dict.fromkeys(d), (plus_minus[::2] - plus_minus[1::2]) / (2.0 * h)))
         g = g[d]  # g[a, l, c] = Γ^c_il for i = d[a]
         dg = np.array([d_gamma[x][d] for x in d])  # dg[a, b, l, c] = ∂_i Γ^c_jl, j = d[b]
@@ -174,17 +179,19 @@ def curvature_exact(geom: SigmaGeometry, t) -> np.ndarray:
     # N_[E_i, E_j] = Σ c[a, b, x] m[a, i] m[b, j] N[x], one pairwise contraction per factor
     NB = np.tensordot(np.tensordot(np.tensordot(m, c, (0, 0)), m, (1, 0)), N, (1, 0))
     r_mu = (NE[:, None] @ NE[None] - NE[None] @ NE[:, None] - NB).swapaxes(-1, -2)  # [a, b, c, r]
-    p = geom.point(np.asarray(t, dtype=float), geom.identity)
-    B = tangent_solve(D0, np.linalg.solve(p.coad, p.D))
+    # Coad and D at t from the chart's lift block, each its kernel's bit for bit
+    coad_t, vecs, D = geom.chart.lift_data(t)
+    coad = geom._lift_rows(coad_t, vecs, D, geom.identity[None])[1][0]
+    B = tangent_solve(D0, np.linalg.solve(coad, D[0]))
     r_t = np.tensordot(np.tensordot(np.tensordot(r_mu, B, (0, 0)), B, (0, 0)), B, (0, 0))
-    return np.moveaxis(r_t, 0, -1) @ (p.coad @ D0).T  # r_t[r, i, j, l]: B on slots a, b, c
+    return np.moveaxis(r_t, 0, -1) @ (coad @ D0).T  # r_t[r, i, j, l]: B on slots a, b, c
 
 
 def _points(jobs) -> np.ndarray:
-    """The tensor's points of the jobs: each job's t, then, job by job, t + h·eₓ
-    and t − h·eₓ for each distinct x of its directions."""
-    return np.array([t for t, _, _ in jobs] + [t + sign * h * np.eye(len(t))[x] for t, h, d in jobs
-                                               for x in dict.fromkeys(d) for sign in (1.0, -1.0)])
+    """The tensor's points of the jobs: job by job, t + h·eₓ and t − h·eₓ for each
+    distinct x of its directions, then each job's t."""
+    return np.array([t + sign * h * np.eye(len(t))[x] for t, h, d in jobs
+                     for x in dict.fromkeys(d) for sign in (1.0, -1.0)] + [t for t, _, _ in jobs])
 
 
 def _probe_inputs(tensor: np.ndarray) -> tuple[int, int, int]:
@@ -212,15 +219,15 @@ def curvature_battery(geom: SigmaGeometry, t_points) -> dict:
     tensor, which vanishes exactly when the reduced form is parallel.  The
     probe runs on the triple i < j whose exact value at t_points[0] is largest
     (``_probe_inputs``), so that it measures a component that does not vanish.
-    Every point is known before any kernel is built, so beyond the kernel at
-    t_points[0] (which the exact value reads) they come in one batch, and each
-    route runs once over the points and the probe's two steps (``_probe``).
+    The exact value builds no kernel, so every point is known before any
+    kernel is built: they come in one batch, and each route runs once over the
+    points and the probe's two steps (``_probe``).
     """
-    km, e = geom.chart.dim, geom.identity
+    km = geom.chart.dim
     ts = np.array(t_points, dtype=float).reshape(-1, km)
     exact = curvature_exact(geom, ts[0])
     jobs = [(t, DEFAULT_FD_STEP2, list(range(km))) for t in ts]
-    convergence, R, tensor = _probe(geom, ts[0], PROBE_STEP, _probe_inputs(exact), exact, jobs)
+    convergence, R, tensor, K = _probe(geom, ts[0], PROBE_STEP, _probe_inputs(exact), exact, jobs)
     I, J = np.triu_indices(km, 1)
     val, orc = R[:, I, J], tensor[:, I, J]  # [point, pair, l]
     gap, size = (np.sqrt(linalg.vecdot(x, x)) for x in (val - orc, orc))  # as np.linalg.norm
@@ -238,8 +245,8 @@ def curvature_battery(geom: SigmaGeometry, t_points) -> dict:
     swapped = R + R.transpose(0, 2, 1, 3, 4)  # R[i, j, l] + R[j, i, l]
     cyclic = R + R.transpose(0, 3, 1, 2, 4) + R.transpose(0, 2, 3, 1, 4)  # R[j, l, i], R[l, i, j]
     # form[p, q, l, w] = ω(R(f_i, f_j)f_l, f_w) at point p for (i, j) = (I[q], J[q]), one lift
-    rows = geom.lift(ts, e, tensor[:, I, J].reshape(len(ts), -1, geom.n))
-    form = geom.form_table(rows, geom.stacked(ts, e).lifts).reshape(len(ts), len(I), km, km)
+    rows = geom.lift(K, tensor[:, I, J].reshape(len(ts), -1, geom.n))
+    form = geom.form_table(rows, K.lifts).reshape(len(ts), len(I), km, km)
     sp = np.max(np.abs(form - form.swapaxes(-1, -2)), axis=(1, 2, 3)) / scale
     return {"samples": samples, "max_discrepancy": float(disc.max(initial=0.0)),
             "symmetry": {"antisymmetry_defect": float(np.max(largest(swapped) / scale)),
@@ -256,25 +263,26 @@ def convergence_factor(geom: SigmaGeometry, t, *, coarse: float = PROBE_STEP,
     against ``curvature_exact`` at a coarse step and at half that step, whose
     ratio should sit near four (central differences are second order).  The
     steps sit well above the default, where truncation dominates roundoff.  The
-    tables at the displaced points of both steps are built in one batch.  The
-    factor is null where the fine error is 0.
+    tables at t and at the displaced points of both steps are built in one
+    batch.  The factor is null where the fine error is 0.
     """
     return _probe(geom, np.asarray(t, dtype=float), coarse, inputs, curvature_exact(geom, t), [])[0]
 
 
 def _probe(geom: SigmaGeometry, t, coarse: float, inputs, exact, jobs: list) -> tuple:
     """``convergence_factor``'s report at t, from ``exact`` = ``curvature_exact``
-    there, and both routes' arrays R[job, i, j, l] of ``jobs`` (``_jobs``), each
-    route in one call beside the probe's two jobs: the jobs' points and t ± h·eₓ,
-    every formula stencil and the probe's points are built in one batch."""
+    there, both routes' arrays R[job, i, j, l] of ``jobs`` (``_jobs``), each
+    route in one call beside the probe's two jobs, and the kernels at the jobs'
+    points: the jobs' t ± h·eₓ and points, then every formula stencil (the
+    probe's included) are built in one batch, which each route reads a slice of."""
     i, j, l = inputs
-    jobs = jobs + [(t, coarse, [i, j]), (t, coarse / 2.0, [i, j])]
+    jobs, given = jobs + [(t, coarse, [i, j]), (t, coarse / 2.0, [i, j])], len(jobs)
     stencils, points = _stencils(geom, jobs), _points(jobs)
-    geom.points(np.concatenate([points, stencils[0]]),
-                np.concatenate([np.broadcast_to(geom.identity, (len(points), geom.n, geom.n)),
-                                stencils[1]]))
-    *R, coarse_r, fine_r = _formula(geom, jobs, stencils)
-    *tensor, coarse_t, fine_t = _tensor(geom, jobs)
+    ts, fibers, start = *stencils[:2], len(points) - len(jobs)  # the jobs' points' first row
+    K = geom.kernels(np.concatenate([points, ts[len(jobs):]]), np.concatenate(
+        [np.broadcast_to(geom.identity, (len(points), geom.n, geom.n)), fibers[len(jobs):]]))
+    *R, coarse_r, fine_r = _formula(geom, jobs, stencils, K[start:])
+    *tensor, coarse_t, fine_t = _tensor(geom, jobs, K[: len(points)])
     (formula_coarse, formula_fine), (oracle_coarse, oracle_fine) = (
         [float(np.linalg.norm(r[0, 1, l] - exact[i, j, l])) for r in route]
         for route in ((coarse_r, fine_r), (coarse_t, fine_t)))
@@ -282,4 +290,4 @@ def _probe(geom: SigmaGeometry, t, coarse: float, inputs, exact, jobs: list) -> 
             "oracle_error_coarse": oracle_coarse, "oracle_error_fine": oracle_fine,
             "formula_error_coarse": formula_coarse, "formula_error_fine": formula_fine,
             "factor": oracle_coarse / oracle_fine if oracle_fine > 0 else None}, \
-        np.array(R), np.array(tensor)
+        np.array(R), np.array(tensor), K[start: start + given]

@@ -279,9 +279,9 @@ def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator) -> dict:
 
     At each point t: the kernel's D = dnu(t), lifts L of D's columns and their
     jet J, the reduced form matrix Ω(t) = L·ω(μ)·Lᵀ and its exact derivatives
-    ∂ₓΩ = J[x]·ω(μ)·Lᵀ minus its transpose, and the geometry's ``cov_table`` of
+    ∂ₓΩ = J[x]·ω(μ)·Lᵀ minus its transpose, and the kernel's table ``cov`` of
     reduced derivatives ∇ʳ(f_i) f_j of the coordinate fields with the
-    level-set derivatives they are pushed down from.  Torsion, the Gram
+    level-set derivatives ``level`` they are pushed down from.  Torsion, the Gram
     oracle, KKS match, parallelism (∂ₓΩ_ij = Ω(∇ʳ_x f_i, f_j) + Ω(f_i, ∇ʳ_x f_j))
     and closedness (the cyclic sum of ∂Ω on the first two points, a 3-form:
     identically 0 on 2-dimensional orbits, such as the catalog's and so(4)
@@ -289,7 +289,8 @@ def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator) -> dict:
     with the same table at five stabilizer fibers drawn from rng.  At each of
     these points, the lifts (the horizontal projection of the section velocity)
     are compared with the quotient-map solve ``lift`` of D's columns, relative
-    to max(1, |lift|).  One batch builds every table; each solve is stacked.
+    to max(1, |lift|).  One batch of kernels holds every table, and the lift
+    solves read it; each solve is stacked.
     """
     ctx = geom.ctx
     km = geom.chart.dim
@@ -298,8 +299,8 @@ def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator) -> dict:
     fibers = group_exp(ctx.algebra, linalg.matvec(ctx.split.g_mu,
                                                   rng.uniform(-1.0, 1.0, (5 if k else 0, k))))
     swept = (np.vstack([pts] + [pts[0]] * len(fibers)), np.array([e] * len(pts) + list(fibers)))
-    K = geom.stacked(*swept)
-    gap = np.linalg.norm(K.lifts - geom.lift(*swept, K.D.swapaxes(1, 2)), axis=-1)
+    K = geom.kernels(*swept).checked()
+    gap = np.linalg.norm(K.lifts - geom.lift(K, K.D.swapaxes(1, 2)), axis=-1)
     projection = float(np.max(gap / np.maximum(1.0, np.linalg.norm(K.lifts, axis=-1))))
     P = len(pts)  # the fibers' points enter the projection gaps and fiber independence only
     fiber = float(np.max(np.abs(K.cov[P:] - K.cov[0]), initial=0.0))
@@ -309,7 +310,7 @@ def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator) -> dict:
     jw = geom.form_table(jet[:, :km].reshape(P, km * km, -1), lifts).reshape(P, km, km, km)
     d_omega = jw - jw.swapaxes(-1, -2)
     # Pc[p, x, i, j] = Ω(∇ʳ_x f_i, f_j), so Ω(f_i, ∇ʳ_x f_j) = -Pc[p, x, j, i]
-    cov_lifts = geom.lift(pts, e, cov.reshape(P, km * km, -1))
+    cov_lifts = geom.lift(K[:P], cov.reshape(P, km * km, -1))
     Pc = geom.form_table(cov_lifts, lifts).reshape(P, km, km, km)
     oracle = gram_oracle_solve(geom, D, lifts, level.reshape(P, km * km, -1)).reshape(cov.shape)
     cyclic = d_omega + d_omega.transpose(0, 3, 1, 2) + d_omega.transpose(0, 2, 3, 1)
@@ -626,19 +627,20 @@ def _sigma_equivariance_defect(ctx, rng) -> float:
 
 def _jet_fd_defect(geom: SigmaGeometry, t) -> float:
     """Largest gap, relative to max(1, |exact|), between the exact derivatives
-    of ``lifts`` and their central differences at ``JET_FD_STEP`` along each
-    lift and stabilizer generator at t, on the fibers 1 and exp(g_μ·(½, …, ½)),
-    by the lift-only stencil of ``SigmaGeometry._stencil``."""
+    of ``lifts`` (both fibers' kernels at t, 1 and exp(g_μ·(½, …, ½)), in one
+    batch) and their central differences at ``JET_FD_STEP`` along each lift and
+    stabilizer generator, by the lift-only stencil of ``SigmaGeometry._stencil``."""
     a, g_mu = geom.ctx.algebra, geom.ctx.split.g_mu
     k = g_mu.shape[1]
     fibers = [geom.identity] + ([group_exp(a, g_mu @ np.full(k, 0.5))] if k else [])
-    gap = 0.0
-    for fiber in fibers:
-        us = np.vstack([geom.lifts(t, fiber), np.pad(g_mu.T, ((0, 0), (0, geom.n)))])
-        for exact, fd in zip(geom.lift_derivatives(t, fiber, us),
-                             geom._stencil(t, fiber, us, JET_FD_STEP)):
-            gap = max(gap, float(np.max(np.abs(exact - fd)) / max(1.0, np.max(np.abs(exact)))))
-    return gap
+    K = geom.kernels([t] * len(fibers), fibers)
+    gens = np.broadcast_to(np.pad(g_mu.T, ((0, 0), (0, geom.n))), (len(fibers), k, 2 * geom.n))
+    us = np.concatenate([K.lifts, gens], axis=1)  # [fiber, direction]
+    exact = geom.lift_derivatives(K, us)
+    fd = np.array([geom._stencil(t, fiber, u, JET_FD_STEP, frame)
+                   for fiber, u, frame in zip(fibers, us, K.F)])
+    return float(np.max(np.max(np.abs(exact - fd), axis=(-2, -1))
+                        / np.maximum(1.0, np.max(np.abs(exact), axis=(-2, -1)))))
 
 
 def _sigma_torsion_defect(ctx) -> float:
@@ -651,7 +653,8 @@ def _sigma_torsion_defect(ctx) -> float:
 
 def _verify_averaging(cfg, run):
     a, rng = run.a, run.rng
-    if a.name not in ("so3", "su2"):
+    # the 4-node rule about e3 is a subgroup under so3's brackets alone (su2's too)
+    if not np.array_equal(a.c, named_algebra("so3").c):
         return
     delta = rng.standard_normal((2 * a.dim,) * 3) * 0.1
     nodes = finite_cyclic_rule(a, np.eye(a.dim)[2], 4)

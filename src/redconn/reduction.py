@@ -17,7 +17,7 @@ The induced covariant derivative along the level set is P∘∇ for the ambient
 invariant symplectic connection ∇; removing the radical component with alpha
 and pushing down through the quotient map (g, μ) ↦ Coad(g)μ produces the
 reduced connection on the orbit.  The lifted chart coordinate fields are one
-array per point (``SigmaGeometry.lifts``): the horizontal part of the section's
+array per point (``PointKernel.lifts``): the horizontal part of the section's
 velocity, so no lift needs a solve through the quotient map.  Its exact
 derivative along every (chart x stabilizer-fiber) parameter is the horizontal
 part of the velocity's derivative, from the chart's block exponentials: no
@@ -214,22 +214,31 @@ def default_chart(ctx: ReductionContext) -> OrbitChart:
 
 @dataclass(frozen=True)
 class PointKernel:
-    """Level-set data at one point (exp(Σ t_a E_a) · h, μ), with its level table
-    (from ``SigmaGeometry.stacked``, each field stacked over a batch of points)."""
+    """Level-set data at the points (exp(Σ t_a E_a) · h, μ) of a batch, each field
+    stacked over its rows (``SigmaGeometry.kernels``), with their level tables."""
 
     coad: np.ndarray  # Coad(exp(Σ t_a E_a) · h)
     D: np.ndarray  # chart differential dnu(t)
     M: np.ndarray  # lift matrix: quotient differential on the horizontal basis
-    lift_ok: bool  # M has full column rank
+    lift_ok: np.ndarray  # M has full column rank
     lifts: np.ndarray  # row i: H(Ad(h)⁻¹ · section vector i, 0), the lift of D e_i
-    tangent: bool  # M X = D by the tangency rule, X the W1 coordinates of the lifts
+    tangent: np.ndarray  # M X = D by the tangency rule, X the W1 coordinates of the lifts
     F: np.ndarray  # chart-fiber frame [Ad(h)⁻¹ · section vectors | g_μ]
-    frame_ok: bool  # F has full rank
+    frame_ok: np.ndarray  # F has full rank
     jet: np.ndarray  # jet[c]: derivative of lifts along parameter c (read only if lift_ok)
-    ok: bool  # lift_ok ∧ tangent ∧ frame_ok: the table below is read only if set
     derivs: np.ndarray  # derivs[i, j]: derivative of lifts[j] along lifts[i]
     level: np.ndarray  # level[i, j]: P∘∇ along lifts[i] of lifts[j]
     cov: np.ndarray  # cov[i, j]: pushdown of level[i, j]'s horizontal part, ∇ʳ(f_i) f_j
+
+    def __getitem__(self, rows) -> PointKernel:
+        """The kernels at ``rows`` of the batch (a slice or an index array)."""
+        return PointKernel(*(value[rows] for value in vars(self).values()))
+
+    def checked(self) -> PointKernel:
+        """The kernels once every row's checks pass, raising as ``_check`` at the
+        first row that fails one: the jets and the tables are read only through this."""
+        _check(self.lift_ok, self.tangent, self.frame_ok)
+        return self
 
 
 class SigmaGeometry:
@@ -237,16 +246,16 @@ class SigmaGeometry:
 
     A point (exp(Σ t_a E_a) · h, μ) is addressed by t and ``fiber``, the Ad
     matrix of h, and moves with the parameters t and s in h·exp(Σ s_b g_μ e_b).
-    Each (t, fiber) gets one ``PointKernel``, holding ``lifts`` (row i lifts
-    f_i: the horizontal part of the section velocity), its jet and its level
-    table; ``points`` builds a batch of them in one stacked pass, and
-    ``cov_table`` is the checked read of a table (``stacked``, of a batch).  ``lift_derivatives``
-    contracts the jet with a direction's parameter velocity; ``_stencil``
-    central-differences a function of the point, or lifts.  A run shares one
-    instance per (context, chart) between the chart sweep, the autoparallel
-    check and the curvature battery; kernels depend only on their keys, never
-    on their batch, so sharing and batching change what is recomputed, never a value.
-    The cache is not thread-safe: use one instance per thread.
+    ``kernels`` builds the ``PointKernel`` of a batch of points in one stacked
+    pass and returns it: row i of ``lifts`` lifts f_i (the horizontal part of
+    the section velocity), with its jet and its level table.  The caller holds
+    the kernels it built and passes them on: ``lift`` solves through their lift
+    matrices, ``lift_derivatives`` contracts their jets with a direction's
+    parameter velocity, and ``_stencil`` central-differences a function of the
+    points, or lifts.  A run shares one instance per (context, chart) between
+    the chart sweep, the autoparallel check and the curvature battery.  It keeps
+    nothing between calls, and a kernel depends only on its point, never on its
+    batch, so batching changes what is recomputed, never a value.
     """
 
     def __init__(self, ctx: ReductionContext, chart: OrbitChart):
@@ -264,26 +273,20 @@ class SigmaGeometry:
         self.horizontal_T = ctx.horizontal_part(np.eye(2 * self.n)[: self.n])  # row i: H(e_i, 0)
         self.gamma_T = ctx.gamma_mu.reshape(2 * self.n, -1).T  # [(b, c), a] = Γ(μ)[a, b, c]
         self.identity = np.eye(self.n)
-        self._points: dict = {}
 
-    def points(self, ts, fibers) -> list[PointKernel]:
+    def kernels(self, ts, fibers) -> PointKernel:
         """The kernels at the rows t of ``ts`` and ``fibers`` (one Ad matrix, or
-        one per row), those not yet cached built in one stacked pass (``_build``)."""
+        one per row), unchecked (``PointKernel.checked``) and each field stacked over
+        the rows; rows with equal (t, fiber) bytes are built once, in one stacked pass."""
         ts = np.asarray(ts, dtype=float).reshape(-1, self.chart.dim)
         fibers = np.broadcast_to(np.asarray(fibers, dtype=float), (len(ts), self.n, self.n))
-        keys = [(t.tobytes(), fiber.tobytes()) for t, fiber in zip(ts, fibers)]
-        new = {key: i for i, key in enumerate(keys) if key not in self._points}
-        if new:
-            index = list(new.values())
-            self._points.update(zip(new, self._build(ts[index], fibers[index])))
-        return [self._points[key] for key in keys]
+        slot: dict = {}  # each distinct (t, fiber) in order of first appearance
+        rows = [slot.setdefault((t.tobytes(), fiber.tobytes()), len(slot))
+                for t, fiber in zip(ts, fibers)]
+        first = np.unique(rows, return_index=True)[1]
+        return self._build(ts[first], fibers[first])[rows]
 
-    def point(self, t, fiber: np.ndarray) -> PointKernel:
-        """The kernel at (exp(Σ t_a E_a) · h, μ): ``points`` on a batch of one."""
-        p = self._points.get((np.asarray(t, dtype=float).tobytes(), fiber.tobytes()))
-        return p if p is not None else self.points([t], fiber)[0]
-
-    def _build(self, ts: np.ndarray, fibers: np.ndarray) -> list[PointKernel]:
+    def _build(self, ts: np.ndarray, fibers: np.ndarray) -> PointKernel:
         """The kernels at the rows of ``ts`` and ``fibers``, each step stacked."""
         ctx = self.ctx
         coad_t, vecs, D, d_vecs = self.chart.exp_data(ts)
@@ -302,9 +305,8 @@ class SigmaGeometry:
         level = self._induced(lifts, lifts[:, None], derivs)
         cov = -linalg.matvec((coad @ self.K_T)[:, None, None],
                              ctx.horizontal_part(level)[..., : self.n])
-        return [PointKernel(*fields) for fields in zip(
-            coad, D, M, lift_ok.tolist(), lifts, tangent.tolist(), F, frame_ok.tolist(), jet,
-            ok.tolist(), derivs, level, cov)]
+        return PointKernel(coad, D, M, lift_ok, lifts, tangent, F, frame_ok, jet, derivs, level,
+                           cov)
 
     def _lift_rows(self, coad_t, vecs, D, fibers) -> tuple[np.ndarray, ...]:
         """Ad(h)⁻¹, Coad, M and lift_ok, the frame F = [V | g_μ] for V = Ad(h)⁻¹ · vecs,
@@ -326,47 +328,23 @@ class SigmaGeometry:
     def lift_frames(self, ts, fibers) -> tuple[np.ndarray, np.ndarray]:
         """``lifts`` and the chart-fiber frames F at the rows of ``ts`` and ``fibers``
         (one Ad matrix, or one per row), each its kernel's bit for bit, from the
-        chart's lift block alone (no kernel is built), raising as ``cov_table`` there."""
+        chart's lift block alone (no kernel is built), raising as
+        ``PointKernel.checked`` there."""
         fibers = np.broadcast_to(fibers, (len(ts), self.n, self.n))
         *_, lift_ok, F, lifts, tangent = self._lift_rows(*self.chart.lift_data(ts), fibers)
-        for checks in zip(lift_ok, tangent, linalg.rank(F) == self.n):
-            _check(*checks)
+        _check(lift_ok, tangent, linalg.rank(F) == self.n)
         return lifts, F
-
-    def stacked(self, ts, fibers) -> PointKernel:
-        """The kernels at the rows of ``ts`` and ``fibers`` (``points``) as one, each
-        field stacked over the rows: the stacked read of ``cov_table``, raising as
-        it does at the first row whose checks fail."""
-        kernels = self.points(ts, fibers)
-        for p in kernels:
-            _check(p.lift_ok, p.tangent, p.frame_ok)
-        return PointKernel(*map(np.array, zip(*(vars(p).values() for p in kernels))))
 
     # -- lifting ---------------------------------------------------------
 
-    def lift(self, t, fiber: np.ndarray, v) -> np.ndarray:
+    def lift(self, K: PointKernel, v) -> np.ndarray:
         """Unique horizontal vector projecting onto the orbit tangent v, or the
-        lifts of a stack of tangents (rows), all by one solve; at the rows of a
-        stack t (one fiber, or one per row), of a stack of them per row."""
-        kernels = self.points(t, fiber)
-        for p in kernels:
-            _check(p.lift_ok, True)
-        M = np.array([p.M for p in kernels])
-        vs = np.reshape(v, (len(M), -1, self.n)).swapaxes(1, 2)  # (points, n, rows)
-        return (self.ctx.w1 @ tangent_solve(M, vs)).swapaxes(1, 2).reshape(
+        lifts of a stack of tangents (rows), all by one solve; at each row of the
+        kernels K, of a stack of them per row, once their lift systems pass ``_check``."""
+        _check(K.lift_ok)
+        vs = np.reshape(v, (len(K.M), -1, self.n)).swapaxes(1, 2)  # (points, n, rows)
+        return (self.ctx.w1 @ tangent_solve(K.M, vs)).swapaxes(1, 2).reshape(
             np.shape(v)[:-1] + (2 * self.n,))
-
-    def lifts(self, t, fiber: np.ndarray) -> np.ndarray:
-        """Horizontal lifts of the chart coordinate fields at (t, fiber), row i
-        the lift of f_i.
-
-        Raises:
-            SingularProjection: the lift system is singular at the point.
-            NotTangent: a chart direction is not an orbit tangent there.
-        """
-        p = self.point(t, fiber)
-        _check(p.lift_ok, p.tangent)
-        return p.lifts
 
     def form_table(self, us, vs) -> np.ndarray:
         """ω at μ on every pair of level-set vectors: entry [a, b] is ω(us[a], vs[b]),
@@ -385,21 +363,20 @@ class SigmaGeometry:
             raise PointOffConstraint("direction is not tangent to the level set")
         return np.linalg.solve(frames, us[..., : self.n, None])[..., 0]
 
-    def lift_derivatives(self, t, fiber: np.ndarray, us) -> np.ndarray:
+    def lift_derivatives(self, K: PointKernel, us) -> np.ndarray:
         """Exact derivatives of ``lifts`` (km × 2n each) along the level-set
-        directions ``us`` (rows): the jet contracted with their velocities."""
-        p = self.point(t, fiber)
-        _check(p.lift_ok, p.tangent, p.frame_ok)
-        return _along(p.jet, self._params(p.F, us))
+        directions ``us`` (rows, shared or one stack per row of the kernels K) at
+        each row of K: the jet contracted with their velocities."""
+        K.checked()
+        return _along(K.jet, self._params(K.F[:, None], us))
 
     def _stencil_points(self, t, fiber: np.ndarray, us, step,
-                        frames=None) -> tuple[np.ndarray, np.ndarray]:
+                        frames) -> tuple[np.ndarray, np.ndarray]:
         """The points (t + s·dt, fiber·exp(s·ad(g_μ·dy))) of ``_stencil``: for the
         velocity (dt, dy) of each direction in ``us`` (rows) in turn, s = ±step,
         with ``t`` and ``step`` shared or one per row (several stencils in one
-        pass), in the chart-fiber frames at t: its kernels' unless given."""
+        pass), in the chart-fiber frames ``frames`` at t."""
         km = self.chart.dim
-        frames = self.stacked(np.reshape(t, (-1, km)), fiber).F if frames is None else frames
         params = self._params(frames, us)
         signed = np.multiply.outer(np.broadcast_to(step, len(params)), (1.0, -1.0))
         ts = (np.reshape(t, (-1, 1, km)) + signed[..., None] * params[:, None, :km]).reshape(-1, km)
@@ -409,17 +386,14 @@ class SigmaGeometry:
         shifts = linalg.expm(signed[..., None, None] * ad_y[:, None], batch_ndim=1)
         return ts, (fiber @ shifts).reshape(-1, self.n, self.n)
 
-    def _stencil(self, t, fiber: np.ndarray, us, step, fld=None) -> np.ndarray:
-        """Central differences of ``fld``, a function (t, fiber) -> array, along
-        the direction u or each row of a stack ``us`` (``_stencil_points``), with
-        their kernels built in one batch; without ``fld``, of ``lifts`` from the
-        chart's lift block alone (``lift_frames``: no kernel is built)."""
-        ts, fibers = self._stencil_points(t, fiber, us, step)
-        if fld is None:
-            v = self.lift_frames(ts, fibers)[0]
-        else:
-            self.points(ts, fibers)
-            v = np.array([fld(t2, fib) for t2, fib in zip(ts, fibers)])
+    def _stencil(self, t, fiber: np.ndarray, us, step, frames, fld=None) -> np.ndarray:
+        """Central differences of ``fld``, a function of the stacked points
+        (ts, fibers) -> array stacked over them, along the direction u or each row
+        of a stack ``us`` (``_stencil_points``, in the frames at t); without
+        ``fld``, of ``lifts`` from the chart's lift block alone (``lift_frames``:
+        no kernel is built)."""
+        ts, fibers = self._stencil_points(t, fiber, us, step, frames)
+        v = self.lift_frames(ts, fibers)[0] if fld is None else fld(ts, fibers)
         v = v.reshape((-1, 2) + v.shape[1:])
         d = (v[:, 0] - v[:, 1]) / (2.0 * np.reshape(step, (-1,) + (1,) * (v.ndim - 2)))
         return d[0] if np.ndim(us) == 1 else d
@@ -435,35 +409,18 @@ class SigmaGeometry:
         return linalg.matvec(self.ctx.p_matrix,
                              d + linalg.matvec(gamma_u.swapaxes(-1, -2), base))
 
-    def pushdown(self, t, fiber: np.ndarray, v) -> np.ndarray:
-        """Quotient differential applied to a level-set tangent vector, or to each
-        vector of a stack alike."""
-        return -linalg.matvec(self.point(t, fiber).coad @ self.K_T,
-                              np.asarray(v, dtype=float)[..., : self.n])
 
-    def cov_table(self, t, fiber: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The kernel's table at (t, fiber), once its checks pass: level[i, j] =
-        P∘∇ along f̄_i of f̄_j, for the lifted chart coordinate fields f̄ =
-        ``lifts``, and cov[i, j] = the pushdown of its horizontal part, the
-        reduced ∇ʳ(f_i) f_j.
-
-        Raises:
-            SingularProjection, NotTangent: as ``lifts``.
-            RankLoss: the chart-fiber frame lost rank at the point.
-        """
-        p = self.point(t, fiber)
-        if not p.ok:  # raise the failed check
-            _check(p.lift_ok, p.tangent, p.frame_ok)
-        return p.level, p.cov
-
-
-def _check(lift_ok: bool, tangent: bool, frame_ok: bool = True) -> None:  # as ``cov_table``
-    if not lift_ok:
-        raise SingularProjection("quotient differential singular on the horizontal space")
-    if not tangent:
-        raise NotTangent("a chart direction is not an orbit tangent at the point")
-    if not frame_ok:
-        raise RankLoss("chart-fiber frame lost rank; point outside the chart radius")
+def _check(lift_ok, tangent=True, frame_ok=True) -> None:
+    """Raise at the first row of the flags (one point's, or stacked over rows)
+    that fails a check, for its first failed check in this order."""
+    for lift, tangency, frame in zip(*np.broadcast_arrays(np.atleast_1d(lift_ok), tangent,
+                                                           frame_ok)):
+        if not lift:
+            raise SingularProjection("quotient differential singular on the horizontal space")
+        if not tangency:
+            raise NotTangent("a chart direction is not an orbit tangent at the point")
+        if not frame:
+            raise RankLoss("chart-fiber frame lost rank; point outside the chart radius")
 
 
 def _along(jet: np.ndarray, params: np.ndarray) -> np.ndarray:
@@ -483,7 +440,7 @@ def reduced_form(ctx: ReductionContext, chart: OrbitChart, v, w, t,
     at the fiber with Ad matrix ``fiber`` (the identity by default)."""
     geom = geom if geom is not None else SigmaGeometry(ctx, chart)
     fiber = geom.identity if fiber is None else fiber
-    vb, wb = geom.lift(t, fiber, [v, w])
+    vb, wb = geom.lift(geom.kernels(t, fiber), [v, w])
     return symplectic_form(ctx.algebra, ctx.mu, vb, wb)
 
 
@@ -560,5 +517,6 @@ def autoparallel_check(ctx: ReductionContext, *, geom: SigmaGeometry | None = No
     other = build_context(a, ctx.mu, s_tilde=cand, gamma_mu=ctx.gamma_mu, split=ctx.split)
     geom_b = SigmaGeometry(other, chart)
     ts = [rng.uniform(-0.3, 0.3, size=chart.dim) for _ in range(3)]
-    diff = np.abs(geom.stacked(ts, geom.identity).cov - geom_b.stacked(ts, geom_b.identity).cov)
+    diff = np.abs(geom.kernels(ts, geom.identity).checked().cov
+                  - geom_b.kernels(ts, geom_b.identity).checked().cov)
     return AutoparallelReport(defect, float(np.max(diff)))

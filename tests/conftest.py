@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import redconn as rc
+from redconn import linalg
 
 CATALOG_CASES = [
     ("so3", [0.0, 0.0, 1.0]),
@@ -30,16 +31,21 @@ def perfbench_cases():
     return cases
 
 
-def richardson_stencil(geom, t, fiber, us, step, fld):
+def richardson_stencil(geom, t, fiber, us, step, frames, fld):
     """(4·d(step/2) − d(step))/3 from two central stencils ``SigmaGeometry._stencil``
     of ``fld`` at step and step/2: the Richardson-extrapolated derivative."""
-    return (4.0 * geom._stencil(t, fiber, us, step / 2.0, fld)
-            - geom._stencil(t, fiber, us, step, fld)) / 3.0
+    return (4.0 * geom._stencil(t, fiber, us, step / 2.0, frames, fld)
+            - geom._stencil(t, fiber, us, step, frames, fld)) / 3.0
+
+
+def pushdown(geom, coad, v) -> np.ndarray:
+    """The quotient differential at a point with Coad matrix ``coad`` applied to a
+    level-set vector v, or to each vector of a stack alike."""
+    return -linalg.matvec(coad @ geom.K_T, np.asarray(v, dtype=float)[..., : geom.n])
 
 
 def track_geometries(monkeypatch) -> list:
-    """Every ``SigmaGeometry`` built from now on, in order of construction; each
-    keeps the kernels it built, level tables included, in ``_points``."""
+    """Every ``SigmaGeometry`` built from now on, in order of construction."""
     built = []
     init = rc.SigmaGeometry.__init__
 
@@ -48,6 +54,19 @@ def track_geometries(monkeypatch) -> list:
         built.append(self)
 
     monkeypatch.setattr(rc.SigmaGeometry, "__init__", tracked)
+    return built
+
+
+def count_builds(monkeypatch) -> list:
+    """The number of rows of each ``SigmaGeometry._build`` call from now on, in order."""
+    built = []
+    build = rc.SigmaGeometry._build
+
+    def counted(self, ts, fibers):
+        built.append(len(ts))
+        return build(self, ts, fibers)
+
+    monkeypatch.setattr(rc.SigmaGeometry, "_build", counted)
     return built
 
 

@@ -106,7 +106,7 @@ def test_criterion_3_flagship_reduction():
         signs.add(float(np.sign(red / ref)))
         kks_resid = max(kks_resid, abs(red - rc.KKS_MATCH_SIGN * ref) / abs(ref))
         # cov[i, j] = ∇ʳ(f_i) f_j over the chart coordinate fields at t
-        _, cov = geom.cov_table(t, geom.identity)
+        cov = geom.kernels(t, geom.identity).checked().cov[0]
         torsion = max(torsion, float(np.max(np.abs(cov[0, 1] - cov[1, 0]))))
 
         def omega_at(tt, i, j):
@@ -130,10 +130,10 @@ def test_criterion_3_flagship_reduction():
     rng = np.random.default_rng(3)
     fiber_diff = 0.0
     t0 = grid[7]
-    base = geom.cov_table(t0, geom.identity)[1][0, 1]
+    base = geom.kernels(t0, geom.identity).checked().cov[0, 0, 1]
     for _ in range(5):
         fib = rc.group_exp(a, ctx.split.g_mu @ rng.uniform(-1, 1, 1))
-        moved = geom.cov_table(t0, fib)[1][0, 1]
+        moved = geom.kernels(t0, fib).checked().cov[0, 0, 1]
         fiber_diff = max(fiber_diff, float(np.max(np.abs(base - moved))))
     ok = (torsion <= 1e-6 and parallel <= 1e-6 and closed <= 1e-6
           and kks_resid <= 1e-8 and signs == {rc.KKS_MATCH_SIGN}

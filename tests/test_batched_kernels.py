@@ -1,10 +1,12 @@
-"""Batched point kernels.  ``SigmaGeometry.points`` builds every kernel of a
-batch, its level table included, in one stacked pass, and no kernel depends on
-the batch it was built in: each batch below is compared with one-point builds
-bit for bit, field by field, on so(4) regular and singular and so(5) regular.
-A point past the chart radius where the frame or the lift system loses rank is
-built with the others and raises only when its table is read.  A kernel's lifts are the horizontal projection of the section
-velocity, which equals the quotient-map solve M⁺D to roundoff."""
+"""Batched point kernels.  ``SigmaGeometry.kernels`` builds every kernel of a
+batch, its level table included, in one stacked pass, each distinct point once,
+and no kernel depends on the batch it was built in: each row of a batch below
+is compared with its one-point build bit for bit, field by field, on so(4)
+regular and singular and so(5) regular.  A point past the chart radius where
+the frame or the lift system loses rank is built with the others and raises
+only where a read needs the check it fails.  A kernel's lifts are the
+horizontal projection of the section velocity, which equals the quotient-map
+solve M⁺D to roundoff."""
 
 import dataclasses
 
@@ -14,11 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import redconn as rc
-from redconn import linalg
+from redconn import linalg, reduction
 from redconn.errors import RankLoss, SingularProjection
 from redconn.pipeline import CaseConfig
 from redconn.reduction import PointKernel
-from tests.conftest import AFF1_DOC, CATALOG_CASES, perfbench_cases
+from tests.conftest import AFF1_DOC, CATALOG_CASES, count_builds, perfbench_cases
 
 CASES = perfbench_cases().SO4_CASES + perfbench_cases().SO5_CASES[:1]
 unit = st.floats(-1.0, 1.0, allow_nan=False)
@@ -49,10 +51,10 @@ def _assert_same(batched: PointKernel, single: PointKernel) -> None:
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
 
 
-def _assert_batch_is_single_builds(ctx, chart, ts, fibers) -> list:
-    batch = rc.SigmaGeometry(ctx, chart).points(ts, fibers)
-    for t, fiber, p in zip(ts, fibers, batch):
-        _assert_same(p, rc.SigmaGeometry(ctx, chart).point(t, fiber))
+def _assert_batch_is_single_builds(ctx, chart, ts, fibers) -> PointKernel:
+    batch = rc.SigmaGeometry(ctx, chart).kernels(ts, fibers)
+    for row, (t, fiber) in enumerate(zip(ts, fibers)):
+        _assert_same(batch[row], rc.SigmaGeometry(ctx, chart).kernels(t, fiber)[0])
     return batch
 
 
@@ -80,11 +82,12 @@ def _stencil_sets(ctx, chart, rng) -> list:
     geom = rc.SigmaGeometry(ctx, chart)
     t = rng.uniform(-0.3, 0.3, km)
     fiber = _fiber(ctx, rng.uniform(-1, 1, k))
-    probe = [geom._stencil_points(t, geom.identity, geom.lifts(t, geom.identity), h)
-             for h in (4e-3, 2e-3)]
-    sets = [geom._stencil_points(t, geom.identity, geom.lifts(t, geom.identity), 1e-4),
+    K, K_fiber = geom.kernels(t, geom.identity), geom.kernels(t, fiber)
+    probe = [geom._stencil_points(t, geom.identity, K.lifts[0], h, K.F) for h in (4e-3, 2e-3)]
+    sets = [geom._stencil_points(t, geom.identity, K.lifts[0], 1e-4, K.F),
             tuple(np.concatenate(parts) for parts in zip(*probe)),
-            geom._stencil_points(t, fiber, np.pad(ctx.split.g_mu.T, ((0, 0), (0, n))), 1e-5)]
+            geom._stencil_points(t, fiber, np.pad(ctx.split.g_mu.T, ((0, 0), (0, n))), 1e-5,
+                                 K_fiber.F)]
     for ts, fibers in sets:
         assert len(ts) == len(fibers) and len({f.tobytes() for f in fibers}) > 1
     tensor = [t + sign * 1e-4 * np.eye(km)[x] for x in range(km) for sign in (1.0, -1.0)]
@@ -97,25 +100,26 @@ def test_stencil_batches_are_single_builds(case, rng):
         _assert_batch_is_single_builds(ctx, chart, ts, fibers)
 
 
-def _table(geom, t, fiber) -> tuple:
-    """The checked read of the table at (t, fiber) and the derivatives it is built from."""
-    return geom.cov_table(t, fiber) + (geom.point(t, fiber).derivs,)
+def _table(K: PointKernel) -> tuple:
+    """The checked read of the tables of the kernels K and the derivatives they
+    are built from."""
+    K = K.checked()
+    return K.level, K.cov, K.derivs
 
 
-def test_stencil_table_batches_are_single_builds(case, rng):
+def test_stencil_table_batches_are_single_builds(case, rng, monkeypatch):
     # each table of a batch, level values, pushdowns and derivatives, read
-    # through cov_table, is its one-point build bit for bit: every product acts
-    # on one vector alone
+    # through the checked kernel, is its one-point build bit for bit: every
+    # product acts on one vector alone
     ctx, chart = case
+    built = count_builds(monkeypatch)
     for ts, fibers in _stencil_sets(ctx, chart, rng):
-        geom = rc.SigmaGeometry(ctx, chart)
-        geom.points(ts, fibers)
-        assert len(geom._points) == len({(np.asarray(t).tobytes(), f.tobytes())
-                                         for t, f in zip(ts, fibers)})
-        for t, fiber in zip(ts, fibers):
-            batched = _table(geom, t, fiber)
-            single = _table(rc.SigmaGeometry(ctx, chart), t, fiber)
-            for a, b in zip(batched, single):
+        built.clear()
+        batch = rc.SigmaGeometry(ctx, chart).kernels(ts, fibers)
+        assert built == [len({(np.asarray(t).tobytes(), f.tobytes()) for t, f in zip(ts, fibers)})]
+        for row, (t, fiber) in enumerate(zip(ts, fibers)):
+            single = _table(rc.SigmaGeometry(ctx, chart).kernels(t, fiber))
+            for a, b in zip(_table(batch[row:row + 1]), single):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
@@ -149,7 +153,7 @@ def test_far_apart_points_keep_their_own_pade_plans(case, rng, monkeypatch):
        order=st.lists(st.integers(0, 3), min_size=1, max_size=8))
 def test_random_stacks_are_single_builds(points, order):
     # random chart points (scales 1e-3 to 3) and fibers, in a random order
-    # with repeats; a repeated (t, fiber) gives the same kernel object
+    # with repeats; a repeated (t, fiber) gives its first row's kernel
     ctx, chart = _setup(CASES[0])
     km = chart.dim
     picks = [i % len(points) for i in order]
@@ -157,30 +161,33 @@ def test_random_stacks_are_single_builds(points, order):
     fibers = [_fiber(ctx, points[i][1][km:]) for i in picks]
     batch = _assert_batch_is_single_builds(ctx, chart, ts, fibers)
     for a, i in enumerate(picks):
-        assert batch[a] is batch[picks.index(i)]
+        _assert_same(batch[a], batch[picks.index(i)])
 
 
-def test_repeated_and_cached_points_are_built_once(monkeypatch):
+def test_repeated_rows_are_built_once_per_call(monkeypatch):
+    # rows with equal (t, fiber) bytes reach _build once within a call; −0.0
+    # and +0.0 differ in their bytes and are built apart, each its own one-row
+    # build; a second call keeps nothing of the first
     ctx, chart = _setup(CASES[0])
     geom = rc.SigmaGeometry(ctx, chart)
-    built = []
-    build = rc.SigmaGeometry._build
-
-    def counted(self, ts, fibers):
-        built.append(len(ts))
-        return build(self, ts, fibers)
-
-    monkeypatch.setattr(rc.SigmaGeometry, "_build", counted)
+    built = count_builds(monkeypatch)
     t1, t2, t3 = (np.full(chart.dim, s) for s in (0.1, -0.2, 0.3))
+    plus, minus = (sign * 0.0 * np.eye(chart.dim)[0] for sign in (1.0, -1.0))
     fiber = _fiber(ctx, [0.5] * ctx.stabilizer_dim)
-    first = geom.points([t1, t1, t2, t2], [geom.identity, geom.identity, geom.identity, fiber])
+    ts = [t1, t1.copy(), t2, t2, plus, minus]
+    first = geom.kernels(ts, [geom.identity, np.eye(geom.n), geom.identity, fiber,
+                              geom.identity, geom.identity])
+    assert built == [5]
+    _assert_same(first[0], first[1])
+    assert first.lifts[2].tobytes() != first.lifts[3].tobytes()
+    for row, t in enumerate(ts):
+        fiber_row = fiber if row == 3 else geom.identity
+        _assert_same(first[row], rc.SigmaGeometry(ctx, chart).kernels(t, fiber_row)[0])
+    built.clear()
+    again = geom.kernels([t2, t3, t1], geom.identity)
     assert built == [3]
-    assert first[0] is first[1] and first[2] is not first[3]
-    assert geom.point(t1.copy(), np.eye(geom.n)) is first[0]
-    again = geom.points([t2, t3, t1], geom.identity)
-    assert built == [3, 1]
-    assert again[0] is first[2] and again[2] is first[0]
-    assert len(geom._points) == 4
+    _assert_same(again[0], first[2])
+    _assert_same(again[2], first[0])
 
 
 @pytest.mark.parametrize("case", [None] + [c for c in CASES if c[0] != "so4-singular"],
@@ -188,7 +195,9 @@ def test_repeated_and_cached_points_are_built_once(monkeypatch):
 def test_frame_rank_loss_raises_only_at_its_point(case):
     # at t = π·e₀ (2π·e₀ on so3), past the chart radius, φ₁(−ad A) and with it
     # the chart-fiber frame are singular; the batch is built whole, and only
-    # that point raises, on every use
+    # that point raises, on every read that needs the frame: the lifts, their
+    # quotient-map solve and the reduced form, which need the lift system
+    # alone, are finite there
     if case is None:
         ctx = rc.build_context(rc.so3(), np.array([0.0, 0.0, 1.0]))
         chart, bad = rc.default_chart(ctx), np.array([2 * np.pi, 0.0])
@@ -199,14 +208,20 @@ def test_frame_rank_loss_raises_only_at_its_point(case):
     ts = [good[0], bad, good[1]]
     geom = rc.SigmaGeometry(ctx, chart)
     batch = _assert_batch_is_single_builds(ctx, chart, ts, [geom.identity] * 3)
-    assert [p.frame_ok for p in batch] == [True, False, True]
-    geom.points(ts, geom.identity)
+    assert batch.frame_ok.tolist() == [True, False, True]
+    K, D = batch[1:2], chart.dnu(bad)
+    reduction._check(K.lift_ok, K.tangent)  # the checks the lifts need pass
+    assert np.all(np.isfinite(K.lifts))
+    assert np.all(np.isfinite(geom.lift(K, D.T)))
+    assert np.isfinite(rc.reduced_form(ctx, chart, D[:, 0], D[:, 1], bad, geom=geom))
     for _ in range(2):
         with pytest.raises(RankLoss):
-            geom.lift_derivatives(bad, geom.identity, geom.lifts(bad, geom.identity))
-    for t in good:
-        assert np.all(np.isfinite(geom.lift_derivatives(t, geom.identity,
-                                                        geom.lifts(t, geom.identity))))
+            geom.lift_derivatives(K, K.lifts[0])
+        with pytest.raises(RankLoss):
+            batch.checked()
+    for row in (0, 2):
+        K = batch[row:row + 1]
+        assert np.all(np.isfinite(geom.lift_derivatives(K, K.checked().lifts[0])))
 
 
 def test_lift_rank_loss_raises_only_at_its_point():
@@ -219,16 +234,15 @@ def test_lift_rank_loss_raises_only_at_its_point():
     ts = [good[0], bad, good[1]]
     geom = rc.SigmaGeometry(ctx, chart)
     batch = _assert_batch_is_single_builds(ctx, chart, ts, [geom.identity] * 3)
-    assert [p.lift_ok for p in batch] == [True, False, True]
-    assert all(p.frame_ok for p in batch)
-    geom.points(ts, geom.identity)
+    assert batch.lift_ok.tolist() == [True, False, True]
+    assert batch.frame_ok.all()
     for _ in range(2):
         with pytest.raises(SingularProjection):
-            geom.lifts(bad, geom.identity)
+            batch[1:2].checked()
         with pytest.raises(SingularProjection):
-            geom.lift(bad, geom.identity, chart.dnu(bad)[:, 0])
-    for t in good:
-        assert geom.lifts(t, geom.identity).shape == (2, 4)
+            geom.lift(batch[1:2], chart.dnu(bad)[:, 0])
+    for row in (0, 2):
+        assert batch[row:row + 1].checked().lifts[0].shape == (2, 4)
 
 
 @pytest.mark.parametrize("rank_loss", ["frame", "lift"])
@@ -236,7 +250,7 @@ def test_table_batch_raises_only_at_its_rank_loss_point(rank_loss):
     # so(4) regular at π·e₀ (the frame loses rank) and aff1 at 30·e₀ (the lift
     # matrix does): a batch with that point is built without raising, the
     # other tables are their one-point builds, and only that point's table
-    # raises, on every read
+    # raises, on every read, and so does the checked read of the whole batch
     if rank_loss == "frame":
         ctx, chart = _setup(CASES[0])
         bad, error = np.pi * np.eye(chart.dim)[0], RankLoss
@@ -246,17 +260,18 @@ def test_table_batch_raises_only_at_its_rank_loss_point(rank_loss):
         bad, error = np.array([30.0, 0.0]), SingularProjection
     ts = [np.linspace(-0.2, 0.3, chart.dim), bad, np.linspace(0.25, -0.1, chart.dim)]
     geom = rc.SigmaGeometry(ctx, chart)
-    geom.points(ts, geom.identity)
-    assert [not geom._points[(t.tobytes(), geom.identity.tobytes())].ok for t in ts] == \
-        [t is bad for t in ts]
-    for t in ts:
+    batch = geom.kernels(ts, geom.identity)
+    assert (~(batch.lift_ok & batch.tangent & batch.frame_ok)).tolist() == [t is bad for t in ts]
+    for row, t in enumerate(ts):
         if t is bad:
             for _ in range(2):
                 with pytest.raises(error):
-                    geom.cov_table(bad, geom.identity)
+                    _table(batch[row:row + 1])
+                with pytest.raises(error):
+                    _table(batch)
         else:
-            single = _table(rc.SigmaGeometry(ctx, chart), t, geom.identity)
-            for a, b in zip(_table(geom, t, geom.identity), single):
+            single = _table(rc.SigmaGeometry(ctx, chart).kernels(t, geom.identity))
+            for a, b in zip(_table(batch[row:row + 1]), single):
                 assert a.tobytes() == b.tobytes()
 
 
@@ -290,7 +305,8 @@ def test_lifts_are_the_horizontal_projection_of_the_section_velocity(label, ctx,
         velocity = np.linalg.inv(fiber) @ chart.section_vectors(t)
         projection = ctx.horizontal_part(np.hstack([velocity.T, np.zeros((chart.dim, n))]))
         geom = rc.SigmaGeometry(ctx, chart)
-        solve = geom.lift(t, fiber, chart.dnu(t).T)
+        K = geom.kernels(t, fiber).checked()
+        solve = geom.lift(K, chart.dnu(t).T)
         gap = np.linalg.norm(projection - solve, axis=1)
         assert np.all(gap <= 1e-13 * np.maximum(1.0, np.linalg.norm(solve, axis=1))), label
-        assert np.max(np.abs(geom.lifts(t, fiber) - projection)) <= 1e-14
+        assert np.max(np.abs(K.lifts[0] - projection)) <= 1e-14

@@ -215,6 +215,21 @@ class TestExitCodes:
         assert main(["validate", "--config", str(path)]) == 2
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "ConfigError"
 
+    @pytest.mark.parametrize("verb,config", [
+        *[(verb, SO3_DOC) for verb in ("validate", "reduce", "curvature", "verify",
+                                       "export-connection")],
+        ("validate", None)], ids=["validate", "reduce", "curvature", "verify",
+                                  "export-connection", "config-error"])
+    def test_unwritable_out_path_is_config_error(self, tmp_path, capsys, verb, config):
+        # every verb, and the config-error report, exits 2 with one line on
+        # stderr naming the path when --out cannot be written
+        cfg = _write_config(tmp_path, config) if config else str(tmp_path / "absent.json")
+        out = tmp_path / "missing" / "r.json"
+        assert main([verb, "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.count("\n") == 1 and str(out) in captured.err
+
     def test_unknown_stage_is_config_error(self):
         with pytest.raises(ConfigError):
             run_pipeline(CaseConfig.from_dict(SO3_DOC), "bogus")

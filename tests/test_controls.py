@@ -131,14 +131,14 @@ def test_reduced_form_closed_fails_on_a_jet_that_differentiates_no_field():
     run = pipeline._run_stages(cfg, "reduce", {}, {})
     geom, km = run.geom, run.geom.chart.dim
     assert km == 4 and run.sweep["closed"] <= THRESHOLDS["reduced_form_closed"]
-    points = geom.points  # the sweep reads its kernels through ``points`` (``stacked``)
+    kernels = geom.kernels  # the sweep reads its kernels through ``kernels``
     noise = np.random.default_rng(5).standard_normal((km, km, 2 * geom.n)) * 1e-3
 
     def perturbed(ts, fibers):
-        return [replace(kernel, jet=np.concatenate([kernel.jet[:km] + noise, kernel.jet[km:]]))
-                for kernel in points(ts, fibers)]
+        K = kernels(ts, fibers)
+        return replace(K, jet=np.concatenate([K.jet[:, :km] + noise, K.jet[:, km:]], axis=1))
 
-    geom.points = perturbed
+    geom.kernels = perturbed
     pts = np.asarray(run.stages["reduce"]["chart_points"])
     run.sweep = pipeline._chart_sweep(geom, pts, np.random.default_rng(0))
     _assert_fails(pipeline._verify_reduction, run, "red/reduced-form-closed",

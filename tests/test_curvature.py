@@ -8,7 +8,8 @@ from redconn import curvature, linalg, pipeline, reduction
 from redconn.errors import RankLoss, ZeroDimensionalBase
 from redconn.pipeline import THRESHOLDS, CaseConfig, run_pipeline
 from redconn.reduction import SigmaGeometry
-from tests.conftest import CATALOG_CASES, perfbench_cases, symmetrized, track_geometries
+from tests.conftest import (CATALOG_CASES, count_builds, perfbench_cases, pushdown, symmetrized,
+                            track_geometries)
 from tests.test_compare_reports import compare_reports
 from tests.test_liealg import _so4
 
@@ -100,7 +101,7 @@ class TestFlagship:
         geoms = [SigmaGeometry(ctx, chart) for chart in charts]
         t = np.zeros(charts[0].dim)
         assert np.max(np.abs(charts[0].dnu(t) - charts[1].dnu(t))) <= 1e-12
-        covs = [geom.cov_table(t, geom.identity)[1] for geom in geoms]
+        covs = [geom.kernels(t, geom.identity).checked().cov[0] for geom in geoms]
         assert np.max(np.abs(covs[0] - covs[1])) > 0.1
         for route in (curvature_formula, curvature_tensor):
             first, second = (route(geom, t) for geom in geoms)
@@ -169,17 +170,17 @@ class TestTensorRoute:
         block = curvature_formula(geom, t, directions=(1, 0))
         assert (block == full[np.ix_([1, 0], [1, 0])]).all()
 
-    def test_direction_subset_reads_only_its_rows_on_so4(self):
+    def test_direction_subset_reads_only_its_rows_on_so4(self, monkeypatch):
         # on so(4) regular km = 4, so a block over two directions builds the
         # kernel at t and at the stencil points of its own two directions only
         ctx = rc.build_context(_so4(), np.array([1.0, 0.0, 0.0, 0.0, 0.0, 2.0]))
         chart = rc.default_chart(ctx)
         t = np.array([0.12, -0.2, 0.07, 0.15])
-        geoms = [SigmaGeometry(ctx, chart) for _ in range(2)]
-        full = curvature_formula(geoms[0], t)
-        block = curvature_formula(geoms[1], t, directions=(2, 0))
+        built = count_builds(monkeypatch)
+        full = curvature_formula(SigmaGeometry(ctx, chart), t)
+        block = curvature_formula(SigmaGeometry(ctx, chart), t, directions=(2, 0))
         assert (block == full[np.ix_([2, 0], [2, 0])]).all()
-        assert [len(geom._points) for geom in geoms] == [1 + 2 * 4, 1 + 2 * 2]
+        assert built == [1 + 2 * 4, 1 + 2 * 2]
 
 
 class TestCatalogAgreement:
@@ -240,8 +241,10 @@ class TestSymmetryBattery:
         assert np.max(np.abs(tensor - formula)) > 0.05
         assert np.max(np.abs(tensor - exact)) > 0.05
 
+        K = geom.kernels(t, e).checked()
+
         def symplectic_defect(rows):  # max |ω(R f_l, f_w) − ω(R f_w, f_l)|
-            form = geom.form_table(geom.lift(t, e, rows), geom.lifts(t, e))
+            form = geom.form_table(geom.lift(K, rows), K.lifts[0])
             return float(np.max(np.abs(form - form.T)))
 
         assert symplectic_defect(tensor) > 0.05
@@ -257,9 +260,9 @@ class TestSymmetryBattery:
         calls = []
         lift = SigmaGeometry.lift
 
-        def counted(self, t, fiber, v):
+        def counted(self, K, v):
             calls.append(np.shape(v))
-            return lift(self, t, fiber, v)
+            return lift(self, K, v)
 
         monkeypatch.setattr(SigmaGeometry, "lift", counted)
         curvature_battery(geom, [np.array([0.12, -0.2, 0.07, 0.15]), np.zeros(4)])
@@ -304,20 +307,28 @@ def _formula_every_stencil(geom, t, fd_step, fd_step2):
     ``curvature_formula``, to the error of its nested stencils."""
     ctx, e, km = geom.ctx, geom.identity, geom.chart.dim
     hproj = ctx.horizontal_part
-    u = geom.lifts(t, e)
+    K = geom.kernels(t, e).checked()
+    u = K.lifts[0]
 
-    def inner(t2, fib, v):  # [l] = the derivative of f̄_l along v, by a stencil
-        return geom._stencil(t2, fib, v, fd_step, geom.lifts)
+    def lifts(ts, fibers):
+        return geom.kernels(ts, fibers).checked().lifts
 
-    def grads(t2, fib):
-        w = geom.lifts(t2, fib)
-        level = np.array([geom._induced(w[j], w, inner(t2, fib, w[j])) for j in range(km)])
+    def inner(t2, fib, frames, v):  # [l] = the derivative of f̄_l along v, by a stencil
+        return geom._stencil(t2, fib, v, fd_step, frames, lifts)
+
+    def grads_at(t2, fib):
+        P = geom.kernels(t2, fib).checked()
+        w = P.lifts[0]
+        level = np.array([geom._induced(w[j], w, inner(t2, fib, P.F, w[j])) for j in range(km)])
         return np.stack([level, ctx.alpha_star(level)], axis=2)
 
-    base = grads(t, e)
-    outer = [geom._induced(u[x], base, geom._stencil(t, e, u[x], fd_step2, grads))
+    def grads(ts, fibers):
+        return np.array([grads_at(t2, fib) for t2, fib in zip(ts, fibers)])
+
+    base = grads_at(t, e)
+    outer = [geom._induced(u[x], base, geom._stencil(t, e, u[x], fd_step2, K.F, grads))
              for x in range(km)]
-    d = [inner(t, e, u[x]) for x in range(km)]
+    d = [inner(t, e, K.F, u[x]) for x in range(km)]
     out = np.zeros((km, km, km, geom.n))
     for i in range(km):
         for j in range(km):
@@ -325,12 +336,12 @@ def _formula_every_stencil(geom, t, fd_step, fd_step2):
                 continue
             bracket = d[i][j] - d[j][i] + np.einsum("abc,a,b->c", geom.struct, u[i], u[j])
             radical = ctx.alpha_star(bracket)
-            term3 = geom._induced(bracket, u, inner(t, e, bracket))
-            t5 = geom._induced(radical, u, inner(t, e, radical))
+            term3 = geom._induced(bracket, u, inner(t, e, K.F, bracket))
+            t5 = geom._induced(radical, u, inner(t, e, K.F, radical))
             r_amb = (outer[i][j, :, 0] - outer[j][i, :, 0]) - term3
             r_bar = (hproj(r_amb) - hproj(outer[i][j, :, 1]) + hproj(outer[j][i, :, 1])
                      + hproj(t5))
-            out[i, j] = geom.pushdown(t, e, r_bar)
+            out[i, j] = pushdown(geom, K.coad[0], r_bar)
     return out
 
 
@@ -382,11 +393,12 @@ class TestExactCurvature:
         else:
             assert label == "so5-regular" and gap >= 0.5
 
-    def test_builds_no_kernel_beyond_the_one_at_t(self, so3_setup):
+    def test_builds_no_kernel_beyond_the_one_at_t(self, so3_setup, monkeypatch):
+        # not even the one at t: Coad and D there come from the chart's lift block
         _, ctx, chart = so3_setup
-        geom = SigmaGeometry(ctx, chart)
-        curvature_exact(geom, np.array([0.1, -0.2]))
-        assert len(geom._points) == 1
+        built = count_builds(monkeypatch)
+        curvature_exact(SigmaGeometry(ctx, chart), np.array([0.1, -0.2]))
+        assert built == []
 
 
 class TestFormulaStencils:
@@ -421,16 +433,17 @@ def _formula_per_pair(geom, t, dirs):
     """``curvature_formula`` at fd_step2 1e-4, one entry [a, b] at a time: the
     reference its entries, stacked over all pairs, must equal bit for bit."""
     ctx, e, km = geom.ctx, geom.identity, geom.chart.dim
-    u = geom.lifts(t, e)
+    K = geom.kernels(t, e).checked()
+    u = K.lifts[0]
 
-    def grads(t2, fib):
-        level = geom.cov_table(t2, fib)[0]
-        return np.stack([level, ctx.alpha_star(level)], axis=2)
+    def grads(ts, fibers):
+        level = geom.kernels(ts, fibers).checked().level
+        return np.stack([level, ctx.alpha_star(level)], axis=-2)
 
     xs = list(dict.fromkeys(dirs))
-    d_grads = geom._stencil(t, e, u[xs], 1e-4, grads)
-    inner = geom.point(t, e).derivs
-    outer = {x: geom._induced(u[x], grads(t, e), d) for x, d in zip(xs, d_grads)}
+    d_grads = geom._stencil(t, e, u[xs], 1e-4, K.F, grads)
+    inner = K.derivs[0]
+    outer = {x: geom._induced(u[x], grads(t[None], e[None])[0], d) for x, d in zip(xs, d_grads)}
     out = np.zeros((len(dirs), len(dirs), km, geom.n))
     for a, i in enumerate(dirs):
         for b, j in enumerate(dirs):
@@ -442,10 +455,10 @@ def _formula_per_pair(geom, t, dirs):
                        + linalg.matvec(su_i.reshape(2 * geom.n, -1).T, u[j]))
             along = [bracket, ctx.alpha_star(bracket)]
             term3, t5 = (geom._induced(v, u, d)
-                         for v, d in zip(along, geom.lift_derivatives(t, e, along)))
+                         for v, d in zip(along, geom.lift_derivatives(K, along)[0]))
             r_amb = (outer[i][j, :, 0] - outer[j][i, :, 0]) - term3
             r_bar = ctx.horizontal_part(r_amb - outer[i][j, :, 1] + outer[j][i, :, 1] + t5)
-            out[a, b] = geom.pushdown(t, e, r_bar)
+            out[a, b] = pushdown(geom, K.coad[0], r_bar)
     return out
 
 
@@ -504,10 +517,10 @@ class TestStackedJobs:
 
     @pytest.mark.parametrize("case", perfbench_cases().SO4_CASES, ids=lambda c: c[0])
     def test_curvature_stage_builds_one_batch(self, case, monkeypatch):
-        # the kernel at the first point is the chart sweep's, so the exact value
-        # that picks the probe builds none, and the points with the tensor's
-        # t ± h·eₓ, every formula stencil and the probe's points (all known
-        # before any kernel is built) are one build, whatever the number of points
+        # the exact value that picks the probe builds no kernel, so the points
+        # with the tensor's t ± h·eₓ, every formula stencil and the probe's
+        # points (all known before any kernel is built) are one build, whatever
+        # the number of points
         cases = perfbench_cases()
         _, n, weights, _, samples = case
         doc = {"group": cases.so_n_group(n), "mu": cases.so_n_mu(n, weights)}
@@ -531,7 +544,7 @@ class TestStackedJobs:
         assert builds == [1, 1]
 
     def test_battery_after_the_sweep_builds_once_and_solves_each_kind_once(self, monkeypatch):
-        # after the reduce stage, whose sweep built the kernel at t_points[0] = 0,
+        # after the reduce stage (the battery keeps nothing from its sweep),
         # three points' battery builds one batch and takes four stacked solves
         # (R_μ's N and the exact value's B, Γ at every tensor point, the lifts of
         # the symplectic defect) and no lstsq, whatever the number of points
@@ -622,8 +635,8 @@ class TestConvergence:
         # the probe reads R(f_i, f_j)f_l only, on its own geometry: the table at
         # t and, for each step, the formula's two stencil points along f̄_i and
         # f̄_j and the tensor's t ± h·eᵢ, t ± h·eⱼ, every table whole and built
-        # once; the kernel at t comes first, every displaced kernel from one
-        # batch, and the exact reference builds none
+        # once; the kernel at t is in one batch with every displaced kernel, and
+        # the exact reference builds none
         ctx = rc.build_context(_so4(), np.array([1.0, 0.0, 0.0, 0.0, 0.0, 2.0]))
         chart = rc.default_chart(ctx)
         t = np.array([0.1, -0.05, 0.08, 0.02])
@@ -632,20 +645,18 @@ class TestConvergence:
         build = SigmaGeometry._build
 
         def counted(self, ts, fibers):
-            batches.append(len(ts))
-            return build(self, ts, fibers)
+            batches.append((ts, build(self, ts, fibers)))
+            return batches[-1][1]
 
         monkeypatch.setattr(SigmaGeometry, "_build", counted)
         convergence_factor(SigmaGeometry(ctx, chart), t, inputs=(0, 2, 1))
         assert len(geometries) == 1  # the reference shares the probe's geometry
         geom, = geometries
         displaced = 2 * (2 * 2 + 2 * 2)
-        assert len(geom._points) == 1 + displaced
-        assert batches == [1, displaced]
-        assert (t.tobytes(), geom.identity.tobytes()) in geom._points
-        for p in geom._points.values():
-            assert p.level.shape == p.derivs.shape == (chart.dim, chart.dim, 2 * geom.n)
-            assert p.cov.shape == (chart.dim, chart.dim, geom.n)
+        (ts, K), = batches
+        assert len(ts) == 1 + displaced and t.tobytes() in {row.tobytes() for row in ts}
+        assert K.level.shape == K.derivs.shape == (len(ts), chart.dim, chart.dim, 2 * geom.n)
+        assert K.cov.shape == (len(ts), chart.dim, chart.dim, geom.n)
 
     def test_so4_regular_probe_measures_truncation(self):
         # on S² × S² the triples (0, 1, l) have zero curvature at the first
@@ -673,10 +684,9 @@ class TestOneEvaluationPerValue:
             return wrapper
 
         monkeypatch.setattr(curvature, "_formula", counted("formula", curvature._formula))
-        # every level-set table, read through cov_table by the tensor, the
-        # sweep and the formula, is computed with its kernel, once per
-        # geometry and (t, fiber)
-        geometries = track_geometries(monkeypatch)
+        # every level-set table, read by the tensor, the sweep and the
+        # formula, is computed with its kernel, once per build and (t, fiber)
+        built = count_builds(monkeypatch)
         cfg = CaseConfig.from_dict({"group": "so3", "mu": [0.0, 0.0, 1.0], "samples": 5})
         rep, code = run_pipeline(cfg)
         assert code == 0
@@ -690,15 +700,14 @@ class TestOneEvaluationPerValue:
         # fiber-independence check (the autoparallel check stops at its
         # defect on so3); per curvature point, the table at t that both routes
         # read, t ± h·eₓ for the tensor and the formula's outer stencil points.
-        # At t = 0 the table at t is the sweep's first, and the lift of f_x
-        # solves to exactly (eₓ, 0) in the chart-fiber frame, so the formula's
-        # outer points are the tensor's.  The probe, at t = 0 on the same
-        # geometry, adds at each of its two steps t ± h along its two
-        # directions, shared by both routes; its exact reference adds none.
+        # At t = 0 the lift of f_x solves to exactly (eₓ, 0) in the chart-fiber
+        # frame, so the formula's outer points are the tensor's.  The probe, at
+        # t = 0 in the same batch, adds at each of its two steps t ± h along its
+        # two directions, shared by both routes; its exact reference adds none.
         assert rep["stages"]["reduce"]["autoparallel"]["independence"] is None
-        tables = sum(len(g._points) for g in geometries)
-        assert tables == (cfg.samples + 5 + points * (1 + 2 * 2 * km) - 1 - 2 * km
-                          + 2 * (2 * 2))
+        assert len(built) == 2
+        assert sum(built) == (cfg.samples + 5 + points * (1 + 2 * 2 * km) - 2 * km
+                              + 2 * (2 * 2))
 
         ctx = rc.build_context(rc.so3(), np.array([0.0, 0.0, 1.0]))
         chart = rc.default_chart(ctx)

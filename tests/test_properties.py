@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import redconn as rc
 from redconn.pipeline import THRESHOLDS, CaseConfig
-from tests.conftest import perfbench_cases, richardson_stencil
+from tests.conftest import perfbench_cases, pushdown, richardson_stencil
 
 SO4_CASES = perfbench_cases().SO4_CASES
 REGULAR_CASES = [SO4_CASES[0], perfbench_cases().SO5_CASES[0]]
@@ -39,15 +39,15 @@ def test_lifts_and_tables_at_random_points_and_fibers(so4_case, t_unit, y):
     fiber = rc.group_exp(a, ctx.split.g_mu @ np.asarray(y[:k]))
     geom = rc.SigmaGeometry(ctx, chart)
 
-    lifts = geom.lifts(t, fiber)
+    K = geom.kernels([t, t], [geom.identity, fiber]).checked()
+    lifts = K.lifts[1]
     assert lifts.shape == (km, 2 * a.dim)
     assert np.max(np.abs(ctx.alpha_mat @ lifts.T)) <= 1e-10  # horizontal
     D = chart.dnu(t)
-    pushed = np.array([geom.pushdown(t, fiber, row) for row in lifts]).T
+    pushed = np.array([pushdown(geom, K.coad[1], row) for row in lifts]).T
     assert np.max(np.abs(pushed - D)) <= 1e-10 * np.max(np.abs(D))
 
-    _, cov = geom.cov_table(t, geom.identity)
-    _, moved = geom.cov_table(t, fiber)
+    cov, moved = K.cov
     assert np.max(np.abs(moved - cov)) <= THRESHOLDS["fiber_independence"]
     assert np.max(np.abs(cov - cov.transpose(1, 0, 2))) <= THRESHOLDS["reduced_torsion"]
 
@@ -73,9 +73,11 @@ def test_jet_matches_richardson_stencil(regular_case, scale, t_unit, y):
     t = 0.4 * np.asarray(t_unit[:km])
     geom = rc.SigmaGeometry(ctx, chart)
     for fiber in (geom.identity, rc.group_exp(a, ctx.split.g_mu @ np.asarray(y[:k]))):
-        us = np.vstack([geom.lifts(t, fiber), np.pad(ctx.split.g_mu.T, ((0, 0), (0, a.dim)))])
-        exact = geom.lift_derivatives(t, fiber, us)
+        K = geom.kernels(t, fiber).checked()
+        us = np.vstack([K.lifts[0], np.pad(ctx.split.g_mu.T, ((0, 0), (0, a.dim)))])
+        exact = geom.lift_derivatives(K, us)[0]
         assert exact.shape == (km + k, km, 2 * a.dim)
         for u, d in zip(us, exact):
-            fd = richardson_stencil(geom, t, fiber, u, 1e-3, geom.lifts)
+            fd = richardson_stencil(geom, t, fiber, u, 1e-3, K.F,
+                                    lambda ts, fibers: geom.kernels(ts, fibers).checked().lifts)
             assert np.max(np.abs(fd - d)) <= 1e-9 * max(1.0, float(np.max(np.abs(d))))

@@ -12,7 +12,7 @@ from redconn.errors import (AssumptionTwoFailure, DegeneratePairing,
                             NonReductiveStabilizer, NotTangent, PointOffConstraint,
                             RankLoss, SingularProjection, ZeroDimensionalBase)
 from redconn.reduction import SigmaGeometry, gram_oracle_solve, isotropic_correction_gram
-from tests.conftest import AFF1_DOC, CATALOG_CASES, richardson_stencil
+from tests.conftest import AFF1_DOC, CATALOG_CASES, count_builds, pushdown, richardson_stencil
 from tests.test_liealg import _so4
 
 e1, e2, e3 = np.eye(3)
@@ -24,17 +24,23 @@ def _vec(X, eta):
 
 def _induced_derivative(ctx, chart, u, field, t, step=1e-5):
     """P∘∇ along the level-set vector u at the section point t of the field
-    (t, fiber) -> frame components: the ambient derivative projected onto TΣ."""
+    (ts, fibers) -> frame components at each point: the ambient derivative
+    projected onto TΣ."""
     geom = SigmaGeometry(ctx, chart)
     t = np.asarray(t, dtype=float)
-    d = geom._stencil(t, geom.identity, u, step, field)
-    return geom._induced(u, field(t, geom.identity), d)
+    d = geom._stencil(t, geom.identity, u, step, geom.kernels(t, geom.identity).F, field)
+    return geom._induced(u, field(t[None], geom.identity[None])[0], d)
+
+
+def _constant(v):
+    """The field with the frame components v at every point."""
+    return lambda ts, fibers: np.tile(v, (len(ts), 1))
 
 
 def _reduced_table(ctx, chart, t, fiber=None):
     """cov[i, j] = ∇ʳ(f_i) f_j over the chart coordinate fields at (t, fiber)."""
     geom = SigmaGeometry(ctx, chart)
-    return geom.cov_table(t, geom.identity if fiber is None else fiber)[1]
+    return geom.kernels(t, geom.identity if fiber is None else fiber).checked().cov[0]
 
 
 def _canonical_omega(p):
@@ -210,7 +216,7 @@ class TestSigmaCovderiv:
         gamma = rc.symplectized_coefficients(so3, mu_so3, rc.baseline_coefficients(so3))
         u = _vec(e1, np.zeros(3))
         v = _vec(e2, np.zeros(3))
-        out = _induced_derivative(so3_ctx, so3_chart, u, lambda t, fib: v, np.zeros(2))
+        out = _induced_derivative(so3_ctx, so3_chart, u, _constant(v), np.zeros(2))
         raw = np.einsum("abc,a,b->c", gamma, u, v)
         basis = np.hstack([so3_ctx.split.t_sigma, so3_ctx.w2, so3_ctx.S])
         coords = np.linalg.solve(basis, raw)
@@ -220,7 +226,7 @@ class TestSigmaCovderiv:
     def test_output_tangent_to_level_set(self, so3_ctx, so3_chart, rng):
         u = _vec(rng.standard_normal(3), np.zeros(3))
         v = _vec(rng.standard_normal(3), np.zeros(3))
-        out = _induced_derivative(so3_ctx, so3_chart, u, lambda t, f: v, np.array([0.2, -0.1]))
+        out = _induced_derivative(so3_ctx, so3_chart, u, _constant(v), np.array([0.2, -0.1]))
         assert np.max(np.abs(out[3:])) <= 1e-9
 
     def test_torsion_free_on_constant_fields(self, so3_ctx, so3_chart, rng):
@@ -228,8 +234,8 @@ class TestSigmaCovderiv:
         u = _vec(rng.standard_normal(3), np.zeros(3))
         v = _vec(rng.standard_normal(3), np.zeros(3))
         t = np.array([0.1, 0.05])
-        duv = _induced_derivative(so3_ctx, so3_chart, u, lambda t, f: v, t)
-        dvu = _induced_derivative(so3_ctx, so3_chart, v, lambda t, f: u, t)
+        duv = _induced_derivative(so3_ctx, so3_chart, u, _constant(v), t)
+        dvu = _induced_derivative(so3_ctx, so3_chart, v, _constant(u), t)
         br = _vec(a.bracket(u[:3], v[:3]), np.zeros(3))
         assert np.max(np.abs(duv - dvu - br)) <= 1e-10
 
@@ -260,13 +266,13 @@ class TestSigmaCovderiv:
         def f(t):
             return 1.0 + 0.5 * t[0] - 0.3 * t[1] ** 2
 
-        def fv(t, fib):
-            return f(t) * v
+        def fv(ts, fibers):
+            return np.array([f(t) for t in ts])[:, None] * v
 
         lhs = _induced_derivative(so3_ctx, so3_chart, u, fv, t0)
-        plain = _induced_derivative(so3_ctx, so3_chart, u, lambda t, fib: v, t0)
+        plain = _induced_derivative(so3_ctx, so3_chart, u, _constant(v), t0)
         # chart-space derivative of f along the direction u
-        F = geom.point(t0, geom.identity).F
+        F = geom.kernels(t0, geom.identity).F[0]
         params = np.linalg.solve(F, u[:3])
         h = 1e-6
         df = (f(t0 + h * params[:2]) - f(t0 - h * params[:2])) / (2 * h)
@@ -276,7 +282,7 @@ class TestSigmaCovderiv:
 
 def _lift(ctx, chart, v, t):
     geom = SigmaGeometry(ctx, chart)
-    return geom.lift(t, geom.identity, v)
+    return geom.lift(geom.kernels(t, geom.identity), v)
 
 
 class TestHorizontalLift:
@@ -313,10 +319,10 @@ class TestHorizontalLift:
         geom = SigmaGeometry(so3_ctx, so3_chart)
         geom.w1grp = np.zeros_like(geom.w1grp)  # collapse the lift system
         with pytest.raises(SingularProjection):
-            geom.lift(np.zeros(2), geom.identity, so3_chart.dnu(np.zeros(2))[:, 0])
+            geom.lift(geom.kernels(np.zeros(2), geom.identity), so3_chart.dnu(np.zeros(2))[:, 0])
 
     def test_lift_array_raises_on_every_use(self, so3_ctx, so3_chart):
-        # the kernel is built whatever its lift system; reading its lifts raises
+        # the kernel is built whatever its lift system; its checked read raises
         class NormalColumnChart(orbits.OrbitChart):  # μ, normal to the orbit at t = 0
             def exp_data(self, t):
                 coad, vecs, D, d_vecs = super().exp_data(t)
@@ -328,10 +334,11 @@ class TestHorizontalLift:
         collapsed.w1grp = np.zeros_like(collapsed.w1grp)
         for geom, error in ((SigmaGeometry(so3_ctx, skewed), NotTangent),
                             (collapsed, SingularProjection)):
-            assert geom.point(t, geom.identity).D.shape == (3, 2)
+            K = geom.kernels(t, geom.identity)
+            assert K.D.shape == (1, 3, 2)
             for _ in range(2):
                 with pytest.raises(error):
-                    geom.lifts(t, geom.identity)
+                    K.checked()
 
 
 class TestReducedCovderiv:
@@ -350,9 +357,9 @@ class TestReducedCovderiv:
         geom = SigmaGeometry(so3_ctx, so3_chart)
         for _ in range(3):
             t = rng.uniform(-0.4, 0.4, 2)
-            level, cov = geom.cov_table(t, geom.identity)
-            alt = gram_oracle_solve(geom, so3_chart.dnu(t), geom.lifts(t, geom.identity),
-                                    np.reshape(level, (4, -1)))
+            K = geom.kernels(t, geom.identity).checked()
+            level, cov = K.level[0], K.cov[0]
+            alt = gram_oracle_solve(geom, so3_chart.dnu(t), K.lifts[0], np.reshape(level, (4, -1)))
             for i in range(2):
                 for j in range(2):
                     assert np.max(np.abs(cov[i, j] - alt[2 * i + j])) <= 1e-8
@@ -516,9 +523,10 @@ class TestPointKernel:
         def assert_close(value, ref):
             assert np.max(np.abs(value - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
 
-        assert_close(geom.point(t, h).coad, coad_ref)
+        K = geom.kernels(t, h).checked()
+        assert_close(K.coad[0], coad_ref)
         assert_close(chart.dnu(t), D_ref)
-        lifts = geom.lifts(t, h)
+        lifts = K.lifts[0]
         assert lifts.shape == (chart.dim, 2 * a.dim)
         for i in range(chart.dim):
             coeffs, *_ = np.linalg.lstsq(M_ref, D_ref[:, i], rcond=None)
@@ -537,28 +545,27 @@ class TestPointKernel:
         for module in (liealg, orbits, reduction):
             monkeypatch.setattr(module, "group_exp", forbidden, raising=False)
         t = rng.uniform(-0.3, 0.3, chart.dim)
-        level, cov = geom.cov_table(t, fiber)
-        assert np.all(np.isfinite(level)) and np.all(np.isfinite(cov))
+        K = geom.kernels(t, fiber).checked()
+        assert np.all(np.isfinite(K.level)) and np.all(np.isfinite(K.cov))
         assert curvature_battery(geom, [t])["samples"]
 
     def test_chart_rank_loss_raises_on_every_use(self, so3_ctx, so3_chart):
         # at t = (2π, 0), φ₁(−ad A) vanishes on the rotation plane of A = 2π e1,
-        # so the chart-fiber frame is singular; at t = (6, 0) it is not
+        # so the chart-fiber frame is singular, and the stencil's frames, read
+        # checked, raise there; at t = (6, 0) it is not
         geom = SigmaGeometry(so3_ctx, so3_chart)
         u = _vec(e2, np.zeros(3))
-
-        def field(t, fib):
-            return u
-
         singular = np.array([2 * np.pi, 0.0])
         with pytest.raises(RankLoss):
             so3_chart.check_rank(singular)
         for _ in range(2):
             with pytest.raises(RankLoss):
-                geom._stencil(singular, geom.identity, u, 1e-5, field)
+                geom._stencil(singular, geom.identity, u, 1e-5,
+                              geom.kernels(singular, geom.identity).checked().F, _constant(u))
         near = np.array([6.0, 0.0])
         so3_chart.check_rank(near)
-        out = geom._stencil(near, geom.identity, u, 1e-5, field)
+        out = geom._stencil(near, geom.identity, u, 1e-5,
+                            geom.kernels(near, geom.identity).checked().F, _constant(u))
         assert np.all(np.isfinite(out))
 
 
@@ -580,13 +587,14 @@ class TestLiftStencil:
             fibers = np.array([fiber] * len(ts))
             *_, lift_ok, _, lifts, tangent = geom._lift_rows(*chart.lift_data(ts), fibers)
             assert lift_ok.all() and tangent.all()
-            kernels = np.array([p.lifts for p in geom.points(ts, fibers)])
+            kernels = geom.kernels(ts, fibers).lifts
             assert np.max(np.abs(lifts - kernels)) <= 1e-13 * max(1.0, np.max(np.abs(kernels)))
 
-    def test_raises_as_lifts_at_a_failing_stencil_point(self, so3_ctx, so3_chart):
+    def test_raises_as_lifts_at_a_failing_stencil_point(self, so3_ctx, so3_chart, monkeypatch):
         # a chart whose lift block gives D a column normal to the orbit, and a
         # geometry whose lift system is collapsed, fail at every stencil point;
-        # the kernel at t itself, built from the chart's 3n×3n block, is fine
+        # the kernel at t, built from the chart's 3n×3n block, gives the frame,
+        # and the stencil builds no kernel
         class NormalColumnChart(orbits.OrbitChart):  # μ, normal to the orbit at t = 0
             def lift_data(self, ts):
                 coad, vecs, D = super().lift_data(ts)
@@ -596,13 +604,16 @@ class TestLiftStencil:
         skewed = NormalColumnChart(so3_chart.algebra, so3_chart.mu, so3_chart.m_basis)
         collapsed = SigmaGeometry(so3_ctx, so3_chart)
         collapsed.w1grp = np.zeros_like(collapsed.w1grp)
+        built = count_builds(monkeypatch)
         for geom, error in ((SigmaGeometry(so3_ctx, skewed), NotTangent),
                             (collapsed, SingularProjection)):
             u = _vec(e1, np.zeros(3))
+            built.clear()
+            frames = geom.kernels(t, geom.identity).F
             for _ in range(2):
                 with pytest.raises(error):
-                    geom._stencil(t, geom.identity, u, 1e-5)
-            assert len(geom._points) == 1
+                    geom._stencil(t, geom.identity, u, 1e-5, frames)
+            assert built == [1]
 
 
 class TestCovTable:
@@ -620,18 +631,21 @@ class TestCovTable:
         random_fiber = rc.group_exp(a, ctx.split.g_mu @ rng.uniform(-1, 1, ctx.stabilizer_dim))
         h, fd_rtol = (1e-3, 1e-10) if richardson else (1e-5, 1e-9)
         for fiber in (np.eye(a.dim), random_fiber):
-            geom = SigmaGeometry(ctx, chart)
-            level, cov = geom.cov_table(t, fiber)
+            K = SigmaGeometry(ctx, chart).kernels(t, fiber).checked()
+            level, cov = K.level[0], K.cov[0]
             ref = SigmaGeometry(ctx, chart)
-            u = ref.lifts(t, fiber)
+            R = ref.kernels(t, fiber).checked()
+            u = R.lifts[0]
             for i in range(chart.dim):
                 for j in range(chart.dim):
-                    d = ref.lift_derivatives(t, fiber, u[i:i + 1])[0, j]
+                    d = ref.lift_derivatives(R, u[i:i + 1])[0, 0, j]
                     g = ref._induced(u[i], u[j], d)
                     assert level[i][j].tolist() == g.tolist()
-                    assert cov[i, j].tolist() == ref.pushdown(t, fiber, ctx.horizontal_part(g)).tolist()
+                    assert cov[i, j].tolist() == pushdown(ref, R.coad[0],
+                                                          ctx.horizontal_part(g)).tolist()
                     stencil = richardson_stencil if richardson else SigmaGeometry._stencil
-                    fd = stencil(ref, t, fiber, u[i], h, lambda t2, f, j=j: ref.lifts(t2, f)[j])
+                    fd = stencil(ref, t, fiber, u[i], h, R.F,
+                                 lambda ts, fibers, j=j: ref.kernels(ts, fibers).lifts[:, j])
                     assert np.max(np.abs(fd - d)) <= fd_rtol * max(1.0, np.max(np.abs(d)))
 
     @pytest.mark.parametrize("name,mu", [KERNEL_CASES[0], ("so4", SO4_REGULAR_MU)],
@@ -647,42 +661,46 @@ class TestCovTable:
         assert np.any(t != 0.0)
         random_fiber = rc.group_exp(a, ctx.split.g_mu @ rng.uniform(-1, 1, ctx.stabilizer_dim))
         for fiber in (np.eye(a.dim), random_fiber):
-            table_geom = SigmaGeometry(ctx, chart)
-            full = table_geom.cov_table(t, fiber)[0]
-            derivs = table_geom.point(t, fiber).derivs
+            table = SigmaGeometry(ctx, chart).kernels(t, fiber).checked()
+            full, derivs = table.level[0], table.derivs[0]
             for r in range(chart.dim):
                 geom = SigmaGeometry(ctx, chart)
-                u = geom.lifts(t, fiber)
+                K = geom.kernels(t, fiber).checked()
+                u = K.lifts[0]
                 (richardson_stencil if richardson else SigmaGeometry._stencil)(
-                    geom, t, fiber, u, 1e-3, geom.lifts)
-                d = geom.lift_derivatives(t, fiber, u[r:r + 1])[0]
+                    geom, t, fiber, u, 1e-3, K.F, lambda ts, fibers: geom.kernels(ts, fibers).lifts)
+                d = geom.lift_derivatives(K, u[r:r + 1])[0, 0]
                 assert d.tolist() == derivs[r].tolist()
                 assert geom._induced(u[r], u, d).tolist() == full[r].tolist()
 
     @pytest.mark.parametrize("richardson", [False, True], ids=["central", "richardson"])
-    def test_tables_are_kept_and_freed_with_the_geometry(self, richardson):
-        # each (t, fiber) kernel, its table included, is computed once; the
-        # kept kernels, those a stencil (central, or Richardson from two central
-        # ones) built in batches among them, hold no reference back to the geometry, so
-        # dropping it frees it at once
+    def test_tables_are_kept_and_freed_with_the_geometry(self, richardson, monkeypatch):
+        # the caller keeps the kernels it built, tables included, and the
+        # geometry keeps none: a second read of (t, fiber) builds its kernel
+        # again, bit for bit, and a stencil (central, or Richardson from two
+        # central ones) builds its points in one batch each; the kernels hold
+        # no reference back to the geometry, so dropping it frees it at once
         _, ctx, chart = _case(*KERNEL_CASES[-1])
+        built = count_builds(monkeypatch)
         geom = SigmaGeometry(ctx, chart)
         t = np.linspace(-0.2, 0.15, chart.dim)
-        level, cov = geom.cov_table(t, geom.identity)
-        derivs = geom.point(t, geom.identity).derivs
+        K = geom.kernels(t, geom.identity).checked()
+        level, cov, derivs = K.level[0], K.cov[0], K.derivs[0]
         (richardson_stencil if richardson else SigmaGeometry._stencil)(
-            geom, t, geom.identity, geom.lifts(t, geom.identity), 1e-3, geom.lifts)
+            geom, t, geom.identity, K.lifts[0], 1e-3, K.F,
+            lambda ts, fibers: geom.kernels(ts, fibers).lifts)
         assert level.shape == derivs.shape == (chart.dim, chart.dim, 2 * geom.n)
         assert cov.shape == (chart.dim, chart.dim, geom.n)
-        again, again_cov = geom.cov_table(t.copy(), np.eye(geom.n))
-        assert again is level and again_cov is cov
-        assert geom.point(t.copy(), np.eye(geom.n)).derivs is derivs
-        assert geom.cov_table(t + 1e-5, geom.identity)[0] is not level
-        assert len(geom._points) == 2 + (4 if richardson else 2) * chart.dim
+        again = geom.kernels(t.copy(), np.eye(geom.n)).checked()
+        assert again.level is not K.level
+        for value, kept in ((again.level[0], level), (again.cov[0], cov),
+                            (again.derivs[0], derivs)):
+            assert value.tobytes() == kept.tobytes()
+        assert built == [1] + [2 * chart.dim] * (2 if richardson else 1) + [1]
         ref = weakref.ref(geom)
         gc.disable()
         try:
-            del geom, level, cov, derivs, again, again_cov
+            del geom
             assert ref() is None
         finally:
             gc.enable()
@@ -697,24 +715,26 @@ class TestStackedLift:
         t = rng.uniform(-0.3, 0.3, chart.dim)
         D = chart.dnu(t)
         vs = rng.standard_normal((5, chart.dim)) @ D.T
-        stacked = geom.lift(t, geom.identity, vs)
-        rows = np.array([geom.lift(t, geom.identity, v) for v in vs])
+        K = geom.kernels(t, geom.identity)
+        stacked = geom.lift(K, vs)
+        rows = np.array([geom.lift(K, v) for v in vs])
         assert stacked.shape == rows.shape == (5, 2 * a.dim)
         assert np.max(np.abs(stacked - rows)) <= 1e-12 * max(1.0, float(np.max(np.abs(rows))))
         # the kernel's lift array is the stacked lift of D's columns
-        lifts = geom.lifts(t, geom.identity)
-        assert np.max(np.abs(lifts - geom.lift(t, geom.identity, D.T))) <= 1e-12
+        lifts = K.checked().lifts[0]
+        assert np.max(np.abs(lifts - geom.lift(K, D.T))) <= 1e-12
 
     def test_one_row_off_the_orbit_raises(self, so3_chart, so3_ctx, rng):
         geom = SigmaGeometry(so3_ctx, so3_chart)
         t = np.array([0.2, -0.1])
         tangents = rng.standard_normal((3, 2)) @ so3_chart.dnu(t).T
-        geom.lift(t, geom.identity, tangents)
+        K = geom.kernels(t, geom.identity)
+        geom.lift(K, tangents)
         for bad in range(3):
             vs = tangents.copy()
             vs[bad] += 1e-3 * so3_chart.nu(t)  # the orbit's normal at nu(t)
             with pytest.raises(NotTangent):
-                geom.lift(t, geom.identity, vs)
+                geom.lift(K, vs)
 
 
 class TestStackedSolves:
@@ -745,9 +765,9 @@ class TestStackedSolves:
         good, bad = [np.array([0.1, -0.2]), np.array([-0.3, 0.25])], np.array([30.0, 0.0])
         geom = SigmaGeometry(ctx, chart)
         tangents = np.array([chart.dnu(t).T for t in good])
-        assert geom.lift(np.array(good), geom.identity, tangents).shape == (2, 2, 4)
+        assert geom.lift(geom.kernels(good, geom.identity), tangents).shape == (2, 2, 4)
         with pytest.raises(SingularProjection):
-            geom.lift(np.array([good[0], bad]), geom.identity,
+            geom.lift(geom.kernels([good[0], bad], geom.identity),
                       np.array([tangents[0], chart.dnu(bad).T]))
 
     def test_an_off_tangent_column_in_the_sweep_exits_4(self, monkeypatch):
@@ -755,16 +775,17 @@ class TestStackedSolves:
         # one column of the second point's D moved along ν(t), the reduce stage
         # fails with NotTangent, exit 4
         cfg = rc.CaseConfig.from_dict({"group": "so3", "mu": [0.0, 0.0, 1.0], "samples": 3})
-        points = SigmaGeometry.points
+        kernels = SigmaGeometry.kernels
 
         def skewed(self, ts, fibers):
-            out = points(self, ts, fibers)
-            if len(out) < 2:
-                return out
-            nu = out[1].coad @ self.ctx.mu
-            return [out[0], replace(out[1], D=out[1].D + np.outer(nu, [1.0, 0.0])), *out[2:]]
+            K = kernels(self, ts, fibers)
+            if len(K.D) < 2:
+                return K
+            D = K.D.copy()
+            D[1] += np.outer(K.coad[1] @ self.ctx.mu, [1.0, 0.0])
+            return replace(K, D=D)
 
-        monkeypatch.setattr(SigmaGeometry, "points", skewed)
+        monkeypatch.setattr(SigmaGeometry, "kernels", skewed)
         rep, code = rc.run_pipeline(cfg, "reduce")
         assert code == 4 and rep["error"]["type"] == "NotTangent"
         assert rep["error"]["stage"] == "reduce"
@@ -779,7 +800,8 @@ class TestFormTable:
         t = rng.uniform(-0.3, 0.3, chart.dim)
         n = a.dim
         level = np.hstack([rng.standard_normal((6, n)), np.zeros((6, n))])
-        for us, vs in ((level[:4], level[4:]), (geom.lifts(t, geom.identity), level)):
+        for us, vs in ((level[:4], level[4:]),
+                       (geom.kernels(t, geom.identity).checked().lifts[0], level)):
             table = geom.form_table(us, vs)
             ref = np.array([[rc.symplectic_form(a, ctx.mu, u, v) for v in vs] for u in us])
             scale = max(1.0, float(np.max(np.abs(ref))))

@@ -123,8 +123,8 @@ def test_reduce_stage_matches_library_definitions(name):
     for t in np.asarray(stage["chart_points"]):
         D = chart.dnu(t)
         geom = rc.SigmaGeometry(ctx, chart)
-        _, cov = geom.cov_table(t, geom.identity)
-        p, lifts = geom.point(t, geom.identity), geom.lifts(t, geom.identity)
+        p = geom.kernels(t, geom.identity).checked()[0]
+        cov, lifts = p.cov, p.lifts
         pairs = kks_pairs(ctx.algebra, p.D, p.coad @ ctx.mu, geom.form_table(lifts, lifts))
         kks = max(kks, kks_gap(pairs))
         for i in range(km):

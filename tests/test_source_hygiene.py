@@ -9,7 +9,9 @@ loops where every chart point's solve can be one stacked solve: no
 inside a loop or a comprehension in ``curvature.py`` or the chart sweep, except
 in the functions allowed below.  And no function returns a closure: no
 ``return`` value holds a lambda or a nested function, except in the functions
-allowed below."""
+allowed below.  And no object memoizes its calls: no method but ``__init__``
+assigns to an attribute of ``self`` or into one, or calls a mutating method on
+one, except in the methods allowed below."""
 
 import ast
 from pathlib import Path
@@ -319,3 +321,87 @@ def helper_called_in_return(x):
     assert [name for name, _ in _closure_returns(ast.parse(source))] == [
         "average_connection", "baseline_connection", "perturbed_connection",
         "pullback_connection", "symplectize"]
+
+
+# methods of src/redconn classes, other than __init__, that may change an attribute of
+# self, with the reason: none, since no method stores what it computed
+SELF_MUTATIONS_ALLOWED: dict = {}
+MUTATING_METHODS = ("update", "setdefault", "append", "pop", "clear")
+
+
+def _on_self(node) -> bool:
+    """Whether ``node`` is an attribute of ``self``, or an attribute or subscript
+    of one, or a tuple or list holding one."""
+    if isinstance(node, (ast.Tuple, ast.List)):
+        return any(_on_self(elt) for elt in node.elts)
+    while isinstance(node, (ast.Attribute, ast.Subscript, ast.Starred)):
+        if isinstance(node, ast.Attribute) and _named(node.value, "self"):
+            return True
+        node = node.value
+    return False
+
+
+def _self_mutations(tree) -> list:
+    """(Class.method, line) of every assignment to or into an attribute of ``self``
+    (plain, augmented or annotated), and of every call of a mutating method on
+    one, in a method other than ``__init__``."""
+    found = []
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for fn in cls.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name == "__init__":
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in MUTATING_METHODS):
+                    targets = [node.func.value]
+                else:
+                    continue
+                if any(_on_self(target) for target in targets):
+                    found.append((f"{cls.name}.{fn.name}", node.lineno))
+    return sorted(found)
+
+
+def test_no_method_changes_its_instance():
+    # a point kernel, a chart or a context is a value its caller holds; no
+    # object keeps what one call computed for a later one
+    found = [(f"{module[:-3]}.{name}", line) for module, tree in TREES.items()
+             for name, line in _self_mutations(tree)]
+    assert [f"{name}:{line}" for name, line in found if name not in SELF_MUTATIONS_ALLOWED] == []
+    # every allowed method still needs its entry
+    assert {name for name, _ in found} >= set(SELF_MUTATIONS_ALLOWED)
+
+
+def test_self_mutation_rule_catches_a_memo_cache():
+    source = """
+class Memo:
+    def __init__(self, build):
+        self._cache = {}
+        self.build = build
+
+    def point(self, key):
+        if key not in self._cache:
+            self._cache[key] = self.build(key)
+        self.hits += 1
+        return self._cache[key]
+
+    def points(self, keys):
+        self._cache.update({k: self.build(k) for k in keys})
+        self._cache.setdefault(keys[0], None)
+        return [self.point(k) for k in keys]
+
+    def reset(self, other):
+        self._cache.clear()
+        self.last, other.x = None, 1
+        other.cache[0] = self.build.calls
+        local = {}
+        local[0] = self._cache.get(0)
+        local.update(self._cache)
+        return local
+"""
+    assert _self_mutations(ast.parse(source)) == [
+        ("Memo.point", 9), ("Memo.point", 10), ("Memo.points", 14), ("Memo.points", 15),
+        ("Memo.reset", 19), ("Memo.reset", 20)]

@@ -10,7 +10,7 @@ from redconn import connections, liealg, phasespace, pipeline, reduction
 from redconn.errors import RankLoss
 from redconn.pipeline import (EXIT_ASSUMPTION, EXIT_NUMERICAL, THRESHOLDS, CaseConfig, _record,
                               run_pipeline, verify_suite)
-from tests.conftest import perfbench_cases, track_geometries
+from tests.conftest import count_builds, perfbench_cases, track_geometries
 
 # verify check -> (the run_pipeline(cfg, "curvature") report entry it mirrors,
 # its THRESHOLDS key)
@@ -116,14 +116,15 @@ def test_verify_builds_no_more_than_the_pipeline(monkeypatch, label):
                          (pipeline, "_chart_sweep"), (pipeline, "curvature_battery"),
                          (reduction, "omega_gram")):
         counted(module, name)
-    # the only kernel verify builds beyond the pipeline's: the jet-fd check's
-    # at its stabilizer fiber (its stencil points keep no kernel)
+    # the only kernels verify builds beyond the pipeline's: the jet-fd check's
+    # at t on its two fibers, in one batch (its stencil points build none)
+    built = count_builds(monkeypatch)
     jet_fd, jet_fd_kernels = pipeline._jet_fd_defect, []
 
     def jet_fd_counted(geom, t):
-        before = len(geom._points)
+        before = len(built)
         out = jet_fd(geom, t)
-        jet_fd_kernels.append(len(geom._points) - before)
+        jet_fd_kernels.extend(built[before:])
         return out
 
     monkeypatch.setattr(pipeline, "_jet_fd_defect", jet_fd_counted)
@@ -132,12 +133,12 @@ def test_verify_builds_no_more_than_the_pipeline(monkeypatch, label):
     for run in (lambda: run_pipeline(cfg, "curvature"), lambda: verify_suite(cfg)):
         calls.clear()
         geometries.clear()
+        built.clear()
         _, code = run()
         assert code == 0
         counts.append({"calls": sorted(calls), "geometries": len(geometries),
-                       "kernels": sum(len(g._points) for g in geometries)
-                       - sum(jet_fd_kernels)})
-    assert jet_fd_kernels == [1]
+                       "kernels": sum(built) - sum(jet_fd_kernels)})
+    assert jet_fd_kernels == [2]
     assert counts[0] == counts[1]
     assert {"build_context", "_chart_sweep", "curvature_battery"} <= set(counts[0]["calls"])
     assert counts[0]["calls"].count("omega_gram") == counts[0]["calls"].count("build_context")
@@ -254,6 +255,27 @@ def test_check_names_in_order(label):
     assert [c["name"] for c in rep["checks"]] == names
 
 
+SE2_BRACKETS = [[0, 1, [2, 1.0]], [0, 2, [1, -1.0]]]
+SO3_BRACKETS = SE2_BRACKETS + [[1, 2, [0, 1.0]]]
+
+
+@pytest.mark.parametrize("brackets,name,mu,averaged", [
+    (SE2_BRACKETS, "so3", [0.0, 1.0, 0.0], False),
+    (SO3_BRACKETS, "rot3", [0.0, 0.0, 1.0], True),
+], ids=["se2-named-so3", "so3-named-rot3"])
+def test_averaging_checks_follow_the_brackets_not_the_name(brackets, name, mu, averaged):
+    # the 4-node cyclic rule about e3 is a subgroup under so3's structure
+    # constants alone: se(2)'s brackets named "so3" run no averaging check
+    # (avg/node-fixed read 22.9 there when the name decided), and so3's under
+    # another name run both
+    doc = {"group": {"dim": 3, "name": name, "brackets": brackets}, "mu": mu}
+    rep, code = verify_suite(CaseConfig.from_dict(doc))
+    assert code == 0 and rep["passed"] is True
+    names = [c["name"] for c in rep["checks"]]
+    assert names[-2:] == ["avg/torsion-free", "avg/node-fixed"] if averaged else \
+        not any(check.startswith("avg/") for check in names)
+
+
 def test_nonreductive_stabilizer_keeps_its_exit_code():
     rep, code = verify_suite(CaseConfig.from_dict({"group": "sl2r", "mu": [0.0, 1.0, 0.0]}))
     assert code == EXIT_ASSUMPTION == 3
@@ -341,18 +363,17 @@ def test_convergence_note_prints_the_factor_to_its_precision():
 
 
 @pytest.mark.parametrize("label", ["so3", "so4-regular"])
-def test_jet_fd_stencil_points_keep_no_kernel(label):
-    # with the kernels at t on its two fibers built, the check adds none: its
-    # stencil points take lifts from the chart's lift block alone
+def test_jet_fd_stencil_points_keep_no_kernel(label, monkeypatch):
+    # the check builds the kernels at t on its two fibers in one batch and no
+    # other: its stencil points take lifts from the chart's lift block alone
     cfg = CaseConfig.from_dict(_doc(label))
     a = cfg.algebra()
     ctx = reduction.build_context(a, cfg.mu_vector(a))
     geom = reduction.SigmaGeometry(ctx, reduction.default_chart(ctx))
     t = np.linspace(-0.2, 0.2, geom.chart.dim)
-    half = liealg.group_exp(a, ctx.split.g_mu @ np.full(ctx.stabilizer_dim, 0.5))
-    geom.points([t, t], [geom.identity, half])
+    built = count_builds(monkeypatch)
     assert pipeline._jet_fd_defect(geom, t) <= THRESHOLDS["jet_fd"]
-    assert len(geom._points) == 2
+    assert built == [2]
 
 
 def test_jet_fd_check_catches_a_sign_flipped_fiber_term(monkeypatch):
