@@ -16,9 +16,10 @@ import sys
 import numpy as np
 
 from . import report as report_mod
-from .connections import baseline_coefficients, connection_to_json, symplectized_coefficients
+from .connections import connection_to_json
 from .errors import ConfigError
-from .pipeline import CaseConfig, EXIT_CONFIG, run_pipeline, verify_suite, _exit_code, _error_record
+from .pipeline import (CaseConfig, EXIT_CONFIG, connection_coefficients, run_pipeline, verify_suite,
+                       _exit_code, _error_record)
 
 
 def _load_config(args: argparse.Namespace) -> CaseConfig:
@@ -67,10 +68,7 @@ def _export_connection(cfg: CaseConfig) -> dict:
         rng = np.random.default_rng(cfg.seed)
         xi_list = np.vstack([mu, rng.standard_normal((2, a.dim))])
     xis = np.asarray(xi_list, dtype=float).reshape(-1, a.dim)
-    base = baseline_coefficients(a)
-    gammas = np.broadcast_to(base, xis.shape[:1] + base.shape)
-    if cfg.connection == "symplectic":
-        gammas = symplectized_coefficients(a, xis, gammas)
+    gammas = connection_coefficients(cfg, a, xis)
     return {
         "schema_version": report_mod.SCHEMA_VERSION,
         "config": cfg.as_dict(),

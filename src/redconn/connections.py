@@ -125,12 +125,6 @@ def torsion_components(a: LieAlgebra, gamma) -> np.ndarray:
     return gamma - np.swapaxes(gamma, -3, -2) - frame_structure(a)
 
 
-def torsion(a: LieAlgebra, gamma, u, v) -> np.ndarray:
-    """Torsion tensor of the connection evaluated on two tangent vectors."""
-    return np.einsum("abc,a,b->c", torsion_components(a, gamma),
-                     _tangent_pair(a, u), _tangent_pair(a, v))
-
-
 def torsion_defect(a: LieAlgebra, gamma) -> float:
     return float(np.max(np.abs(torsion_components(a, gamma))))
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import linalg
 from .orbits import tangent_solve
-from .reduction import SigmaGeometry, _along
+from .reduction import SigmaGeometry, _along, _central
 
 DEFAULT_FD_STEP2 = 1e-4
 # Norms this close (relatively) to the largest tie for the probe: far above
@@ -100,8 +100,7 @@ def _formula(geom: SigmaGeometry, jobs, stencils, K) -> list:
     K = K.checked()
     # [point, j, l, 0] = ∇_f̄_j f̄_l and [point, j, l, 1] = [α(∇_f̄_j f̄_l)]*
     grads = np.stack([K.level, ctx.alpha_star(K.level)], axis=-2)
-    pm = grads[len(jobs):].reshape((-1, 2) + grads.shape[1:])
-    d_grads = (pm[:, 0] - pm[:, 1]) / (2.0 * steps.reshape(-1, 1, 1, 1, 1))
+    d_grads = _central(grads[len(jobs):], steps)
     p = K[: len(jobs)]
     u, inner = p.lifts, p.derivs  # inner[job, x, l]: derivative of f̄_l along f̄_x
     # outer[r, j, l, s]: induced derivative of grads[q, j, l, s] along f̄_x for the row r = (q, x)
@@ -149,7 +148,7 @@ def _tensor(geom: SigmaGeometry, jobs, K) -> list:
     out = []
     for (t, h, d), g, plus_minus, D_t in zip(jobs, gamma[-J:], np.split(
             gamma[:-J], np.cumsum([2 * len(set(d)) for _, _, d in jobs])[:-1]), p.D[-J:]):
-        d_gamma = dict(zip(dict.fromkeys(d), (plus_minus[::2] - plus_minus[1::2]) / (2.0 * h)))
+        d_gamma = dict(zip(dict.fromkeys(d), _central(plus_minus, h)))
         g = g[d]  # g[a, l, c] = Γ^c_il for i = d[a]
         dg = np.array([d_gamma[x][d] for x in d])  # dg[a, b, l, c] = ∂_i Γ^c_jl, j = d[b]
         quad = np.einsum("blm,amc->ablc", g, g)  # Γ^m_jl Γ^c_im
@@ -179,10 +178,9 @@ def curvature_exact(geom: SigmaGeometry, t) -> np.ndarray:
     # N_[E_i, E_j] = Σ c[a, b, x] m[a, i] m[b, j] N[x], one pairwise contraction per factor
     NB = np.tensordot(np.tensordot(np.tensordot(m, c, (0, 0)), m, (1, 0)), N, (1, 0))
     r_mu = (NE[:, None] @ NE[None] - NE[None] @ NE[:, None] - NB).swapaxes(-1, -2)  # [a, b, c, r]
-    # Coad and D at t from the chart's lift block, each its kernel's bit for bit
-    coad_t, vecs, D = geom.chart.lift_data(t)
-    coad = geom._lift_rows(coad_t, vecs, D, geom.identity[None])[1][0]
-    B = tangent_solve(D0, np.linalg.solve(coad, D[0]))
+    # Coad and D at t from the chart's lift block: on the identity fiber, its kernel's bit for bit
+    (coad,), _, (D,) = geom.chart.lift_data(t)
+    B = tangent_solve(D0, np.linalg.solve(coad, D))
     r_t = np.tensordot(np.tensordot(np.tensordot(r_mu, B, (0, 0)), B, (0, 0)), B, (0, 0))
     return np.moveaxis(r_t, 0, -1) @ (coad @ D0).T  # r_t[r, i, j, l]: B on slots a, b, c
 

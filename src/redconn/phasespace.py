@@ -57,24 +57,11 @@ def symplectic_form(a: LieAlgebra, xi, u, v):
     return linalg.vecdot(eta, Xp) - linalg.vecdot(etap, X) - linalg.vecdot(xi, a.bracket(X, Xp))
 
 
-def liouville_form(a: LieAlgebra, xi, u):
-    """The tautological 1-form: θ(X, η) = ⟨ξ, X⟩, independent of the fiber part,
-    row by row over stacks alike; a float for one vector."""
-    return linalg.vecdot(np.asarray(xi, dtype=float), _tangent_pair(a, u)[..., : a.dim])
-
-
 def right_generator(a: LieAlgebra, xi, X) -> np.ndarray:
     """Generator (X, ξ∘ad X) of the lifted right translation action at fiber
     point ξ, whatever the group element, stacked like X."""
     X = np.asarray(X, dtype=float)
     return np.concatenate([X, a.coad_star(X, xi)], axis=-1)
-
-
-def left_generator(Ad, X) -> np.ndarray:
-    """Generator (-Ad(g⁻¹)X, 0) of the lifted left translation action at g,
-    whatever the fiber point, stacked like Ad and X."""
-    back = -linalg.matvec(np.linalg.inv(Ad), X)
-    return np.concatenate([back, np.zeros_like(back)], axis=-1)
 
 
 def left_momentum(Ad, xi) -> np.ndarray:

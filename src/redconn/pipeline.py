@@ -29,8 +29,8 @@ from .liealg import (LieAlgebra, _is_number, algebra_from_json, coadjoint_matrix
                      named_algebra)
 from .orbits import kks_gap, kks_pairs, orbit_chart
 from .phasespace import constraint_split, regularity_report, right_generator, symplectic_form
-from .reduction import (SigmaGeometry, autoparallel_check, build_context, gram_oracle_solve,
-                        totally_geodesic_defect)
+from .reduction import (SigmaGeometry, _central, autoparallel_check, build_context,
+                        gram_oracle_solve, totally_geodesic_defect)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -212,6 +212,14 @@ def _stage_validate(cfg: CaseConfig, run) -> dict:
     }
 
 
+def connection_coefficients(cfg: CaseConfig, a: LieAlgebra, xis: np.ndarray) -> np.ndarray:
+    """Γ(ξ) of the configured connection (``cfg.connection``) over the stack of
+    fiber points ``xis`` (rows)."""
+    base = baseline_coefficients(a)
+    gammas = np.broadcast_to(base, xis.shape[:1] + base.shape)
+    return symplectized_coefficients(a, xis, gammas) if cfg.connection == "symplectic" else gammas
+
+
 def _stage_connect(cfg: CaseConfig, run) -> dict:
     """The baseline closed-form residual, then torsion and ∇ω of the configured
     connection, each over one stack of draws.  Sets the baseline's Γ°, the ξ
@@ -223,10 +231,7 @@ def _stage_connect(cfg: CaseConfig, run) -> dict:
     residual = np.max(np.abs(nabla_omega(a, xi, base, u, v, w)
                              - baseline_nabla_omega(a, xi, u, v, w)))
     run.xi_samples = xis = np.vstack([run.mu, rng.standard_normal((3, n))])
-    gammas = np.broadcast_to(base, xis.shape[:1] + base.shape)
-    if cfg.connection == "symplectic":
-        gammas = symplectized_coefficients(a, xis, gammas)
-    run.gammas = gammas
+    run.gammas = gammas = connection_coefficients(cfg, a, xis)
     return {
         "status": "ok",
         "connection": cfg.connection,
@@ -414,14 +419,13 @@ def verify_suite(cfg: CaseConfig) -> tuple[dict, int]:
                      _verify_curvature, _verify_averaging):
             for check in part(cfg, run):
                 checks.append(_record(cfg, *check))
+        rep["passed"] = all(c["passed"] for c in checks)
+        code = EXIT_OK if rep["passed"] else EXIT_NUMERICAL
     except Exception as exc:  # noqa: BLE001
         rep["error"] = _error_record(exc, "verify")
-        rep["passed"] = False
-        rep["timings"] = {"total": time.perf_counter() - t0}
-        return rep, _exit_code(exc)
-    rep["passed"] = all(c["passed"] for c in checks)
+        rep["passed"], code = False, _exit_code(exc)
     rep["timings"] = {"total": time.perf_counter() - t0}
-    return rep, EXIT_OK if rep["passed"] else EXIT_NUMERICAL
+    return rep, code
 
 
 def _verify_algebra(cfg, run):
@@ -629,16 +633,19 @@ def _jet_fd_defect(geom: SigmaGeometry, t) -> float:
     """Largest gap, relative to max(1, |exact|), between the exact derivatives
     of ``lifts`` (both fibers' kernels at t, 1 and exp(g_μ·(½, …, ½)), in one
     batch) and their central differences at ``JET_FD_STEP`` along each lift and
-    stabilizer generator, by the lift-only stencil of ``SigmaGeometry._stencil``."""
+    stabilizer generator: every fiber's stencil points in one ``_stencil_points``
+    call, their lifts read from the chart's lift block alone (``lift_frames``)."""
     a, g_mu = geom.ctx.algebra, geom.ctx.split.g_mu
     k = g_mu.shape[1]
-    fibers = [geom.identity] + ([group_exp(a, g_mu @ np.full(k, 0.5))] if k else [])
+    fibers = np.array([geom.identity] + ([group_exp(a, g_mu @ np.full(k, 0.5))] if k else []))
     K = geom.kernels([t] * len(fibers), fibers)
     gens = np.broadcast_to(np.pad(g_mu.T, ((0, 0), (0, geom.n))), (len(fibers), k, 2 * geom.n))
     us = np.concatenate([K.lifts, gens], axis=1)  # [fiber, direction]
     exact = geom.lift_derivatives(K, us)
-    fd = np.array([geom._stencil(t, fiber, u, JET_FD_STEP, frame)
-                   for fiber, u, frame in zip(fibers, us, K.F)])
+    d = us.shape[1]  # directions per fiber
+    points = geom._stencil_points(t, np.repeat(fibers, d, axis=0), us.reshape(-1, 2 * geom.n),
+                                  JET_FD_STEP, np.repeat(K.F, d, axis=0))
+    fd = _central(geom.lift_frames(*points)[0], JET_FD_STEP).reshape(exact.shape)
     return float(np.max(np.max(np.abs(exact - fd), axis=(-2, -1))
                         / np.maximum(1.0, np.max(np.abs(exact), axis=(-2, -1)))))
 

@@ -251,8 +251,8 @@ class SigmaGeometry:
     the section velocity), with its jet and its level table.  The caller holds
     the kernels it built and passes them on: ``lift`` solves through their lift
     matrices, ``lift_derivatives`` contracts their jets with a direction's
-    parameter velocity, and ``_stencil`` central-differences a function of the
-    points, or lifts.  A run shares one instance per (context, chart) between
+    parameter velocity, and ``_stencil_points`` places the ± points whose values
+    ``_central`` differences.  A run shares one instance per (context, chart) between
     the chart sweep, the autoparallel check and the curvature battery.  It keeps
     nothing between calls, and a kernel depends only on its point, never on its
     batch, so batching changes what is recomputed, never a value.
@@ -372,31 +372,18 @@ class SigmaGeometry:
 
     def _stencil_points(self, t, fiber: np.ndarray, us, step,
                         frames) -> tuple[np.ndarray, np.ndarray]:
-        """The points (t + s·dt, fiber·exp(s·ad(g_μ·dy))) of ``_stencil``: for the
-        velocity (dt, dy) of each direction in ``us`` (rows) in turn, s = ±step,
-        with ``t`` and ``step`` shared or one per row (several stencils in one
-        pass), in the chart-fiber frames ``frames`` at t."""
+        """The points (t + s·dt, fiber·exp(s·ad(g_μ·dy))) whose values ``_central``
+        differences: for the velocity (dt, dy) of each direction in ``us`` (rows)
+        in turn, s = ±step, with ``t``, ``fiber`` (an Ad matrix) and ``step`` shared
+        or one per row (several stencils in one pass), in the chart-fiber frames
+        ``frames`` at t and fiber."""
         km = self.chart.dim
         params = self._params(frames, us)
         signed = np.multiply.outer(np.broadcast_to(step, len(params)), (1.0, -1.0))
         ts = (np.reshape(t, (-1, 1, km)) + signed[..., None] * params[:, None, :km]).reshape(-1, km)
-        if not self.ctx.stabilizer_dim:
-            return ts, np.broadcast_to(fiber, (len(ts),) + fiber.shape)
         ad_y = self.ctx.algebra.ad(linalg.matvec(self.ctx.split.g_mu, params[:, km:]))
         shifts = linalg.expm(signed[..., None, None] * ad_y[:, None], batch_ndim=1)
-        return ts, (fiber @ shifts).reshape(-1, self.n, self.n)
-
-    def _stencil(self, t, fiber: np.ndarray, us, step, frames, fld=None) -> np.ndarray:
-        """Central differences of ``fld``, a function of the stacked points
-        (ts, fibers) -> array stacked over them, along the direction u or each row
-        of a stack ``us`` (``_stencil_points``, in the frames at t); without
-        ``fld``, of ``lifts`` from the chart's lift block alone (``lift_frames``:
-        no kernel is built)."""
-        ts, fibers = self._stencil_points(t, fiber, us, step, frames)
-        v = self.lift_frames(ts, fibers)[0] if fld is None else fld(ts, fibers)
-        v = v.reshape((-1, 2) + v.shape[1:])
-        d = (v[:, 0] - v[:, 1]) / (2.0 * np.reshape(step, (-1,) + (1,) * (v.ndim - 2)))
-        return d[0] if np.ndim(us) == 1 else d
+        return ts, (np.reshape(fiber, (-1, 1, self.n, self.n)) @ shifts).reshape(-1, self.n, self.n)
 
     def _induced(self, u, base: np.ndarray, d: np.ndarray) -> np.ndarray:
         """P∘∇ along u of a field with value ``base`` and directional derivative
@@ -421,6 +408,13 @@ def _check(lift_ok, tangent=True, frame_ok=True) -> None:
             raise NotTangent("a chart direction is not an orbit tangent at the point")
         if not frame:
             raise RankLoss("chart-fiber frame lost rank; point outside the chart radius")
+
+
+def _central(values: np.ndarray, step) -> np.ndarray:
+    """Central differences (v₊ − v₋)/(2·step) of ``values``, whose rows come in
+    ± pairs as ``_stencil_points`` lays them out, with ``step`` shared or one per pair."""
+    v = values.reshape((-1, 2) + values.shape[1:])
+    return (v[:, 0] - v[:, 1]) / (2.0 * np.reshape(step, (-1,) + (1,) * (v.ndim - 2)))
 
 
 def _along(jet: np.ndarray, params: np.ndarray) -> np.ndarray:

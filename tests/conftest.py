@@ -7,6 +7,7 @@ import pytest
 
 import redconn as rc
 from redconn import linalg
+from redconn.reduction import _central
 
 CATALOG_CASES = [
     ("so3", [0.0, 0.0, 1.0]),
@@ -31,11 +32,22 @@ def perfbench_cases():
     return cases
 
 
+def stencil(geom, t, fiber, us, step, frames, fld=None):
+    """Central differences (``reduction._central``) of ``fld``, a function of the
+    stacked points (ts, fibers) -> array stacked over them, along the direction u
+    or each row of a stack ``us``, at the points ``SigmaGeometry._stencil_points``
+    places (in the frames at t); without ``fld``, of ``lifts`` from the chart's
+    lift block alone (``lift_frames``: no kernel is built)."""
+    ts, fibers = geom._stencil_points(t, fiber, us, step, frames)
+    d = _central(geom.lift_frames(ts, fibers)[0] if fld is None else fld(ts, fibers), step)
+    return d[0] if np.ndim(us) == 1 else d
+
+
 def richardson_stencil(geom, t, fiber, us, step, frames, fld):
-    """(4·d(step/2) − d(step))/3 from two central stencils ``SigmaGeometry._stencil``
-    of ``fld`` at step and step/2: the Richardson-extrapolated derivative."""
-    return (4.0 * geom._stencil(t, fiber, us, step / 2.0, frames, fld)
-            - geom._stencil(t, fiber, us, step, frames, fld)) / 3.0
+    """(4·d(step/2) − d(step))/3 from two central stencils ``stencil`` of ``fld``
+    at step and step/2: the Richardson-extrapolated derivative."""
+    return (4.0 * stencil(geom, t, fiber, us, step / 2.0, frames, fld)
+            - stencil(geom, t, fiber, us, step, frames, fld)) / 3.0
 
 
 def pushdown(geom, coad, v) -> np.ndarray:

@@ -217,16 +217,6 @@ class TestSymplectize:
 
 
 class TestTorsion:
-    def test_baseline_zero_on_vectors(self, so3, rng):
-        out = rc.torsion(so3, rc.baseline_coefficients(so3),
-                         rng.standard_normal(6), rng.standard_normal(6))
-        assert np.max(np.abs(out)) == 0.0
-
-    def test_zero_connection_on_abelian(self, rng):
-        out = rc.torsion(rc.abelian(3), np.zeros((6, 6, 6)),
-                         rng.standard_normal(6), rng.standard_normal(6))
-        assert np.max(np.abs(out)) == 0.0
-
     def test_antisymmetric_perturbation_recovered(self, so3, rng):
         # oracle: adding a perturbation with zero symmetric part shifts the
         # torsion components by exactly twice the perturbation

@@ -2,11 +2,14 @@
 past its ``THRESHOLDS`` value, so that a check which passes says something.
 
 Each control runs the check's own code, a ``pipeline._verify_*`` part (and for
-``tperp_span`` the validate stage it reads, for ``reduced_form_closed`` the
-chart sweep), on the so3 run record after the connect or the reduce stage with
-one input perturbed, and reads that check's defect.  On so3 the orbit has
-dimension 2, where the cyclic sum of an antisymmetric ∂Ω vanishes exactly, so
-the closedness control runs on so(4) regular (orbit dimension 4).
+``tperp_span`` the validate stage it reads, for the sweep's checks the chart
+sweep, for ``curvature_agreement`` the curvature stage), on the so3 run record
+after the connect or the reduce stage with one input perturbed, and reads that
+check's defect.  A kernel field is perturbed where the check reads it, by
+wrapping the geometry's ``kernels``.  On so3 the orbit has dimension 2, where
+the cyclic sum of an antisymmetric ∂Ω vanishes exactly, so the closedness
+control runs on so(4) regular (orbit dimension 4), and so do the two ``jet_fd``
+controls, one on each half of the jet (its chart rows and its fiber rows).
 """
 
 from dataclasses import replace
@@ -14,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from redconn import pipeline
+from redconn import linalg, pipeline
 from redconn.connections import finite_cyclic_rule, symplectized_coefficients
 from redconn.liealg import LieAlgebra
 from redconn.phasespace import right_generator
@@ -121,25 +124,116 @@ def test_omega_closed_fails_off_jacobi(reduced):
     _assert_fails(pipeline._verify_phase, reduced, "phase/omega-closed", "omega_closed")
 
 
-def test_reduced_form_closed_fails_on_a_jet_that_differentiates_no_field():
-    # the sweep's ∂Ω reads the jet of the lifts; noise on its chart rows is the
-    # derivative of no field, so the cyclic sum of ∂Ω stops vanishing
+def _so4_regular():
+    """The so(4) regular case of ``perfbench/cases.py`` at two samples, and its run
+    record after the reduce stage."""
     cases = perfbench_cases()
     _, n, weights, _, _ = cases.SO4_CASES[0]
     cfg = CaseConfig.from_dict({"group": cases.so_n_group(n), "mu": cases.so_n_mu(n, weights),
                                 "samples": 2})
-    run = pipeline._run_stages(cfg, "reduce", {}, {})
+    return cfg, pipeline._run_stages(cfg, "reduce", {}, {})
+
+
+def _perturb(geom, change) -> None:
+    """Give every later ``geom.kernels`` call the kernels ``change`` makes of its
+    own: the checks read their kernels through ``kernels``."""
+    kernels = geom.kernels
+    geom.kernels = lambda ts, fibers: change(kernels(ts, fibers))
+
+
+def _sweep_again(run) -> None:
+    """The chart sweep at the run's chart points, on fibers drawn from seed 0."""
+    pts = np.asarray(run.stages["reduce"]["chart_points"])
+    run.sweep = pipeline._chart_sweep(run.geom, pts, np.random.default_rng(0))
+
+
+def _tangent_noise(K, rng, scale: float) -> np.ndarray:
+    """Seeded noise on ``cov``, different at every row and every orbit tangent
+    (D times chart coordinates), so that the lift solves still accept it."""
+    return scale * linalg.matvec(K.D[:, None, None],
+                                 rng.standard_normal(K.cov.shape[:3] + K.D.shape[-1:]))
+
+
+def test_reduced_form_closed_fails_on_a_jet_that_differentiates_no_field():
+    # the sweep's ∂Ω reads the jet of the lifts; noise on its chart rows is the
+    # derivative of no field, so the cyclic sum of ∂Ω stops vanishing
+    cfg, run = _so4_regular()
     geom, km = run.geom, run.geom.chart.dim
     assert km == 4 and run.sweep["closed"] <= THRESHOLDS["reduced_form_closed"]
-    kernels = geom.kernels  # the sweep reads its kernels through ``kernels``
     noise = np.random.default_rng(5).standard_normal((km, km, 2 * geom.n)) * 1e-3
-
-    def perturbed(ts, fibers):
-        K = kernels(ts, fibers)
-        return replace(K, jet=np.concatenate([K.jet[:, :km] + noise, K.jet[:, km:]], axis=1))
-
-    geom.kernels = perturbed
-    pts = np.asarray(run.stages["reduce"]["chart_points"])
-    run.sweep = pipeline._chart_sweep(geom, pts, np.random.default_rng(0))
+    _perturb(geom, lambda K: replace(K, jet=np.concatenate([K.jet[:, :km] + noise,
+                                                            K.jet[:, km:]], axis=1)))
+    _sweep_again(run)
     _assert_fails(pipeline._verify_reduction, run, "red/reduced-form-closed",
                   "reduced_form_closed", cfg)
+
+
+@pytest.mark.parametrize("rows", ["chart", "fiber"])
+def test_jet_fd_fails_on_noise_in_either_half_of_the_jet(rows):
+    # the check differences the lifts along each lift and each stabilizer
+    # generator, at t = 0 on two fibers: noise on the jet's chart rows, or on its
+    # fiber rows alone, is the derivative of no field
+    cfg, run = _so4_regular()
+    geom, km = run.geom, run.geom.chart.dim
+    t = np.asarray(run.stages["reduce"]["chart_points"][0])
+    assert geom.ctx.stabilizer_dim == 2
+    assert pipeline._jet_fd_defect(geom, t) <= THRESHOLDS["jet_fd"]
+    rng = np.random.default_rng(6)
+
+    def noisy(K):
+        jet = K.jet.copy()
+        half = jet[:, :km] if rows == "chart" else jet[:, km:]
+        half += rng.standard_normal(half.shape) * 1e-3
+        return replace(K, jet=jet)
+
+    _perturb(geom, noisy)
+    _assert_fails(pipeline._verify_reduction, run, "red/jet-fd", "jet_fd", cfg)
+
+
+def test_curvature_agreement_fails_on_noise_in_the_tensors_tables(reduced):
+    # of the two routes only the tensor reads ``cov``, and it differences that
+    # table between rows at step 1e-4, so noise that differs by row moves it alone
+    rng = np.random.default_rng(7)
+    _perturb(reduced.geom, lambda K: replace(K, cov=K.cov + _tangent_noise(K, rng, 1e-6)))
+    reduced.stages["curvature"] = pipeline._stage_curvature(SO3, reduced)
+    _assert_fails(pipeline._verify_curvature, reduced, "curv/formula-oracle",
+                  "curvature_agreement")
+
+
+def test_lift_projection_fails_on_noise_in_the_lifts(reduced):
+    # the sweep compares the lifts with the solve of D's columns through the
+    # lift matrices, which does not read the lifts
+    rng = np.random.default_rng(8)
+    _perturb(reduced.geom, lambda K: replace(
+        K, lifts=K.lifts + 1e-3 * rng.standard_normal(K.lifts.shape)))
+    _sweep_again(reduced)
+    _assert_fails(pipeline._verify_reduction, reduced, "red/lift-projection", "lift_projection")
+
+
+def test_fiber_independence_fails_on_noise_at_the_fiber_rows(reduced):
+    # the sweep's rows after its chart points are pts[0] on five stabilizer
+    # fibers, and only this check reads their tables
+    points, rng = len(reduced.stages["reduce"]["chart_points"]), np.random.default_rng(9)
+
+    def noisy(K):
+        cov = K.cov.copy()
+        cov[points:] += 1e-3 * rng.standard_normal(cov[points:].shape)
+        return replace(K, cov=cov)
+
+    _perturb(reduced.geom, noisy)
+    _sweep_again(reduced)
+    _assert_fails(pipeline._verify_reduction, reduced, "red/fiber-independence",
+                  "fiber_independence")
+
+
+def test_reduced_torsion_fails_on_antisymmetric_noise(reduced):
+    # ∇ʳ(f_i) f_j − ∇ʳ(f_j) f_i moves by twice noise antisymmetric in (i, j)
+    rng = np.random.default_rng(10)
+
+    def noisy(K):
+        noise = _tangent_noise(K, rng, 1e-3)
+        return replace(K, cov=K.cov + noise - noise.swapaxes(1, 2))
+
+    _perturb(reduced.geom, noisy)
+    _sweep_again(reduced)
+    _assert_fails(pipeline._verify_reduction, reduced, "red/reduced-torsion", "reduced_torsion")

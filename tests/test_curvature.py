@@ -8,8 +8,8 @@ from redconn import curvature, linalg, pipeline, reduction
 from redconn.errors import RankLoss, ZeroDimensionalBase
 from redconn.pipeline import THRESHOLDS, CaseConfig, run_pipeline
 from redconn.reduction import SigmaGeometry
-from tests.conftest import (CATALOG_CASES, count_builds, perfbench_cases, pushdown, symmetrized,
-                            track_geometries)
+from tests.conftest import (CATALOG_CASES, count_builds, perfbench_cases, pushdown, stencil,
+                            symmetrized, track_geometries)
 from tests.test_compare_reports import compare_reports
 from tests.test_liealg import _so4
 
@@ -314,7 +314,7 @@ def _formula_every_stencil(geom, t, fd_step, fd_step2):
         return geom.kernels(ts, fibers).checked().lifts
 
     def inner(t2, fib, frames, v):  # [l] = the derivative of f̄_l along v, by a stencil
-        return geom._stencil(t2, fib, v, fd_step, frames, lifts)
+        return stencil(geom, t2, fib, v, fd_step, frames, lifts)
 
     def grads_at(t2, fib):
         P = geom.kernels(t2, fib).checked()
@@ -326,7 +326,7 @@ def _formula_every_stencil(geom, t, fd_step, fd_step2):
         return np.array([grads_at(t2, fib) for t2, fib in zip(ts, fibers)])
 
     base = grads_at(t, e)
-    outer = [geom._induced(u[x], base, geom._stencil(t, e, u[x], fd_step2, K.F, grads))
+    outer = [geom._induced(u[x], base, stencil(geom, t, e, u[x], fd_step2, K.F, grads))
              for x in range(km)]
     d = [inner(t, e, K.F, u[x]) for x in range(km)]
     out = np.zeros((km, km, km, geom.n))
@@ -441,7 +441,7 @@ def _formula_per_pair(geom, t, dirs):
         return np.stack([level, ctx.alpha_star(level)], axis=-2)
 
     xs = list(dict.fromkeys(dirs))
-    d_grads = geom._stencil(t, e, u[xs], 1e-4, K.F, grads)
+    d_grads = stencil(geom, t, e, u[xs], 1e-4, K.F, grads)
     inner = K.derivs[0]
     outer = {x: geom._induced(u[x], grads(t[None], e[None])[0], d) for x, d in zip(xs, d_grads)}
     out = np.zeros((len(dirs), len(dirs), km, geom.n))

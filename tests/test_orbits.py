@@ -17,6 +17,22 @@ class TestOrbitChart:
     def test_center_maps_to_mu(self, so3_ctx, so3_chart, mu_so3):
         assert np.max(np.abs(so3_chart.nu(np.zeros(2)) - mu_so3)) <= 1e-12
 
+    @pytest.mark.parametrize("scale", [1e-3, 0.3, 1.0, -7.0])
+    def test_center_is_mu_bit_for_bit(self, scale):
+        # e⁰ is I exactly (the Padé approximant of 0), so ν(0) = μ bit for bit on
+        # the catalog's, so(4)'s and so(5)'s charts, and the chart needs no check
+        # of it (μ's zero entries are +0, as perfbench's cases write them: a −0
+        # entry reads +0 at ν(0), equal in value)
+        cases = perfbench_cases()
+        docs = [{"group": name, "mu": mu} for name, mu in CATALOG_CASES] + [
+            {"group": cases.so_n_group(n), "mu": cases.so_n_mu(n, weights)}
+            for _, n, weights, _, _ in cases.SO4_CASES + cases.SO5_CASES]
+        for doc in docs:
+            cfg = CaseConfig.from_dict(doc)
+            a, mu = cfg.algebra(), np.array([scale * x if x else 0.0 for x in doc["mu"]])
+            chart = rc.default_chart(rc.build_context(a, mu))
+            assert chart.dim and chart.nu(np.zeros(chart.dim)).tobytes() == mu.tobytes()
+
     def test_so3_orbit_is_unit_sphere(self, so3_chart, rng):
         for _ in range(10):
             t = rng.uniform(-0.9, 0.9, 2)

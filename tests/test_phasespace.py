@@ -62,25 +62,6 @@ class TestSymplecticForm:
                 assert abs(total) <= 1e-10
 
 
-class TestLiouville:
-    def test_pairs_group_direction(self, so3):
-        assert rc.liouville_form(so3, e3, _vec(e3, np.array([5.0, -2.0, 7.0]))) == 1.0
-
-    def test_fiber_directions_annihilated(self, so3, rng):
-        assert rc.liouville_form(so3, e3, _vec(zero3, rng.standard_normal(3))) == 0.0
-
-    def test_zero_covector(self, so3, rng):
-        assert rc.liouville_form(so3, zero3, rng.standard_normal(6)) == 0.0
-
-    def test_stack_matches_rows(self, so3, rng):
-        xi, u = rng.standard_normal((4, 3)), rng.standard_normal((4, 6))
-        stacked = rc.liouville_form(so3, xi, u)
-        assert stacked.shape == (4,)
-        rows = [rc.liouville_form(so3, x, v) for x, v in zip(xi, u)]
-        assert all(type(row) is float for row in rows)
-        assert stacked.tolist() == rows
-
-
 class TestFundamentalFields:
     def test_right_so3_example(self, so3, mu_so3):
         out = rc.right_generator(so3, mu_so3, e1)
@@ -92,11 +73,6 @@ class TestFundamentalFields:
         X = rng.standard_normal(3)
         out = rc.right_generator(a, rng.standard_normal(3), X)
         assert np.allclose(out[:3], X) and np.all(out[3:] == 0.0)
-
-    def test_left_at_identity(self, rng):
-        X = rng.standard_normal(3)
-        out = rc.left_generator(np.eye(3), X)
-        assert np.allclose(out[:3], -X) and np.all(out[3:] == 0.0)
 
 
 class TestMomentumMaps:

@@ -12,7 +12,8 @@ from redconn.errors import (AssumptionTwoFailure, DegeneratePairing,
                             NonReductiveStabilizer, NotTangent, PointOffConstraint,
                             RankLoss, SingularProjection, ZeroDimensionalBase)
 from redconn.reduction import SigmaGeometry, gram_oracle_solve, isotropic_correction_gram
-from tests.conftest import AFF1_DOC, CATALOG_CASES, count_builds, pushdown, richardson_stencil
+from tests.conftest import (AFF1_DOC, CATALOG_CASES, count_builds, pushdown, richardson_stencil,
+                            stencil)
 from tests.test_liealg import _so4
 
 e1, e2, e3 = np.eye(3)
@@ -28,7 +29,7 @@ def _induced_derivative(ctx, chart, u, field, t, step=1e-5):
     projected onto TΣ."""
     geom = SigmaGeometry(ctx, chart)
     t = np.asarray(t, dtype=float)
-    d = geom._stencil(t, geom.identity, u, step, geom.kernels(t, geom.identity).F, field)
+    d = stencil(geom, t, geom.identity, u, step, geom.kernels(t, geom.identity).F, field)
     return geom._induced(u, field(t[None], geom.identity[None])[0], d)
 
 
@@ -560,13 +561,45 @@ class TestPointKernel:
             so3_chart.check_rank(singular)
         for _ in range(2):
             with pytest.raises(RankLoss):
-                geom._stencil(singular, geom.identity, u, 1e-5,
+                stencil(geom, singular, geom.identity, u, 1e-5,
                               geom.kernels(singular, geom.identity).checked().F, _constant(u))
         near = np.array([6.0, 0.0])
         so3_chart.check_rank(near)
-        out = geom._stencil(near, geom.identity, u, 1e-5,
+        out = stencil(geom, near, geom.identity, u, 1e-5,
                             geom.kernels(near, geom.identity).checked().F, _constant(u))
         assert np.all(np.isfinite(out))
+
+
+class TestStencilPoints:
+    @pytest.mark.parametrize("name", ["so3", "so4-regular", "so4-singular", "aff1"])
+    def test_one_fiber_per_row_is_the_shared_fiber_calls(self, name, rng):
+        # the stencils of two fibers, each with its own steps, placed in one call
+        # are the per-fiber calls' points row for row, bit for bit
+        if name == "aff1":
+            a = rc.algebra_from_json(AFF1_DOC)
+            ctx = rc.build_context(a, np.array([0.0, 1.0]))
+            chart = rc.default_chart(ctx)
+        else:
+            a, ctx, chart = _case(*{"so3": KERNEL_CASES[0], "so4-regular": ("so4", SO4_REGULAR_MU),
+                                    "so4-singular": KERNEL_CASES[-1]}[name])
+        geom, km, k = SigmaGeometry(ctx, chart), chart.dim, ctx.stabilizer_dim
+        t = rng.uniform(-0.3, 0.3, km)
+        fibers = np.array([geom.identity, rc.group_exp(a, ctx.split.g_mu @ rng.uniform(-1, 1, k))])
+        K = geom.kernels([t, t], fibers).checked()
+        us = np.concatenate([K.lifts, np.broadcast_to(ctx.split.delta.T, (2, k, 2 * a.dim))], 1)
+        d = us.shape[1]
+        steps = rng.uniform(1e-5, 1e-3, (2, d))
+        ts, shifted = geom._stencil_points(t, np.repeat(fibers, d, axis=0),
+                                           us.reshape(-1, 2 * a.dim), steps.ravel(),
+                                           np.repeat(K.F, d, axis=0))
+        for f, rows in enumerate(np.split(np.arange(len(ts)), 2)):
+            want_ts, want = geom._stencil_points(t, fibers[f], us[f], steps[f], K.F[f])
+            assert ts[rows].tobytes() == want_ts.tobytes()
+            assert shifted[rows].tobytes() == want.tobytes()
+        if not k:  # e⁰ is I exactly: each point keeps its stencil's fiber, whatever it is
+            h = rc.group_exp(a, rng.uniform(-1, 1, a.dim))
+            assert geom._stencil_points(t, h, us[0], steps[0], K.F[0])[1].tobytes() == \
+                np.broadcast_to(h, (2 * d, a.dim, a.dim)).tobytes()
 
 
 class TestLiftStencil:
@@ -612,7 +645,7 @@ class TestLiftStencil:
             frames = geom.kernels(t, geom.identity).F
             for _ in range(2):
                 with pytest.raises(error):
-                    geom._stencil(t, geom.identity, u, 1e-5, frames)
+                    stencil(geom, t, geom.identity, u, 1e-5, frames)
             assert built == [1]
 
 
@@ -643,9 +676,9 @@ class TestCovTable:
                     assert level[i][j].tolist() == g.tolist()
                     assert cov[i, j].tolist() == pushdown(ref, R.coad[0],
                                                           ctx.horizontal_part(g)).tolist()
-                    stencil = richardson_stencil if richardson else SigmaGeometry._stencil
-                    fd = stencil(ref, t, fiber, u[i], h, R.F,
-                                 lambda ts, fibers, j=j: ref.kernels(ts, fibers).lifts[:, j])
+                    fd = (richardson_stencil if richardson else stencil)(
+                        ref, t, fiber, u[i], h, R.F,
+                        lambda ts, fibers, j=j: ref.kernels(ts, fibers).lifts[:, j])
                     assert np.max(np.abs(fd - d)) <= fd_rtol * max(1.0, np.max(np.abs(d)))
 
     @pytest.mark.parametrize("name,mu", [KERNEL_CASES[0], ("so4", SO4_REGULAR_MU)],
@@ -667,7 +700,7 @@ class TestCovTable:
                 geom = SigmaGeometry(ctx, chart)
                 K = geom.kernels(t, fiber).checked()
                 u = K.lifts[0]
-                (richardson_stencil if richardson else SigmaGeometry._stencil)(
+                (richardson_stencil if richardson else stencil)(
                     geom, t, fiber, u, 1e-3, K.F, lambda ts, fibers: geom.kernels(ts, fibers).lifts)
                 d = geom.lift_derivatives(K, u[r:r + 1])[0, 0]
                 assert d.tolist() == derivs[r].tolist()
@@ -686,7 +719,7 @@ class TestCovTable:
         t = np.linspace(-0.2, 0.15, chart.dim)
         K = geom.kernels(t, geom.identity).checked()
         level, cov, derivs = K.level[0], K.cov[0], K.derivs[0]
-        (richardson_stencil if richardson else SigmaGeometry._stencil)(
+        (richardson_stencil if richardson else stencil)(
             geom, t, geom.identity, K.lifts[0], 1e-3, K.F,
             lambda ts, fibers: geom.kernels(ts, fibers).lifts)
         assert level.shape == derivs.shape == (chart.dim, chart.dim, 2 * geom.n)

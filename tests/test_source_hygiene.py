@@ -11,9 +11,12 @@ in the functions allowed below.  And no function returns a closure: no
 ``return`` value holds a lambda or a nested function, except in the functions
 allowed below.  And no object memoizes its calls: no method but ``__init__``
 assigns to an attribute of ``self`` or into one, or calls a mutating method on
-one, except in the methods allowed below."""
+one, except in the methods allowed below.  And no public surface that only
+tests call: every public top-level function and public method has a caller in
+the package's own code, or an entry below that says why it has none."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "redconn"
@@ -405,3 +408,89 @@ class Memo:
     assert _self_mutations(ast.parse(source)) == [
         ("Memo.point", 9), ("Memo.point", 10), ("Memo.points", 14), ("Memo.points", 15),
         ("Memo.reset", 19), ("Memo.reset", 20)]
+
+
+# public functions and methods of src/redconn with no caller in the package's code
+# (``__init__.py`` aside), with the reason each stays public
+PUBLIC_ENTRY_POINTS = {
+    "reduction.default_chart": "README entry point: the chart of a reduction context",
+    "reduction.reduced_form": "README entry point: the reduced form on two orbit tangents",
+    "curvature.curvature_formula": "README entry point: the lift-expansion route alone",
+    "curvature.curvature_tensor": "README entry point: the Christoffel-symbol route alone",
+    "curvature.convergence_factor": "entry point: the step-halving probe at any point and "
+                                    "triple, which acceptance criterion 4 reads",
+    "orbits.kks_form": "test oracle: the canonical orbit form, one pair at a time",
+    "orbits.orbit_tangent_frame": "test oracle: the orbit's tangent frame at ν, from no chart",
+    "phasespace.left_momentum": "test oracle: the quotient map J(g, ξ) = Coad(g)ξ",
+    "orbits.OrbitChart.coords": "test oracle: the chart map's inverse, by Gauss-Newton",
+    "orbits.OrbitChart.section_vectors": "test oracle: one point's section velocities",
+    "liealg.LieAlgebra.matrix_coords": "test oracle: a realization matrix's coordinates, the "
+                                       "one reader of the realization",
+}
+
+
+def _public_definitions(tree) -> list:
+    """(qualified name, node, is a method) for each public top-level function and
+    each public method of a top-level class."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    out = []
+    for node in tree.body:
+        if isinstance(node, functions) and not node.name.startswith("_"):
+            out.append((node.name, node, False))
+        elif isinstance(node, ast.ClassDef):
+            out.extend((f"{node.name}.{fn.name}", fn, True) for fn in node.body
+                       if isinstance(fn, functions) and not fn.name.startswith("_"))
+    return out
+
+
+def _uses(tree, method: bool) -> Counter:
+    """How often a tree reads each name as ``x.name``, and, unless ``method``,
+    as a bare name too."""
+    uses = Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    if not method:
+        uses += Counter(node.id for node in ast.walk(tree)
+                        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store))
+    return uses
+
+
+def _uncalled_public(trees: dict) -> list:
+    """``module.name`` of every public function or method that no code of the
+    trees but its own definition reads (``__init__.py``'s exports are no use)."""
+    code = {module: tree for module, tree in trees.items() if module != "__init__.py"}
+    return [f"{module[:-3]}.{name}" for module, tree in code.items()
+            for name, node, method in _public_definitions(tree)
+            if sum(_uses(other, method)[node.name] for other in code.values())
+            <= _uses(node, method)[node.name]]
+
+
+def test_every_public_function_has_a_caller_in_src():
+    uncalled = _uncalled_public(TREES)
+    assert [name for name in uncalled if name not in PUBLIC_ENTRY_POINTS] == []
+    # every listed name still has no caller, so the list stays minimal
+    assert set(uncalled) >= set(PUBLIC_ENTRY_POINTS)
+
+
+def test_caller_rule_catches_a_function_nobody_calls():
+    trees = {"__init__.py": ast.parse("from .mod import exported, unused"),
+             "mod.py": ast.parse("""
+def unused(x):
+    return unused(x - 1) if x else 0
+
+
+def exported(x):
+    return helper(x) + Point(x).norm()
+
+
+def helper(x):
+    return x
+
+
+class Point:
+    def norm(self):
+        return self.x
+
+    def scaled(self, s):
+        scaled = self.norm() * s
+        return scaled
+""")}
+    assert _uncalled_public(trees) == ["mod.unused", "mod.exported", "mod.Point.scaled"]

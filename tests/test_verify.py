@@ -6,11 +6,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from redconn import connections, liealg, phasespace, pipeline, reduction
-from redconn.errors import RankLoss
+from redconn import connections, linalg, liealg, orbits, phasespace, pipeline, reduction
+from redconn.errors import NotTangent, RankLoss, SingularProjection
 from redconn.pipeline import (EXIT_ASSUMPTION, EXIT_NUMERICAL, THRESHOLDS, CaseConfig, _record,
                               run_pipeline, verify_suite)
-from tests.conftest import count_builds, perfbench_cases, track_geometries
+from tests.conftest import AFF1_DOC, count_builds, perfbench_cases, track_geometries
 
 # verify check -> (the run_pipeline(cfg, "curvature") report entry it mirrors,
 # its THRESHOLDS key)
@@ -362,18 +362,98 @@ def test_convergence_note_prints_the_factor_to_its_precision():
         assert check["value"] == check["threshold"] == 0.0
 
 
+def _jet_fd_geometry(label: str, chart_type=orbits.OrbitChart) -> reduction.SigmaGeometry:
+    """The geometry of a case of ``_doc`` (or aff1 with a realization at μ = (0, 1)),
+    on its default chart's data in a chart of ``chart_type``."""
+    cfg = CaseConfig.from_dict({"group": AFF1_DOC, "mu": [0.0, 1.0]} if label == "aff1"
+                               else _doc(label))
+    a = cfg.algebra()
+    ctx = reduction.build_context(a, cfg.mu_vector(a))
+    chart = reduction.default_chart(ctx)
+    return reduction.SigmaGeometry(ctx, chart_type(a, chart.mu, chart.m_basis))
+
+
 @pytest.mark.parametrize("label", ["so3", "so4-regular"])
 def test_jet_fd_stencil_points_keep_no_kernel(label, monkeypatch):
     # the check builds the kernels at t on its two fibers in one batch and no
-    # other: its stencil points take lifts from the chart's lift block alone
-    cfg = CaseConfig.from_dict(_doc(label))
-    a = cfg.algebra()
-    ctx = reduction.build_context(a, cfg.mu_vector(a))
-    geom = reduction.SigmaGeometry(ctx, reduction.default_chart(ctx))
+    # other: its stencil points take lifts from the chart's lift block alone,
+    # both fibers' in one exponential call
+    geom = _jet_fd_geometry(label)
     t = np.linspace(-0.2, 0.2, geom.chart.dim)
-    built = count_builds(monkeypatch)
+    built, calls = count_builds(monkeypatch), []
+    exp_data = orbits.OrbitChart.exp_data
+
+    def spied(self, ts, derivatives=True):
+        calls.append((len(np.atleast_2d(ts)), derivatives))
+        return exp_data(self, ts, derivatives)
+
+    monkeypatch.setattr(orbits.OrbitChart, "exp_data", spied)
     assert pipeline._jet_fd_defect(geom, t) <= THRESHOLDS["jet_fd"]
     assert built == [2]
+    directions = geom.chart.dim + geom.ctx.stabilizer_dim
+    assert calls == [(2, True), (2 * 2 * directions, False)]
+
+
+def _parent_jet_fd_defect(geom: reduction.SigmaGeometry, t) -> float:
+    """``pipeline._jet_fd_defect`` as one stencil per fiber, each placing its
+    points with no fiber shift when there is no stabilizer: the reference the
+    one stencil over both fibers must equal bit for bit."""
+    a, g_mu, km, n = geom.ctx.algebra, geom.ctx.split.g_mu, geom.chart.dim, geom.n
+    k, step = g_mu.shape[1], pipeline.JET_FD_STEP
+    fibers = [geom.identity] + ([liealg.group_exp(a, g_mu @ np.full(k, 0.5))] if k else [])
+    K = geom.kernels([t] * len(fibers), fibers)
+    gens = np.broadcast_to(np.pad(g_mu.T, ((0, 0), (0, n))), (len(fibers), k, 2 * n))
+    us = np.concatenate([K.lifts, gens], axis=1)
+    exact = geom.lift_derivatives(K, us)
+    fd = []
+    for fiber, u, frame in zip(fibers, us, K.F):
+        params = geom._params(frame, u)
+        signed = np.multiply.outer(np.broadcast_to(step, len(params)), (1.0, -1.0))
+        ts = (np.reshape(t, (-1, 1, km)) + signed[..., None] * params[:, None, :km]).reshape(-1, km)
+        if k:
+            ad_y = a.ad(linalg.matvec(g_mu, params[:, km:]))
+            shifted = (fiber @ linalg.expm(signed[..., None, None] * ad_y[:, None], batch_ndim=1))
+            shifted = shifted.reshape(-1, n, n)
+        else:
+            shifted = np.broadcast_to(fiber, (len(ts), n, n))
+        v = geom.lift_frames(ts, shifted)[0].reshape((-1, 2, km, 2 * n))
+        fd.append((v[:, 0] - v[:, 1]) / (2.0 * np.reshape(step, (-1, 1, 1))))
+    fd = np.array(fd)
+    return float(np.max(np.max(np.abs(exact - fd), axis=(-2, -1))
+                        / np.maximum(1.0, np.max(np.abs(exact), axis=(-2, -1)))))
+
+
+@pytest.mark.parametrize("label", ["so3", "so4-regular", "so4-singular", "aff1"])
+def test_jet_fd_is_the_per_fiber_stencils_bit_for_bit(label):
+    # one stencil over both fibers' directions gives the per-fiber stencils'
+    # value bit for bit; aff1 has no stabilizer, so its fiber shifts are e⁰ = I
+    geom = _jet_fd_geometry(label)
+    assert (geom.ctx.stabilizer_dim == 0) == (label == "aff1")
+    for t in (np.zeros(geom.chart.dim), np.linspace(-0.2, 0.15, geom.chart.dim)):
+        value = pipeline._jet_fd_defect(geom, t)
+        assert value.hex() == _parent_jet_fd_defect(geom, t).hex()
+        assert value <= THRESHOLDS["jet_fd"]
+
+
+@pytest.mark.parametrize("tangent,lift,error", [
+    ([5], [6], NotTangent), ([], [11], SingularProjection), ([3], [2], SingularProjection)],
+    ids=["first-fiber-last-row", "second-fiber-only", "first-row-first"])
+def test_jet_fd_raises_at_the_first_failing_stencil_row(tangent, lift, error):
+    # so3's stencil has 6 rows per fiber (2 lifts and 1 generator, ±), the
+    # first fiber's first; rows with a normal column in D fail tangency, rows
+    # with Coad 0 fail the lift system, which is checked first at a row; the
+    # error is that of the first failing row of the first fiber that has one
+    class Broken(orbits.OrbitChart):
+        def lift_data(self, ts):
+            coad, vecs, D = (x.copy() for x in super().lift_data(ts))
+            if len(ts) == 12:  # the stencil's points, not the kernels' at t
+                D[tangent] += np.outer(self.mu, np.eye(self.dim)[0])
+                coad[lift] = 0.0
+            return coad, vecs, D
+
+    geom = _jet_fd_geometry("so3", Broken)
+    with pytest.raises(error):
+        pipeline._jet_fd_defect(geom, np.zeros(geom.chart.dim))
 
 
 def test_jet_fd_check_catches_a_sign_flipped_fiber_term(monkeypatch):
