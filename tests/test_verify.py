@@ -394,7 +394,7 @@ def test_jet_fd_stencil_points_keep_no_kernel(label, monkeypatch):
     assert calls == [(2, True), (2 * 2 * directions, False)]
 
 
-def _parent_jet_fd_defect(geom: reduction.SigmaGeometry, t) -> float:
+def _per_fiber_jet_fd_defect(geom: reduction.SigmaGeometry, t) -> float:
     """``pipeline._jet_fd_defect`` as one stencil per fiber, each placing its
     points with no fiber shift when there is no stabilizer: the reference the
     one stencil over both fibers must equal bit for bit."""
@@ -431,7 +431,7 @@ def test_jet_fd_is_the_per_fiber_stencils_bit_for_bit(label):
     assert (geom.ctx.stabilizer_dim == 0) == (label == "aff1")
     for t in (np.zeros(geom.chart.dim), np.linspace(-0.2, 0.15, geom.chart.dim)):
         value = pipeline._jet_fd_defect(geom, t)
-        assert value.hex() == _parent_jet_fd_defect(geom, t).hex()
+        assert value.hex() == _per_fiber_jet_fd_defect(geom, t).hex()
         assert value <= THRESHOLDS["jet_fd"]
 
 
