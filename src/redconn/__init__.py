@@ -26,7 +26,7 @@ from .reduction import (AutoparallelReport, ReductionContext, SigmaGeometry, aut
                         build_context, default_chart, isotropic_correction_gram, reduced_form,
                         totally_geodesic_defect)
 from .curvature import (convergence_factor, curvature_battery, curvature_exact,
-                        curvature_formula, curvature_tensor)
+                        curvature_routes)
 from .pipeline import CaseConfig, run_pipeline, verify_suite
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -25,8 +25,8 @@ Both return the same [i, j, l] array of orbit tangents as ``curvature_exact``,
 Nomizu's operators at μ moved to t by Coad, which needs no stencil; the FD
 error, quadratic in fd_step2, is what the convergence probe measures against it
 by step halving.  ``curvature_battery`` runs every curvature check on one
-geometry: its kernels in one batch, each kind of per-point solve stacked over
-every point, and each route once over its jobs.
+geometry: its kernels in one batch (laid out by ``_routes`` alone), each kind
+of per-point solve stacked over every point, and each route once over its jobs.
 """
 
 from __future__ import annotations
@@ -45,58 +45,58 @@ PROBE_TIE_RTOL = 1e-6
 PROBE_STEP = 4e-3  # the probe's coarse step
 
 
-def _jobs(geom: SigmaGeometry, t, fd_step2, directions) -> list:
-    """A call's jobs (t, step, directions).  One chart point t is one job; a stack
-    (rows) takes ``fd_step2`` and ``directions`` (each None or a sequence) one per row."""
-    if np.ndim(t) < 2:
-        t, fd_step2, directions = [t], [fd_step2], [directions]
-    return [(np.asarray(tq, float), float(h), list(range(geom.chart.dim) if d is None else d))
-            for tq, h, d in zip(t, fd_step2, directions)]
-
-
 def _stencils(geom: SigmaGeometry, jobs) -> tuple:
-    """The formula's points (ts, fibers), the jobs' points on the identity fiber
-    and then the stencil points, with each stencil's step, job q and direction x
-    (one per job and distinct x of its directions): job q's t ± step along f̄_x,
-    from the lifts and frames at the jobs' points read from the chart's lift
-    block, so that they are known before any kernel is built."""
+    """The formula's stencil points (ts, fibers), with each stencil's step, job q
+    and direction x (one per job and distinct x of its directions): job q's
+    t ± step along f̄_x, from the lifts and frames at the jobs' points read from
+    the chart's lift block, so that they are known before any kernel is built."""
     q, x = np.array([(q, x) for q, (_, _, d) in enumerate(jobs) for x in dict.fromkeys(d)],
                     dtype=int).reshape(-1, 2).T
     t, steps = (np.array(v)[q] for v in list(zip(*jobs))[:2])
-    points = np.array([tq for tq, _, _ in jobs])
-    lifts, frames = geom.lift_frames(points, geom.identity)
-    ts, fibers = geom._stencil_points(t, geom.identity, lifts[q, x], steps, frames[q])
-    return (np.concatenate([points, ts]),
-            np.concatenate([np.broadcast_to(geom.identity, frames.shape), fibers]), steps, q, x)
+    lifts, frames = geom.lift_frames(np.array([tq for tq, _, _ in jobs]), geom.identity)
+    return (*geom._stencil_points(t, geom.identity, lifts[q, x], steps, frames[q]), steps, q, x)
 
 
-def curvature_formula(geom: SigmaGeometry, t, *, fd_step2: float = DEFAULT_FD_STEP2,
-                      directions=None):
-    """Reduced curvature of the coordinate fields by the lift expansion, as orbit
-    tangents in the layout of ``curvature_tensor``: entry [a, b, l] is
-    R(f_i, f_j)f_l at t for i = directions[a], j = directions[b] (all chart
-    directions by default), and entries with i = j are zero.  On a stack of
-    jobs (``_jobs``), the list of the jobs' arrays.
+def curvature_routes(geom: SigmaGeometry, t, *, fd_step2: float = DEFAULT_FD_STEP2,
+                     directions=None) -> tuple:
+    """Reduced curvature of the coordinate fields at t by both finite-difference
+    routes, (formula, tensor): entry [a, b, l] of each is R(f_i, f_j)f_l as an
+    orbit tangent for i = directions[a], j = directions[b] (all chart
+    directions by default), and entries with i = j are zero.  The formula is the
+    lift expansion, the tensor the chart expression of the Christoffel symbols;
+    their kernels are built in one batch (``_routes``)."""
+    d = range(geom.chart.dim) if directions is None else directions
+    (formula,), (tensor,), _ = _routes(geom, [(np.asarray(t, float), float(fd_step2), list(d))])
+    return formula, tensor
 
-    The level-set derivatives ∇_f̄_j f̄_l and their radical parts come from
-    the kernels' level-set tables (``level``), differenced along f̄_x on one
-    fd_step2 stencil per direction x, every job's built in one batch; the
-    bracket [f̄_i, f̄_j] reads the exact derivatives of ``lifts`` the table at
-    t is built from, and the derivatives along it and its radical part are
-    exact too, each contracted with its own job's jet.  Each step is stacked
-    over every entry [a, b] of every job.
-    """
-    jobs = _jobs(geom, t, fd_step2, directions)
-    stencils = _stencils(geom, jobs)
-    out = _formula(geom, jobs, stencils, geom.kernels(*stencils[:2]))
-    return out if np.ndim(t) == 2 else out[0]
+
+def _routes(geom: SigmaGeometry, jobs: list) -> tuple:
+    """Both routes' arrays R[i, j, l] on the jobs (t, step, directions), one list
+    each, and the kernels at the jobs' points.  One batch holds the tensor's
+    t ± h·eₓ, the jobs' points and the formula's stencils (``_stencils``); the
+    tensor reads its first two parts and the formula its last two."""
+    ts, fibers, *stencils = _stencils(geom, jobs)
+    points = np.array([t + sign * h * np.eye(len(t))[x] for t, h, d in jobs
+                       for x in dict.fromkeys(d) for sign in (1.0, -1.0)] + [t for t, _, _ in jobs])
+    start = len(points) - len(jobs)  # the jobs' points' first row
+    K = geom.kernels(np.concatenate([points, ts]), np.concatenate(
+        [np.broadcast_to(geom.identity, (len(points), geom.n, geom.n)), fibers]))
+    return (_formula(geom, jobs, stencils, K[start:]), _tensor(geom, jobs, K[: len(points)]),
+            K[start: len(points)])
 
 
 def _formula(geom: SigmaGeometry, jobs, stencils, K) -> list:
-    """``curvature_formula`` on the jobs with their ``_stencils``, from the
-    kernels K at the stencils' points (ts, fibers)."""
+    """The lift expansion's arrays on the jobs with their ``_stencils`` (steps,
+    q, x), from the kernels K at the jobs' points and then the stencils' points.
+
+    The level-set derivatives ∇_f̄_j f̄_l and their radical parts come from
+    the kernels' level-set tables (``level``), differenced along f̄_x on one
+    stencil per direction x; the bracket [f̄_i, f̄_j] reads the exact
+    derivatives of ``lifts`` the table at t is built from, and the derivatives
+    along it and its radical part are exact too, each contracted with its own
+    job's jet.  Each step is stacked over every entry [a, b] of every job."""
     ctx, km, n = geom.ctx, geom.chart.dim, geom.n
-    *_, steps, q, x = stencils
+    steps, q, x = stencils
     K = K.checked()
     # [point, j, l, 0] = ∇_f̄_j f̄_l and [point, j, l, 1] = [α(∇_f̄_j f̄_l)]*
     grads = np.stack([K.level, ctx.alpha_star(K.level)], axis=-2)
@@ -126,22 +126,11 @@ def _formula(geom: SigmaGeometry, jobs, stencils, K) -> list:
     return out
 
 
-def curvature_tensor(geom: SigmaGeometry, t, *, fd_step2: float = DEFAULT_FD_STEP2,
-                     directions=None):
-    """Reduced curvature of the coordinate fields as orbit tangents: entry
-    [a, b, l] is R(f_i, f_j)f_l at t for i = directions[a], j = directions[b]
-    (all chart directions by default), from the exact Γ at t and at
-    t ± fd_step2·eₓ for x in ``directions``, their tables built in one batch.
-    On a stack of jobs (``_jobs``), the list of the jobs' arrays."""
-    jobs = _jobs(geom, t, fd_step2, directions)
-    out = _tensor(geom, jobs, geom.kernels(_points(jobs), geom.identity))
-    return out if np.ndim(t) == 2 else out[0]
-
-
 def _tensor(geom: SigmaGeometry, jobs, K) -> list:
-    """``curvature_tensor`` on the jobs, from Γ[j, l, b], chart component b of
-    ∇ʳ(f_j) f_l (NotTangent if not an orbit tangent), at the jobs' t ± h·eₓ and
-    points (``_points``), whose kernels are K, all by one stacked solve."""
+    """The chart expression's arrays on the jobs, from Γ[j, l, b], chart
+    component b of ∇ʳ(f_j) f_l (NotTangent if not an orbit tangent), at each
+    job's t ± h·eₓ (x in its distinct directions) and then the jobs' points,
+    whose kernels are K, all by one stacked solve."""
     p, J = K.checked(), len(jobs)
     gamma = tangent_solve(p.D, p.cov.reshape(len(p.D), -1, geom.n).swapaxes(1, 2))
     gamma = gamma.swapaxes(1, 2).reshape((-1,) + (geom.chart.dim,) * 3)
@@ -159,7 +148,7 @@ def _tensor(geom: SigmaGeometry, jobs, K) -> list:
 
 def curvature_exact(geom: SigmaGeometry, t) -> np.ndarray:
     """Reduced curvature of the coordinate fields at t, in the layout of
-    ``curvature_tensor``, with no finite difference.
+    ``curvature_routes``, with no finite difference.
 
     The reduced connection is G-invariant, so (Nomizu, Amer. J. Math. 76, 1954)
     R(X♯, Y♯) = [N_X, N_Y] − N_[X,Y] at μ for N_X = ∇X♯, X♯(ν) = −ad(X)ᵀν.
@@ -185,13 +174,6 @@ def curvature_exact(geom: SigmaGeometry, t) -> np.ndarray:
     return np.moveaxis(r_t, 0, -1) @ (coad @ D0).T  # r_t[r, i, j, l]: B on slots a, b, c
 
 
-def _points(jobs) -> np.ndarray:
-    """The tensor's points of the jobs: job by job, t + h·eₓ and t − h·eₓ for each
-    distinct x of its directions, then each job's t."""
-    return np.array([t + sign * h * np.eye(len(t))[x] for t, h, d in jobs
-                     for x in dict.fromkeys(d) for sign in (1.0, -1.0)] + [t for t, _, _ in jobs])
-
-
 def _probe_inputs(tensor: np.ndarray) -> tuple[int, int, int]:
     """The first triple i < j (in lexicographic order) whose tensor value's norm
     is within a relative ``PROBE_TIE_RTOL`` of the largest, so that norms equal
@@ -207,8 +189,8 @@ def curvature_battery(geom: SigmaGeometry, t_points) -> dict:
     """Both curvature routes on coordinate-field triples, the symmetry defects
     and the step-halving probe at t_points[0], all on one geometry.
 
-    At each chart point ``curvature_formula`` and ``curvature_tensor`` each give
-    the array R[i, j, l] = R(f_i, f_j)f_l; the samples pair the two for i < j.
+    At each chart point both routes of ``curvature_routes`` give the array
+    R[i, j, l] = R(f_i, f_j)f_l; the samples pair the two for i < j.
     The maxima reported are (a) the antisymmetry defect in the first two slots
     and (c) the first Bianchi cyclic sum, which vanishes for torsion-free
     connections, both over the formula's entries with i ≠ j (the tensor
@@ -218,8 +200,8 @@ def curvature_battery(geom: SigmaGeometry, t_points) -> dict:
     probe runs on the triple i < j whose exact value at t_points[0] is largest
     (``_probe_inputs``), so that it measures a component that does not vanish.
     The exact value builds no kernel, so every point is known before any
-    kernel is built: they come in one batch, and each route runs once over the
-    points and the probe's two steps (``_probe``).
+    kernel is built: they come in one batch (``_routes``), and each route runs
+    once over the points and the probe's two steps (``_probe``).
     """
     km = geom.chart.dim
     ts = np.array(t_points, dtype=float).reshape(-1, km)
@@ -262,25 +244,19 @@ def convergence_factor(geom: SigmaGeometry, t, *, coarse: float = PROBE_STEP,
     ratio should sit near four (central differences are second order).  The
     steps sit well above the default, where truncation dominates roundoff.  The
     tables at t and at the displaced points of both steps are built in one
-    batch.  The factor is null where the fine error is 0.
+    batch (``_routes``).  The factor is null where the fine error is 0.
     """
     return _probe(geom, np.asarray(t, dtype=float), coarse, inputs, curvature_exact(geom, t), [])[0]
 
 
 def _probe(geom: SigmaGeometry, t, coarse: float, inputs, exact, jobs: list) -> tuple:
     """``convergence_factor``'s report at t, from ``exact`` = ``curvature_exact``
-    there, both routes' arrays R[job, i, j, l] of ``jobs`` (``_jobs``), each
-    route in one call beside the probe's two jobs, and the kernels at the jobs'
-    points: the jobs' t ± h·eₓ and points, then every formula stencil (the
-    probe's included) are built in one batch, which each route reads a slice of."""
+    there, both routes' arrays R[job, i, j, l] of ``jobs`` (t, step, directions)
+    and the kernels at their points: ``_routes`` on the jobs and the probe's two."""
     i, j, l = inputs
-    jobs, given = jobs + [(t, coarse, [i, j]), (t, coarse / 2.0, [i, j])], len(jobs)
-    stencils, points = _stencils(geom, jobs), _points(jobs)
-    ts, fibers, start = *stencils[:2], len(points) - len(jobs)  # the jobs' points' first row
-    K = geom.kernels(np.concatenate([points, ts[len(jobs):]]), np.concatenate(
-        [np.broadcast_to(geom.identity, (len(points), geom.n, geom.n)), fibers[len(jobs):]]))
-    *R, coarse_r, fine_r = _formula(geom, jobs, stencils, K[start:])
-    *tensor, coarse_t, fine_t = _tensor(geom, jobs, K[: len(points)])
+    given = len(jobs)
+    (*R, coarse_r, fine_r), (*tensor, coarse_t, fine_t), K = _routes(
+        geom, jobs + [(t, coarse, [i, j]), (t, coarse / 2.0, [i, j])])
     (formula_coarse, formula_fine), (oracle_coarse, oracle_fine) = (
         [float(np.linalg.norm(r[0, 1, l] - exact[i, j, l])) for r in route]
         for route in ((coarse_r, fine_r), (coarse_t, fine_t)))
@@ -288,4 +264,4 @@ def _probe(geom: SigmaGeometry, t, coarse: float, inputs, exact, jobs: list) -> 
             "oracle_error_coarse": oracle_coarse, "oracle_error_fine": oracle_fine,
             "formula_error_coarse": formula_coarse, "formula_error_fine": formula_fine,
             "factor": oracle_coarse / oracle_fine if oracle_fine > 0 else None}, \
-        np.array(R), np.array(tensor), K[start: start + given]
+        np.array(R), np.array(tensor), K[:given]

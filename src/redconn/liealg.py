@@ -79,10 +79,7 @@ class LieAlgebra:
             raise ValueError(f"structure constants have shape {c.shape}, expected {(n,) * 3}")
         if not np.all(c == -c.transpose(1, 0, 2)):
             raise ValueError("structure constants are not antisymmetric in the first two slots")
-        # cyclic sum of [[e_i, e_j], e_k]
-        t = np.einsum("ijl,lkm->ijkm", c, c)
-        jac = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
-        defect = float(np.max(np.abs(jac))) if n else 0.0
+        defect = self.jacobi_defect()
         if defect > JACOBI_TOL:
             raise ValueError(f"Jacobi defect {defect:.3e} exceeds {JACOBI_TOL:.0e}")
         if self.realization is not None:
@@ -102,6 +99,12 @@ class LieAlgebra:
             sym = float(np.max(np.abs(rho + rho.transpose(0, 2, 1))))
             if self.orthogonal and sym > REALIZATION_TOL:
                 raise ValueError(f"orthogonal claimed, but a generator is not skew ({sym:.3e})")
+
+    def jacobi_defect(self) -> float:
+        """The largest entry of the cyclic sum of [[e_i, e_j], e_k] over the basis."""
+        t = np.einsum("ijl,lkm->ijkm", self.c, self.c)
+        jac = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
+        return float(np.max(np.abs(jac), initial=0.0))
 
     def bracket(self, X, Y) -> np.ndarray:
         """Evaluate [X, Y] from the structure constants, for one pair or row by

@@ -80,6 +80,14 @@ def vecdot(x, y):
     return float(out) if out.ndim == 0 else out
 
 
+def distinct_rows(keys) -> tuple[list, np.ndarray]:
+    """Each row's slot among the distinct ``keys`` (one hashable per row; slots in
+    order of first appearance) and each slot's first row."""
+    slot: dict = {}
+    inverse = [slot.setdefault(key, len(slot)) for key in keys]
+    return inverse, np.unique(inverse, return_index=True)[1]
+
+
 def solve_columns(A, B) -> np.ndarray:
     """Minimum-norm least-squares solve of A X = B, column by column."""
     A = np.atleast_2d(np.asarray(A, dtype=float))

@@ -61,10 +61,9 @@ class OrbitChart:
         φ₁(−ad A) along E_c (Al-Mohy–Higham 2009)."""
         a, n, m = self.algebra, self.algebra.dim, self.m_basis
         ts = np.atleast_2d(np.asarray(ts, dtype=float))
-        slot: dict = {}
-        inverse = [slot.setdefault(t.tobytes(), len(slot)) for t in ts]
-        block = np.zeros((len(slot), 2 * n, 2 * n))
-        block[:, :n, :n] = -a.ad(linalg.matvec(m, ts[[inverse.index(i) for i in range(len(slot))]]))
+        inverse, first = linalg.distinct_rows(t.tobytes() for t in ts)
+        block = np.zeros((len(first), 2 * n, 2 * n))
+        block[:, :n, :n] = -a.ad(linalg.matvec(m, ts[first]))
         block[:, :n, n:] = np.eye(n)
         N = -np.einsum("ijk,ic->ckj", a.c, m)  # −ad E_c; [N, 0]: the directions' first rows
         directions = np.concatenate([N, 0 * N], axis=-1) if derivatives else None

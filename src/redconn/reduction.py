@@ -280,10 +280,8 @@ class SigmaGeometry:
         the rows; rows with equal (t, fiber) bytes are built once, in one stacked pass."""
         ts = np.asarray(ts, dtype=float).reshape(-1, self.chart.dim)
         fibers = np.broadcast_to(np.asarray(fibers, dtype=float), (len(ts), self.n, self.n))
-        slot: dict = {}  # each distinct (t, fiber) in order of first appearance
-        rows = [slot.setdefault((t.tobytes(), fiber.tobytes()), len(slot))
-                for t, fiber in zip(ts, fibers)]
-        first = np.unique(rows, return_index=True)[1]
+        rows, first = linalg.distinct_rows((t.tobytes(), fiber.tobytes())
+                                           for t, fiber in zip(ts, fibers))
         return self._build(ts[first], fibers[first])[rows]
 
     def _build(self, ts: np.ndarray, fibers: np.ndarray) -> PointKernel:
@@ -427,15 +425,12 @@ def _along(jet: np.ndarray, params: np.ndarray) -> np.ndarray:
 # --- public operations --------------------------------------------------------
 
 
-def reduced_form(ctx: ReductionContext, chart: OrbitChart, v, w, t,
-                 fiber: np.ndarray | None = None,
-                 geom: SigmaGeometry | None = None) -> float:
-    """Reduced symplectic form: ω on the horizontal lifts of two orbit tangents,
-    at the fiber with Ad matrix ``fiber`` (the identity by default)."""
-    geom = geom if geom is not None else SigmaGeometry(ctx, chart)
-    fiber = geom.identity if fiber is None else fiber
-    vb, wb = geom.lift(geom.kernels(t, fiber), [v, w])
-    return symplectic_form(ctx.algebra, ctx.mu, vb, wb)
+def reduced_form(geom: SigmaGeometry, v, w, t, fiber: np.ndarray | None = None) -> float:
+    """Reduced symplectic form: ω on the horizontal lifts of two orbit tangents
+    at t on the geometry's chart, at the fiber with Ad matrix ``fiber`` (the
+    identity by default)."""
+    vb, wb = geom.lift(geom.kernels(t, geom.identity if fiber is None else fiber), [v, w])
+    return symplectic_form(geom.ctx.algebra, geom.ctx.mu, vb, wb)
 
 
 def gram_oracle_solve(geom: SigmaGeometry, D: np.ndarray, lifts: np.ndarray,

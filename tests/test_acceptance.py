@@ -101,7 +101,7 @@ def test_criterion_3_flagship_reduction():
     for t in grid:
         D = chart.dnu(t)
         nu = chart.nu(t)
-        red = rc.reduced_form(ctx, chart, D[:, 0], D[:, 1], t, geom=geom)
+        red = rc.reduced_form(geom, D[:, 0], D[:, 1], t)
         ref = rc.kks_form(a, nu, D[:, 0], D[:, 1])
         signs.add(float(np.sign(red / ref)))
         kks_resid = max(kks_resid, abs(red - rc.KKS_MATCH_SIGN * ref) / abs(ref))
@@ -111,15 +111,15 @@ def test_criterion_3_flagship_reduction():
 
         def omega_at(tt, i, j):
             DD = chart.dnu(tt)
-            return rc.reduced_form(ctx, chart, DD[:, i], DD[:, j], tt, geom=geom)
+            return rc.reduced_form(geom, DD[:, i], DD[:, j], tt)
 
         for x in range(2):
             e_x = np.eye(2)[x] * h
             for i in range(2):
                 for j in range(2):
                     lead = (omega_at(t + e_x, i, j) - omega_at(t - e_x, i, j)) / (2 * h)
-                    term1 = rc.reduced_form(ctx, chart, cov[x, i], D[:, j], t, geom=geom)
-                    term2 = rc.reduced_form(ctx, chart, D[:, i], cov[x, j], t, geom=geom)
+                    term1 = rc.reduced_form(geom, cov[x, i], D[:, j], t)
+                    term2 = rc.reduced_form(geom, D[:, i], cov[x, j], t)
                     parallel = max(parallel, abs(lead - term1 - term2))
             # cyclic finite-difference exterior derivative on coordinate fields
             total = 0.0

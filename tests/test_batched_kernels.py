@@ -213,7 +213,7 @@ def test_frame_rank_loss_raises_only_at_its_point(case):
     reduction._check(K.lift_ok, K.tangent)  # the checks the lifts need pass
     assert np.all(np.isfinite(K.lifts))
     assert np.all(np.isfinite(geom.lift(K, D.T)))
-    assert np.isfinite(rc.reduced_form(ctx, chart, D[:, 0], D[:, 1], bad, geom=geom))
+    assert np.isfinite(rc.reduced_form(geom, D[:, 0], D[:, 1], bad))
     for _ in range(2):
         with pytest.raises(RankLoss):
             geom.lift_derivatives(K, K.lifts[0])

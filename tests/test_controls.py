@@ -3,13 +3,15 @@ past its ``THRESHOLDS`` value, so that a check which passes says something.
 
 Each control runs the check's own code, a ``pipeline._verify_*`` part (and for
 ``tperp_span`` the validate stage it reads, for the sweep's checks the chart
-sweep, for ``curvature_agreement`` the curvature stage), on the so3 run record
+sweep, for the ``curvature_*`` keys the curvature stage), on the so3 run record
 after the connect or the reduce stage with one input perturbed, and reads that
 check's defect.  A kernel field is perturbed where the check reads it, by
-wrapping the geometry's ``kernels``.  On so3 the orbit has dimension 2, where
-the cyclic sum of an antisymmetric ∂Ω vanishes exactly, so the closedness
-control runs on so(4) regular (orbit dimension 4), and so do the two ``jet_fd``
-controls, one on each half of the jet (its chart rows and its fiber rows).
+wrapping the geometry's ``kernels``, and the formula route's arrays by wrapping
+``curvature._formula``.  On so3 the orbit has dimension 2, where the cyclic
+sum of an antisymmetric ∂Ω, or of an R antisymmetric in its first two slots,
+vanishes exactly, so the closedness and Bianchi controls run on so(4) regular
+(orbit dimension 4), and so do the two ``jet_fd`` controls, one on each half of
+the jet (its chart rows and its fiber rows).
 """
 
 from dataclasses import replace
@@ -17,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from redconn import linalg, pipeline
+from redconn import curvature, linalg, pipeline
 from redconn.connections import finite_cyclic_rule, symplectized_coefficients
 from redconn.liealg import LieAlgebra
 from redconn.phasespace import right_generator
@@ -43,10 +45,15 @@ def _delta(seed: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal((6, 6, 6))
 
 
+def _check(part, run, name: str, cfg: CaseConfig = SO3) -> tuple:
+    """The check ``name`` among those ``part`` yields: (name, value, key[, note])."""
+    return next(check for check in part(cfg, run) if check[0] == name)
+
+
 def _assert_fails(part, run, name: str, key: str, cfg: CaseConfig = SO3) -> None:
     """The check ``name`` among those ``part`` yields is held to ``key`` and
     exceeds its threshold."""
-    check = next(check for check in part(cfg, run) if check[0] == name)
+    check = _check(part, run, name, cfg)
     assert check[2] == key
     assert check[1] > THRESHOLDS[key]
 
@@ -237,3 +244,54 @@ def test_reduced_torsion_fails_on_antisymmetric_noise(reduced):
     _perturb(reduced.geom, noisy)
     _sweep_again(reduced)
     _assert_fails(pipeline._verify_reduction, reduced, "red/reduced-torsion", "reduced_torsion")
+
+
+def _curvature_again(cfg, run) -> None:
+    """The curvature stage on the run record, at points drawn from its rng."""
+    run.stages["curvature"] = pipeline._stage_curvature(cfg, run)
+
+
+def _noisy_formula(monkeypatch, noise) -> None:
+    """Add ``noise(shape)`` to every array [i, j, l] the formula route returns."""
+    formula = curvature._formula
+    monkeypatch.setattr(curvature, "_formula",
+                        lambda *args: [r + noise(r.shape) for r in formula(*args)])
+
+
+def test_curvature_antisymmetry_fails_on_symmetric_noise(reduced, monkeypatch):
+    # the defect reads R[i, j, l] + R[j, i, l] of the formula's arrays, which
+    # noise symmetric in (i, j) moves by twice itself
+    _curvature_again(SO3, reduced)
+    assert _check(pipeline._verify_curvature, reduced, "curv/antisymmetry")[1] \
+        <= THRESHOLDS["curvature_antisymmetry"]
+    rng = np.random.default_rng(11)
+
+    def symmetric(shape):
+        x = 1e-3 * rng.standard_normal(shape)
+        return x + x.swapaxes(0, 1)
+
+    _noisy_formula(monkeypatch, symmetric)
+    _curvature_again(SO3, reduced)
+    _assert_fails(pipeline._verify_curvature, reduced, "curv/antisymmetry",
+                  "curvature_antisymmetry")
+
+
+def test_curvature_bianchi_fails_on_antisymmetric_noise(monkeypatch):
+    # noise antisymmetric in (i, j) keeps R antisymmetric, so only the cyclic
+    # sum R[i, j, l] + R[j, l, i] + R[l, i, j] moves; on orbit dimension 2 that
+    # sum of an antisymmetric array vanishes, so the control runs on so(4)
+    cfg, run = _so4_regular()
+    _curvature_again(cfg, run)
+    assert _check(pipeline._verify_curvature, run, "curv/bianchi", cfg)[1] \
+        <= THRESHOLDS["curvature_bianchi"]
+    rng = np.random.default_rng(12)
+
+    def antisymmetric(shape):
+        x = 1e-3 * rng.standard_normal(shape)
+        return x - x.swapaxes(0, 1)
+
+    _noisy_formula(monkeypatch, antisymmetric)
+    _curvature_again(cfg, run)
+    assert _check(pipeline._verify_curvature, run, "curv/antisymmetry", cfg)[1] \
+        <= THRESHOLDS["curvature_antisymmetry"]
+    _assert_fails(pipeline._verify_curvature, run, "curv/bianchi", "curvature_bianchi", cfg)

@@ -3,7 +3,7 @@ import pytest
 
 import redconn as rc
 from redconn.curvature import (convergence_factor, curvature_battery, curvature_exact,
-                               curvature_formula, curvature_tensor)
+                               curvature_routes)
 from redconn import curvature, linalg, pipeline, reduction
 from redconn.errors import RankLoss, ZeroDimensionalBase
 from redconn.pipeline import THRESHOLDS, CaseConfig, run_pipeline
@@ -46,15 +46,15 @@ class TestFlatCases:
         mu = np.array([0.0, 0.0, 1.0])
         ctx = rc.build_context(a, mu, gamma_mu=np.zeros((6, 6, 6)))
         chart = rc.default_chart(ctx)
-        out = curvature_tensor(SigmaGeometry(ctx, chart), np.array([0.2, -0.1]))[0, 1, 0]
+        out = curvature_routes(SigmaGeometry(ctx, chart), np.array([0.2, -0.1]))[1][0, 1, 0]
         assert np.max(np.abs(out)) <= 1e-6
 
     def test_heis3_reduction_is_flat(self, heis3_ctx):
         chart = rc.default_chart(heis3_ctx)
         geom = SigmaGeometry(heis3_ctx, chart)
         t = np.array([0.3, 0.2])
-        for out in (curvature_formula(geom, t)[0, 1, 1], curvature_tensor(geom, t)[0, 1, 1]):
-            assert np.max(np.abs(out)) <= 1e-6
+        for out in curvature_routes(geom, t):
+            assert np.max(np.abs(out[0, 1, 1])) <= 1e-6
 
     def test_zero_dimensional_base_rejected(self, rng):
         a = rc.abelian(2)
@@ -62,7 +62,7 @@ class TestFlatCases:
         ctx = rc.build_context(a, mu)
         chart = rc.orbit_chart(a, mu, ctx.m)
         with pytest.raises(ZeroDimensionalBase):
-            curvature_formula(SigmaGeometry(ctx, chart), np.zeros(0))
+            curvature_routes(SigmaGeometry(ctx, chart), np.zeros(0))
 
 
 class TestFlagship:
@@ -103,8 +103,7 @@ class TestFlagship:
         assert np.max(np.abs(charts[0].dnu(t) - charts[1].dnu(t))) <= 1e-12
         covs = [geom.kernels(t, geom.identity).checked().cov[0] for geom in geoms]
         assert np.max(np.abs(covs[0] - covs[1])) > 0.1
-        for route in (curvature_formula, curvature_tensor):
-            first, second = (route(geom, t) for geom in geoms)
+        for first, second in zip(*(curvature_routes(geom, t) for geom in geoms)):
             scale = max(1.0, float(np.max(np.linalg.norm(first, axis=-1))))
             gap = float(np.max(np.linalg.norm(first - second, axis=-1)))
             assert gap <= THRESHOLDS["curvature_agreement"] * scale
@@ -117,7 +116,7 @@ class TestFlagship:
         a, ctx, chart = so3_setup
         t = np.array([0.1, 0.05])
         geom = SigmaGeometry(ctx, chart)
-        base = curvature_tensor(geom, t)[0, 1, 1]
+        base = curvature_routes(geom, t)[1][0, 1, 1]
         g = rc.group_exp(a, 0.15 * rng.standard_normal(3))
         C = rc.coadjoint_matrix(g)
         C_inv = rc.coadjoint_matrix(np.linalg.inv(g))
@@ -126,7 +125,7 @@ class TestFlagship:
         moved = [_chart_components(chart, t2, C @ chart.dnu(t_pre)[:, a_idx])
                  for a_idx in range(2)]
         val = np.einsum("i,j,l,ijln->n", moved[0], moved[1], moved[1],
-                        curvature_tensor(geom, t2))
+                        curvature_routes(geom, t2)[1])
         assert np.max(np.abs(val - C @ base)) <= 1e-6
 
     def test_su2_matches_so3(self, so3_setup):
@@ -138,8 +137,8 @@ class TestFlagship:
         ctx2 = rc.build_context(a2, mu)
         chart2 = rc.default_chart(ctx2)
         t = np.array([0.2, -0.1])
-        r3 = curvature_tensor(SigmaGeometry(ctx3, chart3), t)[0, 1, 1]
-        r2 = curvature_tensor(SigmaGeometry(ctx2, chart2), t)[0, 1, 1]
+        r3 = curvature_routes(SigmaGeometry(ctx3, chart3), t)[1][0, 1, 1]
+        r2 = curvature_routes(SigmaGeometry(ctx2, chart2), t)[1][0, 1, 1]
         v3, v2 = _chart_components(chart3, t, r3), _chart_components(chart2, t, r2)
         assert np.max(np.abs(v3 - v2)) <= 1e-6
 
@@ -152,8 +151,7 @@ class TestTensorRoute:
         ctx = rc.build_context(_so4(), np.array([1.0, 0.0, 0.0, 0.0, 0.0, 2.0]))
         chart = rc.default_chart(ctx)
         geom = SigmaGeometry(ctx, chart)
-        tensor = curvature_tensor(geom, t)
-        formula = curvature_formula(geom, t)
+        formula, tensor = curvature_routes(geom, t)
         assert chart.dim == 4 and formula.shape == tensor.shape
         gap = np.linalg.norm(formula - tensor, axis=-1)
         assert np.all(gap <= THRESHOLDS["curvature_agreement"]
@@ -163,24 +161,23 @@ class TestTensorRoute:
         _, ctx, chart = so3_setup
         geom = SigmaGeometry(ctx, chart)
         t = np.array([0.1, -0.2])
-        full = curvature_tensor(geom, t)
-        block = curvature_tensor(geom, t, directions=(1, 0))
-        assert np.max(np.abs(block - full[np.ix_([1, 0], [1, 0])])) <= 1e-13
-        full = curvature_formula(geom, t)
-        block = curvature_formula(geom, t, directions=(1, 0))
-        assert (block == full[np.ix_([1, 0], [1, 0])]).all()
+        (full_f, full_t), (block_f, block_t) = (curvature_routes(geom, t, directions=d)
+                                                for d in (None, (1, 0)))
+        assert np.max(np.abs(block_t - full_t[np.ix_([1, 0], [1, 0])])) <= 1e-13
+        assert (block_f == full_f[np.ix_([1, 0], [1, 0])]).all()
 
     def test_direction_subset_reads_only_its_rows_on_so4(self, monkeypatch):
         # on so(4) regular km = 4, so a block over two directions builds the
-        # kernel at t and at the stencil points of its own two directions only
+        # kernel at t, the tensor's t ± h·eₓ and the formula's stencil points of
+        # its own two directions only, each call in one batch
         ctx = rc.build_context(_so4(), np.array([1.0, 0.0, 0.0, 0.0, 0.0, 2.0]))
         chart = rc.default_chart(ctx)
         t = np.array([0.12, -0.2, 0.07, 0.15])
         built = count_builds(monkeypatch)
-        full = curvature_formula(SigmaGeometry(ctx, chart), t)
-        block = curvature_formula(SigmaGeometry(ctx, chart), t, directions=(2, 0))
+        full = curvature_routes(SigmaGeometry(ctx, chart), t)[0]
+        block = curvature_routes(SigmaGeometry(ctx, chart), t, directions=(2, 0))[0]
         assert (block == full[np.ix_([2, 0], [2, 0])]).all()
-        assert built == [1 + 2 * 4, 1 + 2 * 2]
+        assert built == [2 * 4 + 1 + 2 * 4, 2 * 2 + 1 + 2 * 2]
 
 
 class TestCatalogAgreement:
@@ -235,8 +232,8 @@ class TestSymmetryBattery:
                                gamma_mu=rc.baseline_coefficients(a) + symmetrized(delta))
         geom = SigmaGeometry(ctx, rc.default_chart(ctx))
         t, e = np.array([0.12, -0.07]), geom.identity
-        tensor, formula, exact = (route(geom, t)[0, 1] for route in
-                                  (curvature_tensor, curvature_formula, curvature_exact))
+        formula, tensor, exact = (r[0, 1] for r in (*curvature_routes(geom, t),
+                                                    curvature_exact(geom, t)))
         assert np.max(np.abs(formula - exact)) <= 1e-8
         assert np.max(np.abs(tensor - formula)) > 0.05
         assert np.max(np.abs(tensor - exact)) > 0.05
@@ -278,7 +275,7 @@ class TestSymmetryBattery:
         ctx = rc.build_context(a, np.asarray(mu))
         chart = rc.default_chart(ctx)
         t = offset * np.array([0.12, -0.2, 0.07, 0.15])[: chart.dim]
-        r = _ricci(chart, t, curvature_tensor(SigmaGeometry(ctx, chart), t))
+        r = _ricci(chart, t, curvature_routes(SigmaGeometry(ctx, chart), t)[1])
         assert np.max(np.abs(r - r.T)) <= 1e-4 * max(1.0, float(np.max(np.abs(r))))
 
     def test_negative_control_breaks_ricci_symmetry(self, so3_setup):
@@ -293,7 +290,7 @@ class TestSymmetryBattery:
         for gamma in (raw, rc.symplectized_coefficients(a, mu, raw)):
             ctx = rc.build_context(a, mu, gamma_mu=gamma)
             chart = rc.default_chart(ctx)
-            r = _ricci(chart, t, curvature_tensor(SigmaGeometry(ctx, chart), t))
+            r = _ricci(chart, t, curvature_routes(SigmaGeometry(ctx, chart), t)[1])
             asym.append(float(np.max(np.abs(r - r.T))))
         assert asym[0] > 1e-3
         assert asym[1] <= 1e-4
@@ -304,7 +301,7 @@ def _formula_every_stencil(geom, t, fd_step, fd_step2):
     difference of step fd_step: the level-set tables (at t and at each outer
     stencil point), the bracket, and the derivatives along the bracket and its
     radical part.  The reference for the exact derivatives of
-    ``curvature_formula``, to the error of its nested stencils."""
+    ``curvature_routes``' formula, to the error of its nested stencils."""
     ctx, e, km = geom.ctx, geom.identity, geom.chart.dim
     hproj = ctx.horizontal_part
     K = geom.kernels(t, e).checked()
@@ -372,7 +369,7 @@ class TestExactCurvature:
         geom = _geometry(a, mu)
         km = geom.chart.dim
         for t in (np.zeros(km), np.random.default_rng(5).uniform(-0.3, 0.3, km)):
-            exact, tensor = curvature_exact(geom, t), curvature_tensor(geom, t)
+            exact, tensor = curvature_exact(geom, t), curvature_routes(geom, t)[1]
             assert exact.shape == tensor.shape == (km, km, km, a.dim)
             scale = max(1.0, float(np.max(np.abs(tensor))))
             assert np.max(np.abs(exact - tensor)) <= 1e-7 * scale, label
@@ -421,7 +418,7 @@ class TestFormulaStencils:
             return stencil_points(self, *args, **kwargs)
 
         monkeypatch.setattr(SigmaGeometry, "_stencil_points", counted)
-        out = curvature_formula(SigmaGeometry(ctx, chart), t)
+        out = curvature_routes(SigmaGeometry(ctx, chart), t)[0]
         scale = max(1.0, float(np.max(np.linalg.norm(ref, axis=-1))))
         assert np.max(np.linalg.norm(out - ref, axis=-1)) <= 1e-5 * scale
         # (the stencil takes one step per row)
@@ -430,7 +427,7 @@ class TestFormulaStencils:
 
 
 def _formula_per_pair(geom, t, dirs):
-    """``curvature_formula`` at fd_step2 1e-4, one entry [a, b] at a time: the
+    """``curvature_routes``' formula at fd_step2 1e-4, one entry [a, b] at a time: the
     reference its entries, stacked over all pairs, must equal bit for bit."""
     ctx, e, km = geom.ctx, geom.identity, geom.chart.dim
     K = geom.kernels(t, e).checked()
@@ -473,14 +470,15 @@ class TestStackedPairs:
         km = geom.chart.dim
         for t in (np.zeros(km), np.linspace(-0.2, 0.15, km), np.linspace(0.1, -0.25, km)):
             for dirs in (range(km), (0, 1), (1, 0)):
-                out = curvature_formula(geom, t, directions=dirs)
+                out = curvature_routes(geom, t, directions=dirs)[0]
                 ref = _formula_per_pair(geom, t, list(dirs))
                 assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
 
 
 class TestStackedJobs:
-    """Both routes over a stack of jobs (t, step, directions): each job's array
-    is its one-job call's bit for bit, whatever the other jobs of the stack."""
+    """Both routes over a stack of jobs (t, step, directions), ``curvature._routes``:
+    each job's arrays are its one-point ``curvature_routes`` call's bit for bit,
+    whatever the other jobs of the stack."""
 
     @pytest.mark.parametrize("case", perfbench_cases().SO4_CASES + perfbench_cases().SO5_CASES[:1],
                              ids=lambda c: c[0])
@@ -494,26 +492,46 @@ class TestStackedJobs:
         t1, t2 = np.linspace(-0.2, 0.15, km), np.linspace(0.1, -0.25, km)
         ts = np.array([t1, np.zeros(km), t1, t2, t1])
         steps = [1e-4, 1e-4, 4e-3, 2e-3, 1e-4]
-        dirs = [None, (1, 0), (0, km - 1), (km - 1, 1, 0), (1, 1)]
-        for route in (curvature_formula, curvature_tensor):
-            stacked = route(SigmaGeometry(ctx, chart), ts, fd_step2=steps, directions=dirs)
-            assert len(stacked) == len(ts)
-            for t, h, d, out in zip(ts, steps, dirs, stacked):
-                one = route(SigmaGeometry(ctx, chart), t, fd_step2=h, directions=d)
-                assert out.shape == one.shape and out.tobytes() == one.tobytes()
+        dirs = [range(km), (1, 0), (0, km - 1), (km - 1, 1, 0), (1, 1)]
+        geom = SigmaGeometry(ctx, chart)
+        formula, tensor, K = curvature._routes(geom, [*zip(ts, steps, map(list, dirs))])
+        assert len(formula) == len(tensor) == len(ts)
+        # the kernels at the jobs' points, as a batch of those points alone builds them
+        assert K.lifts.tobytes() == geom.kernels(ts, geom.identity).lifts.tobytes()
+        for t, h, d, *stacked in zip(ts, steps, dirs, formula, tensor):
+            one = curvature_routes(SigmaGeometry(ctx, chart), t, fd_step2=h, directions=d)
+            for out, alone in zip(stacked, one):
+                assert out.shape == alone.shape and out.tobytes() == alone.tobytes()
 
     def test_a_job_past_the_chart_radius_raises_as_alone(self, so3_setup):
         # at t = (2π, 0) φ₁(−ad A) vanishes on the rotation plane of A: the
         # chart-fiber frame is singular there, alone or in a stack
         _, ctx, chart = so3_setup
         far, near = np.array([2 * np.pi, 0.0]), np.array([0.1, -0.2])
-        for route in (curvature_formula, curvature_tensor):
+        with pytest.raises(RankLoss):
+            curvature_routes(SigmaGeometry(ctx, chart), far)
+        for ts in ([near, far], [far, near]):
             with pytest.raises(RankLoss):
-                route(SigmaGeometry(ctx, chart), far)
-            for ts in ([near, far], [far, near]):
-                with pytest.raises(RankLoss):
-                    route(SigmaGeometry(ctx, chart), np.array(ts), fd_step2=[1e-4, 1e-4],
-                          directions=[None, None])
+                curvature._routes(SigmaGeometry(ctx, chart), [(t, 1e-4, [0, 1]) for t in ts])
+
+    def test_each_entry_point_builds_one_batch(self, so3_setup, monkeypatch):
+        # _routes lays out each call's batch: one kernels call, so one build,
+        # per curvature_routes, curvature_battery or convergence_factor call
+        _, ctx, chart = so3_setup
+        geom, t = SigmaGeometry(ctx, chart), np.array([0.1, -0.2])
+        kernels, calls = SigmaGeometry.kernels, []
+
+        def counted(self, ts, fibers):
+            calls.append(len(ts))
+            return kernels(self, ts, fibers)
+
+        monkeypatch.setattr(SigmaGeometry, "kernels", counted)
+        built = count_builds(monkeypatch)
+        curvature_routes(geom, t)
+        assert calls == built == [2 * 2 + 1 + 2 * 2]  # t ± h·eₓ, t, the stencils along f̄_x
+        curvature_battery(geom, [t, np.zeros(2)])
+        convergence_factor(geom, t)
+        assert len(calls) == len(built) == 3
 
     @pytest.mark.parametrize("case", perfbench_cases().SO4_CASES, ids=lambda c: c[0])
     def test_curvature_stage_builds_one_batch(self, case, monkeypatch):
@@ -582,7 +600,7 @@ class TestProbePick:
         geom = _geometry(a, mu)
         t0 = np.zeros(geom.chart.dim)
         assert (curvature._probe_inputs(curvature_exact(geom, t0))
-                == curvature._probe_inputs(curvature_tensor(geom, t0))), label
+                == curvature._probe_inputs(curvature_routes(geom, t0)[1])), label
 
 
 class TestConvergence:
@@ -609,9 +627,9 @@ class TestConvergence:
         report = convergence_factor(geom, t, inputs=(i, j, l))
         exact = curvature_exact(geom, t)[i, j, l]
         for step, name in ((4e-3, "coarse"), (2e-3, "fine")):
-            for route, key in ((curvature_tensor, "oracle"), (curvature_formula, "formula")):
-                value = route(geom, t, fd_step2=step, directions=(i, j))[0, 1, l]
-                assert report[f"{key}_error_{name}"] == float(np.linalg.norm(value - exact))
+            routes = curvature_routes(geom, t, fd_step2=step, directions=(i, j))
+            for r, key in zip(routes, ("formula", "oracle")):
+                assert report[f"{key}_error_{name}"] == float(np.linalg.norm(r[0, 1, l] - exact))
         assert 3.0 <= report["factor"] <= 5.0
 
     def test_probe_triple_ignores_roundoff_in_tied_norms(self, so3_setup):
@@ -620,7 +638,7 @@ class TestConvergence:
         # away from zero and of the other 1 ulp towards it decides the plain
         # argmax either way, but must not move the probe
         _, ctx, chart = so3_setup
-        tensor = curvature_tensor(SigmaGeometry(ctx, chart), np.zeros(2))
+        tensor = curvature_routes(SigmaGeometry(ctx, chart), np.zeros(2))[1]
         assert curvature._probe_inputs(tensor) == (0, 1, 0)
         for grown in range(2):
             bumped = tensor.copy()
@@ -713,7 +731,7 @@ class TestOneEvaluationPerValue:
         chart = rc.default_chart(ctx)
         sample = samples[-1]
         i, j, l = sample["inputs"]
-        fresh = curvature_formula(SigmaGeometry(ctx, chart), np.array(sample["t"]))[i, j, l]
+        fresh = curvature_routes(SigmaGeometry(ctx, chart), np.array(sample["t"]))[0][i, j, l]
         assert fresh.tolist() == sample["value"]
 
 

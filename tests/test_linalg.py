@@ -120,3 +120,13 @@ class TestExpmFrechet:
         for a, e, l in zip(A, expA, L):
             one_e, one_l = linalg.expm(a, directions=E)
             assert e.tobytes() == one_e.tobytes() and l.tobytes() == one_l.tobytes()
+
+
+def test_distinct_rows_picks_each_keys_first_row():
+    # slots in order of first appearance, and each slot's first row: what a scan
+    # of the row list for each slot finds
+    keys = ["b", "a", "b", "c", "a", "b"]
+    inverse, first = linalg.distinct_rows(keys)
+    assert inverse == [0, 1, 0, 2, 1, 0]
+    assert first.tolist() == [inverse.index(slot) for slot in range(3)] == [0, 1, 3]
+    assert linalg.distinct_rows([])[1].tolist() == []

@@ -389,7 +389,7 @@ class TestReducedForm:
         # brute force through the lifts: the coordinate lifts at the center
         # are (e1, 0) and (e2, 0), so the value is -<mu, [e1, e2]> = -1
         D = so3_chart.dnu(np.zeros(2))
-        val = rc.reduced_form(so3_ctx, so3_chart, D[:, 0], D[:, 1], np.zeros(2))
+        val = rc.reduced_form(rc.SigmaGeometry(so3_ctx, so3_chart), D[:, 0], D[:, 1], np.zeros(2))
         assert abs(val + 1.0) <= 1e-12
         ref = rc.kks_form(so3, mu_so3, D[:, 0], D[:, 1])
         assert abs(val - rc.KKS_MATCH_SIGN * ref) <= 1e-12
@@ -397,7 +397,7 @@ class TestReducedForm:
     def test_alternating(self, so3_ctx, so3_chart, rng):
         t = rng.uniform(-0.3, 0.3, 2)
         v = so3_chart.dnu(t) @ rng.standard_normal(2)
-        assert rc.reduced_form(so3_ctx, so3_chart, v, v, t) == 0.0
+        assert rc.reduced_form(rc.SigmaGeometry(so3_ctx, so3_chart), v, v, t) == 0.0
 
     def test_kks_sign_constant_across_catalog(self, rng):
         for name, mu in CATALOG_CASES:
@@ -407,11 +407,12 @@ class TestReducedForm:
             if ctx.zero_dimensional_base:
                 continue
             chart = rc.default_chart(ctx)
+            geom = rc.SigmaGeometry(ctx, chart)
             for _ in range(5):
                 t = rng.uniform(-0.4, 0.4, chart.dim)
                 D = chart.dnu(t)
                 nu = chart.nu(t)
-                red = rc.reduced_form(ctx, chart, D[:, 0], D[:, 1], t)
+                red = rc.reduced_form(geom, D[:, 0], D[:, 1], t)
                 ref = rc.kks_form(a, nu, D[:, 0], D[:, 1])
                 if abs(ref) > 1e-12:
                     assert abs(red - rc.KKS_MATCH_SIGN * ref) <= 1e-8 * abs(ref)
@@ -422,7 +423,7 @@ class TestReducedForm:
         ctx = rc.build_context(a, mu)
         chart = rc.orbit_chart(a, mu, ctx.m)
         with pytest.raises(ZeroDimensionalBase):
-            rc.reduced_form(ctx, chart, np.zeros(2), np.zeros(2), np.zeros(0))
+            rc.reduced_form(rc.SigmaGeometry(ctx, chart), np.zeros(2), np.zeros(2), np.zeros(0))
 
 
 class TestTotallyGeodesic:

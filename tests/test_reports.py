@@ -109,11 +109,12 @@ def test_reduce_stage_matches_library_definitions(name):
     stage = rep["stages"]["reduce"]
     ctx = rc.build_context(rc.named_algebra(name), np.asarray(mu, dtype=float))
     chart = rc.default_chart(ctx)
+    geom = rc.SigmaGeometry(ctx, chart)
     km = chart.dim
     h = 1e-5
 
     def omega(t, v, w):
-        return rc.reduced_form(ctx, chart, v, w, t)
+        return rc.reduced_form(geom, v, w, t)
 
     def omega_coords(t, i, j):
         D = chart.dnu(t)
@@ -122,7 +123,6 @@ def test_reduce_stage_matches_library_definitions(name):
     torsion = kks = parallel = 0.0
     for t in np.asarray(stage["chart_points"]):
         D = chart.dnu(t)
-        geom = rc.SigmaGeometry(ctx, chart)
         p = geom.kernels(t, geom.identity).checked()[0]
         cov, lifts = p.cov, p.lifts
         pairs = kks_pairs(ctx.algebra, p.D, p.coad @ ctx.mu, geom.form_table(lifts, lifts))

@@ -415,8 +415,8 @@ class Memo:
 PUBLIC_ENTRY_POINTS = {
     "reduction.default_chart": "README entry point: the chart of a reduction context",
     "reduction.reduced_form": "README entry point: the reduced form on two orbit tangents",
-    "curvature.curvature_formula": "README entry point: the lift-expansion route alone",
-    "curvature.curvature_tensor": "README entry point: the Christoffel-symbol route alone",
+    "curvature.curvature_routes": "README entry point: both finite-difference routes at "
+                                  "one chart point",
     "curvature.convergence_factor": "entry point: the step-halving probe at any point and "
                                     "triple, which acceptance criterion 4 reads",
     "orbits.kks_form": "test oracle: the canonical orbit form, one pair at a time",
