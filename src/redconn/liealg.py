@@ -176,6 +176,8 @@ def reductive_complement(a: LieAlgebra, g_mu) -> np.ndarray:
     Prefers the Euclidean orthogonal complement when that happens to be
     stable, so the output is deterministic; otherwise solves the linear
     system for an equivariant projection onto g_mu and returns its kernel.
+    At k = 0 the orthogonal complement is g itself, and at k = n it is the
+    empty basis (n, 0).
 
     Raises:
         NonReductiveStabilizer: if no stable complement exists.
@@ -186,10 +188,6 @@ def reductive_complement(a: LieAlgebra, g_mu) -> np.ndarray:
         raise ValueError("stabilizer basis has wrong ambient dimension")
     if not _is_subalgebra(a, g_mu, 1e-10):
         raise ValueError("supplied basis does not span a subalgebra")
-    if k == 0:
-        return np.eye(n)
-    if k == n:
-        return np.zeros((n, 0))
 
     ortho = linalg.nullspace(g_mu.T)
     if _stability_defect(a, g_mu, ortho) <= COMPLEMENT_TOL:

@@ -1,9 +1,11 @@
 """Subspace linear algebra built on SVD with a shared relative rank cutoff,
 and the matrix exponential.
 
-All bases are stored as matrices whose columns span the subspace.  Rank
-decisions use a relative singular-value threshold of ``RANK_RTOL`` times the
-largest singular value, so every routine is scale invariant.  ``expm`` is the
+All bases are stored as matrices whose columns span the subspace.  An empty
+basis (m, 0) is a subspace like any other, the zero subspace, and goes through
+the same SVDs and products as the rest.  Rank decisions use a relative
+singular-value threshold of ``RANK_RTOL`` times the largest singular value, so
+every routine is scale invariant.  ``expm`` is the
 scaling-and-squaring Padé exponential (with Fréchet derivatives) of every kernel.
 """
 
@@ -18,16 +20,12 @@ _EXPM_CHUNK = 2 ** 13
 
 
 def _svd_rank(s: np.ndarray) -> int:
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > RANK_RTOL * s[0]))
+    return int(np.sum(s > RANK_RTOL * s[:1]))
 
 
 def orthonormal_columns(A) -> np.ndarray:
     """Orthonormal basis of the column span of ``A`` (shape (m, rank))."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.shape[1] == 0:
-        return A.copy()
     u, s, _ = np.linalg.svd(A, full_matrices=False)
     return u[:, : _svd_rank(s)]
 
@@ -42,8 +40,6 @@ def nullspace(A) -> np.ndarray:
 def rank(A):
     """Rank of A, or of each matrix of a stack (…, m, n) alike."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    if min(A.shape) == 0:
-        return 0
     s = np.linalg.svd(A, compute_uv=False)
     return np.sum(s > RANK_RTOL * s[..., :1], axis=-1)
 
@@ -51,20 +47,12 @@ def rank(A):
 def projector(basis) -> np.ndarray:
     """Orthogonal projector onto the column span of ``basis``."""
     Q = orthonormal_columns(basis)
-    if Q.shape[1] == 0:
-        return np.zeros((Q.shape[0], Q.shape[0]))
     return Q @ Q.T
 
 
 def subspace_distance(A, B) -> float:
     """Spectral-norm distance between the orthogonal projectors of two spans."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if A.shape[1] == 0 and B.shape[1] == 0:
-        return 0.0
-    PA = projector(A) if A.shape[1] else np.zeros((A.shape[0], A.shape[0]))
-    PB = projector(B) if B.shape[1] else np.zeros((B.shape[0], B.shape[0]))
-    return float(np.linalg.norm(PA - PB, ord=2))
+    return float(np.linalg.norm(projector(A) - projector(B), ord=2))
 
 
 def matvec(A, v) -> np.ndarray:

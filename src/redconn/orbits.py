@@ -110,8 +110,7 @@ def orbit_chart(a: LieAlgebra, mu, m_basis) -> OrbitChart:
     mu = np.asarray(mu, dtype=float)
     m_basis = np.atleast_2d(np.asarray(m_basis, dtype=float))
     chart = OrbitChart(a, mu.copy(), m_basis.copy())
-    if chart.dim:
-        chart.check_rank(np.zeros(chart.dim))
+    chart.check_rank(np.zeros(chart.dim))
     return chart
 
 

@@ -467,8 +467,7 @@ def _verify_phase(cfg, run):
     draws = np.split(rng.standard_normal((5, 7 * n)), [n, 3 * n, 5 * n], axis=1)
     yield "phase/omega-closed", np.max(np.abs(_cyclic_domega(a, *draws))), "omega_closed"
     om = run.ctx.omega_mu
-    pairing = float(np.max(np.abs(split.t_sigma.T @ om @ split.delta))) \
-        if split.delta.shape[1] else 0.0
+    pairing = float(np.max(np.abs(split.t_sigma.T @ om @ split.delta), initial=0.0))
     yield "phase/tsigma-delta-pairing", pairing, "tsigma_delta_pairing"
     yield ("phase/tperp-span",
            run.stages["validate"]["level_set_checks"]["tperp_equals_generator_span"], "tperp_span")
@@ -517,22 +516,19 @@ def _verify_connections(cfg, run):
 def _verify_reduction(cfg, run):
     a, mu, ctx, rng, sweep = run.a, run.mu, run.ctx, run.rng, run.sweep
     reduced = run.stages["reduce"]
-    k = ctx.stabilizer_dim
     om = ctx.omega_mu
     yield "red/s-isotropic", reduced["isotropy_defect"], "isotropy"
     yield "red/projector-idempotent", reduced["projector_defect"], "projector_idempotent"
     t_sigma = ctx.split.t_sigma
     range_dist = linalg.subspace_distance(ctx.p_matrix @ t_sigma, t_sigma)
     kernel = linalg.nullspace(ctx.p_matrix)
-    kernel_dist = linalg.subspace_distance(kernel, np.hstack([ctx.w2, ctx.S])) \
-        if k or ctx.w2.shape[1] else 0.0
+    kernel_dist = linalg.subspace_distance(kernel, np.hstack([ctx.w2, ctx.S]))
     yield "red/projector-range", range_dist, "projector_spaces"
     yield "red/projector-kernel", kernel_dist, "projector_spaces"
     g_mu = ctx.split.g_mu
     back = linalg.matvec(g_mu, ctx.alpha(right_generator(a, mu, g_mu.T)))
-    alpha_defect = float(np.max(np.abs(back - g_mu.T), initial=0.0))
-    if k and ctx.w1.shape[1]:
-        alpha_defect = max(alpha_defect, float(np.max(np.abs(ctx.alpha_mat @ ctx.w1))))
+    alpha_defect = max(float(np.max(np.abs(back - g_mu.T), initial=0.0)),
+                       float(np.max(np.abs(ctx.alpha_mat @ ctx.w1), initial=0.0)))
     yield "red/alpha-identities", alpha_defect, "alpha_identities"
     if ctx.w1.shape[1]:
         s = np.linalg.svd(ctx.w1.T @ om @ ctx.w1, compute_uv=False)
@@ -581,30 +577,26 @@ def _verify_curvature(cfg, run):
 
 def _l_equivariance_defect(ctx, rng) -> float:
     a, k = ctx.algebra, ctx.stabilizer_dim
-    if k == 0:
-        return 0.0
     st, delta, lam = ctx.s_tilde, ctx.split.delta, ctx.iso_map
     L_full = delta @ lam @ np.linalg.pinv(st)
     # three stabilizer elements, one per row of the draw
     T = frame_transport(np.linalg.inv(group_exp(a, linalg.matvec(ctx.split.g_mu,
                                                                  rng.uniform(-1, 1, (3, k))))))
     moved = T @ (L_full @ (np.linalg.inv(T) @ st)) - L_full @ st
-    return float(np.max(np.abs(moved)))
+    return float(np.max(np.abs(moved), initial=0.0))
 
 
 def _geodesic_oracle_gap(ctx, value: float) -> float:
     """Re-derive the totally-geodesic defect by a least-squares projection route."""
     n, k = ctx.algebra.dim, ctx.stabilizer_dim
-    if k == 0:
-        return 0.0
     gens = ctx.split.delta.T  # rows (g_μ e_i, 0)
-    products = np.einsum("abc,ia,jb->ijc", ctx.gamma_mu, gens, gens).reshape(k * k, -1)
+    products = np.einsum("abc,ia,jb->ijc", ctx.gamma_mu, gens, gens).reshape(k * k, 2 * n)
     # the TΣ components along W2 ⊕ S of the frame vectors and the products, one solve
     basis = np.hstack([ctx.split.t_sigma, ctx.w2, ctx.S])
     coords = linalg.solve_columns(basis, np.hstack([np.eye(2 * n), products.T]))
     proj = ctx.split.t_sigma @ coords[:n]
     pairs = proj[:, 2 * n:].T @ ctx.omega_mu @ proj[:, : 2 * n]
-    return abs(float(np.max(np.abs(pairs))) - value)
+    return abs(float(np.max(np.abs(pairs), initial=0.0)) - value)
 
 
 def _sigma_equivariance_defect(ctx, rng) -> float:

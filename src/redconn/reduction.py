@@ -58,17 +58,14 @@ def isotropic_correction_gram(om: np.ndarray, s_tilde: np.ndarray, delta: np.nda
     """
     s_tilde = np.atleast_2d(np.asarray(s_tilde, dtype=float))
     delta = np.atleast_2d(np.asarray(delta, dtype=float))
-    p = s_tilde.shape[1]
-    if delta.shape[1] != p:
+    if delta.shape[1] != s_tilde.shape[1]:
         raise ValueError("s_tilde and delta must have equal dimension")
-    if p == 0:
-        return s_tilde.copy(), np.zeros((0, 0))
-    delta_gram = delta.T @ om @ delta
-    if float(np.max(np.abs(delta_gram))) > ISOTROPY_TOL * max(1.0, float(np.max(np.abs(om)))):
+    delta_gram = np.abs(delta.T @ om @ delta)
+    if float(np.max(delta_gram, initial=0.0)) > ISOTROPY_TOL * max(1.0, float(np.max(np.abs(om)))):
         raise DegeneratePairing("delta is not isotropic")
     B = delta.T @ om @ s_tilde
     s = np.linalg.svd(B, compute_uv=False)
-    if s[-1] <= linalg.RANK_RTOL * s[0]:
+    if np.any(s <= linalg.RANK_RTOL * s[:1]):
         raise DegeneratePairing(
             f"pairing between s_tilde and delta is degenerate (ratio {s[-1] / s[0]:.3e})")
     W = s_tilde.T @ om @ s_tilde
@@ -163,7 +160,7 @@ def build_context(a: LieAlgebra, mu, *, s_tilde="default",
     m = reductive_complement(a, split.g_mu)
 
     if isinstance(s_tilde, str) and s_tilde == "default":
-        ann_m = linalg.nullspace(m.T) if m.shape[1] else np.eye(n)
+        ann_m = linalg.nullspace(m.T)
         st = np.vstack([np.zeros((n, ann_m.shape[1])), ann_m])
     else:
         st = np.atleast_2d(np.asarray(s_tilde, dtype=float))
@@ -171,16 +168,16 @@ def build_context(a: LieAlgebra, mu, *, s_tilde="default",
 
     om = omega_gram(a, mu)
     S, lam = isotropic_correction_gram(om, st, split.delta)
-    iso_defect = float(np.max(np.abs(S.T @ om @ S))) if k else 0.0
+    iso_defect = float(np.max(np.abs(S.T @ om @ S), initial=0.0))
 
     # (S ⊕ Δ)^⊥ split into its TΣ and TΣ^⊥ parts, built directly inside each
     # subspace so the group/fiber structure is exact.
     K_T = a.bracket_pairing(mu).T
     SD = np.hstack([S, split.delta])
-    rows = om @ SD if k else np.zeros((2 * n, 0))
-    w1grp = linalg.nullspace(rows[:n, :].T) if k else np.eye(n)
+    rows = om @ SD
+    w1grp = linalg.nullspace(rows[:n, :].T)
     graph_rows = rows[:n, :] + K_T.T @ rows[n:, :]
-    w2grp = linalg.nullspace(graph_rows.T) if k else np.eye(n)
+    w2grp = linalg.nullspace(graph_rows.T)
     w1 = np.vstack([w1grp, np.zeros((n, w1grp.shape[1]))])
     w2 = linalg.orthonormal_columns(np.vstack([w2grp, K_T @ w2grp]))
     if w1.shape[1] != n - k or w2.shape[1] != n - k:
@@ -425,11 +422,10 @@ def _along(jet: np.ndarray, params: np.ndarray) -> np.ndarray:
 # --- public operations --------------------------------------------------------
 
 
-def reduced_form(geom: SigmaGeometry, v, w, t, fiber: np.ndarray | None = None) -> float:
+def reduced_form(geom: SigmaGeometry, v, w, t) -> float:
     """Reduced symplectic form: ω on the horizontal lifts of two orbit tangents
-    at t on the geometry's chart, at the fiber with Ad matrix ``fiber`` (the
-    identity by default)."""
-    vb, wb = geom.lift(geom.kernels(t, geom.identity if fiber is None else fiber), [v, w])
+    at t on the geometry's chart, at the identity fiber."""
+    vb, wb = geom.lift(geom.kernels(t, geom.identity), [v, w])
     return symplectic_form(geom.ctx.algebra, geom.ctx.mu, vb, wb)
 
 
@@ -495,7 +491,7 @@ def autoparallel_check(ctx: ReductionContext, *, geom: SigmaGeometry | None = No
     defect = float(np.max(np.abs(linalg.matvec(np.eye(2 * n) - ctx.p_matrix,
                                                ctx.gamma_mu[:n, :n]))))
     autoparallel = defect <= 1e-10
-    if not autoparallel or ctx.zero_dimensional_base or geom is None:
+    if not autoparallel or geom is None:
         return AutoparallelReport(defect, 0.0 if autoparallel else None)
 
     rng = rng if rng is not None else np.random.default_rng(0)

@@ -157,7 +157,20 @@ class TestReductiveComplement:
         a = rc.abelian(3)
         g_mu = rc.stabilizer_algebra(a, np.ones(3))
         m = rc.reductive_complement(a, g_mu)
-        assert m.shape == (3, 0)
+        assert m.shape == (3, 0) and m.dtype == float
+
+    def test_so3_at_zero_complement_is_empty(self, so3):
+        # k = n at μ = 0: the orthogonal complement of all of g, an empty basis
+        g_mu = rc.stabilizer_algebra(so3, np.zeros(3))
+        assert g_mu.shape == (3, 3)
+        m = rc.reductive_complement(so3, g_mu)
+        assert m.shape == (3, 0) and m.dtype == float
+
+    def test_open_orbit_complement_is_the_whole_algebra(self, aff1):
+        # k = 0 at μ = (0, 1): the complement is g, the identity bit for bit
+        g_mu = rc.stabilizer_algebra(aff1, np.array([0.0, 1.0]))
+        assert g_mu.shape == (2, 0)
+        assert rc.reductive_complement(aff1, g_mu).tobytes() == np.eye(2).tobytes()
 
     def test_sl2r_nilpotent_fails(self):
         # stabilizer of the nilpotent functional E* is span{F}; a complement

@@ -130,3 +130,36 @@ def test_distinct_rows_picks_each_keys_first_row():
     assert inverse == [0, 1, 0, 2, 1, 0]
     assert first.tolist() == [inverse.index(slot) for slot in range(3)] == [0, 1, 3]
     assert linalg.distinct_rows([])[1].tolist() == []
+
+
+class TestEmptySubspaces:
+    """An empty basis takes the same SVDs and products as any other, and each
+    primitive returns bit for bit what a special case for it would."""
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_no_equations_leave_the_whole_space(self, n):
+        for A in (np.zeros((0, n)), np.ones((0, n))):
+            assert linalg.nullspace(A).tobytes() == np.eye(n).tobytes()
+        assert linalg.nullspace(np.zeros((0, 0))).shape == (0, 0)
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0)])
+    def test_rank_and_span_of_an_empty_matrix(self, shape):
+        assert linalg.rank(np.zeros(shape)) == 0
+        Q = linalg.orthonormal_columns(np.zeros(shape))
+        assert Q.shape == (shape[0], 0) and Q.dtype == float
+        P = linalg.projector(np.zeros(shape))
+        assert P.tobytes() == np.zeros((shape[0], shape[0])).tobytes()
+
+    def test_rank_of_a_stack_of_empty_matrices_is_one_zero_each(self):
+        assert linalg.rank(np.zeros((2, 3, 0))).tolist() == [0, 0]
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_zero_subspaces_coincide(self, n):
+        assert linalg.subspace_distance(np.zeros((n, 0)), np.zeros((n, 0))) == 0.0
+
+    def test_zero_subspace_against_a_line(self):
+        line = np.array([[1.0], [2.0], [2.0]])
+        expected = float(np.linalg.norm(np.zeros((3, 3)) - linalg.projector(line), ord=2))
+        assert abs(expected - 1.0) <= 1e-15
+        assert linalg.subspace_distance(np.zeros((3, 0)), line) == expected
+        assert linalg.subspace_distance(line, np.zeros((3, 0))) == expected

@@ -117,6 +117,14 @@ class TestIsotropicCorrection:
         with pytest.raises(DegeneratePairing):
             isotropic_correction_gram(om, s_tilde, delta)
 
+    def test_empty_complement_is_its_own_correction(self):
+        # p = 0: nothing to shear, so S is s_tilde and Λ the empty map
+        om = _canonical_omega(2)
+        s_tilde, delta = np.zeros((4, 0)), np.zeros((4, 0))
+        S, lam = isotropic_correction_gram(om, s_tilde, delta)
+        assert S.shape == (4, 0) and S.dtype == float
+        assert lam.shape == (0, 0) and lam.dtype == float
+
     def test_public_wrapper_uses_level_form(self, so3, mu_so3, so3_ctx):
         S, _ = isotropic_correction_gram(rc.omega_gram(so3, mu_so3), so3_ctx.s_tilde,
                                          so3_ctx.split.delta)
@@ -154,6 +162,15 @@ class TestBuildContext:
                 gram = ctx.w1.T @ om @ ctx.w1
                 s = np.linalg.svd(gram, compute_uv=False)
                 assert s[-1] > 1e-10 * s[0]
+
+    def test_open_orbit_takes_the_general_path(self, aff1):
+        # k = 0: empty radical and complement, and the whole group part in W1 and W2
+        ctx = rc.build_context(aff1, np.array([0.0, 1.0]))
+        assert ctx.s_tilde.shape == ctx.S.shape == ctx.split.delta.shape == (4, 0)
+        assert ctx.iso_map.shape == (0, 0) and ctx.alpha_mat.shape == (0, 4)
+        assert ctx.w1.tobytes() == np.vstack([np.eye(2), np.zeros((2, 2))]).tobytes()
+        assert ctx.diagnostics["isotropy_defect"] == 0.0
+        assert ctx.diagnostics["dims"] == {"delta": 0, "w1": 2, "w2": 2, "s": 0}
 
     def test_abelian_degenerates_to_point(self, rng):
         a = rc.abelian(2)

@@ -13,7 +13,10 @@ allowed below.  And no object memoizes its calls: no method but ``__init__``
 assigns to an attribute of ``self`` or into one, or calls a mutating method on
 one, except in the methods allowed below.  And no public surface that only
 tests call: every public top-level function and public method has a caller in
-the package's own code, or an entry below that says why it has none."""
+the package's own code, or an entry below that says why it has none.  And no
+special case of an empty subspace: no ``if``, ``while`` or conditional expression
+tests a dimension, a ``.size`` or a ``.shape[i]`` against 0, except in the
+functions allowed below."""
 
 import ast
 from collections import Counter
@@ -494,3 +497,230 @@ class Point:
         return scaled
 """)}
     assert _uncalled_public(trees) == ["mod.unused", "mod.exported", "mod.Point.scaled"]
+
+
+# functions of src/redconn that may branch once on a dimension, a size or a shape
+# entry being 0, with the reason; every other empty subspace (k = 0, k = n, an
+# empty basis) takes the same SVDs, products and ``np.max(…, initial=0.0)`` as the rest
+EMPTY_GUARDS_ALLOWED = {
+    "linalg.expm": "numpy cannot reshape(…, -1) an empty array, which the stack's norms need",
+    "connections.solve_omega_gram": "numpy cannot reshape(…, -1) an empty array",
+    "pipeline._verify_algebra": "decides whether the report lists lie/complement-equivariance",
+    "pipeline._verify_reduction": "decides whether the report lists red/w1-omega-nondegenerate",
+    "pipeline._sigma_equivariance_defect": "at k = 0 its draws would be read by nothing",
+    "pipeline._chart_sweep": "at k = 0 its fibers would only repeat the identity fiber's rows",
+    "pipeline._jet_fd_defect": "at k = 0 its second fiber would only repeat the identity "
+                               "fiber's rows",
+    "pipeline._stage_reduce": "a point orbit has no chart: the stage reports sigma: null",
+    "reduction.SigmaGeometry.__init__": "a point orbit has no chart: ZeroDimensionalBase is "
+                                        "its typed failure",
+}
+
+
+def _is_dimension(node, names: set) -> bool:
+    """Whether ``node`` reads a dimension: ``….size``, ``….dim`` or ``…_dim``, a
+    ``….shape[i]`` entry, ``min``/``max`` over a shape, or a name bound to one."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("size", "dim") or node.attr.endswith("_dim")
+    if isinstance(node, ast.Subscript):
+        return isinstance(node.value, ast.Attribute) and node.value.attr == "shape"
+    if isinstance(node, ast.Call):
+        return (isinstance(node.func, ast.Name) and node.func.id in ("min", "max")
+                and any(isinstance(arg, ast.Attribute) and arg.attr == "shape"
+                        for arg in node.args))
+    return isinstance(node, ast.Name) and node.id in names
+
+
+def _dimension_names(fn) -> set:
+    """Names a function binds to dimensions: ``k = g.shape[1]``, ``n, k = g.shape``
+    and ``a, k = ctx.algebra, ctx.stabilizer_dim`` alike."""
+    names: set = set()
+    for node in _own_nodes(fn):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            if isinstance(target, ast.Name) and _is_dimension(node.value, names):
+                names.add(target.id)
+            elif isinstance(target, ast.Tuple) and isinstance(node.value, ast.Attribute) \
+                    and node.value.attr == "shape":
+                names.update(t.id for t in target.elts if isinstance(t, ast.Name))
+            elif isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                names.update(t.id for t, v in zip(target.elts, node.value.elts)
+                             if isinstance(t, ast.Name) and _is_dimension(v, names))
+    return names
+
+
+def _emptiness_properties(trees: dict) -> set:
+    """Methods and properties whose body returns a dimension tested against 0
+    (``return self.base_dim == 0``): reading one tests that dimension."""
+    return {fn.name for tree in trees.values() for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and len(fn.body) == 1
+            and isinstance(fn.body[0], ast.Return)
+            and _tests_empty(fn.body[0].value, _dimension_names(fn), set())}
+
+
+def _tests_empty(test, names: set, properties: set) -> bool:
+    """Whether a condition tests a dimension against 0: its truth, a comparison
+    with 0, two dimension names against each other (``k == n``, so n − k against
+    0), or an emptiness property, alone or inside ``and``/``or``/``not``."""
+    if isinstance(test, ast.BoolOp):
+        return any(_tests_empty(value, names, properties) for value in test.values)
+    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+        return _tests_empty(test.operand, names, properties)
+    if isinstance(test, ast.Compare) and len(test.ops) == 1:
+        sides = (test.left, test.comparators[0])
+        zero = any(isinstance(side, ast.Constant) and type(side.value) in (int, float)
+                   and side.value == 0 for side in sides)
+        return (zero and any(_is_dimension(side, names) for side in sides)
+                or all(isinstance(side, ast.Name) and side.id in names for side in sides))
+    return (_is_dimension(test, names)
+            or isinstance(test, ast.Attribute) and test.attr in properties)
+
+
+def _empty_guards(trees: dict) -> list:
+    """(module.Class.function, line) of every ``if``, ``while`` or conditional
+    expression whose condition tests a dimension against 0."""
+    properties = _emptiness_properties(trees)
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    stack = [(node, f"{module[:-3]}.{node.name}") for module, tree in trees.items()
+             for node in tree.body if isinstance(node, definitions)]
+    found = []
+    while stack:
+        node, qualname = stack.pop()
+        stack.extend((child, f"{qualname}.{child.name}") for child in node.body
+                     if isinstance(child, definitions))
+        if not isinstance(node, ast.ClassDef):
+            names = _dimension_names(node)
+            found.extend((qualname, test.lineno) for test in _own_nodes(node)
+                         if isinstance(test, (ast.If, ast.IfExp, ast.While))
+                         and _tests_empty(test.test, names, properties))
+    return sorted(found)
+
+
+def test_empty_subspaces_take_the_general_path():
+    found = _empty_guards(TREES)
+    assert [f"{name}:{line}" for name, line in found if name not in EMPTY_GUARDS_ALLOWED] == []
+    # every allowed function keeps exactly the one guard its reason is for
+    counts = Counter(name for name, _ in found)
+    assert {name: counts[name] for name in EMPTY_GUARDS_ALLOWED} == dict.fromkeys(
+        EMPTY_GUARDS_ALLOWED, 1)
+
+
+def test_empty_guard_rule_catches_every_special_case_of_an_empty_subspace():
+    # the special cases of k = 0, k = n and empty bases that src/redconn once had,
+    # abridged to their branches, each as it was written
+    trees = {"linalg.py": ast.parse("""
+def _svd_rank(s):
+    if s.size == 0:
+        return 0
+    return int(np.sum(s > RANK_RTOL * s[0]))
+
+
+def orthonormal_columns(A):
+    if A.shape[1] == 0:
+        return A.copy()
+
+
+def rank(A):
+    if min(A.shape) == 0:
+        return 0
+
+
+def projector(basis):
+    Q = orthonormal_columns(basis)
+    if Q.shape[1] == 0:
+        return np.zeros((Q.shape[0], Q.shape[0]))
+    return Q @ Q.T
+
+
+def subspace_distance(A, B):
+    if A.shape[1] == 0 and B.shape[1] == 0:
+        return 0.0
+    PA = projector(A) if A.shape[1] else np.zeros((A.shape[0], A.shape[0]))
+    PB = projector(B) if B.shape[1] else np.zeros((B.shape[0], B.shape[0]))
+"""), "liealg.py": ast.parse("""
+def reductive_complement(a, g_mu):
+    n, k = g_mu.shape
+    if k == 0:
+        return np.eye(n)
+    if k == n:
+        return np.zeros((n, 0))
+"""), "orbits.py": ast.parse("""
+def orbit_chart(a, mu, m_basis):
+    chart = OrbitChart(a, mu.copy(), m_basis.copy())
+    if chart.dim:
+        chart.check_rank(np.zeros(chart.dim))
+"""), "reduction.py": ast.parse("""
+def isotropic_correction_gram(om, s_tilde, delta):
+    p = s_tilde.shape[1]
+    if p == 0:
+        return s_tilde.copy(), np.zeros((0, 0))
+
+
+class ReductionContext:
+    @property
+    def base_dim(self) -> int:
+        return self.m.shape[1]
+
+    @property
+    def zero_dimensional_base(self) -> bool:
+        return self.base_dim == 0
+
+
+def build_context(a, mu, *, s_tilde="default", gamma_mu=None, split=None):
+    n = a.dim
+    k = split.g_mu.shape[1]
+    ann_m = linalg.nullspace(m.T) if m.shape[1] else np.eye(n)
+    iso_defect = float(np.max(np.abs(S.T @ om @ S))) if k else 0.0
+    rows = om @ SD if k else np.zeros((2 * n, 0))
+    w1grp = linalg.nullspace(rows[:n, :].T) if k else np.eye(n)
+    w2grp = linalg.nullspace(graph_rows.T) if k else np.eye(n)
+
+
+def autoparallel_check(ctx, *, geom=None, rng=None):
+    if not autoparallel or ctx.zero_dimensional_base or geom is None:
+        return AutoparallelReport(defect, 0.0 if autoparallel else None)
+"""), "pipeline.py": ast.parse("""
+def _verify_phase(cfg, run):
+    pairing = float(np.max(np.abs(split.t_sigma.T @ om @ split.delta))) \\
+        if split.delta.shape[1] else 0.0
+
+
+def _verify_reduction(cfg, run):
+    k = ctx.stabilizer_dim
+    kernel_dist = linalg.subspace_distance(kernel, np.hstack([ctx.w2, ctx.S])) \\
+        if k or ctx.w2.shape[1] else 0.0
+    if k and ctx.w1.shape[1]:
+        alpha_defect = max(alpha_defect, float(np.max(np.abs(ctx.alpha_mat @ ctx.w1))))
+
+
+def _l_equivariance_defect(ctx, rng):
+    a, k = ctx.algebra, ctx.stabilizer_dim
+    if k == 0:
+        return 0.0
+
+
+def _geodesic_oracle_gap(ctx, value):
+    n, k = ctx.algebra.dim, ctx.stabilizer_dim
+    if k == 0:
+        return 0.0
+""")}
+    assert _empty_guards(trees) == [
+        ("liealg.reductive_complement", 4), ("liealg.reductive_complement", 6),
+        ("linalg._svd_rank", 3), ("linalg.orthonormal_columns", 9), ("linalg.projector", 20),
+        ("linalg.rank", 14), ("linalg.subspace_distance", 26), ("linalg.subspace_distance", 28),
+        ("linalg.subspace_distance", 29), ("orbits.orbit_chart", 4),
+        ("pipeline._geodesic_oracle_gap", 23), ("pipeline._l_equivariance_defect", 17),
+        ("pipeline._verify_phase", 3), ("pipeline._verify_reduction", 9),
+        ("pipeline._verify_reduction", 11),
+        ("reduction.autoparallel_check", 29), ("reduction.build_context", 21),
+        ("reduction.build_context", 22), ("reduction.build_context", 23),
+        ("reduction.build_context", 24), ("reduction.build_context", 25),
+        ("reduction.isotropic_correction_gram", 4)]
+    # a dimension tested against anything but 0 is no empty guard
+    assert _empty_guards({"mod.py": ast.parse("""
+def checked(a, mu, m, n, k):
+    if mu.shape != (a.dim,) or m.shape[1] != n - k or a.dim < 1:
+        raise ValueError(k)
+    return m if k == 1 else None
+""")}) == []

@@ -207,3 +207,17 @@ def test_one_singular_gram_in_a_stack_raises(rng):
     bad[0, 1], bad[1, 0] = 1.0, -1.0  # rank 2 only
     with pytest.raises(SingularOmega):
         solve_omega_gram(np.stack([good, bad, good]), np.ones((3, 6, 6, 6)))
+
+
+def test_a_size_zero_draw_leaves_the_rng_where_it_was(aff1):
+    # at k = 0 (aff1 at μ = (0, 1)) the l-equivariance check draws its stabilizer
+    # elements as a (3, 0) array: nothing is drawn, so the checks after it read
+    # the stream a k = 0 special case that drew nothing leaves
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    assert rng.uniform(-1, 1, (3, 0)).shape == (3, 0)
+    assert rng.bit_generator.state == state
+    ctx = rc.build_context(aff1, np.array([0.0, 1.0]))
+    assert pipeline._l_equivariance_defect(ctx, rng) == 0.0
+    assert rng.bit_generator.state == state
+    assert pipeline._geodesic_oracle_gap(ctx, rc.totally_geodesic_defect(ctx)) == 0.0
