@@ -61,12 +61,19 @@ def nabla_omega_components(a: LieAlgebra, xi, gamma, om=None) -> np.ndarray:
 
 def nabla_omega(a: LieAlgebra, xi, gamma, u, v, w):
     """(∇_u ω)(v, w) for left-trivialized tangent vectors at ξ, or row by row
-    over stacks ξ (…, n) and u, v, w (…, 2n), each row contracted as the call
-    on it alone contracts it."""
+    over stacks ξ (…, n) and u, v, w (…, 2n), each row as the call on it alone.
+    ``nabla_omega_components`` contracted without the (2n)³ array: Γ(u, ·) and
+    DΩ(u, ·) are one (1, 2n) @ (2n, 4n²) product per row, and then
+    (∇_u ω)(v, w) = DΩ(u, v, w) − ω(Γ(u, v), w) − ω(v, Γ(u, w))."""
     uv, vv, wv = (_tangent_pair(a, x) for x in (u, v, w))
-    out = np.einsum("...abc,...a,...b,...c->...", nabla_omega_components(a, xi, gamma),
-                    uv, vv, wv)
-    return float(out) if np.ndim(out) == 0 else out
+    m = uv.shape[-1]
+    G, D = (p.reshape(p.shape[:-2] + (m, m)) for p in
+            (uv[..., None, :] @ t.reshape(t.shape[:-3] + (m, m * m))
+             for t in (gamma, a._omega_derivative)))
+    om, dot, mv = omega_gram(a, xi), linalg.vecdot, linalg.matvec
+    Gt = np.swapaxes(G, -1, -2)  # Γ(u, x) = Gᵀ x
+    return (dot(vv, mv(D, wv)) - dot(mv(Gt, vv), mv(om, wv))
+            - dot(vv, mv(om, mv(Gt, wv))))
 
 
 def baseline_nabla_omega(a: LieAlgebra, xi, u, v, w):
@@ -87,8 +94,9 @@ def baseline_nabla_omega(a: LieAlgebra, xi, u, v, w):
 def solve_omega_gram(om: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ω(z, ·) = rhs for z, i.e. Ωᵀ z = rhs, for stacked right-hand sides
     (…, m); for a stack of Grams (…, m, m), rhs's leading axes begin with the
-    stack's.  One batched SVD check and one batched solve, each Gram on its own;
-    an empty stack passes through.
+    stack's.  One batched SVD check, then one inverse per Gram and one stacked
+    matmul, Zᵀ = Rᵀ Ω⁻¹ over each Gram's right-hand sides R; an empty stack
+    passes through.
 
     Raises SingularOmega instead of silently pseudo-inverting: nondegeneracy
     of ω is a structural assumption worth surfacing.
@@ -99,8 +107,8 @@ def solve_omega_gram(om: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SingularOmega(f"symplectic Gram matrix singular (sigma_min/sigma_max = {ratio:.3e})")
     if rhs.size == 0:  # reshape cannot infer an axis of an empty array
         return np.empty_like(rhs)
-    flat = np.swapaxes(rhs.reshape(om.shape[:-2] + (-1, om.shape[-1])), -1, -2)
-    return np.swapaxes(np.linalg.solve(np.swapaxes(om, -1, -2), flat), -1, -2).reshape(rhs.shape)
+    flat = rhs.reshape(om.shape[:-2] + (-1, om.shape[-1]))
+    return (flat @ np.linalg.inv(om)).reshape(rhs.shape)
 
 
 def symplectized_coefficients(a: LieAlgebra, xi, gamma) -> np.ndarray:

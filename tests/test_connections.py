@@ -19,6 +19,16 @@ def _vec(X, eta):
     return np.concatenate([np.asarray(X, float), np.asarray(eta, float)])
 
 
+ORACLE_ALGEBRAS = [name for name, _ in CATALOG_CASES] + ["so4", "so5"]
+
+
+def _algebra(name):
+    """A catalog algebra, or so(n) from ``perfbench/cases.py`` for "so4" and "so5"."""
+    if name in dict(CATALOG_CASES):
+        return rc.named_algebra(name)
+    return rc.algebra_from_json(perfbench_cases().so_n_group(int(name[2:])))
+
+
 class TestBaseline:
     def test_so3_half_bracket(self, so3):
         gamma = rc.baseline_coefficients(so3)
@@ -103,6 +113,25 @@ class TestNablaOmega:
                     om = rc.omega_gram(so3, xi)
                     expected = lead - gamma[aidx, b] @ om[:, c] - gamma[aidx, c] @ om[b, :]
                     assert abs(comps[aidx, b, c] - expected) <= 1e-8
+
+    @pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+    def test_contraction_matches_the_component_array(self, name, rng):
+        # oracle: the whole (2n)³ array contracted with u, v and w, for Γ° alone,
+        # a symplectized stack, and a random Γ stack (4, …) broadcast against
+        # a ξ stack (3, 1, n)
+        a = _algebra(name)
+        n, m = a.dim, 2 * a.dim
+        base = rc.baseline_coefficients(a)
+        xi = rng.standard_normal((4, n))
+        for xi, gamma in ((xi, base), (xi, rc.symplectized_coefficients(a, xi, base)),
+                          (rng.standard_normal((3, 1, n)), base + rng.standard_normal((4, m, m, m)))):
+            shape = np.broadcast_shapes(xi.shape[:-1], gamma.shape[:-3])
+            u, v, w = rng.standard_normal((3,) + shape + (m,))
+            ref = np.einsum("...abc,...a,...b,...c->...",
+                            nabla_omega_components(a, xi, gamma), u, v, w)
+            got = rc.nabla_omega(a, xi, gamma, u, v, w)
+            assert got.shape == shape
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
     @staticmethod
     def _unsymmetric(name, rng):
@@ -208,6 +237,17 @@ class TestSymplectize:
         T, T_inv = frame_transport(np.linalg.inv(g)), frame_transport(g)
         ref = np.einsum("Aa,Bb,cC,...ABC->...abc", T, T, T_inv, gamma, optimize=True)
         assert rc.pullback_coefficients(g, gamma).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("name", [name for name, _ in CATALOG_CASES] + ["so5"])
+    def test_inverse_route_matches_a_solve(self, name, rng):
+        # oracle: np.linalg.solve of Ωᵀ z = r, each right-hand side a column
+        a = _algebra(name)
+        m = 2 * a.dim
+        om = rc.omega_gram(a, rng.standard_normal((4, a.dim)))
+        rhs = rng.standard_normal((4, m, m, m))
+        ref = np.linalg.solve(np.swapaxes(om, -1, -2)[:, None], rhs.reshape(4, m * m, m, 1))
+        ref = ref.reshape(rhs.shape)
+        assert np.max(np.abs(solve_omega_gram(om, rhs) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_singular_gram_raises(self):
         om = np.zeros((4, 4))

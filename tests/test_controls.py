@@ -2,10 +2,11 @@
 past its ``THRESHOLDS`` value, so that a check which passes says something.
 
 Each control runs the check's own code, a ``pipeline._verify_*`` part (and for
-``tperp_span`` the validate stage it reads, for the sweep's checks the chart
-sweep, for the ``curvature_*`` keys the curvature stage), on the so3 run record
-after the connect or the reduce stage with one input perturbed, and reads that
-check's defect.  A kernel field is perturbed where the check reads it, by
+``tperp_span`` the validate stage it reads, for ``baseline_closed_form`` the
+connect stage, for the sweep's checks the chart sweep, for the ``curvature_*``
+keys the curvature stage), on the so3 run record after the connect or the
+reduce stage with one input perturbed, and reads that check's defect.  A
+kernel field is perturbed where the check reads it, by
 wrapping the geometry's ``kernels``, and the formula route's arrays by wrapping
 ``curvature._formula``.  On so3 the orbit has dimension 2, where the cyclic
 sum of an antisymmetric ∂Ω, or of an R antisymmetric in its first two slots,
@@ -64,6 +65,24 @@ def test_right_invariance_fails_on_a_non_invariant_connection(run):
     run.base = run.base + symmetrized(_delta(1))
     run.gammas = symplectized_coefficients(run.a, run.xi_samples, run.base)
     _assert_fails(pipeline._verify_connections, run, "conn/right-invariance", "right_invariance")
+
+
+def test_baseline_closed_form_fails_without_its_double_bracket_term(run, monkeypatch):
+    # the closed form less its ½⟨ξ, [X, [Y, Y′]]⟩ term no longer matches the
+    # contraction of ∇°ω at the connect stage's ten draws, by far more than roundoff
+    key = "baseline_closed_form"
+    assert _check(pipeline._verify_connections, run, "conn/baseline-closed-form")[1] \
+        <= THRESHOLDS[key]
+    closed = pipeline.baseline_nabla_omega
+
+    def dropped(a, xi, u, v, w):
+        X, Y, Yp = (np.asarray(x)[..., :a.dim] for x in (u, v, w))
+        return closed(a, xi, u, v, w) - 0.5 * linalg.vecdot(xi, a.bracket(X, a.bracket(Y, Yp)))
+
+    monkeypatch.setattr(pipeline, "baseline_nabla_omega", dropped)
+    rerun = pipeline._run_stages(SO3, "connect", {}, {})
+    check = _check(pipeline._verify_connections, rerun, "conn/baseline-closed-form")
+    assert check[2] == key and check[1] >= 1e3 * THRESHOLDS[key]
 
 
 def test_a_symmetry_fails_on_an_antisymmetric_delta(run):

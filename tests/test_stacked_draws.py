@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import redconn as rc
-from redconn import pipeline
+from redconn import connections, pipeline
 from redconn.connections import nabla_omega_components, solve_omega_gram, symplectized_coefficients
 from redconn.errors import SingularOmega
 from redconn.phasespace import momentum_differential
@@ -121,6 +121,17 @@ def test_closed_form_routes_stack_is_bitwise_per_row(case, rng):
     assert isinstance(rc.nabla_omega(a, xi[0], base, u[0], v[0], w[0]), float)
 
 
+def test_nabla_omega_with_a_gamma_stack_is_bitwise_per_row(case, rng):
+    a, mu = case
+    xis = _fiber_points(a, mu, rng)
+    u, v, w = rng.standard_normal((3, len(xis), 2 * a.dim))
+    base = rc.baseline_coefficients(a)
+    for gammas in (symplectized_coefficients(a, xis, base),
+                   base + rng.standard_normal((len(xis),) + base.shape)):
+        _bitwise_rows(rc.nabla_omega(a, xis, gammas, u, v, w),
+                      [rc.nabla_omega(a, *row) for row in zip(xis, gammas, u, v, w)])
+
+
 def test_bracket_stack_matches_rows_and_stays_antisymmetric(case, rng):
     a, _ = case
     X, Y = rng.standard_normal((2, 20, a.dim))
@@ -190,6 +201,19 @@ def test_stacked_stage_draws_leave_the_rng_where_single_draws_do(label):
     xis = [fresh.standard_normal(n) for _ in range(3)]
     assert run.rng.bit_generator.state == fresh.bit_generator.state
     _bitwise_rows(run.xi_samples, [mu] + xis)
+
+
+@pytest.mark.parametrize("label", ["so3", "so5-regular"])
+def test_connect_stage_builds_the_component_array_twice(label, monkeypatch):
+    # the symplectization and the ∇ω defect, each at the four ξ samples; the
+    # ten closed-form draws are contracted without the (2n)³ array
+    shapes = []
+    components = connections.nabla_omega_components
+    monkeypatch.setattr(connections, "nabla_omega_components", lambda a, xi, gamma, om=None: (
+        shapes.append(np.shape(xi)) or components(a, xi, gamma, om)))
+    run = _run(_config(label))
+    pipeline._stage_connect(_config(label), run)
+    assert shapes == [(4, run.a.dim), (4, run.a.dim)]
 
 
 @pytest.mark.parametrize("label", ["so3", "su2"])
