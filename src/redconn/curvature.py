@@ -97,7 +97,6 @@ def _formula(geom: SigmaGeometry, jobs, stencils, K) -> list:
     job's jet.  Each step is stacked over every entry [a, b] of every job."""
     ctx, km, n = geom.ctx, geom.chart.dim, geom.n
     steps, q, x = stencils
-    K = K.checked()
     # [point, j, l, 0] = ∇_f̄_j f̄_l and [point, j, l, 1] = [α(∇_f̄_j f̄_l)]*
     grads = np.stack([K.level, ctx.alpha_star(K.level)], axis=-2)
     d_grads = _central(grads[len(jobs):], steps)
@@ -131,12 +130,12 @@ def _tensor(geom: SigmaGeometry, jobs, K) -> list:
     component b of ∇ʳ(f_j) f_l (NotTangent if not an orbit tangent), at each
     job's t ± h·eₓ (x in its distinct directions) and then the jobs' points,
     whose kernels are K, all by one stacked solve."""
-    p, J = K.checked(), len(jobs)
-    gamma = tangent_solve(p.D, p.cov.reshape(len(p.D), -1, geom.n).swapaxes(1, 2))
+    J = len(jobs)
+    gamma = tangent_solve(K.D, K.cov.reshape(len(K.D), -1, geom.n).swapaxes(1, 2))
     gamma = gamma.swapaxes(1, 2).reshape((-1,) + (geom.chart.dim,) * 3)
     out = []
     for (t, h, d), g, plus_minus, D_t in zip(jobs, gamma[-J:], np.split(
-            gamma[:-J], np.cumsum([2 * len(set(d)) for _, _, d in jobs])[:-1]), p.D[-J:]):
+            gamma[:-J], np.cumsum([2 * len(set(d)) for _, _, d in jobs])[:-1]), K.D[-J:]):
         d_gamma = dict(zip(dict.fromkeys(d), _central(plus_minus, h)))
         g = g[d]  # g[a, l, c] = Γ^c_il for i = d[a]
         dg = np.array([d_gamma[x][d] for x in d])  # dg[a, b, l, c] = ∂_i Γ^c_jl, j = d[b]

@@ -27,10 +27,10 @@ from .errors import (AssumptionTwoFailure, ConfigError, NonReductiveStabilizer,
                      ReductionError)
 from .liealg import (LieAlgebra, _is_number, algebra_from_json, coadjoint_matrix, group_exp,
                      named_algebra)
-from .orbits import kks_gap, kks_pairs, orbit_chart
+from .orbits import kks_gap, kks_pairs
 from .phasespace import constraint_split, regularity_report, right_generator, symplectic_form
 from .reduction import (SigmaGeometry, _central, autoparallel_check, build_context,
-                        gram_oracle_solve, totally_geodesic_defect)
+                        default_chart, gram_oracle_solve, totally_geodesic_defect)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -263,7 +263,7 @@ def _stage_reduce(cfg: CaseConfig, run) -> dict:
         auto = autoparallel_check(ctx, rng=run.rng)
         stage["autoparallel"] = {"defect": auto.defect, "independence": auto.independence}
         return stage
-    run.geom = geom = SigmaGeometry(ctx, orbit_chart(a, mu, ctx.m))
+    run.geom = geom = SigmaGeometry(ctx, default_chart(ctx))
     pts = _sample_points(cfg, geom.chart.dim, run.rng)
     run.sweep = sweep = _chart_sweep(geom, pts, run.rng)
     auto = autoparallel_check(ctx, geom=geom, rng=run.rng)
@@ -304,7 +304,7 @@ def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator) -> dict:
     fibers = group_exp(ctx.algebra, linalg.matvec(ctx.split.g_mu,
                                                   rng.uniform(-1.0, 1.0, (5 if k else 0, k))))
     swept = (np.vstack([pts] + [pts[0]] * len(fibers)), np.array([e] * len(pts) + list(fibers)))
-    K = geom.kernels(*swept).checked()
+    K = geom.kernels(*swept)
     gap = np.linalg.norm(K.lifts - geom.lift(K, K.D.swapaxes(1, 2)), axis=-1)
     projection = float(np.max(gap / np.maximum(1.0, np.linalg.norm(K.lifts, axis=-1))))
     P = len(pts)  # the fibers' points enter the projection gaps and fiber independence only

@@ -217,12 +217,9 @@ class PointKernel:
     coad: np.ndarray  # Coad(exp(Σ t_a E_a) · h)
     D: np.ndarray  # chart differential dnu(t)
     M: np.ndarray  # lift matrix: quotient differential on the horizontal basis
-    lift_ok: np.ndarray  # M has full column rank
     lifts: np.ndarray  # row i: H(Ad(h)⁻¹ · section vector i, 0), the lift of D e_i
-    tangent: np.ndarray  # M X = D by the tangency rule, X the W1 coordinates of the lifts
     F: np.ndarray  # chart-fiber frame [Ad(h)⁻¹ · section vectors | g_μ]
-    frame_ok: np.ndarray  # F has full rank
-    jet: np.ndarray  # jet[c]: derivative of lifts along parameter c (read only if lift_ok)
+    jet: np.ndarray  # jet[c]: derivative of lifts along parameter c
     derivs: np.ndarray  # derivs[i, j]: derivative of lifts[j] along lifts[i]
     level: np.ndarray  # level[i, j]: P∘∇ along lifts[i] of lifts[j]
     cov: np.ndarray  # cov[i, j]: pushdown of level[i, j]'s horizontal part, ∇ʳ(f_i) f_j
@@ -230,12 +227,6 @@ class PointKernel:
     def __getitem__(self, rows) -> PointKernel:
         """The kernels at ``rows`` of the batch (a slice or an index array)."""
         return PointKernel(*(value[rows] for value in vars(self).values()))
-
-    def checked(self) -> PointKernel:
-        """The kernels once every row's checks pass, raising as ``_check`` at the
-        first row that fails one: the jets and the tables are read only through this."""
-        _check(self.lift_ok, self.tangent, self.frame_ok)
-        return self
 
 
 class SigmaGeometry:
@@ -273,8 +264,9 @@ class SigmaGeometry:
 
     def kernels(self, ts, fibers) -> PointKernel:
         """The kernels at the rows t of ``ts`` and ``fibers`` (one Ad matrix, or
-        one per row), unchecked (``PointKernel.checked``) and each field stacked over
-        the rows; rows with equal (t, fiber) bytes are built once, in one stacked pass."""
+        one per row), each field stacked over the rows, raising as ``_lift_rows`` at
+        the first row that fails a check; rows with equal (t, fiber) bytes are built
+        once, in one stacked pass."""
         ts = np.asarray(ts, dtype=float).reshape(-1, self.chart.dim)
         fibers = np.broadcast_to(np.asarray(fibers, dtype=float), (len(ts), self.n, self.n))
         rows, first = linalg.distinct_rows((t.tobytes(), fiber.tobytes())
@@ -285,28 +277,23 @@ class SigmaGeometry:
         """The kernels at the rows of ``ts`` and ``fibers``, each step stacked."""
         ctx = self.ctx
         coad_t, vecs, D, d_vecs = self.chart.exp_data(ts)
-        h_inv, coad, M, lift_ok, F, lifts, tangent = self._lift_rows(coad_t, vecs, D, fibers)
+        h_inv, coad, M, F, lifts = self._lift_rows(coad_t, vecs, D, fibers)
         # jet: the horizontal parts of V's row derivatives along each chart and fiber parameter
         rows = F[..., : self.chart.dim].transpose(0, 2, 1)
         d_rows = np.concatenate([d_vecs.transpose(0, 1, 3, 2) @ h_inv.transpose(0, 2, 1)[:, None],
                                  -rows[:, None] @ self.ad_fiber_T], axis=1)
-        frame_ok = linalg.rank(F) == self.n
-        ok = lift_ok & tangent & frame_ok
         jet = d_rows @ self.horizontal_T
-        # the table: one frame solve per lift (in the identity frame where a check failed:
-        # that table is never read), every product acting on one vector alone
-        derivs = _along(jet, np.linalg.solve(np.where(ok[:, None, None], F, self.identity)[:, None],
-                                             lifts[..., : self.n, None])[..., 0])
+        # the table: one frame solve per lift, every product acting on one vector alone
+        derivs = _along(jet, np.linalg.solve(F[:, None], lifts[..., : self.n, None])[..., 0])
         level = self._induced(lifts, lifts[:, None], derivs)
         cov = -linalg.matvec((coad @ self.K_T)[:, None, None],
                              ctx.horizontal_part(level)[..., : self.n])
-        return PointKernel(coad, D, M, lift_ok, lifts, tangent, F, frame_ok, jet, derivs, level,
-                           cov)
+        return PointKernel(coad, D, M, lifts, F, jet, derivs, level, cov)
 
     def _lift_rows(self, coad_t, vecs, D, fibers) -> tuple[np.ndarray, ...]:
-        """Ad(h)⁻¹, Coad, M and lift_ok, the frame F = [V | g_μ] for V = Ad(h)⁻¹ · vecs,
-        ``lifts`` and tangent at the points with chart data (coad_t, vecs, D) and
-        fibers h, stacked."""
+        """Ad(h)⁻¹, Coad, M, the frame F = [V | g_μ] for V = Ad(h)⁻¹ · vecs and
+        ``lifts`` at the points with chart data (coad_t, vecs, D) and fibers h,
+        stacked, once every row passes ``_check``."""
         h_inv = np.linalg.inv(fibers)
         coad = coad_t @ h_inv.transpose(0, 2, 1)
         M = -coad @ (self.K_T @ self.w1grp)
@@ -317,17 +304,16 @@ class SigmaGeometry:
         tangent = ~np.any(off_tangent(np.linalg.norm(residual, axis=-2),
                                       np.linalg.norm(D, axis=-2)), axis=-1)
         g_mu = np.broadcast_to(self.ctx.split.g_mu, (len(V),) + self.ctx.split.g_mu.shape)
-        return (h_inv, coad, M, linalg.rank(M) == M.shape[-1], np.concatenate([V, g_mu], axis=2),
-                lifts, tangent)
+        F = np.concatenate([V, g_mu], axis=2)
+        _check(linalg.rank(M) == M.shape[-1], tangent, linalg.rank(F) == self.n)
+        return h_inv, coad, M, F, lifts
 
     def lift_frames(self, ts, fibers) -> tuple[np.ndarray, np.ndarray]:
         """``lifts`` and the chart-fiber frames F at the rows of ``ts`` and ``fibers``
         (one Ad matrix, or one per row), each its kernel's bit for bit, from the
-        chart's lift block alone (no kernel is built), raising as
-        ``PointKernel.checked`` there."""
+        chart's lift block alone (no kernel is built), raising as ``kernels`` there."""
         fibers = np.broadcast_to(fibers, (len(ts), self.n, self.n))
-        *_, lift_ok, F, lifts, tangent = self._lift_rows(*self.chart.lift_data(ts), fibers)
-        _check(lift_ok, tangent, linalg.rank(F) == self.n)
+        *_, F, lifts = self._lift_rows(*self.chart.lift_data(ts), fibers)
         return lifts, F
 
     # -- lifting ---------------------------------------------------------
@@ -335,8 +321,7 @@ class SigmaGeometry:
     def lift(self, K: PointKernel, v) -> np.ndarray:
         """Unique horizontal vector projecting onto the orbit tangent v, or the
         lifts of a stack of tangents (rows), all by one solve; at each row of the
-        kernels K, of a stack of them per row, once their lift systems pass ``_check``."""
-        _check(K.lift_ok)
+        kernels K, of a stack of them per row."""
         vs = np.reshape(v, (len(K.M), -1, self.n)).swapaxes(1, 2)  # (points, n, rows)
         return (self.ctx.w1 @ tangent_solve(K.M, vs)).swapaxes(1, 2).reshape(
             np.shape(v)[:-1] + (2 * self.n,))
@@ -362,7 +347,6 @@ class SigmaGeometry:
         """Exact derivatives of ``lifts`` (km × 2n each) along the level-set
         directions ``us`` (rows, shared or one stack per row of the kernels K) at
         each row of K: the jet contracted with their velocities."""
-        K.checked()
         return _along(K.jet, self._params(K.F[:, None], us))
 
     def _stencil_points(self, t, fiber: np.ndarray, us, step,
@@ -392,11 +376,11 @@ class SigmaGeometry:
                              d + linalg.matvec(gamma_u.swapaxes(-1, -2), base))
 
 
-def _check(lift_ok, tangent=True, frame_ok=True) -> None:
-    """Raise at the first row of the flags (one point's, or stacked over rows)
-    that fails a check, for its first failed check in this order."""
-    for lift, tangency, frame in zip(*np.broadcast_arrays(np.atleast_1d(lift_ok), tangent,
-                                                           frame_ok)):
+def _check(*flags) -> None:
+    """Raise at the first row that fails a check, for its first failed check in
+    this order: M's full column rank, tangency, F's full rank (each flag stacked
+    over the rows)."""
+    for lift, tangency, frame in zip(*flags):
         if not lift:
             raise SingularProjection("quotient differential singular on the horizontal space")
         if not tangency:
@@ -476,7 +460,7 @@ def _random_stable_complement(ctx: ReductionContext, rng: np.random.Generator) -
 
 
 def autoparallel_check(ctx: ReductionContext, *, geom: SigmaGeometry | None = None,
-                       rng: np.random.Generator | None = None) -> AutoparallelReport:
+                       rng: np.random.Generator) -> AutoparallelReport:
     """Measure how far the level set is from being autoparallel.
 
     The defect is the largest component of ∇ of level-set frame pairs outside
@@ -494,7 +478,6 @@ def autoparallel_check(ctx: ReductionContext, *, geom: SigmaGeometry | None = No
     if not autoparallel or geom is None:
         return AutoparallelReport(defect, 0.0 if autoparallel else None)
 
-    rng = rng if rng is not None else np.random.default_rng(0)
     cand = _random_stable_complement(ctx, rng)
     if cand is None:
         return AutoparallelReport(defect, None)
@@ -502,6 +485,5 @@ def autoparallel_check(ctx: ReductionContext, *, geom: SigmaGeometry | None = No
     other = build_context(a, ctx.mu, s_tilde=cand, gamma_mu=ctx.gamma_mu, split=ctx.split)
     geom_b = SigmaGeometry(other, chart)
     ts = [rng.uniform(-0.3, 0.3, size=chart.dim) for _ in range(3)]
-    diff = np.abs(geom.kernels(ts, geom.identity).checked().cov
-                  - geom_b.kernels(ts, geom_b.identity).checked().cov)
+    diff = np.abs(geom.kernels(ts, geom.identity).cov - geom_b.kernels(ts, geom_b.identity).cov)
     return AutoparallelReport(defect, float(np.max(diff)))

@@ -2,11 +2,10 @@
 batch, its level table included, in one stacked pass, each distinct point once,
 and no kernel depends on the batch it was built in: each row of a batch below
 is compared with its one-point build bit for bit, field by field, on so(4)
-regular and singular and so(5) regular.  A point past the chart radius where
-the frame or the lift system loses rank is built with the others and raises
-only where a read needs the check it fails.  A kernel's lifts are the
-horizontal projection of the section velocity, which equals the quotient-map
-solve M⁺D to roundoff."""
+regular and singular and so(5) regular.  A batch that holds a point past the
+chart radius where the frame or the lift system loses rank raises that check's
+error when it is built.  A kernel's lifts are the horizontal projection of the
+section velocity, which equals the quotient-map solve M⁺D to roundoff."""
 
 import dataclasses
 
@@ -101,16 +100,13 @@ def test_stencil_batches_are_single_builds(case, rng):
 
 
 def _table(K: PointKernel) -> tuple:
-    """The checked read of the tables of the kernels K and the derivatives they
-    are built from."""
-    K = K.checked()
+    """The tables of the kernels K and the derivatives they are built from."""
     return K.level, K.cov, K.derivs
 
 
 def test_stencil_table_batches_are_single_builds(case, rng, monkeypatch):
-    # each table of a batch, level values, pushdowns and derivatives, read
-    # through the checked kernel, is its one-point build bit for bit: every
-    # product acts on one vector alone
+    # each table of a batch, level values, pushdowns and derivatives, is its
+    # one-point build bit for bit: every product acts on one vector alone
     ctx, chart = case
     built = count_builds(monkeypatch)
     for ts, fibers in _stencil_sets(ctx, chart, rng):
@@ -194,10 +190,10 @@ def test_repeated_rows_are_built_once_per_call(monkeypatch):
                          ids=["so3", "so4-regular", "so5-regular"])
 def test_frame_rank_loss_raises_only_at_its_point(case):
     # at t = π·e₀ (2π·e₀ on so3), past the chart radius, φ₁(−ad A) and with it
-    # the chart-fiber frame are singular; the batch is built whole, and only
-    # that point raises, on every read that needs the frame: the lifts, their
-    # quotient-map solve and the reduced form, which need the lift system
-    # alone, are finite there
+    # the chart-fiber frame are singular while the lift system is not (its
+    # error would come first): a batch that holds the point raises RankLoss on
+    # every build, from kernels and from the lift block alone, and so does the
+    # reduced form there; the other points build, each its row of their batch
     if case is None:
         ctx = rc.build_context(rc.so3(), np.array([0.0, 0.0, 1.0]))
         chart, bad = rc.default_chart(ctx), np.array([2 * np.pi, 0.0])
@@ -205,52 +201,49 @@ def test_frame_rank_loss_raises_only_at_its_point(case):
         ctx, chart = _setup(case)
         bad = np.pi * np.eye(chart.dim)[0]
     good = [np.linspace(-0.2, 0.3, chart.dim), np.linspace(0.25, -0.1, chart.dim)]
-    ts = [good[0], bad, good[1]]
-    geom = rc.SigmaGeometry(ctx, chart)
-    batch = _assert_batch_is_single_builds(ctx, chart, ts, [geom.identity] * 3)
-    assert batch.frame_ok.tolist() == [True, False, True]
-    K, D = batch[1:2], chart.dnu(bad)
-    reduction._check(K.lift_ok, K.tangent)  # the checks the lifts need pass
-    assert np.all(np.isfinite(K.lifts))
-    assert np.all(np.isfinite(geom.lift(K, D.T)))
-    assert np.isfinite(rc.reduced_form(geom, D[:, 0], D[:, 1], bad))
+    ts = np.array([good[0], bad, good[1]])
+    geom, D = rc.SigmaGeometry(ctx, chart), chart.dnu(bad)
     for _ in range(2):
         with pytest.raises(RankLoss):
-            geom.lift_derivatives(K, K.lifts[0])
+            geom.kernels(ts, geom.identity)
         with pytest.raises(RankLoss):
-            batch.checked()
-    for row in (0, 2):
-        K = batch[row:row + 1]
-        assert np.all(np.isfinite(geom.lift_derivatives(K, K.checked().lifts[0])))
+            geom.lift_frames(ts, geom.identity)
+        with pytest.raises(RankLoss):
+            rc.reduced_form(geom, D[:, 0], D[:, 1], bad)
+    _assert_batch_is_single_builds(ctx, chart, good, [geom.identity] * 2)
 
 
 def test_lift_rank_loss_raises_only_at_its_point():
     # on aff1, Coad(exp A) grows like e^{|t|}: at t = 30·e₀, far past the chart
-    # radius, the lift matrix M loses rank while the frame keeps it
+    # radius, the lift matrix M loses rank while the frame (the section
+    # velocities: g_μ = 0) keeps it; a batch that holds the point raises
+    # SingularProjection on every build, from kernels and from the lift block
+    # alone, and so does the reduced form there; the other points build, each
+    # its row of their batch
     ctx = rc.build_context(rc.algebra_from_json(AFF1_DOC), np.array([0.0, 1.0]))
     chart = rc.default_chart(ctx)
     bad = np.array([30.0, 0.0])
     good = [np.array([0.1, -0.2]), np.array([-0.3, 0.25])]
-    ts = [good[0], bad, good[1]]
-    geom = rc.SigmaGeometry(ctx, chart)
-    batch = _assert_batch_is_single_builds(ctx, chart, ts, [geom.identity] * 3)
-    assert batch.lift_ok.tolist() == [True, False, True]
-    assert batch.frame_ok.all()
+    ts = np.array([good[0], bad, good[1]])
+    geom, D = rc.SigmaGeometry(ctx, chart), chart.dnu(bad)
+    assert linalg.rank(chart.section_vectors(bad)) == chart.dim
     for _ in range(2):
         with pytest.raises(SingularProjection):
-            batch[1:2].checked()
+            geom.kernels(ts, geom.identity)
         with pytest.raises(SingularProjection):
-            geom.lift(batch[1:2], chart.dnu(bad)[:, 0])
-    for row in (0, 2):
-        assert batch[row:row + 1].checked().lifts[0].shape == (2, 4)
+            geom.lift_frames(ts, geom.identity)
+        with pytest.raises(SingularProjection):
+            rc.reduced_form(geom, D[:, 0], D[:, 1], bad)
+    batch = _assert_batch_is_single_builds(ctx, chart, good, [geom.identity] * 2)
+    assert batch.lifts.shape == (2, 2, 4)
 
 
 @pytest.mark.parametrize("rank_loss", ["frame", "lift"])
-def test_table_batch_raises_only_at_its_rank_loss_point(rank_loss):
+def test_table_batch_raises_only_at_its_rank_loss_point(rank_loss, monkeypatch):
     # so(4) regular at π·e₀ (the frame loses rank) and aff1 at 30·e₀ (the lift
-    # matrix does): a batch with that point is built without raising, the
-    # other tables are their one-point builds, and only that point's table
-    # raises, on every read, and so does the checked read of the whole batch
+    # matrix does): a batch with that point raises on every build before any
+    # table is built, and the tables of a batch of the other points are their
+    # one-point builds
     if rank_loss == "frame":
         ctx, chart = _setup(CASES[0])
         bad, error = np.pi * np.eye(chart.dim)[0], RankLoss
@@ -258,21 +251,25 @@ def test_table_batch_raises_only_at_its_rank_loss_point(rank_loss):
         ctx = rc.build_context(rc.algebra_from_json(AFF1_DOC), np.array([0.0, 1.0]))
         chart = rc.default_chart(ctx)
         bad, error = np.array([30.0, 0.0]), SingularProjection
-    ts = [np.linspace(-0.2, 0.3, chart.dim), bad, np.linspace(0.25, -0.1, chart.dim)]
+    good = [np.linspace(-0.2, 0.3, chart.dim), np.linspace(0.25, -0.1, chart.dim)]
     geom = rc.SigmaGeometry(ctx, chart)
-    batch = geom.kernels(ts, geom.identity)
-    assert (~(batch.lift_ok & batch.tangent & batch.frame_ok)).tolist() == [t is bad for t in ts]
-    for row, t in enumerate(ts):
-        if t is bad:
-            for _ in range(2):
-                with pytest.raises(error):
-                    _table(batch[row:row + 1])
-                with pytest.raises(error):
-                    _table(batch)
-        else:
-            single = _table(rc.SigmaGeometry(ctx, chart).kernels(t, geom.identity))
-            for a, b in zip(_table(batch[row:row + 1]), single):
-                assert a.tobytes() == b.tobytes()
+    jets = []
+    along = reduction._along
+
+    def counted(jet, params):
+        jets.append(len(jet))
+        return along(jet, params)
+
+    monkeypatch.setattr(reduction, "_along", counted)
+    for _ in range(2):
+        with pytest.raises(error):
+            geom.kernels([good[0], bad, good[1]], geom.identity)
+    assert jets == []
+    batch = geom.kernels(good, geom.identity)
+    for row, t in enumerate(good):
+        single = _table(rc.SigmaGeometry(ctx, chart).kernels(t, geom.identity))
+        for a, b in zip(_table(batch[row:row + 1]), single):
+            assert a.tobytes() == b.tobytes()
 
 
 def _projection_cases() -> list:
@@ -305,7 +302,7 @@ def test_lifts_are_the_horizontal_projection_of_the_section_velocity(label, ctx,
         velocity = np.linalg.inv(fiber) @ chart.section_vectors(t)
         projection = ctx.horizontal_part(np.hstack([velocity.T, np.zeros((chart.dim, n))]))
         geom = rc.SigmaGeometry(ctx, chart)
-        K = geom.kernels(t, fiber).checked()
+        K = geom.kernels(t, fiber)
         solve = geom.lift(K, chart.dnu(t).T)
         gap = np.linalg.norm(projection - solve, axis=1)
         assert np.all(gap <= 1e-13 * np.maximum(1.0, np.linalg.norm(solve, axis=1))), label

@@ -150,6 +150,41 @@ def test_omega_closed_fails_off_jacobi(reduced):
     _assert_fails(pipeline._verify_phase, reduced, "phase/omega-closed", "omega_closed")
 
 
+@pytest.mark.parametrize("name,key", [("lie/coad-fixes-mu", "coad_fixes_mu"),
+                                      ("lie/stabilizer-annihilation", "stabilizer_annihilation")],
+                         ids=["coad_fixes_mu", "stabilizer_annihilation"])
+def test_stabilizer_checks_fail_at_a_moved_mu(reduced, name, key):
+    # μ + 1e-6·e₀ read against the stabilizer of μ: ⟨μ', [Y, e_j]⟩ and
+    # Coad(exp sY)μ' − μ' are of order 1e-6 for Y in g_μ, not roundoff
+    assert _check(pipeline._verify_algebra, reduced, name)[1] <= THRESHOLDS[key]
+    reduced.mu = reduced.mu + 1e-6 * np.eye(reduced.a.dim)[0]
+    _assert_fails(pipeline._verify_algebra, reduced, name, key)
+
+
+def test_projector_spaces_fails_on_a_projector_off_tsigma(reduced):
+    # P + E with E[n, 0] = 1e-6 maps (e₀, 0) ∈ TΣ = g ⊕ 0 to (e₀, 1e-6·e₀), off
+    # TΣ, and has rank n + 1, so its kernel loses a dimension: both checks fail
+    names = ("red/projector-range", "red/projector-kernel")
+    for name in names:
+        assert _check(pipeline._verify_reduction, reduced, name)[1] \
+            <= THRESHOLDS["projector_spaces"]
+    E = np.zeros_like(reduced.ctx.p_matrix)
+    E[reduced.a.dim, 0] = 1e-6
+    reduced.ctx = replace(reduced.ctx, p_matrix=reduced.ctx.p_matrix + E)
+    for name in names:
+        _assert_fails(pipeline._verify_reduction, reduced, name, "projector_spaces")
+
+
+def test_alpha_identities_fails_on_a_rescaled_alpha(reduced):
+    # α reads a stabilizer generator's radical component back as Y itself;
+    # (1 + 1e-6)·α reads it as (1 + 1e-6)·Y
+    key = "alpha_identities"
+    assert _check(pipeline._verify_reduction, reduced, "red/alpha-identities")[1] \
+        <= THRESHOLDS[key]
+    reduced.ctx = replace(reduced.ctx, alpha_mat=reduced.ctx.alpha_mat * (1.0 + 1e-6))
+    _assert_fails(pipeline._verify_reduction, reduced, "red/alpha-identities", key)
+
+
 def _so4_regular():
     """The so(4) regular case of ``perfbench/cases.py`` at two samples, and its run
     record after the reduce stage."""

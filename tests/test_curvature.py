@@ -101,7 +101,7 @@ class TestFlagship:
         geoms = [SigmaGeometry(ctx, chart) for chart in charts]
         t = np.zeros(charts[0].dim)
         assert np.max(np.abs(charts[0].dnu(t) - charts[1].dnu(t))) <= 1e-12
-        covs = [geom.kernels(t, geom.identity).checked().cov[0] for geom in geoms]
+        covs = [geom.kernels(t, geom.identity).cov[0] for geom in geoms]
         assert np.max(np.abs(covs[0] - covs[1])) > 0.1
         for first, second in zip(*(curvature_routes(geom, t) for geom in geoms)):
             scale = max(1.0, float(np.max(np.linalg.norm(first, axis=-1))))
@@ -238,7 +238,7 @@ class TestSymmetryBattery:
         assert np.max(np.abs(tensor - formula)) > 0.05
         assert np.max(np.abs(tensor - exact)) > 0.05
 
-        K = geom.kernels(t, e).checked()
+        K = geom.kernels(t, e)
 
         def symplectic_defect(rows):  # max |ω(R f_l, f_w) − ω(R f_w, f_l)|
             form = geom.form_table(geom.lift(K, rows), K.lifts[0])
@@ -304,17 +304,17 @@ def _formula_every_stencil(geom, t, fd_step, fd_step2):
     ``curvature_routes``' formula, to the error of its nested stencils."""
     ctx, e, km = geom.ctx, geom.identity, geom.chart.dim
     hproj = ctx.horizontal_part
-    K = geom.kernels(t, e).checked()
+    K = geom.kernels(t, e)
     u = K.lifts[0]
 
     def lifts(ts, fibers):
-        return geom.kernels(ts, fibers).checked().lifts
+        return geom.kernels(ts, fibers).lifts
 
     def inner(t2, fib, frames, v):  # [l] = the derivative of f̄_l along v, by a stencil
         return stencil(geom, t2, fib, v, fd_step, frames, lifts)
 
     def grads_at(t2, fib):
-        P = geom.kernels(t2, fib).checked()
+        P = geom.kernels(t2, fib)
         w = P.lifts[0]
         level = np.array([geom._induced(w[j], w, inner(t2, fib, P.F, w[j])) for j in range(km)])
         return np.stack([level, ctx.alpha_star(level)], axis=2)
@@ -430,11 +430,11 @@ def _formula_per_pair(geom, t, dirs):
     """``curvature_routes``' formula at fd_step2 1e-4, one entry [a, b] at a time: the
     reference its entries, stacked over all pairs, must equal bit for bit."""
     ctx, e, km = geom.ctx, geom.identity, geom.chart.dim
-    K = geom.kernels(t, e).checked()
+    K = geom.kernels(t, e)
     u = K.lifts[0]
 
     def grads(ts, fibers):
-        level = geom.kernels(ts, fibers).checked().level
+        level = geom.kernels(ts, fibers).level
         return np.stack([level, ctx.alpha_star(level)], axis=-2)
 
     xs = list(dict.fromkeys(dirs))

@@ -39,7 +39,7 @@ def test_lifts_and_tables_at_random_points_and_fibers(so4_case, t_unit, y):
     fiber = rc.group_exp(a, ctx.split.g_mu @ np.asarray(y[:k]))
     geom = rc.SigmaGeometry(ctx, chart)
 
-    K = geom.kernels([t, t], [geom.identity, fiber]).checked()
+    K = geom.kernels([t, t], [geom.identity, fiber])
     lifts = K.lifts[1]
     assert lifts.shape == (km, 2 * a.dim)
     assert np.max(np.abs(ctx.alpha_mat @ lifts.T)) <= 1e-10  # horizontal
@@ -73,11 +73,11 @@ def test_jet_matches_richardson_stencil(regular_case, scale, t_unit, y):
     t = 0.4 * np.asarray(t_unit[:km])
     geom = rc.SigmaGeometry(ctx, chart)
     for fiber in (geom.identity, rc.group_exp(a, ctx.split.g_mu @ np.asarray(y[:k]))):
-        K = geom.kernels(t, fiber).checked()
+        K = geom.kernels(t, fiber)
         us = np.vstack([K.lifts[0], np.pad(ctx.split.g_mu.T, ((0, 0), (0, a.dim)))])
         exact = geom.lift_derivatives(K, us)[0]
         assert exact.shape == (km + k, km, 2 * a.dim)
         for u, d in zip(us, exact):
             fd = richardson_stencil(geom, t, fiber, u, 1e-3, K.F,
-                                    lambda ts, fibers: geom.kernels(ts, fibers).checked().lifts)
+                                    lambda ts, fibers: geom.kernels(ts, fibers).lifts)
             assert np.max(np.abs(fd - d)) <= 1e-9 * max(1.0, float(np.max(np.abs(d))))

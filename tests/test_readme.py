@@ -55,12 +55,12 @@ def _resolves(name: str) -> bool:
 
 def test_readme_dotted_names_resolve():
     assert len(DOTTED) >= 10
-    assert {"PointKernel.lifts", "PointKernel.checked"} <= set(DOTTED)
+    assert {"PointKernel.lifts", "PointKernel.cov"} <= set(DOTTED)
     assert [name for name in DOTTED if not _resolves(name)] == []
 
 
 def test_a_misspelt_name_does_not_resolve():
-    assert _resolves("PointKernel.lifts") and _resolves("reduction.PointKernel.checked")
+    assert _resolves("PointKernel.lifts") and _resolves("reduction.PointKernel.cov")
     assert not _resolves("PointKernel.lfits")
     assert not _resolves("PointKernel.lifts.shape")
     assert not _resolves("SigmaGeometry.lifts")

@@ -123,7 +123,7 @@ def test_reduce_stage_matches_library_definitions(name):
     torsion = kks = parallel = 0.0
     for t in np.asarray(stage["chart_points"]):
         D = chart.dnu(t)
-        p = geom.kernels(t, geom.identity).checked()[0]
+        p = geom.kernels(t, geom.identity)[0]
         cov, lifts = p.cov, p.lifts
         pairs = kks_pairs(ctx.algebra, p.D, p.coad @ ctx.mu, geom.form_table(lifts, lifts))
         kks = max(kks, kks_gap(pairs))

@@ -416,7 +416,6 @@ class Memo:
 # public functions and methods of src/redconn with no caller in the package's code
 # (``__init__.py`` aside), with the reason each stays public
 PUBLIC_ENTRY_POINTS = {
-    "reduction.default_chart": "README entry point: the chart of a reduction context",
     "reduction.reduced_form": "README entry point: the reduced form on two orbit tangents",
     "curvature.curvature_routes": "README entry point: both finite-difference routes at "
                                   "one chart point",
@@ -446,24 +445,33 @@ def _public_definitions(tree) -> list:
     return out
 
 
-def _uses(tree, method: bool) -> Counter:
-    """How often a tree reads each name as ``x.name``, and, unless ``method``,
-    as a bare name too."""
-    uses = Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
-    if not method:
-        uses += Counter(node.id for node in ast.walk(tree)
-                        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store))
-    return uses
+def _reads(tree) -> tuple[Counter, Counter]:
+    """How often a tree reads each name as ``x.name``, and as a bare name."""
+    attrs, names = Counter(), Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            attrs[node.attr] += 1
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names[node.id] += 1
+    return attrs, names
+
+
+def _uses(reads: tuple[Counter, Counter], name: str, method: bool) -> int:
+    """How often ``reads`` (``_reads``) read ``name`` as ``x.name``, and, unless
+    ``method``, as a bare name too."""
+    attrs, names = reads
+    return attrs[name] + (0 if method else names[name])
 
 
 def _uncalled_public(trees: dict) -> list:
     """``module.name`` of every public function or method that no code of the
-    trees but its own definition reads (``__init__.py``'s exports are no use)."""
+    trees but its own definition reads (``__init__.py``'s exports are no use).
+    Each tree is walked once, and each definition once more."""
     code = {module: tree for module, tree in trees.items() if module != "__init__.py"}
+    reads = tuple(sum(counts, Counter()) for counts in zip(*map(_reads, code.values())))
     return [f"{module[:-3]}.{name}" for module, tree in code.items()
             for name, node, method in _public_definitions(tree)
-            if sum(_uses(other, method)[node.name] for other in code.values())
-            <= _uses(node, method)[node.name]]
+            if _uses(reads, node.name, method) <= _uses(_reads(node), node.name, method)]
 
 
 def test_every_public_function_has_a_caller_in_src():
