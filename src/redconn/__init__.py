@@ -22,8 +22,8 @@ from .connections import (average_coefficients, baseline_coefficients, baseline_
                           torsion_defect)
 from .orbits import (KKS_MATCH_SIGN, OrbitChart, kks_form, orbit_chart, orbit_tangent_frame,
                      tangent_representative)
-from .reduction import (AutoparallelReport, ReductionContext, SigmaGeometry, autoparallel_check,
-                        build_context, default_chart, isotropic_correction_gram, reduced_form,
+from .reduction import (ReductionContext, SigmaGeometry, autoparallel_check, build_context,
+                        default_chart, isotropic_correction_gram, reduced_form,
                         totally_geodesic_defect)
 from .curvature import (convergence_factor, curvature_battery, curvature_exact,
                         curvature_routes)

@@ -40,8 +40,11 @@ def _load_config(args: argparse.Namespace) -> CaseConfig:
 def _emit(rep: dict, out: str | None, code: int) -> int:
     """Write the report to ``out``, or to stdout without it, and return ``code``;
     EXIT_CONFIG, with one line on stderr, if ``out`` cannot be written."""
+    text = report_mod.dumps(rep)
     try:
-        text = report_mod.write(rep, out)
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except OSError as exc:
         sys.stderr.write(f"redconn: cannot write the report to {out}: {exc.strerror}\n")
         return EXIT_CONFIG

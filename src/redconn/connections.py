@@ -102,7 +102,7 @@ def solve_omega_gram(om: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     of ω is a structural assumption worth surfacing.
     """
     s = np.linalg.svd(om, compute_uv=False)
-    if np.any(s[..., -1] <= 1e-10 * s[..., 0]):
+    if np.any(s[..., -1] <= linalg.RANK_RTOL * s[..., 0]):
         ratio = np.min(s[..., -1] / s[..., 0])
         raise SingularOmega(f"symplectic Gram matrix singular (sigma_min/sigma_max = {ratio:.3e})")
     if rhs.size == 0:  # reshape cannot infer an axis of an empty array

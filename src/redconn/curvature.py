@@ -166,8 +166,9 @@ def curvature_exact(geom: SigmaGeometry, t) -> np.ndarray:
     # N_[E_i, E_j] = Σ c[a, b, x] m[a, i] m[b, j] N[x], one pairwise contraction per factor
     NB = np.tensordot(np.tensordot(np.tensordot(m, c, (0, 0)), m, (1, 0)), N, (1, 0))
     r_mu = (NE[:, None] @ NE[None] - NE[None] @ NE[:, None] - NB).swapaxes(-1, -2)  # [a, b, c, r]
-    # Coad and D at t from the chart's lift block: on the identity fiber, its kernel's bit for bit
-    (coad,), _, (D,) = geom.chart.lift_data(t)
+    # Coad and D at t from the chart's lift block, checked as t's kernel is (``_lift_rows``)
+    coad_t, vecs, D = geom.chart.lift_data(t)
+    coad, D = geom._lift_rows(coad_t, vecs, D, geom.identity[None])[1][0], D[0]
     B = tangent_solve(D0, np.linalg.solve(coad, D))
     r_t = np.tensordot(np.tensordot(np.tensordot(r_mu, B, (0, 0)), B, (0, 0)), B, (0, 0))
     return np.moveaxis(r_t, 0, -1) @ (coad @ D0).T  # r_t[r, i, j, l]: B on slots a, b, c

@@ -64,10 +64,6 @@ class LieAlgebra:
         D.setflags(write=False)
         return D
 
-    @property
-    def has_realization(self) -> bool:
-        return self.realization is not None
-
     def validate(self) -> None:
         """Check antisymmetry (exact), the Jacobi identity, and the realization:
         its commutators, and the ``det_one`` and ``orthogonal`` claims exactly on
@@ -228,8 +224,7 @@ def reductive_complement(a: LieAlgebra, g_mu) -> np.ndarray:
 def group_exp(a: LieAlgebra, X) -> np.ndarray:
     """Ad(exp X) = e^{ad X} for the algebra element with coordinates X, or for a
     stack (…, n) in one ``linalg.expm`` call that gives each row its own result."""
-    X = np.asarray(X, dtype=float)
-    return linalg.expm(a.ad(X), batch_ndim=X.ndim - 1)
+    return linalg.expm(a.ad(X))
 
 
 def coadjoint_matrix(Ad: np.ndarray) -> np.ndarray:

@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 RANK_RTOL = 1e-10
-# Most matrix entries per call when ``expm`` takes independent stacks a few at a
-# time: a large batch's Padé temporaries stay near those of one chart point.
+# Most matrix entries per call when ``expm`` takes a stack's plans apart: a
+# large batch's Padé temporaries stay near those of one chart point.
 _EXPM_CHUNK = 2 ** 13
 
 
@@ -74,14 +74,6 @@ def distinct_rows(keys) -> tuple[list, np.ndarray]:
     slot: dict = {}
     inverse = [slot.setdefault(key, len(slot)) for key in keys]
     return inverse, np.unique(inverse, return_index=True)[1]
-
-
-def solve_columns(A, B) -> np.ndarray:
-    """Minimum-norm least-squares solve of A X = B, column by column."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.asarray(B, dtype=float)
-    X, *_ = np.linalg.lstsq(A, B, rcond=None)
-    return X
 
 
 # Higham, SIAM J. Matrix Anal. Appl. 26 (2005), Table 2.3: the largest 1-norm
@@ -144,16 +136,15 @@ def _expm_plan(norm: float) -> tuple[int, int]:
     return m, (max(0, int(np.ceil(np.log2(norm / _THETA_13)))) if m == 13 else 0)
 
 
-def expm(A, batch_ndim: int = 0, directions=None):
+def expm(A, directions=None):
     """Matrix exponential by scaling and squaring (Higham 2005).
 
     The Padé degree m ∈ {3, 5, 7, 9, 13} is the smallest whose θ_m bounds the
     1-norm; above θ_13, A is scaled by 2^-s into the degree-13 range and the
-    result squared s times.  ``A`` may be a stack (…, n, n): the stack shares
-    one norm (its largest), one power chain and one batched solve, so every
-    matrix gets the degree and scaling of the largest.  The first
-    ``batch_ndim`` axes index independent stacks: each keeps the degree and
-    scaling that a call on it alone picks, and so that call's result.
+    result squared s times.  ``A`` may be a stack (…, n, n): every matrix keeps
+    the degree and scaling that a call on it alone picks, and so that call's
+    result.  When they all share one plan, the stack takes one power chain and
+    one batched solve; otherwise each plan's matrices take calls of their own.
 
     Given ``directions`` (k, r, n), the first r rows of directions whose others
     are 0, for A with A[r:, :r] = 0 (any A when r = n), it also returns those
@@ -161,22 +152,20 @@ def expm(A, batch_ndim: int = 0, directions=None):
     powers and factorization.
     """
     A = np.asarray(A, dtype=float)
-    if A.size == 0:  # an empty stack
-        return np.empty_like(A)
     E = None if directions is None else np.hstack(np.asarray(directions, dtype=float))
-    norms = np.abs(A).sum(axis=-2).reshape(A.shape[:batch_ndim] + (-1,)).max(axis=-1)
-    plans = [_expm_plan(float(norm)) for norm in np.ravel(norms)]
+    plans = [_expm_plan(float(norm)) for norm in np.abs(A).sum(axis=-2).max(axis=-1).ravel()]
     index = {plan: [i for i, p in enumerate(plans) if p == plan] for plan in set(plans)}
     if len(index) == 1 and (len(plans) == 1 or A.size <= _EXPM_CHUNK):
         out = _scaled_pade(A, *plans[0], E)
-    else:  # each plan's stacks in calls of their own, of at most _EXPM_CHUNK entries or one stack
-        flat = A.reshape((len(plans),) + A.shape[batch_ndim:])
-        step = max(1, _EXPM_CHUNK // flat[0].size)
-        chunks = [rows[i:i + step] for rows in index.values() for i in range(0, len(rows), step)]
-        got = [_scaled_pade(flat[rows], *plans[rows[0]], E) for rows in chunks]
-        order = np.argsort(np.concatenate(chunks))
-        out = [np.concatenate(part)[order].reshape(A.shape[:batch_ndim] + part[0].shape[1:])
-               for part in zip(*got)]
+    else:  # each plan's matrices in calls of their own, of ≤ _EXPM_CHUNK entries or one matrix
+        flat = A.reshape((-1,) + A.shape[-2:])
+        out = [np.empty(flat.shape)] + ([] if E is None else [np.empty((len(flat),) + E.shape)])
+        step = max(1, _EXPM_CHUNK // A.shape[-1] ** 2)
+        for plan, rows in index.items():
+            for chunk in (rows[i:i + step] for i in range(0, len(rows), step)):
+                for whole, part in zip(out, _scaled_pade(flat[chunk], *plan, E)):
+                    whole[chunk] = part
+        out = [whole.reshape(A.shape[:-2] + whole.shape[1:]) for whole in out]
     return out[0] if E is None else (out[0], np.stack(np.split(out[1], len(directions), -1), -3))
 
 

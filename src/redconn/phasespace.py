@@ -36,9 +36,11 @@ def _tangent_pair(a: LieAlgebra, u) -> np.ndarray:
 def omega_gram(a: LieAlgebra, xi) -> np.ndarray:
     """Gram matrix Ω(ξ) of ω in the frame, so ω(u, v) = uᵀ Ω v on stacked pairs;
     a stack (…, 2n, 2n) for a stack of fiber points (…, n)."""
-    K = a.bracket_pairing(xi)
-    eye = np.broadcast_to(np.eye(a.dim), K.shape)
-    return np.block([[-K, -eye], [eye, np.zeros_like(eye)]])
+    K, n = a.bracket_pairing(xi), a.dim
+    om = np.zeros(K.shape[:-2] + (2 * n, 2 * n))
+    om[..., :n, :n] = -K
+    om[..., :n, n:], om[..., n:, :n] = -np.eye(n), np.eye(n)
+    return om
 
 
 def symplectic_form(a: LieAlgebra, xi, u, v):

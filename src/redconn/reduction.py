@@ -361,7 +361,7 @@ class SigmaGeometry:
         signed = np.multiply.outer(np.broadcast_to(step, len(params)), (1.0, -1.0))
         ts = (np.reshape(t, (-1, 1, km)) + signed[..., None] * params[:, None, :km]).reshape(-1, km)
         ad_y = self.ctx.algebra.ad(linalg.matvec(self.ctx.split.g_mu, params[:, km:]))
-        shifts = linalg.expm(signed[..., None, None] * ad_y[:, None], batch_ndim=1)
+        shifts = linalg.expm(signed[..., None, None] * ad_y[:, None])
         return ts, (np.reshape(fiber, (-1, 1, self.n, self.n)) @ shifts).reshape(-1, self.n, self.n)
 
     def _induced(self, u, base: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -437,12 +437,6 @@ def totally_geodesic_defect(ctx: ReductionContext) -> float:
                default=0.0)
 
 
-@dataclass(frozen=True)
-class AutoparallelReport:
-    defect: float
-    independence: float | None
-
-
 def _random_stable_complement(ctx: ReductionContext, rng: np.random.Generator) -> np.ndarray | None:
     a = ctx.algebra
     for _ in range(50):
@@ -460,15 +454,17 @@ def _random_stable_complement(ctx: ReductionContext, rng: np.random.Generator) -
 
 
 def autoparallel_check(ctx: ReductionContext, *, geom: SigmaGeometry | None = None,
-                       rng: np.random.Generator) -> AutoparallelReport:
-    """Measure how far the level set is from being autoparallel.
+                       rng: np.random.Generator) -> dict:
+    """Measure how far the level set is from being autoparallel, as the reduce
+    stage reports it: ``{"defect": …, "independence": …}``.
 
     The defect is the largest component of ∇ of level-set frame pairs outside
     the tangent space.  When it vanishes, the reduced connection cannot
     depend on the choice of complement; in that case a second context with a
     randomized valid complement is built and the largest difference of the
     reduced derivative over chart points sampled in ``geom``'s chart (the
-    geometry of ``ctx``) is reported.
+    geometry of ``ctx``) is the independence (0.0 without ``geom``, None when the
+    defect does not vanish or no second complement is found).
     """
     a = ctx.algebra
     n = a.dim
@@ -476,14 +472,14 @@ def autoparallel_check(ctx: ReductionContext, *, geom: SigmaGeometry | None = No
                                                ctx.gamma_mu[:n, :n]))))
     autoparallel = defect <= 1e-10
     if not autoparallel or geom is None:
-        return AutoparallelReport(defect, 0.0 if autoparallel else None)
+        return {"defect": defect, "independence": 0.0 if autoparallel else None}
 
     cand = _random_stable_complement(ctx, rng)
     if cand is None:
-        return AutoparallelReport(defect, None)
+        return {"defect": defect, "independence": None}
     chart = geom.chart
     other = build_context(a, ctx.mu, s_tilde=cand, gamma_mu=ctx.gamma_mu, split=ctx.split)
     geom_b = SigmaGeometry(other, chart)
     ts = [rng.uniform(-0.3, 0.3, size=chart.dim) for _ in range(3)]
     diff = np.abs(geom.kernels(ts, geom.identity).cov - geom_b.kernels(ts, geom_b.identity).cov)
-    return AutoparallelReport(defect, float(np.max(diff)))
+    return {"defect": defect, "independence": float(np.max(diff))}

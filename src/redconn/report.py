@@ -16,11 +16,3 @@ SCHEMA_VERSION = 1
 def dumps(report: dict) -> str:
     # numpy arrays and scalars, the only non-JSON values a report holds
     return json.dumps(report, indent=2, default=lambda value: value.tolist()) + "\n"
-
-
-def write(report: dict, path: str | None) -> str:
-    text = dumps(report)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text

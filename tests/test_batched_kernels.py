@@ -63,10 +63,10 @@ def _record_chart_exponentials(monkeypatch) -> list:
     blocks = []
     expm = linalg.expm
 
-    def recorded(A, batch_ndim=0, directions=None):
+    def recorded(A, directions=None):
         if directions is not None:
             blocks.append(np.array(A))
-        return expm(A, batch_ndim=batch_ndim, directions=directions)
+        return expm(A, directions=directions)
 
     monkeypatch.setattr(linalg, "expm", recorded)
     return blocks

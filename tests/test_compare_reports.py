@@ -144,20 +144,44 @@ def test_export_cases(so3_dumps):
     assert report["report"]["connection"]["label"] == "symplectized(baseline)"
 
 
-def test_every_dumped_report_is_strict_json(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def dumped(tmp_path_factory):
+    """The directory ``dump`` fills from this tree's ``src``."""
+    out = tmp_path_factory.mktemp("dump")
+    assert compare_reports.dump(str(ROOT / "src"), str(out)) == 0
+    return out
+
+
+def test_every_dumped_report_is_strict_json(dumped):
     # JSON has no Infinity or NaN: a report carrying one is rejected whole by
     # strict parsers (a flat case's convergence factor is null, not Infinity)
     def reject(constant):
         raise ValueError(f"{constant} in a report")
 
-    assert compare_reports.dump(str(ROOT / "src"), str(tmp_path)) == 0
-    capsys.readouterr()
-    paths = sorted(tmp_path.glob("*.json"))
+    paths = sorted(dumped.glob("*.json"))
     assert len(paths) == len(compare_reports._cases())
     for path in paths:
         json.loads(path.read_text(), parse_constant=reject)
-    flat = json.loads((tmp_path / "heis3-curvature.json").read_text())
+    flat = json.loads((dumped / "heis3-curvature.json").read_text())
     assert flat["report"]["stages"]["curvature"]["convergence"]["factor"] is None
+
+
+def test_dumps_match_the_committed_reference(dumped):
+    # exit codes, verdicts and defect names exactly; with the numpy and BLAS
+    # builds the reference was made with, every dumped file bit for bit, and
+    # with others every defect under its threshold there stays under it
+    reference = json.loads((ROOT / "tests" / "reference_reports.json").read_text())
+    got = compare_reports.summary(dumped, THRESHOLDS)
+    assert list(got) == list(reference["reports"])
+    same_builds = reference["versions"] == compare_reports.library_versions()
+    for label, want in reference["reports"].items():
+        have = got[label]
+        assert (have["exit_code"], have["verdicts"]) == (want["exit_code"], want["verdicts"]), label
+        assert list(have["defects"]) == list(want["defects"]), label
+        if same_builds:
+            assert have["sha256"] == want["sha256"], label
+        for name, (value, threshold) in want["defects"].items():
+            assert value > threshold or have["defects"][name][0] <= threshold, (label, name)
 
 
 @pytest.mark.parametrize("name", list(CASES))

@@ -8,11 +8,13 @@ keys the curvature stage), on the so3 run record after the connect or the
 reduce stage with one input perturbed, and reads that check's defect.  A
 kernel field is perturbed where the check reads it, by
 wrapping the geometry's ``kernels``, and the formula route's arrays by wrapping
-``curvature._formula``.  On so3 the orbit has dimension 2, where the cyclic
-sum of an antisymmetric ∂Ω, or of an R antisymmetric in its first two slots,
-vanishes exactly, so the closedness and Bianchi controls run on so(4) regular
-(orbit dimension 4), and so do the two ``jet_fd`` controls, one on each half of
-the jet (its chart rows and its fiber rows).
+``curvature._formula``, and ``group_exp`` and ``coadjoint_matrix`` by
+wrapping pipeline's names after the stages.  On so3 the orbit has dimension 2,
+where the cyclic sum of an antisymmetric ∂Ω, or of an R antisymmetric in its
+first two slots, vanishes exactly, so the closedness and Bianchi controls run
+on so(4) regular (orbit dimension 4), and so do the two ``jet_fd`` controls,
+one on each half of the jet (its chart rows and its fiber rows); the
+``l_equivariance`` control runs on so(4) singular, whose stabilizer has k = 4.
 """
 
 from dataclasses import replace
@@ -185,11 +187,88 @@ def test_alpha_identities_fails_on_a_rescaled_alpha(reduced):
     _assert_fails(pipeline._verify_reduction, reduced, "red/alpha-identities", key)
 
 
-def _so4_regular():
-    """The so(4) regular case of ``perfbench/cases.py`` at two samples, and its run
-    record after the reduce stage."""
+@pytest.mark.parametrize("name,key", [("red/sigma-torsion", "sigma_torsion"),
+                                      ("red/sigma-equivariance", "sigma_equivariance")],
+                         ids=["sigma_torsion", "sigma_equivariance"])
+def test_sigma_checks_fail_on_a_moved_gamma(reduced, name, key):
+    # Γ(μ) + 1e-6·δ: torsion of P∘∇ on the frame fields moves with δ antisymmetric
+    # in its two group slots, and equivariance under the stabilizer with a δ
+    # symmetric in them (which adds no torsion) drawn with no symmetry of the
+    # stabilizer's transport
+    assert _check(pipeline._verify_reduction, reduced, name)[1] <= THRESHOLDS[key]
+    n, delta = reduced.a.dim, np.zeros((6, 6, 6))
+    noise = np.random.default_rng(13).standard_normal((6, 6, 6))
+    if key == "sigma_torsion":
+        delta[:n, :n] = noise[:n, :n] - noise[:n, :n].transpose(1, 0, 2)
+    else:
+        delta = noise + noise.transpose(1, 0, 2)
+    reduced.ctx = replace(reduced.ctx, gamma_mu=reduced.ctx.gamma_mu + 1e-6 * delta)
+    _assert_fails(pipeline._verify_reduction, reduced, name, key)
+
+
+def test_geodesic_oracle_fails_on_a_moved_stage_value(reduced):
+    # the check re-derives the reduce stage's totally-geodesic defect by its own
+    # route; the stage's value moved by 1e-6 disagrees with it by 1e-6
+    key = "geodesic_oracle"
+    assert _check(pipeline._verify_reduction, reduced, "red/geodesic-oracle")[1] \
+        <= THRESHOLDS[key]
+    reduced.stages["reduce"]["totally_geodesic_defect"] += 1e-6
+    _assert_fails(pipeline._verify_reduction, reduced, "red/geodesic-oracle", key)
+
+
+def test_complement_equivariance_fails_on_a_tilted_complement(reduced):
+    # m + 1e-6 in its e₃ entry, the direction of g_μ at μ = e₃: the projection
+    # onto g_μ along m stops commuting with ad(g_μ)
+    key = "complement_equivariance"
+    assert _check(pipeline._verify_algebra, reduced, "lie/complement-equivariance")[1] \
+        <= THRESHOLDS[key]
+    m = reduced.ctx.m.copy()
+    m[2] += 1e-6
+    reduced.ctx = replace(reduced.ctx, m=m)
+    _assert_fails(pipeline._verify_algebra, reduced, "lie/complement-equivariance", key)
+
+
+def test_ad_homomorphism_fails_on_a_scaled_group_exp(reduced, monkeypatch):
+    # (1 + 1e-6)·Ad maps [X, Y] to (1 + 1e-6)·Ad[X, Y] and the bracket of the
+    # images to (1 + 1e-6)²·[AdX, AdY]
+    key = "ad_homomorphism"
+    assert _check(pipeline._verify_algebra, reduced, "lie/ad-homomorphism")[1] <= THRESHOLDS[key]
+    group_exp = pipeline.group_exp
+    monkeypatch.setattr(pipeline, "group_exp", lambda a, X: group_exp(a, X) * (1.0 + 1e-6))
+    _assert_fails(pipeline._verify_algebra, reduced, "lie/ad-homomorphism", key)
+
+
+def test_coad_group_law_fails_on_a_scaled_coadjoint_matrix(reduced, monkeypatch):
+    # (1 + 1e-6)·Coad(g) · (1 + 1e-6)·Coad(g⁻¹) = (1 + 1e-6)²·I.  A scaled Ad
+    # would not do: Coad(g)·Coad(g⁻¹) = I for any invertible Ad, and the check
+    # reads 1.1e-16 on one
+    key = "coad_group_law"
+    assert _check(pipeline._verify_algebra, reduced, "lie/coad-group-law")[1] <= THRESHOLDS[key]
+    coadjoint_matrix = pipeline.coadjoint_matrix
+    monkeypatch.setattr(pipeline, "coadjoint_matrix",
+                        lambda Ad: coadjoint_matrix(Ad) * (1.0 + 1e-6))
+    _assert_fails(pipeline._verify_algebra, reduced, "lie/coad-group-law", key)
+
+
+def test_l_equivariance_fails_on_noise_in_the_isotropy_map():
+    # L = δ·Λ·S̃⁺ must commute with the stabilizer's transport; noise on Λ breaks
+    # that.  On so3 (k = 1) Λ is 1×1 and the transport fixes S̃, so noise there
+    # leaves the check at 0.0: the control runs on so(4) singular (k = 4)
+    cfg, run = _so4(1)
+    key = "l_equivariance"
+    assert run.ctx.stabilizer_dim == 4
+    assert _check(pipeline._verify_reduction, run, "red/l-equivariance", cfg)[1] \
+        <= THRESHOLDS[key]
+    noise = np.random.default_rng(15).standard_normal(run.ctx.iso_map.shape)
+    run.ctx = replace(run.ctx, iso_map=run.ctx.iso_map + 1e-6 * noise)
+    _assert_fails(pipeline._verify_reduction, run, "red/l-equivariance", key, cfg)
+
+
+def _so4(case: int = 0):
+    """The so(4) regular (``case`` 0) or singular (1) case of ``perfbench/cases.py``
+    at two samples, and its run record after the reduce stage."""
     cases = perfbench_cases()
-    _, n, weights, _, _ = cases.SO4_CASES[0]
+    _, n, weights, _, _ = cases.SO4_CASES[case]
     cfg = CaseConfig.from_dict({"group": cases.so_n_group(n), "mu": cases.so_n_mu(n, weights),
                                 "samples": 2})
     return cfg, pipeline._run_stages(cfg, "reduce", {}, {})
@@ -218,7 +297,7 @@ def _tangent_noise(K, rng, scale: float) -> np.ndarray:
 def test_reduced_form_closed_fails_on_a_jet_that_differentiates_no_field():
     # the sweep's ∂Ω reads the jet of the lifts; noise on its chart rows is the
     # derivative of no field, so the cyclic sum of ∂Ω stops vanishing
-    cfg, run = _so4_regular()
+    cfg, run = _so4()
     geom, km = run.geom, run.geom.chart.dim
     assert km == 4 and run.sweep["closed"] <= THRESHOLDS["reduced_form_closed"]
     noise = np.random.default_rng(5).standard_normal((km, km, 2 * geom.n)) * 1e-3
@@ -234,7 +313,7 @@ def test_jet_fd_fails_on_noise_in_either_half_of_the_jet(rows):
     # the check differences the lifts along each lift and each stabilizer
     # generator, at t = 0 on two fibers: noise on the jet's chart rows, or on its
     # fiber rows alone, is the derivative of no field
-    cfg, run = _so4_regular()
+    cfg, run = _so4()
     geom, km = run.geom, run.geom.chart.dim
     t = np.asarray(run.stages["reduce"]["chart_points"][0])
     assert geom.ctx.stabilizer_dim == 2
@@ -334,7 +413,7 @@ def test_curvature_bianchi_fails_on_antisymmetric_noise(monkeypatch):
     # noise antisymmetric in (i, j) keeps R antisymmetric, so only the cyclic
     # sum R[i, j, l] + R[j, l, i] + R[l, i, j] moves; on orbit dimension 2 that
     # sum of an antisymmetric array vanishes, so the control runs on so(4)
-    cfg, run = _so4_regular()
+    cfg, run = _so4()
     _curvature_again(cfg, run)
     assert _check(pipeline._verify_curvature, run, "curv/bianchi", cfg)[1] \
         <= THRESHOLDS["curvature_bianchi"]

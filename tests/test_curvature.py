@@ -397,6 +397,18 @@ class TestExactCurvature:
         curvature_exact(SigmaGeometry(ctx, chart), np.array([0.1, -0.2]))
         assert built == []
 
+    def test_raises_past_the_chart_radius_as_the_kernels_do(self):
+        # at t = π·e₀ on so(4) regular the chart-fiber frame is singular: the
+        # point's kernel and both routes raise RankLoss, and so does the exact
+        # curvature, which would otherwise read about 1e-16 there
+        label, a, mu = next(case for case in EXACT_CASES if case[0] == "so4-regular")
+        geom = _geometry(a, mu)
+        bad = np.pi * np.eye(geom.chart.dim)[0]
+        for entry in (lambda: geom.kernels(bad, geom.identity),
+                      lambda: curvature_routes(geom, bad), lambda: curvature_exact(geom, bad)):
+            with pytest.raises(RankLoss, match="chart-fiber frame lost rank"):
+                entry()
+
 
 class TestFormulaStencils:
     @pytest.mark.parametrize("t", [np.zeros(4), np.array([0.12, -0.2, 0.07, 0.15])],

@@ -338,11 +338,11 @@ class TestJsonLoading:
         a = rc.algebra_from_json(AFF1_DOC)
         assert a.dim == 2
         assert a.c[0, 1, 1] == 1.0 and a.c[1, 0, 1] == -1.0
-        assert a.has_realization
+        assert a.realization is not None
 
     def test_string_input(self):
         a = rc.algebra_from_json('{"dim": 2, "brackets": []}')
-        assert a.dim == 2 and not a.has_realization
+        assert a.dim == 2 and a.realization is None
 
     def test_bad_json(self):
         with pytest.raises(ConfigError):

@@ -56,16 +56,23 @@ class TestExpm:
         assert np.max(np.abs(E.T @ E - np.eye(5))) <= 1e-12
 
     def test_stack_matches_one_at_a_time(self, rng):
-        # norms across the bands: the stack shares the largest one's degree
-        # and scaling, the matrices one at a time each take their own
+        # norms across the bands: every matrix of the stack keeps the degree and
+        # scaling of its own call, and so that call's result
         norms = [0.5 * THETAS[0], 0.5, 1.5, 4.0, 12.0, 0.0]
         A = np.array([_with_norm(rng, 6, norm) for norm in norms]).reshape(2, 3, 6, 6)
         E = linalg.expm(A)
         assert E.shape == A.shape
         for idx in np.ndindex(2, 3):
-            one = linalg.expm(A[idx])
-            assert np.linalg.norm(E[idx] - one) <= 1e-12 * np.linalg.norm(one)
+            assert E[idx].tobytes() == linalg.expm(A[idx]).tobytes()
             _assert_matches_reference(E[idx], A[idx])
+
+    def test_empty_stack(self):
+        # no matrix, no plan: the outputs keep the stack's shape, a pair with directions
+        assert linalg.expm(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+        expA, L = linalg.expm(np.zeros((0, 4, 4)), directions=np.zeros((2, 4, 4)))
+        assert expA.shape == (0, 4, 4) and L.shape == (0, 2, 4, 4)
+        expA, L = linalg.expm(np.zeros((3, 0, 5, 5)), directions=np.zeros((2, 3, 5)))
+        assert expA.shape == (3, 0, 5, 5) and L.shape == (3, 0, 2, 3, 5)
 
     @pytest.mark.parametrize("norm", [0.2, 3.0, 12.0])
     def test_inverse_is_the_exponential_of_the_negative(self, rng, norm):
@@ -115,7 +122,7 @@ class TestExpmFrechet:
         # every matrix keeps its own plan, so each result is its one-matrix call's
         A = np.array([_with_norm(rng, 6, norm) for norm in self.NORMS])
         E = rng.standard_normal((4, 6, 6))
-        expA, L = linalg.expm(A, batch_ndim=1, directions=E)
+        expA, L = linalg.expm(A, directions=E)
         assert L.shape == (len(A), 4, 6, 6)
         for a, e, l in zip(A, expA, L):
             one_e, one_l = linalg.expm(a, directions=E)

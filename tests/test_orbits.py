@@ -4,7 +4,7 @@ import scipy.linalg
 
 import redconn as rc
 from redconn import linalg
-from redconn.errors import NotTangent
+from redconn.errors import NotTangent, RankLoss
 from redconn.orbits import kks_pairs
 from redconn.pipeline import CaseConfig
 from tests.conftest import CATALOG_CASES, perfbench_cases
@@ -89,7 +89,18 @@ class TestOrbitChart:
 
     def test_full_rank_within_radius(self, so3_chart, rng):
         for _ in range(5):
-            so3_chart.check_rank(rng.uniform(-0.9, 0.9, 2))
+            assert linalg.rank(so3_chart.dnu(rng.uniform(-0.9, 0.9, 2))) == so3_chart.dim
+
+    def test_degenerate_complement_raises(self, so3, mu_so3):
+        # e3 spans the stabilizer of μ = e3, so its tangent −K(μ)ᵀe3 is 0
+        with pytest.raises(RankLoss, match=r"chart differential lost rank at t = \[0.0, 0.0\]"):
+            rc.orbit_chart(so3, mu_so3, np.eye(3)[:, [0, 2]])
+
+    def test_exp_data_of_no_points(self, so3_chart):
+        # an empty stack of chart points gives every field with no rows
+        coad, vecs, D, d_vecs = so3_chart.exp_data(np.zeros((0, 2)))
+        assert coad.shape == (0, 3, 3) and vecs.shape == D.shape == (0, 3, 2)
+        assert d_vecs.shape == (0, 2, 3, 2)
 
 
 def _exponential_cases() -> list:
@@ -135,10 +146,10 @@ class TestChartExponential:
         plans = []
         expm = linalg.expm
 
-        def recorded(A, batch_ndim=0, directions=None):
+        def recorded(A, directions=None):
             if directions is not None:
                 plans.extend(linalg._expm_plan(float(np.abs(b).sum(axis=0).max())) for b in A)
-            return expm(A, batch_ndim=batch_ndim, directions=directions)
+            return expm(A, directions=directions)
 
         monkeypatch.setattr(linalg, "expm", recorded)
         got = chart.exp_data(ts)

@@ -468,23 +468,21 @@ class TestAutoparallel:
     def test_abelian_trivially_autoparallel(self, rng):
         a = rc.abelian(2)
         ctx = rc.build_context(a, rng.standard_normal(2))
-        report = rc.autoparallel_check(ctx, rng=rng)
-        assert report.defect == 0.0
-        assert report.independence == 0.0
+        assert rc.autoparallel_check(ctx, rng=rng) == {"defect": 0.0, "independence": 0.0}
 
     def test_so3_not_autoparallel(self, so3_ctx, so3_chart, rng):
         report = rc.autoparallel_check(so3_ctx, geom=SigmaGeometry(so3_ctx, so3_chart),
                                        rng=rng)
-        assert report.defect > 1e-3
-        assert report.independence is None
+        assert report["defect"] > 1e-3
+        assert report["independence"] is None
 
     def test_heis3_autoparallel_and_complement_independent(self, heis3_ctx, rng):
         chart = rc.default_chart(heis3_ctx)
         report = rc.autoparallel_check(heis3_ctx, geom=SigmaGeometry(heis3_ctx, chart),
                                        rng=rng)
-        assert report.defect <= 1e-10
-        assert report.independence is not None
-        assert report.independence <= 1e-8
+        assert report["defect"] <= 1e-10
+        assert report["independence"] is not None
+        assert report["independence"] <= 1e-8
 
     def test_heis3_two_contexts_same_reduction(self, heis3_ctx, rng):
         # independent two-context comparison with an explicit custom complement
@@ -577,14 +575,13 @@ class TestPointKernel:
         geom = SigmaGeometry(so3_ctx, so3_chart)
         u = _vec(e2, np.zeros(3))
         singular = np.array([2 * np.pi, 0.0])
-        with pytest.raises(RankLoss):
-            so3_chart.check_rank(singular)
+        assert linalg.rank(so3_chart.dnu(singular)) < so3_chart.dim
         for _ in range(2):
             with pytest.raises(RankLoss):
                 stencil(geom, singular, geom.identity, u, 1e-5,
                               geom.kernels(singular, geom.identity).F, _constant(u))
         near = np.array([6.0, 0.0])
-        so3_chart.check_rank(near)
+        assert linalg.rank(so3_chart.dnu(near)) == so3_chart.dim
         out = stencil(geom, near, geom.identity, u, 1e-5,
                             geom.kernels(near, geom.identity).F, _constant(u))
         assert np.all(np.isfinite(out))

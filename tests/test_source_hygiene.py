@@ -422,7 +422,6 @@ PUBLIC_ENTRY_POINTS = {
     "curvature.convergence_factor": "entry point: the step-halving probe at any point and "
                                     "triple, which acceptance criterion 4 reads",
     "orbits.kks_form": "test oracle: the canonical orbit form, one pair at a time",
-    "orbits.orbit_tangent_frame": "test oracle: the orbit's tangent frame at ν, from no chart",
     "phasespace.left_momentum": "test oracle: the quotient map J(g, ξ) = Coad(g)ξ",
     "orbits.OrbitChart.coords": "test oracle: the chart map's inverse, by Gauss-Newton",
     "orbits.OrbitChart.section_vectors": "test oracle: one point's section velocities",
@@ -511,7 +510,6 @@ class Point:
 # entry being 0, with the reason; every other empty subspace (k = 0, k = n, an
 # empty basis) takes the same SVDs, products and ``np.max(…, initial=0.0)`` as the rest
 EMPTY_GUARDS_ALLOWED = {
-    "linalg.expm": "numpy cannot reshape(…, -1) an empty array, which the stack's norms need",
     "connections.solve_omega_gram": "numpy cannot reshape(…, -1) an empty array",
     "pipeline._verify_algebra": "decides whether the report lists lie/complement-equivariance",
     "pipeline._verify_reduction": "decides whether the report lists red/w1-omega-nondegenerate",

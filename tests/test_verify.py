@@ -412,7 +412,7 @@ def _per_fiber_jet_fd_defect(geom: reduction.SigmaGeometry, t) -> float:
         ts = (np.reshape(t, (-1, 1, km)) + signed[..., None] * params[:, None, :km]).reshape(-1, km)
         if k:
             ad_y = a.ad(linalg.matvec(g_mu, params[:, km:]))
-            shifted = (fiber @ linalg.expm(signed[..., None, None] * ad_y[:, None], batch_ndim=1))
+            shifted = fiber @ linalg.expm(signed[..., None, None] * ad_y[:, None])
             shifted = shifted.reshape(-1, n, n)
         else:
             shifted = np.broadcast_to(fiber, (len(ts), n, n))

@@ -3,6 +3,7 @@
     python3 tools/compare_reports.py dump <src> <dir>
     python3 tools/compare_reports.py diff <a> <b> [--allow-added NAME]... [--allow-removed NAME]...
                                         [--ignore PATH]...
+    python3 tools/compare_reports.py reference <src> <file>
 
 ``dump`` imports ``redconn`` from ``<src>`` (a checkout's ``src`` directory)
 and writes one JSON file per case into ``<dir>``: the report without its
@@ -56,13 +57,23 @@ is each side's headroom: the minimum of log10(threshold / value) over the
 thresholded defects, as ``perfbench/run.py``'s ``check_case`` computes it,
 with the defect that sets it.  The headroom is printed only, never judged.
 Exit status is 0 when every file passes, 1 otherwise.
+
+``reference`` dumps ``<src>`` into a scratch directory and writes to ``<file>``
+what the committed ``tests/reference_reports.json`` holds: for each dump its
+exit code, its verify verdicts (check name -> ``passed``), its thresholded
+defects (name -> [value, threshold], as ``diff`` reads them) and the sha256 of
+the dumped file, with the numpy and BLAS versions the dumps were made with
+(``library_versions``).  A change that moves a report rewrites the file in the
+same diff.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -200,6 +211,40 @@ def _headroom(defects: dict) -> tuple[float, str]:
     return min(((math.log10(threshold / value), name)
                 for name, (value, threshold) in defects.items() if 0 < value <= threshold),
                default=(math.inf, "-"))
+
+
+def library_versions() -> dict:
+    """The numpy and BLAS builds a dump's bits depend on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def summary(dump_dir, thresholds: dict) -> dict:
+    """label -> exit code, verify verdicts, thresholded defects (``_defects``)
+    and sha256 of each file of a dump."""
+    out = {}
+    for path in sorted(Path(dump_dir).glob("*.json")):
+        doc = json.loads(path.read_text())
+        rep = doc["report"]
+        out[path.stem] = {
+            "exit_code": doc["exit_code"],
+            "verdicts": {check["name"]: check["passed"] for check in rep.get("checks", [])},
+            "defects": {name: list(pair) for name, pair in _defects(rep, thresholds).items()},
+            "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+        }
+    return out
+
+
+def reference(src: str, path: str) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        dump(src, tmp)
+        from redconn.pipeline import THRESHOLDS  # the dumped tree's, which dump imported
+
+        doc = {"versions": library_versions(), "reports": summary(tmp, THRESHOLDS)}
+    # each [value, threshold] pair on one line
+    text = re.sub(r"\[\s+([^][]*?),\s+([^][]*?)\s+\]", r"[\1, \2]", json.dumps(doc, indent=1))
+    Path(path).write_text(text + "\n")
+    return 0
 
 
 def _is_number(value) -> bool:
@@ -351,9 +396,14 @@ def main(argv: list) -> int:
     diff_args.add_argument("--ignore", action="append", default=[], metavar="PATH",
                            help="a report key, as /stages/validate/regularity or "
                                 "/checks/<check name>/note, left out of both")
+    reference_args = verbs.add_parser("reference")
+    reference_args.add_argument("src")
+    reference_args.add_argument("file")
     args = parser.parse_args(argv)
     if args.verb == "dump":
         return dump(args.src, args.dir)
+    if args.verb == "reference":
+        return reference(args.src, args.file)
     return diff(args.a, args.b, args.allow_added, args.ignore, args.allow_removed)
 
 
