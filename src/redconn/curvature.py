@@ -73,35 +73,38 @@ def curvature_routes(geom: SigmaGeometry, t, *, fd_step2: float = DEFAULT_FD_STE
 def _routes(geom: SigmaGeometry, jobs: list) -> tuple:
     """Both routes' arrays R[i, j, l] on the jobs (t, step, directions), one list
     each, and the kernels at the jobs' points.  One batch holds the tensor's
-    t ± h·eₓ, the jobs' points and the formula's stencils (``_stencils``); the
-    tensor reads its first two parts and the formula its last two."""
+    t ± h·eₓ, the jobs' points and the formula's stencils (``_stencils``), each
+    distinct (t, fiber) once: the probe's jobs repeat a point, and a stencil can
+    land on a tensor point.  The tensor reads the first two parts, the formula the last two."""
     ts, fibers, *stencils = _stencils(geom, jobs)
     points = np.array([t + sign * h * np.eye(len(t))[x] for t, h, d in jobs
                        for x in dict.fromkeys(d) for sign in (1.0, -1.0)] + [t for t, _, _ in jobs])
-    start = len(points) - len(jobs)  # the jobs' points' first row
-    K = geom.kernels(np.concatenate([points, ts]), np.concatenate(
-        [np.broadcast_to(geom.identity, (len(points), geom.n, geom.n)), fibers]))
-    return (_formula(geom, jobs, stencils, K[start:]), _tensor(geom, jobs, K[: len(points)]),
-            K[start: len(points)])
+    ts, fibers = np.concatenate([points, ts]), np.concatenate(
+        [np.broadcast_to(geom.identity, (len(points), geom.n, geom.n)), fibers])
+    rows, first = linalg.distinct_rows((t.tobytes(), f.tobytes()) for t, f in zip(ts, fibers))
+    K, rows, start = geom.kernels(ts[first], fibers[first]), np.array(rows), len(points) - len(jobs)
+    p, tensor = K[rows[start: len(points)]], rows[: len(points)]  # start: the jobs' first row
+    return (_formula(geom, jobs, stencils, p, K.level[rows[start:]]),
+            _tensor(geom, jobs, K.D[tensor], K.cov[tensor]), p)
 
 
-def _formula(geom: SigmaGeometry, jobs, stencils, K) -> list:
+def _formula(geom: SigmaGeometry, jobs, stencils, p, level) -> list:
     """The lift expansion's arrays on the jobs with their ``_stencils`` (steps,
-    q, x), from the kernels K at the jobs' points and then the stencils' points.
+    q, x), from the kernels p at the jobs' points and the level-set tables
+    ``level`` at the jobs' points and then the stencils' points.
 
     The level-set derivatives ∇_f̄_j f̄_l and their radical parts come from
-    the kernels' level-set tables (``level``), differenced along f̄_x on one
-    stencil per direction x; the bracket [f̄_i, f̄_j] reads the exact
-    derivatives of ``lifts`` the table at t is built from, and the derivatives
-    along it and its radical part are exact too, each contracted with its own
-    job's jet.  Each step is stacked over every entry [a, b] of every job."""
+    the tables, differenced along f̄_x on one stencil per direction x; the
+    bracket [f̄_i, f̄_j] reads the exact derivatives of ``lifts`` along each
+    other (``lift_derivatives`` of p), and the derivatives along it and its
+    radical part are exact too, each contracted with its own job's jet.  Each
+    step is stacked over every entry [a, b] of every job."""
     ctx, km, n = geom.ctx, geom.chart.dim, geom.n
     steps, q, x = stencils
     # [point, j, l, 0] = ∇_f̄_j f̄_l and [point, j, l, 1] = [α(∇_f̄_j f̄_l)]*
-    grads = np.stack([K.level, ctx.alpha_star(K.level)], axis=-2)
+    grads = np.stack([level, ctx.alpha_star(level)], axis=-2)
     d_grads = _central(grads[len(jobs):], steps)
-    p = K[: len(jobs)]
-    u, inner = p.lifts, p.derivs  # inner[job, x, l]: derivative of f̄_l along f̄_x
+    u, inner = p.lifts, geom.lift_derivatives(p, p.lifts)  # inner[job, x, l]: f̄_l along f̄_x
     # outer[r, j, l, s]: induced derivative of grads[q, j, l, s] along f̄_x for the row r = (q, x)
     outer = geom._induced(u[q, x], grads[q], d_grads)
     row = {qx: r for r, qx in enumerate(zip(q.tolist(), x.tolist()))}
@@ -125,17 +128,17 @@ def _formula(geom: SigmaGeometry, jobs, stencils, K) -> list:
     return out
 
 
-def _tensor(geom: SigmaGeometry, jobs, K) -> list:
+def _tensor(geom: SigmaGeometry, jobs, D, cov) -> list:
     """The chart expression's arrays on the jobs, from Γ[j, l, b], chart
     component b of ∇ʳ(f_j) f_l (NotTangent if not an orbit tangent), at each
     job's t ± h·eₓ (x in its distinct directions) and then the jobs' points,
-    whose kernels are K, all by one stacked solve."""
+    whose kernels' D and ``cov`` are D and cov, all by one stacked solve."""
     J = len(jobs)
-    gamma = tangent_solve(K.D, K.cov.reshape(len(K.D), -1, geom.n).swapaxes(1, 2))
+    gamma = tangent_solve(D, cov.reshape(len(D), -1, geom.n).swapaxes(1, 2))
     gamma = gamma.swapaxes(1, 2).reshape((-1,) + (geom.chart.dim,) * 3)
     out = []
     for (t, h, d), g, plus_minus, D_t in zip(jobs, gamma[-J:], np.split(
-            gamma[:-J], np.cumsum([2 * len(set(d)) for _, _, d in jobs])[:-1]), K.D[-J:]):
+            gamma[:-J], np.cumsum([2 * len(set(d)) for _, _, d in jobs])[:-1]), D[-J:]):
         d_gamma = dict(zip(dict.fromkeys(d), _central(plus_minus, h)))
         g = g[d]  # g[a, l, c] = Γ^c_il for i = d[a]
         dg = np.array([d_gamma[x][d] for x in d])  # dg[a, b, l, c] = ∂_i Γ^c_jl, j = d[b]

@@ -220,7 +220,6 @@ class PointKernel:
     lifts: np.ndarray  # row i: H(Ad(h)⁻¹ · section vector i, 0), the lift of D e_i
     F: np.ndarray  # chart-fiber frame [Ad(h)⁻¹ · section vectors | g_μ]
     jet: np.ndarray  # jet[c]: derivative of lifts along parameter c
-    derivs: np.ndarray  # derivs[i, j]: derivative of lifts[j] along lifts[i]
     level: np.ndarray  # level[i, j]: P∘∇ along lifts[i] of lifts[j]
     cov: np.ndarray  # cov[i, j]: pushdown of level[i, j]'s horizontal part, ∇ʳ(f_i) f_j
 
@@ -264,18 +263,11 @@ class SigmaGeometry:
 
     def kernels(self, ts, fibers) -> PointKernel:
         """The kernels at the rows t of ``ts`` and ``fibers`` (one Ad matrix, or
-        one per row), each field stacked over the rows, raising as ``_lift_rows`` at
-        the first row that fails a check; rows with equal (t, fiber) bytes are built
-        once, in one stacked pass."""
+        one per row), every row built in one stacked pass, each field stacked over
+        the rows, raising as ``_lift_rows`` at the first row that fails a check."""
+        ctx = self.ctx
         ts = np.asarray(ts, dtype=float).reshape(-1, self.chart.dim)
         fibers = np.broadcast_to(np.asarray(fibers, dtype=float), (len(ts), self.n, self.n))
-        rows, first = linalg.distinct_rows((t.tobytes(), fiber.tobytes())
-                                           for t, fiber in zip(ts, fibers))
-        return self._build(ts[first], fibers[first])[rows]
-
-    def _build(self, ts: np.ndarray, fibers: np.ndarray) -> PointKernel:
-        """The kernels at the rows of ``ts`` and ``fibers``, each step stacked."""
-        ctx = self.ctx
         coad_t, vecs, D, d_vecs = self.chart.exp_data(ts)
         h_inv, coad, M, F, lifts = self._lift_rows(coad_t, vecs, D, fibers)
         # jet: the horizontal parts of V's row derivatives along each chart and fiber parameter
@@ -284,11 +276,10 @@ class SigmaGeometry:
                                  -rows[:, None] @ self.ad_fiber_T], axis=1)
         jet = d_rows @ self.horizontal_T
         # the table: one frame solve per lift, every product acting on one vector alone
-        derivs = _along(jet, np.linalg.solve(F[:, None], lifts[..., : self.n, None])[..., 0])
-        level = self._induced(lifts, lifts[:, None], derivs)
+        level = self._induced(lifts, lifts[:, None], _along(jet, self._params(F[:, None], lifts)))
         cov = -linalg.matvec((coad @ self.K_T)[:, None, None],
                              ctx.horizontal_part(level)[..., : self.n])
-        return PointKernel(coad, D, M, lifts, F, jet, derivs, level, cov)
+        return PointKernel(coad, D, M, lifts, F, jet, level, cov)
 
     def _lift_rows(self, coad_t, vecs, D, fibers) -> tuple[np.ndarray, ...]:
         """Ad(h)⁻¹, Coad, M, the frame F = [V | g_μ] for V = Ad(h)⁻¹ · vecs and

@@ -70,15 +70,15 @@ def track_geometries(monkeypatch) -> list:
 
 
 def count_builds(monkeypatch) -> list:
-    """The number of rows of each ``SigmaGeometry._build`` call from now on, in order."""
+    """The number of rows of each ``SigmaGeometry.kernels`` call from now on, in order."""
     built = []
-    build = rc.SigmaGeometry._build
+    kernels = rc.SigmaGeometry.kernels
 
     def counted(self, ts, fibers):
-        built.append(len(ts))
-        return build(self, ts, fibers)
+        built.append(len(np.reshape(ts, (-1, self.chart.dim))))
+        return kernels(self, ts, fibers)
 
-    monkeypatch.setattr(rc.SigmaGeometry, "_build", counted)
+    monkeypatch.setattr(rc.SigmaGeometry, "kernels", counted)
     return built
 
 

@@ -1,5 +1,5 @@
 """Batched point kernels.  ``SigmaGeometry.kernels`` builds every kernel of a
-batch, its level table included, in one stacked pass, each distinct point once,
+batch, its level table included, in one stacked pass, every row it is given,
 and no kernel depends on the batch it was built in: each row of a batch below
 is compared with its one-point build bit for bit, field by field, on so(4)
 regular and singular and so(5) regular.  A batch that holds a point past the
@@ -99,9 +99,10 @@ def test_stencil_batches_are_single_builds(case, rng):
         _assert_batch_is_single_builds(ctx, chart, ts, fibers)
 
 
-def _table(K: PointKernel) -> tuple:
-    """The tables of the kernels K and the derivatives they are built from."""
-    return K.level, K.cov, K.derivs
+def _table(geom, K: PointKernel) -> tuple:
+    """The tables of the kernels K and the derivatives of their lifts along each
+    other, which the tables are built from (``lift_derivatives``)."""
+    return K.level, K.cov, geom.lift_derivatives(K, K.lifts)
 
 
 def test_stencil_table_batches_are_single_builds(case, rng, monkeypatch):
@@ -111,11 +112,12 @@ def test_stencil_table_batches_are_single_builds(case, rng, monkeypatch):
     built = count_builds(monkeypatch)
     for ts, fibers in _stencil_sets(ctx, chart, rng):
         built.clear()
-        batch = rc.SigmaGeometry(ctx, chart).kernels(ts, fibers)
-        assert built == [len({(np.asarray(t).tobytes(), f.tobytes()) for t, f in zip(ts, fibers)})]
+        geom = rc.SigmaGeometry(ctx, chart)
+        batch = geom.kernels(ts, fibers)
+        assert built == [len(ts)]
         for row, (t, fiber) in enumerate(zip(ts, fibers)):
-            single = _table(rc.SigmaGeometry(ctx, chart).kernels(t, fiber))
-            for a, b in zip(_table(batch[row:row + 1]), single):
+            single = _table(geom, rc.SigmaGeometry(ctx, chart).kernels(t, fiber))
+            for a, b in zip(_table(geom, batch[row:row + 1]), single):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
@@ -149,7 +151,7 @@ def test_far_apart_points_keep_their_own_pade_plans(case, rng, monkeypatch):
        order=st.lists(st.integers(0, 3), min_size=1, max_size=8))
 def test_random_stacks_are_single_builds(points, order):
     # random chart points (scales 1e-3 to 3) and fibers, in a random order
-    # with repeats; a repeated (t, fiber) gives its first row's kernel
+    # with repeats; a repeated (t, fiber) gives its first row's kernel bit for bit
     ctx, chart = _setup(CASES[0])
     km = chart.dim
     picks = [i % len(points) for i in order]
@@ -160,28 +162,36 @@ def test_random_stacks_are_single_builds(points, order):
         _assert_same(batch[a], batch[picks.index(i)])
 
 
-def test_repeated_rows_are_built_once_per_call(monkeypatch):
-    # rows with equal (t, fiber) bytes reach _build once within a call; −0.0
-    # and +0.0 differ in their bytes and are built apart, each its own one-row
-    # build; a second call keeps nothing of the first
+def test_repeated_rows_are_each_built_bit_for_bit(monkeypatch):
+    # kernels builds every row it is given: rows with equal (t, fiber) bytes
+    # are built twice in one call and come back equal bit for bit; −0.0 and
+    # +0.0 are built apart too, each its own one-row build; a second call keeps
+    # nothing of the first
     ctx, chart = _setup(CASES[0])
     geom = rc.SigmaGeometry(ctx, chart)
-    built = count_builds(monkeypatch)
+    built, lift_rows, checked = count_builds(monkeypatch), rc.SigmaGeometry._lift_rows, []
+
+    def spied(self, coad_t, vecs, D, fibers):
+        checked.append(len(fibers))
+        return lift_rows(self, coad_t, vecs, D, fibers)
+
+    monkeypatch.setattr(rc.SigmaGeometry, "_lift_rows", spied)
     t1, t2, t3 = (np.full(chart.dim, s) for s in (0.1, -0.2, 0.3))
     plus, minus = (sign * 0.0 * np.eye(chart.dim)[0] for sign in (1.0, -1.0))
     fiber = _fiber(ctx, [0.5] * ctx.stabilizer_dim)
     ts = [t1, t1.copy(), t2, t2, plus, minus]
     first = geom.kernels(ts, [geom.identity, np.eye(geom.n), geom.identity, fiber,
                               geom.identity, geom.identity])
-    assert built == [5]
+    assert built == checked == [6] and len(first.lifts) == 6
     _assert_same(first[0], first[1])
     assert first.lifts[2].tobytes() != first.lifts[3].tobytes()
     for row, t in enumerate(ts):
         fiber_row = fiber if row == 3 else geom.identity
         _assert_same(first[row], rc.SigmaGeometry(ctx, chart).kernels(t, fiber_row)[0])
     built.clear()
+    checked.clear()
     again = geom.kernels([t2, t3, t1], geom.identity)
-    assert built == [3]
+    assert built == checked == [3]
     _assert_same(again[0], first[2])
     _assert_same(again[2], first[0])
 
@@ -267,8 +277,8 @@ def test_table_batch_raises_only_at_its_rank_loss_point(rank_loss, monkeypatch):
     assert jets == []
     batch = geom.kernels(good, geom.identity)
     for row, t in enumerate(good):
-        single = _table(rc.SigmaGeometry(ctx, chart).kernels(t, geom.identity))
-        for a, b in zip(_table(batch[row:row + 1]), single):
+        single = _table(geom, rc.SigmaGeometry(ctx, chart).kernels(t, geom.identity))
+        for a, b in zip(_table(geom, batch[row:row + 1]), single):
             assert a.tobytes() == b.tobytes()
 
 

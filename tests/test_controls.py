@@ -14,15 +14,21 @@ where the cyclic sum of an antisymmetric ∂Ω, or of an R antisymmetric in its
 first two slots, vanishes exactly, so the closedness and Bianchi controls run
 on so(4) regular (orbit dimension 4), and so do the two ``jet_fd`` controls,
 one on each half of the jet (its chart rows and its fiber rows); the
-``l_equivariance`` control runs on so(4) singular, whose stabilizer has k = 4.
+``l_equivariance`` control runs on so(4) singular, whose stabilizer has k = 4,
+and the ``isotropy`` control on so(4) regular (k = 2): with k = 1, SᵀΩS is a
+1×1 antisymmetric matrix, 0 for any S.  A context field the geometry reads at
+construction (ω(μ), Γ(μ)) is perturbed on a new geometry, and a stage's own
+linear algebra by wrapping the function it calls while the stage runs again.
+Every ``THRESHOLDS`` key has a control here.
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from redconn import curvature, linalg, pipeline
+from redconn import curvature, linalg, pipeline, reduction
 from redconn.connections import finite_cyclic_rule, symplectized_coefficients
 from redconn.liealg import LieAlgebra
 from redconn.phasespace import right_generator
@@ -428,3 +434,138 @@ def test_curvature_bianchi_fails_on_antisymmetric_noise(monkeypatch):
     assert _check(pipeline._verify_curvature, run, "curv/antisymmetry", cfg)[1] \
         <= THRESHOLDS["curvature_antisymmetry"]
     _assert_fails(pipeline._verify_curvature, run, "curv/bianchi", "curvature_bianchi", cfg)
+
+
+def _antisymmetric(shape, seed: int) -> np.ndarray:
+    """δ − δ swapped in its first two indices, for seeded N(0, 1) noise δ."""
+    delta = np.random.default_rng(seed).standard_normal(shape)
+    return delta - delta.swapaxes(0, 1)
+
+
+def test_jacobi_fails_on_antisymmetric_noise_in_the_brackets(reduced):
+    # c + 1e-6·(δ − δ swapped) keeps the bracket antisymmetric, as an algebra
+    # must be, but breaks the Jacobi identity; replace skips ``validate``
+    key = "jacobi"
+    assert _check(pipeline._verify_algebra, reduced, "lie/jacobi")[1] <= THRESHOLDS[key]
+    reduced.a = replace(reduced.a, c=reduced.a.c + 1e-6 * _antisymmetric((3, 3, 3), 16))
+    _assert_fails(pipeline._verify_algebra, reduced, "lie/jacobi", key)
+
+
+def test_baseline_torsion_fails_on_antisymmetric_noise(run):
+    # Γ°(X, Y) − Γ°(Y, X) moves by twice the noise's part antisymmetric in (X, Y)
+    key = "baseline_torsion"
+    assert _check(pipeline._verify_connections, run, "conn/baseline-torsion")[1] \
+        <= THRESHOLDS[key]
+    run.base = run.base + 1e-6 * _antisymmetric((6, 6, 6), 17)
+    _assert_fails(pipeline._verify_connections, run, "conn/baseline-torsion", key)
+
+
+def test_symplectized_torsion_fails_on_a_baseline_with_torsion(monkeypatch):
+    # the symplectization adds a part symmetric in its first two slots, so a
+    # baseline with torsion hands its torsion on to the connect stage's Γ(ξ)
+    key = "symplectized_torsion"
+    assert _check(pipeline._verify_connections, pipeline._run_stages(SO3, "connect", {}, {}),
+                  "conn/torsion")[1] <= THRESHOLDS[key]
+    baseline, delta = pipeline.baseline_coefficients, _antisymmetric((6, 6, 6), 17)
+    monkeypatch.setattr(pipeline, "baseline_coefficients", lambda a: baseline(a) + 1e-6 * delta)
+    rerun = pipeline._run_stages(SO3, "connect", {}, {})
+    _assert_fails(pipeline._verify_connections, rerun, "conn/torsion", key)
+
+
+def test_isotropy_fails_on_a_sheared_complement(monkeypatch):
+    # S + 1e-6·(S rolled by one row) is no longer isotropic.  With k = 1, SᵀΩS
+    # is a 1×1 antisymmetric matrix, 0 for any S, so the check cannot fail on
+    # so3 or any catalog case: the control runs on so(4) regular (k = 2)
+    key = "isotropy"
+    cfg, run = _so4()
+    assert run.ctx.stabilizer_dim == 2
+    assert _check(pipeline._verify_reduction, run, "red/s-isotropic", cfg)[1] <= THRESHOLDS[key]
+    correction = reduction.isotropic_correction_gram
+
+    def sheared(om, s_tilde, delta):
+        S, lam = correction(om, s_tilde, delta)
+        return S + 1e-6 * np.roll(S, 1, axis=0), lam
+
+    monkeypatch.setattr(reduction, "isotropic_correction_gram", sheared)
+    _assert_fails(pipeline._verify_reduction, _so4()[1], "red/s-isotropic", key, cfg)
+
+
+def test_projector_idempotent_fails_on_a_scaled_inverse(reduced, monkeypatch):
+    # P = Q·diag(1, 0)·Q⁻¹ built with Q⁻¹ × (1 + 1e-6), the context's one
+    # inverse: P² − P = 1e-6·P to first order
+    key = "projector_idempotent"
+    assert _check(pipeline._verify_reduction, reduced, "red/projector-idempotent")[1] \
+        <= THRESHOLDS[key]
+    build, inv = pipeline.build_context, np.linalg.inv
+
+    def scaled(*args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "inv", lambda A: inv(A) * (1.0 + 1e-6))
+            return build(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "build_context", scaled)
+    rerun = pipeline._run_stages(SO3, "reduce", {}, {})
+    _assert_fails(pipeline._verify_reduction, rerun, "red/projector-idempotent", key)
+
+
+def test_kks_match_fails_on_a_scaled_omega(reduced):
+    # ω(μ) × (1 + 1e-6) scales the reduced form on the lifts, and the KKS form
+    # at Coad·μ does not read it; the sweep's other form checks scale on both sides
+    key = "kks_match"
+    assert _check(pipeline._verify_reduction, reduced, "red/kks-match")[1] <= THRESHOLDS[key]
+    ctx = replace(reduced.ctx, omega_mu=reduced.ctx.omega_mu * (1.0 + 1e-6))
+    reduced.geom = reduction.SigmaGeometry(ctx, reduced.geom.chart)
+    _sweep_again(reduced)
+    _assert_fails(pipeline._verify_reduction, reduced, "red/kks-match", key)
+
+
+def test_reduced_oracle_fails_on_a_scaled_level_table(reduced):
+    # the Gram oracle solves from ``level``, which ``cov`` was pushed down from
+    # before the scale: the two differ by 1e-6·|cov|
+    key = "reduced_oracle"
+    assert _check(pipeline._verify_reduction, reduced, "red/reduced-oracle")[1] \
+        <= THRESHOLDS[key]
+    _perturb(reduced.geom, lambda K: replace(K, level=K.level * (1.0 + 1e-6)))
+    _sweep_again(reduced)
+    _assert_fails(pipeline._verify_reduction, reduced, "red/reduced-oracle", key)
+
+
+def test_reduced_form_parallel_fails_on_a_scaled_cov_table(reduced):
+    # ∂ₓΩ reads the jet, Ω(∇ʳ_x f_i, f_j) the scaled ``cov``.  A scale keeps
+    # ``cov`` tangent; additive noise would make the sweep's lift raise NotTangent
+    key = "reduced_form_parallel"
+    assert _check(pipeline._verify_reduction, reduced, "red/reduced-form-parallel")[1] \
+        <= THRESHOLDS[key]
+    _perturb(reduced.geom, lambda K: replace(K, cov=K.cov * (1.0 + 1e-4)))
+    _sweep_again(reduced)
+    _assert_fails(pipeline._verify_reduction, reduced, "red/reduced-form-parallel", key)
+
+
+def test_symplectized_nabla_omega_fails_on_the_baseline(run):
+    # the bi-invariant baseline is torsion-free but does not preserve ω; its
+    # symplectization does
+    key = "symplectized_nabla_omega"
+    assert _check(pipeline._verify_connections, run, "conn/nabla-omega")[1] <= THRESHOLDS[key]
+    cfg = CaseConfig.from_dict({"group": "so3", "mu": [0.0, 0.0, 1.0], "connection": "baseline"})
+    baseline = pipeline._run_stages(cfg, "connect", {}, {})
+    _assert_fails(pipeline._verify_connections, baseline, "conn/nabla-omega", key, cfg)
+
+
+def test_curvature_symplectic_fails_on_an_unprojected_connection(reduced):
+    # the baseline plus a symmetrized δ (acceptance criterion 4's control) is
+    # torsion-free but not symplectic, so its reduced curvature is not ω-valued
+    key = "curvature_symplectic"
+    _curvature_again(SO3, reduced)
+    assert _check(pipeline._verify_curvature, reduced, "curv/symplectic-valued")[1] \
+        <= THRESHOLDS[key]
+    gamma = pipeline.baseline_coefficients(reduced.a) + symmetrized(0.5 * _delta(7))
+    reduced.ctx = replace(reduced.ctx, gamma_mu=gamma)
+    reduced.geom = reduction.SigmaGeometry(reduced.ctx, reduced.geom.chart)
+    _curvature_again(SO3, reduced)
+    _assert_fails(pipeline._verify_curvature, reduced, "curv/symplectic-valued", key)
+
+
+def test_every_threshold_key_has_a_control():
+    # a key no control here names is a check nothing shows can fail
+    source = Path(__file__).read_text(encoding="utf-8")
+    assert [key for key in THRESHOLDS if f'"{key}"' not in source] == []

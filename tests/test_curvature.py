@@ -451,7 +451,7 @@ def _formula_per_pair(geom, t, dirs):
 
     xs = list(dict.fromkeys(dirs))
     d_grads = stencil(geom, t, e, u[xs], 1e-4, K.F, grads)
-    inner = K.derivs[0]
+    inner = geom.lift_derivatives(K, K.lifts)[0]
     outer = {x: geom._induced(u[x], grads(t[None], e[None])[0], d) for x, d in zip(xs, d_grads)}
     out = np.zeros((len(dirs), len(dirs), km, geom.n))
     for a, i in enumerate(dirs):
@@ -527,23 +527,46 @@ class TestStackedJobs:
                 curvature._routes(SigmaGeometry(ctx, chart), [(t, 1e-4, [0, 1]) for t in ts])
 
     def test_each_entry_point_builds_one_batch(self, so3_setup, monkeypatch):
-        # _routes lays out each call's batch: one kernels call, so one build,
-        # per curvature_routes, curvature_battery or convergence_factor call
+        # _routes lays out each call's batch: one kernels call per
+        # curvature_routes, curvature_battery or convergence_factor call
         _, ctx, chart = so3_setup
         geom, t = SigmaGeometry(ctx, chart), np.array([0.1, -0.2])
-        kernels, calls = SigmaGeometry.kernels, []
-
-        def counted(self, ts, fibers):
-            calls.append(len(ts))
-            return kernels(self, ts, fibers)
-
-        monkeypatch.setattr(SigmaGeometry, "kernels", counted)
         built = count_builds(monkeypatch)
         curvature_routes(geom, t)
-        assert calls == built == [2 * 2 + 1 + 2 * 2]  # t ± h·eₓ, t, the stencils along f̄_x
+        assert built == [2 * 2 + 1 + 2 * 2]  # t ± h·eₓ, t, the stencils along f̄_x
         curvature_battery(geom, [t, np.zeros(2)])
         convergence_factor(geom, t)
-        assert len(calls) == len(built) == 3
+        assert len(built) == 3
+
+    def test_routes_builds_its_distinct_rows_in_one_call(self, monkeypatch):
+        # the battery's batch repeats rows (the probe's two jobs sit at
+        # t_points[0] = 0, where the formula's stencils land bit for bit on the
+        # tensor's t ± h·eₓ); _routes drops them and asks kernels once, for
+        # pairwise distinct rows: on perfbench's so(4) regular case (seed 1), 35
+        # rows of which 17 are distinct
+        cfg = CaseConfig.from_dict(perfbench_cases().so4_full_cases(1)[0]["config"])
+        distinct, asked, batches = linalg.distinct_rows, [], []
+
+        def spied(keys):
+            keys = list(keys)
+            if keys and isinstance(keys[0], tuple):  # (t, fiber) bytes, not exp_data's t
+                asked.append(keys)
+            return distinct(keys)
+
+        kernels = SigmaGeometry.kernels
+
+        def recorded(self, ts, fibers):
+            batches.append([(t.tobytes(), f.tobytes()) for t, f in zip(ts, fibers)])
+            return kernels(self, ts, fibers)
+
+        run = pipeline._run_stages(cfg, "reduce", {}, {})
+        pts = pipeline._sample_points(cfg, run.geom.chart.dim, run.rng)[: max(1, cfg.samples // 2)]
+        monkeypatch.setattr(linalg, "distinct_rows", spied)
+        monkeypatch.setattr(SigmaGeometry, "kernels", recorded)
+        curvature_battery(run.geom, pts)
+        (keys,), (rows,) = asked, batches
+        assert len(keys) == 35 and len(rows) == len(set(rows)) == 17
+        assert rows == list(dict.fromkeys(keys))
 
     @pytest.mark.parametrize("case", perfbench_cases().SO4_CASES, ids=lambda c: c[0])
     def test_curvature_stage_builds_one_batch(self, case, monkeypatch):
@@ -554,11 +577,11 @@ class TestStackedJobs:
         cases = perfbench_cases()
         _, n, weights, _, samples = case
         doc = {"group": cases.so_n_group(n), "mu": cases.so_n_mu(n, weights)}
-        battery, build, builds, stage = pipeline.curvature_battery, SigmaGeometry._build, [], []
+        battery, kernels, builds, stage = pipeline.curvature_battery, SigmaGeometry.kernels, [], []
 
         def counted(self, ts, fibers):
             stage[-1:] = [stage[-1] + 1] if stage else []
-            return build(self, ts, fibers)
+            return kernels(self, ts, fibers)
 
         def staged(geom, pts):
             stage.append(0)
@@ -566,7 +589,7 @@ class TestStackedJobs:
             builds.append(stage.pop())
             return out
 
-        monkeypatch.setattr(SigmaGeometry, "_build", counted)
+        monkeypatch.setattr(SigmaGeometry, "kernels", counted)
         monkeypatch.setattr(pipeline, "curvature_battery", staged)
         for extra in ({}, {"samples": 6}):
             rep, code = run_pipeline(CaseConfig.from_dict(dict(doc, **extra)), "curvature")
@@ -592,7 +615,7 @@ class TestStackedJobs:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(SigmaGeometry, "_build", counted("build", SigmaGeometry._build))
+        monkeypatch.setattr(SigmaGeometry, "kernels", counted("build", SigmaGeometry.kernels))
         monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", np.linalg.lstsq))
         solve = counted("tangent_solve", curvature.tangent_solve)
         monkeypatch.setattr(curvature, "tangent_solve", solve)
@@ -665,27 +688,28 @@ class TestConvergence:
         # the probe reads R(f_i, f_j)f_l only, on its own geometry: the table at
         # t and, for each step, the formula's two stencil points along f̄_i and
         # f̄_j and the tensor's t ± h·eᵢ, t ± h·eⱼ, every table whole and built
-        # once; the kernel at t is in one batch with every displaced kernel, and
-        # the exact reference builds none
+        # once (both steps' jobs sit at t, which _routes builds once); the
+        # kernel at t is in one batch with every displaced kernel, and the
+        # exact reference builds none
         ctx = rc.build_context(_so4(), np.array([1.0, 0.0, 0.0, 0.0, 0.0, 2.0]))
         chart = rc.default_chart(ctx)
         t = np.array([0.1, -0.05, 0.08, 0.02])
         geometries = track_geometries(monkeypatch)
         batches = []
-        build = SigmaGeometry._build
+        kernels = SigmaGeometry.kernels
 
         def counted(self, ts, fibers):
-            batches.append((ts, build(self, ts, fibers)))
+            batches.append((ts, kernels(self, ts, fibers)))
             return batches[-1][1]
 
-        monkeypatch.setattr(SigmaGeometry, "_build", counted)
+        monkeypatch.setattr(SigmaGeometry, "kernels", counted)
         convergence_factor(SigmaGeometry(ctx, chart), t, inputs=(0, 2, 1))
         assert len(geometries) == 1  # the reference shares the probe's geometry
         geom, = geometries
         displaced = 2 * (2 * 2 + 2 * 2)
         (ts, K), = batches
         assert len(ts) == 1 + displaced and t.tobytes() in {row.tobytes() for row in ts}
-        assert K.level.shape == K.derivs.shape == (len(ts), chart.dim, chart.dim, 2 * geom.n)
+        assert K.level.shape == (len(ts), chart.dim, chart.dim, 2 * geom.n)
         assert K.cov.shape == (len(ts), chart.dim, chart.dim, geom.n)
 
     def test_so4_regular_probe_measures_truncation(self):

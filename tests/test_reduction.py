@@ -705,8 +705,9 @@ class TestCovTable:
         assert np.any(t != 0.0)
         random_fiber = rc.group_exp(a, ctx.split.g_mu @ rng.uniform(-1, 1, ctx.stabilizer_dim))
         for fiber in (np.eye(a.dim), random_fiber):
-            table = SigmaGeometry(ctx, chart).kernels(t, fiber)
-            full, derivs = table.level[0], table.derivs[0]
+            whole = SigmaGeometry(ctx, chart)
+            table = whole.kernels(t, fiber)
+            full, derivs = table.level[0], whole.lift_derivatives(table, table.lifts)[0]
             for r in range(chart.dim):
                 geom = SigmaGeometry(ctx, chart)
                 K = geom.kernels(t, fiber)
@@ -729,7 +730,7 @@ class TestCovTable:
         geom = SigmaGeometry(ctx, chart)
         t = np.linspace(-0.2, 0.15, chart.dim)
         K = geom.kernels(t, geom.identity)
-        level, cov, derivs = K.level[0], K.cov[0], K.derivs[0]
+        level, cov, derivs = K.level[0], K.cov[0], geom.lift_derivatives(K, K.lifts)[0]
         (richardson_stencil if richardson else stencil)(
             geom, t, geom.identity, K.lifts[0], 1e-3, K.F,
             lambda ts, fibers: geom.kernels(ts, fibers).lifts)
@@ -738,7 +739,7 @@ class TestCovTable:
         again = geom.kernels(t.copy(), np.eye(geom.n))
         assert again.level is not K.level
         for value, kept in ((again.level[0], level), (again.cov[0], cov),
-                            (again.derivs[0], derivs)):
+                            (geom.lift_derivatives(again, again.lifts)[0], derivs)):
             assert value.tobytes() == kept.tobytes()
         assert built == [1] + [2 * chart.dim] * (2 if richardson else 1) + [1]
         ref = weakref.ref(geom)
