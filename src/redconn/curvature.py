@@ -79,11 +79,12 @@ def _routes(geom: SigmaGeometry, jobs: list) -> tuple:
     ts, fibers, *stencils = _stencils(geom, jobs)
     points = np.array([t + sign * h * np.eye(len(t))[x] for t, h, d in jobs
                        for x in dict.fromkeys(d) for sign in (1.0, -1.0)] + [t for t, _, _ in jobs])
+    start = len(points) - len(jobs)  # the jobs' points' first row
     ts, fibers = np.concatenate([points, ts]), np.concatenate(
         [np.broadcast_to(geom.identity, (len(points), geom.n, geom.n)), fibers])
     rows, first = linalg.distinct_rows((t.tobytes(), f.tobytes()) for t, f in zip(ts, fibers))
-    K, rows, start = geom.kernels(ts[first], fibers[first]), np.array(rows), len(points) - len(jobs)
-    p, tensor = K[rows[start: len(points)]], rows[: len(points)]  # start: the jobs' first row
+    K, rows = geom.kernels(ts[first], fibers[first]), np.array(rows)
+    p, tensor = K[rows[start: len(points)]], rows[: len(points)]
     return (_formula(geom, jobs, stencils, p, K.level[rows[start:]]),
             _tensor(geom, jobs, K.D[tensor], K.cov[tensor]), p)
 

@@ -265,7 +265,6 @@ class SigmaGeometry:
         """The kernels at the rows t of ``ts`` and ``fibers`` (one Ad matrix, or
         one per row), every row built in one stacked pass, each field stacked over
         the rows, raising as ``_lift_rows`` at the first row that fails a check."""
-        ctx = self.ctx
         ts = np.asarray(ts, dtype=float).reshape(-1, self.chart.dim)
         fibers = np.broadcast_to(np.asarray(fibers, dtype=float), (len(ts), self.n, self.n))
         coad_t, vecs, D, d_vecs = self.chart.exp_data(ts)
@@ -278,7 +277,7 @@ class SigmaGeometry:
         # the table: one frame solve per lift, every product acting on one vector alone
         level = self._induced(lifts, lifts[:, None], _along(jet, self._params(F[:, None], lifts)))
         cov = -linalg.matvec((coad @ self.K_T)[:, None, None],
-                             ctx.horizontal_part(level)[..., : self.n])
+                             self.ctx.horizontal_part(level)[..., : self.n])
         return PointKernel(coad, D, M, lifts, F, jet, level, cov)
 
     def _lift_rows(self, coad_t, vecs, D, fibers) -> tuple[np.ndarray, ...]:
