@@ -560,10 +560,9 @@ class TestStackedJobs:
             return kernels(self, ts, fibers)
 
         run = pipeline._run_stages(cfg, "reduce", {}, {})
-        pts = pipeline._sample_points(cfg, run.geom.chart.dim, run.rng)[: max(1, cfg.samples // 2)]
         monkeypatch.setattr(linalg, "distinct_rows", spied)
         monkeypatch.setattr(SigmaGeometry, "kernels", recorded)
-        curvature_battery(run.geom, pts)
+        pipeline._stage_curvature(cfg, run)
         (keys,), (rows,) = asked, batches
         assert len(keys) == 35 and len(rows) == len(set(rows)) == 17
         assert rows == list(dict.fromkeys(keys))
