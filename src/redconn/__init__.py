@@ -8,20 +8,19 @@ cross-validates the reduced connection and its curvature against independent
 oracles.
 """
 
-from .errors import (AssumptionTwoFailure, ConfigError, DegeneratePairing, NoRealization,
-                     NonReductiveStabilizer, NotTangent, PointOffConstraint, RankLoss,
-                     ReductionError, SingularOmega, SingularProjection, ZeroDimensionalBase)
+from .errors import (AssumptionTwoFailure, ConfigError, DegeneratePairing, NonReductiveStabilizer,
+                     NotTangent, PointOffConstraint, RankLoss, ReductionError, SingularOmega,
+                     SingularProjection, ZeroDimensionalBase)
 from .liealg import (LieAlgebra, abelian, algebra_from_json, coadjoint_matrix, group_exp,
                      heis3, named_algebra, reductive_complement, se2, sl2r, so3,
                      stabilizer_algebra, su2)
-from .phasespace import (ConstraintSplit, constraint_split, left_momentum, omega_gram,
-                         regularity_report, right_generator, symplectic_form)
+from .phasespace import (ConstraintSplit, constraint_split, omega_gram, regularity_report,
+                         right_generator, symplectic_form)
 from .connections import (average_coefficients, baseline_coefficients, baseline_nabla_omega,
                           connection_to_json, finite_cyclic_rule, nabla_omega,
                           nabla_omega_defect, pullback_coefficients, symplectized_coefficients,
                           torsion_defect)
-from .orbits import (KKS_MATCH_SIGN, OrbitChart, kks_form, orbit_chart, orbit_tangent_frame,
-                     tangent_representative)
+from .orbits import KKS_MATCH_SIGN, OrbitChart, orbit_chart, orbit_tangent_frame
 from .reduction import (ReductionContext, SigmaGeometry, autoparallel_check, build_context,
                         default_chart, isotropic_correction_gram, reduced_form,
                         totally_geodesic_defect)

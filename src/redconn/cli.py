@@ -4,7 +4,7 @@ Verbs: validate, reduce, curvature, verify, export-connection.  Every verb
 reads a JSON case configuration, emits a JSON report (stdout or --out), and
 exits 0 on success, 2 on configuration errors (an --out path that cannot be
 written included), 3 on failed structural assumptions, and 4 on numerical
-failures.
+failures (a refused allocation included).
 """
 
 from __future__ import annotations

@@ -9,10 +9,6 @@ class ConfigError(ReductionError):
     """Malformed configuration input."""
 
 
-class NoRealization(ReductionError):
-    """Operation needs a matrix realization the algebra does not carry."""
-
-
 class NonReductiveStabilizer(ReductionError):
     """The stabilizer subalgebra admits no ad-stable complement."""
 

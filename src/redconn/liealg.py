@@ -4,8 +4,8 @@ An algebra is stored as its dimension n together with the rank-3 array of
 structure constants ``c[i, j, k]``, the e_k-coefficient of [e_i, e_j].  These
 fix the group kernels: a group element is its n×n Ad matrix, Ad(exp X) = e^{ad X}
 and Coad(g) = Ad(g)⁻ᵀ.  The named catalog algebras also carry a faithful matrix
-realization, which ``LieAlgebra.validate`` checks once, at load, and which
-``matrix_coords`` reads: an independent route that tests compare against.
+realization, which ``LieAlgebra.validate`` checks once, at load; nothing at
+run time reads it, so tests can use it as an independent route.
 
 Conventions used throughout the library:
 
@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .errors import ConfigError, NoRealization, NonReductiveStabilizer
+from .errors import ConfigError, NonReductiveStabilizer
 
 JACOBI_TOL = 1e-12
 REALIZATION_TOL = 1e-12
@@ -131,18 +131,6 @@ class LieAlgebra:
         """Antisymmetric matrix K(ξ) with K[i, j] = ⟨ξ, [e_i, e_j]⟩, stacked like ξ."""
         xi = np.asarray(xi, dtype=float)
         return np.einsum("ijk,...k->...ij", self.c, xi)
-
-    def matrix_coords(self, M) -> np.ndarray:
-        """Coordinates of a realization matrix in the algebra basis."""
-        if self.realization is None:
-            raise NoRealization(f"algebra {self.name or '<anonymous>'} has no matrix realization")
-        R = self.realization.reshape(self.dim, -1).T
-        coords, *_ = np.linalg.lstsq(R, np.asarray(M, dtype=float).ravel(), rcond=None)
-        residual = np.linalg.norm(R @ coords - np.asarray(M, dtype=float).ravel())
-        scale = max(1.0, float(np.linalg.norm(M)))
-        if residual > 1e-8 * scale:
-            raise ValueError(f"matrix is not in the realized algebra (residual {residual:.3e})")
-        return coords
 
 
 def stabilizer_algebra(a: LieAlgebra, mu) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotTangent, RankLoss
-from .liealg import LieAlgebra, coadjoint_matrix, group_exp
+from .liealg import LieAlgebra
 
 TANGENT_RTOL = 1e-8  # largest residual of an orbit tangent v, relative to max(1, |v|)
 # Global sign relating the reduced 2-form to the canonical orbit form under
@@ -41,14 +41,6 @@ class OrbitChart:
     @property
     def dim(self) -> int:
         return self.m_basis.shape[1]
-
-    def section_element(self, t) -> np.ndarray:
-        """Ad matrix of the group element exp(Σ t_a E_a)."""
-        return group_exp(self.algebra, self.m_basis @ np.asarray(t, dtype=float))
-
-    def nu(self, t) -> np.ndarray:
-        """Orbit point Coad(exp(Σ t_a E_a))μ."""
-        return coadjoint_matrix(self.section_element(t)) @ self.mu
 
     def exp_data(self, ts, derivatives: bool = True) -> tuple[np.ndarray, ...]:
         """Coad(exp A), the section vectors, the chart differential and (unless
@@ -77,27 +69,6 @@ class OrbitChart:
     def lift_data(self, ts) -> tuple[np.ndarray, ...]:
         """``exp_data`` without the derivatives, its exponentials bit for bit."""
         return self.exp_data(ts, derivatives=False)
-
-    def section_vectors(self, t) -> np.ndarray:
-        """Left-trivialized velocities of the chart directions at t: column a is
-        exp(A)⁻¹ d/ds exp(A + s E_a)|_0 = φ₁(−ad A) E_a."""
-        return self.lift_data(t)[1][0]
-
-    def dnu(self, t) -> np.ndarray:
-        """Chart differential: column a is -Coad(g) (μ∘ad(X_a(t)))."""
-        return self.lift_data(t)[2][0]
-
-    def coords(self, nu_target, t0=None) -> np.ndarray:
-        """Invert the chart map near t0 by Gauss-Newton iteration."""
-        nu_target = np.asarray(nu_target, dtype=float)
-        t = np.zeros(self.dim) if t0 is None else np.asarray(t0, dtype=float).copy()
-        for _ in range(50):
-            r = nu_target - self.nu(t)
-            if np.linalg.norm(r) <= 1e-13 * max(1.0, np.linalg.norm(nu_target)):
-                return t
-            step, *_ = np.linalg.lstsq(self.dnu(t), r, rcond=None)
-            t = t + step
-        raise RankLoss("chart inversion did not converge; point may be outside the chart")
 
 
 def orbit_chart(a: LieAlgebra, mu, m_basis) -> OrbitChart:
@@ -141,28 +112,9 @@ def tangent_solve(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return X[..., 0] if v.ndim < A.ndim else X
 
 
-def tangent_representative(a: LieAlgebra, nu, v) -> np.ndarray:
-    """An algebra element X with ν∘ad(X) = v, by least squares, or one per
-    column of a matrix v, all by one solve.
-
-    Well defined only modulo the stabilizer of ν; the pairing below does not
-    depend on the representative.  Raises NotTangent when no X fits a column.
-    """
-    return tangent_solve(a.bracket_pairing(np.asarray(nu, dtype=float)).T,
-                         np.asarray(v, dtype=float))
-
-
-def kks_form(a: LieAlgebra, nu, v, w) -> float:
-    """Canonical orbit 2-form: ⟨ν, [X, Y]⟩ for ν∘ad(X) = v, ν∘ad(Y) = w."""
-    nu = np.asarray(nu, dtype=float)
-    X = tangent_representative(a, nu, v)
-    Y = tangent_representative(a, nu, w)
-    return float(nu @ a.bracket(X, Y))
-
-
 def kks_pairs(a: LieAlgebra, D: np.ndarray, nu: np.ndarray, omega: np.ndarray) -> list:
     """(reduced, canonical) orbit-form values on the chart coordinate pairs
-    i < j at a chart point where the canonical value is nonzero: D = dnu there,
+    i < j at a chart point where the canonical value is nonzero: D = dν there,
     nu the orbit point and ``omega`` the reduced form on the coordinate
     tangents, or at each of a stack of them in turn.  One solve gives the
     representatives X of D's columns, and ⟨ν, [X_i, X_j]⟩ = X_iᵀ K(ν) X_j every

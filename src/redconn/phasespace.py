@@ -66,11 +66,6 @@ def right_generator(a: LieAlgebra, xi, X) -> np.ndarray:
     return np.concatenate([X, a.coad_star(X, xi)], axis=-1)
 
 
-def left_momentum(Ad, xi) -> np.ndarray:
-    """The left momentum map J(g, ξ) = Coad(g)ξ, stacked like Ad and ξ."""
-    return linalg.matvec(coadjoint_matrix(Ad), xi)
-
-
 def momentum_differential(a: LieAlgebra, Ad, xi) -> np.ndarray:
     """Matrix Coad(g) @ [-ξ∘ad(·) | I] of the left momentum map's differential
     on left-trivialized tangents, a stack (…, n, 2n) over stacks of Ad and ξ."""

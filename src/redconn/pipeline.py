@@ -183,7 +183,7 @@ def _exit_code(exc: Exception) -> int:
         return EXIT_CONFIG
     if isinstance(exc, _ASSUMPTION_ERRORS):
         return EXIT_ASSUMPTION
-    if isinstance(exc, (ReductionError, np.linalg.LinAlgError, ValueError)):
+    if isinstance(exc, (ReductionError, np.linalg.LinAlgError, ValueError, MemoryError)):
         return EXIT_NUMERICAL
     raise exc
 
@@ -280,7 +280,7 @@ def _stage_reduce(cfg: CaseConfig, run) -> dict:
 def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator) -> dict:
     """Every reduced-connection defect, from arrays stacked over the chart points.
 
-    At each point t: the kernel's D = dnu(t), lifts L of D's columns and their
+    At each point t: the kernel's D = dν(t), lifts L of D's columns and their
     jet J, the reduced form matrix Ω(t) = L·ω(μ)·Lᵀ and its exact derivatives
     ∂ₓΩ = J[x]·ω(μ)·Lᵀ minus its transpose, and the kernel's table ``cov`` of
     reduced derivatives ∇ʳ(f_i) f_j of the coordinate fields with the

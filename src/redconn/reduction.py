@@ -215,7 +215,7 @@ class PointKernel:
     stacked over its rows (``SigmaGeometry.kernels``), with their level tables."""
 
     coad: np.ndarray  # Coad(exp(Σ t_a E_a) · h)
-    D: np.ndarray  # chart differential dnu(t)
+    D: np.ndarray  # chart differential dν(t)
     M: np.ndarray  # lift matrix: quotient differential on the horizontal basis
     lifts: np.ndarray  # row i: H(Ad(h)⁻¹ · section vector i, 0), the lift of D e_i
     F: np.ndarray  # chart-fiber frame [Ad(h)⁻¹ · section vectors | g_μ]

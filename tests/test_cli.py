@@ -230,6 +230,17 @@ class TestExitCodes:
         assert captured.out == "" and not out.exists()
         assert captured.err.count("\n") == 1 and str(out) in captured.err
 
+    @pytest.mark.parametrize("verb,stage", [("validate", "validate"), ("verify", "verify"),
+                                            ("export-connection", "export")])
+    def test_refused_allocation_is_numerical_failure(self, tmp_path, capsys, verb, stage):
+        # dim 100000 asks numpy for 7.1 PiB of structure constants, which it
+        # refuses at once: exit 4 with the error in the report, not a traceback
+        cfg = _write_config(tmp_path, {"group": {"dim": 100000, "brackets": []}, "mu": [0.0]})
+        assert main([verb, "--config", cfg]) == 4
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert (error["type"], error["stage"]) == ("MemoryError", stage)
+        assert "Unable to allocate" in error["message"]
+
     def test_unknown_stage_is_config_error(self):
         with pytest.raises(ConfigError):
             run_pipeline(CaseConfig.from_dict(SO3_DOC), "bogus")

@@ -5,6 +5,10 @@ import copy
 import importlib.util
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -166,14 +170,16 @@ def test_every_dumped_report_is_strict_json(dumped):
     assert flat["report"]["stages"]["curvature"]["convergence"]["factor"] is None
 
 
-def test_dumps_match_the_committed_reference(dumped):
-    # exit codes, verdicts and defect names exactly; with the numpy and BLAS
-    # builds the reference was made with, every dumped file bit for bit, and
-    # with others every defect under its threshold there stays under it
+def _holds_the_reference(got: dict, versions: dict) -> bool:
+    """Check a dump's ``summary`` against the committed reference: exit codes,
+    verdicts and defect names exactly; with the numpy and BLAS builds, the BLAS
+    core and the machine type the reference was made with (``versions``, as
+    ``library_versions`` reads them), every dumped file bit for bit, and
+    otherwise every defect under its threshold there stays under it.  Returns
+    whether the sha256s were compared; they are not where the core is unknown."""
     reference = json.loads((ROOT / "tests" / "reference_reports.json").read_text())
-    got = compare_reports.summary(dumped, THRESHOLDS)
     assert list(got) == list(reference["reports"])
-    same_builds = reference["versions"] == compare_reports.library_versions()
+    same_builds = versions == reference["versions"] and versions["blas_core"] is not None
     for label, want in reference["reports"].items():
         have = got[label]
         assert (have["exit_code"], have["verdicts"]) == (want["exit_code"], want["verdicts"]), label
@@ -182,6 +188,38 @@ def test_dumps_match_the_committed_reference(dumped):
             assert have["sha256"] == want["sha256"], label
         for name, (value, threshold) in want["defects"].items():
             assert value > threshold or have["defects"][name][0] <= threshold, (label, name)
+    return same_builds
+
+
+def test_dumps_match_the_committed_reference(dumped):
+    _holds_the_reference(compare_reports.summary(dumped, THRESHOLDS),
+                         compare_reports.library_versions())
+
+
+# the OpenBLAS core that a second run of the dump is forced to, by machine type
+FOREIGN_CORES = {"x86_64": "Prescott"}
+
+
+def test_dumps_on_another_blas_core_hold_the_reference(tmp_path):
+    # numpy's OpenBLAS picks its kernels by CPU at run time, so another CPU's
+    # dumps may move bits: a child forced to another core reads that core, and
+    # its dumps still meet the reference's exit codes, verdicts and thresholds
+    machine, core = platform.machine(), compare_reports.blas_core()
+    if machine not in FOREIGN_CORES or core is None:
+        pytest.skip(f"no second OpenBLAS core is named for {machine} (core {core}): "
+                    "the reference test compares the native run only")
+    env = dict(os.environ)
+    # a run that already forces a core leaves the child OpenBLAS's own pick
+    if env.pop("OPENBLAS_CORETYPE", None) is None:
+        env["OPENBLAS_CORETYPE"] = FOREIGN_CORES[machine]
+    out = tmp_path / "reference.json"
+    subprocess.run([sys.executable, str(ROOT / "tools" / "compare_reports.py"), "reference",
+                    str(ROOT / "src"), str(out)], env=env, check=True, capture_output=True,
+                   timeout=600)
+    child = json.loads(out.read_text())
+    assert child["versions"]["blas_core"] not in (None, core)
+    # by the roundoff rule; bit for bit only if the child ran the reference's core
+    _holds_the_reference(child["reports"], child["versions"])
 
 
 @pytest.mark.parametrize("name", list(CASES))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import redconn as rc
 from redconn.pipeline import THRESHOLDS, CaseConfig
+from tests import oracles
 from tests.conftest import perfbench_cases, pushdown, richardson_stencil
 
 SO4_CASES = perfbench_cases().SO4_CASES
@@ -43,7 +44,7 @@ def test_lifts_and_tables_at_random_points_and_fibers(so4_case, t_unit, y):
     lifts = K.lifts[1]
     assert lifts.shape == (km, 2 * a.dim)
     assert np.max(np.abs(ctx.alpha_mat @ lifts.T)) <= 1e-10  # horizontal
-    D = chart.dnu(t)
+    D = oracles.dnu(chart, t)
     pushed = np.array([pushdown(geom, K.coad[1], row) for row in lifts]).T
     assert np.max(np.abs(pushed - D)) <= 1e-10 * np.max(np.abs(D))
 

@@ -1,6 +1,7 @@
 """Reports against docs/report_schema.json, and reduce-stage numbers against
 the library's public definitions."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from redconn import report as report_mod
 from redconn.cli import main
 from redconn.orbits import kks_gap, kks_pairs
 from redconn.pipeline import THRESHOLDS, CaseConfig, run_pipeline, verify_suite
+from tests import oracles
 from tests.conftest import AFF1_DOC, CATALOG_CASES
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -44,18 +46,30 @@ def test_pipeline_and_verify_reports_match_schema(report_validator, group, mu):
         report_validator.validate(_serialized(rep))
 
 
+class _Unreadable:
+    """A realization whose entries cannot be read: any access to it raises."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("the realization's entries were read")
+
+    __array__ = __bool__ = __getattr__ = __getitem__ = __iter__ = __len__ = _refuse
+
+
 @pytest.mark.parametrize("name,mu", [c for c in CATALOG_CASES if c[0] in ("so3", "sl2r")],
                          ids=["so3", "sl2r"])
 def test_pipeline_avoids_realization_round_trip(monkeypatch, name, mu):
-    # Ad, Coad and chart velocities come from the structure constants; the
-    # realization coordinates are off the hot path
-    def refuse(*args, **kwargs):
-        raise AssertionError("realization round trip on the hot path")
-
-    monkeypatch.setattr(rc.LieAlgebra, "matrix_coords", refuse)
+    # Ad, Coad and chart velocities come from the structure constants: once the
+    # algebra is loaded and checked, the stages and the verify battery read only
+    # whether it has a realization, never the realization's entries
+    a = dataclasses.replace(rc.named_algebra(name), realization=_Unreadable())
+    with pytest.raises(AssertionError, match="entries were read"):
+        a.validate()  # the one reader of the entries, at load
+    monkeypatch.setattr(CaseConfig, "algebra", lambda self: a)
     cfg = CaseConfig.from_dict({"group": name, "mu": mu, "samples": 2})
-    for rep, code in (run_pipeline(cfg, "curvature"), verify_suite(cfg)):
-        assert code == 0, rep["error"]
+    rep, code = run_pipeline(cfg, "curvature")
+    assert code == 0 and rep["stages"]["curvature"]["status"] == "ok", rep["error"]
+    rep, code = verify_suite(cfg)
+    assert code == 0, rep["error"]
 
 
 def test_config_error_report_matches_schema(report_validator, tmp_path, capsys):
@@ -117,12 +131,12 @@ def test_reduce_stage_matches_library_definitions(name):
         return rc.reduced_form(geom, v, w, t)
 
     def omega_coords(t, i, j):
-        D = chart.dnu(t)
+        D = oracles.dnu(chart, t)
         return omega(t, D[:, i], D[:, j])
 
     torsion = kks = parallel = 0.0
     for t in np.asarray(stage["chart_points"]):
-        D = chart.dnu(t)
+        D = oracles.dnu(chart, t)
         p = geom.kernels(t, geom.identity)[0]
         cov, lifts = p.cov, p.lifts
         pairs = kks_pairs(ctx.algebra, p.D, p.coad @ ctx.mu, geom.form_table(lifts, lifts))

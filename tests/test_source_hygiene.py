@@ -13,7 +13,8 @@ allowed below.  And no object memoizes its calls: no method but ``__init__``
 assigns to an attribute of ``self`` or into one, or calls a mutating method on
 one, except in the methods allowed below.  And no public surface that only
 tests call: every public top-level function and public method has a caller in
-the package's own code, or an entry below that says why it has none.  And no
+the package's own code, or an entry below that says why it has none, and the
+test oracles (``tests/oracles.py``) read no private name of the package.  And no
 special case of an empty subspace: no ``if``, ``while`` or conditional expression
 tests a dimension, a ``.size`` or a ``.shape[i]`` against 0, except in the
 functions allowed below."""
@@ -421,12 +422,6 @@ PUBLIC_ENTRY_POINTS = {
                                   "one chart point",
     "curvature.convergence_factor": "entry point: the step-halving probe at any point and "
                                     "triple, which acceptance criterion 4 reads",
-    "orbits.kks_form": "test oracle: the canonical orbit form, one pair at a time",
-    "phasespace.left_momentum": "test oracle: the quotient map J(g, ξ) = Coad(g)ξ",
-    "orbits.OrbitChart.coords": "test oracle: the chart map's inverse, by Gauss-Newton",
-    "orbits.OrbitChart.section_vectors": "test oracle: one point's section velocities",
-    "liealg.LieAlgebra.matrix_coords": "test oracle: a realization matrix's coordinates, the "
-                                       "one reader of the realization",
 }
 
 
@@ -505,6 +500,39 @@ class Point:
 """)}
     assert _uncalled_public(trees) == ["mod.unused", "mod.exported", "mod.Point.scaled"]
 
+
+
+def _private_reads(tree) -> list:
+    """(line, name) of every private name a tree reads from ``redconn``: an
+    attribute ``x._name`` and a ``_name`` imported from a ``redconn`` module
+    (dunders aside)."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    out = [(node.lineno, node.attr) for node in ast.walk(tree)
+           if isinstance(node, ast.Attribute) and private(node.attr)]
+    out += [(node.lineno, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("redconn")
+            for alias in node.names if private(alias.name)]
+    return sorted(out)
+
+
+def test_oracles_read_no_private_name_of_redconn():
+    # the test oracles stay independent of the internals they check
+    path = Path(__file__).resolve().parent / "oracles.py"
+    assert _private_reads(ast.parse(path.read_text())) == []
+
+
+def test_private_read_rule_catches_internals():
+    source = """
+import redconn as rc
+from redconn.reduction import _central, SigmaGeometry
+from redconn import linalg
+
+def oracle(chart, t):
+    return rc.reduction._central(chart.lift_data(t), chart.__class__, linalg._rank)
+"""
+    assert _private_reads(ast.parse(source)) == [(3, "_central"), (7, "_central"), (7, "_rank")]
 
 # functions of src/redconn that may branch once on a dimension, a size or a shape
 # entry being 0, with the reason; every other empty subspace (k = 0, k = n, an

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import redconn as rc
-from redconn import connections, pipeline
+from redconn import connections, linalg, pipeline
 from redconn.connections import nabla_omega_components, solve_omega_gram, symplectized_coefficients
 from redconn.errors import SingularOmega
 from redconn.phasespace import momentum_differential
@@ -154,13 +154,14 @@ def test_regularity_report_stack_equals_single_point_reports(case, rng):
 
 
 def test_phase_space_maps_stack_is_bitwise_per_row(case, rng):
-    # the right generators at μ, and the left momentum map and
-    # momentum differential at a stack of group elements and fiber points
+    # the right generators at μ, and the left momentum map Coad(g)ξ and its
+    # differential at a stack of group elements and fiber points
     a, mu = case
     X = rng.standard_normal((5, a.dim))
     _bitwise_rows(rc.right_generator(a, mu, X), [rc.right_generator(a, mu, x) for x in X])
     Ad, xis = rc.group_exp(a, rng.uniform(-1, 1, (5, a.dim))), _fiber_points(a, mu, rng)
-    _bitwise_rows(rc.left_momentum(Ad, xis), [rc.left_momentum(g, xi) for g, xi in zip(Ad, xis)])
+    _bitwise_rows(linalg.matvec(rc.coadjoint_matrix(Ad), xis),
+                  [linalg.matvec(rc.coadjoint_matrix(g), xi) for g, xi in zip(Ad, xis)])
     _bitwise_rows(momentum_differential(a, Ad, xis),
                   [momentum_differential(a, g, xi) for g, xi in zip(Ad, xis)])
 

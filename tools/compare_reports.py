@@ -62,17 +62,19 @@ Exit status is 0 when every file passes, 1 otherwise.
 what the committed ``tests/reference_reports.json`` holds: for each dump its
 exit code, its verify verdicts (check name -> ``passed``), its thresholded
 defects (name -> [value, threshold], as ``diff`` reads them) and the sha256 of
-the dumped file, with the numpy and BLAS versions the dumps were made with
-(``library_versions``).  A change that moves a report rewrites the file in the
-same diff.
+the dumped file, with the numpy and BLAS versions the dumps were made with,
+the BLAS core they ran on and the machine type (``library_versions``).  A
+change that moves a report rewrites the file in the same diff.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import math
+import platform
 import re
 import sys
 import tempfile
@@ -213,10 +215,25 @@ def _headroom(defects: dict) -> tuple[float, str]:
                default=(math.inf, "-"))
 
 
+def blas_core() -> str | None:
+    """The kernel set numpy's bundled OpenBLAS picked for this CPU at run time
+    (it is built ``DYNAMIC_ARCH``; ``OPENBLAS_CORETYPE`` overrides the pick), or
+    None where that library or its core name cannot be found."""
+    for path in Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"):
+        # the copy numpy loaded, found by its path
+        get = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if get is not None:
+            get.restype = ctypes.c_char_p
+            return get().decode()
+    return None
+
+
 def library_versions() -> dict:
-    """The numpy and BLAS builds a dump's bits depend on."""
+    """The numpy and BLAS builds a dump's bits depend on, with the BLAS core
+    they ran on (``blas_core``) and the machine type."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+            "blas_core": blas_core(), "machine": platform.machine()}
 
 
 def summary(dump_dir, thresholds: dict) -> dict:
