@@ -14,8 +14,8 @@ from .errors import (AssumptionTwoFailure, ConfigError, DegeneratePairing, NonRe
 from .liealg import (LieAlgebra, abelian, algebra_from_json, coadjoint_matrix, group_exp,
                      heis3, named_algebra, reductive_complement, se2, sl2r, so3,
                      stabilizer_algebra, su2)
-from .phasespace import (ConstraintSplit, constraint_split, omega_gram, regularity_report,
-                         right_generator, symplectic_form)
+from .phasespace import (ConstraintSplit, constraint_split, omega_gram, right_generator,
+                         symplectic_form)
 from .connections import (average_coefficients, baseline_coefficients, baseline_nabla_omega,
                           connection_to_json, finite_cyclic_rule, nabla_omega,
                           nabla_omega_defect, pullback_coefficients, symplectized_coefficients,

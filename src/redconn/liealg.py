@@ -231,14 +231,18 @@ def _finalize(a: LieAlgebra) -> LieAlgebra:
     return a
 
 
+# so(3)'s bracket table, the Levi-Civita symbol: [e1, e2] = e3 cyclically
+SO3_BRACKETS = np.zeros((3, 3, 3))
+SO3_BRACKETS[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
+SO3_BRACKETS[[1, 2, 0], [0, 1, 2], [2, 0, 1]] = -1.0
+SO3_BRACKETS.setflags(write=False)
+
+
 def so3() -> LieAlgebra:
     """Rotations of R^3; [e1, e2] = e3 cyclically."""
-    c = np.zeros((3, 3, 3))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        c[i, j, k] = 1.0
-        c[j, i, k] = -1.0
     # the realization L_k = -ε_k··, which is -c
-    return _finalize(LieAlgebra(3, c, "so3", -c, det_one=True, orthogonal=True))
+    return _finalize(LieAlgebra(3, SO3_BRACKETS, "so3", -SO3_BRACKETS, det_one=True,
+                                orthogonal=True))
 
 
 def _realify(M: np.ndarray) -> np.ndarray:
@@ -248,13 +252,12 @@ def _realify(M: np.ndarray) -> np.ndarray:
 
 
 def su2() -> LieAlgebra:
-    """su(2) with basis -i σ_j / 2, realified to 4x4 real matrices."""
+    """su(2) with basis -i σ_j / 2, realified to 4x4 real matrices; so(3)'s brackets."""
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
     sz = np.array([[1, 0], [0, -1]], dtype=complex)
     rho = np.stack([_realify(-0.5j * s) for s in (sx, sy, sz)])
-    c = so3().c.copy()  # same bracket table: [X1, X2] = X3 cyclically
-    return _finalize(LieAlgebra(3, c, "su2", rho, det_one=True, orthogonal=True))
+    return _finalize(LieAlgebra(3, SO3_BRACKETS, "su2", rho, det_one=True, orthogonal=True))
 
 
 def sl2r() -> LieAlgebra:

@@ -11,8 +11,8 @@ In this frame the canonical symplectic form reads
 so it depends on ξ only.  On a level set {ξ = μ} of the right momentum map
 the constraint subspaces are frame-constant and the right-action generators
 depend on μ alone; the left momentum map J(g, ξ) = Coad(g)ξ is the quotient
-map.  Every function takes stacks: (…, n) fiber points and algebra
-elements, (…, 2n) tangents and (…, n, n) Ad matrices.
+map, a submersion everywhere.  Every function takes stacks: (…, n) fiber
+points and algebra elements and (…, 2n) tangents.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .errors import RankLoss
-from .liealg import LieAlgebra, coadjoint_matrix, stabilizer_algebra
+from .liealg import LieAlgebra, stabilizer_algebra
 
 
 def _tangent_pair(a: LieAlgebra, u) -> np.ndarray:
@@ -66,14 +66,6 @@ def right_generator(a: LieAlgebra, xi, X) -> np.ndarray:
     return np.concatenate([X, a.coad_star(X, xi)], axis=-1)
 
 
-def momentum_differential(a: LieAlgebra, Ad, xi) -> np.ndarray:
-    """Matrix Coad(g) @ [-ξ∘ad(·) | I] of the left momentum map's differential
-    on left-trivialized tangents, a stack (…, n, 2n) over stacks of Ad and ξ."""
-    K = a.bracket_pairing(xi)
-    block = np.concatenate([-np.swapaxes(K, -1, -2), np.broadcast_to(np.eye(a.dim), K.shape)], -1)
-    return coadjoint_matrix(Ad) @ block
-
-
 @dataclass(frozen=True)
 class ConstraintSplit:
     """Frame-constant subspaces of g ⊕ g* attached to a momentum level μ.
@@ -108,17 +100,3 @@ def constraint_split(a: LieAlgebra, mu) -> ConstraintSplit:
     if total.shape[1] != 2 * n - k or delta.shape[1] != k:
         raise RankLoss("constraint split dimensions are inconsistent")
     return ConstraintSplit(t_sigma, t_perp, delta, total, g_mu)
-
-
-def regularity_report(a: LieAlgebra, mu, Ad) -> dict:
-    """Check that the left momentum differential has full rank n on the level
-    set ξ = μ at each group element of a stack of Ad matrices.
-
-    The report records the smallest and largest singular values per point,
-    from one SVD over the stacked differentials, and an overall regularity flag.
-    """
-    s = np.linalg.svd(momentum_differential(a, Ad, mu), compute_uv=False).reshape(-1, a.dim)
-    ok = s[:, -1] > linalg.RANK_RTOL * s[:, 0]
-    points = [{"sigma_min": float(lo), "sigma_max": float(hi), "regular": bool(flag)}
-              for lo, hi, flag in zip(s[:, -1], s[:, 0], ok)]
-    return {"points": points, "regular": bool(np.all(ok))}

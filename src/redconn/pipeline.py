@@ -25,10 +25,10 @@ from .connections import (average_coefficients, baseline_coefficients, baseline_
 from .curvature import curvature_battery
 from .errors import (AssumptionTwoFailure, ConfigError, NonReductiveStabilizer,
                      ReductionError)
-from .liealg import (LieAlgebra, _is_number, algebra_from_json, coadjoint_matrix, group_exp,
-                     named_algebra)
+from .liealg import (SO3_BRACKETS, LieAlgebra, _is_number, algebra_from_json, coadjoint_matrix,
+                     group_exp, named_algebra)
 from .orbits import kks_gap, kks_pairs
-from .phasespace import constraint_split, regularity_report, right_generator, symplectic_form
+from .phasespace import constraint_split, right_generator, symplectic_form
 from .reduction import (SigmaGeometry, _central, autoparallel_check, build_context,
                         default_chart, gram_oracle_solve, totally_geodesic_defect)
 
@@ -196,19 +196,16 @@ def _stage_validate(cfg: CaseConfig, run) -> dict:
     n, k = a.dim, split.g_mu.shape[1]
     # TΣ^⊥ should be the span of the right-action generators at μ
     gens = right_generator(a, mu, np.eye(n)).T
-    # the left momentum map's rank at five drawn group elements; the stream takes
-    # ten draws, of which the first five are not read
-    regularity = regularity_report(a, mu, group_exp(a, run.rng.uniform(-1, 1, (2, 5, n))[1]))
+    # ten unread draws, kept so that every later draw of the stream stays as it was
+    run.rng.uniform(-1, 1, (2, 5, n))
     return {
         "status": "ok",
         "algebra": a.name,
         "dim": n,
         "stabilizer_dim": k,
         "level_set_checks": {
-            "momentum_rank_regular": regularity["regular"],
             "tperp_equals_generator_span": linalg.subspace_distance(split.t_perp, gens),
         },
-        "regularity": regularity,
     }
 
 
@@ -648,7 +645,7 @@ def _sigma_torsion_defect(ctx) -> float:
 def _verify_averaging(cfg, run):
     a, rng = run.a, run.rng
     # the 4-node rule about e3 is a subgroup under so3's brackets alone (su2's too)
-    if not np.array_equal(a.c, named_algebra("so3").c):
+    if not np.array_equal(a.c, SO3_BRACKETS):
         return
     delta = rng.standard_normal((2 * a.dim,) * 3) * 0.1
     nodes = finite_cyclic_rule(a, np.eye(a.dim)[2], 4)

@@ -421,10 +421,11 @@ def totally_geodesic_defect(ctx: ReductionContext) -> float:
     frame-constant components (Y, 0) along the level set, so no finite
     differences are needed.
     """
-    gens, P = np.ascontiguousarray(ctx.split.delta.T), ctx.p_matrix  # rows (g_μ e_i, 0)
-    return max((float(np.max(np.abs((P @ np.einsum("abc,a,b->c", ctx.gamma_mu, u, v))
-                                    @ ctx.omega_mu @ P))) for u in gens for v in gens),
-               default=0.0)
+    gens, P = ctx.split.delta.T, ctx.p_matrix  # rows (g_μ e_i, 0)
+    # P∇ of every pair [i, j] at once; each pairs as a (1, 2n) row, with one pair's bits
+    rows = linalg.matvec(P, np.einsum("abc,...a,...b->...c", ctx.gamma_mu,
+                                      gens[:, None], gens[None]))
+    return float(np.max(np.abs(rows[..., None, :] @ ctx.omega_mu @ P), initial=0.0))
 
 
 def _random_stable_complement(ctx: ReductionContext, rng: np.random.Generator) -> np.ndarray | None:

@@ -5,8 +5,9 @@ exponential per chart point, and pairs orbit tangents by one stacked solve
 (``orbits.kks_pairs``).  These oracles take the other routes, one point or one
 pair at a time: the chart map from ``group_exp`` and ``coadjoint_matrix``, its
 inverse by Gauss-Newton, the canonical orbit form from one representative per
-tangent, and algebra coordinates from the matrix realization, which nothing at
-run time reads.  They use only public names of ``redconn``.
+tangent, algebra coordinates from the matrix realization, which nothing at
+run time reads, and the left momentum map's differential, whose rank nothing
+at run time checks.  They use only public names of ``redconn``.
 """
 
 import numpy as np
@@ -53,6 +54,13 @@ def tangent_representative(a, nu, v) -> np.ndarray:
     Raises NotTangent when no X fits a column."""
     return tangent_solve(a.bracket_pairing(np.asarray(nu, dtype=float)).T,
                          np.asarray(v, dtype=float))
+
+
+def momentum_differential(a, Ad, xi) -> np.ndarray:
+    """The left momentum map's differential Coad(g)·[−K(ξ)ᵀ | I] at one point
+    (g, ξ), on left-trivialized tangents (X, η), with K(ξ) the bracket pairing."""
+    K = a.bracket_pairing(np.asarray(xi, dtype=float))
+    return rc.coadjoint_matrix(Ad) @ np.hstack([-K.T, np.eye(a.dim)])
 
 
 def kks_form(a, nu, v, w) -> float:

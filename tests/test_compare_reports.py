@@ -354,12 +354,12 @@ def test_diff_prints_headroom_on_both_sides(so3_dumps, tmp_path, capsys):
 
 
 def test_ignore_drops_a_key_from_both_reports(so3_dumps, tmp_path, capsys):
-    # a reshaped validate.regularity: the file that differs only there is listed
+    # a reshaped reduce.autoparallel: the file that differs only there is listed
     # as identical apart from it, and one that also moves a float is still compared
     a = so3_dumps["curvature"]
     reshaped = copy.deepcopy(a)
-    regularity = reshaped["report"]["stages"]["validate"]["regularity"]
-    reshaped["report"]["stages"]["validate"]["regularity"] = {"left": regularity}
+    autoparallel = reshaped["report"]["stages"]["reduce"]["autoparallel"]
+    reshaped["report"]["stages"]["reduce"]["autoparallel"] = {"left": autoparallel}
     moved = copy.deepcopy(reshaped)
     _roundoff_factor(moved)
     for side, docs in (("a", (a, a)), ("b", (reshaped, moved))):
@@ -368,11 +368,11 @@ def test_ignore_drops_a_key_from_both_reports(so3_dumps, tmp_path, capsys):
             (tmp_path / side / f"{label}.json").write_text(report_mod.dumps(doc))
     args = ["diff", str(tmp_path / "a"), str(tmp_path / "b")]
     assert compare_reports.main(args) == 1
-    assert "PROBLEM /stages/validate/regularity: keys" in capsys.readouterr().out
-    assert compare_reports.main(args + ["--ignore", "/stages/validate/regularity"]) == 0
+    assert "PROBLEM /stages/reduce/autoparallel: keys" in capsys.readouterr().out
+    assert compare_reports.main(args + ["--ignore", "/stages/reduce/autoparallel"]) == 0
     out = capsys.readouterr().out
-    assert "identical apart from /stages/validate/regularity (1): so3-curvature\n" in out
+    assert "identical apart from /stages/reduce/autoparallel (1): so3-curvature\n" in out
     assert "differing (1): so3-moved-curvature\n" in out
     assert "so3-moved-curvature: 1 floats moved" in out and out.endswith("problems: none\n")
     # the key is dropped from both sides, and a path that is not there drops nothing
-    assert compare_reports.main(args + ["--ignore", "/stages/validate/nothing"]) == 1
+    assert compare_reports.main(args + ["--ignore", "/stages/reduce/nothing"]) == 1

@@ -89,18 +89,22 @@ def test_stray_stage_key_fails_schema(report_validator):
         report_validator.validate(doc)
 
 
-def test_regularity_report_is_the_left_report_alone(report_validator):
-    # one left-side report, {"points", "regular"}; a per-side layout fails the schema
+def test_validate_stage_reports_no_momentum_rank(report_validator):
+    # the left momentum map is a submersion everywhere: the stage keeps the split's
+    # checks alone, and the schema refuses the rank keys it no longer writes
     rep, _ = run_pipeline(CaseConfig.from_dict({"group": "so3", "mu": [0.0, 0.0, 1.0]}),
                           "validate")
     doc = _serialized(rep)
-    regularity = doc["stages"]["validate"]["regularity"]
-    assert list(regularity) == ["points", "regular"] and len(regularity["points"]) == 5
-    assert doc["stages"]["validate"]["level_set_checks"]["momentum_rank_regular"] is True
-    for stray in ({"side": "left", **regularity}, {"right": regularity, "left": regularity}):
-        doc["stages"]["validate"]["regularity"] = stray
+    validate = doc["stages"]["validate"]
+    assert list(validate) == ["status", "algebra", "dim", "stabilizer_dim", "level_set_checks"]
+    assert list(validate["level_set_checks"]) == ["tperp_equals_generator_span"]
+    report_validator.validate(doc)
+    for block, key in ((validate, "regularity"),
+                       (validate["level_set_checks"], "momentum_rank_regular")):
+        block[key] = True
         with pytest.raises(jsonschema.ValidationError):
             report_validator.validate(doc)
+        del block[key]
 
 
 def test_config_schema_lists_the_threshold_names():

@@ -9,6 +9,7 @@ require bit-identity.  The bracket and the pullback contract a stack through
 operand's shape, so their rows are held to 1e-15 relative instead.
 """
 
+import dataclasses
 from functools import cache
 from types import SimpleNamespace
 
@@ -19,7 +20,6 @@ import redconn as rc
 from redconn import connections, linalg, pipeline
 from redconn.connections import nabla_omega_components, solve_omega_gram, symplectized_coefficients
 from redconn.errors import SingularOmega
-from redconn.phasespace import momentum_differential
 from redconn.pipeline import CaseConfig
 from tests.conftest import CATALOG_CASES, perfbench_cases
 
@@ -144,26 +144,15 @@ def test_bracket_stack_matches_rows_and_stays_antisymmetric(case, rng):
     _close_rows(table.reshape(-1, a.dim), [a.bracket(x, e) for x in X[:3] for e in np.eye(a.dim)])
 
 
-def test_regularity_report_stack_equals_single_point_reports(case, rng):
-    a, mu = case
-    Ad = rc.group_exp(a, rng.uniform(-1, 1, (5, a.dim)))
-    report = rc.regularity_report(a, mu, Ad)
-    singles = [rc.regularity_report(a, mu, g) for g in Ad]
-    assert report["points"] == [s["points"][0] for s in singles]
-    assert report["regular"] == all(s["regular"] for s in singles)
-
-
 def test_phase_space_maps_stack_is_bitwise_per_row(case, rng):
-    # the right generators at μ, and the left momentum map Coad(g)ξ and its
-    # differential at a stack of group elements and fiber points
+    # the right generators at μ, and the left momentum map Coad(g)ξ at a stack
+    # of group elements and fiber points
     a, mu = case
     X = rng.standard_normal((5, a.dim))
     _bitwise_rows(rc.right_generator(a, mu, X), [rc.right_generator(a, mu, x) for x in X])
     Ad, xis = rc.group_exp(a, rng.uniform(-1, 1, (5, a.dim))), _fiber_points(a, mu, rng)
     _bitwise_rows(linalg.matvec(rc.coadjoint_matrix(Ad), xis),
                   [linalg.matvec(rc.coadjoint_matrix(g), xi) for g, xi in zip(Ad, xis)])
-    _bitwise_rows(momentum_differential(a, Ad, xis),
-                  [momentum_differential(a, g, xi) for g, xi in zip(Ad, xis)])
 
 
 def test_pullback_stack_matches_rows(case, rng):
@@ -174,6 +163,23 @@ def test_pullback_stack_matches_rows(case, rng):
     gammas = symplectized_coefficients(a, xis, rc.baseline_coefficients(a))
     _close_rows(rc.pullback_coefficients(g, gammas),
                 [rc.pullback_coefficients(g, gamma) for gamma in gammas])
+
+
+@pytest.mark.parametrize("label", [name for name, _ in CATALOG_CASES]
+                         + ["so4-regular", "so4-singular"])
+def test_geodesic_defect_stack_is_bitwise_per_pair(label, rng):
+    # one contraction over every stabilizer-generator pair (k = 1 on the catalog,
+    # 2 on so(4) regular, 4 on so(4) singular) against one pair at a time, at the
+    # level's Γ(μ) and at twenty random ones, whose every pair pairs off nonzero
+    a, mu = _case(label)
+    ctx = rc.build_context(a, mu)
+    gens, P = ctx.split.delta.T, ctx.p_matrix
+    assert len(gens) == {"so4-regular": 2, "so4-singular": 4}.get(label, 1)
+    for gamma in (ctx.gamma_mu, *rng.standard_normal((20,) + ctx.gamma_mu.shape)):
+        pairs = [np.max(np.abs((P @ np.einsum("abc,a,b->c", gamma, u, v)) @ ctx.omega_mu @ P))
+                 for u in gens for v in gens]
+        defect = rc.totally_geodesic_defect(dataclasses.replace(ctx, gamma_mu=gamma))
+        assert np.float64(defect).tobytes() == np.max(pairs).tobytes()
 
 
 def _run(cfg: CaseConfig) -> SimpleNamespace:
@@ -188,12 +194,11 @@ def test_stacked_stage_draws_leave_the_rng_where_single_draws_do(label):
     a, mu = _case(label)
     cfg = _config(label)
     run, fresh, n = _run(cfg), np.random.default_rng(cfg.seed), a.dim
-    validate = pipeline._stage_validate(cfg, run)
-    # 2 × 5 draws, one sample at a time; only the second five are read
-    draws = [[fresh.uniform(-1, 1, n) for _ in range(5)] for _ in range(2)]
+    pipeline._stage_validate(cfg, run)
+    # 2 × 5 unread draws, one sample at a time
+    for _ in range(10):
+        fresh.uniform(-1, 1, n)
     assert run.rng.bit_generator.state == fresh.bit_generator.state
-    left = np.array([rc.group_exp(a, x) for x in draws[1]])
-    assert validate["regularity"] == rc.regularity_report(a, mu, left)
     pipeline._stage_connect(cfg, run)
     for _ in range(10):  # ξ, then u, v and w of each closed-form draw
         fresh.standard_normal(n)

@@ -146,19 +146,21 @@ def test_verify_builds_no_more_than_the_pipeline(monkeypatch, label):
 
 
 @pytest.mark.parametrize("label", ["so3", "so4-regular"])
-def test_validate_exponentiates_only_the_left_samples(monkeypatch, label):
-    # of the ten regularity draws only the five read ones are exponentiated,
-    # in one call
-    rows = []
-
-    def counted(a, X):
-        rows.append(int(np.prod(np.shape(X)[:-1])))
-        return liealg.group_exp(a, X)
-
-    monkeypatch.setattr(pipeline, "group_exp", counted)
-    rep, code = run_pipeline(CaseConfig.from_dict(_doc(label)), "validate")
-    assert code == 0 and rows == [5]
-    assert len(rep["stages"]["validate"]["regularity"]["points"]) == 5
+def test_validate_makes_no_exponential(monkeypatch, label):
+    # the level-set checks read μ's brackets alone; the stage still takes its ten
+    # unread draws, so the connect stage draws what it drew when they were read
+    cfg, calls, expm = CaseConfig.from_dict(_doc(label)), [], linalg.expm
+    monkeypatch.setattr(linalg, "expm", lambda *args, **kw: calls.append(args) or expm(*args, **kw))
+    _, code = run_pipeline(cfg, "validate")
+    assert code == 0 and calls == []
+    a = cfg.algebra()
+    run = SimpleNamespace(rng=np.random.default_rng(cfg.seed), a=a, mu=cfg.mu_vector(a))
+    pipeline._stage_validate(cfg, run)
+    pipeline._stage_connect(cfg, run)
+    fresh = np.random.default_rng(cfg.seed)
+    fresh.uniform(-1, 1, (2, 5, a.dim))
+    fresh.standard_normal((10, 7 * a.dim))
+    assert np.array_equal(run.xi_samples, np.vstack([run.mu, fresh.standard_normal((3, a.dim))]))
 
 
 @pytest.mark.parametrize("label", ["so3", "heis3", "so4-regular"])

@@ -29,7 +29,7 @@ once with an ``xi_list``, and so3's at ``connection: "baseline"`` with an
 
 ``diff`` lists the byte-identical and the differing files.  ``--ignore PATH``
 (repeatable) drops the key at PATH, written as the differences below name it
-(``/stages/validate/regularity``, or ``/checks/<check name>/<field>`` for a
+(``/stages/reduce/autoparallel``, or ``/checks/<check name>/<field>`` for a
 field of a verify check), from both reports before comparing, so a change
 that moves or reshapes that key can still be judged on the rest; the files
 identical apart from it are listed under their own heading.  A
@@ -411,7 +411,7 @@ def main(argv: list) -> int:
     diff_args.add_argument("--allow-removed", action="append", default=[], metavar="NAME",
                            help="a verify check only <a> has that is not a problem")
     diff_args.add_argument("--ignore", action="append", default=[], metavar="PATH",
-                           help="a report key, as /stages/validate/regularity or "
+                           help="a report key, as /stages/reduce/autoparallel or "
                                 "/checks/<check name>/note, left out of both")
     reference_args = verbs.add_parser("reference")
     reference_args.add_argument("src")
