@@ -9,8 +9,8 @@ oracles.
 """
 
 from .errors import (AssumptionTwoFailure, ConfigError, DegeneratePairing, NonReductiveStabilizer,
-                     NotTangent, PointOffConstraint, RankLoss, ReductionError, SingularOmega,
-                     SingularProjection, ZeroDimensionalBase)
+                     NotTangent, PointOffConstraint, RankLoss, ReductionError, SingularProjection,
+                     ZeroDimensionalBase)
 from .liealg import (LieAlgebra, abelian, algebra_from_json, coadjoint_matrix, group_exp,
                      heis3, named_algebra, reductive_complement, se2, sl2r, so3,
                      stabilizer_algebra, su2)

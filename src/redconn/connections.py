@@ -26,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .errors import SingularOmega
 from .liealg import LieAlgebra, coadjoint_matrix, group_exp
 from .phasespace import _tangent_pair, omega_gram
 
@@ -53,10 +52,11 @@ def baseline_coefficients(a: LieAlgebra) -> np.ndarray:
 def nabla_omega_components(a: LieAlgebra, xi, gamma, om=None) -> np.ndarray:
     """(∇ω)[a, b, c] = DΩ[a, b, c] − Σ_d Γ[a, b, d] Ω[d, c] − Σ_d Γ[a, c, d] Ω[b, d]
     over all frame triples at fiber point ξ, or at each row of a stack, from Γ(ξ)
-    and from ``om`` when the caller has Ω(ξ).  Each product is one matmul per
-    Γ slice, so a row of a stack equals the call on its ξ alone."""
-    om = (omega_gram(a, xi) if om is None else om)[..., None, :, :]
-    return a._omega_derivative - gamma @ om - np.swapaxes(gamma @ np.swapaxes(om, -1, -2), -1, -2)
+    and from ``om`` when the caller has Ω(ξ).  Ω is antisymmetric, so the last
+    term is the transpose of −Γ·Ω and X = Γ·Ω gives DΩ − X + Xᵀ over (b, c): one
+    matmul per Γ slice, so a row of a stack equals the call on its ξ alone."""
+    x = gamma @ (omega_gram(a, xi) if om is None else om)[..., None, :, :]
+    return a._omega_derivative - x + np.swapaxes(x, -1, -2)
 
 
 def nabla_omega(a: LieAlgebra, xi, gamma, u, v, w):
@@ -91,26 +91,6 @@ def baseline_nabla_omega(a: LieAlgebra, xi, u, v, w):
             - 0.5 * dot(zeta, a.bracket(X, Yp)) + 0.5 * dot(xi, a.bracket(X, byyp)))
 
 
-def solve_omega_gram(om: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ω(z, ·) = rhs for z, i.e. Ωᵀ z = rhs, for stacked right-hand sides
-    (…, m); for a stack of Grams (…, m, m), rhs's leading axes begin with the
-    stack's.  One batched SVD check, then one inverse per Gram and one stacked
-    matmul, Zᵀ = Rᵀ Ω⁻¹ over each Gram's right-hand sides R; an empty stack
-    passes through.
-
-    Raises SingularOmega instead of silently pseudo-inverting: nondegeneracy
-    of ω is a structural assumption worth surfacing.
-    """
-    s = np.linalg.svd(om, compute_uv=False)
-    if np.any(s[..., -1] <= linalg.RANK_RTOL * s[..., 0]):
-        ratio = np.min(s[..., -1] / s[..., 0])
-        raise SingularOmega(f"symplectic Gram matrix singular (sigma_min/sigma_max = {ratio:.3e})")
-    if rhs.size == 0:  # reshape cannot infer an axis of an empty array
-        return np.empty_like(rhs)
-    flat = rhs.reshape(om.shape[:-2] + (-1, om.shape[-1]))
-    return (flat @ np.linalg.inv(om)).reshape(rhs.shape)
-
-
 def symplectized_coefficients(a: LieAlgebra, xi, gamma) -> np.ndarray:
     """Γ(ξ) of the projection of a torsion-free connection onto the symplectic
     ones, from its Γ(ξ).
@@ -120,12 +100,18 @@ def symplectized_coefficients(a: LieAlgebra, xi, gamma) -> np.ndarray:
         ω(A(U)V, W) = ⅓ [(∇_U ω)(V, W) + (∇_V ω)(U, W)],
 
     which kills ∇ω for any torsion-free input because ω is closed, and keeps
-    the torsion zero because A(U)V = A(V)U.
+    the torsion zero because A(U)V = A(V)U.  Each A(U)V solves Ωᵀ z = r, whose
+    Gram Ω(ξ) = [[−K(ξ), −I], [I, 0]] has determinant 1 and the inverse
+    [[0, I], [−I, −K(ξ)]]: for the right-hand sides r = (r_g, r_f) the rows
+    zᵀ = rᵀ Ω⁻¹ are (−r_f, r_g − r_f K(ξ)), one (2n × n)·(n × n) product per
+    Γ slice.
     """
-    om = omega_gram(a, xi)
+    n, om = a.dim, omega_gram(a, xi)
     N = nabla_omega_components(a, xi, gamma, om)
     rhs = (N + np.swapaxes(N, -3, -2)) / 3.0
-    return gamma + solve_omega_gram(om, rhs)
+    r_g, r_f = rhs[..., :n], rhs[..., n:]
+    # om's upper-left block is −K(ξ)
+    return gamma + np.concatenate([-r_f, r_g + r_f @ om[..., None, :n, :n]], axis=-1)
 
 
 def torsion_components(a: LieAlgebra, gamma) -> np.ndarray:

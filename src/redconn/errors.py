@@ -13,10 +13,6 @@ class NonReductiveStabilizer(ReductionError):
     """The stabilizer subalgebra admits no ad-stable complement."""
 
 
-class SingularOmega(ReductionError):
-    """The symplectic Gram matrix is numerically singular."""
-
-
 class DegeneratePairing(ReductionError):
     """The symplectic pairing between the raw complement and the radical is degenerate."""
 

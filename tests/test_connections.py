@@ -6,9 +6,7 @@ import pytest
 import redconn as rc
 from redconn.cli import EXPORT_CLAIMS
 from redconn.connections import (baseline_nabla_omega, frame_structure,
-                                 frame_transport, nabla_omega_components, solve_omega_gram,
-                                 torsion_components)
-from redconn.errors import SingularOmega
+                                 frame_transport, nabla_omega_components, torsion_components)
 from tests.conftest import CATALOG_CASES, perfbench_cases, symmetrized
 
 e1, e2, e3 = np.eye(3)
@@ -185,7 +183,7 @@ class TestSymplectize:
         assert np.max(np.abs(gamma)) == 0.0
 
     def test_empty_stack_passes_through(self, so3):
-        # no fiber point, no coefficients: the Gram solve takes an empty stack
+        # no fiber point, no coefficients: the closed-form correction takes an empty stack
         base = rc.baseline_coefficients(so3)
         for gamma in (base, np.broadcast_to(base, (0, 6, 6, 6))):
             assert rc.symplectized_coefficients(so3, np.zeros((0, 3)), gamma).shape == (0, 6, 6, 6)
@@ -240,20 +238,19 @@ class TestSymplectize:
 
     @pytest.mark.parametrize("name", [name for name, _ in CATALOG_CASES] + ["so5"])
     def test_inverse_route_matches_a_solve(self, name, rng):
-        # oracle: np.linalg.solve of Ωᵀ z = r, each right-hand side a column
+        # oracle: np.linalg.solve of Ωᵀ z = r, each right-hand side a column, for
+        # the correction A = Γ' − Γ with r = ⅓ (N + N's transpose over (a, b))
         a = _algebra(name)
         m = 2 * a.dim
-        om = rc.omega_gram(a, rng.standard_normal((4, a.dim)))
-        rhs = rng.standard_normal((4, m, m, m))
+        xi = rng.standard_normal((4, a.dim))
+        gamma = rc.baseline_coefficients(a) + rng.standard_normal((4, m, m, m))
+        om = rc.omega_gram(a, xi)
+        N = nabla_omega_components(a, xi, gamma, om)
+        rhs = (N + np.swapaxes(N, -3, -2)) / 3.0
         ref = np.linalg.solve(np.swapaxes(om, -1, -2)[:, None], rhs.reshape(4, m * m, m, 1))
         ref = ref.reshape(rhs.shape)
-        assert np.max(np.abs(solve_omega_gram(om, rhs) - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-    def test_singular_gram_raises(self):
-        om = np.zeros((4, 4))
-        om[0, 1], om[1, 0] = 1.0, -1.0  # rank 2 only
-        with pytest.raises(SingularOmega):
-            solve_omega_gram(om, np.ones((4, 4, 4)))
+        got = rc.symplectized_coefficients(a, xi, gamma) - gamma
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestTorsion:

@@ -538,7 +538,6 @@ def oracle(chart, t):
 # entry being 0, with the reason; every other empty subspace (k = 0, k = n, an
 # empty basis) takes the same SVDs, products and ``np.max(…, initial=0.0)`` as the rest
 EMPTY_GUARDS_ALLOWED = {
-    "connections.solve_omega_gram": "numpy cannot reshape(…, -1) an empty array",
     "pipeline._verify_algebra": "decides whether the report lists lie/complement-equivariance",
     "pipeline._verify_reduction": "decides whether the report lists red/w1-omega-nondegenerate",
     "pipeline._sigma_equivariance_defect": "at k = 0 its draws would be read by nothing",

@@ -18,8 +18,7 @@ import pytest
 
 import redconn as rc
 from redconn import connections, linalg, pipeline
-from redconn.connections import nabla_omega_components, solve_omega_gram, symplectized_coefficients
-from redconn.errors import SingularOmega
+from redconn.connections import nabla_omega_components, symplectized_coefficients
 from redconn.pipeline import CaseConfig
 from tests.conftest import CATALOG_CASES, perfbench_cases
 
@@ -228,15 +227,6 @@ def test_cyclic_rule_nodes_are_bitwise_one_at_a_time(label):
     X = np.eye(a.dim)[2]
     _bitwise_rows(rc.finite_cyclic_rule(a, X, 6),
                   [rc.group_exp(a, (2.0 * np.pi * k / 6) * X) for k in range(6)])
-
-
-def test_one_singular_gram_in_a_stack_raises(rng):
-    a = rc.so3()
-    good = rc.omega_gram(a, rng.standard_normal(3))
-    bad = np.zeros((6, 6))
-    bad[0, 1], bad[1, 0] = 1.0, -1.0  # rank 2 only
-    with pytest.raises(SingularOmega):
-        solve_omega_gram(np.stack([good, bad, good]), np.ones((3, 6, 6, 6)))
 
 
 def test_a_size_zero_draw_leaves_the_rng_where_it_was(aff1):

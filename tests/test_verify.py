@@ -10,7 +10,8 @@ from redconn import connections, linalg, liealg, orbits, phasespace, pipeline, r
 from redconn.errors import NotTangent, RankLoss, SingularProjection
 from redconn.pipeline import (EXIT_ASSUMPTION, EXIT_NUMERICAL, THRESHOLDS, CaseConfig, _record,
                               run_pipeline, verify_suite)
-from tests.conftest import AFF1_DOC, count_builds, perfbench_cases, track_geometries
+from tests.conftest import (AFF1_DOC, CATALOG_CASES, count_builds, perfbench_cases,
+                            track_geometries)
 
 # verify check -> (the run_pipeline(cfg, "curvature") report entry it mirrors,
 # its THRESHOLDS key)
@@ -480,3 +481,19 @@ def test_jet_fd_check_catches_a_sign_flipped_fiber_term(monkeypatch):
     assert code == pipeline.EXIT_NUMERICAL == 4
     failed = [c["name"] for c in rep["checks"] if not c["passed"]]
     assert failed == ["red/jet-fd", "curv/convergence-factor"]
+
+
+@pytest.mark.parametrize("scale", [1e5, 1e6])
+@pytest.mark.parametrize("name", ["so3", "su2", "se2"])
+def test_a_large_mu_keeps_the_symplectization(name, scale):
+    # Ω(μ)'s σ_min/σ_max is |μ|⁻², yet det Ω = 1 at every scale and its inverse
+    # is in closed form: the connect stage runs, and every connection check
+    # passes (phase/radical-span decides a rank with a relative cutoff and is
+    # not asserted here)
+    mu = [scale * x for x in dict(CATALOG_CASES)[name]]
+    cfg = CaseConfig.from_dict({"group": name, "mu": mu})
+    rep, code = run_pipeline(cfg, "curvature")
+    assert (code, rep["error"]) == (0, None)
+    rep, _ = verify_suite(cfg)
+    conn = {c["name"]: c["passed"] for c in rep["checks"] if c["name"].startswith("conn/")}
+    assert len(conn) == 7 and all(conn.values()), conn
