@@ -168,12 +168,6 @@ class CaseConfig:
         }
 
 
-def _sample_points(cfg: CaseConfig, km: int, rng: np.random.Generator) -> np.ndarray:
-    pts = rng.uniform(-0.4, 0.4, size=(cfg.samples, km))
-    pts[0] = 0.0
-    return pts
-
-
 def _error_record(exc: Exception, stage: str) -> dict:
     return {"type": type(exc).__name__, "message": str(exc), "stage": stage}
 
@@ -196,8 +190,6 @@ def _stage_validate(cfg: CaseConfig, run) -> dict:
     n, k = a.dim, split.g_mu.shape[1]
     # TΣ^⊥ should be the span of the right-action generators at μ
     gens = right_generator(a, mu, np.eye(n)).T
-    # ten unread draws, kept so that every later draw of the stream stays as it was
-    run.rng.uniform(-1, 1, (2, 5, n))
     return {
         "status": "ok",
         "algebra": a.name,
@@ -260,7 +252,9 @@ def _stage_reduce(cfg: CaseConfig, run) -> dict:
         stage["autoparallel"] = autoparallel_check(ctx, rng=run.rng)
         return stage
     run.geom = geom = SigmaGeometry(ctx, default_chart(ctx))
-    pts = _sample_points(cfg, geom.chart.dim, run.rng)
+    # t = 0, then samples − 1 chart points drawn in one call
+    pts = np.vstack([np.zeros(geom.chart.dim),
+                     run.rng.uniform(-0.4, 0.4, (cfg.samples - 1, geom.chart.dim))])
     run.sweep = sweep = _chart_sweep(geom, pts, run.rng)
     stage.update({
         "sigma": sweep["sigma"],
@@ -326,7 +320,8 @@ def _stage_curvature(cfg: CaseConfig, run) -> dict:
     if run.geom is None:  # the reduce stage built no chart
         return {"status": "skipped", "reason": "zero-dimensional base"
                 if run.stages["reduce"]["zero_dimensional_base"] else "no matrix realization"}
-    pts = _sample_points(cfg, run.geom.chart.dim, run.rng)[: max(1, cfg.samples // 2)]
+    # the first of the reduce stage's chart points: the stage draws nothing
+    pts = np.array(run.stages["reduce"]["chart_points"][: max(1, cfg.samples // 2)])
     return {
         "status": "ok",
         **curvature_battery(run.geom, pts),
@@ -599,14 +594,11 @@ def _sigma_equivariance_defect(ctx, rng) -> float:
     a, n, k, gamma, P = ctx.algebra, ctx.algebra.dim, ctx.stabilizer_dim, ctx.gamma_mu, ctx.p_matrix
     if k == 0:
         return 0.0
-    # three stabilizer elements with three (u, v) pairs each; the draws alternate
-    # between the two distributions, one call of each per element
-    fibers, pairs = zip(*[(rng.uniform(-1, 1, k), rng.standard_normal((3, 2 * n)))
-                          for _ in range(3)])
-    T = frame_transport(np.linalg.inv(group_exp(a, linalg.matvec(ctx.split.g_mu,
-                                                                 np.array(fibers)))))[:, None]
+    # three stabilizer elements with three (u, v) pairs each
+    fibers, pairs = rng.uniform(-1, 1, (3, k)), rng.standard_normal((3, 3, 2 * n))
+    T = frame_transport(np.linalg.inv(group_exp(a, linalg.matvec(ctx.split.g_mu, fibers))))[:, None]
     # rows (X, 0) of u and v, [element, pair, X]
-    u, v = np.moveaxis(np.pad(np.reshape(pairs, (3, 3, 2, n)), [(0, 0)] * 3 + [(0, n)]), 2, 0)
+    u, v = np.moveaxis(np.pad(pairs.reshape(3, 3, 2, n), [(0, 0)] * 3 + [(0, n)]), 2, 0)
     Tu, Tv = linalg.matvec(T, np.stack([u, v]))
     lhs = linalg.matvec(T, linalg.matvec(P, np.einsum("abc,...a,...b->...c", gamma, u, v)))
     rhs = linalg.matvec(P, np.einsum("abc,...a,...b->...c", gamma, Tu, Tv))

@@ -428,22 +428,6 @@ def totally_geodesic_defect(ctx: ReductionContext) -> float:
     return float(np.max(np.abs(rows[..., None, :] @ ctx.omega_mu @ P), initial=0.0))
 
 
-def _random_stable_complement(ctx: ReductionContext, rng: np.random.Generator) -> np.ndarray | None:
-    a = ctx.algebra
-    for _ in range(50):
-        cand = ctx.s_tilde + 0.4 * rng.standard_normal(ctx.s_tilde.shape)
-        cand = linalg.orthonormal_columns(cand)
-        if cand.shape[1] != ctx.stabilizer_dim:
-            continue
-        try:
-            _check_custom_s_tilde(a, ctx.split, cand)
-            isotropic_correction_gram(ctx.omega_mu, cand, ctx.split.delta)
-        except (AssumptionTwoFailure, DegeneratePairing):
-            continue
-        return cand
-    return None
-
-
 def autoparallel_check(ctx: ReductionContext, *, geom: SigmaGeometry | None = None,
                        rng: np.random.Generator) -> dict:
     """Measure how far the level set is from being autoparallel, as the reduce
@@ -451,11 +435,12 @@ def autoparallel_check(ctx: ReductionContext, *, geom: SigmaGeometry | None = No
 
     The defect is the largest component of ∇ of level-set frame pairs outside
     the tangent space.  When it vanishes, the reduced connection cannot
-    depend on the choice of complement; in that case a second context with a
-    randomized valid complement is built and the largest difference of the
-    reduced derivative over chart points sampled in ``geom``'s chart (the
-    geometry of ``ctx``) is the independence (0.0 without ``geom``, None when the
-    defect does not vanish or no second complement is found).
+    depend on the choice of complement; in that case a second context is built
+    on one Gaussian perturbation of the complement and the largest difference
+    of the reduced derivative over three chart points of ``geom``'s chart (the
+    geometry of ``ctx``), drawn in one call, is the independence (0.0 without
+    ``geom``, None when the defect does not vanish or the perturbed complement
+    fails ``build_context``'s checks, as it does where the stabilizer acts).
     """
     a = ctx.algebra
     n = a.dim
@@ -465,12 +450,12 @@ def autoparallel_check(ctx: ReductionContext, *, geom: SigmaGeometry | None = No
     if not autoparallel or geom is None:
         return {"defect": defect, "independence": 0.0 if autoparallel else None}
 
-    cand = _random_stable_complement(ctx, rng)
-    if cand is None:
+    cand = linalg.orthonormal_columns(ctx.s_tilde + 0.4 * rng.standard_normal(ctx.s_tilde.shape))
+    try:
+        other = build_context(a, ctx.mu, s_tilde=cand, gamma_mu=ctx.gamma_mu, split=ctx.split)
+    except (AssumptionTwoFailure, DegeneratePairing):
         return {"defect": defect, "independence": None}
-    chart = geom.chart
-    other = build_context(a, ctx.mu, s_tilde=cand, gamma_mu=ctx.gamma_mu, split=ctx.split)
-    geom_b = SigmaGeometry(other, chart)
-    ts = [rng.uniform(-0.3, 0.3, size=chart.dim) for _ in range(3)]
+    geom_b = SigmaGeometry(other, geom.chart)
+    ts = rng.uniform(-0.3, 0.3, (3, geom.chart.dim))
     diff = np.abs(geom.kernels(ts, geom.identity).cov - geom_b.kernels(ts, geom_b.identity).cov)
     return {"defect": defect, "independence": float(np.max(diff))}

@@ -606,7 +606,7 @@ class TestStackedJobs:
         cfg = CaseConfig.from_dict({"group": cases.so_n_group(n), "mu": cases.so_n_mu(n, weights),
                                     "samples": 6})
         run = pipeline._run_stages(cfg, "reduce", {}, {})
-        pts = pipeline._sample_points(cfg, run.geom.chart.dim, run.rng)[:3]
+        pts = np.array(run.stages["reduce"]["chart_points"][:3])  # the curvature stage's points
         calls = {"build": 0, "lstsq": 0, "tangent_solve": 0}
 
         def counted(name, fn):

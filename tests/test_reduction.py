@@ -487,6 +487,22 @@ class TestAutoparallel:
         assert report["independence"] is not None
         assert report["independence"] <= 1e-8
 
+    @pytest.mark.parametrize("doc,independence", [
+        ({"group": "so3", "mu": [0.0, 0.0, 1.0], "connection": "baseline"}, None),
+        ({"group": "heis3", "mu": [0.0, 0.0, 1.0]}, 0.0)], ids=["so3-baseline", "heis3"])
+    def test_one_complement_candidate_per_check(self, monkeypatch, doc, independence):
+        # the check perturbs the complement once and validates it once, in the
+        # second context's build: where the stabilizer acts (so3 at the baseline,
+        # whose level set is autoparallel) the candidate fails and independence
+        # reads null; on heis3 it passes, and the two reductions agree exactly
+        calls, check = [], reduction._check_custom_s_tilde
+        monkeypatch.setattr(reduction, "_check_custom_s_tilde",
+                            lambda *args: calls.append(args) or check(*args))
+        rep, code = rc.run_pipeline(rc.CaseConfig.from_dict(doc), "reduce")
+        auto = rep["stages"]["reduce"]["autoparallel"]
+        assert code == 0 and auto["defect"] <= 1e-10 and len(calls) == 1
+        assert auto["independence"] == independence
+
     def test_heis3_two_contexts_same_reduction(self, heis3_ctx, rng):
         # independent two-context comparison with an explicit custom complement
         a = heis3_ctx.algebra

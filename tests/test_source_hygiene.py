@@ -2,8 +2,9 @@
 every import is used, every private top-level function, class or constant is
 referenced somewhere in the package, and so is every private method of a class
 and every dataclass field, each read as an attribute.  And no draw-at-a-time
-sampling in ``pipeline.py``: no ``rng`` method is called inside a loop or a
-comprehension, except in the functions allowed below.  And no solve-at-a-time
+sampling in any module: no ``rng`` method is called inside a loop or a
+comprehension, except in the functions allowed below, and no draw is discarded:
+no ``rng`` call stands alone as a statement.  And no solve-at-a-time
 loops where every chart point's solve can be one stacked solve: no
 ``tangent_solve``, ``np.linalg.lstsq``, ``np.linalg.solve`` or ``.lift`` call
 inside a loop or a comprehension in ``curvature.py`` or the chart sweep, except
@@ -112,12 +113,9 @@ def test_every_private_method_and_dataclass_field_is_read():
             if name not in read] == []
 
 
-# pipeline.py functions that may call an rng method inside a loop, with the reason
-RNG_LOOPS_ALLOWED = {
-    "_sigma_equivariance_defect": "each stabilizer element's uniform draw precedes its "
-                                  "normal (u, v) draws in the stream, so one call per "
-                                  "distribution would reorder the draws",
-}
+# functions that may call an rng method inside a loop, with the reason: none, since
+# every sample set is drawn in one call
+RNG_LOOPS_ALLOWED: dict = {}
 
 
 class _LoopCallFinder(ast.NodeVisitor):
@@ -154,12 +152,15 @@ def _named(node, name: str) -> bool:
             or isinstance(node, ast.Attribute) and node.attr == name)
 
 
+def _draws(func) -> bool:
+    """Whether a call of ``func`` is ``rng.m(…)`` or ``….rng.m(…)``."""
+    return isinstance(func, ast.Attribute) and _named(func.value, "rng")
+
+
 class _RngLoopFinder(_LoopCallFinder):
     """Calls ``rng.m(…)`` or ``….rng.m(…)`` in loops."""
 
-    @staticmethod
-    def matches(func) -> bool:
-        return isinstance(func, ast.Attribute) and _named(func.value, "rng")
+    matches = staticmethod(_draws)
 
 
 class _SolveLoopFinder(_LoopCallFinder):
@@ -179,12 +180,13 @@ def _rng_calls_in_loops(tree) -> list:
     return finder.found
 
 
-def test_pipeline_draws_each_sample_set_in_one_call():
-    found = _rng_calls_in_loops(TREES["pipeline.py"])
-    assert [f"pipeline.py:{line} {name}" for name, line in found
+def test_every_module_draws_each_sample_set_in_one_call():
+    found = [(module, name, line) for module, tree in TREES.items()
+             for name, line in _rng_calls_in_loops(tree)]
+    assert [f"{module}:{line} {name}" for module, name, line in found
             if name not in RNG_LOOPS_ALLOWED] == []
     # every allowed function still needs its entry
-    assert {name for name, _ in found} >= set(RNG_LOOPS_ALLOWED)
+    assert {name for _, name, _ in found} >= set(RNG_LOOPS_ALLOWED)
 
 
 def test_rng_loop_rule_catches_draw_at_a_time_loops():
@@ -197,6 +199,30 @@ def sampled(run, rng):
 """
     assert _rng_calls_in_loops(ast.parse(source)) == [("sampled", 4), ("sampled", 5),
                                                        ("sampled", 6)]
+
+
+def _discarded_draws(tree) -> list:
+    """Lines of every ``rng`` call that stands alone as a statement."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Expr)
+            and isinstance(node.value, ast.Call) and _draws(node.value.func)]
+
+
+def test_no_module_discards_a_draw():
+    assert [f"{module}:{line}" for module, tree in TREES.items()
+            for line in _discarded_draws(tree)] == []
+
+
+def test_discarded_draw_rule_catches_unread_draws():
+    source = """
+def staged(run, rng):
+    run.rng.uniform(-1, 1, (2, 5, 3))
+    xs = rng.standard_normal(3)
+    if xs[0] > 0:
+        rng.random()
+    print(xs)
+    return np.sum(rng.standard_normal(2)), run.rng
+"""
+    assert _discarded_draws(ast.parse(source)) == [3, 6]
 
 
 # functions of curvature.py and the chart sweep that may call a solve inside a loop, with

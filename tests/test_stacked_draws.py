@@ -1,6 +1,6 @@
-"""Stacked evaluations equal per-element calls, row by row, and the stacked
-draws of the validate and connect stages leave the rng where draw-at-a-time
-loops leave it.
+"""Stacked evaluations equal per-element calls, row by row; the validate stage
+draws nothing, and the stacked draws of the connect stage leave the rng where
+draw-at-a-time loops leave it.
 
 Where a routine promises a row of a stack the bits of the call on that row
 alone (each row its own Padé plan, matmul, LAPACK solve or SVD), the tests
@@ -194,10 +194,7 @@ def test_stacked_stage_draws_leave_the_rng_where_single_draws_do(label):
     cfg = _config(label)
     run, fresh, n = _run(cfg), np.random.default_rng(cfg.seed), a.dim
     pipeline._stage_validate(cfg, run)
-    # 2 × 5 unread draws, one sample at a time
-    for _ in range(10):
-        fresh.uniform(-1, 1, n)
-    assert run.rng.bit_generator.state == fresh.bit_generator.state
+    assert run.rng.bit_generator.state == fresh.bit_generator.state  # validate draws nothing
     pipeline._stage_connect(cfg, run)
     for _ in range(10):  # ξ, then u, v and w of each closed-form draw
         fresh.standard_normal(n)
@@ -206,6 +203,22 @@ def test_stacked_stage_draws_leave_the_rng_where_single_draws_do(label):
     xis = [fresh.standard_normal(n) for _ in range(3)]
     assert run.rng.bit_generator.state == fresh.bit_generator.state
     _bitwise_rows(run.xi_samples, [mu] + xis)
+
+
+@pytest.mark.parametrize("samples", [1, 2, 5])
+def test_curvature_stage_draws_nothing_and_reads_the_sweeps_points(samples):
+    # the reduce stage draws samples − 1 chart points after t = 0 in one call; the
+    # curvature stage evaluates at the first max(1, samples // 2) of them
+    cfg = CaseConfig.from_dict({"group": "so3", "mu": [0.0, 0.0, 1.0], "samples": samples})
+    run = pipeline._run_stages(cfg, "reduce", {}, {})
+    state = run.rng.bit_generator.state
+    stage = pipeline._stage_curvature(cfg, run)
+    assert run.rng.bit_generator.state == state
+    pts = run.stages["reduce"]["chart_points"]
+    assert len(pts) == samples and pts[0] == [0.0, 0.0]
+    first = pts[: max(1, samples // 2)]
+    assert stage["symmetry"]["points"] == len(first)
+    assert list(dict.fromkeys(tuple(s["t"]) for s in stage["samples"])) == list(map(tuple, first))
 
 
 @pytest.mark.parametrize("label", ["so3", "so5-regular"])

@@ -148,8 +148,8 @@ def test_verify_builds_no_more_than_the_pipeline(monkeypatch, label):
 
 @pytest.mark.parametrize("label", ["so3", "so4-regular"])
 def test_validate_makes_no_exponential(monkeypatch, label):
-    # the level-set checks read μ's brackets alone; the stage still takes its ten
-    # unread draws, so the connect stage draws what it drew when they were read
+    # the level-set checks read μ's brackets alone and draw nothing, so the
+    # connect stage's draws open the stream
     cfg, calls, expm = CaseConfig.from_dict(_doc(label)), [], linalg.expm
     monkeypatch.setattr(linalg, "expm", lambda *args, **kw: calls.append(args) or expm(*args, **kw))
     _, code = run_pipeline(cfg, "validate")
@@ -157,10 +157,10 @@ def test_validate_makes_no_exponential(monkeypatch, label):
     a = cfg.algebra()
     run = SimpleNamespace(rng=np.random.default_rng(cfg.seed), a=a, mu=cfg.mu_vector(a))
     pipeline._stage_validate(cfg, run)
-    pipeline._stage_connect(cfg, run)
     fresh = np.random.default_rng(cfg.seed)
-    fresh.uniform(-1, 1, (2, 5, a.dim))
-    fresh.standard_normal((10, 7 * a.dim))
+    assert run.rng.bit_generator.state == fresh.bit_generator.state
+    pipeline._stage_connect(cfg, run)
+    fresh.standard_normal((10, 7 * a.dim))  # the closed-form draws
     assert np.array_equal(run.xi_samples, np.vstack([run.mu, fresh.standard_normal((3, a.dim))]))
 
 
