@@ -25,7 +25,8 @@ Both return the same [i, j, l] array of orbit tangents as ``curvature_exact``,
 Nomizu's operators at μ moved to t by Coad, which needs no stencil; the FD
 error, quadratic in fd_step2, is what the convergence probe measures against it
 by step halving.  ``curvature_battery`` runs every curvature check on one
-geometry: its kernels in one batch (laid out by ``_routes`` alone), each kind
+geometry and the kernels at its points (the chart sweep's, in the pipeline):
+the displaced kernels in one batch (laid out by ``_routes`` alone), each kind
 of per-point solve stacked over every point, and each route once over its jobs.
 """
 
@@ -45,16 +46,15 @@ PROBE_TIE_RTOL = 1e-6
 PROBE_STEP = 4e-3  # the probe's coarse step
 
 
-def _stencils(geom: SigmaGeometry, jobs) -> tuple:
+def _stencils(geom: SigmaGeometry, jobs, p) -> tuple:
     """The formula's stencil points (ts, fibers), with each stencil's step, job q
     and direction x (one per job and distinct x of its directions): job q's
-    t ± step along f̄_x, from the lifts and frames at the jobs' points read from
-    the chart's lift block, so that they are known before any kernel is built."""
+    t ± step along f̄_x, from the lifts and frames of the kernels p at the jobs'
+    points, so that they are known before the batch is built."""
     q, x = np.array([(q, x) for q, (_, _, d) in enumerate(jobs) for x in dict.fromkeys(d)],
                     dtype=int).reshape(-1, 2).T
     t, steps = (np.array(v)[q] for v in list(zip(*jobs))[:2])
-    lifts, frames = geom.lift_frames(np.array([tq for tq, _, _ in jobs]), geom.identity)
-    return (*geom._stencil_points(t, geom.identity, lifts[q, x], steps, frames[q]), steps, q, x)
+    return (*geom._stencil_points(t, geom.identity, p.lifts[q, x], steps, p.F[q]), steps, q, x)
 
 
 def curvature_routes(geom: SigmaGeometry, t, *, fd_step2: float = DEFAULT_FD_STEP2,
@@ -64,29 +64,30 @@ def curvature_routes(geom: SigmaGeometry, t, *, fd_step2: float = DEFAULT_FD_STE
     orbit tangent for i = directions[a], j = directions[b] (all chart
     directions by default), and entries with i = j are zero.  The formula is the
     lift expansion, the tensor the chart expression of the Christoffel symbols;
-    their kernels are built in one batch (``_routes``)."""
+    they read the kernel at t and one batch of displaced kernels (``_routes``)."""
     d = range(geom.chart.dim) if directions is None else directions
-    (formula,), (tensor,), _ = _routes(geom, [(np.asarray(t, float), float(fd_step2), list(d))])
+    job = (np.asarray(t, float), float(fd_step2), list(d))
+    (formula,), (tensor,) = _routes(geom, [job], geom.kernels(job[0], geom.identity))
     return formula, tensor
 
 
-def _routes(geom: SigmaGeometry, jobs: list) -> tuple:
+def _routes(geom: SigmaGeometry, jobs: list, p) -> tuple:
     """Both routes' arrays R[i, j, l] on the jobs (t, step, directions), one list
-    each, and the kernels at the jobs' points.  One batch holds the tensor's
-    t ± h·eₓ, the jobs' points and the formula's stencils (``_stencils``), each
-    distinct (t, fiber) once: the probe's jobs repeat a point, and a stencil can
-    land on a tensor point.  The tensor reads the first two parts, the formula the last two."""
-    ts, fibers, *stencils = _stencils(geom, jobs)
-    points = np.array([t + sign * h * np.eye(len(t))[x] for t, h, d in jobs
-                       for x in dict.fromkeys(d) for sign in (1.0, -1.0)] + [t for t, _, _ in jobs])
-    start = len(points) - len(jobs)  # the jobs' points' first row
+    each, from the kernels p at the jobs' points.  One batch holds the tensor's
+    t ± h·eₓ and the formula's stencils (``_stencils``), each distinct (t, fiber)
+    once: a stencil can land on a tensor point.  The tensor reads the ± points'
+    kernels and p, the formula p and the stencils'."""
+    ts, fibers, *stencils = _stencils(geom, jobs, p)
+    points = np.array([t + sign * h * np.eye(len(t))[x] for t, h, d in jobs for x in
+                       dict.fromkeys(d) for sign in (1.0, -1.0)]).reshape(-1, geom.chart.dim)
     ts, fibers = np.concatenate([points, ts]), np.concatenate(
         [np.broadcast_to(geom.identity, (len(points), geom.n, geom.n)), fibers])
     rows, first = linalg.distinct_rows((t.tobytes(), f.tobytes()) for t, f in zip(ts, fibers))
     K, rows = geom.kernels(ts[first], fibers[first]), np.array(rows)
-    p, tensor = K[rows[start: len(points)]], rows[: len(points)]
-    return (_formula(geom, jobs, stencils, p, K.level[rows[start:]]),
-            _tensor(geom, jobs, K.D[tensor], K.cov[tensor]), p)
+    tensor, level = rows[: len(points)], K.level[rows[len(points):]]
+    return (_formula(geom, jobs, stencils, p, np.concatenate([p.level, level])),
+            _tensor(geom, jobs, np.concatenate([K.D[tensor], p.D]),
+                    np.concatenate([K.cov[tensor], p.cov])))
 
 
 def _formula(geom: SigmaGeometry, jobs, stencils, p, level) -> list:
@@ -160,6 +161,13 @@ def curvature_exact(geom: SigmaGeometry, t) -> np.ndarray:
     linear in X.  At t, R_t[i, j, l] = C·D(0)·Σ B_ai B_bj B_cl R_μ[a, b, c] with
     C = Coad(exp A) and B = D(0)⁺·C⁻¹·D(t).
     """
+    # Coad and D at t from the chart's lift block, checked as t's kernel is (``_lift_rows``)
+    coad_t, vecs, D = geom.chart.lift_data(t)
+    return _exact(geom, geom._lift_rows(coad_t, vecs, D, geom.identity[None])[1][0], D[0])
+
+
+def _exact(geom: SigmaGeometry, coad: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """``curvature_exact`` at the chart point whose Coad and chart differential are coad and D."""
     ctx, c, n, m, H = geom.ctx, geom.ctx.algebra.c, geom.n, geom.chart.m_basis, geom.horizontal_T
     u = m.T @ H  # row c: f̄_c at μ
     level = geom._induced(u, H[None], -np.einsum("ci,ikx->ckx", u[:, :n], c) @ H)
@@ -170,9 +178,6 @@ def curvature_exact(geom: SigmaGeometry, t) -> np.ndarray:
     # N_[E_i, E_j] = Σ c[a, b, x] m[a, i] m[b, j] N[x], one pairwise contraction per factor
     NB = np.tensordot(np.tensordot(np.tensordot(m, c, (0, 0)), m, (1, 0)), N, (1, 0))
     r_mu = (NE[:, None] @ NE[None] - NE[None] @ NE[:, None] - NB).swapaxes(-1, -2)  # [a, b, c, r]
-    # Coad and D at t from the chart's lift block, checked as t's kernel is (``_lift_rows``)
-    coad_t, vecs, D = geom.chart.lift_data(t)
-    coad, D = geom._lift_rows(coad_t, vecs, D, geom.identity[None])[1][0], D[0]
     B = tangent_solve(D0, np.linalg.solve(coad, D))
     r_t = np.tensordot(np.tensordot(np.tensordot(r_mu, B, (0, 0)), B, (0, 0)), B, (0, 0))
     return np.moveaxis(r_t, 0, -1) @ (coad @ D0).T  # r_t[r, i, j, l]: B on slots a, b, c
@@ -189,9 +194,9 @@ def _probe_inputs(tensor: np.ndarray) -> tuple[int, int, int]:
     return int(I[p]), int(J[p]), l
 
 
-def curvature_battery(geom: SigmaGeometry, t_points) -> dict:
+def curvature_battery(geom: SigmaGeometry, t_points, K) -> dict:
     """Both curvature routes on coordinate-field triples, the symmetry defects
-    and the step-halving probe at t_points[0], all on one geometry.
+    and the step-halving probe at t_points[0], all on one geometry and the kernels K there.
 
     At each chart point both routes of ``curvature_routes`` give the array
     R[i, j, l] = R(f_i, f_j)f_l; the samples pair the two for i < j.
@@ -203,15 +208,15 @@ def curvature_battery(geom: SigmaGeometry, t_points) -> dict:
     tensor, which vanishes exactly when the reduced form is parallel.  The
     probe runs on the triple i < j whose exact value at t_points[0] is largest
     (``_probe_inputs``), so that it measures a component that does not vanish.
-    The exact value builds no kernel, so every point is known before any
-    kernel is built: they come in one batch (``_routes``), and each route runs
-    once over the points and the probe's two steps (``_probe``).
+    Every displaced point is known from K before any kernel is built: they
+    come in one batch (``_routes``), and each route runs once over the points
+    and the probe's two steps (``_probe``).
     """
     km = geom.chart.dim
     ts = np.array(t_points, dtype=float).reshape(-1, km)
-    exact = curvature_exact(geom, ts[0])
+    exact = _exact(geom, K.coad[0], K.D[0])
     jobs = [(t, DEFAULT_FD_STEP2, list(range(km))) for t in ts]
-    convergence, R, tensor, K = _probe(geom, ts[0], PROBE_STEP, _probe_inputs(exact), exact, jobs)
+    convergence, R, tensor = _probe(geom, ts[0], PROBE_STEP, _probe_inputs(exact), exact, jobs, K)
     I, J = np.triu_indices(km, 1)
     val, orc = R[:, I, J], tensor[:, I, J]  # [point, pair, l]
     gap, size = (np.sqrt(linalg.vecdot(x, x)) for x in (val - orc, orc))  # as np.linalg.norm
@@ -247,20 +252,22 @@ def convergence_factor(geom: SigmaGeometry, t, *, coarse: float = PROBE_STEP,
     against ``curvature_exact`` at a coarse step and at half that step, whose
     ratio should sit near four (central differences are second order).  The
     steps sit well above the default, where truncation dominates roundoff.  The
-    tables at t and at the displaced points of both steps are built in one
+    kernel at t is built first, and the displaced points of both steps in one
     batch (``_routes``).  The factor is null where the fine error is 0.
     """
-    return _probe(geom, np.asarray(t, dtype=float), coarse, inputs, curvature_exact(geom, t), [])[0]
+    t, K = np.asarray(t, dtype=float), geom.kernels(t, geom.identity)
+    return _probe(geom, t, coarse, inputs, _exact(geom, K.coad[0], K.D[0]), [], K)[0]
 
 
-def _probe(geom: SigmaGeometry, t, coarse: float, inputs, exact, jobs: list) -> tuple:
+def _probe(geom: SigmaGeometry, t, coarse: float, inputs, exact, jobs: list, K) -> tuple:
     """``convergence_factor``'s report at t, from ``exact`` = ``curvature_exact``
-    there, both routes' arrays R[job, i, j, l] of ``jobs`` (t, step, directions)
-    and the kernels at their points: ``_routes`` on the jobs and the probe's two."""
+    there, and both routes' arrays R[job, i, j, l] of ``jobs`` (t, step, directions):
+    ``_routes`` on the jobs and the probe's two, from the kernels K at the jobs'
+    points, or at t without a job (K[0] is t's either way)."""
     i, j, l = inputs
     given = len(jobs)
-    (*R, coarse_r, fine_r), (*tensor, coarse_t, fine_t), K = _routes(
-        geom, jobs + [(t, coarse, [i, j]), (t, coarse / 2.0, [i, j])])
+    (*R, coarse_r, fine_r), (*tensor, coarse_t, fine_t) = _routes(
+        geom, jobs + [(t, coarse, [i, j]), (t, coarse / 2.0, [i, j])], K[[*range(given), 0, 0]])
     (formula_coarse, formula_fine), (oracle_coarse, oracle_fine) = (
         [float(np.linalg.norm(r[0, 1, l] - exact[i, j, l])) for r in route]
         for route in ((coarse_r, fine_r), (coarse_t, fine_t)))
@@ -268,4 +275,4 @@ def _probe(geom: SigmaGeometry, t, coarse: float, inputs, exact, jobs: list) -> 
             "oracle_error_coarse": oracle_coarse, "oracle_error_fine": oracle_fine,
             "formula_error_coarse": formula_coarse, "formula_error_fine": formula_fine,
             "factor": oracle_coarse / oracle_fine if oracle_fine > 0 else None}, \
-        np.array(R), np.array(tensor), K[:given]
+        np.array(R), np.array(tensor)

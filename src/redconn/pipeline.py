@@ -232,9 +232,9 @@ def _stage_connect(cfg: CaseConfig, run) -> dict:
 
 def _stage_reduce(cfg: CaseConfig, run) -> dict:
     """The reduce stage on the configured connection with its Γ(μ).  Sets the
-    run's reduction context, and its geometry and chart sweep for the curvature
-    stage and ``verify`` (both stay None without a chart: zero-dimensional base,
-    or no realization by the policy below)."""
+    run's reduction context, and its geometry, chart sweep and kernels for the
+    curvature stage and ``verify`` (all stay None without a chart: zero-dimensional
+    base, or no realization by the policy below)."""
     a, mu = run.a, run.mu
     run.ctx = ctx = build_context(a, mu, s_tilde=cfg.s_tilde, gamma_mu=run.gammas[0],
                                   split=run.split)
@@ -255,7 +255,8 @@ def _stage_reduce(cfg: CaseConfig, run) -> dict:
     # t = 0, then samples − 1 chart points drawn in one call
     pts = np.vstack([np.zeros(geom.chart.dim),
                      run.rng.uniform(-0.4, 0.4, (cfg.samples - 1, geom.chart.dim))])
-    run.sweep = sweep = _chart_sweep(geom, pts, run.rng)
+    sweep, run.kernels = _chart_sweep(geom, pts, run.rng)
+    run.sweep = sweep
     stage.update({
         "sigma": sweep["sigma"],
         "kks_residual": sweep["kks"],
@@ -268,8 +269,9 @@ def _stage_reduce(cfg: CaseConfig, run) -> dict:
     return stage
 
 
-def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator) -> dict:
-    """Every reduced-connection defect, from arrays stacked over the chart points.
+def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator) -> tuple:
+    """Every reduced-connection defect, from arrays stacked over the chart points,
+    and the kernels at those points (identity fiber), which the curvature stage reads.
 
     At each point t: the kernel's D = dν(t), lifts L of D's columns and their
     jet J, the reduced form matrix Ω(t) = L·ω(μ)·Lᵀ and its exact derivatives
@@ -298,33 +300,33 @@ def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator) -> dict:
     projection = float(np.max(gap / np.maximum(1.0, np.linalg.norm(K.lifts, axis=-1))))
     P = len(pts)  # the fibers' points enter the projection gaps and fiber independence only
     fiber = float(np.max(np.abs(K.cov[P:] - K.cov[0]), initial=0.0))
-    D, coad, lifts, jet, level, cov = (K.D[:P], K.coad[:P], K.lifts[:P], K.jet[:P], K.level[:P],
-                                       K.cov[:P])
+    K = K[:P]  # the chart points' kernels, which the curvature stage reads too
+    D, coad, lifts, jet, level, cov = K.D, K.coad, K.lifts, K.jet, K.level, K.cov
     pairs = kks_pairs(ctx.algebra, D, linalg.matvec(coad, ctx.mu), geom.form_table(lifts, lifts))
     jw = geom.form_table(jet[:, :km].reshape(P, km * km, -1), lifts).reshape(P, km, km, km)
     d_omega = jw - jw.swapaxes(-1, -2)
     # Pc[p, x, i, j] = Ω(∇ʳ_x f_i, f_j), so Ω(f_i, ∇ʳ_x f_j) = -Pc[p, x, j, i]
-    cov_lifts = geom.lift(K[:P], cov.reshape(P, km * km, -1))
+    cov_lifts = geom.lift(K, cov.reshape(P, km * km, -1))
     Pc = geom.form_table(cov_lifts, lifts).reshape(P, km, km, km)
     oracle = gram_oracle_solve(geom, D, lifts, level.reshape(P, km * km, -1)).reshape(cov.shape)
     cyclic = d_omega + d_omega.transpose(0, 3, 1, 2) + d_omega.transpose(0, 2, 3, 1)
     return {"sigma": next((float(np.sign(red / ref)) for red, ref in pairs), None),
-            "kks": kks_gap(pairs),
+            "kks": kks_gap(pairs), "fiber": fiber,
             "torsion": float(np.max(np.abs(cov - cov.transpose(0, 2, 1, 3)))),
             "oracle": float(np.max(np.abs(cov - oracle))),
             "parallel": float(np.max(np.abs(d_omega - Pc + Pc.swapaxes(-1, -2)))),
-            "closed": float(np.max(np.abs(cyclic[:2]))), "fiber": fiber, "projection": projection}
+            "closed": float(np.max(np.abs(cyclic[:2]))), "projection": projection}, K
 
 
 def _stage_curvature(cfg: CaseConfig, run) -> dict:
     if run.geom is None:  # the reduce stage built no chart
         return {"status": "skipped", "reason": "zero-dimensional base"
                 if run.stages["reduce"]["zero_dimensional_base"] else "no matrix realization"}
-    # the first of the reduce stage's chart points: the stage draws nothing
+    # the first of the reduce stage's chart points, with their kernels: the stage draws nothing
     pts = np.array(run.stages["reduce"]["chart_points"][: max(1, cfg.samples // 2)])
     return {
         "status": "ok",
-        **curvature_battery(run.geom, pts),
+        **curvature_battery(run.geom, pts, run.kernels[: len(pts)]),
     }
 
 
@@ -336,10 +338,10 @@ def _run_stages(cfg: CaseConfig, stop_after: str, stages: dict, timings: dict):
     """Run the stages through ``stop_after`` on the seed's rng, filling ``stages``
     and ``timings``.  Each stage takes the config and the run record, returns its
     report and sets on the run what it builds for later stages and ``verify``.
-    Returns the run (geometry and sweep stay None without a chart)."""
+    Returns the run (geometry, sweep and kernels stay None without a chart)."""
     a = cfg.algebra()
     run = SimpleNamespace(stages=stages, rng=np.random.default_rng(cfg.seed), a=a,
-                          mu=cfg.mu_vector(a), geom=None, sweep=None)
+                          mu=cfg.mu_vector(a), geom=None, sweep=None, kernels=None)
     for stage in STAGES[: STAGES.index(stop_after) + 1]:
         ts = time.perf_counter()
         stages[stage] = _STAGE_RUNS[stage](cfg, run)

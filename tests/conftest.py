@@ -43,6 +43,13 @@ def stencil(geom, t, fiber, us, step, frames, fld=None):
     return d[0] if np.ndim(us) == 1 else d
 
 
+def run_battery(geom, t_points) -> dict:
+    """``curvature_battery`` at the chart points ``t_points`` on their kernels
+    (identity fiber), built in one batch, as a caller without a chart sweep runs it."""
+    ts = np.reshape(np.asarray(t_points, dtype=float), (-1, geom.chart.dim))
+    return rc.curvature_battery(geom, ts, geom.kernels(ts, geom.identity))
+
+
 def richardson_stencil(geom, t, fiber, us, step, frames, fld):
     """(4·d(step/2) − d(step))/3 from two central stencils ``stencil`` of ``fld``
     at step and step/2: the Richardson-extrapolated derivative."""

@@ -14,12 +14,12 @@ import scipy.linalg
 import redconn as rc
 from redconn import linalg
 from redconn.connections import baseline_nabla_omega
-from redconn.curvature import convergence_factor, curvature_battery
+from redconn.curvature import convergence_factor
 from redconn.errors import AssumptionTwoFailure, NonReductiveStabilizer
 from redconn.pipeline import CaseConfig, run_pipeline
 from redconn.reduction import SigmaGeometry, isotropic_correction_gram
 from tests import oracles
-from tests.conftest import symmetrized
+from tests.conftest import run_battery, symmetrized
 
 GROUPS = ["so3", "su2", "sl2r", "heis3", "se2"]
 CATALOG = [("so3", [0.0, 0.0, 1.0]), ("su2", [0.0, 0.0, 1.0]),
@@ -158,7 +158,7 @@ def test_criterion_4_curvature_cross_validation():
         chart = rc.default_chart(ctx)
         pts = [np.zeros(2), rng.uniform(-0.3, 0.3, 2)]
         geom = SigmaGeometry(ctx, chart)
-        battery = curvature_battery(geom, pts)
+        battery = run_battery(geom, pts)
         agreement = max(agreement, battery["max_discrepancy"])
         factors.append(convergence_factor(geom, np.array([0.15, -0.1]))["factor"])
         rep = battery["symmetry"]
@@ -171,8 +171,8 @@ def test_criterion_4_curvature_cross_validation():
     delta = np.random.default_rng(7).standard_normal((6, 6, 6)) * 0.5
     ctx_bad = rc.build_context(a, mu, gamma_mu=rc.baseline_coefficients(a) + symmetrized(delta))
     chart = rc.default_chart(ctx_bad)
-    control = curvature_battery(SigmaGeometry(ctx_bad, chart),
-                                [np.array([0.12, -0.07])])["symmetry"]["symplectic_defect"]
+    control = run_battery(SigmaGeometry(ctx_bad, chart),
+                          [np.array([0.12, -0.07])])["symmetry"]["symplectic_defect"]
     ok = (agreement <= 1e-4 and all(3.0 <= f <= 5.0 for f in factors)
           and all(v <= 1e-4 for v in symmetry.values()) and control > 1e-2)
     _verdict(4, "curvature cross-validation", ok,

@@ -290,7 +290,7 @@ def _perturb(geom, change) -> None:
 def _sweep_again(run) -> None:
     """The chart sweep at the run's chart points, on fibers drawn from seed 0."""
     pts = np.asarray(run.stages["reduce"]["chart_points"])
-    run.sweep = pipeline._chart_sweep(run.geom, pts, np.random.default_rng(0))
+    run.sweep, run.kernels = pipeline._chart_sweep(run.geom, pts, np.random.default_rng(0))
 
 
 def _tangent_noise(K, rng, scale: float) -> np.ndarray:

@@ -4,13 +4,13 @@ import pytest
 import redconn as rc
 from redconn.curvature import (convergence_factor, curvature_battery, curvature_exact,
                                curvature_routes)
-from redconn import curvature, linalg, pipeline, reduction
+from redconn import curvature, linalg, orbits, pipeline, reduction
 from redconn.errors import RankLoss, ZeroDimensionalBase
 from redconn.pipeline import THRESHOLDS, CaseConfig, run_pipeline
 from redconn.reduction import SigmaGeometry
 from tests import oracles
-from tests.conftest import (CATALOG_CASES, count_builds, perfbench_cases, pushdown, stencil,
-                            symmetrized, track_geometries)
+from tests.conftest import (CATALOG_CASES, count_builds, perfbench_cases, pushdown, run_battery,
+                            stencil, symmetrized, track_geometries)
 from tests.test_compare_reports import compare_reports
 from tests.test_liealg import _so4
 
@@ -70,7 +70,7 @@ class TestFlagship:
     def test_formula_matches_oracle(self, so3_setup, rng):
         _, ctx, chart = so3_setup
         pts = [np.zeros(2)] + [rng.uniform(-0.4, 0.4, 2) for _ in range(2)]
-        battery = curvature_battery(SigmaGeometry(ctx, chart), pts)
+        battery = run_battery(SigmaGeometry(ctx, chart), pts)
         assert battery["samples"], "no samples generated"
         assert battery["max_discrepancy"] <= 1e-4
 
@@ -169,8 +169,8 @@ class TestTensorRoute:
 
     def test_direction_subset_reads_only_its_rows_on_so4(self, monkeypatch):
         # on so(4) regular km = 4, so a block over two directions builds the
-        # kernel at t, the tensor's t ± h·eₓ and the formula's stencil points of
-        # its own two directions only, each call in one batch
+        # kernel at t and then, in one batch, the tensor's t ± h·eₓ and the
+        # formula's stencil points of its own two directions only
         ctx = rc.build_context(_so4(), np.array([1.0, 0.0, 0.0, 0.0, 0.0, 2.0]))
         chart = rc.default_chart(ctx)
         t = np.array([0.12, -0.2, 0.07, 0.15])
@@ -178,7 +178,7 @@ class TestTensorRoute:
         full = curvature_routes(SigmaGeometry(ctx, chart), t)[0]
         block = curvature_routes(SigmaGeometry(ctx, chart), t, directions=(2, 0))[0]
         assert (block == full[np.ix_([2, 0], [2, 0])]).all()
-        assert built == [2 * 4 + 1 + 2 * 4, 2 * 2 + 1 + 2 * 2]
+        assert built == [1, 2 * 4 + 2 * 4, 1, 2 * 2 + 2 * 2]
 
 
 class TestCatalogAgreement:
@@ -190,7 +190,7 @@ class TestCatalogAgreement:
         a = rc.named_algebra(name)
         ctx = rc.build_context(a, np.asarray(mu, float))
         chart = rc.default_chart(ctx)
-        battery = curvature_battery(SigmaGeometry(ctx, chart), [np.array([0.15, -0.1])])
+        battery = run_battery(SigmaGeometry(ctx, chart), [np.array([0.15, -0.1])])
         assert battery["max_discrepancy"] <= 1e-4
 
 
@@ -198,7 +198,7 @@ class TestSymmetryBattery:
     def test_so3_defects_within_tolerance(self, so3_setup, rng):
         _, ctx, chart = so3_setup
         pts = [np.zeros(2), rng.uniform(-0.3, 0.3, 2)]
-        report = curvature_battery(SigmaGeometry(ctx, chart), pts)["symmetry"]
+        report = run_battery(SigmaGeometry(ctx, chart), pts)["symmetry"]
         assert report["antisymmetry_defect"] <= 1e-4
         assert report["symplectic_defect"] <= 1e-4
         assert report["bianchi_defect"] <= 1e-4
@@ -214,12 +214,12 @@ class TestSymmetryBattery:
         assert rc.torsion_defect(a, raw) <= 1e-12
         ctx_bad = rc.build_context(a, mu, gamma_mu=raw)
         chart = rc.default_chart(ctx_bad)
-        bad = curvature_battery(SigmaGeometry(ctx_bad, chart),
-                                [np.array([0.12, -0.07])])["symmetry"]
+        bad = run_battery(SigmaGeometry(ctx_bad, chart),
+                          [np.array([0.12, -0.07])])["symmetry"]
         assert bad["symplectic_defect"] > 1e-2
         ctx_good = rc.build_context(a, mu, gamma_mu=rc.symplectized_coefficients(a, mu, raw))
-        good = curvature_battery(SigmaGeometry(ctx_good, chart),
-                                 [np.array([0.12, -0.07])])["symmetry"]
+        good = run_battery(SigmaGeometry(ctx_good, chart),
+                           [np.array([0.12, -0.07])])["symmetry"]
         assert good["symplectic_defect"] <= 1e-4
 
     def test_only_the_tensor_route_flags_the_control(self, so3_setup):
@@ -263,7 +263,7 @@ class TestSymmetryBattery:
             return lift(self, K, v)
 
         monkeypatch.setattr(SigmaGeometry, "lift", counted)
-        curvature_battery(geom, [np.array([0.12, -0.2, 0.07, 0.15]), np.zeros(4)])
+        run_battery(geom, [np.array([0.12, -0.2, 0.07, 0.15]), np.zeros(4)])
         assert calls == [(2, 6 * 4, 6)]
 
     @pytest.mark.parametrize("name,mu", [("so3", [0.0, 0.0, 1.0]), ("sl2r", [1.0, 0.0, 0.0]),
@@ -489,9 +489,9 @@ class TestStackedPairs:
 
 
 class TestStackedJobs:
-    """Both routes over a stack of jobs (t, step, directions), ``curvature._routes``:
-    each job's arrays are its one-point ``curvature_routes`` call's bit for bit,
-    whatever the other jobs of the stack."""
+    """Both routes over a stack of jobs (t, step, directions), ``curvature._routes``
+    on the kernels at the jobs' points: each job's arrays are its one-point
+    ``curvature_routes`` call's bit for bit, whatever the other jobs of the stack."""
 
     @pytest.mark.parametrize("case", perfbench_cases().SO4_CASES + perfbench_cases().SO5_CASES[:1],
                              ids=lambda c: c[0])
@@ -507,10 +507,11 @@ class TestStackedJobs:
         steps = [1e-4, 1e-4, 4e-3, 2e-3, 1e-4]
         dirs = [range(km), (1, 0), (0, km - 1), (km - 1, 1, 0), (1, 1)]
         geom = SigmaGeometry(ctx, chart)
-        formula, tensor, K = curvature._routes(geom, [*zip(ts, steps, map(list, dirs))])
+        # the kernels at the jobs' points come from one batch of those points,
+        # each one-job call's from a batch of its point alone
+        formula, tensor = curvature._routes(geom, [*zip(ts, steps, map(list, dirs))],
+                                            geom.kernels(ts, geom.identity))
         assert len(formula) == len(tensor) == len(ts)
-        # the kernels at the jobs' points, as a batch of those points alone builds them
-        assert K.lifts.tobytes() == geom.kernels(ts, geom.identity).lifts.tobytes()
         for t, h, d, *stacked in zip(ts, steps, dirs, formula, tensor):
             one = curvature_routes(SigmaGeometry(ctx, chart), t, fd_step2=h, directions=d)
             for out, alone in zip(stacked, one):
@@ -525,26 +526,31 @@ class TestStackedJobs:
             curvature_routes(SigmaGeometry(ctx, chart), far)
         for ts in ([near, far], [far, near]):
             with pytest.raises(RankLoss):
-                curvature._routes(SigmaGeometry(ctx, chart), [(t, 1e-4, [0, 1]) for t in ts])
+                run_battery(SigmaGeometry(ctx, chart), ts)
 
     def test_each_entry_point_builds_one_batch(self, so3_setup, monkeypatch):
-        # _routes lays out each call's batch: one kernels call per
-        # curvature_routes, curvature_battery or convergence_factor call
+        # _routes lays out each call's batch of displaced points: one kernels
+        # call per curvature_battery call, which reads the kernels at its
+        # points, and per curvature_routes or convergence_factor call after
+        # the one that builds the kernel at its point
         _, ctx, chart = so3_setup
         geom, t = SigmaGeometry(ctx, chart), np.array([0.1, -0.2])
+        K = geom.kernels([t, np.zeros(2)], geom.identity)
         built = count_builds(monkeypatch)
         curvature_routes(geom, t)
-        assert built == [2 * 2 + 1 + 2 * 2]  # t ± h·eₓ, t, the stencils along f̄_x
-        curvature_battery(geom, [t, np.zeros(2)])
-        convergence_factor(geom, t)
+        assert built == [1, 2 * 2 + 2 * 2]  # t; then t ± h·eₓ, the stencils along f̄_x
+        curvature_battery(geom, [t, np.zeros(2)], K)
         assert len(built) == 3
+        convergence_factor(geom, t)
+        assert len(built) == 5 and built[3] == 1
 
     def test_routes_builds_its_distinct_rows_in_one_call(self, monkeypatch):
-        # the battery's batch repeats rows (the probe's two jobs sit at
-        # t_points[0] = 0, where the formula's stencils land bit for bit on the
+        # the battery's batch repeats rows (at t_points[0] = 0, where the
+        # probe's two jobs sit, the formula's stencils land bit for bit on the
         # tensor's t ± h·eₓ); _routes drops them and asks kernels once, for
-        # pairwise distinct rows: on perfbench's so(4) regular case (seed 1), 35
-        # rows of which 17 are distinct
+        # pairwise distinct rows: on perfbench's so(4) regular case (seed 1), 32
+        # rows of which 16 are distinct, none at the stage's point, whose
+        # kernel the chart sweep built
         cfg = CaseConfig.from_dict(perfbench_cases().so4_full_cases(1)[0]["config"])
         distinct, asked, batches = linalg.distinct_rows, [], []
 
@@ -565,15 +571,15 @@ class TestStackedJobs:
         monkeypatch.setattr(SigmaGeometry, "kernels", recorded)
         pipeline._stage_curvature(cfg, run)
         (keys,), (rows,) = asked, batches
-        assert len(keys) == 35 and len(rows) == len(set(rows)) == 17
+        assert len(keys) == 32 and len(rows) == len(set(rows)) == 16
         assert rows == list(dict.fromkeys(keys))
+        assert (np.zeros(run.geom.chart.dim).tobytes(), run.geom.identity.tobytes()) not in rows
 
     @pytest.mark.parametrize("case", perfbench_cases().SO4_CASES, ids=lambda c: c[0])
     def test_curvature_stage_builds_one_batch(self, case, monkeypatch):
-        # the exact value that picks the probe builds no kernel, so the points
-        # with the tensor's t ± h·eₓ, every formula stencil and the probe's
-        # points (all known before any kernel is built) are one build, whatever
-        # the number of points
+        # the points' kernels are the chart sweep's, so the tensor's t ± h·eₓ,
+        # every formula stencil and the probe's points (all known before any
+        # kernel is built) are one build, whatever the number of points
         cases = perfbench_cases()
         _, n, weights, _, samples = case
         doc = {"group": cases.so_n_group(n), "mu": cases.so_n_mu(n, weights)}
@@ -583,9 +589,9 @@ class TestStackedJobs:
             stage[-1:] = [stage[-1] + 1] if stage else []
             return kernels(self, ts, fibers)
 
-        def staged(geom, pts):
+        def staged(geom, pts, K):
             stage.append(0)
-            out = battery(geom, pts)
+            out = battery(geom, pts, K)
             builds.append(stage.pop())
             return out
 
@@ -597,7 +603,7 @@ class TestStackedJobs:
         assert builds == [1, 1]
 
     def test_battery_after_the_sweep_builds_once_and_solves_each_kind_once(self, monkeypatch):
-        # after the reduce stage (the battery keeps nothing from its sweep),
+        # after the reduce stage, on the chart sweep's kernels at its points,
         # three points' battery builds one batch and takes four stacked solves
         # (R_μ's N and the exact value's B, Γ at every tensor point, the lifts of
         # the symplectic defect) and no lstsq, whatever the number of points
@@ -620,9 +626,80 @@ class TestStackedJobs:
         solve = counted("tangent_solve", curvature.tangent_solve)
         monkeypatch.setattr(curvature, "tangent_solve", solve)
         monkeypatch.setattr(reduction, "tangent_solve", solve)
-        out = curvature_battery(run.geom, pts)
+        out = curvature_battery(run.geom, pts, run.kernels[:3])
         assert out["symmetry"]["points"] == 3 and not pts[0].any()
         assert calls == {"build": 1, "lstsq": 0, "tangent_solve": 4}
+
+
+def _stage_cases() -> list:
+    """(label, config document, rows of the curvature stage's batch) on so3 and on
+    both so(4) cases of ``perfbench/cases.py``."""
+    cases = perfbench_cases()
+    out = [("so3", {"group": "so3", "mu": [0.0, 0.0, 1.0]}, 20)]
+    for (label, n, weights, _, samples), rows in zip(cases.SO4_CASES, (16, 32)):
+        doc = {"group": cases.so_n_group(n), "mu": cases.so_n_mu(n, weights)}
+        out.append((label, dict(doc, samples=samples) if samples else doc, rows))
+    return out
+
+
+class TestSweepKernels:
+    """The curvature stage reads the chart sweep's kernels at its points."""
+
+    @pytest.mark.parametrize("label,doc,rows", _stage_cases(), ids=[c[0] for c in _stage_cases()])
+    def test_curvature_stage_builds_no_row_at_its_points(self, label, doc, rows, monkeypatch):
+        # in the pipeline and in verify alike, the stage makes one exp_data call,
+        # its batch's (with derivatives), and no lift-only read; its batch holds
+        # only displaced rows, none at its own points, whose kernels the sweep built
+        cfg = CaseConfig.from_dict(doc)
+        exp_data, kernels = orbits.OrbitChart.exp_data, SigmaGeometry.kernels
+        stage, calls, batches, points, active = pipeline._stage_curvature, [], [], [], []
+
+        def spied_exp_data(self, ts, derivatives=True):
+            if active:
+                calls.append((derivatives, len(np.atleast_2d(ts))))
+            return exp_data(self, ts, derivatives)
+
+        def spied_kernels(self, ts, fibers):
+            if active:
+                ts = np.reshape(ts, (-1, self.chart.dim))
+                batches.append([(t.tobytes(), f.tobytes()) for t, f in
+                                zip(ts, np.broadcast_to(fibers, (len(ts), self.n, self.n)))])
+            return kernels(self, ts, fibers)
+
+        def staged(cfg, run):  # the stage's (t, fiber) rows, and its calls while it runs
+            pts = np.array(run.stages["reduce"]["chart_points"][: max(1, cfg.samples // 2)])
+            points.append({(t.tobytes(), run.geom.identity.tobytes()) for t in pts})
+            active.append(True)
+            out = stage(cfg, run)
+            active.clear()
+            return out
+
+        monkeypatch.setattr(orbits.OrbitChart, "exp_data", spied_exp_data)
+        monkeypatch.setattr(SigmaGeometry, "kernels", spied_kernels)
+        monkeypatch.setitem(pipeline._STAGE_RUNS, "curvature", staged)
+        for run in (lambda: run_pipeline(cfg, "curvature"), lambda: pipeline.verify_suite(cfg)):
+            del calls[:], batches[:], points[:]
+            assert run()[1] == 0
+            (own,), (batch,) = points, batches
+            assert calls == [(True, rows)] and len(batch) == rows
+            assert own and own.isdisjoint(batch)
+
+    @pytest.mark.parametrize("label,doc", [c[:2] for c in _stage_cases()],
+                             ids=[c[0] for c in _stage_cases()])
+    def test_battery_on_the_sweeps_rows_is_its_own_builds(self, label, doc):
+        # a kernel never depends on its batch, so the battery on the sweep's rows
+        # at its points equals the battery on a batch of those points alone, bit
+        # for bit in every sample, defect and convergence field, at t = 0 and t ≠ 0
+        cfg = CaseConfig.from_dict(dict(doc, samples=6))
+        run = pipeline._run_stages(cfg, "reduce", {}, {})
+        pts = np.array(run.stages["reduce"]["chart_points"][:3])
+        assert not pts[0].any() and pts[1:].any(axis=1).all()
+        swept = curvature_battery(run.geom, pts, run.kernels[:3])
+        alone = curvature_battery(run.geom, pts, run.geom.kernels(pts, run.geom.identity))
+        km = run.geom.chart.dim
+        assert swept["symmetry"]["points"] == 3
+        assert len(swept["samples"]) == 3 * km * km * (km - 1) // 2  # (point, i < j, l)
+        assert repr(swept) == repr(alone)
 
 
 class TestProbePick:
@@ -688,9 +765,9 @@ class TestConvergence:
         # the probe reads R(f_i, f_j)f_l only, on its own geometry: the table at
         # t and, for each step, the formula's two stencil points along f̄_i and
         # f̄_j and the tensor's t ± h·eᵢ, t ± h·eⱼ, every table whole and built
-        # once (both steps' jobs sit at t, which _routes builds once); the
-        # kernel at t is in one batch with every displaced kernel, and the
-        # exact reference builds none
+        # once (both steps' jobs sit at t, whose kernel is built first and read
+        # by both); every displaced kernel is in one batch, and the exact
+        # reference reads the kernel at t
         ctx = rc.build_context(_so4(), np.array([1.0, 0.0, 0.0, 0.0, 0.0, 2.0]))
         chart = rc.default_chart(ctx)
         t = np.array([0.1, -0.05, 0.08, 0.02])
@@ -707,8 +784,9 @@ class TestConvergence:
         assert len(geometries) == 1  # the reference shares the probe's geometry
         geom, = geometries
         displaced = 2 * (2 * 2 + 2 * 2)
-        (ts, K), = batches
-        assert len(ts) == 1 + displaced and t.tobytes() in {row.tobytes() for row in ts}
+        (t_row, _), (ts, K) = batches
+        assert np.reshape(t_row, -1).tobytes() == t.tobytes()
+        assert len(ts) == displaced and t.tobytes() not in {row.tobytes() for row in ts}
         assert K.level.shape == (len(ts), chart.dim, chart.dim, 2 * geom.n)
         assert K.cov.shape == (len(ts), chart.dim, chart.dim, geom.n)
 
@@ -752,15 +830,15 @@ class TestOneEvaluationPerValue:
         assert counts["formula"] == 1
         # one table per chart point of the sweep and per fiber of the
         # fiber-independence check (the autoparallel check stops at its
-        # defect on so3); per curvature point, the table at t that both routes
-        # read, t ± h·eₓ for the tensor and the formula's outer stencil points.
+        # defect on so3); per curvature point, t ± h·eₓ for the tensor and the
+        # formula's outer stencil points (both routes read the sweep's table at t).
         # At t = 0 the lift of f_x solves to exactly (eₓ, 0) in the chart-fiber
         # frame, so the formula's outer points are the tensor's.  The probe, at
         # t = 0 in the same batch, adds at each of its two steps t ± h along its
         # two directions, shared by both routes; its exact reference adds none.
         assert rep["stages"]["reduce"]["autoparallel"]["independence"] is None
         assert len(built) == 2
-        assert sum(built) == (cfg.samples + 5 + points * (1 + 2 * 2 * km) - 2 * km
+        assert sum(built) == (cfg.samples + 5 + points * 2 * 2 * km - 2 * km
                               + 2 * (2 * 2))
 
         ctx = rc.build_context(rc.so3(), np.array([0.0, 0.0, 1.0]))

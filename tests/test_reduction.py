@@ -7,14 +7,13 @@ import pytest
 
 import redconn as rc
 from redconn import liealg, linalg, orbits, reduction
-from redconn.curvature import curvature_battery
 from redconn.errors import (AssumptionTwoFailure, DegeneratePairing,
                             NonReductiveStabilizer, NotTangent, PointOffConstraint,
                             RankLoss, SingularProjection, ZeroDimensionalBase)
 from redconn.reduction import SigmaGeometry, gram_oracle_solve, isotropic_correction_gram
 from tests import oracles
 from tests.conftest import (AFF1_DOC, CATALOG_CASES, count_builds, pushdown, richardson_stencil,
-                            stencil)
+                            run_battery, stencil)
 from tests.test_liealg import _so4
 
 e1, e2, e3 = np.eye(3)
@@ -585,7 +584,7 @@ class TestPointKernel:
         t = rng.uniform(-0.3, 0.3, chart.dim)
         K = geom.kernels(t, fiber)
         assert np.all(np.isfinite(K.level)) and np.all(np.isfinite(K.cov))
-        assert curvature_battery(geom, [t])["samples"]
+        assert run_battery(geom, [t])["samples"]
 
     def test_chart_rank_loss_raises_on_every_use(self, so3_ctx, so3_chart):
         # at t = (2π, 0), φ₁(−ad A) vanishes on the rotation plane of A = 2π e1,

@@ -448,6 +448,9 @@ PUBLIC_ENTRY_POINTS = {
                                   "one chart point",
     "curvature.convergence_factor": "entry point: the step-halving probe at any point and "
                                     "triple, which acceptance criterion 4 reads",
+    "curvature.curvature_exact": "README entry point: the exact curvature at one chart point "
+                                 "from the chart's lift block, building no kernel (the "
+                                 "battery reads the same math from its kernels)",
 }
 
 

@@ -65,9 +65,10 @@ def test_mirrored_checks_read_the_stage_values(monkeypatch, label):
     sweeps = []
     chart_sweep = pipeline._chart_sweep
 
-    def recorded(*args):
-        sweeps.append(chart_sweep(*args))
-        return sweeps[-1]
+    def recorded(*args):  # the defects, and the kernels for the curvature stage
+        sweep, K = chart_sweep(*args)
+        sweeps.append(sweep)
+        return sweep, K
 
     monkeypatch.setattr(pipeline, "_chart_sweep", recorded)
     rep, code = run_pipeline(cfg, "curvature")
