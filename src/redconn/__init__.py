@@ -16,10 +16,9 @@ from .liealg import (LieAlgebra, abelian, algebra_from_json, coadjoint_matrix, g
                      stabilizer_algebra, su2)
 from .phasespace import (ConstraintSplit, constraint_split, omega_gram, right_generator,
                          symplectic_form)
-from .connections import (average_coefficients, baseline_coefficients, baseline_nabla_omega,
-                          connection_to_json, finite_cyclic_rule, nabla_omega,
-                          nabla_omega_defect, pullback_coefficients, symplectized_coefficients,
-                          torsion_defect)
+from .connections import (baseline_coefficients, baseline_nabla_omega, connection_to_json,
+                          nabla_omega, nabla_omega_defect, pullback_coefficients,
+                          symplectized_coefficients, torsion_defect)
 from .orbits import KKS_MATCH_SIGN, OrbitChart, orbit_chart, orbit_tangent_frame
 from .reduction import (ReductionContext, SigmaGeometry, autoparallel_check, build_context,
                         default_chart, isotropic_correction_gram, reduced_form,

@@ -10,9 +10,7 @@ structure-constant algebra.
 
 The constructions are functions on these arrays: the bi-invariant torsion-free
 baseline Γ° of ∇°(X̃, X̃') = ½[X, X']~, the projection of a torsion-free Γ onto
-the symplectic connections, the pullback by a right translation, and the
-equal-weight mean of the pullbacks of a ξ-independent Γ over a finite set of
-group elements, for building invariant connections on compact groups.
+the symplectic connections, and the pullback by a right translation.
 
 Every evaluation is stacked: ξ may be one fiber point (n,) or a stack (…, n),
 and a Γ stack's leading axes broadcast against ξ's (a ξ-independent Γ may be
@@ -26,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .liealg import LieAlgebra, coadjoint_matrix, group_exp
+from .liealg import LieAlgebra, coadjoint_matrix
 from .phasespace import _tangent_pair, omega_gram
 
 
@@ -127,15 +125,7 @@ def nabla_omega_defect(a: LieAlgebra, xi, gamma) -> float:
     return float(np.max(np.abs(nabla_omega_components(a, xi, gamma))))
 
 
-# --- pullback and averaging ---------------------------------------------------
-
-
-def finite_cyclic_rule(a: LieAlgebra, X, order: int) -> tuple:
-    """The Ad matrices of the cyclic subgroup generated by exp(2π X / order), from
-    one stacked exponential."""
-    if order < 1:
-        raise ValueError("order must be positive")
-    return tuple(group_exp(a, np.outer(2.0 * np.pi * np.arange(order) / order, X)))
+# --- pullback -----------------------------------------------------------------
 
 
 def frame_transport(Ad: np.ndarray) -> np.ndarray:
@@ -161,21 +151,6 @@ def pullback_coefficients(g: np.ndarray, gamma) -> np.ndarray:
     # (2n)⁴ each, instead of one (2n)⁶ loop; the order sets the roundoff of the result
     return np.tensordot(np.tensordot(np.tensordot(gamma, T, (-3, 0)), T, (-3, 0)),
                         frame_transport(g), (-3, 1))
-
-
-def average_coefficients(gamma, nodes) -> np.ndarray:
-    """Mean of the pullbacks of a Γ stack that is the same at every fiber point,
-    so its value at the moved points is ``gamma`` itself, by the group elements
-    with the Ad matrices ``nodes``.
-
-    Each pullback of a torsion-free connection is torsion-free, so their mean
-    is torsion-free as well.  When the nodes form a finite subgroup the mean
-    is fixed by every node.
-    """
-    if not nodes:
-        raise ValueError("averaging needs at least one node")
-    w = 1.0 / len(nodes)
-    return sum(w * pullback_coefficients(g, gamma) for g in nodes)
 
 
 def connection_to_json(a: LieAlgebra, xis, gammas, claims: dict) -> dict:

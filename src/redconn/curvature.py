@@ -64,9 +64,15 @@ def curvature_routes(geom: SigmaGeometry, t, *, fd_step2: float = DEFAULT_FD_STE
     orbit tangent for i = directions[a], j = directions[b] (all chart
     directions by default), and entries with i = j are zero.  The formula is the
     lift expansion, the tensor the chart expression of the Christoffel symbols;
-    they read the kernel at t and one batch of displaced kernels (``_routes``)."""
-    d = range(geom.chart.dim) if directions is None else directions
-    job = (np.asarray(t, float), float(fd_step2), list(d))
+    they read the kernel at t and one batch of displaced kernels (``_routes``).
+    ``directions`` is a nonempty list of integer chart indices in [0, km); any
+    other raises ValueError before a kernel is built."""
+    km = geom.chart.dim
+    d = list(range(km) if directions is None else directions)
+    if not d or not all(isinstance(i, (int, np.integer)) and 0 <= i < km for i in d):
+        raise ValueError(f"directions must be a nonempty list of integer chart indices in "
+                         f"[0, {km}), got {d}")
+    job = (np.asarray(t, float), float(fd_step2), d)
     (formula,), (tensor,) = _routes(geom, [job], geom.kernels(job[0], geom.identity))
     return formula, tensor
 

@@ -18,15 +18,14 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import linalg, report as report_mod
-from .connections import (average_coefficients, baseline_coefficients, baseline_nabla_omega,
-                          finite_cyclic_rule, frame_structure, frame_transport, nabla_omega,
-                          nabla_omega_defect, pullback_coefficients, symplectized_coefficients,
-                          torsion_defect)
+from .connections import (baseline_coefficients, baseline_nabla_omega, frame_structure,
+                          frame_transport, nabla_omega, nabla_omega_defect, pullback_coefficients,
+                          symplectized_coefficients, torsion_defect)
 from .curvature import curvature_battery
 from .errors import (AssumptionTwoFailure, ConfigError, NonReductiveStabilizer,
                      ReductionError)
-from .liealg import (SO3_BRACKETS, LieAlgebra, _is_number, algebra_from_json, coadjoint_matrix,
-                     group_exp, named_algebra)
+from .liealg import (LieAlgebra, _is_number, algebra_from_json, coadjoint_matrix, group_exp,
+                     named_algebra)
 from .orbits import kks_gap, kks_pairs
 from .phasespace import constraint_split, right_generator, symplectic_form
 from .reduction import (SigmaGeometry, _central, autoparallel_check, build_context,
@@ -81,8 +80,6 @@ THRESHOLDS = {
     "curvature_antisymmetry": 1e-4,
     "curvature_symplectic": 1e-4,
     "curvature_bianchi": 1e-4,
-    "averaging_torsion": 1e-10,
-    "averaging_fixed": 1e-10,
 }
 
 
@@ -408,7 +405,7 @@ def verify_suite(cfg: CaseConfig) -> tuple[dict, int]:
     try:
         run = _run_stages(cfg, "curvature", {}, {})
         for part in (_verify_algebra, _verify_phase, _verify_connections, _verify_reduction,
-                     _verify_curvature, _verify_averaging):
+                     _verify_curvature):
             for check in part(cfg, run):
                 checks.append(_record(cfg, *check))
         rep["passed"] = all(c["passed"] for c in checks)
@@ -634,20 +631,3 @@ def _sigma_torsion_defect(ctx) -> float:
     gamma = ctx.gamma_mu[:n, :n]
     cov = linalg.matvec(P, gamma) - linalg.matvec(P, gamma.transpose(1, 0, 2))
     return float(np.max(np.abs(cov - frame_structure(ctx.algebra)[:n, :n])))
-
-
-def _verify_averaging(cfg, run):
-    a, rng = run.a, run.rng
-    # the 4-node rule about e3 is a subgroup under so3's brackets alone (su2's too)
-    if not np.array_equal(a.c, SO3_BRACKETS):
-        return
-    delta = rng.standard_normal((2 * a.dim,) * 3) * 0.1
-    nodes = finite_cyclic_rule(a, np.eye(a.dim)[2], 4)
-    # the baseline plus the symmetrized δ at three ξ: torsion-free and the same
-    # at every ξ, so is its mean, whose Γ at moved points is ``gammas``
-    pert = np.broadcast_to(run.base, (3,) + run.base.shape) \
-        + 0.5 * (delta + delta.transpose(1, 0, 2))
-    gammas = average_coefficients(pert, nodes)
-    yield "avg/torsion-free", torsion_defect(a, gammas), "averaging_torsion"
-    fixed = max(np.max(np.abs(pullback_coefficients(g, gammas) - gammas)) for g in nodes)
-    yield "avg/node-fixed", fixed, "averaging_fixed"

@@ -8,6 +8,7 @@ import pytest
 import redconn as rc
 from redconn import linalg
 from redconn.reduction import _central
+from tests import oracles
 
 CATALOG_CASES = [
     ("so3", [0.0, 0.0, 1.0]),
@@ -21,6 +22,30 @@ def symmetrized(delta):
     """The part of a coefficient perturbation symmetric in its first two
     indices, which adds no torsion."""
     return 0.5 * (delta + delta.transpose(1, 0, 2))
+
+
+AVERAGING_BOUND = 1e-10  # of both averaging defects
+
+
+def averaging_defects(a, delta, nodes) -> tuple:
+    """(torsion, node-fixed) of the mean over ``nodes`` of the pullbacks of the
+    baseline plus δ at three fiber points: the mean's torsion, and its largest
+    change under a node's pullback.  That Γ is the same at every ξ, and so is
+    its mean, whose Γ at the moved points is the mean itself."""
+    base = rc.baseline_coefficients(a)
+    gammas = oracles.average_coefficients(np.broadcast_to(base, (3,) + base.shape) + delta, nodes)
+    fixed = max(np.max(np.abs(rc.pullback_coefficients(g, gammas) - gammas)) for g in nodes)
+    return rc.torsion_defect(a, gammas), float(fixed)
+
+
+def averaging_rule(a) -> tuple:
+    """The 4-node cyclic rule about e₃, a subgroup under so3's (and su2's) brackets."""
+    return oracles.finite_cyclic_rule(a, np.eye(a.dim)[2], 4)
+
+
+def averaging_delta(a, seed: int = 0) -> np.ndarray:
+    """A coefficient perturbation δ = N(0, 1)·0.1, one (2n)³ array."""
+    return np.random.default_rng(seed).standard_normal((2 * a.dim,) * 3) * 0.1
 
 
 def perfbench_cases():

@@ -7,7 +7,10 @@ pair at a time: the chart map from ``group_exp`` and ``coadjoint_matrix``, its
 inverse by Gauss-Newton, the canonical orbit form from one representative per
 tangent, algebra coordinates from the matrix realization, which nothing at
 run time reads, and the left momentum map's differential, whose rank nothing
-at run time checks.  They use only public names of ``redconn``.
+at run time checks.  The finite-subgroup averaging of a connection, which the
+package does not ship, lives here too: the tests check that it keeps a
+torsion-free Γ torsion-free and that its mean is fixed by every node.  They
+use only public names of ``redconn``.
 """
 
 import numpy as np
@@ -81,3 +84,26 @@ def matrix_coords(a, M) -> np.ndarray:
     if residual > 1e-8 * max(1.0, float(np.linalg.norm(M))):
         raise ValueError(f"matrix is not in the realized algebra (residual {residual:.3e})")
     return x
+
+
+def finite_cyclic_rule(a: rc.LieAlgebra, X, order: int) -> tuple:
+    """The Ad matrices of the cyclic subgroup generated by exp(2π X / order), from
+    one stacked exponential."""
+    if order < 1:
+        raise ValueError("order must be positive")
+    return tuple(rc.group_exp(a, np.outer(2.0 * np.pi * np.arange(order) / order, X)))
+
+
+def average_coefficients(gamma, nodes) -> np.ndarray:
+    """Mean of the pullbacks of a Γ stack that is the same at every fiber point,
+    so its value at the moved points is ``gamma`` itself, by the group elements
+    with the Ad matrices ``nodes``.
+
+    Each pullback of a torsion-free connection is torsion-free, so their mean
+    is torsion-free as well.  When the nodes form a finite subgroup the mean
+    is fixed by every node.
+    """
+    if not nodes:
+        raise ValueError("averaging needs at least one node")
+    w = 1.0 / len(nodes)
+    return sum(w * rc.pullback_coefficients(g, gamma) for g in nodes)

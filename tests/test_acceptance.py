@@ -236,9 +236,9 @@ def test_criterion_7_averaging():
     rng = np.random.default_rng(7)
     a = rc.so3()
     delta = rng.standard_normal((6, 6, 6)) * 0.4
-    nodes = rc.finite_cyclic_rule(a, np.eye(3)[2], 4)
+    nodes = oracles.finite_cyclic_rule(a, np.eye(3)[2], 4)
     # the mean of a ξ-independent Γ is ξ-independent: one array at every fiber point
-    avg = rc.average_coefficients(rc.baseline_coefficients(a) + symmetrized(delta), nodes)
+    avg = oracles.average_coefficients(rc.baseline_coefficients(a) + symmetrized(delta), nodes)
     worst_torsion = rc.torsion_defect(a, avg)
     worst_fixed = max(float(np.max(np.abs(rc.pullback_coefficients(g, avg) - avg)))
                       for g in nodes)

@@ -7,7 +7,9 @@ import redconn as rc
 from redconn.cli import EXPORT_CLAIMS
 from redconn.connections import (baseline_nabla_omega, frame_structure,
                                  frame_transport, nabla_omega_components, torsion_components)
-from tests.conftest import CATALOG_CASES, perfbench_cases, symmetrized
+from tests import oracles
+from tests.conftest import (AVERAGING_BOUND, CATALOG_CASES, averaging_defects, averaging_delta,
+                            averaging_rule, perfbench_cases, symmetrized)
 
 e1, e2, e3 = np.eye(3)
 zero3 = np.zeros(3)
@@ -266,46 +268,62 @@ class TestTorsion:
 
 class TestAveraging:
     def test_quadrature_validation(self, so3):
-        nodes = rc.finite_cyclic_rule(so3, e3, 4)
+        nodes = oracles.finite_cyclic_rule(so3, e3, 4)
         assert len(nodes) == 4
         with pytest.raises(ValueError):
-            rc.finite_cyclic_rule(so3, e3, 0)
+            oracles.finite_cyclic_rule(so3, e3, 0)
 
     def test_empty_node_tuple_rejected(self, so3):
         with pytest.raises(ValueError):
-            rc.average_coefficients(rc.baseline_coefficients(so3), ())
+            oracles.average_coefficients(rc.baseline_coefficients(so3), ())
 
     def test_order_six_average_is_the_mean_of_pullbacks(self, so3, rng):
         pert = rc.baseline_coefficients(so3) + symmetrized(rng.standard_normal((6, 6, 6)) * 0.2)
-        nodes = rc.finite_cyclic_rule(so3, e3, 6)
+        nodes = oracles.finite_cyclic_rule(so3, e3, 6)
         manual = sum(rc.pullback_coefficients(g, pert) for g in nodes) / 6
-        assert np.max(np.abs(rc.average_coefficients(pert, nodes) - manual)) <= 1e-15
+        assert np.max(np.abs(oracles.average_coefficients(pert, nodes) - manual)) <= 1e-15
 
     def test_bi_invariant_baseline_unchanged(self, so3):
         base = rc.baseline_coefficients(so3)
-        avg = rc.average_coefficients(base, rc.finite_cyclic_rule(so3, e3, 4))
+        avg = oracles.average_coefficients(base, oracles.finite_cyclic_rule(so3, e3, 4))
         assert np.max(np.abs(avg - base)) <= 1e-12
 
     def test_equal_weights_give_arithmetic_mean(self, so3, rng):
         pert = rc.baseline_coefficients(so3) + symmetrized(rng.standard_normal((6, 6, 6)) * 0.2)
-        nodes = rc.finite_cyclic_rule(so3, e3, 4)
+        nodes = oracles.finite_cyclic_rule(so3, e3, 4)
         manual = sum(rc.pullback_coefficients(g, pert) for g in nodes) / 4.0
-        assert np.max(np.abs(rc.average_coefficients(pert, nodes) - manual)) <= 1e-13
+        assert np.max(np.abs(oracles.average_coefficients(pert, nodes) - manual)) <= 1e-13
 
     def test_average_of_torsion_free_is_torsion_free(self, so3, rng):
         pert = rc.baseline_coefficients(so3) + symmetrized(rng.standard_normal((6, 6, 6)) * 0.3)
         assert rc.torsion_defect(so3, pert) <= 1e-13
-        avg = rc.average_coefficients(pert, rc.finite_cyclic_rule(so3, e3, 4))
+        avg = oracles.average_coefficients(pert, oracles.finite_cyclic_rule(so3, e3, 4))
         assert rc.torsion_defect(so3, avg) <= 1e-10
 
     def test_fixed_by_subgroup_nodes(self, so3, rng):
         pert = rc.baseline_coefficients(so3) + symmetrized(rng.standard_normal((6, 6, 6)) * 0.3)
-        nodes = rc.finite_cyclic_rule(so3, e3, 4)
-        avg = rc.average_coefficients(pert, nodes)
+        nodes = oracles.finite_cyclic_rule(so3, e3, 4)
+        avg = oracles.average_coefficients(pert, nodes)
         for g in nodes:
             # the mean of a ξ-independent Γ is ξ-independent, so its Γ at the moved
             # fiber points is avg itself
             assert np.max(np.abs(rc.pullback_coefficients(g, avg) - avg)) <= 1e-10
+
+    # the mean over the 4-node rule about e₃ of the baseline plus a symmetrized δ
+    # at three fiber points, on the algebras whose brackets make that rule a subgroup;
+    # test_controls.py holds each check's control
+
+    @pytest.mark.parametrize("name", ["so3", "su2"])
+    def test_averaged_baseline_is_torsion_free(self, name):
+        a = rc.named_algebra(name)
+        torsion, _ = averaging_defects(a, symmetrized(averaging_delta(a)), averaging_rule(a))
+        assert torsion <= AVERAGING_BOUND
+
+    @pytest.mark.parametrize("name", ["so3", "su2"])
+    def test_averaged_baseline_is_fixed_by_every_node(self, name):
+        a = rc.named_algebra(name)
+        _, fixed = averaging_defects(a, symmetrized(averaging_delta(a)), averaging_rule(a))
+        assert fixed <= AVERAGING_BOUND
 
 
 class TestFrameStructure:

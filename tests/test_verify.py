@@ -1,12 +1,14 @@
 """``verify_suite`` runs the pipeline's stages and reads their results: the values
 and the work of ``run_pipeline(cfg, "curvature")``, with a pinned check list."""
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from redconn import connections, linalg, liealg, orbits, phasespace, pipeline, reduction
+from redconn.cli import main
 from redconn.errors import NotTangent, RankLoss, SingularProjection
 from redconn.pipeline import (EXIT_ASSUMPTION, EXIT_NUMERICAL, THRESHOLDS, CaseConfig, _record,
                               run_pipeline, verify_suite)
@@ -235,11 +237,12 @@ CHART = ["red/sigma-equivariance", "red/sigma-torsion", "red/reduced-torsion",
          "red/autoparallel-report"]
 CURV = ["curv/formula-oracle", "curv/antisymmetry", "curv/symplectic-valued", "curv/bianchi",
         "curv/convergence-factor"]
-SO3_NAMES = (LIE + ["lie/complement-equivariance"] + LIE_GROUP + PHASE + CONN
-             + ["conn/right-invariance"] + RED + ["red/w1-omega-nondegenerate"] + RED_LEVEL
-             + CHART + CURV + ["avg/torsion-free", "avg/node-fixed"])
+# one list for every case with a chart, whatever its structure constants
+CHARTED_NAMES = (LIE + ["lie/complement-equivariance"] + LIE_GROUP + PHASE + CONN
+                 + ["conn/right-invariance"] + RED + ["red/w1-omega-nondegenerate"] + RED_LEVEL
+                 + CHART + CURV)
 PINNED_NAMES = {
-    "so3": ({"group": "so3", "mu": [0.0, 0.0, 1.0]}, SO3_NAMES),
+    "so3": ({"group": "so3", "mu": [0.0, 0.0, 1.0]}, CHARTED_NAMES),
     "aff1-no-realization": (
         {"group": perfbench_cases().AFF1_NO_REALIZATION, "mu": [0.0, 1.0]},
         LIE + LIE_GROUP + PHASE + CONN + ["conn/right-invariance"] + RED
@@ -247,7 +250,7 @@ PINNED_NAMES = {
     "abelian3": ({"group": "abelian(3)", "mu": [1.0, 0.5, -1.0]},
                  LIE + LIE_GROUP + PHASE + CONN + ["conn/right-invariance"] + RED + RED_LEVEL
                  + ["red/autoparallel-report"]),
-    "so4-regular": (None, SO3_NAMES[:-2]),
+    "so4-regular": (None, CHARTED_NAMES),
 }
 
 
@@ -263,21 +266,17 @@ SE2_BRACKETS = [[0, 1, [2, 1.0]], [0, 2, [1, -1.0]]]
 SO3_BRACKETS = SE2_BRACKETS + [[1, 2, [0, 1.0]]]
 
 
-@pytest.mark.parametrize("brackets,name,mu,averaged", [
-    (SE2_BRACKETS, "so3", [0.0, 1.0, 0.0], False),
-    (SO3_BRACKETS, "rot3", [0.0, 0.0, 1.0], True),
+@pytest.mark.parametrize("brackets,name,mu", [
+    (SE2_BRACKETS, "so3", [0.0, 1.0, 0.0]),
+    (SO3_BRACKETS, "rot3", [0.0, 0.0, 1.0]),
 ], ids=["se2-named-so3", "so3-named-rot3"])
-def test_averaging_checks_follow_the_brackets_not_the_name(brackets, name, mu, averaged):
-    # the 4-node cyclic rule about e3 is a subgroup under so3's structure
-    # constants alone: se(2)'s brackets named "so3" run no averaging check
-    # (avg/node-fixed read 22.9 there when the name decided), and so3's under
-    # another name run both
+def test_averaging_checks_follow_the_brackets_not_the_name(brackets, name, mu):
+    # the averaging pair is a test of the suite, not a verify check: neither
+    # so3's structure constants nor the name "so3" adds a check
     doc = {"group": {"dim": 3, "name": name, "brackets": brackets}, "mu": mu}
     rep, code = verify_suite(CaseConfig.from_dict(doc))
     assert code == 0 and rep["passed"] is True
-    names = [c["name"] for c in rep["checks"]]
-    assert names[-2:] == ["avg/torsion-free", "avg/node-fixed"] if averaged else \
-        not any(check.startswith("avg/") for check in names)
+    assert not any(check["name"].startswith("avg/") for check in rep["checks"])
 
 
 def test_nonreductive_stabilizer_keeps_its_exit_code():
@@ -334,6 +333,15 @@ def test_every_threshold_is_read_by_some_check():
     assert rep["error"] is None
     used = {c["threshold"] for c in rep["checks"]}
     assert [key for key, value in tol.items() if value not in used] == []
+
+
+@pytest.mark.parametrize("name", ["averaging_torsion", "averaging_fixed"])
+def test_a_threshold_of_the_averaging_pair_is_a_config_error(name, tmp_path, capsys):
+    # the averaging pair is a test of the suite, not a verify check: tol does not name it
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({"group": "so3", "mu": [0.0, 0.0, 1.0], "tol": {name: 1e-9}}))
+    assert main(["verify", "--config", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ConfigError"
 
 
 def test_convergence_note_prints_the_factor_to_its_precision():
