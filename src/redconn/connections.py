@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import linalg
 from .liealg import LieAlgebra, coadjoint_matrix
-from .phasespace import _tangent_pair, omega_gram
+from .phasespace import omega_gram
 
 
 def frame_structure(a: LieAlgebra) -> np.ndarray:
@@ -55,38 +54,6 @@ def nabla_omega_components(a: LieAlgebra, xi, gamma, om=None) -> np.ndarray:
     matmul per Γ slice, so a row of a stack equals the call on its ξ alone."""
     x = gamma @ (omega_gram(a, xi) if om is None else om)[..., None, :, :]
     return a._omega_derivative - x + np.swapaxes(x, -1, -2)
-
-
-def nabla_omega(a: LieAlgebra, xi, gamma, u, v, w):
-    """(∇_u ω)(v, w) for left-trivialized tangent vectors at ξ, or row by row
-    over stacks ξ (…, n) and u, v, w (…, 2n), each row as the call on it alone.
-    ``nabla_omega_components`` contracted without the (2n)³ array: Γ(u, ·) and
-    DΩ(u, ·) are one (1, 2n) @ (2n, 4n²) product per row, and then
-    (∇_u ω)(v, w) = DΩ(u, v, w) − ω(Γ(u, v), w) − ω(v, Γ(u, w))."""
-    uv, vv, wv = (_tangent_pair(a, x) for x in (u, v, w))
-    m = uv.shape[-1]
-    G, D = (p.reshape(p.shape[:-2] + (m, m)) for p in
-            (uv[..., None, :] @ t.reshape(t.shape[:-3] + (m, m * m))
-             for t in (gamma, a._omega_derivative)))
-    om, dot, mv = omega_gram(a, xi), linalg.vecdot, linalg.matvec
-    Gt = np.swapaxes(G, -1, -2)  # Γ(u, x) = Gᵀ x
-    return (dot(vv, mv(D, wv)) - dot(mv(Gt, vv), mv(om, wv))
-            - dot(vv, mv(om, mv(Gt, wv))))
-
-
-def baseline_nabla_omega(a: LieAlgebra, xi, u, v, w):
-    """Analytic expansion of (∇°ω), for one point or row by row over stacks as
-    ``nabla_omega``: with u = (X, η), v = (Y, ζ), w = (Y', ζ'),
-
-        -⟨η, [Y, Y']⟩ + ½⟨ζ', [X, Y]⟩ - ½⟨ζ, [X, Y']⟩ + ½⟨ξ, [X, [Y, Y']]⟩.
-    """
-    (X, eta), (Y, zeta), (Yp, zetap) = (np.split(_tangent_pair(a, x), 2, axis=-1)
-                                        for x in (u, v, w))
-    xi = np.asarray(xi, dtype=float)
-    byyp = a.bracket(Y, Yp)
-    dot = linalg.vecdot
-    return (-dot(eta, byyp) + 0.5 * dot(zetap, a.bracket(X, Y))
-            - 0.5 * dot(zeta, a.bracket(X, Yp)) + 0.5 * dot(xi, a.bracket(X, byyp)))
 
 
 def symplectized_coefficients(a: LieAlgebra, xi, gamma) -> np.ndarray:

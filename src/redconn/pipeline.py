@@ -18,9 +18,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import linalg, report as report_mod
-from .connections import (baseline_coefficients, baseline_nabla_omega, frame_structure,
-                          frame_transport, nabla_omega, nabla_omega_defect, pullback_coefficients,
-                          symplectized_coefficients, torsion_defect)
+from .connections import (baseline_coefficients, frame_structure, frame_transport,
+                          nabla_omega_defect, pullback_coefficients, symplectized_coefficients,
+                          torsion_defect)
 from .curvature import curvature_battery
 from .errors import (AssumptionTwoFailure, ConfigError, NonReductiveStabilizer,
                      ReductionError)
@@ -54,7 +54,6 @@ THRESHOLDS = {
     "tperp_span": 1e-10,
     "radical_span": 1e-10,
     "baseline_torsion": 1e-14,
-    "baseline_closed_form": 1e-12,
     "symplectized_torsion": 1e-10,
     "symplectized_nabla_omega": 1e-10,
     "a_symmetry": 1e-10,
@@ -207,21 +206,16 @@ def connection_coefficients(cfg: CaseConfig, a: LieAlgebra, xis: np.ndarray) -> 
 
 
 def _stage_connect(cfg: CaseConfig, run) -> dict:
-    """The baseline closed-form residual, then torsion and ∇ω of the configured
-    connection, each over one stack of draws.  Sets the baseline's Γ°, the ξ
-    samples (μ first) and the configured connection's Γ(ξ) over them, as a stack."""
-    a, rng, n = run.a, run.rng, run.a.dim
-    run.base = base = baseline_coefficients(a)
-    # ten closed-form draws, one row (ξ, u, v, w) each
-    xi, u, v, w = np.split(rng.standard_normal((10, 7 * n)), [n, 3 * n, 5 * n], axis=1)
-    residual = np.max(np.abs(nabla_omega(a, xi, base, u, v, w)
-                             - baseline_nabla_omega(a, xi, u, v, w)))
-    run.xi_samples = xis = np.vstack([run.mu, rng.standard_normal((3, n))])
+    """Torsion and ∇ω of the configured connection over the ξ samples: μ first,
+    then three draws.  Sets the baseline's Γ°, the ξ samples and the configured
+    connection's Γ(ξ) over them, as a stack."""
+    a = run.a
+    run.base = baseline_coefficients(a)
+    run.xi_samples = xis = np.vstack([run.mu, run.rng.standard_normal((3, a.dim))])
     run.gammas = gammas = connection_coefficients(cfg, a, xis)
     return {
         "status": "ok",
         "connection": cfg.connection,
-        "baseline_closed_form_residual": float(residual),
         "torsion_defect": torsion_defect(a, gammas),
         "nabla_omega_defect": nabla_omega_defect(a, xis, gammas),
     }
@@ -483,8 +477,6 @@ def _verify_connections(cfg, run):
     a, base, xi_samples = run.a, run.base, run.xi_samples
     connect = run.stages["connect"]
     yield "conn/baseline-torsion", torsion_defect(a, base), "baseline_torsion"
-    yield ("conn/baseline-closed-form", connect["baseline_closed_form_residual"],
-           "baseline_closed_form")
     yield "conn/torsion", connect["torsion_defect"], "symplectized_torsion"
     yield ("conn/nabla-omega", connect["nabla_omega_defect"], "symplectized_nabla_omega",
            BASELINE_NOTE)

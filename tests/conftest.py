@@ -7,6 +7,7 @@ import pytest
 
 import redconn as rc
 from redconn import linalg
+from redconn.connections import nabla_omega_components
 from redconn.reduction import _central
 from tests import oracles
 
@@ -46,6 +47,31 @@ def averaging_rule(a) -> tuple:
 def averaging_delta(a, seed: int = 0) -> np.ndarray:
     """A coefficient perturbation δ = N(0, 1)·0.1, one (2n)³ array."""
     return np.random.default_rng(seed).standard_normal((2 * a.dim,) * 3) * 0.1
+
+
+CLOSED_FORM_BOUND = 1e-12  # of the ∇°ω closed-form identity
+
+
+def closed_form_draws(a, rng, rows: int) -> list:
+    """``rows`` draws (ξ, u, v, w) of fiber points and tangent triples, as four
+    stacks taken from one rng call."""
+    n = a.dim
+    return np.split(rng.standard_normal((rows, 7 * n)), [n, 3 * n, 5 * n], axis=1)
+
+
+def contracted_nabla_omega(a, xi, gamma, u, v, w):
+    """(∇_u ω)(v, w): the runtime's component array ``nabla_omega_components``
+    contracted with u, v and w, at one point or row by row over stacks."""
+    return np.einsum("...abc,...a,...b,...c->...", nabla_omega_components(a, xi, gamma), u, v, w)
+
+
+def closed_form_gap(a, xi, u, v, w, closed=oracles.baseline_nabla_omega) -> float:
+    """The largest |(∇°ω)(u, v, w) − closed(a, ξ, u, v, w)| over stacked draws:
+    the baseline Γ°'s ∇ω as the runtime contracts it (``contracted_nabla_omega``)
+    against its closed form, the oracle's unless ``closed`` replaces it."""
+    gap = (contracted_nabla_omega(a, xi, rc.baseline_coefficients(a), u, v, w)
+           - closed(a, xi, u, v, w))
+    return float(np.max(np.abs(gap)))
 
 
 def perfbench_cases():

@@ -9,13 +9,15 @@ tangent, algebra coordinates from the matrix realization, which nothing at
 run time reads, and the left momentum map's differential, whose rank nothing
 at run time checks.  The finite-subgroup averaging of a connection, which the
 package does not ship, lives here too: the tests check that it keeps a
-torsion-free Γ torsion-free and that its mean is fixed by every node.  They
-use only public names of ``redconn``.
+torsion-free Γ torsion-free and that its mean is fixed by every node.  So
+does the analytic expansion of ∇°ω, the baseline's ∇ω, which the tests hold
+the runtime's component array to.  They use only public names of ``redconn``.
 """
 
 import numpy as np
 
 import redconn as rc
+from redconn.linalg import vecdot
 from redconn.orbits import tangent_solve
 
 
@@ -107,3 +109,17 @@ def average_coefficients(gamma, nodes) -> np.ndarray:
         raise ValueError("averaging needs at least one node")
     w = 1.0 / len(nodes)
     return sum(w * rc.pullback_coefficients(g, gamma) for g in nodes)
+
+
+def baseline_nabla_omega(a, xi, u, v, w):
+    """Analytic expansion of (∇°ω)(u, v, w) at ξ, for one point or row by row
+    over stacks: with u = (X, η), v = (Y, ζ), w = (Y', ζ'),
+
+        -⟨η, [Y, Y']⟩ + ½⟨ζ', [X, Y]⟩ - ½⟨ζ, [X, Y']⟩ + ½⟨ξ, [X, [Y, Y']]⟩.
+    """
+    (X, eta), (Y, zeta), (Yp, zetap) = (np.split(np.asarray(x, dtype=float), 2, axis=-1)
+                                        for x in (u, v, w))
+    byyp = a.bracket(Y, Yp)
+    return (-vecdot(eta, byyp) + 0.5 * vecdot(zetap, a.bracket(X, Y))
+            - 0.5 * vecdot(zeta, a.bracket(X, Yp))
+            + 0.5 * vecdot(np.asarray(xi, dtype=float), a.bracket(X, byyp)))

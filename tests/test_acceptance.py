@@ -13,13 +13,12 @@ import scipy.linalg
 
 import redconn as rc
 from redconn import linalg
-from redconn.connections import baseline_nabla_omega
 from redconn.curvature import convergence_factor
 from redconn.errors import AssumptionTwoFailure, NonReductiveStabilizer
 from redconn.pipeline import CaseConfig, run_pipeline
 from redconn.reduction import SigmaGeometry, isotropic_correction_gram
 from tests import oracles
-from tests.conftest import run_battery, symmetrized
+from tests.conftest import closed_form_draws, closed_form_gap, run_battery, symmetrized
 
 GROUPS = ["so3", "su2", "sl2r", "heis3", "se2"]
 CATALOG = [("so3", [0.0, 0.0, 1.0]), ("su2", [0.0, 0.0, 1.0]),
@@ -50,10 +49,7 @@ def test_criterion_1_symplectization():
     worst_closed = 0.0
     for _ in range(100):
         a = rc.named_algebra(GROUPS[rng.integers(len(GROUPS))])
-        xi = rng.standard_normal(a.dim)
-        u, v, w = (rng.standard_normal(2 * a.dim) for _ in range(3))
-        val = rc.nabla_omega(a, xi, rc.baseline_coefficients(a), u, v, w)
-        worst_closed = max(worst_closed, abs(val - baseline_nabla_omega(a, xi, u, v, w)))
+        worst_closed = max(worst_closed, closed_form_gap(a, *closed_form_draws(a, rng, 1)))
     elapsed = time.perf_counter() - start
     ok = worst_torsion <= 1e-10 and worst_nabla <= 1e-10 and worst_closed <= 1e-12 \
         and elapsed < 30.0

@@ -240,7 +240,15 @@ def test_pipeline_defects_match_the_benchmark():
               if isinstance(node, ast.Assign)
               and any(getattr(target, "id", None) == "PIPELINE_DEFECTS" for target in node.targets)]
     assert tables == [compare_reports.PIPELINE_DEFECTS]
-    assert {key for _, key in compare_reports.PIPELINE_DEFECTS} <= set(THRESHOLDS)
+    # the one exception: the benchmark's table keeps the row of the connect
+    # stage's closed-form residual, whose check left for the test suite and
+    # whose report entry no report holds any more, so its key is read for none
+    dead = (("connect", "baseline_closed_form_residual"), "baseline_closed_form")
+    assert [row for row in compare_reports.PIPELINE_DEFECTS
+            if row[1] not in THRESHOLDS] == [dead]
+    reference = json.loads((ROOT / "tests" / "reference_reports.json").read_text())
+    assert not any("/".join(dead[0]) in entry["defects"]
+                   for entry in reference["reports"].values())
 
 
 def test_checks_are_matched_by_name(so3_dumps):

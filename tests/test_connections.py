@@ -5,11 +5,12 @@ import pytest
 
 import redconn as rc
 from redconn.cli import EXPORT_CLAIMS
-from redconn.connections import (baseline_nabla_omega, frame_structure,
-                                 frame_transport, nabla_omega_components, torsion_components)
+from redconn.connections import (frame_structure, frame_transport, nabla_omega_components,
+                                 torsion_components)
 from tests import oracles
-from tests.conftest import (AVERAGING_BOUND, CATALOG_CASES, averaging_defects, averaging_delta,
-                            averaging_rule, perfbench_cases, symmetrized)
+from tests.conftest import (AVERAGING_BOUND, CATALOG_CASES, CLOSED_FORM_BOUND, averaging_defects,
+                            averaging_delta, averaging_rule, closed_form_draws, closed_form_gap,
+                            contracted_nabla_omega, perfbench_cases, symmetrized)
 
 e1, e2, e3 = np.eye(3)
 zero3 = np.zeros(3)
@@ -59,31 +60,28 @@ class TestNablaOmega:
     def test_so3_fiber_direction_example(self, so3, mu_so3):
         base = rc.baseline_coefficients(so3)
         # hand value: -<e1*, [e2, e3]> = -1, remaining terms vanish
-        val = rc.nabla_omega(so3, mu_so3, base, _vec(zero3, e1), _vec(e2, zero3), _vec(e3, zero3))
+        val = contracted_nabla_omega(so3, mu_so3, base, _vec(zero3, e1), _vec(e2, zero3),
+                                     _vec(e3, zero3))
         assert abs(val + 1.0) <= 1e-15
 
     def test_so3_group_triple_example(self, so3, mu_so3):
         base = rc.baseline_coefficients(so3)
         # hand value: (1/2)<e3*, [e1, [e2, e3]]> = (1/2)<e3*, [e1, e1]> = 0
-        val = rc.nabla_omega(so3, mu_so3, base, _vec(e1, zero3), _vec(e2, zero3), _vec(e3, zero3))
+        val = contracted_nabla_omega(so3, mu_so3, base, _vec(e1, zero3), _vec(e2, zero3),
+                                     _vec(e3, zero3))
         assert abs(val) <= 1e-15
 
-    def test_matches_closed_form_over_catalog(self, rng):
-        for name, _ in CATALOG_CASES:
-            a = rc.named_algebra(name)
-            base = rc.baseline_coefficients(a)
-            for _ in range(20):
-                xi = rng.standard_normal(a.dim)
-                u, v, w = (rng.standard_normal(2 * a.dim) for _ in range(3))
-                val = rc.nabla_omega(a, xi, base, u, v, w)
-                assert abs(val - baseline_nabla_omega(a, xi, u, v, w)) <= 1e-12
+    def test_matches_closed_form_over_catalog(self, aff1, rng):
+        # the runtime's ∇°ω against the oracle's closed form, twenty draws per algebra
+        for a in [rc.named_algebra(name) for name, _ in CATALOG_CASES] + [aff1]:
+            assert closed_form_gap(a, *closed_form_draws(a, rng, 20)) <= CLOSED_FORM_BOUND
 
     def test_antisymmetric_in_last_two_slots(self, so3, rng):
         base = rc.baseline_coefficients(so3)
         xi = rng.standard_normal(3)
         u, v, w = (rng.standard_normal(6) for _ in range(3))
-        assert abs(rc.nabla_omega(so3, xi, base, u, v, w)
-                   + rc.nabla_omega(so3, xi, base, u, w, v)) <= 1e-13
+        assert abs(contracted_nabla_omega(so3, xi, base, u, v, w)
+                   + contracted_nabla_omega(so3, xi, base, u, w, v)) <= 1e-13
 
     def test_symplectic_connection_annihilates(self, so3, rng):
         base = rc.baseline_coefficients(so3)
@@ -91,7 +89,7 @@ class TestNablaOmega:
             xi = rng.standard_normal(3)
             u, v, w = (rng.standard_normal(6) for _ in range(3))
             gamma = rc.symplectized_coefficients(so3, xi, base)
-            assert abs(rc.nabla_omega(so3, xi, gamma, u, v, w)) <= 1e-12
+            assert abs(contracted_nabla_omega(so3, xi, gamma, u, v, w)) <= 1e-12
 
     def test_gram_derivative_term_against_fd(self, so3, rng):
         # oracle: the fiber-direction derivative of the Gram matrix by
@@ -116,9 +114,10 @@ class TestNablaOmega:
 
     @pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
     def test_contraction_matches_the_component_array(self, name, rng):
-        # oracle: the whole (2n)³ array contracted with u, v and w, for Γ° alone,
-        # a symplectized stack, and a random Γ stack (4, …) broadcast against
-        # a ξ stack (3, 1, n)
+        # oracle: (∇_u ω)(v, w) = DΩ(u, v, w) − ω(Γ(u, v), w) − ω(v, Γ(u, w)), with ω
+        # term by term (``symplectic_form``), against the whole (2n)³ array
+        # contracted with u, v and w, for Γ° alone, a symplectized stack, and a
+        # random Γ stack (4, …) broadcast against a ξ stack (3, 1, n)
         a = _algebra(name)
         n, m = a.dim, 2 * a.dim
         base = rc.baseline_coefficients(a)
@@ -127,10 +126,12 @@ class TestNablaOmega:
                           (rng.standard_normal((3, 1, n)), base + rng.standard_normal((4, m, m, m)))):
             shape = np.broadcast_shapes(xi.shape[:-1], gamma.shape[:-3])
             u, v, w = rng.standard_normal((3,) + shape + (m,))
-            ref = np.einsum("...abc,...a,...b,...c->...",
-                            nabla_omega_components(a, xi, gamma), u, v, w)
-            got = rc.nabla_omega(a, xi, gamma, u, v, w)
-            assert got.shape == shape
+            ref = contracted_nabla_omega(a, xi, gamma, u, v, w)
+            gamma_u = np.einsum("...abc,...a->...bc", gamma, u)  # Γ(u, x) = x·gamma_u
+            got = (np.einsum("abc,...a,...b,...c->...", a._omega_derivative, u, v, w)
+                   - rc.symplectic_form(a, xi, np.einsum("...b,...bc->...c", v, gamma_u), w)
+                   - rc.symplectic_form(a, xi, v, np.einsum("...b,...bc->...c", w, gamma_u)))
+            assert ref.shape == shape
             assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
     @staticmethod
@@ -193,7 +194,8 @@ class TestSymplectize:
     def test_so3_defects_before_and_after(self, so3, mu_so3, rng):
         base = rc.baseline_coefficients(so3)
         # unprojected defect is 1 at the hand example
-        val = rc.nabla_omega(so3, mu_so3, base, _vec(zero3, e1), _vec(e2, zero3), _vec(e3, zero3))
+        val = contracted_nabla_omega(so3, mu_so3, base, _vec(zero3, e1), _vec(e2, zero3),
+                                     _vec(e3, zero3))
         assert abs(abs(val) - 1.0) <= 1e-15
         for _ in range(5):
             xi = rng.standard_normal(3)

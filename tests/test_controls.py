@@ -2,11 +2,10 @@
 past its ``THRESHOLDS`` value, so that a check which passes says something.
 
 Each control runs the check's own code, a ``pipeline._verify_*`` part (and for
-``tperp_span`` the validate stage it reads, for ``baseline_closed_form`` the
-connect stage, for the sweep's checks the chart sweep, for the ``curvature_*``
-keys the curvature stage), on the so3 run record after the connect or the
-reduce stage with one input perturbed, and reads that check's defect.  A
-kernel field is perturbed where the check reads it, by
+``tperp_span`` the validate stage it reads, for the sweep's checks the chart
+sweep, for the ``curvature_*`` keys the curvature stage), on the so3 run
+record after the connect or the reduce stage with one input perturbed, and
+reads that check's defect.  A kernel field is perturbed where the check reads it, by
 wrapping the geometry's ``kernels``, and the formula route's arrays by wrapping
 ``curvature._formula``, and ``group_exp`` and ``coadjoint_matrix`` by
 wrapping pipeline's names after the stages.  On so3 the orbit has dimension 2,
@@ -20,8 +19,9 @@ and the ``isotropy`` control on so(4) regular (k = 2): with k = 1, SᵀΩS is a
 construction (ω(μ), Γ(μ)) is perturbed on a new geometry, and a stage's own
 linear algebra by wrapping the function it calls while the stage runs again.
 Every ``THRESHOLDS`` key has a control here.  So do the two averaging tests
-of test_connections.py, which no verify part runs: their controls perturb the
-averaging construction's own inputs, δ and the node rule.
+and the ∇°ω closed-form identity of test_connections.py, which no verify part
+runs: their controls perturb the averaging construction's own inputs, δ and
+the node rule, and the closed form itself.
 """
 
 from dataclasses import replace
@@ -36,8 +36,10 @@ from redconn.connections import symplectized_coefficients
 from redconn.liealg import LieAlgebra
 from redconn.phasespace import right_generator
 from redconn.pipeline import THRESHOLDS, CaseConfig
-from tests.conftest import (AVERAGING_BOUND, averaging_defects, averaging_delta, averaging_rule,
+from tests.conftest import (AVERAGING_BOUND, CLOSED_FORM_BOUND, averaging_defects,
+                            averaging_delta, averaging_rule, closed_form_draws, closed_form_gap,
                             perfbench_cases, symmetrized)
+from tests.oracles import baseline_nabla_omega
 
 SO3 = CaseConfig.from_dict({"group": "so3", "mu": [0.0, 0.0, 1.0]})
 
@@ -79,22 +81,19 @@ def test_right_invariance_fails_on_a_non_invariant_connection(run):
     _assert_fails(pipeline._verify_connections, run, "conn/right-invariance", "right_invariance")
 
 
-def test_baseline_closed_form_fails_without_its_double_bracket_term(run, monkeypatch):
+def test_baseline_closed_form_fails_without_its_double_bracket_term():
     # the closed form less its ½⟨ξ, [X, [Y, Y′]]⟩ term no longer matches the
-    # contraction of ∇°ω at the connect stage's ten draws, by far more than roundoff
-    key = "baseline_closed_form"
-    assert _check(pipeline._verify_connections, run, "conn/baseline-closed-form")[1] \
-        <= THRESHOLDS[key]
-    closed = pipeline.baseline_nabla_omega
+    # runtime's ∇°ω on so3 at ten draws, by far more than roundoff
+    a = rc.so3()
+    draws = closed_form_draws(a, np.random.default_rng(0), 10)
+    assert closed_form_gap(a, *draws) <= CLOSED_FORM_BOUND
 
     def dropped(a, xi, u, v, w):
         X, Y, Yp = (np.asarray(x)[..., :a.dim] for x in (u, v, w))
-        return closed(a, xi, u, v, w) - 0.5 * linalg.vecdot(xi, a.bracket(X, a.bracket(Y, Yp)))
+        return (baseline_nabla_omega(a, xi, u, v, w)
+                - 0.5 * linalg.vecdot(xi, a.bracket(X, a.bracket(Y, Yp))))
 
-    monkeypatch.setattr(pipeline, "baseline_nabla_omega", dropped)
-    rerun = pipeline._run_stages(SO3, "connect", {}, {})
-    check = _check(pipeline._verify_connections, rerun, "conn/baseline-closed-form")
-    assert check[2] == key and check[1] >= 1e3 * THRESHOLDS[key]
+    assert closed_form_gap(a, *draws, closed=dropped) >= 1e3 * CLOSED_FORM_BOUND
 
 
 def test_a_symmetry_fails_on_an_antisymmetric_delta(run):

@@ -21,7 +21,8 @@ from redconn import connections, linalg, pipeline
 from redconn.connections import nabla_omega_components, symplectized_coefficients
 from redconn.pipeline import CaseConfig
 from tests import oracles
-from tests.conftest import CATALOG_CASES, perfbench_cases
+from tests.conftest import (CATALOG_CASES, CLOSED_FORM_BOUND, closed_form_draws, closed_form_gap,
+                            perfbench_cases)
 
 SO_LABELS = ["so4-regular", "so4-singular", "so5-regular", "so5-singular"]
 LABELS = [name for name, _ in CATALOG_CASES] + SO_LABELS
@@ -108,28 +109,18 @@ def test_symplectized_coefficients_stack_is_bitwise_per_row(case, rng):
 
 
 def test_closed_form_routes_stack_is_bitwise_per_row(case, rng):
-    # both sides of the connect stage's baseline closed-form residual
+    # the closed-form identity over ten stacked draws: the runtime's ∇°ω, whose
+    # component rows are each the call on its ξ alone, against the oracle's
+    # closed form, whose rows are too
     a, _ = case
-    n = a.dim
-    xi, u, v, w = np.split(rng.standard_normal((10, 7 * n)), [n, 3 * n, 5 * n], axis=1)
+    xi, u, v, w = closed_form_draws(a, rng, 10)
     base = rc.baseline_coefficients(a)
-    for route in (lambda x, *uvw: rc.nabla_omega(a, x, base, *uvw),
-                  lambda x, *uvw: rc.baseline_nabla_omega(a, x, *uvw)):
-        stack = route(xi, u, v, w)
-        assert stack.shape == (10,)
-        _bitwise_rows(stack, [route(*row) for row in zip(xi, u, v, w)])
-    assert isinstance(rc.nabla_omega(a, xi[0], base, u[0], v[0], w[0]), float)
-
-
-def test_nabla_omega_with_a_gamma_stack_is_bitwise_per_row(case, rng):
-    a, mu = case
-    xis = _fiber_points(a, mu, rng)
-    u, v, w = rng.standard_normal((3, len(xis), 2 * a.dim))
-    base = rc.baseline_coefficients(a)
-    for gammas in (symplectized_coefficients(a, xis, base),
-                   base + rng.standard_normal((len(xis),) + base.shape)):
-        _bitwise_rows(rc.nabla_omega(a, xis, gammas, u, v, w),
-                      [rc.nabla_omega(a, *row) for row in zip(xis, gammas, u, v, w)])
+    _bitwise_rows(nabla_omega_components(a, xi, base),
+                  [nabla_omega_components(a, x, base) for x in xi])
+    stack = oracles.baseline_nabla_omega(a, xi, u, v, w)
+    assert stack.shape == (10,)
+    _bitwise_rows(stack, [oracles.baseline_nabla_omega(a, *row) for row in zip(xi, u, v, w)])
+    assert closed_form_gap(a, xi, u, v, w) <= CLOSED_FORM_BOUND
 
 
 def test_bracket_stack_matches_rows_and_stays_antisymmetric(case, rng):
@@ -197,10 +188,6 @@ def test_stacked_stage_draws_leave_the_rng_where_single_draws_do(label):
     pipeline._stage_validate(cfg, run)
     assert run.rng.bit_generator.state == fresh.bit_generator.state  # validate draws nothing
     pipeline._stage_connect(cfg, run)
-    for _ in range(10):  # ξ, then u, v and w of each closed-form draw
-        fresh.standard_normal(n)
-        for _ in range(3):
-            fresh.standard_normal(2 * n)
     xis = [fresh.standard_normal(n) for _ in range(3)]
     assert run.rng.bit_generator.state == fresh.bit_generator.state
     _bitwise_rows(run.xi_samples, [mu] + xis)
@@ -224,8 +211,7 @@ def test_curvature_stage_draws_nothing_and_reads_the_sweeps_points(samples):
 
 @pytest.mark.parametrize("label", ["so3", "so5-regular"])
 def test_connect_stage_builds_the_component_array_twice(label, monkeypatch):
-    # the symplectization and the ∇ω defect, each at the four ξ samples; the
-    # ten closed-form draws are contracted without the (2n)³ array
+    # the symplectization and the ∇ω defect, each at the four ξ samples
     shapes = []
     components = connections.nabla_omega_components
     monkeypatch.setattr(connections, "nabla_omega_components", lambda a, xi, gamma, om=None: (
