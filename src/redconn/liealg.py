@@ -75,9 +75,8 @@ class LieAlgebra:
             raise ValueError(f"structure constants have shape {c.shape}, expected {(n,) * 3}")
         if not np.all(c == -c.transpose(1, 0, 2)):
             raise ValueError("structure constants are not antisymmetric in the first two slots")
-        defect = self.jacobi_defect()
-        if defect > JACOBI_TOL:
-            raise ValueError(f"Jacobi defect {defect:.3e} exceeds {JACOBI_TOL:.0e}")
+        if self.jacobi_defect > JACOBI_TOL:
+            raise ValueError(f"Jacobi defect {self.jacobi_defect:.3e} exceeds {JACOBI_TOL:.0e}")
         if self.realization is not None:
             rho = self.realization
             if rho.ndim != 3 or rho.shape[0] != n or rho.shape[1] != rho.shape[2]:
@@ -96,8 +95,10 @@ class LieAlgebra:
             if self.orthogonal and sym > REALIZATION_TOL:
                 raise ValueError(f"orthogonal claimed, but a generator is not skew ({sym:.3e})")
 
+    @cached_property
     def jacobi_defect(self) -> float:
-        """The largest entry of the cyclic sum of [[e_i, e_j], e_k] over the basis."""
+        """The largest entry of the cyclic sum of [[e_i, e_j], e_k] over the basis,
+        computed once: ``validate`` reads it at load and ``lie/jacobi`` again."""
         t = np.einsum("ijl,lkm->ijkm", self.c, self.c)
         jac = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
         return float(np.max(np.abs(jac), initial=0.0))

@@ -414,7 +414,7 @@ def verify_suite(cfg: CaseConfig) -> tuple[dict, int]:
 def _verify_algebra(cfg, run):
     a, mu, rng = run.a, run.mu, run.rng
     n = a.dim
-    yield "lie/jacobi", a.jacobi_defect(), "jacobi"
+    yield "lie/jacobi", a.jacobi_defect, "jacobi"
     X, Y, xi = np.split(rng.standard_normal((10, 3 * n)), 3, axis=1)  # ten draws, one per row
     pair = np.max(np.abs(linalg.vecdot(xi, a.bracket(X, Y)) + linalg.vecdot(xi, a.bracket(Y, X))))
     yield "lie/bracket-pairing-antisymmetry", pair

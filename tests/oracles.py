@@ -11,8 +11,12 @@ at run time checks.  The finite-subgroup averaging of a connection, which the
 package does not ship, lives here too: the tests check that it keeps a
 torsion-free Γ torsion-free and that its mean is fixed by every node.  So
 does the analytic expansion of ∇°ω, the baseline's ∇ω, which the tests hold
-the runtime's component array to.  They use only public names of ``redconn``.
+the runtime's component array to, and the standard library's JSON encoder,
+which the tests hold ``report.dumps`` to byte for byte.  They use only public
+names of ``redconn``.
 """
+
+import json
 
 import numpy as np
 
@@ -123,3 +127,9 @@ def baseline_nabla_omega(a, xi, u, v, w):
     return (-vecdot(eta, byyp) + 0.5 * vecdot(zetap, a.bracket(X, Y))
             - 0.5 * vecdot(zeta, a.bracket(X, Yp))
             + 0.5 * vecdot(np.asarray(xi, dtype=float), a.bracket(X, byyp)))
+
+
+def json_dumps(report) -> str:
+    """A report as ``json.dumps`` writes it with a two-space indent, numpy
+    arrays and scalars as their ``tolist()``."""
+    return json.dumps(report, indent=2, default=lambda value: value.tolist()) + "\n"

@@ -16,6 +16,7 @@ import pytest
 
 from redconn import report as report_mod
 from redconn.pipeline import THRESHOLDS, CaseConfig, run_pipeline, verify_suite
+from tests import oracles
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -149,11 +150,34 @@ def test_export_cases(so3_dumps):
 
 
 @pytest.fixture(scope="module")
-def dumped(tmp_path_factory):
-    """The directory ``dump`` fills from this tree's ``src``."""
+def dump_run(tmp_path_factory):
+    """The directory ``dump`` fills from this tree's ``src``, and for each text
+    ``report.dumps`` writes on the way (the export reports the CLI writes among
+    them) whether it is the text ``json.dumps`` writes."""
     out = tmp_path_factory.mktemp("dump")
-    assert compare_reports.dump(str(ROOT / "src"), str(out)) == 0
-    return out
+    dumps, as_json = report_mod.dumps, []
+
+    def checked(report):
+        text = dumps(report)
+        as_json.append(text == oracles.json_dumps(report))
+        return text
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(report_mod, "dumps", checked)
+        assert compare_reports.dump(str(ROOT / "src"), str(out)) == 0
+    return out, as_json
+
+
+@pytest.fixture(scope="module")
+def dumped(dump_run):
+    return dump_run[0]
+
+
+def test_every_dumped_report_is_written_as_json_writes_it(dump_run):
+    # each dumped file, and each export report the CLI writes before dump reads it
+    _, as_json = dump_run
+    exports = sum(verb == "export-connection" for _, verb, _ in compare_reports._cases())
+    assert as_json == [True] * (len(compare_reports._cases()) + exports)
 
 
 def test_every_dumped_report_is_strict_json(dumped):
@@ -249,6 +273,30 @@ def test_pipeline_defects_match_the_benchmark():
     reference = json.loads((ROOT / "tests" / "reference_reports.json").read_text())
     assert not any("/".join(dead[0]) in entry["defects"]
                    for entry in reference["reports"].values())
+
+
+def test_diff_reads_no_threshold_for_a_defect_key_this_tree_dropped(so3_dumps, tmp_path,
+                                                                    capsys):
+    # dumps of trees that still ran the connect stage's closed-form residual
+    # hold connect.baseline_closed_form_residual, whose THRESHOLDS key this
+    # tree has no more: diff names the removed entry as a problem, not a crash
+    b = so3_dumps["curvature"]
+    a = copy.deepcopy(b)
+    connect = a["report"]["stages"]["connect"]
+    a["report"]["stages"]["connect"] = {"status": connect["status"],
+                                        "connection": connect["connection"],
+                                        "baseline_closed_form_residual": 3.2e-15, **connect}
+    assert "baseline_closed_form" not in THRESHOLDS
+    assert "connect/baseline_closed_form_residual" not in compare_reports._defects(
+        a["report"], THRESHOLDS)
+    for side, doc in (("a", a), ("b", b)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "so3-curvature.json").write_text(report_mod.dumps(doc))
+    assert compare_reports.main(["diff", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    out = capsys.readouterr().out
+    assert ("  PROBLEM /stages/connect: keys ['status', 'connection', "
+            "'baseline_closed_form_residual', ") in out
+    assert out.endswith("problems: see above\n")
 
 
 def test_checks_are_matched_by_name(so3_dumps):

@@ -1,13 +1,17 @@
-"""Reports against docs/report_schema.json, and reduce-stage numbers against
-the library's public definitions."""
+"""Reports against docs/report_schema.json, reduce-stage numbers against the
+library's public definitions, and report text against json's encoder."""
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import redconn as rc
 from redconn import report as report_mod
@@ -171,3 +175,32 @@ def test_curvature_skip_reason(report_validator, group, mu, reason):
     assert rep["stages"]["reduce"]["zero_dimensional_base"] == (reason == "zero-dimensional base")
     assert rep["stages"]["curvature"] == {"status": "skipped", "reason": reason}
     report_validator.validate(_serialized(rep))
+
+
+# strings json escapes: quotes, backslashes, control and non-ASCII characters,
+# astral ones (a surrogate pair) and a lone surrogate
+STRINGS = st.text() | st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é ☃", "\U0001f600",
+                                       "\ud800", ""])
+# floats and ints of every kind a numeric list may hold, among them the ones
+# json does not spell as repr does and an int past the float range
+PLAIN_NUMBERS = st.floats() | st.integers() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-308, 10**400, -10**400])
+NUMPY_VALUES = (hnp.arrays(st.sampled_from([np.float64, np.int64, np.bool_]),
+                           hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3))
+                | st.floats().map(np.float64) | st.integers(-2**63, 2**63 - 1).map(np.int64)
+                | st.booleans().map(np.bool_))
+TREES = st.recursive(
+    # bools, which repr spells True and False, also inside lists of numbers
+    PLAIN_NUMBERS | st.booleans() | st.none() | STRINGS | NUMPY_VALUES
+    | st.lists(PLAIN_NUMBERS) | st.lists(PLAIN_NUMBERS | st.booleans()),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(STRINGS, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(tree=TREES)
+def test_dumps_writes_what_json_writes(tree):
+    # byte for byte what json.dumps(indent=2) writes, whether or not a list
+    # holds plain numbers alone
+    assert report_mod.dumps(tree) == oracles.json_dumps(tree)

@@ -262,10 +262,7 @@ def swept(geom, pts, e, Ds, covs, pairs):
 
 
 # functions in src/redconn that may return a lambda or a nested function, with the reason
-CLOSURE_RETURNS_ALLOWED = {
-    "report.dumps": "its default= lambda is an argument that json.dumps consumes; the "
-                    "function returns the text, not the lambda",
-}
+CLOSURE_RETURNS_ALLOWED: dict[str, str] = {}
 
 
 def _own_nodes(fn):

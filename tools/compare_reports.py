@@ -201,7 +201,9 @@ def _defects(rep: dict, thresholds: dict) -> dict:
     scale = float(cfg.get("tol_scale", 1.0))
     for path, key in PIPELINE_DEFECTS:
         value = _dig(rep.get("stages", {}), path)
-        if value is not None:
+        # an older tree's report may hold a defect whose key this tree dropped:
+        # diff then lists it as a removed key, with no threshold to hold it to
+        if value is not None and key in thresholds:
             threshold = float(cfg.get("tol", {}).get(key, thresholds[key])) * scale
             out["/".join(path)] = (value, threshold)
     return out
