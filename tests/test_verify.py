@@ -164,6 +164,20 @@ def test_validate_makes_no_exponential(monkeypatch, label):
     assert np.array_equal(run.xi_samples, np.vstack([run.mu, fresh.standard_normal((3, a.dim))]))
 
 
+@pytest.mark.parametrize("label", ["so3", "so4-regular"])
+def test_one_jacobi_contraction_per_verify(monkeypatch, label):
+    # loading and lie/jacobi read one per-algebra value: the bracket-of-brackets
+    # contraction runs once, and lie/jacobi reports what loading computed
+    calls, einsum = [], np.einsum
+    monkeypatch.setattr(np, "einsum", lambda subscripts, *operands, **kw: calls.append(
+        subscripts) or einsum(subscripts, *operands, **kw))
+    cfg = CaseConfig.from_dict(_doc(label))
+    rep, code = verify_suite(cfg)
+    assert code == 0 and calls.count("ijl,lkm->ijkm") == 1
+    jacobi = next(check for check in rep["checks"] if check["name"] == "lie/jacobi")
+    assert jacobi["value"] == cfg.algebra().jacobi_defect
+
+
 @pytest.mark.parametrize("label", ["so3", "heis3", "so4-regular"])
 def test_one_stabilizer_solve_per_constraint_split(monkeypatch, label):
     # the constraint split is the one caller of the stabilizer solve, and it
