@@ -336,7 +336,8 @@ def algebra_from_json(doc) -> LieAlgebra:
 
     Expected shape: ``{"dim": n, "brackets": [[i, j, [k, coeff], ...], ...],
     "realization": [matrix, ...]?}`` with n ≥ 1 and 0-based indices i, j, k in
-    [0, n).  Antisymmetric counterparts are filled in automatically.
+    [0, n), each pair {i, j} in one entry and each k once in it.  Antisymmetric
+    counterparts are filled in automatically.
     """
     if isinstance(doc, (str, bytes)):
         try:
@@ -349,12 +350,22 @@ def algebra_from_json(doc) -> LieAlgebra:
         n = doc["dim"]
         if not _is_number(n, integer=True) or n < 1:
             raise ValueError(f"dim must be an integer >= 1, got {n!r}")
-        c = np.zeros((n, n, n))
-        for entry in doc.get("brackets", []):
+        c, brackets, pairs = np.zeros((n, n, n)), doc.get("brackets", []), set()
+        if not isinstance(brackets, list):
+            raise TypeError(f"brackets must be a list of [i, j, [k, coeff], ...] lists, "
+                            f"got {brackets!r}")
+        for entry in brackets:
+            if not (isinstance(entry, list) and len(entry) >= 2
+                    and all(isinstance(term, list) and len(term) == 2 for term in entry[2:])):
+                raise TypeError(f"bracket entry {entry!r} is not an [i, j, [k, coeff], ...] list")
             i, j = entry[:2]
-            for index in (i, j, *(term[0] for term in entry[2:])):
+            ks = [term[0] for term in entry[2:]]
+            for index in (i, j, *ks):
                 if not (_is_number(index, integer=True) and 0 <= index < n):
                     raise IndexError(f"bracket index {index!r} is not an integer in [0, {n})")
+            if frozenset((i, j)) in pairs or len(set(ks)) < len(ks):
+                raise ValueError(f"bracket entry {entry!r} gives {{{i}, {j}}} again or a k twice")
+            pairs.add(frozenset((i, j)))
             for k, coeff in entry[2:]:
                 if not _is_number(coeff):
                     raise TypeError(f"coefficient {coeff!r} is not a finite number")
@@ -373,4 +384,4 @@ def algebra_from_json(doc) -> LieAlgebra:
     try:
         return _finalize(a)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"malformed algebra document: {exc}") from exc

@@ -239,6 +239,7 @@ def _stage_reduce(cfg: CaseConfig, run) -> dict:
     # ``check_case`` pins that layout for its unrealized catalog case, so lifting
     # this gate is a change of the benchmark's expectations.
     if ctx.zero_dimensional_base or a.realization is None:
+        run.stabilizer = _stabilizer_sample(ctx, run.rng)
         stage["sigma"] = None
         stage["autoparallel"] = autoparallel_check(ctx, rng=run.rng)
         return stage
@@ -246,7 +247,8 @@ def _stage_reduce(cfg: CaseConfig, run) -> dict:
     # t = 0, then samples − 1 chart points drawn in one call
     pts = np.vstack([np.zeros(geom.chart.dim),
                      run.rng.uniform(-0.4, 0.4, (cfg.samples - 1, geom.chart.dim))])
-    sweep, run.kernels = _chart_sweep(geom, pts, run.rng)
+    run.stabilizer = _stabilizer_sample(ctx, run.rng)
+    sweep, run.kernels = _chart_sweep(geom, pts, run.stabilizer)
     run.sweep = sweep
     stage.update({
         "sigma": sweep["sigma"],
@@ -260,9 +262,15 @@ def _stage_reduce(cfg: CaseConfig, run) -> dict:
     return stage
 
 
-def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator) -> tuple:
+def _stabilizer_sample(ctx, rng: np.random.Generator) -> np.ndarray:
+    """The run's G_μ sample: Ad(exp(g_μ·u)) for five u ~ U[−1, 1]^k, one draw; none at k = 0."""
+    u = rng.uniform(-1.0, 1.0, (5 if ctx.stabilizer_dim else 0, ctx.stabilizer_dim))
+    return group_exp(ctx.algebra, linalg.matvec(ctx.split.g_mu, u))
+
+
+def _chart_sweep(geom: SigmaGeometry, pts, fibers: np.ndarray) -> tuple:
     """Every reduced-connection defect, from arrays stacked over the chart points,
-    and the kernels at those points (identity fiber), which the curvature stage reads.
+    and the sweep's kernels: at those points (identity fiber), then at pts[0] on each fiber.
 
     At each point t: the kernel's D = dν(t), lifts L of D's columns and their
     jet J, the reduced form matrix Ω(t) = L·ω(μ)·Lᵀ and its exact derivatives
@@ -273,25 +281,22 @@ def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator) -> tuple:
     and closedness (the cyclic sum of ∂Ω on the first two points, a 3-form:
     identically 0 on 2-dimensional orbits, such as the catalog's and so(4)
     singular's) read these; fiber independence compares the table at pts[0]
-    with the same table at five stabilizer fibers drawn from rng.  At each of
-    these points, the lifts (the horizontal projection of the section velocity)
-    are compared with the quotient-map solve ``lift`` of D's columns, relative
-    to max(1, |lift|).  One batch of kernels holds every table, and the lift
-    solves read it; each solve is stacked.
+    with the same table at the stabilizer ``fibers`` (Ad matrices, the run's
+    sample).  At each of these points, the lifts (the horizontal projection of
+    the section velocity) are compared with the quotient-map solve ``lift`` of
+    D's columns, relative to max(1, |lift|).  One batch of kernels holds every
+    table, and the lift solves read it; each solve is stacked.
     """
     ctx = geom.ctx
     km = geom.chart.dim
     e = geom.identity
-    k = ctx.stabilizer_dim
-    fibers = group_exp(ctx.algebra, linalg.matvec(ctx.split.g_mu,
-                                                  rng.uniform(-1.0, 1.0, (5 if k else 0, k))))
     swept = (np.vstack([pts] + [pts[0]] * len(fibers)), np.array([e] * len(pts) + list(fibers)))
-    K = geom.kernels(*swept)
-    gap = np.linalg.norm(K.lifts - geom.lift(K, K.D.swapaxes(1, 2)), axis=-1)
-    projection = float(np.max(gap / np.maximum(1.0, np.linalg.norm(K.lifts, axis=-1))))
+    batch = geom.kernels(*swept)
+    gap = np.linalg.norm(batch.lifts - geom.lift(batch, batch.D.swapaxes(1, 2)), axis=-1)
+    projection = float(np.max(gap / np.maximum(1.0, np.linalg.norm(batch.lifts, axis=-1))))
     P = len(pts)  # the fibers' points enter the projection gaps and fiber independence only
-    fiber = float(np.max(np.abs(K.cov[P:] - K.cov[0]), initial=0.0))
-    K = K[:P]  # the chart points' kernels, which the curvature stage reads too
+    fiber = float(np.max(np.abs(batch.cov[P:] - batch.cov[0]), initial=0.0))
+    K = batch[:P]
     D, coad, lifts, jet, level, cov = K.D, K.coad, K.lifts, K.jet, K.level, K.cov
     pairs = kks_pairs(ctx.algebra, D, linalg.matvec(coad, ctx.mu), geom.form_table(lifts, lifts))
     jw = geom.form_table(jet[:, :km].reshape(P, km * km, -1), lifts).reshape(P, km, km, km)
@@ -306,7 +311,7 @@ def _chart_sweep(geom: SigmaGeometry, pts, rng: np.random.Generator) -> tuple:
             "torsion": float(np.max(np.abs(cov - cov.transpose(0, 2, 1, 3)))),
             "oracle": float(np.max(np.abs(cov - oracle))),
             "parallel": float(np.max(np.abs(d_omega - Pc + Pc.swapaxes(-1, -2)))),
-            "closed": float(np.max(np.abs(cyclic[:2]))), "projection": projection}, K
+            "closed": float(np.max(np.abs(cyclic[:2]))), "projection": projection}, batch
 
 
 def _stage_curvature(cfg: CaseConfig, run) -> dict:
@@ -429,8 +434,7 @@ def _verify_algebra(cfg, run):
         adY = a.ad(g_mu.T)
         yield ("lie/complement-equivariance", np.max(np.abs(pi @ adY - adY @ pi)),
                "complement_equivariance")
-    coad = coadjoint_matrix(group_exp(a, np.linspace(-1, 1, 5)[:, None, None] * g_mu.T))
-    fix = np.max(np.abs(linalg.matvec(coad, mu) - mu), initial=0.0)
+    fix = np.max(np.abs(linalg.matvec(coadjoint_matrix(run.stabilizer), mu) - mu), initial=0.0)
     yield "lie/coad-fixes-mu", fix, "coad_fixes_mu"
     Ad = group_exp(a, rng.uniform(-1, 1, n))
     X, Y = np.split(rng.standard_normal((5, 2 * n)), 2, axis=1)  # five draws, one per row
@@ -495,7 +499,7 @@ def _verify_connections(cfg, run):
 
 
 def _verify_reduction(cfg, run):
-    a, mu, ctx, rng, sweep = run.a, run.mu, run.ctx, run.rng, run.sweep
+    a, mu, ctx, rng, sweep, h = run.a, run.mu, run.ctx, run.rng, run.sweep, run.stabilizer
     reduced = run.stages["reduce"]
     om = ctx.omega_mu
     yield "red/s-isotropic", reduced["isotropy_defect"], "isotropy"
@@ -515,14 +519,15 @@ def _verify_reduction(cfg, run):
         s = np.linalg.svd(ctx.w1.T @ om @ ctx.w1, compute_uv=False)
         yield ("red/w1-omega-nondegenerate", s[-1] > linalg.RANK_RTOL * s[0], None,
                f"ratio {s[-1] / s[0]:.3e}")
-    yield "red/l-equivariance", _l_equivariance_defect(ctx, rng), "l_equivariance"
+    yield "red/l-equivariance", _l_equivariance_defect(ctx, h[:3]), "l_equivariance"
     geod = reduced["totally_geodesic_defect"]
     yield ("red/geodesic-oracle", _geodesic_oracle_gap(ctx, geod), "geodesic_oracle",
            f"defect {geod:.3e}")
     auto = reduced["autoparallel"]
     note = f"defect {auto['defect']:.3e}"
     if run.geom is not None:
-        yield "red/sigma-equivariance", _sigma_equivariance_defect(ctx, rng), "sigma_equivariance"
+        yield ("red/sigma-equivariance", _sigma_equivariance_defect(ctx, h[:3], rng),
+               "sigma_equivariance")
         yield "red/sigma-torsion", _sigma_torsion_defect(ctx), "sigma_torsion"
         yield "red/reduced-torsion", sweep["torsion"], "reduced_torsion"
         yield "red/reduced-oracle", sweep["oracle"], "reduced_oracle"
@@ -531,8 +536,9 @@ def _verify_reduction(cfg, run):
         yield "red/reduced-form-closed", sweep["closed"], "reduced_form_closed"
         yield "red/fiber-independence", sweep["fiber"], "fiber_independence"
         yield "red/lift-projection", sweep["projection"], "lift_projection"
-        t = np.asarray(reduced["chart_points"][0])
-        yield "red/jet-fd", _jet_fd_defect(run.geom, t), "jet_fd"
+        t, fibers = reduced["chart_points"][0], np.array([run.geom.identity, *h[:1]])
+        K = run.kernels[len(reduced["chart_points"]) * np.arange(len(fibers))]  # t on 1, on h₀
+        yield "red/jet-fd", _jet_fd_defect(run.geom, t, fibers, K), "jet_fd"
         if auto["independence"] is not None:
             yield "red/autoparallel-independence", auto["independence"], "fiber_independence", note
             return
@@ -556,13 +562,11 @@ def _verify_curvature(cfg, run):
            f"factor {conv['factor']:.1f}" if measurable else "flat, below floor")
 
 
-def _l_equivariance_defect(ctx, rng) -> float:
-    a, k = ctx.algebra, ctx.stabilizer_dim
+def _l_equivariance_defect(ctx, elements: np.ndarray) -> float:
+    """Transport L by the stabilizer ``elements`` (Ad matrices) and compare."""
     st, delta, lam = ctx.s_tilde, ctx.split.delta, ctx.iso_map
     L_full = delta @ lam @ np.linalg.pinv(st)
-    # three stabilizer elements, one per row of the draw
-    T = frame_transport(np.linalg.inv(group_exp(a, linalg.matvec(ctx.split.g_mu,
-                                                                 rng.uniform(-1, 1, (3, k))))))
+    T = frame_transport(np.linalg.inv(elements))
     moved = T @ (L_full @ (np.linalg.inv(T) @ st)) - L_full @ st
     return float(np.max(np.abs(moved), initial=0.0))
 
@@ -580,14 +584,14 @@ def _geodesic_oracle_gap(ctx, value: float) -> float:
     return abs(float(np.max(np.abs(pairs), initial=0.0)) - value)
 
 
-def _sigma_equivariance_defect(ctx, rng) -> float:
-    """Transport constant level-set fields by stabilizer elements and compare."""
-    a, n, k, gamma, P = ctx.algebra, ctx.algebra.dim, ctx.stabilizer_dim, ctx.gamma_mu, ctx.p_matrix
+def _sigma_equivariance_defect(ctx, elements: np.ndarray, rng) -> float:
+    """Transport constant level-set fields by the three stabilizer ``elements``
+    (Ad matrices) and compare, on three (u, v) pairs each, drawn from rng."""
+    n, k, gamma, P = ctx.algebra.dim, ctx.stabilizer_dim, ctx.gamma_mu, ctx.p_matrix
     if k == 0:
         return 0.0
-    # three stabilizer elements with three (u, v) pairs each
-    fibers, pairs = rng.uniform(-1, 1, (3, k)), rng.standard_normal((3, 3, 2 * n))
-    T = frame_transport(np.linalg.inv(group_exp(a, linalg.matvec(ctx.split.g_mu, fibers))))[:, None]
+    pairs = rng.standard_normal((3, 3, 2 * n))
+    T = frame_transport(np.linalg.inv(elements))[:, None]
     # rows (X, 0) of u and v, [element, pair, X]
     u, v = np.moveaxis(np.pad(pairs.reshape(3, 3, 2, n), [(0, 0)] * 3 + [(0, n)]), 2, 0)
     Tu, Tv = linalg.matvec(T, np.stack([u, v]))
@@ -596,18 +600,14 @@ def _sigma_equivariance_defect(ctx, rng) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _jet_fd_defect(geom: SigmaGeometry, t) -> float:
+def _jet_fd_defect(geom: SigmaGeometry, t, fibers: np.ndarray, K) -> float:
     """Largest gap, relative to max(1, |exact|), between the exact derivatives
-    of ``lifts`` (both fibers' kernels at t, 1 and exp(g_μ·(½, …, ½)), in one
-    batch) and their central differences at ``JET_FD_STEP`` along each lift and
+    of ``lifts`` (from K, the kernels at t on each of ``fibers``, Ad matrices)
+    and their central differences at ``JET_FD_STEP`` along each lift and
     stabilizer generator: every fiber's stencil points in one ``_stencil_points``
-    call, their lifts read from the chart's lift block alone (``lift_frames``)."""
-    a, g_mu = geom.ctx.algebra, geom.ctx.split.g_mu
-    k = g_mu.shape[1]
-    fibers = np.array([geom.identity] + ([group_exp(a, g_mu @ np.full(k, 0.5))] if k else []))
-    K = geom.kernels([t] * len(fibers), fibers)
-    gens = np.broadcast_to(np.pad(g_mu.T, ((0, 0), (0, geom.n))), (len(fibers), k, 2 * geom.n))
-    us = np.concatenate([K.lifts, gens], axis=1)  # [fiber, direction]
+    call, their lifts from the chart's lift block alone (``lift_frames``)."""
+    gens = np.pad(geom.ctx.split.g_mu.T, ((0, 0), (0, geom.n)))  # rows (g_μ e_b, 0)
+    us = np.concatenate([K.lifts, np.broadcast_to(gens, (len(fibers),) + gens.shape)], axis=1)
     exact = geom.lift_derivatives(K, us)
     d = us.shape[1]  # directions per fiber
     points = geom._stencil_points(t, np.repeat(fibers, d, axis=0), us.reshape(-1, 2 * geom.n),

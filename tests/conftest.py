@@ -171,6 +171,18 @@ MALFORMED_ALGEBRAS = {
                                                      [[0.0, 1.0], [0.0, 0.0]]]),
     "realization=Infinity": dict(AFF1_DOC, realization=[[[math.inf, 0.0], [0.0, 0.0]],
                                                           [[0.0, 1.0], [0.0, 0.0]]]),
+    # a bracket stated twice, which a loader writing entries in turn would let
+    # the later one decide; brackets that are no list of [i, j, [k, coeff], …]
+    # lists; a realization whose commutators contradict the brackets
+    "pair-twice": dict(_AFF1_BRACKETS, brackets=[[0, 1, [1, 1.0]], [1, 0, [1, 1.0]]]),
+    "pair-twice-same-order": dict(_AFF1_BRACKETS, brackets=[[0, 1, [1, 1.0]], [0, 1]]),
+    "k-twice": dict(_AFF1_BRACKETS, brackets=[[0, 1, [1, 1.0], [1, 3.0]]]),
+    "brackets='x'": dict(_AFF1_BRACKETS, brackets="x"),
+    "entry=0": dict(_AFF1_BRACKETS, brackets=[0]),
+    "entry=[0]": dict(_AFF1_BRACKETS, brackets=[[0]]),
+    "term=[1]": dict(_AFF1_BRACKETS, brackets=[[0, 1, [1]]]),
+    "term=1": dict(_AFF1_BRACKETS, brackets=[[0, 1, 1]]),
+    "realization-contradicts-brackets": dict(AFF1_DOC, brackets=[[0, 1, [1, 2.0]]]),
 }
 
 

@@ -40,8 +40,21 @@ def _runs():
     return runs
 
 
+def _traced():
+    """One traced run per side on the first seed: counts, a time, and a count
+    only the change's tracer has."""
+    def record(side, exps, extra):
+        return {"workload": "so4-full", "seed": 41, "side": side, "correct": True,
+                "attempted": 4, "failed": 0,
+                "metrics": {"liealg.group_exp.calls": {"value": exps, "unit": "count"},
+                            "pipeline.verify_s": {"value": 0.01, "unit": "s"}, **extra}}
+
+    return [record("parent", 16, {}),
+            record("change", 8, {"kernel.inv.calls": {"value": 44, "unit": "count"}})]
+
+
 def test_summary_on_fixed_runs():
-    (name, out), = ab_pairs.summarize(_runs(), SPEC).items()
+    (name, out), = ab_pairs.summarize(_runs(), SPEC, _traced()).items()
     assert name == "so4-full" and out["seeds"] == list(range(41, 51))
     assert out["failed"] == {"parent": 0, "change": 1}
     assert out["attempted"] == {"parent": 145, "change": 145} and out["correct"]
@@ -61,6 +74,9 @@ def test_summary_on_fixed_runs():
     assert head["change_wins"] == "0/10" and head["parent"]["iqr"] == 0.0
     assert head["median_change_rel"] == pytest.approx(-0.25)
     assert head["within_bound"] and not head["claim_met"]
+    # counts only, parent beside change, in the order the sides name them
+    assert out["counts"] == {"liealg.group_exp.calls": {"parent": 16, "change": 8},
+                             "kernel.inv.calls": {"parent": None, "change": 44}}
 
 
 def test_claim_and_bound_rules():

@@ -258,6 +258,17 @@ class TestExitCodes:
         assert main(["validate", "--config", cfg]) == 2
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "ConfigError"
 
+    @pytest.mark.parametrize("verb", ["validate", "reduce", "curvature", "verify",
+                                      "export-connection"])
+    def test_every_malformed_algebra_is_config_error_under_every_verb(self, tmp_path, capsys,
+                                                                      verb):
+        for name, group in MALFORMED_ALGEBRAS.items():
+            cfg = _write_config(tmp_path, {"group": group, "mu": [0.0, 1.0]})
+            assert main([verb, "--config", cfg]) == 2, name
+            error = json.loads(capsys.readouterr().out)["error"]
+            assert error["type"] == "ConfigError", name
+            assert error["message"].startswith("malformed algebra document: "), name
+
     @pytest.mark.parametrize("verb", ["validate", "curvature", "verify"])
     def test_non_finite_algebra_is_config_error_under_every_verb(self, tmp_path, capsys, verb):
         for name in ("coeff=Infinity", "realization=NaN", "realization=Infinity"):

@@ -289,9 +289,9 @@ def _perturb(geom, change) -> None:
 
 
 def _sweep_again(run) -> None:
-    """The chart sweep at the run's chart points, on fibers drawn from seed 0."""
+    """The chart sweep at the run's chart points, on the run's stabilizer sample."""
     pts = np.asarray(run.stages["reduce"]["chart_points"])
-    run.sweep, run.kernels = pipeline._chart_sweep(run.geom, pts, np.random.default_rng(0))
+    run.sweep, run.kernels = pipeline._chart_sweep(run.geom, pts, run.stabilizer)
 
 
 def _tangent_noise(K, rng, scale: float) -> np.ndarray:
@@ -318,13 +318,12 @@ def test_reduced_form_closed_fails_on_a_jet_that_differentiates_no_field():
 @pytest.mark.parametrize("rows", ["chart", "fiber"])
 def test_jet_fd_fails_on_noise_in_either_half_of_the_jet(rows):
     # the check differences the lifts along each lift and each stabilizer
-    # generator, at t = 0 on two fibers: noise on the jet's chart rows, or on its
-    # fiber rows alone, is the derivative of no field
+    # generator, at t = 0 on two fibers, from the sweep's kernels there: noise on
+    # the jet's chart rows, or on its fiber rows alone, is the derivative of no field
     cfg, run = _so4()
     geom, km = run.geom, run.geom.chart.dim
-    t = np.asarray(run.stages["reduce"]["chart_points"][0])
     assert geom.ctx.stabilizer_dim == 2
-    assert pipeline._jet_fd_defect(geom, t) <= THRESHOLDS["jet_fd"]
+    assert _check(pipeline._verify_reduction, run, "red/jet-fd", cfg)[1] <= THRESHOLDS["jet_fd"]
     rng = np.random.default_rng(6)
 
     def noisy(K):
@@ -334,6 +333,7 @@ def test_jet_fd_fails_on_noise_in_either_half_of_the_jet(rows):
         return replace(K, jet=jet)
 
     _perturb(geom, noisy)
+    _sweep_again(run)
     _assert_fails(pipeline._verify_reduction, run, "red/jet-fd", "jet_fd", cfg)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -380,6 +381,19 @@ class TestJsonLoading:
     def test_wrong_type_rejected(self, doc):
         with pytest.raises(ConfigError, match="malformed algebra document"):
             rc.algebra_from_json(doc)
+
+    # a bracket given twice would be decided by its last entry ([e₀, e₁] = −e₁
+    # for the first document, coefficient 3 for the second): the error names
+    # the entry, as it does an entry or a brackets value of the wrong shape
+    @pytest.mark.parametrize("brackets,entry", [
+        ([[0, 1, [1, 1.0]], [1, 0, [1, 1.0]]], "[1, 0, [1, 1.0]] gives {1, 0} again"),
+        ([[0, 1, [1, 1.0], [1, 3.0]]], "[0, 1, [1, 1.0], [1, 3.0]] gives {0, 1} again or a k"),
+        ("x", "brackets must be a list of [i, j, [k, coeff], ...] lists, got 'x'"),
+        ([[0, 1, [1]]], "bracket entry [0, 1, [1]] is not"),
+    ], ids=["pair-twice", "k-twice", "brackets='x'", "term=[1]"])
+    def test_a_repeated_or_misshapen_bracket_is_named(self, brackets, entry):
+        with pytest.raises(ConfigError, match=re.escape(entry)):
+            rc.algebra_from_json({"dim": 2, "brackets": brackets})
 
     # a realization that is not a stack of matrices fails its shape check
     # rather than indexing past its dimensions

@@ -567,9 +567,8 @@ EMPTY_GUARDS_ALLOWED = {
     "pipeline._verify_algebra": "decides whether the report lists lie/complement-equivariance",
     "pipeline._verify_reduction": "decides whether the report lists red/w1-omega-nondegenerate",
     "pipeline._sigma_equivariance_defect": "at k = 0 its draws would be read by nothing",
-    "pipeline._chart_sweep": "at k = 0 its fibers would only repeat the identity fiber's rows",
-    "pipeline._jet_fd_defect": "at k = 0 its second fiber would only repeat the identity "
-                               "fiber's rows",
+    "pipeline._stabilizer_sample": "at k = 0 its elements, and the chart sweep's rows on them, "
+                                   "would only repeat the identity",
     "pipeline._stage_reduce": "a point orbit has no chart: the stage reports sigma: null",
     "reduction.SigmaGeometry.__init__": "a point orbit has no chart: ZeroDimensionalBase is "
                                         "its typed failure",

@@ -230,14 +230,17 @@ def test_cyclic_rule_nodes_are_bitwise_one_at_a_time(label):
 
 
 def test_a_size_zero_draw_leaves_the_rng_where_it_was(aff1):
-    # at k = 0 (aff1 at μ = (0, 1)) the l-equivariance check draws its stabilizer
-    # elements as a (3, 0) array: nothing is drawn, so the checks after it read
-    # the stream a k = 0 special case that drew nothing leaves
+    # at k = 0 (aff1 at μ = (0, 1)) the reduce stage draws its stabilizer sample
+    # as a (0, 0) array: nothing is drawn, so the draws after it read the stream
+    # a k = 0 special case that drew nothing leaves, and the l-equivariance
+    # check transports by no element
     rng = np.random.default_rng(1)
     state = rng.bit_generator.state
     assert rng.uniform(-1, 1, (3, 0)).shape == (3, 0)
     assert rng.bit_generator.state == state
     ctx = rc.build_context(aff1, np.array([0.0, 1.0]))
-    assert pipeline._l_equivariance_defect(ctx, rng) == 0.0
+    sample = pipeline._stabilizer_sample(ctx, rng)
+    assert sample.shape == (0, 2, 2)
     assert rng.bit_generator.state == state
+    assert pipeline._l_equivariance_defect(ctx, sample[:3]) == 0.0
     assert pipeline._geodesic_oracle_gap(ctx, rc.totally_geodesic_defect(ctx)) == 0.0

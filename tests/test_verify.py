@@ -118,29 +118,29 @@ def test_verify_builds_no_more_than_the_pipeline(monkeypatch, label):
                          (pipeline, "_chart_sweep"), (pipeline, "curvature_battery"),
                          (reduction, "omega_gram")):
         counted(module, name)
-    # the only kernels verify builds beyond the pipeline's: the jet-fd check's
-    # at t on its two fibers, in one batch (its stencil points build none)
+    # verify builds no kernel beyond the pipeline's: the jet-fd check reads the
+    # chart sweep's rows at t = 0, and its stencil points build none
     built = count_builds(monkeypatch)
-    jet_fd, jet_fd_kernels = pipeline._jet_fd_defect, []
-
-    def jet_fd_counted(geom, t):
-        before = len(built)
-        out = jet_fd(geom, t)
-        jet_fd_kernels.extend(built[before:])
-        return out
-
-    monkeypatch.setattr(pipeline, "_jet_fd_defect", jet_fd_counted)
     geometries = track_geometries(monkeypatch)
+    # the reduce stage's stabilizer sample is the run's one; verify adds two
+    # generic elements (lie/ad-homomorphism and conn/right-invariance)
+    exps = []
+    group_exp = pipeline.group_exp
+    monkeypatch.setattr(pipeline, "group_exp", lambda a, X: exps.append(np.shape(X)) or
+                        group_exp(a, X))
     counts = []
     for run in (lambda: run_pipeline(cfg, "curvature"), lambda: verify_suite(cfg)):
         calls.clear()
         geometries.clear()
         built.clear()
+        exps.clear()
         _, code = run()
         assert code == 0
         counts.append({"calls": sorted(calls), "geometries": len(geometries),
-                       "kernels": sum(built) - sum(jet_fd_kernels)})
-    assert jet_fd_kernels == [2]
+                       "kernels": sum(built), "exps": list(exps)})
+    n = cfg.algebra().dim
+    assert counts[0].pop("exps") == [(5, n)]
+    assert counts[1].pop("exps") == [(5, n), (n,), (n,)]
     assert counts[0] == counts[1]
     assert {"build_context", "_chart_sweep", "curvature_battery"} <= set(counts[0]["calls"])
     assert counts[0]["calls"].count("omega_gram") == counts[0]["calls"].count("build_context")
@@ -397,13 +397,43 @@ def _jet_fd_geometry(label: str, chart_type=orbits.OrbitChart) -> reduction.Sigm
     return reduction.SigmaGeometry(ctx, chart_type(a, chart.mu, chart.m_basis))
 
 
+@pytest.mark.parametrize("label", ["so3", "so4-regular", "so4-singular"])
+def test_jet_fd_reads_the_sweeps_kernels_at_t0_on_1_and_h0(label):
+    # the check's kernels are the chart sweep's rows at t = 0 on the identity
+    # and on the run's first stabilizer element: kernels built there anew give
+    # its value bit for bit
+    cfg = CaseConfig.from_dict(_doc(label))
+    run = pipeline._run_stages(cfg, "curvature", {}, {})
+    geom = run.geom
+    assert run.stabilizer.shape == (5, geom.n, geom.n)
+    value = next(c[1] for c in pipeline._verify_reduction(cfg, run) if c[0] == "red/jet-fd")
+    t, fibers = np.zeros(geom.chart.dim), np.array([geom.identity, run.stabilizer[0]])
+    fresh = pipeline._jet_fd_defect(geom, t, fibers, geom.kernels([t, t], fibers))
+    assert value.hex() == fresh.hex()
+
+
+def _jet_fd_fibers(geom: reduction.SigmaGeometry) -> np.ndarray:
+    """The identity and exp(g_μ·(½, …, ½)), as Ad matrices; the identity alone at k = 0."""
+    a, g_mu = geom.ctx.algebra, geom.ctx.split.g_mu
+    k = g_mu.shape[1]
+    return np.array([geom.identity] + ([liealg.group_exp(a, g_mu @ np.full(k, 0.5))] if k else []))
+
+
+def _jet_fd(geom: reduction.SigmaGeometry, t) -> float:
+    """``pipeline._jet_fd_defect`` at t on ``_jet_fd_fibers``, with their kernels built here."""
+    fibers = _jet_fd_fibers(geom)
+    return pipeline._jet_fd_defect(geom, t, fibers, geom.kernels([t] * len(fibers), fibers))
+
+
 @pytest.mark.parametrize("label", ["so3", "so4-regular"])
 def test_jet_fd_stencil_points_keep_no_kernel(label, monkeypatch):
-    # the check builds the kernels at t on its two fibers in one batch and no
-    # other: its stencil points take lifts from the chart's lift block alone,
-    # both fibers' in one exponential call
+    # the check builds no kernel: it reads the caller's at t on its fibers, and
+    # its stencil points take lifts from the chart's lift block alone, every
+    # fiber's in one exponential call
     geom = _jet_fd_geometry(label)
     t = np.linspace(-0.2, 0.2, geom.chart.dim)
+    fibers = _jet_fd_fibers(geom)
+    K = geom.kernels([t] * len(fibers), fibers)
     built, calls = count_builds(monkeypatch), []
     exp_data = orbits.OrbitChart.exp_data
 
@@ -412,10 +442,10 @@ def test_jet_fd_stencil_points_keep_no_kernel(label, monkeypatch):
         return exp_data(self, ts, derivatives)
 
     monkeypatch.setattr(orbits.OrbitChart, "exp_data", spied)
-    assert pipeline._jet_fd_defect(geom, t) <= THRESHOLDS["jet_fd"]
-    assert built == [2]
+    assert pipeline._jet_fd_defect(geom, t, fibers, K) <= THRESHOLDS["jet_fd"]
+    assert built == []
     directions = geom.chart.dim + geom.ctx.stabilizer_dim
-    assert calls == [(2, True), (2 * 2 * directions, False)]
+    assert calls == [(2 * 2 * directions, False)]
 
 
 def _per_fiber_jet_fd_defect(geom: reduction.SigmaGeometry, t) -> float:
@@ -424,7 +454,7 @@ def _per_fiber_jet_fd_defect(geom: reduction.SigmaGeometry, t) -> float:
     one stencil over both fibers must equal bit for bit."""
     a, g_mu, km, n = geom.ctx.algebra, geom.ctx.split.g_mu, geom.chart.dim, geom.n
     k, step = g_mu.shape[1], pipeline.JET_FD_STEP
-    fibers = [geom.identity] + ([liealg.group_exp(a, g_mu @ np.full(k, 0.5))] if k else [])
+    fibers = _jet_fd_fibers(geom)
     K = geom.kernels([t] * len(fibers), fibers)
     gens = np.broadcast_to(np.pad(g_mu.T, ((0, 0), (0, n))), (len(fibers), k, 2 * n))
     us = np.concatenate([K.lifts, gens], axis=1)
@@ -454,7 +484,7 @@ def test_jet_fd_is_the_per_fiber_stencils_bit_for_bit(label):
     geom = _jet_fd_geometry(label)
     assert (geom.ctx.stabilizer_dim == 0) == (label == "aff1")
     for t in (np.zeros(geom.chart.dim), np.linspace(-0.2, 0.15, geom.chart.dim)):
-        value = pipeline._jet_fd_defect(geom, t)
+        value = _jet_fd(geom, t)
         assert value.hex() == _per_fiber_jet_fd_defect(geom, t).hex()
         assert value <= THRESHOLDS["jet_fd"]
 
@@ -477,7 +507,7 @@ def test_jet_fd_raises_at_the_first_failing_stencil_row(tangent, lift, error):
 
     geom = _jet_fd_geometry("so3", Broken)
     with pytest.raises(error):
-        pipeline._jet_fd_defect(geom, np.zeros(geom.chart.dim))
+        _jet_fd(geom, np.zeros(geom.chart.dim))
 
 
 def test_jet_fd_check_catches_a_sign_flipped_fiber_term(monkeypatch):

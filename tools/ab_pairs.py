@@ -10,7 +10,11 @@ For each workload ``BENCHMARK.json`` lists and each seed, one
 ``python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0``
 runs on each side, ``S`` being ``BENCHMARK.json``'s ``run_seconds``; the side
 that runs first alternates from seed to seed, the parent first on the first.
-Each run's last stdout line (the metrics) is printed as it arrives.
+Each run's last stdout line (the metrics) is printed as it arrives.  After the
+timed pairs, ``perfbench/run.py --trace 1`` runs once per side and workload, on
+the first seed for ``TRACE_SECONDS``: its per-layer metrics of unit ``count``
+(calls per pass) repeat exactly from run to run, so a gain in seconds can be
+read against the calls it saved.
 
 ``<out.json>`` holds every run and, per workload and end-to-end metric of the
 change's ``BENCHMARK.json``, each side's runs, median and quartiles (linear
@@ -19,8 +23,8 @@ tie counts for neither), the relative change of the medians, whether a gain
 may be claimed (the change wins at least nine tenths of the pairs and its
 median is better than the parent's by more than the parent's interquartile
 range) and whether the change's median stays within the metric's bound
-(worse than the parent's median by at most ``bound``, relative).  The
-standard library alone runs it.
+(worse than the parent's median by at most ``bound``, relative), and the
+traced counts, parent and change side by side.  The standard library alone runs it.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CLAIM_WINS = 0.9  # the share of pairs a claimed gain must win
+TRACE_SECONDS = 1  # a traced run's length: whole passes, at least one
 CLAIM_RULE = ("a gain is claimed when the change wins at least nine tenths of the pairs "
               "(ties count for neither) and the medians differ, in the better direction, "
               "by more than the parent's interquartile range")
@@ -64,10 +69,10 @@ def src_sha256(tree: Path) -> str:
     return digest.hexdigest()
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One perfbench run in ``tree``: its result line, parsed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                           env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     if proc.returncode != 0:
@@ -95,11 +100,22 @@ def summarize_metric(parent: list, change: list, better: str, bound: float) -> d
             "within_bound": rel is None or sign * rel <= bound}
 
 
-def summarize(runs: list, spec: dict) -> dict:
+def count_columns(parent: dict, change: dict) -> dict:
+    """Every metric of unit ``count`` in either side's result line ``metrics``,
+    with the parent's value beside the change's (None where a side has none)."""
+    names = dict.fromkeys(name for side in (parent, change) for name, m in side.items()
+                          if m["unit"] == "count")
+    return {name: {side: metrics[name]["value"] if name in metrics else None
+                   for side, metrics in (("parent", parent), ("change", change))}
+            for name in names}
+
+
+def summarize(runs: list, spec: dict, traced: list) -> dict:
     """Per workload: seeds, every end-to-end metric of ``spec`` (``BENCHMARK.json``)
-    compared over the pairs, and the failed and attempted counts of each side.
-    ``runs`` holds one record per run: workload, seed, side, and the run's result
-    line (``metrics``, ``correct``, ``attempted``, ``failed``)."""
+    compared over the pairs, the failed and attempted counts of each side, and
+    the per-pass counts of its traced runs (``count_columns``).  ``runs`` and
+    ``traced`` hold one record per run: workload, seed, side, and the run's
+    result line (``metrics``, ``correct``, ``attempted``, ``failed``)."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
@@ -117,6 +133,8 @@ def summarize(runs: list, spec: dict) -> dict:
                          "attempted": {s: sum(side[s, k]["attempted"] for k in seeds)
                                        for s in ("parent", "change")},
                          "correct": all(r["correct"] for r in mine)}
+        sides = {r["side"]: r["metrics"] for r in traced if r["workload"] == workload}
+        out[workload]["counts"] = count_columns(sides["parent"], sides["change"])
     return out
 
 
@@ -136,8 +154,8 @@ def main(argv=None) -> int:
                for side, rev in (("parent", args.parent), ("change", args.change))}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
-    runs = []
-    for workload in (w["name"] for w in spec["workloads"]):
+    runs, workloads = [], [w["name"] for w in spec["workloads"]]
+    for workload in workloads:
         for i, seed in enumerate(range(first, last + 1)):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                 result = run_once(trees[side], workload, seed, seconds)
@@ -145,12 +163,21 @@ def main(argv=None) -> int:
                 print(json.dumps({k: runs[-1][k] for k in ("workload", "seed", "side")}
                                  | {k: v["value"] for k, v in result["metrics"].items()}),
                       flush=True)
+    traced = []
+    for workload in workloads:
+        for side in ("parent", "change"):
+            result = run_once(trees[side], workload, first, TRACE_SECONDS, trace=1)
+            traced.append({"workload": workload, "seed": first, "side": side, **result})
+            print(json.dumps({"workload": workload, "side": side, "trace": 1,
+                              "correct": result["correct"]}), flush=True)
     numpy = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
                            capture_output=True, text=True).stdout.strip()
     doc = {"what": "perfbench end-to-end metrics, parent commit against the change, one run "
                    "per side and seed, sides alternating which runs first",
            "command": f"python3 perfbench/run.py --workload NAME --seed N --seconds {seconds} "
                       "--trace 0",
+           "count_command": f"python3 perfbench/run.py --workload NAME --seed {first} "
+                            f"--seconds {TRACE_SECONDS} --trace 1",
            "parent": commits["parent"],
            "change": {"commit": commits["change"], "src_sha256": src_sha256(trees["change"]),
                       "src_sha256_of": "each src/**/*.py in sorted path order: path, NUL, "
@@ -163,8 +190,8 @@ def main(argv=None) -> int:
                        "bytecode": "both trees fresh from git archive, without __pycache__; "
                                    "PYTHONDONTWRITEBYTECODE=1 kept them so"},
            "claim_rule": CLAIM_RULE,
-           "workloads": summarize(runs, spec),
-           "runs": runs}
+           "workloads": summarize(runs, spec, traced),
+           "runs": runs, "traced_runs": traced}
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 
