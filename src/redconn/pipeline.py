@@ -223,9 +223,9 @@ def _stage_connect(cfg: CaseConfig, run) -> dict:
 
 def _stage_reduce(cfg: CaseConfig, run) -> dict:
     """The reduce stage on the configured connection with its Γ(μ).  Sets the
-    run's reduction context, and its geometry, chart sweep and kernels for the
-    curvature stage and ``verify`` (all stay None without a chart: zero-dimensional
-    base, or no realization by the policy below)."""
+    run's reduction context and stabilizer sample, and its geometry, chart sweep
+    and kernels for the curvature stage and ``verify`` (these three stay None
+    without a chart: zero-dimensional base, or no realization by the policy below)."""
     a, mu = run.a, run.mu
     run.ctx = ctx = build_context(a, mu, s_tilde=cfg.s_tilde, gamma_mu=run.gammas[0],
                                   split=run.split)
@@ -291,12 +291,12 @@ def _chart_sweep(geom: SigmaGeometry, pts, fibers: np.ndarray) -> tuple:
     km = geom.chart.dim
     e = geom.identity
     swept = (np.vstack([pts] + [pts[0]] * len(fibers)), np.array([e] * len(pts) + list(fibers)))
-    batch = geom.kernels(*swept)
-    gap = np.linalg.norm(batch.lifts - geom.lift(batch, batch.D.swapaxes(1, 2)), axis=-1)
-    projection = float(np.max(gap / np.maximum(1.0, np.linalg.norm(batch.lifts, axis=-1))))
+    K = geom.kernels(*swept)
+    gap = np.linalg.norm(K.lifts - geom.lift(K, K.D.swapaxes(1, 2)), axis=-1)
+    projection = float(np.max(gap / np.maximum(1.0, np.linalg.norm(K.lifts, axis=-1))))
     P = len(pts)  # the fibers' points enter the projection gaps and fiber independence only
-    fiber = float(np.max(np.abs(batch.cov[P:] - batch.cov[0]), initial=0.0))
-    K = batch[:P]
+    fiber = float(np.max(np.abs(K.cov[P:] - K.cov[0]), initial=0.0))
+    batch, K = K, K[:P]  # all the kernels, and the chart points', which the curvature stage reads
     D, coad, lifts, jet, level, cov = K.D, K.coad, K.lifts, K.jet, K.level, K.cov
     pairs = kks_pairs(ctx.algebra, D, linalg.matvec(coad, ctx.mu), geom.form_table(lifts, lifts))
     jw = geom.form_table(jet[:, :km].reshape(P, km * km, -1), lifts).reshape(P, km, km, km)
@@ -394,8 +394,8 @@ def verify_suite(cfg: CaseConfig) -> tuple[dict, int]:
     """Run every structural property as a named check with measured defect.
 
     The four stages run first, as ``run_pipeline(cfg, "curvature")`` runs them
-    on the same rng; the mirrored checks read their values, and the
-    verify-only checks draw their samples from the rng after the stages.
+    on the same rng; the mirrored checks read their values, the checks on G_μ
+    the reduce stage's sample, and the others draw from the rng after the stages.
     """
     checks: list[dict] = []
     rep = {"schema_version": report_mod.SCHEMA_VERSION, "config": cfg.as_dict(),
