@@ -91,7 +91,7 @@ def _routes(geom: SigmaGeometry, jobs: list, p) -> tuple:
     rows, first = linalg.distinct_rows((t.tobytes(), f.tobytes()) for t, f in zip(ts, fibers))
     K, rows = geom.kernels(ts[first], fibers[first]), np.array(rows)
     tensor, level = rows[: len(points)], K.level[rows[len(points):]]
-    return (_formula(geom, jobs, stencils, p, np.concatenate([p.level, level])),
+    return (_formula(geom, jobs, stencils, p, level),
             _tensor(geom, jobs, np.concatenate([K.D[tensor], p.D]),
                     np.concatenate([K.cov[tensor], p.cov])))
 
@@ -99,7 +99,7 @@ def _routes(geom: SigmaGeometry, jobs: list, p) -> tuple:
 def _formula(geom: SigmaGeometry, jobs, stencils, p, level) -> list:
     """The lift expansion's arrays on the jobs with their ``_stencils`` (steps,
     q, x), from the kernels p at the jobs' points and the level-set tables
-    ``level`` at the jobs' points and then the stencils' points.
+    ``level`` at the stencils' points.
 
     The level-set derivatives ∇_f̄_j f̄_l and their radical parts come from
     the tables, differenced along f̄_x on one stencil per direction x; the
@@ -109,9 +109,11 @@ def _formula(geom: SigmaGeometry, jobs, stencils, p, level) -> list:
     step is stacked over every entry [a, b] of every job."""
     ctx, km, n = geom.ctx, geom.chart.dim, geom.n
     steps, q, x = stencils
-    # [point, j, l, 0] = ∇_f̄_j f̄_l and [point, j, l, 1] = [α(∇_f̄_j f̄_l)]*
-    grads = np.stack([level, ctx.alpha_star(level)], axis=-2)
-    d_grads = _central(grads[len(jobs):], steps)
+    # [point, j, l, 0] = ∇_f̄_j f̄_l and [point, j, l, 1] = [α(∇_f̄_j f̄_l)]*, at the jobs'
+    # points and at the stencils'
+    grads, stencil_grads = (np.stack([table, ctx.alpha_star(table)], axis=-2)
+                            for table in (p.level, level))
+    d_grads = _central(stencil_grads, steps)
     u, inner = p.lifts, geom.lift_derivatives(p, p.lifts)  # inner[job, x, l]: f̄_l along f̄_x
     # outer[r, j, l, s]: induced derivative of grads[q, j, l, s] along f̄_x for the row r = (q, x)
     outer = geom._induced(u[q, x], grads[q], d_grads)

@@ -98,8 +98,9 @@ class LieAlgebra:
     @cached_property
     def jacobi_defect(self) -> float:
         """The largest entry of the cyclic sum of [[e_i, e_j], e_k] over the basis,
-        computed once: ``validate`` reads it at load and ``lie/jacobi`` again."""
-        t = np.einsum("ijl,lkm->ijkm", self.c, self.c)
+        which ``validate`` holds to ``JACOBI_TOL`` at load: one GEMM for the
+        brackets of brackets."""
+        t = np.tensordot(self.c, self.c, (2, 0))
         jac = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
         return float(np.max(np.abs(jac), initial=0.0))
 

@@ -74,6 +74,35 @@ def closed_form_gap(a, xi, u, v, w, closed=oracles.baseline_nabla_omega) -> floa
     return float(np.max(np.abs(gap)))
 
 
+# checks true by construction, which verify no longer runs: their bounds (the
+# Jacobi identity's is the load gate, ``liealg.JACOBI_TOL``, and the bracket
+# pairing is antisymmetric bit for bit) and the algebras their tests run on
+COAD_GROUP_LAW_BOUND = 1e-10  # of |Coad(g)·Coad(g⁻¹) − I|
+BASELINE_TORSION_BOUND = 1e-14  # of the baseline Γ°'s torsion
+A_SYMMETRY_BOUND = 1e-10  # of the symplectization's correction A, antisymmetrized
+ORACLE_ALGEBRAS = [name for name, _ in CATALOG_CASES] + ["so4", "so5"]
+
+
+def oracle_algebra(name):
+    """A catalog algebra, or so(n) from ``perfbench/cases.py`` for "so4" and "so5"."""
+    if name in dict(CATALOG_CASES):
+        return rc.named_algebra(name)
+    return rc.algebra_from_json(perfbench_cases().so_n_group(int(name[2:])))
+
+
+def coad_group_law_defect(Ad, coad=rc.coadjoint_matrix) -> float:
+    """max |Coad(g)·Coad(g⁻¹) − I| over a stack of Ad matrices, with ``coad``
+    for ``coadjoint_matrix``."""
+    return float(np.max(np.abs(coad(Ad) @ coad(np.linalg.inv(Ad)) - np.eye(Ad.shape[-1]))))
+
+
+def a_symmetry_defect(a, gammas) -> float:
+    """The largest part antisymmetric in the first two slots of A = Γ(ξ) − Γ°,
+    over a Γ stack of the symplectization."""
+    A = gammas - rc.baseline_coefficients(a)
+    return float(np.max(np.abs(A - np.swapaxes(A, -3, -2))))
+
+
 def perfbench_cases():
     """The benchmark's case tables (``perfbench/cases.py``), loaded by path."""
     spec = importlib.util.spec_from_file_location(

@@ -452,7 +452,7 @@ class TestFlags:
     def test_named_threshold_override(self):
         cfg = CaseConfig.from_dict(dict(SO3_DOC, tol={"kks_match": 1e-5}))
         assert cfg.threshold("kks_match") == pytest.approx(1e-5)
-        assert cfg.threshold("jacobi") == pytest.approx(1e-12)
+        assert cfg.threshold("stabilizer_annihilation") == pytest.approx(1e-12)
         with pytest.raises(ConfigError, match="kks_mach"):
             CaseConfig.from_dict(dict(SO3_DOC, tol={"kks_mach": 1e-3}))
         for bad in ("1e-3", True, None):

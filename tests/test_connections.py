@@ -8,9 +8,11 @@ from redconn.cli import EXPORT_CLAIMS
 from redconn.connections import (frame_structure, frame_transport, nabla_omega_components,
                                  torsion_components)
 from tests import oracles
-from tests.conftest import (AVERAGING_BOUND, CATALOG_CASES, CLOSED_FORM_BOUND, averaging_defects,
-                            averaging_delta, averaging_rule, closed_form_draws, closed_form_gap,
-                            contracted_nabla_omega, perfbench_cases, symmetrized)
+from tests.conftest import (A_SYMMETRY_BOUND, AVERAGING_BOUND, BASELINE_TORSION_BOUND,
+                            CATALOG_CASES, CLOSED_FORM_BOUND, ORACLE_ALGEBRAS, a_symmetry_defect,
+                            averaging_defects, averaging_delta, averaging_rule,
+                            closed_form_draws, closed_form_gap, contracted_nabla_omega,
+                            oracle_algebra, perfbench_cases, symmetrized)
 
 e1, e2, e3 = np.eye(3)
 zero3 = np.zeros(3)
@@ -18,16 +20,6 @@ zero3 = np.zeros(3)
 
 def _vec(X, eta):
     return np.concatenate([np.asarray(X, float), np.asarray(eta, float)])
-
-
-ORACLE_ALGEBRAS = [name for name, _ in CATALOG_CASES] + ["so4", "so5"]
-
-
-def _algebra(name):
-    """A catalog algebra, or so(n) from ``perfbench/cases.py`` for "so4" and "so5"."""
-    if name in dict(CATALOG_CASES):
-        return rc.named_algebra(name)
-    return rc.algebra_from_json(perfbench_cases().so_n_group(int(name[2:])))
 
 
 class TestBaseline:
@@ -54,6 +46,13 @@ class TestBaseline:
         for name, _ in CATALOG_CASES:
             a = rc.named_algebra(name)
             assert rc.torsion_defect(a, rc.baseline_coefficients(a)) == 0.0
+
+    @pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+    def test_baseline_torsion_within_its_bound(self, name):
+        # conn/baseline-torsion, a test of the suite since it only restates
+        # ½[X, Y] − ½[Y, X] = [X, Y]; test_controls.py holds its control
+        a = oracle_algebra(name)
+        assert rc.torsion_defect(a, rc.baseline_coefficients(a)) <= BASELINE_TORSION_BOUND
 
 
 class TestNablaOmega:
@@ -118,7 +117,7 @@ class TestNablaOmega:
         # term by term (``symplectic_form``), against the whole (2n)³ array
         # contracted with u, v and w, for Γ° alone, a symplectized stack, and a
         # random Γ stack (4, …) broadcast against a ξ stack (3, 1, n)
-        a = _algebra(name)
+        a = oracle_algebra(name)
         n, m = a.dim, 2 * a.dim
         base = rc.baseline_coefficients(a)
         xi = rng.standard_normal((4, n))
@@ -210,6 +209,16 @@ class TestSymplectize:
             A = rc.symplectized_coefficients(a, rng.standard_normal(a.dim), base) - base
             assert np.max(np.abs(A - A.transpose(1, 0, 2))) <= 1e-10
 
+    @pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+    def test_correction_is_symmetric_at_the_connect_stage_samples(self, name, rng):
+        # conn/a-symmetry, a test of the suite: the correction A = Γ(ξ) − Γ° is
+        # symmetric in its first two slots at μ = e₀ and three draws, one stack
+        # as the connect stage evaluates; test_controls.py holds its control
+        a = oracle_algebra(name)
+        xis = np.vstack([np.eye(a.dim)[0], rng.standard_normal((3, a.dim))])
+        gammas = rc.symplectized_coefficients(a, xis, rc.baseline_coefficients(a))
+        assert a_symmetry_defect(a, gammas) <= A_SYMMETRY_BOUND
+
     def test_right_invariance_of_output(self, so3, rng):
         base = rc.baseline_coefficients(so3)
         g = rc.group_exp(so3, rng.uniform(-0.8, 0.8, 3))
@@ -244,7 +253,7 @@ class TestSymplectize:
     def test_inverse_route_matches_a_solve(self, name, rng):
         # oracle: np.linalg.solve of Ωᵀ z = r, each right-hand side a column, for
         # the correction A = Γ' − Γ with r = ⅓ (N + N's transpose over (a, b))
-        a = _algebra(name)
+        a = oracle_algebra(name)
         m = 2 * a.dim
         xi = rng.standard_normal((4, a.dim))
         gamma = rc.baseline_coefficients(a) + rng.standard_normal((4, m, m, m))

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import redconn as rc
-from redconn import linalg
+from redconn import liealg, linalg
 from redconn.errors import ConfigError, NonReductiveStabilizer
 from tests import oracles
-from tests.conftest import AFF1_DOC, CATALOG_CASES, MALFORMED_ALGEBRAS, perfbench_cases
+from tests.conftest import (AFF1_DOC, CATALOG_CASES, COAD_GROUP_LAW_BOUND, MALFORMED_ALGEBRAS,
+                            ORACLE_ALGEBRAS, coad_group_law_defect, oracle_algebra,
+                            perfbench_cases)
 
 
 def _basis(n, i):
@@ -108,6 +110,20 @@ class TestCoadStar:
             X, Y = rng.standard_normal(3), rng.standard_normal(3)
             xi = rng.standard_normal(3)
             assert float(xi @ so3.bracket(X, Y)) + float(xi @ so3.bracket(Y, X)) == 0.0
+
+    @pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+    def test_pairing_antisymmetry_exact_on_stacks(self, name, rng):
+        # lie/bracket-pairing-antisymmetry, a test of the suite: ten rows of
+        # draws, one stack, each pairing cancelling exactly
+        a = oracle_algebra(name)
+        X, Y, xi = np.split(rng.standard_normal((10, 3 * a.dim)), 3, axis=1)
+        pairs = linalg.vecdot(xi, a.bracket(X, Y)) + linalg.vecdot(xi, a.bracket(Y, X))
+        assert np.all(pairs == 0.0)
+
+    @pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+    def test_jacobi_defect_within_the_load_gate(self, name):
+        # lie/jacobi, a test of the suite: its bound was the load gate's
+        assert oracle_algebra(name).jacobi_defect <= liealg.JACOBI_TOL == 1e-12
 
 
 class TestStabilizer:
@@ -261,6 +277,14 @@ class TestGroupMachinery:
             prod = rc.coadjoint_matrix(g) @ rc.coadjoint_matrix(np.linalg.inv(g))
             assert np.max(np.abs(prod - np.eye(a.dim))) <= 1e-10
 
+    @pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+    def test_coad_group_law_within_its_bound(self, name, rng):
+        # lie/coad-group-law, a test of the suite since Coad(g)·Coad(g⁻¹) = I
+        # holds for any invertible Ad; test_controls.py holds its control
+        a = oracle_algebra(name)
+        Ad = rc.group_exp(a, rng.uniform(-1, 1, (5, a.dim)))
+        assert coad_group_law_defect(Ad) <= COAD_GROUP_LAW_BOUND
+
     def test_ad_is_bracket_homomorphism(self, rng):
         for name, _ in CATALOG_CASES:
             a = rc.named_algebra(name)
@@ -355,6 +379,17 @@ class TestJsonLoading:
         doc = {"dim": 3, "brackets": [[0, 1, [2, 1.0]], [0, 2, [0, 1.0]]]}
         with pytest.raises(ConfigError):
             rc.algebra_from_json(doc)
+
+    @pytest.mark.parametrize("eps,loads", [(1e-13, True), (1e-9, False)])
+    def test_the_load_gate_holds_the_jacobi_defect_to_its_bound(self, eps, loads):
+        # se2 with [P1, P2] = ε·P1: the cyclic sum at (J, P1, P2) is ε·P2, so
+        # the defect is ε; loading refuses it above JACOBI_TOL and keeps it below
+        doc = {"dim": 3, "brackets": [[0, 1, [2, 1.0]], [0, 2, [1, -1.0]], [1, 2, [1, eps]]]}
+        if loads:
+            assert rc.algebra_from_json(doc).jacobi_defect == pytest.approx(eps, rel=1e-12)
+        else:
+            with pytest.raises(ConfigError, match="Jacobi defect"):
+                rc.algebra_from_json(doc)
 
     def test_missing_dim(self):
         with pytest.raises(ConfigError):

@@ -75,3 +75,9 @@ CAPABILITIES = sorted(set(re.findall(r"\(`([A-Za-z_]\w*)`\)", TEXT)))
 def test_readme_capability_names_resolve():
     assert {"symplectized_coefficients", "pullback_coefficients"} <= set(CAPABILITIES)
     assert [name for name in CAPABILITIES if not hasattr(rc, name)] == []
+
+
+def test_the_pipeline_entry_points_are_exported():
+    # a caller reaches the configuration, the pipeline and the check battery
+    # from the package, as the command line does
+    assert {"CaseConfig", "run_pipeline", "verify_suite"} <= set(rc.__all__)

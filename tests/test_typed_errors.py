@@ -81,3 +81,12 @@ def test_lift_derivative_along_a_direction_with_a_fiber_part():
 def test_symplectic_form_on_a_tangent_of_the_wrong_length():
     with pytest.raises(ValueError, match="tangent vector must have length 6"):
         rc.symplectic_form(rc.so3(), np.zeros(3), np.zeros(5), np.zeros(6))
+
+
+def test_every_library_error_is_a_reduction_error():
+    # a caller catches every failure the library types as one ReductionError
+    from redconn import errors
+
+    types = [t for t in vars(errors).values()
+             if isinstance(t, type) and t.__module__ == errors.__name__]
+    assert len(types) == 10 and all(issubclass(t, rc.ReductionError) for t in types)

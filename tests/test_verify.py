@@ -90,8 +90,6 @@ def test_mirrored_checks_read_the_stage_values(monkeypatch, label):
     reduced = stages["reduce"]
     assert checks["red/geodesic-oracle"]["note"] == \
         f"defect {reduced['totally_geodesic_defect']:.3e}"
-    auto = checks.get("red/autoparallel-independence", checks.get("red/autoparallel-report"))
-    assert auto["note"] == f"defect {reduced['autoparallel']['defect']:.3e}"
     conv = stages["curvature"]["convergence"]
     assert checks["curv/convergence-factor"]["note"] in (f"factor {conv['factor']:.1f}",
                                                          "flat, below floor")
@@ -122,8 +120,8 @@ def test_verify_builds_no_more_than_the_pipeline(monkeypatch, label):
     # chart sweep's rows at t = 0, and its stencil points build none
     built = count_builds(monkeypatch)
     geometries = track_geometries(monkeypatch)
-    # the reduce stage's stabilizer sample is the run's one; verify adds two
-    # generic elements (lie/ad-homomorphism and conn/right-invariance)
+    # the reduce stage's stabilizer sample is the run's one; verify adds one
+    # sample of two generic elements (lie/ad-homomorphism and conn/right-invariance)
     exps = []
     group_exp = pipeline.group_exp
     monkeypatch.setattr(pipeline, "group_exp", lambda a, X: exps.append(np.shape(X)) or
@@ -140,7 +138,7 @@ def test_verify_builds_no_more_than_the_pipeline(monkeypatch, label):
                        "kernels": sum(built), "exps": list(exps)})
     n = cfg.algebra().dim
     assert counts[0].pop("exps") == [(5, n)]
-    assert counts[1].pop("exps") == [(5, n), (n,), (n,)]
+    assert counts[1].pop("exps") == [(5, n), (2, n)]
     assert counts[0] == counts[1]
     assert {"build_context", "_chart_sweep", "curvature_battery"} <= set(counts[0]["calls"])
     assert counts[0]["calls"].count("omega_gram") == counts[0]["calls"].count("build_context")
@@ -166,16 +164,15 @@ def test_validate_makes_no_exponential(monkeypatch, label):
 
 @pytest.mark.parametrize("label", ["so3", "so4-regular"])
 def test_one_jacobi_contraction_per_verify(monkeypatch, label):
-    # loading and lie/jacobi read one per-algebra value: the bracket-of-brackets
-    # contraction runs once, and lie/jacobi reports what loading computed
-    calls, einsum = [], np.einsum
-    monkeypatch.setattr(np, "einsum", lambda subscripts, *operands, **kw: calls.append(
-        subscripts) or einsum(subscripts, *operands, **kw))
-    cfg = CaseConfig.from_dict(_doc(label))
-    rep, code = verify_suite(cfg)
-    assert code == 0 and calls.count("ijl,lkm->ijkm") == 1
-    jacobi = next(check for check in rep["checks"] if check["name"] == "lie/jacobi")
-    assert jacobi["value"] == cfg.algebra().jacobi_defect
+    # the load gate is the one reader of the Jacobi defect: its bracket-of-brackets
+    # contraction, one tensordot of c with itself, runs once per run, and verify
+    # lists no check of its own on it (lie/jacobi is a test of the suite)
+    calls, tensordot = [], np.tensordot
+    monkeypatch.setattr(np, "tensordot", lambda x, y, axes=2: calls.append(
+        (x is y, axes)) or tensordot(x, y, axes))
+    rep, code = verify_suite(CaseConfig.from_dict(_doc(label)))
+    assert code == 0 and calls.count((True, (2, 0))) == 1
+    assert not any(check["name"] == "lie/jacobi" for check in rep["checks"])
 
 
 @pytest.mark.parametrize("label", ["so3", "heis3", "so4-regular"])
@@ -232,20 +229,18 @@ def test_each_connection_is_evaluated_once_per_xi(monkeypatch, label):
     assert len(calls) == len(set(calls)) <= 12 and batches == [4] * 3
 
 
-LIE = ["lie/jacobi", "lie/bracket-pairing-antisymmetry", "lie/stabilizer-annihilation"]
-LIE_GROUP = ["lie/coad-fixes-mu", "lie/ad-homomorphism", "lie/coad-group-law"]
+LIE = ["lie/stabilizer-annihilation"]
+LIE_GROUP = ["lie/coad-fixes-mu", "lie/ad-homomorphism"]
 PHASE = ["phase/omega-closed", "phase/tsigma-delta-pairing", "phase/tperp-span",
          "phase/radical-span"]
-CONN = ["conn/baseline-torsion", "conn/torsion", "conn/nabla-omega", "conn/a-symmetry",
-        "conn/symplectize-idempotent"]
+CONN = ["conn/torsion", "conn/nabla-omega", "conn/symplectize-idempotent"]
 RED = ["red/s-isotropic", "red/projector-idempotent", "red/projector-range",
        "red/projector-kernel", "red/alpha-identities"]
 RED_LEVEL = ["red/l-equivariance", "red/geodesic-oracle"]
 CHART = ["red/sigma-equivariance", "red/sigma-torsion", "red/reduced-torsion",
          "red/reduced-oracle", "red/kks-match", "red/reduced-form-parallel",
          "red/reduced-form-closed", "red/fiber-independence", "red/lift-projection",
-         "red/jet-fd",
-         "red/autoparallel-report"]
+         "red/jet-fd"]
 CURV = ["curv/formula-oracle", "curv/antisymmetry", "curv/symplectic-valued", "curv/bianchi",
         "curv/convergence-factor"]
 # one list for every case with a chart, whatever its structure constants
@@ -257,10 +252,9 @@ PINNED_NAMES = {
     "aff1-no-realization": (
         {"group": perfbench_cases().AFF1_NO_REALIZATION, "mu": [0.0, 1.0]},
         LIE + LIE_GROUP + PHASE + CONN + ["conn/right-invariance"] + RED
-        + ["red/w1-omega-nondegenerate"] + RED_LEVEL + ["red/autoparallel-report"]),
+        + ["red/w1-omega-nondegenerate"] + RED_LEVEL),
     "abelian3": ({"group": "abelian(3)", "mu": [1.0, 0.5, -1.0]},
-                 LIE + LIE_GROUP + PHASE + CONN + ["conn/right-invariance"] + RED + RED_LEVEL
-                 + ["red/autoparallel-report"]),
+                 LIE + LIE_GROUP + PHASE + CONN + ["conn/right-invariance"] + RED + RED_LEVEL),
     "so4-regular": (None, CHARTED_NAMES),
 }
 
@@ -271,6 +265,29 @@ def test_check_names_in_order(label):
     rep, code = verify_suite(CaseConfig.from_dict(doc or _doc(label)))
     assert code == 0
     assert [c["name"] for c in rep["checks"]] == names
+
+
+@pytest.mark.parametrize("label", ["so3", "so3-baseline", "heis3", "aff1-no-realization",
+                                   "abelian3"])
+def test_the_reduce_stage_reports_the_autoparallel_defect(label):
+    # red/autoparallel-report, the constant True that carried the defect as its
+    # note, is a test of the suite: the reduce stage reports the defect on every
+    # case, and verify lists red/autoparallel-independence, with the defect as
+    # its note, exactly where the stage has an independence and a chart
+    docs = {"so3-baseline": {"group": "so3", "mu": [0.0, 0.0, 1.0], "connection": "baseline"},
+            "heis3": {"group": "heis3", "mu": [0.0, 0.0, 1.0]}}
+    doc = docs.get(label) or PINNED_NAMES[label][0] or _doc(label)
+    cfg = CaseConfig.from_dict(doc)
+    rep, code = run_pipeline(cfg, "reduce")
+    assert code == 0
+    reduced = rep["stages"]["reduce"]
+    auto = reduced["autoparallel"]
+    assert list(auto) == ["defect", "independence"] and 0.0 <= auto["defect"] < np.inf
+    checks = {c["name"]: c for c in verify_suite(cfg)[0]["checks"]}
+    listed = auto["independence"] is not None and reduced["sigma"] is not None
+    assert ("red/autoparallel-independence" in checks) is listed is (label == "heis3")
+    if listed:
+        assert checks["red/autoparallel-independence"]["note"] == f"defect {auto['defect']:.3e}"
 
 
 SE2_BRACKETS = [[0, 1, [2, 1.0]], [0, 2, [1, -1.0]]]
@@ -346,10 +363,13 @@ def test_every_threshold_is_read_by_some_check():
     assert [key for key, value in tol.items() if value not in used] == []
 
 
-@pytest.mark.parametrize("name", ["averaging_torsion", "averaging_fixed", "baseline_closed_form"])
+@pytest.mark.parametrize("name", ["averaging_torsion", "averaging_fixed", "baseline_closed_form",
+                                  "jacobi", "coad_group_law", "baseline_torsion", "a_symmetry"])
 def test_a_threshold_of_a_moved_check_is_a_config_error(name, tmp_path, capsys):
-    # the averaging pair and the ∇°ω closed form are tests of the suite, not
-    # verify checks: tol does not name them
+    # the averaging pair, the ∇°ω closed form and the checks true by
+    # construction (lie/jacobi, lie/coad-group-law, conn/baseline-torsion,
+    # conn/a-symmetry) are tests of the suite, not verify checks: tol does not
+    # name them
     path = tmp_path / "case.json"
     path.write_text(json.dumps({"group": "so3", "mu": [0.0, 0.0, 1.0], "tol": {name: 1e-9}}))
     assert main(["verify", "--config", str(path)]) == 2
@@ -384,6 +404,15 @@ def test_convergence_note_prints_the_factor_to_its_precision():
         check = _record(cfg, "x", verdict)
         assert check["passed"] is bool(verdict)
         assert check["value"] == check["threshold"] == 0.0
+
+
+def test_a_defect_over_its_threshold_fails():
+    # a defect passes up to its threshold and fails past it, NaN included
+    cfg = CaseConfig.from_dict({"group": "so3", "mu": [0.0, 0.0, 1.0]})
+    threshold = cfg.threshold("kks_match")
+    assert _record(cfg, "x", threshold, "kks_match")["passed"]
+    for value in (2.0 * threshold, np.nan):
+        assert not _record(cfg, "x", value, "kks_match")["passed"]
 
 
 def _jet_fd_geometry(label: str, chart_type=orbits.OrbitChart) -> reduction.SigmaGeometry:
@@ -547,4 +576,4 @@ def test_a_large_mu_keeps_the_symplectization(name, scale):
     assert (code, rep["error"]) == (0, None)
     rep, _ = verify_suite(cfg)
     conn = {c["name"]: c["passed"] for c in rep["checks"] if c["name"].startswith("conn/")}
-    assert len(conn) == 6 and all(conn.values()), conn
+    assert len(conn) == 4 and all(conn.values()), conn

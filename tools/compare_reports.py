@@ -166,7 +166,8 @@ def _export(doc: dict) -> tuple[dict, int]:
         return json.loads(report.read_text()), code
 
 
-def dump(src: str, out_dir: str) -> int:
+def dump(src: str, out_dir: str, labels=None) -> int:
+    """Write the reports of ``_cases`` (those named in ``labels``, if given)."""
     sys.path.insert(0, str(Path(src).resolve()))
     from redconn import report as report_mod
     from redconn.pipeline import CaseConfig, run_pipeline, verify_suite
@@ -174,6 +175,8 @@ def dump(src: str, out_dir: str) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for label, verb, doc in _cases():
+        if labels is not None and label not in labels:
+            continue
         if verb == "export-connection":
             rep, code = _export(doc)
         else:
