@@ -111,7 +111,7 @@ def test_baseline_closed_form_fails_without_its_double_bracket_term():
 
 
 def test_a_symmetry_fails_on_an_antisymmetric_delta(run):
-    # test_correction_is_symmetric_at_the_connect_stage_samples on so3's stage stack
+    # test_correction_is_symmetric on the so3 connect stage's stack
     assert a_symmetry_defect(run.a, run.gammas) <= A_SYMMETRY_BOUND
     delta = _delta(2)
     assert a_symmetry_defect(run.a, run.gammas + 0.5 * (delta - delta.transpose(1, 0, 2))) \
@@ -263,8 +263,7 @@ def test_ad_homomorphism_fails_on_a_scaled_group_exp(reduced):
 def test_coad_group_law_fails_on_a_scaled_coadjoint_matrix(reduced):
     # (1 + 1e-6)·Coad(g) · (1 + 1e-6)·Coad(g⁻¹) = (1 + 1e-6)²·I.  A scaled Ad
     # would not do: Coad(g)·Coad(g⁻¹) = I for any invertible Ad, and the test
-    # reads 1.1e-16 on one (test_coad_group_law_within_its_bound, on so3's
-    # generic sample here)
+    # reads 1.1e-16 on one (test_coad_group_law, on so3's generic sample here)
     assert coad_group_law_defect(reduced.generic) <= COAD_GROUP_LAW_BOUND
     scaled = coad_group_law_defect(reduced.generic,
                                    lambda Ad: rc.coadjoint_matrix(Ad) * (1.0 + 1e-6))
