@@ -10,7 +10,7 @@ with a reason under ``equivalent`` computes what the original computes (to
 roundoff), so no check should tell it apart.
 
 The tree at ``--root`` (this checkout by default) is copied once unchanged and
-once per mutant into a scratch directory, without ``.git`` and caches.  On each
+once per mutant into a temporary directory, without ``.git`` and caches.  On each
 copy, ``tools/compare_reports.py``'s ``dump`` (this checkout's) writes the 46
 reports of the copy's ``src``.  A mutant is killed by the dumps when, against
 the unchanged copy's dumps, any verify verdict changes (a check passing, failing,
