@@ -7,7 +7,7 @@ import pytest
 
 import redconn as rc
 from redconn import linalg
-from redconn.connections import nabla_omega_components
+from redconn.connections import frame_structure, nabla_omega_components
 from redconn.reduction import _central
 from tests import oracles
 
@@ -88,6 +88,63 @@ def oracle_algebra(name):
     if name in dict(CATALOG_CASES):
         return rc.named_algebra(name)
     return rc.algebra_from_json(perfbench_cases().so_n_group(int(name[2:])))
+
+
+# verify checks that another check or the construction implies, which verify no
+# longer runs: their bounds, their defects and the cases their tests run on
+TSIGMA_DELTA_PAIRING_BOUND = 1e-12  # of t_σᵀΩ(μ)δ
+OMEGA_CLOSED_BOUND = 1e-10  # of dω on frame-constant fields
+ALPHA_IDENTITIES_BOUND = 1e-10  # of α(δ) − I and α(W1)
+SIGMA_TORSION_BOUND = 1e-10  # of the torsion of P∘∇ on the frame fields (e_i, 0)
+GEODESIC_ORACLE_BOUND = 1e-10  # of the two routes' totally-geodesic defects apart
+ORACLE_CASES = [name for name, _ in CATALOG_CASES] + ["so4-regular", "so4-singular",
+                                                      "so5-regular", "so5-singular"]
+
+
+def oracle_case(label) -> tuple:
+    """(algebra, μ) of a catalog case, or of an so(n) case of ``perfbench/cases.py``."""
+    if label in dict(CATALOG_CASES):
+        return rc.named_algebra(label), np.asarray(dict(CATALOG_CASES)[label], dtype=float)
+    cases = perfbench_cases()
+    _, n, weights, *_ = next(c for c in cases.SO4_CASES + cases.SO5_CASES if c[0] == label)
+    return oracle_algebra(f"so{n}"), np.asarray(cases.so_n_mu(n, weights))
+
+
+def tsigma_delta_pairing(ctx) -> float:
+    """max |t_σᵀΩ(μ)δ|: how far the radical δ is from ω-orthogonal to the level set."""
+    split = ctx.split
+    return float(np.max(np.abs(split.t_sigma.T @ ctx.omega_mu @ split.delta), initial=0.0))
+
+
+def cyclic_domega(a, xi, u, v, w) -> np.ndarray:
+    """Exterior derivative of ω on frame-constant extensions, row by row over
+    stacks of draws; zero when closed."""
+    n = a.dim
+    total = 0.0
+    for x, y, z in ((u, v, w), (v, w, u), (w, u, v)):
+        # moving along x changes the fiber point at rate eta_x; only the
+        # bracket term of ω(y, z) depends on the fiber point
+        total -= linalg.vecdot(x[:, n:], a.bracket(y[:, :n], z[:, :n]))
+        bx = np.hstack([a.bracket(x[:, :n], y[:, :n]), np.zeros_like(xi)])
+        total -= rc.symplectic_form(a, xi, bx, z)
+    return total
+
+
+def alpha_identities_defect(ctx) -> float:
+    """max of |α(Y) − Y| over the vertical generators of the stabilizer basis
+    and of |α(W1)|, α the stabilizer coordinates of the radical component."""
+    g_mu = ctx.split.g_mu
+    back = linalg.matvec(g_mu, ctx.alpha(rc.right_generator(ctx.algebra, ctx.mu, g_mu.T)))
+    return max(float(np.max(np.abs(back - g_mu.T), initial=0.0)),
+               float(np.max(np.abs(ctx.alpha_mat @ ctx.w1), initial=0.0)))
+
+
+def sigma_torsion_defect(ctx) -> float:
+    """Torsion of P∘∇ on the frame-constant level-set fields (e_i, 0)."""
+    n, P = ctx.algebra.dim, ctx.p_matrix
+    gamma = ctx.gamma_mu[:n, :n]
+    cov = linalg.matvec(P, gamma) - linalg.matvec(P, gamma.transpose(1, 0, 2))
+    return float(np.max(np.abs(cov - frame_structure(ctx.algebra)[:n, :n])))
 
 
 def coad_group_law_defect(Ad, coad=rc.coadjoint_matrix) -> float:

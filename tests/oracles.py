@@ -12,7 +12,8 @@ package does not ship, lives here too: the tests check that it keeps a
 torsion-free Γ torsion-free and that its mean is fixed by every node.  So
 does the analytic expansion of ∇°ω, the baseline's ∇ω, which the tests hold
 the runtime's component array to, and the standard library's JSON encoder,
-which the tests hold ``report.dumps`` to byte for byte.  They use only public
+which the tests hold ``report.dumps`` to byte for byte, and a least-squares
+route to the reduction's totally-geodesic defect.  They use only public
 names of ``redconn``.
 """
 
@@ -127,6 +128,21 @@ def baseline_nabla_omega(a, xi, u, v, w):
     return (-vecdot(eta, byyp) + 0.5 * vecdot(zetap, a.bracket(X, Y))
             - 0.5 * vecdot(zeta, a.bracket(X, Yp))
             + 0.5 * vecdot(np.asarray(xi, dtype=float), a.bracket(X, byyp)))
+
+
+def totally_geodesic_defect(ctx) -> float:
+    """The reduction's totally-geodesic defect by a least-squares projection
+    route: the TΣ components along W2 ⊕ S of the frame vectors and of Γ(μ) on
+    every pair of stabilizer generators (g_μ e_i, 0), in one solve, then the
+    largest ω-pairing of the projected products against the projected frame."""
+    n, k = ctx.algebra.dim, ctx.stabilizer_dim
+    gens = ctx.split.delta.T  # rows (g_μ e_i, 0)
+    products = np.einsum("abc,ia,jb->ijc", ctx.gamma_mu, gens, gens).reshape(k * k, 2 * n)
+    basis = np.hstack([ctx.split.t_sigma, ctx.w2, ctx.S])
+    coords, *_ = np.linalg.lstsq(basis, np.hstack([np.eye(2 * n), products.T]), rcond=None)
+    proj = ctx.split.t_sigma @ coords[:n]
+    pairs = proj[:, 2 * n:].T @ ctx.omega_mu @ proj[:, : 2 * n]
+    return float(np.max(np.abs(pairs), initial=0.0))
 
 
 def json_dumps(report) -> str:

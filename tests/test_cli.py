@@ -161,6 +161,9 @@ class TestVerbs:
         evaluations = json.loads(outs[0].read_text())["connection"]["evaluations"]
         assert len(evaluations) == 3
         assert evaluations[0]["xi"] == SO3_DOC["mu"]
+        # the seed's own stream, the connect stage's first draw
+        drawn = np.random.default_rng(3).standard_normal((2, 3))
+        assert [e["xi"] for e in evaluations[1:]] == drawn.tolist()
 
     def test_export_connection(self, tmp_path):
         doc = dict(SO3_DOC)

@@ -22,10 +22,12 @@ Every ``THRESHOLDS`` key has a control here.  So do the tests of the suite
 that no verify part runs: the two averaging tests and the ∇°ω closed-form
 identity of test_connections.py, whose controls perturb the averaging
 construction's own inputs, δ and the node rule, and the closed form itself,
-and the checks true by construction that left the battery (the Jacobi
+the checks true by construction that left the battery (the Jacobi
 identity's load gate, the Coad group law, the baseline's torsion and the
-symmetry of the symplectization's correction), whose controls perturb what
-those tests read.
+symmetry of the symplectization's correction) and the checks another check
+implies (the t_σ–δ pairing, the closedness of ω, α's identities, the torsion
+of P∘∇ on the frame fields and the totally-geodesic defect's second route),
+whose controls perturb what those tests read.
 """
 
 from dataclasses import replace
@@ -40,12 +42,15 @@ from redconn.connections import symplectized_coefficients
 from redconn.liealg import LieAlgebra
 from redconn.phasespace import right_generator
 from redconn.pipeline import THRESHOLDS, CaseConfig
-from tests.conftest import (A_SYMMETRY_BOUND, AVERAGING_BOUND, BASELINE_TORSION_BOUND,
-                            CLOSED_FORM_BOUND, COAD_GROUP_LAW_BOUND, a_symmetry_defect,
-                            averaging_defects, averaging_delta, averaging_rule,
-                            closed_form_draws, closed_form_gap, coad_group_law_defect,
-                            perfbench_cases, symmetrized)
-from tests.oracles import baseline_nabla_omega
+from tests.conftest import (A_SYMMETRY_BOUND, ALPHA_IDENTITIES_BOUND, AVERAGING_BOUND,
+                            BASELINE_TORSION_BOUND, CLOSED_FORM_BOUND, COAD_GROUP_LAW_BOUND,
+                            GEODESIC_ORACLE_BOUND, OMEGA_CLOSED_BOUND, SIGMA_TORSION_BOUND,
+                            TSIGMA_DELTA_PAIRING_BOUND, a_symmetry_defect,
+                            alpha_identities_defect, averaging_defects, averaging_delta,
+                            averaging_rule, closed_form_draws, closed_form_gap,
+                            coad_group_law_defect, cyclic_domega, perfbench_cases,
+                            sigma_torsion_defect, symmetrized, tsigma_delta_pairing)
+from tests.oracles import baseline_nabla_omega, totally_geodesic_defect
 
 SO3 = CaseConfig.from_dict({"group": "so3", "mu": [0.0, 0.0, 1.0]})
 
@@ -159,20 +164,23 @@ def test_radical_span_fails_on_a_direction_of_m(reduced):
 
 
 def test_tsigma_delta_pairing_fails_on_a_fiber_part(reduced):
-    # ω((X, 0), (Y, η)) = -⟨η, X⟩ at Y in the stabilizer: a fiber part pairs with TΣ
+    # ω((X, 0), (Y, η)) = -⟨η, X⟩ at Y in the stabilizer: a fiber part pairs with
+    # TΣ (test_delta_omega_orthogonal_to_tsigma, on so3's context here)
+    assert tsigma_delta_pairing(reduced.ctx) <= TSIGMA_DELTA_PAIRING_BOUND
     delta, n = reduced.ctx.split.delta, reduced.a.dim
     _with_delta(reduced, delta + np.vstack([np.zeros_like(delta[:n]), np.ones_like(delta[n:])]))
-    _assert_fails(pipeline._verify_phase, reduced, "phase/tsigma-delta-pairing",
-                  "tsigma_delta_pairing")
+    assert tsigma_delta_pairing(reduced.ctx) > TSIGMA_DELTA_PAIRING_BOUND
 
 
-def test_omega_closed_fails_off_jacobi(reduced):
+def test_omega_closed_fails_off_jacobi():
     # [e1, e2] = e3 + e1 breaks Jacobi; the constructor, unlike the catalog and
     # JSON loaders, does not validate the structure constants
-    c = reduced.a.c.copy()
+    # (test_closedness_cyclic_identity on five draws)
+    c = rc.so3().c.copy()
     c[0, 1, 0], c[1, 0, 0] = 1.0, -1.0
-    reduced.a = LieAlgebra(3, c, "so3")
-    _assert_fails(pipeline._verify_phase, reduced, "phase/omega-closed", "omega_closed")
+    a = LieAlgebra(3, c, "so3")
+    draws = closed_form_draws(a, np.random.default_rng(0), 5)
+    assert np.max(np.abs(cyclic_domega(a, *draws))) > OMEGA_CLOSED_BOUND
 
 
 @pytest.mark.parametrize("name,key", [("lie/coad-fixes-mu", "coad_fixes_mu"),
@@ -202,12 +210,10 @@ def test_projector_spaces_fails_on_a_projector_off_tsigma(reduced):
 
 def test_alpha_identities_fails_on_a_rescaled_alpha(reduced):
     # α reads a stabilizer generator's radical component back as Y itself;
-    # (1 + 1e-6)·α reads it as (1 + 1e-6)·Y
-    key = "alpha_identities"
-    assert _check(pipeline._verify_reduction, reduced, "red/alpha-identities")[1] \
-        <= THRESHOLDS[key]
-    reduced.ctx = replace(reduced.ctx, alpha_mat=reduced.ctx.alpha_mat * (1.0 + 1e-6))
-    _assert_fails(pipeline._verify_reduction, reduced, "red/alpha-identities", key)
+    # (1 + 1e-6)·α reads it as (1 + 1e-6)·Y (test_alpha_identities_within_their_bound)
+    assert alpha_identities_defect(reduced.ctx) <= ALPHA_IDENTITIES_BOUND
+    scaled = replace(reduced.ctx, alpha_mat=reduced.ctx.alpha_mat * (1.0 + 1e-6))
+    assert alpha_identities_defect(scaled) > ALPHA_IDENTITIES_BOUND
 
 
 @pytest.mark.parametrize("name,key", [("red/sigma-torsion", "sigma_torsion"),
@@ -217,26 +223,32 @@ def test_sigma_checks_fail_on_a_moved_gamma(reduced, name, key):
     # Γ(μ) + 1e-6·δ: torsion of P∘∇ on the frame fields moves with δ antisymmetric
     # in its two group slots, and equivariance under the stabilizer with a δ
     # symmetric in them (which adds no torsion) drawn with no symmetry of the
-    # stabilizer's transport
-    assert _check(pipeline._verify_reduction, reduced, name)[1] <= THRESHOLDS[key]
+    # stabilizer's transport.  The torsion is a test of the suite
+    # (test_sigma_torsion_is_p_of_the_level_torsion), equivariance a verify check
     n, delta = reduced.a.dim, np.zeros((6, 6, 6))
     noise = np.random.default_rng(13).standard_normal((6, 6, 6))
     if key == "sigma_torsion":
         delta[:n, :n] = noise[:n, :n] - noise[:n, :n].transpose(1, 0, 2)
-    else:
-        delta = noise + noise.transpose(1, 0, 2)
+        assert sigma_torsion_defect(reduced.ctx) <= SIGMA_TORSION_BOUND
+        moved = replace(reduced.ctx, gamma_mu=reduced.ctx.gamma_mu + 1e-6 * delta)
+        assert sigma_torsion_defect(moved) > SIGMA_TORSION_BOUND
+        return
+    assert _check(pipeline._verify_reduction, reduced, name)[1] <= THRESHOLDS[key]
+    delta = noise + noise.transpose(1, 0, 2)
     reduced.ctx = replace(reduced.ctx, gamma_mu=reduced.ctx.gamma_mu + 1e-6 * delta)
     _assert_fails(pipeline._verify_reduction, reduced, name, key)
 
 
 def test_geodesic_oracle_fails_on_a_moved_stage_value(reduced):
-    # the check re-derives the reduce stage's totally-geodesic defect by its own
-    # route; the stage's value moved by 1e-6 disagrees with it by 1e-6
-    key = "geodesic_oracle"
-    assert _check(pipeline._verify_reduction, reduced, "red/geodesic-oracle")[1] \
-        <= THRESHOLDS[key]
-    reduced.stages["reduce"]["totally_geodesic_defect"] += 1e-6
-    _assert_fails(pipeline._verify_reduction, reduced, "red/geodesic-oracle", key)
+    # the least-squares route re-derives the totally-geodesic defect
+    # (test_least_squares_route_matches); the runtime's value on a Γ(μ) moved
+    # by 1e-6·δ disagrees with the oracle's on the unmoved one by order 1e-6
+    ctx = reduced.ctx
+    assert abs(totally_geodesic_defect(ctx) - rc.totally_geodesic_defect(ctx)) \
+        <= GEODESIC_ORACLE_BOUND
+    moved = replace(ctx, gamma_mu=ctx.gamma_mu + 1e-6 * _delta(3))
+    assert abs(totally_geodesic_defect(ctx) - rc.totally_geodesic_defect(moved)) \
+        > GEODESIC_ORACLE_BOUND
 
 
 def test_complement_equivariance_fails_on_a_tilted_complement(reduced):

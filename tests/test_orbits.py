@@ -5,10 +5,10 @@ import scipy.linalg
 import redconn as rc
 from redconn import linalg
 from redconn.errors import NotTangent, RankLoss
-from redconn.orbits import kks_pairs
+from redconn.orbits import kks_pairs, tangent_solve
 from redconn.pipeline import CaseConfig
 from tests import oracles
-from tests.conftest import CATALOG_CASES, perfbench_cases
+from tests.conftest import CATALOG_CASES, oracle_case, perfbench_cases
 from tests.test_liealg import _realized_exp
 
 e1, e2, e3 = np.eye(3)
@@ -295,6 +295,20 @@ class TestKksPairs:
         bad[:, 3] = nu
         with pytest.raises(NotTangent):
             kks_pairs(a, bad, nu, np.zeros((D.shape[1],) * 2))
+
+    @pytest.mark.parametrize("label", ["so3", "so4-singular", "so5-regular"])
+    def test_the_solve_cuts_singular_values_as_lstsq(self, label):
+        # K(ν) at a chart point t ≠ 0 has roundoff-sized singular values (1e-17
+        # and less) where K(μ)'s are exactly 0: the solve zeroes them under
+        # lstsq's cutoff, and gives its minimum-norm solution; 1/σ of them would
+        # put components of order 10–100 along the kernel
+        a, mu = oracle_case(label)
+        chart = rc.default_chart(rc.build_context(a, mu))
+        t = np.linspace(-0.3, 0.2, chart.dim)
+        A, D = a.bracket_pairing(oracles.nu(chart, t)).T, oracles.dnu(chart, t)
+        assert 0.0 < np.linalg.svd(A, compute_uv=False)[-1] < 1e-16
+        X = tangent_solve(A, D)
+        assert np.max(np.abs(X - np.linalg.lstsq(A, D, rcond=None)[0])) <= 1e-12
 
     def test_one_least_squares_solve(self, so5_point, monkeypatch):
         # the least-squares solve is ``tangent_solve``'s pseudo-inverse: one SVD

@@ -12,8 +12,11 @@ from redconn.errors import (AssumptionTwoFailure, DegeneratePairing,
                             RankLoss, SingularProjection, ZeroDimensionalBase)
 from redconn.reduction import SigmaGeometry, gram_oracle_solve, isotropic_correction_gram
 from tests import oracles
-from tests.conftest import (AFF1_DOC, CATALOG_CASES, count_builds, pushdown, richardson_stencil,
-                            run_battery, stencil)
+from redconn.connections import frame_structure, torsion_components
+from tests.conftest import (AFF1_DOC, ALPHA_IDENTITIES_BOUND, CATALOG_CASES, GEODESIC_ORACLE_BOUND,
+                            ORACLE_CASES, SIGMA_TORSION_BOUND, alpha_identities_defect,
+                            count_builds, oracle_case, pushdown, richardson_stencil, run_battery,
+                            sigma_torsion_defect, stencil)
 from tests.test_liealg import _so4
 
 e1, e2, e3 = np.eye(3)
@@ -163,6 +166,21 @@ class TestBuildContext:
                 s = np.linalg.svd(gram, compute_uv=False)
                 assert s[-1] > 1e-10 * s[0]
 
+    @pytest.mark.parametrize("label", ORACLE_CASES)
+    def test_alpha_identities_within_their_bound(self, label):
+        # red/alpha-identities, a test of the suite: α is the first k rows of Q⁻¹
+        # for Q = [δ | W1 | W2 | S], and a stabilizer generator's vertical
+        # generator (Y, μ∘ad Y) is δ's column (Y, 0) up to the annihilation, so
+        # α(δ) = I and α(W1) = 0 are rows of Q⁻¹Q = I
+        a, mu = oracle_case(label)
+        ctx = rc.build_context(a, mu)
+        k = ctx.stabilizer_dim
+        Q = np.hstack([ctx.split.delta, ctx.w1, ctx.w2, ctx.S])
+        assert np.array_equal(ctx.alpha_mat, np.linalg.inv(Q)[:k])
+        vertical = rc.right_generator(a, mu, ctx.split.g_mu.T)
+        assert np.max(np.abs(vertical - ctx.split.delta.T), initial=0.0) <= 1e-15
+        assert alpha_identities_defect(ctx) <= ALPHA_IDENTITIES_BOUND
+
     def test_open_orbit_takes_the_general_path(self, aff1):
         # k = 0: empty radical and complement, and the whole group part in W1 and W2
         ctx = rc.build_context(aff1, np.array([0.0, 1.0]))
@@ -221,6 +239,23 @@ class TestSigmaCovderiv:
         a = rc.named_algebra(name)
         expected = rc.symplectized_coefficients(a, mu, rc.baseline_coefficients(a))
         assert np.array_equal(rc.build_context(a, mu).gamma_mu, expected)
+
+    @pytest.mark.parametrize("label", ORACLE_CASES)
+    def test_sigma_torsion_is_p_of_the_level_torsion(self, label, rng):
+        # red/sigma-torsion, a test of the suite: the torsion of P∘∇ on the frame
+        # fields (e_i, 0) is P·T(μ) + (P − I)C, with T(μ) the connection's torsion
+        # at μ (conn/torsion reads the same Γ(μ)) and (P − I)C zero where P fixes
+        # TΣ (red/projector-range).  On Γ(μ) moved by 1e-3·δ, T(μ) moves with it
+        ctx = rc.build_context(*oracle_case(label))
+        assert sigma_torsion_defect(ctx) <= SIGMA_TORSION_BOUND
+        n, P = ctx.algebra.dim, ctx.p_matrix
+        C = frame_structure(ctx.algebra)[:n, :n]
+        moved = replace(ctx, gamma_mu=ctx.gamma_mu + 1e-3 * rng.standard_normal(ctx.gamma_mu.shape))
+        T = torsion_components(ctx.algebra, moved.gamma_mu)[:n, :n]
+        split = np.max(np.abs(linalg.matvec(P, T) + linalg.matvec(P - np.eye(2 * n), C)))
+        assert abs(sigma_torsion_defect(moved) - split) <= 1e-15
+        assert np.max(np.abs(linalg.matvec(P - np.eye(2 * n), C))) <= SIGMA_TORSION_BOUND
+        assert sigma_torsion_defect(moved) > 1e-4
 
     def test_abelian_vanishes(self, rng):
         a = rc.abelian(2)
@@ -464,6 +499,19 @@ class TestTotallyGeodesic:
         cov = P @ np.einsum("abc,a,b->c", gamma, u, u)
         oracle = max(abs(float(cov @ om @ (P @ z))) for z in np.eye(6))
         assert abs(rc.totally_geodesic_defect(so3_ctx) - oracle) <= 1e-12
+
+
+    @pytest.mark.parametrize("label", ORACLE_CASES)
+    def test_least_squares_route_matches(self, label, rng):
+        # red/geodesic-oracle, a test of the suite: the runtime's defect against
+        # a least-squares projection route, at each case's Γ(μ) (the defect is
+        # roundoff there) and at Γ(μ) moved by 1e-3·δ (of order 1e-3 where k > 0)
+        ctx = rc.build_context(*oracle_case(label))
+        moved = replace(ctx, gamma_mu=ctx.gamma_mu + 1e-3 * rng.standard_normal(ctx.gamma_mu.shape))
+        for c in (ctx, moved):
+            assert abs(oracles.totally_geodesic_defect(c) - rc.totally_geodesic_defect(c)) \
+                <= GEODESIC_ORACLE_BOUND
+        assert rc.totally_geodesic_defect(moved) > 1e-5
 
 
 class TestAutoparallel:

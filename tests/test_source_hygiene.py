@@ -566,7 +566,6 @@ def oracle(chart, t):
 EMPTY_GUARDS_ALLOWED = {
     "pipeline._verify_algebra": "decides whether the report lists lie/complement-equivariance",
     "pipeline._verify_reduction": "decides whether the report lists red/w1-omega-nondegenerate",
-    "pipeline._sigma_equivariance_defect": "at k = 0 its draws would be read by nothing",
     "pipeline._stabilizer_sample": "at k = 0 its elements, and the chart sweep's rows on them, "
                                    "would only repeat the identity",
     "pipeline._stage_reduce": "a point orbit has no chart: the stage reports sigma: null",

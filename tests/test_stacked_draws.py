@@ -243,4 +243,4 @@ def test_a_size_zero_draw_leaves_the_rng_where_it_was(aff1):
     assert sample.shape == (0, 2, 2)
     assert rng.bit_generator.state == state
     assert pipeline._l_equivariance_defect(ctx, sample[:3]) == 0.0
-    assert pipeline._geodesic_oracle_gap(ctx, rc.totally_geodesic_defect(ctx)) == 0.0
+    assert oracles.totally_geodesic_defect(ctx) == rc.totally_geodesic_defect(ctx) == 0.0

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import redconn as rc
 from redconn import connections, linalg, liealg, orbits, phasespace, pipeline, reduction
 from redconn.cli import main
 from redconn.errors import NotTangent, RankLoss, SingularProjection
@@ -87,9 +88,6 @@ def test_mirrored_checks_read_the_stage_values(monkeypatch, label):
         assert checks[name]["value"] == sweeps[0][entry], name
         assert checks[name]["threshold"] == cfg.threshold(key) == 2.0 * THRESHOLDS[key]
     assert compared >= 13
-    reduced = stages["reduce"]
-    assert checks["red/geodesic-oracle"]["note"] == \
-        f"defect {reduced['totally_geodesic_defect']:.3e}"
     conv = stages["curvature"]["convergence"]
     assert checks["curv/convergence-factor"]["note"] in (f"factor {conv['factor']:.1f}",
                                                          "flat, below floor")
@@ -143,6 +141,45 @@ def test_verify_builds_no_more_than_the_pipeline(monkeypatch, label):
     assert {"build_context", "_chart_sweep", "curvature_battery"} <= set(counts[0]["calls"])
     assert counts[0]["calls"].count("omega_gram") == counts[0]["calls"].count("build_context")
     assert counts[0]["kernels"] > counts[0]["geometries"] > 0
+
+
+@pytest.mark.parametrize("label", ["so3", "se2", "so4-regular", "so4-singular"])
+def test_verify_draws_nothing_after_the_generic_sample(monkeypatch, label):
+    # the stages draw, then verify draws its two generic group elements from
+    # where they left the rng, and no check draws after that: the bilinear
+    # checks run on basis pairs
+    cfg, seen = CaseConfig.from_dict(_doc(label)), {}
+    stages, generic = pipeline._run_stages, pipeline._generic_sample
+
+    def staged(*args):
+        run = seen["run"] = stages(*args)
+        seen["stages"] = run.rng.bit_generator.state
+        return run
+
+    def sampled(a, rng):
+        sample = generic(a, rng)
+        seen["generic"] = rng.bit_generator.state
+        return sample
+
+    monkeypatch.setattr(pipeline, "_run_stages", staged)
+    monkeypatch.setattr(pipeline, "_generic_sample", sampled)
+    assert verify_suite(cfg)[1] == 0
+    fresh = np.random.default_rng()
+    fresh.bit_generator.state = seen["stages"]
+    fresh.uniform(size=(2, seen["run"].a.dim))
+    assert fresh.bit_generator.state == seen["generic"] == seen["run"].rng.bit_generator.state
+
+
+@pytest.mark.parametrize("label", ["so3", "so4-regular", "so4-singular"])
+def test_the_reduce_stage_reads_the_connect_stages_gamma_mu(label):
+    # the reduction's Γ(μ) is the connect stage's Γ at its first ξ sample, μ:
+    # conn/torsion's torsion at μ is the T(μ) of the torsion of P∘∇ on the
+    # frame fields, P·T(μ) + (P − I)C, which is why that is a test of the suite
+    cfg = CaseConfig.from_dict(_doc(label))
+    run = pipeline._run_stages(cfg, "reduce", {}, {})
+    assert np.array_equal(run.xi_samples[0], run.mu)
+    assert np.array_equal(run.ctx.gamma_mu, run.gammas[0])
+    assert run.stages["connect"]["torsion_defect"] == connections.torsion_defect(run.a, run.gammas)
 
 
 @pytest.mark.parametrize("label", ["so3", "so4-regular"])
@@ -231,13 +268,12 @@ def test_each_connection_is_evaluated_once_per_xi(monkeypatch, label):
 
 LIE = ["lie/stabilizer-annihilation"]
 LIE_GROUP = ["lie/coad-fixes-mu", "lie/ad-homomorphism"]
-PHASE = ["phase/omega-closed", "phase/tsigma-delta-pairing", "phase/tperp-span",
-         "phase/radical-span"]
+PHASE = ["phase/tperp-span", "phase/radical-span"]
 CONN = ["conn/torsion", "conn/nabla-omega", "conn/symplectize-idempotent"]
 RED = ["red/s-isotropic", "red/projector-idempotent", "red/projector-range",
-       "red/projector-kernel", "red/alpha-identities"]
-RED_LEVEL = ["red/l-equivariance", "red/geodesic-oracle"]
-CHART = ["red/sigma-equivariance", "red/sigma-torsion", "red/reduced-torsion",
+       "red/projector-kernel"]
+RED_LEVEL = ["red/l-equivariance"]
+CHART = ["red/sigma-equivariance", "red/reduced-torsion",
          "red/reduced-oracle", "red/kks-match", "red/reduced-form-parallel",
          "red/reduced-form-closed", "red/fiber-independence", "red/lift-projection",
          "red/jet-fd"]
@@ -288,6 +324,33 @@ def test_the_reduce_stage_reports_the_autoparallel_defect(label):
     assert ("red/autoparallel-independence" in checks) is listed is (label == "heis3")
     if listed:
         assert checks["red/autoparallel-independence"]["note"] == f"defect {auto['defect']:.3e}"
+
+
+def test_a_custom_complement_gives_the_isotropy_checks_a_value():
+    # the default s̃ is pure fiber, so W = s̃ᵀΩs̃ = 0, λ = 0, L ≡ 0 and S = s̃:
+    # red/s-isotropic and red/l-equivariance read exactly 0.0.  On so(4) regular,
+    # whose g_μ is abelian, s̃ + (g_μ·A, 0) is stabilizer-stable for any A, and a
+    # non-symmetric A gives W ≠ 0 and λ ≠ 0.  At μ moved along its orbit by a
+    # generic element, g_μ is off the coordinate axes and the stabilizer's
+    # transport is not exact: both checks read roundoff, not 0.0, and pass
+    cases = perfbench_cases()
+    _, n, weights, *_ = cases.SO4_CASES[0]
+    group = cases.so_n_group(n)
+    a = rc.algebra_from_json(group)
+    g = rc.group_exp(a, np.linspace(-0.6, 0.5, a.dim))
+    mu = rc.coadjoint_matrix(g) @ np.array(cases.so_n_mu(n, weights))
+    default = rc.build_context(a, mu)
+    A = np.array([[0.3, 0.8], [-0.5, 0.2]])
+    s_tilde = default.s_tilde + np.vstack([default.split.g_mu @ A, np.zeros((a.dim, 2))])
+    assert np.max(np.abs(default.iso_map)) == 0.0
+    assert np.max(np.abs(rc.build_context(a, mu, s_tilde=s_tilde).iso_map)) > 0.01
+    names = ("red/s-isotropic", "red/l-equivariance")
+    for st, nonzero in (("default", False), (s_tilde.tolist(), True)):
+        rep, code = verify_suite(CaseConfig.from_dict({"group": group, "mu": mu.tolist(),
+                                                       "samples": 2, "s_tilde": st}))
+        assert code == 0 and rep["passed"] is True
+        checks = {c["name"]: c for c in rep["checks"]}
+        assert all((checks[name]["value"] > 0.0) is nonzero for name in names)
 
 
 SE2_BRACKETS = [[0, 1, [2, 1.0]], [0, 2, [1, -1.0]]]
@@ -364,12 +427,16 @@ def test_every_threshold_is_read_by_some_check():
 
 
 @pytest.mark.parametrize("name", ["averaging_torsion", "averaging_fixed", "baseline_closed_form",
-                                  "jacobi", "coad_group_law", "baseline_torsion", "a_symmetry"])
+                                  "jacobi", "coad_group_law", "baseline_torsion", "a_symmetry",
+                                  "omega_closed", "tsigma_delta_pairing", "alpha_identities",
+                                  "sigma_torsion", "geodesic_oracle"])
 def test_a_threshold_of_a_moved_check_is_a_config_error(name, tmp_path, capsys):
-    # the averaging pair, the ∇°ω closed form and the checks true by
-    # construction (lie/jacobi, lie/coad-group-law, conn/baseline-torsion,
-    # conn/a-symmetry) are tests of the suite, not verify checks: tol does not
-    # name them
+    # the averaging pair, the ∇°ω closed form, the checks true by construction
+    # (lie/jacobi, lie/coad-group-law, conn/baseline-torsion, conn/a-symmetry)
+    # and the checks another check implies (phase/omega-closed,
+    # phase/tsigma-delta-pairing, red/alpha-identities, red/sigma-torsion,
+    # red/geodesic-oracle) are tests of the suite, not verify checks: tol does
+    # not name them
     path = tmp_path / "case.json"
     path.write_text(json.dumps({"group": "so3", "mu": [0.0, 0.0, 1.0], "tol": {name: 1e-9}}))
     assert main(["verify", "--config", str(path)]) == 2

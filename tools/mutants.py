@@ -7,7 +7,10 @@ Each entry of ``MUTANTS`` is one fault: an exact text replacement (module of
 module.  A ``program`` mutant breaks what the library computes; a ``check``
 mutant breaks a check's own code, most of them so that it can no longer fail.  A mutant
 with a reason under ``equivalent`` computes what the original computes (to
-roundoff), so no check should tell it apart.
+roundoff), so no check should tell it apart.  A graded family applies one fault
+at ε = 1e-9, 1e-7 and 1e-5 (``GRADED_EPSILONS``): its largest ε is a
+``program`` mutant, the smaller ones ``graded``, and the table reports the
+smallest ε each family is caught at.
 
 The tree at ``--root`` (this checkout by default) is copied once unchanged and
 once per mutant into a temporary directory, without ``.git`` and caches.  On each
@@ -19,14 +22,20 @@ flipped check explains (a non-verify dump, a changed error type, or a report
 the dump no longer wrote).  The dumps whose bytes moved are counted as well.  A
 mutant the dumps do not kill runs tier-1 (``python -m pytest -x -q`` in its
 copy, without ``tests/test_mutants.py``, which holds this list to the unmutated
-source); a failing test kills it.
+source); a failing test kills it.  When that test is
+``test_dumps_match_the_committed_reference``, whose sha256 pin fails on any
+report whose bytes moved, tier-1 runs again without it: a mutant no other test
+fails is ``pin-only``, caught by no test of behaviour.
 
 The table prints one line per mutant: its status (``dumps``, ``tier-1``,
-``survived``), the flipped checks and the dumps whose exit code changed.  Then
-each check that alone killed a mutant: with that check gone, the dumps would
-no longer kill it.  ``--out`` writes the same as JSON.  The exit status is 0
-when every mutant applies and every non-equivalent one is killed, 1 otherwise.
-The standard library alone runs it.
+``pin-only``, ``survived``), the flipped checks and the dumps whose exit code
+changed.  Then each check that alone killed a mutant: with that check gone, the
+dumps would no longer kill it, and each graded family's smallest ε caught, by
+any route and by the dumps alone.
+``--out`` writes the same as JSON.  The exit status is 0 when every mutant
+applies and every one that is neither equivalent nor ``graded`` is killed by
+the dumps or by a tier-1 test other than the pin, 1 otherwise.  The standard
+library alone runs it.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -49,6 +59,15 @@ DUMP = ("import sys; sys.path.insert(0, sys.argv[1]); import compare_reports; "
         "compare_reports.dump(sys.argv[2], sys.argv[3], sys.argv[4:] or None)")
 DUMP_TIMEOUT_S = 300
 TIER1_TIMEOUT_S = 900
+PIN = "tests/test_compare_reports.py::test_dumps_match_the_committed_reference"
+GRADED_EPSILONS = (1e-9, 1e-7, 1e-5)
+
+
+def _graded(family: str, module: str, old: str, new: str) -> tuple:
+    """The family's mutants, one per ε of ``GRADED_EPSILONS`` (``{eps}`` in ``new``)."""
+    return tuple((f"{family}-{eps:.0e}", module, "program" if eps == GRADED_EPSILONS[-1]
+                  else "graded", old, new.format(eps=eps), None) for eps in GRADED_EPSILONS)
+
 
 # (name, module, kind, old, new, equivalent): one fault each.
 MUTANTS = (
@@ -95,6 +114,15 @@ MUTANTS = (
     ("phase-generator-sign", "phasespace.py", "program",
      "return np.concatenate([X, a.coad_star(X, xi)], axis=-1)",
      "return np.concatenate([X, -a.coad_star(X, xi)], axis=-1)", None),
+    # the radical δ with a fiber part, which pairs with TΣ (phase/tsigma-delta-pairing)
+    ("phase-delta-fiber-part", "phasespace.py", "program",
+     "delta = np.vstack([g_mu, np.zeros((n, g_mu.shape[1]))])",
+     "delta = np.vstack([g_mu, 1e-6 * g_mu])", None),
+    # ω's pairing term halved in one slot: dω on frame-constant fields keeps an η term
+    # (phase/omega-closed)
+    ("phase-form-pairing-half", "phasespace.py", "program",
+     "return linalg.vecdot(eta, Xp) - linalg.vecdot(etap, X) -",
+     "return linalg.vecdot(eta, Xp) - 0.5 * linalg.vecdot(etap, X) -", None),
     # --- liealg.py
     ("liealg-ad-transposed", "liealg.py", "program",
      'return np.einsum("ijk,...i->...kj", self.c, X)',
@@ -154,6 +182,12 @@ MUTANTS = (
      "lam = 0.5 * np.linalg.solve(B.T, W)", "lam = np.linalg.solve(B.T, W)", None),
     ("red-alpha-wrong-rows", "reduction.py", "program",
      "alpha_mat = Q_inv[:k, :]", "alpha_mat = Q_inv[k:2 * k, :]", None),
+    # α off the rows of Q⁻¹ by 1e-6 (red/alpha-identities)
+    ("red-alpha-scaled", "reduction.py", "program",
+     "alpha_mat = Q_inv[:k, :]", "alpha_mat = Q_inv[:k, :] * (1.0 + 1e-6)", None),
+    # the totally-geodesic defect paired against the unprojected frame (red/geodesic-oracle)
+    ("red-geodesic-unprojected", "reduction.py", "program",
+     "rows[..., None, :] @ ctx.omega_mu @ P)", "rows[..., None, :] @ ctx.omega_mu)", None),
     ("red-horizontal-sign", "reduction.py", "program",
      "return v - self.alpha_star(v)", "return v + self.alpha_star(v)", None),
     ("red-induced-gamma-sign", "reduction.py", "program",
@@ -172,6 +206,10 @@ MUTANTS = (
      "autoparallel = defect <= 1e-10", "autoparallel = defect <= -1.0", None),
     ("red-autoparallel-unperturbed", "reduction.py", "check",
      "ctx.s_tilde + 0.4 * rng.standard_normal", "ctx.s_tilde + 0.0 * rng.standard_normal", None),
+    # the geometry's Γ(μ), which every reduced derivative reads, scaled by 1 + ε
+    *_graded("red-geometry-gamma-scaled", "reduction.py",
+             "self.gamma_T = ctx.gamma_mu.reshape(2 * self.n, -1).T",
+             "self.gamma_T = ctx.gamma_mu.reshape(2 * self.n, -1).T * (1.0 + {eps:.0e})"),
     # --- curvature.py
     ("curv-probe-step-large", "curvature.py", "program",
      "PROBE_STEP = 4e-3", "PROBE_STEP = 4e-1", None),
@@ -191,6 +229,10 @@ MUTANTS = (
     ("pipe-symplectic-means-baseline", "pipeline.py", "program",
      'if cfg.connection == "symplectic" else gammas', 'if cfg.connection != "symplectic" else gammas',
      None),
+    # the reduce stage's Γ(μ) off the connect stage's by 1e-6: P applied to a level-set
+    # torsion T(μ) that conn/torsion does not read (red/sigma-torsion)
+    ("pipe-reduce-gamma-scaled", "pipeline.py", "program",
+     "gamma_mu=run.gammas[0],", "gamma_mu=run.gammas[0] * (1.0 + 1e-6),", None),
     ("pipe-tperp-generators-at-minus-mu", "pipeline.py", "check",
      "gens = right_generator(a, mu, np.eye(n)).T", "gens = right_generator(a, -mu, np.eye(n)).T",
      None),
@@ -270,11 +312,13 @@ def compare(base: dict, mutated: dict) -> dict:
     return {"flipped": sorted(flipped), "exits": exits, "moved": moved}
 
 
-def tier1(tree: Path) -> str | None:
-    """The first failing tier-1 test of ``tree`` (or why the run failed), None if it passes."""
+def _first_failure(tree: Path, *deselect: str) -> str | None:
+    """The first failing tier-1 test of ``tree`` without the ``deselect`` ones (or
+    why the run failed), None if it passes."""
+    args = [arg for test in deselect for arg in ("--deselect", test)]
     try:
         run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                              "--ignore", "tests/test_mutants.py"],
+                              "--ignore", "tests/test_mutants.py", *args],
                              cwd=tree, capture_output=True, text=True, timeout=TIER1_TIMEOUT_S,
                              env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                                       PYTHONPATH=str(tree / "src")))
@@ -284,6 +328,20 @@ def tier1(tree: Path) -> str | None:
         return None
     failed = [line for line in run.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
     return failed[0] if failed else f"exit {run.returncode}"
+
+
+def tier1(tree: Path) -> tuple[str, str | None]:
+    """(status, first failing test) of ``tree``'s tier-1: ``survived`` when it
+    passes; ``pin-only`` when the first failure is the sha256 pin and the run
+    without it passes; else ``tier-1`` with the first failure other than the pin."""
+    failed = _first_failure(tree)
+    if failed is None:
+        return "survived", None
+    if failed.split()[1:2] == [PIN]:
+        failed = _first_failure(tree, PIN)
+        if failed is None:
+            return "pin-only", PIN
+    return "tier-1", failed
 
 
 def run(mutants, root: Path = ROOT, labels=(), with_tier1: bool = True, log=print) -> list:
@@ -302,8 +360,7 @@ def run(mutants, root: Path = ROOT, labels=(), with_tier1: bool = True, log=prin
                 if record["flipped"] or record["exits"]:
                     record["status"] = "dumps"
                 elif with_tier1:
-                    record["tier1"] = tier1(tree)
-                    record["status"] = "survived" if record["tier1"] is None else "tier-1"
+                    record["status"], record["tier1"] = tier1(tree)
                 else:
                     record["status"] = "survived"
             else:
@@ -320,6 +377,21 @@ def sole_killers(results: list) -> dict:
     for r in results:
         if r["status"] == "dumps" and not r["exits"] and len(r["flipped"]) == 1:
             out.setdefault(r["flipped"][0], []).append(r["name"])
+    return out
+
+
+def graded_catches(results: list) -> dict:
+    """graded family -> {"any": the smallest ε at which the dumps or a tier-1 test
+    other than the pin killed it, "dumps": the smallest at which the dumps did}
+    (None where none did)."""
+    out: dict = {}
+    for r in results:
+        family, eps = re.fullmatch(r"(.*?)(?:-(\de-\d+))?", r["name"]).groups()
+        if r["kind"] == "graded" or family in out:
+            seen = out.setdefault(family, {"any": None, "dumps": None})
+            for key, killed in (("any", r["status"] in ("dumps", "tier-1")),
+                                ("dumps", r["status"] == "dumps")):
+                seen[key] = seen[key] or (float(eps) if killed else None)
     return out
 
 
@@ -346,20 +418,24 @@ def main(argv: list) -> int:
     results = run(list(map(_name_fields, MUTANTS)), args.root.resolve(),
                   log=lambda line: print(line, flush=True))
     solo = sole_killers(results)
+    graded = graded_catches(results)
     print("checks that alone killed a mutant:")
     for check, names in sorted(solo.items()):
         print(f"  {check}: {', '.join(names)}")
+    for family, eps in graded.items():
+        print(f"graded {family}: smallest ε caught {eps['any']}, by the dumps {eps['dumps']}")
     counts = {s: sum(r["status"] == s for r in results)
-              for s in ("dumps", "tier-1", "survived", "not applied")}
+              for s in ("dumps", "tier-1", "pin-only", "survived", "not applied")}
     print(f"{len(results)} mutants: " + ", ".join(f"{n} {s}" for s, n in counts.items())
           + f" ({time.perf_counter() - t0:.0f} s)")
     if args.out:
         args.out.write_text(json.dumps({"root": str(args.root), "mutants": results,
-                                        "sole_killers": solo}, indent=1) + "\n")
+                                        "sole_killers": solo, "graded": graded}, indent=1) + "\n")
     bad = [r["name"] for r in results if r["status"] == "not applied"
-           or (r["status"] == "survived" and not r["equivalent"])]
+           or (r["status"] in ("survived", "pin-only") and not r["equivalent"]
+               and r["kind"] != "graded")]
     if bad:
-        print(f"not applied or survived: {', '.join(bad)}")
+        print(f"not applied, pin-only or survived: {', '.join(bad)}")
     return 1 if bad else 0
 
 
